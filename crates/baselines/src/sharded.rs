@@ -29,11 +29,11 @@
 //! Batch scheduling is **shard-outer / query-inner**: each shard answers
 //! the whole (expanded) batch through its own `estimate_many`, keeping
 //! the inner engine's batched-traversal wins (PASS reuses one MCF
-//! scratch across the batch per shard). `estimate_many_parallel` fans
-//! the *shards* out across the pool's workers when there are enough
-//! shards to keep the pool busy, and otherwise runs each shard's own
-//! parallel batch path over the whole pool. Both are element-wise
-//! bit-identical to the sequential single-query path.
+//! scratch across the batch per shard).
+//! `pass_common::estimate_many_parallel` chunks the *queries* across a
+//! pool like for any other engine, each chunk running the shard-outer
+//! loop. Both are element-wise bit-identical to the sequential
+//! single-query path.
 
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ use pass_common::rng::derive_seed;
 use pass_common::{
     apply_group_availability, AggKind, EngineSpec, Estimate, GroupByQuery, GroupBySnapshot,
     GroupResult, PartialEstimate, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
-    LAMBDA_99, PARALLEL_MIN_BATCH,
+    LAMBDA_99,
 };
 use pass_table::Table;
 
@@ -177,20 +177,27 @@ impl ShardedSynopsis {
             offsets.push((cursor, width));
             cursor += width;
         }
-        debug_assert!(shard_answers.iter().all(|a| a.len() == cursor));
         queries
             .iter()
             .zip(&offsets)
             .map(|(q, &(off, width))| {
                 self.merge_shards(q, |shard| {
-                    let mut answers = shard_answers[shard][off..off + width].iter().cloned();
-                    if self.multi_shard() {
-                        PartialEstimate::assemble_merge(q, answers)
-                    } else {
-                        answers
-                            .next()
-                            .expect("single-shard expansion has width 1")
-                            .map(|est| PartialEstimate::from_local(q.agg, est))
+                    let answers = shard_answers
+                        .get(shard)
+                        .and_then(|a| a.get(off..off + width))
+                        .ok_or_else(|| {
+                            PassError::InvalidParameter(
+                                "shard_answers",
+                                format!("shard {shard} is short of the expanded batch"),
+                            )
+                        })?;
+                    match answers {
+                        // Width 1 — every single-shard query and every
+                        // non-AVG one: the shard's answer is the partial.
+                        [only] => only
+                            .clone()
+                            .map(|est| PartialEstimate::from_local(q.agg, est)),
+                        _ => PartialEstimate::assemble_merge(q, answers.iter().cloned()),
                     }
                 })
             })
@@ -418,42 +425,6 @@ impl Synopsis for ShardedSynopsis {
             .iter()
             .map(|s| s.estimate_many(&expanded))
             .collect();
-        self.merge_expanded(queries, &shard_answers)
-    }
-
-    /// With enough shards to saturate the pool, the shards themselves
-    /// fan out across the workers (query-inner loops stay on each
-    /// shard's sequential batched path — one spawn round total).
-    /// With fewer shards than workers, each shard instead runs its own
-    /// parallel batch path over the whole pool, so a 2-shard engine on
-    /// an 8-thread pool still uses all 8 workers. Either way the result
-    /// is bit-identical to [`estimate_many`](Self::estimate_many) (the
-    /// `Synopsis` contract guarantees each shard's parallel path matches
-    /// its sequential one element-wise).
-    fn estimate_many_parallel(
-        &self,
-        queries: &[Query],
-        pool: &ThreadPool,
-    ) -> Vec<Result<Estimate>> {
-        if pool.threads() <= 1
-            || queries.len() < PARALLEL_MIN_BATCH
-            || queries.iter().any(|q| q.dims() != self.dims)
-        {
-            return self.estimate_many(queries);
-        }
-        let expanded = self.expand(queries);
-        let shard_answers: Vec<Vec<Result<Estimate>>> = if self.shards.len() >= pool.threads() {
-            pool.map_chunks(self.shards.len(), 1, |range| {
-                range
-                    .map(|i| self.shards[i].estimate_many(&expanded))
-                    .collect()
-            })
-        } else {
-            self.shards
-                .iter()
-                .map(|s| s.estimate_many_parallel(&expanded, pool))
-                .collect()
-        };
         self.merge_expanded(queries, &shard_answers)
     }
 
@@ -745,6 +716,26 @@ mod tests {
             ShardedSynopsis::build(&t, &EngineSpec::uniform(4), &ShardPlan::row_range(8)).unwrap();
         let disjoint = Query::interval(AggKind::Min, 5.0, 6.0);
         assert!(sharded.estimate(&disjoint).is_err());
+    }
+
+    #[test]
+    fn short_shard_answers_are_a_typed_error_not_a_panic() {
+        let answering = || -> Arc<dyn Synopsis> { Arc::new(MockShard(Some(Estimate::exact(1.0)))) };
+        let q = Query::interval(AggKind::Avg, 0.0, 1.0);
+        let queries = std::slice::from_ref(&q);
+        let short = |got: &[Result<Estimate>]| {
+            matches!(got, [Err(PassError::InvalidParameter("shard_answers", _))])
+        };
+        // One shard that returned nothing for a one-query batch.
+        let single = mock_sharded(vec![answering()]);
+        assert!(short(&single.merge_expanded(queries, &[vec![]])));
+        // Two shards, AVG expands to COUNT + SUM: the second shard's
+        // answers stop one short.
+        let multi = mock_sharded(vec![answering(), answering()]);
+        let full = vec![Ok(Estimate::exact(1.0)), Ok(Estimate::exact(2.0))];
+        let cut = full[..1].to_vec();
+        assert!(short(&multi.merge_expanded(queries, &[full.clone(), cut])));
+        assert!(multi.merge_expanded(queries, &[full.clone(), full])[0].is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use pass_bench::{emit_json, pct, print_table, Scale};
 use pass_common::{AggKind, PassSpec};
 use pass_table::datasets::DatasetId;
 use pass_table::SortedTable;
-use pass_workload::{random_queries, WorkloadSummary};
+use pass_workload::{random_queries, Exec, WorkloadSummary};
 
 const PARTITION_SWEEP: [usize; 6] = [4, 8, 16, 32, 64, 128];
 const SAMPLE_RATE: f64 = 0.005;
@@ -44,7 +44,9 @@ fn main() {
         session
             .add_engine("US", &EngineSpec::uniform(base_k).with_seed(scale.seed))
             .unwrap();
-        let (us_summary, _) = session.run_workload("US", &queries).unwrap();
+        let (us_summary, _) = session
+            .run_workload("US", &queries, Exec::PerQuery)
+            .unwrap();
         {
             let mut s = us_summary.clone();
             s.engine = format!("US/{id}");
@@ -79,7 +81,9 @@ fn main() {
                 .unwrap();
             let mut row = vec![parts.to_string()];
             for name in ["PASS", "US", "ST", "AQP++"] {
-                let (mut s, _) = session.run_workload(name, &queries).unwrap();
+                let (mut s, _) = session
+                    .run_workload(name, &queries, Exec::PerQuery)
+                    .unwrap();
                 row.push(pct(s.median_relative_error));
                 s.engine = format!("{}/{}/k={}", s.engine, id, parts);
                 all.push(s);

@@ -21,7 +21,6 @@ use std::sync::Arc;
 use crate::chaos::{AtomicU64, Mutex, Ordering};
 
 use crate::estimate::Estimate;
-use crate::partial::PartialEstimate;
 use crate::pool::ThreadPool;
 use crate::progressive::GroupBySnapshot;
 use crate::query::{GroupByQuery, GroupResult, Query};
@@ -332,6 +331,20 @@ impl<S: Synopsis> CachedSynopsis<S> {
         &self.cache
     }
 
+    /// [`estimate_many`](Synopsis::estimate_many) with the cache misses
+    /// sharded across `pool`'s workers: the cache is probed once for the
+    /// whole batch, and only the distinct missed queries fan out through
+    /// [`estimate_many_parallel`](crate::estimate_many_parallel).
+    pub fn estimate_many_parallel(
+        &self,
+        queries: &[Query],
+        pool: &ThreadPool,
+    ) -> Vec<Result<Estimate>> {
+        self.answer_batch(queries, |missed| {
+            crate::estimate_many_parallel(&self.inner, missed, pool)
+        })
+    }
+
     /// Answer a batch, filling cache misses via `compute` (which receives
     /// only the **distinct** missed queries, in first-occurrence order —
     /// duplicates within one batch are computed once and fanned out).
@@ -401,23 +414,6 @@ impl<S: Synopsis> Synopsis for CachedSynopsis<S> {
 
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
         self.answer_batch(queries, |missed| self.inner.estimate_many(missed))
-    }
-
-    fn estimate_many_parallel(
-        &self,
-        queries: &[Query],
-        pool: &ThreadPool,
-    ) -> Vec<Result<Estimate>> {
-        self.answer_batch(queries, |missed| {
-            self.inner.estimate_many_parallel(missed, pool)
-        })
-    }
-
-    /// Partials forward straight to the engine: they are shard-internal
-    /// building blocks keyed differently from whole-query answers, so
-    /// caching happens (if at all) at the merged-estimate layer above.
-    fn estimate_partial(&self, query: &Query) -> Result<PartialEstimate> {
-        self.inner.estimate_partial(query)
     }
 
     /// Group-by rows are cached **per category** under group-tagged keys

@@ -11,8 +11,9 @@
 //!   mergeable per-partition statistics (SUM, COUNT, MIN, MAX — Section 2.3);
 //! * [`Estimate`] and the [`Synopsis`] trait — the engine-agnostic contract
 //!   every AQP engine (PASS and the Section 5 baselines) implements, with
-//!   single ([`Synopsis::estimate`]), batched ([`Synopsis::estimate_many`]),
-//!   and parallel ([`Synopsis::estimate_many_parallel`]) entry points;
+//!   single ([`Synopsis::estimate`]) and batched
+//!   ([`Synopsis::estimate_many`]) entry points, plus
+//!   [`estimate_many_parallel`] to shard any engine's batch over a pool;
 //! * [`EngineSpec`] / [`PassSpec`] — declarative engine configuration, the
 //!   input to the engine registry (`pass_baselines::Engine`) and the
 //!   `pass::Session` facade, JSON round-trippable via [`json`];
@@ -83,5 +84,5 @@ pub use queue::{Priority, PushError, RequestQueue};
 pub use snapshot::{SnapshotError, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use spec::{EngineSpec, JoinSpec, PartitionStrategy, PassSpec, ShardPlan};
 pub use stats::{lambda_for_confidence, LAMBDA_95, LAMBDA_99};
-pub use synopsis::{Synopsis, PARALLEL_MIN_BATCH};
+pub use synopsis::{estimate_many_parallel, Synopsis, PARALLEL_MIN_BATCH};
 pub use ticket::{ServeOutcome, Ticket, TicketSlot};

@@ -99,34 +99,6 @@ impl PartialEstimate {
         Self::from_local(agg, Estimate::approximate(0.0, 0.0))
     }
 
-    /// The sub-queries a shard must answer to produce a partial for
-    /// `query`, in the order [`assemble`](Self::assemble) consumes them.
-    /// One query for COUNT/SUM/MIN/MAX; COUNT + SUM + the query itself
-    /// for AVG. Batched sharded paths expand a query batch with this and
-    /// feed the expansion through the shard's `estimate_many`.
-    pub fn queries(query: &Query) -> Vec<Query> {
-        let expanded = match query.agg {
-            AggKind::Avg => vec![
-                Query::new(AggKind::Count, query.rect.clone()),
-                Query::new(AggKind::Sum, query.rect.clone()),
-                query.clone(),
-            ],
-            _ => vec![query.clone()],
-        };
-        debug_assert_eq!(expanded.len(), Self::width(query.agg));
-        expanded
-    }
-
-    /// How many sub-queries [`queries`](Self::queries) produces for an
-    /// aggregate — allocation-free, for offset bookkeeping over an
-    /// expanded batch.
-    pub fn width(agg: AggKind) -> usize {
-        match agg {
-            AggKind::Avg => 3,
-            _ => 1,
-        }
-    }
-
     /// The decomposition for merges over **multiple** shards: AVG
     /// expands to COUNT + SUM only (a K-way merge recomputes AVG as
     /// ΣSUM/ΣCOUNT and never reads a shard's own AVG answer, so issuing
@@ -154,9 +126,10 @@ impl PartialEstimate {
         }
     }
 
-    /// [`assemble`](Self::assemble) for the
-    /// [`merge_queries`](Self::merge_queries) decomposition: the AVG
-    /// local is synthesized as the SUM/COUNT ratio with the same
+    /// Build the partial for `query` from a shard's answers to
+    /// [`merge_queries`](Self::merge_queries), in order (the first
+    /// failing answer is the partial's error): the AVG local is
+    /// synthesized as the SUM/COUNT ratio with the same
     /// delta-method CI the K-way merge uses (so a merge that collapses
     /// to one answering shard is consistent with the K-way formula),
     /// exactness when both components are exact, and hard bounds from
@@ -177,30 +150,6 @@ impl PartialEstimate {
                 let count = next()?;
                 let sum = next()?;
                 let local = ratio_local(&count, &sum)?;
-                Ok(PartialEstimate::for_avg(local, &count, &sum))
-            }
-            agg => Ok(PartialEstimate::from_local(agg, next()?)),
-        }
-    }
-
-    /// Build the partial for `query` from the shard's answers to
-    /// [`queries`](Self::queries), in order. The first failing answer is
-    /// the partial's error.
-    pub fn assemble(
-        query: &Query,
-        answers: impl IntoIterator<Item = Result<Estimate>>,
-    ) -> Result<PartialEstimate> {
-        let mut answers = answers.into_iter();
-        let mut next = || {
-            answers
-                .next()
-                .unwrap_or(Err(PassError::EmptyInput("missing partial sub-answer")))
-        };
-        match query.agg {
-            AggKind::Avg => {
-                let count = next()?;
-                let sum = next()?;
-                let local = next()?;
                 Ok(PartialEstimate::for_avg(local, &count, &sum))
             }
             agg => Ok(PartialEstimate::from_local(agg, next()?)),
@@ -525,35 +474,6 @@ mod tests {
         .unwrap();
         assert_eq!(merged.tuples_processed, 15);
         assert_eq!(merged.tuples_skipped, 150);
-    }
-
-    #[test]
-    fn query_expansion_and_assembly_round_trip() {
-        let q = Query::new(AggKind::Avg, Rect::interval(0.0, 1.0));
-        let expanded = PartialEstimate::queries(&q);
-        assert_eq!(expanded.len(), 3);
-        assert_eq!(expanded[0].agg, AggKind::Count);
-        assert_eq!(expanded[1].agg, AggKind::Sum);
-        assert_eq!(expanded[2], q);
-        let part = PartialEstimate::assemble(
-            &q,
-            [
-                Ok(Estimate::approximate(10.0, 1.0)),
-                Ok(Estimate::approximate(30.0, 2.0)),
-                Ok(Estimate::approximate(3.0, 0.2)),
-            ],
-        )
-        .unwrap();
-        assert_eq!(part.count, 10.0);
-        assert_eq!(part.sum, 30.0);
-        assert_eq!(part.local.value, 3.0);
-
-        let q = Query::new(AggKind::Sum, Rect::interval(0.0, 1.0));
-        assert_eq!(PartialEstimate::queries(&q).len(), 1);
-        let part = PartialEstimate::assemble(&q, [Ok(Estimate::approximate(5.0, 0.5))]).unwrap();
-        assert_eq!(part.sum, 5.0);
-        // Errors propagate.
-        assert!(PartialEstimate::assemble(&q, [Err(PassError::EmptyInput("no match"))]).is_err());
     }
 
     #[test]

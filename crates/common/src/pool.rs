@@ -10,12 +10,10 @@
 //! machinery, and scoped spawning lets closures borrow the batch and the
 //! synopsis directly — no `'static` bounds, no `unsafe`.
 //!
-//! The intended consumer is [`Synopsis::estimate_many_parallel`]
-//! (`crate::synopsis`): query batches are embarrassingly parallel over an
-//! immutable synopsis, so chunk-stealing over the query range is all the
-//! scheduling the serving layer needs.
-//!
-//! [`Synopsis::estimate_many_parallel`]: crate::Synopsis::estimate_many_parallel
+//! The intended consumer is [`crate::estimate_many_parallel`]: query
+//! batches are embarrassingly parallel over an immutable synopsis, so
+//! chunk-stealing over the query range is all the scheduling the serving
+//! layer needs.
 
 use std::ops::Range;
 
@@ -92,26 +90,6 @@ impl ThreadPool {
         T: Send,
         F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
-        self.map_chunks_with(len, chunk_size, || (), |_, range| f(range))
-    }
-
-    /// Like [`map_chunks`](Self::map_chunks), but every worker first
-    /// builds private state with `init` and reuses it across all the
-    /// chunks it steals — the hook that lets PASS give each worker one
-    /// `McfScratch` traversal buffer so the batched allocation-free query
-    /// path survives parallelism.
-    pub fn map_chunks_with<S, T, I, F>(
-        &self,
-        len: usize,
-        chunk_size: usize,
-        init: I,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, Range<usize>) -> Vec<T> + Sync,
-    {
         let chunk_size = chunk_size.max(1);
         let n_chunks = len.div_ceil(chunk_size);
         if n_chunks == 0 {
@@ -119,11 +97,10 @@ impl ThreadPool {
         }
         let workers = self.threads.min(n_chunks);
         if workers <= 1 {
-            let mut state = init();
             let mut out = Vec::with_capacity(len);
             for c in 0..n_chunks {
                 let start = c * chunk_size;
-                out.extend(f(&mut state, start..(start + chunk_size).min(len)));
+                out.extend(f(start..(start + chunk_size).min(len)));
             }
             return out;
         }
@@ -131,7 +108,6 @@ impl ThreadPool {
         let cursor = AtomicUsize::new(0);
         let parts: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::with_capacity(n_chunks));
         self.scope_workers(workers, || {
-            let mut state = init();
             let mut local: Vec<(usize, Vec<T>)> = Vec::new();
             loop {
                 // relaxed: the fetch_add itself hands out unique chunk
@@ -141,7 +117,7 @@ impl ThreadPool {
                     break;
                 }
                 let start = c * chunk_size;
-                local.push((c, f(&mut state, start..(start + chunk_size).min(len))));
+                local.push((c, f(start..(start + chunk_size).min(len))));
             }
             parts.lock().extend(local);
         });
@@ -196,25 +172,6 @@ mod tests {
             Vec::<()>::new()
         });
         assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn worker_state_is_initialized_per_worker_and_reused() {
-        // Each worker counts the chunks it processed in its private state;
-        // the per-chunk results record that count, so observing any value
-        // greater than 1 proves state survives across chunks.
-        let pool = ThreadPool::new(2);
-        let out = pool.map_chunks_with(
-            64,
-            4,
-            || 0usize,
-            |seen, range| {
-                *seen += 1;
-                vec![*seen; range.len()]
-            },
-        );
-        assert_eq!(out.len(), 64);
-        assert!(out.iter().any(|&c| c > 1), "state reused across chunks");
     }
 
     #[test]

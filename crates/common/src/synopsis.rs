@@ -5,23 +5,20 @@
 //! runner in `pass-workload` and the `pass::Session` facade only speak
 //! this trait, so the benchmark tables are generated by one generic loop.
 //!
-//! The contract has three query entry points: [`estimate`](Synopsis::estimate)
-//! answers one query, [`estimate_many`](Synopsis::estimate_many) answers a
-//! batch, and [`estimate_many_parallel`](Synopsis::estimate_many_parallel)
-//! shards a batch across a [`ThreadPool`]. The default batch implementation
-//! loops over `estimate`; engines with shareable per-query state (PASS
-//! reuses its MCF traversal across the batch) override it. The default
-//! parallel implementation chunks the batch over the pool's workers, each
-//! chunk going through `estimate_many`; PASS overrides it to give every
-//! worker a private traversal scratch. All three must agree element-wise —
-//! `tests/engine_contract.rs` asserts this for every registered engine.
+//! The contract has two query entry points: [`estimate`](Synopsis::estimate)
+//! answers one query and [`estimate_many`](Synopsis::estimate_many) answers
+//! a batch. The default batch implementation loops over `estimate`; engines
+//! with shareable per-query state override it. How a batch is *executed* is
+//! not part of the trait: [`estimate_many_parallel`] chunks any engine's
+//! `estimate_many` across a [`ThreadPool`]. All three must agree
+//! element-wise — `tests/engine_contract.rs` asserts this for every
+//! registered engine.
 //!
 //! A built synopsis is **immutable at query time**, so the trait requires
 //! `Send + Sync`: one synopsis behind an `Arc` can serve any number of
 //! threads and sessions concurrently without locking.
 
 use crate::estimate::Estimate;
-use crate::partial::PartialEstimate;
 use crate::pool::ThreadPool;
 use crate::progressive::GroupBySnapshot;
 use crate::query::{apply_group_availability, GroupByQuery, GroupResult, Query};
@@ -65,89 +62,35 @@ pub trait Synopsis: Send + Sync {
         queries.iter().map(|q| self.estimate(q)).collect()
     }
 
-    /// Answer a batch in parallel: the batch is cut into chunks which the
-    /// pool's workers steal and answer through
-    /// [`estimate_many`](Self::estimate_many), results reassembled in
-    /// input order.
-    ///
-    /// Semantically identical to `estimate_many` (engines are
-    /// deterministic and immutable at query time, so parallel results are
-    /// bit-identical element-wise); batches under [`PARALLEL_MIN_BATCH`]
-    /// or single-worker pools take the sequential path directly. Engines
-    /// with reusable traversal state override this to build that state
-    /// once per worker (PASS gives each worker its own `McfScratch`).
-    fn estimate_many_parallel(
-        &self,
-        queries: &[Query],
-        pool: &ThreadPool,
-    ) -> Vec<Result<Estimate>> {
-        if pool.threads() <= 1 || queries.len() < PARALLEL_MIN_BATCH {
-            return self.estimate_many(queries);
-        }
-        let chunk = pool.chunk_size_for(queries.len());
-        pool.map_chunks(queries.len(), chunk, |range| {
-            self.estimate_many(&queries[range])
-        })
-    }
-
-    /// Answer one query as a mergeable [`PartialEstimate`] — the entry
-    /// point for composing this synopsis into a larger estimator
-    /// (disjoint shards of one table, federated tables) via
-    /// [`PartialEstimate::merge`].
-    ///
-    /// The default delegates to [`estimate`](Self::estimate): COUNT, SUM,
-    /// MIN and MAX estimates are trivially mergeable as they stand, and
-    /// AVG is decomposed into COUNT + SUM sub-queries (plus the AVG
-    /// itself, so a single-partial merge returns this engine's own
-    /// answer verbatim) via [`PartialEstimate::queries`].
-    ///
-    /// Note: `pass_baselines::ShardedSynopsis` schedules its multi-shard
-    /// merges through the plain-data decomposition
-    /// ([`PartialEstimate::merge_queries`]) and the engine's own batched
-    /// `estimate_many` — not through this per-query hook — which is what
-    /// keeps its single, batched, and parallel paths bit-identical. An
-    /// override here therefore affects direct callers of this method,
-    /// not the sharding layer's internals.
-    fn estimate_partial(&self, query: &Query) -> Result<PartialEstimate> {
-        PartialEstimate::assemble(
-            query,
-            PartialEstimate::queries(query)
-                .iter()
-                .map(|q| self.estimate(q)),
-        )
-    }
-
     /// Answer a group-by aggregate: one result per category of
     /// `query`, in category order (the paper's Section 4.5 — one
     /// equality rectangle per category on the group dimension).
     ///
-    /// The default decomposes into per-category
-    /// [`estimate_partial`](Self::estimate_partial) calls and applies
-    /// the **group availability rule**
-    /// ([`apply_group_availability`]):
+    /// The default answers the per-category expansion
+    /// ([`GroupByQuery::queries`]) through
+    /// [`estimate_many`](Self::estimate_many) — so an engine's batched
+    /// path serves every category — and applies the **group availability
+    /// rule** ([`apply_group_availability`]):
     /// a category with zero sampled evidence surfaces as
     /// `Err(EmptyInput)` — the stratified-availability semantics — never
-    /// as a silent, baseless `0 ± 0`. Engines with shareable per-query
-    /// state override this (PASS routes the expansion through its
-    /// batched MCF-scratch path; `ShardedSynopsis` merges per-shard
-    /// partials per group); every override must preserve both the
-    /// category order and the availability rule so layered paths stay
-    /// bit-identical.
+    /// as a silent, baseless `0 ± 0`. `ShardedSynopsis` overrides this to
+    /// merge per-shard partials per group; every override must preserve
+    /// both the category order and the availability rule so layered
+    /// paths stay bit-identical.
     ///
     /// Per-category failures land in each [`GroupResult::estimate`]; the
     /// method itself only errs on malformed queries (wrong arity,
     /// out-of-range group dimension, NaN category).
     fn estimate_group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
         query.validate(self.dims())?;
+        let answers = self.estimate_many(&query.queries());
         Ok(query
             .categories
             .iter()
-            .map(|&key| GroupResult {
+            .zip(answers)
+            .map(|(&key, estimate)| GroupResult {
                 key,
-                estimate: apply_group_availability(
-                    self.estimate_partial(&query.query_for(key))
-                        .map(|p| p.local),
-                ),
+                estimate: apply_group_availability(estimate),
             })
             .collect())
     }
@@ -252,14 +195,36 @@ pub trait Synopsis: Send + Sync {
     fn dims(&self) -> usize;
 }
 
+/// Answer a batch in parallel: the batch is cut into chunks which the
+/// pool's workers steal and answer through
+/// [`Synopsis::estimate_many`], results reassembled in input order.
+///
+/// Semantically identical to `estimate_many` (engines are deterministic
+/// and immutable at query time, so parallel results are bit-identical
+/// element-wise); batches under [`PARALLEL_MIN_BATCH`] or single-worker
+/// pools take the sequential path directly.
+pub fn estimate_many_parallel<S: Synopsis + ?Sized>(
+    engine: &S,
+    queries: &[Query],
+    pool: &ThreadPool,
+) -> Vec<Result<Estimate>> {
+    if pool.threads() <= 1 || queries.len() < PARALLEL_MIN_BATCH {
+        return engine.estimate_many(queries);
+    }
+    let chunk = pool.chunk_size_for(queries.len());
+    pool.map_chunks(queries.len(), chunk, |range| {
+        engine.estimate_many(&queries[range])
+    })
+}
+
 /// Forwarding impls so `Box<dyn Synopsis>`, `Arc<dyn Synopsis>`, and plain
 /// references compose (collections can nest, sessions can share one
 /// immutable synopsis across threads via `Arc`).
 ///
 /// Every method forwards explicitly — including those with default
-/// bodies. Without the `estimate_many`/`estimate_many_parallel`/`spec`
-/// forwards, a wrapped synopsis would fall back to the trait defaults and
-/// silently discard the inner engine's batched paths and stored spec.
+/// bodies. Without the `estimate_many`/`spec` forwards, a wrapped synopsis
+/// would fall back to the trait defaults and silently discard the inner
+/// engine's batched path and stored spec.
 macro_rules! forward_synopsis {
     ($($wrapper:ty),+) => {$(
         impl<S: Synopsis + ?Sized> Synopsis for $wrapper {
@@ -271,16 +236,6 @@ macro_rules! forward_synopsis {
             }
             fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
                 (**self).estimate_many(queries)
-            }
-            fn estimate_many_parallel(
-                &self,
-                queries: &[Query],
-                pool: &ThreadPool,
-            ) -> Vec<Result<Estimate>> {
-                (**self).estimate_many_parallel(queries, pool)
-            }
-            fn estimate_partial(&self, query: &Query) -> Result<PartialEstimate> {
-                (**self).estimate_partial(query)
             }
             fn estimate_group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
                 (**self).estimate_group_by(query)
@@ -375,6 +330,7 @@ mod tests {
         assert_eq!(s.name(), "CONST");
         assert_eq!(s.storage_bytes(), 8);
         assert_eq!(s.dims(), 1);
+        assert_eq!(s.update_epoch(), 0, "immutable engines never advance");
 
         let nested: Box<Box<dyn Synopsis>> = Box::new(s);
         assert_eq!(nested.estimate(&q).unwrap().value, 7.0);
@@ -414,13 +370,13 @@ mod tests {
             .map(|i| Query::interval(AggKind::Sum, i as f64, i as f64 + 1.0))
             .collect();
         let seq = s.estimate_many(&queries);
-        let par = s.estimate_many_parallel(&queries, &pool);
+        let par = estimate_many_parallel(&s, &queries, &pool);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.as_ref().unwrap().value, b.as_ref().unwrap().value);
         }
         // Tiny batches skip the fan-out but still answer correctly.
-        let small = s.estimate_many_parallel(&queries[..3], &pool);
+        let small = estimate_many_parallel(&s, &queries[..3], &pool);
         assert_eq!(small.len(), 3);
     }
 
@@ -436,25 +392,6 @@ mod tests {
         let by_ref: &dyn Synopsis = &Marked;
         let batch = by_ref.estimate_many(std::slice::from_ref(&q));
         assert_eq!(batch[0].as_ref().unwrap().value, 2.0);
-    }
-
-    #[test]
-    fn default_estimate_partial_decomposes_and_forwards() {
-        let s = Constant(6.0);
-        // SUM: one sub-query, components mirror the estimate.
-        let q = Query::new(AggKind::Sum, Rect::interval(0.0, 1.0));
-        let part = s.estimate_partial(&q).unwrap();
-        assert_eq!(part.sum, 6.0);
-        assert_eq!(part.local, s.estimate(&q).unwrap());
-        // AVG: decomposed into COUNT + SUM (Constant answers both with 6).
-        let q = Query::new(AggKind::Avg, Rect::interval(0.0, 1.0));
-        let part = s.estimate_partial(&q).unwrap();
-        assert_eq!((part.count, part.sum), (6.0, 6.0));
-        // The default epoch is 0 (immutable engine), and both forward
-        // through trait objects.
-        let boxed: Box<dyn Synopsis> = Box::new(Constant(6.0));
-        assert_eq!(boxed.update_epoch(), 0);
-        assert_eq!(boxed.estimate_partial(&q).unwrap().count, 6.0);
     }
 
     #[test]

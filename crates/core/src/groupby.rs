@@ -5,41 +5,23 @@
 //! can aggregate answers for all the selection queries to generate a final
 //! answer." — a `GROUP BY c` becomes one equality rectangle `c = v` per
 //! distinct value `v`, all answered by the same synopsis.
-
-use pass_common::{AggKind, GroupByQuery, Rect, Result, Synopsis};
-
-use crate::synopsis::Pass;
+//!
+//! The engine-agnostic entry point is
+//! [`pass_common::Synopsis::estimate_group_by`]; its default routes the
+//! per-category rectangles through `estimate_many`, which for [`Pass`] is
+//! the shared-scratch batch path.
+//!
+//! [`Pass`]: crate::Pass
 
 // The canonical row type lives in pass-common now that group-by is part
 // of the engine-agnostic `Synopsis` surface; re-exported here so existing
 // `pass_core::GroupResult` paths keep working.
 pub use pass_common::GroupResult;
 
-impl Pass {
-    /// `SELECT agg(A) ... WHERE base GROUP BY dim` for the given category
-    /// codes. `base` constrains the remaining dimensions (pass the
-    /// bounding rectangle, or `Rect::whole(dims)`, for an unfiltered
-    /// group-by); its bounds on `dim` are overwritten per group.
-    ///
-    /// Convenience wrapper over the engine-agnostic
-    /// [`Synopsis::estimate_group_by`], which PASS overrides to route the
-    /// per-category equality rectangles through its batched MCF path.
-    pub fn group_by(
-        &self,
-        agg: AggKind,
-        dim: usize,
-        categories: &[f64],
-        base: &Rect,
-    ) -> Result<Vec<GroupResult>> {
-        self.estimate_group_by(&GroupByQuery::new(agg, dim, categories, base.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::synopsis::PassBuilder;
-    use pass_common::Query;
+    use pass_common::{AggKind, GroupByQuery, Query, Rect, Synopsis};
     use pass_table::datasets::instacart;
     use pass_table::Table;
 
@@ -58,7 +40,12 @@ mod tests {
             .unwrap();
         let base = table.bounding_rect().unwrap();
         let groups = pass
-            .group_by(AggKind::Sum, 0, &[0.0, 1.0, 2.0, 3.0, 4.0], &base)
+            .estimate_group_by(&GroupByQuery::new(
+                AggKind::Sum,
+                0,
+                &[0.0, 1.0, 2.0, 3.0, 4.0],
+                base,
+            ))
             .unwrap();
         assert_eq!(groups.len(), 5);
         for g in groups {
@@ -86,7 +73,9 @@ mod tests {
         cats.sort_by(|a, b| a.partial_cmp(b).unwrap());
         cats.dedup();
         cats.truncate(10);
-        let groups = pass.group_by(AggKind::Count, 0, &cats, &base).unwrap();
+        let groups = pass
+            .estimate_group_by(&GroupByQuery::new(AggKind::Count, 0, &cats, base))
+            .unwrap();
         for g in &groups {
             let est = g.estimate.as_ref().unwrap();
             assert!(est.value >= 0.0);
@@ -108,8 +97,9 @@ mod tests {
             .build(&table)
             .unwrap();
         let base = table.bounding_rect().unwrap();
-        assert!(pass.group_by(AggKind::Sum, 5, &[1.0], &base).is_err());
-        let wrong_base = Rect::new(&[(0.0, 1.0), (0.0, 1.0)]);
-        assert!(pass.group_by(AggKind::Sum, 0, &[1.0], &wrong_base).is_err());
+        let group_by =
+            |dim, base| pass.estimate_group_by(&GroupByQuery::new(AggKind::Sum, dim, &[1.0], base));
+        assert!(group_by(5, base).is_err());
+        assert!(group_by(0, Rect::new(&[(0.0, 1.0), (0.0, 1.0)])).is_err());
     }
 }

@@ -11,13 +11,15 @@
 //!
 //! Build one declaratively with a [`pass_common::PassSpec`] (the form the
 //! engine registry and `pass::Session` use); [`PassBuilder`] remains as
-//! the fluent equivalent. Batches go through `estimate_many`, which
-//! reuses the MCF traversal state (stack + frontier buffers,
-//! [`McfScratch`]) across the whole batch; `estimate_many_parallel`
-//! shards a batch across a `pass_common::ThreadPool` with one scratch per
-//! worker, bit-identical to the sequential paths (the synopsis is
-//! immutable at query time — `Synopsis` requires `Send + Sync` — so
-//! traversals parallelize without locks):
+//! the fluent equivalent. `estimate` and `estimate_many` run the same
+//! per-query path on the calling thread's reusable [`McfScratch`] (DFS
+//! stack, frontier, scan and combination buffers), so a batch — or a
+//! stream of single queries — runs allocation-free once warm;
+//! `pass_common::estimate_many_parallel` shards a batch across a
+//! `pass_common::ThreadPool`, each worker thread riding its own scratch,
+//! bit-identical to the sequential paths (the synopsis is immutable at
+//! query time — `Synopsis` requires `Send + Sync` — so traversals
+//! parallelize without locks):
 //!
 //! ```
 //! use pass_core::Pass;
@@ -50,23 +52,19 @@
 //! ```
 
 pub mod bounds;
-pub mod budget;
-pub mod forest;
 pub mod groupby;
 pub mod maintain;
 pub mod mcf;
-pub mod query;
+mod query;
 pub mod snapshot;
 pub mod synopsis;
 pub mod tree;
 pub mod update;
 
-pub use budget::{BudgetPlan, BudgetPlanner};
-pub use forest::PassForest;
 pub use groupby::GroupResult;
 pub use maintain::MaintenanceReport;
 pub use mcf::{
-    constrains_outside, mcf, mcf_batch, mcf_shifted, project_rect, McfResult, McfScratch, NodeClass,
+    constrains_outside, mcf, mcf_shifted, project_rect, McfResult, McfScratch, NodeClass,
 };
 pub use synopsis::{PartitionStrategy, Pass, PassBuilder};
 pub use tree::{NodeId, PartitionTree};

@@ -130,85 +130,6 @@ pub fn constrains_outside(rect: &Rect, dims: &[usize]) -> bool {
     }
 }
 
-/// Run MCF for a whole query batch in **one** tree traversal.
-///
-/// Instead of one full DFS per query, every node carries the set of
-/// queries still "active" on it (those whose classification requires
-/// descending). The node is fetched and its emptiness checked once; each
-/// active query classifies against its rectangle and either terminates
-/// (disjoint / covered / partial-leaf / 0-variance) or stays active for
-/// the children. Queries on disjoint subtrees drop out early, so shared
-/// prefixes of the tree are walked once for the whole batch.
-///
-/// The traversal pops nodes in the same LIFO order as [`mcf`] and a query
-/// only ever sees nodes its own DFS would have visited, so each returned
-/// [`McfResult`] — including `covered`/`partial` ordering and the
-/// `visited` count — is identical to running [`mcf`] per query. Estimates
-/// computed from batch frontiers are therefore bit-identical to the
-/// single-query path.
-///
-/// This is the analysis/benchmark variant; the production batch path
-/// (`Pass::estimate_many` → `process_batch`) uses per-query traversals
-/// over a reused [`McfScratch`], which measures faster because the
-/// per-(node, query) classification work dominates and scratch reuse
-/// avoids materializing every frontier at once.
-pub fn mcf_batch(
-    tree: &PartitionTree,
-    queries: &[Query],
-    zero_variance_rule: bool,
-) -> Vec<McfResult> {
-    let mut results: Vec<McfResult> = vec![McfResult::default(); queries.len()];
-    if queries.is_empty() {
-        return results;
-    }
-    let apply_zero_var: Vec<bool> = queries
-        .iter()
-        .map(|q| zero_variance_rule && q.agg == AggKind::Avg)
-        .collect();
-    // Active sets live in one append-only arena; a stack entry is
-    // (node, start, len) into it. Sibling nodes share their parent's
-    // recurse range, so the whole traversal performs no per-node
-    // allocation (the arena and stack grow amortized).
-    let mut arena: Vec<u32> = (0..queries.len() as u32).collect();
-    let mut stack: Vec<(NodeId, u32, u32)> = vec![(tree.root(), 0, queries.len() as u32)];
-    let check_empty = tree.has_empty_nodes();
-    while let Some((id, start, len)) = stack.pop() {
-        let (start, end) = (start as usize, (start + len) as usize);
-        for i in start..end {
-            results[arena[i] as usize].visited += 1;
-        }
-        if check_empty && tree.agg(id).is_empty() {
-            continue;
-        }
-        let recurse_start = arena.len();
-        let (is_leaf, zero_variance) = (tree.is_leaf(id), tree.agg(id).is_zero_variance());
-        for i in start..end {
-            let qi = arena[i];
-            let q = qi as usize;
-            match tree.relation_to(id, &queries[q].rect) {
-                RectRelation::Disjoint => {}
-                RectRelation::Covered => results[q].covered.push(id),
-                RectRelation::Partial => {
-                    if apply_zero_var[q] && zero_variance {
-                        results[q].zero_var.push(id);
-                    } else if is_leaf {
-                        results[q].partial.push(id);
-                    } else {
-                        arena.push(qi);
-                    }
-                }
-            }
-        }
-        let recurse_len = (arena.len() - recurse_start) as u32;
-        if recurse_len > 0 {
-            for &child in tree.children(id) {
-                stack.push((child, recurse_start as u32, recurse_len));
-            }
-        }
-    }
-    results
-}
-
 /// Run MCF for `query` over `tree`. `zero_variance_rule` enables the AVG
 /// base case (it is ignored for other aggregates).
 pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> McfResult {
@@ -220,11 +141,12 @@ pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> Mcf
 /// Reusable MCF working state: the DFS stack, the frontier buffers, the
 /// scan-kernel scratch, and the stratum-combination buffer.
 ///
-/// A single `estimate` would otherwise allocate (and free) several vectors
-/// per query; the batched path keeps one scratch alive across the whole
-/// batch so every query after the first runs allocation-free — frontier
-/// classification, per-leaf sample scans, and stratum combination all
-/// reuse these buffers. `run` produces exactly the frontier [`mcf`] would.
+/// A query would otherwise allocate (and free) several vectors; `Pass`
+/// answers every query on its thread's scratch
+/// ([`with_local`](Self::with_local)), so once the buffers have grown a
+/// query runs allocation-free — frontier classification, per-leaf sample
+/// scans, and stratum combination all reuse them. `run` is the one
+/// non-shifted MCF traversal in the workspace; [`mcf`] wraps it.
 #[derive(Debug, Default)]
 pub struct McfScratch {
     stack: Vec<NodeId>,
@@ -237,9 +159,9 @@ pub struct McfScratch {
 }
 
 impl McfScratch {
-    /// Run `f` against this thread's reusable scratch — the single-query
-    /// (`&self`) entry points borrow it so they ride the same buffers the
-    /// batched path owns explicitly.
+    /// Run `f` against this thread's reusable scratch. Every worker of a
+    /// parallel batch is its own thread, so each gets a private scratch
+    /// for free. Not re-entrant: `f` must not call `with_local` again.
     pub fn with_local<R>(f: impl FnOnce(&mut McfScratch) -> R) -> R {
         use std::cell::RefCell;
         thread_local! {
@@ -515,6 +437,9 @@ mod tests {
 
     #[test]
     fn batch_frontiers_match_single_query_mcf() {
+        // One scratch reused across a batch — how `Pass` runs every
+        // query — emits exactly the frontier a fresh `mcf` would: no
+        // state leaks from one query into the next.
         let t = tree();
         let queries: Vec<Query> = [
             (10.0, 60.0),
@@ -534,22 +459,23 @@ mod tests {
         })
         .collect();
         for zero_var in [false, true] {
-            let batch = mcf_batch(&t, &queries, zero_var);
-            assert_eq!(batch.len(), queries.len());
-            for (q, b) in queries.iter().zip(&batch) {
+            let mut scratch = McfScratch::default();
+            for q in &queries {
+                scratch.run(&t, q, zero_var);
                 let single = mcf(&t, q, zero_var);
-                assert_eq!(b.covered, single.covered, "{q:?}");
-                assert_eq!(b.partial, single.partial, "{q:?}");
-                assert_eq!(b.zero_var, single.zero_var, "{q:?}");
-                assert_eq!(b.visited, single.visited, "{q:?}");
+                assert_eq!(scratch.result.covered, single.covered, "{q:?}");
+                assert_eq!(scratch.result.partial, single.partial, "{q:?}");
+                assert_eq!(scratch.result.zero_var, single.zero_var, "{q:?}");
+                assert_eq!(scratch.result.visited, single.visited, "{q:?}");
             }
         }
     }
 
     #[test]
     fn batch_zero_variance_rule_applies_per_query() {
-        // Mixed-aggregate batch over a tree with one constant leaf: the
-        // AVG query takes the 0-variance shortcut, the SUM query must not.
+        // Mixed-aggregate batch on one scratch over a tree with one
+        // constant leaf: the AVG query takes the 0-variance shortcut, the
+        // SUM query after it must not inherit it.
         let keys: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let values: Vec<f64> = (0..100)
             .map(|i| if i < 25 { 7.0 } else { i as f64 })
@@ -557,20 +483,24 @@ mod tests {
         let s = SortedTable::from_sorted(keys, values);
         let p = Partitioning1D::new(100, vec![25, 50, 75]).unwrap();
         let t = PartitionTree::from_partitioning(&s, &p).unwrap();
-        let queries = vec![
-            Query::interval(AggKind::Avg, 5.0, 30.0),
-            Query::interval(AggKind::Sum, 5.0, 30.0),
-        ];
-        let batch = mcf_batch(&t, &queries, true);
-        assert!(!batch[0].zero_var.is_empty());
-        assert!(batch[1].zero_var.is_empty());
-        assert!(batch[1].partial.len() > batch[0].partial.len());
+        let mut scratch = McfScratch::default();
+        scratch.run(&t, &Query::interval(AggKind::Avg, 5.0, 30.0), true);
+        let avg_partial = scratch.result.partial.len();
+        assert!(!scratch.result.zero_var.is_empty());
+        scratch.run(&t, &Query::interval(AggKind::Sum, 5.0, 30.0), true);
+        assert!(scratch.result.zero_var.is_empty());
+        assert!(scratch.result.partial.len() > avg_partial);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let t = tree();
-        assert!(mcf_batch(&t, &[], true).is_empty());
+        use pass_common::Synopsis;
+        // The batch path borrows the thread's scratch and runs nothing.
+        let pass = crate::PassBuilder::new()
+            .partitions(4)
+            .build(&pass_table::datasets::uniform(1_000, 1))
+            .unwrap();
+        assert!(pass.estimate_many(&[]).is_empty());
     }
 
     #[test]

@@ -2,51 +2,24 @@
 //! sample estimation → combined result with CI and hard bounds.
 
 use pass_common::{AggKind, Estimate, PassError, Query, Result};
-use pass_sampling::{
-    combine_strata, PointVariance, Sample, SampleArena, ScanScratch, StratumEstimate,
-};
+use pass_sampling::{combine_strata, PointVariance, SampleArena, ScanScratch, StratumEstimate};
 
 use crate::bounds::hard_bounds_exact;
 use crate::mcf::{mcf_shifted, McfResult, McfScratch};
 use crate::tree::PartitionTree;
 
-/// Answer `query` over the annotated tree and its per-leaf stratified
-/// samples. `lambda` scales the confidence interval; `zero_variance_rule`
-/// enables the Section 3.4 AVG short-circuit.
+/// Answer `query` over the annotated tree and the flat arena of its
+/// per-leaf stratified samples, on the caller's `scratch`. `lambda` scales
+/// the confidence interval; `zero_variance_rule` enables the Section 3.4
+/// AVG short-circuit.
 ///
-/// One-shot convenience: flattens `leaf_samples` into a [`SampleArena`]
-/// per call. The synopsis serving path keeps a prebuilt arena alive and
-/// goes through the crate-internal `process_arena` instead.
-pub fn process(
-    tree: &PartitionTree,
-    leaf_samples: &[Sample],
-    query: &Query,
-    lambda: f64,
-    zero_variance_rule: bool,
-) -> Result<Estimate> {
-    process_with_tree_dims(tree, leaf_samples, query, lambda, zero_variance_rule, None)
-}
-
-/// Like [`process`], but for the workload-shift scenario (Section 5.4.1):
-/// the tree indexes only `tree_dims` of the query's predicate space, while
-/// the leaf samples carry all predicate columns. Classification happens in
-/// the projected space; sample estimation uses the full predicate.
-pub fn process_with_tree_dims(
-    tree: &PartitionTree,
-    leaf_samples: &[Sample],
-    query: &Query,
-    lambda: f64,
-    zero_variance_rule: bool,
-    tree_dims: Option<&[usize]>,
-) -> Result<Estimate> {
-    let arena = SampleArena::from_samples(leaf_samples);
-    process_arena(tree, &arena, query, lambda, zero_variance_rule, tree_dims)
-}
-
-/// [`process_with_tree_dims`] off a prebuilt [`SampleArena`] — the serving
-/// path: partial-leaf scans read the flat arena instead of chasing
-/// per-`Sample` heap pointers, with bit-identical results.
+/// `tree_dims` selects the workload-shift scenario (Section 5.4.1): the
+/// tree indexes only those dimensions of the query's predicate space,
+/// while the samples carry all predicate columns. Classification happens
+/// in the projected space; sample estimation uses the full predicate.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn process_arena(
+    scratch: &mut McfScratch,
     tree: &PartitionTree,
     arena: &SampleArena,
     query: &Query,
@@ -54,97 +27,28 @@ pub(crate) fn process_arena(
     zero_variance_rule: bool,
     tree_dims: Option<&[usize]>,
 ) -> Result<Estimate> {
+    let mismatch = || PassError::DimensionMismatch {
+        expected: tree.dims(),
+        got: query.dims(),
+    };
     match tree_dims {
         None => {
             if query.dims() != tree.dims() {
-                return Err(PassError::DimensionMismatch {
-                    expected: tree.dims(),
-                    got: query.dims(),
-                });
+                return Err(mismatch());
             }
-        }
-        Some(dims) => {
-            if dims.iter().any(|&d| d >= query.dims()) {
-                return Err(PassError::DimensionMismatch {
-                    expected: tree.dims(),
-                    got: query.dims(),
-                });
-            }
-        }
-    }
-    McfScratch::with_local(|scratch| match tree_dims {
-        None => {
             scratch.run(tree, query, zero_variance_rule);
             let (frontier, scan, strata) = scratch.parts();
             process_frontier(tree, arena, query, lambda, frontier, scan, strata)
         }
         Some(dims) => {
+            if dims.iter().any(|&d| d >= query.dims()) {
+                return Err(mismatch());
+            }
             let frontier = mcf_shifted(tree, query, dims, zero_variance_rule);
             let (_, scan, strata) = scratch.parts();
             process_frontier(tree, arena, query, lambda, &frontier, scan, strata)
         }
-    })
-}
-
-/// Batched query processing: one [`McfScratch`] carries the traversal
-/// state (DFS stack + frontier buffers) across the whole batch, so every
-/// query after the first classifies allocation-free, and each query
-/// finishes its estimation straight from the scratch frontier.
-/// Element-wise identical to repeated [`process`].
-///
-/// Callers must have checked query arity (this is the identity-dimension
-/// path; workload-shift trees take the per-query route).
-pub fn process_batch(
-    tree: &PartitionTree,
-    leaf_samples: &[Sample],
-    queries: &[Query],
-    lambda: f64,
-    zero_variance_rule: bool,
-) -> Vec<Result<Estimate>> {
-    process_batch_with(
-        tree,
-        leaf_samples,
-        queries,
-        lambda,
-        zero_variance_rule,
-        &mut McfScratch::default(),
-    )
-}
-
-/// [`process_batch`] with a caller-supplied [`McfScratch`]: the parallel
-/// batch path (`Pass::estimate_many_parallel`) creates one scratch per
-/// worker thread and runs every chunk that worker steals through it, so
-/// scratch reuse — the batching win — survives parallelism.
-pub fn process_batch_with(
-    tree: &PartitionTree,
-    leaf_samples: &[Sample],
-    queries: &[Query],
-    lambda: f64,
-    zero_variance_rule: bool,
-    scratch: &mut McfScratch,
-) -> Vec<Result<Estimate>> {
-    let arena = SampleArena::from_samples(leaf_samples);
-    process_batch_arena(tree, &arena, queries, lambda, zero_variance_rule, scratch)
-}
-
-/// [`process_batch_with`] off a prebuilt [`SampleArena`] — the serving
-/// batch path used by `Pass::estimate_many{,_parallel}`.
-pub(crate) fn process_batch_arena(
-    tree: &PartitionTree,
-    arena: &SampleArena,
-    queries: &[Query],
-    lambda: f64,
-    zero_variance_rule: bool,
-    scratch: &mut McfScratch,
-) -> Vec<Result<Estimate>> {
-    queries
-        .iter()
-        .map(|query| {
-            scratch.run(tree, query, zero_variance_rule);
-            let (frontier, scan, strata) = scratch.parts();
-            process_frontier(tree, arena, query, lambda, frontier, scan, strata)
-        })
-        .collect()
+    }
 }
 
 /// Finish one query from its (pre-computed) coverage frontier: partial
@@ -182,7 +86,7 @@ fn process_frontier(
             scan,
             strata,
             &mut processed,
-        ),
+        )?,
         AggKind::Avg => process_avg(
             tree,
             arena,
@@ -206,10 +110,14 @@ fn process_frontier(
     Ok(est)
 }
 
+/// The sample stratum of a partial frontier node. MCF only ever emits
+/// leaves as partial; a frontier that lists an internal node is refused
+/// rather than answered from the wrong stratum.
 #[inline]
-fn stratum_of(tree: &PartitionTree, id: usize) -> usize {
-    tree.leaf_index(id)
-        .expect("partial frontier nodes are leaves")
+fn stratum_of(tree: &PartitionTree, id: usize) -> Result<usize> {
+    tree.leaf_index(id).ok_or_else(|| {
+        PassError::InvalidParameter("frontier", format!("partial node {id} is not a leaf"))
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -225,11 +133,11 @@ fn process_sum_count(
     scan: &mut ScanScratch,
     strata: &mut Vec<StratumEstimate>,
     processed: &mut u64,
-) -> Estimate {
+) -> Result<Estimate> {
     // Sample Estimation over partial leaves (w_i = 1 for SUM/COUNT).
     strata.clear();
     for &id in &frontier.partial {
-        let view = arena.view(stratum_of(tree, id));
+        let view = arena.view(stratum_of(tree, id)?);
         *processed += view.k() as u64;
         if let Some(point) = scan.estimate_view(query.agg, &view, &query.rect) {
             strata.push(StratumEstimate {
@@ -245,11 +153,11 @@ fn process_sum_count(
 
     let value = exact_part + combined.value;
     let ci_half = lambda * combined.variance.sqrt();
-    if frontier.partial.is_empty() {
+    Ok(if frontier.partial.is_empty() {
         Estimate::exact(value)
     } else {
         Estimate::approximate(value, ci_half)
-    }
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -285,7 +193,7 @@ fn process_avg(
     }
     let mut n_q: u64 = strata.iter().map(|s| s.population).sum();
     for &id in &frontier.partial {
-        let view = arena.view(stratum_of(tree, id));
+        let view = arena.view(stratum_of(tree, id)?);
         *processed += view.k() as u64;
         if let Some(point) = scan.estimate_view(AggKind::Avg, &view, &query.rect) {
             // Weight partial strata by their *estimated relevant*
@@ -355,7 +263,7 @@ fn process_minmax(
         }
     }
     for &id in &frontier.partial {
-        let view = arena.view(stratum_of(tree, id));
+        let view = arena.view(stratum_of(tree, id)?);
         *processed += view.k() as u64;
         if let Some(point) = scan.estimate_view(query.agg, &view, &query.rect) {
             fold(point.value);
@@ -385,7 +293,27 @@ mod tests {
     use pass_common::rng::rng_from_seed;
     use pass_common::{Query, LAMBDA_99};
     use pass_partition::Partitioning1D;
+    use pass_sampling::Sample;
     use pass_table::{SortedTable, Table};
+
+    /// `process_arena` over per-leaf samples on a fresh scratch.
+    fn process(
+        tree: &PartitionTree,
+        leaf_samples: &[Sample],
+        query: &Query,
+        lambda: f64,
+        zero_variance_rule: bool,
+    ) -> Result<Estimate> {
+        process_arena(
+            &mut McfScratch::default(),
+            tree,
+            &SampleArena::from_samples(leaf_samples),
+            query,
+            lambda,
+            zero_variance_rule,
+            None,
+        )
+    }
 
     /// Fixture: 400 rows, keys 0..400, values with per-leaf structure;
     /// 8 leaves of 50; full per-leaf samples (so estimates are exact up to
@@ -487,6 +415,32 @@ mod tests {
             process(&tree, &samples, &q, LAMBDA_99, true),
             Err(PassError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn internal_node_in_the_partial_frontier_is_a_typed_error() {
+        let (_, tree, samples) = fixture(0.1, 5);
+        let arena = SampleArena::from_samples(&samples);
+        assert!(!tree.is_leaf(tree.root()));
+        let frontier = McfResult {
+            partial: vec![tree.root()],
+            ..McfResult::default()
+        };
+        for agg in AggKind::ALL {
+            let got = process_frontier(
+                &tree,
+                &arena,
+                &Query::interval(agg, 30.0, 270.0),
+                LAMBDA_99,
+                &frontier,
+                &mut ScanScratch::new(),
+                &mut Vec::new(),
+            );
+            assert!(
+                matches!(got, Err(PassError::InvalidParameter("frontier", _))),
+                "{agg}: {got:?}"
+            );
+        }
     }
 
     #[test]

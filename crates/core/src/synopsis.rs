@@ -11,10 +11,7 @@ use rand::seq::index::sample as index_sample;
 use rand::Rng;
 
 use pass_common::rng::{derive_seed, rng_from_seed};
-use pass_common::{
-    apply_group_availability, AggKind, EngineSpec, Estimate, GroupByQuery, GroupResult, PassError,
-    PassSpec, Query, Result, Synopsis,
-};
+use pass_common::{AggKind, EngineSpec, Estimate, PassError, PassSpec, Query, Result, Synopsis};
 use pass_partition::{
     build_kd, Adp, EqualDepth, EqualWidth, HillClimb, KdExpansion, Partitioner1D,
 };
@@ -22,6 +19,7 @@ use pass_sampling::delta::DeltaEncoded;
 use pass_sampling::{Sample, SampleArena};
 use pass_table::{SortedTable, Table};
 
+use crate::mcf::McfScratch;
 use crate::tree::PartitionTree;
 
 // The strategy enum is shared vocabulary (it appears inside `PassSpec`);
@@ -407,6 +405,27 @@ impl Pass {
         self.tree.refresh_has_empty();
     }
 
+    /// Answer one query on `scratch` — the single path behind
+    /// [`estimate`](Synopsis::estimate) and
+    /// [`estimate_many`](Synopsis::estimate_many).
+    fn answer(&self, scratch: &mut McfScratch, query: &Query) -> Result<Estimate> {
+        if query.dims() != self.query_dims {
+            return Err(PassError::DimensionMismatch {
+                expected: self.query_dims,
+                got: query.dims(),
+            });
+        }
+        crate::query::process_arena(
+            scratch,
+            &self.tree,
+            &self.arena,
+            query,
+            self.lambda,
+            self.zero_variance_rule,
+            self.tree_dims.as_deref(),
+        )
+    }
+
     /// Draw a deterministic RNG for update operations.
     pub(crate) fn update_rng(&self, salt: u64) -> impl Rng {
         rng_from_seed(derive_seed(self.seed, 0xD11 ^ salt))
@@ -419,110 +438,15 @@ impl Synopsis for Pass {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.query_dims {
-            return Err(PassError::DimensionMismatch {
-                expected: self.query_dims,
-                got: query.dims(),
-            });
-        }
-        crate::query::process_arena(
-            &self.tree,
-            &self.arena,
-            query,
-            self.lambda,
-            self.zero_variance_rule,
-            self.tree_dims.as_deref(),
-        )
+        McfScratch::with_local(|scratch| self.answer(scratch, query))
     }
 
-    /// Batched estimation reusing MCF traversal state across the batch:
-    /// one [`crate::mcf::McfScratch`] (DFS stack + frontier buffers)
-    /// serves every query, so each query after the first classifies
-    /// allocation-free — measurably faster than N repeated
-    /// [`estimate`](Self::estimate) calls, with bit-identical results.
-    /// (A fully shared single-walk classifier exists as
-    /// [`crate::mcf::mcf_batch`] for analysis and benchmarking.)
+    /// The whole batch runs on one borrow of the thread's scratch, so
+    /// every query after the first classifies, scans and combines
+    /// allocation-free; element-wise bit-identical to repeated
+    /// [`estimate`](Self::estimate).
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
-        // The workload-shift path classifies in a projected space with
-        // per-query decidability; batch only the common (identity) case.
-        let batchable =
-            self.tree_dims.is_none() && queries.iter().all(|q| q.dims() == self.query_dims);
-        if !batchable {
-            return queries.iter().map(|q| self.estimate(q)).collect();
-        }
-        crate::query::process_batch_arena(
-            &self.tree,
-            &self.arena,
-            queries,
-            self.lambda,
-            self.zero_variance_rule,
-            &mut crate::mcf::McfScratch::default(),
-        )
-    }
-
-    /// Parallel batched estimation: the batch is sharded across the pool's
-    /// workers, and — unlike the trait default, which would build a fresh
-    /// [`crate::mcf::McfScratch`] per stolen chunk — each worker builds
-    /// **one** scratch and reuses it across every chunk it steals, so the
-    /// allocation-free traversal of [`estimate_many`](Self::estimate_many)
-    /// is preserved per worker. Results are element-wise bit-identical to
-    /// the sequential paths (the synopsis is immutable and estimation is
-    /// deterministic per query).
-    fn estimate_many_parallel(
-        &self,
-        queries: &[Query],
-        pool: &pass_common::ThreadPool,
-    ) -> Vec<Result<Estimate>> {
-        if pool.threads() <= 1 || queries.len() < pass_common::PARALLEL_MIN_BATCH {
-            return self.estimate_many(queries);
-        }
-        let batchable =
-            self.tree_dims.is_none() && queries.iter().all(|q| q.dims() == self.query_dims);
-        let chunk = pool.chunk_size_for(queries.len());
-        if !batchable {
-            // Workload-shift trees / mixed-arity batches: shard the
-            // per-query fallback path instead.
-            return pool.map_chunks(queries.len(), chunk, |range| {
-                self.estimate_many(&queries[range])
-            });
-        }
-        pool.map_chunks_with(
-            queries.len(),
-            chunk,
-            crate::mcf::McfScratch::default,
-            |scratch, range| {
-                crate::query::process_batch_arena(
-                    &self.tree,
-                    &self.arena,
-                    &queries[range],
-                    self.lambda,
-                    self.zero_variance_rule,
-                    scratch,
-                )
-            },
-        )
-    }
-
-    /// Group-by via the batched path: the per-category equality
-    /// rectangles go through [`estimate_many`](Self::estimate_many), so
-    /// one MCF traversal scratch serves every category instead of each
-    /// group paying a fresh allocation. Results are bit-identical to the
-    /// trait default (the batched path matches `estimate` per query, and
-    /// for non-sharded engines the default's per-category partial is the
-    /// engine's own estimate), with the same group availability rule
-    /// applied per row.
-    fn estimate_group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-        query.validate(self.dims())?;
-        let answers = self.estimate_many(&query.queries());
-        Ok(query
-            .categories
-            .iter()
-            .zip(answers)
-            .map(|(&key, estimate)| GroupResult {
-                key,
-                estimate: apply_group_availability(estimate),
-            })
-            .collect())
+        McfScratch::with_local(|scratch| queries.iter().map(|q| self.answer(scratch, q)).collect())
     }
 
     fn spec(&self) -> EngineSpec {
@@ -829,7 +753,7 @@ mod tests {
 
     #[test]
     fn estimate_many_parallel_is_bit_identical_to_sequential() {
-        use pass_common::ThreadPool;
+        use pass_common::{estimate_many_parallel, ThreadPool};
         let t = uniform(20_000, 50);
         let pass = PassBuilder::new()
             .partitions(32)
@@ -847,7 +771,7 @@ mod tests {
         let sequential = pass.estimate_many(&queries);
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let parallel = pass.estimate_many_parallel(&queries, &pool);
+            let parallel = estimate_many_parallel(&pass, &queries, &pool);
             assert_eq!(parallel.len(), sequential.len());
             for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
                 match (s, p) {
@@ -865,7 +789,7 @@ mod tests {
 
     #[test]
     fn parallel_path_handles_shifted_trees_and_mixed_arity() {
-        use pass_common::{Rect, ThreadPool};
+        use pass_common::{estimate_many_parallel, Rect, ThreadPool};
         let pool = ThreadPool::new(2);
         // Mixed-arity batch: falls back to per-query semantics, sharded.
         let t = uniform(5_000, 52);
@@ -878,7 +802,7 @@ mod tests {
             Rect::new(&[(0.0, 1.0), (0.0, 1.0)]),
         ));
         let seq = pass.estimate_many(&queries);
-        let par = pass.estimate_many_parallel(&queries, &pool);
+        let par = estimate_many_parallel(&pass, &queries, &pool);
         for (s, p) in seq.iter().zip(&par) {
             match (s, p) {
                 (Ok(s), Ok(p)) => assert_eq!(s.value, p.value),
@@ -904,10 +828,79 @@ mod tests {
             })
             .collect();
         let seq = shifted.estimate_many(&queries);
-        let par = shifted.estimate_many_parallel(&queries, &pool);
+        let par = estimate_many_parallel(&shifted, &queries, &pool);
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.as_ref().unwrap().value, p.as_ref().unwrap().value);
         }
+    }
+
+    #[test]
+    fn thread_local_scratch_leaks_no_state_between_engines() {
+        use pass_common::Rect;
+        let t1 = uniform(10_000, 60);
+        let one_d = PassBuilder::new()
+            .partitions(16)
+            .sample_rate(0.02)
+            .seed(61)
+            .build(&t1)
+            .unwrap();
+        let t3 = taxi(8_000, 62).project(&[1, 2, 3]).unwrap();
+        let kd = PassBuilder::new()
+            .partitions(32)
+            .sample_rate(0.05)
+            .seed(63)
+            .build(&t3)
+            .unwrap();
+        let shifted = PassBuilder::new()
+            .partitions(16)
+            .sample_rate(0.05)
+            .tree_dims(&[0, 1])
+            .seed(64)
+            .build(&t3)
+            .unwrap();
+        // Each batch ends in a query of the other arity, so the
+        // mixed-arity rejection runs inside `estimate_many` too.
+        let full = t3.bounding_rect().unwrap();
+        let mut q1: Vec<Query> = (0..39)
+            .map(|i| {
+                let lo = i as f64 / 50.0;
+                Query::interval(AggKind::ALL[i % AggKind::ALL.len()], lo, lo + 0.15)
+            })
+            .collect();
+        let mut q3: Vec<Query> = (0..39)
+            .map(|i| {
+                let d = i % 3;
+                let span = full.hi(d) - full.lo(d);
+                let lo = full.lo(d) + span * (i % 7) as f64 / 10.0;
+                Query::new(
+                    AggKind::ALL[i % AggKind::ALL.len()],
+                    full.narrowed(d, lo, lo + span * 0.3),
+                )
+            })
+            .collect();
+        q1.push(Query::new(AggKind::Sum, Rect::new(&[(0.0, 1.0); 3])));
+        q3.push(Query::interval(AggKind::Sum, 0.0, 1.0));
+
+        // Reference: every batch on its own fresh thread, i.e. on a
+        // scratch nothing else has touched.
+        let fresh = |engine: &Pass, queries: &[Query]| {
+            std::thread::scope(|s| s.spawn(|| engine.estimate_many(queries)).join().unwrap())
+        };
+        let want = [fresh(&one_d, &q1), fresh(&kd, &q3), fresh(&shifted, &q3)];
+
+        // Same thread, engines interleaved chunk by chunk.
+        let mut got: [Vec<Result<Estimate>>; 3] = Default::default();
+        for (c1, c3) in q1.chunks(8).zip(q3.chunks(8)) {
+            got[0].extend(one_d.estimate_many(c1));
+            got[1].extend(kd.estimate_many(c3));
+            got[2].extend(shifted.estimate_many(c3));
+        }
+        assert_eq!(got, want);
+        assert!(matches!(
+            got[0][39],
+            Err(PassError::DimensionMismatch { .. })
+        ));
+        assert!(got.iter().all(|g| g[..39].iter().any(|r| r.is_ok())));
     }
 
     #[test]

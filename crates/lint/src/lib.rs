@@ -80,8 +80,6 @@ pub const TIME_ALLOWED: &[&str] = &[
     "crates/common/src/ticket.rs",
     // Progressive-ticket wait timeouts, same as ticket.rs.
     "crates/common/src/progressive.rs",
-    // The time-budget policy module is *about* clocks.
-    "crates/core/src/budget.rs",
     // Measurement harnesses.
     "crates/workload/src/runner.rs",
     "crates/bench/src/lib.rs",

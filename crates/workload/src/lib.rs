@@ -10,8 +10,9 @@
 //!   sample size;
 //! * [`runner`] — evaluates any [`pass_common::Synopsis`] over a workload
 //!   (per-query, batched, or sharded across a
-//!   [`pass_common::ThreadPool`]) and produces the summary rows the
-//!   benchmark tables print, including serving-layer throughput.
+//!   [`pass_common::ThreadPool`] — selected by an [`Exec`] value) and
+//!   produces the summary rows the benchmark tables print, including
+//!   serving-layer throughput.
 
 pub mod metrics;
 pub mod query_gen;
@@ -23,5 +24,5 @@ pub use query_gen::{
     challenging_queries, random_queries, random_queries_in, template_queries,
     template_queries_partial,
 };
-pub use runner::{run_workload, run_workload_batched, run_workload_parallel, QueryOutcome};
+pub use runner::{run_workload, Exec, QueryOutcome};
 pub use truth::Truth;

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use pass_common::{Estimate, Query, Result, Synopsis, ThreadPool};
+use pass_common::{estimate_many_parallel, Estimate, Query, Result, Synopsis, ThreadPool};
 
 use crate::metrics::{median, WorkloadSummary};
 use crate::truth::Truth;
@@ -20,90 +20,53 @@ pub struct QueryOutcome {
     pub latency_us: f64,
 }
 
+/// How [`run_workload`] drives the engine over the workload.
+#[derive(Debug, Clone, Copy)]
+pub enum Exec<'a> {
+    /// One [`Synopsis::estimate`] call per query, each timed on its own.
+    PerQuery,
+    /// One [`Synopsis::estimate_many`] call: engines that share work
+    /// across a batch (PASS reuses its traversal buffers) amortize it.
+    Batched,
+    /// [`estimate_many_parallel`]: the batch sharded across the pool's
+    /// worker threads against the (immutable) synopsis.
+    Parallel(&'a ThreadPool),
+}
+
 /// Evaluate `synopsis` over the workload. Pre-computed truths may be
 /// supplied (one per query) to amortize ground-truth evaluation across
 /// engines; pass `None` to compute them here.
+///
+/// Error metrics are element-wise identical under every [`Exec`]. The
+/// batch modes report per-query latency as the batch wall clock divided
+/// by the batch size, so `throughput_qps` is where batching and
+/// multi-core speedup show up.
 pub fn run_workload<S: Synopsis + ?Sized>(
     synopsis: &S,
     queries: &[Query],
     truth: &Truth,
     precomputed_truths: Option<&[Option<f64>]>,
+    exec: Exec<'_>,
 ) -> (WorkloadSummary, Vec<QueryOutcome>) {
     let run_start = Instant::now();
-    let mut timed: Vec<(Result<Estimate>, f64)> = Vec::with_capacity(queries.len());
-    for q in queries {
-        let start = Instant::now();
-        let est = synopsis.estimate(q);
-        timed.push((est, start.elapsed().as_secs_f64() * 1e6));
-    }
+    // A batch has one wall clock: amortize it into per-query latency.
+    let amortized = |estimates: Vec<Result<Estimate>>| -> Vec<(Result<Estimate>, f64)> {
+        let per_query_us = run_start.elapsed().as_secs_f64() * 1e6 / queries.len().max(1) as f64;
+        estimates.into_iter().map(|e| (e, per_query_us)).collect()
+    };
+    let timed = match exec {
+        Exec::PerQuery => queries
+            .iter()
+            .map(|q| {
+                let start = Instant::now();
+                let est = synopsis.estimate(q);
+                (est, start.elapsed().as_secs_f64() * 1e6)
+            })
+            .collect(),
+        Exec::Batched => amortized(synopsis.estimate_many(queries)),
+        Exec::Parallel(pool) => amortized(estimate_many_parallel(synopsis, queries, pool)),
+    };
     let wall_secs = run_start.elapsed().as_secs_f64();
-    let (outcomes, failures) = collect_outcomes(queries, timed, truth, precomputed_truths);
-    summarize(synopsis, outcomes, failures, queries.len(), wall_secs)
-}
-
-/// Evaluate `synopsis` over the workload through its **batched** path
-/// ([`Synopsis::estimate_many`]): engines that share work across a batch
-/// (PASS reuses its traversal buffers) amortize it here. Per-query latency
-/// is reported as the batch wall-clock divided by the batch size; error
-/// metrics are element-wise identical to [`run_workload`].
-pub fn run_workload_batched<S: Synopsis + ?Sized>(
-    synopsis: &S,
-    queries: &[Query],
-    truth: &Truth,
-    precomputed_truths: Option<&[Option<f64>]>,
-) -> (WorkloadSummary, Vec<QueryOutcome>) {
-    let start = Instant::now();
-    let estimates = synopsis.estimate_many(queries);
-    finish_batch(
-        synopsis,
-        queries,
-        estimates,
-        start,
-        truth,
-        precomputed_truths,
-    )
-}
-
-/// Evaluate `synopsis` over the workload through its **parallel** batched
-/// path ([`Synopsis::estimate_many_parallel`]): the batch is sharded
-/// across `pool`'s worker threads against the (immutable) synopsis. Error
-/// metrics are element-wise identical to [`run_workload`] /
-/// [`run_workload_batched`]; the latency and throughput columns reflect
-/// the parallel wall clock, so `throughput_qps` is where multi-core
-/// speedup shows up.
-pub fn run_workload_parallel<S: Synopsis + ?Sized>(
-    synopsis: &S,
-    queries: &[Query],
-    truth: &Truth,
-    precomputed_truths: Option<&[Option<f64>]>,
-    pool: &ThreadPool,
-) -> (WorkloadSummary, Vec<QueryOutcome>) {
-    let start = Instant::now();
-    let estimates = synopsis.estimate_many_parallel(queries, pool);
-    finish_batch(
-        synopsis,
-        queries,
-        estimates,
-        start,
-        truth,
-        precomputed_truths,
-    )
-}
-
-/// Shared tail of the batch runners: batch wall clock amortized into
-/// per-query latency, then outcomes and the summary.
-fn finish_batch<S: Synopsis + ?Sized>(
-    synopsis: &S,
-    queries: &[Query],
-    estimates: Vec<Result<Estimate>>,
-    start: Instant,
-    truth: &Truth,
-    precomputed_truths: Option<&[Option<f64>]>,
-) -> (WorkloadSummary, Vec<QueryOutcome>) {
-    let wall_secs = start.elapsed().as_secs_f64();
-    let per_query_us = wall_secs * 1e6 / queries.len().max(1) as f64;
-    let timed: Vec<(Result<Estimate>, f64)> =
-        estimates.into_iter().map(|e| (e, per_query_us)).collect();
     let (outcomes, failures) = collect_outcomes(queries, timed, truth, precomputed_truths);
     summarize(synopsis, outcomes, failures, queries.len(), wall_secs)
 }
@@ -226,8 +189,8 @@ mod tests {
         let us =
             Engine::build(&t, &EngineSpec::uniform(pass.total_samples()).with_seed(3)).unwrap();
 
-        let (pass_sum, _) = run_workload(&pass, &queries, &truth, None);
-        let (us_sum, _) = run_workload(&us, &queries, &truth, None);
+        let (pass_sum, _) = run_workload(&pass, &queries, &truth, None, Exec::PerQuery);
+        let (us_sum, _) = run_workload(&us, &queries, &truth, None, Exec::PerQuery);
         assert!(
             pass_sum.median_relative_error <= us_sum.median_relative_error,
             "PASS {} vs US {}",
@@ -246,8 +209,8 @@ mod tests {
         let queries = random_queries(&s, 30, AggKind::Avg, 100, 5);
         let truths: Vec<Option<f64>> = queries.iter().map(|q| truth.eval(q)).collect();
         let pass = Pass::from_spec(&t, &pass_spec(8, 0.005, 6)).unwrap();
-        let (a, _) = run_workload(&pass, &queries, &truth, None);
-        let (b, _) = run_workload(&pass, &queries, &truth, Some(&truths));
+        let (a, _) = run_workload(&pass, &queries, &truth, None, Exec::PerQuery);
+        let (b, _) = run_workload(&pass, &queries, &truth, Some(&truths), Exec::PerQuery);
         assert_eq!(a.median_relative_error, b.median_relative_error);
     }
 
@@ -258,8 +221,9 @@ mod tests {
         let truth = Truth::new(&t);
         let queries = random_queries(&s, 80, AggKind::Sum, 300, 10);
         let pass = Pass::from_spec(&t, &pass_spec(32, 0.01, 11)).unwrap();
-        let (single, single_outcomes) = run_workload(&pass, &queries, &truth, None);
-        let (batched, batched_outcomes) = run_workload_batched(&pass, &queries, &truth, None);
+        let (single, single_outcomes) = run_workload(&pass, &queries, &truth, None, Exec::PerQuery);
+        let (batched, batched_outcomes) =
+            run_workload(&pass, &queries, &truth, None, Exec::Batched);
         assert_eq!(single.median_relative_error, batched.median_relative_error);
         assert_eq!(single.median_ci_ratio, batched.median_ci_ratio);
         assert_eq!(single.failures, batched.failures);
@@ -277,10 +241,11 @@ mod tests {
         let truth = Truth::new(&t);
         let queries = random_queries(&s, 80, AggKind::Sum, 300, 13);
         let pass = Pass::from_spec(&t, &pass_spec(32, 0.01, 14)).unwrap();
-        let (batched, _) = run_workload_batched(&pass, &queries, &truth, None);
+        let (batched, _) = run_workload(&pass, &queries, &truth, None, Exec::Batched);
         for threads in [1, 2, 4] {
             let pool = pass_common::ThreadPool::new(threads);
-            let (parallel, outcomes) = run_workload_parallel(&pass, &queries, &truth, None, &pool);
+            let (parallel, outcomes) =
+                run_workload(&pass, &queries, &truth, None, Exec::Parallel(&pool));
             assert_eq!(
                 parallel.median_relative_error, batched.median_relative_error,
                 "threads {threads}"
@@ -305,7 +270,7 @@ mod tests {
                 pass_common::Query::interval(AggKind::Avg, lo, lo + 1e-4)
             })
             .collect();
-        let (summary, outcomes) = run_workload(&us, &queries, &truth, None);
+        let (summary, outcomes) = run_workload(&us, &queries, &truth, None, Exec::PerQuery);
         // Queries with empty truth are dropped; the rest either answer or
         // fail with penalty 1.0.
         for o in &outcomes {

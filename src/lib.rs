@@ -11,12 +11,12 @@
 //!    (US, ST, AQP++/KD-US, VerdictDB-style, DeepDB-style). Specs compare,
 //!    clone, and round-trip through JSON.
 //! 2. **The [`Synopsis`] contract** — every engine answers single queries
-//!    (`estimate`), batches (`estimate_many`; PASS reuses its index-
-//!    traversal state across the whole batch), and parallel batches
-//!    (`estimate_many_parallel`, sharded over a [`ThreadPool`]; PASS gives
-//!    each worker its own traversal scratch), and reports the spec it was
+//!    (`estimate`) and batches (`estimate_many`; PASS reuses its index-
+//!    traversal state across the whole batch), and reports the spec it was
 //!    built from (`spec`). Synopses are immutable at query time and
-//!    `Send + Sync`; the registry hands them out as `Arc<dyn Synopsis>`.
+//!    `Send + Sync`, so [`common::estimate_many_parallel`] shards any
+//!    engine's batch over a [`ThreadPool`]; the registry hands engines
+//!    out as `Arc<dyn Synopsis>`.
 //! 3. **[`Session`]** — owns a table plus named engines built from specs,
 //!    answers queries through a bounded per-engine result cache, hands out
 //!    cheap [`SessionHandle`] clones for concurrent serving, and evaluates
@@ -86,7 +86,8 @@
 //! PASS synopsis itself (`Pass::from_spec` for concrete-typed access,
 //! e.g. streaming updates), [`baselines`] the comparator engines and the
 //! [`Engine`] registry, and [`workload`] the query generators and the
-//! per-query/batched/parallel runners.
+//! workload runner (per-query, batched or parallel by a
+//! [`workload::Exec`] value).
 
 #![warn(missing_docs)]
 

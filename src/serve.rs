@@ -170,9 +170,9 @@ pub struct ServeConfig {
     pub dedup: bool,
     /// Pool for intra-batch parallelism: each worker executes its
     /// coalesced batch through
-    /// [`estimate_many_parallel`](pass_common::Synopsis::estimate_many_parallel)
-    /// on this pool. The default single-thread pool makes that exactly
-    /// the sequential batched path; give a wider pool to split very
+    /// [`SessionHandle::estimate_many_parallel`] on this pool. The
+    /// default single-thread pool makes that exactly the sequential
+    /// batched path; give a wider pool to split very
     /// large batches across cores *within* one worker (results stay
     /// bit-identical — the parallel path is pinned to the sequential
     /// one by `tests/parallel_session.rs`).
@@ -382,23 +382,32 @@ struct ProgressiveJob {
     deadline: Option<Instant>,
 }
 
-/// One queued unit of work: the engine route, the submitted queries,
-/// the dedup identity, and every waiter attached to the execution.
-/// A progressive group-by rides the same queue (same admission control,
-/// same EDF schedule) but executes through its own streaming path:
-/// `progressive` is set, `queries`/`waiters` stay empty, and workers
-/// never coalesce it into a plain batch.
+/// One queued unit of work: the engine route plus what to run there.
+/// Plain batches and progressive group-bys ride the same queue (same
+/// admission control, same EDF schedule).
 struct Request {
     engine: usize,
-    queries: Vec<Query>,
-    /// Bit-exact query identity (only computed when dedup is on).
-    key: Option<Vec<QueryKey>>,
-    /// Hash of `key`, compared before the full key so the dedup scan
-    /// (linear, under the queue lock) rejects non-matches on one `u64`
-    /// instead of a per-query `Vec` comparison.
-    key_hash: u64,
-    waiters: Vec<Waiter>,
-    progressive: Option<ProgressiveJob>,
+    body: Body,
+}
+
+/// What a [`Request`] executes.
+enum Body {
+    /// A query batch: the submitted queries, the dedup identity, and
+    /// every waiter attached to the execution.
+    Plain {
+        queries: Vec<Query>,
+        /// Bit-exact query identity (only computed when dedup is on).
+        key: Option<Vec<QueryKey>>,
+        /// Hash of `key`, compared before the full key so the dedup scan
+        /// (linear, under the queue lock) rejects non-matches on one
+        /// `u64` instead of a per-query `Vec` comparison.
+        key_hash: u64,
+        waiters: Vec<Waiter>,
+    },
+    /// A progressive group-by: executes through its own streaming path;
+    /// workers never coalesce it into a plain batch and dedup never
+    /// attaches to it.
+    Progressive(ProgressiveJob),
 }
 
 /// Per-engine serving state: the session handle workers execute through
@@ -438,61 +447,64 @@ impl ServeShared {
     /// batch, expire the stale, execute the rest, resolve every ticket.
     /// Exits when the queue is closed and drained.
     fn worker_loop(&self) {
-        loop {
-            let Some((first, class)) = self.queue.pop_blocking() else {
-                return;
-            };
+        while let Some((first, class)) = self.queue.pop_blocking() {
+            let engine = first.engine;
             // A progressive group-by executes alone: it streams
             // snapshots for as long as its deadline allows, so gluing
-            // plain requests behind it would stall them, and gluing it
-            // onto a plain batch is shape-impossible (it has no
-            // `queries`).
-            if first.progressive.is_some() {
-                self.execute_progressive(first);
-                continue;
-            }
-            let engine = first.engine;
-            let mut total = first.queries.len();
+            // plain requests behind it would stall them.
+            let batch_len = match &first.body {
+                Body::Plain { queries, .. } => Some(queries.len()),
+                Body::Progressive(_) => None,
+            };
             let mut requests = vec![first];
             // Greedy coalescing, atomically under one queue lock: glue
-            // on queued requests of the same class AND the same engine
-            // while they fit the batch budget. The queue refuses a bulk
-            // drain while interactive work is queued, and the drain
-            // stops at the first head routed to a different engine — a
-            // batch never mixes engines, and refusing (rather than
-            // skipping) the foreign head keeps the EDF schedule intact.
-            if total < self.coalesce_max {
-                requests.extend(self.queue.drain_class_where(class, |r| {
-                    if r.progressive.is_none()
-                        && r.engine == engine
-                        && total + r.queries.len() <= self.coalesce_max
+            // on queued plain requests of the same class AND the same
+            // engine while they fit the batch budget. The queue refuses
+            // a bulk drain while interactive work is queued, and the
+            // drain stops at the first head that is progressive or
+            // routed to a different engine — a batch never mixes
+            // engines, and refusing (rather than skipping) the foreign
+            // head keeps the EDF schedule intact.
+            if let Some(mut total) = batch_len.filter(|&len| len < self.coalesce_max) {
+                requests.extend(self.queue.drain_class_where(class, |r| match &r.body {
+                    Body::Plain { queries, .. }
+                        if r.engine == engine && total + queries.len() <= self.coalesce_max =>
                     {
-                        total += r.queries.len();
+                        total += queries.len();
                         true
-                    } else {
-                        false
                     }
+                    _ => false,
                 }));
             }
             self.execute(engine, requests);
         }
     }
 
-    /// Expire what is stale (waiter by waiter — attached duplicates
-    /// carry their own deadlines), run the rest as one engine batch,
-    /// fan each request's results out to every surviving waiter.
+    /// Run what one pop produced: a progressive group-by streams right
+    /// away; for plain requests, expire what is stale (waiter by waiter
+    /// — attached duplicates carry their own deadlines), run the rest as
+    /// one engine batch, and fan each request's results out to every
+    /// surviving waiter.
     fn execute(&self, engine: usize, requests: Vec<Request>) {
         let state = &self.engines[engine];
         let now = Instant::now();
-        let mut live: Vec<Request> = Vec::with_capacity(requests.len());
-        for mut req in requests {
+        let mut live: Vec<(Vec<Query>, Vec<Waiter>)> = Vec::with_capacity(requests.len());
+        for req in requests {
+            let (queries, waiters) = match req.body {
+                Body::Progressive(job) => {
+                    self.execute_progressive(state, job);
+                    continue;
+                }
+                Body::Plain {
+                    queries, waiters, ..
+                } => (queries, waiters),
+            };
             // Fail fast: a waiter whose deadline passed while queued
             // costs zero execution time. A request only executes if at
             // least one waiter is still live — and an expired request
             // popping first (EDF sorts it first) never blocks a live
             // later one, because expiry resolves without executing.
-            let (stale, alive): (Vec<Waiter>, Vec<Waiter>) = req
-                .waiters
+            let (stale, alive): (Vec<Waiter>, Vec<Waiter>) = waiters
                 .into_iter()
                 .partition(|w| matches!(w.deadline, Some(d) if d <= now));
             for waiter in stale {
@@ -503,8 +515,7 @@ impl ServeShared {
                 waiter.slot.fulfill(ServeOutcome::Expired, None);
             }
             if !alive.is_empty() {
-                req.waiters = alive;
-                live.push(req);
+                live.push((queries, alive));
             }
         }
         if live.is_empty() {
@@ -512,7 +523,7 @@ impl ServeShared {
         }
         let queries: Vec<Query> = live
             .iter()
-            .flat_map(|r| r.queries.iter().cloned())
+            .flat_map(|(queries, _)| queries.iter().cloned())
             .collect();
         let results = state
             .handle
@@ -522,19 +533,19 @@ impl ServeShared {
         state.batches.fetch_add(1, Ordering::Relaxed);
         debug_assert_eq!(results.len(), queries.len());
         let mut results = results.into_iter();
-        for req in live {
-            let slice: Vec<_> = results.by_ref().take(req.queries.len()).collect();
-            let mut waiters = req.waiters;
-            let Some(last) = waiters.pop() else {
-                // Unreachable by construction (every request carries at
-                // least its own waiter); skipping keeps the results
-                // iterator aligned for the rest of the batch.
-                continue;
-            };
-            for waiter in waiters {
-                self.fulfill_done(state, waiter, ServeOutcome::Done(slice.clone()));
+        for (queries, waiters) in live {
+            let mut slice: Vec<_> = results.by_ref().take(queries.len()).collect();
+            // Every waiter but the last gets a clone; the last takes
+            // the results themselves.
+            let n = waiters.len();
+            for (i, waiter) in waiters.into_iter().enumerate() {
+                let answers = if i + 1 < n {
+                    slice.clone()
+                } else {
+                    std::mem::take(&mut slice)
+                };
+                self.fulfill_done(state, waiter, ServeOutcome::Done(answers));
             }
-            self.fulfill_done(state, last, ServeOutcome::Done(slice));
         }
     }
 
@@ -548,13 +559,7 @@ impl ServeShared {
     /// with `partial: true` instead of [`ProgressiveOutcome`] never
     /// carrying data — "a late answer with honest error bars beats no
     /// answer" is the online-aggregation contract.
-    fn execute_progressive(&self, req: Request) {
-        let state = &self.engines[req.engine];
-        let Some(job) = req.progressive else {
-            // Unreachable: the worker loop only routes here when the
-            // job is present.
-            return;
-        };
+    fn execute_progressive(&self, state: &EngineState, job: ProgressiveJob) {
         let mut saw_final = false;
         let result = state
             .handle
@@ -794,7 +799,7 @@ impl Serve {
     /// assert!(ticket.wait().is_done());
     /// ```
     pub fn submit_with(&self, queries: &[Query], options: &SubmitOptions) -> Ticket {
-        self.enqueue(0, queries, options)
+        self.enqueue_batch(0, queries, options)
     }
 
     /// Submit one interactive query routed to `engine` by name. Errors
@@ -844,7 +849,7 @@ impl Serve {
         queries: &[Query],
         options: &SubmitOptions,
     ) -> Result<Ticket> {
-        Ok(self.enqueue(self.engine_index(engine)?, queries, options))
+        Ok(self.enqueue_batch(self.engine_index(engine)?, queries, options))
     }
 
     /// Submit a **progressive** group-by (interactive, no per-request
@@ -895,7 +900,7 @@ impl Serve {
         query: &GroupByQuery,
         options: &SubmitOptions,
     ) -> ProgressiveTicket {
-        self.enqueue_progressive(0, query, options)
+        self.enqueue_group_by(0, query, options)
     }
 
     /// Submit a progressive group-by routed to `engine` by name — the
@@ -918,15 +923,13 @@ impl Serve {
         query: &GroupByQuery,
         options: &SubmitOptions,
     ) -> Result<ProgressiveTicket> {
-        Ok(self.enqueue_progressive(self.engine_index(engine)?, query, options))
+        Ok(self.enqueue_group_by(self.engine_index(engine)?, query, options))
     }
 
-    /// The progressive twin of [`enqueue`](Self::enqueue): same
-    /// admission control and EDF scheduling (a dated progressive
-    /// request schedules ahead of undated traffic in its class), but
-    /// the request carries a [`ProgressiveJob`] instead of waiters and
-    /// never participates in dedup or coalescing.
-    fn enqueue_progressive(
+    /// Queue a progressive group-by: the request carries a
+    /// [`ProgressiveJob`] instead of waiters and never participates in
+    /// dedup or coalescing.
+    fn enqueue_group_by(
         &self,
         engine: usize,
         query: &GroupByQuery,
@@ -938,94 +941,68 @@ impl Serve {
                 partial: false,
             });
         }
-        let submitted = Instant::now();
-        let deadline = options
-            .deadline
-            .or(self.default_deadline)
-            .map(|d| submitted + d);
         let (ticket, slot) = ProgressiveTicket::pending();
-        let request = Request {
-            engine,
-            queries: Vec::new(),
-            key: None,
-            key_hash: 0,
-            waiters: Vec::new(),
-            progressive: Some(ProgressiveJob {
+        self.enqueue(engine, options, |submitted, deadline| {
+            Body::Progressive(ProgressiveJob {
                 query: query.clone(),
                 slot,
                 submitted,
                 deadline,
-            }),
-        };
-        // Claim acceptance before the push for the same
-        // completed-never-exceeds-accepted invariant as `enqueue`.
-        // relaxed: observability counters (here and below).
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        match self
-            .shared
-            .queue
-            .try_push_scheduled(request, options.priority, deadline)
-        {
-            Ok(()) => ticket,
-            Err((PushError::Full, request)) => {
-                self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                self.shared.engines[engine]
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                Self::resolve_unqueued_progressive(request, ProgressiveOutcome::Rejected);
-                ticket
-            }
-            Err((PushError::Closed, request)) => {
-                // relaxed: observability counter.
-                self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
-                Self::resolve_unqueued_progressive(request, ProgressiveOutcome::Cancelled);
-                ticket
-            }
-        }
+            })
+        });
+        ticket
     }
 
-    /// Resolve a progressive request the queue refused.
-    fn resolve_unqueued_progressive(request: Request, outcome: ProgressiveOutcome) {
-        if let Some(job) = request.progressive {
-            job.slot.try_resolve(outcome);
-        }
-    }
-
-    /// The one enqueue path every submission goes through: admission
-    /// control, deadline stamping, EDF scheduling, and (when enabled)
-    /// dedup attachment.
-    fn enqueue(&self, engine: usize, queries: &[Query], options: &SubmitOptions) -> Ticket {
+    /// Queue a plain query batch with one waiter (dedup may attach it to
+    /// an identical queued request instead).
+    fn enqueue_batch(&self, engine: usize, queries: &[Query], options: &SubmitOptions) -> Ticket {
         if queries.is_empty() {
             return Ticket::resolved(ServeOutcome::Done(Vec::new()));
         }
+        let (ticket, slot) = Ticket::pending();
+        self.enqueue(engine, options, |submitted, deadline| {
+            let key: Option<Vec<QueryKey>> = self
+                .shared
+                .dedup
+                .then(|| queries.iter().map(QueryKey::new).collect());
+            let key_hash = key.as_ref().map_or(0, |keys| {
+                use std::hash::{DefaultHasher, Hash, Hasher};
+                let mut hasher = DefaultHasher::new();
+                keys.hash(&mut hasher);
+                hasher.finish()
+            });
+            Body::Plain {
+                queries: queries.to_vec(),
+                key,
+                key_hash,
+                waiters: vec![Waiter {
+                    slot,
+                    submitted,
+                    deadline,
+                }],
+            }
+        });
+        ticket
+    }
+
+    /// The one enqueue path every submission goes through: deadline
+    /// stamping (handed to `body` with the submission instant),
+    /// admission control, EDF scheduling, and (when enabled) dedup
+    /// attachment. A refused request's ticket is resolved here.
+    fn enqueue(
+        &self,
+        engine: usize,
+        options: &SubmitOptions,
+        body: impl FnOnce(Instant, Option<Instant>) -> Body,
+    ) {
         let submitted = Instant::now();
         let deadline = options
             .deadline
             .or(self.default_deadline)
             .map(|d| submitted + d);
-        let (ticket, slot) = Ticket::pending();
-        let key: Option<Vec<QueryKey>> = self
-            .shared
-            .dedup
-            .then(|| queries.iter().map(QueryKey::new).collect());
-        let key_hash = key.as_ref().map_or(0, |keys| {
-            use std::hash::{DefaultHasher, Hash, Hasher};
-            let mut hasher = DefaultHasher::new();
-            keys.hash(&mut hasher);
-            hasher.finish()
-        });
         let request = Request {
             engine,
-            queries: queries.to_vec(),
-            key,
-            key_hash,
-            waiters: vec![Waiter {
-                slot,
-                submitted,
-                deadline,
-            }],
-            progressive: None,
+            body: body(submitted, deadline),
         };
         // Count acceptance *before* the push: the instant the request is
         // in the queue a worker may pop, execute, and bump `completed`,
@@ -1039,20 +1016,40 @@ impl Serve {
                 request,
                 options.priority,
                 deadline,
-                // Cheap fields first: the scan holds the queue lock, so
-                // non-matches must fail on integers, not Vec compares.
-                // A request already carrying MAX_ATTACHED_WAITERS
-                // refuses further attachments — the duplicate then goes
-                // through normal admission control, keeping dedup's
-                // memory bounded.
-                |queued, new| {
-                    queued.progressive.is_none()
-                        && queued.engine == new.engine
-                        && queued.key_hash == new.key_hash
-                        && queued.waiters.len() < MAX_ATTACHED_WAITERS
-                        && queued.key == new.key
+                // Only plain batches merge. Cheap fields first: the scan
+                // holds the queue lock, so non-matches must fail on
+                // integers, not Vec compares. A request already carrying
+                // MAX_ATTACHED_WAITERS refuses further attachments — the
+                // duplicate then goes through normal admission control,
+                // keeping dedup's memory bounded.
+                |queued, new| match (&queued.body, &new.body) {
+                    (
+                        Body::Plain {
+                            key,
+                            key_hash,
+                            waiters,
+                            ..
+                        },
+                        Body::Plain {
+                            key: new_key,
+                            key_hash: new_hash,
+                            ..
+                        },
+                    ) => {
+                        queued.engine == new.engine
+                            && key_hash == new_hash
+                            && waiters.len() < MAX_ATTACHED_WAITERS
+                            && key == new_key
+                    }
+                    _ => false,
                 },
-                |queued, new| queued.waiters.extend(new.waiters),
+                |queued, new| {
+                    if let (Body::Plain { waiters, .. }, Body::Plain { waiters: more, .. }) =
+                        (&mut queued.body, new.body)
+                    {
+                        waiters.extend(more);
+                    }
+                },
             )
         } else {
             self.shared
@@ -1070,32 +1067,41 @@ impl Serve {
                         .deduped
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                ticket
             }
-            Err((PushError::Full, request)) => {
+            Err((why, request)) => {
                 // relaxed: observability counters.
                 self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                self.shared.engines[engine]
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                Self::resolve_unqueued(request, ServeOutcome::Rejected);
-                ticket
-            }
-            Err((PushError::Closed, request)) => {
-                // relaxed: observability counter.
-                self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
-                Self::resolve_unqueued(request, ServeOutcome::Cancelled);
-                ticket
+                if why == PushError::Full {
+                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    self.shared.engines[engine]
+                        .rejected
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                Self::resolve_unqueued(request, why);
             }
         }
     }
 
-    /// Resolve every waiter of a request the queue refused (there is
-    /// exactly one at submission time, but stay shape-agnostic).
-    fn resolve_unqueued(request: Request, outcome: ServeOutcome) {
-        for waiter in request.waiters {
-            waiter.slot.fulfill(outcome.clone(), None);
+    /// Resolve the ticket(s) of a request the queue refused: `Rejected`
+    /// at capacity, `Cancelled` on a closed queue. (A plain request has
+    /// exactly one waiter at submission time, but stay shape-agnostic.)
+    fn resolve_unqueued(request: Request, why: PushError) {
+        match request.body {
+            Body::Plain { waiters, .. } => {
+                let outcome = match why {
+                    PushError::Full => ServeOutcome::Rejected,
+                    PushError::Closed => ServeOutcome::Cancelled,
+                };
+                for waiter in waiters {
+                    waiter.slot.fulfill(outcome.clone(), None);
+                }
+            }
+            Body::Progressive(job) => {
+                job.slot.try_resolve(match why {
+                    PushError::Full => ProgressiveOutcome::Rejected,
+                    PushError::Closed => ProgressiveOutcome::Cancelled,
+                });
+            }
         }
     }
 

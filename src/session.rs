@@ -19,9 +19,7 @@ use pass_common::{
     PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
 };
 use pass_table::Table;
-use pass_workload::{
-    run_workload, run_workload_batched, run_workload_parallel, QueryOutcome, Truth, WorkloadSummary,
-};
+use pass_workload::{run_workload, Exec, QueryOutcome, Truth, WorkloadSummary};
 
 /// Cache entries per engine unless overridden with
 /// [`Session::with_cache_capacity`].
@@ -467,59 +465,25 @@ impl Session {
         self.truth_oracle().eval(query)
     }
 
-    /// Evaluate one engine over a workload, query by query. Ground truth
-    /// is computed once per session and shared across engines and calls;
-    /// the engine's cache serves repeats, and the summary reports the
-    /// hits/misses attributable to this run.
+    /// Evaluate one engine over a workload — query by query, through the
+    /// batched path, or sharded across a pool, as `exec` says. Ground
+    /// truth is computed once per session and shared across engines and
+    /// calls; the engine's cache serves repeats, and the summary reports
+    /// the hits/misses attributable to this run. Error metrics are
+    /// element-wise identical under every [`Exec`]; the batch modes'
+    /// latency/throughput columns reflect the batch wall clock.
     pub fn run_workload(
         &self,
         engine: &str,
         queries: &[Query],
-    ) -> Result<(WorkloadSummary, Vec<QueryOutcome>)> {
-        self.run_workload_with(engine, queries, |entry, truths, truth| {
-            run_workload(&entry.engine, queries, truth, Some(truths))
-        })
-    }
-
-    /// Evaluate one engine over a workload through the **batched** query
-    /// path ([`Synopsis::estimate_many`]).
-    pub fn run_workload_batched(
-        &self,
-        engine: &str,
-        queries: &[Query],
-    ) -> Result<(WorkloadSummary, Vec<QueryOutcome>)> {
-        self.run_workload_with(engine, queries, |entry, truths, truth| {
-            run_workload_batched(&entry.engine, queries, truth, Some(truths))
-        })
-    }
-
-    /// Evaluate one engine over a workload with the batch sharded across
-    /// `pool`'s workers ([`Synopsis::estimate_many_parallel`]). Error
-    /// metrics are element-wise identical to the sequential runners; the
-    /// summary's latency/throughput columns reflect the parallel wall
-    /// clock.
-    pub fn run_workload_parallel(
-        &self,
-        engine: &str,
-        queries: &[Query],
-        pool: &ThreadPool,
-    ) -> Result<(WorkloadSummary, Vec<QueryOutcome>)> {
-        self.run_workload_with(engine, queries, |entry, truths, truth| {
-            run_workload_parallel(&entry.engine, queries, truth, Some(truths), pool)
-        })
-    }
-
-    fn run_workload_with(
-        &self,
-        engine: &str,
-        queries: &[Query],
-        run: impl FnOnce(&SessionEngine, &[Option<f64>], &Truth) -> (WorkloadSummary, Vec<QueryOutcome>),
+        exec: Exec<'_>,
     ) -> Result<(WorkloadSummary, Vec<QueryOutcome>)> {
         let entry = self.engine_or_err(engine)?;
         let truth = self.truth_oracle();
         let truths: Vec<Option<f64>> = queries.iter().map(|q| truth.eval(q)).collect();
-        let (summary, outcomes) = Self::run_attributed(entry, |entry| run(entry, &truths, truth));
-        Ok((summary, outcomes))
+        Ok(Self::run_attributed(entry, |entry| {
+            run_workload(&entry.engine, queries, truth, Some(&truths), exec)
+        }))
     }
 
     /// Run a workload against one engine, attributing the run's cache
@@ -547,7 +511,7 @@ impl Session {
             .iter()
             .map(|entry| {
                 Self::run_attributed(entry, |entry| {
-                    run_workload(&entry.engine, queries, truth, Some(&truths))
+                    run_workload(&entry.engine, queries, truth, Some(&truths), Exec::PerQuery)
                 })
                 .0
             })
@@ -673,7 +637,9 @@ mod tests {
         let q = Query::interval(AggKind::Sum, 0.0, 1.0);
         assert!(s.estimate("nope", &q).is_err());
         assert!(s.estimate_many("nope", std::slice::from_ref(&q)).is_err());
-        assert!(s.run_workload("nope", std::slice::from_ref(&q)).is_err());
+        assert!(s
+            .run_workload("nope", std::slice::from_ref(&q), Exec::PerQuery)
+            .is_err());
         assert!(s.handle("nope").is_err());
         let pool = ThreadPool::new(2);
         assert!(s
@@ -749,10 +715,10 @@ mod tests {
         let queries = random_queries(&sorted, 50, AggKind::Sum, 300, 21);
         let mut s = Session::new(table);
         s.add_engine("pass", &spec_pass(22)).unwrap();
-        let (first, _) = s.run_workload("pass", &queries).unwrap();
+        let (first, _) = s.run_workload("pass", &queries, Exec::PerQuery).unwrap();
         assert_eq!(first.cache_hits, 0);
         assert_eq!(first.cache_misses as usize, queries.len());
-        let (second, _) = s.run_workload("pass", &queries).unwrap();
+        let (second, _) = s.run_workload("pass", &queries, Exec::PerQuery).unwrap();
         assert_eq!(second.cache_hits as usize, queries.len());
         assert_eq!(second.cache_misses, 0);
         assert_eq!(
@@ -810,7 +776,9 @@ mod tests {
         }
         // Single-engine evaluation matches the all-engines row (answers
         // come from the cache now, but cached answers are identical).
-        let (solo, outcomes) = session.run_workload("pass", &queries).unwrap();
+        let (solo, outcomes) = session
+            .run_workload("pass", &queries, Exec::PerQuery)
+            .unwrap();
         assert_eq!(solo.median_relative_error, rows[0].median_relative_error);
         assert_eq!(outcomes.len(), 40);
         assert_eq!(solo.cache_hits as usize, queries.len());
@@ -822,19 +790,15 @@ mod tests {
         let sorted = SortedTable::from_table(&table, 0);
         let queries = random_queries(&sorted, 60, AggKind::Sum, 300, 31);
         // Separate sessions so each runner starts from a cold cache.
-        let run = |mode: usize| {
+        let run = |exec: Exec<'_>| {
             let mut s = Session::new(uniform(10_000, 30));
             s.add_engine("pass", &spec_pass(32)).unwrap();
-            let pool = ThreadPool::new(2);
-            match mode {
-                0 => s.run_workload("pass", &queries).unwrap().0,
-                1 => s.run_workload_batched("pass", &queries).unwrap().0,
-                _ => s.run_workload_parallel("pass", &queries, &pool).unwrap().0,
-            }
+            s.run_workload("pass", &queries, exec).unwrap().0
         };
-        let per_query = run(0);
-        let batched = run(1);
-        let parallel = run(2);
+        let pool = ThreadPool::new(2);
+        let per_query = run(Exec::PerQuery);
+        let batched = run(Exec::Batched);
+        let parallel = run(Exec::Parallel(&pool));
         assert_eq!(
             per_query.median_relative_error,
             batched.median_relative_error
@@ -869,7 +833,7 @@ mod tests {
         // Handles and workloads work like any other engine.
         let handle = s.handle("pass4").unwrap();
         assert_eq!(handle.estimate(q).unwrap().value, first.value);
-        let (summary, outcomes) = s.run_workload("pass4", &queries).unwrap();
+        let (summary, outcomes) = s.run_workload("pass4", &queries, Exec::PerQuery).unwrap();
         assert_eq!(outcomes.len(), queries.len());
         assert!(summary.median_relative_error < 0.25);
     }

@@ -6,7 +6,7 @@ use pass::common::{AggKind, PartitionStrategy, PassSpec, Query, Synopsis};
 use pass::core::Pass;
 use pass::table::datasets::{adversarial, DatasetId};
 use pass::table::SortedTable;
-use pass::workload::{challenging_queries, random_queries};
+use pass::workload::{challenging_queries, random_queries, Exec};
 use pass::{EngineSpec, Session};
 
 /// The Table 1 premise: controlling for sample budget, PASS is more
@@ -109,7 +109,9 @@ fn skip_rate_is_high_for_selective_queries() {
         )],
     )
     .unwrap();
-    let (summary, _) = session.run_workload("pass", &queries).unwrap();
+    let (summary, _) = session
+        .run_workload("pass", &queries, Exec::PerQuery)
+        .unwrap();
     assert!(
         summary.mean_skip_rate > 0.97,
         "skip rate {}",
@@ -147,7 +149,9 @@ fn all_engines_run_one_workload() {
     .unwrap();
 
     for name in session.engine_names() {
-        let (summary, outcomes) = session.run_workload(name, &queries).unwrap();
+        let (summary, outcomes) = session
+            .run_workload(name, &queries, Exec::PerQuery)
+            .unwrap();
         assert_eq!(summary.queries, outcomes.len(), "{name}");
         assert!(summary.median_relative_error.is_finite());
         assert!(summary.storage_bytes > 0);
@@ -176,7 +180,9 @@ fn full_pipeline_is_deterministic() {
             )],
         )
         .unwrap();
-        let (summary, _) = session.run_workload("pass", &queries).unwrap();
+        let (summary, _) = session
+            .run_workload("pass", &queries, Exec::PerQuery)
+            .unwrap();
         summary.median_relative_error
     };
     assert_eq!(run(), run());

@@ -51,6 +51,19 @@ fn categorical_table() -> Table {
     Table::one_dim(cat, values).unwrap()
 }
 
+/// [`categorical_table`] plus a rare category (code 9, four rows) that
+/// sorts past every other key, so a single stratum holds all of it.
+fn rare_category_table() -> Table {
+    let base = categorical_table();
+    let mut cat = base.predicate_column(0).to_vec();
+    let mut values = base.values().to_vec();
+    for i in 0..4 {
+        cat.push(9.0);
+        values.push(100.0 + i as f64);
+    }
+    Table::one_dim(cat, values).unwrap()
+}
+
 /// Every present category, plus one (42.0) that no row carries — the
 /// availability-rule probe rides along through every path.
 const CATEGORIES: [f64; 9] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 42.0];
@@ -91,6 +104,22 @@ fn group_by_is_identical_across_direct_cached_parallel_and_handle_paths() {
         // rows were keyed and reused, not recomputed.
         let stats = session.cache_stats("e").unwrap();
         assert!(stats.hits >= stats.misses, "{}: {stats:?}", raw.name());
+
+        // AVG over a category no row carries (42) and over one only the
+        // last stratum can see (9: four rows at the top of the key
+        // range): each row — error variant included — is the
+        // availability rule over the engine's own single-query answer.
+        let rare = Engine::build(&rare_category_table(), &spec).unwrap();
+        let q = GroupByQuery::over(AggKind::Avg, 0, &[42.0, 9.0], 1);
+        for row in rare.estimate_group_by(&q).unwrap() {
+            assert_eq!(
+                row.estimate,
+                apply_group_availability(rare.estimate(&q.query_for(row.key))),
+                "{} AVG group {}",
+                rare.name(),
+                row.key
+            );
+        }
     }
 }
 

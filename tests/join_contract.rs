@@ -21,8 +21,8 @@
 
 use pass::common::rng::derive_seed;
 use pass::common::{
-    AggKind, Aggregates, EngineSpec, Estimate, JoinSpec, PassError, Query, Rect, ShardPlan,
-    Synopsis, ThreadPool,
+    estimate_many_parallel, AggKind, Aggregates, EngineSpec, Estimate, JoinSpec, PassError, Query,
+    Rect, ShardPlan, Synopsis, ThreadPool,
 };
 use pass::table::datasets::uniform;
 use pass::table::Table;
@@ -178,7 +178,7 @@ fn single_batched_and_parallel_paths_are_bit_identical() {
     assert_eq!(single, batched, "batched departs from single");
     for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(threads);
-        let parallel = join.estimate_many_parallel(&queries, &pool);
+        let parallel = estimate_many_parallel(&join, &queries, &pool);
         assert_eq!(single, parallel, "parallel departs ({threads} threads)");
     }
 }

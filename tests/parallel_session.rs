@@ -8,10 +8,12 @@
 //!   entirely from the cache, with estimates identical to the first pass;
 //! * `SessionHandle` clones serving concurrently agree with the session.
 
-use pass::common::{AggKind, Estimate, Query, Result, ThreadPool};
+use pass::common::{
+    estimate_many_parallel, AggKind, EngineSpec, Estimate, Query, Result, ShardPlan, ThreadPool,
+};
 use pass::table::datasets::uniform;
 use pass::table::SortedTable;
-use pass::workload::random_queries;
+use pass::workload::{random_queries, Exec};
 use pass::{Engine, Session};
 
 /// A mixed-aggregate workload exercising covered, partial, and disjoint
@@ -56,12 +58,23 @@ fn assert_identical(name: &str, threads: usize, a: &[Result<Estimate>], b: &[Res
 fn parallel_is_bit_identical_to_sequential_for_the_standard_suite() {
     let table = uniform(20_000, 40);
     let queries = workload(256);
-    for spec in Engine::standard_suite(16, 800, 41) {
+    let mut specs = Engine::standard_suite(16, 800, 41);
+    // Sharded engines chunk the query batch like everyone else; each
+    // chunk runs the shard-outer loop on its worker's own scratch.
+    let pass = specs[0].clone();
+    for k in [1, 2, 4] {
+        specs.push(EngineSpec::sharded(pass.clone(), ShardPlan::row_range(k)));
+    }
+    specs.push(EngineSpec::sharded(
+        EngineSpec::sharded(pass, ShardPlan::row_range(2)),
+        ShardPlan::row_range(2),
+    ));
+    for spec in specs {
         let engine = Engine::build(&table, &spec).unwrap();
         let sequential = engine.estimate_many(&queries);
         for threads in [1, 2, 3, 4, 8] {
             let pool = ThreadPool::new(threads);
-            let parallel = engine.estimate_many_parallel(&queries, &pool);
+            let parallel = estimate_many_parallel(&engine, &queries, &pool);
             assert_identical(engine.name(), threads, &sequential, &parallel);
         }
     }
@@ -84,10 +97,14 @@ fn second_workload_pass_hits_the_cache_completely() {
         .map(|n| n.to_string())
         .collect::<Vec<_>>()
     {
-        let (first, first_outcomes) = session.run_workload(&name, &queries).unwrap();
+        let (first, first_outcomes) = session
+            .run_workload(&name, &queries, Exec::PerQuery)
+            .unwrap();
         assert_eq!(first.cache_hits, 0, "{name}: cold cache");
         assert_eq!(first.cache_misses as usize, queries.len(), "{name}");
-        let (second, second_outcomes) = session.run_workload(&name, &queries).unwrap();
+        let (second, second_outcomes) = session
+            .run_workload(&name, &queries, Exec::PerQuery)
+            .unwrap();
         assert_eq!(
             second.cache_hits as usize,
             queries.len(),
@@ -115,10 +132,12 @@ fn parallel_workload_runner_matches_sequential_metrics() {
         s.add_engine("pass", &pass::EngineSpec::pass()).unwrap();
         s
     };
-    let (sequential, _) = build().run_workload_batched("pass", &queries).unwrap();
+    let (sequential, _) = build()
+        .run_workload("pass", &queries, Exec::Batched)
+        .unwrap();
     let pool = ThreadPool::new(4);
     let (parallel, _) = build()
-        .run_workload_parallel("pass", &queries, &pool)
+        .run_workload("pass", &queries, Exec::Parallel(&pool))
         .unwrap();
     assert_eq!(
         sequential.median_relative_error,

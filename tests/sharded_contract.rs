@@ -18,7 +18,9 @@
 //!    element-wise with the single-query path (the workspace-wide
 //!    `Synopsis` contract).
 
-use pass::common::{AggKind, EngineSpec, PassError, Query, ShardPlan, Synopsis, ThreadPool};
+use pass::common::{
+    estimate_many_parallel, AggKind, EngineSpec, PassError, Query, ShardPlan, Synopsis, ThreadPool,
+};
 use pass::table::datasets::uniform;
 use pass::table::Table;
 use pass::{Engine, Session};
@@ -239,7 +241,7 @@ fn sharded_batched_and_parallel_paths_are_bit_identical() {
         let batched = sharded.estimate_many(&queries);
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let parallel = sharded.estimate_many_parallel(&queries, &pool);
+            let parallel = estimate_many_parallel(&sharded, &queries, &pool);
             for ((s, b), p) in single.iter().zip(&batched).zip(&parallel) {
                 match (s, b, p) {
                     (Ok(s), Ok(b), Ok(p)) => {

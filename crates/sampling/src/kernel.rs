@@ -7,16 +7,27 @@
 //! `rows.matches(rect, i)` dominate. [`ScanScratch`] answers the same
 //! question with reusable buffers:
 //!
-//! 1. **Mask build** — one branchless `lo <= x && x <= hi` pass per
-//!    predicate column over the contiguous `f64` slice, AND-ed into a
-//!    byte mask (auto-vectorizable; no per-row dimension loop).
-//! 2. **Masked accumulate** — the value sum, Kahan mean, and Kahan sum
-//!    of squared deviations are computed straight off the mask with
-//!    *selected* φ addends (`if m != 0 { φᵢ } else { 0.0 }` — a select,
-//!    never a multiply-by-mask, so `0.0 × ∞`/NaN can't poison a lane).
-//!    Every float addition happens in the same order with the same
-//!    addends as the materialized-φ reference, so results are
-//!    **bit-identical** by construction.
+//! 1. **Keep lanes** — one branch-free `(lo <= x) & (x <= hi)` pass per
+//!    predicate column over the contiguous `f64` slice, AND-ed into one
+//!    64-bit lane per row: all-ones if the row matches, `0` if not. Both
+//!    compares always run (a short-circuit `&&` is a branch per row), so
+//!    the pass auto-vectorizes; a NaN cell fails both and never matches.
+//!    `K_pred` is the popcount of the lanes.
+//! 2. **φ buffer, then the reference's additions** — one pass writes the
+//!    selected φ vector into a reusable buffer as
+//!    `f64::from_bits((scale · v).to_bits() & keep)`, then the value sum
+//!    and Neumaier mean (one loop, two independent chains) and the
+//!    Neumaier sum of squared deviations (a second loop) run over that
+//!    contiguous buffer. The bitwise `AND` is still a *select*, never a
+//!    multiply-by-mask: the product for an unmatched row is computed and
+//!    then replaced whole by the literal `+0.0`, so an unmatched `inf` or
+//!    NaN can't poison a lane the way `0.0 × ∞` would, and a matched φ
+//!    keeps every bit. Every float addition happens in the same order
+//!    with the same addends as the materialized-φ reference, so results
+//!    are **bit-identical** by construction. This d-dimensional path
+//!    lives in its own out-of-line function: inlined into the entry
+//!    points it bloats the `k == 0` / sorted-1-D dispatch enough that the
+//!    1-D hot path loses throughput to code layout alone.
 //! 3. **1-D fast path** — samples whose single predicate column is
 //!    non-decreasing (every builder-produced 1-D stratum sample, see
 //!    [`Sample::sorted_1d`]) resolve the match range by binary search
@@ -34,13 +45,17 @@
 //! 4. **Scan fusion** — [`ScanScratch::estimate_batch`] evaluates a
 //!    batch of rectangles tile-by-tile in one pass over each predicate
 //!    column, so the sample's columns stay cache-hot across the tile's
-//!    queries. Single and fused paths share `finish_from_mask`, so
-//!    they are bit-identical by shared code, not by coincidence.
+//!    queries. The tile keeps one *byte* per (query, row) — 64 queries'
+//!    worth of 64-bit lanes would not stay cache-resident — and widens a
+//!    byte to a keep lane only while building φ into the same buffer.
+//!    Single and fused paths share `finish_from_lanes` (generic over the
+//!    lane width), so they are bit-identical by shared code, not by
+//!    coincidence.
 //!
 //! The `pass-lint` workspace pass flags heap allocation in this module
-//! (`no-alloc-in-kernel`): the only sanctioned allocations are the
+//! (`kernel-no-alloc`): the only sanctioned allocations are the
 //! `// alloc:`-justified scratch constructions and amortized buffer
-//! growth via `resize`.
+//! growth via `resize`/`extend` on the long-lived buffers.
 
 use std::cell::RefCell;
 
@@ -113,13 +128,19 @@ fn view_1d(sample: &Sample) -> SampleView<'_> {
 /// Reusable buffers for the scan kernels. Construct once per worker (or
 /// borrow the thread-local via [`with_scratch`]) and reuse across
 /// queries; no per-query allocation happens after the buffers reach the
-/// sample size high-water mark.
+/// sample size high-water mark. Every buffer is resized to the current
+/// stratum's `k` before use, so nothing a previous call left behind is
+/// ever read.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    /// Single-query match vector, one byte per sampled row.
+    /// Byte match vector handed out by [`match_mask`](Self::match_mask).
     mask: Vec<u8>,
-    /// Fused tile masks, laid out `[query_in_tile * k + row]`.
+    /// Fused tile byte masks, laid out `[query_in_tile * k + row]`.
     tile: Vec<u8>,
+    /// Single-query keep lanes, one `u64` (all-ones / `0`) per sampled row.
+    keep: Vec<u64>,
+    /// The selected φ vector of the (query, stratum) pair being finished.
+    phi: Vec<f64>,
 }
 
 impl ScanScratch {
@@ -137,13 +158,12 @@ impl ScanScratch {
         rect: &Rect,
     ) -> Option<PointVariance> {
         if sample.k() == 0 {
-            return empty_sample(agg);
+            return no_match(agg);
         }
         if sample.sorted_1d() {
             return estimate_sorted_1d(agg, &view_1d(sample), rect);
         }
-        fill_mask(sample, rect, &mut self.mask);
-        finish_from_mask(agg, sample.rows().values(), sample.population(), &self.mask)
+        self.estimate_unsorted(agg, sample, rect)
     }
 
     /// [`estimate`](Self::estimate) over a borrowed [`SampleView`] — the
@@ -156,13 +176,15 @@ impl ScanScratch {
         rect: &Rect,
     ) -> Option<PointVariance> {
         if view.k() == 0 {
-            return empty_sample(agg);
+            return no_match(agg);
         }
         if view.sorted_1d {
             return estimate_sorted_1d(agg, view, rect);
         }
-        fill_mask_view(view, rect, &mut self.mask);
-        finish_from_mask(agg, view.values, view.population, &self.mask)
+        debug_assert_eq!(rect.dims(), view.dims);
+        self.estimate_lanes(agg, view.values, view.population, rect, |d| {
+            view.pred_col(d)
+        })
     }
 
     /// The mask path unconditionally — bypasses the 1-D sorted fast
@@ -176,17 +198,37 @@ impl ScanScratch {
         sample: &Sample,
         rect: &Rect,
     ) -> Option<PointVariance> {
-        if sample.k() == 0 {
-            return empty_sample(agg);
+        let rows = sample.rows();
+        debug_assert_eq!(rect.dims(), rows.dims());
+        self.estimate_lanes(agg, rows.values(), sample.population(), rect, |d| {
+            rows.predicate_column(d)
+        })
+    }
+
+    /// The d-dimensional path: keep lanes, then the shared finish. Kept
+    /// out of line so the `k == 0` / sorted-1-D dispatch in the public
+    /// entry points stays a few instructions — inlined here, the 1-D hot
+    /// path measurably slows from code layout alone.
+    #[inline(never)]
+    fn estimate_lanes<'c>(
+        &mut self,
+        agg: AggKind,
+        values: &[f64],
+        population: u64,
+        rect: &Rect,
+        col: impl Fn(usize) -> &'c [f64],
+    ) -> Option<PointVariance> {
+        if values.is_empty() {
+            return no_match(agg);
         }
-        fill_mask(sample, rect, &mut self.mask);
-        finish_from_mask(agg, sample.rows().values(), sample.population(), &self.mask)
+        fill_lanes(values.len(), rect, col, &mut self.keep);
+        finish_from_lanes(agg, values, population, &self.keep, &mut self.phi)
     }
 
     /// Scan fusion: answer every query in `queries` with one pass over
     /// each predicate column per tile of `TILE` (64) queries. Results are
     /// element-wise bit-identical to [`estimate`](Self::estimate) (the
-    /// tile masks finish through the same `finish_from_mask`).
+    /// tile masks finish through the same `finish_from_lanes`).
     ///
     /// `out` is cleared and refilled, one entry per query, in order.
     /// Every query must have the sample's arity.
@@ -199,7 +241,7 @@ impl ScanScratch {
         out.clear();
         let k = sample.k();
         if k == 0 {
-            out.extend(queries.iter().map(|q| empty_sample(q.agg)));
+            out.extend(queries.iter().map(|q| no_match(q.agg)));
             return;
         }
         if sample.sorted_1d() {
@@ -219,16 +261,17 @@ impl ScanScratch {
                 let col = rows.predicate_column(d);
                 for (t, q) in chunk.iter().enumerate() {
                     let seg = &mut self.tile[t * k..(t + 1) * k];
-                    mask_pass(col, q.rect.lo(d), q.rect.hi(d), d == 0, seg);
+                    lane_pass(col, q.rect.lo(d), q.rect.hi(d), d == 0, seg);
                 }
             }
             for (t, q) in chunk.iter().enumerate() {
                 let seg = &self.tile[t * k..(t + 1) * k];
-                out.push(finish_from_mask(
+                out.push(finish_from_lanes(
                     q.agg,
                     rows.values(),
                     sample.population(),
                     seg,
+                    &mut self.phi,
                 ));
             }
         }
@@ -246,11 +289,7 @@ impl ScanScratch {
     where
         F: Fn(usize) -> &'c [f64],
     {
-        self.mask.clear();
-        self.mask.resize(k, 0);
-        for d in 0..rect.dims() {
-            mask_pass(col(d), rect.lo(d), rect.hi(d), d == 0, &mut self.mask);
-        }
+        fill_lanes(k, rect, col, &mut self.mask);
         &self.mask
     }
 }
@@ -265,124 +304,141 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// The reference's empty-sample contract: SUM/COUNT estimate 0 with zero
-/// variance, everything else is undefined.
-fn empty_sample(agg: AggKind) -> Option<PointVariance> {
+/// The reference's answer when no sampled row matches — the sample is
+/// empty, or the predicate rejected every row: SUM/COUNT estimate 0 with
+/// zero variance, everything else is undefined.
+fn no_match(agg: AggKind) -> Option<PointVariance> {
     match agg {
-        AggKind::Sum | AggKind::Count => Some(PointVariance {
-            value: 0.0,
-            variance: 0.0,
-            k_pred: 0,
-        }),
+        AggKind::Sum | AggKind::Count => Some(EMPTY_MATCH),
         _ => None,
     }
 }
 
-/// One branchless interval test over a contiguous predicate column. The
-/// first column writes the mask, later columns AND into it.
-fn mask_pass(col: &[f64], lo: f64, hi: f64, first: bool, mask: &mut [u8]) {
+/// One per-row match flag. The byte form (`1`/`0`) is what `match_mask`
+/// hands to the baselines and what the fused tile stores (64 queries × k
+/// rows stay cache-resident at one byte each); the 64-bit form
+/// (all-ones/`0`) is the single-query keep lane, which selects a φ value
+/// with one `AND` and no widening.
+trait Lane: Copy + std::ops::BitAnd<Output = Self> {
+    /// The lane for a row that matched (`hit`) or did not.
+    fn of(hit: bool) -> Self;
+    /// The lane as a 64-bit select mask: all-ones if matched, else `0`.
+    fn keep(self) -> u64;
+}
+
+impl Lane for u8 {
+    #[inline]
+    fn of(hit: bool) -> Self {
+        u8::from(hit)
+    }
+    #[inline]
+    fn keep(self) -> u64 {
+        u64::from(self).wrapping_neg()
+    }
+}
+
+impl Lane for u64 {
+    #[inline]
+    fn of(hit: bool) -> Self {
+        u64::from(hit).wrapping_neg()
+    }
+    #[inline]
+    fn keep(self) -> u64 {
+        self
+    }
+}
+
+/// One branch-free interval test over a contiguous predicate column. The
+/// first column writes the lanes, later columns AND into them. Both
+/// compares always run (`&`, not `&&`): a short-circuit is a branch per
+/// row and blocks vectorization. A NaN cell fails both compares.
+fn lane_pass<M: Lane>(col: &[f64], lo: f64, hi: f64, first: bool, lanes: &mut [M]) {
     if first {
-        for (m, &x) in mask.iter_mut().zip(col) {
-            *m = u8::from(lo <= x && x <= hi);
+        for (m, &x) in lanes.iter_mut().zip(col) {
+            *m = M::of((lo <= x) & (x <= hi));
         }
     } else {
-        for (m, &x) in mask.iter_mut().zip(col) {
-            *m &= u8::from(lo <= x && x <= hi);
+        for (m, &x) in lanes.iter_mut().zip(col) {
+            *m = *m & M::of((lo <= x) & (x <= hi));
         }
     }
 }
 
-/// Build the match mask for `rect`, one predicate column at a time.
-fn fill_mask(sample: &Sample, rect: &Rect, mask: &mut Vec<u8>) {
-    let rows = sample.rows();
-    let k = rows.n_rows();
-    debug_assert_eq!(rect.dims(), rows.dims());
-    mask.clear();
-    mask.resize(k, 0);
-    for d in 0..rows.dims() {
-        mask_pass(
-            rows.predicate_column(d),
-            rect.lo(d),
-            rect.hi(d),
-            d == 0,
-            mask,
-        );
+/// Build the `k` match lanes for `rect`, one predicate column at a time.
+/// `col(d)` returns the contiguous column for dimension `d`.
+fn fill_lanes<'c, M: Lane>(
+    k: usize,
+    rect: &Rect,
+    col: impl Fn(usize) -> &'c [f64],
+    lanes: &mut Vec<M>,
+) {
+    lanes.clear();
+    lanes.resize(k, M::of(false));
+    for d in 0..rect.dims() {
+        lane_pass(col(d), rect.lo(d), rect.hi(d), d == 0, lanes);
     }
 }
 
-/// [`fill_mask`] over a flat view's column-major predicate matrix.
-fn fill_mask_view(view: &SampleView<'_>, rect: &Rect, mask: &mut Vec<u8>) {
-    debug_assert_eq!(rect.dims(), view.dims);
-    mask.clear();
-    mask.resize(view.k(), 0);
-    for d in 0..view.dims {
-        mask_pass(view.pred_col(d), rect.lo(d), rect.hi(d), d == 0, mask);
-    }
-}
-
-/// Finish an estimate off a prebuilt match mask over `values` (the mask
-/// length is the sample size `k`, which must be non-zero).
-fn finish_from_mask(
+/// Finish an estimate off prebuilt match lanes over `values` (the lane
+/// count is the sample size `k`, which must be non-zero). `phi` is the
+/// reusable φ buffer; it is rebuilt at length `k` here.
+fn finish_from_lanes<M: Lane>(
     agg: AggKind,
     values: &[f64],
     population: u64,
-    mask: &[u8],
+    lanes: &[M],
+    phi: &mut Vec<f64>,
 ) -> Option<PointVariance> {
-    let k = mask.len();
+    let k = lanes.len();
     debug_assert!(k > 0 && values.len() == k);
+    // `K_pred`: integer popcount of the lanes (order-independent).
+    let k_pred: u64 = lanes.iter().map(|m| m.keep() & 1).sum();
+    if k_pred == 0 {
+        return no_match(agg);
+    }
+    let n = population as f64;
     match agg {
         AggKind::Min | AggKind::Max => {
-            // The reference fold (`estimate_minmax`), driven by the mask.
-            let mut best: Option<f64> = None;
-            let mut k_pred = 0u64;
-            for (i, &m) in mask.iter().enumerate() {
-                if m == 0 {
-                    continue;
-                }
-                k_pred += 1;
-                let v = values[i];
-                best = Some(match (best, agg) {
-                    (None, _) => v,
-                    (Some(b), AggKind::Min) => b.min(v),
-                    (Some(b), _) => b.max(v),
-                });
-            }
-            best.map(|value| PointVariance {
-                value,
-                variance: 0.0,
-                k_pred,
-            })
+            let matched = lanes.iter().zip(values).filter(|(m, _)| m.keep() != 0);
+            return minmax(agg, k_pred, matched.map(|(_, &v)| v));
         }
-        AggKind::Count => {
-            let k_pred = count_mask(mask);
-            if k_pred == 0 {
-                return Some(EMPTY_MATCH);
-            }
-            let n = population as f64;
-            Some(moments(mask, population, k_pred, |_| n))
-        }
-        AggKind::Sum => {
-            let k_pred = count_mask(mask);
-            if k_pred == 0 {
-                return Some(EMPTY_MATCH);
-            }
-            let n = population as f64;
-            Some(moments(mask, population, k_pred, |i| n * values[i]))
-        }
+        AggKind::Count => select_phi(lanes, values, phi, |_| n),
+        AggKind::Sum => select_phi(lanes, values, phi, |v| n * v),
         AggKind::Avg => {
-            let k_pred = count_mask(mask);
-            if k_pred == 0 {
-                return None;
-            }
             let scale = k as f64 / k_pred as f64;
-            Some(moments(mask, population, k_pred, |i| scale * values[i]))
+            select_phi(lanes, values, phi, |v| scale * v);
         }
     }
+    Some(moments(phi, population, k_pred))
 }
 
-/// `K_pred`: integer popcount of the byte mask (order-independent).
-fn count_mask(mask: &[u8]) -> u64 {
-    mask.iter().map(|&m| u64::from(m)).sum()
+/// The reference fold (`estimate_minmax`) over the `k_pred` matched
+/// values, in index order.
+fn minmax(agg: AggKind, k_pred: u64, matched: impl Iterator<Item = f64>) -> Option<PointVariance> {
+    let extremum = |best: f64, v: f64| match agg {
+        AggKind::Min => best.min(v),
+        _ => best.max(v),
+    };
+    matched.reduce(extremum).map(|value| PointVariance {
+        value,
+        variance: 0.0,
+        k_pred,
+    })
+}
+
+/// Materialize the φ vector: `f(value)` where the lane matched, the
+/// literal `+0.0` where it did not. The choice is a bitwise `AND` with
+/// the keep mask — still a select, never a multiply: an unmatched `inf`
+/// or NaN value is computed and then discarded whole, so `0 · inf` never
+/// happens, and a matched value keeps every bit.
+fn select_phi<M: Lane>(lanes: &[M], values: &[f64], phi: &mut Vec<f64>, f: impl Fn(f64) -> f64) {
+    phi.clear();
+    phi.extend(
+        lanes
+            .iter()
+            .zip(values)
+            .map(|(&m, &v)| f64::from_bits(f(v).to_bits() & m.keep())),
+    );
 }
 
 /// The estimate the reference computes for SUM/COUNT when no sample row
@@ -397,31 +453,30 @@ const EMPTY_MATCH: PointVariance = PointVariance {
     k_pred: 0,
 };
 
-/// The reference's moment computation — `mean(φ)` as a plain sequential
-/// sum and `population_variance(φ)` with its own Kahan mean — with φ
-/// *selected* per index instead of materialized. Unmatched rows
-/// contribute the literal `+0.0` the reference pushed, so every float
-/// addition sees the same addend in the same order.
-fn moments(mask: &[u8], population: u64, k_pred: u64, phi: impl Fn(usize) -> f64) -> PointVariance {
-    let k = mask.len();
+/// The reference's moment computation over the φ buffer — `mean(φ)` as a
+/// plain sequential sum and `population_variance(φ)` with its own
+/// Neumaier mean — every float addition with the reference's addend in
+/// the reference's order. The plain sum and the compensated mean read
+/// the same φ in the same order, so they share one loop as two
+/// independent dependency chains.
+fn moments(phi: &[f64], population: u64, k_pred: u64) -> PointVariance {
+    let k = phi.len();
     // `Iterator::sum::<f64>` folds from -0.0 (so an all-negative-zero φ
     // vector sums to -0.0); replicate the seed exactly.
     let mut s = -0.0f64;
-    for (i, &m) in mask.iter().enumerate() {
-        s += if m != 0 { phi(i) } else { 0.0 };
+    let mut mean_acc = KahanSum::new();
+    for &p in phi {
+        s += p;
+        mean_acc.add(p);
     }
     let value = s / k as f64;
     let pop_var = if k < 2 {
         0.0
     } else {
-        let mut mean_acc = KahanSum::new();
-        for (i, &m) in mask.iter().enumerate() {
-            mean_acc.add(if m != 0 { phi(i) } else { 0.0 });
-        }
         let mean = mean_acc.total() / k as f64;
         let mut ss = KahanSum::new();
-        for (i, &m) in mask.iter().enumerate() {
-            let d = (if m != 0 { phi(i) } else { 0.0 }) - mean;
+        for &p in phi {
+            let d = p - mean;
             ss.add(d * d);
         }
         (ss.total() / k as f64).max(0.0)
@@ -451,22 +506,7 @@ fn estimate_sorted_1d(agg: AggKind, view: &SampleView<'_>, rect: &Rect) -> Optio
     let k_pred = (b - a) as u64;
     let values = view.values;
     match agg {
-        AggKind::Min | AggKind::Max => {
-            // The reference fold over the matched range, in index order.
-            let mut best: Option<f64> = None;
-            for &v in &values[a..b] {
-                best = Some(match (best, agg) {
-                    (None, _) => v,
-                    (Some(bst), AggKind::Min) => bst.min(v),
-                    (Some(bst), _) => bst.max(v),
-                });
-            }
-            best.map(|value| PointVariance {
-                value,
-                variance: 0.0,
-                k_pred,
-            })
-        }
+        AggKind::Min | AggKind::Max => minmax(agg, k_pred, values[a..b].iter().copied()),
         AggKind::Count => {
             if k_pred == 0 {
                 return Some(EMPTY_MATCH);
@@ -685,6 +725,58 @@ mod tests {
                     bits(&estimate(agg, &s, &rect)),
                     "{agg}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_never_reads_past_the_current_stratum() {
+        // The keep/φ/tile buffers outlive a call: after an 85-row stratum
+        // they still hold 85 rows of someone else's lanes. Shrinking to 5
+        // rows, to none, through the sorted 1-D path and back to 3-D must
+        // answer exactly as a fresh scratch does at every step.
+        let stratum = |rows: usize, dims: usize, seed: u64| {
+            let t = table_nd(rows, dims, seed);
+            Sample::from_rows(t, 4 * rows as u64 + 1).unwrap()
+        };
+        let sorted = Sample::from_rows(
+            Table::one_dim(vec![0.1, 0.3, 0.5, 0.7], vec![4.0, -1.0, 2.5, 8.0]).unwrap(),
+            9,
+        )
+        .unwrap();
+        assert!(sorted.sorted_1d());
+        let walk = [
+            stratum(85, 3, 3),
+            stratum(5, 3, 5),
+            stratum(0, 3, 7),
+            sorted,
+            stratum(40, 3, 11),
+        ];
+        let mut reused = ScanScratch::new();
+        let mut fused = Vec::new();
+        for s in &walk {
+            let dims = s.rows().dims();
+            let arena = crate::arena::SampleArena::from_samples(std::slice::from_ref(s));
+            for (lo, hi) in [(0.0, 1.0), (0.2, 0.6), (2.0, 3.0)] {
+                let rect = Rect::new(&vec![(lo, hi); dims]);
+                let queries: Vec<Query> = AggKind::ALL
+                    .into_iter()
+                    .map(|agg| Query::new(agg, rect.clone()))
+                    .collect();
+                reused.estimate_batch(s, &queries, &mut fused);
+                for (q, f) in queries.iter().zip(&fused) {
+                    let ctx = format!("{} k={} [{lo},{hi}]", q.agg, s.k());
+                    let fresh = bits(&ScanScratch::new().estimate(q.agg, s, &rect));
+                    assert_eq!(fresh, bits(&estimate(q.agg, s, &rect)), "{ctx}");
+                    assert_eq!(bits(&reused.estimate(q.agg, s, &rect)), fresh, "{ctx}");
+                    let view = arena.view(0);
+                    assert_eq!(
+                        bits(&reused.estimate_view(q.agg, &view, &rect)),
+                        fresh,
+                        "{ctx}"
+                    );
+                    assert_eq!(bits(f), fresh, "fused {ctx}");
+                }
             }
         }
     }

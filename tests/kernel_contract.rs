@@ -5,6 +5,15 @@
 //! corners, signed zeros in the data, and the 1-D sorted binary-search
 //! fast path against the d-dimensional mask path.
 //!
+//! The d-dimensional path is auto-vectorized (keep lanes, a φ buffer,
+//! then the reference's additions), so the suite also walks every sample
+//! size 1..=70 — each vector-lane remainder — through every entry point
+//! (`Sample`, forced mask path, `SampleArena::view`, fused batch), with
+//! `K_pred ∈ {0, 1, k}`, NaN predicate cells, `±inf`/NaN/1e300 values in
+//! rows the predicate rejects, and magnitudes that take Neumaier's
+//! `|value| > |sum|` arm. CI runs it in release too: that is the codegen
+//! the bit-identity rests on.
+//!
 //! "Bit-for-bit" is literal: every comparison goes through `f64::to_bits`,
 //! so even a `-0.0` vs `+0.0` drift (the `Iterator::sum` seed subtlety the
 //! kernels replicate) fails the suite.
@@ -12,7 +21,7 @@
 use proptest::prelude::*;
 
 use pass::common::{AggKind, Query, Rect};
-use pass::sampling::{estimate as reference, PointVariance, Sample, ScanScratch};
+use pass::sampling::{estimate as reference, PointVariance, Sample, SampleArena, ScanScratch};
 use pass::table::Table;
 
 /// Collapse an estimate to raw bits so equality is exact, not approximate.
@@ -57,6 +66,93 @@ fn keys(n: usize, seed: u64) -> Vec<f64> {
             (state >> 11) as f64 / (1u64 << 53) as f64
         })
         .collect()
+}
+
+/// Values spanning sixty decades with both signs: consecutive addends
+/// routinely out-weigh the running sum, which is the branch of Neumaier's
+/// update the benign pool above never takes.
+fn wide_values(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(
+        prop_oneof![
+            (-30i32..=30).prop_map(|e| 10f64.powi(e)),
+            (-30i32..=30).prop_map(|e| -(10f64.powi(e))),
+            -100.0f64..100.0,
+            Just(-0.0),
+        ],
+        n,
+    )
+}
+
+/// Values a rejected row may hold: the kernels compute `scale · v` for
+/// every row and then discard the unmatched ones, so none of these may
+/// leak into a sum (`0 · inf`, NaN, or an overflowing product).
+fn poison(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(
+        prop_oneof![
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(1e300),
+            Just(-1e300),
+        ],
+        n,
+    )
+}
+
+/// A `k`-row 3-D stratum over `vals[..k]`. `nan_cell[i] < 3` plants a NaN
+/// in that predicate dimension of row `i` (the join engine's dangling-FK
+/// shape: the row can match no rectangle).
+fn stratum_3d(vals: &[f64], k: usize, seed: u64, nan_cell: &[u8]) -> Table {
+    let mut preds = vec![
+        keys(k, seed),
+        keys(k, seed ^ 0xabcdef),
+        keys(k, seed ^ 0x5eed),
+    ];
+    for (i, &c) in nan_cell.iter().take(k).enumerate() {
+        if let Some(col) = preds.get_mut(c as usize) {
+            col[i] = f64::NAN;
+        }
+    }
+    Table::new(
+        vals[..k].to_vec(),
+        preds,
+        vec!["val".into(), "d0".into(), "d1".into(), "d2".into()],
+    )
+    .unwrap()
+}
+
+/// Every kernel entry point that can answer `(agg, rect)` on `s` —
+/// `Sample`, the forced mask path, the flat-arena view, the fused batch
+/// — against the reference, all five aggregates, on one reused scratch.
+fn assert_every_path_matches(s: &Sample, rect: &Rect, scratch: &mut ScanScratch) {
+    let k = s.k();
+    let arena = SampleArena::from_samples(std::slice::from_ref(s));
+    let queries: Vec<Query> = AggKind::ALL
+        .into_iter()
+        .map(|agg| Query::new(agg, rect.clone()))
+        .collect();
+    let mut batch = Vec::new();
+    scratch.estimate_batch(s, &queries, &mut batch);
+    for (q, fused) in queries.iter().zip(batch) {
+        let want = bits(reference(q.agg, s, rect));
+        let ctx = format!("{} k={k} {rect:?}", q.agg);
+        assert_eq!(
+            bits(scratch.estimate(q.agg, s, rect)),
+            want,
+            "sample: {ctx}"
+        );
+        assert_eq!(
+            bits(scratch.estimate_unsorted(q.agg, s, rect)),
+            want,
+            "mask path: {ctx}"
+        );
+        assert_eq!(
+            bits(scratch.estimate_view(q.agg, &arena.view(0), rect)),
+            want,
+            "arena view: {ctx}"
+        );
+        assert_eq!(bits(fused), want, "fused batch: {ctx}");
+    }
 }
 
 fn table_2d(vals: &[f64], seed: u64) -> Table {
@@ -107,6 +203,27 @@ proptest! {
             prop_assert_eq!(fast, masked, "{} fast path diverged from mask path", agg);
             prop_assert_eq!(masked, refr, "{} mask path diverged from reference", agg);
         }
+    }
+
+    /// 3-D strata of every size 1..=70 with hostile contents: NaN
+    /// predicate cells, `±inf`/NaN/1e300 values in every row the
+    /// rectangle rejects, and wide-magnitude values in the rows it keeps.
+    #[test]
+    fn hostile_3d_strata_match_reference_bitwise(
+        k in 1usize..=70,
+        seed in 1u64..5_000,
+        vals in wide_values(70),
+        bad in poison(70),
+        nan_cell in prop::collection::vec(0u8..12, 70),
+        rect in (interval(), interval(), interval()),
+    ) {
+        let rect = Rect::new(&[rect.0, rect.1, rect.2]);
+        let clean = stratum_3d(&vals, k, seed, &nan_cell);
+        let vals: Vec<f64> = (0..k)
+            .map(|i| if clean.matches(&rect, i) { vals[i] } else { bad[i] })
+            .collect();
+        let s = Sample::from_rows(stratum_3d(&vals, k, seed, &nan_cell), 3 * k as u64).unwrap();
+        assert_every_path_matches(&s, &rect, &mut ScanScratch::new());
     }
 
     /// Fused batch evaluation ≡ per-query evaluation, element-wise, across
@@ -160,5 +277,40 @@ fn empty_sample_corner_is_pinned() {
     scratch.estimate_batch(&s, &queries, &mut batch);
     for (q, b) in queries.iter().zip(batch) {
         assert_eq!(bits(b), bits(reference(q.agg, &s, &q.rect)));
+    }
+}
+
+/// Every sample size 1..=70 — each remainder of a 2-, 4- or 8-lane
+/// vector loop, with and without whole vectors before it — at the three
+/// selectivities the kernels special-case: `K_pred = 0` (hoisted
+/// constant), `K_pred = 1` (a point rectangle on one row, moved through
+/// the stratum so it lands in vector body and tail alike) and
+/// `K_pred = k`. Values climb in magnitude with alternating sign, so
+/// each matched addend out-weighs the running sum.
+#[test]
+fn every_lane_remainder_at_kpred_zero_one_and_all() {
+    let vals: Vec<f64> = (0..70)
+        .map(|i| (if i % 2 == 0 { 1.0 } else { -1.0 }) * 3f64.powi(i))
+        .collect();
+    let mut scratch = ScanScratch::new();
+    for k in 1..=70usize {
+        let rows = stratum_3d(&vals, k, 0x7a55 + k as u64, &[]);
+        let point = |i: usize| {
+            let at = |d| (rows.predicate(d, i), rows.predicate(d, i));
+            Rect::new(&[at(0), at(1), at(2)])
+        };
+        let rects = [
+            Rect::new(&[(5.0, 6.0); 3]),
+            point(0),
+            point(k / 2),
+            point(k - 1),
+            Rect::new(&[(0.0, 1.0); 3]),
+        ];
+        let s = Sample::from_rows(rows, 3 * k as u64).unwrap();
+        let k_preds: Vec<usize> = rects.iter().map(|r| s.k_pred(r)).collect();
+        assert_eq!(k_preds, [0, 1, 1, 1, k], "test premise at k={k}");
+        for rect in &rects {
+            assert_every_path_matches(&s, rect, &mut scratch);
+        }
     }
 }

@@ -26,6 +26,11 @@
 //!    `Err` row (sampling engines) or an answer carrying real evidence
 //!    (hard bounds / exactness — PASS), never a bare `0 ± 0` that reads
 //!    like a confident empty group.
+//! 6. A group-by **is** a batch of selection queries (paper §4.5): for
+//!    every engine, every sharding of it and nested sharding, the rows
+//!    equal the availability rule mapped over the engine's own
+//!    `estimate_many` answers to [`GroupByQuery::queries`] — no layer
+//!    adds a group-by-specific path.
 
 use pass::common::{
     apply_group_availability, AggKind, EngineSpec, GroupByQuery, PassError, ShardPlan, Synopsis,
@@ -261,4 +266,46 @@ fn empty_groups_surface_the_availability_rule_not_a_silent_zero() {
         "US must refuse an evidence-free group, got {:?}",
         rows[0].estimate
     );
+}
+
+/// Contract 6: group-by rows are the availability rule mapped over the
+/// engine's own `estimate_many` answers to the per-category expansion —
+/// for every suite engine, `Sharded{K=1,2,4}` of each and
+/// `Sharded(Sharded(PASS))`, both fixture tables, all five aggregates.
+/// `Ok` rows compare bit for bit (`Estimate`'s equality is `to_bits` on
+/// every float field), `Err` rows by variant.
+#[test]
+fn group_by_is_the_availability_rule_over_the_batched_selection_queries() {
+    let mut specs = Vec::new();
+    for spec in suite() {
+        for k in [1usize, 2, 4] {
+            specs.push(EngineSpec::sharded(spec.clone(), ShardPlan::row_range(k)));
+        }
+        specs.push(spec);
+    }
+    specs.push(EngineSpec::sharded(
+        EngineSpec::sharded(suite().remove(0), ShardPlan::row_range(2)),
+        ShardPlan::row_range(2),
+    ));
+    let mut categories = CATEGORIES.to_vec();
+    categories.push(9.0);
+    for table in [categorical_table(), rare_category_table()] {
+        for spec in &specs {
+            let engine = Engine::build(&table, spec).unwrap();
+            for agg in AggKind::ALL {
+                let q = GroupByQuery::over(agg, 0, &categories, 1);
+                let rows = engine.estimate_group_by(&q).unwrap();
+                let batch = engine.estimate_many(&q.queries());
+                assert_eq!(rows.len(), batch.len(), "{} {agg}", engine.name());
+                for (row, raw) in rows.iter().zip(batch) {
+                    let same = match (&row.estimate, &apply_group_availability(raw)) {
+                        (Ok(a), Ok(b)) => a == b,
+                        (Err(a), Err(b)) => std::mem::discriminant(a) == std::mem::discriminant(b),
+                        _ => false,
+                    };
+                    assert!(same, "{} {agg} group {}", engine.name(), row.key);
+                }
+            }
+        }
+    }
 }

@@ -32,8 +32,9 @@
 //! scratch across the batch per shard).
 //! `pass_common::estimate_many_parallel` chunks the *queries* across a
 //! pool like for any other engine, each chunk running the shard-outer
-//! loop. Both are element-wise bit-identical to the sequential
-//! single-query path.
+//! loop. There is one scatter–gather: `estimate` is the one-query batch,
+//! and a group-by (`pass_common::estimate_group_by`) is the batch of its
+//! per-category queries.
 
 use std::sync::Arc;
 
@@ -129,77 +130,71 @@ impl ShardedSynopsis {
         &self.plan
     }
 
-    /// Collect one partial per shard for `query` via `partial_of`, then
-    /// reduce through [`PartialEstimate::merge_available`] — the shared
-    /// availability-rule merge the group-by and progressive paths also
-    /// use, which is what keeps them bit-identical to this one.
-    ///
-    /// A shard that cannot match any tuple (`PassError::EmptyInput`)
-    /// contributes a zero partial for additive aggregates — but only
-    /// when **some other shard answered**. If no shard can answer, the
-    /// first shard's error propagates, which keeps a 1-shard plan
-    /// identical to the unsharded engine on the error side too (and
-    /// avoids fabricating a confident `0 ± 0` out of pure refusals).
-    /// Zero partials carry no hard bounds and are not exact, so their
-    /// unsampled matching rows still poison the merged bounds/exactness.
-    fn merge_shards(
+    /// One shard's partial for each of `queries`, assembled from that
+    /// shard's `answers` to [`expand`](Self::expand)'s concatenated
+    /// sub-queries. The batched and the progressive path both turn shard
+    /// answers into partials here and reduce them through
+    /// [`PartialEstimate::merge_available`], which is what makes a
+    /// progressive stream's final snapshot the batch answer.
+    fn shard_partials<'a>(
         &self,
-        query: &Query,
-        mut partial_of: impl FnMut(usize) -> Result<PartialEstimate>,
-    ) -> Result<Estimate> {
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for i in 0..self.shards.len() {
-            let part = partial_of(i);
-            if let Err(err) = &part {
-                if !matches!(err, PassError::EmptyInput(_)) {
-                    // Hard (non-availability) errors abort immediately,
-                    // without touching the remaining shards.
-                    return Err(err.clone());
-                }
+        queries: &'a [Query],
+        answers: &'a [Result<Estimate>],
+    ) -> impl Iterator<Item = Result<PartialEstimate>> + 'a {
+        let multi = self.multi_shard();
+        let mut cursor = 0usize;
+        queries.iter().map(move |q| {
+            let width = if multi {
+                PartialEstimate::merge_width(q.agg)
+            } else {
+                1
+            };
+            let own = answers.get(cursor..cursor + width);
+            cursor += width;
+            match own {
+                None => Err(PassError::InvalidParameter(
+                    "shard_answers",
+                    "a shard is short of the expanded batch".into(),
+                )),
+                // Width 1 — every single-shard query and every
+                // non-AVG one: the shard's answer is the partial.
+                Some([only]) => only
+                    .clone()
+                    .map(|est| PartialEstimate::from_local(q.agg, est)),
+                Some(own) => PartialEstimate::assemble_merge(q, own.iter().cloned()),
             }
-            parts.push(part);
-        }
-        PartialEstimate::merge_available(query.agg, &parts)
+        })
     }
 
     /// Merge per-shard answers to the expanded batch back into one result
     /// per original query (`shard_answers[i]` is shard i's answers to
     /// [`expand`](Self::expand)'s concatenated sub-queries).
+    ///
+    /// The merge is the stratified availability rule
+    /// ([`PartialEstimate::merge_available`]): a shard that cannot match
+    /// any tuple (`PassError::EmptyInput`) contributes a zero partial for
+    /// additive aggregates — but only when **some other shard answered**.
+    /// If no shard can answer, the first shard's error propagates, which
+    /// keeps a 1-shard plan identical to the unsharded engine on the
+    /// error side too (and avoids fabricating a confident `0 ± 0` out of
+    /// pure refusals). Zero partials carry no hard bounds and are not
+    /// exact, so their unsampled matching rows still poison the merged
+    /// bounds/exactness. Any other error fails the query.
     fn merge_expanded(
         &self,
         queries: &[Query],
         shard_answers: &[Vec<Result<Estimate>>],
     ) -> Vec<Result<Estimate>> {
-        let mut offsets = Vec::with_capacity(queries.len());
-        let mut cursor = 0usize;
-        for q in queries {
-            let width = self.partial_width(q.agg);
-            offsets.push((cursor, width));
-            cursor += width;
-        }
+        let mut columns: Vec<_> = shard_answers
+            .iter()
+            .map(|answers| self.shard_partials(queries, answers))
+            .collect();
         queries
             .iter()
-            .zip(&offsets)
-            .map(|(q, &(off, width))| {
-                self.merge_shards(q, |shard| {
-                    let answers = shard_answers
-                        .get(shard)
-                        .and_then(|a| a.get(off..off + width))
-                        .ok_or_else(|| {
-                            PassError::InvalidParameter(
-                                "shard_answers",
-                                format!("shard {shard} is short of the expanded batch"),
-                            )
-                        })?;
-                    match answers {
-                        // Width 1 — every single-shard query and every
-                        // non-AVG one: the shard's answer is the partial.
-                        [only] => only
-                            .clone()
-                            .map(|est| PartialEstimate::from_local(q.agg, est)),
-                        _ => PartialEstimate::assemble_merge(q, answers.iter().cloned()),
-                    }
-                })
+            .map(|q| {
+                let parts: Vec<Result<PartialEstimate>> =
+                    columns.iter_mut().filter_map(Iterator::next).collect();
+                PartialEstimate::merge_available(q.agg, &parts)
             })
             .collect()
     }
@@ -211,19 +206,8 @@ impl ShardedSynopsis {
     /// is never issued), while a single-shard plan passes each query
     /// through untouched (the merge of one partial returns the shard's
     /// own estimate verbatim, so sub-queries would be pure waste).
-    /// Single-query and batched paths share this rule, keeping them
-    /// bit-identical.
     fn multi_shard(&self) -> bool {
         self.shards.len() > 1
-    }
-
-    /// Width of one query's expansion under the active decomposition.
-    fn partial_width(&self, agg: pass_common::AggKind) -> usize {
-        if self.multi_shard() {
-            PartialEstimate::merge_width(agg)
-        } else {
-            1
-        }
     }
 
     /// The batch each shard answers: every query expanded into its
@@ -236,45 +220,6 @@ impl ShardedSynopsis {
                 .collect()
         } else {
             queries.to_vec()
-        }
-    }
-
-    /// One shard's partials for every category of `query`: the shard
-    /// answers the whole expanded batch through its own `estimate_many`
-    /// (keeping the inner engine's batched-traversal win across the
-    /// groups), then the answers assemble per category. Both the plain
-    /// and the progressive group-by paths build their per-shard column
-    /// through this one helper, which is what makes the progressive
-    /// final snapshot bit-identical to
-    /// [`estimate_group_by`](Synopsis::estimate_group_by).
-    fn group_partials_for_shard(
-        &self,
-        shard: usize,
-        query: &GroupByQuery,
-        expanded: &[Query],
-    ) -> Vec<Result<PartialEstimate>> {
-        let width = PartialEstimate::merge_width(query.agg);
-        let answers = self.shards[shard].estimate_many(expanded);
-        query
-            .categories
-            .iter()
-            .enumerate()
-            .map(|(c, &key)| {
-                PartialEstimate::assemble_merge(
-                    &query.query_for(key),
-                    answers[c * width..(c + 1) * width].iter().cloned(),
-                )
-            })
-            .collect()
-    }
-
-    /// The merged row for one category given its per-shard partials
-    /// (columns of [`group_partials_for_shard`](Self::group_partials_for_shard)):
-    /// the shared availability merge plus the group availability rule.
-    fn merge_group_row(agg: AggKind, key: f64, parts: &[Result<PartialEstimate>]) -> GroupResult {
-        GroupResult {
-            key,
-            estimate: apply_group_availability(PartialEstimate::merge_available(agg, parts)),
         }
     }
 }
@@ -386,6 +331,9 @@ impl Synopsis for ShardedSynopsis {
         &self.name
     }
 
+    /// The one-query case of [`estimate_many`](Self::estimate_many). The
+    /// arity check stays in front: the batch path answers mixed-arity
+    /// batches query by query through here.
     fn estimate(&self, query: &Query) -> Result<Estimate> {
         if query.dims() != self.dims {
             return Err(PassError::DimensionMismatch {
@@ -393,23 +341,11 @@ impl Synopsis for ShardedSynopsis {
                 got: query.dims(),
             });
         }
-        self.merge_shards(query, |i| {
-            if self.multi_shard() {
-                PartialEstimate::assemble_merge(
-                    query,
-                    PartialEstimate::merge_queries(query)
-                        .iter()
-                        .map(|q| self.shards[i].estimate(q)),
-                )
-            } else {
-                // Merging one partial returns its local estimate
-                // verbatim, so the lone shard answers the query itself —
-                // no decomposition, and exact unsharded identity.
-                self.shards[i]
-                    .estimate(query)
-                    .map(|est| PartialEstimate::from_local(query.agg, est))
-            }
-        })
+        self.estimate_many(std::slice::from_ref(query))
+            .pop()
+            .unwrap_or(Err(PassError::EmptyInput(
+                "no shard could answer the query",
+            )))
     }
 
     /// Shard-outer / query-inner: each shard answers the whole expanded
@@ -428,44 +364,13 @@ impl Synopsis for ShardedSynopsis {
         self.merge_expanded(queries, &shard_answers)
     }
 
-    /// Group-by with per-group partial merging: every shard answers the
-    /// expanded per-category batch through its own `estimate_many`, the
-    /// answers assemble into per-shard partials per category, and each
-    /// category reduces through the shared availability merge
-    /// ([`PartialEstimate::merge_available`]) with the group availability
-    /// rule applied on top. A single-shard plan forwards to the lone
-    /// shard verbatim — bit-identical to the unsharded engine, rule
-    /// errors included.
-    fn estimate_group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-        query.validate(self.dims)?;
-        if !self.multi_shard() {
-            return self.shards[0].estimate_group_by(query);
-        }
-        let expanded: Vec<Query> = query
-            .categories
-            .iter()
-            .flat_map(|&key| PartialEstimate::merge_queries(&query.query_for(key)))
-            .collect();
-        let columns: Vec<Vec<Result<PartialEstimate>>> = (0..self.shards.len())
-            .map(|s| self.group_partials_for_shard(s, query, &expanded))
-            .collect();
-        Ok(query
-            .categories
-            .iter()
-            .enumerate()
-            .map(|(c, &key)| {
-                let parts: Vec<Result<PartialEstimate>> =
-                    columns.iter().map(|col| col[c].clone()).collect();
-                Self::merge_group_row(query.agg, key, &parts)
-            })
-            .collect())
-    }
-
     /// True online aggregation: shards merge one at a time, and after
     /// each prefix a refining snapshot is offered to `publish` — the
     /// extrapolated view of `extrapolate_group` for intermediate
-    /// prefixes, the exact merged answer (bit-identical to
-    /// [`estimate_group_by`](Self::estimate_group_by)) for the final one.
+    /// prefixes, the exact merged answer for the final one — the rows of
+    /// [`pass_common::estimate_group_by`], because the same per-shard
+    /// partials go through the same merge as in
+    /// [`estimate_many`](Self::estimate_many).
     ///
     /// A **skip filter** keeps the published stream monotone: an
     /// intermediate snapshot is published only if no group's CI widened
@@ -484,41 +389,41 @@ impl Synopsis for ShardedSynopsis {
             return self.shards[0].estimate_group_by_progressive(query, publish);
         }
         let total = self.shards.len();
-        let expanded: Vec<Query> = query
-            .categories
-            .iter()
-            .flat_map(|&key| PartialEstimate::merge_queries(&query.query_for(key)))
-            .collect();
+        let queries = query.queries();
+        let expanded = self.expand(&queries);
         let mut columns: Vec<Vec<Result<PartialEstimate>>> = vec![Vec::new(); query.len()];
         let mut last_widths: Option<Vec<f64>> = None;
-        for s in 0..total {
-            for (c, part) in self
-                .group_partials_for_shard(s, query, &expanded)
-                .into_iter()
-                .enumerate()
+        for (s, shard) in self.shards.iter().enumerate() {
+            let answers = shard.estimate_many(&expanded);
+            for (column, part) in columns
+                .iter_mut()
+                .zip(self.shard_partials(&queries, &answers))
             {
-                columns[c].push(part);
+                column.push(part);
             }
             let merged = s + 1;
             let is_last = merged == total;
             if !is_last && matches!(query.agg, AggKind::Min | AggKind::Max) {
                 continue;
             }
-            let groups: Vec<GroupResult> = query
-                .categories
-                .iter()
-                .enumerate()
-                .map(|(c, &key)| {
-                    if is_last {
-                        Self::merge_group_row(query.agg, key, &columns[c])
-                    } else {
-                        GroupResult {
-                            key,
-                            estimate: extrapolate_group(query.agg, &columns[c], merged, total),
-                        }
-                    }
-                })
-                .collect();
+            let groups: Vec<GroupResult> = if is_last {
+                query.rows(
+                    columns
+                        .iter()
+                        .map(|parts| PartialEstimate::merge_available(query.agg, parts))
+                        .collect(),
+                )
+            } else {
+                query
+                    .categories
+                    .iter()
+                    .zip(&columns)
+                    .map(|(&key, parts)| GroupResult {
+                        key,
+                        estimate: extrapolate_group(query.agg, parts, merged, total),
+                    })
+                    .collect()
+            };
             let widths: Vec<f64> = groups.iter().map(row_width).collect();
             if !is_last {
                 if let Some(last) = &last_widths {
@@ -570,7 +475,7 @@ impl Synopsis for ShardedSynopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_common::AggKind;
+    use pass_common::estimate_group_by;
     use pass_table::datasets::uniform;
 
     #[test]
@@ -750,7 +655,7 @@ mod tests {
 
         // Mixed: the silent shard contributes a boundless zero per group.
         let mixed = mock_sharded(vec![answering(), silent()]);
-        let rows = mixed.estimate_group_by(&gq).unwrap();
+        let rows = estimate_group_by(&mixed, &gq).unwrap();
         assert_eq!(rows.len(), 2);
         for r in &rows {
             let est = r.estimate.as_ref().unwrap();
@@ -760,15 +665,15 @@ mod tests {
         }
         // All-silent: per-row errors, never a fabricated zero row.
         let all_silent = mock_sharded(vec![silent(), silent()]);
-        let rows = all_silent.estimate_group_by(&gq).unwrap();
+        let rows = estimate_group_by(&all_silent, &gq).unwrap();
         assert!(rows.iter().all(|r| r.estimate.is_err()));
         // A 1-shard plan forwards to the lone shard verbatim.
         let single = mock_sharded(vec![answering()]);
-        let direct = single.shard_engines()[0].estimate_group_by(&gq).unwrap();
-        assert_eq!(single.estimate_group_by(&gq).unwrap(), direct);
+        let direct = estimate_group_by(&single.shard_engines()[0], &gq).unwrap();
+        assert_eq!(estimate_group_by(&single, &gq).unwrap(), direct);
         // Malformed queries are rejected as a whole.
         let bad = GroupByQuery::over(AggKind::Sum, 3, &[1.0], 1);
-        assert!(mixed.estimate_group_by(&bad).is_err());
+        assert!(estimate_group_by(&mixed, &bad).is_err());
     }
 
     #[test]
@@ -792,7 +697,7 @@ mod tests {
         assert_eq!(final_snap.shards_merged, 3);
         assert_eq!(final_snap.groups, groups);
         // The final snapshot is the non-progressive answer, bit for bit.
-        assert_eq!(groups, sharded.estimate_group_by(&gq).unwrap());
+        assert_eq!(groups, estimate_group_by(&sharded, &gq).unwrap());
         // CI widths only tighten, and intermediates claim no hard bounds.
         let widths: Vec<f64> = snaps.iter().map(|s| row_width(&s.groups[0])).collect();
         for pair in widths.windows(2) {

@@ -37,35 +37,16 @@ use crate::{AggKind, PassError, Result};
 pub struct QueryKey {
     agg: AggKind,
     bounds: Vec<(u64, u64)>,
-    /// Namespace tag separating result kinds that share a rectangle but
-    /// not a value: plain estimates (0) vs. per-group rows (1). Group-by
-    /// rows pass through the group availability rule
-    /// ([`crate::apply_group_availability`]), so caching them under the
-    /// plain key would poison plain-estimate lookups and vice versa.
-    tag: u8,
 }
 
 impl QueryKey {
     /// The cache key of `query`.
     pub fn new(query: &Query) -> Self {
-        Self::with_tag(query, 0)
-    }
-
-    /// The cache key of one group-by row: `query` is the category's
-    /// expanded equality-rectangle query ([`crate::GroupByQuery::query_for`]).
-    /// Tagged distinctly from [`new`](Self::new) because the stored row
-    /// has the group availability rule applied.
-    pub fn new_group(query: &Query) -> Self {
-        Self::with_tag(query, 1)
-    }
-
-    fn with_tag(query: &Query, tag: u8) -> Self {
         Self {
             agg: query.agg,
             bounds: (0..query.dims())
                 .map(|d| (query.rect.lo(d).to_bits(), query.rect.hi(d).to_bits()))
                 .collect(),
-            tag,
         }
     }
 }
@@ -284,6 +265,12 @@ impl QueryCache {
 /// uncached remainder, and — engines being deterministic — cached and
 /// freshly computed answers are bit-identical.
 ///
+/// Group-bys need nothing of their own here: [`crate::estimate_group_by`]
+/// over this decorator is a batch of per-category selection queries, so a
+/// group row and a plain query over the same rectangle share one entry —
+/// the raw estimate is stored and the group availability rule is applied
+/// on read.
+///
 /// [`storage_bytes`](Synopsis::storage_bytes) reports the *inner* synopsis
 /// only: the cache is serving-layer working state, not synopsis storage.
 #[derive(Debug)]
@@ -416,69 +403,10 @@ impl<S: Synopsis> Synopsis for CachedSynopsis<S> {
         self.answer_batch(queries, |missed| self.inner.estimate_many(missed))
     }
 
-    /// Group-by rows are cached **per category** under group-tagged keys
-    /// ([`QueryKey::new_group`]): two group-by queries sharing categories
-    /// share cached rows, and the inner engine only sees the categories
-    /// that missed (through its own `estimate_group_by` override, so a
-    /// cached PASS/sharded engine keeps its batched/merged row path on
-    /// the miss subset). Tagged keys keep the converted rows from ever
-    /// colliding with plain-estimate entries for the same rectangle.
-    fn estimate_group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-        // Validate up front so a fully cached lookup still rejects
-        // malformed queries exactly like the uncached path.
-        query.validate(self.inner.dims())?;
-        self.cache.sync_epoch(self.inner.update_epoch());
-        let keys: Vec<QueryKey> = query
-            .categories
-            .iter()
-            .map(|&key| QueryKey::new_group(&query.query_for(key)))
-            .collect();
-        let mut results = self.cache.get_many_keyed(&keys);
-        // Distinct missed categories in first-occurrence order, exactly
-        // like `answer_batch` (duplicate categories compute once).
-        let mut miss_of: HashMap<&QueryKey, usize> = HashMap::new();
-        let mut missed: Vec<f64> = Vec::new();
-        let mut slots: Vec<Vec<usize>> = Vec::new();
-        for i in (0..keys.len()).filter(|&i| results[i].is_none()) {
-            let m = *miss_of.entry(&keys[i]).or_insert_with(|| {
-                missed.push(query.categories[i]);
-                slots.push(Vec::new());
-                missed.len() - 1
-            });
-            slots[m].push(i);
-        }
-        if !missed.is_empty() {
-            let reduced = GroupByQuery::new(query.agg, query.dim, &missed, query.base.clone());
-            let computed = self.inner.estimate_group_by(&reduced)?;
-            debug_assert_eq!(computed.len(), missed.len());
-            self.cache.insert_many_keyed(
-                slots
-                    .iter()
-                    .zip(&computed)
-                    .map(|(waiting, row)| (keys[waiting[0]].clone(), row.estimate.clone())),
-            );
-            for (waiting, row) in slots.iter().zip(computed) {
-                for &i in waiting {
-                    results[i] = Some(row.estimate.clone());
-                }
-            }
-        }
-        Ok(query
-            .categories
-            .iter()
-            .zip(results)
-            .map(|(&key, estimate)| GroupResult {
-                key,
-                estimate: estimate.unwrap_or_else(|| {
-                    Err(PassError::Load("batch slot left uncomputed".to_string()))
-                }),
-            })
-            .collect())
-    }
-
     /// Progressive streams forward uncached: intermediate snapshots are
     /// extrapolations tied to one execution, not reusable answers. (The
-    /// final answer is still cacheable — via the non-progressive path.)
+    /// final answer is still cacheable — [`crate::estimate_group_by`]
+    /// over this decorator probes and fills the cache per category.)
     fn estimate_group_by_progressive(
         &self,
         query: &GroupByQuery,
@@ -533,6 +461,11 @@ mod tests {
             self.calls.fetch_add(1, Ordering::Relaxed);
             if q.rect.lo(0) < 0.0 {
                 return Err(PassError::EmptyInput("negative"));
+            }
+            if q.rect.hi(0) == 0.0 {
+                // The silent zero a sampling engine answers SUM/COUNT
+                // with over a region it holds no sampled row of.
+                return Ok(Estimate::approximate(0.0, 0.0));
             }
             Ok(Estimate::exact(q.rect.lo(0) + q.rect.hi(0)))
         }
@@ -759,27 +692,45 @@ mod tests {
 
     #[test]
     fn group_by_rows_cache_per_category_without_poisoning_plain_keys() {
+        use crate::estimate_group_by;
         use crate::query::GroupByQuery;
-        let cached = CachedSynopsis::new(Counting::new(), 16);
-        let gq = GroupByQuery::over(AggKind::Sum, 0, &[1.0, 2.0], 1);
-        let first = cached.estimate_group_by(&gq).unwrap();
-        assert_eq!(cached.inner().calls(), 2, "one engine call per category");
-        let second = cached.estimate_group_by(&gq).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(cached.inner().calls(), 2, "second pass fully cached");
+        // Category 0 is the engine's silent zero, category 2 a real answer.
+        let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 2.0], 1);
+        let silent = gq.query_for(0.0);
+        for group_first in [true, false] {
+            let cached = CachedSynopsis::new(Counting::new(), 16);
+            let (rows, plain) = if group_first {
+                let rows = estimate_group_by(&cached, &gq).unwrap();
+                (rows, cached.estimate(&silent))
+            } else {
+                let plain = cached.estimate(&silent);
+                (estimate_group_by(&cached, &gq).unwrap(), plain)
+            };
+            // One entry per rectangle, shared by both result kinds: the
+            // second lookup of category 0 is a hit, not an engine call.
+            assert_eq!(cached.inner().calls(), 2, "group_first {group_first}");
+            let stats = cached.cache().stats();
+            assert_eq!((stats.hits, stats.misses, stats.len), (1, 2, 2));
+            // The raw estimate is what is stored; the availability rule
+            // is applied to group rows on read, never to plain lookups.
+            assert_eq!(plain, Ok(Estimate::approximate(0.0, 0.0)));
+            assert!(matches!(rows[0].estimate, Err(PassError::EmptyInput(_))));
+            assert_eq!(rows[1].estimate, Ok(Estimate::exact(4.0)));
+            assert_eq!(estimate_group_by(&cached, &gq).unwrap(), rows);
+            assert_eq!(cached.inner().calls(), 2, "second pass fully cached");
+        }
         // Overlapping categories compute only the unseen one; duplicates
         // within one query compute once.
-        let wider = GroupByQuery::over(AggKind::Sum, 0, &[1.0, 3.0, 2.0, 3.0], 1);
-        let rows = cached.estimate_group_by(&wider).unwrap();
+        let cached = CachedSynopsis::new(Counting::new(), 16);
+        estimate_group_by(&cached, &gq).unwrap();
+        let wider = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 3.0, 2.0, 3.0], 1);
+        let rows = estimate_group_by(&cached, &wider).unwrap();
         assert_eq!(cached.inner().calls(), 3);
         assert_eq!(rows[1], rows[3]);
-        // A plain estimate over the same rectangle is keyed separately —
-        // group rows never answer plain lookups (or vice versa).
-        cached.estimate(&gq.query_for(1.0)).unwrap();
-        assert_eq!(cached.inner().calls(), 4);
         // Malformed queries are rejected even when every row is cached.
-        let bad = GroupByQuery::over(AggKind::Sum, 7, &[1.0], 1);
-        assert!(cached.estimate_group_by(&bad).is_err());
+        let bad = GroupByQuery::over(AggKind::Sum, 7, &[0.0], 1);
+        assert!(estimate_group_by(&cached, &bad).is_err());
+        assert_eq!(cached.inner().calls(), 3);
     }
 
     #[test]

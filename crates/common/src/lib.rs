@@ -21,9 +21,9 @@
 //!   into disjoint shards) and [`PartialEstimate`] (a shard's mergeable
 //!   contribution to a query, reduced by [`PartialEstimate::merge`]);
 //! * the group-by surface (paper Section 4.5): [`GroupByQuery`] expands
-//!   one equality rectangle per category, [`Synopsis::estimate_group_by`]
-//!   answers it with the group availability rule
-//!   ([`apply_group_availability`]) applied per row, and
+//!   one equality rectangle per category, [`estimate_group_by`] answers
+//!   it through any engine's `estimate_many` with the group availability
+//!   rule ([`apply_group_availability`]) applied per row, and
 //!   [`Synopsis::estimate_group_by_progressive`] streams refining
 //!   [`GroupBySnapshot`]s for online aggregation;
 //! * the serving-layer building blocks: a dependency-free chunk-stealing
@@ -84,5 +84,5 @@ pub use queue::{Priority, PushError, RequestQueue};
 pub use snapshot::{SnapshotError, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use spec::{EngineSpec, JoinSpec, PartitionStrategy, PassSpec, ShardPlan};
 pub use stats::{lambda_for_confidence, LAMBDA_95, LAMBDA_99};
-pub use synopsis::{estimate_many_parallel, Synopsis, PARALLEL_MIN_BATCH};
+pub use synopsis::{estimate_group_by, estimate_many_parallel, Synopsis, PARALLEL_MIN_BATCH};
 pub use ticket::{ServeOutcome, Ticket, TicketSlot};

@@ -239,10 +239,10 @@ impl GroupByQuery {
 
     /// Validate against a synopsis of `dims` predicate dimensions: the
     /// base rectangle must match the arity, the group dimension must be
-    /// in range, and category codes must be comparable (no NaN). Every
-    /// `estimate_group_by` path runs this before touching the engine, so
-    /// rule errors are identical across direct/cached/sharded/served
-    /// answers.
+    /// in range, and category codes must be comparable (no NaN).
+    /// [`estimate_group_by`](crate::estimate_group_by) and every
+    /// progressive path run this before touching the engine, so rule
+    /// errors are identical across direct/cached/sharded/served answers.
     pub fn validate(&self, dims: usize) -> Result<()> {
         if self.base.dims() != dims {
             return Err(PassError::DimensionMismatch {
@@ -284,6 +284,22 @@ impl GroupByQuery {
     pub fn queries(&self) -> Vec<Query> {
         self.categories.iter().map(|&k| self.query_for(k)).collect()
     }
+
+    /// The answer rows: `answers` are an engine's answers to
+    /// [`queries`](Self::queries), in order; each becomes its category's
+    /// [`GroupResult`] with the group availability rule
+    /// ([`apply_group_availability`]) applied.
+    pub fn rows(&self, answers: Vec<Result<Estimate>>) -> Vec<GroupResult> {
+        debug_assert_eq!(answers.len(), self.len());
+        self.categories
+            .iter()
+            .zip(answers)
+            .map(|(&key, estimate)| GroupResult {
+                key,
+                estimate: apply_group_availability(estimate),
+            })
+            .collect()
+    }
 }
 
 /// One group's row in a group-by answer.
@@ -304,16 +320,17 @@ pub struct GroupResult {
 /// SUM/COUNT with a *silent zero*: `0 ± 0`, not exact, no hard bounds —
 /// an answer that claims certainty on zero evidence (the group may hold
 /// thousands of unsampled rows). Inside a group-by that is
-/// indistinguishable from a genuinely empty group, so every
-/// `estimate_group_by` path converts it to the same rule error
-/// evidence-free AVG/MIN/MAX already surface. Under a sharded engine the
-/// availability merge then *skips* such shards **with bounds stripped**
-/// (the merged answer keeps going, marked inexact and unbounded) and
-/// only propagates the error when no shard holds evidence.
+/// indistinguishable from a genuinely empty group, so group-by rows
+/// ([`GroupByQuery::rows`]) convert it to the same rule error
+/// evidence-free AVG/MIN/MAX already surface. The rule reads the
+/// outermost engine's answer only: a cache stores the raw estimate, and
+/// a sharded engine merges its shards' raw answers first (silent zeros
+/// add nothing and carry no bounds), so the row errs exactly when no
+/// shard holds evidence — and layered paths (cached over sharded over
+/// the engine) agree bit-for-bit.
 ///
 /// Answers with any exactness claim, uncertainty, or hard bounds pass
-/// through untouched; the conversion is idempotent, so layered paths
-/// (cached over sharded over the engine) agree bit-for-bit.
+/// through untouched, and the conversion is idempotent.
 pub fn apply_group_availability(result: Result<Estimate>) -> Result<Estimate> {
     match result {
         Ok(est)

@@ -31,9 +31,8 @@ pub enum PartitionStrategy {
     EqualWidth,
 }
 
-/// Full parameterization of a PASS synopsis (the `PassBuilder` knobs as
-/// plain data). `..PassSpec::default()` gives the paper's Section 5.1.3
-/// defaults.
+/// Full parameterization of a PASS synopsis as plain data.
+/// `..PassSpec::default()` gives the paper's Section 5.1.3 defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassSpec {
     /// Number of leaf partitions `k` (the precomputation budget).

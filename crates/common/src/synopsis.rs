@@ -12,7 +12,9 @@
 //! not part of the trait: [`estimate_many_parallel`] chunks any engine's
 //! `estimate_many` across a [`ThreadPool`]. All three must agree
 //! element-wise — `tests/engine_contract.rs` asserts this for every
-//! registered engine.
+//! registered engine. A group-by is not part of the trait either:
+//! [`estimate_group_by`] is the availability rule over `estimate_many` of
+//! the per-category selection queries, for every engine alike.
 //!
 //! A built synopsis is **immutable at query time**, so the trait requires
 //! `Send + Sync`: one synopsis behind an `Arc` can serve any number of
@@ -21,7 +23,7 @@
 use crate::estimate::Estimate;
 use crate::pool::ThreadPool;
 use crate::progressive::GroupBySnapshot;
-use crate::query::{apply_group_availability, GroupByQuery, GroupResult, Query};
+use crate::query::{GroupByQuery, GroupResult, Query};
 use crate::spec::EngineSpec;
 use crate::Result;
 
@@ -62,39 +64,6 @@ pub trait Synopsis: Send + Sync {
         queries.iter().map(|q| self.estimate(q)).collect()
     }
 
-    /// Answer a group-by aggregate: one result per category of
-    /// `query`, in category order (the paper's Section 4.5 — one
-    /// equality rectangle per category on the group dimension).
-    ///
-    /// The default answers the per-category expansion
-    /// ([`GroupByQuery::queries`]) through
-    /// [`estimate_many`](Self::estimate_many) — so an engine's batched
-    /// path serves every category — and applies the **group availability
-    /// rule** ([`apply_group_availability`]):
-    /// a category with zero sampled evidence surfaces as
-    /// `Err(EmptyInput)` — the stratified-availability semantics — never
-    /// as a silent, baseless `0 ± 0`. `ShardedSynopsis` overrides this to
-    /// merge per-shard partials per group; every override must preserve
-    /// both the category order and the availability rule so layered
-    /// paths stay bit-identical.
-    ///
-    /// Per-category failures land in each [`GroupResult::estimate`]; the
-    /// method itself only errs on malformed queries (wrong arity,
-    /// out-of-range group dimension, NaN category).
-    fn estimate_group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-        query.validate(self.dims())?;
-        let answers = self.estimate_many(&query.queries());
-        Ok(query
-            .categories
-            .iter()
-            .zip(answers)
-            .map(|(&key, estimate)| GroupResult {
-                key,
-                estimate: apply_group_availability(estimate),
-            })
-            .collect())
-    }
-
     /// Answer a group-by **progressively**: stream refining
     /// [`GroupBySnapshot`]s through `publish` while the answer is
     /// computed, and return the groups of the last snapshot emitted.
@@ -103,8 +72,7 @@ pub trait Synopsis: Send + Sync {
     ///
     /// * At least one snapshot is published on success, and the snapshot
     ///   with `last == true` (the final one, when execution runs to
-    ///   completion) is **bit-identical** to
-    ///   [`estimate_group_by`](Self::estimate_group_by).
+    ///   completion) is **bit-identical** to [`estimate_group_by`].
     /// * Per-group CI half-widths never widen from one snapshot to the
     ///   next (an erred group counts as infinitely wide).
     /// * `publish` returning `false` requests early stop: the engine
@@ -122,7 +90,7 @@ pub trait Synopsis: Send + Sync {
         query: &GroupByQuery,
         publish: &mut dyn FnMut(GroupBySnapshot) -> bool,
     ) -> Result<Vec<GroupResult>> {
-        let groups = self.estimate_group_by(query)?;
+        let groups = estimate_group_by(self, query)?;
         publish(GroupBySnapshot {
             shards_merged: 1,
             shards_total: 1,
@@ -217,6 +185,32 @@ pub fn estimate_many_parallel<S: Synopsis + ?Sized>(
     })
 }
 
+/// Answer a group-by aggregate: one result per category of `query`, in
+/// category order (the paper's Section 4.5 — "each group-by condition can
+/// be rewritten as an equality predicate condition", then "aggregate
+/// answers for all the selection queries").
+///
+/// This is the only non-progressive group-by path, for every engine and
+/// every wrapper: the per-category expansion ([`GroupByQuery::queries`])
+/// goes through the engine's own [`Synopsis::estimate_many`] — PASS's
+/// shared scratch, a sharded engine's scatter–gather, a
+/// [`crate::CachedSynopsis`]'s probe-then-fill — and
+/// [`GroupByQuery::rows`] applies the **group availability rule**
+/// ([`crate::apply_group_availability`]): a category with zero sampled
+/// evidence surfaces as `Err(EmptyInput)`, never as a silent, baseless
+/// `0 ± 0`.
+///
+/// Per-category failures land in each [`GroupResult::estimate`]; the
+/// function itself only errs on malformed queries (wrong arity,
+/// out-of-range group dimension, NaN category).
+pub fn estimate_group_by<S: Synopsis + ?Sized>(
+    engine: &S,
+    query: &GroupByQuery,
+) -> Result<Vec<GroupResult>> {
+    query.validate(engine.dims())?;
+    Ok(query.rows(engine.estimate_many(&query.queries())))
+}
+
 /// Forwarding impls so `Box<dyn Synopsis>`, `Arc<dyn Synopsis>`, and plain
 /// references compose (collections can nest, sessions can share one
 /// immutable synopsis across threads via `Arc`).
@@ -224,7 +218,8 @@ pub fn estimate_many_parallel<S: Synopsis + ?Sized>(
 /// Every method forwards explicitly — including those with default
 /// bodies. Without the `estimate_many`/`spec` forwards, a wrapped synopsis
 /// would fall back to the trait defaults and silently discard the inner
-/// engine's batched path and stored spec.
+/// engine's batched path and stored spec. `pass-lint` rule
+/// `synopsis-forwarding` fails CI when a trait method is missing here.
 macro_rules! forward_synopsis {
     ($($wrapper:ty),+) => {$(
         impl<S: Synopsis + ?Sized> Synopsis for $wrapper {
@@ -236,9 +231,6 @@ macro_rules! forward_synopsis {
             }
             fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
                 (**self).estimate_many(queries)
-            }
-            fn estimate_group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-                (**self).estimate_group_by(query)
             }
             fn estimate_group_by_progressive(
                 &self,
@@ -399,7 +391,7 @@ mod tests {
         use crate::query::GroupByQuery;
         let s = Constant(4.0);
         let q = GroupByQuery::over(AggKind::Sum, 0, &[1.0, 2.0, 3.0], 1);
-        let groups = s.estimate_group_by(&q).unwrap();
+        let groups = estimate_group_by(&s, &q).unwrap();
         assert_eq!(groups.len(), 3);
         for (g, key) in groups.iter().zip([1.0, 2.0, 3.0]) {
             assert_eq!(g.key, key);
@@ -407,10 +399,11 @@ mod tests {
         }
         // Malformed queries fail as a whole, before any per-group work.
         let bad = GroupByQuery::over(AggKind::Sum, 5, &[1.0], 1);
-        assert!(s.estimate_group_by(&bad).is_err());
-        // The forwards preserve the decomposition.
+        assert!(estimate_group_by(&s, &bad).is_err());
+        // Wrapped and unsized engines decompose the same way.
         let boxed: Box<dyn Synopsis> = Box::new(Constant(4.0));
-        assert_eq!(boxed.estimate_group_by(&q).unwrap(), groups);
+        assert_eq!(estimate_group_by(&boxed, &q).unwrap(), groups);
+        assert_eq!(estimate_group_by(boxed.as_ref(), &q).unwrap(), groups);
     }
 
     #[test]
@@ -429,7 +422,7 @@ mod tests {
         assert!(snapshots[0].last);
         assert_eq!(snapshots[0].shards_merged, snapshots[0].shards_total);
         assert_eq!(snapshots[0].groups, groups);
-        assert_eq!(groups, s.estimate_group_by(&q).unwrap());
+        assert_eq!(groups, estimate_group_by(&s, &q).unwrap());
         // Early-stop requests still return the last emitted snapshot.
         let arc: std::sync::Arc<dyn Synopsis> = std::sync::Arc::new(Constant(2.0));
         let stopped = arc

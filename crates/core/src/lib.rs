@@ -9,9 +9,9 @@
 //! their stratified samples, and the two parts combine into a point
 //! estimate, a CLT confidence interval, and deterministic hard bounds.
 //!
-//! Build one declaratively with a [`pass_common::PassSpec`] (the form the
-//! engine registry and `pass::Session` use); [`PassBuilder`] remains as
-//! the fluent equivalent. `estimate` and `estimate_many` run the same
+//! Build one with [`Pass::from_spec`] from a [`pass_common::PassSpec`] (the
+//! form the engine registry and `pass::Session` use). `estimate` and
+//! `estimate_many` run the same
 //! per-query path on the calling thread's reusable [`McfScratch`] (DFS
 //! stack, frontier, scan and combination buffers), so a batch — or a
 //! stream of single queries — runs allocation-free once warm;
@@ -52,8 +52,6 @@
 //! ```
 
 pub mod bounds;
-pub mod groupby;
-pub mod maintain;
 pub mod mcf;
 mod query;
 pub mod snapshot;
@@ -61,10 +59,8 @@ pub mod synopsis;
 pub mod tree;
 pub mod update;
 
-pub use groupby::GroupResult;
-pub use maintain::MaintenanceReport;
 pub use mcf::{
     constrains_outside, mcf, mcf_shifted, project_rect, McfResult, McfScratch, NodeClass,
 };
-pub use synopsis::{PartitionStrategy, Pass, PassBuilder};
+pub use synopsis::{PartitionStrategy, Pass};
 pub use tree::{NodeId, PartitionTree};

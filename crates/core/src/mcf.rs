@@ -494,12 +494,16 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        use pass_common::Synopsis;
+        use pass_common::{PassSpec, Synopsis};
         // The batch path borrows the thread's scratch and runs nothing.
-        let pass = crate::PassBuilder::new()
-            .partitions(4)
-            .build(&pass_table::datasets::uniform(1_000, 1))
-            .unwrap();
+        let pass = crate::Pass::from_spec(
+            &pass_table::datasets::uniform(1_000, 1),
+            &PassSpec {
+                partitions: 4,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
         assert!(pass.estimate_many(&[]).is_empty());
     }
 

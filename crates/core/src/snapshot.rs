@@ -2,10 +2,10 @@
 //!
 //! The state sections carry only what the spec cannot rebuild:
 //!
-//! * the SoA [`PartitionTree`] arena, field-for-field — **including** dead
-//!   `child_flat` ranges left by maintenance collapses and the cached
-//!   `has_empty` flag — so a loaded tree is layout-identical, not just
-//!   logically equivalent, and every traversal takes the exact same path;
+//! * the SoA [`PartitionTree`] arena, field-for-field — **including** the
+//!   cached `has_empty` flag — so a loaded tree is layout-identical, not
+//!   just logically equivalent, and every traversal takes the exact same
+//!   path;
 //! * the per-leaf stratified [`Sample`]s (with their conservatively-cleared
 //!   `sorted_1d` flags);
 //! * the mutation epoch and the workload-shift dimension mapping.

@@ -1,11 +1,12 @@
-//! The [`Pass`] synopsis and its builder (the user-facing API of
+//! The [`Pass`] synopsis and its construction (the user-facing API of
 //! Section 3.1).
 //!
 //! The user picks an aggregation column and predicate columns (by shaping
 //! the input [`Table`]), a partition budget `k` (standing in for the
 //! construction-time limit τ_c) and a sampling budget (standing in for the
-//! query-time limit τ_q); the builder optimizes the partitioning, erects
-//! the aggregate tree, and draws the per-leaf stratified samples.
+//! query-time limit τ_q) in a [`PassSpec`]; [`Pass::from_spec`] optimizes
+//! the partitioning, erects the aggregate tree, and draws the per-leaf
+//! stratified samples.
 
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
@@ -27,303 +28,149 @@ use crate::tree::PartitionTree;
 // working.
 pub use pass_common::PartitionStrategy;
 
-/// Builder for [`Pass`] — a fluent wrapper around [`PassSpec`].
-///
-/// `PassBuilder::new().partitions(32).build(&t)` and
-/// `Pass::from_spec(&t, &PassSpec { partitions: 32, ..Default::default() })`
-/// are equivalent; the spec is the declarative form used by the engine
-/// registry and `pass::Session`.
-#[derive(Debug, Clone, Default)]
-pub struct PassBuilder {
-    spec: PassSpec,
+fn partitioner_1d(spec: &PassSpec) -> Box<dyn Partitioner1D> {
+    match spec.strategy {
+        PartitionStrategy::Adp(kind) => Box::new(
+            Adp::new(kind)
+                .with_samples(spec.opt_samples)
+                .with_delta(spec.adp_delta)
+                .with_seed(derive_seed(spec.seed, 1)),
+        ),
+        PartitionStrategy::EqualDepth => Box::new(EqualDepth),
+        PartitionStrategy::HillClimb => Box::new(HillClimb::new(AggKind::Sum)),
+        PartitionStrategy::EqualWidth => Box::new(EqualWidth),
+    }
 }
 
-impl PassBuilder {
-    pub fn new() -> Self {
-        Self::default()
+/// The sorted-DP path for 1-D tables.
+fn build_1d(spec: &PassSpec, table: &Table) -> Result<Pass> {
+    let sorted = SortedTable::from_table(table, 0);
+    let partitioning = partitioner_1d(spec).partition(&sorted, spec.partitions)?;
+    let tree = PartitionTree::from_partitioning(&sorted, &partitioning)?;
+    // Re-materialize the sorted view as a table so per-range sampling
+    // sees rows in partition order.
+    let sorted_table = Table::one_dim(sorted.keys().to_vec(), sorted.values().to_vec())?;
+    let mut rng = rng_from_seed(derive_seed(spec.seed, 2));
+    let leaf_sizes: Vec<usize> = partitioning.ranges().iter().map(|r| r.len()).collect();
+    let allocations = allocate_samples(spec, &leaf_sizes);
+    let mut samples = Vec::with_capacity(leaf_sizes.len());
+    for (range, k) in partitioning.ranges().into_iter().zip(allocations) {
+        samples.push(Sample::uniform_from_range(
+            &sorted_table,
+            range,
+            k,
+            &mut rng,
+        )?);
     }
+    finish(spec, tree, samples)
+}
 
-    /// Builder preloaded with an existing spec.
-    pub fn from_spec(spec: &PassSpec) -> Self {
-        Self { spec: spec.clone() }
-    }
-
-    /// The declarative form of this builder's current configuration.
-    pub fn spec(&self) -> &PassSpec {
-        &self.spec
-    }
-
-    /// Number of leaf partitions `k` (the precomputation budget).
-    pub fn partitions(mut self, k: usize) -> Self {
-        self.spec.partitions = k;
-        self
-    }
-
-    /// Per-stratum sampling rate (fraction of each leaf's rows).
-    pub fn sample_rate(mut self, rate: f64) -> Self {
-        self.spec.sample_rate = rate;
-        self
-    }
-
-    /// Hard cap on total stored samples (the BSS storage-bounded mode);
-    /// overrides [`sample_rate`](Self::sample_rate) allocation proportions
-    /// but keeps them proportional to leaf sizes.
-    pub fn total_samples(mut self, k: usize) -> Self {
-        self.spec.total_samples = Some(k);
-        self
-    }
-
-    pub fn strategy(mut self, s: PartitionStrategy) -> Self {
-        self.spec.strategy = s;
-        self
-    }
-
-    /// CI scale λ (default 2.576 → 99%).
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.spec.lambda = lambda;
-        self
-    }
-
-    /// Store sample values as f32 deltas from the partition mean
-    /// (Section 3.4 compression).
-    pub fn delta_encode(mut self, on: bool) -> Self {
-        self.spec.delta_encode = on;
-        self
-    }
-
-    /// Enable/disable the AVG 0-variance rule (default on).
-    pub fn zero_variance_rule(mut self, on: bool) -> Self {
-        self.spec.zero_variance_rule = on;
-        self
-    }
-
-    /// ADP optimization sample size `m`.
-    pub fn opt_samples(mut self, m: usize) -> Self {
-        self.spec.opt_samples = m;
-        self
-    }
-
-    /// ADP meaningful-overlap fraction δ.
-    pub fn adp_delta(mut self, delta: f64) -> Self {
-        self.spec.adp_delta = delta;
-        self
-    }
-
-    /// KD-PASS leaf-depth balance limit (default 2, per Section 5.4).
-    pub fn kd_balance(mut self, balance: usize) -> Self {
-        self.spec.kd_balance = balance;
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Workload-shift mode (Section 5.4.1): index only these predicate
-    /// dimensions in the partition tree while samples keep every predicate
-    /// column. Queries still arrive in the table's full arity; dimensions
-    /// outside the tree are handled by sampling after tree-based skipping.
-    pub fn tree_dims(mut self, dims: &[usize]) -> Self {
-        self.spec.tree_dims = Some(dims.to_vec());
-        self
-    }
-
-    /// Build over the table: 1-D tables take the sorted-DP path, higher
-    /// dimensional tables the k-d expansion path.
-    pub fn build(&self, table: &Table) -> Result<Pass> {
-        if table.n_rows() == 0 {
-            return Err(PassError::EmptyInput("PASS over empty table"));
-        }
-        if self.spec.partitions == 0 {
-            return Err(PassError::InvalidParameter(
-                "partitions",
-                "must be at least 1".into(),
-            ));
-        }
-        if let Some(dims) = self.spec.tree_dims.clone() {
-            return self.build_shifted(table, &dims);
-        }
-        if table.dims() == 1 {
-            self.build_1d(table)
+/// The k-d expansion path: the tree is built over `tree_table`, the
+/// per-leaf samples are drawn from `sample_table` (same rows). The two
+/// are one table for a plain multi-d build; a workload-shift build hands
+/// the tree a projection while the samples keep every predicate column.
+/// `stream` and `stream + 1` label the expansion and sampling seeds.
+fn build_kd_sampled(
+    spec: &PassSpec,
+    tree_table: &Table,
+    sample_table: &Table,
+    stream: u64,
+) -> Result<Pass> {
+    let expansion = match spec.strategy {
+        PartitionStrategy::Adp(kind) => KdExpansion::MaxVariance {
+            kind,
+            balance: spec.kd_balance,
+        },
+        _ => KdExpansion::BreadthFirst,
+    };
+    let kd = build_kd(
+        tree_table,
+        spec.partitions,
+        expansion,
+        derive_seed(spec.seed, stream),
+    )?;
+    let tree = PartitionTree::from_kd(tree_table, &kd)?;
+    let leaves = kd.leaf_ids();
+    let leaf_sizes: Vec<usize> = leaves.iter().map(|&l| kd.nodes[l].len()).collect();
+    let allocations = allocate_samples(spec, &leaf_sizes);
+    let mut rng = rng_from_seed(derive_seed(spec.seed, stream + 1));
+    let mut samples = Vec::with_capacity(leaves.len());
+    for (&leaf, k) in leaves.iter().zip(allocations) {
+        let rows = kd.rows_of(leaf);
+        let chosen: Vec<usize> = if k >= rows.len() {
+            rows.iter().map(|&r| r as usize).collect()
         } else {
-            self.build_kd(table)
-        }
-    }
-
-    fn partitioner_1d(&self) -> Box<dyn Partitioner1D> {
-        match self.spec.strategy {
-            PartitionStrategy::Adp(kind) => Box::new(
-                Adp::new(kind)
-                    .with_samples(self.spec.opt_samples)
-                    .with_delta(self.spec.adp_delta)
-                    .with_seed(derive_seed(self.spec.seed, 1)),
-            ),
-            PartitionStrategy::EqualDepth => Box::new(EqualDepth),
-            PartitionStrategy::HillClimb => Box::new(HillClimb::new(AggKind::Sum)),
-            PartitionStrategy::EqualWidth => Box::new(EqualWidth),
-        }
-    }
-
-    fn build_1d(&self, table: &Table) -> Result<Pass> {
-        let sorted = SortedTable::from_table(table, 0);
-        let partitioning = self
-            .partitioner_1d()
-            .partition(&sorted, self.spec.partitions)?;
-        let tree = PartitionTree::from_partitioning(&sorted, &partitioning)?;
-        // Re-materialize the sorted view as a table so per-range sampling
-        // sees rows in partition order.
-        let sorted_table = Table::one_dim(sorted.keys().to_vec(), sorted.values().to_vec())?;
-        let mut rng = rng_from_seed(derive_seed(self.spec.seed, 2));
-        let leaf_sizes: Vec<usize> = partitioning.ranges().iter().map(|r| r.len()).collect();
-        let allocations = self.allocate_samples(&leaf_sizes);
-        let mut samples = Vec::with_capacity(leaf_sizes.len());
-        for (range, k) in partitioning.ranges().into_iter().zip(allocations) {
-            samples.push(Sample::uniform_from_range(
-                &sorted_table,
-                range,
-                k,
-                &mut rng,
-            )?);
-        }
-        self.finish(tree, samples)
-    }
-
-    fn build_kd(&self, table: &Table) -> Result<Pass> {
-        let expansion = match self.spec.strategy {
-            PartitionStrategy::Adp(kind) => KdExpansion::MaxVariance {
-                kind,
-                balance: self.spec.kd_balance,
-            },
-            _ => KdExpansion::BreadthFirst,
+            index_sample(&mut rng, rows.len(), k)
+                .into_iter()
+                .map(|i| rows[i] as usize)
+                .collect()
         };
-        let kd = build_kd(
-            table,
-            self.spec.partitions,
-            expansion,
-            derive_seed(self.spec.seed, 3),
-        )?;
-        let tree = PartitionTree::from_kd(table, &kd)?;
-        let leaves = kd.leaf_ids();
-        let leaf_sizes: Vec<usize> = leaves.iter().map(|&l| kd.nodes[l].len()).collect();
-        let allocations = self.allocate_samples(&leaf_sizes);
-        let mut rng = rng_from_seed(derive_seed(self.spec.seed, 4));
-        let mut samples = Vec::with_capacity(leaves.len());
-        for (&leaf, k) in leaves.iter().zip(allocations) {
-            let rows = kd.rows_of(leaf);
-            let chosen: Vec<usize> = if k >= rows.len() {
-                rows.iter().map(|&r| r as usize).collect()
-            } else {
-                index_sample(&mut rng, rows.len(), k)
-                    .into_iter()
-                    .map(|i| rows[i] as usize)
-                    .collect()
-            };
-            samples.push(Sample::from_indices(table, &chosen, rows.len() as u64)?);
-        }
-        self.finish(tree, samples)
+        samples.push(Sample::from_indices(
+            sample_table,
+            &chosen,
+            rows.len() as u64,
+        )?);
     }
+    finish(spec, tree, samples)
+}
 
-    /// Workload-shift build: the tree indexes a projection of the
-    /// predicate space, samples keep all predicate columns.
-    fn build_shifted(&self, table: &Table, dims: &[usize]) -> Result<Pass> {
-        let projected = table.project(dims)?;
-        let expansion = match self.spec.strategy {
-            PartitionStrategy::Adp(kind) => KdExpansion::MaxVariance {
-                kind,
-                balance: self.spec.kd_balance,
-            },
-            _ => KdExpansion::BreadthFirst,
-        };
-        let kd = build_kd(
-            &projected,
-            self.spec.partitions,
-            expansion,
-            derive_seed(self.spec.seed, 5),
-        )?;
-        let tree = PartitionTree::from_kd(&projected, &kd)?;
-        let leaves = kd.leaf_ids();
-        let leaf_sizes: Vec<usize> = leaves.iter().map(|&l| kd.nodes[l].len()).collect();
-        let allocations = self.allocate_samples(&leaf_sizes);
-        let mut rng = rng_from_seed(derive_seed(self.spec.seed, 6));
-        let mut samples = Vec::with_capacity(leaves.len());
-        for (&leaf, k) in leaves.iter().zip(allocations) {
-            let rows = kd.rows_of(leaf);
-            let chosen: Vec<usize> = if k >= rows.len() {
-                rows.iter().map(|&r| r as usize).collect()
-            } else {
-                index_sample(&mut rng, rows.len(), k)
-                    .into_iter()
-                    .map(|i| rows[i] as usize)
-                    .collect()
-            };
-            // Samples come from the FULL table: all predicate columns.
-            samples.push(Sample::from_indices(table, &chosen, rows.len() as u64)?);
-        }
-        let mut pass = self.finish(tree, samples)?;
-        pass.tree_dims = Some(dims.to_vec());
-        pass.query_dims = table.dims();
-        Ok(pass)
-    }
-
-    /// Per-leaf sample sizes: proportional to leaf populations, at least 1
-    /// per non-empty leaf, matching either the rate or the BSS cap.
-    fn allocate_samples(&self, leaf_sizes: &[usize]) -> Vec<usize> {
-        match self.spec.total_samples {
-            None => leaf_sizes
+/// Per-leaf sample sizes: proportional to leaf populations, at least 1
+/// per non-empty leaf, matching either the rate or the BSS cap.
+fn allocate_samples(spec: &PassSpec, leaf_sizes: &[usize]) -> Vec<usize> {
+    match spec.total_samples {
+        None => leaf_sizes
+            .iter()
+            .map(|&n| ((n as f64 * spec.sample_rate).round() as usize).clamp(1, n.max(1)))
+            .collect(),
+        Some(total) => {
+            let n_total: usize = leaf_sizes.iter().sum();
+            if n_total == 0 {
+                return vec![0; leaf_sizes.len()];
+            }
+            leaf_sizes
                 .iter()
-                .map(|&n| ((n as f64 * self.spec.sample_rate).round() as usize).clamp(1, n.max(1)))
-                .collect(),
-            Some(total) => {
-                let n_total: usize = leaf_sizes.iter().sum();
-                if n_total == 0 {
-                    return vec![0; leaf_sizes.len()];
-                }
-                leaf_sizes
-                    .iter()
-                    .map(|&n| {
-                        let share = (total as f64 * n as f64 / n_total as f64).round() as usize;
-                        share.clamp(usize::from(n > 0), n.max(1))
-                    })
-                    .collect()
-            }
+                .map(|&n| {
+                    let share = (total as f64 * n as f64 / n_total as f64).round() as usize;
+                    share.clamp(usize::from(n > 0), n.max(1))
+                })
+                .collect()
         }
     }
+}
 
-    fn finish(&self, tree: PartitionTree, mut samples: Vec<Sample>) -> Result<Pass> {
-        let leaves = tree.leaves();
-        if self.spec.delta_encode {
-            // Round-trip the sample values through the f32 delta codec so
-            // estimates genuinely reflect the compressed representation.
-            for (li, sample) in samples.iter_mut().enumerate() {
-                let mean = tree.agg(leaves[li]).avg().unwrap_or(0.0);
-                let values: Vec<f64> = (0..sample.k()).map(|i| sample.rows().value(i)).collect();
-                let decoded = DeltaEncoded::encode(&values, mean).decode();
-                for (i, v) in decoded.into_iter().enumerate() {
-                    let preds: Vec<f64> = (0..sample.rows().dims())
-                        .map(|d| sample.rows().predicate(d, i))
-                        .collect();
-                    sample.replace_row(i, v, &preds);
-                }
+fn finish(spec: &PassSpec, tree: PartitionTree, mut samples: Vec<Sample>) -> Result<Pass> {
+    let leaves = tree.leaves();
+    if spec.delta_encode {
+        // Round-trip the sample values through the f32 delta codec so
+        // estimates genuinely reflect the compressed representation.
+        for (li, sample) in samples.iter_mut().enumerate() {
+            let mean = tree.agg(leaves[li]).avg().unwrap_or(0.0);
+            let values: Vec<f64> = (0..sample.k()).map(|i| sample.rows().value(i)).collect();
+            let decoded = DeltaEncoded::encode(&values, mean).decode();
+            for (i, v) in decoded.into_iter().enumerate() {
+                let preds: Vec<f64> = (0..sample.rows().dims())
+                    .map(|d| sample.rows().predicate(d, i))
+                    .collect();
+                sample.replace_row(i, v, &preds);
             }
         }
-        let query_dims = tree.dims();
-        let arena = SampleArena::from_samples(&samples);
-        Ok(Pass {
-            tree,
-            samples,
-            arena,
-            lambda: self.spec.lambda,
-            zero_variance_rule: self.spec.zero_variance_rule,
-            delta_encoded: self.spec.delta_encode,
-            seed: self.spec.seed,
-            name: self.spec.name.clone().unwrap_or_else(|| "PASS".to_owned()),
-            tree_dims: None,
-            query_dims,
-            spec: self.spec.clone(),
-            mutation_epoch: 0,
-        })
     }
+    let query_dims = tree.dims();
+    let arena = SampleArena::from_samples(&samples);
+    Ok(Pass {
+        tree,
+        samples,
+        arena,
+        lambda: spec.lambda,
+        zero_variance_rule: spec.zero_variance_rule,
+        delta_encoded: spec.delta_encode,
+        seed: spec.seed,
+        name: spec.name.clone().unwrap_or_else(|| "PASS".to_owned()),
+        tree_dims: None,
+        query_dims,
+        spec: spec.clone(),
+        mutation_epoch: 0,
+    })
 }
 
 /// A built PASS synopsis: aggregate tree + per-leaf stratified samples.
@@ -346,18 +193,41 @@ pub struct Pass {
     pub(crate) query_dims: usize,
     /// The declarative configuration this synopsis was built from.
     pub(crate) spec: PassSpec,
-    /// Mutations absorbed since the build (inserts, deletes, maintenance
-    /// restructurings) — the [`Synopsis::update_epoch`] counter that lets
-    /// `CachedSynopsis` drop stale answers automatically.
+    /// Mutations absorbed since the build (inserts, deletes) — the
+    /// [`Synopsis::update_epoch`] counter that lets `CachedSynopsis` drop
+    /// stale answers automatically.
     pub(crate) mutation_epoch: u64,
 }
 
 impl Pass {
-    /// Build directly from a declarative [`PassSpec`] — the registry /
-    /// `Session` construction path. Equivalent to
-    /// `PassBuilder::from_spec(spec).build(table)`.
+    /// Build from a declarative [`PassSpec`] — the one construction path
+    /// (the registry and `Session` come through here). 1-D tables take
+    /// the sorted-DP path, higher-dimensional tables the k-d expansion
+    /// path. With [`PassSpec::tree_dims`] set (workload shift, Section
+    /// 5.4.1) the tree indexes only those predicate dimensions while the
+    /// samples keep every predicate column: queries still arrive in the
+    /// table's full arity, and dimensions outside the tree are handled
+    /// by sampling after tree-based skipping.
     pub fn from_spec(table: &Table, spec: &PassSpec) -> Result<Pass> {
-        PassBuilder::from_spec(spec).build(table)
+        if table.n_rows() == 0 {
+            return Err(PassError::EmptyInput("PASS over empty table"));
+        }
+        if spec.partitions == 0 {
+            return Err(PassError::InvalidParameter(
+                "partitions",
+                "must be at least 1".into(),
+            ));
+        }
+        match &spec.tree_dims {
+            Some(dims) => {
+                let mut pass = build_kd_sampled(spec, &table.project(dims)?, table, 5)?;
+                pass.tree_dims = Some(dims.clone());
+                pass.query_dims = table.dims();
+                Ok(pass)
+            }
+            None if table.dims() == 1 => build_1d(spec, table),
+            None => build_kd_sampled(spec, table, table, 3),
+        }
     }
 
     /// The annotated partition tree.
@@ -394,8 +264,8 @@ impl Pass {
     }
 
     /// Record one absorbed mutation. Every path that changes query-visible
-    /// state (`insert`, `delete`, maintenance restructurings) must call
-    /// this so epoch-aware caches never serve stale answers. Doubling as
+    /// state (`insert`, `delete`) must call this so epoch-aware caches
+    /// never serve stale answers. Doubling as
     /// the derived-state choke point, it also rebuilds the flat
     /// [`SampleArena`] and the tree's empty-node flag, so the hot path can
     /// keep trusting both between mutations.
@@ -488,17 +358,23 @@ impl Synopsis for Pass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_table::datasets::{adversarial, taxi, uniform};
+    use pass_common::{estimate_group_by, GroupByQuery, Rect};
+    use pass_table::datasets::{adversarial, instacart, taxi, uniform};
+
+    /// `partitions`, `sample_rate` and `seed` set, every other knob default.
+    fn spec(partitions: usize, sample_rate: f64, seed: u64) -> PassSpec {
+        PassSpec {
+            partitions,
+            sample_rate,
+            seed,
+            ..PassSpec::default()
+        }
+    }
 
     #[test]
     fn builds_and_answers_on_uniform_data() {
         let t = uniform(20_000, 1);
-        let pass = PassBuilder::new()
-            .partitions(32)
-            .sample_rate(0.02)
-            .seed(2)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(&t, &spec(32, 0.02, 2)).unwrap();
         assert_eq!(pass.tree().n_leaves(), 32);
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let q = Query::interval(agg, 0.1, 0.8);
@@ -512,11 +388,15 @@ mod tests {
     #[test]
     fn sample_budget_respected_in_bss_mode() {
         let t = uniform(10_000, 3);
-        let pass = PassBuilder::new()
-            .partitions(16)
-            .total_samples(200)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 16,
+                total_samples: Some(200),
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
         let total = pass.total_samples();
         assert!(
             (184..=216).contains(&total),
@@ -527,11 +407,15 @@ mod tests {
     #[test]
     fn equal_depth_strategy_builds() {
         let t = uniform(5_000, 4);
-        let pass = PassBuilder::new()
-            .partitions(8)
-            .strategy(PartitionStrategy::EqualDepth)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 8,
+                strategy: PartitionStrategy::EqualDepth,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
         let sizes: Vec<u64> = pass
             .tree()
             .leaves()
@@ -556,13 +440,17 @@ mod tests {
             // Median error over several seeds for stability.
             let mut errs: Vec<f64> = (0..7)
                 .map(|seed| {
-                    let pass = PassBuilder::new()
-                        .partitions(16)
-                        .sample_rate(0.002)
-                        .strategy(strategy)
-                        .seed(100 + seed)
-                        .build(&t)
-                        .unwrap();
+                    let pass = Pass::from_spec(
+                        &t,
+                        &PassSpec {
+                            partitions: 16,
+                            sample_rate: 0.002,
+                            strategy,
+                            seed: 100 + seed,
+                            ..PassSpec::default()
+                        },
+                    )
+                    .unwrap();
                     let est = pass.estimate(&q).unwrap();
                     (est.value - truth).abs() / truth
                 })
@@ -581,12 +469,7 @@ mod tests {
     #[test]
     fn multi_dim_build_and_query() {
         let t = taxi(20_000, 6).project(&[1, 2]).unwrap();
-        let pass = PassBuilder::new()
-            .partitions(64)
-            .sample_rate(0.02)
-            .seed(7)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(&t, &spec(64, 0.02, 7)).unwrap();
         assert_eq!(pass.dims(), 2);
         let rect = t.bounding_rect().unwrap();
         let mid0 = (rect.lo(0) + rect.hi(0)) / 2.0;
@@ -603,19 +486,15 @@ mod tests {
     #[test]
     fn delta_encoding_shrinks_storage_with_small_accuracy_cost() {
         let t = uniform(20_000, 8);
-        let plain = PassBuilder::new()
-            .partitions(32)
-            .sample_rate(0.02)
-            .seed(9)
-            .build(&t)
-            .unwrap();
-        let compressed = PassBuilder::new()
-            .partitions(32)
-            .sample_rate(0.02)
-            .seed(9)
-            .delta_encode(true)
-            .build(&t)
-            .unwrap();
+        let plain = Pass::from_spec(&t, &spec(32, 0.02, 9)).unwrap();
+        let compressed = Pass::from_spec(
+            &t,
+            &PassSpec {
+                delta_encode: true,
+                ..spec(32, 0.02, 9)
+            },
+        )
+        .unwrap();
         assert!(compressed.storage_bytes() < plain.storage_bytes());
         let q = Query::interval(AggKind::Sum, 0.2, 0.9);
         let a = plain.estimate(&q).unwrap().value;
@@ -626,32 +505,55 @@ mod tests {
     #[test]
     fn invalid_builds_rejected() {
         let t = uniform(100, 10);
-        assert!(PassBuilder::new().partitions(0).build(&t).is_err());
+        assert!(Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 0,
+                ..PassSpec::default()
+            }
+        )
+        .is_err());
         let empty = Table::one_dim(vec![], vec![]).unwrap();
-        assert!(PassBuilder::new().build(&empty).is_err());
+        assert!(Pass::from_spec(&empty, &PassSpec::default()).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let t = uniform(5_000, 11);
-        let a = PassBuilder::new().partitions(16).seed(5).build(&t).unwrap();
-        let b = PassBuilder::new().partitions(16).seed(5).build(&t).unwrap();
+        let a = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 16,
+                seed: 5,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
+        let b = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 16,
+                seed: 5,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
         let q = Query::interval(AggKind::Sum, 0.3, 0.6);
         assert_eq!(a.estimate(&q).unwrap().value, b.estimate(&q).unwrap().value);
     }
 
     #[test]
     fn workload_shift_answers_wider_arity_queries() {
-        use pass_common::Rect;
         // 3-predicate table; tree indexes only dims [0, 1].
         let t = taxi(10_000, 20).project(&[1, 2, 3]).unwrap();
-        let pass = PassBuilder::new()
-            .partitions(32)
-            .sample_rate(0.05)
-            .tree_dims(&[0, 1])
-            .seed(21)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                tree_dims: Some(vec![0, 1]),
+                ..spec(32, 0.05, 21)
+            },
+        )
+        .unwrap();
         assert_eq!(pass.dims(), 3);
         let full = t.bounding_rect().unwrap();
         // Q3-style query: constrains all three dims.
@@ -686,12 +588,7 @@ mod tests {
     #[test]
     fn estimate_many_is_bit_identical_to_single_estimates() {
         let t = uniform(20_000, 30);
-        let pass = PassBuilder::new()
-            .partitions(32)
-            .sample_rate(0.02)
-            .seed(31)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(&t, &spec(32, 0.02, 31)).unwrap();
         let queries: Vec<Query> = (0..64)
             .map(|i| {
                 let lo = (i as f64) / 80.0;
@@ -718,9 +615,16 @@ mod tests {
 
     #[test]
     fn estimate_many_handles_mismatched_dims_and_shifted_trees() {
-        use pass_common::Rect;
         let t = uniform(5_000, 32);
-        let pass = PassBuilder::new().partitions(8).seed(33).build(&t).unwrap();
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 8,
+                seed: 33,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
         let queries = vec![
             Query::interval(AggKind::Sum, 0.1, 0.9),
             Query::new(AggKind::Sum, Rect::new(&[(0.0, 1.0), (0.0, 1.0)])),
@@ -735,13 +639,14 @@ mod tests {
         // Workload-shift synopses fall back to the per-query path but stay
         // element-wise consistent.
         let t3 = taxi(5_000, 34).project(&[1, 2, 3]).unwrap();
-        let shifted = PassBuilder::new()
-            .partitions(16)
-            .sample_rate(0.05)
-            .tree_dims(&[0, 1])
-            .seed(35)
-            .build(&t3)
-            .unwrap();
+        let shifted = Pass::from_spec(
+            &t3,
+            &PassSpec {
+                tree_dims: Some(vec![0, 1]),
+                ..spec(16, 0.05, 35)
+            },
+        )
+        .unwrap();
         let full = t3.bounding_rect().unwrap();
         let q = Query::new(AggKind::Sum, full);
         let batch = shifted.estimate_many(std::slice::from_ref(&q));
@@ -755,12 +660,7 @@ mod tests {
     fn estimate_many_parallel_is_bit_identical_to_sequential() {
         use pass_common::{estimate_many_parallel, ThreadPool};
         let t = uniform(20_000, 50);
-        let pass = PassBuilder::new()
-            .partitions(32)
-            .sample_rate(0.02)
-            .seed(51)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(&t, &spec(32, 0.02, 51)).unwrap();
         let queries: Vec<Query> = (0..256)
             .map(|i| {
                 let lo = (i % 80) as f64 / 100.0;
@@ -789,11 +689,19 @@ mod tests {
 
     #[test]
     fn parallel_path_handles_shifted_trees_and_mixed_arity() {
-        use pass_common::{estimate_many_parallel, Rect, ThreadPool};
+        use pass_common::{estimate_many_parallel, ThreadPool};
         let pool = ThreadPool::new(2);
         // Mixed-arity batch: falls back to per-query semantics, sharded.
         let t = uniform(5_000, 52);
-        let pass = PassBuilder::new().partitions(8).seed(53).build(&t).unwrap();
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 8,
+                seed: 53,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
         let mut queries: Vec<Query> = (0..64)
             .map(|i| Query::interval(AggKind::Sum, i as f64 / 100.0, 0.9))
             .collect();
@@ -813,13 +721,14 @@ mod tests {
 
         // Workload-shift synopsis: same fallback, still element-wise equal.
         let t3 = taxi(6_000, 54).project(&[1, 2, 3]).unwrap();
-        let shifted = PassBuilder::new()
-            .partitions(16)
-            .sample_rate(0.05)
-            .tree_dims(&[0, 1])
-            .seed(55)
-            .build(&t3)
-            .unwrap();
+        let shifted = Pass::from_spec(
+            &t3,
+            &PassSpec {
+                tree_dims: Some(vec![0, 1]),
+                ..spec(16, 0.05, 55)
+            },
+        )
+        .unwrap();
         let full = t3.bounding_rect().unwrap();
         let queries: Vec<Query> = (0..48)
             .map(|i| {
@@ -836,28 +745,18 @@ mod tests {
 
     #[test]
     fn thread_local_scratch_leaks_no_state_between_engines() {
-        use pass_common::Rect;
         let t1 = uniform(10_000, 60);
-        let one_d = PassBuilder::new()
-            .partitions(16)
-            .sample_rate(0.02)
-            .seed(61)
-            .build(&t1)
-            .unwrap();
+        let one_d = Pass::from_spec(&t1, &spec(16, 0.02, 61)).unwrap();
         let t3 = taxi(8_000, 62).project(&[1, 2, 3]).unwrap();
-        let kd = PassBuilder::new()
-            .partitions(32)
-            .sample_rate(0.05)
-            .seed(63)
-            .build(&t3)
-            .unwrap();
-        let shifted = PassBuilder::new()
-            .partitions(16)
-            .sample_rate(0.05)
-            .tree_dims(&[0, 1])
-            .seed(64)
-            .build(&t3)
-            .unwrap();
+        let kd = Pass::from_spec(&t3, &spec(32, 0.05, 63)).unwrap();
+        let shifted = Pass::from_spec(
+            &t3,
+            &PassSpec {
+                tree_dims: Some(vec![0, 1]),
+                ..spec(16, 0.05, 64)
+            },
+        )
+        .unwrap();
         // Each batch ends in a query of the other arity, so the
         // mixed-arity rejection runs inside `estimate_many` too.
         let full = t3.bounding_rect().unwrap();
@@ -904,6 +803,75 @@ mod tests {
     }
 
     #[test]
+    fn group_by_matches_per_group_truth() {
+        // Small categorical table: 5 categories, distinct per-category sums.
+        let n = 5_000;
+        let cat: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+        let values: Vec<f64> = (0..n).map(|i| ((i % 5) + 1) as f64 * 10.0).collect();
+        let table = Table::one_dim(cat, values).unwrap();
+        let pass = Pass::from_spec(&table, &spec(8, 0.2, 1)).unwrap();
+        let base = table.bounding_rect().unwrap();
+        let groups = estimate_group_by(
+            &pass,
+            &GroupByQuery::new(AggKind::Sum, 0, &[0.0, 1.0, 2.0, 3.0, 4.0], base),
+        )
+        .unwrap();
+        assert_eq!(groups.len(), 5);
+        for g in groups {
+            let q = Query::interval(AggKind::Sum, g.key, g.key);
+            let truth = table.ground_truth(&q).unwrap();
+            let est = g.estimate.unwrap();
+            let rel = (est.value - truth).abs() / truth;
+            assert!(rel < 0.15, "group {}: rel {rel}", g.key);
+        }
+    }
+
+    #[test]
+    fn group_by_on_skewed_catalog() {
+        // Instacart-style reorder rates per product bucket.
+        let table = instacart(40_000, 2);
+        let pass = Pass::from_spec(&table, &spec(32, 0.05, 3)).unwrap();
+        let base = table.bounding_rect().unwrap();
+        // Group over a handful of popular product ids (guaranteed present).
+        let mut cats: Vec<f64> = table.predicate_column(0)[..2_000].to_vec();
+        cats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        cats.dedup();
+        cats.truncate(10);
+        let groups =
+            estimate_group_by(&pass, &GroupByQuery::new(AggKind::Count, 0, &cats, base)).unwrap();
+        for g in &groups {
+            let est = g.estimate.as_ref().unwrap();
+            assert!(est.value >= 0.0);
+            let truth = table
+                .ground_truth(&Query::interval(AggKind::Count, g.key, g.key))
+                .unwrap();
+            // COUNT per equality group: hard bounds must bracket truth.
+            let (lb, ub) = est.hard_bounds.unwrap();
+            assert!(lb - 1e-9 <= truth && truth <= ub + 1e-9, "group {}", g.key);
+        }
+    }
+
+    #[test]
+    fn group_by_invalid_dims_rejected() {
+        let table = Table::one_dim(vec![1.0, 2.0], vec![3.0, 4.0]).unwrap();
+        let pass = Pass::from_spec(
+            &table,
+            &PassSpec {
+                partitions: 2,
+                sample_rate: 1.0,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
+        let base = table.bounding_rect().unwrap();
+        let group_by = |dim, base| {
+            estimate_group_by(&pass, &GroupByQuery::new(AggKind::Sum, dim, &[1.0], base))
+        };
+        assert!(group_by(5, base).is_err());
+        assert!(group_by(0, Rect::new(&[(0.0, 1.0), (0.0, 1.0)])).is_err());
+    }
+
+    #[test]
     fn spec_round_trips_through_build() {
         let spec = PassSpec {
             partitions: 16,
@@ -926,11 +894,15 @@ mod tests {
     #[test]
     fn name_override_for_benchmark_variants() {
         let t = uniform(1_000, 12);
-        let pass = PassBuilder::new()
-            .partitions(4)
-            .build(&t)
-            .unwrap()
-            .with_name("PASS-BSS2x");
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 4,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap()
+        .with_name("PASS-BSS2x");
         assert_eq!(pass.name(), "PASS-BSS2x");
     }
 }

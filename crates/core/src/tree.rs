@@ -21,10 +21,9 @@
 //! and the packed span makes the leaf test plus child lookup a single
 //! 8-byte load.
 //! [`relation_to`](PartitionTree::relation_to) classifies a node against a
-//! query in one fused pass over its coordinates. `child_flat` is
-//! append-only: collapsing a node just zeroes its span count, leaving a
-//! dead range behind — maintenance is rare and bounded, so the arena trades
-//! that slack for never shifting live ranges.
+//! query in one fused pass over its coordinates. The tree's *shape* is
+//! fixed at build time: `insert`/`delete` change aggregates and grow
+//! rectangles, never the node set, the child ranges or the leaf indices.
 //!
 //! The tree also tracks whether *any* node's aggregate is empty
 //! (`has_empty`): leaves are born non-empty and only deletions can zero a
@@ -50,9 +49,8 @@ pub type NodeId = usize;
 /// An arena-allocated partition tree in struct-of-arrays layout.
 ///
 /// Fields are `pub(crate)` so the snapshot codec (`crate::snapshot`) can
-/// serialize the arena *exactly* — including dead `child_flat` ranges left
-/// by collapses — keeping a loaded tree bit-identical in layout, not just
-/// in logical shape.
+/// serialize the arena *exactly*, keeping a loaded tree bit-identical in
+/// layout, not just in logical shape.
 #[derive(Debug, Clone)]
 pub struct PartitionTree {
     pub(crate) dims: usize,
@@ -67,8 +65,7 @@ pub struct PartitionTree {
     /// Packed `(start, count)` of each node's child range in `child_flat`
     /// (`count == 0` ⇒ leaf) — leaf test and child lookup in one load.
     pub(crate) child_span: Vec<(u32, u32)>,
-    /// All child ids, grouped per node (append-only; collapsed nodes leave
-    /// dead ranges).
+    /// All child ids, grouped per node.
     pub(crate) child_flat: Vec<NodeId>,
     /// Parent id (`None` for the root) — needed by dynamic updates.
     pub(crate) parent: Vec<Option<NodeId>>,
@@ -351,23 +348,7 @@ impl PartitionTree {
         }
     }
 
-    pub(crate) fn set_leaf_index(&mut self, id: NodeId, leaf_index: Option<usize>) {
-        self.leaf_index[id] = leaf_index;
-    }
-
-    pub(crate) fn set_parent(&mut self, id: NodeId, parent: Option<NodeId>) {
-        self.parent[id] = parent;
-    }
-
-    /// Detach all children of `id`, turning it back into a childless node
-    /// (collapse maintenance). The flat child range is abandoned in place.
-    pub(crate) fn clear_children(&mut self, id: NodeId) {
-        self.child_span[id].1 = 0;
-    }
-
-    /// Leaf ids in leaf-index order. Leaf indices may be sparse after
-    /// split/merge maintenance, so this collects and orders rather than
-    /// assuming density.
+    /// Leaf ids in leaf-index order.
     pub fn leaves(&self) -> Vec<NodeId> {
         let mut out: Vec<(usize, NodeId)> = self
             .leaf_index
@@ -377,29 +358,6 @@ impl PartitionTree {
             .collect();
         out.sort_unstable();
         out.into_iter().map(|(_, id)| id).collect()
-    }
-
-    /// Recompute the leaf count after structural maintenance.
-    pub(crate) fn recount_leaves(&mut self) {
-        self.n_leaves = self.leaf_index.iter().filter(|li| li.is_some()).count();
-    }
-
-    /// Turn `parent` (a leaf) into an internal node with two fresh leaf
-    /// children. Each child supplies its rectangle, exact aggregates, and
-    /// the sample-array slot it owns. Returns the new node ids.
-    pub(crate) fn add_children(
-        &mut self,
-        parent: NodeId,
-        left: (Rect, Aggregates, Option<usize>),
-        right: (Rect, Aggregates, Option<usize>),
-    ) -> (NodeId, NodeId) {
-        debug_assert!(self.is_leaf(parent), "can only split leaves");
-        let l = self.push_node(&left.0, left.1, Some(parent), left.2);
-        let r = self.push_node(&right.0, right.1, Some(parent), right.2);
-        self.leaf_index[parent] = None;
-        self.set_children(parent, &[l, r]);
-        self.recount_leaves();
-        (l, r)
     }
 
     /// Logical storage of the aggregate hierarchy: 4 statistics + 2·d

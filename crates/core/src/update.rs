@@ -132,19 +132,22 @@ impl Pass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synopsis::PassBuilder;
-    use pass_common::{AggKind, Query, Synopsis};
+    use pass_common::{AggKind, PassSpec, Query, Synopsis};
     use pass_table::datasets::uniform;
     use pass_table::Table;
 
     fn build(n: usize, seed: u64) -> (Table, Pass) {
         let t = uniform(n, seed);
-        let pass = PassBuilder::new()
-            .partitions(8)
-            .sample_rate(0.05)
-            .seed(seed)
-            .build(&t)
-            .unwrap();
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 8,
+                sample_rate: 0.05,
+                seed,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
         (t, pass)
     }
 

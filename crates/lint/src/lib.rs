@@ -53,6 +53,13 @@
 //!    `SnapshotError` instead of a panic. A site whose bound was just
 //!    validated may carry a `// bounds:` comment stating the argument.
 //!
+//! 8. **Every `Synopsis` method is forwarded** — each `fn` declared in
+//!    `trait Synopsis` ([`SYNOPSIS_TRAIT`]) must also appear in that
+//!    file's `forward_synopsis!` macro. A method with a default body
+//!    that the macro skips still compiles — and a `Box`/`Arc`/`&`
+//!    wrapped engine then silently answers through the default instead
+//!    of the inner engine's override.
+//!
 //! The analysis is deliberately *lexical*: sources are stripped of
 //! comments and string contents, `#[cfg(test)]` regions are tracked by
 //! brace depth, and the rules match declared patterns. That makes the
@@ -115,6 +122,10 @@ pub const SNAPSHOT_DECODERS: &[&str] = &[
     "crates/core/src/snapshot.rs",
     "crates/baselines/src/snapshot.rs",
 ];
+
+/// The file declaring `trait Synopsis` and its `forward_synopsis!`
+/// macro (rule 8).
+pub const SYNOPSIS_TRAIT: &str = "crates/common/src/synopsis.rs";
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -834,6 +845,67 @@ pub fn check_decoder_indexing(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// The `fn` names declared inside the brace block opened on the first
+/// line containing `header`, with the line each was found on.
+fn fns_in_block(file: &SourceFile, header: &str) -> Vec<(usize, String)> {
+    let mut found = Vec::new();
+    let mut depth = 0usize;
+    let mut inside = false;
+    for (i, line) in file.lines.iter().enumerate() {
+        if !inside && !line.code.contains(header) {
+            continue;
+        }
+        inside = true;
+        for (pos, _) in line.code.match_indices("fn ") {
+            let boundary = line.code[..pos]
+                .chars()
+                .next_back()
+                .is_none_or(|c| !c.is_alphanumeric() && c != '_');
+            let name: String = line.code[pos + 3..]
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if boundary && !name.is_empty() {
+                found.push((i, name));
+            }
+        }
+        for c in line.code.chars() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        if depth == 0 && line.code.contains('}') {
+            break;
+        }
+    }
+    found
+}
+
+/// Rule 8: every `fn` of `trait Synopsis` appears in `forward_synopsis!`.
+/// The wrappers' impl compiles without a method that has a default body,
+/// so an omission is silent: the wrapped engine's override is discarded.
+pub fn check_synopsis_forwarding(file: &SourceFile, out: &mut Vec<Violation>) {
+    if file.rel != SYNOPSIS_TRAIT {
+        return;
+    }
+    let forwarded = fns_in_block(file, "macro_rules! forward_synopsis");
+    for (i, name) in fns_in_block(file, "trait Synopsis") {
+        if !forwarded.iter().any(|(_, f)| *f == name) {
+            file.push(
+                out,
+                i,
+                "synopsis-forwarding",
+                format!(
+                    "`Synopsis::{name}` is not forwarded by `forward_synopsis!`: a \
+                     Box/Arc/& wrapped engine would fall back to the trait default"
+                ),
+            );
+        }
+    }
+}
+
 /// Run every rule over one parsed file.
 pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -844,6 +916,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     check_time_confined(file, &mut out);
     check_no_alloc_in_kernels(file, &mut out);
     check_decoder_indexing(file, &mut out);
+    check_synopsis_forwarding(file, &mut out);
     out
 }
 
@@ -1147,6 +1220,48 @@ mod tests {
         let mut out = Vec::new();
         check_decoder_indexing(&file("crates/core/src/snapshot.rs", src), &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn forwarding_rule_flags_a_trait_method_the_macro_skips() {
+        let src = r#"
+pub trait Synopsis: Send + Sync {
+    fn name(&self) -> &str;
+    fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
+        queries.iter().map(|q| self.estimate(q)).collect()
+    }
+    fn dims(&self) -> usize;
+}
+pub fn estimate_group_by<S: Synopsis + ?Sized>(engine: &S) {}
+macro_rules! forward_synopsis {
+    ($($wrapper:ty),+) => {$(
+        impl<S: Synopsis + ?Sized> Synopsis for $wrapper {
+            fn name(&self) -> &str {
+                (**self).name()
+            }
+            fn dims(&self) -> usize {
+                (**self).dims()
+            }
+        }
+    )+};
+}
+"#;
+        let mut out = Vec::new();
+        check_synopsis_forwarding(&file(SYNOPSIS_TRAIT, src), &mut out);
+        assert_eq!(out.len(), 1, "{}", render(&out));
+        assert_eq!(out[0].rule, "synopsis-forwarding");
+        assert_eq!(out[0].line, 4);
+        assert!(out[0].message.contains("estimate_many"));
+        // Free functions beside the trait are not trait methods, other
+        // files are out of scope, and a complete macro is clean.
+        out.clear();
+        check_synopsis_forwarding(&file("crates/common/src/cache.rs", src), &mut out);
+        let fixed = src.replace(
+            "            fn dims(&self)",
+            "            fn estimate_many(&self) {}\n            fn dims(&self)",
+        );
+        check_synopsis_forwarding(&file(SYNOPSIS_TRAIT, &fixed), &mut out);
+        assert!(out.is_empty(), "{}", render(&out));
     }
 
     #[test]

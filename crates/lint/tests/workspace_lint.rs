@@ -59,6 +59,11 @@ fn scan_kernels_stay_allocation_free() {
 }
 
 #[test]
+fn every_synopsis_method_is_forwarded_through_wrappers() {
+    assert_clean("synopsis-forwarding");
+}
+
+#[test]
 fn the_walk_actually_covers_the_serving_tier() {
     // Guard against a silent no-op pass: the walker must have parsed
     // the files the rules are scoped to.
@@ -75,6 +80,10 @@ fn the_walk_actually_covers_the_serving_tier() {
             "time allowlist lists a missing file: {rel}"
         );
     }
+    assert!(
+        root.join(pass_lint::SYNOPSIS_TRAIT).is_file(),
+        "forwarding scope names a missing file"
+    );
     for rel in pass_lint::SNAPSHOT_DECODERS {
         assert!(
             root.join(rel).is_file(),

@@ -20,7 +20,7 @@
 //!
 //! The arena is a *derived* structure: owners rebuild it after any sample
 //! mutation (`pass-core` rebuilds in its mutation-epoch bump, the single
-//! choke point every insert/delete/maintenance pass already goes through).
+//! choke point every insert/delete already goes through).
 
 use crate::kernel::SampleView;
 use crate::sample::Sample;

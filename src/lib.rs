@@ -36,8 +36,9 @@
 //! [`GroupByQuery`] (paper Section 4.5 — one equality rectangle per
 //! category over a group dimension, a shared predicate rectangle on the
 //! rest) is answered by every engine through
-//! [`Synopsis::estimate_group_by`] / [`Session::group_by`] (PASS routes
-//! the expansion through its batched MCF path), and **progressively**
+//! [`common::estimate_group_by`] / [`Session::group_by`] (a batch of
+//! selection queries through the engine's `estimate_many`, so PASS
+//! answers it on its shared MCF scratch), and **progressively**
 //! through [`Serve::submit_progressive`]: the returned
 //! [`ProgressiveTicket`] streams refining [`GroupBySnapshot`]s as a
 //! sharded engine merges shard after shard — each intermediate carries

@@ -893,8 +893,10 @@ impl Serve {
     /// the refinement after the next snapshot and resolves to the best
     /// estimate so far with `partial: true`. A full queue still rejects
     /// ([`ProgressiveOutcome::Rejected`]) and a closed server cancels
-    /// ([`ProgressiveOutcome::Cancelled`]); an empty category list
-    /// resolves to an empty complete `Done` without queueing.
+    /// ([`ProgressiveOutcome::Cancelled`]). A malformed query (wrong
+    /// arity, out-of-range group dimension, NaN category) resolves to
+    /// [`ProgressiveOutcome::Failed`] and a well-formed empty category
+    /// list to an empty complete `Done`, both without queueing.
     pub fn submit_progressive_with(
         &self,
         query: &GroupByQuery,
@@ -928,13 +930,20 @@ impl Serve {
 
     /// Queue a progressive group-by: the request carries a
     /// [`ProgressiveJob`] instead of waiters and never participates in
-    /// dedup or coalescing.
+    /// dedup or coalescing. The query is validated against the routed
+    /// engine before anything else, so served and direct answers agree
+    /// on malformed queries — empty category lists included — and a
+    /// query that can only fail takes no queue slot.
     fn enqueue_group_by(
         &self,
         engine: usize,
         query: &GroupByQuery,
         options: &SubmitOptions,
     ) -> ProgressiveTicket {
+        let dims = self.shared.engines[engine].handle.synopsis().dims();
+        if let Err(err) = query.validate(dims) {
+            return ProgressiveTicket::resolved(ProgressiveOutcome::Failed(err));
+        }
         if query.is_empty() {
             return ProgressiveTicket::resolved(ProgressiveOutcome::Done {
                 groups: Vec::new(),
@@ -1514,16 +1523,28 @@ mod tests {
             }
         );
 
-        // Malformed queries resolve to Failed, not a panic or a hang.
-        let bad = serve.submit_progressive(&GroupByQuery::over(AggKind::Sum, 9, &[0.0], 1));
-        assert!(matches!(bad.wait(), ProgressiveOutcome::Failed(_)));
+        // Malformed queries resolve to Failed at submit — validation
+        // runs before the empty-list shortcut, so an empty malformed
+        // query fails like the direct path instead of resolving `Done`.
+        for categories in [&[0.0][..], &[][..]] {
+            let bad = GroupByQuery::over(AggKind::Sum, 9, categories, 1);
+            assert_eq!(
+                serve.submit_progressive(&bad).poll(),
+                Some(ProgressiveOutcome::Failed(
+                    session.group_by("pass", &bad).unwrap_err()
+                ))
+            );
+        }
 
         // Routing errors before admission; unknown engines never queue.
         assert!(serve.submit_progressive_to("nope", &gq).is_err());
 
         let stats = serve.shutdown();
-        assert_eq!(stats.accepted, 2, "empty + routed-error never admitted");
-        assert_eq!(stats.completed, 2);
+        assert_eq!(
+            stats.accepted, 1,
+            "empty, malformed and routed-error never admitted"
+        );
+        assert_eq!(stats.completed, 1);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use pass_baselines::Engine;
 use pass_common::{
-    CacheStats, CachedSynopsis, EngineSpec, Estimate, GroupByQuery, GroupBySnapshot, GroupResult,
-    PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
+    estimate_group_by, CacheStats, CachedSynopsis, EngineSpec, Estimate, GroupByQuery,
+    GroupBySnapshot, GroupResult, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
 };
 use pass_table::Table;
 use pass_workload::{run_workload, Exec, QueryOutcome, Truth, WorkloadSummary};
@@ -409,8 +409,9 @@ impl Session {
     /// [`GroupResult`] per category, in input order, with the group
     /// availability rule applied per row (a category no shard or sample
     /// can vouch for comes back as an `Err` row, never a silent zero).
-    /// Per-category answers are cached under group-tagged keys, so
-    /// repeats and overlapping category lists hit the cache.
+    /// Each category is one selection query in the engine's cache, so
+    /// repeats, overlapping category lists and plain queries over the
+    /// same rectangles all hit it.
     ///
     /// ```
     /// use pass::{EngineSpec, Session};
@@ -427,13 +428,13 @@ impl Session {
     /// assert!(rows.iter().all(|r| r.estimate.is_ok()));
     /// ```
     pub fn group_by(&self, engine: &str, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-        self.engine_or_err(engine)?.engine.estimate_group_by(query)
+        estimate_group_by(&self.engine_or_err(engine)?.engine, query)
     }
 
-    /// Answer a group-by with the category list sharded across `pool`'s
-    /// worker threads. Row-wise identical to [`group_by`](Self::group_by):
-    /// every category is an independent per-group query, so chunking the
-    /// list cannot change any row's answer.
+    /// Answer a group-by with the per-category queries the cache misses
+    /// sharded across `pool`'s worker threads. Row-wise identical to
+    /// [`group_by`](Self::group_by): the same rows over
+    /// [`estimate_many_parallel`](Self::estimate_many_parallel).
     pub fn group_by_parallel(
         &self,
         engine: &str,
@@ -442,21 +443,7 @@ impl Session {
     ) -> Result<Vec<GroupResult>> {
         let entry = self.engine_or_err(engine)?;
         query.validate(entry.engine.dims())?;
-        let chunk = pool.chunk_size_for(query.len());
-        let parts: Vec<Result<Vec<GroupResult>>> = pool.map_chunks(query.len(), chunk, |range| {
-            let reduced = GroupByQuery::new(
-                query.agg,
-                query.dim,
-                &query.categories[range],
-                query.base.clone(),
-            );
-            vec![entry.engine.estimate_group_by(&reduced)]
-        });
-        let mut rows = Vec::with_capacity(query.len());
-        for part in parts {
-            rows.extend(part?);
-        }
-        Ok(rows)
+        Ok(query.rows(entry.engine.estimate_many_parallel(&query.queries(), pool)))
     }
 
     /// Exact answer (`None` for AVG/MIN/MAX over empty selections),
@@ -569,7 +556,7 @@ impl SessionHandle {
     /// Answer a group-by query (per-category answers cache-first). See
     /// [`Session::group_by`].
     pub fn group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-        self.engine.estimate_group_by(query)
+        estimate_group_by(&self.engine, query)
     }
 
     /// Answer a group-by **progressively**: `publish` receives a stream

@@ -5,7 +5,7 @@
 //! The pinned guarantees, for **every** engine in
 //! `Engine::standard_suite`:
 //!
-//! 1. The direct [`Synopsis::estimate_group_by`] answer, the cached
+//! 1. The direct [`estimate_group_by`] answer, the cached
 //!    session facade ([`Session::group_by`], first call and fully
 //!    cached repeat), the parallel facade
 //!    ([`Session::group_by_parallel`]), and the [`SessionHandle`] path
@@ -33,8 +33,8 @@
 //!    adds a group-by-specific path.
 
 use pass::common::{
-    apply_group_availability, AggKind, EngineSpec, GroupByQuery, PassError, ShardPlan, Synopsis,
-    ThreadPool,
+    apply_group_availability, estimate_group_by, AggKind, EngineSpec, GroupByQuery, PassError,
+    ProgressiveOutcome, ShardPlan, Synopsis, ThreadPool,
 };
 use pass::table::Table;
 use pass::{Engine, ServeConfig, Session};
@@ -90,7 +90,7 @@ fn group_by_is_identical_across_direct_cached_parallel_and_handle_paths() {
         let handle = session.handle("e").unwrap();
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let q = group_query(agg);
-            let direct = raw.estimate_group_by(&q).unwrap();
+            let direct = estimate_group_by(&raw, &q).unwrap();
             assert_eq!(direct.len(), CATEGORIES.len(), "{}", raw.name());
             let cold = session.group_by("e", &q).unwrap();
             assert_eq!(direct, cold, "{} {agg}: cached(cold) vs direct", raw.name());
@@ -116,7 +116,7 @@ fn group_by_is_identical_across_direct_cached_parallel_and_handle_paths() {
         // availability rule over the engine's own single-query answer.
         let rare = Engine::build(&rare_category_table(), &spec).unwrap();
         let q = GroupByQuery::over(AggKind::Avg, 0, &[42.0, 9.0], 1);
-        for row in rare.estimate_group_by(&q).unwrap() {
+        for row in estimate_group_by(&rare, &q).unwrap() {
             assert_eq!(
                 row.estimate,
                 apply_group_availability(rare.estimate(&q.query_for(row.key))),
@@ -141,8 +141,8 @@ fn one_shard_group_by_is_identical_to_unsharded() {
         .unwrap();
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let q = group_query(agg);
-            let a = unsharded.estimate_group_by(&q).unwrap();
-            let b = sharded.estimate_group_by(&q).unwrap();
+            let a = estimate_group_by(&unsharded, &q).unwrap();
+            let b = estimate_group_by(&sharded, &q).unwrap();
             assert_eq!(a, b, "{} {agg}: 1-shard vs unsharded", unsharded.name());
         }
     }
@@ -163,7 +163,7 @@ fn sharded_group_by_rows_match_the_single_query_path() {
             .unwrap();
             for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
                 let q = group_query(agg);
-                let rows = sharded.estimate_group_by(&q).unwrap();
+                let rows = estimate_group_by(&sharded, &q).unwrap();
                 for row in rows {
                     let single = apply_group_availability(sharded.estimate(&q.query_for(row.key)));
                     assert_eq!(
@@ -181,7 +181,8 @@ fn sharded_group_by_rows_match_the_single_query_path() {
 
 /// Contract 4: served progressive group-bys (run to completion) resolve
 /// bit-identical to the session facade, for every engine plus a 4-shard
-/// engine whose ticket streams real intermediate snapshots.
+/// engine whose ticket streams real intermediate snapshots — and
+/// malformed ones fail identically, empty category lists included.
 #[test]
 fn served_progressive_final_matches_the_session_answer() {
     let mut session = Session::new(categorical_table());
@@ -223,6 +224,28 @@ fn served_progressive_final_matches_the_session_answer() {
         .unwrap();
     ticket.wait();
     assert_eq!(ticket.latest().unwrap().shards_total, 4);
+
+    // Malformed queries — wrong arity or out-of-range group dimension,
+    // with or without categories — fail served exactly as they fail
+    // direct, at submit, without taking a queue slot.
+    let accepted = serve.stats().accepted;
+    for categories in [&[][..], &[0.0, 1.0][..]] {
+        for q in [
+            GroupByQuery::over(AggKind::Sum, 0, categories, 2),
+            GroupByQuery::over(AggKind::Sum, 3, categories, 1),
+        ] {
+            for name in &names {
+                let direct = session.group_by(name, &q).unwrap_err();
+                let ticket = serve.submit_progressive_to(name, &q).unwrap();
+                assert_eq!(
+                    ticket.poll(),
+                    Some(ProgressiveOutcome::Failed(direct)),
+                    "{name}: {q:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(serve.stats().accepted, accepted);
 }
 
 /// Contract 5 (regression): a category with zero sampled evidence is an
@@ -233,9 +256,7 @@ fn empty_groups_surface_the_availability_rule_not_a_silent_zero() {
     for spec in suite() {
         let engine = Engine::build(&table, &spec).unwrap();
         for agg in [AggKind::Sum, AggKind::Count] {
-            let rows = engine
-                .estimate_group_by(&GroupByQuery::over(agg, 0, &[42.0], 1))
-                .unwrap();
+            let rows = estimate_group_by(&engine, &GroupByQuery::over(agg, 0, &[42.0], 1)).unwrap();
             match &rows[0].estimate {
                 // The availability rule: the engine admits it cannot
                 // vouch for the group.
@@ -258,9 +279,7 @@ fn empty_groups_surface_the_availability_rule_not_a_silent_zero() {
     // match a category absent from the table, so the row *must* be the
     // availability error (this was the silent-zero bug).
     let us = Engine::build(&table, &EngineSpec::uniform(800).with_seed(3)).unwrap();
-    let rows = us
-        .estimate_group_by(&GroupByQuery::over(AggKind::Sum, 0, &[42.0], 1))
-        .unwrap();
+    let rows = estimate_group_by(&us, &GroupByQuery::over(AggKind::Sum, 0, &[42.0], 1)).unwrap();
     assert!(
         matches!(rows[0].estimate, Err(PassError::EmptyInput(_))),
         "US must refuse an evidence-free group, got {:?}",
@@ -294,7 +313,7 @@ fn group_by_is_the_availability_rule_over_the_batched_selection_queries() {
             let engine = Engine::build(&table, spec).unwrap();
             for agg in AggKind::ALL {
                 let q = GroupByQuery::over(agg, 0, &categories, 1);
-                let rows = engine.estimate_group_by(&q).unwrap();
+                let rows = estimate_group_by(&engine, &q).unwrap();
                 let batch = engine.estimate_many(&q.queries());
                 assert_eq!(rows.len(), batch.len(), "{} {agg}", engine.name());
                 for (row, raw) in rows.iter().zip(batch) {

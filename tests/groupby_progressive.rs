@@ -7,13 +7,14 @@
 //!   intermediate snapshot's CI **contains the final point estimate**
 //!   — the refinement narrows onto the answer, it never excludes it;
 //! * the final snapshot is **bit-identical** to the non-progressive
-//!   [`Synopsis::estimate_group_by`] answer — streaming is a view of
+//!   [`estimate_group_by`] answer — streaming is a view of
 //!   the same computation, not a different estimator.
 
 use proptest::prelude::*;
 
 use pass::common::{
-    AggKind, EngineSpec, GroupByQuery, GroupBySnapshot, PassSpec, ShardPlan, Synopsis,
+    estimate_group_by, AggKind, EngineSpec, GroupByQuery, GroupBySnapshot, PassSpec, ShardPlan,
+    Synopsis,
 };
 use pass::table::Table;
 use pass::Engine;
@@ -98,7 +99,7 @@ proptest! {
         prop_assert_eq!(last.shards_merged, last.shards_total);
 
         // Final snapshot ≡ returned groups ≡ the non-progressive path.
-        let direct = engine.estimate_group_by(&query).unwrap();
+        let direct = estimate_group_by(&engine, &query).unwrap();
         prop_assert_eq!(&last.groups, &groups);
         prop_assert_eq!(&groups, &direct);
 
@@ -151,7 +152,7 @@ proptest! {
         let (snapshots, groups) = run_progressive(engine.as_ref(), &query);
         prop_assert!(!snapshots.is_empty());
         prop_assert_eq!(&snapshots.last().unwrap().groups, &groups);
-        prop_assert_eq!(&groups, &engine.estimate_group_by(&query).unwrap());
+        prop_assert_eq!(&groups, &estimate_group_by(&engine, &query).unwrap());
 
         // Published widths never widen, per group, across the stream —
         // intermediates by the publish filter, the final snapshot

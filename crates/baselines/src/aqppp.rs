@@ -17,15 +17,6 @@ use pass_partition::{build_kd, HillClimb, KdExpansion, Partitioner1D};
 use pass_sampling::Sample;
 use pass_table::{SortedTable, Table};
 
-/// Which tree the precomputed aggregates live in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AqpVariant {
-    /// 1-D hill-climbing boundaries (the paper's AQP++ baseline).
-    HillClimb,
-    /// Breadth-first k-d tree (the paper's KD-US baseline for d > 1).
-    KdUniform,
-}
-
 /// Precomputed aggregates + one uniform sample for the gap.
 #[derive(Debug, Clone)]
 pub struct AqpPlusPlus {
@@ -33,92 +24,61 @@ pub struct AqpPlusPlus {
     pub(crate) sample: Sample,
     pub(crate) lambda: f64,
     pub(crate) name: &'static str,
-    /// Workload-shift mapping (Section 5.4.1): tree dimension j indexes
-    /// query dimension `tree_dims[j]`; `None` = identity.
-    pub(crate) tree_dims: Option<Vec<usize>>,
-    /// Query arity (= sample arity).
-    pub(crate) query_dims: usize,
-    /// Requested (partitions, sample size, seed), kept for
+    /// Requested (partitions, sample size, seed, tree dims), kept for
     /// [`Synopsis::spec`].
-    pub(crate) requested: (usize, usize, u64),
+    pub(crate) requested: (usize, usize, u64, Option<Vec<usize>>),
+}
+
+/// Precomputed aggregates over a breadth-first k-d tree on `table`.
+fn kd_tree(table: &Table, partitions: usize, seed: u64) -> Result<PartitionTree> {
+    let kd = build_kd(table, partitions, KdExpansion::BreadthFirst, seed)?;
+    PartitionTree::from_kd(table, &kd)
 }
 
 impl AqpPlusPlus {
     /// Build with `partitions` precomputed aggregates and a uniform sample
     /// of `k` rows. 1-D tables use hill climbing, higher dimensions the
-    /// breadth-first k-d expansion.
-    pub fn build(table: &Table, partitions: usize, k: usize, seed: u64) -> Result<Self> {
+    /// breadth-first k-d expansion. With `tree_dims` (workload shift,
+    /// Section 5.4.1) the aggregates are precomputed over a k-d tree on
+    /// those dimensions only, lifted into the table's arity, while the
+    /// uniform sample keeps every predicate column.
+    pub fn build(
+        table: &Table,
+        partitions: usize,
+        k: usize,
+        seed: u64,
+        tree_dims: Option<&[usize]>,
+    ) -> Result<Self> {
         if table.n_rows() == 0 {
             return Err(PassError::EmptyInput("AQP++ over empty table"));
         }
-        let (tree, name) = if table.dims() == 1 {
-            let sorted = SortedTable::from_table(table, 0);
-            let partitioning = HillClimb::new(AggKind::Sum).partition(&sorted, partitions)?;
-            (
-                PartitionTree::from_partitioning(&sorted, &partitioning)?,
-                "AQP++",
-            )
-        } else {
-            let kd = build_kd(
-                table,
-                partitions,
-                KdExpansion::BreadthFirst,
-                derive_seed(seed, 1),
-            )?;
-            (PartitionTree::from_kd(table, &kd)?, "KD-US")
+        // `stream` labels the tree's seed, `stream + 1` the sample's.
+        let (tree, name, stream) = match tree_dims {
+            None if table.dims() == 1 => {
+                let sorted = SortedTable::from_table(table, 0);
+                let partitioning = HillClimb::new(AggKind::Sum).partition(&sorted, partitions)?;
+                let tree = PartitionTree::from_partitioning(&sorted, &partitioning)?;
+                (tree, "AQP++", 1)
+            }
+            None => (
+                kd_tree(table, partitions, derive_seed(seed, 1))?,
+                "KD-US",
+                1,
+            ),
+            Some(dims) => {
+                let narrow = kd_tree(&table.project(dims)?, partitions, derive_seed(seed, 3))?;
+                (narrow.lifted(dims, table.dims())?, "KD-US", 3)
+            }
         };
-        let mut rng = rng_from_seed(derive_seed(seed, 2));
+        let mut rng = rng_from_seed(derive_seed(seed, stream + 1));
         let sample = Sample::uniform(table, k, &mut rng)?;
         Ok(Self {
             tree,
             sample,
             lambda: LAMBDA_99,
             name,
-            tree_dims: None,
-            query_dims: table.dims(),
-            requested: (partitions, k, seed),
+            requested: (partitions, k, seed, tree_dims.map(<[usize]>::to_vec)),
         })
-    }
-
-    /// Workload-shift build (Section 5.4.1): precompute aggregates over a
-    /// breadth-first k-d tree on the projected dimensions, keep the uniform
-    /// sample in full arity.
-    pub fn build_shifted(
-        table: &Table,
-        tree_dims: &[usize],
-        partitions: usize,
-        k: usize,
-        seed: u64,
-    ) -> Result<Self> {
-        if table.n_rows() == 0 {
-            return Err(PassError::EmptyInput("AQP++ over empty table"));
-        }
-        let projected = table.project(tree_dims)?;
-        let kd = build_kd(
-            &projected,
-            partitions,
-            KdExpansion::BreadthFirst,
-            derive_seed(seed, 3),
-        )?;
-        let tree = PartitionTree::from_kd(&projected, &kd)?;
-        let mut rng = rng_from_seed(derive_seed(seed, 4));
-        let sample = Sample::uniform(table, k, &mut rng)?;
-        Ok(Self {
-            tree,
-            sample,
-            lambda: LAMBDA_99,
-            name: "KD-US",
-            tree_dims: Some(tree_dims.to_vec()),
-            query_dims: table.dims(),
-            requested: (partitions, k, seed),
-        })
-    }
-
-    /// Replace the confidence multiplier λ used for CI half-widths
-    /// (default λ₉₉; see `pass_common::stats::lambda_for_confidence`).
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
     }
 
     /// Estimate `Σ φ` over the gap region: sampled rows matching the query
@@ -144,12 +104,7 @@ impl AqpPlusPlus {
                 if mask[i] == 0 {
                     return false;
                 }
-                // Covered-node rectangles live in the tree's (possibly
-                // projected) dimension space.
-                let point: Vec<f64> = match &self.tree_dims {
-                    None => (0..rows.dims()).map(|d| rows.predicate(d, i)).collect(),
-                    Some(dims) => dims.iter().map(|&d| rows.predicate(d, i)).collect(),
-                };
+                let point: Vec<f64> = (0..rows.dims()).map(|d| rows.predicate(d, i)).collect();
                 !covered
                     .iter()
                     .any(|&id| self.tree.contains_point(id, &point))
@@ -179,12 +134,12 @@ impl Synopsis for AqpPlusPlus {
     }
 
     fn spec(&self) -> EngineSpec {
-        let (partitions, k, seed) = self.requested;
+        let (partitions, k, seed, tree_dims) = self.requested.clone();
         EngineSpec::AqpPlusPlus {
             partitions,
             k,
             seed,
-            tree_dims: self.tree_dims.clone(),
+            tree_dims,
         }
     }
 
@@ -194,16 +149,13 @@ impl Synopsis for AqpPlusPlus {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.query_dims {
+        if query.dims() != self.tree.dims() {
             return Err(PassError::DimensionMismatch {
-                expected: self.query_dims,
+                expected: self.tree.dims(),
                 got: query.dims(),
             });
         }
-        let frontier = match &self.tree_dims {
-            None => mcf(&self.tree, query, false),
-            Some(dims) => pass_core::mcf_shifted(&self.tree, query, dims, false),
-        };
+        let frontier = mcf(&self.tree, query, false);
         let covered = &frontier.covered;
 
         match query.agg {
@@ -289,9 +241,9 @@ impl Synopsis for AqpPlusPlus {
                         });
                     }
                 }
-                if let Some(pv) =
-                    pass_sampling::estimate_minmax(query.agg, &self.sample, &query.rect)
-                {
+                if let Some(pv) = pass_sampling::with_scratch(|scratch| {
+                    scratch.estimate(query.agg, &self.sample, &query.rect)
+                }) {
                     fold(pv.value);
                 }
                 best.map(|v| Estimate::approximate(v, 0.0))
@@ -307,7 +259,7 @@ impl Synopsis for AqpPlusPlus {
     }
 
     fn dims(&self) -> usize {
-        self.query_dims
+        self.tree.dims()
     }
 }
 
@@ -319,7 +271,7 @@ mod tests {
     #[test]
     fn one_dim_estimates_track_truth() {
         let t = uniform(20_000, 1);
-        let a = AqpPlusPlus::build(&t, 32, 1_000, 2).unwrap();
+        let a = AqpPlusPlus::build(&t, 32, 1_000, 2, None).unwrap();
         assert_eq!(a.name(), "AQP++");
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let q = Query::interval(agg, 0.15, 0.85);
@@ -334,7 +286,7 @@ mod tests {
     fn aligned_queries_are_exact() {
         // A query covering the whole key space aligns with the root.
         let t = uniform(5_000, 3);
-        let a = AqpPlusPlus::build(&t, 16, 200, 4).unwrap();
+        let a = AqpPlusPlus::build(&t, 16, 200, 4, None).unwrap();
         let q = Query::interval(AggKind::Sum, -1.0, 2.0);
         let est = a.estimate(&q).unwrap();
         let truth = t.ground_truth(&q).unwrap();
@@ -351,7 +303,7 @@ mod tests {
         let q = Query::interval(AggKind::Sum, 0.01, 0.93);
         let mut aqp_wins = 0;
         for seed in 0..10 {
-            let a = AqpPlusPlus::build(&t, 64, 600, seed).unwrap();
+            let a = AqpPlusPlus::build(&t, 64, 600, seed, None).unwrap();
             let us = crate::us::UniformSynopsis::build(&t, 600, seed).unwrap();
             let aw = a.estimate(&q).unwrap().ci_half;
             let uw = us.estimate(&q).unwrap().ci_half;
@@ -365,7 +317,7 @@ mod tests {
     #[test]
     fn multi_dim_becomes_kd_us() {
         let t = taxi(10_000, 6).project(&[1, 2]).unwrap();
-        let a = AqpPlusPlus::build(&t, 64, 500, 7).unwrap();
+        let a = AqpPlusPlus::build(&t, 64, 500, 7, None).unwrap();
         assert_eq!(a.name(), "KD-US");
         let rect = t.bounding_rect().unwrap();
         let mid = (rect.lo(0) + rect.hi(0)) / 2.0;
@@ -383,7 +335,7 @@ mod tests {
         // partial ones, silently dropping boundary rows from the gap
         // estimate. With a 100% sample the estimate must be exact.
         let t = pass_table::datasets::instacart(30_000, 3);
-        let a = AqpPlusPlus::build(&t, 32, t.n_rows(), 4).unwrap();
+        let a = AqpPlusPlus::build(&t, 32, t.n_rows(), 4, None).unwrap();
         let (lo, hi) = t.predicate_range(0).unwrap();
         let span = hi - lo;
         for (qlo, qhi) in [
@@ -405,7 +357,7 @@ mod tests {
     #[test]
     fn empty_predicate_errors_for_avg() {
         let t = uniform(1_000, 8);
-        let a = AqpPlusPlus::build(&t, 8, 100, 9).unwrap();
+        let a = AqpPlusPlus::build(&t, 8, 100, 9, None).unwrap();
         assert!(a
             .estimate(&Query::interval(AggKind::Avg, 7.0, 8.0))
             .is_err());

@@ -54,16 +54,13 @@ impl Engine {
                 k,
                 seed,
                 tree_dims,
-            } => match tree_dims {
-                None => Arc::new(AqpPlusPlus::build(table, *partitions, *k, *seed)?),
-                Some(dims) => Arc::new(AqpPlusPlus::build_shifted(
-                    table,
-                    dims,
-                    *partitions,
-                    *k,
-                    *seed,
-                )?),
-            },
+            } => Arc::new(AqpPlusPlus::build(
+                table,
+                *partitions,
+                *k,
+                *seed,
+                tree_dims.as_deref(),
+            )?),
             EngineSpec::Verdict { ratio, seed } => {
                 Arc::new(VerdictSynopsis::build(table, *ratio, *seed)?)
             }

@@ -187,12 +187,6 @@ impl JoinSynopsis {
         })
     }
 
-    /// Replace the confidence multiplier λ used for CI half-widths.
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
     /// The materialized joined sample.
     pub fn sample(&self) -> &Sample {
         &self.sample

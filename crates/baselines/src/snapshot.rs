@@ -167,7 +167,7 @@ pub(crate) fn save_aqppp(aqp: &AqpPlusPlus, out: &mut Vec<u8>) {
     let mut state = Vec::new();
     put_f64(&mut state, aqp.lambda);
     put_u8(&mut state, u8::from(aqp.name == "KD-US"));
-    put_usize(&mut state, aqp.query_dims);
+    put_usize(&mut state, aqp.tree.dims());
     encode_sample(&mut state, &aqp.sample);
     write_section(out, &state);
 }
@@ -190,38 +190,34 @@ fn load_aqppp(
         1 => "KD-US",
         other => return Err(drift(format!("unknown AQP++ variant tag {other}"))),
     };
-    let query_dims = c.u64("AQP++ query dims")? as usize;
+    let arity = c.u64("AQP++ query dims")? as usize;
     let sample = decode_sample(&mut c)?;
     c.done("AQP++ state")?;
 
-    if query_dims == 0 || sample.rows().dims() != query_dims {
+    if arity == 0 || sample.rows().dims() != arity {
         return Err(drift("AQP++ sample arity disagrees with its dims".into()));
     }
-    match tree_dims {
-        Some(dims) => {
-            if dims.len() != tree.dims() || dims.iter().any(|&d| d >= query_dims) {
-                return Err(drift(
-                    "AQP++ workload-shift mapping disagrees with the tree".into(),
-                ));
-            }
-        }
-        None => {
-            if tree.dims() != query_dims {
-                return Err(drift(format!(
-                    "AQP++ tree covers {} dims but queries expect {query_dims}",
-                    tree.dims()
-                )));
-            }
-        }
+    // Snapshots written before workload-shift trees were lifted at build
+    // time hold the narrow tree. (A mapping that names every dimension
+    // leaves nothing to tell the two apart: that tree is taken as lifted.)
+    let tree = match tree_dims {
+        Some(dims) if tree.dims() != arity => tree
+            .lifted(dims, arity)
+            .map_err(|err| drift(err.to_string()))?,
+        _ => tree,
+    };
+    if tree.dims() != arity {
+        return Err(drift(format!(
+            "AQP++ tree covers {} dims but queries expect {arity}",
+            tree.dims()
+        )));
     }
     Ok(AqpPlusPlus {
         tree,
         sample,
         lambda,
         name,
-        tree_dims: tree_dims.map(<[usize]>::to_vec),
-        query_dims,
-        requested: (partitions, k, seed),
+        requested: (partitions, k, seed, tree_dims.map(<[usize]>::to_vec)),
     })
 }
 

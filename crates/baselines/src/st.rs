@@ -64,13 +64,6 @@ impl StratifiedSynopsis {
         })
     }
 
-    /// Replace the confidence multiplier λ used for CI half-widths
-    /// (default λ₉₉; see `pass_common::stats::lambda_for_confidence`).
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
     /// Number of strata.
     pub fn n_strata(&self) -> usize {
         self.strata.len()

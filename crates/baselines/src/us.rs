@@ -36,13 +36,6 @@ impl UniformSynopsis {
         })
     }
 
-    /// Replace the confidence multiplier λ used for CI half-widths
-    /// (default λ₉₉; see `pass_common::stats::lambda_for_confidence`).
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
     /// The underlying sample.
     pub fn sample(&self) -> &Sample {
         &self.sample

@@ -70,13 +70,6 @@ impl VerdictSynopsis {
         })
     }
 
-    /// Replace the confidence multiplier λ used for CI half-widths
-    /// (default λ₉₉; see `pass_common::stats::lambda_for_confidence`).
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
     /// Number of subsample groups.
     pub fn n_groups(&self) -> usize {
         self.n_groups

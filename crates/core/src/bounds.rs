@@ -51,6 +51,18 @@ pub(crate) fn hard_bounds_exact(
             .chain(&frontier.zero_var)
             .map(|&id| tree.agg(id))
     };
+    // A covered node bounds MIN from above (MAX from below) by an
+    // extremum it is known to attain. After a deletion touched its stored
+    // extremum only the opposite one is still safe on that side.
+    let covered_attained = || {
+        frontier.covered.iter().map(|&id| {
+            let a = tree.agg(id);
+            match (agg, tree.has_loose_extrema(id)) {
+                (AggKind::Min, false) | (AggKind::Max, true) => a.min,
+                _ => a.max,
+            }
+        })
+    };
     let no_partial = frontier.partial.is_empty() && frontier.zero_var.is_empty();
     if frontier.covered.is_empty() && no_partial {
         // The exact contribution is still the (empty) covered fold, so its
@@ -113,8 +125,9 @@ pub(crate) fn hard_bounds_exact(
             (bounds, 0.0)
         }
         AggKind::Min => {
-            // True MIN is at most the covered minimum, and at least the
-            // smallest minimum over every partition that may contribute.
+            // True MIN is at most the smallest attained covered minimum,
+            // and at least the smallest stored minimum over every
+            // partition that may contribute.
             let cov_min = covered().map(|a| a.min).fold(f64::INFINITY, f64::min);
             let all_min = partial().map(|a| a.min).fold(cov_min, f64::min);
             let bounds = if frontier.covered.is_empty() {
@@ -125,7 +138,7 @@ pub(crate) fn hard_bounds_exact(
                     partial().map(|a| a.max).fold(f64::NEG_INFINITY, f64::max),
                 ))
             } else {
-                Some((all_min, cov_min))
+                Some((all_min, covered_attained().fold(f64::INFINITY, f64::min)))
             };
             (bounds, 0.0)
         }
@@ -138,7 +151,10 @@ pub(crate) fn hard_bounds_exact(
                     all_max,
                 ))
             } else {
-                Some((cov_max, all_max))
+                Some((
+                    covered_attained().fold(f64::NEG_INFINITY, f64::max),
+                    all_max,
+                ))
             };
             (bounds, 0.0)
         }

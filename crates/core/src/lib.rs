@@ -59,8 +59,6 @@ pub mod synopsis;
 pub mod tree;
 pub mod update;
 
-pub use mcf::{
-    constrains_outside, mcf, mcf_shifted, project_rect, McfResult, McfScratch, NodeClass,
-};
+pub use mcf::{mcf, McfResult, McfScratch};
 pub use synopsis::{PartitionStrategy, Pass};
 pub use tree::{NodeId, PartitionTree};

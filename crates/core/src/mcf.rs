@@ -14,19 +14,15 @@
 //! a partially overlapping node whose values are all identical
 //! (min == max) contributes its exact value, so it is returned as covered
 //! without touching any samples.
+//!
+//! Workload shift (Section 5.4.1) needs no traversal of its own: the tree
+//! is [lifted](PartitionTree::lifted) into the query's space at build
+//! time, after which a constraint on an unindexed dimension makes every
+//! intersecting node partial and the search below descends to the leaves.
 
-use pass_common::{AggKind, Query, Rect, RectRelation};
+use pass_common::{AggKind, Query, RectRelation};
 
 use crate::tree::{NodeId, PartitionTree};
-
-/// Classification of one returned node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeClass {
-    /// Fully covered: use the node's exact aggregates.
-    Covered,
-    /// Partially covered leaf: estimate from its stratified sample.
-    Partial,
-}
 
 /// The coverage frontier of a query.
 #[derive(Debug, Clone, Default)]
@@ -57,79 +53,6 @@ impl McfResult {
     }
 }
 
-/// MCF for the workload-shift scenario (Section 5.4.1): the tree was built
-/// over predicate dimensions `tree_dims` of a wider predicate space, and
-/// `query` constrains the full space.
-///
-/// The query rectangle is projected onto the tree's dimensions for
-/// classification. Disjointness in the shared dimensions is still a sound
-/// reason to skip a partition. Coverage, however, is only decidable when
-/// the query leaves every *non-tree* dimension unconstrained; otherwise
-/// all intersecting leaves are returned as partial and answered from their
-/// (full-dimensional) samples — "the pre-computed aggregates that are not
-/// perfectly aligned with the target query can still be used for
-/// aggressive and reliable data skipping".
-pub fn mcf_shifted(
-    tree: &PartitionTree,
-    query: &Query,
-    tree_dims: &[usize],
-    zero_variance_rule: bool,
-) -> McfResult {
-    debug_assert_eq!(tree.dims(), tree_dims.len());
-    let projected = Query::new(query.agg, project_rect(&query.rect, tree_dims));
-    if !constrains_outside(&query.rect, tree_dims) {
-        return mcf(tree, &projected, zero_variance_rule);
-    }
-    // Outside constraints exist: coverage is undecidable from the tree, so
-    // descend every partially/fully intersecting branch to its leaves.
-    let mut result = McfResult::default();
-    let apply_zero_var = zero_variance_rule && query.agg == AggKind::Avg;
-    let check_empty = tree.has_empty_nodes();
-    let mut stack = vec![tree.root()];
-    while let Some(id) = stack.pop() {
-        result.visited += 1;
-        if check_empty && tree.agg(id).is_empty() {
-            continue;
-        }
-        match tree.relation_to(id, &projected.rect) {
-            RectRelation::Disjoint => {}
-            _ if apply_zero_var && tree.agg(id).is_zero_variance() => {
-                // Constant values: AVG is exact whichever rows match.
-                result.zero_var.push(id);
-            }
-            _ if tree.is_leaf(id) => result.partial.push(id),
-            _ => stack.extend_from_slice(tree.children(id)),
-        }
-    }
-    result
-}
-
-/// Project a rectangle onto a subset of its dimensions.
-pub fn project_rect(rect: &Rect, dims: &[usize]) -> Rect {
-    let bounds: Vec<(f64, f64)> = dims.iter().map(|&d| (rect.lo(d), rect.hi(d))).collect();
-    Rect::new(&bounds)
-}
-
-/// Does the rectangle constrain any dimension outside `dims`?
-///
-/// `dims` membership is answered through a 64-bit dimension mask instead
-/// of a linear `contains` per dimension (queries are low-dimensional; the
-/// > 64-dimension case falls back to the scan).
-pub fn constrains_outside(rect: &Rect, dims: &[usize]) -> bool {
-    let constrained = |d: usize| rect.lo(d) != f64::NEG_INFINITY || rect.hi(d) != f64::INFINITY;
-    if rect.dims() <= 64 {
-        let mut mask = 0u64;
-        for &d in dims {
-            if d < 64 {
-                mask |= 1 << d;
-            }
-        }
-        (0..rect.dims()).any(|d| mask & (1 << d) == 0 && constrained(d))
-    } else {
-        (0..rect.dims()).any(|d| !dims.contains(&d) && constrained(d))
-    }
-}
-
 /// Run MCF for `query` over `tree`. `zero_variance_rule` enables the AVG
 /// base case (it is ignored for other aggregates).
 pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> McfResult {
@@ -145,8 +68,8 @@ pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> Mcf
 /// answers every query on its thread's scratch
 /// ([`with_local`](Self::with_local)), so once the buffers have grown a
 /// query runs allocation-free — frontier classification, per-leaf sample
-/// scans, and stratum combination all reuse them. `run` is the one
-/// non-shifted MCF traversal in the workspace; [`mcf`] wraps it.
+/// scans, and stratum combination all reuse them. `run` is the one MCF
+/// traversal in the workspace; [`mcf`] wraps it.
 #[derive(Debug, Default)]
 pub struct McfScratch {
     stack: Vec<NodeId>,

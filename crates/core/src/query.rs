@@ -5,19 +5,13 @@ use pass_common::{AggKind, Estimate, PassError, Query, Result};
 use pass_sampling::{combine_strata, PointVariance, SampleArena, ScanScratch, StratumEstimate};
 
 use crate::bounds::hard_bounds_exact;
-use crate::mcf::{mcf_shifted, McfResult, McfScratch};
+use crate::mcf::{McfResult, McfScratch};
 use crate::tree::PartitionTree;
 
 /// Answer `query` over the annotated tree and the flat arena of its
 /// per-leaf stratified samples, on the caller's `scratch`. `lambda` scales
 /// the confidence interval; `zero_variance_rule` enables the Section 3.4
 /// AVG short-circuit.
-///
-/// `tree_dims` selects the workload-shift scenario (Section 5.4.1): the
-/// tree indexes only those dimensions of the query's predicate space,
-/// while the samples carry all predicate columns. Classification happens
-/// in the projected space; sample estimation uses the full predicate.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn process_arena(
     scratch: &mut McfScratch,
     tree: &PartitionTree,
@@ -25,30 +19,16 @@ pub(crate) fn process_arena(
     query: &Query,
     lambda: f64,
     zero_variance_rule: bool,
-    tree_dims: Option<&[usize]>,
 ) -> Result<Estimate> {
-    let mismatch = || PassError::DimensionMismatch {
-        expected: tree.dims(),
-        got: query.dims(),
-    };
-    match tree_dims {
-        None => {
-            if query.dims() != tree.dims() {
-                return Err(mismatch());
-            }
-            scratch.run(tree, query, zero_variance_rule);
-            let (frontier, scan, strata) = scratch.parts();
-            process_frontier(tree, arena, query, lambda, frontier, scan, strata)
-        }
-        Some(dims) => {
-            if dims.iter().any(|&d| d >= query.dims()) {
-                return Err(mismatch());
-            }
-            let frontier = mcf_shifted(tree, query, dims, zero_variance_rule);
-            let (_, scan, strata) = scratch.parts();
-            process_frontier(tree, arena, query, lambda, &frontier, scan, strata)
-        }
+    if query.dims() != tree.dims() {
+        return Err(PassError::DimensionMismatch {
+            expected: tree.dims(),
+            got: query.dims(),
+        });
     }
+    scratch.run(tree, query, zero_variance_rule);
+    let (frontier, scan, strata) = scratch.parts();
+    process_frontier(tree, arena, query, lambda, frontier, scan, strata)
 }
 
 /// Finish one query from its (pre-computed) coverage frontier: partial
@@ -110,11 +90,12 @@ fn process_frontier(
     Ok(est)
 }
 
-/// The sample stratum of a partial frontier node. MCF only ever emits
-/// leaves as partial; a frontier that lists an internal node is refused
-/// rather than answered from the wrong stratum.
+/// The sample stratum of a partial frontier node (or of the leaf an
+/// update landed in). MCF only ever emits leaves as partial; a frontier
+/// that lists an internal node is refused rather than answered from the
+/// wrong stratum.
 #[inline]
-fn stratum_of(tree: &PartitionTree, id: usize) -> Result<usize> {
+pub(crate) fn stratum_of(tree: &PartitionTree, id: usize) -> Result<usize> {
     tree.leaf_index(id).ok_or_else(|| {
         PassError::InvalidParameter("frontier", format!("partial node {id} is not a leaf"))
     })
@@ -269,9 +250,17 @@ fn process_minmax(
             fold(point.value);
         }
     }
+    // A covered node whose stored extremum a deletion touched answers
+    // with a bound, not with an attained value.
+    let loose = || {
+        frontier
+            .covered
+            .iter()
+            .any(|&id| tree.has_loose_extrema(id))
+    };
     match best {
         Some(value) => {
-            if frontier.partial.is_empty() {
+            if frontier.partial.is_empty() && !loose() {
                 Ok(Estimate::exact(value))
             } else {
                 Ok(Estimate::approximate(value, 0.0))
@@ -311,7 +300,6 @@ mod tests {
             query,
             lambda,
             zero_variance_rule,
-            None,
         )
     }
 

@@ -5,13 +5,20 @@
 //! * the SoA [`PartitionTree`] arena, field-for-field — **including** the
 //!   cached `has_empty` flag — so a loaded tree is layout-identical, not
 //!   just logically equivalent, and every traversal takes the exact same
-//!   path;
+//!   path. The loose-extrema node list trails the arena only when a
+//!   deletion has set one, so a never-deleted tree keeps its original
+//!   bytes;
 //! * the per-leaf stratified [`Sample`]s (with their conservatively-cleared
 //!   `sorted_1d` flags);
-//! * the mutation epoch and the workload-shift dimension mapping.
+//! * the mutation epoch.
+//!
+//! A workload-shift tree is stored as it is queried — lifted into the full
+//! arity. Snapshots written before the tree was lifted at build time hold
+//! the narrow tree plus its dimension mapping; [`load_pass`] lifts those
+//! with the same [`PartitionTree::lifted`] the build uses.
 //!
 //! Everything else (λ, zero-variance rule, delta flag, seed, name) derives
-//! from the embedded [`PassSpec`]; the flat [`SampleArena`] is rebuilt from
+//! from the embedded [`PassSpec`]; the flat `SampleArena` is rebuilt from
 //! the decoded samples exactly as the build and mutation paths do.
 //!
 //! Decoding validates every structural index (children, parents, leaf
@@ -25,7 +32,7 @@ use pass_common::snapshot::{
 };
 use pass_common::{Aggregates, PassSpec, Result};
 use pass_sampling::snapshot::{decode_sample, encode_sample};
-use pass_sampling::{Sample, SampleArena};
+use pass_sampling::Sample;
 
 use crate::synopsis::Pass;
 use crate::tree::PartitionTree;
@@ -63,6 +70,13 @@ pub fn encode_tree(out: &mut Vec<u8>, tree: &PartitionTree) {
     put_usize(out, tree.leaf_index.len());
     for &leaf in &tree.leaf_index {
         pass_common::snapshot::put_opt_u64(out, leaf.map(|l| l as u64));
+    }
+    let loose: Vec<u64> = (0..tree.n_nodes())
+        .filter(|&id| tree.has_loose_extrema(id))
+        .map(|id| id as u64)
+        .collect();
+    if !loose.is_empty() {
+        put_u64_seq(out, &loose);
     }
 }
 
@@ -113,6 +127,10 @@ pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
     for _ in 0..n_leaf {
         leaf_index.push(c.opt_u64("leaf index")?.map(|l| l as usize));
     }
+    let loose = match c.remaining() {
+        0 => Vec::new(),
+        _ => c.u64_seq("loose-extrema nodes")?,
+    };
 
     if dims == 0 || n_nodes == 0 {
         return Err(drift("tree has no nodes or no dimensions".into()));
@@ -145,6 +163,13 @@ pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
     if parent.iter().any(|p| p.is_some_and(|p| p >= n_nodes)) {
         return Err(drift("a node's parent id is out of range".into()));
     }
+    let mut loose_extrema = vec![false; n_nodes];
+    for id in loose {
+        match loose_extrema.get_mut(id as usize) {
+            Some(bit) => *bit = true,
+            None => return Err(drift(format!("loose-extrema node {id} is out of range"))),
+        }
+    }
     Ok(PartitionTree {
         dims,
         root,
@@ -156,6 +181,7 @@ pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
         parent,
         leaf_index,
         has_empty,
+        loose_extrema,
     })
 }
 
@@ -168,15 +194,10 @@ pub fn save_pass(pass: &Pass, out: &mut Vec<u8>) -> Result<()> {
 
     let mut state = Vec::new();
     put_u64(&mut state, pass.mutation_epoch);
-    put_usize(&mut state, pass.query_dims);
-    match &pass.tree_dims {
-        None => put_bool(&mut state, false),
-        Some(dims) => {
-            put_bool(&mut state, true);
-            let dims: Vec<u64> = dims.iter().map(|&d| d as u64).collect();
-            put_u64_seq(&mut state, &dims);
-        }
-    }
+    put_usize(&mut state, pass.tree.dims);
+    // Format v1's "narrow tree + mapping follows" tag: never set, the
+    // tree above is already in the query's arity.
+    put_bool(&mut state, false);
     put_usize(&mut state, pass.samples.len());
     for sample in &pass.samples {
         encode_sample(&mut state, sample);
@@ -187,7 +208,7 @@ pub fn save_pass(pass: &Pass, out: &mut Vec<u8>) -> Result<()> {
 
 /// Rebuild a PASS synopsis from its spec header plus the state sections
 /// written by [`save_pass`]. Spec-derivable fields come from `spec`; the
-/// [`SampleArena`] is rebuilt from the decoded samples.
+/// `SampleArena` is rebuilt from the decoded samples.
 pub fn load_pass(spec: &PassSpec, r: &mut SnapshotReader<'_>) -> Result<Pass> {
     let tree_payload = r.section()?;
     let mut c = Cursor::new(tree_payload);
@@ -197,22 +218,11 @@ pub fn load_pass(spec: &PassSpec, r: &mut SnapshotReader<'_>) -> Result<Pass> {
     let state_payload = r.section()?;
     let mut c = Cursor::new(state_payload);
     let mutation_epoch = c.u64("mutation epoch")?;
-    let query_dims = c.u64("query dims")? as usize;
-    if query_dims == 0 {
-        return Err(drift("PASS state has zero query dimensions".into()));
-    }
-    let tree_dims = if c.bool("tree-dims tag")? {
-        let dims: Vec<usize> = c
-            .u64_seq("tree dims mapping")?
-            .into_iter()
-            .map(|d| d as usize)
-            .collect();
-        if dims.len() != tree.dims || dims.iter().any(|&d| d >= query_dims) {
-            return Err(drift(
-                "workload-shift mapping disagrees with the tree".into(),
-            ));
-        }
-        Some(dims)
+    let arity = c.u64("query dims")? as usize;
+    // Snapshots written before trees were lifted at build time carry the
+    // narrow tree and its mapping here.
+    let narrow_dims = if c.bool("tree-dims tag")? {
+        Some(c.u64_seq("tree dims mapping")?)
     } else {
         None
     };
@@ -223,9 +233,24 @@ pub fn load_pass(spec: &PassSpec, r: &mut SnapshotReader<'_>) -> Result<Pass> {
     }
     c.done("PASS state")?;
 
-    if tree_dims.is_none() && tree.dims != query_dims {
+    // The decoded samples vouch for the arity before anything is sized
+    // by it.
+    if samples.is_empty() || samples.iter().any(|s| s.rows().dims() != arity) {
         return Err(drift(format!(
-            "tree covers {} dims but queries expect {query_dims}",
+            "samples disagree with the {arity} query dims"
+        )));
+    }
+    let tree = match narrow_dims {
+        Some(dims) => {
+            let dims: Vec<usize> = dims.into_iter().map(|d| d as usize).collect();
+            tree.lifted(&dims, arity)
+                .map_err(|err| drift(err.to_string()))?
+        }
+        None => tree,
+    };
+    if tree.dims != arity {
+        return Err(drift(format!(
+            "tree covers {} dims but queries expect {arity}",
             tree.dims
         )));
     }
@@ -237,21 +262,7 @@ pub fn load_pass(spec: &PassSpec, r: &mut SnapshotReader<'_>) -> Result<Pass> {
         return Err(drift("a leaf's sample index exceeds the sample set".into()));
     }
 
-    let arena = SampleArena::from_samples(&samples);
-    Ok(Pass {
-        tree,
-        samples,
-        arena,
-        lambda: spec.lambda,
-        zero_variance_rule: spec.zero_variance_rule,
-        delta_encoded: spec.delta_encode,
-        seed: spec.seed,
-        name: spec.name.clone().unwrap_or_else(|| "PASS".to_owned()),
-        tree_dims,
-        query_dims,
-        spec: spec.clone(),
-        mutation_epoch,
-    })
+    Ok(Pass::from_parts(spec, tree, samples, mutation_epoch))
 }
 
 #[cfg(test)]

@@ -155,22 +155,7 @@ fn finish(spec: &PassSpec, tree: PartitionTree, mut samples: Vec<Sample>) -> Res
             }
         }
     }
-    let query_dims = tree.dims();
-    let arena = SampleArena::from_samples(&samples);
-    Ok(Pass {
-        tree,
-        samples,
-        arena,
-        lambda: spec.lambda,
-        zero_variance_rule: spec.zero_variance_rule,
-        delta_encoded: spec.delta_encode,
-        seed: spec.seed,
-        name: spec.name.clone().unwrap_or_else(|| "PASS".to_owned()),
-        tree_dims: None,
-        query_dims,
-        spec: spec.clone(),
-        mutation_epoch: 0,
-    })
+    Ok(Pass::from_parts(spec, tree, samples, 0))
 }
 
 /// A built PASS synopsis: aggregate tree + per-leaf stratified samples.
@@ -181,17 +166,9 @@ pub struct Pass {
     /// Flat, cache-resident mirror of `samples` — the structure the query
     /// hot path actually scans. Derived: rebuilt on every mutation epoch.
     pub(crate) arena: SampleArena,
-    pub(crate) lambda: f64,
-    pub(crate) zero_variance_rule: bool,
-    pub(crate) delta_encoded: bool,
-    pub(crate) seed: u64,
-    pub(crate) name: String,
-    /// Workload-shift mapping: tree dimension j indexes query dimension
-    /// `tree_dims[j]` (`None` = identity).
-    pub(crate) tree_dims: Option<Vec<usize>>,
-    /// Arity queries must arrive in (the sample/table arity).
-    pub(crate) query_dims: usize,
-    /// The declarative configuration this synopsis was built from.
+    /// The declarative configuration this synopsis was built from — also
+    /// where λ, the zero-variance rule, the delta flag, the seed and the
+    /// name are read from.
     pub(crate) spec: PassSpec,
     /// Mutations absorbed since the build (inserts, deletes) — the
     /// [`Synopsis::update_epoch`] counter that lets `CachedSynopsis` drop
@@ -200,14 +177,31 @@ pub struct Pass {
 }
 
 impl Pass {
+    /// Assemble a synopsis from its stored parts — the one place a `Pass`
+    /// value is made, shared by the build and the snapshot loader.
+    pub(crate) fn from_parts(
+        spec: &PassSpec,
+        tree: PartitionTree,
+        samples: Vec<Sample>,
+        mutation_epoch: u64,
+    ) -> Pass {
+        Pass {
+            arena: SampleArena::from_samples(&samples),
+            tree,
+            samples,
+            spec: spec.clone(),
+            mutation_epoch,
+        }
+    }
+
     /// Build from a declarative [`PassSpec`] — the one construction path
     /// (the registry and `Session` come through here). 1-D tables take
     /// the sorted-DP path, higher-dimensional tables the k-d expansion
     /// path. With [`PassSpec::tree_dims`] set (workload shift, Section
-    /// 5.4.1) the tree indexes only those predicate dimensions while the
-    /// samples keep every predicate column: queries still arrive in the
-    /// table's full arity, and dimensions outside the tree are handled
-    /// by sampling after tree-based skipping.
+    /// 5.4.1) the tree is built over those predicate dimensions only and
+    /// then [lifted](PartitionTree::lifted) into the table's full arity,
+    /// while the samples keep every predicate column: dimensions outside
+    /// the tree are handled by sampling after tree-based skipping.
     pub fn from_spec(table: &Table, spec: &PassSpec) -> Result<Pass> {
         if table.n_rows() == 0 {
             return Err(PassError::EmptyInput("PASS over empty table"));
@@ -221,8 +215,7 @@ impl Pass {
         match &spec.tree_dims {
             Some(dims) => {
                 let mut pass = build_kd_sampled(spec, &table.project(dims)?, table, 5)?;
-                pass.tree_dims = Some(dims.clone());
-                pass.query_dims = table.dims();
+                pass.tree = pass.tree.lifted(dims, table.dims())?;
                 Ok(pass)
             }
             None if table.dims() == 1 => build_1d(spec, table),
@@ -248,14 +241,8 @@ impl Pass {
     /// Override the printed engine name (benchmark variants like
     /// `PASS-BSS2x`). The stored spec keeps the override so it round-trips.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self.spec.name = Some(self.name.clone());
+        self.spec.name = Some(name.into());
         self
-    }
-
-    /// The CI scale λ in use.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Mutations absorbed since the build (see [`Synopsis::update_epoch`]).
@@ -279,32 +266,25 @@ impl Pass {
     /// [`estimate`](Synopsis::estimate) and
     /// [`estimate_many`](Synopsis::estimate_many).
     fn answer(&self, scratch: &mut McfScratch, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.query_dims {
-            return Err(PassError::DimensionMismatch {
-                expected: self.query_dims,
-                got: query.dims(),
-            });
-        }
         crate::query::process_arena(
             scratch,
             &self.tree,
             &self.arena,
             query,
-            self.lambda,
-            self.zero_variance_rule,
-            self.tree_dims.as_deref(),
+            self.spec.lambda,
+            self.spec.zero_variance_rule,
         )
     }
 
     /// Draw a deterministic RNG for update operations.
     pub(crate) fn update_rng(&self, salt: u64) -> impl Rng {
-        rng_from_seed(derive_seed(self.seed, 0xD11 ^ salt))
+        rng_from_seed(derive_seed(self.spec.seed, 0xD11 ^ salt))
     }
 }
 
 impl Synopsis for Pass {
     fn name(&self) -> &str {
-        &self.name
+        self.spec.name.as_deref().unwrap_or("PASS")
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
@@ -339,7 +319,7 @@ impl Synopsis for Pass {
             .samples
             .iter()
             .map(|s| {
-                if self.delta_encoded {
+                if self.spec.delta_encode {
                     // f32 per value + f64 per predicate coordinate + mean.
                     8 + s.k() * (4 + 8 * s.rows().dims())
                 } else {
@@ -351,7 +331,7 @@ impl Synopsis for Pass {
     }
 
     fn dims(&self) -> usize {
-        self.query_dims
+        self.tree.dims()
     }
 }
 
@@ -636,7 +616,7 @@ mod tests {
             Err(PassError::DimensionMismatch { .. })
         ));
 
-        // Workload-shift synopses fall back to the per-query path but stay
+        // Workload-shift synopses ride the same batch path and stay
         // element-wise consistent.
         let t3 = taxi(5_000, 34).project(&[1, 2, 3]).unwrap();
         let shifted = Pass::from_spec(
@@ -719,7 +699,7 @@ mod tests {
             }
         }
 
-        // Workload-shift synopsis: same fallback, still element-wise equal.
+        // Workload-shift synopsis: same path, still element-wise equal.
         let t3 = taxi(6_000, 54).project(&[1, 2, 3]).unwrap();
         let shifted = Pass::from_spec(
             &t3,

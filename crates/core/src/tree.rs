@@ -38,6 +38,12 @@
 //!   bottom-up into a balanced binary tree (Section 5.3's construction);
 //! * [`PartitionTree::from_kd`] — multi-d: a 1:1 copy of the k-d expansion
 //!   (Section 4.4).
+//!
+//! A tree built over a *projection* of the predicate space (workload
+//! shift, Section 5.4.1) is [`lifted`](PartitionTree::lifted) into the
+//! full space once, at build time: every node becomes `(−∞, +∞)` in the
+//! dimensions the tree does not index, after which queries and updates
+//! treat it like any other tree (docs/ARCHITECTURE.md has the argument).
 
 use pass_common::{Aggregates, PassError, Rect, RectRelation, Result};
 use pass_partition::{KdBuild, Partitioning1D};
@@ -74,6 +80,10 @@ pub struct PartitionTree {
     /// Whether any node's aggregate is empty. `false` lets MCF skip the
     /// per-node emptiness load; refreshed after count-changing mutations.
     pub(crate) has_empty: bool,
+    /// Per node: a deletion removed a value at the stored MIN or MAX, so
+    /// the stored extrema still bracket the partition's values but may no
+    /// longer be attained (see [`has_loose_extrema`](Self::has_loose_extrema)).
+    pub(crate) loose_extrema: Vec<bool>,
 }
 
 impl PartitionTree {
@@ -89,6 +99,7 @@ impl PartitionTree {
             parent: Vec::with_capacity(nodes),
             leaf_index: Vec::with_capacity(nodes),
             has_empty: false,
+            loose_extrema: Vec::with_capacity(nodes),
         }
     }
 
@@ -110,6 +121,7 @@ impl PartitionTree {
         self.child_span.push((self.child_flat.len() as u32, 0));
         self.parent.push(parent);
         self.leaf_index.push(leaf_index);
+        self.loose_extrema.push(false);
         id
     }
 
@@ -196,6 +208,32 @@ impl PartitionTree {
         tree.root = kd.root;
         tree.n_leaves = n_leaves;
         Ok(tree)
+    }
+
+    /// Re-express a tree built over a projection in the full `arity`-
+    /// dimensional predicate space: tree dimension `j` becomes dimension
+    /// `dims[j]`, and every node is unbounded in the dimensions `dims`
+    /// does not name (see the module docs for why that is all workload
+    /// shift needs). Shape, aggregates and leaf indices are untouched.
+    pub fn lifted(mut self, dims: &[usize], arity: usize) -> Result<Self> {
+        if dims.len() != self.dims || dims.iter().any(|&d| d >= arity) {
+            return Err(PassError::InvalidParameter(
+                "dims",
+                format!(
+                    "{dims:?} does not map a {}-dimensional tree into {arity} dimensions",
+                    self.dims
+                ),
+            ));
+        }
+        let mut rect = vec![(f64::NEG_INFINITY, f64::INFINITY); self.n_nodes() * arity];
+        for (wide, narrow) in rect.chunks_mut(arity).zip(self.rect.chunks(self.dims)) {
+            for (&d, &bounds) in dims.iter().zip(narrow) {
+                wide[d] = bounds;
+            }
+        }
+        self.rect = rect;
+        self.dims = arity;
+        Ok(self)
     }
 
     /// Root node id.
@@ -295,6 +333,20 @@ impl PartitionTree {
         self.has_empty = self.aggs.iter().any(Aggregates::is_empty);
     }
 
+    /// Whether node `id`'s stored MIN/MAX may be stale: they still bracket
+    /// every value in the partition, but a deletion removed a value at one
+    /// of them, so neither is known to be attained. Such a node can bound
+    /// a MIN/MAX answer from the conservative side only.
+    #[inline]
+    pub fn has_loose_extrema(&self, id: NodeId) -> bool {
+        self.loose_extrema[id]
+    }
+
+    /// Record that a deletion touched node `id`'s stored extremum.
+    pub(crate) fn mark_loose_extrema(&mut self, id: NodeId) {
+        self.loose_extrema[id] = true;
+    }
+
     /// Materialize node `id`'s bounding rectangle. Cold-path convenience —
     /// hot loops should use [`relation_to`](Self::relation_to) /
     /// [`rect_lo`](Self::rect_lo) / [`rect_hi`](Self::rect_hi) instead.
@@ -361,9 +413,17 @@ impl PartitionTree {
     }
 
     /// Logical storage of the aggregate hierarchy: 4 statistics + 2·d
-    /// rectangle bounds per node, 8 bytes each (Table 2 accounting).
+    /// rectangle bounds per node, 8 bytes each (Table 2 accounting). `d`
+    /// counts the dimensions the tree indexes: one in which the root is
+    /// unbounded (see [`lifted`](Self::lifted)) carries no information
+    /// and counts no bounds.
     pub fn storage_bytes(&self) -> usize {
-        self.n_nodes() * (4 + 2 * self.dims) * std::mem::size_of::<f64>()
+        let root = self.root * self.dims;
+        let indexed = self.rect[root..root + self.dims]
+            .iter()
+            .filter(|&&bounds| bounds != (f64::NEG_INFINITY, f64::INFINITY))
+            .count();
+        self.n_nodes() * (4 + 2 * indexed) * std::mem::size_of::<f64>()
     }
 }
 
@@ -514,6 +574,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lifted_tree_keeps_the_narrow_classification_and_never_covers_outside_it() {
+        let table = taxi(800, 7).project(&[1, 2]).unwrap();
+        let kd = build_kd(&table, 12, KdExpansion::BreadthFirst, 0).unwrap();
+        let narrow = PartitionTree::from_kd(&table, &kd).unwrap();
+        // Tree dimension 0 becomes dimension 2, tree dimension 1 becomes 0.
+        let lifted = narrow.clone().lifted(&[2, 0], 4).unwrap();
+        assert_eq!((lifted.dims(), lifted.leaves()), (4, narrow.leaves()));
+        assert_eq!(lifted.storage_bytes(), narrow.storage_bytes());
+        const OPEN: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+        let b = table.bounding_rect().unwrap();
+        let (mid0, mid1) = ((b.lo(0) + b.hi(0)) / 2.0, (b.lo(1) + b.hi(1)) / 2.0);
+        let window = Rect::new(&[(b.lo(0), mid0), (mid1, b.hi(1))]);
+        let open = Rect::new(&[(mid1, b.hi(1)), OPEN, (b.lo(0), mid0), OPEN]);
+        let constrained = open.narrowed(3, 0.0, 1.0);
+        for id in 0..narrow.n_nodes() {
+            let (n, l) = (narrow.rect(id), lifted.rect(id));
+            let wide = Rect::new(&[(n.lo(1), n.hi(1)), OPEN, (n.lo(0), n.hi(0)), OPEN]);
+            assert_eq!(l, wide);
+            // Unindexed dimensions open: the narrow tree's verdict. One of
+            // them constrained: still skipped when disjoint, never covered.
+            let verdict = narrow.relation_to(id, &window);
+            assert_eq!(lifted.relation_to(id, &open), verdict);
+            let shifted = lifted.relation_to(id, &constrained);
+            assert_eq!(
+                shifted == RectRelation::Disjoint,
+                verdict == RectRelation::Disjoint
+            );
+            assert_ne!(shifted, RectRelation::Covered);
+            assert_eq!(
+                lifted.contains_point(id, &[mid1, 1e300, mid0, -1e300]),
+                narrow.contains_point(id, &[mid0, mid1])
+            );
+        }
+        // A mapping names one in-range dimension per tree dimension.
+        assert!(narrow.clone().lifted(&[0], 4).is_err());
+        assert!(narrow.clone().lifted(&[0, 4], 4).is_err());
     }
 
     #[test]

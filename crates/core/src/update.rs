@@ -5,15 +5,24 @@
 //! and every aggregate on the leaf-to-root path updates in O(1), giving
 //! O(log k) per update for 1-D trees.
 //!
-//! MIN/MAX remain *conservative* after deletions (a deleted extremum cannot
-//! be tightened without a partition rescan), which keeps hard bounds sound
-//! but possibly loose — exactly the trade-off the paper accepts by scoping
-//! statistical consistency to COUNT/SUM/AVG.
+//! MIN/MAX remain *conservative* after deletions: a deleted extremum cannot
+//! be tightened without a partition rescan, so the stored `min`/`max` of
+//! every node on the path whose extremum the deleted value touched still
+//! bracket the partition's values but may no longer be attained. Those
+//! nodes are marked ([`PartitionTree::has_loose_extrema`](crate::PartitionTree::has_loose_extrema)); a MIN/MAX
+//! query that covers one takes its stored extremum as a bound on the
+//! conservative side only and does not claim exactness — the trade-off
+//! the paper accepts by scoping statistical consistency to COUNT/SUM/AVG.
+//!
+//! A workload-shift synopsis updates like any other: its tree is lifted
+//! into the table's arity at build time, every node contains every point
+//! in the dimensions it does not index, and widening never touches them.
 
 use rand::Rng;
 
 use pass_common::{PassError, Result};
 
+use crate::query::stratum_of;
 use crate::synopsis::Pass;
 use crate::tree::NodeId;
 
@@ -60,6 +69,8 @@ impl Pass {
     /// offers the tuple to the leaf's reservoir.
     pub fn insert(&mut self, point: &[f64], value: f64) -> Result<()> {
         let leaf = self.locate_leaf(point)?;
+        // Resolved before anything is mutated.
+        let li = stratum_of(&self.tree, leaf)?;
         // Widen rectangles so future MCF classifications still see the
         // point, then update aggregates on the path to the root.
         let mut cursor = Some(leaf);
@@ -86,7 +97,6 @@ impl Pass {
         }
 
         // Reservoir maintenance (Algorithm R) on the leaf's sample.
-        let li = self.tree.leaf_index(leaf).expect("leaf has index");
         let salt = self.tree.agg(leaf).count;
         let mut rng = self.update_rng(salt);
         let sample = &mut self.samples[li];
@@ -110,12 +120,15 @@ impl Pass {
     /// sample.
     pub fn delete(&mut self, point: &[f64], value: f64) -> Result<bool> {
         let leaf = self.locate_leaf(point)?;
+        // Resolved before anything is mutated.
+        let li = stratum_of(&self.tree, leaf)?;
         let mut cursor = Some(leaf);
         while let Some(id) = cursor {
-            self.tree.agg_mut(id).remove(value);
+            if self.tree.agg_mut(id).remove(value) {
+                self.tree.mark_loose_extrema(id);
+            }
             cursor = self.tree.parent(id);
         }
-        let li = self.tree.leaf_index(leaf).expect("leaf has index");
         let sample = &mut self.samples[li];
         sample.shrink_population();
         let evicted = if let Some(pos) = sample.find_row(value, point) {

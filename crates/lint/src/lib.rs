@@ -7,8 +7,9 @@
 //!
 //! 1. **No panic paths in serving-tier library code** — no `.unwrap()`,
 //!    `.expect("…")`, `panic!`, `unreachable!`, `todo!`, or
-//!    `unimplemented!` outside `#[cfg(test)]` code in `crates/common`
-//!    and the root crate. A serving worker that panics takes its
+//!    `unimplemented!` outside `#[cfg(test)]` code in `crates/common`,
+//!    the root crate and PASS's update path
+//!    (`crates/core/src/update.rs`). A serving worker that panics takes its
 //!    in-flight tickets down with it; errors must flow through
 //!    `PassError`. (`chaos.rs`/`chaos/imp.rs` are exempt by design: the
 //!    model checker *reports failures by panicking* with a replayable
@@ -59,6 +60,12 @@
 //!    that the macro skips still compiles — and a `Box`/`Arc`/`&`
 //!    wrapped engine then silently answers through the default instead
 //!    of the inner engine's override.
+//! 9. **The reference estimator is only a reference** — nothing in
+//!    `pass_sampling::estimator` ([`REFERENCE_ESTIMATOR`]) may be named
+//!    outside `#[cfg(test)]` code in the library sources (`tests/` and
+//!    benches are not walked, so they stay free to): the module is the
+//!    oracle `tests/kernel_contract.rs` holds the scan kernels to, not
+//!    a second implementation an engine may call.
 //!
 //! The analysis is deliberately *lexical*: sources are stripped of
 //! comments and string contents, `#[cfg(test)]` regions are tracked by
@@ -126,6 +133,10 @@ pub const SNAPSHOT_DECODERS: &[&str] = &[
 /// The file declaring `trait Synopsis` and its `forward_synopsis!`
 /// macro (rule 8).
 pub const SYNOPSIS_TRAIT: &str = "crates/common/src/synopsis.rs";
+
+/// The row-at-a-time reference estimator module (rule 9): named from
+/// tests and benches only.
+pub const REFERENCE_ESTIMATOR: &str = "crates/sampling/src/estimator.rs";
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -362,8 +373,10 @@ fn in_scope(rel: &str, prefixes: &[&str]) -> bool {
 
 /// Rule 1: no panic paths in non-test serving-tier library code.
 pub fn check_no_panic(file: &SourceFile, out: &mut Vec<Violation>) {
-    if !in_scope(&file.rel, &["crates/common/src/", "src/"])
-        || PANIC_EXEMPT.contains(&file.rel.as_str())
+    if !in_scope(
+        &file.rel,
+        &["crates/common/src/", "src/", "crates/core/src/update.rs"],
+    ) || PANIC_EXEMPT.contains(&file.rel.as_str())
     {
         return;
     }
@@ -441,7 +454,10 @@ pub fn check_shim_imports(file: &SourceFile, out: &mut Vec<Violation>) {
 /// covering a consecutive run of relaxed operations (multi-line call
 /// chains count as part of the run).
 pub fn check_relaxed_justified(file: &SourceFile, out: &mut Vec<Violation>) {
-    if !in_scope(&file.rel, &["crates/common/src/", "src/"]) {
+    if !in_scope(
+        &file.rel,
+        &["crates/common/src/", "src/", "crates/core/src/update.rs"],
+    ) {
         return;
     }
     for (i, line) in file.lines.iter().enumerate() {
@@ -906,6 +922,27 @@ pub fn check_synopsis_forwarding(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 9: the reference estimator is named from test code only. Every
+/// path to its functions goes through the module name (the crate root
+/// does not re-export them), so the module path is what is matched.
+pub fn check_reference_only(file: &SourceFile, out: &mut Vec<Violation>) {
+    if file.rel == REFERENCE_ESTIMATOR {
+        return;
+    }
+    for (i, line) in file.lines.iter().enumerate() {
+        if !line.in_test && line.code.contains("estimator::") {
+            file.push(
+                out,
+                i,
+                "reference-only",
+                "`estimator::` named in library code: the reference estimator is the \
+                 kernels' test oracle; call `ScanScratch::estimate` instead"
+                    .to_string(),
+            );
+        }
+    }
+}
+
 /// Run every rule over one parsed file.
 pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -917,6 +954,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     check_no_alloc_in_kernels(file, &mut out);
     check_decoder_indexing(file, &mut out);
     check_synopsis_forwarding(file, &mut out);
+    check_reference_only(file, &mut out);
     out
 }
 
@@ -1261,6 +1299,31 @@ macro_rules! forward_synopsis {
             "            fn estimate_many(&self) {}\n            fn dims(&self)",
         );
         check_synopsis_forwarding(&file(SYNOPSIS_TRAIT, &fixed), &mut out);
+        assert!(out.is_empty(), "{}", render(&out));
+    }
+
+    #[test]
+    fn reference_rule_flags_library_callers_of_the_reference_estimator() {
+        let src = "\
+use pass_sampling::estimator::estimate_minmax;
+fn f() {
+    let pv = pass_sampling::estimator::estimate(agg, sample, rect); // estimator::
+}
+#[cfg(test)]
+mod tests {
+    use crate::estimator::estimate;
+}
+";
+        let mut out = Vec::new();
+        check_reference_only(&file("crates/baselines/src/aqppp.rs", src), &mut out);
+        let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![1, 3], "{}", render(&out));
+        assert!(out.iter().all(|v| v.rule == "reference-only"));
+        // The module itself, its declaration and its docs are not callers.
+        out.clear();
+        check_reference_only(&file(REFERENCE_ESTIMATOR, src), &mut out);
+        let decl = "//! [`estimator`] is the reference.\npub mod estimator;\n";
+        check_reference_only(&file("crates/sampling/src/lib.rs", decl), &mut out);
         assert!(out.is_empty(), "{}", render(&out));
     }
 

@@ -64,6 +64,11 @@ fn every_synopsis_method_is_forwarded_through_wrappers() {
 }
 
 #[test]
+fn the_reference_estimator_is_named_from_tests_only() {
+    assert_clean("reference-only");
+}
+
+#[test]
 fn the_walk_actually_covers_the_serving_tier() {
     // Guard against a silent no-op pass: the walker must have parsed
     // the files the rules are scoped to.
@@ -83,6 +88,10 @@ fn the_walk_actually_covers_the_serving_tier() {
     assert!(
         root.join(pass_lint::SYNOPSIS_TRAIT).is_file(),
         "forwarding scope names a missing file"
+    );
+    assert!(
+        root.join(pass_lint::REFERENCE_ESTIMATOR).is_file(),
+        "reference-only scope names a missing file"
     );
     for rel in pass_lint::SNAPSHOT_DECODERS {
         assert!(

@@ -19,15 +19,13 @@
 mod exhaustive;
 mod kd_avg;
 mod median_split;
-mod range_tree;
 mod sparse;
 mod window;
 
 pub use exhaustive::Exhaustive;
 pub use kd_avg::{max_avg_variance_kd, KdAvgResult};
 pub use median_split::MedianSplit;
-pub use range_tree::{RangeAggregates, RangeTree};
-pub use sparse::{SparseArgmaxTable, SparseMaxTable};
+pub use sparse::SparseArgmaxTable;
 pub use window::WindowIndex;
 
 /// An oracle producing (an approximation of) the maximum query variance

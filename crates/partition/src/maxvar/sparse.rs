@@ -1,4 +1,4 @@
-//! Idempotent sparse table for O(1) range-maximum queries.
+//! Idempotent sparse table for O(1) range-argmax queries.
 //!
 //! Built once in O(n log n) over the per-window variance scores; the AVG
 //! discretization then answers "max window score inside this candidate
@@ -7,59 +7,8 @@
 //! tree with O(log m) queries; max is idempotent so a sparse table does the
 //! same job a log factor faster.)
 
-/// Static range-max structure over f64 scores.
-#[derive(Debug, Clone)]
-pub struct SparseMaxTable {
-    /// `levels[j][i]` = max of `scores[i .. i + 2^j]`.
-    levels: Vec<Vec<f64>>,
-    len: usize,
-}
-
-impl SparseMaxTable {
-    /// Build over the given scores.
-    pub fn build(scores: &[f64]) -> Self {
-        let n = scores.len();
-        let mut levels: Vec<Vec<f64>> = Vec::new();
-        if n > 0 {
-            levels.push(scores.to_vec());
-            let mut j = 1;
-            while (1 << j) <= n {
-                let half = 1 << (j - 1);
-                let prev = &levels[j - 1];
-                let level: Vec<f64> = (0..=(n - (1 << j)))
-                    .map(|i| prev[i].max(prev[i + half]))
-                    .collect();
-                levels.push(level);
-                j += 1;
-            }
-        }
-        Self { levels, len: n }
-    }
-
-    /// Number of scores indexed.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when built over no scores.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Max of `scores[lo..hi)`; `None` for an empty range.
-    pub fn range_max(&self, lo: usize, hi: usize) -> Option<f64> {
-        if lo >= hi || hi > self.len {
-            return None;
-        }
-        let span = hi - lo;
-        let j = usize::BITS as usize - 1 - span.leading_zeros() as usize;
-        let block = 1usize << j;
-        Some(self.levels[j][lo].max(self.levels[j][hi - block]))
-    }
-}
-
-/// Static range-argmax structure: like [`SparseMaxTable`] but returns the
-/// *position* of the maximum score, which the AVG window index needs to
+/// Static range-argmax structure: returns the *position* of the maximum
+/// score rather than its value, which the AVG window index needs to
 /// re-evaluate the winning window's variance against the actual partition
 /// size (Appendix A.4 stores the argmax sample `t_g` for the same reason).
 #[derive(Debug, Clone)]
@@ -161,36 +110,5 @@ mod tests {
         let t = SparseArgmaxTable::build(&[]);
         assert!(t.is_empty());
         assert_eq!(t.range_argmax(0, 1), None);
-    }
-
-    #[test]
-    fn matches_naive_on_random_data() {
-        let mut rng = rng_from_seed(1);
-        let scores: Vec<f64> = (0..200).map(|_| rng.gen::<f64>() * 100.0).collect();
-        let t = SparseMaxTable::build(&scores);
-        for lo in 0..scores.len() {
-            for hi in (lo + 1)..=scores.len() {
-                let naive = scores[lo..hi].iter().cloned().fold(f64::MIN, f64::max);
-                assert_eq!(t.range_max(lo, hi), Some(naive), "[{lo},{hi})");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_and_degenerate() {
-        let t = SparseMaxTable::build(&[]);
-        assert!(t.is_empty());
-        assert_eq!(t.range_max(0, 0), None);
-        let t = SparseMaxTable::build(&[7.0]);
-        assert_eq!(t.range_max(0, 1), Some(7.0));
-        assert_eq!(t.range_max(0, 2), None);
-        assert_eq!(t.range_max(1, 1), None);
-    }
-
-    #[test]
-    fn handles_negative_scores() {
-        let t = SparseMaxTable::build(&[-5.0, -1.0, -9.0]);
-        assert_eq!(t.range_max(0, 3), Some(-1.0));
-        assert_eq!(t.range_max(2, 3), Some(-9.0));
     }
 }

@@ -12,27 +12,17 @@
 //! correction `(N-K)/(N-1)` (footnote 1).
 //!
 //! This module is the *reference* implementation: row-at-a-time, written to
-//! mirror the paper's equations. The serving hot path runs the
-//! allocation-free, column-at-a-time kernels in [`crate::kernel`] instead,
-//! which are pinned bit-identical to these functions by the kernel-contract
-//! tests — change the two in lockstep or not at all.
+//! mirror the paper's equations. It is the oracle, not a second
+//! implementation: every engine runs the allocation-free, column-at-a-time
+//! kernels in [`crate::kernel`], which `tests/kernel_contract.rs` pins
+//! bit-identical to these functions, and `pass-lint` rule `reference-only`
+//! keeps this module's functions out of everything but tests and benches.
 
 use pass_common::stats::{fpc, population_variance};
 use pass_common::{AggKind, Rect};
 
+use crate::kernel::PointVariance;
 use crate::sample::Sample;
-
-/// A point estimate together with the variance *of the estimator* (i.e.
-/// `var(φ(S))/K · FPC`, ready to be λ-scaled into a CI) and the matching
-/// sample count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointVariance {
-    pub value: f64,
-    /// Variance of the estimator; `ci_half = λ · variance.sqrt()`.
-    pub variance: f64,
-    /// Number of sampled tuples satisfying the predicate (`K_pred`).
-    pub k_pred: u64,
-}
 
 /// Estimate `agg` over the population the sample represents, restricted to
 /// the rows matching `rect`.

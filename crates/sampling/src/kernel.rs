@@ -63,8 +63,19 @@ use pass_common::kahan::KahanSum;
 use pass_common::stats::fpc;
 use pass_common::{AggKind, Query, Rect};
 
-use crate::estimator::PointVariance;
 use crate::sample::Sample;
+
+/// A point estimate together with the variance *of the estimator* (i.e.
+/// `var(φ(S))/K · FPC`, ready to be λ-scaled into a CI) and the matching
+/// sample count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PointVariance {
+    pub value: f64,
+    /// Variance of the estimator; `ci_half = λ · variance.sqrt()`.
+    pub variance: f64,
+    /// Number of sampled tuples satisfying the predicate (`K_pred`).
+    pub k_pred: u64,
+}
 
 /// Queries per fused tile: bounds the flat mask buffer at `TILE · k`
 /// bytes while keeping each predicate column resident across the tile.

@@ -4,7 +4,8 @@
 //!   stored as a mini-table plus the population size it represents;
 //! * [`estimator`] — the φ-transform point estimators and their variances
 //!   for SUM / COUNT / AVG (Equations 1–4), with finite-population
-//!   correction — the readable reference implementation;
+//!   correction — the readable reference the kernels are tested against,
+//!   called from tests and benches only;
 //! * [`kernel`] — the allocation-free, column-at-a-time scan kernels the
 //!   serving hot path runs on: a reusable [`ScanScratch`] with branchless
 //!   mask builds, fused batch evaluation, and a binary-search fast path
@@ -15,8 +16,6 @@
 //!   pointers;
 //! * [`stratified`] — the weighted combination of per-stratum estimates and
 //!   the Section 2.2 confidence-interval formula;
-//! * [`reservoir`] — Vitter's reservoir sampling, the maintenance mechanism
-//!   behind dynamic inserts (Section 4.5);
 //! * [`delta`] — delta encoding of stratified samples against the partition
 //!   mean (the Section 3.4 compression optimization).
 
@@ -24,14 +23,11 @@ pub mod arena;
 pub mod delta;
 pub mod estimator;
 pub mod kernel;
-pub mod reservoir;
 pub mod sample;
 pub mod snapshot;
 pub mod stratified;
 
 pub use arena::SampleArena;
-pub use estimator::{estimate, estimate_minmax, PointVariance};
-pub use kernel::{with_scratch, SampleView, ScanScratch};
-pub use reservoir::Reservoir;
+pub use kernel::{with_scratch, PointVariance, SampleView, ScanScratch};
 pub use sample::Sample;
 pub use stratified::{combine_strata, StratumEstimate};

@@ -8,7 +8,7 @@
 
 use pass_common::AggKind;
 
-use crate::estimator::PointVariance;
+use crate::kernel::PointVariance;
 
 /// One stratum's contribution to a combined estimate.
 #[derive(Debug, Clone, Copy)]

@@ -1,6 +1,6 @@
 //! Property tests for the sampling substrate: without-replacement
 //! invariants, estimator exactness at full sampling, stratified
-//! combination conservation, reservoir size laws, and delta-encoding error
+//! combination conservation, and delta-encoding error
 //! bounds.
 
 use proptest::prelude::*;
@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use pass_common::rng::rng_from_seed;
 use pass_common::{AggKind, Query, Rect};
 use pass_sampling::delta::DeltaEncoded;
-use pass_sampling::{combine_strata, estimate, Reservoir, Sample, StratumEstimate};
+use pass_sampling::estimator::estimate;
+use pass_sampling::{combine_strata, Sample, StratumEstimate};
 use pass_table::Table;
 
 fn table_strategy() -> impl Strategy<Value = Table> {
@@ -74,24 +75,6 @@ proptest! {
         );
         let truth = t.ground_truth(&Query::new(AggKind::Sum, rect)).unwrap();
         prop_assert!((combined.value - truth).abs() < 1e-6 * truth.abs().max(1.0));
-    }
-
-    /// Reservoirs never exceed capacity and track the stream length.
-    #[test]
-    fn reservoir_size_laws(cap in 0usize..50, stream in 0usize..500, seed in 0u64..100) {
-        let mut rng = rng_from_seed(seed);
-        let mut r = Reservoir::new(cap);
-        for i in 0..stream {
-            r.offer(i, &mut rng);
-        }
-        prop_assert_eq!(r.len(), cap.min(stream));
-        prop_assert_eq!(r.seen(), stream as u64);
-        // All held items come from the stream, distinct.
-        let mut items = r.items().to_vec();
-        items.sort_unstable();
-        items.dedup();
-        prop_assert_eq!(items.len(), r.len());
-        prop_assert!(r.items().iter().all(|&i| i < stream));
     }
 
     /// Delta encoding's absolute error is bounded by f32 precision of the

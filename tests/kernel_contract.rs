@@ -21,7 +21,8 @@
 use proptest::prelude::*;
 
 use pass::common::{AggKind, Query, Rect};
-use pass::sampling::{estimate as reference, PointVariance, Sample, SampleArena, ScanScratch};
+use pass::sampling::estimator::estimate as reference;
+use pass::sampling::{PointVariance, Sample, SampleArena, ScanScratch};
 use pass::table::Table;
 
 /// Collapse an estimate to raw bits so equality is exact, not approximate.

@@ -5,9 +5,12 @@
 
 use proptest::prelude::*;
 
-use pass::common::{AggKind, PassSpec, Query, Synopsis};
+use pass::common::rng::derive_seed;
+use pass::common::{AggKind, PassError, PassSpec, Query, Rect, Synopsis};
 use pass::core::Pass;
+use pass::table::datasets::{taxi, uniform};
 use pass::table::Table;
+use pass::Engine;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -106,6 +109,254 @@ proptest! {
                 pass.leaf_samples()[li].population(),
                 pass.tree().agg(id).count
             );
+        }
+    }
+}
+
+/// Truth of `agg` over the shadow rows inside `rect` (`None` for
+/// AVG/MIN/MAX of an empty selection).
+fn shadow_truth(shadow: &[(Vec<f64>, f64)], agg: AggKind, rect: &Rect) -> Option<f64> {
+    let matched: Vec<f64> = shadow
+        .iter()
+        .filter(|(p, _)| rect.contains_point(p))
+        .map(|&(_, v)| v)
+        .collect();
+    match agg {
+        AggKind::Count => Some(matched.len() as f64),
+        AggKind::Sum => Some(matched.iter().sum()),
+        _ if matched.is_empty() => None,
+        AggKind::Avg => Some(matched.iter().sum::<f64>() / matched.len() as f64),
+        AggKind::Min => Some(matched.iter().copied().fold(f64::INFINITY, f64::min)),
+        AggKind::Max => Some(matched.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+    }
+}
+
+fn shadow_of(table: &Table) -> Vec<(Vec<f64>, f64)> {
+    (0..table.n_rows())
+        .map(|i| (table.point(i), table.value(i)))
+        .collect()
+}
+
+/// A deterministic unit-interval stream (SplitMix over a counter).
+fn unit(seed: u64, i: &mut u64) -> f64 {
+    *i += 1;
+    (derive_seed(seed, *i) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+fn assert_leaves_track_samples(pass: &Pass, rows: usize) {
+    let tree = pass.tree();
+    assert_eq!(tree.agg(tree.root()).count, rows as u64);
+    let mut leaf_total = 0;
+    for (li, id) in tree.leaves().into_iter().enumerate() {
+        assert_eq!(pass.leaf_samples()[li].population(), tree.agg(id).count);
+        leaf_total += tree.agg(id).count;
+    }
+    assert_eq!(leaf_total, rows as u64);
+}
+
+/// A workload-shift PASS (tree over two of six taxi dimensions) updates
+/// in the table's arity like any other synopsis; before the tree was
+/// lifted at build time a 6-D insert was a `DimensionMismatch` and a 2-D
+/// one a panic.
+#[test]
+fn workload_shift_pass_absorbs_full_arity_updates() {
+    let table = taxi(4_000, 31);
+    let mut pass = Pass::from_spec(
+        &table,
+        &PassSpec {
+            partitions: 16,
+            sample_rate: 0.05,
+            seed: 3,
+            tree_dims: Some(vec![0, 1]),
+            ..PassSpec::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(pass.dims(), 6);
+    let bounds = table.bounding_rect().unwrap();
+    let mut shadow = shadow_of(&table);
+
+    let mut i = 0;
+    let mut ops = 0;
+    for step in 0..400 {
+        if step % 4 == 3 {
+            // Delete a live tuple (base rows and earlier inserts alike).
+            let (point, value) =
+                shadow.swap_remove((unit(9, &mut i) * shadow.len() as f64) as usize);
+            pass.delete(&point, value).unwrap();
+        } else {
+            // Insert inside the data's box, or (every tenth) beyond it.
+            let stretch = if step % 10 == 0 { 1.5 } else { 1.0 };
+            let point: Vec<f64> = (0..6)
+                .map(|d| bounds.lo(d) + stretch * unit(9, &mut i) * (bounds.hi(d) - bounds.lo(d)))
+                .collect();
+            let value = 40.0 * unit(9, &mut i);
+            pass.insert(&point, value).unwrap();
+            shadow.push((point, value));
+        }
+        ops += 1;
+    }
+    assert_eq!(pass.update_epoch(), ops);
+    assert_leaves_track_samples(&pass, shadow.len());
+
+    let whole = Rect::whole(6);
+    let count = pass
+        .estimate(&Query::new(AggKind::Count, whole.clone()))
+        .unwrap();
+    assert!(count.exact);
+    assert_eq!(count.value, shadow.len() as f64);
+    let sum = pass
+        .estimate(&Query::new(AggKind::Sum, whole.clone()))
+        .unwrap();
+    let truth = shadow_truth(&shadow, AggKind::Sum, &whole).unwrap();
+    assert!((sum.value - truth).abs() <= 1e-9 * truth.abs());
+    // Constraining an unindexed dimension still brackets the truth.
+    let mid = (bounds.lo(4) + bounds.hi(4)) / 2.0;
+    let rect = whole.narrowed(4, f64::NEG_INFINITY, mid);
+    for agg in [AggKind::Count, AggKind::Sum] {
+        let est = pass.estimate(&Query::new(agg, rect.clone())).unwrap();
+        let truth = shadow_truth(&shadow, agg, &rect).unwrap();
+        let (lb, ub) = est.hard_bounds.unwrap();
+        assert!(
+            lb - 1e-6 <= truth && truth <= ub + 1e-6,
+            "{agg}: {truth} ∉ [{lb},{ub}]"
+        );
+    }
+
+    // Wrong arities — the tree's own included — are typed errors that
+    // change nothing.
+    for arity in [1, 2, 5, 7] {
+        let mismatch = PassError::DimensionMismatch {
+            expected: 6,
+            got: arity,
+        };
+        assert_eq!(pass.insert(&vec![0.5; arity], 1.0), Err(mismatch.clone()));
+        assert_eq!(pass.delete(&vec![0.5; arity], 1.0), Err(mismatch));
+    }
+    assert_eq!(pass.update_epoch(), ops);
+}
+
+/// Deleting the value a node's stored MIN (MAX) came from leaves that
+/// extremum stale. It stays a valid bound on its own side, but it is no
+/// longer the answer — at the parent of this test MIN over everything
+/// answered `-1000`, `exact`, with hard bounds `(-1000, -1000)`.
+#[test]
+fn minmax_never_claim_exactness_on_a_stale_extremum() {
+    let table = uniform(2_000, 16);
+    let shadow = shadow_of(&table);
+    let spec = PassSpec {
+        partitions: 8,
+        sample_rate: 0.05,
+        seed: 16,
+        ..PassSpec::default()
+    };
+    let whole = Rect::interval(-1.0, 2.0);
+    for (agg, outlier) in [(AggKind::Min, -1_000.0), (AggKind::Max, 1_000.0)] {
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        let q = Query::new(agg, whole.clone());
+        let truth = shadow_truth(&shadow, agg, &whole).unwrap();
+        let before = pass.estimate(&q).unwrap();
+        assert!(before.exact);
+        assert_eq!(before.value, truth);
+
+        pass.insert(&[0.5], outlier).unwrap();
+        let with_outlier = pass.estimate(&q).unwrap();
+        assert!(with_outlier.exact, "an inserted extremum is attained");
+        assert_eq!(with_outlier.value, outlier);
+
+        pass.delete(&[0.5], outlier).unwrap();
+        let after = pass.estimate(&q).unwrap();
+        assert!(!after.exact, "{agg}: the stored extremum is stale");
+        let (lb, ub) = after.hard_bounds.unwrap();
+        assert!(lb <= truth && truth <= ub, "{agg}: {truth} ∉ [{lb},{ub}]");
+        // A covered leaf the outlier never visited still answers exactly.
+        let last = *pass.tree().leaves().last().unwrap();
+        let apart = Rect::interval(pass.tree().rect_lo(last, 0), 2.0);
+        assert!(pass.estimate(&Query::new(agg, apart)).unwrap().exact);
+
+        // The looseness is part of the state: it survives a snapshot.
+        let mut bytes = Vec::new();
+        pass.save(&mut bytes).unwrap();
+        let loaded = Engine::load(&bytes).unwrap();
+        assert_eq!(loaded.estimate(&q).unwrap(), after);
+    }
+}
+
+/// Hard bounds are a guarantee, so they must hold after any update
+/// stream — deletions of current extrema included — for every aggregate.
+#[test]
+fn hard_bounds_contain_the_truth_after_an_update_stream() {
+    for seed in [16u64, 17, 18] {
+        let table = uniform(1_500, seed);
+        let mut shadow = shadow_of(&table);
+        let mut pass = Pass::from_spec(
+            &table,
+            &PassSpec {
+                partitions: 8,
+                sample_rate: 0.05,
+                seed,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
+        let mut i = 0;
+        for step in 0..600 {
+            match step % 3 {
+                0 => {
+                    let point = vec![unit(seed, &mut i)];
+                    let value = 200.0 * unit(seed, &mut i) - 50.0;
+                    pass.insert(&point, value).unwrap();
+                    shadow.push((point, value));
+                }
+                // Delete a random live tuple…
+                1 => {
+                    let (point, value) =
+                        shadow.swap_remove((unit(seed, &mut i) * shadow.len() as f64) as usize);
+                    pass.delete(&point, value).unwrap();
+                }
+                // …or the current global minimum / maximum.
+                _ => {
+                    let by_value = |a: &&(Vec<f64>, f64), b: &&(Vec<f64>, f64)| a.1.total_cmp(&b.1);
+                    let target = if step % 2 == 0 {
+                        shadow.iter().min_by(by_value)
+                    } else {
+                        shadow.iter().max_by(by_value)
+                    };
+                    let pos = shadow.iter().position(|row| Some(row) == target).unwrap();
+                    let (point, value) = shadow.swap_remove(pos);
+                    pass.delete(&point, value).unwrap();
+                }
+            }
+        }
+        assert_leaves_track_samples(&pass, shadow.len());
+        for agg in AggKind::ALL {
+            for (lo, hi) in [
+                (-1.0, 2.0),
+                (0.0, 0.5),
+                (0.13, 0.77),
+                (0.4, 0.45),
+                (0.9, 1.0),
+            ] {
+                let rect = Rect::interval(lo, hi);
+                let (Ok(est), Some(truth)) = (
+                    pass.estimate(&Query::new(agg, rect.clone())),
+                    shadow_truth(&shadow, agg, &rect),
+                ) else {
+                    continue;
+                };
+                let (lb, ub) = est.hard_bounds.expect("non-empty selection has bounds");
+                let slack = 1e-9 * truth.abs().max(1.0);
+                assert!(
+                    lb - slack <= truth && truth <= ub + slack,
+                    "seed {seed} {agg} [{lo},{hi}]: {truth} ∉ [{lb},{ub}]"
+                );
+                if est.exact {
+                    assert!(
+                        (est.value - truth).abs() <= slack,
+                        "seed {seed} {agg} [{lo},{hi}]"
+                    );
+                }
+            }
         }
     }
 }

@@ -85,4 +85,4 @@ pub use snapshot::{SnapshotError, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSI
 pub use spec::{EngineSpec, JoinSpec, PartitionStrategy, PassSpec, ShardPlan};
 pub use stats::{lambda_for_confidence, LAMBDA_95, LAMBDA_99};
 pub use synopsis::{estimate_group_by, estimate_many_parallel, Synopsis, PARALLEL_MIN_BATCH};
-pub use ticket::{ServeOutcome, Ticket, TicketSlot};
+pub use ticket::{ServeOutcome, Ticket, TicketSlot, TicketWake};

@@ -23,11 +23,16 @@
 //! Like [`TicketSlot`](crate::TicketSlot), dropping every slot clone
 //! without resolving cancels the ticket, so clients never block forever
 //! on a request the server lost.
+//!
+//! Wakeups follow the serving tier's one rule (`docs/CONCURRENCY.md`,
+//! "The wake rule"): waiters count themselves under the ticket lock
+//! around each condvar wait, and `publish` / `try_resolve` / the
+//! cancelling drop notify only when that count is non-zero.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::chaos::{Condvar, Mutex};
+use crate::chaos::{Condvar, Mutex, MutexGuard};
 use crate::error::PassError;
 use crate::query::GroupResult;
 
@@ -108,12 +113,29 @@ struct ProgressiveState {
     /// Live [`ProgressiveSlot`] clones; the last one to drop without a
     /// resolution cancels the ticket.
     producers: usize,
+    /// Threads inside a condvar wait on `changed` right now — the same
+    /// under-the-lock count `Ticket` keeps, so producers notify only
+    /// when someone is parked.
+    parked: usize,
 }
 
 #[derive(Debug, Default)]
 struct ProgressiveShared {
     state: Mutex<ProgressiveState>,
     changed: Condvar,
+}
+
+impl ProgressiveShared {
+    /// Wake the parked waiters, if there were any when `state` was
+    /// last changed. Consumes the guard: the wakeup is issued after
+    /// unlocking, the decision under the lock.
+    fn unlock_and_wake(&self, state: MutexGuard<'_, ProgressiveState>) {
+        let parked = state.parked > 0;
+        drop(state);
+        if parked {
+            self.changed.notify_all();
+        }
+    }
 }
 
 /// The client half of a progressive group-by request: observe the
@@ -195,7 +217,7 @@ impl ProgressiveTicket {
 
     /// Whether the ticket has resolved.
     pub fn is_resolved(&self) -> bool {
-        self.poll().is_some()
+        self.shared.state.lock().outcome.is_some()
     }
 
     /// Block until the terminal outcome arrives.
@@ -205,7 +227,9 @@ impl ProgressiveTicket {
             if let Some(outcome) = &state.outcome {
                 return outcome.clone();
             }
+            state.parked += 1;
             state = self.shared.changed.wait(state);
+            state.parked -= 1;
         }
     }
 
@@ -221,8 +245,10 @@ impl ProgressiveTicket {
             if now >= deadline {
                 return None;
             }
+            state.parked += 1;
             let (next, _timed_out) = self.shared.changed.wait_timeout(state, deadline - now);
             state = next;
+            state.parked -= 1;
         }
     }
 }
@@ -249,8 +275,7 @@ impl ProgressiveSlot {
             return false;
         }
         state.snapshots.push(snapshot);
-        drop(state);
-        self.shared.changed.notify_all();
+        self.shared.unlock_and_wake(state);
         true
     }
 
@@ -263,8 +288,7 @@ impl ProgressiveSlot {
             return false;
         }
         state.outcome = Some(outcome);
-        drop(state);
-        self.shared.changed.notify_all();
+        self.shared.unlock_and_wake(state);
         true
     }
 
@@ -290,8 +314,7 @@ impl Drop for ProgressiveSlot {
         state.producers -= 1;
         if state.producers == 0 && state.outcome.is_none() {
             state.outcome = Some(ProgressiveOutcome::Cancelled);
-            drop(state);
-            self.shared.changed.notify_all();
+            self.shared.unlock_and_wake(state);
         }
     }
 }

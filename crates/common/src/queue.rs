@@ -28,6 +28,11 @@
 //! here, and that includes the scheduling structure: a sorted `VecDeque`
 //! with binary-search insertion beats a heap because the coalescing
 //! drain walks entries in schedule order and FIFO ties are free.
+//!
+//! Consumers count themselves (under that one `Mutex`) while parked in
+//! [`pop_blocking`](RequestQueue::pop_blocking), so a push wakes one
+//! only when one is actually parked — with every worker busy, which is
+//! exactly when the queue is hot, a push makes no syscall at all.
 
 use std::collections::VecDeque;
 
@@ -98,6 +103,10 @@ struct QueueInner<T> {
     closed: bool,
     paused: bool,
     high_water: usize,
+    /// Consumers inside the condvar wait of `pop_blocking` right now
+    /// (incremented before the wait, decremented after it, under this
+    /// lock): a push only pays for a wakeup when this is non-zero.
+    parked: usize,
 }
 
 impl<T> QueueInner<T> {
@@ -175,6 +184,7 @@ impl<T> RequestQueue<T> {
                 closed: false,
                 paused: false,
                 high_water: 0,
+                parked: 0,
             }),
             available: Condvar::new(),
         }
@@ -276,8 +286,11 @@ impl<T> RequestQueue<T> {
     }
 
     /// The one push-success path: admission control, EDF insertion,
-    /// high-water accounting, and the consumer wakeup, all under the
-    /// caller's lock. Hands `item` back on a closed or full queue.
+    /// high-water accounting, and the decision to wake a consumer, all
+    /// under the caller's lock — the wakeup itself is issued after
+    /// unlocking, and only if a consumer was parked (with every worker
+    /// busy it would be a `futex` syscall nobody hears). Hands `item`
+    /// back on a closed or full queue.
     fn push_locked(
         &self,
         mut inner: MutexGuard<'_, QueueInner<T>>,
@@ -299,8 +312,11 @@ impl<T> RequestQueue<T> {
             },
         );
         inner.high_water = inner.high_water.max(inner.len());
+        let parked = inner.parked > 0;
         drop(inner);
-        self.available.notify_one();
+        if parked {
+            self.available.notify_one();
+        }
         Ok(())
     }
 
@@ -326,7 +342,9 @@ impl<T> RequestQueue<T> {
                     return None;
                 }
             }
+            inner.parked += 1;
             inner = self.available.wait(inner);
+            inner.parked -= 1;
         }
     }
 

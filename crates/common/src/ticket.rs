@@ -14,6 +14,18 @@
 //! slot dropped unfulfilled (worker panic, aborted shutdown) resolves
 //! its ticket to [`ServeOutcome::Cancelled`], so a client can never
 //! block forever on a request the server lost.
+//!
+//! Wakeups are **conditional and deferrable**. Waiters count themselves
+//! in `TicketState::parked` (under the ticket lock) around every condvar
+//! wait, and the producer reads that count under the same lock as it
+//! stores the outcome: nobody parked means no `notify_all` — which on
+//! Linux is a `futex` syscall whether or not anyone listens. When
+//! someone *is* parked, [`TicketSlot::store`] hands back a [`TicketWake`]
+//! that wakes them when dropped, so a worker resolving a whole batch
+//! stores every outcome first and wakes afterwards (one wakeup per batch
+//! instead of one park/preempt round trip per ticket).
+//! [`TicketSlot::fulfill`] is the batch of one: store, then drop the
+//! handle.
 
 use std::sync::Arc;
 
@@ -66,6 +78,11 @@ struct TicketState {
     /// bulk ones. See `Ticket::completion_index` for the multi-worker
     /// caveat.
     seq: Option<u64>,
+    /// Threads inside a condvar wait on `done` right now: incremented
+    /// before each wait, decremented on every return from one (wakeup,
+    /// spurious wakeup and timeout alike), always under this lock — so
+    /// the producer's "is anyone parked?" read cannot race a waiter.
+    parked: usize,
 }
 
 #[derive(Debug, Default)]
@@ -131,7 +148,7 @@ impl Ticket {
 
     /// Whether the ticket has resolved.
     pub fn is_resolved(&self) -> bool {
-        self.poll().is_some()
+        self.shared.state.lock().outcome.is_some()
     }
 
     /// Block until the outcome arrives.
@@ -141,7 +158,9 @@ impl Ticket {
             if let Some(outcome) = &state.outcome {
                 return outcome.clone();
             }
+            state.parked += 1;
             state = self.shared.done.wait(state);
+            state.parked -= 1;
         }
     }
 
@@ -157,8 +176,10 @@ impl Ticket {
             if now >= deadline {
                 return None;
             }
+            state.parked += 1;
             let (next, _timed_out) = self.shared.done.wait_timeout(state, deadline - now);
             state = next;
+            state.parked -= 1;
         }
     }
 
@@ -187,26 +208,52 @@ pub struct TicketSlot {
 
 impl TicketSlot {
     /// Resolve the ticket with `outcome` (and, for executed requests,
-    /// the server's completion stamp). Consumes the slot: an outcome is
-    /// final.
-    pub fn fulfill(mut self, outcome: ServeOutcome, seq: Option<u64>) {
-        self.fulfill_inner(outcome, seq);
+    /// the server's completion stamp) and wake whoever is parked on it.
+    /// Consumes the slot: an outcome is final.
+    pub fn fulfill(self, outcome: ServeOutcome, seq: Option<u64>) {
+        drop(self.store(outcome, seq));
     }
 
-    fn fulfill_inner(&mut self, outcome: ServeOutcome, seq: Option<u64>) {
-        if let Some(shared) = self.shared.take() {
-            let mut state = shared.state.lock();
-            state.outcome = Some(outcome);
-            state.seq = seq;
-            drop(state);
-            shared.done.notify_all();
-        }
+    /// Resolve the ticket **without waking anyone yet**: the outcome is
+    /// final and visible to `poll` / `wait` from here on, and the
+    /// returned [`TicketWake`] — `Some` only if a thread was parked on
+    /// the ticket at that moment — wakes the sleepers when dropped. A
+    /// worker resolving a batch keeps the handles until its last store,
+    /// so the first waiter it wakes finds every answer ready instead of
+    /// preempting the worker once per ticket.
+    pub fn store(mut self, outcome: ServeOutcome, seq: Option<u64>) -> Option<TicketWake> {
+        self.store_inner(outcome, seq)
+    }
+
+    fn store_inner(&mut self, outcome: ServeOutcome, seq: Option<u64>) -> Option<TicketWake> {
+        let shared = self.shared.take()?;
+        let mut state = shared.state.lock();
+        state.outcome = Some(outcome);
+        state.seq = seq;
+        let parked = state.parked > 0;
+        drop(state);
+        parked.then(|| TicketWake { shared })
     }
 }
 
 impl Drop for TicketSlot {
     fn drop(&mut self) {
-        self.fulfill_inner(ServeOutcome::Cancelled, None);
+        drop(self.store_inner(ServeOutcome::Cancelled, None));
+    }
+}
+
+/// The pending wakeup of a resolved [`Ticket`] that had a parked waiter
+/// (see [`TicketSlot::store`]). Waking happens **on drop**, so a worker
+/// that unwinds between storing a batch's outcomes and waking its
+/// waiters still wakes every one of them.
+#[derive(Debug)]
+pub struct TicketWake {
+    shared: Arc<Shared>,
+}
+
+impl Drop for TicketWake {
+    fn drop(&mut self) {
+        self.shared.done.notify_all();
     }
 }
 
@@ -246,6 +293,37 @@ mod tests {
             ticket.wait_timeout(Duration::from_millis(5)),
             Some(ServeOutcome::Rejected)
         );
+    }
+
+    #[test]
+    fn an_expired_wait_timeout_leaves_nobody_counted_as_parked() {
+        let (ticket, slot) = Ticket::pending();
+        assert_eq!(ticket.wait_timeout(Duration::from_millis(2)), None);
+        assert_eq!(ticket.shared.state.lock().parked, 0);
+        // The waiter left: resolving now owes nobody a wakeup.
+        assert!(slot.store(ServeOutcome::Rejected, None).is_none());
+        assert!(ticket.is_resolved());
+    }
+
+    #[test]
+    fn a_clone_parked_on_another_thread_wakes_with_the_first() {
+        let (ticket, slot) = Ticket::pending();
+        let twin = ticket.clone();
+        std::thread::scope(|s| {
+            let first = s.spawn(|| ticket.wait());
+            let second = s.spawn(|| twin.wait());
+            // Both threads must be inside the condvar wait before the
+            // store, so one handle owes both of them the wakeup.
+            while ticket.shared.state.lock().parked < 2 {
+                std::thread::yield_now();
+            }
+            let wake = slot.store(ServeOutcome::Done(vec![]), Some(9));
+            assert!(wake.is_some(), "two parked waiters are owed a wakeup");
+            drop(wake);
+            assert!(first.join().unwrap().is_done());
+            assert!(second.join().unwrap().is_done());
+        });
+        assert_eq!(ticket.shared.state.lock().parked, 0);
     }
 
     #[test]

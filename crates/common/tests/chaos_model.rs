@@ -388,6 +388,117 @@ fn shutdown_leaves_no_ticket_behind() {
     assert!(report.exhausted, "bounded-exhaustive at 2 preemptions");
 }
 
+/// Wake rule, ticket half: `fulfill` notifies only if it read a
+/// non-zero parked count under the ticket lock. Two waiters (a ticket
+/// and its clone) entering `wait()` race that gated `fulfill` through
+/// every interleaving of park-count increment, condvar wait, store and
+/// conditional notify: neither ever sleeps through the outcome (a lost
+/// wakeup is a deadlock here) and both observe it.
+#[test]
+fn gated_fulfill_never_strands_a_waiter_entering_wait() {
+    let report = Chaos::new("gated_fulfill_vs_wait")
+        .preemptions(3)
+        .check(|| {
+            let (ticket, slot) = Ticket::pending();
+            let twin = ticket.clone();
+            chaos::scope(|s| {
+                let first = s.spawn(|| ticket.wait());
+                let second = s.spawn(|| twin.wait());
+                slot.fulfill(ServeOutcome::Done(Vec::new()), Some(4));
+                assert!(first.join().unwrap().is_done());
+                assert!(second.join().unwrap().is_done());
+            });
+            assert_eq!(ticket.completion_index(), Some(4));
+        });
+    assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
+}
+
+/// Wake rule, batch half (resolve-then-wake): a worker stores the
+/// outcomes of a three-ticket batch, keeps the wake handles, and only
+/// then drops them, while clients wait on the first, the middle and the
+/// last ticket. Every waiter wakes to its own ticket's outcome and every
+/// ticket resolves exactly once (its stamp is the one the worker gave
+/// it). Second model: the worker dies after the second store with the
+/// handles unwoken and the third slot still in hand — the unwind drops
+/// the handles (waking the sleepers whose answers are in place) and the
+/// slot (cancelling, and waking, the third).
+#[test]
+fn batch_completion_stores_all_then_wakes_every_parked_waiter() {
+    fn model(crash_after_two: bool) {
+        let (tickets, slots): (Vec<Ticket>, Vec<_>) = (0..3).map(|_| Ticket::pending()).unzip();
+        chaos::scope(|s| {
+            let first = s.spawn(|| tickets[0].wait());
+            let last = s.spawn(|| tickets[2].wait());
+            let worker = s.spawn(move || {
+                let mut wakes = Vec::new();
+                for (i, slot) in slots.into_iter().enumerate() {
+                    if crash_after_two && i == 2 {
+                        let _still_held = slot;
+                        panic!("injected worker crash between store and wake");
+                    }
+                    let answer = Ok(Estimate::exact(i as f64));
+                    wakes.extend(slot.store(ServeOutcome::Done(vec![answer]), Some(i as u64)));
+                }
+                drop(wakes);
+            });
+            // The model's own thread is the client of the middle ticket.
+            let middle = tickets[1].wait();
+            assert_eq!(worker.join().is_err(), crash_after_two);
+            let outcomes = [first.join().unwrap(), middle, last.join().unwrap()];
+            for (i, outcome) in outcomes.into_iter().enumerate() {
+                if crash_after_two && i == 2 {
+                    assert_eq!(outcome, ServeOutcome::Cancelled);
+                } else {
+                    let value = outcome.results().unwrap()[0].as_ref().unwrap().value;
+                    assert_eq!(
+                        value, i as f64,
+                        "waiter {i} woke to another ticket's answer"
+                    );
+                }
+            }
+        });
+        for (i, ticket) in tickets.iter().enumerate() {
+            let stored = !(crash_after_two && i == 2);
+            assert_eq!(ticket.completion_index(), stored.then_some(i as u64));
+        }
+    }
+    let report = Chaos::new("batch_store_then_wake")
+        .preemptions(2)
+        .check(|| model(false));
+    assert!(report.exhausted, "bounded-exhaustive at 2 preemptions");
+    let report = Chaos::new("batch_wake_on_unwind")
+        .preemptions(2)
+        .check(|| model(true));
+    assert!(report.exhausted, "bounded-exhaustive at 2 preemptions");
+}
+
+/// Wake rule, queue half: `push_locked` notifies only if a consumer was
+/// parked when the item went in. Two consumers entering `pop_blocking`
+/// race two gated pushes: each accepted push is popped exactly once and
+/// no consumer sleeps through a non-empty queue (that would deadlock the
+/// joins).
+#[test]
+fn gated_push_never_strands_a_consumer_entering_pop() {
+    let report = Chaos::new("gated_push_vs_pop").preemptions(3).check(|| {
+        let queue: RequestQueue<u32> = RequestQueue::new(4);
+        let mut popped = chaos::scope(|s| {
+            let c1 = s.spawn(|| queue.pop_blocking());
+            let c2 = s.spawn(|| queue.pop_blocking());
+            queue.try_push(1, Priority::Interactive).unwrap();
+            queue.try_push(2, Priority::Interactive).unwrap();
+            [c1.join().unwrap(), c2.join().unwrap()].map(|got| got.map(|(item, _)| item))
+        });
+        popped.sort_unstable();
+        assert_eq!(
+            popped,
+            [Some(1), Some(2)],
+            "a push was lost or popped twice"
+        );
+        assert!(queue.is_empty());
+    });
+    assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
+}
+
 /// Progressive resolution is first-wins and exactly-once: a worker
 /// publishing the final snapshot and resolving `Done { partial: false }`
 /// races a deadline path resolving the best estimate so far as

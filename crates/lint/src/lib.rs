@@ -608,6 +608,13 @@ const LOCK_PATTERNS: &[LockPattern] = &[
         rank: 1,
         binds_guard: false,
     },
+    LockPattern {
+        file: None,
+        pattern: ".store(",
+        receiver_hint: "slot",
+        rank: 1,
+        binds_guard: false,
+    },
     // Entry points that take the cache lock.
     LockPattern {
         file: None,

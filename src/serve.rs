@@ -124,7 +124,7 @@ use std::time::{Duration, Instant};
 use pass_common::{
     GroupByQuery, LatencyHistogram, PassError, Priority, ProgressiveOutcome, ProgressiveSlot,
     ProgressiveTicket, PushError, Query, QueryKey, RequestQueue, Result, ServeOutcome, ThreadPool,
-    Ticket, TicketSlot,
+    Ticket, TicketSlot, TicketWake,
 };
 
 use crate::session::SessionHandle;
@@ -484,13 +484,19 @@ impl ServeShared {
     /// away; for plain requests, expire what is stale (waiter by waiter
     /// — attached duplicates carry their own deadlines), run the rest as
     /// one engine batch, and fan each request's results out to every
-    /// surviving waiter.
+    /// surviving waiter — **store all, then wake**: every outcome of the
+    /// batch is in its ticket before the first parked client is woken,
+    /// so that client finds the whole batch resolved instead of
+    /// preempting this worker once per ticket.
     fn execute(&self, engine: usize, requests: Vec<Request>) {
         let state = &self.engines[engine];
         let now = Instant::now();
-        let mut live: Vec<(Vec<Query>, Vec<Waiter>)> = Vec::with_capacity(requests.len());
+        // One flat engine batch: each request's queries are moved in,
+        // `live` remembers how many it contributed and who waits on them.
+        let mut queries: Vec<Query> = Vec::new();
+        let mut live: Vec<(usize, Vec<Waiter>)> = Vec::with_capacity(requests.len());
         for req in requests {
-            let (queries, waiters) = match req.body {
+            let (mut request_queries, mut waiters) = match req.body {
                 Body::Progressive(job) => {
                     self.execute_progressive(state, job);
                     continue;
@@ -504,27 +510,27 @@ impl ServeShared {
             // least one waiter is still live — and an expired request
             // popping first (EDF sorts it first) never blocks a live
             // later one, because expiry resolves without executing.
-            let (stale, alive): (Vec<Waiter>, Vec<Waiter>) = waiters
-                .into_iter()
-                .partition(|w| matches!(w.deadline, Some(d) if d <= now));
-            for waiter in stale {
-                // relaxed: observability counters — monotonic, never
-                // synchronize other memory (here and below).
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                state.expired.fetch_add(1, Ordering::Relaxed);
-                waiter.slot.fulfill(ServeOutcome::Expired, None);
+            let stale = |w: &Waiter| matches!(w.deadline, Some(d) if d <= now);
+            if waiters.iter().any(stale) {
+                let (expired, alive): (Vec<Waiter>, Vec<Waiter>) =
+                    waiters.into_iter().partition(stale);
+                for waiter in expired {
+                    // relaxed: observability counters — monotonic, never
+                    // synchronize other memory (here and below).
+                    self.expired.fetch_add(1, Ordering::Relaxed);
+                    state.expired.fetch_add(1, Ordering::Relaxed);
+                    waiter.slot.fulfill(ServeOutcome::Expired, None);
+                }
+                waiters = alive;
             }
-            if !alive.is_empty() {
-                live.push((queries, alive));
+            if !waiters.is_empty() {
+                live.push((request_queries.len(), waiters));
+                queries.append(&mut request_queries);
             }
         }
         if live.is_empty() {
             return;
         }
-        let queries: Vec<Query> = live
-            .iter()
-            .flat_map(|(queries, _)| queries.iter().cloned())
-            .collect();
         let results = state
             .handle
             .estimate_many_parallel(&queries, &self.batch_pool);
@@ -533,8 +539,13 @@ impl ServeShared {
         state.batches.fetch_add(1, Ordering::Relaxed);
         debug_assert_eq!(results.len(), queries.len());
         let mut results = results.into_iter();
-        for (queries, waiters) in live {
-            let mut slice: Vec<_> = results.by_ref().take(queries.len()).collect();
+        // The tickets that had a parked waiter when their outcome was
+        // stored. Dropping a handle wakes its ticket, so this holds them
+        // past the last store — and an unwind in between still wakes
+        // every sleeper whose answer is already in place.
+        let mut wakes = Vec::new();
+        for (len, waiters) in live {
+            let mut slice: Vec<_> = results.by_ref().take(len).collect();
             // Every waiter but the last gets a clone; the last takes
             // the results themselves.
             let n = waiters.len();
@@ -544,9 +555,10 @@ impl ServeShared {
                 } else {
                     std::mem::take(&mut slice)
                 };
-                self.fulfill_done(state, waiter, ServeOutcome::Done(answers));
+                wakes.extend(self.store_done(state, waiter, ServeOutcome::Done(answers)));
             }
         }
+        drop(wakes);
     }
 
     /// Drive one progressive group-by to resolution: stream refining
@@ -589,8 +601,16 @@ impl ServeShared {
         job.slot.try_resolve(outcome);
     }
 
-    /// Resolve one completed waiter: stamp, record latency, count.
-    fn fulfill_done(&self, state: &EngineState, waiter: Waiter, outcome: ServeOutcome) {
+    /// Resolve one completed waiter — stamp, record latency, count,
+    /// store the outcome — and hand back the wakeup it still owes (if a
+    /// client is parked on the ticket) for the caller to issue once the
+    /// rest of the batch is stored.
+    fn store_done(
+        &self,
+        state: &EngineState,
+        waiter: Waiter,
+        outcome: ServeOutcome,
+    ) -> Option<TicketWake> {
         // relaxed: the stamp only needs uniqueness + atomicity; clients
         // compare stamps they obtained through their own tickets, whose
         // mutex already orders the handoff.
@@ -600,7 +620,7 @@ impl ServeShared {
         // relaxed: observability counters.
         self.completed.fetch_add(1, Ordering::Relaxed);
         state.completed.fetch_add(1, Ordering::Relaxed);
-        waiter.slot.fulfill(outcome, Some(seq));
+        waiter.slot.store(outcome, Some(seq))
     }
 }
 
@@ -1489,6 +1509,37 @@ mod tests {
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.deduped, 2);
         assert_eq!(stats.per_engine[0].deduped, 2);
+    }
+
+    #[test]
+    fn a_stale_duplicate_expires_alone_while_the_request_it_joined_executes() {
+        let session = served_session();
+        let serve = session
+            .serve(
+                "pass",
+                ServeConfig::new().with_workers(1).with_dedup().paused(),
+            )
+            .unwrap();
+        let live = serve.submit(&q(0.2, 0.8));
+        let stale = serve.submit_with(
+            &[q(0.2, 0.8)],
+            &SubmitOptions::interactive().with_deadline(Duration::ZERO),
+        );
+        assert_eq!(serve.queue_depth(), 1, "the duplicate attached");
+        serve.resume();
+        // Deadlines are per waiter: the request still executes for the
+        // live one.
+        assert_eq!(stale.wait(), ServeOutcome::Expired);
+        let got = live.wait().results().unwrap();
+        assert_eq!(
+            got[0].as_ref().unwrap().value,
+            session.estimate("pass", &q(0.2, 0.8)).unwrap().value
+        );
+        let stats = serve.shutdown();
+        assert_eq!(
+            (stats.completed, stats.expired, stats.deduped, stats.batches),
+            (1, 1, 1, 1)
+        );
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!    resolves to `Expired` without the engine ever seeing it.
 //! 4. **Priorities** — co-queued interactive requests complete before
 //!    bulk requests, observable through ticket completion stamps.
+//! 5. **Completion** — a coalesced batch resolves every ticket (all
+//!    outcomes stored, then the parked clients woken) with stamps in
+//!    submission order, and expires exactly the waiters whose deadline
+//!    passed.
 
 use std::time::Duration;
 
@@ -174,6 +178,74 @@ fn expired_requests_resolve_without_executing() {
     let stats = serve.shutdown();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.completed, 1);
+}
+
+/// One coalesced batch, resolve-then-wake: 64 single-query tickets (and
+/// one already-stale submission in their midst) queue behind a paused
+/// worker, a client thread blocks on ticket 0, and the resume executes
+/// them as a single engine batch. Every answer is bit-identical to the
+/// direct one, completion stamps follow submission order (one worker:
+/// a total order), and the stale waiter — which takes the slow,
+/// partitioning path of `execute` while its 64 neighbours take the
+/// allocation-free one — resolves `Expired` without reaching the engine.
+#[test]
+fn a_coalesced_batch_resolves_in_submission_order_and_expires_only_the_stale_waiter() {
+    let session = pass_session();
+    let direct = pass_session();
+    let serve = paused_single_worker(&session, 128);
+    let queries: Vec<Query> = (0..64)
+        .map(|i| Query::interval(AggKind::Sum, i as f64 / 100.0, 0.3 + i as f64 / 100.0))
+        .collect();
+
+    let mut tickets = Vec::new();
+    let mut stale = None;
+    for (i, query) in queries.iter().enumerate() {
+        if i == 32 {
+            stale = Some(serve.submit_with(
+                &[Query::interval(AggKind::Count, 0.05, 0.95)],
+                &SubmitOptions::interactive().with_deadline(Duration::ZERO),
+            ));
+        }
+        tickets.push(serve.submit(query));
+    }
+    let stale = stale.unwrap();
+    assert_eq!(serve.queue_depth(), 65);
+
+    let before = session.cache_stats("pass").unwrap();
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| tickets[0].wait());
+        serve.resume();
+        assert!(parked.join().unwrap().is_done());
+    });
+    let answers: Vec<_> = tickets
+        .iter()
+        .map(|t| t.wait().results().unwrap())
+        .collect();
+    assert_eq!(stale.wait(), ServeOutcome::Expired);
+    assert_eq!(stale.completion_index(), None);
+    let delta = session.cache_stats("pass").unwrap().since(&before);
+    assert_eq!(
+        delta.hits + delta.misses,
+        64,
+        "the stale query must never reach the engine path"
+    );
+
+    for (query, got) in queries.iter().zip(&answers) {
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0], direct.estimate("pass", query), "{query:?}");
+    }
+    let stamps: Vec<u64> = tickets
+        .iter()
+        .map(|t| t.completion_index().unwrap())
+        .collect();
+    assert!(
+        stamps.windows(2).all(|w| w[0] < w[1]),
+        "completion stamps must follow submission order: {stamps:?}"
+    );
+
+    let stats = serve.shutdown();
+    assert_eq!((stats.completed, stats.expired), (64, 1));
+    assert_eq!(stats.batches, 1, "the 64 live requests ran as one batch");
 }
 
 /// Interactive requests overtake co-queued bulk requests: with both

@@ -1,15 +1,12 @@
 //! Perf trajectory for the JOIN engine family: build time, batched
 //! query throughput, and relative CI width of `JoinSynopsis` across a
 //! fact-sample size × key multiplicity sweep, written to
-//! `BENCH_<pr>.json` at the workspace root.
+//! `target/bench-results/micro_join.<scale>.json`.
 //!
 //! Run with `cargo bench -p pass-bench --bench micro_join` (release
-//! profile). `PASS_TRAJECTORY_PR=<n>` stamps the output file name; the
-//! default is the PR that introduced the file. Setting
-//! `PASS_TRAJECTORY_SMOKE=1` shrinks the sweep to a few seconds, skips
-//! the file write, and keeps only the self-check that the payload
-//! parses through `pass_common::json` with every tracked key — the CI
-//! smoke step.
+//! profile). Like every other target it is sized by `PASS_SCALE`: `ci`
+//! (the default) finishes in a few seconds, `paper` runs the full
+//! 200k-row sweep.
 //!
 //! The sweep crosses the fact-side sample budget `k` (CI width should
 //! shrink like 1/√k; scan cost and therefore qps should fall linearly
@@ -18,11 +15,11 @@
 //! query cost should not — queries scan the materialized joined
 //! sample and never touch the index).
 
-use std::sync::OnceLock;
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::black_box;
 use pass::Engine;
+use pass_bench::{write_record, Scale};
 use pass_common::{AggKind, EngineSpec, JoinSpec, Json, Query, Rect, Synopsis};
 use pass_table::Table;
 
@@ -32,23 +29,9 @@ const TRIALS: usize = 5;
 const K_SWEEP: [usize; 3] = [512, 2_048, 8_192];
 const DIM_SWEEP: [usize; 2] = [16, 1_024];
 
-static SMOKE: OnceLock<bool> = OnceLock::new();
-
-fn smoke() -> bool {
-    *SMOKE.get_or_init(|| std::env::var("PASS_TRAJECTORY_SMOKE").is_ok())
-}
-
-fn trials() -> usize {
-    if smoke() {
-        1
-    } else {
-        TRIALS
-    }
-}
-
-/// Median wall-clock milliseconds over [`trials`] runs of `f`.
+/// Median wall-clock milliseconds over [`TRIALS`] runs of `f`.
 fn median_ms(mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..trials())
+    let mut samples: Vec<f64> = (0..TRIALS)
         .map(|_| {
             let start = Instant::now();
             f();
@@ -107,26 +90,21 @@ fn query_batch(batch: usize, dim_n: usize) -> Vec<Query> {
 }
 
 fn main() {
-    let pr = std::env::var("PASS_TRAJECTORY_PR").unwrap_or_else(|_| "10".to_string());
-    let (rows, batch) = if smoke() {
-        (20_000, 128)
-    } else {
-        (FACT_ROWS, BATCH)
-    };
+    let scale = Scale::from_env();
+    let rows = ((FACT_ROWS as f64 * scale.rows_factor) as usize).max(20_000);
+    let batch = scale.queries.min(BATCH);
 
     let mut entries: Vec<(String, Json)> = vec![
         ("bench".to_string(), Json::from("micro_join")),
-        ("pr".to_string(), Json::from(pr.as_str())),
+        ("scale".to_string(), Json::from(scale.label)),
         ("fact_rows".to_string(), Json::from(rows as f64)),
         ("batch".to_string(), Json::from(batch as f64)),
     ];
-    let mut tracked_keys = Vec::new();
 
     for dim_n in DIM_SWEEP {
         let fact = fact_table(rows, dim_n);
         let queries = query_batch(batch, dim_n);
         for k in K_SWEEP {
-            let k = k.min(rows);
             let spec = EngineSpec::Join(join_spec(dim_n, k));
             let build_ms = median_ms(|| {
                 black_box(Engine::build(&fact, &spec).expect("bench build"));
@@ -161,9 +139,7 @@ fn main() {
                 ("batch_qps", qps),
                 ("rel_ci", rel_ci),
             ] {
-                let key = format!("{tag}_{metric}");
-                tracked_keys.push(key.clone());
-                entries.push((key, Json::from(value)));
+                entries.push((format!("{tag}_{metric}"), Json::from(value)));
             }
             println!(
                 "dim {dim_n:>5} k {k:>5}: build {build_ms:>8.2} ms, {qps:>10.0} q/s, rel CI {rel_ci:.4}"
@@ -174,29 +150,5 @@ fn main() {
     // Dynamic keys, so build the object variant directly instead of
     // going through `Json::obj`'s `&'static str` convenience.
     let payload = Json::Obj(entries.into_iter().collect());
-
-    // Self-validation: the payload must round-trip through the
-    // workspace's own JSON parser and carry every sweep key — the
-    // contract the CI smoke step asserts.
-    let text = payload.pretty();
-    let parsed = Json::parse(&text).expect("micro_join payload must parse");
-    for key in &tracked_keys {
-        assert!(
-            parsed.get(key).and_then(Json::as_f64).is_some(),
-            "micro_join payload missing numeric key {key}"
-        );
-    }
-
-    println!("{text}");
-    if smoke() {
-        println!("[smoke] micro_join payload validated; no BENCH file written");
-    } else {
-        let workspace_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("crates/bench has a workspace root");
-        let path = workspace_root.join(format!("BENCH_{pr}.json"));
-        std::fs::write(&path, format!("{text}\n")).expect("write micro_join trajectory file");
-        println!("[trajectory written to {}]", path.display());
-    }
+    write_record("micro_join", &scale, &payload);
 }

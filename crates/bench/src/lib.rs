@@ -142,6 +142,20 @@ pub fn mb(bytes: usize) -> String {
 
 /// Write bench results as JSON for EXPERIMENTS.md assembly.
 pub fn emit_json(bench: &str, scale: &Scale, summaries: &[WorkloadSummary]) {
+    let payload = Json::obj([
+        ("bench", Json::from(bench)),
+        ("scale", Json::from(scale.label)),
+        (
+            "results",
+            Json::Arr(summaries.iter().map(WorkloadSummary::to_json).collect()),
+        ),
+    ]);
+    write_record(bench, scale, &payload);
+}
+
+/// Write one bench's JSON record to
+/// `target/bench-results/<bench>.<scale>.json`.
+pub fn write_record(bench: &str, scale: &Scale, payload: &Json) {
     // Anchor at the workspace target dir regardless of the CWD cargo gives
     // bench binaries (package dir under `--workspace`, workspace root when
     // invoked with `-p`).
@@ -158,14 +172,6 @@ pub fn emit_json(bench: &str, scale: &Scale, summaries: &[WorkloadSummary]) {
     let Ok(mut file) = std::fs::File::create(&path) else {
         return;
     };
-    let payload = Json::obj([
-        ("bench", Json::from(bench)),
-        ("scale", Json::from(scale.label)),
-        (
-            "results",
-            Json::Arr(summaries.iter().map(WorkloadSummary::to_json).collect()),
-        ),
-    ]);
     let _ = writeln!(file, "{}", payload.pretty());
     println!("[results written to {}]", path.display());
 }

@@ -1,7 +1,7 @@
 //! A minimal dependency-free worker pool for data-parallel batch work.
 //!
 //! The build environment is offline (no `rayon`), so — like the `rand` /
-//! `criterion` stubs under `vendor/` — this is a deliberately small,
+//! `proptest` stubs under `vendor/` — this is a deliberately small,
 //! API-focused implementation: a [`ThreadPool`] describes a degree of
 //! parallelism, and each batch call fans work out over scoped worker
 //! threads that *steal chunks* of the input range from a shared atomic

@@ -26,9 +26,9 @@ fn main() {
         .add_engine("us", &EngineSpec::uniform(2_000))
         .unwrap();
 
-    // Online: one routed server over both engines. The first name is
-    // the default route (`submit` keeps working unchanged); dedup folds
-    // identical queued requests into one execution. Starting paused
+    // Online: one routed server over both engines, each submission
+    // naming the engine it is for; dedup folds identical queued
+    // requests into one execution. Starting paused
     // lets the whole burst queue up before the workers drain it, so the
     // dedup and scheduling effects below are deterministic.
     let serve = session
@@ -41,17 +41,15 @@ fn main() {
                 .paused(),
         )
         .unwrap();
-    println!(
-        "serving engines: {:?} (default: {})",
-        serve.engines(),
-        serve.engine()
-    );
+    println!("serving engines: {:?}", serve.engines());
 
     // A dashboard fires the same query from several widgets at once.
     // With dedup, the duplicates attach to one queued execution and the
     // single answer fans out to every ticket.
     let hot = Query::interval(AggKind::Sum, 0.2, 0.7);
-    let widgets: Vec<Ticket> = (0..4).map(|_| serve.submit(&hot)).collect();
+    let widgets: Vec<Ticket> = (0..4)
+        .map(|_| serve.submit_to("pass", &hot).unwrap())
+        .collect();
 
     // Bulk sweeps routed to the sampling engine, with deadlines: the
     // 50 ms sweep is *scheduled* before the 5 s one (earliest deadline
@@ -61,14 +59,14 @@ fn main() {
         .map(|i| Query::interval(AggKind::Count, (i % 32) as f64 / 40.0, 0.95))
         .collect();
     let urgent_sweep = serve
-        .submit_with_to(
+        .submit(
             "us",
             &sweep,
             &SubmitOptions::bulk().with_deadline(Duration::from_millis(50)),
         )
         .unwrap();
     let lazy_sweep = serve
-        .submit_with_to(
+        .submit(
             "us",
             &sweep,
             &SubmitOptions::bulk().with_deadline(Duration::from_secs(5)),

@@ -39,7 +39,7 @@ fn main() {
 
     // Submissions return tickets immediately; execution is asynchronous.
     let q = Query::interval(AggKind::Sum, 0.2, 0.7);
-    let interactive = serve.submit(&q);
+    let interactive = serve.submit_to("pass", &q).unwrap();
 
     // A bulk analytics sweep: lower priority (queued interactive work
     // overtakes it) and a deadline — if the server is too backlogged to
@@ -47,10 +47,8 @@ fn main() {
     let sweep: Vec<Query> = (0..256)
         .map(|i| Query::interval(AggKind::Count, (i % 64) as f64 / 80.0, 0.95))
         .collect();
-    let bulk = serve.submit_with(
-        &sweep,
-        &SubmitOptions::bulk().with_deadline(Duration::from_secs(5)),
-    );
+    let options = SubmitOptions::bulk().with_deadline(Duration::from_secs(5));
+    let bulk = serve.submit("pass", &sweep, &options).unwrap();
 
     // Block for the interactive answer (poll() would do it without
     // blocking); served answers are bit-identical to direct session
@@ -81,11 +79,8 @@ fn main() {
                 s.spawn(move || {
                     (0..100)
                         .map(|i| {
-                            serve.submit(&Query::interval(
-                                AggKind::Sum,
-                                (i % 50) as f64 / 60.0,
-                                0.9,
-                            ))
+                            let q = Query::interval(AggKind::Sum, (i % 50) as f64 / 60.0, 0.9);
+                            serve.submit_to("pass", &q).unwrap()
                         })
                         .collect::<Vec<Ticket>>()
                 })

@@ -8,21 +8,22 @@
 //! when more requests arrive than the machine can execute — that is a
 //! serving-tier problem, and [`Serve`] is the serving tier:
 //!
-//! * **Submission is decoupled from execution.** [`Serve::submit`] (and
-//!   [`submit_batch`](Serve::submit_batch) /
-//!   [`submit_with`](Serve::submit_with)) enqueues the request on a
-//!   bounded two-priority [`RequestQueue`] and immediately returns a
-//!   [`Ticket`] the client polls or blocks on. Dedicated worker threads
-//!   drain the queue and execute against shared [`SessionHandle`]s.
+//! * **Submission is decoupled from execution.**
+//!   [`Serve::submit`]`(engine, queries, options)` enqueues the request
+//!   on a bounded two-priority [`RequestQueue`] and immediately returns
+//!   a [`Ticket`] the client polls or blocks on; a batch is a longer
+//!   slice, priority and deadline are the [`SubmitOptions`], and
+//!   [`submit_to`](Serve::submit_to)`(engine, query)` is the one-query,
+//!   default-options shorthand. Dedicated worker threads drain the
+//!   queue and execute against shared [`SessionHandle`]s.
 //! * **One server can front many engines.**
 //!   [`Session::serve_multi`](crate::Session::serve_multi) starts a
-//!   routed server over a set of named engines sharing one queue and one
-//!   worker pool; [`submit_to`](Serve::submit_to) (and the
-//!   [`submit_batch_to`](Serve::submit_batch_to) /
-//!   [`submit_with_to`](Serve::submit_with_to) variants) route a request
-//!   to an engine by name, while the route-less `submit*` family keeps
-//!   targeting the **default** engine (the first one listed), so
-//!   single-engine code is unchanged.
+//!   server over a set of named engines sharing one queue and one
+//!   worker pool. Every submission names its engine — exactly as
+//!   [`Session::estimate`](crate::Session::estimate) does — and an
+//!   unknown name is the only `Err` a submission returns; a
+//!   single-engine server ([`Session::serve`](crate::Session::serve))
+//!   is the one-name case of the same thing.
 //! * **Admission control sheds load instead of queueing it forever.** A
 //!   full queue resolves the ticket to [`ServeOutcome::Rejected`]
 //!   without blocking the submitter; a request whose deadline passes
@@ -55,8 +56,7 @@
 //!   saturation *increases* per-query efficiency. A batch never mixes
 //!   engines: the drain stops at the first request routed elsewhere,
 //!   which also keeps the deadline schedule intact.
-//! * **Group-bys can stream.** [`Serve::submit_progressive`] (and the
-//!   routed/option-carrying variants) submits a
+//! * **Group-bys can stream.** [`Serve::submit_progressive`] submits a
 //!   [`GroupByQuery`] whose [`ProgressiveTicket`] exposes refining
 //!   [`GroupBySnapshot`](pass_common::GroupBySnapshot)s while the
 //!   worker merges shards — online aggregation over the serving tier.
@@ -67,8 +67,8 @@
 //! * **Everything is observable.** [`Serve::stats`] reports
 //!   accepted/rejected/expired/deduped/completed counts, the
 //!   queue-depth high-water mark, p50/p99 submit-to-completion latency
-//!   from a fixed-bucket [`LatencyHistogram`], and a per-engine
-//!   breakdown ([`EngineServeStats`]) for routed servers.
+//!   from a fixed-bucket [`LatencyHistogram`], and the per-engine rows
+//!   ([`EngineServeStats`]) the totals are the sums of.
 //!
 //! Served answers are **bit-identical** to direct
 //! [`Session`](crate::Session) calls: the
@@ -83,7 +83,7 @@
 //! tokio.
 //!
 //! ```
-//! use pass::{EngineSpec, ServeConfig, Session};
+//! use pass::{EngineSpec, ServeConfig, Session, SubmitOptions};
 //! use pass::common::{AggKind, Query};
 //! use pass::table::datasets::uniform;
 //!
@@ -98,11 +98,13 @@
 //! // Submissions return immediately; tickets resolve when a worker
 //! // executes the request.
 //! let q = Query::interval(AggKind::Sum, 0.2, 0.7);
-//! let ticket = serve.submit(&q);
+//! let ticket = serve.submit_to("pass", &q).unwrap();
 //! let batch: Vec<Query> = (0..64)
 //!     .map(|i| Query::interval(AggKind::Count, i as f64 / 80.0, 0.9))
 //!     .collect();
-//! let batch_ticket = serve.submit_batch(&batch);
+//! let batch_ticket = serve
+//!     .submit("pass", &batch, &SubmitOptions::bulk())
+//!     .unwrap();
 //!
 //! // Served answers are bit-identical to direct session calls.
 //! let result = &ticket.wait().results().unwrap()[0];
@@ -411,7 +413,8 @@ enum Body {
 }
 
 /// Per-engine serving state: the session handle workers execute through
-/// plus this engine's slice of the counters.
+/// plus this engine's counters — the only copy of them; the totals in
+/// [`ServeStats`] are their sums.
 struct EngineState {
     handle: SessionHandle,
     completed: AtomicU64,
@@ -421,18 +424,25 @@ struct EngineState {
     batches: AtomicU64,
 }
 
+/// Count one event on a per-engine counter. `Release`, paired with the
+/// `Acquire` loads in [`Serve::stats`]: a snapshot that counts a
+/// completion or an expiry also sees everything that led to it —
+/// above all the request's `accepted` increment, which the queue lock
+/// orders before the worker's pop — so `completed + expired` never
+/// exceeds the `accepted` the snapshot loads afterwards.
+fn count(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Release);
+}
+
 struct ServeShared {
     engines: Vec<EngineState>,
     queue: RequestQueue<Request>,
     coalesce_max: usize,
     dedup: bool,
     batch_pool: ThreadPool,
+    /// The one global counter: acceptance is counted before the route's
+    /// queue push, everything after it per engine.
     accepted: AtomicU64,
-    rejected: AtomicU64,
-    expired: AtomicU64,
-    deduped: AtomicU64,
-    completed: AtomicU64,
-    batches: AtomicU64,
     /// Completion-order stamp handed to tickets (smaller = finished
     /// earlier).
     completion_seq: AtomicU64,
@@ -515,10 +525,7 @@ impl ServeShared {
                 let (expired, alive): (Vec<Waiter>, Vec<Waiter>) =
                     waiters.into_iter().partition(stale);
                 for waiter in expired {
-                    // relaxed: observability counters — monotonic, never
-                    // synchronize other memory (here and below).
-                    self.expired.fetch_add(1, Ordering::Relaxed);
-                    state.expired.fetch_add(1, Ordering::Relaxed);
+                    count(&state.expired);
                     waiter.slot.fulfill(ServeOutcome::Expired, None);
                 }
                 waiters = alive;
@@ -534,9 +541,7 @@ impl ServeShared {
         let results = state
             .handle
             .estimate_many_parallel(&queries, &self.batch_pool);
-        // relaxed: observability counters, as above.
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        state.batches.fetch_add(1, Ordering::Relaxed);
+        count(&state.batches);
         debug_assert_eq!(results.len(), queries.len());
         let mut results = results.into_iter();
         // The tickets that had a parked waiter when their outcome was
@@ -583,9 +588,7 @@ impl ServeShared {
                 // stop the stream.
                 job.deadline.is_none_or(|d| Instant::now() < d)
             });
-        // relaxed: observability counters (here and below).
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        state.batches.fetch_add(1, Ordering::Relaxed);
+        count(&state.batches);
         let outcome = match result {
             Ok(groups) => ProgressiveOutcome::Done {
                 groups,
@@ -595,9 +598,7 @@ impl ServeShared {
         };
         let waited_us = job.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.latency.record(waited_us);
-        // relaxed: observability counters.
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        state.completed.fetch_add(1, Ordering::Relaxed);
+        count(&state.completed);
         job.slot.try_resolve(outcome);
     }
 
@@ -617,9 +618,7 @@ impl ServeShared {
         let seq = self.completion_seq.fetch_add(1, Ordering::Relaxed);
         let waited_us = waiter.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.latency.record(waited_us);
-        // relaxed: observability counters.
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        state.completed.fetch_add(1, Ordering::Relaxed);
+        count(&state.completed);
         waiter.slot.store(outcome, Some(seq))
     }
 }
@@ -630,11 +629,11 @@ impl ServeShared {
 ///
 /// Create one with [`Session::serve`](crate::Session::serve) (one
 /// engine), [`Session::serve_multi`](crate::Session::serve_multi)
-/// (routed), or [`Serve::new`] / [`Serve::new_multi`] from raw handles.
-/// Submissions never block; execution happens on the server's workers;
-/// results come back through [`Ticket`]s. Dropping the server closes
-/// the queue, drains every accepted request, and joins the workers —
-/// no accepted ticket is left unresolved.
+/// (several), or [`Serve::new`] from raw handles. Submissions never
+/// block; execution happens on the server's workers; results come back
+/// through [`Ticket`]s. Dropping the server closes the queue, drains
+/// every accepted request, and joins the workers — no accepted ticket is
+/// left unresolved.
 ///
 /// See the [serve module docs](crate::serve) for the full request
 /// lifecycle and `docs/SERVING.md` for the operator's guide.
@@ -645,21 +644,12 @@ pub struct Serve {
 }
 
 impl Serve {
-    /// Start a serving front-end over one `handle` (workers spawn
-    /// immediately; parked first if [`ServeConfig::start_paused`]).
-    pub fn new(handle: SessionHandle, config: ServeConfig) -> Self {
-        // One handle is trivially a valid route set (non-empty, no
-        // duplicate names), so this takes the infallible path directly.
-        Self::start(vec![handle], config)
-    }
-
-    /// Start a routed serving front-end over several handles sharing
-    /// one queue and one worker pool. The first handle is the
-    /// **default** engine (the route-less `submit*` family targets it);
-    /// the rest are reachable through [`submit_to`](Serve::submit_to)
-    /// and friends. Errors on an empty handle set or a duplicated
-    /// engine name (routing by name would be ambiguous).
-    pub fn new_multi(handles: Vec<SessionHandle>, config: ServeConfig) -> Result<Self> {
+    /// Start a serving front-end over `handles`, which share one queue
+    /// and one worker pool and are routed to by [`SessionHandle::name`]
+    /// (workers spawn immediately; parked first if
+    /// [`ServeConfig::start_paused`]). Errors on an empty handle set or
+    /// a duplicated engine name (routing by name would be ambiguous).
+    pub fn new(handles: Vec<SessionHandle>, config: ServeConfig) -> Result<Self> {
         if handles.is_empty() {
             return Err(PassError::InvalidParameter(
                 "engines",
@@ -674,12 +664,6 @@ impl Serve {
                 ));
             }
         }
-        Ok(Self::start(handles, config))
-    }
-
-    /// The one construction path: spin up the shared state and the
-    /// worker pool over an already-validated handle set.
-    fn start(handles: Vec<SessionHandle>, config: ServeConfig) -> Self {
         let shared = Arc::new(ServeShared {
             engines: handles
                 .into_iter()
@@ -697,11 +681,6 @@ impl Serve {
             dedup: config.dedup,
             batch_pool: config.batch_pool,
             accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             completion_seq: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         });
@@ -712,20 +691,14 @@ impl Serve {
                 std::thread::spawn(move || shared.worker_loop())
             })
             .collect();
-        Serve {
+        Ok(Serve {
             shared,
             default_deadline: config.default_deadline,
             workers,
-        }
+        })
     }
 
-    /// The default engine name — the one the route-less `submit*`
-    /// family executes against.
-    pub fn engine(&self) -> &str {
-        self.shared.engines[0].handle.name()
-    }
-
-    /// Every engine this server routes to, default first.
+    /// Every engine this server routes to, in construction order.
     pub fn engines(&self) -> Vec<&str> {
         self.shared
             .engines
@@ -744,60 +717,16 @@ impl Serve {
             })
     }
 
-    /// Submit one interactive query with no per-request deadline to the
-    /// default engine.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pass::{EngineSpec, ServeConfig, Session};
-    /// use pass::common::{AggKind, Query};
-    /// use pass::table::datasets::uniform;
-    ///
-    /// let mut session = Session::new(uniform(2_000, 1));
-    /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
-    /// let serve = session.serve("pass", ServeConfig::new()).unwrap();
-    ///
-    /// let ticket = serve.submit(&Query::interval(AggKind::Count, 0.1, 0.9));
-    /// let results = ticket.wait().results().unwrap();
-    /// assert!(results[0].as_ref().unwrap().value > 0.0);
-    /// ```
-    pub fn submit(&self, query: &Query) -> Ticket {
-        self.submit_with(std::slice::from_ref(query), &SubmitOptions::default())
-    }
-
-    /// Submit a query batch (interactive, no per-request deadline) to
-    /// the default engine. The whole batch is one request: it is
-    /// admitted, expired, and resolved as a unit, and its ticket yields
-    /// one result per query in order.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pass::{EngineSpec, ServeConfig, Session};
-    /// use pass::common::{AggKind, Query};
-    /// use pass::table::datasets::uniform;
-    ///
-    /// let mut session = Session::new(uniform(2_000, 2));
-    /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
-    /// let serve = session.serve("pass", ServeConfig::new()).unwrap();
-    ///
-    /// let batch: Vec<Query> = (0..8)
-    ///     .map(|i| Query::interval(AggKind::Sum, i as f64 / 10.0, 0.95))
-    ///     .collect();
-    /// let results = serve.submit_batch(&batch).wait().results().unwrap();
-    /// assert_eq!(results.len(), 8); // one result per query, in order
-    /// ```
-    pub fn submit_batch(&self, queries: &[Query]) -> Ticket {
-        self.submit_with(queries, &SubmitOptions::default())
-    }
-
-    /// Submit to the default engine with explicit [`SubmitOptions`].
-    /// Never blocks: the ticket resolves to [`ServeOutcome::Rejected`]
-    /// immediately when the queue is at capacity (that is the
-    /// backpressure signal) and to [`ServeOutcome::Cancelled`] when the
-    /// server is shutting down. An empty batch resolves to an empty
-    /// `Done` without queueing.
+    /// Submit `queries` to `engine` as **one request**: admitted,
+    /// scheduled, expired and resolved as a unit, its ticket yielding
+    /// one result per query in order. Never blocks: the ticket resolves
+    /// to [`ServeOutcome::Rejected`] immediately when the queue is at
+    /// capacity (that is the backpressure signal) and to
+    /// [`ServeOutcome::Cancelled`] when the server is shutting down; an
+    /// empty slice resolves to an empty `Done` without queueing. The
+    /// only `Err` is an engine name this server does not front (routes
+    /// are fixed at construction) — it is raised before admission, so
+    /// it takes no queue slot and moves no counter.
     ///
     /// # Examples
     ///
@@ -814,181 +743,26 @@ impl Serve {
     /// // Bulk priority (yields to interactive traffic) with a deadline:
     /// // scheduled EDF within its class, expired unexecuted if still
     /// // queued after 10 s.
+    /// let batch: Vec<Query> = (0..8)
+    ///     .map(|i| Query::interval(AggKind::Sum, i as f64 / 10.0, 0.95))
+    ///     .collect();
     /// let opts = SubmitOptions::bulk().with_deadline(Duration::from_secs(10));
-    /// let ticket = serve.submit_with(&[Query::interval(AggKind::Avg, 0.2, 0.8)], &opts);
-    /// assert!(ticket.wait().is_done());
+    /// let results = serve.submit("pass", &batch, &opts).unwrap().wait().results().unwrap();
+    /// assert_eq!(results.len(), 8); // one result per query, in order
     /// ```
-    pub fn submit_with(&self, queries: &[Query], options: &SubmitOptions) -> Ticket {
-        self.enqueue_batch(0, queries, options)
-    }
-
-    /// Submit one interactive query routed to `engine` by name. Errors
-    /// if this server does not front an engine of that name (routes are
-    /// fixed at construction — see
-    /// [`Session::serve_multi`](crate::Session::serve_multi)).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pass::{EngineSpec, ServeConfig, Session};
-    /// use pass::common::{AggKind, Query};
-    /// use pass::table::datasets::uniform;
-    ///
-    /// let mut session = Session::new(uniform(2_000, 4));
-    /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
-    /// session.add_engine("us", &EngineSpec::uniform(200)).unwrap();
-    /// let serve = session.serve_multi(&["pass", "us"], ServeConfig::new()).unwrap();
-    ///
-    /// let q = Query::interval(AggKind::Count, 0.0, 1.0);
-    /// let routed = serve.submit_to("us", &q).unwrap();
-    /// assert!(routed.wait().is_done());
-    /// assert!(serve.submit_to("nope", &q).is_err());
-    /// ```
-    pub fn submit_to(&self, engine: &str, query: &Query) -> Result<Ticket> {
-        self.submit_with_to(
-            engine,
-            std::slice::from_ref(query),
-            &SubmitOptions::default(),
-        )
-    }
-
-    /// Submit a query batch routed to `engine` by name (interactive, no
-    /// per-request deadline) — the routed variant of
-    /// [`submit_batch`](Serve::submit_batch).
-    pub fn submit_batch_to(&self, engine: &str, queries: &[Query]) -> Result<Ticket> {
-        self.submit_with_to(engine, queries, &SubmitOptions::default())
-    }
-
-    /// Submit routed to `engine` with explicit [`SubmitOptions`] — the
-    /// routed variant of [`submit_with`](Serve::submit_with). The only
-    /// error is an unknown engine name; admission outcomes (rejection,
-    /// cancellation) still arrive through the ticket, never as an `Err`.
-    pub fn submit_with_to(
+    pub fn submit(
         &self,
         engine: &str,
         queries: &[Query],
         options: &SubmitOptions,
     ) -> Result<Ticket> {
-        Ok(self.enqueue_batch(self.engine_index(engine)?, queries, options))
-    }
-
-    /// Submit a **progressive** group-by (interactive, no per-request
-    /// deadline) to the default engine. The returned
-    /// [`ProgressiveTicket`] streams refining [`GroupBySnapshot`]s
-    /// (one per merged shard on sharded engines; single synopses
-    /// publish the exact answer as the only snapshot) while the worker
-    /// executes, then resolves to [`ProgressiveOutcome::Done`] with the
-    /// last snapshot's groups — online aggregation over the serving
-    /// tier.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pass::{EngineSpec, ServeConfig, Session};
-    /// use pass::common::{AggKind, GroupByQuery};
-    /// use pass::table::Table;
-    ///
-    /// let cat: Vec<f64> = (0..4_000).map(|i| (i % 4) as f64).collect();
-    /// let vals: Vec<f64> = (0..4_000).map(|i| ((i % 4) + 1) as f64).collect();
-    /// let mut session = Session::new(Table::one_dim(cat, vals).unwrap());
-    /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
-    /// let serve = session.serve("pass", ServeConfig::new()).unwrap();
-    ///
-    /// let q = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 1.0, 2.0, 3.0], 1);
-    /// let ticket = serve.submit_progressive(&q);
-    /// let outcome = ticket.wait();
-    /// assert!(outcome.is_done() && !outcome.is_partial());
-    /// assert_eq!(outcome.groups().unwrap().len(), 4);
-    /// ```
-    ///
-    /// [`GroupBySnapshot`]: pass_common::GroupBySnapshot
-    pub fn submit_progressive(&self, query: &GroupByQuery) -> ProgressiveTicket {
-        self.submit_progressive_with(query, &SubmitOptions::default())
-    }
-
-    /// Submit a progressive group-by to the default engine with
-    /// explicit [`SubmitOptions`]. Deadlines follow the progressive
-    /// contract, not the plain one: the request is **never** expired
-    /// unexecuted — a deadline that passes (even while queued) stops
-    /// the refinement after the next snapshot and resolves to the best
-    /// estimate so far with `partial: true`. A full queue still rejects
-    /// ([`ProgressiveOutcome::Rejected`]) and a closed server cancels
-    /// ([`ProgressiveOutcome::Cancelled`]). A malformed query (wrong
-    /// arity, out-of-range group dimension, NaN category) resolves to
-    /// [`ProgressiveOutcome::Failed`] and a well-formed empty category
-    /// list to an empty complete `Done`, both without queueing.
-    pub fn submit_progressive_with(
-        &self,
-        query: &GroupByQuery,
-        options: &SubmitOptions,
-    ) -> ProgressiveTicket {
-        self.enqueue_group_by(0, query, options)
-    }
-
-    /// Submit a progressive group-by routed to `engine` by name — the
-    /// routed variant of [`submit_progressive`](Serve::submit_progressive).
-    /// The only error is an unknown engine name.
-    pub fn submit_progressive_to(
-        &self,
-        engine: &str,
-        query: &GroupByQuery,
-    ) -> Result<ProgressiveTicket> {
-        self.submit_progressive_with_to(engine, query, &SubmitOptions::default())
-    }
-
-    /// Submit a progressive group-by routed to `engine` with explicit
-    /// [`SubmitOptions`] — the routed variant of
-    /// [`submit_progressive_with`](Serve::submit_progressive_with).
-    pub fn submit_progressive_with_to(
-        &self,
-        engine: &str,
-        query: &GroupByQuery,
-        options: &SubmitOptions,
-    ) -> Result<ProgressiveTicket> {
-        Ok(self.enqueue_group_by(self.engine_index(engine)?, query, options))
-    }
-
-    /// Queue a progressive group-by: the request carries a
-    /// [`ProgressiveJob`] instead of waiters and never participates in
-    /// dedup or coalescing. The query is validated against the routed
-    /// engine before anything else, so served and direct answers agree
-    /// on malformed queries — empty category lists included — and a
-    /// query that can only fail takes no queue slot.
-    fn enqueue_group_by(
-        &self,
-        engine: usize,
-        query: &GroupByQuery,
-        options: &SubmitOptions,
-    ) -> ProgressiveTicket {
-        let dims = self.shared.engines[engine].handle.synopsis().dims();
-        if let Err(err) = query.validate(dims) {
-            return ProgressiveTicket::resolved(ProgressiveOutcome::Failed(err));
-        }
-        if query.is_empty() {
-            return ProgressiveTicket::resolved(ProgressiveOutcome::Done {
-                groups: Vec::new(),
-                partial: false,
-            });
-        }
-        let (ticket, slot) = ProgressiveTicket::pending();
-        self.enqueue(engine, options, |submitted, deadline| {
-            Body::Progressive(ProgressiveJob {
-                query: query.clone(),
-                slot,
-                submitted,
-                deadline,
-            })
-        });
-        ticket
-    }
-
-    /// Queue a plain query batch with one waiter (dedup may attach it to
-    /// an identical queued request instead).
-    fn enqueue_batch(&self, engine: usize, queries: &[Query], options: &SubmitOptions) -> Ticket {
+        let engine = self.engine_index(engine)?;
         if queries.is_empty() {
-            return Ticket::resolved(ServeOutcome::Done(Vec::new()));
+            return Ok(Ticket::resolved(ServeOutcome::Done(Vec::new())));
         }
         let (ticket, slot) = Ticket::pending();
+        // One waiter to start with; dedup may attach it to an identical
+        // queued request instead.
         self.enqueue(engine, options, |submitted, deadline| {
             let key: Option<Vec<QueryKey>> = self
                 .shared
@@ -1011,7 +785,112 @@ impl Serve {
                 }],
             }
         });
-        ticket
+        Ok(ticket)
+    }
+
+    /// Submit one query to `engine` with the default options
+    /// (interactive, no per-request deadline) — the shorthand for
+    /// [`submit`](Serve::submit) with a one-query slice.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pass::{EngineSpec, ServeConfig, Session};
+    /// use pass::common::{AggKind, Query};
+    /// use pass::table::datasets::uniform;
+    ///
+    /// let mut session = Session::new(uniform(2_000, 4));
+    /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
+    /// session.add_engine("us", &EngineSpec::uniform(200)).unwrap();
+    /// let serve = session.serve_multi(&["pass", "us"], ServeConfig::new()).unwrap();
+    ///
+    /// let q = Query::interval(AggKind::Count, 0.0, 1.0);
+    /// let routed = serve.submit_to("us", &q).unwrap();
+    /// assert!(routed.wait().is_done());
+    /// assert!(serve.submit_to("nope", &q).is_err());
+    /// ```
+    pub fn submit_to(&self, engine: &str, query: &Query) -> Result<Ticket> {
+        self.submit(
+            engine,
+            std::slice::from_ref(query),
+            &SubmitOptions::default(),
+        )
+    }
+
+    /// Submit a **progressive** group-by to `engine`. The returned
+    /// [`ProgressiveTicket`] streams refining [`GroupBySnapshot`]s
+    /// (one per merged shard on sharded engines; single synopses
+    /// publish the exact answer as the only snapshot) while the worker
+    /// executes, then resolves to [`ProgressiveOutcome::Done`] with the
+    /// last snapshot's groups — online aggregation over the serving
+    /// tier.
+    ///
+    /// Deadlines follow the progressive contract, not the plain one:
+    /// the request is **never** expired unexecuted — a deadline that
+    /// passes (even while queued) stops the refinement after the next
+    /// snapshot and resolves to the best estimate so far with
+    /// `partial: true`. A full queue still rejects
+    /// ([`ProgressiveOutcome::Rejected`]) and a closed server cancels
+    /// ([`ProgressiveOutcome::Cancelled`]). The query is validated
+    /// against the routed engine before anything else, so served and
+    /// direct answers agree on malformed queries: wrong arity, an
+    /// out-of-range group dimension or a NaN category resolve to
+    /// [`ProgressiveOutcome::Failed`] and a well-formed empty category
+    /// list to an empty complete `Done`, both without queueing. The
+    /// only `Err` is an unknown engine name.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pass::{EngineSpec, ServeConfig, Session, SubmitOptions};
+    /// use pass::common::{AggKind, GroupByQuery};
+    /// use pass::table::Table;
+    ///
+    /// let cat: Vec<f64> = (0..4_000).map(|i| (i % 4) as f64).collect();
+    /// let vals: Vec<f64> = (0..4_000).map(|i| ((i % 4) + 1) as f64).collect();
+    /// let mut session = Session::new(Table::one_dim(cat, vals).unwrap());
+    /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
+    /// let serve = session.serve("pass", ServeConfig::new()).unwrap();
+    ///
+    /// let q = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 1.0, 2.0, 3.0], 1);
+    /// let ticket = serve
+    ///     .submit_progressive("pass", &q, &SubmitOptions::default())
+    ///     .unwrap();
+    /// let outcome = ticket.wait();
+    /// assert!(outcome.is_done() && !outcome.is_partial());
+    /// assert_eq!(outcome.groups().unwrap().len(), 4);
+    /// ```
+    ///
+    /// [`GroupBySnapshot`]: pass_common::GroupBySnapshot
+    pub fn submit_progressive(
+        &self,
+        engine: &str,
+        query: &GroupByQuery,
+        options: &SubmitOptions,
+    ) -> Result<ProgressiveTicket> {
+        let engine = self.engine_index(engine)?;
+        let dims = self.shared.engines[engine].handle.synopsis().dims();
+        if let Err(err) = query.validate(dims) {
+            return Ok(ProgressiveTicket::resolved(ProgressiveOutcome::Failed(err)));
+        }
+        if query.is_empty() {
+            return Ok(ProgressiveTicket::resolved(ProgressiveOutcome::Done {
+                groups: Vec::new(),
+                partial: false,
+            }));
+        }
+        let (ticket, slot) = ProgressiveTicket::pending();
+        // The request carries a `ProgressiveJob` instead of waiters and
+        // never participates in dedup or coalescing.
+        self.enqueue(engine, options, |submitted, deadline| {
+            Body::Progressive(ProgressiveJob {
+                query: query.clone(),
+                slot,
+                submitted,
+                deadline,
+            })
+        });
+        Ok(ticket)
     }
 
     /// The one enqueue path every submission goes through: deadline
@@ -1034,11 +913,13 @@ impl Serve {
             body: body(submitted, deadline),
         };
         // Count acceptance *before* the push: the instant the request is
-        // in the queue a worker may pop, execute, and bump `completed`,
-        // and a mid-run stats() observer must never see
+        // in the queue a worker may pop, execute, and count it
+        // completed, and a mid-run stats() observer must never see
         // completed > accepted. Failed pushes undo the claim.
-        // relaxed: observability counter; the ordering argument above
-        // is about program order on this thread, not memory ordering.
+        // relaxed: the queue lock the push releases and the worker's pop
+        // acquires orders this increment before that worker's `Release`
+        // count of the request's outcome, which is what `stats()`
+        // synchronizes with (see `count`).
         self.shared.accepted.fetch_add(1, Ordering::Relaxed);
         let pushed = if self.shared.dedup {
             self.shared.queue.try_push_or_merge(
@@ -1086,25 +967,16 @@ impl Serve {
                 .try_push_scheduled(request, options.priority, deadline)
                 .map(|()| false)
         };
+        let state = &self.shared.engines[engine];
         match pushed {
-            Ok(attached) => {
-                if attached {
-                    // relaxed: observability counters (here and in the
-                    // rejection arms below).
-                    self.shared.deduped.fetch_add(1, Ordering::Relaxed);
-                    self.shared.engines[engine]
-                        .deduped
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            Ok(true) => count(&state.deduped),
+            Ok(false) => {}
             Err((why, request)) => {
-                // relaxed: observability counters.
+                // relaxed: undoes this thread's own claim above; no
+                // worker ever saw the request.
                 self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
                 if why == PushError::Full {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.shared.engines[engine]
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
+                    count(&state.rejected);
                 }
                 Self::resolve_unqueued(request, why);
             }
@@ -1153,35 +1025,41 @@ impl Serve {
     }
 
     /// A snapshot of the serving counters, queue high-water mark,
-    /// latency percentiles, and the per-engine breakdown.
+    /// latency percentiles, and the per-engine rows. The totals are the
+    /// sums of the rows, and `completed + expired <= accepted` holds in
+    /// every snapshot, mid-run included.
     pub fn stats(&self) -> ServeStats {
+        // Load order is the invariant (see `count`): every per-engine
+        // counter first, `accepted` last — a request accepted in between
+        // only raises `accepted`.
+        let per_engine: Vec<EngineServeStats> = self
+            .shared
+            .engines
+            .iter()
+            .map(|e| EngineServeStats {
+                engine: e.handle.name().to_string(),
+                completed: e.completed.load(Ordering::Acquire),
+                rejected: e.rejected.load(Ordering::Acquire),
+                expired: e.expired.load(Ordering::Acquire),
+                deduped: e.deduped.load(Ordering::Acquire),
+                batches: e.batches.load(Ordering::Acquire),
+            })
+            .collect();
+        let total = |field: fn(&EngineServeStats) -> u64| per_engine.iter().map(field).sum();
         ServeStats {
-            // relaxed: advisory snapshot — stats() promises monotonic
-            // counters, not a cross-counter-consistent cut.
+            // relaxed: the `Acquire` loads above already order every
+            // counted outcome's acceptance before this load.
             accepted: self.shared.accepted.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            expired: self.shared.expired.load(Ordering::Relaxed),
-            deduped: self.shared.deduped.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
+            rejected: total(|e| e.rejected),
+            expired: total(|e| e.expired),
+            deduped: total(|e| e.deduped),
+            completed: total(|e| e.completed),
+            batches: total(|e| e.batches),
             queue_high_water: self.shared.queue.high_water(),
             queue_capacity: self.shared.queue.capacity(),
             p50_latency_us: self.shared.latency.p50(),
             p99_latency_us: self.shared.latency.p99(),
-            per_engine: self
-                .shared
-                .engines
-                .iter()
-                .map(|e| EngineServeStats {
-                    engine: e.handle.name().to_string(),
-                    // relaxed: advisory snapshot, as above.
-                    completed: e.completed.load(Ordering::Relaxed),
-                    rejected: e.rejected.load(Ordering::Relaxed),
-                    expired: e.expired.load(Ordering::Relaxed),
-                    deduped: e.deduped.load(Ordering::Relaxed),
-                    batches: e.batches.load(Ordering::Relaxed),
-                })
-                .collect(),
+            per_engine,
         }
     }
 
@@ -1243,11 +1121,11 @@ mod tests {
         let serve = session
             .serve("pass", ServeConfig::new().with_workers(2))
             .unwrap();
-        assert_eq!(serve.engine(), "pass");
         assert_eq!(serve.engines(), vec!["pass"]);
-        let single = serve.submit(&q(0.1, 0.9));
+        let single = serve.submit_to("pass", &q(0.1, 0.9)).unwrap();
         let batch: Vec<Query> = (0..8).map(|i| q(i as f64 / 10.0, 0.95)).collect();
-        let many = serve.submit_batch(&batch);
+        let options = SubmitOptions::default();
+        let many = serve.submit("pass", &batch, &options).unwrap();
         let got = single.wait().results().unwrap();
         assert_eq!(
             got[0].as_ref().unwrap().value,
@@ -1279,7 +1157,8 @@ mod tests {
     fn empty_batch_resolves_immediately() {
         let session = served_session();
         let serve = session.serve("pass", ServeConfig::new()).unwrap();
-        let ticket = serve.submit_batch(&[]);
+        let options = SubmitOptions::default();
+        let ticket = serve.submit("pass", &[], &options).unwrap();
         assert_eq!(ticket.wait(), ServeOutcome::Done(Vec::new()));
         assert_eq!(serve.stats().accepted, 0);
     }
@@ -1296,8 +1175,10 @@ mod tests {
                     .paused(),
             )
             .unwrap();
-        let accepted: Vec<Ticket> = (0..2).map(|_| serve.submit(&q(0.0, 0.5))).collect();
-        let rejected = serve.submit(&q(0.0, 0.6));
+        let accepted: Vec<Ticket> = (0..2)
+            .map(|_| serve.submit_to("pass", &q(0.0, 0.5)).unwrap())
+            .collect();
+        let rejected = serve.submit_to("pass", &q(0.0, 0.6)).unwrap();
         assert_eq!(rejected.poll(), Some(ServeOutcome::Rejected));
         assert_eq!(rejected.completion_index(), None);
         let stats = serve.stats();
@@ -1316,7 +1197,11 @@ mod tests {
             .serve("pass", ServeConfig::new().with_workers(1).paused())
             .unwrap();
         let tickets: Vec<Ticket> = (0..5)
-            .map(|i| serve.submit(&q(0.0, 0.5 + i as f64 / 100.0)))
+            .map(|i| {
+                serve
+                    .submit_to("pass", &q(0.0, 0.5 + i as f64 / 100.0))
+                    .unwrap()
+            })
             .collect();
         // Shutdown resumes, drains, joins: every accepted ticket resolves.
         let stats = serve.shutdown();
@@ -1332,7 +1217,7 @@ mod tests {
         let serve = session.serve("pass", ServeConfig::new()).unwrap();
         // Close the queue out from under the facade, then submit.
         serve.shared.queue.close();
-        let ticket = serve.submit(&q(0.0, 0.5));
+        let ticket = serve.submit_to("pass", &q(0.0, 0.5)).unwrap();
         assert_eq!(ticket.wait(), ServeOutcome::Cancelled);
     }
 
@@ -1348,15 +1233,13 @@ mod tests {
                     .paused(),
             )
             .unwrap();
-        let doomed = serve.submit(&q(0.0, 0.5));
+        let doomed = serve.submit_to("pass", &q(0.0, 0.5)).unwrap();
         serve.resume();
         assert_eq!(doomed.wait(), ServeOutcome::Expired);
         assert_eq!(serve.stats().expired, 1);
         // An explicit generous deadline overrides the default.
-        let fine = serve.submit_with(
-            &[q(0.0, 0.5)],
-            &SubmitOptions::interactive().with_deadline(Duration::from_secs(60)),
-        );
+        let generous = SubmitOptions::interactive().with_deadline(Duration::from_secs(60));
+        let fine = serve.submit("pass", &[q(0.0, 0.5)], &generous).unwrap();
         assert!(fine.wait().is_done());
     }
 
@@ -1373,7 +1256,7 @@ mod tests {
             )
             .unwrap();
         let tickets: Vec<Ticket> = (0..16)
-            .map(|i| serve.submit(&q(i as f64 / 20.0, 0.9)))
+            .map(|i| serve.submit_to("pass", &q(i as f64 / 20.0, 0.9)).unwrap())
             .collect();
         serve.resume();
         for (i, t) in tickets.iter().enumerate() {
@@ -1406,9 +1289,13 @@ mod tests {
             .serve("pass", ServeConfig::new().with_workers(2))
             .unwrap();
         // Let the workers reach pop_blocking on the empty queue.
-        assert!(serve.submit(&q(0.0, 0.5)).wait().is_done());
+        assert!(serve
+            .submit_to("pass", &q(0.0, 0.5))
+            .unwrap()
+            .wait()
+            .is_done());
         serve.pause();
-        let parked = serve.submit(&q(0.1, 0.6));
+        let parked = serve.submit_to("pass", &q(0.1, 0.6)).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(parked.poll(), None, "executed while paused");
         assert_eq!(serve.queue_depth(), 1);
@@ -1426,7 +1313,8 @@ mod tests {
             )
             .unwrap();
         let big: Vec<Query> = (0..32).map(|i| q(i as f64 / 40.0, 0.9)).collect();
-        let ticket = serve.submit_batch(&big);
+        let options = SubmitOptions::default();
+        let ticket = serve.submit("pass", &big, &options).unwrap();
         assert_eq!(ticket.wait().results().unwrap().len(), 32);
     }
 
@@ -1442,7 +1330,9 @@ mod tests {
             )
             .unwrap();
         let batch: Vec<Query> = (0..128).map(|i| q((i % 40) as f64 / 50.0, 0.9)).collect();
-        let got = serve.submit_batch(&batch).wait().results().unwrap();
+        let options = SubmitOptions::default();
+        let ticket = serve.submit("pass", &batch, &options).unwrap();
+        let got = ticket.wait().results().unwrap();
         for (query, result) in batch.iter().zip(&got) {
             assert_eq!(
                 result.as_ref().unwrap().value,
@@ -1456,9 +1346,8 @@ mod tests {
         let session = served_session();
         let serve = session.serve("pass", ServeConfig::new()).unwrap();
         assert!(serve.submit_to("nope", &q(0.0, 0.5)).is_err());
-        assert!(serve.submit_batch_to("nope", &[q(0.0, 0.5)]).is_err());
         assert!(serve
-            .submit_with_to("nope", &[q(0.0, 0.5)], &SubmitOptions::bulk())
+            .submit("nope", &[q(0.0, 0.5)], &SubmitOptions::bulk())
             .is_err());
         // Nothing was admitted or shed — routing errors happen before
         // admission control.
@@ -1469,9 +1358,9 @@ mod tests {
     #[test]
     fn empty_engine_set_and_duplicate_names_are_rejected() {
         let session = served_session();
-        assert!(Serve::new_multi(vec![], ServeConfig::new()).is_err());
+        assert!(Serve::new(vec![], ServeConfig::new()).is_err());
         let h = session.handle("pass").unwrap();
-        assert!(Serve::new_multi(vec![h.clone(), h], ServeConfig::new()).is_err());
+        assert!(Serve::new(vec![h.clone(), h], ServeConfig::new()).is_err());
     }
 
     #[test]
@@ -1481,7 +1370,9 @@ mod tests {
         let serve = session
             .serve("pass", ServeConfig::new().with_workers(1).paused())
             .unwrap();
-        let tickets: Vec<Ticket> = (0..3).map(|_| serve.submit(&q(0.2, 0.8))).collect();
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|_| serve.submit_to("pass", &q(0.2, 0.8)).unwrap())
+            .collect();
         assert_eq!(serve.queue_depth(), 3);
         serve.resume();
         for t in tickets {
@@ -1496,7 +1387,9 @@ mod tests {
                 ServeConfig::new().with_workers(1).with_dedup().paused(),
             )
             .unwrap();
-        let tickets: Vec<Ticket> = (0..3).map(|_| serve.submit(&q(0.2, 0.8))).collect();
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|_| serve.submit_to("pass", &q(0.2, 0.8)).unwrap())
+            .collect();
         assert_eq!(serve.queue_depth(), 1, "duplicates attached, not queued");
         serve.resume();
         let direct = session.estimate("pass", &q(0.2, 0.8)).unwrap();
@@ -1520,11 +1413,9 @@ mod tests {
                 ServeConfig::new().with_workers(1).with_dedup().paused(),
             )
             .unwrap();
-        let live = serve.submit(&q(0.2, 0.8));
-        let stale = serve.submit_with(
-            &[q(0.2, 0.8)],
-            &SubmitOptions::interactive().with_deadline(Duration::ZERO),
-        );
+        let live = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
+        let options = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+        let stale = serve.submit("pass", &[q(0.2, 0.8)], &options).unwrap();
         assert_eq!(serve.queue_depth(), 1, "the duplicate attached");
         serve.resume();
         // Deadlines are per waiter: the request still executes for the
@@ -1554,7 +1445,8 @@ mod tests {
             .unwrap();
         let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 1.0, 2.0, 3.0], 1);
 
-        let ticket = serve.submit_progressive(&gq);
+        let options = SubmitOptions::default();
+        let ticket = serve.submit_progressive("pass", &gq, &options).unwrap();
         let outcome = ticket.wait();
         assert!(outcome.is_done());
         assert!(!outcome.is_partial(), "no deadline: the stream completes");
@@ -1565,7 +1457,10 @@ mod tests {
         assert!(ticket.latest().unwrap().last);
 
         // Empty category lists resolve without queueing.
-        let empty = serve.submit_progressive(&GroupByQuery::over(AggKind::Sum, 0, &[], 1));
+        let no_groups = GroupByQuery::over(AggKind::Sum, 0, &[], 1);
+        let empty = serve
+            .submit_progressive("pass", &no_groups, &options)
+            .unwrap();
         assert_eq!(
             empty.wait(),
             ProgressiveOutcome::Done {
@@ -1579,8 +1474,9 @@ mod tests {
         // query fails like the direct path instead of resolving `Done`.
         for categories in [&[0.0][..], &[][..]] {
             let bad = GroupByQuery::over(AggKind::Sum, 9, categories, 1);
+            let ticket = serve.submit_progressive("pass", &bad, &options).unwrap();
             assert_eq!(
-                serve.submit_progressive(&bad).poll(),
+                ticket.poll(),
                 Some(ProgressiveOutcome::Failed(
                     session.group_by("pass", &bad).unwrap_err()
                 ))
@@ -1588,7 +1484,7 @@ mod tests {
         }
 
         // Routing errors before admission; unknown engines never queue.
-        assert!(serve.submit_progressive_to("nope", &gq).is_err());
+        assert!(serve.submit_progressive("nope", &gq, &options).is_err());
 
         let stats = serve.shutdown();
         assert_eq!(
@@ -1618,10 +1514,8 @@ mod tests {
         // A zero deadline has already passed when the worker picks the
         // request up — the plain path would expire it unexecuted; the
         // progressive contract still delivers the first snapshot.
-        let ticket = serve.submit_progressive_with(
-            &gq,
-            &SubmitOptions::interactive().with_deadline(Duration::ZERO),
-        );
+        let options = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+        let ticket = serve.submit_progressive("p4", &gq, &options).unwrap();
         serve.resume();
         let outcome = ticket.wait();
         assert!(outcome.is_done(), "deadline never maps to Expired");
@@ -1649,14 +1543,15 @@ mod tests {
             )
             .unwrap();
         let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.2], 1);
-        let _plug = serve.submit(&q(0.0, 0.5)); // fills the queue
-        let rejected = serve.submit_progressive(&gq);
+        let _plug = serve.submit_to("pass", &q(0.0, 0.5)).unwrap(); // fills the queue
+        let options = SubmitOptions::default();
+        let rejected = serve.submit_progressive("pass", &gq, &options).unwrap();
         assert_eq!(rejected.poll(), Some(ProgressiveOutcome::Rejected));
         let stats = serve.stats();
         assert_eq!((stats.accepted, stats.rejected), (1, 1));
         // A closed queue cancels.
         serve.shared.queue.close();
-        let cancelled = serve.submit_progressive(&gq);
+        let cancelled = serve.submit_progressive("pass", &gq, &options).unwrap();
         assert_eq!(cancelled.wait(), ProgressiveOutcome::Cancelled);
     }
 
@@ -1670,7 +1565,9 @@ mod tests {
             )
             .unwrap();
         let n = MAX_ATTACHED_WAITERS + 2;
-        let tickets: Vec<Ticket> = (0..n).map(|_| serve.submit(&q(0.2, 0.8))).collect();
+        let tickets: Vec<Ticket> = (0..n)
+            .map(|_| serve.submit_to("pass", &q(0.2, 0.8)).unwrap())
+            .collect();
         // The cap fills the first request; the overflow starts a second
         // that passes through normal admission control.
         assert_eq!(serve.queue_depth(), 2);

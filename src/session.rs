@@ -217,8 +217,11 @@ impl Session {
         Ok(self)
     }
 
-    /// Register an already-built synopsis (escape hatch for hand-built or
-    /// externally updated engines, e.g. a `Pass` absorbing a live stream).
+    /// Register an already-built synopsis (escape hatch for hand-built
+    /// engines). The session holds it as an immutable `Arc<dyn Synopsis>`,
+    /// so it cannot absorb updates afterwards: a streaming `Pass` lives
+    /// outside the session, in a `CachedSynopsis<Pass>` mutated through
+    /// `inner_mut()`.
     pub fn add_synopsis(
         &mut self,
         name: impl Into<String>,
@@ -281,13 +284,14 @@ impl Session {
     }
 
     /// Drop every cached answer for `engine` (counters are kept — they are
-    /// cumulative). Rarely needed: engines that mutate (a streaming
-    /// `Pass`) advance their [`Synopsis::update_epoch`] on every
-    /// insert/delete and the per-engine cache drops stale entries
-    /// automatically on the next lookup. This manual hook remains for
-    /// hand-registered synopses that mutate *without* reporting an epoch;
-    /// re-registering via [`add_engine`](Self::add_engine) replaces the
-    /// cache wholesale.
+    /// cumulative). Rarely needed: a session's engines are immutable
+    /// (`Arc<dyn Synopsis>`), so their cached answers never go stale, and
+    /// re-registering a name via [`add_engine`](Self::add_engine)
+    /// replaces the cache wholesale. Epoch-based invalidation serves a
+    /// streaming `Pass`, which lives outside a session in a
+    /// `CachedSynopsis<Pass>` mutated through `inner_mut()`. This hook
+    /// remains for hand-registered synopses with interior mutability that
+    /// report no [`Synopsis::update_epoch`].
     pub fn clear_cache(&self, engine: &str) -> Result<()> {
         self.engine_or_err(engine)?.engine.cache().clear();
         Ok(())
@@ -309,25 +313,25 @@ impl Session {
     /// let mut session = Session::new(uniform(5_000, 3));
     /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
     /// let serve = session.serve("pass", ServeConfig::new()).unwrap();
-    /// let ticket = serve.submit(&Query::interval(AggKind::Count, 0.1, 0.8));
+    /// let q = Query::interval(AggKind::Count, 0.1, 0.8);
+    /// let ticket = serve.submit_to("pass", &q).unwrap();
     /// let results = ticket.wait().results().unwrap();
     /// assert!(results[0].as_ref().unwrap().value > 0.0);
     /// ```
     pub fn serve(&self, engine: &str, config: crate::ServeConfig) -> Result<crate::Serve> {
-        Ok(crate::Serve::new(self.handle(engine)?, config))
+        self.serve_multi(&[engine], config)
     }
 
-    /// Start a **routed** serving front-end over several of this
-    /// session's engines: one bounded queue, one worker pool, and one
-    /// set of admission-control books shared by all of them. The first
-    /// name is the *default* engine — the route-less
-    /// [`Serve::submit`](crate::Serve::submit) family targets it, so a
-    /// multi-engine server is a drop-in replacement for a single-engine
-    /// one — and the rest are reachable by name through
-    /// [`Serve::submit_to`](crate::Serve::submit_to) and friends.
-    /// Batches coalesce per engine (never mixed), and per-engine
-    /// counters come back in
-    /// [`ServeStats::per_engine`](crate::ServeStats::per_engine).
+    /// Start a serving front-end over several of this session's
+    /// engines: one bounded queue, one worker pool, and one admission
+    /// bound shared by all of them. Every submission names its engine
+    /// ([`Serve::submit`](crate::Serve::submit),
+    /// [`submit_to`](crate::Serve::submit_to),
+    /// [`submit_progressive`](crate::Serve::submit_progressive)).
+    /// Batches coalesce per engine (never mixed), and the counters are
+    /// kept per engine
+    /// ([`ServeStats::per_engine`](crate::ServeStats::per_engine); the
+    /// totals are their sums).
     /// Errors on an empty list, an unknown engine name, or a duplicate.
     ///
     /// ```
@@ -343,10 +347,10 @@ impl Session {
     ///     .unwrap();
     ///
     /// let q = Query::interval(AggKind::Count, 0.1, 0.8);
-    /// let default_route = serve.submit(&q);            // → "pass"
-    /// let routed = serve.submit_to("us", &q).unwrap(); // → "us"
-    /// assert!(default_route.wait().is_done());
-    /// assert!(routed.wait().is_done());
+    /// let from_pass = serve.submit_to("pass", &q).unwrap();
+    /// let from_us = serve.submit_to("us", &q).unwrap();
+    /// assert!(from_pass.wait().is_done());
+    /// assert!(from_us.wait().is_done());
     /// ```
     pub fn serve_multi(
         &self,
@@ -357,7 +361,7 @@ impl Session {
             .iter()
             .map(|name| self.handle(name))
             .collect::<Result<Vec<_>>>()?;
-        crate::Serve::new_multi(handles, config)
+        crate::Serve::new(handles, config)
     }
 
     /// A cheap cloneable handle answering queries against `engine` from

@@ -37,7 +37,7 @@ use pass::common::{
     ProgressiveOutcome, ShardPlan, Synopsis, ThreadPool,
 };
 use pass::table::Table;
-use pass::{Engine, ServeConfig, Session};
+use pass::{Engine, ServeConfig, Session, SubmitOptions};
 
 /// The paper's comparison set at a shared budget.
 fn suite() -> Vec<EngineSpec> {
@@ -200,10 +200,11 @@ fn served_progressive_final_matches_the_session_answer() {
     let serve = session
         .serve_multi(&name_refs, ServeConfig::new().with_workers(2))
         .unwrap();
+    let options = SubmitOptions::default();
     for name in &names {
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let q = group_query(agg);
-            let ticket = serve.submit_progressive_to(name, &q).unwrap();
+            let ticket = serve.submit_progressive(name, &q, &options).unwrap();
             let outcome = ticket.wait();
             assert!(!outcome.is_partial(), "{name} {agg}: no deadline was set");
             assert_eq!(
@@ -220,7 +221,7 @@ fn served_progressive_final_matches_the_session_answer() {
     // The sharded engine streamed at least one snapshot per request and
     // reported its true shard count.
     let ticket = serve
-        .submit_progressive_to("sharded", &group_query(AggKind::Sum))
+        .submit_progressive("sharded", &group_query(AggKind::Sum), &options)
         .unwrap();
     ticket.wait();
     assert_eq!(ticket.latest().unwrap().shards_total, 4);
@@ -236,7 +237,7 @@ fn served_progressive_final_matches_the_session_answer() {
         ] {
             for name in &names {
                 let direct = session.group_by(name, &q).unwrap_err();
-                let ticket = serve.submit_progressive_to(name, &q).unwrap();
+                let ticket = serve.submit_progressive(name, &q, &options).unwrap();
                 assert_eq!(
                     ticket.poll(),
                     Some(ProgressiveOutcome::Failed(direct)),

@@ -252,7 +252,12 @@ fn session_cache_and_serving_preserve_join_answers() {
         .serve("join", ServeConfig::new().with_workers(2))
         .unwrap();
     for q in &queries {
-        let got = serve.submit(q).wait().results().unwrap();
+        let got = serve
+            .submit_to("join", q)
+            .unwrap()
+            .wait()
+            .results()
+            .unwrap();
         assert_eq!(got[0], session.estimate("join", q), "served {q:?}");
     }
     serve.shutdown();

@@ -70,18 +70,14 @@ fn multi_engine_served_answers_are_bit_identical_to_direct_per_engine() {
         .serve_multi(&routes, ServeConfig::new().with_workers(2))
         .unwrap();
     assert_eq!(serve.engines(), routes);
-    assert_eq!(
-        serve.engine(),
-        routes[0],
-        "default route is the first engine"
-    );
 
     for (name, spec) in names.iter().zip(&specs) {
         let singles: Vec<Ticket> = queries
             .iter()
             .map(|query| serve.submit_to(name, query).unwrap())
             .collect();
-        let batch = serve.submit_batch_to(name, &queries).unwrap();
+        let options = SubmitOptions::default();
+        let batch = serve.submit(name, &queries, &options).unwrap();
         for (query, ticket) in queries.iter().zip(&singles) {
             assert_eq!(
                 ticket.wait().results().unwrap()[0],
@@ -202,15 +198,11 @@ fn edf_completion_order_within_a_class_under_a_paused_then_resumed_queue() {
     let mut undated = None;
     for (i, secs) in by_deadline_secs.iter().enumerate() {
         if i == 2 {
-            undated = Some(serve.submit(&q(0.05, 0.85)));
+            undated = Some(serve.submit_to("pass", &q(0.05, 0.85)).unwrap());
         }
-        dated.push((
-            *secs,
-            serve.submit_with(
-                &[q(i as f64 / 10.0, 0.9)],
-                &SubmitOptions::interactive().with_deadline(Duration::from_secs(*secs)),
-            ),
-        ));
+        let options = SubmitOptions::interactive().with_deadline(Duration::from_secs(*secs));
+        let ticket = serve.submit("pass", &[q(i as f64 / 10.0, 0.9)], &options);
+        dated.push((*secs, ticket.unwrap()));
     }
     let undated = undated.expect("submitted mid-loop");
     serve.resume();
@@ -285,11 +277,9 @@ fn expired_at_pop_request_never_blocks_a_live_later_one() {
     let serve = session
         .serve("pass", ServeConfig::new().with_workers(1).paused())
         .unwrap();
-    let doomed = serve.submit_with(
-        &[q(0.3, 0.7)],
-        &SubmitOptions::interactive().with_deadline(Duration::ZERO),
-    );
-    let live = serve.submit(&q(0.2, 0.8));
+    let stale = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+    let doomed = serve.submit("pass", &[q(0.3, 0.7)], &stale).unwrap();
+    let live = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
     let before = session.cache_stats("pass").unwrap();
     serve.resume();
 
@@ -329,10 +319,11 @@ fn identical_queued_queries_execute_once_yet_resolve_every_ticket() {
         .map(|i| {
             // Mixed submission styles, same bit-exact query.
             if i % 2 == 0 {
-                serve.submit(&q(0.25, 0.75))
+                serve.submit_to("pass", &q(0.25, 0.75))
             } else {
-                serve.submit_with(&[q(0.25, 0.75)], &SubmitOptions::interactive())
+                serve.submit("pass", &[q(0.25, 0.75)], &SubmitOptions::interactive())
             }
+            .unwrap()
         })
         .collect();
     assert_eq!(serve.queue_depth(), 1, "duplicates attached to one request");
@@ -370,7 +361,9 @@ fn dedup_fanout_resolves_every_ticket_on_shutdown() {
             ServeConfig::new().with_workers(1).with_dedup().paused(),
         )
         .unwrap();
-    let tickets: Vec<Ticket> = (0..4).map(|_| serve.submit(&q(0.1, 0.9))).collect();
+    let tickets: Vec<Ticket> = (0..4)
+        .map(|_| serve.submit_to("pass", &q(0.1, 0.9)).unwrap())
+        .collect();
     // Never resumed: shutdown itself must drain the attached request.
     let stats = serve.shutdown();
     for ticket in &tickets {
@@ -409,7 +402,9 @@ fn dedup_fanout_resolves_every_ticket_on_worker_panic() {
             ServeConfig::new().with_workers(1).with_dedup().paused(),
         )
         .unwrap();
-    let tickets: Vec<Ticket> = (0..4).map(|_| serve.submit(&q(0.2, 0.8))).collect();
+    let tickets: Vec<Ticket> = (0..4)
+        .map(|_| serve.submit_to("boom", &q(0.2, 0.8)).unwrap())
+        .collect();
     assert_eq!(serve.queue_depth(), 1);
     serve.resume();
     // The worker unwinds; dropping the in-flight request's ticket slots
@@ -449,9 +444,11 @@ fn single_engine_serve_behavior_is_unchanged_by_default() {
         .unwrap();
 
     // Identical submissions occupy one slot each — no silent dedup.
-    let accepted: Vec<Ticket> = (0..depth).map(|_| serve.submit(&q(0.25, 0.75))).collect();
+    let accepted: Vec<Ticket> = (0..depth)
+        .map(|_| serve.submit_to("pass", &q(0.25, 0.75)).unwrap())
+        .collect();
     assert_eq!(serve.queue_depth(), depth);
-    let rejected = serve.submit(&q(0.25, 0.75));
+    let rejected = serve.submit_to("pass", &q(0.25, 0.75)).unwrap();
     assert_eq!(rejected.poll(), Some(ServeOutcome::Rejected));
 
     let before = served.cache_stats("pass").unwrap();

@@ -15,12 +15,21 @@
 //!    outcomes stored, then the parked clients woken) with stamps in
 //!    submission order, and expires exactly the waiters whose deadline
 //!    passed.
+//! 6. **One way in** — the three entry points over every engine ×
+//!    request shape × option set answer like the direct `Session` call;
+//!    an unknown engine name is an `Err` that takes no queue slot.
+//! 7. **Books** — the `stats()` totals are the sums of the per-engine
+//!    rows, and `completed + expired <= accepted` in every snapshot.
 
 use std::time::Duration;
 
-use pass::common::{AggKind, Query};
+use pass::common::{AggKind, GroupByQuery, Query};
 use pass::table::datasets::uniform;
-use pass::{Engine, EngineSpec, Serve, ServeConfig, ServeOutcome, Session, SubmitOptions, Ticket};
+use pass::table::Table;
+use pass::{
+    Engine, EngineServeStats, EngineSpec, Serve, ServeConfig, ServeOutcome, ServeStats, Session,
+    SubmitOptions, Ticket,
+};
 
 fn suite_queries() -> Vec<Query> {
     let aggs = [
@@ -60,8 +69,12 @@ fn served_answers_are_bit_identical_to_direct_estimates_for_the_standard_suite()
             .unwrap();
 
         // Mixed single and batched submissions.
-        let singles: Vec<Ticket> = queries.iter().map(|q| serve.submit(q)).collect();
-        let batch = serve.submit_batch(&queries);
+        let singles: Vec<Ticket> = queries
+            .iter()
+            .map(|q| serve.submit_to("engine", q).unwrap())
+            .collect();
+        let options = SubmitOptions::default();
+        let batch = serve.submit("engine", &queries, &options).unwrap();
 
         for (query, ticket) in queries.iter().zip(&singles) {
             let got = ticket.wait().results().unwrap();
@@ -114,20 +127,22 @@ fn queue_rejects_exactly_beyond_capacity() {
     let serve = paused_single_worker(&session, depth);
     let q = Query::interval(AggKind::Sum, 0.2, 0.8);
 
-    let accepted: Vec<Ticket> = (0..depth).map(|_| serve.submit(&q)).collect();
+    let accepted: Vec<Ticket> = (0..depth)
+        .map(|_| serve.submit_to("pass", &q).unwrap())
+        .collect();
     for t in &accepted {
         assert_eq!(t.poll(), None, "accepted requests are pending, not shed");
     }
     // Requests depth+1 .. depth+3 are all rejected — immediately, in both
     // priority classes.
+    let bulk = SubmitOptions::bulk();
     for _ in 0..3 {
-        assert_eq!(serve.submit(&q).poll(), Some(ServeOutcome::Rejected));
-        assert_eq!(
-            serve
-                .submit_with(std::slice::from_ref(&q), &SubmitOptions::bulk())
-                .poll(),
-            Some(ServeOutcome::Rejected)
-        );
+        let interactive = serve.submit_to("pass", &q).unwrap();
+        assert_eq!(interactive.poll(), Some(ServeOutcome::Rejected));
+        let bulk = serve
+            .submit("pass", std::slice::from_ref(&q), &bulk)
+            .unwrap();
+        assert_eq!(bulk.poll(), Some(ServeOutcome::Rejected));
     }
     let stats = serve.stats();
     assert_eq!(stats.accepted, depth as u64);
@@ -140,7 +155,7 @@ fn queue_rejects_exactly_beyond_capacity() {
     for t in accepted {
         assert!(t.wait().is_done());
     }
-    assert!(serve.submit(&q).wait().is_done());
+    assert!(serve.submit_to("pass", &q).unwrap().wait().is_done());
     let stats = serve.stats();
     assert_eq!((stats.accepted, stats.rejected), (depth as u64 + 1, 6));
 }
@@ -154,14 +169,11 @@ fn expired_requests_resolve_without_executing() {
     let serve = paused_single_worker(&session, 16);
     let q = Query::interval(AggKind::Sum, 0.3, 0.7);
 
-    let doomed = serve.submit_with(
-        std::slice::from_ref(&q),
-        &SubmitOptions::interactive().with_deadline(Duration::ZERO),
-    );
-    let alive = serve.submit_with(
-        std::slice::from_ref(&q),
-        &SubmitOptions::interactive().with_deadline(Duration::from_secs(300)),
-    );
+    let stale = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+    let generous = SubmitOptions::interactive().with_deadline(Duration::from_secs(300));
+    let q = std::slice::from_ref(&q);
+    let doomed = serve.submit("pass", q, &stale).unwrap();
+    let alive = serve.submit("pass", q, &generous).unwrap();
     let before = session.cache_stats("pass").unwrap();
     serve.resume();
 
@@ -201,12 +213,11 @@ fn a_coalesced_batch_resolves_in_submission_order_and_expires_only_the_stale_wai
     let mut stale = None;
     for (i, query) in queries.iter().enumerate() {
         if i == 32 {
-            stale = Some(serve.submit_with(
-                &[Query::interval(AggKind::Count, 0.05, 0.95)],
-                &SubmitOptions::interactive().with_deadline(Duration::ZERO),
-            ));
+            let q = Query::interval(AggKind::Count, 0.05, 0.95);
+            let options = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+            stale = Some(serve.submit("pass", &[q], &options).unwrap());
         }
-        tickets.push(serve.submit(query));
+        tickets.push(serve.submit_to("pass", query).unwrap());
     }
     let stale = stale.unwrap();
     assert_eq!(serve.queue_depth(), 65);
@@ -259,18 +270,15 @@ fn interactive_requests_complete_before_co_queued_bulk() {
     // Bulk first — FIFO alone would finish these first.
     let bulk: Vec<Ticket> = (0..6)
         .map(|i| {
-            serve.submit_with(
-                &[Query::interval(AggKind::Sum, i as f64 / 10.0, 0.9)],
-                &SubmitOptions::bulk(),
-            )
+            let q = Query::interval(AggKind::Sum, i as f64 / 10.0, 0.9);
+            serve.submit("pass", &[q], &SubmitOptions::bulk()).unwrap()
         })
         .collect();
     let interactive: Vec<Ticket> = (0..6)
         .map(|i| {
-            serve.submit_with(
-                &[Query::interval(AggKind::Count, i as f64 / 10.0, 0.9)],
-                &SubmitOptions::interactive(),
-            )
+            let q = Query::interval(AggKind::Count, i as f64 / 10.0, 0.9);
+            let options = SubmitOptions::interactive();
+            serve.submit("pass", &[q], &options).unwrap()
         })
         .collect();
     serve.resume();
@@ -322,7 +330,8 @@ fn concurrent_clients_against_a_saturated_queue_never_hang() {
             let shed = &shed;
             s.spawn(move || {
                 for _ in 0..50 {
-                    let ticket = serve.submit(&Query::interval(AggKind::Sum, 0.25, 0.75));
+                    let q = Query::interval(AggKind::Sum, 0.25, 0.75);
+                    let ticket = serve.submit_to("pass", &q).unwrap();
                     match ticket.wait() {
                         ServeOutcome::Done(results) => {
                             assert_eq!(results[0].as_ref().unwrap().value, expected);
@@ -347,4 +356,151 @@ fn concurrent_clients_against_a_saturated_queue_never_hang() {
     assert_eq!(stats.rejected, shed);
     assert_eq!(stats.accepted, done);
     assert!(stats.queue_high_water <= 8);
+}
+
+/// The totals are the sums of the per-engine rows.
+fn assert_totals_are_row_sums(stats: &ServeStats) {
+    let sum = |field: fn(&EngineServeStats) -> u64| stats.per_engine.iter().map(field).sum::<u64>();
+    assert_eq!(stats.completed, sum(|e| e.completed));
+    assert_eq!(stats.rejected, sum(|e| e.rejected));
+    assert_eq!(stats.expired, sum(|e| e.expired));
+    assert_eq!(stats.deduped, sum(|e| e.deduped));
+    assert_eq!(stats.batches, sum(|e| e.batches));
+}
+
+/// The whole submission surface in one table: {every engine of the
+/// standard suite, routed through one server} × {1 query, 7-query batch,
+/// empty batch} × {interactive, bulk, bulk + generous deadline} through
+/// `submit`, each engine again through `submit_to`, and a group-by
+/// through `submit_progressive` — every answer bit-identical to the
+/// direct `Session` answer of a separate identical build, and the books
+/// balanced at shutdown. An unknown engine is an `Err` from all three.
+#[test]
+fn every_entry_point_engine_shape_and_option_matches_the_direct_answer() {
+    // Eight categories on the predicate column, so the group-by has
+    // groups to find.
+    let cat: Vec<f64> = (0..8_000).map(|i| (i % 8) as f64).collect();
+    let values: Vec<f64> = (0..8_000)
+        .map(|i| (i % 8 * 5 + i / 8 % 10) as f64)
+        .collect();
+    let table = Table::one_dim(cat, values).unwrap();
+    let specs = Engine::standard_suite(16, 400, 3);
+    let names: Vec<String> = (0..specs.len()).map(|i| format!("engine-{i}")).collect();
+    let mut served = Session::new(table.clone());
+    let mut direct = Session::new(table);
+    for (name, spec) in names.iter().zip(&specs) {
+        served.add_engine(name, spec).unwrap();
+        direct.add_engine(name, spec).unwrap();
+    }
+    let routes: Vec<&str> = names.iter().map(|n| n.as_str()).collect();
+    let config = ServeConfig::new().with_workers(2);
+    let serve = served.serve_multi(&routes, config).unwrap();
+
+    let aggs = [AggKind::Sum, AggKind::Count, AggKind::Avg];
+    let seven: Vec<Query> = (0..7)
+        .map(|i| Query::interval(aggs[i % 3], i as f64, i as f64 + 1.5))
+        .collect();
+    let shapes: [&[Query]; 3] = [&seven[..1], &seven, &[]];
+    let option_sets = [
+        SubmitOptions::interactive(),
+        SubmitOptions::bulk(),
+        SubmitOptions::bulk().with_deadline(Duration::from_secs(300)),
+    ];
+    let generous = &option_sets[2];
+    let group_by = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 3.0, 7.0, 42.0], 1);
+
+    // Routing errors are raised before admission: no queue slot, no
+    // counter.
+    assert!(serve.submit("nope", &seven, generous).is_err());
+    assert!(serve.submit("nope", &[], generous).is_err());
+    assert!(serve.submit_to("nope", &seven[0]).is_err());
+    assert!(serve
+        .submit_progressive("nope", &group_by, generous)
+        .is_err());
+    let stats = serve.stats();
+    assert_eq!((stats.accepted, stats.queue_high_water), (0, 0));
+
+    for name in &routes {
+        for queries in shapes {
+            for options in &option_sets {
+                let got = serve.submit(name, queries, options).unwrap().wait();
+                let want: Vec<_> = queries.iter().map(|q| direct.estimate(name, q)).collect();
+                assert_eq!(got.results().unwrap(), want, "{name} {options:?}");
+            }
+        }
+        let got = serve.submit_to(name, &seven[3]).unwrap().wait();
+        let want = vec![direct.estimate(name, &seven[3])];
+        assert_eq!(got.results().unwrap(), want, "{name} submit_to");
+        let ticket = serve.submit_progressive(name, &group_by, generous);
+        let outcome = ticket.unwrap().wait();
+        assert!(!outcome.is_partial(), "{name}: the deadline is generous");
+        let want = direct.group_by(name, &group_by).unwrap();
+        assert_eq!(outcome.groups().unwrap(), want, "{name} submit_progressive");
+    }
+
+    // Per engine: 2 non-empty shapes × 3 option sets + submit_to + the
+    // group-by; the empty batch resolves without a queue slot.
+    let per_engine = 2 * 3 + 1 + 1;
+    let stats = serve.shutdown();
+    assert_eq!(stats.accepted, per_engine * routes.len() as u64);
+    assert_eq!(stats.completed, stats.accepted);
+    assert_eq!((stats.rejected, stats.expired, stats.deduped), (0, 0, 0));
+    assert_totals_are_row_sums(&stats);
+    for (row, name) in stats.per_engine.iter().zip(&routes) {
+        assert_eq!((row.engine.as_str(), row.completed), (*name, per_engine));
+    }
+}
+
+/// `stats()` taken mid-run never shows more outcomes than acceptances:
+/// a client submits and waits in a loop (every request is accepted and
+/// finished between two snapshots as often as the scheduler allows)
+/// while an observer spins on `stats()`. The snapshot loads the
+/// per-engine outcome counters first and `accepted` last, so
+/// `completed + expired <= accepted` and every counter is monotone from
+/// one snapshot to the next.
+#[test]
+fn mid_run_stats_never_show_more_outcomes_than_acceptances() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    // Loading `accepted` first instead breaks the invariant about once
+    // per 60k samples in a release build on 2 vCPUs.
+    const SAMPLES: usize = 200_000;
+    let session = pass_session();
+    let config = ServeConfig::new().with_workers(1);
+    let serve = session.serve("pass", config).unwrap();
+    let q = Query::interval(AggKind::Sum, 0.2, 0.8);
+    let stale = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+    let observing = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut i = 0u64;
+            while observing.load(Ordering::Acquire) {
+                // Every eighth request is born stale and expires, so
+                // both outcome counters move.
+                let ticket = if i % 8 == 7 {
+                    serve.submit("pass", std::slice::from_ref(&q), &stale)
+                } else {
+                    serve.submit_to("pass", &q)
+                };
+                ticket.unwrap().wait();
+                i += 1;
+            }
+        });
+        let mut last = serve.stats();
+        for sample in 0..SAMPLES {
+            let now = serve.stats();
+            let outcomes = now.completed + now.expired;
+            assert!(outcomes <= now.accepted, "sample {sample}: {now:?}");
+            let monotone = now.accepted >= last.accepted
+                && now.completed >= last.completed
+                && now.expired >= last.expired
+                && now.batches >= last.batches;
+            assert!(monotone, "sample {sample}: {last:?} -> {now:?}");
+            assert_totals_are_row_sums(&now);
+            last = now;
+        }
+        observing.store(false, Ordering::Release);
+    });
+    let stats = serve.shutdown();
+    assert!(stats.completed > 0 && stats.expired > 0, "{stats:?}");
+    assert_eq!(stats.completed + stats.expired, stats.accepted);
 }

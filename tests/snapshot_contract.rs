@@ -178,7 +178,12 @@ fn served_answers_match_after_reload() {
     // bit-identically to direct calls against the original.
     let serve = session.serve("warm", ServeConfig::new()).unwrap();
     for q in &probes() {
-        let results = serve.submit(q).wait().results().unwrap();
+        let results = serve
+            .submit_to("warm", q)
+            .unwrap()
+            .wait()
+            .results()
+            .unwrap();
         assert_eq!(results[0], session.estimate("pass", q));
     }
 }

@@ -19,7 +19,8 @@
 //!
 //! Everything else (λ, zero-variance rule, delta flag, seed, name) derives
 //! from the embedded [`PassSpec`]; the flat `SampleArena` is rebuilt from
-//! the decoded samples exactly as the build and mutation paths do.
+//! the decoded samples exactly as the build does (updates patch it in
+//! place, to the same bytes).
 //!
 //! Decoding validates every structural index (children, parents, leaf
 //! indices) before the tree is handed to traversal code, so a drifted but

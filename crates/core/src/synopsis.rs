@@ -164,7 +164,9 @@ pub struct Pass {
     pub(crate) tree: PartitionTree,
     pub(crate) samples: Vec<Sample>,
     /// Flat, cache-resident mirror of `samples` — the structure the query
-    /// hot path actually scans. Derived: rebuilt on every mutation epoch.
+    /// hot path actually scans. Derived: flattened once in
+    /// [`from_parts`](Self::from_parts); each mutation epoch copies the one
+    /// stratum it touched back in.
     pub(crate) arena: SampleArena,
     /// The declarative configuration this synopsis was built from — also
     /// where λ, the zero-variance rule, the delta flag, the seed and the
@@ -250,16 +252,16 @@ impl Pass {
         self.mutation_epoch
     }
 
-    /// Record one absorbed mutation. Every path that changes query-visible
-    /// state (`insert`, `delete`) must call this so epoch-aware caches
-    /// never serve stale answers. Doubling as
-    /// the derived-state choke point, it also rebuilds the flat
-    /// [`SampleArena`] and the tree's empty-node flag, so the hot path can
-    /// keep trusting both between mutations.
-    pub(crate) fn bump_mutation_epoch(&mut self) {
+    /// Record one absorbed mutation of `stratum`'s sample. Every path that
+    /// changes query-visible state (`insert`, `delete`) must call this so
+    /// epoch-aware caches never serve stale answers. Doubling as the
+    /// derived-state choke point, it also copies that stratum into the
+    /// flat [`SampleArena`] — O(K_i), the other strata untouched — so the
+    /// hot path can keep trusting the arena between mutations. (The
+    /// tree's empty-node flag is kept by the tree's own path mutators.)
+    pub(crate) fn bump_mutation_epoch(&mut self, stratum: usize) {
         self.mutation_epoch += 1;
-        self.arena = SampleArena::from_samples(&self.samples);
-        self.tree.refresh_has_empty();
+        self.arena.set_stratum(stratum, &self.samples[stratum]);
     }
 
     /// Answer one query on `scratch` — the single path behind

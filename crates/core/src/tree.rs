@@ -29,9 +29,15 @@
 //! (`has_empty`): leaves are born non-empty and only deletions can zero a
 //! count, so in the common case the MCF loop skips the per-node emptiness
 //! load entirely — the aggregate array stays out of the traversal's cache
-//! footprint. The flag is refreshed by the crate-internal
-//! `PartitionTree::refresh_has_empty` from the synopsis' mutation choke
-//! point.
+//! footprint. The flag is maintained on the update's own leaf-to-root
+//! path: `remove_on_path` sets it when a count on the path reaches zero,
+//! and `insert_on_path` rescans the aggregate column only when it refills
+//! an empty node (the one case where the answer depends on nodes off the
+//! path). After every update it equals what the rescan would compute.
+//!
+//! The same tree is the update path's index: `locate_leaf` finds the leaf
+//! a point belongs to by a nearest-child-first branch-and-bound from the
+//! root instead of a scan over the leaves.
 //!
 //! Trees come from two constructors:
 //! * [`PartitionTree::from_partitioning`] — 1-D: optimizer leaves paired
@@ -78,7 +84,7 @@ pub struct PartitionTree {
     /// For leaves: index into the synopsis' per-leaf sample array.
     pub(crate) leaf_index: Vec<Option<usize>>,
     /// Whether any node's aggregate is empty. `false` lets MCF skip the
-    /// per-node emptiness load; refreshed after count-changing mutations.
+    /// per-node emptiness load; kept in step by the two path mutators.
     pub(crate) has_empty: bool,
     /// Per node: a deletion removed a value at the stored MIN or MAX, so
     /// the stored extrema still bracket the partition's values but may no
@@ -267,11 +273,6 @@ impl PartitionTree {
         &self.aggs[id]
     }
 
-    #[inline]
-    pub(crate) fn agg_mut(&mut self, id: NodeId) -> &mut Aggregates {
-        &mut self.aggs[id]
-    }
-
     /// Child ids of node `id` (empty for leaves).
     #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
@@ -326,13 +327,6 @@ impl PartitionTree {
         self.has_empty
     }
 
-    /// Recompute [`has_empty_nodes`](Self::has_empty_nodes) by scanning
-    /// the aggregate column. Called from the synopsis' mutation choke
-    /// point (deletions can zero a count; nothing else can).
-    pub(crate) fn refresh_has_empty(&mut self) {
-        self.has_empty = self.aggs.iter().any(Aggregates::is_empty);
-    }
-
     /// Whether node `id`'s stored MIN/MAX may be stale: they still bracket
     /// every value in the partition, but a deletion removed a value at one
     /// of them, so neither is known to be attained. Such a node can bound
@@ -340,11 +334,6 @@ impl PartitionTree {
     #[inline]
     pub fn has_loose_extrema(&self, id: NodeId) -> bool {
         self.loose_extrema[id]
-    }
-
-    /// Record that a deletion touched node `id`'s stored extremum.
-    pub(crate) fn mark_loose_extrema(&mut self, id: NodeId) {
-        self.loose_extrema[id] = true;
     }
 
     /// Materialize node `id`'s bounding rectangle. Cold-path convenience —
@@ -391,12 +380,127 @@ impl PartitionTree {
         })
     }
 
-    /// Overwrite node `id`'s rectangle (dynamic bounding-box growth).
-    pub(crate) fn set_rect(&mut self, id: NodeId, rect: &Rect) {
-        debug_assert_eq!(rect.dims(), self.dims);
+    /// L1 distance from `point` to node `id`'s rectangle, summed over the
+    /// dimensions in order: zero exactly when the rectangle contains the
+    /// point, and never more than the distance to any rectangle inside
+    /// this one (each term, and each rounded partial sum, is monotone in
+    /// the bounds).
+    #[inline]
+    fn box_distance(&self, id: NodeId, point: &[f64]) -> f64 {
         let base = id * self.dims;
-        for d in 0..self.dims {
-            self.rect[base + d] = (rect.lo(d), rect.hi(d));
+        let mut dist = 0.0;
+        for (&(lo, hi), &p) in self.rect[base..base + self.dims].iter().zip(point) {
+            if p < lo {
+                dist += lo - p;
+            } else if p > hi {
+                dist += p - hi;
+            }
+        }
+        dist
+    }
+
+    /// The leaf an update at `point` belongs to, with its sample slot:
+    /// the leaf of least [L1 box distance](Self::box_distance), ties to
+    /// the lowest leaf index — so a point inside one or more leaf boxes
+    /// goes to the lowest-indexed of them, and a point in a gap between
+    /// the tight boxes (or outside the root's) to the nearest leaf.
+    /// `None` only for a tree without leaves.
+    ///
+    /// Branch-and-bound from the root, nearest child first: a node's box
+    /// contains its descendants' boxes, so its distance bounds theirs from
+    /// below and a subtree farther than the best leaf so far is skipped.
+    /// A contained point costs depth × fan-out distance tests; equal
+    /// distances are never pruned, because leaf indices follow node ids,
+    /// not visiting order, and the tie has to be compared.
+    pub(crate) fn locate_leaf(&self, point: &[f64]) -> Option<(NodeId, usize)> {
+        debug_assert_eq!(point.len(), self.dims);
+        let mut best = NearestLeaf {
+            dist: f64::INFINITY,
+            leaf_index: usize::MAX,
+            id: None,
+        };
+        let root_dist = self.box_distance(self.root, point);
+        self.nearest_leaf_under(self.root, root_dist, point, &mut best);
+        best.id.map(|id| (id, best.leaf_index))
+    }
+
+    fn nearest_leaf_under(&self, id: NodeId, dist: f64, point: &[f64], best: &mut NearestLeaf) {
+        let children = self.children(id);
+        if children.is_empty() {
+            if let Some(leaf_index) = self.leaf_index[id] {
+                if (dist, leaf_index) < (best.dist, best.leaf_index) {
+                    *best = NearestLeaf {
+                        dist,
+                        leaf_index,
+                        id: Some(id),
+                    };
+                }
+            }
+            return;
+        }
+        // The nearest child first — it tightens `best` before its siblings
+        // are tested — then the others in child order.
+        let mut nearest = (0, f64::INFINITY);
+        for (pos, &child) in children.iter().enumerate() {
+            let child_dist = self.box_distance(child, point);
+            if child_dist < nearest.1 {
+                nearest = (pos, child_dist);
+            }
+        }
+        if nearest.1 <= best.dist {
+            self.nearest_leaf_under(children[nearest.0], nearest.1, point, best);
+        }
+        for (pos, &child) in children.iter().enumerate() {
+            let child_dist = self.box_distance(child, point);
+            if pos != nearest.0 && child_dist <= best.dist {
+                self.nearest_leaf_under(child, child_dist, point, best);
+            }
+        }
+    }
+
+    /// Absorb an inserted tuple on the path from `leaf` to the root: every
+    /// rectangle on it grows to hold `point` (written straight into the
+    /// bounds column) and every aggregate takes `value`.
+    pub(crate) fn insert_on_path(&mut self, leaf: NodeId, point: &[f64], value: f64) {
+        let mut refilled = false;
+        let mut cursor = Some(leaf);
+        while let Some(id) = cursor {
+            if !self.contains_point(id, point) {
+                let base = id * self.dims;
+                for (bounds, &p) in self.rect[base..base + self.dims].iter_mut().zip(point) {
+                    *bounds = (bounds.0.min(p), bounds.1.max(p));
+                }
+            }
+            let agg = &mut self.aggs[id];
+            refilled |= agg.is_empty();
+            agg.insert(value);
+            cursor = self.parent[id];
+        }
+        if refilled {
+            self.refresh_has_empty();
+        }
+    }
+
+    /// Recompute [`has_empty_nodes`](Self::has_empty_nodes) by scanning
+    /// the aggregate column: an insert refilled an empty node, and whether
+    /// another is still empty is not a fact about its path.
+    fn refresh_has_empty(&mut self) {
+        self.has_empty = self.aggs.iter().any(Aggregates::is_empty);
+    }
+
+    /// Drop a deleted tuple's `value` from every aggregate on the path
+    /// from `leaf` (which must hold at least one tuple) to the root. A
+    /// node whose stored extremum the value touched is marked
+    /// [loose](Self::has_loose_extrema).
+    pub(crate) fn remove_on_path(&mut self, leaf: NodeId, value: f64) {
+        let mut cursor = Some(leaf);
+        while let Some(id) = cursor {
+            let agg = &mut self.aggs[id];
+            if agg.remove(value) {
+                self.loose_extrema[id] = true;
+            }
+            self.has_empty |= agg.is_empty();
+            cursor = self.parent[id];
         }
     }
 
@@ -427,9 +531,43 @@ impl PartitionTree {
     }
 }
 
+/// The best leaf a [`PartitionTree::locate_leaf`] search has seen so far.
+struct NearestLeaf {
+    dist: f64,
+    leaf_index: usize,
+    id: Option<NodeId>,
+}
+
 fn range_aggregates(sorted: &SortedTable, range: std::ops::Range<usize>) -> Aggregates {
     let values = &sorted.values()[range];
     Aggregates::from_values(values)
+}
+
+#[cfg(test)]
+impl PartitionTree {
+    /// The rule [`locate_leaf`](Self::locate_leaf) implements, as the scan
+    /// over every leaf it replaced — the oracle the search is pinned to.
+    pub(crate) fn locate_leaf_linear(&self, point: &[f64]) -> Option<NodeId> {
+        let mut best: Option<(NodeId, f64)> = None;
+        for id in self.leaves() {
+            if self.contains_point(id, point) {
+                return Some(id);
+            }
+            let mut dist = 0.0;
+            for (d, &p) in point.iter().enumerate() {
+                let (lo, hi) = (self.rect_lo(id, d), self.rect_hi(id, d));
+                if p < lo {
+                    dist += lo - p;
+                } else if p > hi {
+                    dist += p - hi;
+                }
+            }
+            if best.is_none_or(|(_, b)| dist < b) {
+                best = Some((id, dist));
+            }
+        }
+        best.map(|(id, _)| id)
+    }
 }
 
 #[cfg(test)]
@@ -613,6 +751,26 @@ mod tests {
         // A mapping names one in-range dimension per tree dimension.
         assert!(narrow.clone().lifted(&[0], 4).is_err());
         assert!(narrow.clone().lifted(&[0, 4], 4).is_err());
+    }
+
+    #[test]
+    fn widening_orders_whatever_bounds_a_node_held() {
+        let s = sorted(40, 8);
+        let p = Partitioning1D::new(40, vec![10, 20, 30]).unwrap();
+        let mut t = PartitionTree::from_partitioning(&s, &p).unwrap();
+        // No constructor stores `lo > hi` (`Rect::new` refuses it), but
+        // the snapshot decoder does not look: plant one.
+        let leaf = t.leaves()[1];
+        t.rect[leaf] = (0.9, 0.1);
+        for point in [0.5, 2.0, -1.0, f64::INFINITY] {
+            let mut widened = t.clone();
+            widened.insert_on_path(leaf, &[point], 1.0);
+            let mut cursor = Some(leaf);
+            while let Some(id) = cursor {
+                assert!(widened.contains_point(id, &[point]), "node {id} at {point}");
+                cursor = widened.parent(id);
+            }
+        }
     }
 
     #[test]

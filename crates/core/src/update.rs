@@ -2,8 +2,25 @@
 //!
 //! Inserts and deletes keep the tree statistically consistent for COUNT,
 //! SUM, and AVG: per-leaf samples are maintained with reservoir sampling,
-//! and every aggregate on the leaf-to-root path updates in O(1), giving
-//! O(log k) per update for 1-D trees.
+//! and every aggregate on the leaf-to-root path updates in O(1). An update
+//! costs what it touches:
+//!
+//! * **locate** — a branch-and-bound search of the tree itself
+//!   (`PartitionTree::locate_leaf`): depth × fan-out box tests for a
+//!   point inside a leaf, more only for a point in a gap or where widened
+//!   boxes overlap;
+//! * **aggregates and boxes** — one leaf-to-root path, O(depth), the
+//!   empty-node flag kept on the same path;
+//! * **sample** — the leaf's own reservoir and its segment of the flat
+//!   arena, O(K_i); the rest of the arena moves only when K_i itself
+//!   changes (a delete evicts a sampled row, or an empty stratum takes
+//!   its first).
+//!
+//! Everything that can fail — arity, a non-finite value, a NaN
+//! coordinate, a delete routed to a leaf that holds no tuple — is checked
+//! before anything is mutated, so a rejected update leaves the synopsis
+//! and its epoch exactly as they were. `±inf` coordinates are legal: a box
+//! widened to them is unbounded, as every lifted tree's already are.
 //!
 //! MIN/MAX remain *conservative* after deletions: a deleted extremum cannot
 //! be tightened without a partition rescan, so the stored `min`/`max` of
@@ -22,79 +39,44 @@ use rand::Rng;
 
 use pass_common::{PassError, Result};
 
-use crate::query::stratum_of;
 use crate::synopsis::Pass;
 use crate::tree::NodeId;
 
 impl Pass {
-    /// Locate the leaf whose rectangle contains the point, or — for points
-    /// in the gaps between tight bounding boxes — the leaf nearest in the
-    /// first dimension.
-    #[allow(clippy::needless_range_loop)] // dual-array access is clearer indexed
-    fn locate_leaf(&self, point: &[f64]) -> Result<NodeId> {
+    /// Check an update's arguments and resolve the leaf that takes it and
+    /// that leaf's stratum (`PartitionTree::locate_leaf` has the rule).
+    /// Nothing is mutated.
+    fn locate(&self, point: &[f64], value: f64) -> Result<(NodeId, usize)> {
         if point.len() != self.tree.dims() {
             return Err(PassError::DimensionMismatch {
                 expected: self.tree.dims(),
                 got: point.len(),
             });
         }
-        let leaves = self.tree.leaves();
-        let mut best: Option<(NodeId, f64)> = None;
-        for id in leaves {
-            if self.tree.contains_point(id, point) {
-                return Ok(id);
-            }
-            // Distance in the first dimension (1-D gap case) plus other
-            // dims, as a cheap nearest-leaf heuristic.
-            let mut dist = 0.0;
-            for d in 0..point.len() {
-                let lo = self.tree.rect_lo(id, d);
-                let hi = self.tree.rect_hi(id, d);
-                let p = point[d];
-                if p < lo {
-                    dist += lo - p;
-                } else if p > hi {
-                    dist += p - hi;
-                }
-            }
-            if best.is_none_or(|(_, b)| dist < b) {
-                best = Some((id, dist));
-            }
+        if !value.is_finite() {
+            return Err(PassError::InvalidParameter(
+                "value",
+                format!("{value} is not finite"),
+            ));
         }
-        best.map(|(id, _)| id)
+        if point.iter().any(|p| p.is_nan()) {
+            return Err(PassError::InvalidParameter(
+                "point",
+                "a coordinate is NaN".into(),
+            ));
+        }
+        self.tree
+            .locate_leaf(point)
             .ok_or(PassError::EmptyInput("tree has no leaves"))
     }
 
     /// Insert a tuple. Updates the leaf-to-root aggregates exactly and
     /// offers the tuple to the leaf's reservoir.
     pub fn insert(&mut self, point: &[f64], value: f64) -> Result<()> {
-        let leaf = self.locate_leaf(point)?;
-        // Resolved before anything is mutated.
-        let li = stratum_of(&self.tree, leaf)?;
+        let (leaf, li) = self.locate(point, value)?;
         // Widen rectangles so future MCF classifications still see the
-        // point, then update aggregates on the path to the root.
-        let mut cursor = Some(leaf);
-        while let Some(id) = cursor {
-            if !self.tree.contains_point(id, point) {
-                let mut bounds: Vec<(f64, f64)> = (0..point.len())
-                    .map(|d| {
-                        (
-                            self.tree.rect_lo(id, d).min(point[d]),
-                            self.tree.rect_hi(id, d).max(point[d]),
-                        )
-                    })
-                    .collect();
-                // Guard against inf-only rects on empty nodes.
-                for b in bounds.iter_mut() {
-                    if b.0 > b.1 {
-                        *b = (point[0], point[0]);
-                    }
-                }
-                self.tree.set_rect(id, &pass_common::Rect::new(&bounds));
-            }
-            self.tree.agg_mut(id).insert(value);
-            cursor = self.tree.parent(id);
-        }
+        // point, and update aggregates on the path to the root.
+        self.tree.insert_on_path(leaf, point, value);
 
         // Reservoir maintenance (Algorithm R) on the leaf's sample.
         let salt = self.tree.agg(leaf).count;
@@ -111,24 +93,23 @@ impl Pass {
                 sample.replace_row(j as usize, value, point);
             }
         }
-        self.bump_mutation_epoch();
+        self.bump_mutation_epoch(li);
         Ok(())
     }
 
     /// Delete a tuple previously inserted (caller guarantees existence).
     /// Returns `true` when the tuple was also evicted from the leaf's
-    /// sample.
+    /// sample. A delete routed to a leaf that holds no tuple cannot be of
+    /// an existing one and is rejected.
     pub fn delete(&mut self, point: &[f64], value: f64) -> Result<bool> {
-        let leaf = self.locate_leaf(point)?;
-        // Resolved before anything is mutated.
-        let li = stratum_of(&self.tree, leaf)?;
-        let mut cursor = Some(leaf);
-        while let Some(id) = cursor {
-            if self.tree.agg_mut(id).remove(value) {
-                self.tree.mark_loose_extrema(id);
-            }
-            cursor = self.tree.parent(id);
+        let (leaf, li) = self.locate(point, value)?;
+        if self.tree.agg(leaf).is_empty() {
+            return Err(PassError::InvalidParameter(
+                "point",
+                format!("leaf {li} holds no tuple to delete"),
+            ));
         }
+        self.tree.remove_on_path(leaf, value);
         let sample = &mut self.samples[li];
         sample.shrink_population();
         let evicted = if let Some(pos) = sample.find_row(value, point) {
@@ -137,7 +118,7 @@ impl Pass {
         } else {
             false
         };
-        self.bump_mutation_epoch();
+        self.bump_mutation_epoch(li);
         Ok(evicted)
     }
 }
@@ -145,8 +126,10 @@ impl Pass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_common::{AggKind, PassSpec, Query, Synopsis};
-    use pass_table::datasets::uniform;
+    use pass_common::rng::derive_seed;
+    use pass_common::{AggKind, Aggregates, PartitionStrategy, PassSpec, Query, Rect, Synopsis};
+    use pass_sampling::SampleArena;
+    use pass_table::datasets::{taxi, uniform};
     use pass_table::Table;
 
     fn build(n: usize, seed: u64) -> (Table, Pass) {
@@ -299,5 +282,338 @@ mod tests {
         cached.estimate(&q).unwrap();
         assert_eq!(cached.cache().stats().hits, 2);
         assert_eq!(cached.cache().epoch(), 1);
+    }
+    #[test]
+    fn a_delete_routed_to_an_emptied_leaf_is_rejected_untouched() {
+        // 16 rows, 8 leaves of 2: leaf 0 holds keys 0 and 1.
+        let keys: Vec<f64> = (0..16).map(f64::from).collect();
+        let values: Vec<f64> = (1..=16).map(f64::from).collect();
+        let table = Table::one_dim(keys, values).unwrap();
+        let mut pass = Pass::from_spec(
+            &table,
+            &PassSpec {
+                partitions: 8,
+                sample_rate: 0.5,
+                strategy: PartitionStrategy::EqualDepth,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
+        pass.delete(&[0.0], 1.0).unwrap();
+        pass.delete(&[1.0], 2.0).unwrap();
+        let leaf = pass.tree.leaves()[0];
+        assert!(pass.tree.agg(leaf).is_empty() && pass.tree.has_empty_nodes());
+        // Inside leaf 0's box, which holds nothing any more. Without the
+        // check a release build wraps the count to 2^64 − 1 (a debug build
+        // panics) and COUNT [0, 1] answers 1.8e19, `exact`.
+        let before = pass.clone();
+        let err = pass.delete(&[0.5], 1.0).unwrap_err();
+        assert!(matches!(err, PassError::InvalidParameter("point", _)));
+        assert_eq!(pass.tree.agg(leaf).count, 0);
+        assert_eq!(pass.samples[0].population(), 0);
+        assert_eq!(pass.update_epoch(), 2);
+        for agg in AggKind::ALL {
+            for (lo, hi) in [(0.0, 1.0), (-1.0, 20.0), (0.5, 7.5)] {
+                let q = Query::interval(agg, lo, hi);
+                assert_eq!(pass.estimate(&q), before.estimate(&q), "{agg} [{lo},{hi}]");
+            }
+        }
+        let count = pass.estimate(&Query::interval(AggKind::Count, 0.0, 1.0));
+        assert_eq!(count.unwrap().value, 0.0);
+    }
+
+    #[test]
+    fn non_finite_updates_are_rejected_untouched() {
+        let (_, mut pass) = build(500, 10);
+        pass.insert(&[0.5], 1.0).unwrap();
+        let whole = Query::interval(AggKind::Sum, -1.0, 10.0);
+        let before = pass.estimate(&whole).unwrap();
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for err in [
+                pass.insert(&[3.0], value).unwrap_err(),
+                pass.delete(&[0.5], value).unwrap_err(),
+            ] {
+                assert!(matches!(err, PassError::InvalidParameter("value", _)));
+            }
+        }
+        for err in [
+            pass.insert(&[f64::NAN], 1.0).unwrap_err(),
+            pass.delete(&[f64::NAN], 1.0).unwrap_err(),
+        ] {
+            assert!(matches!(err, PassError::InvalidParameter("point", _)));
+        }
+        assert_eq!(pass.update_epoch(), 1);
+        assert_eq!(pass.estimate(&whole).unwrap(), before);
+        assert!(before.value.is_finite());
+    }
+
+    #[test]
+    fn infinite_coordinates_widen_to_an_unbounded_box() {
+        let (_, mut pass) = build(500, 11);
+        let count = |pass: &Pass, lo, hi| {
+            let est = pass.estimate(&Query::interval(AggKind::Count, lo, hi));
+            est.unwrap()
+        };
+        pass.insert(&[f64::INFINITY], 7.0).unwrap();
+        pass.insert(&[f64::NEG_INFINITY], 8.0).unwrap();
+        let root = pass.tree.root();
+        assert_eq!(
+            (pass.tree.rect_lo(root, 0), pass.tree.rect_hi(root, 0)),
+            (f64::NEG_INFINITY, f64::INFINITY)
+        );
+        let everything = count(&pass, f64::NEG_INFINITY, f64::INFINITY);
+        assert!(everything.exact);
+        assert_eq!(everything.value, 502.0);
+        let (lb, ub) = count(&pass, -1.0, 2.0).hard_bounds.unwrap();
+        assert!(lb <= 500.0 && 500.0 <= ub, "500 ∉ [{lb},{ub}]");
+        pass.delete(&[f64::INFINITY], 7.0).unwrap();
+        assert_eq!(count(&pass, f64::NEG_INFINITY, f64::INFINITY).value, 501.0);
+    }
+
+    /// A deterministic unit-interval stream (SplitMix over a counter).
+    fn unit(seed: u64, i: &mut u64) -> f64 {
+        *i += 1;
+        (derive_seed(seed, *i) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// What the tree search found, what the scan over every leaf finds,
+    /// and how many leaf boxes hold the point.
+    fn probe(pass: &Pass, point: &[f64]) -> usize {
+        let tree = &pass.tree;
+        let found = tree.locate_leaf(point);
+        assert_eq!(
+            found.map(|(id, _)| id),
+            tree.locate_leaf_linear(point),
+            "{point:?}"
+        );
+        let (id, li) = found.expect("the tree has leaves");
+        assert_eq!(tree.leaf_index(id), Some(li));
+        let leaves = tree.leaves();
+        leaves
+            .iter()
+            .filter(|&&leaf| tree.contains_point(leaf, point))
+            .count()
+    }
+
+    /// Equivalence (a): the branch-and-bound search picks the leaf the
+    /// linear scan picks. `rounds` rounds of: a point in the data's box, a
+    /// point drawn from a box twice as wide (both then inserted, so leaf
+    /// boxes widen and come to overlap), one corner of a leaf's current
+    /// box — a boundary it may share — and a point at `±inf` in one
+    /// dimension. Returns how many probes lay in (no, more than one) leaf
+    /// box.
+    fn assert_search_matches_scan(pass: &mut Pass, bounds: &Rect, rounds: usize) -> (usize, usize) {
+        let dims = bounds.dims();
+        let seed = 0xA11;
+        let mut i = 0;
+        let (mut outside, mut shared) = (0, 0);
+        let mut tally = |holders: usize| {
+            outside += usize::from(holders == 0);
+            shared += usize::from(holders > 1);
+        };
+        for round in 0..rounds {
+            for stretch in [1.0, 1.3] {
+                let point: Vec<f64> = (0..dims)
+                    .map(|d| {
+                        let width = bounds.hi(d) - bounds.lo(d);
+                        let u = unit(seed, &mut i);
+                        bounds.lo(d) + (stretch * u - (stretch - 1.0) / 2.0) * width
+                    })
+                    .collect();
+                tally(probe(pass, &point));
+                pass.insert(&point, unit(seed, &mut i)).unwrap();
+                tally(probe(pass, &point));
+            }
+            let leaves = pass.tree.leaves();
+            let leaf = leaves[(unit(seed, &mut i) * leaves.len() as f64) as usize];
+            let mut corner: Vec<f64> = (0..dims)
+                .map(|d| match unit(seed, &mut i) < 0.5 {
+                    true => pass.tree.rect_lo(leaf, d),
+                    false => pass.tree.rect_hi(leaf, d),
+                })
+                .collect();
+            tally(probe(pass, &corner));
+            corner[round % dims] = match round % 2 {
+                0 => f64::INFINITY,
+                _ => f64::NEG_INFINITY,
+            };
+            tally(probe(pass, &corner));
+        }
+        for far in [f64::INFINITY, f64::NEG_INFINITY] {
+            tally(probe(pass, &vec![far; dims]));
+        }
+        (outside, shared)
+    }
+
+    #[test]
+    fn tree_search_picks_the_linear_scans_leaf_in_one_dimension() {
+        let table = uniform(4_000, 21);
+        let mut pass = Pass::from_spec(&table, &PassSpec::default()).unwrap();
+        let (outside, _) = assert_search_matches_scan(&mut pass, &Rect::interval(0.0, 1.0), 400);
+        assert!(outside > 400, "gaps and points beyond the root: {outside}");
+
+        // Equal keys on both sides of a partition boundary: neighbouring
+        // leaves share the boundary point.
+        let keys: Vec<f64> = (0..200).map(|i| f64::from(i / 4)).collect();
+        let values: Vec<f64> = (0..200).map(f64::from).collect();
+        let mut pass = Pass::from_spec(
+            &Table::one_dim(keys, values).unwrap(),
+            &PassSpec {
+                partitions: 16,
+                sample_rate: 0.1,
+                strategy: PartitionStrategy::EqualDepth,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
+        let (_, shared) = assert_search_matches_scan(&mut pass, &Rect::interval(0.0, 49.0), 200);
+        assert!(shared > 20, "boundary probes inside two leaves: {shared}");
+    }
+
+    #[test]
+    fn tree_search_picks_the_linear_scans_leaf_in_kd_and_lifted_trees() {
+        let spec = PassSpec {
+            partitions: 64,
+            sample_rate: 0.02,
+            seed: 22,
+            ..PassSpec::default()
+        };
+        let table = taxi(6_000, 22).project(&[1, 2, 3]).unwrap();
+        let bounds = table.bounding_rect().unwrap();
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        let (outside, shared) = assert_search_matches_scan(&mut pass, &bounds, 500);
+        // Widened k-d boxes overlap, and leaf indices follow node ids, not
+        // the search's visiting order: the tie rule decides these.
+        assert!(outside > 100 && shared > 100, "{outside} {shared}");
+
+        // A tree over two of four dimensions, lifted: unbounded elsewhere.
+        let table = taxi(4_000, 23).project(&[0, 1, 2, 3]).unwrap();
+        let bounds = table.bounding_rect().unwrap();
+        let spec = PassSpec {
+            tree_dims: Some(vec![3, 1]),
+            ..spec
+        };
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        let (outside, shared) = assert_search_matches_scan(&mut pass, &bounds, 500);
+        assert!(outside > 100 && shared > 100, "{outside} {shared}");
+    }
+
+    /// Equivalence (b): the patched arena is view-for-view the bytes a
+    /// rebuild over the samples gives, the path-maintained flag is what
+    /// the rescan computes, and answers do not depend on which of the two
+    /// produced the derived state.
+    fn assert_derived_state_matches_a_rebuild(pass: &Pass, queries: &[Query], op: usize) {
+        let rebuilt = SampleArena::from_samples(&pass.samples);
+        assert_eq!(pass.arena.len(), rebuilt.len());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for i in 0..rebuilt.len() {
+            let (got, want) = (pass.arena.view(i), rebuilt.view(i));
+            assert_eq!(bits(got.values), bits(want.values), "op {op} stratum {i}");
+            assert_eq!(bits(got.preds), bits(want.preds), "op {op} stratum {i}");
+            assert_eq!(
+                (got.dims, got.population, got.sorted_1d),
+                (want.dims, want.population, want.sorted_1d),
+                "op {op} stratum {i}"
+            );
+        }
+        let any_empty = pass.tree.aggs.iter().any(Aggregates::is_empty);
+        assert_eq!(pass.tree.has_empty_nodes(), any_empty, "op {op}");
+        let mut fresh = pass.clone();
+        fresh.arena = rebuilt;
+        fresh.tree.has_empty = any_empty;
+        for q in queries {
+            assert_eq!(pass.estimate(q), fresh.estimate(q), "op {op} {q:?}");
+        }
+    }
+
+    fn fixed_queries() -> Vec<Query> {
+        let spans = [
+            (-1.0, 2.0),
+            (0.0, 0.5),
+            (0.13, 0.77),
+            (0.4, 0.45),
+            (0.9, 1.0),
+        ];
+        AggKind::ALL
+            .into_iter()
+            .flat_map(|agg| spans.map(|(lo, hi)| Query::interval(agg, lo, hi)))
+            .collect()
+    }
+
+    #[test]
+    fn derived_state_matches_a_rebuild_after_every_op_at_serving_size() {
+        let table = uniform(20_000, 31);
+        let spec = PassSpec {
+            partitions: 256,
+            seed: 31,
+            ..PassSpec::default()
+        };
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        let queries = fixed_queries();
+        let mut live: Vec<(f64, f64)> = (0..table.n_rows())
+            .map(|r| (table.predicate(0, r), table.value(r)))
+            .collect();
+        let (mut i, mut evictions) = (0, 0);
+        for op in 0..1_500 {
+            if op % 5 < 3 {
+                let row = (1.2 * unit(31, &mut i) - 0.1, 100.0 * unit(31, &mut i));
+                pass.insert(&[row.0], row.1).unwrap();
+                live.push(row);
+            } else {
+                let (key, value) =
+                    live.swap_remove((unit(31, &mut i) * live.len() as f64) as usize);
+                evictions += usize::from(pass.delete(&[key], value).unwrap());
+            }
+            assert_derived_state_matches_a_rebuild(&pass, &queries, op);
+        }
+        assert!(evictions > 0, "no delete reached a sampled row");
+    }
+
+    #[test]
+    fn derived_state_matches_a_rebuild_while_leaves_empty_and_refill() {
+        let table = uniform(40, 32);
+        let spec = PassSpec {
+            partitions: 8,
+            sample_rate: 0.5,
+            strategy: PartitionStrategy::EqualDepth,
+            seed: 32,
+            ..PassSpec::default()
+        };
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        let queries = fixed_queries();
+        let mut live: Vec<(f64, f64)> = (0..table.n_rows())
+            .map(|r| (table.predicate(0, r), table.value(r)))
+            .collect();
+        let (mut i, mut op) = (0, 0);
+        let (mut evictions, mut emptied, mut refilled) = (0, 0, 0);
+        // Drain to nothing and grow back, three times over, with a random
+        // walk in between.
+        for phase in 0..9 {
+            for _ in 0..120 {
+                let insert = match phase % 3 {
+                    0 => unit(32, &mut i) < 0.5,
+                    1 => false,
+                    _ => true,
+                };
+                let had_empty = pass.tree.has_empty_nodes();
+                if insert {
+                    let row = (unit(32, &mut i), 100.0 * unit(32, &mut i));
+                    pass.insert(&[row.0], row.1).unwrap();
+                    live.push(row);
+                    refilled += usize::from(had_empty && !pass.tree.has_empty_nodes());
+                } else if !live.is_empty() {
+                    let pick = (unit(32, &mut i) * live.len() as f64) as usize;
+                    let (key, value) = live.swap_remove(pick);
+                    evictions += usize::from(pass.delete(&[key], value).unwrap());
+                    emptied += usize::from(!had_empty && pass.tree.has_empty_nodes());
+                }
+                assert_derived_state_matches_a_rebuild(&pass, &queries, op);
+                op += 1;
+            }
+        }
+        assert!(
+            evictions > 20 && emptied >= 3 && refilled >= 3,
+            "{evictions} evictions, emptied {emptied}×, refilled {refilled}×"
+        );
     }
 }

@@ -39,11 +39,12 @@
 //!    bench harness. Everything else must take timestamps as inputs,
 //!    which is what keeps the rest of the workspace deterministic and
 //!    model-checkable.
-//! 6. **Scan kernels stay allocation-free** — the declared hot-path
-//!    modules ([`SCAN_KERNELS`]) must not heap-allocate per call:
-//!    `Vec::new`, `vec![…]`, `.collect()`, `with_capacity`, `.to_vec()`,
-//!    and `Box::new` are flagged outside `#[cfg(test)]` code unless a
-//!    `// alloc:` comment justifies the site (the scratch buffers'
+//! 6. **Scan kernels and the update path stay allocation-free** — the
+//!    declared hot-path modules ([`SCAN_KERNELS`]) must not heap-allocate
+//!    per call: `Vec::new`, `vec![…]`, `.collect()`, `with_capacity`,
+//!    `.to_vec()`, `Box::new` and `.leaves()` (the partition tree's
+//!    leaf-list builder) are flagged outside `#[cfg(test)]` code unless
+//!    a `// alloc:` comment justifies the site (the scratch buffers'
 //!    one-time construction). `resize` on a reusable buffer is the
 //!    sanctioned growth idiom and is not flagged.
 //! 7. **Snapshot decoders never index untrusted input** — the declared
@@ -115,10 +116,11 @@ pub const PANIC_EXEMPT: &[&str] = &[
     "crates/common/src/chaos/imp.rs",
 ];
 
-/// The declared allocation-free scan-kernel modules (rule 6): the
-/// columnar estimation hot path must reuse scratch buffers, never
-/// allocate per query.
-pub const SCAN_KERNELS: &[&str] = &["crates/sampling/src/kernel.rs"];
+/// The declared allocation-free hot-path modules (rule 6): the columnar
+/// estimation kernels must reuse scratch buffers, never allocate per
+/// query, and an insert or delete must cost the path and the stratum it
+/// touches, never a per-mutation list of every leaf.
+pub const SCAN_KERNELS: &[&str] = &["crates/sampling/src/kernel.rs", "crates/core/src/update.rs"];
 
 /// The snapshot decoder modules (rule 7): they parse untrusted bytes and
 /// must reach them via `get(..)`-or-error, never unchecked indexing.
@@ -776,11 +778,12 @@ pub fn check_time_confined(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Rule 6: no per-call heap allocation in the declared scan-kernel
+/// Rule 6: no per-call heap allocation in the declared hot-path
 /// modules. Flags `Vec::new`, `vec![…]`, `.collect()`, `with_capacity`,
-/// `.to_vec()`, and `Box::new` outside test code unless an `// alloc:`
-/// comment (same line, or a comment line directly above) justifies the
-/// site. `resize` on a reusable buffer is the sanctioned growth idiom.
+/// `.to_vec()`, `Box::new` and `.leaves()` outside test code unless an
+/// `// alloc:` comment (same line, or a comment line directly above)
+/// justifies the site. `resize` on a reusable buffer is the sanctioned
+/// growth idiom.
 pub fn check_no_alloc_in_kernels(file: &SourceFile, out: &mut Vec<Violation>) {
     if !SCAN_KERNELS.contains(&file.rel.as_str()) {
         return;
@@ -792,6 +795,7 @@ pub fn check_no_alloc_in_kernels(file: &SourceFile, out: &mut Vec<Violation>) {
         "with_capacity",
         ".to_vec()",
         "Box::new",
+        ".leaves()",
     ];
     for (i, line) in file.lines.iter().enumerate() {
         if line.in_test {
@@ -813,7 +817,7 @@ pub fn check_no_alloc_in_kernels(file: &SourceFile, out: &mut Vec<Violation>) {
                     i,
                     "kernel-no-alloc",
                     format!(
-                        "`{pat}` in a scan-kernel module: the hot path must reuse \
+                        "`{pat}` in a hot-path module: the hot path must reuse \
                          scratch buffers (`resize` on a long-lived Vec), or carry an \
                          `// alloc:` justification"
                     ),
@@ -1208,14 +1212,19 @@ fn f() {
     let e = s.to_vec();
     let f = Box::new(1);
     buf.resize(4, 0);
+    let g = tree.leaves();
 }
 ";
         let mut out = Vec::new();
         check_no_alloc_in_kernels(&file("crates/sampling/src/kernel.rs", src), &mut out);
-        assert_eq!(out.len(), 6, "{out:?}");
+        assert_eq!(out.len(), 7, "{out:?}");
         assert!(out.iter().all(|v| v.rule == "kernel-no-alloc"));
         // `resize` is the sanctioned growth idiom — never flagged.
         assert!(!out.iter().any(|v| v.line == 8), "{out:?}");
+        // The update path is held to the same rule.
+        out.clear();
+        check_no_alloc_in_kernels(&file("crates/core/src/update.rs", src), &mut out);
+        assert_eq!(out.len(), 7, "{out:?}");
         // Out of scope: normal modules may allocate freely.
         out.clear();
         check_no_alloc_in_kernels(&file("crates/sampling/src/sample.rs", src), &mut out);

@@ -18,9 +18,14 @@
 //! [`Sample`] holds, in the same row order — estimates computed through the
 //! arena are bit-identical to the `Sample`-based path.
 //!
-//! The arena is a *derived* structure: owners rebuild it after any sample
-//! mutation (`pass-core` rebuilds in its mutation-epoch bump, the single
-//! choke point every insert/delete already goes through).
+//! The arena is a *derived* structure: [`from_samples`](SampleArena::from_samples)
+//! builds it once, and an owner that then mutates one stratum's [`Sample`]
+//! copies that stratum back with [`set_stratum`](SampleArena::set_stratum)
+//! (`pass-core` does so in its mutation-epoch bump, the single choke point
+//! every insert/delete already goes through). A patch costs the stratum's
+//! own `K_i` rows; the rest of the buffer moves only when `K_i` itself
+//! changed. After every patch the arena is view-for-view what
+//! `from_samples` would build over the owner's samples.
 
 use crate::kernel::SampleView;
 use crate::sample::Sample;
@@ -76,6 +81,44 @@ impl SampleArena {
             off += s.k() as u32;
         }
         Self { dims, data, meta }
+    }
+
+    /// Overwrite stratum `i` with `sample`'s current rows and metadata
+    /// (same arity as the arena). When the sample size is unchanged only
+    /// the stratum's own segment is written; when it changed — a sampled
+    /// row was evicted, or an empty stratum took its first row — the later
+    /// strata shift inside the buffer and their offsets follow.
+    pub fn set_stratum(&mut self, i: usize, sample: &Sample) {
+        debug_assert_eq!(sample.rows().dims(), self.dims);
+        let width = self.dims + 1;
+        let old = self.meta[i];
+        let k = sample.k();
+        let start = old.off as usize * width;
+        let (old_end, end) = (start + old.k as usize * width, start + k * width);
+        if end != old_end {
+            let len = self.data.len();
+            if end > old_end {
+                self.data.resize(len + (end - old_end), 0.0);
+                self.data.copy_within(old_end..len, end);
+            } else {
+                self.data.copy_within(old_end.., end);
+                self.data.truncate(len - (old_end - end));
+            }
+            for later in &mut self.meta[i + 1..] {
+                later.off = later.off - old.k + k as u32;
+            }
+        }
+        let segment = &mut self.data[start..end];
+        for d in 0..self.dims {
+            segment[d * k..(d + 1) * k].copy_from_slice(sample.rows().predicate_column(d));
+        }
+        segment[self.dims * k..].copy_from_slice(sample.rows().values());
+        self.meta[i] = StratumMeta {
+            off: old.off,
+            k: k as u32,
+            population: sample.population(),
+            sorted: sample.sorted_1d(),
+        };
     }
 
     /// Number of strata.
@@ -209,6 +252,60 @@ mod tests {
         assert_eq!(arena.k(1), 3);
         assert_eq!(arena.view(0).k(), 0);
         assert_eq!(arena.view(1).values.len(), 3);
+    }
+
+    /// Every view of `arena` holds the bytes a rebuild over `samples` gives.
+    fn assert_matches_rebuild(arena: &SampleArena, samples: &[Sample]) {
+        let rebuilt = SampleArena::from_samples(samples);
+        assert_eq!(arena.len(), rebuilt.len());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for i in 0..rebuilt.len() {
+            let (got, want) = (arena.view(i), rebuilt.view(i));
+            assert_eq!(bits(got.values), bits(want.values), "stratum {i}");
+            assert_eq!(bits(got.preds), bits(want.preds), "stratum {i}");
+            assert_eq!(
+                (got.dims, got.population, got.sorted_1d),
+                (want.dims, want.population, want.sorted_1d),
+                "stratum {i}"
+            );
+        }
+        assert_eq!(arena.data.len(), rebuilt.data.len());
+    }
+
+    #[test]
+    fn a_patched_stratum_leaves_the_arena_equal_to_a_rebuild() {
+        let t = pass_table::datasets::taxi(400, 7).project(&[1, 2]).unwrap();
+        let mut rng = rng_from_seed(7);
+        let two_dims: Vec<Sample> = (0..5)
+            .map(|_| Sample::uniform(&t, 6, &mut rng).unwrap())
+            .collect();
+        for mut samples in [strata(6, 4, 9), two_dims] {
+            let dims = samples[0].rows().dims();
+            let mut arena = SampleArena::from_samples(&samples);
+            let last = samples.len() - 1;
+            // Same size (a row replaced, the population moved), then
+            // shrinking to nothing and growing back — first, middle and
+            // last stratum, so the tail shift has 0..n strata to move.
+            for i in [0, 2, last, 2, 0] {
+                let row = vec![0.25 * i as f64; dims];
+                samples[i].replace_row(1, -3.0, &row);
+                samples[i].grow_population();
+                arena.set_stratum(i, &samples[i]);
+                assert_matches_rebuild(&arena, &samples);
+                while samples[i].k() > 0 {
+                    samples[i].swap_remove_row(0);
+                    samples[i].shrink_population();
+                    arena.set_stratum(i, &samples[i]);
+                    assert_matches_rebuild(&arena, &samples);
+                }
+                for step in 0..3 {
+                    samples[i].grow_population();
+                    samples[i].push_row(f64::from(step), &row);
+                    arena.set_stratum(i, &samples[i]);
+                    assert_matches_rebuild(&arena, &samples);
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use pass::common::rng::derive_seed;
 use pass::common::snapshot::{Cursor, SnapshotError, SNAPSHOT_VERSION};
 use pass::common::JoinSpec;
 use pass::common::{
@@ -217,6 +218,55 @@ fn mutated_pass_saves_post_mutation_state() {
     let loaded = roundtrip(&pass);
     assert_bit_identical(&pass, loaded.as_ref());
     assert_eq!(loaded.estimate(&q).unwrap(), after);
+}
+
+/// The arena and the tree's empty-node flag are patched in place by each
+/// update and rebuilt from the stored parts by a load, so a synopsis
+/// saved after a long stream (evictions included: strata shrank inside
+/// the arena) must answer exactly as its reload does — and saving the
+/// reload must reproduce the bytes.
+#[test]
+fn a_long_update_stream_round_trips_and_resaves_to_the_same_bytes() {
+    let table = uniform(3_000, 14);
+    let spec = PassSpec {
+        partitions: 16,
+        sample_rate: 0.1,
+        seed: 6,
+        ..PassSpec::default()
+    };
+    let mut pass = Pass::from_spec(&table, &spec).unwrap();
+    let mut live: Vec<(f64, f64)> = (0..table.n_rows())
+        .map(|r| (table.predicate(0, r), table.value(r)))
+        .collect();
+    let mut draws = 0;
+    let mut unit = || {
+        draws += 1;
+        (derive_seed(14, draws) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut evictions = 0;
+    for op in 0..1_000 {
+        if op % 5 < 3 {
+            let row = (1.2 * unit() - 0.1, 100.0 * unit());
+            pass.insert(&[row.0], row.1).unwrap();
+            live.push(row);
+        } else {
+            let (key, value) = live.swap_remove((unit() * live.len() as f64) as usize);
+            evictions += usize::from(pass.delete(&[key], value).unwrap());
+        }
+    }
+    assert_eq!(pass.update_epoch(), 1_000);
+    assert!(evictions > 0, "no delete reached a sampled row");
+
+    let mut bytes = Vec::new();
+    pass.save(&mut bytes).unwrap();
+    let loaded = Engine::load(&bytes).unwrap();
+    assert_bit_identical(&pass, loaded.as_ref());
+    let mut resaved = Vec::new();
+    loaded.save(&mut resaved).unwrap();
+    assert!(
+        resaved == bytes,
+        "re-saving the loaded synopsis moved bytes"
+    );
 }
 
 // ---------------------------------------------------------------------------

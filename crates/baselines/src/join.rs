@@ -246,7 +246,7 @@ impl Synopsis for JoinSynopsis {
         self.finish(point)
     }
 
-    /// Fused batch path over the joined sample, element-wise
+    /// Lockstep batch path over the joined sample, element-wise
     /// bit-identical to [`estimate`](Synopsis::estimate); batches with a
     /// mis-sized or MIN/MAX query fall back to the per-query path so
     /// error semantics stay per-element.

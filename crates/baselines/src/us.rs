@@ -96,9 +96,9 @@ impl Synopsis for UniformSynopsis {
         self.finish(query.agg, point)
     }
 
-    /// Fused batch path: one pass over each sample column per tile of
-    /// queries via [`pass_sampling::ScanScratch::estimate_batch`],
-    /// element-wise bit-identical to [`estimate`](Synopsis::estimate).
+    /// Batch path: four queries per pass over the sample, in lockstep,
+    /// via [`pass_sampling::ScanScratch::estimate_batch`]; element-wise
+    /// bit-identical to [`estimate`](Synopsis::estimate).
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
         if queries.iter().any(|q| q.dims() != self.dims) {
             return queries.iter().map(|q| self.estimate(q)).collect();

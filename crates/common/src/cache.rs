@@ -146,9 +146,26 @@ impl QueryCache {
 
     /// [`get`](Self::get) with a precomputed key (batch paths key once).
     pub fn get_keyed(&self, key: &QueryKey) -> Option<Result<Estimate>> {
-        self.get_many_keyed(std::slice::from_ref(key))
-            .pop()
-            .flatten()
+        if self.capacity == 0 {
+            self.count_misses(1);
+            return None;
+        }
+        let found = self.inner.lock().map.get(key).cloned();
+        // relaxed: monotonic effectiveness counters; stats() tolerates a
+        // momentarily inconsistent hit/miss pair, no ordering is needed.
+        match found {
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        found
+    }
+
+    /// Count `n` lookups that fell through to the engine — all a disabled
+    /// cache does with a lookup.
+    fn count_misses(&self, n: u64) {
+        // relaxed: monotonic effectiveness counter; readers only ever
+        // aggregate it, nothing is ordered against the stored value.
+        self.misses.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Look many keys up under **one** lock acquisition, counting hits and
@@ -156,9 +173,7 @@ impl QueryCache {
     /// twice per batch (lookups + inserts) instead of twice per query.
     pub fn get_many_keyed(&self, keys: &[QueryKey]) -> Vec<Option<Result<Estimate>>> {
         if self.capacity == 0 {
-            // relaxed: monotonic effectiveness counter; readers only ever
-            // aggregate it, nothing is ordered against the stored value.
-            self.misses.fetch_add(keys.len() as u64, Ordering::Relaxed);
+            self.count_misses(keys.len() as u64);
             return vec![None; keys.len()];
         }
         let found: Vec<Option<Result<Estimate>>> = {
@@ -389,6 +404,11 @@ impl<S: Synopsis> Synopsis for CachedSynopsis<S> {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
+        if self.cache.capacity == 0 {
+            // Nothing to look up or store, so no key is built either.
+            self.cache.count_misses(1);
+            return self.inner.estimate(query);
+        }
         self.cache.sync_epoch(self.inner.update_epoch());
         let key = QueryKey::new(query);
         if let Some(cached) = self.cache.get_keyed(&key) {
@@ -634,6 +654,20 @@ mod tests {
         assert!(cache.get(&q(0.0, 1.0)).is_none());
         cache.clear();
         cache.bump_epoch();
+    }
+
+    #[test]
+    fn zero_capacity_estimate_counts_a_miss_stores_nothing_and_answers_as_the_engine() {
+        let cached = CachedSynopsis::new(Counting::new(), 0);
+        let engine = Counting::new();
+        let queries = [q(0.25, 1.5), q(0.25, 1.5), q(0.0, 0.0), q(-1.0, 1.0)];
+        for (i, query) in queries.iter().enumerate() {
+            let bits = |r: Result<Estimate>| r.map(|e| (e.value.to_bits(), e.ci_half.to_bits()));
+            assert_eq!(bits(cached.estimate(query)), bits(engine.estimate(query)));
+            let stats = cached.cache().stats();
+            assert_eq!((stats.hits, stats.misses, stats.len), (0, i as u64 + 1, 0));
+            assert_eq!(cached.inner().calls(), i as u64 + 1);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use pass_common::AggKind;
 
-use crate::mcf::McfResult;
+use crate::mcf::{Frontier, McfResult};
 use crate::tree::PartitionTree;
 
 /// Hard bounds `(lb, ub)` for a query given its coverage frontier.
@@ -24,7 +24,7 @@ use crate::tree::PartitionTree;
 /// per-query node lists), in frontier order, so the summations are
 /// unchanged from the materializing formulation.
 pub fn hard_bounds(tree: &PartitionTree, frontier: &McfResult, agg: AggKind) -> Option<(f64, f64)> {
-    hard_bounds_exact(tree, frontier, agg).0
+    hard_bounds_exact(tree, frontier.frontier(), agg).0
 }
 
 /// [`hard_bounds`] plus the exact covered-partition contribution for
@@ -38,7 +38,7 @@ pub fn hard_bounds(tree: &PartitionTree, frontier: &McfResult, agg: AggKind) -> 
 /// that fold.
 pub(crate) fn hard_bounds_exact(
     tree: &PartitionTree,
-    frontier: &McfResult,
+    frontier: Frontier<'_>,
     agg: AggKind,
 ) -> (Option<(f64, f64)>, f64) {
     let covered = || frontier.covered.iter().map(|&id| tree.agg(id));
@@ -48,7 +48,7 @@ pub(crate) fn hard_bounds_exact(
         frontier
             .partial
             .iter()
-            .chain(&frontier.zero_var)
+            .chain(frontier.zero_var)
             .map(|&id| tree.agg(id))
     };
     // A covered node bounds MIN from above (MAX from below) by an

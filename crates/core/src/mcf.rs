@@ -21,6 +21,7 @@
 //! intersecting node partial and the search below descends to the leaves.
 
 use pass_common::{AggKind, Query, RectRelation};
+use pass_sampling::{PointVariance, ScanScratch, StratumEstimate};
 
 use crate::tree::{NodeId, PartitionTree};
 
@@ -40,7 +41,27 @@ pub struct McfResult {
     pub visited: usize,
 }
 
+/// The three node lists of one query's coverage frontier, borrowed — what
+/// finishing an estimate reads. A single query lends its whole
+/// [`McfResult`]; a batch lends each query's slice of the lists its
+/// window shares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frontier<'a> {
+    pub(crate) covered: &'a [NodeId],
+    pub(crate) partial: &'a [NodeId],
+    pub(crate) zero_var: &'a [NodeId],
+}
+
 impl McfResult {
+    /// The whole result as one query's [`Frontier`].
+    pub(crate) fn frontier(&self) -> Frontier<'_> {
+        Frontier {
+            covered: &self.covered,
+            partial: &self.partial,
+            zero_var: &self.zero_var,
+        }
+    }
+
     /// Total population of all returned partitions (`N_q` for AVG weights —
     /// Section 3.3: "the total size in all relevant partitions").
     pub fn relevant_population(&self, tree: &PartitionTree) -> u64 {
@@ -62,7 +83,8 @@ pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> Mcf
 }
 
 /// Reusable MCF working state: the DFS stack, the frontier buffers, the
-/// scan-kernel scratch, and the stratum-combination buffer.
+/// scan-kernel scratch, the stratum-combination buffer, and the batch
+/// path's window buffers.
 ///
 /// A query would otherwise allocate (and free) several vectors; `Pass`
 /// answers every query on its thread's scratch
@@ -74,11 +96,38 @@ pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> Mcf
 pub struct McfScratch {
     stack: Vec<NodeId>,
     /// The most recent query's frontier (cleared, not freed, per run).
+    /// Inside a batch window: the frontiers of all its queries, end to
+    /// end.
     pub result: McfResult,
     /// Scan-kernel buffers for per-leaf sample estimates.
-    pub scan: pass_sampling::ScanScratch,
+    pub scan: ScanScratch,
     /// Reusable per-stratum estimate buffer (cleared per query).
-    pub(crate) strata: Vec<pass_sampling::StratumEstimate>,
+    pub(crate) strata: Vec<StratumEstimate>,
+    pub(crate) batch: BatchScratch,
+}
+
+/// What one window of the batch path (`query::process_batch`) keeps
+/// beside the shared frontier lists: its queries flattened for the scan,
+/// the (query, partial leaf) pairs inverted by stratum, and one scanned
+/// point per pair. Cleared and refilled per window, never freed.
+#[derive(Debug, Default)]
+pub(crate) struct BatchScratch {
+    /// Per window query: where its covered / partial / zero-variance ids
+    /// end in [`McfScratch::result`]'s three lists (each begins where
+    /// the previous query's end).
+    pub(crate) ends: Vec<[usize; 3]>,
+    /// Per window query: its aggregate, and its rectangle as `dims`
+    /// inclusive `(lo, hi)` pairs — the scan reads these, never a `Rect`.
+    pub(crate) aggs: Vec<AggKind>,
+    pub(crate) bounds: Vec<(f64, f64)>,
+    /// Counting sort by stratum: the cursor of each stratum in `order`.
+    pub(crate) cursor: Vec<u32>,
+    /// Every pair as (index into `result.partial`, window query), grouped
+    /// by stratum, a stratum's pairs in query order. A window closes
+    /// within one tree's leaves of its pair budget, far inside `u32`.
+    pub(crate) order: Vec<(u32, u32)>,
+    /// The scanned point of each pair, indexed like `result.partial`.
+    pub(crate) slots: Vec<Option<PointVariance>>,
 }
 
 impl McfScratch {
@@ -93,19 +142,25 @@ impl McfScratch {
         SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
 
-    /// Split into (frontier, scan scratch, strata buffer) — disjoint
-    /// borrows for finishing an estimate off `result`.
-    pub(crate) fn parts(
-        &mut self,
-    ) -> (
-        &McfResult,
-        &mut pass_sampling::ScanScratch,
-        &mut Vec<pass_sampling::StratumEstimate>,
-    ) {
-        (&self.result, &mut self.scan, &mut self.strata)
+    /// Classify `query` over `tree` into `self.result`, reusing buffers.
+    pub fn run(&mut self, tree: &PartitionTree, query: &Query, zero_variance_rule: bool) {
+        self.clear();
+        self.classify(tree, query, zero_variance_rule);
     }
 
-    /// Classify `query` over `tree` into `self.result`, reusing buffers.
+    /// Empty the frontier lists (and the visit count), keeping capacity.
+    pub(crate) fn clear(&mut self) {
+        let result = &mut self.result;
+        result.covered.clear();
+        result.partial.clear();
+        result.zero_var.clear();
+        result.visited = 0;
+    }
+
+    /// Classify `query` over `tree`, *appending* its frontier to
+    /// `self.result` (and its visits to the count): [`run`](Self::run)
+    /// clears first, a batch window lays its queries' frontiers end to
+    /// end.
     ///
     /// The disjoint test runs before the emptiness check: most visited
     /// nodes are disjoint siblings along the descent, and classifying them
@@ -116,12 +171,13 @@ impl McfScratch {
     /// loop. When the tree reports no empty nodes at all (the common case:
     /// leaves are born populated and only deletions can zero a count), the
     /// emptiness check vanishes and the traversal never loads an aggregate.
-    pub fn run(&mut self, tree: &PartitionTree, query: &Query, zero_variance_rule: bool) {
+    pub(crate) fn classify(
+        &mut self,
+        tree: &PartitionTree,
+        query: &Query,
+        zero_variance_rule: bool,
+    ) {
         let result = &mut self.result;
-        result.covered.clear();
-        result.partial.clear();
-        result.zero_var.clear();
-        result.visited = 0;
         let apply_zero_var = zero_variance_rule && query.agg == AggKind::Avg;
         self.stack.clear();
         if tree.dims() == 1 {
@@ -191,7 +247,7 @@ impl McfScratch {
                     }
                 }
             }
-            result.visited = visited;
+            result.visited += visited;
             return;
         }
         let check_empty = tree.has_empty_nodes();

@@ -1,12 +1,49 @@
 //! Query processing (Section 3.3): index lookup → partial aggregation →
 //! sample estimation → combined result with CI and hard bounds.
+//!
+//! One query classifies, scans each partial leaf as it meets it, and
+//! combines ([`process_arena`]). A multi-dimensional batch
+//! ([`process_batch`]) turns the middle step inside out: it classifies a
+//! window of queries, inverts their (query, partial leaf) pairs by leaf,
+//! scans each touched leaf once for all the queries that share it — four
+//! at a time through the lockstep group kernel — and then finishes every
+//! query through the same code, reading each partial leaf's point from
+//! the slot the scan left it in.
 
 use pass_common::{AggKind, Estimate, PassError, Query, Result};
-use pass_sampling::{combine_strata, PointVariance, SampleArena, ScanScratch, StratumEstimate};
+use pass_sampling::{
+    combine_strata, kernel::GROUP, PointVariance, SampleArena, SampleView, StratumEstimate,
+};
 
 use crate::bounds::hard_bounds_exact;
-use crate::mcf::{McfResult, McfScratch};
+use crate::mcf::{BatchScratch, Frontier, McfScratch};
 use crate::tree::PartitionTree;
+
+/// Queries classified before a batch window is inverted and scanned.
+/// On 256-query 3-D batches over 256 leaves (71 partial leaves a query),
+/// windows of 16 / 32 / 64 / 128 / 256 queries answered 73 k / 78 k /
+/// 82 k / 83 k / 80–83 k queries a second: the wider the window, the
+/// more queries share each leaf scan and the fuller its groups of four,
+/// until (from about a hundred queries on) nothing more is gained.
+const WINDOW: usize = 256;
+
+/// A window also closes once it holds this many (query, partial leaf)
+/// pairs, so a tree with thousands of leaves cannot balloon the per-pair
+/// buffers (8 + 32 bytes a pair). A `WINDOW` of queries over a 256-leaf
+/// tree stays well under it.
+const PAIR_BUDGET: usize = 1 << 15;
+
+/// A query of the wrong arity is refused before anything is classified.
+fn check_arity(tree: &PartitionTree, query: &Query) -> Result<()> {
+    if query.dims() == tree.dims() {
+        Ok(())
+    } else {
+        Err(PassError::DimensionMismatch {
+            expected: tree.dims(),
+            got: query.dims(),
+        })
+    }
+}
 
 /// Answer `query` over the annotated tree and the flat arena of its
 /// per-leaf stratified samples, on the caller's `scratch`. `lambda` scales
@@ -20,39 +57,206 @@ pub(crate) fn process_arena(
     lambda: f64,
     zero_variance_rule: bool,
 ) -> Result<Estimate> {
-    if query.dims() != tree.dims() {
-        return Err(PassError::DimensionMismatch {
-            expected: tree.dims(),
-            got: query.dims(),
-        });
-    }
+    check_arity(tree, query)?;
     scratch.run(tree, query, zero_variance_rule);
-    let (frontier, scan, strata) = scratch.parts();
-    process_frontier(tree, arena, query, lambda, frontier, scan, strata)
+    let McfScratch {
+        result,
+        scan,
+        strata,
+        ..
+    } = scratch;
+    let scan_now = |_, view: &SampleView<'_>| scan.estimate_view(query.agg, view, &query.rect);
+    process_frontier(
+        tree,
+        arena,
+        query,
+        lambda,
+        result.frontier(),
+        scan_now,
+        strata,
+    )
+}
+
+/// Answer a batch over a multi-dimensional arena, element-wise
+/// bit-identical to [`process_arena`] per query. Window by window:
+/// classify ([`classify_window`]), invert and scan ([`scan_window`]),
+/// then finish each query in its own frontier order from the scanned
+/// slots. Every buffer but the answers lives in `scratch`.
+pub(crate) fn process_batch(
+    scratch: &mut McfScratch,
+    tree: &PartitionTree,
+    arena: &SampleArena,
+    queries: &[Query],
+    lambda: f64,
+    zero_variance_rule: bool,
+) -> Vec<Result<Estimate>> {
+    // alloc: the batch's answers — all a warmed-up batch allocates.
+    let mut out = Vec::with_capacity(queries.len());
+    let mut rest = queries;
+    while !rest.is_empty() {
+        let taken = classify_window(scratch, tree, rest, zero_variance_rule);
+        let (window, later) = rest.split_at(taken);
+        scan_window(scratch, tree, arena);
+        let McfScratch {
+            result,
+            strata,
+            batch,
+            ..
+        } = &mut *scratch;
+        let mut from = [0; 3];
+        for (query, &to) in window.iter().zip(&batch.ends) {
+            let frontier = Frontier {
+                covered: &result.covered[from[0]..to[0]],
+                partial: &result.partial[from[1]..to[1]],
+                zero_var: &result.zero_var[from[2]..to[2]],
+            };
+            let slots = &batch.slots[from[1]..to[1]];
+            let scanned = |j: usize, _: &SampleView<'_>| slots[j];
+            out.push(check_arity(tree, query).and_then(|()| {
+                process_frontier(tree, arena, query, lambda, frontier, scanned, strata)
+            }));
+            from = to;
+        }
+        rest = later;
+    }
+    out
+}
+
+/// Classify a window off the front of `queries` — up to [`WINDOW`] of
+/// them, fewer once [`PAIR_BUDGET`] is spent — laying their frontiers end
+/// to end in `scratch.result` and copying each aggregate and rectangle
+/// into the flat arrays the scan reads. Returns how many queries the
+/// window took (at least one). A query of the wrong arity takes its place
+/// with an empty frontier; finishing reports it.
+fn classify_window(
+    scratch: &mut McfScratch,
+    tree: &PartitionTree,
+    queries: &[Query],
+    zero_variance_rule: bool,
+) -> usize {
+    let dims = tree.dims();
+    scratch.clear();
+    let batch = &mut scratch.batch;
+    batch.ends.clear();
+    batch.aggs.clear();
+    batch.bounds.clear();
+    for query in queries.iter().take(WINDOW) {
+        if check_arity(tree, query).is_ok() {
+            scratch.classify(tree, query, zero_variance_rule);
+            let (rect, bounds) = (&query.rect, &mut scratch.batch.bounds);
+            bounds.extend((0..dims).map(|d| (rect.lo(d), rect.hi(d))));
+        }
+        let (result, batch) = (&scratch.result, &mut scratch.batch);
+        batch.ends.push([
+            result.covered.len(),
+            result.partial.len(),
+            result.zero_var.len(),
+        ]);
+        batch.aggs.push(query.agg);
+        // A refused query keeps its stride with bounds nothing reads.
+        batch.bounds.resize(batch.ends.len() * dims, (0.0, 0.0));
+        if result.partial.len() >= PAIR_BUDGET {
+            break;
+        }
+    }
+    scratch.batch.ends.len()
+}
+
+/// Invert the window's (query, partial leaf) pairs by stratum — a
+/// counting sort, so a stratum's pairs stay in query order — and scan
+/// each touched stratum once for all of them, [`GROUP`] queries per pass,
+/// leaving every pair's point in its slot. A stratum's last group repeats
+/// its own last pair in the lanes it cannot fill.
+fn scan_window(scratch: &mut McfScratch, tree: &PartitionTree, arena: &SampleArena) {
+    let partial = &scratch.result.partial;
+    let BatchScratch {
+        ends,
+        aggs,
+        bounds,
+        cursor,
+        order,
+        slots,
+    } = &mut scratch.batch;
+    // Every pair as (index into `partial`, window query, stratum). MCF
+    // emits only leaves as partial; a pair that is not one gets no scan
+    // and `stratum_of` refuses its query when it is finished.
+    let pairs = || {
+        let starts = std::iter::once(0).chain(ends.iter().map(|to| to[1]));
+        let by_query = starts.zip(ends.iter()).enumerate();
+        by_query.flat_map(|(query, (from, to))| {
+            (from..to[1]).filter_map(move |pair| {
+                let stratum = tree.leaf_index(partial[pair])?;
+                Some((pair as u32, query as u32, stratum))
+            })
+        })
+    };
+
+    cursor.clear();
+    cursor.resize(arena.len() + 1, 0);
+    for (_, _, stratum) in pairs() {
+        cursor[stratum + 1] += 1;
+    }
+    for stratum in 0..arena.len() {
+        cursor[stratum + 1] += cursor[stratum];
+    }
+    order.clear();
+    order.resize(cursor[arena.len()] as usize, (0, 0));
+    // Scattering walks each stratum's cursor from its first pair to the
+    // next stratum's first.
+    for (pair, query, stratum) in pairs() {
+        order[cursor[stratum] as usize] = (pair, query);
+        cursor[stratum] += 1;
+    }
+
+    slots.clear();
+    slots.resize(partial.len(), None);
+    let dims = tree.dims();
+    let mut begin = 0;
+    for (stratum, &end) in cursor[..arena.len()].iter().enumerate() {
+        let sharing = &order[begin..end as usize];
+        begin = end as usize;
+        if sharing.is_empty() {
+            continue;
+        }
+        let view = arena.view(stratum);
+        for group in sharing.chunks(GROUP) {
+            let query = |lane: usize| group[lane.min(group.len() - 1)].1 as usize;
+            let points = scratch.scan.estimate_group(
+                &view,
+                std::array::from_fn(|lane| aggs[query(lane)]),
+                std::array::from_fn(|lane| &bounds[query(lane) * dims..][..dims]),
+            );
+            for (&(pair, _), point) in group.iter().zip(points) {
+                slots[pair as usize] = point;
+            }
+        }
+    }
 }
 
 /// Finish one query from its (pre-computed) coverage frontier: partial
-/// aggregation, sample estimation, hard bounds, accounting. Sample scans
-/// run on the `scan` kernel scratch and per-stratum estimates accumulate
-/// into the reusable `strata` buffer, so a warmed-up scratch finishes the
-/// whole query without touching the allocator. The covered SUM/COUNT fold
-/// is shared with the bounds computation ([`hard_bounds_exact`]) and the
-/// sample accounting rides the per-aggregate partial-leaf loop, so each
-/// frontier list is walked once.
-#[allow(clippy::too_many_arguments)]
+/// aggregation, sample estimation, hard bounds, accounting.
+/// `point(j, view)` yields the estimate of the frontier's `j`-th partial
+/// leaf, whose sample is `view` — scanned there and then for a single
+/// query, read from the slot the batch scan filled otherwise — and
+/// per-stratum estimates accumulate into the reusable `strata` buffer, so
+/// a warmed-up scratch finishes the whole query without touching the
+/// allocator. The covered SUM/COUNT fold is shared with the bounds
+/// computation ([`hard_bounds_exact`]) and the sample accounting rides
+/// the per-aggregate partial-leaf loop, so each frontier list is walked
+/// once.
 fn process_frontier(
     tree: &PartitionTree,
     arena: &SampleArena,
     query: &Query,
     lambda: f64,
-    frontier: &McfResult,
-    scan: &mut ScanScratch,
+    frontier: Frontier<'_>,
+    point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
     strata: &mut Vec<StratumEstimate>,
 ) -> Result<Estimate> {
     let (bounds, exact_part) = hard_bounds_exact(tree, frontier, query.agg);
 
-    // Sample accounting, accumulated by the partial-leaf scan loops:
-    // every partial leaf's whole sample is scanned.
+    // Sample accounting, accumulated by the partial-leaf loops: every
+    // partial leaf's whole sample is scanned.
     let mut processed = 0u64;
 
     let mut est = match query.agg {
@@ -63,23 +267,22 @@ fn process_frontier(
             lambda,
             frontier,
             exact_part,
-            scan,
+            point,
             strata,
             &mut processed,
         )?,
         AggKind::Avg => process_avg(
             tree,
             arena,
-            query,
             lambda,
             frontier,
             &bounds,
-            scan,
+            point,
             strata,
             &mut processed,
         )?,
         AggKind::Min | AggKind::Max => {
-            process_minmax(tree, arena, query, frontier, &bounds, scan, &mut processed)?
+            process_minmax(tree, arena, query, frontier, &bounds, point, &mut processed)?
         }
     };
     let skipped = tree.total_rows().saturating_sub(processed);
@@ -107,20 +310,20 @@ fn process_sum_count(
     arena: &SampleArena,
     query: &Query,
     lambda: f64,
-    frontier: &McfResult,
+    frontier: Frontier<'_>,
     // Partial Aggregation: exact contribution of covered partitions,
     // folded once inside `hard_bounds_exact` (same addends, same order).
     exact_part: f64,
-    scan: &mut ScanScratch,
+    mut point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
     strata: &mut Vec<StratumEstimate>,
     processed: &mut u64,
 ) -> Result<Estimate> {
     // Sample Estimation over partial leaves (w_i = 1 for SUM/COUNT).
     strata.clear();
-    for &id in &frontier.partial {
+    for (j, &id) in frontier.partial.iter().enumerate() {
         let view = arena.view(stratum_of(tree, id)?);
         *processed += view.k() as u64;
-        if let Some(point) = scan.estimate_view(query.agg, &view, &query.rect) {
+        if let Some(point) = point(j, &view) {
             strata.push(StratumEstimate {
                 point,
                 // Sample populations track leaf counts (an invariant the
@@ -145,11 +348,10 @@ fn process_sum_count(
 fn process_avg(
     tree: &PartitionTree,
     arena: &SampleArena,
-    query: &Query,
     lambda: f64,
-    frontier: &McfResult,
+    frontier: Frontier<'_>,
     bounds: &Option<(f64, f64)>,
-    scan: &mut ScanScratch,
+    mut point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
     strata: &mut Vec<StratumEstimate>,
     processed: &mut u64,
 ) -> Result<Estimate> {
@@ -159,7 +361,7 @@ fn process_avg(
     // Covered nodes contribute exactly; 0-variance nodes contribute their
     // constant value exactly too (Section 3.4's rule), weighted by their
     // full population per the paper's prescription.
-    for &id in frontier.covered.iter().chain(&frontier.zero_var) {
+    for &id in frontier.covered.iter().chain(frontier.zero_var) {
         let agg = tree.agg(id);
         if let Some(avg) = agg.avg() {
             strata.push(StratumEstimate {
@@ -173,10 +375,10 @@ fn process_avg(
         }
     }
     let mut n_q: u64 = strata.iter().map(|s| s.population).sum();
-    for &id in &frontier.partial {
+    for (j, &id) in frontier.partial.iter().enumerate() {
         let view = arena.view(stratum_of(tree, id)?);
         *processed += view.k() as u64;
-        if let Some(point) = scan.estimate_view(AggKind::Avg, &view, &query.rect) {
+        if let Some(point) = point(j, &view) {
             // Weight partial strata by their *estimated relevant*
             // population N_i · K_pred/K_i rather than the full N_i: only a
             // fraction of a partially-covered stratum contributes to the
@@ -221,9 +423,9 @@ fn process_minmax(
     tree: &PartitionTree,
     arena: &SampleArena,
     query: &Query,
-    frontier: &McfResult,
+    frontier: Frontier<'_>,
     bounds: &Option<(f64, f64)>,
-    scan: &mut ScanScratch,
+    mut point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
     processed: &mut u64,
 ) -> Result<Estimate> {
     let mut best: Option<f64> = None;
@@ -234,7 +436,7 @@ fn process_minmax(
             (Some(b), _) => b.max(v),
         });
     };
-    for &id in &frontier.covered {
+    for &id in frontier.covered {
         let agg = tree.agg(id);
         if !agg.is_empty() {
             fold(match query.agg {
@@ -243,10 +445,10 @@ fn process_minmax(
             });
         }
     }
-    for &id in &frontier.partial {
+    for (j, &id) in frontier.partial.iter().enumerate() {
         let view = arena.view(stratum_of(tree, id)?);
         *processed += view.k() as u64;
-        if let Some(point) = scan.estimate_view(query.agg, &view, &query.rect) {
+        if let Some(point) = point(j, &view) {
             fold(point.value);
         }
     }
@@ -282,8 +484,10 @@ mod tests {
     use pass_common::rng::rng_from_seed;
     use pass_common::{Query, LAMBDA_99};
     use pass_partition::Partitioning1D;
-    use pass_sampling::Sample;
+    use pass_sampling::{Sample, ScanScratch};
     use pass_table::{SortedTable, Table};
+
+    use crate::mcf::McfResult;
 
     /// `process_arena` over per-leaf samples on a fresh scratch.
     fn process(
@@ -414,20 +618,60 @@ mod tests {
             partial: vec![tree.root()],
             ..McfResult::default()
         };
+        let mut scan = ScanScratch::new();
         for agg in AggKind::ALL {
+            let query = Query::interval(agg, 30.0, 270.0);
             let got = process_frontier(
                 &tree,
                 &arena,
-                &Query::interval(agg, 30.0, 270.0),
+                &query,
                 LAMBDA_99,
-                &frontier,
-                &mut ScanScratch::new(),
+                frontier.frontier(),
+                |_, view: &SampleView<'_>| scan.estimate_view(agg, view, &query.rect),
                 &mut Vec::new(),
             );
             assert!(
                 matches!(got, Err(PassError::InvalidParameter("frontier", _))),
                 "{agg}: {got:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_window_closes_on_its_pair_budget_and_the_batch_still_matches_singles() {
+        use pass_common::{PassSpec, Rect};
+        // 600 leaves over dimension 0 of a 2-D table, lifted: a query
+        // that constrains dimension 1 can cover no leaf, so all 600 are
+        // partial and 55 queries spend the budget.
+        let table = pass_table::datasets::taxi(12_000, 3)
+            .project(&[1, 2])
+            .unwrap();
+        let spec = PassSpec {
+            partitions: 600,
+            sample_rate: 0.01,
+            tree_dims: Some(vec![0]),
+            ..PassSpec::default()
+        };
+        let pass = crate::Pass::from_spec(&table, &spec).unwrap();
+        let full = table.bounding_rect().unwrap();
+        let span = full.hi(1) - full.lo(1);
+        let queries: Vec<Query> = (0..300)
+            .map(|i| {
+                let lo = full.lo(1) + span * (i % 9) as f64 / 10.0;
+                let rect = Rect::new(&[(full.lo(0), full.hi(0)), (lo, lo + span / 7.0)]);
+                Query::new(AggKind::ALL[i % 5], rect)
+            })
+            .collect();
+        let scratch = &mut McfScratch::default();
+        let taken = classify_window(scratch, &pass.tree, &queries, true);
+        assert_eq!(scratch.batch.ends.len(), taken);
+        assert!(taken < WINDOW && scratch.result.partial.len() >= PAIR_BUDGET);
+        assert!(scratch.result.partial.len() < PAIR_BUDGET + pass.tree.n_leaves());
+        let batch = process_batch(scratch, &pass.tree, &pass.arena, &queries, LAMBDA_99, true);
+        assert_eq!(batch.len(), queries.len());
+        for (q, batched) in queries.iter().zip(batch) {
+            let single = process_arena(scratch, &pass.tree, &pass.arena, q, LAMBDA_99, true);
+            assert_eq!(batched, single, "{q:?}");
         }
     }
 

@@ -293,12 +293,38 @@ impl Synopsis for Pass {
         McfScratch::with_local(|scratch| self.answer(scratch, query))
     }
 
-    /// The whole batch runs on one borrow of the thread's scratch, so
-    /// every query after the first classifies, scans and combines
-    /// allocation-free; element-wise bit-identical to repeated
+    /// The whole batch runs on one borrow of the thread's scratch and is
+    /// element-wise bit-identical to repeated
     /// [`estimate`](Self::estimate).
+    ///
+    /// Over a multi-dimensional arena, where a query meets tens of
+    /// partial leaves and the queries of a batch share them, the batch is
+    /// cut into windows of 256 queries (fewer once a window holds 32 768
+    /// (query, partial leaf) pairs); a window is classified whole, its
+    /// pairs are inverted by leaf, and each touched leaf's sample is
+    /// scanned once for every query that shares it, four queries per pass
+    /// of the lockstep group kernel. Each query is then finished exactly
+    /// as a single one is — same frontier order, same additions — reading
+    /// the scanned points back. A warmed-up batch allocates its answer
+    /// vector and nothing else. A 1-D arena, where a query has at most
+    /// two partial leaves and each scan is a binary search, has nothing
+    /// to share: its batches, and any batch of one, are a loop of single
+    /// queries on the same scratch.
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
-        McfScratch::with_local(|scratch| queries.iter().map(|q| self.answer(scratch, q)).collect())
+        McfScratch::with_local(|scratch| {
+            if self.arena.dims() > 1 && queries.len() > 1 {
+                crate::query::process_batch(
+                    scratch,
+                    &self.tree,
+                    &self.arena,
+                    queries,
+                    self.spec.lambda,
+                    self.spec.zero_variance_rule,
+                )
+            } else {
+                queries.iter().map(|q| self.answer(scratch, q)).collect()
+            }
+        })
     }
 
     fn spec(&self) -> EngineSpec {

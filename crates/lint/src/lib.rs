@@ -8,8 +8,8 @@
 //! 1. **No panic paths in serving-tier library code** — no `.unwrap()`,
 //!    `.expect("…")`, `panic!`, `unreachable!`, `todo!`, or
 //!    `unimplemented!` outside `#[cfg(test)]` code in `crates/common`,
-//!    the root crate and PASS's update path
-//!    (`crates/core/src/update.rs`). A serving worker that panics takes its
+//!    the root crate, `crates/core` and `crates/sampling` — everything a
+//!    served PASS query or update runs. A serving worker that panics takes its
 //!    in-flight tickets down with it; errors must flow through
 //!    `PassError`. (`chaos.rs`/`chaos/imp.rs` are exempt by design: the
 //!    model checker *reports failures by panicking* with a replayable
@@ -39,14 +39,15 @@
 //!    bench harness. Everything else must take timestamps as inputs,
 //!    which is what keeps the rest of the workspace deterministic and
 //!    model-checkable.
-//! 6. **Scan kernels and the update path stay allocation-free** — the
+//! 6. **Scan kernels, the query path and the update path stay
+//!    allocation-free** — the
 //!    declared hot-path modules ([`SCAN_KERNELS`]) must not heap-allocate
 //!    per call: `Vec::new`, `vec![…]`, `.collect()`, `with_capacity`,
 //!    `.to_vec()`, `Box::new` and `.leaves()` (the partition tree's
 //!    leaf-list builder) are flagged outside `#[cfg(test)]` code unless
 //!    a `// alloc:` comment justifies the site (the scratch buffers'
-//!    one-time construction). `resize` on a reusable buffer is the
-//!    sanctioned growth idiom and is not flagged.
+//!    one-time construction, a batch's answer vector). `resize` on a
+//!    reusable buffer is the sanctioned growth idiom and is not flagged.
 //! 7. **Snapshot decoders never index untrusted input** — the declared
 //!    decoder modules ([`SNAPSHOT_DECODERS`]) parse attacker-controlled
 //!    bytes, so `[`-indexing and slicing are flagged outside
@@ -118,9 +119,24 @@ pub const PANIC_EXEMPT: &[&str] = &[
 
 /// The declared allocation-free hot-path modules (rule 6): the columnar
 /// estimation kernels must reuse scratch buffers, never allocate per
-/// query, and an insert or delete must cost the path and the stratum it
-/// touches, never a per-mutation list of every leaf.
-pub const SCAN_KERNELS: &[&str] = &["crates/sampling/src/kernel.rs", "crates/core/src/update.rs"];
+/// query; finishing a query — and classifying, inverting and scanning a
+/// batch of them — must keep its buffers in `McfScratch`; and an insert
+/// or delete must cost the path and the stratum it touches, never a
+/// per-mutation list of every leaf.
+pub const SCAN_KERNELS: &[&str] = &[
+    "crates/sampling/src/kernel.rs",
+    "crates/core/src/query.rs",
+    "crates/core/src/update.rs",
+];
+
+/// Where rule 1 (no panic paths) applies: the serving tier and every
+/// crate a served PASS query or update runs through.
+pub const NO_PANIC_SCOPE: &[&str] = &[
+    "crates/common/src/",
+    "src/",
+    "crates/core/src/",
+    "crates/sampling/src/",
+];
 
 /// The snapshot decoder modules (rule 7): they parse untrusted bytes and
 /// must reach them via `get(..)`-or-error, never unchecked indexing.
@@ -375,11 +391,7 @@ fn in_scope(rel: &str, prefixes: &[&str]) -> bool {
 
 /// Rule 1: no panic paths in non-test serving-tier library code.
 pub fn check_no_panic(file: &SourceFile, out: &mut Vec<Violation>) {
-    if !in_scope(
-        &file.rel,
-        &["crates/common/src/", "src/", "crates/core/src/update.rs"],
-    ) || PANIC_EXEMPT.contains(&file.rel.as_str())
-    {
+    if !in_scope(&file.rel, NO_PANIC_SCOPE) || PANIC_EXEMPT.contains(&file.rel.as_str()) {
         return;
     }
     const PATTERNS: &[(&str, &str)] = &[
@@ -1074,9 +1086,15 @@ mod tests {
         let mut out = Vec::new();
         check_no_panic(&file("crates/common/src/queue.rs", src), &mut out);
         assert_eq!(out.len(), 4);
+        // The query and scan path of PASS is held to the same rule.
+        for held in ["crates/core/src/mcf.rs", "crates/sampling/src/kernel.rs"] {
+            out.clear();
+            check_no_panic(&file(held, src), &mut out);
+            assert_eq!(out.len(), 4, "{held}");
+        }
         // Out of scope: other crates have their own idioms.
         out.clear();
-        check_no_panic(&file("crates/core/src/mcf.rs", src), &mut out);
+        check_no_panic(&file("crates/table/src/table.rs", src), &mut out);
         assert!(out.is_empty());
         // Exempt: the model checker fails by panicking, by design.
         out.clear();
@@ -1221,10 +1239,12 @@ fn f() {
         assert!(out.iter().all(|v| v.rule == "kernel-no-alloc"));
         // `resize` is the sanctioned growth idiom — never flagged.
         assert!(!out.iter().any(|v| v.line == 8), "{out:?}");
-        // The update path is held to the same rule.
-        out.clear();
-        check_no_alloc_in_kernels(&file("crates/core/src/update.rs", src), &mut out);
-        assert_eq!(out.len(), 7, "{out:?}");
+        // The query and update paths are held to the same rule.
+        for held in ["crates/core/src/query.rs", "crates/core/src/update.rs"] {
+            out.clear();
+            check_no_alloc_in_kernels(&file(held, src), &mut out);
+            assert_eq!(out.len(), 7, "{held}: {out:?}");
+        }
         // Out of scope: normal modules may allocate freely.
         out.clear();
         check_no_alloc_in_kernels(&file("crates/sampling/src/sample.rs", src), &mut out);

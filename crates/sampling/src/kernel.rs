@@ -42,15 +42,31 @@
 //!    adding `±0.0` is a genuine state no-op. The sum-of-squares pass
 //!    stays O(k) — unmatched rows contribute `(0 − m)²` — but adds the
 //!    constant term branch-free.
-//! 4. **Scan fusion** — [`ScanScratch::estimate_batch`] evaluates a
-//!    batch of rectangles tile-by-tile in one pass over each predicate
-//!    column, so the sample's columns stay cache-hot across the tile's
-//!    queries. The tile keeps one *byte* per (query, row) — 64 queries'
-//!    worth of 64-bit lanes would not stay cache-resident — and widens a
-//!    byte to a keep lane only while building φ into the same buffer.
-//!    Single and fused paths share `finish_from_lanes` (generic over the
-//!    lane width), so they are bit-identical by shared code, not by
-//!    coincidence.
+//! 4. **Lockstep groups** — a batch answers [`GROUP`] (four) queries per
+//!    pass over a stratum ([`ScanScratch::estimate_batch`] over one
+//!    sample, [`ScanScratch::estimate_group`] over one arena view for a
+//!    batch whose queries share a partial leaf). Each predicate column is
+//!    read once and tested against all four intervals, the four keep
+//!    lanes of a row sitting side by side; then every lane's φ is
+//!    selected and added to that lane's sums one row at a time, each lane
+//!    performing exactly the operations of point 2 in their order. What a
+//!    single query cannot do is overlap them: its two moment loops are
+//!    one Neumaier dependency chain each, an add retiring every ~4 cycles
+//!    with nothing beside it, and that — not the column reads — is most
+//!    of a short stratum's cost. Four lanes are four independent chains in
+//!    one loop, which the compiler packs into SSE2 pairs on the default
+//!    target; eight lanes measured no faster. For the lanes to share one
+//!    instruction stream the Neumaier `|sum| >= |value|` test is written
+//!    as a select of the finished compensation term — lanes whose tests
+//!    disagree cannot branch apart — and it is again a *select*: the arm
+//!    taken contributes its own arithmetic, bit for bit. A lane nothing
+//!    matched (its AVG scale is `K / 0`) runs along and is discarded to
+//!    the no-match answer; a group short of queries repeats one of its
+//!    own in the spare lanes. The single-query path keeps its own
+//!    branching loops: one lane through the select form retires more
+//!    instructions per row than the branch it replaces (9.0 against 5.5
+//!    ns/row at 16 384 rows when this was written), so the two are held
+//!    together by `tests/kernel_contract.rs`, not by shared code.
 //!
 //! The `pass-lint` workspace pass flags heap allocation in this module
 //! (`kernel-no-alloc`): the only sanctioned allocations are the
@@ -77,9 +93,10 @@ pub struct PointVariance {
     pub k_pred: u64,
 }
 
-/// Queries per fused tile: bounds the flat mask buffer at `TILE · k`
-/// bytes while keeping each predicate column resident across the tile.
-const TILE: usize = 64;
+/// Queries one pass of the lockstep group kernel answers. Four `f64`
+/// accumulator chains fill two SSE2 register pairs on the default target
+/// and overlap each other's add latency; eight measured no faster.
+pub const GROUP: usize = 4;
 
 /// A borrowed, contiguous view of one stratum's sample rows: the value
 /// column, the predicate columns (column-major, dimension `d` at
@@ -140,17 +157,17 @@ fn view_1d(sample: &Sample) -> SampleView<'_> {
 /// borrow the thread-local via [`with_scratch`]) and reuse across
 /// queries; no per-query allocation happens after the buffers reach the
 /// sample size high-water mark. Every buffer is resized to the current
-/// stratum's `k` before use, so nothing a previous call left behind is
-/// ever read.
+/// stratum's `k` (times [`GROUP`] on the group path) before use, so
+/// nothing a previous call left behind is ever read.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     /// Byte match vector handed out by [`match_mask`](Self::match_mask).
     mask: Vec<u8>,
-    /// Fused tile byte masks, laid out `[query_in_tile * k + row]`.
-    tile: Vec<u8>,
-    /// Single-query keep lanes, one `u64` (all-ones / `0`) per sampled row.
+    /// Keep lanes, one `u64` (all-ones / `0`) per sampled row — or, on
+    /// the group path, [`GROUP`] side by side per row.
     keep: Vec<u64>,
-    /// The selected φ vector of the (query, stratum) pair being finished.
+    /// The selected φ values of the query (or group) being finished, in
+    /// the layout of `keep`.
     phi: Vec<f64>,
 }
 
@@ -236,10 +253,32 @@ impl ScanScratch {
         finish_from_lanes(agg, values, population, &self.keep, &mut self.phi)
     }
 
-    /// Scan fusion: answer every query in `queries` with one pass over
-    /// each predicate column per tile of `TILE` (64) queries. Results are
-    /// element-wise bit-identical to [`estimate`](Self::estimate) (the
-    /// tile masks finish through the same `finish_from_lanes`).
+    /// [`GROUP`] queries over one stratum in one pass — what a batch whose
+    /// queries share a partial leaf calls instead of [`GROUP`]
+    /// [`estimate_view`](Self::estimate_view)s. Lane `l` asks `aggs[l]`
+    /// over the rectangle `bounds[l]` (one inclusive `(lo, hi)` pair per
+    /// dimension) and gets exactly the bits `estimate_view` returns for
+    /// it; a caller with fewer than [`GROUP`] queries left repeats one of
+    /// them in the spare lanes. Always the d-dimensional path, like
+    /// [`estimate_unsorted`](Self::estimate_unsorted): a sorted 1-D view
+    /// is answered correctly, without its binary search.
+    pub fn estimate_group(
+        &mut self,
+        view: &SampleView<'_>,
+        aggs: [AggKind; GROUP],
+        bounds: [&[(f64, f64)]; GROUP],
+    ) -> [Option<PointVariance>; GROUP] {
+        debug_assert!(bounds.iter().all(|b| b.len() == view.dims));
+        let (col, bound) = (|d| view.pred_col(d), |l: usize, d: usize| bounds[l][d]);
+        self.group_lanes(aggs, view.values, view.population, view.dims, col, bound)
+    }
+
+    /// Answer every query in `queries` over one sample, [`GROUP`] at a
+    /// time through the lockstep kernel: each group reads every predicate
+    /// column once and advances its queries' accumulators side by side.
+    /// Results are element-wise bit-identical to
+    /// [`estimate`](Self::estimate); the last group fills its spare lanes
+    /// with its own last query.
     ///
     /// `out` is cleared and refilled, one entry per query, in order.
     /// Every query must have the sample's arity.
@@ -265,27 +304,63 @@ impl ScanScratch {
             return;
         }
         let rows = sample.rows();
-        for chunk in queries.chunks(TILE) {
-            self.tile.clear();
-            self.tile.resize(chunk.len() * k, 0);
-            for d in 0..rows.dims() {
-                let col = rows.predicate_column(d);
-                for (t, q) in chunk.iter().enumerate() {
-                    let seg = &mut self.tile[t * k..(t + 1) * k];
-                    lane_pass(col, q.rect.lo(d), q.rect.hi(d), d == 0, seg);
-                }
-            }
-            for (t, q) in chunk.iter().enumerate() {
-                let seg = &self.tile[t * k..(t + 1) * k];
-                out.push(finish_from_lanes(
-                    q.agg,
-                    rows.values(),
-                    sample.population(),
-                    seg,
-                    &mut self.phi,
-                ));
+        for group in queries.chunks(GROUP) {
+            let lane = |l: usize| &group[l.min(group.len() - 1)];
+            let points = self.group_lanes(
+                std::array::from_fn(|l| lane(l).agg),
+                rows.values(),
+                sample.population(),
+                rows.dims(),
+                |d| rows.predicate_column(d),
+                |l, d| (lane(l).rect.lo(d), lane(l).rect.hi(d)),
+            );
+            out.extend_from_slice(&points[..group.len()]);
+        }
+    }
+
+    /// The lockstep group kernel (module docs, point 4): keep lanes for
+    /// all [`GROUP`] rectangles from one read of each predicate column,
+    /// then every lane's moments side by side. `col(d)` is the stratum's
+    /// predicate column `d`, `bound(l, d)` lane `l`'s inclusive interval
+    /// in that dimension. Out of line for the same reason as
+    /// [`estimate_lanes`](Self::estimate_lanes).
+    #[inline(never)]
+    fn group_lanes<'c>(
+        &mut self,
+        aggs: [AggKind; GROUP],
+        values: &[f64],
+        population: u64,
+        dims: usize,
+        col: impl Fn(usize) -> &'c [f64],
+        bound: impl Fn(usize, usize) -> (f64, f64),
+    ) -> [Option<PointVariance>; GROUP] {
+        self.keep.clear();
+        self.keep.resize(values.len() * GROUP, 0);
+        let (keep, _) = self.keep.as_chunks_mut::<GROUP>();
+        for d in 0..dims {
+            group_pass(col(d), std::array::from_fn(|l| bound(l, d)), d == 0, keep);
+        }
+        // `K_pred`: integer popcount of each lane (order-independent).
+        let mut k_pred = [0u64; GROUP];
+        for lanes in keep.iter() {
+            for (n, lane) in k_pred.iter_mut().zip(lanes) {
+                *n += lane & 1;
             }
         }
+        let sampled = |l: usize| k_pred[l] > 0 && AggKind::SAMPLED.contains(&aggs[l]);
+        let moments = if (0..GROUP).any(sampled) {
+            group_moments(aggs, values, population, keep, k_pred, &mut self.phi)
+        } else {
+            [EMPTY_MATCH; GROUP]
+        };
+        std::array::from_fn(|l| match aggs[l] {
+            agg if k_pred[l] == 0 => no_match(agg),
+            agg @ (AggKind::Min | AggKind::Max) => {
+                let matched = keep.iter().zip(values).filter(|(lanes, _)| lanes[l] != 0);
+                minmax(agg, k_pred[l], matched.map(|(_, &v)| v))
+            }
+            _ => Some(moments[l]),
+        })
     }
 
     /// Build the match bitmask for `rect` over arbitrary predicate
@@ -326,15 +401,11 @@ fn no_match(agg: AggKind) -> Option<PointVariance> {
 }
 
 /// One per-row match flag. The byte form (`1`/`0`) is what `match_mask`
-/// hands to the baselines and what the fused tile stores (64 queries × k
-/// rows stay cache-resident at one byte each); the 64-bit form
-/// (all-ones/`0`) is the single-query keep lane, which selects a φ value
-/// with one `AND` and no widening.
+/// hands to the baselines; the 64-bit form (all-ones/`0`) is the keep
+/// lane of the estimators, which selects a φ value with one `AND`.
 trait Lane: Copy + std::ops::BitAnd<Output = Self> {
     /// The lane for a row that matched (`hit`) or did not.
     fn of(hit: bool) -> Self;
-    /// The lane as a 64-bit select mask: all-ones if matched, else `0`.
-    fn keep(self) -> u64;
 }
 
 impl Lane for u8 {
@@ -342,20 +413,12 @@ impl Lane for u8 {
     fn of(hit: bool) -> Self {
         u8::from(hit)
     }
-    #[inline]
-    fn keep(self) -> u64 {
-        u64::from(self).wrapping_neg()
-    }
 }
 
 impl Lane for u64 {
     #[inline]
     fn of(hit: bool) -> Self {
         u64::from(hit).wrapping_neg()
-    }
-    #[inline]
-    fn keep(self) -> u64 {
-        self
     }
 }
 
@@ -390,27 +453,45 @@ fn fill_lanes<'c, M: Lane>(
     }
 }
 
+/// [`lane_pass`] for [`GROUP`] intervals at once: the column is read once,
+/// every row tested against all of them, and the row's [`GROUP`] keep
+/// lanes (all-ones / `0`) sit side by side.
+fn group_pass(col: &[f64], pairs: [(f64, f64); GROUP], first: bool, keep: &mut [[u64; GROUP]]) {
+    let hit = |x: f64, (lo, hi): (f64, f64)| u64::of((lo <= x) & (x <= hi));
+    if first {
+        for (lanes, &x) in keep.iter_mut().zip(col) {
+            *lanes = pairs.map(|pair| hit(x, pair));
+        }
+    } else {
+        for (lanes, &x) in keep.iter_mut().zip(col) {
+            for (lane, pair) in lanes.iter_mut().zip(pairs) {
+                *lane &= hit(x, pair);
+            }
+        }
+    }
+}
+
 /// Finish an estimate off prebuilt match lanes over `values` (the lane
 /// count is the sample size `k`, which must be non-zero). `phi` is the
 /// reusable φ buffer; it is rebuilt at length `k` here.
-fn finish_from_lanes<M: Lane>(
+fn finish_from_lanes(
     agg: AggKind,
     values: &[f64],
     population: u64,
-    lanes: &[M],
+    lanes: &[u64],
     phi: &mut Vec<f64>,
 ) -> Option<PointVariance> {
     let k = lanes.len();
     debug_assert!(k > 0 && values.len() == k);
     // `K_pred`: integer popcount of the lanes (order-independent).
-    let k_pred: u64 = lanes.iter().map(|m| m.keep() & 1).sum();
+    let k_pred: u64 = lanes.iter().map(|m| m & 1).sum();
     if k_pred == 0 {
         return no_match(agg);
     }
     let n = population as f64;
     match agg {
         AggKind::Min | AggKind::Max => {
-            let matched = lanes.iter().zip(values).filter(|(m, _)| m.keep() != 0);
+            let matched = lanes.iter().zip(values).filter(|(&m, _)| m != 0);
             return minmax(agg, k_pred, matched.map(|(_, &v)| v));
         }
         AggKind::Count => select_phi(lanes, values, phi, |_| n),
@@ -442,13 +523,13 @@ fn minmax(agg: AggKind, k_pred: u64, matched: impl Iterator<Item = f64>) -> Opti
 /// the keep mask — still a select, never a multiply: an unmatched `inf`
 /// or NaN value is computed and then discarded whole, so `0 · inf` never
 /// happens, and a matched value keeps every bit.
-fn select_phi<M: Lane>(lanes: &[M], values: &[f64], phi: &mut Vec<f64>, f: impl Fn(f64) -> f64) {
+fn select_phi(lanes: &[u64], values: &[f64], phi: &mut Vec<f64>, f: impl Fn(f64) -> f64) {
     phi.clear();
     phi.extend(
         lanes
             .iter()
             .zip(values)
-            .map(|(&m, &v)| f64::from_bits(f(v).to_bits() & m.keep())),
+            .map(|(&m, &v)| f64::from_bits(f(v).to_bits() & m)),
     );
 }
 
@@ -498,6 +579,83 @@ fn moments(phi: &[f64], population: u64, k_pred: u64) -> PointVariance {
         variance,
         k_pred,
     }
+}
+
+/// One [`KahanSum::add`] step on a `(sum, compensation)` pair, the
+/// `|sum| >= |value|` branch written as a select of the finished term:
+/// the arithmetic of the arm taken is `add`'s own, and accumulators
+/// whose comparisons disagree still advance in one instruction stream.
+#[inline(always)]
+fn neumaier_add(acc: &mut (f64, f64), value: f64) {
+    let (sum, compensation) = *acc;
+    let t = sum + value;
+    let lost = if sum.abs() >= value.abs() {
+        (sum - t) + value
+    } else {
+        (value - t) + sum
+    };
+    *acc = (t, compensation + lost);
+}
+
+/// [`select_phi`] and [`moments`] for [`GROUP`] lanes in lockstep. Row
+/// by row, every lane's φ is selected
+/// as `from_bits((c · x).to_bits() & keep)` — `c = N`, `x = 1` for
+/// COUNT; `c = N`, `x = value` for SUM; `c = K / K_pred` for AVG — and
+/// added to that lane's plain sum and Neumaier mean; a second sweep adds
+/// the squared deviations. Each lane performs exactly the single-query
+/// path's additions in its order; what changes is that one loop carries
+/// [`GROUP`] independent dependency chains instead of one. A lane nothing
+/// matched (`c = K / 0`) or a MIN/MAX lane runs along and its numbers
+/// are never read.
+fn group_moments(
+    aggs: [AggKind; GROUP],
+    values: &[f64],
+    population: u64,
+    keep: &[[u64; GROUP]],
+    k_pred: [u64; GROUP],
+    phi: &mut Vec<f64>,
+) -> [PointVariance; GROUP] {
+    let k = values.len();
+    let (n, kf) = (population as f64, k as f64);
+    let count = aggs.map(|agg| agg == AggKind::Count);
+    let scale: [f64; GROUP] = std::array::from_fn(|l| match aggs[l] {
+        AggKind::Avg => kf / k_pred[l] as f64,
+        _ => n,
+    });
+    phi.clear();
+    phi.resize(k * GROUP, 0.0);
+    let (phi, _) = phi.as_chunks_mut::<GROUP>();
+    // Seeded like `moments`: the plain sum at `-0.0`, Neumaier at `+0.0`.
+    let mut sum = [-0.0f64; GROUP];
+    let mut mean_acc = [(0.0f64, 0.0f64); GROUP];
+    for ((row, lanes), &v) in phi.iter_mut().zip(keep).zip(values) {
+        for l in 0..GROUP {
+            let x = if count[l] { 1.0 } else { v };
+            let p = f64::from_bits((scale[l] * x).to_bits() & lanes[l]);
+            row[l] = p;
+            sum[l] += p;
+            neumaier_add(&mut mean_acc[l], p);
+        }
+    }
+    let pop_var = if k < 2 {
+        [0.0; GROUP]
+    } else {
+        let mean = mean_acc.map(|(sum, compensation)| (sum + compensation) / kf);
+        let mut ss = [(0.0f64, 0.0f64); GROUP];
+        for row in phi.iter() {
+            for l in 0..GROUP {
+                let d = row[l] - mean[l];
+                neumaier_add(&mut ss[l], d * d);
+            }
+        }
+        ss.map(|(sum, compensation)| ((sum + compensation) / kf).max(0.0))
+    };
+    let correction = fpc(population, k as u64);
+    std::array::from_fn(|l| PointVariance {
+        value: sum[l] / kf,
+        variance: pop_var[l] / kf * correction,
+        k_pred: k_pred[l],
+    })
 }
 
 /// The sorted-column binary-search fast path for 1-D samples: the match
@@ -685,7 +843,7 @@ mod tests {
         let t = table_nd(1_500, 2, 9);
         let mut rng = rng_from_seed(9);
         let s = Sample::uniform(&t, 200, &mut rng).unwrap();
-        // More queries than one tile, mixed aggregates.
+        // Many groups and a last one half full, mixed aggregates.
         let queries: Vec<Query> = (0..150)
             .map(|i| {
                 let lo = (i % 10) as f64 * 0.09;
@@ -742,7 +900,7 @@ mod tests {
 
     #[test]
     fn reused_scratch_never_reads_past_the_current_stratum() {
-        // The keep/φ/tile buffers outlive a call: after an 85-row stratum
+        // The keep/φ buffers outlive a call: after an 85-row stratum
         // they still hold 85 rows of someone else's lanes. Shrinking to 5
         // rows, to none, through the sorted 1-D path and back to 3-D must
         // answer exactly as a fresh scratch does at every step.

@@ -8,8 +8,9 @@
 //!   called from tests and benches only;
 //! * [`kernel`] — the allocation-free, column-at-a-time scan kernels the
 //!   serving hot path runs on: a reusable [`ScanScratch`] with branchless
-//!   mask builds, fused batch evaluation, and a binary-search fast path
-//!   for sorted 1-D samples, all bit-identical to [`estimator`];
+//!   mask builds, four-query lockstep batch evaluation, and a
+//!   binary-search fast path for sorted 1-D samples, all bit-identical to
+//!   [`estimator`];
 //! * [`arena`] — [`SampleArena`], the whole sample set flattened into one
 //!   cache-resident allocation, handing the kernels borrowed
 //!   [`SampleView`]s so partial-leaf scans stop chasing per-`Sample` heap

@@ -6,8 +6,12 @@
 
 use std::sync::Arc;
 
-use pass::common::{AggKind, EngineSpec, PassError, PassSpec, Query, Rect, Synopsis};
-use pass::table::datasets::uniform;
+use pass::common::{
+    apply_group_availability, estimate_group_by, AggKind, EngineSpec, GroupByQuery, PassError,
+    PassSpec, Query, Rect, ShardPlan, Synopsis,
+};
+use pass::core::Pass;
+use pass::table::datasets::{taxi, uniform};
 use pass::table::Table;
 use pass::{Engine, Session};
 
@@ -185,6 +189,181 @@ fn estimate_many_agrees_with_repeated_estimate_for_every_engine() {
                     e.name()
                 ),
             }
+        }
+    }
+}
+
+/// The 3-D taxi projection (pickup time, pickup date, pickup zone) and
+/// the KD-PASS spec the multi-dimensional batch contracts build on it.
+fn taxi_3d(rows: usize, seed: u64) -> (Table, PassSpec) {
+    let table = taxi(rows, seed).project(&[1, 2, 3]).unwrap();
+    let spec = PassSpec {
+        partitions: 64,
+        sample_rate: 0.02,
+        seed,
+        ..PassSpec::default()
+    };
+    (table, spec)
+}
+
+/// `n` 3-D queries over `table`'s bounding box, all five aggregates in
+/// rotation: boxes of every size from a sliver to the whole space (the
+/// root covered, no partial leaf), some outside the data (nothing to
+/// answer from), every eleventh a repeat of one seven places earlier.
+fn queries_3d(table: &Table, n: usize) -> Vec<Query> {
+    let full = table.bounding_rect().unwrap();
+    let mut queries: Vec<Query> = Vec::with_capacity(n);
+    for i in 0..n {
+        let agg = AggKind::ALL[i % AggKind::ALL.len()];
+        let rect = if i % 11 == 10 {
+            queries[i - 7].rect.clone()
+        } else if i % 17 == 3 {
+            full.clone()
+        } else if i % 23 == 5 {
+            Rect::new(&[(full.hi(0) + 1.0, full.hi(0) + 2.0), (0.0, 1.0), (0.0, 1.0)])
+        } else {
+            let side = |d: usize| {
+                let span = full.hi(d) - full.lo(d);
+                let lo = full.lo(d) + span * ((i * (7 + 2 * d) + d) % 19) as f64 / 24.0;
+                (lo, lo + span * (0.02 + ((i + 5 * d) % 13) as f64 / 16.0))
+            };
+            Rect::new(&[side(0), side(1), side(2)])
+        };
+        queries.push(Query::new(agg, rect));
+    }
+    queries
+}
+
+/// `estimate_many` ≡ repeated `estimate` — value, CI, exactness, hard
+/// bounds and both accounting fields, bit for bit (`Estimate`'s equality
+/// compares bit patterns), errors variant for variant — at batch lengths
+/// on both sides of every edge the batch path has: one query (no batch),
+/// a group of four short, full and over, and the 256-query window one
+/// short, full and one over. From length 3 up the middle query is
+/// replaced by a 1-D one, which must be the only `DimensionMismatch`.
+fn assert_batches_match_singles(engine: &dyn Synopsis, queries: &[Query]) {
+    let singles: Vec<_> = queries.iter().map(|q| engine.estimate(q)).collect();
+    assert!(
+        singles.iter().any(|r| r.is_err()) && singles.iter().filter(|r| r.is_ok()).count() > 900,
+        "{}: the queries should mostly, not only, be answerable",
+        engine.name()
+    );
+    let wrong_arity = Query::interval(AggKind::Sum, 0.0, 1.0);
+    for len in [1, 2, 3, 5, 64, 255, 256, 257, 1_000] {
+        let mut batch = queries[..len].to_vec();
+        let mid = (len >= 3).then_some(len / 2);
+        if let Some(mid) = mid {
+            batch[mid] = wrong_arity.clone();
+        }
+        let answers = engine.estimate_many(&batch);
+        assert_eq!(answers.len(), len, "{} at {len}", engine.name());
+        for (i, answer) in answers.iter().enumerate() {
+            let ctx = format!("{} at {len}, query {i}: {:?}", engine.name(), batch[i]);
+            if Some(i) == mid {
+                assert!(
+                    matches!(
+                        answer,
+                        Err(PassError::DimensionMismatch {
+                            expected: 3,
+                            got: 1
+                        })
+                    ),
+                    "{ctx}: {answer:?}"
+                );
+            } else {
+                assert_eq!(answer, &singles[i], "{ctx}");
+            }
+        }
+    }
+}
+
+/// The multi-dimensional batch contract: PASS answers a d-dimensional
+/// batch by scanning each partial leaf once for all the queries that
+/// share it, and that must be invisible — on a k-d tree, on a tree lifted
+/// out of two of the three dimensions (workload shift: every intersecting
+/// leaf is partial), and under a 4-way sharded engine whose shards each
+/// take the batch path.
+#[test]
+fn multi_dimensional_batches_match_single_estimates_bitwise() {
+    let (table, spec) = taxi_3d(30_000, 21);
+    let queries = queries_3d(&table, 1_000);
+    let lifted = PassSpec {
+        tree_dims: Some(vec![0, 1]),
+        partitions: 32,
+        ..spec.clone()
+    };
+    let kd = EngineSpec::Pass(spec);
+    for spec in [
+        kd.clone(),
+        EngineSpec::Pass(lifted),
+        EngineSpec::sharded(kd, ShardPlan::row_range(4)),
+    ] {
+        let engine = Engine::build(&table, &spec).unwrap();
+        assert_eq!(engine.dims(), 3);
+        assert_batches_match_singles(&engine, &queries);
+    }
+}
+
+/// The same contract on a synopsis that has absorbed updates: 2 000
+/// inserts and deletes widen leaf boxes (so they overlap), move
+/// populations and evict sampled rows, and the stream ends by deleting
+/// every sampled row of two leaves — strata with tuples but no sample,
+/// which the batch scan must answer as the single path does
+/// (`0 ± 0` for SUM/COUNT, nothing for the rest).
+#[test]
+fn multi_dimensional_batches_match_single_estimates_after_an_update_stream() {
+    let (table, spec) = taxi_3d(30_000, 22);
+    let mut pass = Pass::from_spec(&table, &spec).unwrap();
+    let point = |t: &Table, i: usize| [t.predicate(0, i), t.predicate(1, i), t.predicate(2, i)];
+    let donor = taxi_3d(2_000, 23).0;
+    for op in 0..1_980 {
+        if op % 3 == 2 {
+            // Each table row is deleted at most once.
+            let row = op * 13 % table.n_rows();
+            pass.delete(&point(&table, row), table.value(row)).unwrap();
+        } else {
+            pass.insert(&point(&donor, op), donor.value(op)).unwrap();
+        }
+    }
+    let mut ops = 1_980;
+    for leaf in [5, 40] {
+        while pass.leaf_samples()[leaf].k() > 0 {
+            let rows = pass.leaf_samples()[leaf].rows();
+            let (at, value) = (point(rows, 0), rows.value(0));
+            assert!(pass.delete(&at, value).unwrap(), "a sampled row is evicted");
+            ops += 1;
+        }
+    }
+    assert!((1_980..=2_100).contains(&ops), "{ops} ops");
+    let drained = pass.leaf_samples().iter().filter(|s| s.k() == 0);
+    assert!(drained.filter(|s| s.population() > 0).count() >= 2);
+    assert_batches_match_singles(&pass, &queries_3d(&table, 1_000));
+}
+
+/// A multi-dimensional group-by is a batch of per-category selections
+/// (paper §4.5), so it takes the batch path too: its rows equal the
+/// availability rule over the engine's own single-query answers, row for
+/// row — for a date no row carries (99) as for the ones they do.
+#[test]
+fn multi_dimensional_group_by_matches_per_category_estimates() {
+    let (table, spec) = taxi_3d(30_000, 24);
+    let engine = Engine::build(&table, &EngineSpec::Pass(spec)).unwrap();
+    let full = table.bounding_rect().unwrap();
+    let noon = (full.lo(0) + full.hi(0)) / 2.0;
+    let base = full.narrowed(0, full.lo(0), noon);
+    let dates: Vec<f64> = (0..31).step_by(3).map(f64::from).chain([99.0]).collect();
+    for agg in AggKind::ALL {
+        let group_by = GroupByQuery::new(agg, 1, &dates, base.clone());
+        let rows = estimate_group_by(&engine, &group_by).unwrap();
+        assert_eq!(rows.len(), dates.len());
+        for (row, &date) in rows.iter().zip(&dates) {
+            assert_eq!(row.key, date);
+            let single = engine.estimate(&group_by.query_for(date));
+            assert_eq!(
+                row.estimate,
+                apply_group_availability(single),
+                "{agg} {date}"
+            );
         }
     }
 }

@@ -8,11 +8,15 @@
 //! The d-dimensional path is auto-vectorized (keep lanes, a φ buffer,
 //! then the reference's additions), so the suite also walks every sample
 //! size 1..=70 — each vector-lane remainder — through every entry point
-//! (`Sample`, forced mask path, `SampleArena::view`, fused batch), with
+//! (`Sample`, forced mask path, `SampleArena::view`, grouped batch), with
 //! `K_pred ∈ {0, 1, k}`, NaN predicate cells, `±inf`/NaN/1e300 values in
 //! rows the predicate rejects, and magnitudes that take Neumaier's
-//! `|value| > |sum|` arm. CI runs it in release too: that is the codegen
-//! the bit-identity rests on.
+//! `|value| > |sum|` arm. The batch entry points answer four queries per
+//! pass in lockstep, so the hostile strata are also asked batches of
+//! 1..=9 mixed-aggregate queries — every group fill, both padding
+//! patterns, a lane matching nothing beside one matching every row and
+//! one matching a single row. CI runs it in release too: that is the
+//! codegen the bit-identity rests on.
 //!
 //! "Bit-for-bit" is literal: every comparison goes through `f64::to_bits`,
 //! so even a `-0.0` vs `+0.0` drift (the `Iterator::sum` seed subtlety the
@@ -22,6 +26,7 @@ use proptest::prelude::*;
 
 use pass::common::{AggKind, Query, Rect};
 use pass::sampling::estimator::estimate as reference;
+use pass::sampling::kernel::GROUP;
 use pass::sampling::{PointVariance, Sample, SampleArena, ScanScratch};
 use pass::table::Table;
 
@@ -123,8 +128,9 @@ fn stratum_3d(vals: &[f64], k: usize, seed: u64, nan_cell: &[u8]) -> Table {
 }
 
 /// Every kernel entry point that can answer `(agg, rect)` on `s` —
-/// `Sample`, the forced mask path, the flat-arena view, the fused batch
-/// — against the reference, all five aggregates, on one reused scratch.
+/// `Sample`, the forced mask path, the flat-arena view, the grouped
+/// batch — against the reference, all five aggregates, on one reused
+/// scratch.
 fn assert_every_path_matches(s: &Sample, rect: &Rect, scratch: &mut ScanScratch) {
     let k = s.k();
     let arena = SampleArena::from_samples(std::slice::from_ref(s));
@@ -134,7 +140,7 @@ fn assert_every_path_matches(s: &Sample, rect: &Rect, scratch: &mut ScanScratch)
         .collect();
     let mut batch = Vec::new();
     scratch.estimate_batch(s, &queries, &mut batch);
-    for (q, fused) in queries.iter().zip(batch) {
+    for (q, grouped) in queries.iter().zip(batch) {
         let want = bits(reference(q.agg, s, rect));
         let ctx = format!("{} k={k} {rect:?}", q.agg);
         assert_eq!(
@@ -152,7 +158,90 @@ fn assert_every_path_matches(s: &Sample, rect: &Rect, scratch: &mut ScanScratch)
             want,
             "arena view: {ctx}"
         );
-        assert_eq!(bits(fused), want, "fused batch: {ctx}");
+        assert_eq!(bits(grouped), want, "grouped batch: {ctx}");
+    }
+}
+
+/// One generated batch lane: which rows its rectangle keeps (`0` none,
+/// `1` all, `2`/`3`/`4` only the first / middle / last row, `5` whatever
+/// the random rectangle beside it keeps) and its aggregate's index.
+type LanePick = (u8, usize, ((f64, f64), (f64, f64), (f64, f64)));
+
+fn lane_picks() -> impl Strategy<Value = Vec<LanePick>> {
+    prop::collection::vec(
+        (0u8..6, 0usize..5, (interval(), interval(), interval())),
+        1..=9usize,
+    )
+}
+
+/// The queries `picks` describe over the `k` rows of `rows`. A point
+/// rectangle on a row with a NaN cell takes 0.5 there and keeps nothing.
+fn lane_queries(picks: &[LanePick], rows: &Table, k: usize) -> Vec<Query> {
+    let point = |i: usize| {
+        let at = |d| {
+            let c = rows.predicate(d, i);
+            let c = if c.is_nan() { 0.5 } else { c };
+            (c, c)
+        };
+        Rect::new(&[at(0), at(1), at(2)])
+    };
+    picks
+        .iter()
+        .map(|&(keeps, agg, (r0, r1, r2))| {
+            let rect = match keeps {
+                0 => Rect::new(&[(5.0, 6.0); 3]),
+                1 => Rect::new(&[(0.0, 1.0); 3]),
+                2 => point(0),
+                3 => point(k / 2),
+                4 => point(k - 1),
+                _ => Rect::new(&[r0, r1, r2]),
+            };
+            Query::new(AggKind::ALL[agg], rect)
+        })
+        .collect()
+}
+
+/// Both grouped entry points — `estimate_batch` over the `Sample` (spare
+/// lanes of the last group repeat its last query) and `estimate_group`
+/// over the arena view, as `Pass`'s batch path calls it (here the spare
+/// lanes repeat the group's first query) — against the reference and the
+/// single-query view path, query by query.
+fn assert_groups_match(s: &Sample, queries: &[Query], scratch: &mut ScanScratch) {
+    let arena = SampleArena::from_samples(std::slice::from_ref(s));
+    let view = arena.view(0);
+    let mut batch = Vec::new();
+    scratch.estimate_batch(s, queries, &mut batch);
+    assert_eq!(batch.len(), queries.len());
+    let mut grouped = Vec::new();
+    for group in queries.chunks(GROUP) {
+        let lane = |l: usize| &group[if l < group.len() { l } else { 0 }];
+        let bounds: [Vec<(f64, f64)>; GROUP] = std::array::from_fn(|l| {
+            let rect = &lane(l).rect;
+            (0..rect.dims()).map(|d| (rect.lo(d), rect.hi(d))).collect()
+        });
+        let points = scratch.estimate_group(
+            &view,
+            std::array::from_fn(|l| lane(l).agg),
+            std::array::from_fn(|l| bounds[l].as_slice()),
+        );
+        grouped.extend_from_slice(&points[..group.len()]);
+    }
+    for (i, q) in queries.iter().enumerate() {
+        let want = bits(reference(q.agg, s, &q.rect));
+        let ctx = format!(
+            "lane {i} of {}: {} k={} {:?}",
+            queries.len(),
+            q.agg,
+            s.k(),
+            q.rect
+        );
+        assert_eq!(bits(batch[i]), want, "estimate_batch, {ctx}");
+        assert_eq!(bits(grouped[i]), want, "estimate_group, {ctx}");
+        assert_eq!(
+            bits(scratch.estimate_view(q.agg, &view, &q.rect)),
+            want,
+            "estimate_view, {ctx}"
+        );
     }
 }
 
@@ -209,6 +298,10 @@ proptest! {
     /// 3-D strata of every size 1..=70 with hostile contents: NaN
     /// predicate cells, `±inf`/NaN/1e300 values in every row the
     /// rectangle rejects, and wide-magnitude values in the rows it keeps.
+    /// The same stratum then answers a batch of 1..=9 mixed-aggregate
+    /// lanes — the rectangle again, plus lanes keeping nothing, every
+    /// row, or one row — through the lockstep group kernel, poisoned
+    /// wherever no lane of the batch keeps the row.
     #[test]
     fn hostile_3d_strata_match_reference_bitwise(
         k in 1usize..=70,
@@ -217,18 +310,26 @@ proptest! {
         bad in poison(70),
         nan_cell in prop::collection::vec(0u8..12, 70),
         rect in (interval(), interval(), interval()),
+        picks in lane_picks(),
     ) {
         let rect = Rect::new(&[rect.0, rect.1, rect.2]);
         let clean = stratum_3d(&vals, k, seed, &nan_cell);
-        let vals: Vec<f64> = (0..k)
-            .map(|i| if clean.matches(&rect, i) { vals[i] } else { bad[i] })
-            .collect();
-        let s = Sample::from_rows(stratum_3d(&vals, k, seed, &nan_cell), 3 * k as u64).unwrap();
-        assert_every_path_matches(&s, &rect, &mut ScanScratch::new());
+        let hostile = |kept: &dyn Fn(usize) -> bool| {
+            let vals: Vec<f64> = (0..k).map(|i| if kept(i) { vals[i] } else { bad[i] }).collect();
+            Sample::from_rows(stratum_3d(&vals, k, seed, &nan_cell), 3 * k as u64).unwrap()
+        };
+        let mut scratch = ScanScratch::new();
+        let s = hostile(&|i| clean.matches(&rect, i));
+        assert_every_path_matches(&s, &rect, &mut scratch);
+
+        let mut queries = lane_queries(&picks, &clean, k);
+        queries[picks.len() / 2].rect = rect;
+        let s = hostile(&|i| queries.iter().any(|q| clean.matches(&q.rect, i)));
+        assert_groups_match(&s, &queries, &mut scratch);
     }
 
-    /// Fused batch evaluation ≡ per-query evaluation, element-wise, across
-    /// tile boundaries (batch > one 64-query tile).
+    /// Batch evaluation ≡ per-query evaluation, element-wise, over many
+    /// groups and a last group the batch does not fill.
     #[test]
     fn batch_matches_singles_across_tiles(vals in values(4), seed in 1u64..5_000) {
         let t = table_2d(&vals, seed);
@@ -313,5 +414,14 @@ fn every_lane_remainder_at_kpred_zero_one_and_all() {
         for rect in &rects {
             assert_every_path_matches(&s, rect, &mut scratch);
         }
+        // The five selectivities side by side in one batch (two groups,
+        // the second one lane full), the aggregates rotating through the
+        // lanes with `k` so each meets each selectivity.
+        let queries: Vec<Query> = rects
+            .iter()
+            .enumerate()
+            .map(|(i, rect)| Query::new(AggKind::ALL[(i + k) % 5], rect.clone()))
+            .collect();
+        assert_groups_match(&s, &queries, &mut scratch);
     }
 }

@@ -9,10 +9,11 @@
 //! * `SessionHandle` clones serving concurrently agree with the session.
 
 use pass::common::{
-    estimate_many_parallel, AggKind, EngineSpec, Estimate, Query, Result, ShardPlan, ThreadPool,
+    estimate_many_parallel, AggKind, EngineSpec, Estimate, Query, Rect, Result, ShardPlan,
+    ThreadPool,
 };
-use pass::table::datasets::uniform;
-use pass::table::SortedTable;
+use pass::table::datasets::{taxi, uniform};
+use pass::table::{SortedTable, Table};
 use pass::workload::{random_queries, Exec};
 use pass::{Engine, Session};
 
@@ -51,13 +52,30 @@ fn assert_identical(name: &str, threads: usize, a: &[Result<Estimate>], b: &[Res
     }
 }
 
-/// Parallel determinism across the whole standard suite: sharding a batch
-/// over worker threads must not change a single bit of any answer, for
-/// any engine, at any pool width.
+/// [`workload`] in three dimensions over `table`'s bounding box: PASS
+/// answers such a batch leaf by leaf rather than query by query, so how a
+/// pool cuts the batch decides which queries share a leaf scan.
+fn workload_3d(table: &Table, n: usize) -> Vec<Query> {
+    let full = table.bounding_rect().unwrap();
+    (0..n)
+        .map(|i| {
+            let side = |d: usize| {
+                let span = full.hi(d) - full.lo(d);
+                let lo = full.lo(d) + span * ((i * (3 + d)) % 17) as f64 / 20.0;
+                (lo, lo + span * (0.05 + ((i + d) % 7) as f64 * 0.1))
+            };
+            let agg = AggKind::ALL[i % AggKind::ALL.len()];
+            Query::new(agg, Rect::new(&[side(0), side(1), side(2)]))
+        })
+        .collect()
+}
+
+/// Parallel determinism across the whole standard suite, and for PASS in
+/// three dimensions (plain and sharded): sharding a batch over worker
+/// threads must not change a single bit of any answer, for any engine,
+/// at any pool width.
 #[test]
 fn parallel_is_bit_identical_to_sequential_for_the_standard_suite() {
-    let table = uniform(20_000, 40);
-    let queries = workload(256);
     let mut specs = Engine::standard_suite(16, 800, 41);
     // Sharded engines chunk the query batch like everyone else; each
     // chunk runs the shard-outer loop on its worker's own scratch.
@@ -66,16 +84,27 @@ fn parallel_is_bit_identical_to_sequential_for_the_standard_suite() {
         specs.push(EngineSpec::sharded(pass.clone(), ShardPlan::row_range(k)));
     }
     specs.push(EngineSpec::sharded(
-        EngineSpec::sharded(pass, ShardPlan::row_range(2)),
+        EngineSpec::sharded(pass.clone(), ShardPlan::row_range(2)),
         ShardPlan::row_range(2),
     ));
-    for spec in specs {
-        let engine = Engine::build(&table, &spec).unwrap();
-        let sequential = engine.estimate_many(&queries);
-        for threads in [1, 2, 3, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            let parallel = estimate_many_parallel(&engine, &queries, &pool);
-            assert_identical(engine.name(), threads, &sequential, &parallel);
+    let table_3d = taxi(20_000, 47).project(&[1, 2, 3]).unwrap();
+    let queries_3d = workload_3d(&table_3d, 600);
+    let specs_3d = vec![
+        pass.clone(),
+        EngineSpec::sharded(pass, ShardPlan::row_range(4)),
+    ];
+    for (table, queries, specs) in [
+        (uniform(20_000, 40), workload(256), specs),
+        (table_3d, queries_3d, specs_3d),
+    ] {
+        for spec in specs {
+            let engine = Engine::build(&table, &spec).unwrap();
+            let sequential = engine.estimate_many(&queries);
+            for threads in [1, 2, 3, 4, 8] {
+                let pool = ThreadPool::new(threads);
+                let parallel = estimate_many_parallel(&engine, &queries, &pool);
+                assert_identical(engine.name(), threads, &sequential, &parallel);
+            }
         }
     }
 }

@@ -47,9 +47,9 @@ fn build_1d(spec: &PassSpec, table: &Table) -> Result<Pass> {
     let sorted = SortedTable::from_table(table, 0);
     let partitioning = partitioner_1d(spec).partition(&sorted, spec.partitions)?;
     let tree = PartitionTree::from_partitioning(&sorted, &partitioning)?;
-    // Re-materialize the sorted view as a table so per-range sampling
-    // sees rows in partition order.
-    let sorted_table = Table::one_dim(sorted.keys().to_vec(), sorted.values().to_vec())?;
+    // Per-range sampling reads rows in partition order: the sorted view's
+    // own columns, now that the partitioner and the tree are done with it.
+    let sorted_table = sorted.into_table()?;
     let mut rng = rng_from_seed(derive_seed(spec.seed, 2));
     let leaf_sizes: Vec<usize> = partitioning.ranges().iter().map(|r| r.len()).collect();
     let allocations = allocate_samples(spec, &leaf_sizes);

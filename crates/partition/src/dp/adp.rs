@@ -18,7 +18,7 @@
 use rand::seq::index::sample as index_sample;
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{AggKind, PrefixSums, Result};
+use pass_common::{AggKind, PassError, PrefixSums, Result};
 use pass_table::SortedTable;
 
 use crate::equal::equal_count_cuts;
@@ -78,23 +78,17 @@ impl Adp {
         let delta = self.delta.min(1.0 / (4.0 * k.max(1) as f64));
         ((delta * m as f64).round() as usize).clamp(2, m.max(2))
     }
-}
 
-impl Partitioner1D for Adp {
-    fn name(&self) -> &'static str {
-        "ADP"
-    }
-
-    fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
+    /// Draw the optimization sample of a non-empty `sorted`, let `dp` cut
+    /// its `m` items (given their prefix sums), and carry the cuts back to
+    /// full-data boundaries.
+    fn partition_sampled(
+        &self,
+        sorted: &SortedTable,
+        k: usize,
+        dp: impl FnOnce(&PrefixSums, usize) -> Vec<usize>,
+    ) -> Result<Partitioning1D> {
         let n = sorted.len();
-        if n == 0 {
-            return Partitioning1D::new(0, Vec::new()); // propagates EmptyInput
-        }
-        // Lemma A.1: the COUNT optimum is the equal-size partitioning.
-        if self.kind == AggKind::Count {
-            return Partitioning1D::new(n, equal_count_cuts(n, k));
-        }
-
         let m = self.opt_samples.clamp(1, n);
         // Sorted sample positions (uniform without replacement).
         let positions: Vec<usize> = if m == n {
@@ -108,20 +102,7 @@ impl Partitioner1D for Adp {
         let sample_values: Vec<f64> = positions.iter().map(|&i| sorted.value(i)).collect();
         let prefix = PrefixSums::build(&sample_values);
 
-        let (sample_cuts, _) = match self.kind {
-            AggKind::Sum => {
-                let oracle = MedianSplit::new(VarianceOracle::new(&prefix, AggKind::Sum));
-                dp_cuts(m, k, 1, &oracle, SearchStrategy::Binary)
-            }
-            AggKind::Avg => {
-                let delta_m = self.delta_m(m, k);
-                let oracle = WindowIndex::build(&prefix, delta_m);
-                // Partitions must hold at least 2δm samples for the window
-                // oracle's scores to be meaningful (Lemma A.4's premise).
-                dp_cuts(m, k, 2 * delta_m, &oracle, SearchStrategy::Binary)
-            }
-            _ => unreachable!("COUNT handled above; MIN/MAX have no DP"),
-        };
+        let sample_cuts = dp(&prefix, m);
 
         // Map sample cuts to full-data boundaries: the cut before sample
         // item c lands before the first full row sharing that item's key,
@@ -139,6 +120,41 @@ impl Partitioner1D for Adp {
         full_cuts.dedup();
         refine_to_budget(keys, &mut full_cuts, k);
         Partitioning1D::new(n, full_cuts)
+    }
+}
+
+impl Partitioner1D for Adp {
+    fn name(&self) -> &'static str {
+        "ADP"
+    }
+
+    fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
+        let n = sorted.len();
+        if n == 0 {
+            return Partitioning1D::new(0, Vec::new()); // propagates EmptyInput
+        }
+        match self.kind {
+            // Lemma A.1: the COUNT optimum is the equal-size partitioning.
+            AggKind::Count => Partitioning1D::new(n, equal_count_cuts(n, k)),
+            AggKind::Sum => self.partition_sampled(sorted, k, |prefix, m| {
+                let oracle = MedianSplit::new(VarianceOracle::new(prefix, AggKind::Sum));
+                dp_cuts(m, k, 1, &oracle, SearchStrategy::Binary).0
+            }),
+            AggKind::Avg => self.partition_sampled(sorted, k, |prefix, m| {
+                let delta_m = self.delta_m(m, k);
+                let oracle = WindowIndex::build(prefix, delta_m);
+                // Partitions must hold at least 2δm samples for the window
+                // oracle's scores to be meaningful (Lemma A.4's premise).
+                dp_cuts(m, k, 2 * delta_m, &oracle, SearchStrategy::Binary).0
+            }),
+            AggKind::Min | AggKind::Max => Err(PassError::InvalidParameter(
+                "strategy_agg",
+                format!(
+                    "ADP minimizes a SUM, COUNT or AVG variance; {} has none",
+                    self.kind
+                ),
+            )),
+        }
     }
 }
 
@@ -345,6 +361,37 @@ mod tests {
                 keys[c],
                 "cut at {c} splits duplicate key {}",
                 keys[c]
+            );
+        }
+    }
+
+    #[test]
+    fn cuts_are_pinned_across_commits() {
+        // FNV-1a over the cut positions, recorded before the DP went
+        // column-major: a probe, comparison or tie rule that moves one cut
+        // on a realistic table shows up here.
+        use pass_table::datasets::DatasetId::{Intel, NycTaxi};
+        use AggKind::{Avg, Sum};
+        let cases = [
+            (NycTaxi, Sum, 4096, 64, 0xe60f83099a539f9d_u64),
+            (NycTaxi, Avg, 4096, 64, 0x3160d2ee1032b4a0),
+            (Intel, Sum, 1024, 256, 0x8483588c59aff397),
+            (Intel, Avg, 300, 7, 0x4555d456a637625b),
+        ];
+        for (dataset, kind, m, k, expected) in cases {
+            let sorted = SortedTable::from_table(&dataset.generate(100_000, 7), 0);
+            let p = Adp::new(kind)
+                .with_samples(m)
+                .with_delta(0.01)
+                .with_seed(7)
+                .partition(&sorted, k)
+                .unwrap();
+            let hash = p.cuts().iter().fold(0xcbf29ce484222325_u64, |a, &c| {
+                (a ^ c as u64).wrapping_mul(0x100000001b3)
+            });
+            assert_eq!(
+                hash, expected,
+                "{dataset} {kind} m={m} k={k}: cuts hash {hash:016x}"
             );
         }
     }

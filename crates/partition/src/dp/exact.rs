@@ -15,7 +15,8 @@ use crate::variance::VarianceOracle;
 
 use super::engine::{dp_cuts, SearchStrategy};
 
-/// O(kN⁴): exhaustive oracle, linear `h` scan.
+/// O(kN² + N⁴): exhaustive oracle (each of the ≤ N²/2 ranges scored once),
+/// linear `h` scan.
 #[derive(Debug, Clone, Copy)]
 pub struct NaiveDp {
     pub kind: AggKind,
@@ -45,7 +46,8 @@ impl Partitioner1D for NaiveDp {
     }
 }
 
-/// O(kN³ log N): exhaustive oracle, binary `h` search via monotonicity.
+/// O(min(k log N, N) · N³): exhaustive oracle (each probed range scored
+/// once), binary `h` search via monotonicity.
 #[derive(Debug, Clone, Copy)]
 pub struct MonotoneDp {
     pub kind: AggKind,
@@ -79,6 +81,7 @@ mod tests {
     use super::*;
     use crate::maxvar::{Exhaustive, MaxVarOracle};
     use pass_common::rng::rng_from_seed;
+    use pass_common::PassError;
     use rand::Rng;
 
     fn sorted_from(values: Vec<f64>) -> SortedTable {
@@ -150,6 +153,20 @@ mod tests {
                     "trial {trial} {kind}: naive {oa} vs monotone {ob}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn empty_input_is_a_typed_error() {
+        let s = sorted_from(Vec::new());
+        for result in [
+            NaiveDp::new(AggKind::Sum).partition(&s, 3),
+            MonotoneDp::new(AggKind::Avg).partition(&s, 3),
+        ] {
+            assert!(
+                matches!(result, Err(PassError::EmptyInput(_))),
+                "{result:?}"
+            );
         }
     }
 

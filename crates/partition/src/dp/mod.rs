@@ -6,14 +6,27 @@
 //! A[i, j] = min_{h < i} max( A[h, j-1], M([h, i)) )
 //! ```
 //!
-//! where `M` is a maximum-variance oracle. They differ in which `M` they
-//! use and how they search `h`:
+//! where `M` is a maximum-variance oracle. [`dp_cuts`] evaluates it
+//! **column by column** — every layer `j` of one prefix length `i` before
+//! `i + 1`; a cell only reads `A[h, j-1]` with `h < i`, so the values and
+//! the cuts are those of the textbook layer-by-layer order — because
+//! `M([h, i))` does not depend on `j`: the searches of one column's layers
+//! probe nearly the same `h`, and a memo of one value per `h` answers all
+//! but the first probe of each range. The partitioners differ in which `M`
+//! they use and how they search `h`:
 //!
-//! | Partitioner  | `M`                      | `h` search       | Complexity        |
-//! |--------------|--------------------------|------------------|-------------------|
-//! | [`NaiveDp`]  | exhaustive               | linear scan      | O(kN⁴)            |
-//! | [`MonotoneDp`]| exhaustive              | binary search    | O(kN³ log N)      |
-//! | [`Adp`]      | discretized, on a sample | binary search    | O(k·m·log m)      |
+//! | Partitioner    | `M` (cost of one evaluation)     | `h` search    | Probes       | Evaluations of `M`    | Total                   |
+//! |----------------|----------------------------------|---------------|--------------|-----------------------|-------------------------|
+//! | [`NaiveDp`]    | exhaustive (O(N²))               | linear scan   | O(kN²)       | ≤ N²/2                | O(kN² + N⁴)             |
+//! | [`MonotoneDp`] | exhaustive (O(N²))               | binary search | O(kN log N)  | ≤ min(probes, N²/2)   | O(min(k log N, N) · N³) |
+//! | [`Adp`]        | discretized (O(1)), on a sample  | binary search | O(k·m·log m) | distinct `(h, i)` probed | O(k·m·log m)         |
+//!
+//! A *probe* is one comparison of `A[h, j-1]` with `M([h, i))`; an
+//! *evaluation* is one call of the oracle, made the first time a range is
+//! probed. At `Adp`'s default shape (`m` = 4096, `k` = 256) the DP makes
+//! 15.6 M probes of 1.5 M distinct ranges, so nine oracle calls in ten are
+//! answered by the memo; with the exhaustive oracle the memo is what takes
+//! the factor `k` off the N⁴ term.
 //!
 //! `Adp` is the `**` algorithm the paper uses in all experiments
 //! (Section 4.3.1): it optimizes over `m` sampled items with the Lemma A.3

@@ -11,7 +11,7 @@
 //! * [`maxvar`] — maximum-variance-query routines: exhaustive reference,
 //!   the median-split ¼-approximation for SUM/COUNT (Lemma A.3), and the
 //!   δm-window index for AVG (Appendix A.4);
-//! * [`dp`] — the dynamic programs: `NaiveDp` (O(kN⁴) reference),
+//! * [`dp`] — the dynamic programs: `NaiveDp` (exhaustive reference),
 //!   `MonotoneDp` (binary-search DP, Appendix A.5), and `Adp` — the
 //!   sampled + discretized O(km log m) program used in all experiments;
 //! * [`equal`] — equal-depth (EQ) and equal-width baselines, and the

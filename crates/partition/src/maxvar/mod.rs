@@ -30,6 +30,10 @@ pub use window::WindowIndex;
 
 /// An oracle producing (an approximation of) the maximum query variance
 /// inside a row range of the (sorted) underlying sequence.
+///
+/// `max_variance` must be a pure function of `(lo, hi)`: the DP engine
+/// ([`dp_cuts`](crate::dp::dp_cuts)) evaluates each range it probes once
+/// and reuses the value for every later probe of the same range.
 pub trait MaxVarOracle {
     /// Max (approximate) `V_i(q)` over meaningful queries inside `[lo, hi)`.
     fn max_variance(&self, lo: usize, hi: usize) -> f64;

@@ -6,7 +6,7 @@
 //! order once: ascending predicate keys, aligned aggregation values, and
 //! prefix sums over the values in key order.
 
-use pass_common::{AggKind, Aggregates, PrefixSums, Query};
+use pass_common::{AggKind, Aggregates, PrefixSums, Query, Result};
 
 use crate::table::Table;
 
@@ -59,6 +59,12 @@ impl SortedTable {
             original_index,
             prefix,
         }
+    }
+
+    /// The rows in key order as a 1-D table, moving the two columns out of
+    /// the view instead of copying them.
+    pub fn into_table(self) -> Result<Table> {
+        Table::one_dim(self.keys, self.values)
     }
 
     /// Number of rows.
@@ -185,6 +191,13 @@ mod tests {
         assert_eq!(s.values(), &[10.0, 20.0, 30.0, 40.0, 50.0]);
         // Original index of smallest key (1.0) was row 1.
         assert_eq!(s.original_index(0), 1);
+    }
+
+    #[test]
+    fn into_table_keeps_the_sorted_rows() {
+        let t = SortedTable::from_table(&table(), 0).into_table().unwrap();
+        assert_eq!(t.predicate_column(0), &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(t.values(), &[10.0, 20.0, 30.0, 40.0, 50.0]);
     }
 
     #[test]

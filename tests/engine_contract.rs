@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use pass::common::{
-    apply_group_availability, estimate_group_by, AggKind, EngineSpec, GroupByQuery, PassError,
-    PassSpec, Query, Rect, ShardPlan, Synopsis,
+    apply_group_availability, estimate_group_by, AggKind, EngineSpec, GroupByQuery,
+    PartitionStrategy, PassError, PassSpec, Query, Rect, ShardPlan, Synopsis,
 };
 use pass::core::Pass;
 use pass::table::datasets::{taxi, uniform};
@@ -382,6 +382,59 @@ fn specs_round_trip_through_build_and_json() {
             spec,
             "JSON round-trip: {json}"
         );
+    }
+}
+
+/// A PASS spec as it arrives from outside — through JSON — with the ADP
+/// objective and partition budget chosen by the caller.
+fn adp_json_spec(objective: AggKind, partitions: usize) -> EngineSpec {
+    let spec = EngineSpec::Pass(PassSpec {
+        partitions,
+        strategy: PartitionStrategy::Adp(objective),
+        ..PassSpec::default()
+    });
+    EngineSpec::from_json(&spec.to_json()).unwrap()
+}
+
+/// ADP's AVG objective needs `2δm` samples per bucket; a table smaller
+/// than that has no feasible bucket and used to panic the DP's clamp.
+#[test]
+fn adp_avg_builds_on_tables_smaller_than_one_feasible_bucket() {
+    for rows in [1usize, 2, 3, 5] {
+        let keys: Vec<f64> = (0..rows).map(|i| i as f64).collect();
+        let values: Vec<f64> = (0..rows).map(|i| (i * i) as f64 + 1.0).collect();
+        let t = Table::one_dim(keys, values).unwrap();
+        for k in [1usize, 4, 64] {
+            let spec = adp_json_spec(AggKind::Avg, k);
+            let engine =
+                Engine::build(&t, &spec).unwrap_or_else(|e| panic!("{rows} rows, k={k}: {e}"));
+            let EngineSpec::Pass(pass_spec) = &spec else {
+                panic!("not a PASS spec: {spec:?}");
+            };
+            let pass = Pass::from_spec(&t, pass_spec).unwrap();
+            let tree = pass.tree();
+            let leaves = tree.leaves();
+            assert!(leaves.len() <= k, "{rows} rows, k={k}: {}", leaves.len());
+            let covered: u64 = leaves.iter().map(|&l| tree.agg(l).count).sum();
+            assert_eq!(covered, rows as u64, "{rows} rows, k={k}");
+            let whole = Query::interval(AggKind::Count, f64::NEG_INFINITY, f64::INFINITY);
+            let est = engine.estimate(&whole).unwrap();
+            assert!(est.exact, "{rows} rows, k={k}");
+            assert_eq!(est.value, rows as f64, "{rows} rows, k={k}");
+        }
+    }
+}
+
+/// MIN/MAX have no variance objective: a 1-D ADP build asked to optimize
+/// for one is a typed error (it used to reach an `unreachable!`).
+#[test]
+fn adp_min_max_objective_is_an_invalid_parameter_on_1d() {
+    let t = uniform(2_000, 12);
+    for agg in [AggKind::Min, AggKind::Max] {
+        match Engine::build(&t, &adp_json_spec(agg, 16)) {
+            Err(PassError::InvalidParameter("strategy_agg", _)) => {}
+            other => panic!("{agg}: expected InvalidParameter, got {:?}", other.err()),
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 //! clones share one cache per engine across threads.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::chaos::{AtomicU64, Mutex, Ordering};
@@ -26,27 +27,48 @@ use crate::progressive::GroupBySnapshot;
 use crate::query::{GroupByQuery, GroupResult, Query};
 use crate::spec::EngineSpec;
 use crate::synopsis::Synopsis;
-use crate::{AggKind, PassError, Result};
+use crate::{PassError, Result};
 
 /// The cache identity of a query: its aggregate kind plus the exact bit
 /// pattern of every predicate-interval bound. Bit-exact keying means no
-/// false sharing between queries that differ by any representable amount,
-/// and `NaN`-free rectangles (enforced by [`crate::Rect::new`]) make the
-/// bit patterns canonical.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct QueryKey {
-    agg: AggKind,
-    bounds: Vec<(u64, u64)>,
-}
+/// false sharing between queries that differ by any representable amount
+/// (`0.0` and `-0.0` are different keys), and `NaN`-free rectangles
+/// (enforced by [`crate::Rect::new`]) make the bit patterns canonical.
+///
+/// A key holds the query itself — the same inline-or-spilled coordinates
+/// — so building or cloning one allocates only when the query does.
+/// Equality and hash read the **live** dimensions as bits: the arity is
+/// part of the identity, the inline padding is not.
+#[derive(Debug, Clone)]
+pub struct QueryKey(Query);
 
 impl QueryKey {
     /// The cache key of `query`.
     pub fn new(query: &Query) -> Self {
-        Self {
-            agg: query.agg,
-            bounds: (0..query.dims())
-                .map(|d| (query.rect.lo(d).to_bits(), query.rect.hi(d).to_bits()))
-                .collect(),
+        Self(query.clone())
+    }
+
+    fn bits(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let bounds = self.0.rect.bounds().iter();
+        bounds.map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()))
+    }
+}
+
+impl PartialEq for QueryKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.agg == other.0.agg && self.bits().eq(other.bits())
+    }
+}
+
+impl Eq for QueryKey {}
+
+impl Hash for QueryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.agg.hash(state);
+        state.write_usize(self.0.dims());
+        for (lo, hi) in self.bits() {
+            state.write_u64(lo);
+            state.write_u64(hi);
         }
     }
 }
@@ -455,7 +477,7 @@ impl<S: Synopsis> Synopsis for CachedSynopsis<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PassError;
+    use crate::AggKind;
 
     /// Counts how many queries actually reach the engine.
     struct Counting {

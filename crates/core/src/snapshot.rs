@@ -23,9 +23,10 @@
 //! place, to the same bytes).
 //!
 //! Decoding validates every structural index (children, parents, leaf
-//! indices) before the tree is handed to traversal code, so a drifted but
-//! checksum-valid payload fails with `SnapshotError::SpecMismatch` at load
-//! time instead of panicking at query time.
+//! indices) and every rectangle (no NaN bound, `lo <= hi`) before the tree
+//! is handed to traversal code, so a drifted but checksum-valid payload
+//! fails with `SnapshotError::SpecMismatch` at load time instead of
+//! panicking at query time.
 
 use pass_common::snapshot::{
     put_bool, put_f64, put_u32, put_u64, put_u64_seq, put_usize, write_section, Cursor,
@@ -145,6 +146,18 @@ pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
     }
     if root >= n_nodes {
         return Err(drift(format!("tree root {root} out of {n_nodes} nodes")));
+    }
+    // Every constructor goes through `Rect::new`; traversals and updates
+    // rely on ordered, comparable bounds.
+    if let Some(at) = rect
+        .iter()
+        .position(|&(lo, hi)| lo.is_nan() || hi.is_nan() || lo > hi)
+    {
+        return Err(drift(format!(
+            "node {} has a NaN or inverted bound in dimension {}",
+            at / dims,
+            at % dims
+        )));
     }
     for (id, &(start, count)) in child_span.iter().enumerate() {
         let end = start as usize + count as usize;
@@ -310,23 +323,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_leaf_indices_fail_at_load_not_query() {
-        let t = uniform(1_000, 13);
-        let pass = Pass::from_spec(
-            &t,
-            &PassSpec {
-                partitions: 8,
-                sample_rate: 0.05,
-                ..PassSpec::default()
-            },
-        )
-        .unwrap();
-        let mut drifted = pass.clone();
-        drifted.tree.leaf_index[0] = Some(10_000);
+    /// Save `drifted` (checksums and all) and load it back: the drift
+    /// must surface as a typed error at load time.
+    fn assert_load_rejects(drifted: &Pass) {
         let mut bytes = Vec::new();
         write_header(&mut bytes, &drifted.spec());
-        save_pass(&drifted, &mut bytes).unwrap();
+        save_pass(drifted, &mut bytes).unwrap();
         let (spec, mut r) = SnapshotReader::open(&bytes).unwrap();
         let spec = match spec {
             EngineSpec::Pass(p) => p,
@@ -338,5 +340,34 @@ mod tests {
                 SnapshotError::SpecMismatch(_)
             ))
         ));
+    }
+
+    fn small_pass() -> Pass {
+        let spec = PassSpec {
+            partitions: 8,
+            sample_rate: 0.05,
+            ..PassSpec::default()
+        };
+        Pass::from_spec(&uniform(1_000, 13), &spec).unwrap()
+    }
+
+    #[test]
+    fn corrupt_leaf_indices_fail_at_load_not_query() {
+        let mut drifted = small_pass();
+        drifted.tree.leaf_index[0] = Some(10_000);
+        assert_load_rejects(&drifted);
+    }
+
+    #[test]
+    fn flipped_and_nan_rectangle_bounds_fail_at_load_not_query() {
+        let pass = small_pass();
+        let leaf = pass.tree.leaves()[3];
+        let (lo, hi) = pass.tree.rect[leaf];
+        assert!(lo < hi, "a leaf of distinct keys has a proper interval");
+        for planted in [(hi, lo), (f64::NAN, hi), (lo, f64::NAN)] {
+            let mut drifted = pass.clone();
+            drifted.tree.rect[leaf] = planted;
+            assert_load_rejects(&drifted);
+        }
     }
 }

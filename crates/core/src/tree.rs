@@ -758,8 +758,9 @@ mod tests {
         let s = sorted(40, 8);
         let p = Partitioning1D::new(40, vec![10, 20, 30]).unwrap();
         let mut t = PartitionTree::from_partitioning(&s, &p).unwrap();
-        // No constructor stores `lo > hi` (`Rect::new` refuses it), but
-        // the snapshot decoder does not look: plant one.
+        // No constructor stores `lo > hi` (`Rect::new` refuses it) and the
+        // snapshot decoder rejects it, but widening must not depend on
+        // that: plant one.
         let leaf = t.leaves()[1];
         t.rect[leaf] = (0.9, 0.1);
         for point in [0.5, 2.0, -1.0, f64::INFINITY] {

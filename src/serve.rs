@@ -126,7 +126,7 @@ use std::time::{Duration, Instant};
 use pass_common::{
     GroupByQuery, LatencyHistogram, PassError, Priority, ProgressiveOutcome, ProgressiveSlot,
     ProgressiveTicket, PushError, Query, QueryKey, RequestQueue, Result, ServeOutcome, ThreadPool,
-    Ticket, TicketSlot, TicketWake,
+    Ticket, TicketSlot,
 };
 
 use crate::session::SessionHandle;
@@ -354,7 +354,7 @@ pub struct ServeStats {
 }
 
 /// One submission waiting on a queued request: its ticket slot plus the
-/// timing it was submitted with. A request starts with one waiter; dedup
+/// timing it was submitted with. A request is created by one waiter; dedup
 /// attaches more.
 struct Waiter {
     slot: TicketSlot,
@@ -363,7 +363,8 @@ struct Waiter {
 }
 
 /// The most submissions one queued request will fan out to. Beyond
-/// this, an identical submission starts a fresh request that passes
+/// this — the submission that created the request included — an
+/// identical submission starts a fresh request that passes
 /// through normal admission control — which keeps dedup from turning a
 /// duplicate storm into unbounded server-held waiter state (and bounds
 /// the per-request result cloning at completion). 64 is generous for
@@ -394,22 +395,39 @@ struct Request {
 
 /// What a [`Request`] executes.
 enum Body {
-    /// A query batch: the submitted queries, the dedup identity, and
-    /// every waiter attached to the execution.
-    Plain {
-        queries: Vec<Query>,
-        /// Bit-exact query identity (only computed when dedup is on).
-        key: Option<Vec<QueryKey>>,
-        /// Hash of `key`, compared before the full key so the dedup scan
-        /// (linear, under the queue lock) rejects non-matches on one
-        /// `u64` instead of a per-query `Vec` comparison.
-        key_hash: u64,
-        waiters: Vec<Waiter>,
-    },
+    /// A query batch — of one query or of many, the same shape.
+    Plain(PlainJob),
     /// A progressive group-by: executes through its own streaming path;
     /// workers never coalesce it into a plain batch and dedup never
     /// attaches to it.
     Progressive(ProgressiveJob),
+}
+
+/// One queued query batch, held by value: the first query and the first
+/// waiter sit in the request itself, and the two `Vec`s — the rest of a
+/// longer slice, the submissions dedup attached — are empty (and own no
+/// heap block) for the one-query, one-client request that is nearly all
+/// traffic. Queueing such a request allocates nothing.
+struct PlainJob {
+    first: Query,
+    rest: Vec<Query>,
+    /// Bit-exact query identity (only computed when dedup is on).
+    key: Option<Vec<QueryKey>>,
+    /// Hash of `key`, compared before the full key so the dedup scan
+    /// (linear, under the queue lock) rejects non-matches on one
+    /// `u64` instead of a per-query comparison.
+    key_hash: u64,
+    /// The submission that created the request.
+    waiter: Waiter,
+    /// Identical submissions dedup attached to it, in arrival order.
+    attached: Vec<Waiter>,
+}
+
+impl PlainJob {
+    /// Queries the request contributes to a batch.
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
 }
 
 /// Per-engine serving state: the session handle workers execute through
@@ -463,7 +481,7 @@ impl ServeShared {
             // snapshots for as long as its deadline allows, so gluing
             // plain requests behind it would stall them.
             let batch_len = match &first.body {
-                Body::Plain { queries, .. } => Some(queries.len()),
+                Body::Plain(job) => Some(job.len()),
                 Body::Progressive(_) => None,
             };
             let mut requests = vec![first];
@@ -477,10 +495,10 @@ impl ServeShared {
             // head keeps the EDF schedule intact.
             if let Some(mut total) = batch_len.filter(|&len| len < self.coalesce_max) {
                 requests.extend(self.queue.drain_class_where(class, |r| match &r.body {
-                    Body::Plain { queries, .. }
-                        if r.engine == engine && total + queries.len() <= self.coalesce_max =>
+                    Body::Plain(job)
+                        if r.engine == engine && total + job.len() <= self.coalesce_max =>
                     {
-                        total += queries.len();
+                        total += job.len();
                         true
                     }
                     _ => false,
@@ -497,42 +515,58 @@ impl ServeShared {
     /// surviving waiter — **store all, then wake**: every outcome of the
     /// batch is in its ticket before the first parked client is woken,
     /// so that client finds the whole batch resolved instead of
-    /// preempting this worker once per ticket.
+    /// preempting this worker once per ticket. The bookkeeping is per
+    /// batch too: one clock read when the answers exist, one reservation
+    /// of the batch's completion stamps, one `completed` add.
     fn execute(&self, engine: usize, requests: Vec<Request>) {
         let state = &self.engines[engine];
-        let now = Instant::now();
-        // One flat engine batch: each request's queries are moved in,
-        // `live` remembers how many it contributed and who waits on them.
-        let mut queries: Vec<Query> = Vec::new();
-        let mut live: Vec<(usize, Vec<Waiter>)> = Vec::with_capacity(requests.len());
+        // Fail fast: a waiter whose deadline passed while queued costs
+        // zero execution time — and an expired request popping first
+        // (EDF sorts it first) never blocks a live later one, because
+        // expiry resolves without executing. One expiry instant per
+        // batch, read when the first dated waiter asks for it: undated
+        // traffic does not read the clock here.
+        let mut now: Option<Instant> = None;
+        let mut stale = |w: &Waiter| {
+            w.deadline
+                .is_some_and(|d| d <= *now.get_or_insert_with(Instant::now))
+        };
+        let expire = |w: Waiter| {
+            count(&state.expired);
+            w.slot.fulfill(ServeOutcome::Expired, None);
+        };
+        // One flat engine batch: each request's queries are moved in
+        // (sized for one query a request, which nearly all have), `live`
+        // remembers how many it contributed and who waits on them.
+        let mut queries: Vec<Query> = Vec::with_capacity(requests.len());
+        let mut live: Vec<(usize, Option<Waiter>, Vec<Waiter>)> =
+            Vec::with_capacity(requests.len());
+        let mut tickets = 0u64;
         for req in requests {
-            let (mut request_queries, mut waiters) = match req.body {
+            let mut job = match req.body {
                 Body::Progressive(job) => {
                     self.execute_progressive(state, job);
                     continue;
                 }
-                Body::Plain {
-                    queries, waiters, ..
-                } => (queries, waiters),
+                Body::Plain(job) => job,
             };
-            // Fail fast: a waiter whose deadline passed while queued
-            // costs zero execution time. A request only executes if at
-            // least one waiter is still live — and an expired request
-            // popping first (EDF sorts it first) never blocks a live
-            // later one, because expiry resolves without executing.
-            let stale = |w: &Waiter| matches!(w.deadline, Some(d) if d <= now);
-            if waiters.iter().any(stale) {
-                let (expired, alive): (Vec<Waiter>, Vec<Waiter>) =
-                    waiters.into_iter().partition(stale);
-                for waiter in expired {
-                    count(&state.expired);
-                    waiter.slot.fulfill(ServeOutcome::Expired, None);
-                }
-                waiters = alive;
+            let len = job.len();
+            let first = if stale(&job.waiter) {
+                expire(job.waiter);
+                None
+            } else {
+                Some(job.waiter)
+            };
+            if job.attached.iter().any(&mut stale) {
+                job.attached.extract_if(.., |w| stale(w)).for_each(expire);
             }
-            if !waiters.is_empty() {
-                live.push((request_queries.len(), waiters));
-                queries.append(&mut request_queries);
+            // A request executes if at least one waiter is still live.
+            let waiting = usize::from(first.is_some()) + job.attached.len();
+            if waiting > 0 {
+                tickets += waiting as u64;
+                live.push((len, first, job.attached));
+                queries.push(job.first);
+                queries.append(&mut job.rest);
             }
         }
         if live.is_empty() {
@@ -541,26 +575,39 @@ impl ServeShared {
         let results = state
             .handle
             .estimate_many_parallel(&queries, &self.batch_pool);
+        let executed = Instant::now();
         count(&state.batches);
         debug_assert_eq!(results.len(), queries.len());
+        // relaxed: the stamps only need uniqueness + atomicity; clients
+        // compare stamps they obtained through their own tickets, whose
+        // mutex already orders the handoff.
+        let mut seq = self.completion_seq.fetch_add(tickets, Ordering::Relaxed);
+        // The whole batch is counted before its first outcome is stored
+        // (`Release`, as `count`): a client that has seen any answer of
+        // this batch through its ticket's mutex also sees the add, so
+        // `stats().completed` never trails the outcomes a client holds.
+        state.completed.fetch_add(tickets, Ordering::Release);
         let mut results = results.into_iter();
         // The tickets that had a parked waiter when their outcome was
         // stored. Dropping a handle wakes its ticket, so this holds them
         // past the last store — and an unwind in between still wakes
         // every sleeper whose answer is already in place.
         let mut wakes = Vec::new();
-        for (len, waiters) in live {
-            let mut slice: Vec<_> = results.by_ref().take(len).collect();
+        for (len, first, attached) in live {
+            let mut answers: Vec<_> = results.by_ref().take(len).collect();
             // Every waiter but the last gets a clone; the last takes
             // the results themselves.
-            let n = waiters.len();
-            for (i, waiter) in waiters.into_iter().enumerate() {
-                let answers = if i + 1 < n {
-                    slice.clone()
-                } else {
-                    std::mem::take(&mut slice)
+            let mut waiters = first.into_iter().chain(attached).peekable();
+            while let Some(waiter) = waiters.next() {
+                let answers = match waiters.peek() {
+                    Some(_) => answers.clone(),
+                    None => std::mem::take(&mut answers),
                 };
-                wakes.extend(self.store_done(state, waiter, ServeOutcome::Done(answers)));
+                let waited = executed.saturating_duration_since(waiter.submitted);
+                self.latency
+                    .record(waited.as_micros().min(u64::MAX as u128) as u64);
+                wakes.extend(waiter.slot.store(ServeOutcome::Done(answers), Some(seq)));
+                seq += 1;
             }
         }
         drop(wakes);
@@ -600,26 +647,6 @@ impl ServeShared {
         self.latency.record(waited_us);
         count(&state.completed);
         job.slot.try_resolve(outcome);
-    }
-
-    /// Resolve one completed waiter — stamp, record latency, count,
-    /// store the outcome — and hand back the wakeup it still owes (if a
-    /// client is parked on the ticket) for the caller to issue once the
-    /// rest of the batch is stored.
-    fn store_done(
-        &self,
-        state: &EngineState,
-        waiter: Waiter,
-        outcome: ServeOutcome,
-    ) -> Option<TicketWake> {
-        // relaxed: the stamp only needs uniqueness + atomicity; clients
-        // compare stamps they obtained through their own tickets, whose
-        // mutex already orders the handoff.
-        let seq = self.completion_seq.fetch_add(1, Ordering::Relaxed);
-        let waited_us = waiter.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.latency.record(waited_us);
-        count(&state.completed);
-        waiter.slot.store(outcome, Some(seq))
     }
 }
 
@@ -757,9 +784,9 @@ impl Serve {
         options: &SubmitOptions,
     ) -> Result<Ticket> {
         let engine = self.engine_index(engine)?;
-        if queries.is_empty() {
+        let Some((first, rest)) = queries.split_first() else {
             return Ok(Ticket::resolved(ServeOutcome::Done(Vec::new())));
-        }
+        };
         let (ticket, slot) = Ticket::pending();
         // One waiter to start with; dedup may attach it to an identical
         // queued request instead.
@@ -774,16 +801,18 @@ impl Serve {
                 keys.hash(&mut hasher);
                 hasher.finish()
             });
-            Body::Plain {
-                queries: queries.to_vec(),
+            Body::Plain(PlainJob {
+                first: first.clone(),
+                rest: rest.to_vec(),
                 key,
                 key_hash,
-                waiters: vec![Waiter {
+                waiter: Waiter {
                     slot,
                     submitted,
                     deadline,
-                }],
-            }
+                },
+                attached: Vec::new(),
+            })
         });
         Ok(ticket)
     }
@@ -933,31 +962,20 @@ impl Serve {
                 // duplicate then goes through normal admission control,
                 // keeping dedup's memory bounded.
                 |queued, new| match (&queued.body, &new.body) {
-                    (
-                        Body::Plain {
-                            key,
-                            key_hash,
-                            waiters,
-                            ..
-                        },
-                        Body::Plain {
-                            key: new_key,
-                            key_hash: new_hash,
-                            ..
-                        },
-                    ) => {
+                    (Body::Plain(queued_job), Body::Plain(new_job)) => {
                         queued.engine == new.engine
-                            && key_hash == new_hash
-                            && waiters.len() < MAX_ATTACHED_WAITERS
-                            && key == new_key
+                            && queued_job.key_hash == new_job.key_hash
+                            && 1 + queued_job.attached.len() < MAX_ATTACHED_WAITERS
+                            && queued_job.key == new_job.key
                     }
                     _ => false,
                 },
                 |queued, new| {
-                    if let (Body::Plain { waiters, .. }, Body::Plain { waiters: more, .. }) =
+                    if let (Body::Plain(queued_job), Body::Plain(new_job)) =
                         (&mut queued.body, new.body)
                     {
-                        waiters.extend(more);
+                        queued_job.attached.push(new_job.waiter);
+                        queued_job.attached.extend(new_job.attached);
                     }
                 },
             )
@@ -988,12 +1006,12 @@ impl Serve {
     /// exactly one waiter at submission time, but stay shape-agnostic.)
     fn resolve_unqueued(request: Request, why: PushError) {
         match request.body {
-            Body::Plain { waiters, .. } => {
+            Body::Plain(job) => {
                 let outcome = match why {
                     PushError::Full => ServeOutcome::Rejected,
                     PushError::Closed => ServeOutcome::Cancelled,
                 };
-                for waiter in waiters {
+                for waiter in std::iter::once(job.waiter).chain(job.attached) {
                     waiter.slot.fulfill(outcome.clone(), None);
                 }
             }
@@ -1421,6 +1439,36 @@ mod tests {
         // Deadlines are per waiter: the request still executes for the
         // live one.
         assert_eq!(stale.wait(), ServeOutcome::Expired);
+        let got = live.wait().results().unwrap();
+        assert_eq!(
+            got[0].as_ref().unwrap().value,
+            session.estimate("pass", &q(0.2, 0.8)).unwrap().value
+        );
+        let stats = serve.shutdown();
+        assert_eq!(
+            (stats.completed, stats.expired, stats.deduped, stats.batches),
+            (1, 1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn a_stale_first_submission_expires_alone_while_its_duplicate_gets_the_answer() {
+        let session = served_session();
+        let serve = session
+            .serve(
+                "pass",
+                ServeConfig::new().with_workers(1).with_dedup().paused(),
+            )
+            .unwrap();
+        // The mirror of the test above: the submission that *created*
+        // the request is the stale one, the attached duplicate is live.
+        let options = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+        let stale = serve.submit("pass", &[q(0.2, 0.8)], &options).unwrap();
+        let live = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
+        assert_eq!(serve.queue_depth(), 1, "the duplicate attached");
+        serve.resume();
+        assert_eq!(stale.wait(), ServeOutcome::Expired);
+        assert_eq!(stale.completion_index(), None);
         let got = live.wait().results().unwrap();
         assert_eq!(
             got[0].as_ref().unwrap().value,

@@ -19,7 +19,9 @@
 //!    request shape × option set answer like the direct `Session` call;
 //!    an unknown engine name is an `Err` that takes no queue slot.
 //! 7. **Books** — the `stats()` totals are the sums of the per-engine
-//!    rows, and `completed + expired <= accepted` in every snapshot.
+//!    rows, `completed + expired <= accepted` in every snapshot, and a
+//!    batch is counted before its first answer is visible: a client
+//!    never holds more outcomes than `completed` reports.
 
 use std::time::Duration;
 
@@ -503,4 +505,72 @@ fn mid_run_stats_never_show_more_outcomes_than_acceptances() {
     let stats = serve.shutdown();
     assert!(stats.completed > 0 && stats.expired > 0, "{stats:?}");
     assert_eq!(stats.completed + stats.expired, stats.accepted);
+}
+
+/// A batch's bookkeeping is one reservation of stamps and one
+/// `completed` add, made **before** its first outcome is stored. Seen
+/// from real threads: a client that holds `k` of its answers reads
+/// `stats().completed >= k` (the add is published to it by the ticket
+/// it just read), the stamps of one batch rise strictly in store
+/// (= submission) order, and an observer's mid-run snapshots keep
+/// `completed + expired <= accepted`.
+#[test]
+fn a_batch_is_counted_before_any_of_its_answers_is_visible() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const SNAPSHOTS: usize = 10_000;
+    const BURST: usize = 16;
+    let session = pass_session();
+    let config = ServeConfig::new().with_workers(1);
+    let serve = session.serve("pass", config).unwrap();
+    let queries: Vec<Query> = (0..BURST)
+        .map(|i| Query::interval(AggKind::Sum, i as f64 / 40.0, 0.8))
+        .collect();
+    let stale = SubmitOptions::interactive().with_deadline(Duration::ZERO);
+    let observing = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        let client = s.spawn(|| {
+            // Everything this (the only) client has seen resolve `Done`.
+            let mut resolved = 0u64;
+            let mut bursts = 0u64;
+            while observing.load(Ordering::Acquire) || bursts < 4 {
+                // The worker is parked while the burst is submitted, so
+                // each burst is exactly one batch.
+                serve.pause();
+                let tickets: Vec<Ticket> = queries
+                    .iter()
+                    .map(|q| serve.submit_to("pass", q).unwrap())
+                    .collect();
+                // One born-stale request per burst moves `expired` too.
+                let doomed = serve.submit("pass", &queries[..1], &stale).unwrap();
+                serve.resume();
+                let mut last_stamp = None;
+                for ticket in &tickets {
+                    assert!(ticket.wait().is_done());
+                    resolved += 1;
+                    let completed = serve.stats().completed;
+                    assert!(completed >= resolved, "{completed} < {resolved}");
+                    let stamp = ticket.completion_index();
+                    assert!(
+                        stamp.is_some() && stamp > last_stamp,
+                        "{last_stamp:?} {stamp:?}"
+                    );
+                    last_stamp = stamp;
+                }
+                assert_eq!(doomed.wait(), ServeOutcome::Expired);
+                bursts += 1;
+            }
+            (resolved, bursts)
+        });
+        for sample in 0..SNAPSHOTS {
+            let now = serve.stats();
+            let outcomes = now.completed + now.expired;
+            assert!(outcomes <= now.accepted, "sample {sample}: {now:?}");
+        }
+        observing.store(false, Ordering::Release);
+        let (resolved, bursts) = client.join().unwrap();
+        let stats = serve.stats();
+        assert_eq!(stats.completed, resolved);
+        assert_eq!(stats.completed + stats.expired, stats.accepted);
+        assert_eq!((stats.batches, stats.expired), (bursts, bursts));
+    });
 }

@@ -189,6 +189,52 @@ fn served_answers_match_after_reload() {
     }
 }
 
+/// Six dimensions is past `Rect`'s inline capacity, so these queries
+/// carry their bounds on the heap: PASS over the full taxi table
+/// answers them with the same bits directly, after `save_engine` →
+/// `load_engine`, and through the serving tier over the loaded engine.
+#[test]
+fn a_six_dimensional_query_survives_save_and_load_bit_for_bit() {
+    let table = pass::table::datasets::taxi(6_000, 29);
+    let bounds = table.bounding_rect().unwrap();
+    assert_eq!(bounds.dims(), 6);
+    let spec = PassSpec {
+        partitions: 32,
+        sample_rate: 0.05,
+        seed: 6,
+        ..PassSpec::default()
+    };
+    let mut session = Session::new(table);
+    session.add_engine("kd", &EngineSpec::Pass(spec)).unwrap();
+    // The lower half of dimension `i % 6`, the middle of the next one.
+    let queries: Vec<Query> = (0..12)
+        .map(|i| {
+            let (a, b) = (i % 6, (i + 1) % 6);
+            let span = |d: usize| bounds.hi(d) - bounds.lo(d);
+            let rect = bounds
+                .narrowed(a, bounds.lo(a), bounds.lo(a) + span(a) / 2.0)
+                .narrowed(
+                    b,
+                    bounds.lo(b) + span(b) / 4.0,
+                    bounds.hi(b) - span(b) / 4.0,
+                );
+            Query::new(AggKind::ALL[i % 5], rect)
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    session.save_engine("kd", &mut bytes).unwrap();
+    session.load_engine("loaded", &bytes).unwrap();
+    let serve = session.serve("loaded", ServeConfig::new()).unwrap();
+    let served = serve.submit("loaded", &queries, &Default::default());
+    let served = served.unwrap().wait().results().unwrap();
+    for (q, served) in queries.iter().zip(served) {
+        let direct = session.estimate("kd", q);
+        assert!(direct.is_ok(), "{q:?}: {direct:?}");
+        assert_eq!(session.estimate("loaded", q), direct, "{q:?}");
+        assert_eq!(served, direct, "{q:?} served");
+    }
+}
+
 #[test]
 fn mutated_pass_saves_post_mutation_state() {
     let table = uniform(3_000, 13);

@@ -186,12 +186,12 @@ impl PartitionTree {
             return Err(PassError::EmptyInput("partition tree over empty table"));
         }
         let mut tree = Self::with_capacity(table.dims(), kd.nodes.len());
+        // Every node owns a contiguous `perm` range, so one gather of the
+        // value column into `perm` order gives each node a slice.
+        let values: Vec<f64> = kd.perm.iter().map(|&r| table.value(r as usize)).collect();
         for info in &kd.nodes {
-            let values: Vec<f64> = kd.perm[info.start..info.end]
-                .iter()
-                .map(|&r| table.value(r as usize))
-                .collect();
-            let id = tree.push_node(&info.rect, Aggregates::from_values(&values), None, None);
+            let agg = Aggregates::from_values(&values[info.start..info.end]);
+            let id = tree.push_node(&info.rect, agg, None, None);
             debug_assert_eq!(id + 1, tree.n_nodes());
         }
         // Wire children and parents (every id already exists).
@@ -683,6 +683,41 @@ mod tests {
             }
             let merged_count: u64 = t.children(id).iter().map(|&c| t.agg(c).count).sum();
             assert_eq!(t.agg(id).count, merged_count);
+        }
+    }
+
+    #[test]
+    fn from_kd_aggregates_match_a_per_node_indirect_gather() {
+        // The oracle is the loop `from_kd` ran before it gathered the value
+        // column once: every node's values fetched through `perm`.
+        let table = taxi(5_000, 7).project(&[1, 2, 3]).unwrap();
+        for expansion in [
+            KdExpansion::BreadthFirst,
+            KdExpansion::MaxVariance {
+                kind: AggKind::Sum,
+                balance: 2,
+            },
+        ] {
+            let kd = build_kd(&table, 64, expansion, 3).unwrap();
+            let t = PartitionTree::from_kd(&table, &kd).unwrap();
+            assert_eq!(t.n_nodes(), kd.nodes.len());
+            for (id, info) in kd.nodes.iter().enumerate() {
+                let values: Vec<f64> = kd.perm[info.start..info.end]
+                    .iter()
+                    .map(|&r| table.value(r as usize))
+                    .collect();
+                let expected = Aggregates::from_values(&values);
+                let got = t.agg(id);
+                assert_eq!(got.count, expected.count, "node {id}");
+                for (name, a, b) in [
+                    ("sum", got.sum, expected.sum),
+                    ("sum_sq", got.sum_sq, expected.sum_sq),
+                    ("min", got.min, expected.min),
+                    ("max", got.max, expected.max),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "node {id} {name}");
+                }
+            }
         }
     }
 

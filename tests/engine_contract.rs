@@ -304,6 +304,39 @@ fn multi_dimensional_batches_match_single_estimates_bitwise() {
     }
 }
 
+/// KD-PASS answers are pinned across commits: FNV-1a over the value and
+/// `ci_half` bits of 400 fixed queries on the benchmark's configuration
+/// (3-D taxi, `Adp(Sum)`, 256 leaves), recorded before the k-d split
+/// became one selection and one pass. A row that moves in `perm`, a
+/// rectangle bit or a node aggregate moves a sample or an answer, and
+/// shows up here.
+#[test]
+fn multi_dimensional_kd_pass_answers_are_pinned_across_commits() {
+    let (table, spec) = taxi_3d(60_000, 7);
+    let spec = PassSpec {
+        partitions: 256,
+        strategy: PartitionStrategy::Adp(AggKind::Sum),
+        ..spec
+    };
+    let engine = Pass::from_spec(&table, &spec).unwrap();
+    let mut hash = 0xcbf29ce484222325_u64;
+    let mut answered = 0;
+    for query in queries_3d(&table, 400) {
+        let words = match engine.estimate(&query) {
+            Ok(e) => {
+                answered += 1;
+                [e.value.to_bits(), e.ci_half.to_bits()]
+            }
+            Err(_) => [u64::MAX; 2],
+        };
+        for word in words {
+            hash = (hash ^ word).wrapping_mul(0x100000001b3);
+        }
+    }
+    assert!(answered > 350, "only {answered} of 400 answered");
+    assert_eq!(hash, 0x3971cbde08fb4d9b, "answer hash {hash:#018x}");
+}
+
 /// The same contract on a synopsis that has absorbed updates: 2 000
 /// inserts and deletes widen leaf boxes (so they overlap), move
 /// populations and evict sampled rows, and the stream ends by deleting
@@ -421,6 +454,88 @@ fn adp_avg_builds_on_tables_smaller_than_one_feasible_bucket() {
             let est = engine.estimate(&whole).unwrap();
             assert!(est.exact, "{rows} rows, k={k}");
             assert_eq!(est.value, rows as f64, "{rows} rows, k={k}");
+        }
+    }
+}
+
+/// A 200-row, two-dimensional table whose predicate columns the caller
+/// may spoil.
+fn small_2d(spoil: impl FnOnce(&mut [Vec<f64>; 2])) -> Table {
+    let mut columns = [0usize, 1].map(|d| {
+        (0..200)
+            .map(|i| ((i * (31 + 22 * d)) % 199) as f64)
+            .collect::<Vec<f64>>()
+    });
+    spoil(&mut columns);
+    let values = (0..200).map(|i| (i % 13) as f64 + 1.0).collect();
+    let names = ["v", "x", "y"].map(String::from).to_vec();
+    Table::new(values, columns.to_vec(), names).unwrap()
+}
+
+/// The engines whose build runs the k-d expansion on a multi-dimensional
+/// table: KD-PASS, PASS with breadth-first (KD-US-style) strata, and
+/// AQP++ in its KD-US form.
+fn kd_specs() -> [EngineSpec; 3] {
+    let pass = |strategy| {
+        EngineSpec::Pass(PassSpec {
+            partitions: 8,
+            sample_rate: 0.1,
+            strategy,
+            ..PassSpec::default()
+        })
+    };
+    [
+        pass(PartitionStrategy::Adp(AggKind::Sum)),
+        pass(PartitionStrategy::EqualDepth),
+        EngineSpec::aqppp(8, 50),
+    ]
+}
+
+/// A NaN predicate cell has no place on either side of a median: every
+/// k-d build refuses the table with a typed error, whichever dimension
+/// holds it (the median comparator used to panic on it).
+#[test]
+fn multi_dimensional_builds_refuse_a_nan_predicate_cell() {
+    for dim in 0..2 {
+        let table = small_2d(|columns| columns[dim][77] = f64::NAN);
+        for spec in kd_specs() {
+            match Engine::build(&table, &spec) {
+                Err(PassError::InvalidParameter("predicates", _)) => {}
+                other => panic!("{spec:?}, NaN in dimension {dim}: {:?}", other.err()),
+            }
+        }
+        let EngineSpec::Pass(spec) = &kd_specs()[0] else {
+            panic!("not a PASS spec");
+        };
+        assert!(matches!(
+            Pass::from_spec(&table, spec),
+            Err(PassError::InvalidParameter("predicates", _))
+        ));
+    }
+}
+
+/// A column that is one infinity throughout has the width `inf − inf`,
+/// NaN, which the widest-dimension pick used to panic on. It is a column
+/// of width zero: the build splits the other dimension and answers. A
+/// column with only some infinite cells always built, and still does.
+#[test]
+fn multi_dimensional_builds_accept_infinite_predicate_cells() {
+    let whole = Query::new(
+        AggKind::Count,
+        Rect::new(&[(f64::NEG_INFINITY, f64::INFINITY); 2]),
+    );
+    for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+        let all = small_2d(|columns| columns[1].fill(inf));
+        let some = small_2d(|columns| columns[0][..40].fill(inf));
+        for (table, what) in [(all, "every"), (some, "some")] {
+            for spec in kd_specs() {
+                let ctx = format!("{spec:?}, {what} cell {inf}");
+                let engine = Engine::build(&table, &spec).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let count = engine
+                    .estimate(&whole)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_eq!(count.value, 200.0, "{ctx}");
+            }
         }
     }
 }

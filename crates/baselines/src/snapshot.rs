@@ -10,32 +10,29 @@
 //! in shard order, each decoded against the spec
 //! [`ShardedSynopsis::shard_spec`] derives for that index.
 //!
-//! Decoders re-validate every invariant the estimators rely on (sample
-//! arities, group assignments, SPN child ordering) so a checksum-valid
-//! but drifted payload fails at load time with
-//! [`SnapshotError::SpecMismatch`] instead of panicking at query time.
+//! Every field goes through `pass_common::snapshot::Codec`; the two
+//! composite types only baselines have — an ST [`Stratum`] and an SPN
+//! [`Node`] — implement it here. US and JOIN share one state section
+//! ([`save_sampled`]). Decoders re-validate every invariant the
+//! estimators rely on (sample arities, group assignments, SPN child
+//! ordering) so a checksum-valid but drifted payload fails at load time
+//! with `SnapshotError::SpecMismatch` instead of panicking at query time.
 
 use std::sync::Arc;
 
-use pass_common::snapshot::{
-    put_f64, put_f64_seq, put_u32_seq, put_u64, put_u64_seq, put_u8, put_usize, write_section,
-    Cursor, SnapshotError, SnapshotReader,
-};
+use pass_common::snapshot::{write_section, Codec, Cursor, SnapshotReader};
 use pass_common::{EngineSpec, JoinSpec, PassError, Result, Synopsis};
-use pass_core::snapshot::{decode_tree, encode_tree, load_pass};
-use pass_sampling::snapshot::{decode_sample, encode_sample};
-use pass_table::snapshot::{decode_table, encode_table};
+use pass_core::snapshot::load_pass;
+use pass_core::PartitionTree;
+use pass_sampling::Sample;
+use pass_table::Table;
 
-use crate::spn::{Node, SpnSynopsis};
+use crate::spn::{Histogram, Node, SpnSynopsis};
 use crate::st::Stratum;
 use crate::{
     AqpPlusPlus, JoinSynopsis, ShardedSynopsis, StratifiedSynopsis, UniformSynopsis,
     VerdictSynopsis,
 };
-
-fn drift(why: String) -> PassError {
-    SnapshotError::SpecMismatch(why).into()
-}
 
 /// Decode the engine `spec` describes from `r`'s state sections — the
 /// load-side mirror of `Engine::build`'s dispatch. The caller owns the
@@ -68,30 +65,43 @@ pub(crate) fn load_state(
     })
 }
 
-// --- US ---
+// --- US and JOIN: one sampled-state section ---
 
-pub(crate) fn save_us(us: &UniformSynopsis, out: &mut Vec<u8>) {
+/// Write the state section US and JOIN share: λ, query arity, the
+/// population the sample scales to, and the sample.
+fn save_sampled(out: &mut Vec<u8>, lambda: f64, dims: usize, total_rows: u64, sample: &Sample) {
     let mut state = Vec::new();
-    put_f64(&mut state, us.lambda);
-    put_usize(&mut state, us.dims);
-    put_u64(&mut state, us.total_rows);
-    encode_sample(&mut state, &us.sample);
+    lambda.encode(&mut state);
+    dims.encode(&mut state);
+    total_rows.encode(&mut state);
+    sample.encode(&mut state);
     write_section(out, &state);
 }
 
-fn load_us(requested_k: usize, seed: u64, r: &mut SnapshotReader<'_>) -> Result<UniformSynopsis> {
-    let mut c = Cursor::new(r.section()?);
-    let lambda = c.f64("US lambda")?;
-    let dims = c.u64("US dims")? as usize;
-    let total_rows = c.u64("US total rows")?;
-    let sample = decode_sample(&mut c)?;
-    c.done("US state")?;
+/// Read a section written by [`save_sampled`], checking the sample
+/// against the arity and the population.
+fn read_sampled(c: &mut Cursor<'_>) -> Result<(f64, usize, u64, Sample)> {
+    let lambda = c.read()?;
+    let dims: usize = c.read()?;
+    let total_rows: u64 = c.read()?;
+    let sample: Sample = c.read()?;
+    c.done()?;
     if dims == 0 || sample.rows().dims() != dims {
-        return Err(drift("US sample arity disagrees with its dims".into()));
+        return Err(c.drift("sample arity disagrees with its dims"));
     }
     if total_rows < sample.k() as u64 {
-        return Err(drift("US total rows below its sample size".into()));
+        return Err(c.drift("total rows below its sample size"));
     }
+    Ok((lambda, dims, total_rows, sample))
+}
+
+pub(crate) fn save_us(us: &UniformSynopsis, out: &mut Vec<u8>) {
+    save_sampled(out, us.lambda, us.dims, us.total_rows, &us.sample);
+}
+
+fn load_us(requested_k: usize, seed: u64, r: &mut SnapshotReader<'_>) -> Result<UniformSynopsis> {
+    let (lambda, dims, total_rows, sample) =
+        read_sampled(&mut Cursor::new(r.section()?, "US state"))?;
     Ok(UniformSynopsis {
         sample,
         lambda,
@@ -102,18 +112,60 @@ fn load_us(requested_k: usize, seed: u64, r: &mut SnapshotReader<'_>) -> Result<
     })
 }
 
+pub(crate) fn save_join(j: &JoinSynopsis, out: &mut Vec<u8>) {
+    // Spec-derivation rule: the dimension hash index is rebuilt from the
+    // header spec at load time, so only the randomized joined sample
+    // (plus λ and the population accounting) is state.
+    save_sampled(out, j.lambda, j.dims, j.total_rows, &j.sample);
+}
+
+fn load_join(spec: &JoinSpec, r: &mut SnapshotReader<'_>) -> Result<JoinSynopsis> {
+    let mut c = Cursor::new(r.section()?, "JOIN state");
+    // A header spec the build path would reject cannot describe a real
+    // engine — and the index rebuild below relies on its invariants.
+    if let Err(err) = spec.validate() {
+        return Err(c.drift(format_args!("header spec is invalid: {err}")));
+    }
+    let (lambda, dims, total_rows, sample) = read_sampled(&mut c)?;
+    if dims <= spec.attr_dims() {
+        return Err(c.drift("dims leave no fact-side predicate dimensions"));
+    }
+    if spec.fk_dim >= dims - spec.attr_dims() {
+        return Err(c.drift("FK dimension is outside the fact side"));
+    }
+    JoinSynopsis::from_snapshot_parts(spec.clone(), sample, lambda, total_rows)
+}
+
 // --- ST ---
+
+/// Key range, then the stratum's (1-D) sample.
+impl Codec for Stratum {
+    const MIN_BYTES: usize = 16 + Sample::MIN_BYTES;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.key_lo.encode(out);
+        self.key_hi.encode(out);
+        self.sample.encode(out);
+    }
+
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        let stratum = Stratum {
+            key_lo: c.read()?,
+            key_hi: c.read()?,
+            sample: c.read()?,
+        };
+        if stratum.sample.rows().dims() != 1 {
+            return Err(c.drift("ST stratum sample is not 1-D"));
+        }
+        Ok(stratum)
+    }
+}
 
 pub(crate) fn save_st(st: &StratifiedSynopsis, out: &mut Vec<u8>) {
     let mut state = Vec::new();
-    put_f64(&mut state, st.lambda);
-    put_u64(&mut state, st.total_rows);
-    put_usize(&mut state, st.strata.len());
-    for s in &st.strata {
-        put_f64(&mut state, s.key_lo);
-        put_f64(&mut state, s.key_hi);
-        encode_sample(&mut state, &s.sample);
-    }
+    st.lambda.encode(&mut state);
+    st.total_rows.encode(&mut state);
+    st.strata.encode(&mut state);
     write_section(out, &state);
 }
 
@@ -123,31 +175,17 @@ fn load_st(
     seed: u64,
     r: &mut SnapshotReader<'_>,
 ) -> Result<StratifiedSynopsis> {
-    let mut c = Cursor::new(r.section()?);
-    let lambda = c.f64("ST lambda")?;
-    let total_rows = c.u64("ST total rows")?;
-    let n = c.len(17, "ST strata")?;
-    let mut decoded = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key_lo = c.f64("stratum key lo")?;
-        let key_hi = c.f64("stratum key hi")?;
-        let sample = decode_sample(&mut c)?;
-        if sample.rows().dims() != 1 {
-            return Err(drift("ST stratum sample is not 1-D".into()));
-        }
-        decoded.push(Stratum {
-            key_lo,
-            key_hi,
-            sample,
-        });
-    }
-    c.done("ST state")?;
+    let mut c = Cursor::new(r.section()?, "ST state");
+    let lambda = c.read()?;
+    let total_rows: u64 = c.read()?;
+    let decoded: Vec<Stratum> = c.read()?;
+    c.done()?;
     if decoded.is_empty() {
-        return Err(drift("ST snapshot has no strata".into()));
+        return Err(c.drift("ST snapshot has no strata"));
     }
     let sampled: u64 = decoded.iter().map(|s| s.sample.k() as u64).sum();
     if total_rows < sampled {
-        return Err(drift("ST total rows below its sampled rows".into()));
+        return Err(c.drift("ST total rows below its sampled rows"));
     }
     Ok(StratifiedSynopsis {
         strata: decoded,
@@ -161,14 +199,14 @@ fn load_st(
 
 pub(crate) fn save_aqppp(aqp: &AqpPlusPlus, out: &mut Vec<u8>) {
     let mut tree = Vec::new();
-    encode_tree(&mut tree, &aqp.tree);
+    aqp.tree.encode(&mut tree);
     write_section(out, &tree);
 
     let mut state = Vec::new();
-    put_f64(&mut state, aqp.lambda);
-    put_u8(&mut state, u8::from(aqp.name == "KD-US"));
-    put_usize(&mut state, aqp.tree.dims());
-    encode_sample(&mut state, &aqp.sample);
+    aqp.lambda.encode(&mut state);
+    u8::from(aqp.name == "KD-US").encode(&mut state);
+    aqp.tree.dims().encode(&mut state);
+    aqp.sample.encode(&mut state);
     write_section(out, &state);
 }
 
@@ -179,35 +217,35 @@ fn load_aqppp(
     tree_dims: Option<&[usize]>,
     r: &mut SnapshotReader<'_>,
 ) -> Result<AqpPlusPlus> {
-    let mut c = Cursor::new(r.section()?);
-    let tree = decode_tree(&mut c)?;
-    c.done("AQP++ tree")?;
+    let mut c = Cursor::new(r.section()?, "AQP++ tree");
+    let tree: PartitionTree = c.read()?;
+    c.done()?;
 
-    let mut c = Cursor::new(r.section()?);
-    let lambda = c.f64("AQP++ lambda")?;
-    let name = match c.u8("AQP++ variant")? {
+    let mut c = Cursor::new(r.section()?, "AQP++ state");
+    let lambda = c.read()?;
+    let name = match c.read::<u8>()? {
         0 => "AQP++",
         1 => "KD-US",
-        other => return Err(drift(format!("unknown AQP++ variant tag {other}"))),
+        other => return Err(c.drift(format_args!("unknown AQP++ variant tag {other}"))),
     };
-    let arity = c.u64("AQP++ query dims")? as usize;
-    let sample = decode_sample(&mut c)?;
-    c.done("AQP++ state")?;
+    let arity: usize = c.read()?;
+    let sample: Sample = c.read()?;
+    c.done()?;
 
     if arity == 0 || sample.rows().dims() != arity {
-        return Err(drift("AQP++ sample arity disagrees with its dims".into()));
+        return Err(c.drift("AQP++ sample arity disagrees with its dims"));
     }
     // Snapshots written before workload-shift trees were lifted at build
     // time hold the narrow tree. (A mapping that names every dimension
     // leaves nothing to tell the two apart: that tree is taken as lifted.)
     let tree = match tree_dims {
-        Some(dims) if tree.dims() != arity => tree
-            .lifted(dims, arity)
-            .map_err(|err| drift(err.to_string()))?,
+        Some(dims) if tree.dims() != arity => {
+            tree.lifted(dims, arity).map_err(|err| c.drift(err))?
+        }
         _ => tree,
     };
     if tree.dims() != arity {
-        return Err(drift(format!(
+        return Err(c.drift(format_args!(
             "AQP++ tree covers {} dims but queries expect {arity}",
             tree.dims()
         )));
@@ -221,82 +259,37 @@ fn load_aqppp(
     })
 }
 
-// --- JOIN ---
-
-pub(crate) fn save_join(j: &JoinSynopsis, out: &mut Vec<u8>) {
-    // Spec-derivation rule: the dimension hash index is rebuilt from the
-    // header spec at load time, so only the randomized joined sample
-    // (plus λ and the population accounting) is state.
-    let mut state = Vec::new();
-    put_f64(&mut state, j.lambda);
-    put_usize(&mut state, j.dims);
-    put_u64(&mut state, j.total_rows);
-    encode_sample(&mut state, &j.sample);
-    write_section(out, &state);
-}
-
-fn load_join(spec: &JoinSpec, r: &mut SnapshotReader<'_>) -> Result<JoinSynopsis> {
-    // A header spec the build path would reject cannot describe a real
-    // engine — and the index rebuild below relies on its invariants.
-    if let Err(err) = spec.validate() {
-        return Err(drift(format!("JOIN header spec is invalid: {err}")));
-    }
-    let mut c = Cursor::new(r.section()?);
-    let lambda = c.f64("JOIN lambda")?;
-    let dims = c.u64("JOIN dims")? as usize;
-    let total_rows = c.u64("JOIN total rows")?;
-    let sample = decode_sample(&mut c)?;
-    c.done("JOIN state")?;
-    if dims == 0 || sample.rows().dims() != dims {
-        return Err(drift("JOIN sample arity disagrees with its dims".into()));
-    }
-    if dims <= spec.attr_dims() {
-        return Err(drift(
-            "JOIN dims leave no fact-side predicate dimensions".into(),
-        ));
-    }
-    if spec.fk_dim >= dims - spec.attr_dims() {
-        return Err(drift("JOIN FK dimension is outside the fact side".into()));
-    }
-    if total_rows < sample.k() as u64 {
-        return Err(drift("JOIN total rows below its sample size".into()));
-    }
-    JoinSynopsis::from_snapshot_parts(spec.clone(), sample, lambda, total_rows)
-}
-
 // --- VerdictDB-style scramble ---
 
 pub(crate) fn save_verdict(v: &VerdictSynopsis, out: &mut Vec<u8>) {
     let mut state = Vec::new();
-    put_f64(&mut state, v.lambda);
-    put_u64(&mut state, v.population);
-    put_usize(&mut state, v.n_groups);
-    put_u32_seq(&mut state, &v.group);
-    encode_table(&mut state, &v.rows);
+    v.lambda.encode(&mut state);
+    v.population.encode(&mut state);
+    v.n_groups.encode(&mut state);
+    v.group.encode(&mut state);
+    v.rows.encode(&mut state);
     write_section(out, &state);
 }
 
 fn load_verdict(ratio: f64, seed: u64, r: &mut SnapshotReader<'_>) -> Result<VerdictSynopsis> {
-    let mut c = Cursor::new(r.section()?);
-    let lambda = c.f64("scramble lambda")?;
-    let population = c.u64("scramble population")?;
-    let n_groups = c.u64("scramble group count")? as usize;
-    let group = c.u32_seq("scramble group assignments")?;
-    let rows = decode_table(&mut c)?;
-    c.done("scramble state")?;
+    let mut c = Cursor::new(r.section()?, "scramble state");
+    let lambda = c.read()?;
+    let population: u64 = c.read()?;
+    let n_groups: usize = c.read()?;
+    let group: Vec<u32> = c.read()?;
+    let rows: Table = c.read()?;
+    c.done()?;
     if n_groups == 0 {
-        return Err(drift("scramble has zero subsample groups".into()));
+        return Err(c.drift("scramble has zero subsample groups"));
     }
     if group.len() != rows.n_rows() {
-        return Err(drift(
-            "scramble group assignments disagree with its rows".into(),
-        ));
+        return Err(c.drift("scramble group assignments disagree with its rows"));
     }
     if group.iter().any(|&g| g as usize >= n_groups) {
-        return Err(drift("scramble group assignment out of range".into()));
+        return Err(c.drift("scramble group assignment out of range"));
     }
     if population < rows.n_rows() as u64 {
-        return Err(drift("scramble population below its row count".into()));
+        return Err(c.drift("scramble population below its row count"));
     }
     Ok(VerdictSynopsis {
         rows,
@@ -315,118 +308,90 @@ const SPN_SUM: u8 = 0;
 const SPN_PRODUCT: u8 = 1;
 const SPN_LEAF: u8 = 2;
 
-pub(crate) fn save_spn(spn: &SpnSynopsis, out: &mut Vec<u8>) {
-    let mut state = Vec::new();
-    put_usize(&mut state, spn.dims);
-    put_u64(&mut state, spn.population);
-    put_usize(&mut state, spn.root);
-    put_usize(&mut state, spn.nodes.len());
-    for node in &spn.nodes {
-        match node {
+/// A tag byte, then the node's children or its column and histogram.
+impl Codec for Node {
+    const MIN_BYTES: usize = 9;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
             Node::Sum(children) => {
-                put_u8(&mut state, SPN_SUM);
-                put_usize(&mut state, children.len());
-                for &(w, child) in children {
-                    put_f64(&mut state, w);
-                    put_usize(&mut state, child);
-                }
+                SPN_SUM.encode(out);
+                children.encode(out);
             }
             Node::Product(children) => {
-                put_u8(&mut state, SPN_PRODUCT);
-                put_usize(&mut state, children.len());
-                for (cols, child) in children {
-                    let cols: Vec<u64> = cols.iter().map(|&col| col as u64).collect();
-                    put_u64_seq(&mut state, &cols);
-                    put_usize(&mut state, *child);
-                }
+                SPN_PRODUCT.encode(out);
+                children.encode(out);
             }
             Node::Leaf { col, hist } => {
-                put_u8(&mut state, SPN_LEAF);
-                put_usize(&mut state, *col);
-                put_f64_seq(&mut state, &hist.edges);
-                put_f64_seq(&mut state, &hist.mass);
-                put_f64_seq(&mut state, &hist.mean);
+                SPN_LEAF.encode(out);
+                col.encode(out);
+                hist.edges.encode(out);
+                hist.mass.encode(out);
+                hist.mean.encode(out);
             }
         }
     }
+
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        Ok(match c.read()? {
+            SPN_SUM => Node::Sum(c.read()?),
+            SPN_PRODUCT => Node::Product(c.read()?),
+            SPN_LEAF => {
+                let col = c.read()?;
+                let hist = Histogram {
+                    edges: c.read()?,
+                    mass: c.read()?,
+                    mean: c.read()?,
+                };
+                let bins = hist.mass.len();
+                if bins == 0 || hist.edges.len() != bins + 1 || hist.mean.len() != bins {
+                    return Err(c.drift("SPN leaf histogram arrays disagree"));
+                }
+                Node::Leaf { col, hist }
+            }
+            other => return Err(c.drift(format_args!("unknown SPN node tag {other}"))),
+        })
+    }
+}
+
+pub(crate) fn save_spn(spn: &SpnSynopsis, out: &mut Vec<u8>) {
+    let mut state = Vec::new();
+    spn.dims.encode(&mut state);
+    spn.population.encode(&mut state);
+    spn.root.encode(&mut state);
+    spn.nodes.encode(&mut state);
     write_section(out, &state);
 }
 
 fn load_spn(ratio: f64, seed: u64, r: &mut SnapshotReader<'_>) -> Result<SpnSynopsis> {
-    let mut c = Cursor::new(r.section()?);
-    let dims = c.u64("SPN dims")? as usize;
-    let population = c.u64("SPN population")?;
-    let root = c.u64("SPN root")? as usize;
-    let n_nodes = c.len(1, "SPN nodes")?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for id in 0..n_nodes {
-        // `learn` pushes children before their parent, so every edge in a
-        // well-formed arena points backwards; enforcing that on decode
-        // makes the recursive evaluators' termination a load-time fact.
-        let backward = |child: usize| -> Result<usize> {
-            if child >= id {
-                return Err(drift(format!(
-                    "SPN node {id} has a non-backward child {child}"
-                )));
-            }
-            Ok(child)
+    let mut c = Cursor::new(r.section()?, "SPN state");
+    let dims: usize = c.read()?;
+    let population: u64 = c.read()?;
+    let root: usize = c.read()?;
+    let nodes: Vec<Node> = c.read()?;
+    c.done()?;
+    // `learn` pushes children before their parent, so every edge in a
+    // well-formed arena points backwards; enforcing that on decode makes
+    // the recursive evaluators' termination a load-time fact.
+    for (id, node) in nodes.iter().enumerate() {
+        let well_formed = match node {
+            Node::Sum(children) => children.iter().all(|&(_, child)| child < id),
+            Node::Product(children) => children
+                .iter()
+                .all(|(cols, child)| *child < id && cols.iter().all(|&col| col <= dims)),
+            Node::Leaf { col, .. } => *col <= dims,
         };
-        let node = match c.u8("SPN node tag")? {
-            SPN_SUM => {
-                let n = c.len(16, "sum children")?;
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let w = c.f64("sum weight")?;
-                    let child = backward(c.u64("sum child")? as usize)?;
-                    children.push((w, child));
-                }
-                Node::Sum(children)
-            }
-            SPN_PRODUCT => {
-                let n = c.len(16, "product children")?;
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let cols: Vec<usize> = c
-                        .u64_seq("product scope")?
-                        .into_iter()
-                        .map(|col| col as usize)
-                        .collect();
-                    if cols.iter().any(|&col| col > dims) {
-                        return Err(drift(format!(
-                            "SPN node {id} scopes a column beyond {dims}"
-                        )));
-                    }
-                    let child = backward(c.u64("product child")? as usize)?;
-                    children.push((cols, child));
-                }
-                Node::Product(children)
-            }
-            SPN_LEAF => {
-                let col = c.u64("leaf column")? as usize;
-                let edges = c.f64_seq("leaf edges")?;
-                let mass = c.f64_seq("leaf mass")?;
-                let mean = c.f64_seq("leaf means")?;
-                if col > dims {
-                    return Err(drift(format!("SPN leaf column {col} beyond {dims}")));
-                }
-                if mass.is_empty() || edges.len() != mass.len() + 1 || mean.len() != mass.len() {
-                    return Err(drift("SPN leaf histogram arrays disagree".into()));
-                }
-                Node::Leaf {
-                    col,
-                    hist: crate::spn::Histogram { edges, mass, mean },
-                }
-            }
-            other => return Err(drift(format!("unknown SPN node tag {other}"))),
-        };
-        nodes.push(node);
+        if !well_formed {
+            return Err(c.drift(format_args!(
+                "SPN node {id} has a non-backward child or a column beyond {dims}"
+            )));
+        }
     }
-    c.done("SPN state")?;
     if dims == 0 || population == 0 {
-        return Err(drift("SPN has no dimensions or no population".into()));
+        return Err(c.drift("SPN has no dimensions or no population"));
     }
     if nodes.is_empty() || root >= nodes.len() {
-        return Err(drift("SPN root is out of range".into()));
+        return Err(c.drift("SPN root is out of range"));
     }
     Ok(SpnSynopsis {
         nodes,
@@ -442,8 +407,8 @@ fn load_spn(ratio: f64, seed: u64, r: &mut SnapshotReader<'_>) -> Result<SpnSyno
 
 pub(crate) fn save_sharded(sharded: &ShardedSynopsis, out: &mut Vec<u8>) -> Result<()> {
     let mut state = Vec::new();
-    put_usize(&mut state, sharded.shards.len());
-    put_usize(&mut state, sharded.dims);
+    sharded.shards.len().encode(&mut state);
+    sharded.dims.encode(&mut state);
     write_section(out, &state);
     for shard in &sharded.shards {
         shard.save_state(out)?;
@@ -456,18 +421,18 @@ fn load_sharded(
     plan: &pass_common::ShardPlan,
     r: &mut SnapshotReader<'_>,
 ) -> Result<ShardedSynopsis> {
-    let mut c = Cursor::new(r.section()?);
-    let n_shards = c.u64("shard count")? as usize;
-    let dims = c.u64("sharded dims")? as usize;
-    c.done("sharded state")?;
+    let mut c = Cursor::new(r.section()?, "sharded state");
+    let n_shards: usize = c.read()?;
+    let dims: usize = c.read()?;
+    c.done()?;
     if n_shards == 0 {
-        return Err(drift("sharded snapshot has no shards".into()));
+        return Err(c.drift("sharded snapshot has no shards"));
     }
-    let mut shards: Vec<Arc<dyn Synopsis>> = Vec::with_capacity(n_shards);
+    let mut shards: Vec<Arc<dyn Synopsis>> = Vec::new();
     for i in 0..n_shards {
         let shard = load_state(&ShardedSynopsis::shard_spec(inner, i), r)?;
         if shard.dims() != dims {
-            return Err(drift(format!(
+            return Err(c.drift(format_args!(
                 "shard {i} answers {} dims but the plan expects {dims}",
                 shard.dims()
             )));
@@ -489,6 +454,7 @@ fn load_sharded(
 mod tests {
     use super::*;
     use crate::Engine;
+    use pass_common::snapshot::SnapshotError;
     use pass_common::{AggKind, Query, ShardPlan};
     use pass_table::datasets::uniform;
 

@@ -22,13 +22,28 @@
 //! spec-derivable field from it, so the state sections carry only what the
 //! spec cannot reproduce (trees, samples, epochs).
 //!
+//! # One codec
+//!
+//! Inside a state section every value goes through one trait, [`Codec`]:
+//! `encode` appends it, `decode` reads it back from a [`Cursor`]. This
+//! module implements it for the primitives (`u8`, `u32`, `u64`, `usize`
+//! as `u64`, `f64` as its bits, `bool` as one 0/1 byte), `Option<T>` (the
+//! same flag byte, then the value), pairs, `String`, `Vec<T>` (a `u64`
+//! count, then the items; [`encode_slice`] writes a borrowed slice the
+//! same way) and [`Aggregates`]. Composite types — table, sample, tree,
+//! stratum, SPN node — implement it in the `snapshot.rs` module of their
+//! own crate, which is where pass-lint rule 7 looks.
+//!
 //! # Decoding discipline
 //!
 //! Decoders must never panic or over-allocate on corrupt input. Every
-//! length field is validated against the *remaining* input before any slice
-//! or allocation, every read goes through `get(..)`-style checked access
-//! (pass-lint rule 7 enforces this lexically for the snapshot codec files),
-//! and every failure maps onto one [`SnapshotError`] variant:
+//! count is checked against the *remaining* payload divided by its item
+//! type's [`Codec::MIN_BYTES`] before anything is allocated, every read
+//! goes through `get(..)`-style checked access (pass-lint rule 7 enforces
+//! this lexically for the snapshot codec files, and refuses a `Codec`
+//! impl or a `Cursor` anywhere else), and every failure maps onto one
+//! [`SnapshotError`] variant — a state section's through
+//! [`Cursor::drift`], which names the section and the byte offset:
 //!
 //! * [`BadMagic`](SnapshotError::BadMagic) — not a snapshot at all;
 //! * [`VersionSkew`](SnapshotError::VersionSkew) — a future (or corrupted)
@@ -53,6 +68,7 @@
 
 use std::fmt;
 
+use crate::agg::Aggregates;
 use crate::error::{PassError, Result};
 use crate::spec::EngineSpec;
 
@@ -313,97 +329,183 @@ impl<'a> SnapshotReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoding helpers (section payload builders)
+// The codec: one trait for every value inside a state section
 // ---------------------------------------------------------------------------
 
-/// Append a single byte (enum tags).
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// A value's wire form inside a state section, and its checked decoder.
+///
+/// Layout rules, stated once here for every type: integers and floats
+/// are little-endian (`usize` travels as `u64`, `f64` as its bits), a
+/// `bool` is one 0/1 byte, `Option` is that byte plus the value when 1,
+/// a pair is its halves back to back, and a sequence is a `u64` count
+/// followed by its items.
+pub trait Codec: Sized {
+    /// The fewest bytes one encoded value occupies. A decoded count of
+    /// these values is checked against `remaining / MIN_BYTES` before
+    /// anything is allocated for them.
+    const MIN_BYTES: usize;
+
+    /// Append this value's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Read one value, failing as [`SnapshotError::SpecMismatch`] (via
+    /// [`Cursor::drift`]) on a short payload or a value the type rejects.
+    fn decode(c: &mut Cursor<'_>) -> Result<Self>;
 }
 
-/// Append a `u32` little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Append `items` as a sequence: the count, then every item. The
+/// borrowed-slice twin of `Vec<T>`'s encoding.
+pub fn encode_slice<T: Codec>(items: &[T], out: &mut Vec<u8>) {
+    items.len().encode(out);
+    for item in items {
+        item.encode(out);
+    }
 }
 
-/// Append a `u64` little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+macro_rules! le_codec {
+    ($($ty:ty),+) => {$(
+        impl Codec for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+                Ok(<$ty>::from_le_bytes(array(c.take(Self::MIN_BYTES)?)))
+            }
+        }
+    )+};
 }
 
-/// Append a `usize` as `u64` little-endian.
-pub fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
+le_codec!(u8, u32, u64);
+
+impl Codec for usize {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u64).encode(out);
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        Ok(c.read::<u64>()? as usize)
+    }
 }
 
-/// Append an `f64` as its IEEE-754 bit pattern (NaN payloads and signed
-/// zeros survive verbatim).
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.to_bits().encode(out);
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        Ok(f64::from_bits(c.read()?))
+    }
 }
 
-/// Append a `bool` as one byte.
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-/// Append `None` as a 0 tag or `Some(v)` as a 1 tag plus the value.
-pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
+impl Codec for bool {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        match c.read::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(c.drift(format_args!("flag byte {other} is not 0 or 1"))),
         }
     }
 }
 
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_usize(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Append a length-prefixed `f64` sequence.
-pub fn put_f64_seq(out: &mut Vec<u8>, vs: &[f64]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_f64(out, v);
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.is_some().encode(out);
+        if let Some(value) = self {
+            value.encode(out);
+        }
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        Ok(match c.read()? {
+            true => Some(c.read()?),
+            false => None,
+        })
     }
 }
 
-/// Append a length-prefixed `u32` sequence.
-pub fn put_u32_seq(out: &mut Vec<u8>, vs: &[u32]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_u32(out, v);
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        Ok((c.read()?, c.read()?))
     }
 }
 
-/// Append a length-prefixed `u64` sequence.
-pub fn put_u64_seq(out: &mut Vec<u8>, vs: &[u64]) {
-    put_usize(out, vs.len());
-    for &v in vs {
-        put_u64(out, v);
+impl Codec for String {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        let len = c.count(1)?;
+        let bytes = c.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| c.drift("a string is not UTF-8"))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Primitive decoding cursor
-// ---------------------------------------------------------------------------
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_slice(self, out);
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        let len = c.count(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(c.read()?);
+        }
+        Ok(items)
+    }
+}
 
-/// A bounds-checked cursor over one (already checksum-verified) section
-/// payload. Any shortfall here means encoder/decoder drift, so failures
-/// surface as [`SnapshotError::SpecMismatch`].
+impl Codec for Aggregates {
+    const MIN_BYTES: usize = 40;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.sum.encode(out);
+        self.sum_sq.encode(out);
+        self.count.encode(out);
+        self.min.encode(out);
+        self.max.encode(out);
+    }
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        Ok(Aggregates {
+            sum: c.read()?,
+            sum_sq: c.read()?,
+            count: c.read()?,
+            min: c.read()?,
+            max: c.read()?,
+        })
+    }
+}
+
+/// The one reader of a (checksum-verified) state section payload,
+/// labelled with the section's name. The payload already passed its
+/// CRC, so any shortfall or rejected value is encoder/decoder drift: every
+/// failure is a [`SnapshotError::SpecMismatch`] naming the section and
+/// the byte offset it was found at.
 pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    section: &'static str,
 }
 
 impl<'a> Cursor<'a> {
-    /// Wrap a section payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+    /// Wrap the payload of the section called `section`.
+    pub fn new(buf: &'a [u8], section: &'static str) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            section,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -411,122 +513,48 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+    /// Decode the next `T`.
+    pub fn read<T: Codec>(&mut self) -> Result<T> {
+        T::decode(self)
+    }
+
+    /// Read a `u64` count of items that take at least `min_bytes` each,
+    /// refusing one the rest of the payload cannot hold — so a lying
+    /// count fails here, never in an allocation sized by it.
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n: u64 = self.read()?;
+        let room = (self.remaining() / min_bytes.max(1)) as u64;
+        if n > room {
+            return Err(self.drift(format_args!(
+                "count {n} exceeds the {room} items the payload has room for"
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let bytes = self
             .buf
             .get(self.pos..self.pos.saturating_add(n))
             .ok_or_else(|| {
-                SnapshotError::SpecMismatch(format!("state section ends inside {what}"))
+                self.drift(format_args!("{n} bytes wanted, {} left", self.remaining()))
             })?;
         self.pos += n;
         Ok(bytes)
     }
 
-    /// Read one byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8> {
-        let [b] = array(self.take(1, what)?);
-        Ok(b)
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(array(self.take(4, what)?)))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(array(self.take(8, what)?)))
-    }
-
-    /// Read a `u64` and narrow it to `usize`, validating it against the
-    /// remaining payload scaled by `elem_size` so a lying count can never
-    /// trigger an oversized allocation downstream.
-    pub fn len(&mut self, elem_size: usize, what: &str) -> Result<usize> {
-        let raw = self.u64(what)?;
-        let budget = (self.remaining() / elem_size.max(1)) as u64;
-        if raw > budget {
-            return Err(SnapshotError::SpecMismatch(format!(
-                "{what} count {raw} exceeds the section's remaining bytes"
-            ))
-            .into());
-        }
-        Ok(raw as usize)
-    }
-
-    /// Read an `f64` from its stored bit pattern.
-    pub fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Read a one-byte `bool` (anything but 0/1 is drift).
-    pub fn bool(&mut self, what: &str) -> Result<bool> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::SpecMismatch(format!(
-                "{what} flag has non-boolean value {other}"
-            ))
-            .into()),
-        }
-    }
-
-    /// Read an optional `u64` written by [`put_opt_u64`].
-    pub fn opt_u64(&mut self, what: &str) -> Result<Option<u64>> {
-        if self.bool(what)? {
-            Ok(Some(self.u64(what)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &str) -> Result<String> {
-        let len = self.len(1, what)?;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::SpecMismatch(format!("{what} is not UTF-8")).into())
-    }
-
-    /// Read a length-prefixed `f64` sequence.
-    pub fn f64_seq(&mut self, what: &str) -> Result<Vec<f64>> {
-        let len = self.len(8, what)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64(what)?);
-        }
-        Ok(out)
-    }
-
-    /// Read a length-prefixed `u32` sequence.
-    pub fn u32_seq(&mut self, what: &str) -> Result<Vec<u32>> {
-        let len = self.len(4, what)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u32(what)?);
-        }
-        Ok(out)
-    }
-
-    /// Read a length-prefixed `u64` sequence.
-    pub fn u64_seq(&mut self, what: &str) -> Result<Vec<u64>> {
-        let len = self.len(8, what)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u64(what)?);
-        }
-        Ok(out)
+    /// The error for a payload that disagrees with its decoder: `why`,
+    /// prefixed with the section's name and the current byte offset.
+    pub fn drift(&self, why: impl fmt::Display) -> PassError {
+        SnapshotError::SpecMismatch(format!("{} at byte {}: {why}", self.section, self.pos)).into()
     }
 
     /// Assert the payload was consumed exactly.
-    pub fn done(self, what: &str) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(SnapshotError::SpecMismatch(format!(
-                "{what} section has {} undecoded bytes",
-                self.buf.len() - self.pos
-            ))
-            .into());
+    pub fn done(&self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(self.drift(format_args!("{left} undecoded bytes"))),
         }
-        Ok(())
     }
 }
 
@@ -633,51 +661,80 @@ mod tests {
     #[test]
     fn cursor_round_trips_every_primitive() {
         let mut payload = Vec::new();
-        put_u32(&mut payload, 7);
-        put_u64(&mut payload, u64::MAX);
-        put_f64(&mut payload, -0.0);
-        put_f64(&mut payload, f64::from_bits(0x7FF8_0000_DEAD_BEEF));
-        put_bool(&mut payload, true);
-        put_opt_u64(&mut payload, None);
-        put_opt_u64(&mut payload, Some(3));
-        put_str(&mut payload, "naïve");
-        put_f64_seq(&mut payload, &[1.5, f64::NEG_INFINITY]);
-        put_u32_seq(&mut payload, &[1, 2, 3]);
-        put_u64_seq(&mut payload, &[9]);
-        let mut c = Cursor::new(&payload);
-        assert_eq!(c.u32("a").unwrap(), 7);
-        assert_eq!(c.u64("b").unwrap(), u64::MAX);
-        assert_eq!(c.f64("c").unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(c.f64("d").unwrap().to_bits(), 0x7FF8_0000_DEAD_BEEF);
-        assert!(c.bool("e").unwrap());
-        assert_eq!(c.opt_u64("f").unwrap(), None);
-        assert_eq!(c.opt_u64("g").unwrap(), Some(3));
-        assert_eq!(c.str("h").unwrap(), "naïve");
-        let seq = c.f64_seq("i").unwrap();
+        7u8.encode(&mut payload);
+        7u32.encode(&mut payload);
+        u64::MAX.encode(&mut payload);
+        usize::MAX.encode(&mut payload);
+        (-0.0f64).encode(&mut payload);
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF).encode(&mut payload);
+        true.encode(&mut payload);
+        None::<u64>.encode(&mut payload);
+        Some(3u64).encode(&mut payload);
+        (1.5f64, 2u32).encode(&mut payload);
+        "naïve".to_string().encode(&mut payload);
+        vec![1.5, f64::NEG_INFINITY].encode(&mut payload);
+        encode_slice(&[1u32, 2, 3], &mut payload);
+        let agg = Aggregates::from_values(&[2.0, -1.0]);
+        agg.encode(&mut payload);
+        let mut c = Cursor::new(&payload, "primitives");
+        assert_eq!(c.read::<u8>().unwrap(), 7);
+        assert_eq!(c.read::<u32>().unwrap(), 7);
+        assert_eq!(c.read::<u64>().unwrap(), u64::MAX);
+        assert_eq!(c.read::<usize>().unwrap(), usize::MAX);
+        assert_eq!(c.read::<f64>().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(c.read::<f64>().unwrap().to_bits(), 0x7FF8_0000_DEAD_BEEF);
+        assert!(c.read::<bool>().unwrap());
+        assert_eq!(c.read::<Option<u64>>().unwrap(), None);
+        assert_eq!(c.read::<Option<u64>>().unwrap(), Some(3));
+        assert_eq!(c.read::<(f64, u32)>().unwrap(), (1.5, 2));
+        assert_eq!(c.read::<String>().unwrap(), "naïve");
+        let seq: Vec<f64> = c.read().unwrap();
         assert_eq!(seq.len(), 2);
         assert_eq!(seq[1], f64::NEG_INFINITY);
-        assert_eq!(c.u32_seq("j").unwrap(), vec![1, 2, 3]);
-        assert_eq!(c.u64_seq("k").unwrap(), vec![9]);
-        c.done("primitives").unwrap();
+        assert_eq!(c.read::<Vec<u32>>().unwrap(), vec![1, 2, 3]);
+        assert_eq!(c.read::<Aggregates>().unwrap(), agg);
+        c.done().unwrap();
+        // The wire widths the format has always had.
+        assert_eq!(
+            payload.len(),
+            1 + 4 + 8 + 8 + 16 + 1 + 1 + 9 + 12 + 14 + 24 + 20 + 40
+        );
     }
 
     #[test]
     fn cursor_rejects_lying_counts_and_leftovers() {
         let mut payload = Vec::new();
-        put_usize(&mut payload, usize::MAX); // count with no bytes behind it
-        let mut c = Cursor::new(&payload);
+        usize::MAX.encode(&mut payload); // count with no bytes behind it
+        let mut c = Cursor::new(&payload, "vals");
         assert!(matches!(
-            c.f64_seq("vals").err(),
+            c.read::<Vec<f64>>().err(),
             Some(PassError::Snapshot(SnapshotError::SpecMismatch(_)))
         ));
+        // A count the bytes could hold as `u8`s but not as `f64`s.
         let mut payload = Vec::new();
-        put_u32(&mut payload, 1);
-        put_u32(&mut payload, 2);
-        let mut c = Cursor::new(&payload);
-        c.u32("only").unwrap();
-        assert!(matches!(
-            c.done("leftover").err(),
-            Some(PassError::Snapshot(SnapshotError::SpecMismatch(_)))
-        ));
+        2usize.encode(&mut payload);
+        payload.extend_from_slice(&[0; 15]);
+        let mut c = Cursor::new(&payload, "vals");
+        assert!(c.read::<Vec<f64>>().is_err());
+        let mut payload = Vec::new();
+        1u32.encode(&mut payload);
+        2u32.encode(&mut payload);
+        let mut c = Cursor::new(&payload, "leftover");
+        c.read::<u32>().unwrap();
+        let err = c.done().err();
+        assert_eq!(
+            err,
+            Some(PassError::Snapshot(SnapshotError::SpecMismatch(
+                "leftover at byte 4: 4 undecoded bytes".into()
+            )))
+        );
+        // Anything but 0/1 in a flag byte is drift, named by its offset.
+        let mut c = Cursor::new(&[1, 2], "flags");
+        assert!(c.read::<bool>().unwrap());
+        let why = "flags at byte 2: flag byte 2 is not 0 or 1";
+        assert_eq!(
+            c.read::<Option<u8>>().err(),
+            Some(PassError::Snapshot(SnapshotError::SpecMismatch(why.into())))
+        );
     }
 }

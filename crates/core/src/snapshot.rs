@@ -22,200 +22,162 @@
 //! the decoded samples exactly as the build does (updates patch it in
 //! place, to the same bytes).
 //!
-//! Decoding validates every structural index (children, parents, leaf
-//! indices) and every rectangle (no NaN bound, `lo <= hi`) before the tree
-//! is handed to traversal code, so a drifted but checksum-valid payload
-//! fails with `SnapshotError::SpecMismatch` at load time instead of
-//! panicking at query time.
+//! Decoding validates every rectangle (no NaN bound, `lo <= hi`), every
+//! leaf index, and the shape: one walk from the root must reach every node
+//! exactly once, each through the link its `parent` entry names. So a
+//! drifted but checksum-valid payload fails with
+//! `SnapshotError::SpecMismatch` at load time instead of panicking — or
+//! looping forever — at query time.
 
-use pass_common::snapshot::{
-    put_bool, put_f64, put_u32, put_u64, put_u64_seq, put_usize, write_section, Cursor,
-    SnapshotError, SnapshotReader,
-};
+use pass_common::snapshot::{write_section, Codec, Cursor, SnapshotReader};
 use pass_common::{Aggregates, PassSpec, Result};
-use pass_sampling::snapshot::{decode_sample, encode_sample};
 use pass_sampling::Sample;
 
 use crate::synopsis::Pass;
-use crate::tree::PartitionTree;
+use crate::tree::{NodeId, PartitionTree};
 
-/// Append `tree` to a section payload, field for field.
-pub fn encode_tree(out: &mut Vec<u8>, tree: &PartitionTree) {
-    put_usize(out, tree.dims);
-    put_usize(out, tree.root);
-    put_usize(out, tree.n_leaves);
-    put_bool(out, tree.has_empty);
-    put_usize(out, tree.aggs.len());
-    for agg in &tree.aggs {
-        put_f64(out, agg.sum);
-        put_f64(out, agg.sum_sq);
-        put_u64(out, agg.count);
-        put_f64(out, agg.min);
-        put_f64(out, agg.max);
-    }
-    put_usize(out, tree.rect.len());
-    for &(lo, hi) in &tree.rect {
-        put_f64(out, lo);
-        put_f64(out, hi);
-    }
-    put_usize(out, tree.child_span.len());
-    for &(start, count) in &tree.child_span {
-        put_u32(out, start);
-        put_u32(out, count);
-    }
-    let child_flat: Vec<u64> = tree.child_flat.iter().map(|&id| id as u64).collect();
-    put_u64_seq(out, &child_flat);
-    put_usize(out, tree.parent.len());
-    for &parent in &tree.parent {
-        pass_common::snapshot::put_opt_u64(out, parent.map(|p| p as u64));
-    }
-    put_usize(out, tree.leaf_index.len());
-    for &leaf in &tree.leaf_index {
-        pass_common::snapshot::put_opt_u64(out, leaf.map(|l| l as u64));
-    }
-    let loose: Vec<u64> = (0..tree.n_nodes())
-        .filter(|&id| tree.has_loose_extrema(id))
-        .map(|id| id as u64)
-        .collect();
-    if !loose.is_empty() {
-        put_u64_seq(out, &loose);
-    }
-}
+/// The SoA arena field for field, then — only if a deletion set one —
+/// the loose-extrema node list.
+impl Codec for PartitionTree {
+    const MIN_BYTES: usize = 3 * 8 + 1 + 6 * 8;
 
-fn drift(why: String) -> pass_common::PassError {
-    SnapshotError::SpecMismatch(why).into()
-}
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.dims.encode(out);
+        self.root.encode(out);
+        self.n_leaves.encode(out);
+        self.has_empty.encode(out);
+        self.aggs.encode(out);
+        self.rect.encode(out);
+        self.child_span.encode(out);
+        self.child_flat.encode(out);
+        self.parent.encode(out);
+        self.leaf_index.encode(out);
+        let loose: Vec<NodeId> = (0..self.n_nodes())
+            .filter(|&id| self.has_loose_extrema(id))
+            .collect();
+        if !loose.is_empty() {
+            loose.encode(out);
+        }
+    }
 
-/// Decode one tree written by [`encode_tree`], re-validating every
-/// structural index so traversals can trust the arena again.
-pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
-    let dims = c.len(1, "tree dims")?;
-    let root = c.u64("tree root")? as usize;
-    let n_leaves = c.u64("tree leaf count")? as usize;
-    let has_empty = c.bool("tree has-empty flag")?;
-    let n_nodes = c.len(40, "tree aggregates")?;
-    let mut aggs = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        aggs.push(Aggregates {
-            sum: c.f64("aggregate sum")?,
-            sum_sq: c.f64("aggregate sum of squares")?,
-            count: c.u64("aggregate count")?,
-            min: c.f64("aggregate min")?,
-            max: c.f64("aggregate max")?,
-        });
-    }
-    let n_rect = c.len(16, "tree rectangles")?;
-    let mut rect = Vec::with_capacity(n_rect);
-    for _ in 0..n_rect {
-        rect.push((c.f64("rect lo")?, c.f64("rect hi")?));
-    }
-    let n_span = c.len(8, "tree child spans")?;
-    let mut child_span = Vec::with_capacity(n_span);
-    for _ in 0..n_span {
-        child_span.push((c.u32("span start")?, c.u32("span count")?));
-    }
-    let child_flat: Vec<usize> = c
-        .u64_seq("tree child ids")?
-        .into_iter()
-        .map(|id| id as usize)
-        .collect();
-    let n_parent = c.len(1, "tree parents")?;
-    let mut parent = Vec::with_capacity(n_parent);
-    for _ in 0..n_parent {
-        parent.push(c.opt_u64("parent id")?.map(|p| p as usize));
-    }
-    let n_leaf = c.len(1, "tree leaf indices")?;
-    let mut leaf_index = Vec::with_capacity(n_leaf);
-    for _ in 0..n_leaf {
-        leaf_index.push(c.opt_u64("leaf index")?.map(|l| l as usize));
-    }
-    let loose = match c.remaining() {
-        0 => Vec::new(),
-        _ => c.u64_seq("loose-extrema nodes")?,
-    };
+    /// Decode, then re-validate every structural index and rectangle so
+    /// traversals can trust the arena again.
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        let dims = c.count(1)?;
+        let root: NodeId = c.read()?;
+        let n_leaves = c.read()?;
+        let has_empty = c.read()?;
+        let aggs: Vec<Aggregates> = c.read()?;
+        let rect: Vec<(f64, f64)> = c.read()?;
+        let child_span: Vec<(u32, u32)> = c.read()?;
+        let child_flat: Vec<NodeId> = c.read()?;
+        let parent: Vec<Option<NodeId>> = c.read()?;
+        let leaf_index: Vec<Option<usize>> = c.read()?;
+        let loose: Vec<NodeId> = match c.remaining() {
+            0 => Vec::new(),
+            _ => c.read()?,
+        };
 
-    if dims == 0 || n_nodes == 0 {
-        return Err(drift("tree has no nodes or no dimensions".into()));
-    }
-    if rect.len() != n_nodes * dims
-        || child_span.len() != n_nodes
-        || parent.len() != n_nodes
-        || leaf_index.len() != n_nodes
-    {
-        return Err(drift("tree arrays disagree on the node count".into()));
-    }
-    if root >= n_nodes {
-        return Err(drift(format!("tree root {root} out of {n_nodes} nodes")));
-    }
-    // Every constructor goes through `Rect::new`; traversals and updates
-    // rely on ordered, comparable bounds.
-    if let Some(at) = rect
-        .iter()
-        .position(|&(lo, hi)| lo.is_nan() || hi.is_nan() || lo > hi)
-    {
-        return Err(drift(format!(
-            "node {} has a NaN or inverted bound in dimension {}",
-            at / dims,
-            at % dims
-        )));
-    }
-    for (id, &(start, count)) in child_span.iter().enumerate() {
-        let end = start as usize + count as usize;
-        if end > child_flat.len() {
-            return Err(drift(format!(
-                "node {id} child span exceeds the child arena"
+        let n_nodes = aggs.len();
+        if dims == 0 || n_nodes == 0 {
+            return Err(c.drift("tree has no nodes or no dimensions"));
+        }
+        if n_nodes.checked_mul(dims) != Some(rect.len())
+            || child_span.len() != n_nodes
+            || parent.len() != n_nodes
+            || leaf_index.len() != n_nodes
+        {
+            return Err(c.drift("tree arrays disagree on the node count"));
+        }
+        // Every constructor goes through `Rect::new`; traversals and updates
+        // rely on ordered, comparable bounds.
+        if let Some(at) = rect
+            .iter()
+            .position(|&(lo, hi)| lo.is_nan() || hi.is_nan() || lo > hi)
+        {
+            return Err(c.drift(format_args!(
+                "node {} has a NaN or inverted bound in dimension {}",
+                at / dims,
+                at % dims
             )));
         }
-        // bounds: the span was validated against child_flat.len() above.
-        if child_flat[start as usize..end]
-            .iter()
-            .any(|&ch| ch >= n_nodes)
-        {
-            return Err(drift(format!("node {id} has an out-of-range child")));
+        // One walk from the root that marks each node as a link reaches
+        // it: a node reached twice (a cycle, or two parents), a `parent`
+        // entry that names another node than the link followed, or a node
+        // never reached means the arena is not one tree — and a traversal
+        // of it might never end.
+        let mut seen = vec![false; n_nodes];
+        let mut arrive = |id: NodeId, from: Option<NodeId>| match seen.get_mut(id) {
+            Some(seen) if !*seen && parent.get(id) == Some(&from) => {
+                *seen = true;
+                true
+            }
+            _ => false,
+        };
+        if !arrive(root, None) {
+            return Err(c.drift(format_args!("root {root} is out of range or has a parent")));
         }
-    }
-    if parent.iter().any(|p| p.is_some_and(|p| p >= n_nodes)) {
-        return Err(drift("a node's parent id is out of range".into()));
-    }
-    let mut loose_extrema = vec![false; n_nodes];
-    for id in loose {
-        match loose_extrema.get_mut(id as usize) {
-            Some(bit) => *bit = true,
-            None => return Err(drift(format!("loose-extrema node {id} is out of range"))),
+        let (mut stack, mut reached) = (vec![root], 1);
+        while let Some(id) = stack.pop() {
+            let kids = child_span
+                .get(id)
+                .and_then(|&(start, n)| child_flat.get(start as usize..start as usize + n as usize))
+                .ok_or_else(|| c.drift(format_args!("node {id}'s children overrun the arena")))?;
+            for &kid in kids {
+                if !arrive(kid, Some(id)) {
+                    return Err(c.drift(format_args!(
+                        "child {kid} of node {id} is out of range, reached twice or has another parent"
+                    )));
+                }
+                stack.push(kid);
+            }
+            reached += kids.len();
         }
+        if reached != n_nodes {
+            return Err(c.drift(format_args!(
+                "{} of {n_nodes} nodes are unreachable from the root",
+                n_nodes - reached
+            )));
+        }
+        let mut loose_extrema = vec![false; n_nodes];
+        for id in loose {
+            match loose_extrema.get_mut(id) {
+                Some(bit) => *bit = true,
+                None => {
+                    return Err(c.drift(format_args!("loose-extrema node {id} is out of range")))
+                }
+            }
+        }
+        Ok(PartitionTree {
+            dims,
+            root,
+            n_leaves,
+            aggs,
+            rect,
+            child_span,
+            child_flat,
+            parent,
+            leaf_index,
+            has_empty,
+            loose_extrema,
+        })
     }
-    Ok(PartitionTree {
-        dims,
-        root,
-        n_leaves,
-        aggs,
-        rect,
-        child_span,
-        child_flat,
-        parent,
-        leaf_index,
-        has_empty,
-        loose_extrema,
-    })
 }
 
 /// Append a PASS synopsis' state sections: the tree, then the per-leaf
 /// samples plus the spec-underivable scalars.
 pub fn save_pass(pass: &Pass, out: &mut Vec<u8>) -> Result<()> {
     let mut tree = Vec::new();
-    encode_tree(&mut tree, &pass.tree);
+    pass.tree.encode(&mut tree);
     write_section(out, &tree);
 
     let mut state = Vec::new();
-    put_u64(&mut state, pass.mutation_epoch);
-    put_usize(&mut state, pass.tree.dims);
-    // Format v1's "narrow tree + mapping follows" tag: never set, the
+    pass.mutation_epoch.encode(&mut state);
+    pass.tree.dims.encode(&mut state);
+    // Format v1's "narrow tree's dimension mapping" slot: never set, the
     // tree above is already in the query's arity.
-    put_bool(&mut state, false);
-    put_usize(&mut state, pass.samples.len());
-    for sample in &pass.samples {
-        encode_sample(&mut state, sample);
-    }
+    None::<Vec<usize>>.encode(&mut state);
+    pass.samples.encode(&mut state);
     write_section(out, &state);
     Ok(())
 }
@@ -224,46 +186,30 @@ pub fn save_pass(pass: &Pass, out: &mut Vec<u8>) -> Result<()> {
 /// written by [`save_pass`]. Spec-derivable fields come from `spec`; the
 /// `SampleArena` is rebuilt from the decoded samples.
 pub fn load_pass(spec: &PassSpec, r: &mut SnapshotReader<'_>) -> Result<Pass> {
-    let tree_payload = r.section()?;
-    let mut c = Cursor::new(tree_payload);
-    let tree = decode_tree(&mut c)?;
-    c.done("tree")?;
+    let mut c = Cursor::new(r.section()?, "PASS tree");
+    let tree: PartitionTree = c.read()?;
+    c.done()?;
 
-    let state_payload = r.section()?;
-    let mut c = Cursor::new(state_payload);
-    let mutation_epoch = c.u64("mutation epoch")?;
-    let arity = c.u64("query dims")? as usize;
+    let mut c = Cursor::new(r.section()?, "PASS state");
+    let mutation_epoch = c.read()?;
+    let arity: usize = c.read()?;
     // Snapshots written before trees were lifted at build time carry the
-    // narrow tree and its mapping here.
-    let narrow_dims = if c.bool("tree-dims tag")? {
-        Some(c.u64_seq("tree dims mapping")?)
-    } else {
-        None
-    };
-    let n_samples = c.len(1, "sample count")?;
-    let mut samples: Vec<Sample> = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        samples.push(decode_sample(&mut c)?);
-    }
-    c.done("PASS state")?;
+    // narrow tree's dimension mapping here.
+    let narrow_dims: Option<Vec<usize>> = c.read()?;
+    let samples: Vec<Sample> = c.read()?;
+    c.done()?;
 
     // The decoded samples vouch for the arity before anything is sized
     // by it.
     if samples.is_empty() || samples.iter().any(|s| s.rows().dims() != arity) {
-        return Err(drift(format!(
-            "samples disagree with the {arity} query dims"
-        )));
+        return Err(c.drift(format_args!("samples disagree with the {arity} query dims")));
     }
     let tree = match narrow_dims {
-        Some(dims) => {
-            let dims: Vec<usize> = dims.into_iter().map(|d| d as usize).collect();
-            tree.lifted(&dims, arity)
-                .map_err(|err| drift(err.to_string()))?
-        }
+        Some(dims) => tree.lifted(&dims, arity).map_err(|err| c.drift(err))?,
         None => tree,
     };
     if tree.dims != arity {
-        return Err(drift(format!(
+        return Err(c.drift(format_args!(
             "tree covers {} dims but queries expect {arity}",
             tree.dims
         )));
@@ -273,7 +219,7 @@ pub fn load_pass(spec: &PassSpec, r: &mut SnapshotReader<'_>) -> Result<Pass> {
         .iter()
         .any(|li| li.is_some_and(|li| li >= samples.len()))
     {
-        return Err(drift("a leaf's sample index exceeds the sample set".into()));
+        return Err(c.drift("a leaf's sample index exceeds the sample set"));
     }
 
     Ok(Pass::from_parts(spec, tree, samples, mutation_epoch))
@@ -283,7 +229,8 @@ pub fn load_pass(spec: &PassSpec, r: &mut SnapshotReader<'_>) -> Result<Pass> {
 mod tests {
     use super::*;
     use pass_common::snapshot::write_header;
-    use pass_common::{AggKind, EngineSpec, Query, Synopsis};
+    use pass_common::snapshot::SnapshotError;
+    use pass_common::{AggKind, EngineSpec, PassError, Query, Synopsis};
     use pass_table::datasets::uniform;
 
     fn roundtrip(pass: &Pass) -> Pass {
@@ -324,8 +271,8 @@ mod tests {
     }
 
     /// Save `drifted` (checksums and all) and load it back: the drift
-    /// must surface as a typed error at load time.
-    fn assert_load_rejects(drifted: &Pass) {
+    /// must surface as a typed error at load time. Returns its message.
+    fn assert_load_rejects(drifted: &Pass) -> String {
         let mut bytes = Vec::new();
         write_header(&mut bytes, &drifted.spec());
         save_pass(drifted, &mut bytes).unwrap();
@@ -334,12 +281,10 @@ mod tests {
             EngineSpec::Pass(p) => p,
             other => panic!("unexpected spec {other:?}"),
         };
-        assert!(matches!(
-            load_pass(&spec, &mut r).err(),
-            Some(pass_common::PassError::Snapshot(
-                SnapshotError::SpecMismatch(_)
-            ))
-        ));
+        match load_pass(&spec, &mut r).err() {
+            Some(PassError::Snapshot(SnapshotError::SpecMismatch(why))) => why,
+            other => panic!("expected a spec mismatch, got {other:?}"),
+        }
     }
 
     fn small_pass() -> Pass {
@@ -369,5 +314,57 @@ mod tests {
             drifted.tree.rect[leaf] = planted;
             assert_load_rejects(&drifted);
         }
+    }
+
+    /// The small PASS's root, its two children, and the first child
+    /// slot of each of those children.
+    fn shape(pass: &Pass) -> (NodeId, [NodeId; 2], [usize; 2]) {
+        let t = &pass.tree;
+        let kids = [t.children(t.root)[0], t.children(t.root)[1]];
+        (t.root, kids, kids.map(|k| t.child_span[k].0 as usize))
+    }
+
+    #[test]
+    fn a_child_link_back_to_an_ancestor_fails_at_load() {
+        // The root lists itself as its last child: before the load-time
+        // walk this loaded `Ok` and the first estimate never returned.
+        let mut drifted = small_pass();
+        let (root, _, _) = shape(&drifted);
+        let (start, n) = drifted.tree.child_span[root];
+        drifted.tree.child_flat[(start + n - 1) as usize] = root;
+        assert!(assert_load_rejects(&drifted).contains("reached twice"));
+    }
+
+    #[test]
+    fn a_node_listed_by_two_parents_fails_at_load() {
+        let mut drifted = small_pass();
+        let (_, _, [a_kids, b_kids]) = shape(&drifted);
+        drifted.tree.child_flat[b_kids] = drifted.tree.child_flat[a_kids];
+        assert!(assert_load_rejects(&drifted).contains("reached twice"));
+    }
+
+    #[test]
+    fn a_parent_entry_that_disagrees_with_the_links_fails_at_load() {
+        let mut drifted = small_pass();
+        let (root, _, _) = shape(&drifted);
+        let leaf = drifted.tree.leaves()[0];
+        drifted.tree.parent[leaf] = Some(root);
+        assert!(assert_load_rejects(&drifted).contains("another parent"));
+    }
+
+    #[test]
+    fn a_root_with_a_parent_fails_at_load() {
+        let mut drifted = small_pass();
+        let (root, [a, _], _) = shape(&drifted);
+        drifted.tree.parent[root] = Some(a);
+        assert!(assert_load_rejects(&drifted).contains("has a parent"));
+    }
+
+    #[test]
+    fn a_node_unreachable_from_the_root_fails_at_load() {
+        let mut drifted = small_pass();
+        let (_, [a, _], _) = shape(&drifted);
+        drifted.tree.child_span[a].1 = 0;
+        assert!(assert_load_rejects(&drifted).contains("unreachable"));
     }
 }

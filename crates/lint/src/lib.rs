@@ -57,6 +57,8 @@
 //!    (the `Cursor` idiom), which turns a corrupt length into a
 //!    `SnapshotError` instead of a panic. A site whose bound was just
 //!    validated may carry a `// bounds:` comment stating the argument.
+//!    The rule cannot be escaped by moving a decoder: an `impl … Codec
+//!    for` or a section `Cursor::new(` anywhere else is flagged too.
 //!
 //! 8. **Every `Synopsis` method is forwarded** — each `fn` declared in
 //!    `trait Synopsis` ([`SYNOPSIS_TRAIT`]) must also appear in that
@@ -890,6 +892,33 @@ pub fn check_decoder_indexing(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 7, its other half: decoders stay where the indexing check looks.
+/// Outside [`SNAPSHOT_DECODERS`], non-test code may not implement the
+/// snapshot `Codec` trait or open a section `Cursor` (`std::io::Cursor`
+/// is a different type and stays allowed).
+pub fn check_decoders_confined(file: &SourceFile, out: &mut Vec<Violation>) {
+    if SNAPSHOT_DECODERS.contains(&file.rel.as_str()) {
+        return;
+    }
+    for (i, line) in file.lines.iter().enumerate() {
+        let code = &line.code;
+        let codec_impl = code.trim_start().starts_with("impl") && code.contains("Codec for ");
+        let cursor = code
+            .match_indices("Cursor::new(")
+            .any(|(pos, _)| !code[..pos].ends_with("io::"));
+        if !line.in_test && (codec_impl || cursor) {
+            file.push(
+                out,
+                i,
+                "decoder-confined",
+                "snapshot decoding outside the declared decoder modules: move the \
+                 `Codec` impl or `Cursor` into a `snapshot.rs` that rule 7 scans"
+                    .to_string(),
+            );
+        }
+    }
+}
+
 /// The `fn` names declared inside the brace block opened on the first
 /// line containing `header`, with the line each was found on.
 fn fns_in_block(file: &SourceFile, header: &str) -> Vec<(usize, String)> {
@@ -982,6 +1011,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     check_time_confined(file, &mut out);
     check_no_alloc_in_kernels(file, &mut out);
     check_decoder_indexing(file, &mut out);
+    check_decoders_confined(file, &mut out);
     check_synopsis_forwarding(file, &mut out);
     check_reference_only(file, &mut out);
     out
@@ -1313,6 +1343,33 @@ mod tests {
         let mut out = Vec::new();
         check_decoder_indexing(&file("crates/core/src/snapshot.rs", src), &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn decoders_cannot_leave_the_decoder_modules() {
+        let src = "\
+impl Codec for Stratum {
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> { todo() }
+}
+impl<T: Codec> Codec for Vec<T> {}
+fn f(payload: &[u8]) {
+    let c = Cursor::new(payload, \"state\");
+    let io = std::io::Cursor::new(payload);
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let c = Cursor::new(&[], \"t\"); }
+}
+";
+        let mut out = Vec::new();
+        check_decoders_confined(&file("crates/baselines/src/st.rs", src), &mut out);
+        let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![1, 4, 6], "{}", render(&out));
+        assert!(out.iter().all(|v| v.rule == "decoder-confined"));
+        // Inside a declared decoder module the same code is the point.
+        out.clear();
+        check_decoders_confined(&file("crates/baselines/src/snapshot.rs", src), &mut out);
+        assert!(out.is_empty(), "{}", render(&out));
     }
 
     #[test]

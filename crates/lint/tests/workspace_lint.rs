@@ -51,6 +51,7 @@ fn clock_reads_stay_in_the_declared_timing_modules() {
 #[test]
 fn snapshot_decoders_never_index_untrusted_input() {
     assert_clean("decoder-no-index");
+    assert_clean("decoder-confined");
 }
 
 #[test]

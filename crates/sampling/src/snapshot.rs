@@ -7,25 +7,27 @@
 //! silently move the sample onto a different (sorted) kernel path and
 //! break bit-identity with the originating engine.
 
-use pass_common::snapshot::{put_bool, put_u64, Cursor};
+use pass_common::snapshot::{Codec, Cursor};
 use pass_common::Result;
-use pass_table::snapshot::{decode_table, encode_table};
+use pass_table::Table;
 
 use crate::sample::Sample;
 
-/// Append `sample` to a section payload.
-pub fn encode_sample(out: &mut Vec<u8>, sample: &Sample) {
-    put_u64(out, sample.population());
-    put_bool(out, sample.sorted_1d());
-    encode_table(out, sample.rows());
-}
+/// Population, the sorted flag, then the rows.
+impl Codec for Sample {
+    const MIN_BYTES: usize = 9 + Table::MIN_BYTES;
 
-/// Decode one sample written by [`encode_sample`].
-pub fn decode_sample(c: &mut Cursor<'_>) -> Result<Sample> {
-    let population = c.u64("sample population")?;
-    let sorted_1d = c.bool("sample sorted flag")?;
-    let rows = decode_table(c)?;
-    Sample::from_parts(rows, population, sorted_1d)
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.population().encode(out);
+        self.sorted_1d().encode(out);
+        self.rows().encode(out);
+    }
+
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        let population = c.read()?;
+        let sorted_1d = c.read()?;
+        Sample::from_parts(c.read()?, population, sorted_1d)
+    }
 }
 
 #[cfg(test)]
@@ -41,10 +43,10 @@ mod tests {
         let s = Sample::uniform(&t, 64, &mut rng).unwrap();
         assert!(s.sorted_1d());
         let mut payload = Vec::new();
-        encode_sample(&mut payload, &s);
-        let mut c = Cursor::new(&payload);
-        let back = decode_sample(&mut c).unwrap();
-        c.done("sample").unwrap();
+        s.encode(&mut payload);
+        let mut c = Cursor::new(&payload, "sample");
+        let back: Sample = c.read().unwrap();
+        c.done().unwrap();
         assert_eq!(back.k(), s.k());
         assert_eq!(back.population(), s.population());
         assert!(back.sorted_1d());
@@ -63,8 +65,8 @@ mod tests {
         s.replace_row(0, value, &preds);
         assert!(!s.sorted_1d());
         let mut payload = Vec::new();
-        encode_sample(&mut payload, &s);
-        let back = decode_sample(&mut Cursor::new(&payload)).unwrap();
+        s.encode(&mut payload);
+        let back: Sample = Cursor::new(&payload, "sample").read().unwrap();
         assert!(!back.sorted_1d());
     }
 }

@@ -6,53 +6,47 @@
 //! is re-validated on the way in; a CRC-valid but drifted payload surfaces
 //! as `SnapshotError::SpecMismatch`, never as a malformed table.
 
-use pass_common::snapshot::{put_f64_seq, put_str, put_usize, Cursor, SnapshotError};
+use pass_common::snapshot::{encode_slice, Codec, Cursor};
 use pass_common::Result;
 
 use crate::table::Table;
 
-/// Append `table` to a section payload.
-pub fn encode_table(out: &mut Vec<u8>, table: &Table) {
-    put_usize(out, table.dims());
-    put_usize(out, table.names().len());
-    for name in table.names() {
-        put_str(out, name);
-    }
-    put_f64_seq(out, table.values());
-    for d in 0..table.dims() {
-        put_f64_seq(out, table.predicate_column(d));
-    }
-}
+/// `dims`, then the column names, the value column and each predicate
+/// column as sequences.
+impl Codec for Table {
+    const MIN_BYTES: usize = 24;
 
-/// Decode one table written by [`encode_table`].
-pub fn decode_table(c: &mut Cursor<'_>) -> Result<Table> {
-    let dims = c.len(8, "table dims")?;
-    let n_names = c.len(1, "table names")?;
-    let mut names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        names.push(c.str("table column name")?);
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.dims().encode(out);
+        encode_slice(self.names(), out);
+        encode_slice(self.values(), out);
+        for d in 0..self.dims() {
+            encode_slice(self.predicate_column(d), out);
+        }
     }
-    let values = c.f64_seq("table values")?;
-    let mut predicates = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        predicates.push(c.f64_seq("table predicate column")?);
+
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        let dims = c.count(8)?;
+        let names = c.read()?;
+        let values = c.read()?;
+        let predicates = (0..dims).map(|_| c.read()).collect::<Result<_>>()?;
+        Table::new(values, predicates, names).map_err(|e| c.drift(format_args!("table: {e}")))
     }
-    Table::new(values, predicates, names)
-        .map_err(|e| SnapshotError::SpecMismatch(format!("table state: {e}")).into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pass_common::snapshot::SnapshotError;
 
     #[test]
     fn tables_round_trip_bit_exactly() {
         let t = crate::datasets::taxi(500, 3);
         let mut payload = Vec::new();
-        encode_table(&mut payload, &t);
-        let mut c = Cursor::new(&payload);
-        let back = decode_table(&mut c).unwrap();
-        c.done("table").unwrap();
+        t.encode(&mut payload);
+        let mut c = Cursor::new(&payload, "table");
+        let back: Table = c.read().unwrap();
+        c.done().unwrap();
         assert_eq!(back.dims(), t.dims());
         assert_eq!(back.names(), t.names());
         let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -70,8 +64,8 @@ mod tests {
         )
         .unwrap();
         let mut payload = Vec::new();
-        encode_table(&mut payload, &t);
-        let back = decode_table(&mut Cursor::new(&payload)).unwrap();
+        t.encode(&mut payload);
+        let back: Table = Cursor::new(&payload, "table").read().unwrap();
         assert_eq!(back.values()[2].to_bits(), 0x7FF8_0000_0000_1234);
         assert_eq!(back.predicate_column(0)[1].to_bits(), (-0.0f64).to_bits());
         assert!(back.values()[0].is_nan());
@@ -82,14 +76,12 @@ mod tests {
         // A payload claiming two names but carrying one predicate column of
         // the wrong length fails Table::new's validation.
         let mut payload = Vec::new();
-        put_usize(&mut payload, 1);
-        put_usize(&mut payload, 2);
-        put_str(&mut payload, "value");
-        put_str(&mut payload, "predicate");
-        put_f64_seq(&mut payload, &[1.0, 2.0]);
-        put_f64_seq(&mut payload, &[1.0]); // length mismatch
+        1usize.encode(&mut payload);
+        vec!["value".to_string(), "predicate".to_string()].encode(&mut payload);
+        vec![1.0, 2.0].encode(&mut payload);
+        vec![1.0].encode(&mut payload); // length mismatch
         assert!(matches!(
-            decode_table(&mut Cursor::new(&payload)).err(),
+            Cursor::new(&payload, "table").read::<Table>().err(),
             Some(pass_common::PassError::Snapshot(
                 SnapshotError::SpecMismatch(_)
             ))

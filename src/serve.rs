@@ -170,15 +170,6 @@ pub struct ServeConfig {
     /// undercount offered load, so it is an explicit opt-in. Answers
     /// are unaffected either way (engines are deterministic).
     pub dedup: bool,
-    /// Pool for intra-batch parallelism: each worker executes its
-    /// coalesced batch through
-    /// [`SessionHandle::estimate_many_parallel`] on this pool. The
-    /// default single-thread pool makes that exactly the sequential
-    /// batched path; give a wider pool to split very
-    /// large batches across cores *within* one worker (results stay
-    /// bit-identical — the parallel path is pinned to the sequential
-    /// one by `tests/parallel_session.rs`).
-    pub batch_pool: ThreadPool,
 }
 
 impl Default for ServeConfig {
@@ -190,7 +181,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             start_paused: false,
             dedup: false,
-            batch_pool: ThreadPool::new(1),
         }
     }
 }
@@ -235,13 +225,6 @@ impl ServeConfig {
     /// (see [`ServeConfig::dedup`]).
     pub fn with_dedup(mut self) -> Self {
         self.dedup = true;
-        self
-    }
-
-    /// Execute coalesced batches through `pool`
-    /// (intra-batch parallelism; see [`ServeConfig::batch_pool`]).
-    pub fn with_batch_pool(mut self, pool: ThreadPool) -> Self {
-        self.batch_pool = pool;
         self
     }
 }
@@ -457,7 +440,6 @@ struct ServeShared {
     queue: RequestQueue<Request>,
     coalesce_max: usize,
     dedup: bool,
-    batch_pool: ThreadPool,
     /// The one global counter: acceptance is counted before the route's
     /// queue push, everything after it per engine.
     accepted: AtomicU64,
@@ -572,9 +554,7 @@ impl ServeShared {
         if live.is_empty() {
             return;
         }
-        let results = state
-            .handle
-            .estimate_many_parallel(&queries, &self.batch_pool);
+        let results = state.handle.estimate_many(&queries);
         let executed = Instant::now();
         count(&state.batches);
         debug_assert_eq!(results.len(), queries.len());
@@ -706,7 +686,6 @@ impl Serve {
             queue: RequestQueue::new(config.queue_depth),
             coalesce_max: config.coalesce_max.max(1),
             dedup: config.dedup,
-            batch_pool: config.batch_pool,
             accepted: AtomicU64::new(0),
             completion_seq: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
@@ -1334,29 +1313,6 @@ mod tests {
         let options = SubmitOptions::default();
         let ticket = serve.submit("pass", &big, &options).unwrap();
         assert_eq!(ticket.wait().results().unwrap().len(), 32);
-    }
-
-    #[test]
-    fn wide_batch_pool_stays_bit_identical() {
-        let session = served_session();
-        let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new()
-                    .with_workers(1)
-                    .with_batch_pool(ThreadPool::new(4)),
-            )
-            .unwrap();
-        let batch: Vec<Query> = (0..128).map(|i| q((i % 40) as f64 / 50.0, 0.9)).collect();
-        let options = SubmitOptions::default();
-        let ticket = serve.submit("pass", &batch, &options).unwrap();
-        let got = ticket.wait().results().unwrap();
-        for (query, result) in batch.iter().zip(&got) {
-            assert_eq!(
-                result.as_ref().unwrap().value,
-                session.estimate("pass", query).unwrap().value
-            );
-        }
     }
 
     #[test]

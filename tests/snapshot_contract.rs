@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use pass::common::rng::derive_seed;
-use pass::common::snapshot::{Cursor, SnapshotError, SNAPSHOT_VERSION};
+use pass::common::snapshot::{Codec, Cursor, SnapshotError, SNAPSHOT_VERSION};
 use pass::common::JoinSpec;
 use pass::common::{
     estimate_group_by, AggKind, GroupByQuery, PassError, PassSpec, Query, Synopsis,
@@ -480,6 +480,132 @@ fn golden_fixture_decodes_bit_identically() {
     assert_bit_identical(fresh.as_ref(), loaded.as_ref());
 }
 
+/// A fresh build of the golden spec writes the committed fixture byte
+/// for byte: the writer, not only the reader, is pinned.
+#[test]
+fn golden_spec_saves_exactly_the_fixture() {
+    let fixture = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/pass_v1.snap"
+    ))
+    .expect("golden fixture is committed");
+    let spec = EngineSpec::Pass(PassSpec {
+        partitions: 8,
+        total_samples: Some(64),
+        seed: 7,
+        ..PassSpec::default()
+    });
+    let mut bytes = Vec::new();
+    Engine::build(&uniform(2_000, 42), &spec)
+        .unwrap()
+        .save(&mut bytes)
+        .unwrap();
+    assert!(bytes == fixture, "a fresh golden build saved other bytes");
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// The snapshots of a PASS before and after it absorbed inserts and a
+/// delete of the table's largest value — which loosens the root's MAX,
+/// so the second tree section carries the loose-extrema trailer.
+fn pass_before_and_after_updates() -> (Vec<u8>, Vec<u8>) {
+    let table = uniform(3_000, 13);
+    let spec = PassSpec {
+        partitions: 8,
+        sample_rate: 0.1,
+        seed: 5,
+        ..PassSpec::default()
+    };
+    let mut pass = Pass::from_spec(&table, &spec).unwrap();
+    let mut before = Vec::new();
+    pass.save(&mut before).unwrap();
+    for i in 0..64 {
+        pass.insert(&[0.5 + (i as f64) * 1e-4], 7.0).unwrap();
+    }
+    let max_row = (0..table.n_rows())
+        .max_by(|&a, &b| table.value(a).total_cmp(&table.value(b)))
+        .unwrap();
+    pass.delete(&[table.predicate(0, max_row)], table.value(max_row))
+        .unwrap();
+    let mut after = Vec::new();
+    pass.save(&mut after).unwrap();
+    (before, after)
+}
+
+/// Every engine's `save` output is pinned by an FNV-1a hash recorded on
+/// the commit before the snapshot codec became one `Codec` trait — the
+/// refactor (and any later one) must write the same bytes.
+#[test]
+fn saved_bytes_are_pinned_per_engine() {
+    let flat = uniform(4_000, 9);
+    let taxi6 = pass::table::datasets::taxi(3_000, 78);
+    let taxi3 = taxi6.project(&[0, 1, 2]).unwrap();
+    let (fact, join_spec) = join_fixture();
+    let suite = Engine::standard_suite(8, 300, 5);
+    let kd_pass = EngineSpec::Pass(PassSpec {
+        partitions: 16,
+        sample_rate: 0.05,
+        seed: 3,
+        ..PassSpec::default()
+    });
+    let cases: [(&str, &Table, EngineSpec, u64); 11] = [
+        ("PASS", &flat, suite[0].clone(), 0xdef53f6776db8247),
+        ("US", &flat, suite[1].clone(), 0xcd13548d3e3adfa5),
+        ("ST", &flat, suite[2].clone(), 0xbb718589b2ecb466),
+        ("AQP++", &flat, suite[3].clone(), 0x18250327c4443b62),
+        ("VerdictDB", &flat, suite[4].clone(), 0x9a663e1b85dc2a18),
+        ("DeepDB", &flat, suite[5].clone(), 0xee1a3a51eaf62aad),
+        (
+            "Sharded[3]-PASS",
+            &flat,
+            EngineSpec::sharded(suite[0].clone(), ShardPlan::row_range(3)),
+            0x78d49d0bf3ebb572,
+        ),
+        (
+            "Sharded[3]-US",
+            &flat,
+            EngineSpec::sharded(suite[1].clone(), ShardPlan::row_range(3)),
+            0x44e6daddf045b831,
+        ),
+        ("3-D KD-PASS", &taxi3, kd_pass, 0x957bf7c7c957a9df),
+        (
+            "3-D AQP++ (KD-US)",
+            &taxi3,
+            EngineSpec::aqppp(16, 200).with_seed(3),
+            0x8221cd3d15e2ebba,
+        ),
+        ("JOIN", &fact, join_spec, 0x9fc19bccbe44d4ac),
+    ];
+    for (label, table, spec, want) in cases {
+        let mut bytes = Vec::new();
+        Engine::build(table, &spec)
+            .unwrap()
+            .save(&mut bytes)
+            .unwrap();
+        let got = fnv1a(&bytes);
+        assert_eq!(got, want, "{label} saved other bytes: {got:#018x}");
+    }
+
+    // Updates leave the tree arena's size alone, so a longer tree section
+    // after the stream is the loose-extrema trailer.
+    let (before, after) = pass_before_and_after_updates();
+    let tree_len = |bytes: &[u8]| {
+        let header = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let at = 20 + header + 4;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    };
+    assert!(
+        tree_len(&after) > tree_len(&before),
+        "no loose-extrema trailer"
+    );
+    let got = fnv1a(&after);
+    assert_eq!(got, 0x2ca6ffd6b79783f9, "updated PASS: {got:#018x}");
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial decoding
 // ---------------------------------------------------------------------------
@@ -657,15 +783,15 @@ fn signed_zeros_and_nan_payloads_round_trip_bitwise() {
         f64::MIN_POSITIVE / 2.0, // subnormal
     ];
     let mut payload = Vec::new();
-    for &v in &specials {
-        pass::common::snapshot::put_f64(&mut payload, v);
+    for v in specials {
+        v.encode(&mut payload);
     }
-    let mut c = Cursor::new(&payload);
+    let mut c = Cursor::new(&payload, "specials");
     for &v in &specials {
-        let back = c.f64("special float").unwrap();
+        let back: f64 = c.read().unwrap();
         assert_eq!(back.to_bits(), v.to_bits(), "{v:?} changed bits");
     }
-    c.done("specials").unwrap();
+    c.done().unwrap();
 }
 
 /// End to end: an engine whose sample holds -0.0 and a payload-carrying

@@ -8,6 +8,14 @@
 //! (FIFO eviction), and counts hits and misses so the serving layer can
 //! report cache effectiveness per workload.
 //!
+//! Each entry (hash, key, answer) is stored once, in a `Vec` that is a
+//! FIFO ring once full, indexed by an open-addressing table of `u32`
+//! entry positions: linear probing, at most half full, backward-shift
+//! deletion, grown by doubling to at most `2 × capacity` slots. A query
+//! is hashed once — a folded multiply seeded at random per cache, since
+//! keys come from clients — for its lookup, the in-batch dedup of
+//! misses, its insert and, stored in the entry, its eviction.
+//!
 //! [`CachedSynopsis`] layers the cache over any [`Synopsis`] as a
 //! decorator: single, batched, and parallel query paths all consult the
 //! cache first and only hand the *misses* to the inner engine (keeping the
@@ -15,8 +23,8 @@
 //! wraps every registered engine this way, and its cheap `SessionHandle`
 //! clones share one cache per engine across threads.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use crate::chaos::{AtomicU64, Mutex, Ordering};
@@ -47,16 +55,23 @@ impl QueryKey {
     pub fn new(query: &Query) -> Self {
         Self(query.clone())
     }
+}
 
-    fn bits(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let bounds = self.0.rect.bounds().iter();
-        bounds.map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()))
-    }
+/// Bound pairs of a query as bits.
+fn bound_bits(query: &Query) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let bounds = query.rect.bounds().iter();
+    bounds.map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()))
+}
+
+/// Whether two queries have the same cache identity: aggregate, arity
+/// and every bound bit.
+fn same_key(a: &Query, b: &Query) -> bool {
+    a.agg == b.agg && bound_bits(a).eq(bound_bits(b))
 }
 
 impl PartialEq for QueryKey {
     fn eq(&self, other: &Self) -> bool {
-        self.0.agg == other.0.agg && self.bits().eq(other.bits())
+        same_key(&self.0, &other.0)
     }
 }
 
@@ -66,7 +81,7 @@ impl Hash for QueryKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.0.agg.hash(state);
         state.write_usize(self.0.dims());
-        for (lo, hi) in self.bits() {
+        for (lo, hi) in bound_bits(&self.0) {
             state.write_u64(lo);
             state.write_u64(hi);
         }
@@ -113,7 +128,8 @@ impl CacheStats {
 ///
 /// Errors are cached alongside successful estimates: a deterministic
 /// engine rejects a repeated malformed query identically, so there is no
-/// reason to re-run the engine to rediscover the error.
+/// reason to re-run the engine to rediscover the error. Re-inserting a
+/// stored key replaces its answer and keeps its place in the FIFO.
 ///
 /// Entries belong to an **epoch** — the generation of the synopsis state
 /// they were computed against. [`bump_epoch`](Self::bump_epoch) (or
@@ -124,27 +140,158 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct QueryCache {
     capacity: usize,
+    /// The per-cache hash seed.
+    seed: [u64; 2],
+    /// Test-only: hash every key into this many home slots at the end of
+    /// the table, so probe chains are long and wrap past its end.
+    #[cfg(test)]
+    buckets: Option<u64>,
     inner: Mutex<CacheInner>,
     /// The synopsis generation the stored entries were computed against.
     /// Kept outside the mutex so the hot lookup path can check it with
-    /// one atomic load; the entry map is only locked (and cleared) when
+    /// one atomic load; the entries are only locked (and dropped) when
     /// the epoch actually changes.
     epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
+/// An index slot holding no entry.
+const EMPTY: u32 = u32::MAX;
+/// Entries held at most, whatever the capacity: positions fit a `u32`
+/// below [`EMPTY`], and twice the count fits a `usize`.
+const MAX_ENTRIES: usize = 1 << 30;
+/// Slots of the first table an insert allocates.
+const MIN_SLOTS: usize = 8;
+
+#[derive(Debug)]
+struct Entry {
+    hash: u64,
+    key: QueryKey,
+    result: Result<Estimate>,
+}
+
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: HashMap<QueryKey, Result<Estimate>>,
-    order: VecDeque<QueryKey>,
+    /// At most `limit` entries, in insertion order until full, then a
+    /// ring whose next insert overwrites `entries[oldest]`.
+    entries: Vec<Entry>,
+    oldest: usize,
+    limit: usize,
+    /// The index: [`EMPTY`] or a position in `entries`. Its length is
+    /// zero or a power of two, and at most half its slots are taken.
+    slots: Vec<u32>,
+}
+
+/// Linear probe from `hash`'s home slot: `Ok(slot)` of the first entry
+/// `is_key` accepts, else `Err(slot)` of the first empty slot. A table at
+/// most half full has one, so a probe ends within one lap.
+fn probe(
+    slots: &[u32],
+    hash: u64,
+    mut is_key: impl FnMut(u32) -> bool,
+) -> std::result::Result<usize, usize> {
+    let mask = slots.len().wrapping_sub(1);
+    let mut i = hash as usize & mask;
+    for _ in 0..slots.len() {
+        match slots[i] {
+            EMPTY => return Err(i),
+            e if is_key(e) => return Ok(i),
+            _ => i = (i + 1) & mask,
+        }
+    }
+    Err(i)
 }
 
 impl CacheInner {
-    fn drop_entries(&mut self) {
-        self.map.clear();
-        self.order.clear();
+    /// Where `query` is stored, if it is.
+    fn find(&self, hash: u64, query: &Query) -> Option<usize> {
+        let found = probe(&self.slots, hash, |e| {
+            let entry = &self.entries[e as usize];
+            entry.hash == hash && same_key(&entry.key.0, query)
+        });
+        found.ok().map(|slot| self.slots[slot] as usize)
     }
+
+    fn get(&self, hash: u64, query: &Query) -> Option<Result<Estimate>> {
+        let at = self.find(hash, query)?;
+        Some(self.entries[at].result.clone())
+    }
+
+    fn insert(&mut self, hash: u64, key: QueryKey, result: Result<Estimate>) {
+        if let Some(at) = self.find(hash, &key.0) {
+            self.entries[at].result = result;
+            return;
+        }
+        let entry = Entry { hash, key, result };
+        let at = if self.entries.len() < self.limit {
+            if 2 * (self.entries.len() + 1) > self.slots.len() {
+                self.grow();
+            }
+            self.entries.push(entry);
+            self.entries.len() - 1
+        } else {
+            // Full: the new entry takes the oldest one's place.
+            let at = self.oldest;
+            self.unlink(at);
+            self.entries[at] = entry;
+            self.oldest = (at + 1) % self.limit;
+            at
+        };
+        self.link(at);
+    }
+
+    /// Index entry `at` in the first empty slot of its probe chain.
+    fn link(&mut self, at: usize) {
+        if let Err(slot) = probe(&self.slots, self.entries[at].hash, |_| false) {
+            self.slots[slot] = at as u32;
+        }
+    }
+
+    /// Remove entry `at` from the index, shifting each later entry of its
+    /// probe chain back into the hole when the hole is on that entry's
+    /// own probe path, so every chain stays unbroken.
+    fn unlink(&mut self, at: usize) {
+        let Ok(mut hole) = probe(&self.slots, self.entries[at].hash, |e| e as usize == at) else {
+            return;
+        };
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        for _ in 0..self.slots.len() {
+            i = (i + 1) & mask;
+            let e = self.slots[i];
+            if e == EMPTY {
+                break;
+            }
+            let home = self.entries[e as usize].hash as usize & mask;
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = e;
+                hole = i;
+            }
+        }
+        self.slots[hole] = EMPTY;
+    }
+
+    /// Double the index, to at most the power of two at or above twice
+    /// the limit, and re-index every entry.
+    fn grow(&mut self) {
+        let most = (2 * self.limit).next_power_of_two();
+        self.slots = vec![EMPTY; (2 * self.slots.len()).max(MIN_SLOTS).min(most)];
+        (0..self.entries.len()).for_each(|at| self.link(at));
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.oldest = 0;
+        self.slots.fill(EMPTY);
+    }
+}
+
+/// The high and low halves of a 128-bit product, folded together.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
 }
 
 impl QueryCache {
@@ -152,63 +299,85 @@ impl QueryCache {
     /// disables caching entirely: every lookup is a miss and inserts are
     /// dropped (no storage, no locking on the lookup path).
     pub fn new(capacity: usize) -> Self {
+        let state = RandomState::new();
         Self {
             capacity,
-            inner: Mutex::new(CacheInner::default()),
+            seed: [state.hash_one(0_u8), state.hash_one(1_u8)],
+            #[cfg(test)]
+            buckets: None,
+            inner: Mutex::new(CacheInner {
+                limit: capacity.min(MAX_ENTRIES),
+                ..CacheInner::default()
+            }),
             epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Look `query` up, counting a hit or a miss.
-    pub fn get(&self, query: &Query) -> Option<Result<Estimate>> {
-        self.get_keyed(&QueryKey::new(query))
+    /// The one hash of `query`: a seeded folded multiply over the
+    /// aggregate kind, the arity and every bound's bits.
+    #[inline]
+    fn hash(&self, query: &Query) -> u64 {
+        let [s0, s1] = self.seed;
+        let bounds = query.rect.bounds();
+        let mut h = fold(s0 ^ query.agg as u64, s1 ^ bounds.len() as u64);
+        for &(lo, hi) in bounds {
+            h = fold(h ^ lo.to_bits(), s1 ^ hi.to_bits());
+        }
+        #[cfg(test)]
+        if let Some(n) = self.buckets {
+            return !(h % n);
+        }
+        h
     }
 
-    /// [`get`](Self::get) with a precomputed key (batch paths key once).
+    /// Look `query` up, counting a hit or a miss.
+    pub fn get(&self, query: &Query) -> Option<Result<Estimate>> {
+        self.get_hashed(self.hash(query), query)
+    }
+
+    /// [`get`](Self::get) with a precomputed key.
     pub fn get_keyed(&self, key: &QueryKey) -> Option<Result<Estimate>> {
+        self.get(&key.0)
+    }
+
+    fn get_hashed(&self, hash: u64, query: &Query) -> Option<Result<Estimate>> {
         if self.capacity == 0 {
-            self.count_misses(1);
+            self.count(0, 1);
             return None;
         }
-        let found = self.inner.lock().map.get(key).cloned();
-        // relaxed: monotonic effectiveness counters; stats() tolerates a
-        // momentarily inconsistent hit/miss pair, no ordering is needed.
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let found = self.inner.lock().get(hash, query);
+        self.count(u64::from(found.is_some()), u64::from(found.is_none()));
         found
     }
 
-    /// Count `n` lookups that fell through to the engine — all a disabled
-    /// cache does with a lookup.
-    fn count_misses(&self, n: u64) {
-        // relaxed: monotonic effectiveness counter; readers only ever
-        // aggregate it, nothing is ordered against the stored value.
-        self.misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Look many keys up under **one** lock acquisition, counting hits and
-    /// misses in bulk — the batch serving path takes the shared mutex
-    /// twice per batch (lookups + inserts) instead of twice per query.
-    pub fn get_many_keyed(&self, keys: &[QueryKey]) -> Vec<Option<Result<Estimate>>> {
+    /// Look every query up under **one** lock acquisition.
+    fn get_many(&self, queries: &[Query], hashes: &[u64]) -> Vec<Option<Result<Estimate>>> {
         if self.capacity == 0 {
-            self.count_misses(keys.len() as u64);
-            return vec![None; keys.len()];
+            self.count(0, queries.len() as u64);
+            return vec![None; queries.len()];
         }
         let found: Vec<Option<Result<Estimate>>> = {
             let inner = self.inner.lock();
-            keys.iter().map(|k| inner.map.get(k).cloned()).collect()
+            let hashed = queries.iter().zip(hashes);
+            hashed.map(|(q, &h)| inner.get(h, q)).collect()
         };
         let hits = found.iter().filter(|f| f.is_some()).count() as u64;
+        self.count(hits, queries.len() as u64 - hits);
+        found
+    }
+
+    /// Count lookups answered (`hits`) and fallen through (`misses`).
+    fn count(&self, hits: u64, misses: u64) {
         // relaxed: monotonic effectiveness counters; stats() tolerates a
         // momentarily inconsistent hit/miss pair, no ordering is needed.
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses
-            .fetch_add(keys.len() as u64 - hits, Ordering::Relaxed);
-        found
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses > 0 {
+            self.misses.fetch_add(misses, Ordering::Relaxed);
+        }
     }
 
     /// Store the engine's answer for `query`, evicting the oldest entry
@@ -219,28 +388,19 @@ impl QueryCache {
 
     /// [`insert`](Self::insert) with a precomputed key.
     pub fn insert_keyed(&self, key: QueryKey, result: Result<Estimate>) {
-        self.insert_many_keyed(std::iter::once((key, result)));
+        let hash = self.hash(&key.0);
+        self.insert_many(std::iter::once((hash, key, result)));
     }
 
-    /// Store many answers under **one** lock acquisition (FIFO eviction
+    /// Store hashed answers under **one** lock acquisition (FIFO eviction
     /// applies as each entry lands).
-    pub fn insert_many_keyed(
-        &self,
-        entries: impl IntoIterator<Item = (QueryKey, Result<Estimate>)>,
-    ) {
+    fn insert_many(&self, entries: impl IntoIterator<Item = (u64, QueryKey, Result<Estimate>)>) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.lock();
-        for (key, result) in entries {
-            if inner.map.insert(key.clone(), result).is_none() {
-                inner.order.push_back(key);
-                if inner.order.len() > self.capacity {
-                    if let Some(oldest) = inner.order.pop_front() {
-                        inner.map.remove(&oldest);
-                    }
-                }
-            }
+        for (hash, key, result) in entries {
+            inner.insert(hash, key, result);
         }
     }
 
@@ -250,14 +410,14 @@ impl QueryCache {
             // relaxed: advisory snapshot of monotonic counters.
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            len: self.inner.lock().map.len(),
+            len: self.inner.lock().entries.len(),
             capacity: self.capacity,
         }
     }
 
     /// Drop every entry (counters are kept; they are cumulative).
     pub fn clear(&self) {
-        self.inner.lock().drop_entries();
+        self.inner.lock().clear();
     }
 
     /// The epoch the stored entries belong to.
@@ -271,7 +431,7 @@ impl QueryCache {
     pub fn bump_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::Release);
         if self.capacity > 0 {
-            self.inner.lock().drop_entries();
+            self.inner.lock().clear();
         }
     }
 
@@ -288,7 +448,7 @@ impl QueryCache {
         // Re-check under the lock so a racing sync clears exactly once.
         let mut inner = self.inner.lock();
         if self.epoch.swap(observed, Ordering::AcqRel) != observed {
-            inner.drop_entries();
+            inner.clear();
         }
     }
 }
@@ -372,41 +532,50 @@ impl<S: Synopsis> CachedSynopsis<S> {
     /// Answer a batch, filling cache misses via `compute` (which receives
     /// only the **distinct** missed queries, in first-occurrence order —
     /// duplicates within one batch are computed once and fanned out).
+    /// The cache is locked once for every lookup and once for every
+    /// insert, and each query is hashed once for both and for the dedup.
     fn answer_batch(
         &self,
         queries: &[Query],
         compute: impl FnOnce(&[Query]) -> Vec<Result<Estimate>>,
     ) -> Vec<Result<Estimate>> {
-        self.cache.sync_epoch(self.inner.update_epoch());
-        let keys: Vec<QueryKey> = queries.iter().map(QueryKey::new).collect();
-        let mut results = self.cache.get_many_keyed(&keys);
-        // Distinct misses in first-occurrence order; slots lists every
-        // batch position waiting on each distinct query.
-        let mut miss_of: HashMap<&QueryKey, usize> = HashMap::new();
-        let mut missed: Vec<Query> = Vec::new();
-        let mut slots: Vec<Vec<usize>> = Vec::new();
-        for i in (0..queries.len()).filter(|&i| results[i].is_none()) {
-            let m = *miss_of.entry(&keys[i]).or_insert_with(|| {
-                missed.push(queries[i].clone());
-                slots.push(Vec::new());
-                missed.len() - 1
-            });
-            slots[m].push(i);
-        }
-        if !missed.is_empty() {
+        let cache = &*self.cache;
+        cache.sync_epoch(self.inner.update_epoch());
+        let hashes: Vec<u64> = queries.iter().map(|q| cache.hash(q)).collect();
+        let mut results = cache.get_many(queries, &hashes);
+        let misses = results.iter().filter(|r| r.is_none()).count();
+        if misses > 0 {
+            // Distinct misses by (hash, bits), through a probe table over
+            // the miss list: `firsts` holds each one's first batch
+            // position, `waiting` every missed position and its distinct
+            // miss.
+            let mut seen = vec![EMPTY; (2 * misses).next_power_of_two()];
+            let mut firsts: Vec<usize> = Vec::with_capacity(misses);
+            let mut waiting: Vec<(usize, usize)> = Vec::with_capacity(misses);
+            for i in (0..queries.len()).filter(|&i| results[i].is_none()) {
+                let (hash, query) = (hashes[i], &queries[i]);
+                let found = probe(&seen, hash, |m| {
+                    let first = firsts[m as usize];
+                    hashes[first] == hash && same_key(&queries[first], query)
+                });
+                let m = match found {
+                    Ok(slot) => seen[slot] as usize,
+                    Err(slot) => {
+                        seen[slot] = firsts.len() as u32;
+                        firsts.push(i);
+                        firsts.len() - 1
+                    }
+                };
+                waiting.push((i, m));
+            }
+            let missed: Vec<Query> = firsts.iter().map(|&i| queries[i].clone()).collect();
             let computed = compute(&missed);
             debug_assert_eq!(computed.len(), missed.len());
-            self.cache.insert_many_keyed(
-                slots
-                    .iter()
-                    .zip(&computed)
-                    .map(|(waiting, result)| (keys[waiting[0]].clone(), result.clone())),
-            );
-            for (waiting, result) in slots.iter().zip(computed) {
-                for &i in waiting {
-                    results[i] = Some(result.clone());
-                }
+            for &(i, m) in &waiting {
+                results[i] = computed.get(m).cloned();
             }
+            let keyed = firsts.iter().zip(missed).zip(computed);
+            cache.insert_many(keyed.map(|((&i, q), r)| (hashes[i], QueryKey(q), r)));
         }
         // Every `None` slot was filled from `computed` above; an
         // unfilled slot would be a logic bug, surfaced as an error
@@ -427,17 +596,18 @@ impl<S: Synopsis> Synopsis for CachedSynopsis<S> {
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
         if self.cache.capacity == 0 {
-            // Nothing to look up or store, so no key is built either.
-            self.cache.count_misses(1);
+            // Nothing to look up or store, so nothing is hashed either.
+            self.cache.count(0, 1);
             return self.inner.estimate(query);
         }
         self.cache.sync_epoch(self.inner.update_epoch());
-        let key = QueryKey::new(query);
-        if let Some(cached) = self.cache.get_keyed(&key) {
+        let hash = self.cache.hash(query);
+        if let Some(cached) = self.cache.get_hashed(hash, query) {
             return cached;
         }
         let result = self.inner.estimate(query);
-        self.cache.insert_keyed(key, result.clone());
+        let entry = (hash, QueryKey::new(query), result.clone());
+        self.cache.insert_many(std::iter::once(entry));
         result
     }
 
@@ -476,6 +646,8 @@ impl<S: Synopsis> Synopsis for CachedSynopsis<S> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashMap, VecDeque};
+
     use super::*;
     use crate::AggKind;
 
@@ -798,5 +970,308 @@ mod tests {
         assert!(cache.get(&q(0.0, 1.0)).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 0));
+    }
+
+    /// The cache as it was before the entry ring and its index: a
+    /// `HashMap` of answers beside a `VecDeque` FIFO of keys, and a batch
+    /// path that dedups misses through a `HashMap` of per-miss slot
+    /// lists. The differential test holds [`QueryCache`] and
+    /// [`CachedSynopsis`] to it.
+    struct Reference {
+        capacity: usize,
+        map: HashMap<QueryKey, Result<Estimate>>,
+        order: VecDeque<QueryKey>,
+        epoch: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl Reference {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity,
+                map: HashMap::new(),
+                order: VecDeque::new(),
+                epoch: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn get(&mut self, key: &QueryKey) -> Option<Result<Estimate>> {
+            let found = self.map.get(key).cloned();
+            match found {
+                Some(_) => self.hits += 1,
+                None => self.misses += 1,
+            }
+            found
+        }
+
+        fn insert(&mut self, key: QueryKey, result: Result<Estimate>) {
+            if self.capacity == 0 {
+                return;
+            }
+            if self.map.insert(key.clone(), result).is_none() {
+                self.order.push_back(key);
+                if self.order.len() > self.capacity {
+                    let oldest = self.order.pop_front().unwrap();
+                    self.map.remove(&oldest);
+                    self.evictions += 1;
+                }
+            }
+        }
+
+        fn clear(&mut self) {
+            self.map.clear();
+            self.order.clear();
+        }
+
+        fn bump_epoch(&mut self) {
+            self.epoch += 1;
+            self.clear();
+        }
+
+        fn sync_epoch(&mut self, observed: u64) {
+            if self.capacity > 0 && self.epoch != observed {
+                self.epoch = observed;
+                self.clear();
+            }
+        }
+
+        fn estimate(&mut self, engine: &Counting, query: &Query) -> Result<Estimate> {
+            self.sync_epoch(engine.update_epoch());
+            let key = QueryKey::new(query);
+            if let Some(cached) = self.get(&key) {
+                return cached;
+            }
+            let result = engine.estimate(query);
+            self.insert(key, result.clone());
+            result
+        }
+
+        fn estimate_many(&mut self, engine: &Counting, queries: &[Query]) -> Vec<Result<Estimate>> {
+            self.sync_epoch(engine.update_epoch());
+            let keys: Vec<QueryKey> = queries.iter().map(QueryKey::new).collect();
+            let mut results: Vec<_> = keys.iter().map(|k| self.get(k)).collect();
+            let mut miss_of: HashMap<QueryKey, usize> = HashMap::new();
+            let mut missed: Vec<Query> = Vec::new();
+            let mut slots: Vec<Vec<usize>> = Vec::new();
+            for i in (0..queries.len()).filter(|&i| results[i].is_none()) {
+                let m = *miss_of.entry(keys[i].clone()).or_insert_with(|| {
+                    missed.push(queries[i].clone());
+                    slots.push(Vec::new());
+                    missed.len() - 1
+                });
+                slots[m].push(i);
+            }
+            let computed = engine.estimate_many(&missed);
+            for (waiting, result) in slots.iter().zip(&computed) {
+                self.insert(keys[waiting[0]].clone(), result.clone());
+            }
+            for (waiting, result) in slots.iter().zip(computed) {
+                for &i in waiting {
+                    results[i] = Some(result.clone());
+                }
+            }
+            results.into_iter().map(Option::unwrap).collect()
+        }
+    }
+
+    /// SplitMix64: the op sequence's seeded source.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `n` distinct queries: other aggregates over the same bounds, `0.0`
+    /// beside `-0.0`, 1-, 2- and (spilled) 4-D rectangles, and queries
+    /// the engine answers with an error or a silent zero.
+    fn query_pool(n: usize) -> Vec<Query> {
+        (0..n)
+            .map(|i| {
+                let x = (i / 7) as f64;
+                match i % 7 {
+                    0 => Query::interval(AggKind::Sum, x, x + 1.0),
+                    1 => Query::interval(AggKind::Count, x, x + 1.0),
+                    2 => Query::interval(AggKind::Sum, -x - 1.0, x),
+                    3 => Query::interval(AggKind::Sum, -0.0, x),
+                    4 => Query::interval(AggKind::Sum, 0.0, x),
+                    5 => Query::new(AggKind::Avg, crate::Rect::new(&[(x, x + 1.0), (0.0, x)])),
+                    _ => Query::new(AggKind::Max, crate::Rect::new(&[(x, x + 2.0); 4])),
+                }
+            })
+            .collect()
+    }
+
+    /// Drive `cache` (behind a [`CachedSynopsis`] over a counting engine)
+    /// and the [`Reference`] through the same seeded sequence of `get`,
+    /// `insert`, re-`insert`, `estimate`, `estimate_many` (with in-batch
+    /// duplicates and cached errors), `clear`, `bump_epoch` and
+    /// `sync_epoch`, comparing answers, counters, occupancy, epoch and
+    /// engine calls after every one. Returns the reference's evictions.
+    fn differential(cache: QueryCache, seed: u64, ops: usize) -> u64 {
+        let capacity = cache.stats().capacity;
+        let cached = CachedSynopsis::with_cache(Counting::new(), Arc::new(cache));
+        let (engine, mut model) = (Counting::new(), Reference::new(capacity));
+        let pool = query_pool(2 * capacity + 5);
+        let mut rng = seed;
+        let mut last = pool[0].clone();
+        for step in 0..ops {
+            let r = splitmix(&mut rng);
+            let pick = |r: u64| &pool[(r % pool.len() as u64) as usize];
+            let what = match r % 1_000 {
+                0 => {
+                    cached.cache().clear();
+                    model.clear();
+                    "clear"
+                }
+                1 => {
+                    cached.cache().bump_epoch();
+                    model.bump_epoch();
+                    "bump_epoch"
+                }
+                2 => {
+                    let observed = (r >> 32) % 3;
+                    cached.cache().sync_epoch(observed);
+                    model.sync_epoch(observed);
+                    "sync_epoch"
+                }
+                3..=249 => {
+                    let q = pick(r >> 16);
+                    let got = cached.cache().get(q);
+                    assert_eq!(got, model.get(&QueryKey::new(q)), "step {step}: get {q:?}");
+                    "get"
+                }
+                250..=399 => {
+                    // A fresh pick, or the last inserted key again.
+                    let q = if r & 1 == 0 {
+                        pick(r >> 16).clone()
+                    } else {
+                        last.clone()
+                    };
+                    let result = if r & 2 == 0 {
+                        Ok(Estimate::exact(step as f64))
+                    } else {
+                        Err(PassError::EmptyInput("inserted"))
+                    };
+                    cached.cache().insert(&q, result.clone());
+                    model.insert(QueryKey::new(&q), result);
+                    last = q;
+                    "insert"
+                }
+                400..=649 => {
+                    let q = pick(r >> 16);
+                    let got = cached.estimate(q);
+                    assert_eq!(
+                        got,
+                        model.estimate(&engine, q),
+                        "step {step}: estimate {q:?}"
+                    );
+                    "estimate"
+                }
+                _ => {
+                    // A narrow window of the pool, so batches repeat keys.
+                    let len = 1 + (r >> 8) as usize % 12;
+                    let start = (r >> 16) as usize % pool.len();
+                    let batch: Vec<Query> = (0..len)
+                        .map(|j| {
+                            let offset = (splitmix(&mut rng) % (len as u64 / 2 + 1)) as usize;
+                            pool[(start + offset + j % 2) % pool.len()].clone()
+                        })
+                        .collect();
+                    let got = cached.estimate_many(&batch);
+                    assert_eq!(got, model.estimate_many(&engine, &batch), "step {step}");
+                    "estimate_many"
+                }
+            };
+            let stats = cached.cache().stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.len, cached.cache().epoch()),
+                (model.hits, model.misses, model.map.len(), model.epoch),
+                "step {step}: after {what}"
+            );
+            assert_eq!(cached.inner().calls(), engine.calls(), "step {step}");
+        }
+        model.evictions
+    }
+
+    #[test]
+    fn the_ring_and_index_match_the_reference_model() {
+        for capacity in [0, 1, 2, 3, 5, 64] {
+            for seed in 0..4 {
+                let evictions = differential(QueryCache::new(capacity), seed, 20_000);
+                assert!(
+                    capacity == 0 || evictions >= 10 * capacity as u64,
+                    "capacity {capacity}: {evictions} evictions do not wrap the ring"
+                );
+            }
+        }
+    }
+
+    /// A cache whose hash sends every key to one of `buckets` home slots
+    /// at the end of the table.
+    fn with_buckets(capacity: usize, buckets: u64) -> QueryCache {
+        QueryCache {
+            buckets: Some(buckets),
+            ..QueryCache::new(capacity)
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_wrap_past_the_table_end_and_still_match() {
+        for capacity in [1, 2, 3, 5, 64] {
+            for (seed, buckets) in [(10, 1), (11, 2), (12, 3)] {
+                let cache = with_buckets(capacity, buckets);
+                let evictions = differential(cache, seed, 20_000);
+                assert!(evictions >= 10 * capacity as u64, "capacity {capacity}");
+            }
+        }
+        // Every home slot is one of the last `buckets` of the table.
+        let cache = with_buckets(64, 3);
+        for q in query_pool(40) {
+            cache.insert(&q, Ok(Estimate::exact(1.0)));
+        }
+        let inner = cache.inner.lock();
+        let mask = inner.slots.len() - 1;
+        assert!(inner
+            .entries
+            .iter()
+            .all(|e| e.hash as usize & mask >= mask - 2));
+        assert_eq!(
+            inner.slots[0..20].iter().filter(|&&s| s != EMPTY).count(),
+            20
+        );
+    }
+
+    #[test]
+    fn the_index_stays_within_twice_the_capacity() {
+        for capacity in [1, 3, 5, 64] {
+            let cache = QueryCache::new(capacity);
+            assert_eq!(
+                cache.inner.lock().slots.len(),
+                0,
+                "an idle cache holds no table"
+            );
+            for q in query_pool(4 * capacity) {
+                cache.insert(&q, Ok(Estimate::exact(1.0)));
+            }
+            let slots = cache.inner.lock().slots.len();
+            assert_eq!(
+                slots,
+                (2 * capacity).next_power_of_two(),
+                "capacity {capacity}"
+            );
+            cache.bump_epoch();
+            assert_eq!(
+                cache.inner.lock().slots.len(),
+                slots,
+                "clearing keeps the table"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@ pub fn median(values: &[f64]) -> f64 {
     if clean.is_empty() {
         return 0.0;
     }
-    clean.sort_by(|a, b| a.partial_cmp(b).expect("filtered NaNs"));
+    clean.sort_by(f64::total_cmp);
     let n = clean.len();
     if n % 2 == 1 {
         clean[n / 2]

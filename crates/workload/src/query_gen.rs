@@ -81,31 +81,48 @@ pub fn challenging_queries(
     random_queries_in(sorted, lo..hi + 1, n, agg, (width / 2).max(1), seed)
 }
 
-/// Multi-dimensional template queries (Section 5.4): per dimension an
-/// interval covering a random `[0.3, 0.9]` quantile span, grounded on data
-/// values.
-pub fn template_queries(table: &Table, n: usize, agg: AggKind, seed: u64) -> Vec<Query> {
-    let mut rng = rng_from_seed(seed);
-    let d = table.dims();
-    // Sorted copies of each predicate column for quantile lookup.
-    let sorted_cols: Vec<Vec<f64>> = (0..d)
+/// The non-NaN cells of the first `dims` predicate columns, each sorted
+/// for quantile lookup.
+fn sorted_columns(table: &Table, dims: usize) -> Vec<Vec<f64>> {
+    (0..dims)
         .map(|dim| {
-            let mut c = table.predicate_column(dim).to_vec();
-            c.sort_by(|a, b| a.partial_cmp(b).expect("NaN predicate"));
-            c
+            let column = table.predicate_column(dim).iter();
+            let mut cells: Vec<f64> = column.copied().filter(|v| !v.is_nan()).collect();
+            // NaN-free, so the fallback never applies; a stable sort under
+            // `partial_cmp` keeps `±0.0` in row order.
+            cells.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            cells
         })
-        .collect();
-    let rows = table.n_rows();
+        .collect()
+}
+
+/// An interval covering a random `[0.3, 0.9]` quantile span of a sorted
+/// column (at least one cell); a column with no cells is unbounded.
+fn quantile_span(rng: &mut impl Rng, col: &[f64]) -> (f64, f64) {
+    let rows = col.len();
+    if rows == 0 {
+        return (f64::NEG_INFINITY, f64::INFINITY);
+    }
+    let frac = rng.gen_range(0.3..0.9);
+    let span = (((rows as f64) * frac) as usize).max(1);
+    let start = rng.gen_range(0..=(rows - span));
+    (col[start], col[start + span - 1])
+}
+
+/// Multi-dimensional template queries (Section 5.4): per dimension an
+/// interval covering a random `[0.3, 0.9]` quantile span of the column's
+/// non-NaN cells, grounded on data values. A zero-row table gets none.
+pub fn template_queries(table: &Table, n: usize, agg: AggKind, seed: u64) -> Vec<Query> {
+    if table.n_rows() == 0 {
+        return Vec::new();
+    }
+    let mut rng = rng_from_seed(seed);
+    let sorted_cols = sorted_columns(table, table.dims());
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let bounds: Vec<(f64, f64)> = sorted_cols
             .iter()
-            .map(|col| {
-                let frac = rng.gen_range(0.3..0.9);
-                let span = ((rows as f64) * frac) as usize;
-                let start = rng.gen_range(0..=(rows - span));
-                (col[start], col[start + span - 1])
-            })
+            .map(|col| quantile_span(&mut rng, col))
             .collect();
         out.push(Query::new(agg, Rect::new(&bounds)));
     }
@@ -124,24 +141,17 @@ pub fn template_queries_partial(
     seed: u64,
 ) -> Vec<Query> {
     assert!(constrained >= 1 && constrained <= table.dims());
+    if table.n_rows() == 0 {
+        return Vec::new();
+    }
     let mut rng = rng_from_seed(seed);
-    let sorted_cols: Vec<Vec<f64>> = (0..constrained)
-        .map(|dim| {
-            let mut c = table.predicate_column(dim).to_vec();
-            c.sort_by(|a, b| a.partial_cmp(b).expect("NaN predicate"));
-            c
-        })
-        .collect();
-    let rows = table.n_rows();
+    let sorted_cols = sorted_columns(table, constrained);
     let d = table.dims();
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let mut bounds: Vec<(f64, f64)> = Vec::with_capacity(d);
         for col in &sorted_cols {
-            let frac = rng.gen_range(0.3..0.9);
-            let span = ((rows as f64) * frac) as usize;
-            let start = rng.gen_range(0..=(rows - span));
-            bounds.push((col[start], col[start + span - 1]));
+            bounds.push(quantile_span(&mut rng, col));
         }
         for _ in constrained..d {
             bounds.push((f64::NEG_INFINITY, f64::INFINITY));
@@ -228,5 +238,97 @@ mod tests {
             }
         }
         assert!(nonempty >= 45, "{nonempty}/50 non-empty");
+    }
+
+    /// FNV-1a over every query's aggregate and bound bits.
+    fn fingerprint(queries: &[Query]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for q in queries {
+            eat(q.agg as u64);
+            eat(q.dims() as u64);
+            for d in 0..q.dims() {
+                eat(q.rect.lo(d).to_bits());
+                eat(q.rect.hi(d).to_bits());
+            }
+        }
+        h
+    }
+
+    /// Template queries over NaN-free tables are pinned bit for bit (the
+    /// benchmark's `batch_md` draws its queries this way): the hashes
+    /// were recorded before NaN cells and empty tables were handled.
+    #[test]
+    fn template_queries_on_nan_free_tables_are_pinned() {
+        let taxi3 = taxi(3_000, 7).project(&[1, 2, 3]).unwrap();
+        let small = uniform(5, 2);
+        let got = [
+            fingerprint(&template_queries(&taxi3, 64, AggKind::Avg, 8)),
+            fingerprint(&template_queries(&taxi3, 64, AggKind::Sum, 0x3D01)),
+            fingerprint(&template_queries(&small, 32, AggKind::Count, 3)),
+            fingerprint(&template_queries_partial(&taxi3, 2, 64, AggKind::Sum, 10)),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x4a85_5288_be30_eefd,
+                0x1250_3b92_d23b_0916,
+                0x1f79_effd_a74e_e2e2,
+                0x4976_83fe_a2ef_e460,
+            ],
+            "{got:#x?}"
+        );
+    }
+
+    /// A 2-D table whose first column is `first`, second column `0..n`.
+    fn table_2d(first: Vec<f64>) -> Table {
+        let n = first.len();
+        let second = (0..n).map(|i| i as f64).collect();
+        let names = ["v", "a", "b"].map(String::from).to_vec();
+        Table::new(vec![1.0; n], vec![first, second], names).unwrap()
+    }
+
+    #[test]
+    fn template_queries_draw_quantiles_over_non_nan_cells() {
+        let mut first: Vec<f64> = (0..40).map(|i| i as f64).collect();
+        for i in (0..40).step_by(3) {
+            first[i] = f64::NAN;
+        }
+        let t = table_2d(first);
+        let full = template_queries(&t, 30, AggKind::Sum, 4);
+        let partial = template_queries_partial(&t, 2, 30, AggKind::Sum, 4);
+        assert_eq!((full.len(), partial.len()), (30, 30));
+        for q in full.iter().chain(&partial) {
+            let (lo, hi) = (q.rect.lo(0), q.rect.hi(0));
+            assert!(lo <= hi && lo % 3.0 != 0.0 && hi % 3.0 != 0.0, "{q:?}");
+            assert!(q.rect.lo(1) >= 0.0 && q.rect.hi(1) <= 39.0, "{q:?}");
+        }
+        // A column with no non-NaN cell leaves its dimension unbounded.
+        let t = table_2d(vec![f64::NAN; 10]);
+        for q in template_queries(&t, 5, AggKind::Sum, 4)
+            .iter()
+            .chain(&template_queries_partial(&t, 1, 5, AggKind::Sum, 4))
+        {
+            assert_eq!(
+                (q.rect.lo(0), q.rect.hi(0)),
+                (f64::NEG_INFINITY, f64::INFINITY)
+            );
+        }
+        // One non-NaN cell is every quantile.
+        let t = table_2d(vec![f64::NAN, 2.5, f64::NAN]);
+        for q in template_queries(&t, 5, AggKind::Sum, 4) {
+            assert_eq!((q.rect.lo(0), q.rect.hi(0)), (2.5, 2.5));
+        }
+    }
+
+    #[test]
+    fn template_queries_over_a_zero_row_table_are_none() {
+        let t = table_2d(Vec::new());
+        assert!(template_queries(&t, 10, AggKind::Avg, 1).is_empty());
+        assert!(template_queries_partial(&t, 1, 10, AggKind::Avg, 1).is_empty());
     }
 }

@@ -8,7 +8,9 @@
 //! The remaining allocations of a request are the three the public API
 //! keeps: the ticket's shared state (`Ticket::pending`), the answer
 //! `Vec` inside `ServeOutcome::Done`, and the copy `Ticket::wait` hands
-//! the caller. Everything else is per batch.
+//! the caller. Everything else is per batch — on all-hit traffic and,
+//! since a cache miss allocates nothing of its own, on all-miss traffic
+//! too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -123,6 +125,78 @@ fn a_served_request_costs_at_most_four_allocations() {
     let per_request = allocations as f64 / requests as f64;
     assert!(
         per_request <= 4.0,
+        "{allocations} allocations over {requests} requests = {per_request:.2} per request"
+    );
+}
+
+/// The same refresh on all-miss traffic: 64 distinct queries no refresh
+/// has asked before, so every lookup misses, the batch dedups and
+/// computes all 64 and every answer is inserted. A miss costs no
+/// allocation of its own — the dedup, the engine call and the inserts
+/// allocate per batch — so the bound is half an allocation above the
+/// three the API keeps. (With a slot list per distinct miss and a
+/// dedup map grown per batch, this refresh cost 4.46.)
+#[test]
+fn a_cache_miss_costs_no_allocation_of_its_own() {
+    const TILES: usize = 64;
+    const WARMUP: usize = 4;
+    const REFRESHES: usize = 50;
+    let _serial = serial();
+    let mut session = Session::new(uniform(20_000, 7));
+    session.add_engine("pass", &EngineSpec::pass()).unwrap();
+    let serve = session
+        .serve("pass", ServeConfig::new().with_workers(1))
+        .unwrap();
+    let refreshes: Vec<Vec<Query>> = (0..WARMUP + REFRESHES)
+        .map(|r| {
+            (0..TILES)
+                .map(|i| Query::interval(AggKind::Sum, (r * TILES + i) as f64 / 1e5, 0.9))
+                .collect()
+        })
+        .collect();
+    // Expected answers from the raw engine, so the cache stays cold.
+    let engine = session.engine("pass").unwrap();
+    let expected: Vec<Vec<u64>> = refreshes
+        .iter()
+        .map(|qs| {
+            let answers = qs.iter().map(|q| engine.estimate(q).unwrap().value);
+            answers.map(f64::to_bits).collect()
+        })
+        .collect();
+    let mut tickets: Vec<Ticket> = Vec::with_capacity(TILES);
+    let mut mismatches = 0usize;
+    let mut refresh = |r: usize| {
+        tickets.clear();
+        serve.pause();
+        for q in &refreshes[r] {
+            tickets.push(serve.submit_to("pass", q).unwrap());
+        }
+        serve.resume();
+        for (ticket, want) in tickets.iter().zip(&expected[r]) {
+            let got = ticket.wait().results().unwrap();
+            mismatches += usize::from(got[0].as_ref().unwrap().value.to_bits() != *want);
+        }
+    };
+    for r in 0..WARMUP {
+        refresh(r);
+    }
+    let before = session.cache_stats("pass").unwrap();
+    let allocations = allocations_during(|| {
+        for r in WARMUP..WARMUP + REFRESHES {
+            refresh(r);
+        }
+    });
+    let delta = session.cache_stats("pass").unwrap().since(&before);
+    assert_eq!(mismatches, 0, "served answers differ from direct ones");
+    let requests = (TILES * REFRESHES) as u64;
+    assert_eq!(
+        (delta.hits, delta.misses),
+        (0, requests),
+        "every lookup missed"
+    );
+    let per_request = allocations as f64 / requests as f64;
+    assert!(
+        per_request <= 3.5,
         "{allocations} allocations over {requests} requests = {per_request:.2} per request"
     );
 }

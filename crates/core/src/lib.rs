@@ -12,8 +12,8 @@
 //! Build one with [`Pass::from_spec`] from a [`pass_common::PassSpec`] (the
 //! form the engine registry and `pass::Session` use). `estimate` and
 //! `estimate_many` run the same
-//! per-query path on the calling thread's reusable [`McfScratch`] (DFS
-//! stack, frontier, scan and combination buffers), so a batch — or a
+//! per-query path on the calling thread's reusable [`McfScratch`]
+//! (traversal stack, frontier, scan and combination buffers), so a batch — or a
 //! stream of single queries — runs allocation-free once warm;
 //! `pass_common::estimate_many_parallel` shards a batch across a
 //! `pass_common::ThreadPool`, each worker thread riding its own scratch,

@@ -15,6 +15,12 @@
 //! (min == max) contributes its exact value, so it is returned as covered
 //! without touching any samples.
 //!
+//! On a 1-D tree the same frontier, in the same order, comes from walking
+//! two boundary paths instead of searching
+//! ([`McfScratch::run`]): a binary tree whose sibling intervals are
+//! in key order can only be cut by the query's two endpoints, and every
+//! node off their root-to-leaf paths is either covered or disjoint.
+//!
 //! Workload shift (Section 5.4.1) needs no traversal of its own: the tree
 //! is [lifted](PartitionTree::lifted) into the query's space at build
 //! time, after which a constraint on an unindexed dimension makes every
@@ -82,7 +88,8 @@ pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> Mcf
     scratch.result
 }
 
-/// Reusable MCF working state: the DFS stack, the frontier buffers, the
+/// Reusable MCF working state: the DFS stack (in 1-D the right boundary
+/// path's pending covered nodes), the frontier buffers, the
 /// scan-kernel scratch, the stratum-combination buffer, and the batch
 /// path's window buffers.
 ///
@@ -160,7 +167,8 @@ impl McfScratch {
     /// Classify `query` over `tree`, *appending* its frontier to
     /// `self.result` (and its visits to the count): [`run`](Self::run)
     /// clears first, a batch window lays its queries' frontiers end to
-    /// end.
+    /// end. A 1-D tree takes the [two-path descent](Self::descend_1d),
+    /// any other the depth-first search below.
     ///
     /// The disjoint test runs before the emptiness check: most visited
     /// nodes are disjoint siblings along the descent, and classifying them
@@ -177,80 +185,15 @@ impl McfScratch {
         query: &Query,
         zero_variance_rule: bool,
     ) {
-        let result = &mut self.result;
         let apply_zero_var = zero_variance_rule && query.agg == AggKind::Avg;
-        self.stack.clear();
         if tree.dims() == 1 {
-            // Interval fast loop: query bounds and the visit counter live
-            // in registers, and node bounds come straight off the packed
-            // `(lo, hi)` column (node id indexes it directly in 1-D), so a
-            // disjoint node costs one 16-byte load and one fused compare —
-            // paid when its parent expands, so disjoint children never
-            // touch the stack at all. Every child of an expanded node is
-            // still counted in `visited` exactly once (at expansion
-            // instead of at pop), so the total matches the pop-time
-            // formulation node for node, and disjoint nodes emit nothing,
-            // so the frontier — including order — is unchanged.
             let (ql, qh) = (query.rect.lo(0), query.rect.hi(0));
-            let pairs = tree.rect_pairs();
-            let check_empty = tree.has_empty_nodes();
-            let mut visited = 1usize; // the root is always examined
-            let root = tree.root();
-            let (rl, rh) = pairs[root];
-            if rl <= qh && ql <= rh {
-                self.stack.push(root);
-            }
-            while let Some(top) = self.stack.pop() {
-                // Inner descent: a partial internal node hands its last
-                // non-disjoint child straight to the next iteration
-                // (exactly the node the LIFO pop would produce) and only
-                // its earlier surviving siblings touch the stack.
-                let mut id = top;
-                let (mut nl, mut nh) = pairs[id];
-                loop {
-                    // `id` is non-disjoint — tested when pushed/descended.
-                    if check_empty && tree.agg(id).is_empty() {
-                        break;
-                    }
-                    if ql <= nl && nh <= qh {
-                        result.covered.push(id);
-                        break;
-                    }
-                    if apply_zero_var && tree.agg(id).is_zero_variance() {
-                        // 0-variance rule: constant values make AVG exact
-                        // even under partial overlap.
-                        result.zero_var.push(id);
-                        break;
-                    }
-                    let children = tree.children(id);
-                    match children.split_last() {
-                        None => {
-                            result.partial.push(id);
-                            break;
-                        }
-                        Some((&last, rest)) => {
-                            for &sib in rest {
-                                visited += 1;
-                                let (sl, sh) = pairs[sib];
-                                if sl <= qh && ql <= sh {
-                                    self.stack.push(sib);
-                                }
-                            }
-                            visited += 1;
-                            let (ll, lh) = pairs[last];
-                            if ll <= qh && ql <= lh {
-                                (id, nl, nh) = (last, ll, lh);
-                                continue;
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            result.visited += visited;
+            self.descend_1d(tree, ql, qh, apply_zero_var);
             return;
         }
+        let result = &mut self.result;
         let check_empty = tree.has_empty_nodes();
+        self.stack.clear();
         self.stack.push(tree.root());
         while let Some(id) = self.stack.pop() {
             result.visited += 1;
@@ -275,11 +218,157 @@ impl McfScratch {
             }
         }
     }
+
+    /// The 1-D frontier of `[ql, qh]` as two boundary paths instead of a
+    /// search (docs/ARCHITECTURE.md, "MCF traversal", has the argument).
+    ///
+    /// A 1-D tree is binary, and sibling boxes are in key order — the
+    /// left child's box ends where the right child's begins or before —
+    /// inside their parent's box. So the frontier is:
+    ///
+    /// 1. the **shared path** from the root while at most one child meets
+    ///    the query, both bounds cutting;
+    /// 2. at the first node where both children meet it, the **right
+    ///    boundary path** under the right child, where only `qh` can cut:
+    ///    a step whose right child meets the query has a covered left
+    ///    child, and these are emitted bottom-up once the path ends;
+    /// 3. then the **left boundary path** under the left child, where only
+    ///    `ql` can cut: a step whose left child meets the query has a
+    ///    covered right child, emitted top-down as it is met.
+    ///
+    /// That is the order, and the visit count, of the depth-first search,
+    /// which visits a node's right child before its left: the covered,
+    /// partial and zero-variance lists come out identical, node for node.
+    /// Each node the path reaches passes the search's checks in the
+    /// search's order — empty, covered, zero-variance, leaf — and an
+    /// expanded node counts its two children as visited.
+    fn descend_1d(&mut self, tree: &PartitionTree, ql: f64, qh: f64, apply_zero_var: bool) {
+        let Self { stack, result, .. } = self;
+        let pairs = tree.rect_pairs();
+        let meets = |id: NodeId| {
+            let (lo, hi) = pairs[id];
+            lo <= qh && ql <= hi
+        };
+        let walk = Walk1d {
+            tree,
+            check_empty: tree.has_empty_nodes(),
+            apply_zero_var,
+        };
+
+        result.visited += 1;
+        let root = tree.root();
+        if !meets(root) {
+            return;
+        }
+        let mut id = root;
+        let (left, right) = loop {
+            let (lo, hi) = pairs[id];
+            let Some((left, right)) = walk.settle(id, ql <= lo && hi <= qh, result) else {
+                return;
+            };
+            id = match (meets(left), meets(right)) {
+                (true, true) => break (left, right),
+                (true, false) => left,
+                (false, true) => right,
+                (false, false) => return,
+            };
+        };
+
+        // Under `right` every box starts at or after `left`'s end, which
+        // the query reaches: a node meets the query iff it starts by `qh`
+        // and is covered iff it ends by `qh`.
+        stack.clear();
+        let mut id = right;
+        while let Some((l, r)) = walk.settle(id, pairs[id].1 <= qh, result) {
+            id = if pairs[r].0 <= qh {
+                stack.push(l);
+                r
+            } else if pairs[l].0 <= qh {
+                l
+            } else {
+                break;
+            };
+        }
+        for &covered in stack.iter().rev() {
+            walk.settle(covered, true, result);
+        }
+
+        // Under `left` every box ends by `right`'s start, which the query
+        // reaches: a node meets the query iff it ends at or after `ql` and
+        // is covered iff it starts there.
+        let mut id = left;
+        while let Some((l, r)) = walk.settle(id, ql <= pairs[id].0, result) {
+            id = if ql <= pairs[l].1 {
+                walk.settle(r, true, result);
+                l
+            } else if ql <= pairs[r].1 {
+                r
+            } else {
+                break;
+            };
+        }
+    }
+}
+
+/// What the 1-D descent consults at each node it reaches: the tree, and
+/// whether this query runs the search's two optional checks.
+struct Walk1d<'t> {
+    tree: &'t PartitionTree,
+    check_empty: bool,
+    apply_zero_var: bool,
+}
+
+impl Walk1d<'_> {
+    /// The search's checks at node `id`, already known to meet the query
+    /// (`covered` says whether it lies inside it): an empty node is
+    /// skipped, a covered, zero-variance or leaf node emitted, and `None`
+    /// ends the path; an internal node yields its (left, right) children,
+    /// both counted as visited. Always inlined: as a closure it was
+    /// called, not inlined, at its four call sites, which cost `adhoc_1d`
+    /// about 7 % of its throughput (2-vCPU Xeon, one pinned core).
+    #[inline(always)]
+    fn settle(
+        &self,
+        id: NodeId,
+        covered: bool,
+        result: &mut McfResult,
+    ) -> Option<(NodeId, NodeId)> {
+        let tree = self.tree;
+        if self.check_empty && tree.agg(id).is_empty() {
+            return None;
+        }
+        if covered {
+            result.covered.push(id);
+            return None;
+        }
+        if self.apply_zero_var && tree.agg(id).is_zero_variance() {
+            // 0-variance rule: constant values make AVG exact even under
+            // partial overlap.
+            result.zero_var.push(id);
+            return None;
+        }
+        // invariant: a 1-D internal node has exactly two children
+        // (`from_partitioning` pairs nodes, a 1-D k-d split has two sides,
+        // and the snapshot decoder refuses any other shape).
+        let children = tree.children(id);
+        debug_assert!(children.len() != 1 && children.len() <= 2);
+        match (children.first(), children.last()) {
+            (Some(&left), Some(&right)) => {
+                result.visited += 2;
+                Some((left, right))
+            }
+            _ => {
+                result.partial.push(id);
+                None
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pass_common::rng::derive_seed;
     use pass_common::{AggKind, Query};
     use pass_partition::Partitioning1D;
     use pass_table::SortedTable;
@@ -484,6 +573,364 @@ mod tests {
         )
         .unwrap();
         assert!(pass.estimate_many(&[]).is_empty());
+    }
+
+    /// The 1-D search the two-path descent replaced, kept as the
+    /// reference it is held to: a push-filtered depth-first search that
+    /// tests each child when its parent expands, counts it visited there,
+    /// and takes a node's children right to left.
+    fn dfs_1d(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> McfResult {
+        let mut result = McfResult::default();
+        let mut stack = Vec::new();
+        let apply_zero_var = zero_variance_rule && query.agg == AggKind::Avg;
+        let (ql, qh) = (query.rect.lo(0), query.rect.hi(0));
+        let pairs = tree.rect_pairs();
+        let check_empty = tree.has_empty_nodes();
+        let mut visited = 1usize; // the root is always examined
+        let root = tree.root();
+        let (rl, rh) = pairs[root];
+        if rl <= qh && ql <= rh {
+            stack.push(root);
+        }
+        while let Some(top) = stack.pop() {
+            // A partial internal node hands its last non-disjoint child
+            // straight to the next iteration and only its earlier
+            // surviving siblings touch the stack.
+            let mut id = top;
+            let (mut nl, mut nh) = pairs[id];
+            loop {
+                if check_empty && tree.agg(id).is_empty() {
+                    break;
+                }
+                if ql <= nl && nh <= qh {
+                    result.covered.push(id);
+                    break;
+                }
+                if apply_zero_var && tree.agg(id).is_zero_variance() {
+                    result.zero_var.push(id);
+                    break;
+                }
+                match tree.children(id).split_last() {
+                    None => {
+                        result.partial.push(id);
+                        break;
+                    }
+                    Some((&last, rest)) => {
+                        for &sib in rest {
+                            visited += 1;
+                            let (sl, sh) = pairs[sib];
+                            if sl <= qh && ql <= sh {
+                                stack.push(sib);
+                            }
+                        }
+                        visited += 1;
+                        let (ll, lh) = pairs[last];
+                        if ll <= qh && ql <= lh {
+                            (id, nl, nh) = (last, ll, lh);
+                            continue;
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+        result.visited = visited;
+        result
+    }
+
+    /// Every internal node of a 1-D tree has two children whose boxes are
+    /// in key order — the left one ends where the right one starts or
+    /// before — and whose hull is their parent's box.
+    fn assert_siblings_ordered(t: &PartitionTree, ctx: &str) {
+        for id in 0..t.n_nodes() {
+            let (lo, hi) = t.rect_pairs()[id];
+            match *t.children(id) {
+                [] => {}
+                [l, r] => {
+                    let (ll, lh) = t.rect_pairs()[l];
+                    let (rl, rh) = t.rect_pairs()[r];
+                    assert!(lh <= rl, "{ctx}: node {id}: [{ll}, {lh}] then [{rl}, {rh}]");
+                    assert_eq!((ll, rh), (lo, hi), "{ctx}: node {id}");
+                }
+                ref other => panic!("{ctx}: node {id} has children {other:?}"),
+            }
+        }
+    }
+
+    /// A deterministic unit-interval stream: `derive_seed` over a counter.
+    fn unit(state: &mut u64) -> f64 {
+        *state += 1;
+        (derive_seed(0x27, *state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Queries whose bounds come from the tree as it is now: node box
+    /// endpoints (cut keys, shared by touching siblings), points on them,
+    /// points and intervals in the gaps between sibling boxes, everything
+    /// up to or from a box's end, the whole line, intervals beyond either
+    /// end, and random spans — each asked as AVG (the zero-variance rule)
+    /// and SUM.
+    fn probe_queries(t: &PartitionTree, state: &mut u64) -> Vec<Query> {
+        let pairs = t.rect_pairs();
+        let (root_lo, root_hi) = pairs[t.root()];
+        let (lo_end, hi_end) = (root_lo.max(-1e6), root_hi.min(1e6));
+        let span = hi_end - lo_end;
+        let node = |state: &mut u64| pairs[(unit(state) * pairs.len() as f64) as usize];
+        // The key range between a node's two children.
+        let gap = |state: &mut u64| {
+            let id = (unit(state) * t.n_nodes() as f64) as usize;
+            match *t.children(id) {
+                [l, r] => (pairs[l].1, pairs[r].0),
+                _ => node(state),
+            }
+        };
+        let mut out = Vec::new();
+        for i in 0..144 {
+            let (lo, hi) = match i % 12 {
+                0 => (f64::NEG_INFINITY, f64::INFINITY),
+                1 => (root_hi + 1.0, root_hi + 2.0 + unit(state)),
+                2 => (f64::NEG_INFINITY, root_lo - unit(state) - 1.0),
+                3 => {
+                    let key = node(state).0;
+                    (key, key)
+                }
+                4 => {
+                    let (a, b) = gap(state);
+                    ((a + b) / 2.0, (a + b) / 2.0)
+                }
+                5 => gap(state),
+                6 => (node(state).1, node(state).0),
+                7 => (node(state).0, node(state).1),
+                8 => (f64::NEG_INFINITY, node(state).1),
+                9 => (node(state).0, f64::INFINITY),
+                _ => {
+                    let a = lo_end + (1.2 * unit(state) - 0.1) * span;
+                    (a, a + unit(state) * unit(state) * span)
+                }
+            };
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            out.push(Query::interval(AggKind::Avg, lo, hi));
+            out.push(Query::interval(AggKind::Sum, lo, hi));
+        }
+        out
+    }
+
+    /// What the differential runs saw, so a run that never reached a case
+    /// fails rather than passing vacuously.
+    #[derive(Default)]
+    struct Seen {
+        zero_var: usize,
+        zero_var_internal: usize,
+        covered_runs: usize,
+        partial_pairs: usize,
+        empty_trees: usize,
+        point_hits: usize,
+    }
+
+    /// Hold the descent to the search on `queries`, with and without the
+    /// zero-variance rule: the three lists, in order, and the visit count.
+    fn assert_descent_matches_dfs(
+        t: &PartitionTree,
+        queries: &[Query],
+        seen: &mut Seen,
+        ctx: &str,
+    ) {
+        let mut scratch = McfScratch::default();
+        for q in queries {
+            for zero_var in [false, true] {
+                scratch.run(t, q, zero_var);
+                let (got, want) = (&scratch.result, dfs_1d(t, q, zero_var));
+                let what = format!("{ctx}: {q:?} zero_var={zero_var}");
+                assert_eq!(got.covered, want.covered, "covered, {what}");
+                assert_eq!(got.partial, want.partial, "partial, {what}");
+                assert_eq!(got.zero_var, want.zero_var, "zero_var, {what}");
+                assert_eq!(got.visited, want.visited, "visited, {what}");
+                seen.zero_var += usize::from(!got.zero_var.is_empty());
+                let internal = got.zero_var.iter().any(|&id| !t.is_leaf(id));
+                seen.zero_var_internal += usize::from(internal);
+                seen.covered_runs += usize::from(got.covered.len() >= 3);
+                seen.partial_pairs += usize::from(got.partial.len() == 2);
+                let point = q.rect.lo(0) == q.rect.hi(0);
+                seen.point_hits += usize::from(point && !got.partial.is_empty());
+            }
+        }
+        seen.empty_trees += usize::from(t.has_empty_nodes());
+    }
+
+    /// 3 000 rows keyed `0..1 000` and `1 400..1 900` — every key twice,
+    /// so equal keys straddle equal-depth cuts and sibling boxes touch,
+    /// and a gap — except that rows `600..750` share key 300. Cut into 48
+    /// equal-depth leaves (a cut every 62.5 rows), that is two leaves
+    /// holding key 300 alone, the leaf before them ending on it, and the
+    /// gap `301..375` after them. The values of keys `600..800` are all 5,
+    /// so zero-variance leaves and internal nodes exist.
+    fn differential_table() -> pass_table::Table {
+        let key = |i: usize| match (i / 2) as f64 {
+            k if (300.0..375.0).contains(&k) => 300.0,
+            k if k < 1_000.0 => k,
+            k => k + 400.0,
+        };
+        let constant = |k: f64| (600.0..800.0).contains(&k);
+        let mut state = 0xd1ff;
+        let (mut keys, mut values) = (Vec::new(), Vec::new());
+        for i in 0..3_000 {
+            let k = key(i);
+            keys.push(k);
+            values.push(if constant(k) {
+                5.0
+            } else {
+                100.0 * unit(&mut state)
+            });
+        }
+        pass_table::Table::one_dim(keys, values).unwrap()
+    }
+
+    /// `t` encoded and decoded back: the snapshot decoder must accept
+    /// every tree a build and updates leave.
+    fn reloaded(t: &PartitionTree) -> PartitionTree {
+        use pass_common::snapshot::{Codec, Cursor};
+        let mut bytes = Vec::new();
+        t.encode(&mut bytes);
+        let mut c = Cursor::new(&bytes, "tree");
+        let loaded = PartitionTree::decode(&mut c).unwrap();
+        c.done().unwrap();
+        loaded
+    }
+
+    #[test]
+    fn descent_matches_the_search_on_built_and_updated_trees() {
+        use pass_common::{PartitionStrategy, PassSpec};
+        let table = differential_table();
+        let strategies = [
+            ("ADP(SUM)", PartitionStrategy::Adp(AggKind::Sum), None),
+            ("ADP(AVG)", PartitionStrategy::Adp(AggKind::Avg), None),
+            ("EqualDepth", PartitionStrategy::EqualDepth, None),
+            ("HillClimb", PartitionStrategy::HillClimb, None),
+            (
+                "1-D k-d",
+                PartitionStrategy::Adp(AggKind::Sum),
+                Some(vec![0]),
+            ),
+        ];
+        let mut seen = Seen::default();
+        let mut touching = 0;
+        for (name, strategy, tree_dims) in strategies {
+            let spec = PassSpec {
+                partitions: 48,
+                sample_rate: 0.05,
+                strategy,
+                tree_dims,
+                seed: 27,
+                ..PassSpec::default()
+            };
+            let mut pass = crate::Pass::from_spec(&table, &spec).unwrap();
+            let mut state = 0x27;
+            assert_siblings_ordered(&pass.tree, name);
+            let queries = probe_queries(&pass.tree, &mut state);
+            assert_descent_matches_dfs(&pass.tree, &queries, &mut seen, name);
+            touching += (0..pass.tree.n_nodes())
+                .filter(|&id| match *pass.tree.children(id) {
+                    [l, r] => pass.tree.rect_pairs()[l].1 == pass.tree.rect_pairs()[r].0,
+                    _ => false,
+                })
+                .count();
+            if matches!(strategy, PartitionStrategy::EqualDepth) {
+                // A leaf holding key 300 alone, after one ending on it and
+                // before a gap: an insert in the gap after 300 is as near
+                // to both.
+                let leaves = pass.tree.leaves_in_key_order();
+                let bounds = |id: NodeId| pass.tree.rect_pairs()[id];
+                assert!(
+                    leaves.windows(3).any(|w| {
+                        bounds(w[0]).1 == 300.0
+                            && bounds(w[1]) == (300.0, 300.0)
+                            && bounds(w[2]).0 > 300.0
+                    }),
+                    "{name}: no single-key leaf between one ending on its key and a gap"
+                );
+            }
+
+            // 25 000 inserts and deletes in phases — mixed, draining, then
+            // refilling — so leaves empty out and fill again. Inserts land
+            // in the gap, on cut keys, just past a box's end, beyond
+            // either end of the data and at random; the zero-variance band
+            // keeps its constant value. Every 1 000 ops the tree goes
+            // through the snapshot codec, and the decoded tree is checked.
+            let mut live: Vec<(f64, f64)> = (0..table.n_rows())
+                .map(|r| (table.predicate(0, r), table.value(r)))
+                .collect();
+            for op in 0..25_000 {
+                let insert = match op / 2_500 % 3 {
+                    0 => unit(&mut state) < 0.5,
+                    1 => unit(&mut state) < 0.1,
+                    _ => unit(&mut state) < 0.9,
+                };
+                if insert || live.is_empty() {
+                    let pairs = pass.tree.rect_pairs();
+                    let box_of =
+                        |state: &mut u64| pairs[(unit(state) * pairs.len() as f64) as usize];
+                    let key = match op % 6 {
+                        0 => 1_000.0 + 400.0 * unit(&mut state),
+                        1 => box_of(&mut state).0,
+                        2 => box_of(&mut state).1 + 0.5 * unit(&mut state),
+                        3 => 1_900.0 + 50.0 * unit(&mut state),
+                        4 => -50.0 * unit(&mut state),
+                        _ => (1_900.0 * unit(&mut state)).floor(),
+                    };
+                    let value = match (600.0..800.0).contains(&key) {
+                        true => 5.0,
+                        false => 100.0 * unit(&mut state),
+                    };
+                    pass.insert(&[key], value).unwrap();
+                    live.push((key, value));
+                } else {
+                    // Draining deletes the row nearest a target that moves
+                    // every 100 ops, so whole leaves empty out.
+                    let target = 1_900.0 * unit(&mut (op as u64 / 100));
+                    let pick = match op / 2_500 % 3 {
+                        1 => (0..live.len())
+                            .min_by(|&a, &b| {
+                                let d = |i: usize| (live[i].0 - target).abs();
+                                d(a).total_cmp(&d(b))
+                            })
+                            .unwrap(),
+                        _ => (unit(&mut state) * live.len() as f64) as usize,
+                    };
+                    let (key, value) = live[pick];
+                    // A row whose key is shared with a lower leaf is
+                    // routed there; once that leaf is empty, the delete
+                    // is refused and the row stays live.
+                    if pass.delete(&[key], value).is_ok() {
+                        live.swap_remove(pick);
+                    }
+                }
+                if op % 1_000 == 999 {
+                    let ctx = format!("{name} after {} ops", op + 1);
+                    assert_siblings_ordered(&pass.tree, &ctx);
+                    let loaded = reloaded(&pass.tree);
+                    assert_eq!(loaded.rect_pairs(), pass.tree.rect_pairs(), "{ctx}");
+                    let queries = probe_queries(&loaded, &mut state);
+                    assert_descent_matches_dfs(&loaded, &queries, &mut seen, &ctx);
+                }
+            }
+        }
+        let Seen {
+            zero_var,
+            zero_var_internal,
+            covered_runs,
+            partial_pairs,
+            empty_trees,
+            point_hits,
+        } = seen;
+        assert!(touching > 10, "touching siblings: {touching}");
+        assert!(zero_var > 100, "zero-variance frontiers: {zero_var}");
+        assert!(zero_var_internal > 10, "internal ones: {zero_var_internal}");
+        assert!(
+            covered_runs > 1_000,
+            "three or more covered: {covered_runs}"
+        );
+        assert!(partial_pairs > 1_000, "two partial leaves: {partial_pairs}");
+        assert!(empty_trees > 10, "checks with an empty node: {empty_trees}");
+        assert!(point_hits > 100, "point queries in a leaf: {point_hits}");
     }
 
     #[test]

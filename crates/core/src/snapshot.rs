@@ -24,7 +24,10 @@
 //!
 //! Decoding validates every rectangle (no NaN bound, `lo <= hi`), every
 //! leaf index, and the shape: one walk from the root must reach every node
-//! exactly once, each through the link its `parent` entry names. So a
+//! exactly once, each through the link its `parent` entry names, and in a
+//! 1-D tree every internal node has two children in key order whose hull
+//! is its interval — the shape the 1-D frontier descent walks and 1-D
+//! updates keep. So a
 //! drifted but checksum-valid payload fails with
 //! `SnapshotError::SpecMismatch` at load time instead of panicking — or
 //! looping forever — at query time.
@@ -131,6 +134,9 @@ impl Codec for PartitionTree {
                 }
                 stack.push(kid);
             }
+            if dims == 1 {
+                ordered_halves(id, kids, &rect).map_err(|why| c.drift(why))?;
+            }
             reached += kids.len();
         }
         if reached != n_nodes {
@@ -162,6 +168,46 @@ impl Codec for PartitionTree {
             loose_extrema,
         })
     }
+}
+
+/// What the 1-D frontier descent (`McfScratch::run`) relies on at node
+/// `id` of a 1-D tree: no children, or exactly two whose intervals are in
+/// key order — the left one ends where the right one starts or before —
+/// and whose hull is `id`'s own interval. Every constructor's 1-D tree has
+/// this shape, and updates keep it (docs/ARCHITECTURE.md, "MCF
+/// traversal"); a parent wider than its children would let an update grow
+/// it past its sibling.
+fn ordered_halves(
+    id: NodeId,
+    kids: &[NodeId],
+    rect: &[(f64, f64)],
+) -> std::result::Result<(), String> {
+    let &[left, right] = kids else {
+        return match kids.len() {
+            0 => Ok(()),
+            n => Err(format!("1-D node {id} has {n} children, not two")),
+        };
+    };
+    let bounds = |n: NodeId| {
+        rect.get(n)
+            .copied()
+            .ok_or(format!("node {n} has no interval"))
+    };
+    let ((lo, hi), (ll, lh), (rl, rh)) = (bounds(id)?, bounds(left)?, bounds(right)?);
+    if lh > rl {
+        return Err(format!(
+            "children of node {id} are out of key order or overlap: \
+             [{ll}, {lh}] then [{rl}, {rh}]"
+        ));
+    }
+    // In key order, the outer two bounds are the hull.
+    if (ll, rh) != (lo, hi) {
+        return Err(format!(
+            "node {id}'s interval [{lo}, {hi}] is not the hull of its children: \
+             [{ll}, {lh}] then [{rl}, {rh}]"
+        ));
+    }
+    Ok(())
 }
 
 /// Append a PASS synopsis' state sections: the tree, then the per-leaf
@@ -366,5 +412,64 @@ mod tests {
         let (_, [a, _], _) = shape(&drifted);
         drifted.tree.child_span[a].1 = 0;
         assert!(assert_load_rejects(&drifted).contains("unreachable"));
+    }
+
+    #[test]
+    fn a_1d_internal_node_without_two_children_fails_at_load() {
+        // The root keeps its left child only; the right subtree would be
+        // unreachable, but the root's own shape is refused first.
+        let mut drifted = small_pass();
+        let (root, _, _) = shape(&drifted);
+        drifted.tree.child_span[root].1 = 1;
+        assert!(assert_load_rejects(&drifted).contains("has 1 children, not two"));
+    }
+
+    #[test]
+    fn one_dimensional_siblings_out_of_key_order_fail_at_load() {
+        // The root lists its right half first: links and parents agree.
+        let mut drifted = small_pass();
+        let (root, [a, b], _) = shape(&drifted);
+        let start = drifted.tree.child_span[root].0 as usize;
+        drifted.tree.child_flat[start..start + 2].copy_from_slice(&[b, a]);
+        assert!(assert_load_rejects(&drifted).contains("out of key order"));
+    }
+
+    #[test]
+    fn one_dimensional_siblings_overlapping_beyond_a_shared_endpoint_fail_at_load() {
+        // Two sibling leaves: the left one's end is inside its parent's
+        // hull either way.
+        let pass = small_pass();
+        let leaf = pass.tree.leaves()[0];
+        let parent = pass.tree.parent(leaf).unwrap();
+        let [a, b] = [0, 1].map(|i| pass.tree.children(parent)[i]);
+        let (b_lo, b_hi) = pass.tree.rect[b];
+        // Touching the sibling is legal (equal keys straddle a cut) ...
+        let mut touching = pass.clone();
+        touching.tree.rect[a].1 = b_lo;
+        assert_eq!(roundtrip(&touching).tree.rect, touching.tree.rect);
+        // ... reaching past its start is not.
+        let mut drifted = pass;
+        drifted.tree.rect[a].1 = (b_lo + b_hi) / 2.0;
+        assert!(assert_load_rejects(&drifted).contains("overlap"));
+    }
+
+    #[test]
+    fn a_1d_child_outside_its_parents_interval_fails_at_load() {
+        let mut drifted = small_pass();
+        let (root, [a, _], _) = shape(&drifted);
+        let (lo, _) = drifted.tree.rect[root];
+        drifted.tree.rect[a].0 = lo - 1.0;
+        assert!(assert_load_rejects(&drifted).contains("not the hull"));
+    }
+
+    #[test]
+    fn a_1d_parent_wider_than_its_children_fails_at_load() {
+        // A node wider than its children could be overtaken by a
+        // neighbour that an update grows into the slack: only the exact
+        // hull loads.
+        let mut drifted = small_pass();
+        let (root, _, _) = shape(&drifted);
+        drifted.tree.rect[root].1 += 1.0;
+        assert!(assert_load_rejects(&drifted).contains("not the hull"));
     }
 }

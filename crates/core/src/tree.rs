@@ -37,7 +37,9 @@
 //!
 //! The same tree is the update path's index: `locate_leaf` finds the leaf
 //! a point belongs to by a nearest-child-first branch-and-bound from the
-//! root instead of a scan over the leaves.
+//! root instead of a scan over the leaves. In a 1-D tree it breaks ties so
+//! that no update moves a box past its neighbour: siblings stay in key
+//! order, and every node's interval stays the hull of its children's.
 //!
 //! Trees come from two constructors:
 //! * [`PartitionTree::from_partitioning`] — 1-D: optimizer leaves paired
@@ -400,40 +402,65 @@ impl PartitionTree {
     }
 
     /// The leaf an update at `point` belongs to, with its sample slot:
-    /// the leaf of least [L1 box distance](Self::box_distance), ties to
-    /// the lowest leaf index — so a point inside one or more leaf boxes
-    /// goes to the lowest-indexed of them, and a point in a gap between
-    /// the tight boxes (or outside the root's) to the nearest leaf.
-    /// `None` only for a tree without leaves.
+    /// the leaf of least [L1 box distance](Self::box_distance). A point
+    /// inside one or more leaf boxes goes to the lowest-indexed of them.
+    /// A point in a gap between the tight boxes (or outside the root's)
+    /// goes to the nearest leaf; among equally near ones, a
+    /// multi-dimensional tree takes the lowest leaf index, and a 1-D tree
+    /// the last leaf in key order that ends below the point if it ties,
+    /// else the first that starts above it. `None` only for a tree
+    /// without leaves.
+    ///
+    /// The 1-D rule picks a leaf beside the point's gap, so growing it to
+    /// the point moves no box past its neighbour — the order the 1-D MCF
+    /// descent relies on (docs/ARCHITECTURE.md, "MCF traversal"). Lowest
+    /// index would not do: a single-key leaf `[5, 5]` and its left
+    /// neighbour `[a, 5]` are equally near 6, and growing the neighbour
+    /// takes it past the single-key leaf.
     ///
     /// Branch-and-bound from the root, nearest child first: a node's box
     /// contains its descendants' boxes, so its distance bounds theirs from
     /// below and a subtree farther than the best leaf so far is skipped.
     /// A contained point costs depth × fan-out distance tests; equal
-    /// distances are never pruned, because leaf indices follow node ids,
-    /// not visiting order, and the tie has to be compared.
+    /// distances are never pruned, because neither leaf indices nor key
+    /// order follow the visiting order, and the tie has to be compared.
     pub(crate) fn locate_leaf(&self, point: &[f64]) -> Option<(NodeId, usize)> {
         debug_assert_eq!(point.len(), self.dims);
         let mut best = NearestLeaf {
             dist: f64::INFINITY,
             leaf_index: usize::MAX,
             id: None,
+            below: false,
         };
         let root_dist = self.box_distance(self.root, point);
-        self.nearest_leaf_under(self.root, root_dist, point, &mut best);
+        self.nearest_leaf_under(self.root, root_dist, point, false, &mut best);
         best.id.map(|id| (id, best.leaf_index))
     }
 
-    fn nearest_leaf_under(&self, id: NodeId, dist: f64, point: &[f64], best: &mut NearestLeaf) {
+    /// The search under node `id`. `best_before` says whether the best
+    /// leaf so far lies before this subtree in key order — what a 1-D tie
+    /// is broken by; a 1-D node's children are in key order, so it is
+    /// known from the child the best leaf last came from.
+    fn nearest_leaf_under(
+        &self,
+        id: NodeId,
+        dist: f64,
+        point: &[f64],
+        best_before: bool,
+        best: &mut NearestLeaf,
+    ) {
         let children = self.children(id);
         if children.is_empty() {
             if let Some(leaf_index) = self.leaf_index[id] {
-                if (dist, leaf_index) < (best.dist, best.leaf_index) {
-                    *best = NearestLeaf {
-                        dist,
-                        leaf_index,
-                        id: Some(id),
-                    };
+                let below = self.dims == 1 && point[0] > self.rect[id].1;
+                let candidate = NearestLeaf {
+                    dist,
+                    leaf_index,
+                    id: Some(id),
+                    below,
+                };
+                if candidate.beats(best, best_before, self.dims == 1) {
+                    *best = candidate;
                 }
             }
             return;
@@ -447,13 +474,22 @@ impl PartitionTree {
                 nearest = (pos, child_dist);
             }
         }
+        let mut found_in = None;
+        let mut visit = |pos: usize, child_dist: f64, best: &mut NearestLeaf| {
+            let before = found_in.map_or(best_before, |found: usize| found < pos);
+            let held = best.id;
+            self.nearest_leaf_under(children[pos], child_dist, point, before, best);
+            if best.id != held {
+                found_in = Some(pos);
+            }
+        };
         if nearest.1 <= best.dist {
-            self.nearest_leaf_under(children[nearest.0], nearest.1, point, best);
+            visit(nearest.0, nearest.1, best);
         }
         for (pos, &child) in children.iter().enumerate() {
             let child_dist = self.box_distance(child, point);
             if pos != nearest.0 && child_dist <= best.dist {
-                self.nearest_leaf_under(child, child_dist, point, best);
+                visit(pos, child_dist, best);
             }
         }
     }
@@ -536,6 +572,32 @@ struct NearestLeaf {
     dist: f64,
     leaf_index: usize,
     id: Option<NodeId>,
+    /// In a 1-D tree: the leaf ends below the point.
+    below: bool,
+}
+
+impl NearestLeaf {
+    /// Whether this leaf replaces `best` ([`PartitionTree::locate_leaf`]
+    /// has the rule); `best_before` says `best` precedes it in key order.
+    fn beats(&self, best: &NearestLeaf, best_before: bool, one_dim: bool) -> bool {
+        if best.id.is_none() || self.dist < best.dist {
+            return true;
+        }
+        if self.dist > best.dist {
+            return false;
+        }
+        if !one_dim || self.dist == 0.0 {
+            return self.leaf_index < best.leaf_index;
+        }
+        match (best.below, self.below) {
+            // Two leaves ending below the point: the later one.
+            (true, true) => best_before,
+            // Two starting above it: the earlier one.
+            (false, false) => !best_before,
+            // One on each side: the one below.
+            (_, below) => below,
+        }
+    }
 }
 
 fn range_aggregates(sorted: &SortedTable, range: std::ops::Range<usize>) -> Aggregates {
@@ -548,11 +610,7 @@ impl PartitionTree {
     /// The rule [`locate_leaf`](Self::locate_leaf) implements, as the scan
     /// over every leaf it replaced — the oracle the search is pinned to.
     pub(crate) fn locate_leaf_linear(&self, point: &[f64]) -> Option<NodeId> {
-        let mut best: Option<(NodeId, f64)> = None;
-        for id in self.leaves() {
-            if self.contains_point(id, point) {
-                return Some(id);
-            }
+        let dist = |id: NodeId| {
             let mut dist = 0.0;
             for (d, &p) in point.iter().enumerate() {
                 let (lo, hi) = (self.rect_lo(id, d), self.rect_hi(id, d));
@@ -562,11 +620,46 @@ impl PartitionTree {
                     dist += p - hi;
                 }
             }
-            if best.is_none_or(|(_, b)| dist < b) {
-                best = Some((id, dist));
+            dist
+        };
+        let mut best: Option<(NodeId, f64)> = None;
+        for id in self.leaves() {
+            if self.contains_point(id, point) {
+                return Some(id);
+            }
+            if best.is_none_or(|(_, b)| dist(id) < b) {
+                best = Some((id, dist(id)));
             }
         }
-        best.map(|(id, _)| id)
+        let (_, least) = best?;
+        if self.dims != 1 {
+            return best.map(|(id, _)| id);
+        }
+        // The leaves at that distance in key order: the last below the
+        // point, else the first above it.
+        let ties: Vec<NodeId> = self
+            .leaves_in_key_order()
+            .into_iter()
+            .filter(|&id| dist(id) == least)
+            .collect();
+        ties.iter()
+            .rev()
+            .find(|&&id| point[0] > self.rect_hi(id, 0))
+            .or(ties.first())
+            .copied()
+    }
+
+    /// The leaves left to right: children in child order, which in a 1-D
+    /// tree is key order.
+    pub(crate) fn leaves_in_key_order(&self) -> Vec<NodeId> {
+        let (mut out, mut stack) = (Vec::new(), vec![self.root]);
+        while let Some(id) = stack.pop() {
+            match self.children(id) {
+                [] => out.push(id),
+                kids => stack.extend(kids.iter().rev()),
+            }
+        }
+        out
     }
 }
 
@@ -805,6 +898,37 @@ mod tests {
             while let Some(id) = cursor {
                 assert!(widened.contains_point(id, &[point]), "node {id} at {point}");
                 cursor = widened.parent(id);
+            }
+        }
+    }
+
+    #[test]
+    fn a_point_beside_single_key_leaves_grows_the_leaf_next_to_its_gap() {
+        // Leaves [0, 5], [5, 5], [5, 5] and [8, 9]: three end on key 5.
+        let keys = vec![0.0, 1.0, 5.0, 5.0, 5.0, 5.0, 5.0, 8.0, 9.0];
+        let s = SortedTable::from_sorted(keys.clone(), keys);
+        let p = Partitioning1D::new(9, vec![3, 5, 7]).unwrap();
+        let mut t = PartitionTree::from_partitioning(&s, &p).unwrap();
+        let leaves = t.leaves();
+        for (point, expect) in [
+            // Inside boxes: the lowest index that holds the point.
+            (5.0, 0),
+            (4.0, 0),
+            // Equally near all three leaves ending on 5: the last of them.
+            (6.0, 2),
+            // Equally near [5, 6] below and [8, 9] above: the one below.
+            (7.0, 2),
+            (f64::INFINITY, 3),
+            (f64::NEG_INFINITY, 0),
+        ] {
+            let (leaf, _) = t.locate_leaf(&[point]).unwrap();
+            assert_eq!(leaf, leaves[expect], "{point}");
+            assert_eq!(t.locate_leaf_linear(&[point]), Some(leaf), "{point}");
+            t.insert_on_path(leaf, &[point], 1.0);
+            for id in 0..t.n_nodes() {
+                if let [l, r] = *t.children(id) {
+                    assert!(t.rect_hi(l, 0) <= t.rect_lo(r, 0), "{point}: node {id}");
+                }
             }
         }
     }

@@ -86,7 +86,7 @@ impl Adp {
         &self,
         sorted: &SortedTable,
         k: usize,
-        dp: impl FnOnce(&PrefixSums, usize) -> Vec<usize>,
+        dp: impl FnOnce(&PrefixSums, usize) -> Result<Vec<usize>>,
     ) -> Result<Partitioning1D> {
         let n = sorted.len();
         let m = self.opt_samples.clamp(1, n);
@@ -102,7 +102,7 @@ impl Adp {
         let sample_values: Vec<f64> = positions.iter().map(|&i| sorted.value(i)).collect();
         let prefix = PrefixSums::build(&sample_values);
 
-        let sample_cuts = dp(&prefix, m);
+        let sample_cuts = dp(&prefix, m)?;
 
         // Map sample cuts to full-data boundaries: the cut before sample
         // item c lands before the first full row sharing that item's key,
@@ -137,15 +137,15 @@ impl Partitioner1D for Adp {
             // Lemma A.1: the COUNT optimum is the equal-size partitioning.
             AggKind::Count => Partitioning1D::new(n, equal_count_cuts(n, k)),
             AggKind::Sum => self.partition_sampled(sorted, k, |prefix, m| {
-                let oracle = MedianSplit::new(VarianceOracle::new(prefix, AggKind::Sum));
-                dp_cuts(m, k, 1, &oracle, SearchStrategy::Binary).0
+                let oracle = MedianSplit::new(VarianceOracle::new(prefix, AggKind::Sum)?);
+                Ok(dp_cuts(m, k, 1, &oracle, SearchStrategy::Binary).0)
             }),
             AggKind::Avg => self.partition_sampled(sorted, k, |prefix, m| {
                 let delta_m = self.delta_m(m, k);
                 let oracle = WindowIndex::build(prefix, delta_m);
                 // Partitions must hold at least 2δm samples for the window
                 // oracle's scores to be meaningful (Lemma A.4's premise).
-                dp_cuts(m, k, 2 * delta_m, &oracle, SearchStrategy::Binary).0
+                Ok(dp_cuts(m, k, 2 * delta_m, &oracle, SearchStrategy::Binary).0)
             }),
             AggKind::Min | AggKind::Max => Err(PassError::InvalidParameter(
                 "strategy_agg",
@@ -215,7 +215,7 @@ mod tests {
     }
 
     fn objective(sorted: &SortedTable, p: &Partitioning1D, kind: AggKind) -> f64 {
-        let oracle = Exhaustive::new(VarianceOracle::new(sorted.prefix(), kind), 1);
+        let oracle = Exhaustive::new(VarianceOracle::new(sorted.prefix(), kind).unwrap(), 1);
         p.ranges()
             .into_iter()
             .map(|r| oracle.max_variance(r.start, r.end))

@@ -345,13 +345,13 @@ mod tests {
             let shape = trial % 4;
             let values = shaped_values(shape, n, &mut rng);
             let prefix = PrefixSums::build(&values);
-            let sum = MedianSplit::new(VarianceOracle::new(&prefix, AggKind::Sum));
-            let count = MedianSplit::new(VarianceOracle::new(&prefix, AggKind::Count));
+            let sum = MedianSplit::new(VarianceOracle::new(&prefix, AggKind::Sum).unwrap());
+            let count = MedianSplit::new(VarianceOracle::new(&prefix, AggKind::Count).unwrap());
             let window = WindowIndex::build(&prefix, rng.gen_range(1..6));
             // O(len²) per call, so tabulated once per input.
             let exhaustive = (n <= 60).then(|| {
                 Tabulated::of(
-                    &Exhaustive::new(VarianceOracle::new(&prefix, AggKind::Avg), 2),
+                    &Exhaustive::new(VarianceOracle::new(&prefix, AggKind::Avg).unwrap(), 2),
                     n,
                 )
             });
@@ -381,7 +381,7 @@ mod tests {
         let mut rng = rng_from_seed(0xC02);
         let values = shaped_values(2, m, &mut rng);
         let prefix = PrefixSums::build(&values);
-        let oracle = MedianSplit::new(VarianceOracle::new(&prefix, AggKind::Sum));
+        let oracle = MedianSplit::new(VarianceOracle::new(&prefix, AggKind::Sum).unwrap());
         let layered = Counting::new(&oracle, m);
         let reference = dp_cuts_layered(m, k, 1, &layered, SearchStrategy::Binary);
         let column = Counting::new(&oracle, m);
@@ -460,7 +460,7 @@ mod tests {
             .map(|i| if i < 30 { 0.0 } else { (i * 13 % 17) as f64 })
             .collect();
         let p = PrefixSums::build(&v);
-        let oracle = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum), 1);
+        let oracle = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum).unwrap(), 1);
         for k in [2, 3, 4, 6] {
             let (_, lin) = dp_cuts(40, k, 1, &oracle, SearchStrategy::Linear);
             let (_, bin) = dp_cuts(40, k, 1, &oracle, SearchStrategy::Binary);
@@ -479,7 +479,7 @@ mod tests {
             .map(|i| if i < 30 { 0.0 } else { ((i * 37) % 101) as f64 })
             .collect();
         let p = PrefixSums::build(&v);
-        let oracle = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum), 1);
+        let oracle = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum).unwrap(), 1);
         let (cuts, _) = dp_cuts(40, 4, 1, &oracle, SearchStrategy::Linear);
         assert!(
             cuts.iter().filter(|&&c| c >= 28).count() >= 2,
@@ -491,7 +491,7 @@ mod tests {
     fn objective_weakly_decreases_with_more_buckets() {
         let v: Vec<f64> = (0..30).map(|i| ((i * 7) % 23) as f64).collect();
         let p = PrefixSums::build(&v);
-        let oracle = Exhaustive::new(VarianceOracle::new(&p, AggKind::Avg), 2);
+        let oracle = Exhaustive::new(VarianceOracle::new(&p, AggKind::Avg).unwrap(), 2);
         let mut last = f64::INFINITY;
         for k in 1..=6 {
             let (_, obj) = dp_cuts(30, k, 1, &oracle, SearchStrategy::Linear);

@@ -38,7 +38,7 @@ impl Partitioner1D for NaiveDp {
     fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
         let n = sorted.len();
         let oracle = Exhaustive::new(
-            VarianceOracle::new(sorted.prefix(), self.kind),
+            VarianceOracle::new(sorted.prefix(), self.kind)?,
             self.min_items,
         );
         let (cuts, _) = dp_cuts(n, k, 1, &oracle, SearchStrategy::Linear);
@@ -68,7 +68,7 @@ impl Partitioner1D for MonotoneDp {
     fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
         let n = sorted.len();
         let oracle = Exhaustive::new(
-            VarianceOracle::new(sorted.prefix(), self.kind),
+            VarianceOracle::new(sorted.prefix(), self.kind)?,
             self.min_items,
         );
         let (cuts, _) = dp_cuts(n, k, 1, &oracle, SearchStrategy::Binary);
@@ -91,7 +91,7 @@ mod tests {
 
     /// Objective value of a partitioning under the exhaustive oracle.
     fn objective(sorted: &SortedTable, p: &Partitioning1D, kind: AggKind) -> f64 {
-        let oracle = Exhaustive::new(VarianceOracle::new(sorted.prefix(), kind), 1);
+        let oracle = Exhaustive::new(VarianceOracle::new(sorted.prefix(), kind).unwrap(), 1);
         p.ranges()
             .into_iter()
             .map(|r| oracle.max_variance(r.start, r.end))
@@ -167,6 +167,25 @@ mod tests {
                 matches!(result, Err(PassError::EmptyInput(_))),
                 "{result:?}"
             );
+        }
+    }
+
+    #[test]
+    fn min_max_objectives_are_a_typed_error() {
+        // MIN/MAX have no variance oracle: as for `Adp`, asking the exact
+        // DPs for one is an invalid parameter (it used to reach an
+        // `unreachable!` in release and a debug assertion otherwise).
+        let s = sorted_from((0..12).map(f64::from).collect());
+        for kind in [AggKind::Min, AggKind::Max] {
+            for result in [
+                NaiveDp::new(kind).partition(&s, 3),
+                MonotoneDp::new(kind).partition(&s, 3),
+            ] {
+                assert!(
+                    matches!(result, Err(PassError::InvalidParameter("strategy_agg", _))),
+                    "{kind}: {result:?}"
+                );
+            }
         }
     }
 

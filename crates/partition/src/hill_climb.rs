@@ -66,7 +66,7 @@ impl Partitioner1D for HillClimb {
         } else {
             AggKind::Sum // AQP++ scores with a single generic objective
         };
-        let oracle = MedianSplit::new(VarianceOracle::new(sorted.prefix(), scoring_kind));
+        let oracle = MedianSplit::new(VarianceOracle::new(sorted.prefix(), scoring_kind)?);
 
         let mut best_obj = Self::objective(&oracle, &cuts, n);
         let mut step = (n / (4 * k)).max(1);
@@ -131,7 +131,7 @@ mod tests {
     }
 
     fn exhaustive_objective(s: &SortedTable, p: &Partitioning1D, kind: AggKind) -> f64 {
-        let oracle = Exhaustive::new(VarianceOracle::new(s.prefix(), kind), 1);
+        let oracle = Exhaustive::new(VarianceOracle::new(s.prefix(), kind).unwrap(), 1);
         p.ranges()
             .into_iter()
             .map(|r| oracle.max_variance(r.start, r.end))

@@ -59,7 +59,7 @@ mod tests {
         v[12] = 100.0;
         v[13] = -80.0;
         let p = PrefixSums::build(&v);
-        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum), 2);
+        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum).unwrap(), 2);
         let (range, var) = ex.argmax(0, 30).unwrap();
         assert!(var > 0.0);
         assert!(range.contains(&12) && range.contains(&13));
@@ -70,7 +70,7 @@ mod tests {
         let v = vec![0.0, 100.0, 0.0, 0.0];
         let p = PrefixSums::build(&v);
         // With min_items = 4 the only query is the whole partition.
-        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Avg), 4);
+        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Avg).unwrap(), 4);
         let (range, _) = ex.argmax(0, 4).unwrap();
         assert_eq!(range, 0..4);
     }
@@ -79,7 +79,7 @@ mod tests {
     fn empty_when_range_smaller_than_min_items() {
         let v = vec![1.0, 2.0];
         let p = PrefixSums::build(&v);
-        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum), 3);
+        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum).unwrap(), 3);
         assert!(ex.argmax(0, 2).is_none());
         assert_eq!(ex.max_variance(0, 2), 0.0);
     }
@@ -91,7 +91,7 @@ mod tests {
         // uncertainty — the value spread term is zero).
         let v = vec![3.0; 10];
         let p = PrefixSums::build(&v);
-        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum), 1);
+        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Sum).unwrap(), 1);
         assert!((ex.max_variance(0, 10) - 22.5).abs() < 1e-12);
     }
 
@@ -100,7 +100,7 @@ mod tests {
         // Lemma A.1: COUNT max variance at N_iq = N_i/2.
         let v = vec![1.0; 16];
         let p = PrefixSums::build(&v);
-        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Count), 1);
+        let ex = Exhaustive::new(VarianceOracle::new(&p, AggKind::Count).unwrap(), 1);
         let (range, var) = ex.argmax(0, 16).unwrap();
         assert_eq!(range.len(), 8);
         assert!((var - 4.0).abs() < 1e-12); // 8·(1 − 8/16) = 4

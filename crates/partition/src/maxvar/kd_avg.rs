@@ -10,6 +10,8 @@
 //! with no range tree required ("we can find all the necessary sums in
 //! O(m log m) time without constructing a range tree").
 
+use std::cmp::Ordering;
+
 use pass_table::Table;
 
 /// Result of the Appendix A.4 second algorithm on one partition.
@@ -56,10 +58,20 @@ pub fn max_avg_variance_kd(table: &Table, rows: &[u32], delta_m: usize) -> Optio
         let dim = depth % table.dims();
         let mut sorted = set;
         sorted.sort_by(|&a, &b| {
-            table
-                .predicate(dim, a as usize)
-                .partial_cmp(&table.predicate(dim, b as usize))
-                .expect("NaN predicate")
+            let (x, y) = (
+                table.predicate(dim, a as usize),
+                table.predicate(dim, b as usize),
+            );
+            // `<` / `>` as the k-d split compares cells, else equal — with
+            // a NaN cell after every number, so the order stays total and
+            // the sort cannot panic. Without NaN this is `partial_cmp`.
+            if x < y {
+                Ordering::Less
+            } else if x > y {
+                Ordering::Greater
+            } else {
+                x.is_nan().cmp(&y.is_nan())
+            }
         });
         let mid = sorted.len() / 2;
         let right = sorted.split_off(mid);
@@ -141,6 +153,34 @@ mod tests {
     fn small_partitions_return_none() {
         let t = taxi(100, 4).project(&[1]).unwrap();
         assert!(max_avg_variance_kd(&t, &rows(100), 64).is_none());
+    }
+
+    #[test]
+    fn a_nan_predicate_cell_sorts_last_instead_of_panicking() {
+        // The median sort used to `expect` a NaN-free column. A NaN cell
+        // now sorts after every number, so the split still halves the
+        // points and the score is the AVG variance of a δm leaf.
+        let n = 200;
+        let x: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 17 == 3 {
+                    f64::NAN
+                } else {
+                    (i * 37 % 101) as f64
+                }
+            })
+            .collect();
+        let y: Vec<f64> = (0..n).map(|i| (i * 53 % 89) as f64).collect();
+        let values: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
+        let names = ["v", "x", "y"].map(String::from).to_vec();
+        let t = Table::new(values, vec![x, y], names).unwrap();
+        let result = max_avg_variance_kd(&t, &rows(n), 8).unwrap();
+        assert!(result.variance.is_finite() && result.variance > 0.0);
+        assert!(
+            (8..16).contains(&result.rows.len()),
+            "{}",
+            result.rows.len()
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod tests {
                 .collect();
             let p = PrefixSums::build(&v);
             for kind in [AggKind::Sum, AggKind::Count] {
-                let oracle = VarianceOracle::new(&p, kind);
+                let oracle = VarianceOracle::new(&p, kind).unwrap();
                 let approx = MedianSplit::new(oracle).max_variance(0, n);
                 let exact = Exhaustive::new(oracle, 1).max_variance(0, n);
                 assert!(
@@ -77,7 +77,7 @@ mod tests {
     fn empty_and_singleton_ranges() {
         let v = vec![1.0, 2.0, 3.0];
         let p = PrefixSums::build(&v);
-        let ms = MedianSplit::new(VarianceOracle::new(&p, AggKind::Sum));
+        let ms = MedianSplit::new(VarianceOracle::new(&p, AggKind::Sum).unwrap());
         assert_eq!(ms.max_variance(1, 1), 0.0);
         assert_eq!(ms.max_variance(2, 1), 0.0);
         // Singleton: left half empty, right half = the item.
@@ -91,7 +91,7 @@ mod tests {
         // approximation is tight here (16·10·(1 − 10/20) = 80).
         let v = vec![4.0; 20];
         let p = PrefixSums::build(&v);
-        let oracle = VarianceOracle::new(&p, AggKind::Sum);
+        let oracle = VarianceOracle::new(&p, AggKind::Sum).unwrap();
         let approx = MedianSplit::new(oracle).max_variance(0, 20);
         let exact = Exhaustive::new(oracle, 1).max_variance(0, 20);
         assert!((approx - exact).abs() < 1e-12);
@@ -104,7 +104,7 @@ mod tests {
         // so the median-split approximation is tight here.
         let v = vec![1.0; 16];
         let p = PrefixSums::build(&v);
-        let oracle = VarianceOracle::new(&p, AggKind::Count);
+        let oracle = VarianceOracle::new(&p, AggKind::Count).unwrap();
         let approx = MedianSplit::new(oracle).max_variance(0, 16);
         let exact = Exhaustive::new(oracle, 1).max_variance(0, 16);
         assert!((approx - exact).abs() < 1e-12);

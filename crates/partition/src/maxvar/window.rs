@@ -114,7 +114,7 @@ mod tests {
             let v: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 50.0).collect();
             let prefix = pass_common::PrefixSums::build(&v);
             let idx = WindowIndex::build(&prefix, delta_m);
-            let oracle = VarianceOracle::new(&prefix, AggKind::Avg);
+            let oracle = VarianceOracle::new(&prefix, AggKind::Avg).unwrap();
             let mut exact = 0.0f64;
             for g in 0..n {
                 for w in (g + delta_m)..=(g + 2 * delta_m - 1).min(n) {

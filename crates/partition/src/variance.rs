@@ -14,28 +14,42 @@
 //! constant across partitions under the Appendix A.1 assumption and
 //! therefore irrelevant to the arg-min.
 
-use pass_common::{AggKind, PrefixSums};
+use pass_common::{AggKind, PassError, PrefixSums, Result};
 
 /// O(1) variance oracle over a value sequence (full data or a sample),
 /// sorted by predicate key.
 #[derive(Debug, Clone, Copy)]
 pub struct VarianceOracle<'a> {
     prefix: &'a PrefixSums,
-    kind: AggKind,
+    kind: Objective,
+}
+
+/// The aggregates a `V_i(q)` formula exists for.
+#[derive(Debug, Clone, Copy)]
+enum Objective {
+    Sum,
+    Avg,
+    Count,
 }
 
 impl<'a> VarianceOracle<'a> {
-    pub fn new(prefix: &'a PrefixSums, kind: AggKind) -> Self {
-        debug_assert!(
-            matches!(kind, AggKind::Sum | AggKind::Count | AggKind::Avg),
-            "variance oracles exist for SUM/COUNT/AVG only"
-        );
-        Self { prefix, kind }
-    }
-
-    /// The aggregate kind this oracle scores.
-    pub fn kind(&self) -> AggKind {
-        self.kind
+    /// The oracle for `kind`'s variance. MIN and MAX have no variance
+    /// objective: asking for one is an
+    /// [`InvalidParameter`](PassError::InvalidParameter), as it is for
+    /// every partitioner that would score with it.
+    pub fn new(prefix: &'a PrefixSums, kind: AggKind) -> Result<Self> {
+        let kind = match kind {
+            AggKind::Sum => Objective::Sum,
+            AggKind::Avg => Objective::Avg,
+            AggKind::Count => Objective::Count,
+            AggKind::Min | AggKind::Max => {
+                return Err(PassError::InvalidParameter(
+                    "strategy_agg",
+                    format!("variance oracles exist for SUM, COUNT and AVG; {kind} has none"),
+                ))
+            }
+        };
+        Ok(Self { prefix, kind })
     }
 
     /// `V_i(q)` for the query occupying rows `[q_lo, q_hi)` of a partition
@@ -49,18 +63,17 @@ impl<'a> VarianceOracle<'a> {
             return 0.0;
         }
         match self.kind {
-            AggKind::Sum => {
+            Objective::Sum => {
                 let s = self.prefix.range_sum(q_lo, q_hi);
                 let s2 = self.prefix.range_sum_sq(q_lo, q_hi);
                 ((n_i * s2 - s * s) / n_i).max(0.0)
             }
-            AggKind::Avg => {
+            Objective::Avg => {
                 let s = self.prefix.range_sum(q_lo, q_hi);
                 let s2 = self.prefix.range_sum_sq(q_lo, q_hi);
                 ((n_i * s2 - s * s) / (n_i * n_iq * n_iq)).max(0.0)
             }
-            AggKind::Count => (n_iq * (1.0 - n_iq / n_i)).max(0.0),
-            _ => unreachable!("constructor rejects MIN/MAX"),
+            Objective::Count => (n_iq * (1.0 - n_iq / n_i)).max(0.0),
         }
     }
 }
@@ -78,7 +91,7 @@ mod tests {
     #[test]
     fn sum_variance_matches_formula() {
         let (v, p) = oracle_data();
-        let o = VarianceOracle::new(&p, AggKind::Sum);
+        let o = VarianceOracle::new(&p, AggKind::Sum).unwrap();
         // Partition = whole sequence; query = rows [2, 6).
         let n_i = v.len() as f64;
         let s: f64 = v[2..6].iter().sum();
@@ -90,7 +103,7 @@ mod tests {
     #[test]
     fn avg_variance_matches_formula() {
         let (v, p) = oracle_data();
-        let o = VarianceOracle::new(&p, AggKind::Avg);
+        let o = VarianceOracle::new(&p, AggKind::Avg).unwrap();
         let n_i = v.len() as f64;
         let n_iq = 4.0;
         let s: f64 = v[2..6].iter().sum();
@@ -102,7 +115,7 @@ mod tests {
     #[test]
     fn count_variance_peaks_at_half() {
         let (_, p) = oracle_data();
-        let o = VarianceOracle::new(&p, AggKind::Count);
+        let o = VarianceOracle::new(&p, AggKind::Count).unwrap();
         // Lemma A.1: V = X(N - X)/N maximized at X = N/2.
         let half = o.query_variance(0, 8, 0, 4);
         for q_hi in 1..=8 {
@@ -116,7 +129,7 @@ mod tests {
         // Section 4.3: V_x(q) <= V_y(q) when b_x ⊆ b_y (same query rows).
         let (_, p) = oracle_data();
         for kind in [AggKind::Sum, AggKind::Avg, AggKind::Count] {
-            let o = VarianceOracle::new(&p, kind);
+            let o = VarianceOracle::new(&p, kind).unwrap();
             let narrow = o.query_variance(2, 6, 3, 5);
             let wide = o.query_variance(0, 8, 3, 5);
             assert!(
@@ -129,7 +142,7 @@ mod tests {
     #[test]
     fn empty_query_or_partition_is_zero() {
         let (_, p) = oracle_data();
-        let o = VarianceOracle::new(&p, AggKind::Sum);
+        let o = VarianceOracle::new(&p, AggKind::Sum).unwrap();
         assert_eq!(o.query_variance(0, 8, 3, 3), 0.0);
         assert_eq!(o.query_variance(4, 4, 4, 4), 0.0);
     }
@@ -142,8 +155,8 @@ mod tests {
         // value-spread term does.
         let v = vec![5.0; 16];
         let p = PrefixSums::build(&v);
-        let o_sum = VarianceOracle::new(&p, AggKind::Sum);
-        let o_count = VarianceOracle::new(&p, AggKind::Count);
+        let o_sum = VarianceOracle::new(&p, AggKind::Sum).unwrap();
+        let o_count = VarianceOracle::new(&p, AggKind::Count).unwrap();
         let vs = o_sum.query_variance(0, 16, 4, 12);
         let vc = o_count.query_variance(0, 16, 4, 12);
         assert!((vs - 25.0 * vc).abs() < 1e-9, "sum {vs} vs 25·count {vc}");
@@ -154,10 +167,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "variance oracles exist")]
-    #[cfg(debug_assertions)]
     fn min_is_rejected() {
+        // A typed error in every profile (it used to be a debug assertion,
+        // then an `unreachable!` in release).
         let p = PrefixSums::build(&[1.0]);
-        let _ = VarianceOracle::new(&p, AggKind::Min);
+        for kind in [AggKind::Min, AggKind::Max] {
+            let err = VarianceOracle::new(&p, kind).unwrap_err();
+            assert!(
+                matches!(&err, PassError::InvalidParameter("strategy_agg", why) if why.contains("variance oracles exist")),
+                "{kind}: {err:?}"
+            );
+        }
     }
 }

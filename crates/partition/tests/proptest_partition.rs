@@ -66,7 +66,7 @@ proptest! {
         let q_lo = ((n as f64) * q_lo_frac) as usize;
         let q_hi = (q_lo + ((n as f64) * q_len_frac) as usize + 1).min(n);
         for kind in [AggKind::Sum, AggKind::Avg, AggKind::Count] {
-            let oracle = VarianceOracle::new(&prefix, kind);
+            let oracle = VarianceOracle::new(&prefix, kind).unwrap();
             let mut last = 0.0f64;
             // Partitions nested around the query: [q_lo - g, q_hi + g).
             for g in 0..q_lo.min(n - q_hi) {
@@ -85,7 +85,7 @@ proptest! {
     #[test]
     fn median_split_quarter_bound(values in prop::collection::vec(-100.0f64..100.0, 4..60)) {
         let prefix = PrefixSums::build(&values);
-        let oracle = VarianceOracle::new(&prefix, AggKind::Sum);
+        let oracle = VarianceOracle::new(&prefix, AggKind::Sum).unwrap();
         let approx = MedianSplit::new(oracle).max_variance(0, values.len());
         let exact = Exhaustive::new(oracle, 1).max_variance(0, values.len());
         prop_assert!(approx <= exact + 1e-9);
@@ -98,7 +98,7 @@ proptest! {
     fn window_index_is_conservative(values in prop::collection::vec(0.0f64..100.0, 12..80), dm in 2usize..5) {
         let prefix = PrefixSums::build(&values);
         let idx = WindowIndex::build(&prefix, dm);
-        let oracle = VarianceOracle::new(&prefix, AggKind::Avg);
+        let oracle = VarianceOracle::new(&prefix, AggKind::Avg).unwrap();
         let exact = Exhaustive::new(oracle, dm).max_variance(0, values.len());
         prop_assert!(idx.max_variance(0, values.len()) <= exact + 1e-9);
     }

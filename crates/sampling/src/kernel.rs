@@ -30,8 +30,13 @@
 //!    1-D hot path loses throughput to code layout alone.
 //! 3. **1-D fast path** — samples whose single predicate column is
 //!    non-decreasing (every builder-produced 1-D stratum sample, see
-//!    [`Sample::sorted_1d`]) resolve the match range by binary search
-//!    and only touch matched rows for the value/mean passes. Skipping
+//!    [`Sample::sorted_1d`]) resolve the match range as one index range:
+//!    each query bound is first compared with the stratum's first or last
+//!    key, and only an end the bound falls inside is binary-searched (MCF
+//!    hands the scan partial leaves, which a query usually cuts on one
+//!    side only). The value sum and the Neumaier mean read only the
+//!    matched rows, in one loop as two independent chains (as point 2's
+//!    buffer loop does). Skipping
 //!    an unmatched row skips a literal `+0.0` addend, which is exact
 //!    except for signed-zero bookkeeping: `x + 0.0 == x` for every `x`
 //!    but `-0.0`, where it flushes to `+0.0`. The plain value sum seeds
@@ -658,9 +663,11 @@ fn group_moments(
     })
 }
 
-/// The sorted-column binary-search fast path for 1-D samples: the match
-/// set of `lo <= x <= hi` over a non-decreasing column is the contiguous
-/// index range `[a, b)`. Value and mean passes touch only that range
+/// The sorted-column fast path for 1-D samples: the match set of
+/// `lo <= x <= hi` over a non-decreasing column is the contiguous index
+/// range `[a, b)`, each end found by one compare with the column's end
+/// key or, when the bound falls inside, by binary search. The value and
+/// mean pass touches only that range
 /// (exact — see the module docs' `+0.0` argument); the sum-of-squares
 /// pass replays the reference's full-length loop, with the constant
 /// `(0 − m)²` term added for every unmatched index.
@@ -669,8 +676,17 @@ fn estimate_sorted_1d(agg: AggKind, view: &SampleView<'_>, rect: &Rect) -> Optio
     debug_assert!(k > 0 && view.dims == 1 && rect.dims() == 1);
     let col = view.preds;
     let (lo, hi) = (rect.lo(0), rect.hi(0));
-    let a = col.partition_point(|&x| x < lo);
-    let b = col.partition_point(|&x| x <= hi);
+    // A bound at or past the stratum's first (last) key leaves that end
+    // of the column whole, with no search: a partial leaf is usually cut
+    // on one side only. A NaN key fails the compare and is searched.
+    let a = match col.first() {
+        Some(&first) if lo <= first => 0,
+        _ => col.partition_point(|&x| x < lo),
+    };
+    let b = match col.last() {
+        Some(&last) if last <= hi => k,
+        _ => col.partition_point(|&x| x <= hi),
+    };
     debug_assert!(a <= b);
     let k_pred = (b - a) as u64;
     let values = view.values;
@@ -704,7 +720,9 @@ fn estimate_sorted_1d(agg: AggKind, view: &SampleView<'_>, rect: &Rect) -> Optio
     }
 }
 
-/// [`moments`] when the matched rows are exactly `[a, b)`.
+/// [`moments`] when the matched rows are exactly `[a, b)`. Like
+/// `moments`, the plain sum and the Neumaier mean read each matched φ in
+/// one loop, as two independent dependency chains.
 fn moments_range(
     k: usize,
     population: u64,
@@ -719,8 +737,11 @@ fn moments_range(
     // `a > 0`; one trailing `+0.0` stands in for all `k - b` of them (it
     // only matters if the matched φ's summed to exactly `-0.0`).
     let mut s = if a > 0 { 0.0f64 } else { -0.0f64 };
+    let mut mean_acc = KahanSum::new();
     for i in a..b {
-        s += phi(i);
+        let p = phi(i);
+        s += p;
+        mean_acc.add(p);
     }
     if b < k {
         s += 0.0;
@@ -729,10 +750,6 @@ fn moments_range(
     let pop_var = if k < 2 {
         0.0
     } else {
-        let mut mean_acc = KahanSum::new();
-        for i in a..b {
-            mean_acc.add(phi(i));
-        }
         let mean = mean_acc.total() / k as f64;
         let mut ss = KahanSum::new();
         // Same bits the reference's `(0.0 − m)²` evaluates to, added
@@ -834,6 +851,42 @@ mod tests {
                 let reference = estimate(agg, &sorted, &rect);
                 assert_eq!(bits(&fast), bits(&masked), "{agg} [{lo},{hi}]");
                 assert_eq!(bits(&fast), bits(&reference), "{agg} [{lo},{hi}]");
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_fast_path_matches_reference_at_the_column_ends() {
+        // Bounds on, just inside and just outside the first and last keys
+        // — repeated at both ends — decide whether an end is searched; a
+        // one-row stratum and a NaN key (sorted by `windows(2)` vacuously)
+        // take the compare that fails and the search.
+        let sorted = |keys: Vec<f64>| {
+            let values = (0..keys.len()).map(|i| (i * i % 7) as f64 - 2.5).collect();
+            let s = Sample::from_rows(Table::one_dim(keys, values).unwrap(), 50).unwrap();
+            assert!(s.sorted_1d());
+            s
+        };
+        let samples = [
+            sorted(vec![0.2, 0.2, 0.3, 0.5, 0.5, 0.5, 0.8, 0.9, 0.9]),
+            sorted(vec![0.4]),
+            sorted(vec![f64::NAN]),
+        ];
+        let cuts = [-1.0, 0.1, 0.2, 0.25, 0.4, 0.5, 0.85, 0.9, 0.95, 2.0];
+        let mut scratch = ScanScratch::new();
+        for s in &samples {
+            for (i, &lo) in cuts.iter().enumerate() {
+                for &hi in &cuts[i..] {
+                    let rect = Rect::interval(lo, hi);
+                    for agg in AggKind::ALL {
+                        assert_eq!(
+                            bits(&scratch.estimate(agg, s, &rect)),
+                            bits(&estimate(agg, s, &rect)),
+                            "{agg} [{lo},{hi}] over {:?}",
+                            s.rows().predicate_column(0)
+                        );
+                    }
+                }
             }
         }
     }

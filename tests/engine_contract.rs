@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use pass::common::rng::derive_seed;
 use pass::common::{
     apply_group_availability, estimate_group_by, AggKind, EngineSpec, GroupByQuery,
     PartitionStrategy, PassError, PassSpec, Query, Rect, ShardPlan, Synopsis,
@@ -335,6 +336,220 @@ fn multi_dimensional_kd_pass_answers_are_pinned_across_commits() {
     }
     assert!(answered > 350, "only {answered} of 400 answered");
     assert_eq!(hash, 0x3971cbde08fb4d9b, "answer hash {hash:#018x}");
+}
+
+/// A deterministic unit-interval stream: `derive_seed` over a counter.
+fn unit(state: &mut u64) -> f64 {
+    *state += 1;
+    (derive_seed(0x27, *state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// 12 000 rows keyed `0..2 000` and `2 500..4 500` — every key three
+/// times, so equal keys straddle equal-depth cuts, and a gap no row lies
+/// in — with a run of 1 800 rows all valued 7, wide enough for
+/// zero-variance leaves and internal nodes.
+fn table_1d() -> Table {
+    let key = |i: usize| match (i / 3) as f64 {
+        k if k < 2_000.0 => k,
+        k => k + 500.0,
+    };
+    let value = |i: usize| match i {
+        4_800..6_600 => 7.0,
+        _ => ((i * 7_919) % 1_000) as f64 / 10.0,
+    };
+    Table::one_dim(
+        (0..12_000).map(key).collect(),
+        (0..12_000).map(value).collect(),
+    )
+    .unwrap()
+}
+
+/// `n` 1-D queries over [`table_1d`]'s keys, all five aggregates in
+/// rotation: points on a key, intervals of every width, the whole line,
+/// the gap, and intervals beyond either end of the data.
+fn queries_1d(n: usize) -> Vec<Query> {
+    let mut state = 0x1d;
+    (0..n)
+        .map(|i| {
+            let agg = AggKind::ALL[i % AggKind::ALL.len()];
+            let lo = (unit(&mut state) * 4_600.0 - 50.0).floor();
+            let (lo, hi) = match i % 9 {
+                0 => (lo, lo),
+                1 => (f64::NEG_INFINITY, f64::INFINITY),
+                2 => (2_050.0 + (i % 50) as f64, 2_400.0),
+                3 => (4_600.0, 5_000.0 + i as f64),
+                4 => (-100.0 - i as f64, -1.0),
+                _ => (lo, lo + unit(&mut state) * 1_500.0),
+            };
+            Query::interval(agg, lo, hi)
+        })
+        .collect()
+}
+
+/// 1-D PASS answers are pinned across commits: FNV-1a over the value,
+/// `ci_half` and hard-bound bits of 500 fixed queries (all five
+/// aggregates), on an ADP and an equal-depth tree, each as built and after
+/// 3 000 inserts and deletes — inserts in the gap, on existing keys and
+/// beyond the data, deletes of table rows. Recorded before the 1-D
+/// frontier became a two-path descent; a frontier node out of order, a
+/// visit or a scanned row that changes shows up here. Then the one update
+/// those streams never make, checked against the truth instead.
+#[test]
+fn one_dimensional_pass_answers_are_pinned_across_commits() {
+    let table = table_1d();
+    let queries = queries_1d(500);
+    let mut hashes = Vec::new();
+    for strategy in [
+        PartitionStrategy::Adp(AggKind::Sum),
+        PartitionStrategy::EqualDepth,
+    ] {
+        let spec = PassSpec {
+            partitions: 64,
+            sample_rate: 0.02,
+            strategy,
+            seed: 27,
+            ..PassSpec::default()
+        };
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        for updated in [false, true] {
+            if updated {
+                let mut state = 0x5eed;
+                for op in 0..3_000 {
+                    if op % 3 == 2 {
+                        let row = op * 11 % table.n_rows();
+                        pass.delete(&[table.predicate(0, row)], table.value(row))
+                            .unwrap();
+                    } else {
+                        let key = match op % 4 {
+                            0 => 2_000.0 + unit(&mut state) * 500.0,
+                            1 => (unit(&mut state) * 2_000.0).floor(),
+                            2 => 4_500.0 + unit(&mut state) * 100.0,
+                            _ => -unit(&mut state) * 100.0,
+                        };
+                        pass.insert(&[key], unit(&mut state) * 100.0).unwrap();
+                    }
+                }
+            }
+            let mut hash = 0xcbf29ce484222325_u64;
+            let mut answered = 0;
+            for query in &queries {
+                let words = match pass.estimate(query) {
+                    Ok(e) => {
+                        answered += 1;
+                        let (lb, ub) = e.hard_bounds.unwrap_or((f64::NAN, f64::NAN));
+                        [e.value, e.ci_half, lb, ub].map(f64::to_bits)
+                    }
+                    Err(_) => [u64::MAX; 4],
+                };
+                for word in words {
+                    hash = (hash ^ word).wrapping_mul(0x100000001b3);
+                }
+            }
+            assert!(
+                answered > 350,
+                "{strategy:?}: only {answered} of 500 answered"
+            );
+            hashes.push(hash);
+        }
+    }
+    let expected: [u64; 4] = [
+        0x421e2bf974d0f0e0,
+        0xe5cfbbf0ad159682,
+        0xffb42a4eb980646a,
+        0x8514478aead07d1f,
+    ];
+    assert_eq!(hashes, expected, "answer hashes {hashes:#018x?}");
+    single_key_leaf_then_an_insert_in_the_gap_after_it();
+}
+
+/// The update the pinned trees above never make: an equal-depth leaf
+/// holding key 100 alone, its left neighbour ending on 100 as well, and a
+/// row inserted at 101, in the key gap before the next leaf. It must go
+/// to the single-key leaf — grown into the left neighbour instead, that
+/// neighbour would pass it, and queries ending on 100 would count the new
+/// row as covered — and the updated synopsis must save and load.
+fn single_key_leaf_then_an_insert_in_the_gap_after_it() {
+    // 288 rows in 12 leaves of 24: keys 0..84, then 36 rows of key 100
+    // (rows 84..120), then keys 102..270.
+    let key = |i: usize| match i {
+        0..84 => i as f64,
+        84..120 => 100.0,
+        _ => (i - 18) as f64,
+    };
+    let mut rows: Vec<(f64, f64)> = (0..288).map(|i| (key(i), (i % 10) as f64 + 1.0)).collect();
+    let table = Table::one_dim(
+        rows.iter().map(|r| r.0).collect(),
+        rows.iter().map(|r| r.1).collect(),
+    )
+    .unwrap();
+    let spec = PassSpec {
+        partitions: 12,
+        sample_rate: 0.1,
+        strategy: PartitionStrategy::EqualDepth,
+        seed: 27,
+        ..PassSpec::default()
+    };
+    let mut pass = Pass::from_spec(&table, &spec).unwrap();
+    let bounds = |pass: &Pass, leaf: usize| {
+        let (tree, id) = (pass.tree(), pass.tree().leaves()[leaf]);
+        (tree.rect_lo(id, 0), tree.rect_hi(id, 0))
+    };
+    assert_eq!(
+        [3, 4, 5].map(|leaf| bounds(&pass, leaf)),
+        [(72.0, 100.0), (100.0, 100.0), (102.0, 125.0)]
+    );
+
+    pass.insert(&[101.0], 1_000.0).unwrap();
+    rows.push((101.0, 1_000.0));
+    assert_eq!(bounds(&pass, 3), (72.0, 100.0), "the left neighbour stays");
+    assert_eq!(
+        bounds(&pass, 4),
+        (100.0, 101.0),
+        "the single-key leaf grows"
+    );
+
+    let mut bytes = Vec::new();
+    pass.save(&mut bytes).unwrap();
+    let loaded = Engine::load(&bytes).expect("the updated synopsis loads");
+    for (lo, hi) in [
+        (f64::NEG_INFINITY, 100.0),
+        (72.0, 100.0),
+        (100.0, 100.0),
+        (100.5, 101.5),
+        (f64::NEG_INFINITY, f64::INFINITY),
+    ] {
+        let values: Vec<f64> = rows
+            .iter()
+            .filter(|r| lo <= r.0 && r.0 <= hi)
+            .map(|r| r.1)
+            .collect();
+        let sum: f64 = values.iter().sum();
+        let count = values.len() as f64;
+        for (agg, truth) in [
+            (AggKind::Count, count),
+            (AggKind::Sum, sum),
+            (AggKind::Avg, sum / count),
+            (
+                AggKind::Min,
+                values.iter().copied().fold(f64::INFINITY, f64::min),
+            ),
+            (
+                AggKind::Max,
+                values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            ),
+        ] {
+            let query = Query::interval(agg, lo, hi);
+            let est = pass.estimate(&query).unwrap();
+            let what = format!("{agg} [{lo}, {hi}]: {est:?}, truth {truth}");
+            if let Some((lb, ub)) = est.hard_bounds {
+                assert!(lb <= truth && truth <= ub, "{what}");
+            }
+            if est.exact {
+                assert!((est.value - truth).abs() <= 1e-9 * truth.abs(), "{what}");
+            }
+            assert_eq!(loaded.estimate(&query).unwrap(), est, "{what}");
+        }
+    }
 }
 
 /// The same contract on a synopsis that has absorbed updates: 2 000

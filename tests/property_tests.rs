@@ -188,7 +188,7 @@ proptest! {
             .partition(&sorted, k)
             .unwrap();
         let eq = EqualDepth.partition(&sorted, k).unwrap();
-        let oracle = Exhaustive::new(VarianceOracle::new(sorted.prefix(), AggKind::Sum), 1);
+        let oracle = Exhaustive::new(VarianceOracle::new(sorted.prefix(), AggKind::Sum).unwrap(), 1);
         let objective = |p: &pass::partition::Partitioning1D| {
             p.ranges()
                 .into_iter()

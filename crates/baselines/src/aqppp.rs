@@ -9,12 +9,10 @@
 //! stratified samples, and the partitioning is not variance-optimized.
 
 use pass_common::rng::{derive_seed, rng_from_seed};
-use pass_common::{
-    AggKind, EngineSpec, Estimate, PassError, Query, Rect, Result, Synopsis, LAMBDA_99,
-};
+use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Rect, Result, Synopsis};
 use pass_core::{mcf::mcf, PartitionTree};
 use pass_partition::{build_kd, HillClimb, KdExpansion, Partitioner1D};
-use pass_sampling::Sample;
+use pass_sampling::{combine_strata, PointVariance, Sample, StratumEstimate};
 use pass_table::{SortedTable, Table};
 
 /// Precomputed aggregates + one uniform sample for the gap.
@@ -22,7 +20,6 @@ use pass_table::{SortedTable, Table};
 pub struct AqpPlusPlus {
     pub(crate) tree: PartitionTree,
     pub(crate) sample: Sample,
-    pub(crate) lambda: f64,
     pub(crate) name: &'static str,
     /// Requested (partitions, sample size, seed, tree dims), kept for
     /// [`Synopsis::spec`].
@@ -75,20 +72,27 @@ impl AqpPlusPlus {
         Ok(Self {
             tree,
             sample,
-            lambda: LAMBDA_99,
             name,
             requested: (partitions, k, seed, tree_dims.map(<[usize]>::to_vec)),
         })
     }
 
+    /// The tree of precomputed aggregates.
+    pub fn tree(&self) -> &PartitionTree {
+        &self.tree
+    }
+
     /// Estimate `Σ φ` over the gap region: sampled rows matching the query
-    /// but not lying in any covered partition. Returns `(estimate,
-    /// estimator variance, matching sample count)`.
-    fn gap_estimate(&self, agg: AggKind, rect: &Rect, covered: &[usize]) -> (f64, f64, u64) {
+    /// but not lying in any covered partition.
+    fn gap_estimate(&self, agg: AggKind, rect: &Rect, covered: &[usize]) -> PointVariance {
         let rows = self.sample.rows();
         let k = self.sample.k();
         if k == 0 {
-            return (0.0, 0.0, 0);
+            return PointVariance {
+                value: 0.0,
+                variance: 0.0,
+                k_pred: 0,
+            };
         }
         let n = self.sample.population() as f64;
         // The rectangle part of the gap predicate is evaluated with the
@@ -122,9 +126,9 @@ impl AqpPlusPlus {
             }
         });
         let mean = phi.iter().sum::<f64>() / k as f64;
-        let variance = pass_common::stats::population_variance(&phi) / k as f64
-            * pass_common::stats::fpc(self.sample.population(), k as u64);
-        (mean, variance, k_pred)
+        let pop_var = pass_common::stats::population_variance(&phi);
+        let population = self.sample.population();
+        PointVariance::phi_means([mean], [pop_var], k, population, [k_pred])[0]
     }
 }
 
@@ -157,101 +161,82 @@ impl Synopsis for AqpPlusPlus {
         }
         let frontier = mcf(&self.tree, query, false);
         let covered = &frontier.covered;
+        let exact_sum = || covered.iter().map(|&id| self.tree.agg(id).sum).sum::<f64>();
+        let exact_count = || {
+            let counts = covered.iter().map(|&id| self.tree.agg(id).count as f64);
+            counts.sum::<f64>()
+        };
 
-        match query.agg {
+        let est = match query.agg {
             AggKind::Sum | AggKind::Count => {
-                let exact: f64 = covered
-                    .iter()
-                    .map(|&id| {
-                        let a = self.tree.agg(id);
-                        match query.agg {
-                            AggKind::Sum => a.sum,
-                            _ => a.count as f64,
-                        }
-                    })
-                    .sum();
-                let (gap, var, _) = self.gap_estimate(query.agg, &query.rect, covered);
-                let est = if frontier.partial.is_empty() {
+                let exact = match query.agg {
+                    AggKind::Sum => exact_sum(),
+                    _ => exact_count(),
+                };
+                if frontier.partial.is_empty() {
                     Estimate::exact(exact)
                 } else {
-                    Estimate::approximate(exact + gap, self.lambda * var.sqrt())
-                };
-                Ok(est.with_accounting(
-                    self.sample.k() as u64,
-                    self.tree
-                        .total_rows()
-                        .saturating_sub(self.sample.k() as u64),
-                ))
+                    let gap = self.gap_estimate(query.agg, &query.rect, covered);
+                    let value = exact + gap.value;
+                    PointVariance { value, ..gap }.evaluate(query.agg)
+                }
             }
             AggKind::Avg => {
                 // AVG via the SUM/COUNT pair with first-order error
                 // propagation (AQP++ itself treats AVG as SUM/COUNT).
-                let exact_sum: f64 = covered.iter().map(|&id| self.tree.agg(id).sum).sum();
-                let exact_count: f64 = covered
-                    .iter()
-                    .map(|&id| self.tree.agg(id).count as f64)
-                    .sum();
-                let (gap_sum, var_sum, _) = self.gap_estimate(AggKind::Sum, &query.rect, covered);
-                let (gap_count, var_count, k_pred) =
-                    self.gap_estimate(AggKind::Count, &query.rect, covered);
-                let total_sum = exact_sum + gap_sum;
-                let total_count = exact_count + gap_count;
+                let (exact_sum, exact_count) = (exact_sum(), exact_count());
+                let sum = self.gap_estimate(AggKind::Sum, &query.rect, covered);
+                let count = self.gap_estimate(AggKind::Count, &query.rect, covered);
+                let total_sum = exact_sum + sum.value;
+                let total_count = exact_count + count.value;
                 if total_count <= 0.0 {
                     if exact_count > 0.0 {
                         return Ok(Estimate::exact(exact_sum / exact_count));
                     }
-                    return Err(PassError::EmptyInput(
-                        "no sampled tuple matches the predicate",
-                    ));
+                    return Err(crate::us::NO_MATCH);
                 }
                 let value = total_sum / total_count;
                 // Var(S/C) ≈ var_S/C² + S²·var_C/C⁴ (independence
                 // approximation; AQP++ reports the same first-order CI).
-                let variance = var_sum / (total_count * total_count)
-                    + total_sum * total_sum * var_count / total_count.powi(4);
-                let est = if frontier.partial.is_empty() && k_pred == 0 {
+                let variance = sum.variance / (total_count * total_count)
+                    + total_sum * total_sum * count.variance / total_count.powi(4);
+                if frontier.partial.is_empty() && count.k_pred == 0 {
                     Estimate::exact(value)
                 } else {
-                    Estimate::approximate(value, self.lambda * variance.sqrt())
-                };
-                Ok(est.with_accounting(
-                    self.sample.k() as u64,
-                    self.tree
-                        .total_rows()
-                        .saturating_sub(self.sample.k() as u64),
-                ))
+                    PointVariance {
+                        value,
+                        variance,
+                        ..count
+                    }
+                    .evaluate(query.agg)
+                }
             }
             AggKind::Min | AggKind::Max => {
-                // Precomputed extrema of covered partitions + sample scan.
-                let mut best: Option<f64> = None;
-                let mut fold = |v: f64| {
-                    best = Some(match (best, query.agg) {
-                        (None, _) => v,
-                        (Some(b), AggKind::Min) => b.min(v),
-                        (Some(b), _) => b.max(v),
-                    });
-                };
-                for &id in covered {
-                    let a = self.tree.agg(id);
-                    if !a.is_empty() {
-                        fold(if query.agg == AggKind::Min {
-                            a.min
-                        } else {
-                            a.max
-                        });
-                    }
-                }
-                if let Some(pv) = pass_sampling::with_scratch(|scratch| {
+                // Precomputed extrema of covered partitions, as
+                // zero-variance strata, then the sample scan's extremum.
+                let mut strata: Vec<StratumEstimate> = covered
+                    .iter()
+                    .filter_map(|&id| {
+                        let node = self.tree.agg(id);
+                        Some(StratumEstimate::exact(node.answer(query.agg)?, node.count))
+                    })
+                    .collect();
+                let sampled = pass_sampling::with_scratch(|scratch| {
                     scratch.estimate(query.agg, &self.sample, &query.rect)
-                }) {
-                    fold(pv.value);
+                });
+                strata.extend(sampled.map(|point| StratumEstimate {
+                    point,
+                    population: self.sample.population(),
+                }));
+                if strata.is_empty() {
+                    return Err(crate::us::NO_MATCH);
                 }
-                best.map(|v| Estimate::approximate(v, 0.0))
-                    .ok_or(PassError::EmptyInput(
-                        "no sampled tuple matches the predicate",
-                    ))
+                // An extremum's answer carries no sample accounting.
+                return Ok(combine_strata(query.agg, &strata, 0).evaluate(query.agg));
             }
-        }
+        };
+        let k = self.sample.k() as u64;
+        Ok(est.with_accounting(k, self.tree.total_rows().saturating_sub(k)))
     }
 
     fn storage_bytes(&self) -> usize {

@@ -15,13 +15,13 @@
 //! columns.
 //!
 //! Estimation then *is* single-table φ-transform estimation over the
-//! joined sample: the Horvitz–Thompson estimator scales the sample mean
-//! of φ by the fact population `N`, and the CLT variance
-//! `pop_var(φ)/K · fpc` is exactly Huang et al.'s sample-one-side join
-//! variance for the unique-key case (each sampled tuple contributes an
-//! independent φ draw), feeding the ordinary [`Estimate`] CI machinery.
-//! Unbiasedness for SUM/COUNT and CI coverage are pinned statistically
-//! by `tests/join_contract.rs`.
+//! joined sample — so the engine answers through a [`UniformSynopsis`]
+//! over it: the Horvitz–Thompson estimator scales the sample mean of φ by
+//! the fact population `N`, and the CLT variance `pop_var(φ)/K · fpc` is
+//! exactly Huang et al.'s sample-one-side join variance for the
+//! unique-key case (each sampled tuple contributes an independent φ
+//! draw). Unbiasedness for SUM/COUNT and CI coverage are pinned
+//! statistically by `tests/join_contract.rs`.
 //!
 //! MIN/MAX are rejected with a typed error: an extremum of the join can
 //! hide entirely in unsampled fact rows, so no unbiased sample-side
@@ -30,28 +30,31 @@
 use std::collections::HashMap;
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{
-    AggKind, EngineSpec, Estimate, JoinSpec, PassError, Query, Result, Synopsis, LAMBDA_99,
-};
-use pass_sampling::{with_scratch, PointVariance, Sample};
+use pass_common::{AggKind, EngineSpec, Estimate, JoinSpec, PassError, Query, Result, Synopsis};
+use pass_sampling::Sample;
 use pass_table::Table;
+
+use crate::UniformSynopsis;
 
 /// A fact-side uniform sample joined against a hash-indexed dimension
 /// side, answering SUM/COUNT/AVG over predicate rectangles that span
 /// both sides (fact dimensions first, then the dimension attributes in
 /// `dim_attrs` order).
+///
+/// The joined sample is materialized once, at build time, and held by a
+/// [`UniformSynopsis`] whose population is the fact table's: every
+/// answer — single or batched, value, interval and accounting — is that
+/// engine's answer over the joined sample. What the join adds is the
+/// dimension index it was joined through, its spec, and the refusal of
+/// MIN/MAX (after the arity check, as every engine orders its errors).
 #[derive(Debug, Clone)]
 pub struct JoinSynopsis {
-    /// The materialized joined sample (fact dims + attribute dims).
-    pub(crate) sample: Sample,
+    /// US over the joined sample (fact dims + attribute dims), scaled to
+    /// the fact population `N`.
+    pub(crate) us: UniformSynopsis,
     /// Key bit-pattern → dimension row; spec-derived, so snapshots omit
     /// it and `Engine::load` rebuilds it from the header spec.
     pub(crate) index: HashMap<u64, usize>,
-    pub(crate) lambda: f64,
-    /// Query arity: fact predicate dims + dimension attribute dims.
-    pub(crate) dims: usize,
-    /// Fact-side population `N` the HT estimator scales by.
-    pub(crate) total_rows: u64,
     pub(crate) spec: JoinSpec,
 }
 
@@ -130,8 +133,7 @@ fn reject_extremum(agg: AggKind) -> Result<()> {
 
 impl JoinSynopsis {
     /// Validate the spec, index the dimension side, sample the fact side
-    /// (`table`), and materialize the joined sample (λ defaults to the
-    /// paper's 2.576).
+    /// (`table`), and materialize the joined sample.
     pub fn build(table: &Table, spec: &JoinSpec) -> Result<Self> {
         spec.validate()?;
         if table.n_rows() == 0 {
@@ -153,70 +155,45 @@ impl JoinSynopsis {
         let fact_sample = Sample::uniform(table, spec.k, &mut rng)?;
         let joined = join_rows(fact_sample.rows(), &dim_side, &index, spec.fk_dim)?;
         let sample = Sample::from_rows(joined, table.n_rows() as u64)?;
-        Ok(Self {
+        Ok(Self::over(
             sample,
+            table.n_rows() as u64,
             index,
-            lambda: LAMBDA_99,
-            dims: table.dims() + spec.attr_dims(),
-            total_rows: table.n_rows() as u64,
-            spec: spec.clone(),
-        })
+            spec.clone(),
+        ))
     }
 
     /// Reassemble from snapshot state. The hash index is **not**
     /// serialized — it is spec-derived, so the loader rebuilds it from
     /// the header spec exactly as [`build`](Self::build) would; only the
-    /// randomized joined sample (and the λ override) travel in the
-    /// snapshot. The caller (`crate::snapshot::load_join`) has already
-    /// validated the spec and the sample/dims/population invariants.
+    /// randomized joined sample (and the population it scales to) travels
+    /// in the snapshot. The caller (`crate::snapshot::load_join`) has
+    /// already validated the spec and the sample/dims/population
+    /// invariants.
     pub(crate) fn from_snapshot_parts(
         spec: JoinSpec,
         sample: Sample,
-        lambda: f64,
         total_rows: u64,
     ) -> Result<Self> {
-        let dims = sample.rows().dims();
         let index = dim_table(&spec)?.key_index(0)?;
-        Ok(Self {
-            sample,
-            index,
-            lambda,
-            dims,
-            total_rows,
-            spec,
-        })
+        Ok(Self::over(sample, total_rows, index, spec))
     }
 
-    /// The materialized joined sample.
-    pub fn sample(&self) -> &Sample {
-        &self.sample
+    /// The engine over a joined sample of a `total_rows`-row fact table.
+    fn over(sample: Sample, total_rows: u64, index: HashMap<u64, usize>, spec: JoinSpec) -> Self {
+        let us = UniformSynopsis {
+            dims: sample.rows().dims(),
+            sample,
+            total_rows,
+            requested_k: spec.k,
+            seed: spec.seed,
+        };
+        Self { us, index, spec }
     }
 
     /// Number of dimension-side rows in the hash index.
     pub fn indexed_keys(&self) -> usize {
         self.index.len()
-    }
-
-    /// One kernel point estimate into the engine's [`Estimate`] (shared
-    /// by the single and batched paths, which keeps them bit-identical).
-    fn finish(&self, point: Option<PointVariance>) -> Result<Estimate> {
-        let est = match point {
-            Some(pv) => {
-                let ci_half = self.lambda * pv.variance.sqrt();
-                Estimate::approximate(pv.value, ci_half)
-            }
-            None => {
-                return Err(PassError::EmptyInput(
-                    "no sampled joined tuple matches the predicate",
-                ))
-            }
-        };
-        // Like US, the whole joined sample is scanned per query; only
-        // the unsampled fact rows are skipped.
-        Ok(est.with_accounting(
-            self.sample.k() as u64,
-            self.total_rows - self.sample.k() as u64,
-        ))
     }
 }
 
@@ -230,48 +207,37 @@ impl Synopsis for JoinSynopsis {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
-        crate::snapshot::save_join(self, out);
-        Ok(())
+        self.us.save_state(out)
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.dims {
-            return Err(PassError::DimensionMismatch {
-                expected: self.dims,
-                got: query.dims(),
-            });
+        if query.dims() == self.us.dims {
+            reject_extremum(query.agg)?;
         }
-        reject_extremum(query.agg)?;
-        let point = with_scratch(|scratch| scratch.estimate(query.agg, &self.sample, &query.rect));
-        self.finish(point)
+        self.us.estimate(query)
     }
 
-    /// Lockstep batch path over the joined sample, element-wise
-    /// bit-identical to [`estimate`](Synopsis::estimate); batches with a
-    /// mis-sized or MIN/MAX query fall back to the per-query path so
+    /// The US lockstep batch path over the joined sample; a batch with a
+    /// mis-sized or MIN/MAX query falls back to the per-query path so
     /// error semantics stay per-element.
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
         if queries
             .iter()
-            .any(|q| q.dims() != self.dims || matches!(q.agg, AggKind::Min | AggKind::Max))
+            .any(|q| matches!(q.agg, AggKind::Min | AggKind::Max))
         {
             return queries.iter().map(|q| self.estimate(q)).collect();
         }
-        with_scratch(|scratch| {
-            let mut points = Vec::with_capacity(queries.len());
-            scratch.estimate_batch(&self.sample, queries, &mut points);
-            points.into_iter().map(|p| self.finish(p)).collect()
-        })
+        self.us.estimate_many(queries)
     }
 
     /// Joined-sample payload plus the hash index (one key/row entry per
     /// dimension row).
     fn storage_bytes(&self) -> usize {
-        self.sample.storage_bytes() + self.index.len() * (std::mem::size_of::<u64>() * 2)
+        self.us.storage_bytes() + self.index.len() * (std::mem::size_of::<u64>() * 2)
     }
 
     fn dims(&self) -> usize {
-        self.dims
+        self.us.dims
     }
 }
 
@@ -469,7 +435,10 @@ mod tests {
         assert_eq!(join.spec(), EngineSpec::Join(spec.clone()));
         assert_eq!(join.name(), "JOIN");
         assert_eq!(join.indexed_keys(), 8);
-        assert_eq!(join.storage_bytes(), join.sample().storage_bytes() + 8 * 16);
+        assert_eq!(
+            join.storage_bytes(),
+            join.us.sample().storage_bytes() + 8 * 16
+        );
     }
 
     #[test]

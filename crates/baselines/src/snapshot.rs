@@ -2,9 +2,10 @@
 //! dispatch (see `pass_common::snapshot` for the container format).
 //!
 //! Each engine serializes only what its [`EngineSpec`] cannot rebuild —
-//! the drawn samples, learned structures, and λ overrides — and derives
-//! the rest (names, requested parameters, seeds) from the spec embedded
-//! in the snapshot header, exactly as the build path would.
+//! the drawn samples and learned structures — and derives the rest
+//! (names, requested parameters, seeds) from the spec embedded in the
+//! snapshot header, exactly as the build path would. The sampled
+//! engines' state sections open with format v1's λ slot ([`V1Lambda`]).
 //! [`ShardedSynopsis`] recurses: its state is one section naming the
 //! shard count and arity, followed by every shard's own state sections
 //! in shard order, each decoded against the spec
@@ -12,8 +13,7 @@
 //!
 //! Every field goes through `pass_common::snapshot::Codec`; the two
 //! composite types only baselines have — an ST [`Stratum`] and an SPN
-//! [`Node`] — implement it here. US and JOIN share one state section
-//! ([`save_sampled`]). Decoders re-validate every invariant the
+//! [`Node`] — implement it here. JOIN writes its US's state section. Decoders re-validate every invariant the
 //! estimators rely on (sample arities, group assignments, SPN child
 //! ordering) so a checksum-valid but drifted payload fails at load time
 //! with `SnapshotError::SpecMismatch` instead of panicking at query time.
@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use pass_common::snapshot::{write_section, Codec, Cursor, SnapshotReader};
-use pass_common::{EngineSpec, JoinSpec, PassError, Result, Synopsis};
+use pass_common::{EngineSpec, JoinSpec, PassError, Result, Synopsis, LAMBDA_99};
 use pass_core::snapshot::load_pass;
 use pass_core::PartitionTree;
 use pass_sampling::Sample;
@@ -65,23 +65,50 @@ pub(crate) fn load_state(
     })
 }
 
+/// The 8-byte slot that opens every sampled baseline's state section in
+/// format v1, where it held the engine's CI scale λ. λ is no longer engine
+/// state — [`PointVariance::evaluate`](pass_sampling::PointVariance::evaluate)
+/// applies the paper's 2.576 — so the writer stores that constant and the
+/// reader refuses a section whose slot holds anything else.
+struct V1Lambda;
+
+impl Codec for V1Lambda {
+    const MIN_BYTES: usize = 8;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        LAMBDA_99.encode(out);
+    }
+
+    fn decode(c: &mut Cursor<'_>) -> Result<Self> {
+        let lambda: f64 = c.read()?;
+        if lambda.to_bits() != LAMBDA_99.to_bits() {
+            return Err(c.drift(format_args!(
+                "λ slot holds {lambda}, not format v1's {LAMBDA_99}"
+            )));
+        }
+        Ok(V1Lambda)
+    }
+}
+
 // --- US and JOIN: one sampled-state section ---
 
-/// Write the state section US and JOIN share: λ, query arity, the
-/// population the sample scales to, and the sample.
-fn save_sampled(out: &mut Vec<u8>, lambda: f64, dims: usize, total_rows: u64, sample: &Sample) {
+/// The state section US writes, and JOIN through its US: the λ slot,
+/// query arity, the population the sample scales to, and the sample.
+/// The spec-derived rest of a JOIN — its dimension hash index — is
+/// rebuilt from the header spec at load time.
+pub(crate) fn save_us(us: &UniformSynopsis, out: &mut Vec<u8>) {
     let mut state = Vec::new();
-    lambda.encode(&mut state);
-    dims.encode(&mut state);
-    total_rows.encode(&mut state);
-    sample.encode(&mut state);
+    V1Lambda.encode(&mut state);
+    us.dims.encode(&mut state);
+    us.total_rows.encode(&mut state);
+    us.sample.encode(&mut state);
     write_section(out, &state);
 }
 
-/// Read a section written by [`save_sampled`], checking the sample
-/// against the arity and the population.
-fn read_sampled(c: &mut Cursor<'_>) -> Result<(f64, usize, u64, Sample)> {
-    let lambda = c.read()?;
+/// Read a section written by [`save_us`], checking the sample against
+/// the arity and the population.
+fn read_sampled(c: &mut Cursor<'_>) -> Result<(usize, u64, Sample)> {
+    c.read::<V1Lambda>()?;
     let dims: usize = c.read()?;
     let total_rows: u64 = c.read()?;
     let sample: Sample = c.read()?;
@@ -92,31 +119,18 @@ fn read_sampled(c: &mut Cursor<'_>) -> Result<(f64, usize, u64, Sample)> {
     if total_rows < sample.k() as u64 {
         return Err(c.drift("total rows below its sample size"));
     }
-    Ok((lambda, dims, total_rows, sample))
-}
-
-pub(crate) fn save_us(us: &UniformSynopsis, out: &mut Vec<u8>) {
-    save_sampled(out, us.lambda, us.dims, us.total_rows, &us.sample);
+    Ok((dims, total_rows, sample))
 }
 
 fn load_us(requested_k: usize, seed: u64, r: &mut SnapshotReader<'_>) -> Result<UniformSynopsis> {
-    let (lambda, dims, total_rows, sample) =
-        read_sampled(&mut Cursor::new(r.section()?, "US state"))?;
+    let (dims, total_rows, sample) = read_sampled(&mut Cursor::new(r.section()?, "US state"))?;
     Ok(UniformSynopsis {
         sample,
-        lambda,
         dims,
         total_rows,
         requested_k,
         seed,
     })
-}
-
-pub(crate) fn save_join(j: &JoinSynopsis, out: &mut Vec<u8>) {
-    // Spec-derivation rule: the dimension hash index is rebuilt from the
-    // header spec at load time, so only the randomized joined sample
-    // (plus λ and the population accounting) is state.
-    save_sampled(out, j.lambda, j.dims, j.total_rows, &j.sample);
 }
 
 fn load_join(spec: &JoinSpec, r: &mut SnapshotReader<'_>) -> Result<JoinSynopsis> {
@@ -126,14 +140,14 @@ fn load_join(spec: &JoinSpec, r: &mut SnapshotReader<'_>) -> Result<JoinSynopsis
     if let Err(err) = spec.validate() {
         return Err(c.drift(format_args!("header spec is invalid: {err}")));
     }
-    let (lambda, dims, total_rows, sample) = read_sampled(&mut c)?;
+    let (dims, total_rows, sample) = read_sampled(&mut c)?;
     if dims <= spec.attr_dims() {
         return Err(c.drift("dims leave no fact-side predicate dimensions"));
     }
     if spec.fk_dim >= dims - spec.attr_dims() {
         return Err(c.drift("FK dimension is outside the fact side"));
     }
-    JoinSynopsis::from_snapshot_parts(spec.clone(), sample, lambda, total_rows)
+    JoinSynopsis::from_snapshot_parts(spec.clone(), sample, total_rows)
 }
 
 // --- ST ---
@@ -163,7 +177,7 @@ impl Codec for Stratum {
 
 pub(crate) fn save_st(st: &StratifiedSynopsis, out: &mut Vec<u8>) {
     let mut state = Vec::new();
-    st.lambda.encode(&mut state);
+    V1Lambda.encode(&mut state);
     st.total_rows.encode(&mut state);
     st.strata.encode(&mut state);
     write_section(out, &state);
@@ -176,7 +190,7 @@ fn load_st(
     r: &mut SnapshotReader<'_>,
 ) -> Result<StratifiedSynopsis> {
     let mut c = Cursor::new(r.section()?, "ST state");
-    let lambda = c.read()?;
+    c.read::<V1Lambda>()?;
     let total_rows: u64 = c.read()?;
     let decoded: Vec<Stratum> = c.read()?;
     c.done()?;
@@ -189,7 +203,6 @@ fn load_st(
     }
     Ok(StratifiedSynopsis {
         strata: decoded,
-        lambda,
         total_rows,
         requested: (strata, k, seed),
     })
@@ -203,7 +216,7 @@ pub(crate) fn save_aqppp(aqp: &AqpPlusPlus, out: &mut Vec<u8>) {
     write_section(out, &tree);
 
     let mut state = Vec::new();
-    aqp.lambda.encode(&mut state);
+    V1Lambda.encode(&mut state);
     u8::from(aqp.name == "KD-US").encode(&mut state);
     aqp.tree.dims().encode(&mut state);
     aqp.sample.encode(&mut state);
@@ -222,7 +235,7 @@ fn load_aqppp(
     c.done()?;
 
     let mut c = Cursor::new(r.section()?, "AQP++ state");
-    let lambda = c.read()?;
+    c.read::<V1Lambda>()?;
     let name = match c.read::<u8>()? {
         0 => "AQP++",
         1 => "KD-US",
@@ -253,7 +266,6 @@ fn load_aqppp(
     Ok(AqpPlusPlus {
         tree,
         sample,
-        lambda,
         name,
         requested: (partitions, k, seed, tree_dims.map(<[usize]>::to_vec)),
     })
@@ -263,7 +275,7 @@ fn load_aqppp(
 
 pub(crate) fn save_verdict(v: &VerdictSynopsis, out: &mut Vec<u8>) {
     let mut state = Vec::new();
-    v.lambda.encode(&mut state);
+    V1Lambda.encode(&mut state);
     v.population.encode(&mut state);
     v.n_groups.encode(&mut state);
     v.group.encode(&mut state);
@@ -273,7 +285,7 @@ pub(crate) fn save_verdict(v: &VerdictSynopsis, out: &mut Vec<u8>) {
 
 fn load_verdict(ratio: f64, seed: u64, r: &mut SnapshotReader<'_>) -> Result<VerdictSynopsis> {
     let mut c = Cursor::new(r.section()?, "scramble state");
-    let lambda = c.read()?;
+    c.read::<V1Lambda>()?;
     let population: u64 = c.read()?;
     let n_groups: usize = c.read()?;
     let group: Vec<u32> = c.read()?;
@@ -296,7 +308,6 @@ fn load_verdict(ratio: f64, seed: u64, r: &mut SnapshotReader<'_>) -> Result<Ver
         group,
         n_groups,
         population,
-        lambda,
         name: format!("VerdictDB-{}%", (ratio * 100.0).round()),
         requested: (ratio, seed),
     })

@@ -17,11 +17,14 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Build over the (unsorted) values with at most `bins` bins.
+    /// Build over the (unsorted, NaN-free) values with at most `bins`
+    /// bins.
     pub fn build(values: &[f64], bins: usize) -> Self {
-        assert!(!values.is_empty(), "histogram over empty column");
+        // invariant: learning splits rows into non-empty clusters only,
+        // and the SPN build refuses empty tables and NaN cells.
+        debug_assert!(!values.is_empty(), "histogram over empty column");
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN column value"));
+        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let bins = bins.clamp(1, n);
         let mut edges = Vec::with_capacity(bins + 1);

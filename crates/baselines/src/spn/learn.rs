@@ -289,11 +289,7 @@ fn two_means<R: Rng>(
         // Nudge: pick the farthest row from c0.
         let far = rows
             .iter()
-            .max_by(|&&a, &&b| {
-                dist2(&point(a), &c0)
-                    .partial_cmp(&dist2(&point(b), &c0))
-                    .unwrap()
-            })
+            .max_by(|&&a, &&b| dist2(&point(a), &c0).total_cmp(&dist2(&point(b), &c0)))
             .copied()?;
         c1 = point(far);
     }

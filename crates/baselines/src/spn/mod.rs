@@ -58,6 +58,22 @@ impl SpnSynopsis {
                 format!("training ratio must be in (0,1], got {ratio}"),
             ));
         }
+        // A histogram leaf orders its column, and a NaN has no place in
+        // that order.
+        if table.values().iter().any(|v| v.is_nan()) {
+            return Err(PassError::InvalidParameter(
+                "values",
+                "the value column holds a NaN, which an SPN histogram cannot order".into(),
+            ));
+        }
+        for dim in 0..table.dims() {
+            if table.predicate_column(dim).iter().any(|v| v.is_nan()) {
+                return Err(PassError::InvalidParameter(
+                    "predicates",
+                    format!("column {dim} holds a NaN, which an SPN histogram cannot order"),
+                ));
+            }
+        }
         let (nodes, root) = learn(table, ratio, seed, params)?;
         Ok(Self {
             nodes,
@@ -274,6 +290,37 @@ mod tests {
         assert!(spn
             .estimate(&Query::interval(AggKind::Min, 0.0, 1.0))
             .is_err());
+    }
+
+    /// A 1-D table with a NaN in every tenth row of its value column
+    /// (`values`) or of its predicate column.
+    fn tenth_rows_nan(values: bool) -> Table {
+        let column = |nan: bool, cell: fn(usize) -> f64| {
+            let spoil = |i| nan && i % 10 == 0;
+            (0..500)
+                .map(|i| if spoil(i) { f64::NAN } else { cell(i) })
+                .collect()
+        };
+        let keys = column(!values, |i| i as f64);
+        Table::one_dim(keys, column(values, |i| (i % 17) as f64)).unwrap()
+    }
+
+    #[test]
+    fn a_nan_value_cell_is_a_typed_refusal() {
+        let err = SpnSynopsis::build(&tenth_rows_nan(true), 1.0, 0).err();
+        assert!(
+            matches!(err, Some(PassError::InvalidParameter("values", _))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_nan_predicate_cell_is_a_typed_refusal() {
+        let err = SpnSynopsis::build(&tenth_rows_nan(false), 1.0, 0).err();
+        assert!(
+            matches!(err, Some(PassError::InvalidParameter("predicates", _))),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! estimated from its sample, even when fully covered.
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis, LAMBDA_99};
+use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
 use pass_partition::{EqualDepth, Partitioner1D};
 use pass_sampling::{combine_strata, with_scratch, Sample, StratumEstimate};
 use pass_table::{SortedTable, Table};
@@ -23,7 +23,6 @@ pub(crate) struct Stratum {
 #[derive(Debug, Clone)]
 pub struct StratifiedSynopsis {
     pub(crate) strata: Vec<Stratum>,
-    pub(crate) lambda: f64,
     pub(crate) total_rows: u64,
     /// Requested (strata, budget, seed), kept for [`Synopsis::spec`].
     pub(crate) requested: (usize, usize, u64),
@@ -58,7 +57,6 @@ impl StratifiedSynopsis {
         }
         Ok(Self {
             strata,
-            lambda: LAMBDA_99,
             total_rows: table.n_rows() as u64,
             requested: (b, k, seed),
         })
@@ -102,38 +100,26 @@ impl Synopsis for StratifiedSynopsis {
             }
             processed += s.sample.k() as u64;
             let point = with_scratch(|scratch| scratch.estimate(query.agg, &s.sample, &query.rect));
-            if let Some(point) = point {
-                if query.agg != AggKind::Avg || point.k_pred > 0 {
-                    // AVG strata weight: estimated relevant population
-                    // N_i · K_pred/K_i (see pass-core::query for why the
-                    // naive full-N_i weighting biases partial strata).
-                    let population = if query.agg == AggKind::Avg {
-                        let n_i = s.sample.population() as f64;
-                        let sel = point.k_pred as f64 / s.sample.k().max(1) as f64;
-                        ((n_i * sel).round() as u64).max(1)
-                    } else {
-                        s.sample.population()
-                    };
-                    n_q += population;
-                    estimates.push(StratumEstimate { point, population });
+            let (population, k) = (s.sample.population(), s.sample.k());
+            let stratum = match point {
+                // AVG weighs a stratum by its estimated relevant
+                // population, and one with no relevant tuple not at all.
+                Some(point) if query.agg == AggKind::Avg && point.k_pred > 0 => {
+                    StratumEstimate::relevant(point, population, k)
                 }
-            }
-        }
-        if estimates.is_empty() {
-            return match query.agg {
-                AggKind::Sum | AggKind::Count => Ok(Estimate::approximate(0.0, 0.0)
-                    .with_accounting(processed, self.total_rows - processed)),
-                _ => Err(PassError::EmptyInput(
-                    "no sampled tuple matches the predicate",
-                )),
+                Some(point) if query.agg != AggKind::Avg => StratumEstimate { point, population },
+                _ => continue,
             };
+            n_q += stratum.population;
+            estimates.push(stratum);
+        }
+        // SUM/COUNT of no stratum is `0 ± 0`; nothing else has an answer.
+        if estimates.is_empty() && !matches!(query.agg, AggKind::Sum | AggKind::Count) {
+            return Err(crate::us::NO_MATCH);
         }
         let combined = combine_strata(query.agg, &estimates, n_q);
-        let ci_half = match query.agg {
-            AggKind::Min | AggKind::Max => 0.0,
-            _ => self.lambda * combined.variance.sqrt(),
-        };
-        Ok(Estimate::approximate(combined.value, ci_half)
+        Ok(combined
+            .evaluate(query.agg)
             .with_accounting(processed, self.total_rows - processed))
     }
 

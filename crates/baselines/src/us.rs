@@ -1,7 +1,7 @@
 //! US — plain uniform sampling (Section 2.1).
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis, LAMBDA_99};
+use pass_common::{EngineSpec, Estimate, PassError, Query, Result, Synopsis};
 use pass_sampling::{with_scratch, PointVariance, Sample};
 use pass_table::Table;
 
@@ -10,7 +10,6 @@ use pass_table::Table;
 #[derive(Debug, Clone)]
 pub struct UniformSynopsis {
     pub(crate) sample: Sample,
-    pub(crate) lambda: f64,
     pub(crate) dims: usize,
     pub(crate) total_rows: u64,
     /// Requested sample size and seed, kept for [`Synopsis::spec`].
@@ -19,7 +18,7 @@ pub struct UniformSynopsis {
 }
 
 impl UniformSynopsis {
-    /// Draw `k` rows from the table (λ defaults to the paper's 2.576).
+    /// Draw `k` rows from the table.
     pub fn build(table: &Table, k: usize, seed: u64) -> Result<Self> {
         if table.n_rows() == 0 {
             return Err(PassError::EmptyInput("US over empty table"));
@@ -28,7 +27,6 @@ impl UniformSynopsis {
         let sample = Sample::uniform(table, k, &mut rng)?;
         Ok(Self {
             sample,
-            lambda: LAMBDA_99,
             dims: table.dims(),
             total_rows: table.n_rows() as u64,
             requested_k: k,
@@ -40,33 +38,12 @@ impl UniformSynopsis {
     pub fn sample(&self) -> &Sample {
         &self.sample
     }
-
-    /// Turn one kernel point estimate into the engine's [`Estimate`],
-    /// with the CI scaling and full-scan accounting shared by the single
-    /// and batched paths.
-    fn finish(&self, agg: AggKind, point: Option<PointVariance>) -> Result<Estimate> {
-        let est = match point {
-            Some(pv) => {
-                let ci_half = match agg {
-                    AggKind::Min | AggKind::Max => 0.0,
-                    _ => self.lambda * pv.variance.sqrt(),
-                };
-                Estimate::approximate(pv.value, ci_half)
-            }
-            None => {
-                return Err(PassError::EmptyInput(
-                    "no sampled tuple matches the predicate",
-                ))
-            }
-        };
-        // US scans its whole sample for every query; nothing is safely
-        // skipped (there is no index to prove irrelevance).
-        Ok(est.with_accounting(
-            self.sample.k() as u64,
-            self.total_rows - self.sample.k() as u64,
-        ))
-    }
 }
+
+/// The refusal when no sampled tuple matches a query's predicate — US's,
+/// and ST's and AQP++'s when nothing answers.
+pub(crate) const NO_MATCH: PassError =
+    PassError::EmptyInput("no sampled tuple matches the predicate");
 
 impl Synopsis for UniformSynopsis {
     fn name(&self) -> &str {
@@ -93,7 +70,13 @@ impl Synopsis for UniformSynopsis {
             });
         }
         let point = with_scratch(|scratch| scratch.estimate(query.agg, &self.sample, &query.rect));
-        self.finish(query.agg, point)
+        // US scans its whole sample for every query; nothing is safely
+        // skipped (there is no index to prove irrelevance).
+        let k = self.sample.k() as u64;
+        Ok(point
+            .ok_or(NO_MATCH)?
+            .evaluate(query.agg)
+            .with_accounting(k, self.total_rows - k))
     }
 
     /// Batch path: four queries per pass over the sample, in lockstep,
@@ -103,14 +86,15 @@ impl Synopsis for UniformSynopsis {
         if queries.iter().any(|q| q.dims() != self.dims) {
             return queries.iter().map(|q| self.estimate(q)).collect();
         }
+        let k = self.sample.k() as u64;
         with_scratch(|scratch| {
             let mut points = Vec::with_capacity(queries.len());
             scratch.estimate_batch(&self.sample, queries, &mut points);
-            queries
-                .iter()
-                .zip(points)
-                .map(|(q, p)| self.finish(q.agg, p))
-                .collect()
+            let answer = |(q, point): (&Query, Option<PointVariance>)| {
+                let est = point.ok_or(NO_MATCH)?.evaluate(q.agg);
+                Ok(est.with_accounting(k, self.total_rows - k))
+            };
+            queries.iter().zip(points).map(answer).collect()
         })
     }
 
@@ -126,6 +110,7 @@ impl Synopsis for UniformSynopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pass_common::AggKind;
     use pass_table::datasets::uniform;
 
     #[test]

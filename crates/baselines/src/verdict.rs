@@ -11,7 +11,8 @@
 use rand::Rng;
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis, LAMBDA_99};
+use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
+use pass_sampling::PointVariance;
 use pass_table::Table;
 
 /// A scramble: sampled rows with subsample-group assignments.
@@ -23,7 +24,6 @@ pub struct VerdictSynopsis {
     pub(crate) group: Vec<u32>,
     pub(crate) n_groups: usize,
     pub(crate) population: u64,
-    pub(crate) lambda: f64,
     pub(crate) name: String,
     /// Requested (ratio, seed), kept for [`Synopsis::spec`].
     pub(crate) requested: (f64, u64),
@@ -64,7 +64,6 @@ impl VerdictSynopsis {
             group,
             n_groups,
             population: n as u64,
-            lambda: LAMBDA_99,
             name: format!("VerdictDB-{}%", (ratio * 100.0).round()),
             requested: (ratio, seed),
         })
@@ -163,7 +162,7 @@ impl Synopsis for VerdictSynopsis {
             "no scramble row matches the predicate",
         ))?;
 
-        let ci_half = match query.agg {
+        let variance = match query.agg {
             AggKind::Min | AggKind::Max => 0.0,
             agg => {
                 // Variational subsampling: each group of size ~k/s is an
@@ -178,7 +177,7 @@ impl Synopsis for VerdictSynopsis {
                     let var_groups = pass_common::stats::sample_variance(&groups);
                     let avg_group_size = k as f64 / self.n_groups as f64;
                     let shrink = avg_group_size / k as f64;
-                    self.lambda * (var_groups * shrink).sqrt()
+                    var_groups * shrink
                 }
             }
         };
@@ -188,7 +187,13 @@ impl Synopsis for VerdictSynopsis {
         let mut est = if exact {
             Estimate::exact(value)
         } else {
-            Estimate::approximate(value, ci_half)
+            let k_pred = t_match;
+            PointVariance {
+                value,
+                variance,
+                k_pred,
+            }
+            .evaluate(query.agg)
         };
         est = est.with_accounting(k as u64, self.population - k as u64);
         Ok(est)

@@ -15,6 +15,11 @@ use crate::error::{PassError, Result};
 use crate::json::Json;
 use crate::stats::LAMBDA_99;
 
+/// The `"lambda"` key of a v1 PASS spec: the CI scale, fixed at
+/// [`LAMBDA_99`]. The key stays in the JSON so v1 snapshot headers keep
+/// their bytes, and the reader refuses any other value.
+const V1_LAMBDA: f64 = LAMBDA_99;
+
 /// Which partitioning optimizer drives PASS leaf selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
@@ -43,8 +48,6 @@ pub struct PassSpec {
     pub total_samples: Option<usize>,
     /// Partitioning optimizer.
     pub strategy: PartitionStrategy,
-    /// CI scale λ (default 2.576 → 99%).
-    pub lambda: f64,
     /// Store sample values as f32 deltas from the partition mean
     /// (Section 3.4 compression).
     pub delta_encode: bool,
@@ -72,7 +75,6 @@ impl Default for PassSpec {
             sample_rate: 0.005,
             total_samples: None,
             strategy: PartitionStrategy::Adp(AggKind::Sum),
-            lambda: LAMBDA_99,
             delta_encode: false,
             zero_variance_rule: true,
             opt_samples: 4096,
@@ -509,7 +511,7 @@ impl EngineSpec {
                 if let Some(kind) = strategy_agg {
                     fields.push(("strategy_agg", Json::from(kind.to_string())));
                 }
-                fields.push(("lambda", Json::from(p.lambda)));
+                fields.push(("lambda", Json::from(V1_LAMBDA)));
                 fields.push(("delta_encode", Json::from(p.delta_encode)));
                 fields.push(("zero_variance_rule", Json::from(p.zero_variance_rule)));
                 fields.push(("opt_samples", Json::from(p.opt_samples)));
@@ -632,6 +634,11 @@ impl EngineSpec {
                     Some("equal_width") => PartitionStrategy::EqualWidth,
                     _ => return Err(field_err("strategy")),
                 };
+                if f64_field("lambda")? != V1_LAMBDA {
+                    return Err(PassError::Load(format!(
+                        "EngineSpec JSON: `lambda` must be {V1_LAMBDA}, the CI scale of format v1"
+                    )));
+                }
                 Ok(EngineSpec::Pass(PassSpec {
                     partitions: usize_field("partitions")?,
                     sample_rate: f64_field("sample_rate")?,
@@ -640,7 +647,6 @@ impl EngineSpec {
                         Some(v) => Some(v.as_usize().ok_or(field_err("total_samples"))?),
                     },
                     strategy,
-                    lambda: f64_field("lambda")?,
                     delta_encode: doc
                         .get("delta_encode")
                         .and_then(Json::as_bool)
@@ -954,7 +960,30 @@ mod tests {
         let spec = PassSpec::default();
         assert_eq!(spec.partitions, 64);
         assert_eq!(spec.sample_rate, 0.005);
-        assert_eq!(spec.lambda, LAMBDA_99);
         assert!(spec.zero_variance_rule);
+        assert!(EngineSpec::Pass(spec)
+            .to_json()
+            .contains(r#""lambda":2.576"#));
+    }
+
+    /// λ is a format-v1 constant: a PASS spec naming any other CI scale
+    /// is refused where it enters, with the field named.
+    #[test]
+    fn a_lambda_other_than_the_v1_constant_is_refused() {
+        let json = EngineSpec::pass().to_json();
+        assert!(EngineSpec::from_json(&json).is_ok());
+        for other in ["1.96", "-1", "2.5760001"] {
+            let text = json.replace(r#""lambda":2.576"#, &format!(r#""lambda":{other}"#));
+            assert_ne!(text, json);
+            match EngineSpec::from_json(&text) {
+                Err(PassError::Load(why)) => assert!(why.contains("`lambda`"), "{why}"),
+                other => panic!("{text}: {other:?}"),
+            }
+        }
+        let missing = json.replace(r#""lambda":2.576,"#, "");
+        assert!(matches!(
+            EngineSpec::from_json(&missing),
+            Err(PassError::Load(_))
+        ));
     }
 }

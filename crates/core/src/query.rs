@@ -46,15 +46,13 @@ fn check_arity(tree: &PartitionTree, query: &Query) -> Result<()> {
 }
 
 /// Answer `query` over the annotated tree and the flat arena of its
-/// per-leaf stratified samples, on the caller's `scratch`. `lambda` scales
-/// the confidence interval; `zero_variance_rule` enables the Section 3.4
-/// AVG short-circuit.
+/// per-leaf stratified samples, on the caller's `scratch`.
+/// `zero_variance_rule` enables the Section 3.4 AVG short-circuit.
 pub(crate) fn process_arena(
     scratch: &mut McfScratch,
     tree: &PartitionTree,
     arena: &SampleArena,
     query: &Query,
-    lambda: f64,
     zero_variance_rule: bool,
 ) -> Result<Estimate> {
     check_arity(tree, query)?;
@@ -66,15 +64,7 @@ pub(crate) fn process_arena(
         ..
     } = scratch;
     let scan_now = |_, view: &SampleView<'_>| scan.estimate_view(query.agg, view, &query.rect);
-    process_frontier(
-        tree,
-        arena,
-        query,
-        lambda,
-        result.frontier(),
-        scan_now,
-        strata,
-    )
+    process_frontier(tree, arena, query, result.frontier(), scan_now, strata)
 }
 
 /// Answer a batch over a multi-dimensional arena, element-wise
@@ -87,7 +77,6 @@ pub(crate) fn process_batch(
     tree: &PartitionTree,
     arena: &SampleArena,
     queries: &[Query],
-    lambda: f64,
     zero_variance_rule: bool,
 ) -> Vec<Result<Estimate>> {
     // alloc: the batch's answers — all a warmed-up batch allocates.
@@ -112,9 +101,10 @@ pub(crate) fn process_batch(
             };
             let slots = &batch.slots[from[1]..to[1]];
             let scanned = |j: usize, _: &SampleView<'_>| slots[j];
-            out.push(check_arity(tree, query).and_then(|()| {
-                process_frontier(tree, arena, query, lambda, frontier, scanned, strata)
-            }));
+            out.push(
+                check_arity(tree, query)
+                    .and_then(|()| process_frontier(tree, arena, query, frontier, scanned, strata)),
+            );
             from = to;
         }
         rest = later;
@@ -242,47 +232,110 @@ fn scan_window(scratch: &mut McfScratch, tree: &PartitionTree, arena: &SampleAre
 /// a warmed-up scratch finishes the whole query without touching the
 /// allocator. The covered SUM/COUNT fold is shared with the bounds
 /// computation ([`hard_bounds_exact`]) and the sample accounting rides
-/// the per-aggregate partial-leaf loop, so each frontier list is walked
-/// once.
+/// the partial-leaf loop, so each frontier list is walked once.
+///
+/// Every aggregate is one [`combine_strata`] over its strata, answered by
+/// [`PointVariance::evaluate`]; what this function decides is which
+/// strata enter and when the answer is `exact`.
 fn process_frontier(
     tree: &PartitionTree,
     arena: &SampleArena,
     query: &Query,
-    lambda: f64,
     frontier: Frontier<'_>,
-    point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
+    mut point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
     strata: &mut Vec<StratumEstimate>,
 ) -> Result<Estimate> {
-    let (bounds, exact_part) = hard_bounds_exact(tree, frontier, query.agg);
-
-    // Sample accounting, accumulated by the partial-leaf loops: every
-    // partial leaf's whole sample is scanned.
-    let mut processed = 0u64;
-
-    let mut est = match query.agg {
-        AggKind::Sum | AggKind::Count => process_sum_count(
-            tree,
-            arena,
-            query,
-            lambda,
-            frontier,
-            exact_part,
-            point,
-            strata,
-            &mut processed,
-        )?,
-        AggKind::Avg => process_avg(
-            tree,
-            arena,
-            lambda,
-            frontier,
-            &bounds,
-            point,
-            strata,
-            &mut processed,
-        )?,
+    let agg = query.agg;
+    // Partial Aggregation: SUM/COUNT's exact contribution of covered
+    // partitions is folded once inside `hard_bounds_exact` (same addends,
+    // same order). AVG's and MIN/MAX's enter as zero-variance strata,
+    // weighted by their full population.
+    let (bounds, exact_part) = hard_bounds_exact(tree, frontier, agg);
+    strata.clear();
+    // `N_q`, the relevant strata's total size (Section 3.3's weighting).
+    let mut n_q = 0u64;
+    match agg {
+        // 0-variance nodes contribute their constant value exactly too
+        // (Section 3.4's rule).
+        AggKind::Avg => {
+            for &id in frontier.covered.iter().chain(frontier.zero_var) {
+                let node = tree.agg(id);
+                if let Some(avg) = node.avg() {
+                    n_q += node.count;
+                    strata.push(StratumEstimate::exact(avg, node.count));
+                }
+            }
+        }
         AggKind::Min | AggKind::Max => {
-            process_minmax(tree, arena, query, frontier, &bounds, point, &mut processed)?
+            for &id in frontier.covered {
+                let node = tree.agg(id);
+                if !node.is_empty() {
+                    let extremum = if agg == AggKind::Min {
+                        node.min
+                    } else {
+                        node.max
+                    };
+                    strata.push(StratumEstimate::exact(extremum, node.count));
+                }
+            }
+        }
+        AggKind::Sum | AggKind::Count => {}
+    }
+    // Sample Estimation over partial leaves, every one of whose samples is
+    // scanned. The view's population is the leaf's count `N_i` (an
+    // invariant the update path maintains and tests); AVG weighs a leaf
+    // by its estimated relevant population instead.
+    let mut processed = 0u64;
+    for (j, &id) in frontier.partial.iter().enumerate() {
+        let view = arena.view(stratum_of(tree, id)?);
+        processed += view.k() as u64;
+        if let Some(point) = point(j, &view) {
+            let stratum = match agg {
+                AggKind::Avg => StratumEstimate::relevant(point, view.population, view.k()),
+                _ => StratumEstimate {
+                    point,
+                    population: view.population,
+                },
+            };
+            n_q += stratum.population;
+            strata.push(stratum);
+        }
+    }
+
+    // Only a frontier without partial leaves is exact — for AVG also
+    // without 0-variance nodes (exact in value, approximate in weight),
+    // and for MIN/MAX without a covered node whose stored extremum a
+    // deletion touched (a bound, not an attained value).
+    let exact = frontier.partial.is_empty()
+        && match agg {
+            AggKind::Sum | AggKind::Count => true,
+            AggKind::Avg => frontier.zero_var.is_empty(),
+            AggKind::Min | AggKind::Max => !frontier
+                .covered
+                .iter()
+                .any(|&id| tree.has_loose_extrema(id)),
+        };
+    let mut est = if strata.is_empty() && !matches!(agg, AggKind::Sum | AggKind::Count) {
+        // No covered partition and no sampled evidence: the midpoint of
+        // the deterministic bracket when one exists, otherwise the
+        // selection is provably empty.
+        let Some((lb, ub)) = bounds else {
+            return Err(PassError::EmptyInput(match agg {
+                AggKind::Avg => "AVG over empty selection",
+                _ => "MIN/MAX over empty selection",
+            }));
+        };
+        Estimate::approximate((lb + ub) / 2.0, (ub - lb) / 2.0)
+    } else {
+        let sampled = combine_strata(agg, strata, n_q);
+        let value = match agg {
+            AggKind::Sum | AggKind::Count => exact_part + sampled.value,
+            _ => sampled.value,
+        };
+        if exact {
+            Estimate::exact(value)
+        } else {
+            PointVariance { value, ..sampled }.evaluate(agg)
         }
     };
     let skipped = tree.total_rows().saturating_sub(processed);
@@ -304,185 +357,11 @@ pub(crate) fn stratum_of(tree: &PartitionTree, id: usize) -> Result<usize> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn process_sum_count(
-    tree: &PartitionTree,
-    arena: &SampleArena,
-    query: &Query,
-    lambda: f64,
-    frontier: Frontier<'_>,
-    // Partial Aggregation: exact contribution of covered partitions,
-    // folded once inside `hard_bounds_exact` (same addends, same order).
-    exact_part: f64,
-    mut point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
-    strata: &mut Vec<StratumEstimate>,
-    processed: &mut u64,
-) -> Result<Estimate> {
-    // Sample Estimation over partial leaves (w_i = 1 for SUM/COUNT).
-    strata.clear();
-    for (j, &id) in frontier.partial.iter().enumerate() {
-        let view = arena.view(stratum_of(tree, id)?);
-        *processed += view.k() as u64;
-        if let Some(point) = point(j, &view) {
-            strata.push(StratumEstimate {
-                point,
-                // Sample populations track leaf counts (an invariant the
-                // update path maintains and tests), so the view already
-                // carries `tree.agg(id).count`.
-                population: view.population,
-            });
-        }
-    }
-    let combined = combine_strata(query.agg, strata, 0);
-
-    let value = exact_part + combined.value;
-    let ci_half = lambda * combined.variance.sqrt();
-    Ok(if frontier.partial.is_empty() {
-        Estimate::exact(value)
-    } else {
-        Estimate::approximate(value, ci_half)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_avg(
-    tree: &PartitionTree,
-    arena: &SampleArena,
-    lambda: f64,
-    frontier: Frontier<'_>,
-    bounds: &Option<(f64, f64)>,
-    mut point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
-    strata: &mut Vec<StratumEstimate>,
-    processed: &mut u64,
-) -> Result<Estimate> {
-    // Relevant strata: covered partitions plus partial leaves with sample
-    // evidence. N_q is their total size (Section 3.3's weighting).
-    strata.clear();
-    // Covered nodes contribute exactly; 0-variance nodes contribute their
-    // constant value exactly too (Section 3.4's rule), weighted by their
-    // full population per the paper's prescription.
-    for &id in frontier.covered.iter().chain(frontier.zero_var) {
-        let agg = tree.agg(id);
-        if let Some(avg) = agg.avg() {
-            strata.push(StratumEstimate {
-                point: PointVariance {
-                    value: avg,
-                    variance: 0.0,
-                    k_pred: agg.count,
-                },
-                population: agg.count,
-            });
-        }
-    }
-    let mut n_q: u64 = strata.iter().map(|s| s.population).sum();
-    for (j, &id) in frontier.partial.iter().enumerate() {
-        let view = arena.view(stratum_of(tree, id)?);
-        *processed += view.k() as u64;
-        if let Some(point) = point(j, &view) {
-            // Weight partial strata by their *estimated relevant*
-            // population N_i · K_pred/K_i rather than the full N_i: only a
-            // fraction of a partially-covered stratum contributes to the
-            // average, and the sample selectivity is its unbiased
-            // estimate. (With full-N_i weights a barely-touched stratum
-            // would swamp fully-covered ones. The view's population is
-            // N_i: sample populations track leaf counts.)
-            let n_i = view.population as f64;
-            let selectivity = point.k_pred as f64 / view.k().max(1) as f64;
-            let population = ((n_i * selectivity).round() as u64).max(1);
-            n_q += population;
-            strata.push(StratumEstimate { point, population });
-        }
-    }
-
-    if strata.is_empty() {
-        // No covered partition and no sampled evidence. Fall back to the
-        // deterministic bracket when one exists; otherwise the selection is
-        // provably empty.
-        return match bounds {
-            Some((lb, ub)) => {
-                Ok(Estimate::approximate((lb + ub) / 2.0, (ub - lb) / 2.0)
-                    .with_hard_bounds(*lb, *ub))
-            }
-            None => Err(PassError::EmptyInput("AVG over empty selection")),
-        };
-    }
-
-    let combined = combine_strata(AggKind::Avg, strata, n_q);
-    let ci_half = lambda * combined.variance.sqrt();
-    // 0-variance contributions are exact in value but approximate in
-    // weight, so only a frontier with neither partial nor zero-var nodes
-    // is fully exact.
-    if frontier.partial.is_empty() && frontier.zero_var.is_empty() {
-        Ok(Estimate::exact(combined.value))
-    } else {
-        Ok(Estimate::approximate(combined.value, ci_half))
-    }
-}
-
-fn process_minmax(
-    tree: &PartitionTree,
-    arena: &SampleArena,
-    query: &Query,
-    frontier: Frontier<'_>,
-    bounds: &Option<(f64, f64)>,
-    mut point: impl FnMut(usize, &SampleView<'_>) -> Option<PointVariance>,
-    processed: &mut u64,
-) -> Result<Estimate> {
-    let mut best: Option<f64> = None;
-    let mut fold = |v: f64| {
-        best = Some(match (best, query.agg) {
-            (None, _) => v,
-            (Some(b), AggKind::Min) => b.min(v),
-            (Some(b), _) => b.max(v),
-        });
-    };
-    for &id in frontier.covered {
-        let agg = tree.agg(id);
-        if !agg.is_empty() {
-            fold(match query.agg {
-                AggKind::Min => agg.min,
-                _ => agg.max,
-            });
-        }
-    }
-    for (j, &id) in frontier.partial.iter().enumerate() {
-        let view = arena.view(stratum_of(tree, id)?);
-        *processed += view.k() as u64;
-        if let Some(point) = point(j, &view) {
-            fold(point.value);
-        }
-    }
-    // A covered node whose stored extremum a deletion touched answers
-    // with a bound, not with an attained value.
-    let loose = || {
-        frontier
-            .covered
-            .iter()
-            .any(|&id| tree.has_loose_extrema(id))
-    };
-    match best {
-        Some(value) => {
-            if frontier.partial.is_empty() && !loose() {
-                Ok(Estimate::exact(value))
-            } else {
-                Ok(Estimate::approximate(value, 0.0))
-            }
-        }
-        None => {
-            match bounds {
-                Some((lb, ub)) => Ok(Estimate::approximate((lb + ub) / 2.0, (ub - lb) / 2.0)
-                    .with_hard_bounds(*lb, *ub)),
-                None => Err(PassError::EmptyInput("MIN/MAX over empty selection")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pass_common::rng::rng_from_seed;
-    use pass_common::{Query, LAMBDA_99};
+    use pass_common::Query;
     use pass_partition::Partitioning1D;
     use pass_sampling::{Sample, ScanScratch};
     use pass_table::{SortedTable, Table};
@@ -494,7 +373,6 @@ mod tests {
         tree: &PartitionTree,
         leaf_samples: &[Sample],
         query: &Query,
-        lambda: f64,
         zero_variance_rule: bool,
     ) -> Result<Estimate> {
         process_arena(
@@ -502,7 +380,6 @@ mod tests {
             tree,
             &SampleArena::from_samples(leaf_samples),
             query,
-            lambda,
             zero_variance_rule,
         )
     }
@@ -537,7 +414,7 @@ mod tests {
         for agg in AggKind::ALL {
             // Keys 50..=149 align with leaves 1 and 2 exactly.
             let q = Query::interval(agg, 50.0, 149.0);
-            let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+            let est = process(&tree, &samples, &q, true).unwrap();
             let truth = table.ground_truth(&q).unwrap();
             assert!(est.exact, "{agg} should be exact");
             assert!((est.value - truth).abs() < 1e-9, "{agg}");
@@ -553,7 +430,7 @@ mod tests {
         for seed in 0..trials {
             let (table, tree, samples) = fixture(0.2, 100 + seed);
             let q = Query::interval(AggKind::Sum, 30.0, 270.0);
-            let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+            let est = process(&tree, &samples, &q, true).unwrap();
             let truth = table.ground_truth(&q).unwrap();
             if (est.value - truth).abs() <= est.ci_half {
                 covered += 1;
@@ -568,7 +445,7 @@ mod tests {
         for agg in AggKind::ALL {
             for (lo, hi) in [(0.0, 399.0), (13.0, 77.0), (49.0, 51.0), (350.0, 360.0)] {
                 let q = Query::new(agg, pass_common::Rect::interval(lo, hi));
-                let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+                let est = process(&tree, &samples, &q, true).unwrap();
                 let truth = table.ground_truth(&q).unwrap();
                 let (lb, ub) = est.hard_bounds.expect("bounds exist for nonempty query");
                 assert!(
@@ -584,13 +461,13 @@ mod tests {
         let (_, tree, samples) = fixture(0.1, 4);
         // Aligned query: no samples processed, everything skipped.
         let q = Query::interval(AggKind::Sum, 50.0, 149.0);
-        let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+        let est = process(&tree, &samples, &q, true).unwrap();
         assert_eq!(est.tuples_processed, 0);
         assert_eq!(est.tuples_skipped, 400);
         assert_eq!(est.skip_rate(), 1.0);
         // Straddling query: two partial leaves' samples processed.
         let q = Query::interval(AggKind::Sum, 30.0, 270.0);
-        let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+        let est = process(&tree, &samples, &q, true).unwrap();
         let expected: u64 = samples[0].k() as u64 + samples[5].k() as u64;
         assert_eq!(est.tuples_processed, expected);
         assert!(est.skip_rate() > 0.9);
@@ -604,7 +481,7 @@ mod tests {
             pass_common::Rect::new(&[(0.0, 1.0), (0.0, 1.0)]),
         );
         assert!(matches!(
-            process(&tree, &samples, &q, LAMBDA_99, true),
+            process(&tree, &samples, &q, true),
             Err(PassError::DimensionMismatch { .. })
         ));
     }
@@ -625,7 +502,6 @@ mod tests {
                 &tree,
                 &arena,
                 &query,
-                LAMBDA_99,
                 frontier.frontier(),
                 |_, view: &SampleView<'_>| scan.estimate_view(agg, view, &query.rect),
                 &mut Vec::new(),
@@ -667,10 +543,10 @@ mod tests {
         assert_eq!(scratch.batch.ends.len(), taken);
         assert!(taken < WINDOW && scratch.result.partial.len() >= PAIR_BUDGET);
         assert!(scratch.result.partial.len() < PAIR_BUDGET + pass.tree.n_leaves());
-        let batch = process_batch(scratch, &pass.tree, &pass.arena, &queries, LAMBDA_99, true);
+        let batch = process_batch(scratch, &pass.tree, &pass.arena, &queries, true);
         assert_eq!(batch.len(), queries.len());
         for (q, batched) in queries.iter().zip(batch) {
-            let single = process_arena(scratch, &pass.tree, &pass.arena, q, LAMBDA_99, true);
+            let single = process_arena(scratch, &pass.tree, &pass.arena, q, true);
             assert_eq!(batched, single, "{q:?}");
         }
     }
@@ -679,11 +555,11 @@ mod tests {
     fn empty_selection_semantics() {
         let (_, tree, samples) = fixture(0.1, 6);
         let q = Query::interval(AggKind::Sum, 1000.0, 2000.0);
-        let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+        let est = process(&tree, &samples, &q, true).unwrap();
         assert_eq!(est.value, 0.0);
         assert!(est.exact);
         let q = Query::interval(AggKind::Avg, 1000.0, 2000.0);
-        assert!(process(&tree, &samples, &q, LAMBDA_99, true).is_err());
+        assert!(process(&tree, &samples, &q, true).is_err());
     }
 
     #[test]
@@ -706,7 +582,7 @@ mod tests {
             .map(|r| Sample::uniform_from_range(&table, r, 3, &mut rng).unwrap())
             .collect();
         let q = Query::interval(AggKind::Avg, 5.0, 20.0);
-        let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+        let est = process(&tree, &samples, &q, true).unwrap();
         // The value is exactly the constant, no samples were touched, and
         // the CI collapses — but the estimate is not flagged `exact`
         // because the matching count (hence AVG weighting against other
@@ -717,7 +593,7 @@ mod tests {
         // Hard bounds degrade gracefully to the node's (constant) extrema.
         assert_eq!(est.hard_bounds, Some((4.0, 4.0)));
         // Without the rule the same query scans the leaf's sample.
-        let est = process(&tree, &samples, &q, LAMBDA_99, false).unwrap();
+        let est = process(&tree, &samples, &q, false).unwrap();
         assert!(est.tuples_processed > 0);
     }
 
@@ -726,7 +602,7 @@ mod tests {
         let (table, tree, samples) = fixture(0.3, 8);
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let q = Query::interval(agg, 20.0, 333.0);
-            let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+            let est = process(&tree, &samples, &q, true).unwrap();
             let truth = table.ground_truth(&q).unwrap();
             let rel = (est.value - truth).abs() / truth;
             assert!(rel < 0.15, "{agg}: rel error {rel}");
@@ -738,7 +614,7 @@ mod tests {
         let (_, tree, samples) = fixture(0.2, 9);
         for agg in [AggKind::Min, AggKind::Max] {
             let q = Query::interval(agg, 33.0, 222.0);
-            let est = process(&tree, &samples, &q, LAMBDA_99, true).unwrap();
+            let est = process(&tree, &samples, &q, true).unwrap();
             let (lb, ub) = est.hard_bounds.unwrap();
             assert!(lb <= est.value && est.value <= ub);
         }

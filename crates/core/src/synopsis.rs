@@ -273,7 +273,6 @@ impl Pass {
             &self.tree,
             &self.arena,
             query,
-            self.spec.lambda,
             self.spec.zero_variance_rule,
         )
     }
@@ -318,7 +317,6 @@ impl Synopsis for Pass {
                     &self.tree,
                     &self.arena,
                     queries,
-                    self.spec.lambda,
                     self.spec.zero_variance_rule,
                 )
             } else {

@@ -82,20 +82,65 @@ use std::cell::RefCell;
 
 use pass_common::kahan::KahanSum;
 use pass_common::stats::fpc;
-use pass_common::{AggKind, Query, Rect};
+use pass_common::{AggKind, Estimate, Query, Rect, LAMBDA_99};
 
 use crate::sample::Sample;
 
-/// A point estimate together with the variance *of the estimator* (i.e.
-/// `var(φ(S))/K · FPC`, ready to be λ-scaled into a CI) and the matching
-/// sample count.
+/// The estimator state every sampling engine answers from: a point
+/// estimate, the variance *of the estimator* (λ-free), and the number of
+/// sampled tuples behind it.
+///
+/// A kernel scan yields one per stratum ([`phi_means`](Self::phi_means)),
+/// [`combine_strata`](crate::combine_strata) folds strata into one, and
+/// [`evaluate`](Self::evaluate) turns it into an [`Estimate`]. Each of the
+/// three is the only library code that computes its formula.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointVariance {
     pub value: f64,
-    /// Variance of the estimator; `ci_half = λ · variance.sqrt()`.
+    /// Variance of the estimator; [`evaluate`](Self::evaluate) scales its
+    /// square root by λ.
     pub variance: f64,
     /// Number of sampled tuples satisfying the predicate (`K_pred`).
     pub k_pred: u64,
+}
+
+impl PointVariance {
+    /// The φ-means of `L` queries over one `k`-row sample of a stratum of
+    /// `population` rows. Query `l` has the φ-mean `values[l]`, whose φ
+    /// vector has the plug-in population variance `pop_vars[l]`, over
+    /// `k_preds[l]` matching rows; its estimator variance is
+    /// `pop_var / K · fpc(N, K)` (Equation 4 with footnote 1's
+    /// finite-population correction), the correction computed once for
+    /// the stratum. A single query is one lane.
+    #[inline]
+    pub fn phi_means<const L: usize>(
+        values: [f64; L],
+        pop_vars: [f64; L],
+        k: usize,
+        population: u64,
+        k_preds: [u64; L],
+    ) -> [Self; L] {
+        let correction = fpc(population, k as u64);
+        std::array::from_fn(|l| PointVariance {
+            value: values[l],
+            variance: pop_vars[l] / k as f64 * correction,
+            k_pred: k_preds[l],
+        })
+    }
+
+    /// The answer this state gives for `agg`: `value` with the CI
+    /// half-width `λ · √variance` at the paper's λ = 2.576 (99 %), or a
+    /// zero half-width for MIN/MAX, which have no CLT interval. The one
+    /// place λ is applied. Whether the answer is `exact`, its hard bounds
+    /// and its accounting stay with the caller.
+    #[inline]
+    pub fn evaluate(&self, agg: AggKind) -> Estimate {
+        let ci_half = match agg {
+            AggKind::Min | AggKind::Max => 0.0,
+            _ => LAMBDA_99 * self.variance.sqrt(),
+        };
+        Estimate::approximate(self.value, ci_half)
+    }
 }
 
 /// Queries one pass of the lockstep group kernel answers. Four `f64`
@@ -578,12 +623,7 @@ fn moments(phi: &[f64], population: u64, k_pred: u64) -> PointVariance {
         }
         (ss.total() / k as f64).max(0.0)
     };
-    let variance = pop_var / k as f64 * fpc(population, k as u64);
-    PointVariance {
-        value,
-        variance,
-        k_pred,
-    }
+    PointVariance::phi_means([value], [pop_var], k, population, [k_pred])[0]
 }
 
 /// One [`KahanSum::add`] step on a `(sum, compensation)` pair, the
@@ -655,12 +695,7 @@ fn group_moments(
         }
         ss.map(|(sum, compensation)| ((sum + compensation) / kf).max(0.0))
     };
-    let correction = fpc(population, k as u64);
-    std::array::from_fn(|l| PointVariance {
-        value: sum[l] / kf,
-        variance: pop_var[l] / kf * correction,
-        k_pred: k_pred[l],
-    })
+    PointVariance::phi_means(sum.map(|s| s / kf), pop_var, k, population, k_pred)
 }
 
 /// The sorted-column fast path for 1-D samples: the match set of
@@ -769,12 +804,7 @@ fn moments_range(
         }
         (ss.total() / k as f64).max(0.0)
     };
-    let variance = pop_var / k as f64 * fpc(population, k as u64);
-    PointVariance {
-        value,
-        variance,
-        k_pred,
-    }
+    PointVariance::phi_means([value], [pop_var], k, population, [k_pred])[0]
 }
 
 #[cfg(test)]

@@ -10,13 +10,15 @@
 //!   serving hot path runs on: a reusable [`ScanScratch`] with branchless
 //!   mask builds, four-query lockstep batch evaluation, and a
 //!   binary-search fast path for sorted 1-D samples, all bit-identical to
-//!   [`estimator`];
+//!   [`estimator`]. They yield [`PointVariance`], the estimator state
+//!   every sampling engine answers from, whose `evaluate` is the one place
+//!   λ turns a variance into a confidence interval;
 //! * [`arena`] — [`SampleArena`], the whole sample set flattened into one
 //!   cache-resident allocation, handing the kernels borrowed
 //!   [`SampleView`]s so partial-leaf scans stop chasing per-`Sample` heap
 //!   pointers;
-//! * [`stratified`] — the weighted combination of per-stratum estimates and
-//!   the Section 2.2 confidence-interval formula;
+//! * [`stratified`] — the Section 2.2 weighted combination of
+//!   per-stratum states into one;
 //! * [`delta`] — delta encoding of stratified samples against the partition
 //!   mean (the Section 3.4 compression optimization).
 

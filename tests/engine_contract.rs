@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use pass::common::rng::derive_seed;
 use pass::common::{
-    apply_group_availability, estimate_group_by, AggKind, EngineSpec, GroupByQuery,
-    PartitionStrategy, PassError, PassSpec, Query, Rect, ShardPlan, Synopsis,
+    apply_group_availability, estimate_group_by, AggKind, EngineSpec, Estimate, GroupByQuery,
+    JoinSpec, PartitionStrategy, PassError, PassSpec, Query, Rect, Result, ShardPlan, Synopsis,
 };
 use pass::core::Pass;
 use pass::table::datasets::{taxi, uniform};
@@ -460,6 +460,161 @@ fn one_dimensional_pass_answers_are_pinned_across_commits() {
     ];
     assert_eq!(hashes, expected, "answer hashes {hashes:#018x?}");
     single_key_leaf_then_an_insert_in_the_gap_after_it();
+}
+
+/// FNV-1a over every word of an answer: the value, CI and hard-bound
+/// bits, `exact`, both accounting fields — or, for a refusal, the error
+/// variant alone (its text may change; its kind may not).
+fn fnv_answer(hash: &mut u64, answer: &Result<Estimate>) {
+    let words = match answer {
+        Ok(e) => {
+            let (lb, ub) = e.hard_bounds.unwrap_or((f64::NAN, f64::NAN));
+            [
+                e.value.to_bits(),
+                e.ci_half.to_bits(),
+                lb.to_bits(),
+                ub.to_bits(),
+                u64::from(e.exact),
+                e.tuples_processed,
+                e.tuples_skipped,
+            ]
+        }
+        Err(err) => {
+            let variant = match err {
+                PassError::DimensionMismatch { .. } => 1,
+                PassError::InvalidParameter(..) => 2,
+                PassError::EmptyInput(_) => 3,
+                PassError::Load(_) => 4,
+                PassError::Snapshot(_) => 5,
+            };
+            [u64::MAX, variant, 0, 0, 0, 0, 0]
+        }
+    };
+    for word in words {
+        *hash = (*hash ^ word).wrapping_mul(0x100000001b3);
+    }
+}
+
+/// `n` queries over `table`'s bounding box (plus `extra` dimensions the
+/// engine adds, each held at its given span), all five aggregates in
+/// rotation: a point on a table row, the whole domain, a region beyond
+/// the data, and random boxes.
+fn pin_queries(table: &Table, extra: &[(f64, f64)], n: usize) -> Vec<Query> {
+    let full = table.bounding_rect().unwrap();
+    let dims = table.dims();
+    let mut state = 0xba5e;
+    (0..n)
+        .map(|i| {
+            let agg = AggKind::ALL[i % AggKind::ALL.len()];
+            let row = (unit(&mut state) * table.n_rows() as f64) as usize;
+            let mut bounds: Vec<(f64, f64)> = (0..dims)
+                .map(|d| match i % 7 {
+                    0 => (table.predicate(d, row), table.predicate(d, row)),
+                    1 => (f64::NEG_INFINITY, f64::INFINITY),
+                    2 => (full.hi(d) + 1.0, full.hi(d) + 2.0),
+                    _ => {
+                        let span = full.hi(d) - full.lo(d);
+                        let lo = full.lo(d) + span * unit(&mut state);
+                        (lo, lo + span * unit(&mut state) * 0.6)
+                    }
+                })
+                .collect();
+            bounds.extend(extra.iter().map(|&(lo, hi)| match i % 7 {
+                1 => (f64::NEG_INFINITY, f64::INFINITY),
+                _ => (lo, hi),
+            }));
+            Query::new(agg, Rect::new(&bounds))
+        })
+        .collect()
+}
+
+/// The baselines' answers are pinned across commits the way PASS's are
+/// above: FNV-1a over every answer of `pin_queries`, through `estimate`
+/// and then `estimate_many`, for the six standard-suite engines, 3-D and
+/// shifted KD-US, a 100 % VerdictDB scramble (its exact path), the JOIN
+/// engine, and `Sharded[3]` US and PASS under both shard plans. Recorded
+/// before the sampling engines shared one estimator state.
+#[test]
+fn baseline_answers_are_pinned_across_commits() {
+    let flat = uniform(4_000, 9);
+    let taxi_3d = taxi(3_000, 78).project(&[0, 1, 2]).unwrap();
+    let (fact, join) = {
+        let n = 6_000;
+        let values = (0..n).map(|i| (i % 13) as f64 + 1.0).collect();
+        let x = (0..n).map(|i| i as f64 / n as f64).collect();
+        let fk = (0..n)
+            .map(|i| if i % 7 == 0 { -1.0 } else { (i % 16) as f64 })
+            .collect();
+        let names = ["v", "x", "fk"].map(String::from).to_vec();
+        let fact = Table::new(values, vec![x, fk], names).unwrap();
+        let keys: Vec<f64> = (0..16).map(f64::from).collect();
+        let attr = keys.iter().map(|key| key * 10.0).collect();
+        let spec = JoinSpec::new(1, keys, vec![attr], 800);
+        (fact, JoinSpec { seed: 5, ..spec })
+    };
+    let kd_us = |tree_dims| EngineSpec::AqpPlusPlus {
+        partitions: 16,
+        k: 300,
+        seed: 5,
+        tree_dims,
+    };
+    let suite = Engine::standard_suite(8, 300, 5);
+    let mut cases: Vec<(&Table, EngineSpec)> =
+        suite.iter().map(|spec| (&flat, spec.clone())).collect();
+    cases.extend([
+        (&taxi_3d, kd_us(None)),
+        (&taxi_3d, kd_us(Some(vec![0, 1]))),
+        (&flat, EngineSpec::verdict(1.0).with_seed(5)),
+        (&fact, EngineSpec::Join(join)),
+    ]);
+    for inner in &suite[..2] {
+        for plan in [ShardPlan::row_range(3), ShardPlan::hash_dim(0, 3)] {
+            cases.push((&flat, EngineSpec::sharded(inner.clone(), plan)));
+        }
+    }
+    let mut hashes = Vec::new();
+    for (table, spec) in cases {
+        let engine = Engine::build(table, &spec).unwrap();
+        // The join adds one dimension, its attribute (10 × the key).
+        let extra: &[(f64, f64)] = match spec {
+            EngineSpec::Join(_) => &[(20.0, 110.0)],
+            _ => &[],
+        };
+        let queries = pin_queries(table, extra, 210);
+        let mut hash = 0xcbf29ce484222325_u64;
+        let mut answered = 0;
+        for query in &queries {
+            let answer = engine.estimate(query);
+            answered += usize::from(answer.is_ok());
+            fnv_answer(&mut hash, &answer);
+        }
+        assert!(
+            answered > 100,
+            "{}: only {answered} answered",
+            engine.name()
+        );
+        for answer in engine.estimate_many(&queries) {
+            fnv_answer(&mut hash, &answer);
+        }
+        hashes.push(hash);
+    }
+    let expected: [u64; 14] = [
+        0x666a2a03367e6851,
+        0x32910db415984a8d,
+        0xe0d91e11135b0571,
+        0xd5550268f0ded099,
+        0x31a56828638f8155,
+        0x4275255c0d81cb61,
+        0x090731e32d3f8755,
+        0x2ddc14cf7983ef05,
+        0x68bcbc660ce2ca2d,
+        0x80d59c9218aac9b9,
+        0x07a8199905fcba2d,
+        0xd22cdfba59ea0b01,
+        0x731edee2dd3f78f5,
+        0x96fbb07df4d18505,
+    ];
+    assert_eq!(hashes, expected, "answer hashes {hashes:#018x?}");
 }
 
 /// The update the pinned trees above never make: an equal-depth leaf

@@ -7,14 +7,20 @@
 //! * prefix-sum range statistics match naive recomputation;
 //! * join builds and estimates over arbitrary two-table schemas never
 //!   panic — every refusal is a typed error — and an exhaustive
-//!   fact-side sample answers whole-space COUNT exactly.
+//!   fact-side sample answers whole-space COUNT exactly;
+//! * a query aligned with the partitioning is exact: on a table with
+//!   distinct predicate values, a k-d leaf's box or the hull of a run of
+//!   1-D leaves is answered `exact`, equal to the truth, with degenerate
+//!   hard bounds — by PASS for every aggregate and by AQP++/KD-US for
+//!   SUM and COUNT — and every PASS answer flagged `exact` is the truth.
 
 use proptest::prelude::*;
 
+use pass::baselines::AqpPlusPlus;
 use pass::common::{
-    AggKind, EngineSpec, JoinSpec, PassError, PassSpec, PrefixSums, Query, Rect, Synopsis,
+    AggKind, EngineSpec, Estimate, JoinSpec, PassError, PassSpec, PrefixSums, Query, Rect, Synopsis,
 };
-use pass::core::{mcf, PartitionStrategy, Pass};
+use pass::core::{mcf, PartitionStrategy, PartitionTree, Pass};
 use pass::partition::maxvar::{Exhaustive, MaxVarOracle};
 use pass::partition::{Adp, EqualDepth, Partitioner1D, VarianceOracle};
 use pass::table::{SortedTable, Table};
@@ -94,6 +100,105 @@ fn join_instance() -> impl Strategy<Value = (Table, JoinSpec)> {
             let fact = Table::new(values, vec![fks], vec!["v".into(), "fk".into()]).unwrap();
             (fact, JoinSpec::new(0, dim_keys, dim_attrs, k))
         })
+}
+
+/// Strategy: a `dims`-D table of 16–160 rows whose every predicate
+/// column holds distinct values — each column is a random permutation of
+/// the row ranks, scaled — and whose values mix a constant with noise.
+fn distinct_table(dims: usize) -> impl Strategy<Value = Table> {
+    let row = (
+        prop_oneof![Just(3.0), -20.0f64..80.0],
+        prop::collection::vec(0.0f64..1.0, dims),
+    );
+    prop::collection::vec(row, 16..160).prop_map(move |rows| {
+        let n = rows.len();
+        let predicates = (0..dims)
+            .map(|d| {
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by(|&a, &b| rows[a].1[d].total_cmp(&rows[b].1[d]));
+                let mut column = vec![0.0; n];
+                for (rank, &at) in order.iter().enumerate() {
+                    column[at] = rank as f64 * 1.5 - 7.0;
+                }
+                column
+            })
+            .collect();
+        let names = (0..=dims).map(|d| format!("c{d}")).collect();
+        Table::new(rows.iter().map(|r| r.0).collect(), predicates, names).unwrap()
+    })
+}
+
+/// The rectangles a tree's partitioning aligns with: every leaf's box
+/// (k-d), or the hull of every run of consecutive leaves (1-D).
+fn aligned_rects(tree: &PartitionTree) -> Vec<Rect> {
+    let mut leaves: Vec<usize> = tree
+        .leaves()
+        .into_iter()
+        .filter(|&id| tree.agg(id).count > 0)
+        .collect();
+    let dims = tree.dims();
+    if dims > 1 {
+        let boxed = |id| {
+            Rect::new(
+                &(0..dims)
+                    .map(|d| (tree.rect_lo(id, d), tree.rect_hi(id, d)))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        return leaves.into_iter().map(boxed).collect();
+    }
+    leaves.sort_by(|&a, &b| tree.rect_lo(a, 0).total_cmp(&tree.rect_lo(b, 0)));
+    let mut hulls = Vec::new();
+    for (i, &first) in leaves.iter().enumerate() {
+        for &last in &leaves[i..] {
+            hulls.push(Rect::interval(
+                tree.rect_lo(first, 0),
+                tree.rect_hi(last, 0),
+            ));
+        }
+    }
+    hulls
+}
+
+/// `engine`'s answer to `agg` over `rect` is exact: flagged so, equal to
+/// the truth, with degenerate hard bounds at the truth.
+fn assert_aligned_is_exact(engine: &dyn Synopsis, table: &Table, agg: AggKind, rect: &Rect) {
+    let query = Query::new(agg, rect.clone());
+    let truth = table
+        .ground_truth(&query)
+        .expect("an aligned query selects rows");
+    let close = |x: f64| (x - truth).abs() <= 1e-9 * truth.abs().max(1.0);
+    let what = format!("{} {agg} over {rect:?}", engine.name());
+    let est = engine
+        .estimate(&query)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(
+        est.exact && close(est.value),
+        "{what}: {est:?}, truth {truth}"
+    );
+    let (lb, ub) = est
+        .hard_bounds
+        .unwrap_or_else(|| panic!("{what}: no bounds"));
+    assert!(
+        lb == ub && close(lb),
+        "{what}: bounds ({lb}, {ub}), truth {truth}"
+    );
+}
+
+/// Every PASS answer over `rects` that is flagged `exact` is the truth.
+fn assert_exact_flags_are_true(pass: &Pass, table: &Table, rects: &[Rect]) {
+    for rect in rects {
+        for agg in AggKind::ALL {
+            let query = Query::new(agg, rect.clone());
+            if let Ok(est @ Estimate { exact: true, .. }) = pass.estimate(&query) {
+                let truth = table.ground_truth(&query).unwrap_or(0.0);
+                assert!(
+                    (est.value - truth).abs() <= 1e-9 * truth.abs().max(1.0),
+                    "{agg} over {rect:?}: {est:?} flagged exact, truth {truth}"
+                );
+            }
+        }
+    }
 }
 
 /// Exact matched-row count of the join by nested loop.
@@ -274,6 +379,66 @@ proptest! {
             }
             // COUNT over a non-empty sample always answers.
             Err(e) => prop_assert!(false, "refused: {e:?}"),
+        }
+    }
+
+    /// ROADMAP item 1(b): partition-aligned queries are exact. On 1-D
+    /// ADP and equal-depth trees the hull of every run of leaves, on
+    /// KD-PASS and breadth-first k-d trees every leaf's box, is answered
+    /// exactly for all five aggregates; so are SUM and COUNT on the
+    /// AQP++/KD-US trees of the same table. Random boxes check that no
+    /// other PASS answer claims exactness it does not have.
+    #[test]
+    fn aligned_queries_are_exact(
+        table in prop_oneof![distinct_table(1), distinct_table(2), distinct_table(3)],
+        k in 2usize..12,
+        corners in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 12),
+    ) {
+        let full = table.bounding_rect().unwrap();
+        let random: Vec<Rect> = corners
+            .chunks(table.dims())
+            .map(|sides| {
+                let bounds: Vec<(f64, f64)> = sides
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &(a, b))| {
+                        let at = |t: f64| full.lo(d) + t * (full.hi(d) - full.lo(d));
+                        (at(a.min(b)), at(a.max(b)))
+                    })
+                    .collect();
+                Rect::new(&bounds)
+            })
+            .collect();
+        for strategy in [PartitionStrategy::Adp(AggKind::Sum), PartitionStrategy::EqualDepth] {
+            // The Section 3.4 rule answers AVG over a constant node that
+            // a query cuts with its value, not claiming exactness, so an
+            // aligned query is held to `exact` with the rule off; either
+            // way no answer may claim exactness falsely.
+            for zero_variance_rule in [false, true] {
+                let spec = PassSpec {
+                    partitions: k,
+                    sample_rate: 0.3,
+                    strategy,
+                    zero_variance_rule,
+                    seed: 4,
+                    ..PassSpec::default()
+                };
+                let pass = Pass::from_spec(&table, &spec).unwrap();
+                let aligned = aligned_rects(pass.tree());
+                for rect in aligned.iter().filter(|_| !zero_variance_rule) {
+                    for agg in AggKind::ALL {
+                        assert_aligned_is_exact(&pass, &table, agg, rect);
+                    }
+                }
+                assert_exact_flags_are_true(&pass, &table, &random);
+                assert_exact_flags_are_true(&pass, &table, &aligned);
+            }
+        }
+        let aqp = AqpPlusPlus::build(&table, k, 20, 4, None).unwrap();
+        for rect in &aligned_rects(aqp.tree()) {
+            for agg in [AggKind::Sum, AggKind::Count] {
+                assert_aligned_is_exact(&aqp, &table, agg, rect);
+            }
         }
     }
 

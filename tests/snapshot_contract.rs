@@ -606,6 +606,86 @@ fn saved_bytes_are_pinned_per_engine() {
     assert_eq!(got, 0x2ca6ffd6b79783f9, "updated PASS: {got:#018x}");
 }
 
+/// A snapshot's section payloads, in order (the 12 bytes of magic and
+/// version before them are left out).
+fn sections(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut rest = &bytes[12..];
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let len = u64::from_le_bytes(rest[..8].try_into().unwrap()) as usize;
+        out.push(rest[8..8 + len].to_vec());
+        rest = &rest[8 + len + 4..];
+    }
+    out
+}
+
+/// `bytes` with section `at`'s payload rewritten by `patch` and its CRC
+/// recomputed, so only the decoder can object.
+fn patched(bytes: &[u8], at: usize, patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut payloads = sections(bytes);
+    patch(&mut payloads[at]);
+    let mut out = bytes[..12].to_vec();
+    for payload in &payloads {
+        pass::common::snapshot::write_section(&mut out, payload);
+    }
+    out
+}
+
+/// λ is a format-v1 constant, checked where it enters: a PASS header
+/// whose spec names another CI scale is a spec mismatch.
+#[test]
+fn a_pass_header_with_another_lambda_is_a_spec_mismatch() {
+    let bytes = snapshot();
+    assert!(Engine::load(&patched(bytes, 0, |_| {})).is_ok());
+    let other = patched(bytes, 0, |header| {
+        let text = String::from_utf8(header.clone()).unwrap();
+        assert!(text.contains(r#""lambda":2.576"#), "{text}");
+        *header = text
+            .replace(r#""lambda":2.576"#, r#""lambda":1.96"#)
+            .into_bytes();
+    });
+    match snapshot_err(&other) {
+        SnapshotError::SpecMismatch(why) => assert!(why.contains("`lambda`"), "{why}"),
+        err => panic!("{err:?}"),
+    }
+}
+
+/// The state section of every sampled baseline opens with format v1's λ
+/// slot, which holds 2.576. Any other value — with the CRC recomputed, so
+/// the framing is sound — is drift the reader names by its section.
+#[test]
+fn a_baseline_lambda_slot_other_than_the_v1_constant_is_drift() {
+    let flat = uniform(2_000, 17);
+    let (fact, join) = join_fixture();
+    let cases = [
+        (&flat, EngineSpec::uniform(100), 1, "US state"),
+        (&flat, EngineSpec::stratified(4, 100), 1, "ST state"),
+        (&flat, EngineSpec::aqppp(4, 100), 2, "AQP++ state"),
+        (&flat, EngineSpec::verdict(0.1), 1, "scramble state"),
+        (&fact, join, 1, "JOIN state"),
+    ];
+    for (table, spec, at, section) in cases {
+        let mut bytes = Vec::new();
+        Engine::build(table, &spec)
+            .unwrap()
+            .save(&mut bytes)
+            .unwrap();
+        let slot = |payload: &Vec<u8>| f64::from_le_bytes(payload[..8].try_into().unwrap());
+        assert_eq!(slot(&sections(&bytes)[at]), 2.576, "{section}");
+        for other in [1.96, -1.0, f64::from_bits(2.576f64.to_bits() + 1)] {
+            let drifted = patched(&bytes, at, |payload| {
+                payload[..8].copy_from_slice(&other.to_le_bytes());
+            });
+            match snapshot_err(&drifted) {
+                SnapshotError::SpecMismatch(why) => {
+                    assert!(why.starts_with(section) && why.contains("λ"), "{why}")
+                }
+                err => panic!("{section} with λ = {other}: {err:?}"),
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial decoding
 // ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ impl AqpPlusPlus {
         // `stream` labels the tree's seed, `stream + 1` the sample's.
         let (tree, name, stream) = match tree_dims {
             None if table.dims() == 1 => {
-                let sorted = SortedTable::from_table(table, 0);
+                let sorted = SortedTable::from_table_ordered(table, 0)?;
                 let partitioning = HillClimb::new(AggKind::Sum).partition(&sorted, partitions)?;
                 let tree = PartitionTree::from_partitioning(&sorted, &partitioning)?;
                 (tree, "AQP++", 1)
@@ -352,5 +352,15 @@ mod tests {
             .estimate(&Query::interval(AggKind::Sum, 7.0, 8.0))
             .unwrap();
         assert_eq!(est.value, 0.0);
+    }
+
+    #[test]
+    fn a_nan_predicate_key_is_a_typed_refusal() {
+        let t = Table::one_dim(vec![1.0, f64::NAN, 3.0, 4.0], vec![1.0; 4]).unwrap();
+        let err = AqpPlusPlus::build(&t, 2, 2, 0, None).err();
+        assert!(
+            matches!(err, Some(PassError::InvalidParameter("predicates", _))),
+            "{err:?}"
+        );
     }
 }

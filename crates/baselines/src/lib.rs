@@ -1,7 +1,7 @@
 //! The comparator AQP engines of Section 5.
 //!
-//! Every engine implements [`pass_common::Synopsis`], so the workload
-//! runner treats them interchangeably with PASS:
+//! Every engine implements [`pass_common::Synopsis`], so `pass::Session`
+//! builds, serves and scores them interchangeably with PASS:
 //!
 //! * [`UniformSynopsis`] (**US**) — one uniform sample + φ-estimators
 //!   (Section 2.1);

@@ -40,7 +40,7 @@ impl StratifiedSynopsis {
                 "ST stratifies over exactly one predicate column".into(),
             ));
         }
-        let sorted = SortedTable::from_table(table, 0);
+        let sorted = SortedTable::from_table_ordered(table, 0)?;
         let partitioning = EqualDepth.partition(&sorted, b)?;
         let sorted_table = Table::one_dim(sorted.keys().to_vec(), sorted.values().to_vec())?;
         let per_stratum = (k / partitioning.len()).max(1);
@@ -213,5 +213,15 @@ mod tests {
     fn rejects_multi_dim_tables() {
         let t = pass_table::datasets::taxi(500, 8);
         assert!(StratifiedSynopsis::build(&t, 8, 100, 9).is_err());
+    }
+
+    #[test]
+    fn a_nan_predicate_key_is_a_typed_refusal() {
+        let t = Table::one_dim(vec![1.0, f64::NAN, 3.0, 4.0], vec![1.0; 4]).unwrap();
+        let err = StratifiedSynopsis::build(&t, 2, 2, 0).err();
+        assert!(
+            matches!(err, Some(PassError::InvalidParameter("predicates", _))),
+            "{err:?}"
+        );
     }
 }

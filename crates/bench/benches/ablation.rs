@@ -8,7 +8,7 @@
 //!   equal-width under one fixed budget.
 //!
 //! Every variant is one [`PassSpec`] knob flipped; each panel is a
-//! [`Session`] of named variants evaluated by one `run_workload_all`.
+//! [`Session`] of named variants evaluated by one `Session::run_workload`.
 
 use pass::{EngineSpec, Session};
 use pass_bench::{emit_json, mb, pct, print_table, Scale};
@@ -64,7 +64,7 @@ fn main() {
     )
     .expect("variants build");
     let mut rows = Vec::new();
-    for (label, mut s) in labels.iter().zip(session.run_workload_all(&queries)) {
+    for (label, mut s) in labels.iter().zip(session.run_workload(&queries)) {
         rows.push(vec![
             label.to_string(),
             pct(s.median_relative_error),
@@ -116,7 +116,7 @@ fn main() {
     )
     .expect("variants build");
     let mut rows = Vec::new();
-    for (label, mut s) in labels.iter().zip(session.run_workload_all(&queries)) {
+    for (label, mut s) in labels.iter().zip(session.run_workload(&queries)) {
         rows.push(vec![
             label.to_string(),
             mb(s.storage_bytes),
@@ -164,7 +164,7 @@ fn main() {
         .collect();
     let session = Session::with_engines(insta, &engines).expect("variants build");
     let mut rows = Vec::new();
-    for ((label, _), mut s) in variants.iter().zip(session.run_workload_all(&queries)) {
+    for ((label, _), mut s) in variants.iter().zip(session.run_workload(&queries)) {
         rows.push(vec![
             label.to_string(),
             pct(s.median_relative_error),

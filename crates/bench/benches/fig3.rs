@@ -13,7 +13,7 @@ use pass_bench::{emit_json, pct, print_table, Scale};
 use pass_common::{AggKind, PassSpec};
 use pass_table::datasets::DatasetId;
 use pass_table::SortedTable;
-use pass_workload::{random_queries, Exec, WorkloadSummary};
+use pass_workload::{random_queries, WorkloadSummary};
 
 const PARTITION_SWEEP: [usize; 6] = [4, 8, 16, 32, 64, 128];
 const SAMPLE_RATE: f64 = 0.005;
@@ -39,19 +39,16 @@ fn main() {
             scale.seed,
         );
 
-        // US has no partitioning knob: one flat series value.
+        // US has no partitioning knob: one flat series value, scored while
+        // it is the session's only engine.
         let mut session = Session::new(table);
         session
             .add_engine("US", &EngineSpec::uniform(base_k).with_seed(scale.seed))
             .unwrap();
-        let (us_summary, _) = session
-            .run_workload("US", &queries, Exec::PerQuery)
-            .unwrap();
-        {
-            let mut s = us_summary.clone();
-            s.engine = format!("US/{id}");
-            all.push(s);
-        }
+        let mut us_summary = session.run_workload(&queries).remove(0);
+        let us_median = us_summary.median_relative_error;
+        us_summary.engine = format!("US/{id}");
+        all.push(us_summary);
 
         let mut rows = Vec::new();
         for parts in PARTITION_SWEEP {
@@ -79,11 +76,12 @@ fn main() {
                     &EngineSpec::aqppp(parts, base_k).with_seed(scale.seed),
                 )
                 .unwrap();
+            // Rows come in insertion order (US, PASS, ST, AQP++); the
+            // figure's series order puts PASS first.
+            let mut summaries = session.run_workload(&queries);
+            summaries.swap(0, 1);
             let mut row = vec![parts.to_string()];
-            for name in ["PASS", "US", "ST", "AQP++"] {
-                let (mut s, _) = session
-                    .run_workload(name, &queries, Exec::PerQuery)
-                    .unwrap();
+            for mut s in summaries {
                 row.push(pct(s.median_relative_error));
                 s.engine = format!("{}/{}/k={}", s.engine, id, parts);
                 all.push(s);
@@ -93,7 +91,7 @@ fn main() {
         print_table(
             &format!(
                 "Figure 3 — {id}: median relative error vs #partitions (US flat at {})",
-                pct(us_summary.median_relative_error)
+                pct(us_median)
             ),
             &["#partitions", "PASS", "US", "ST", "AQP++"],
             &rows,

@@ -65,7 +65,7 @@ fn main() {
                 )
                 .unwrap();
             let mut row = vec![format!("{:.0}%", rate * 100.0)];
-            for mut s in session.run_workload_all(&queries) {
+            for mut s in session.run_workload(&queries) {
                 row.push(pct(s.median_relative_error));
                 s.engine = format!("{}/{}/rate={rate}", s.engine, id);
                 all.push(s);

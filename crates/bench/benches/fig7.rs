@@ -65,7 +65,7 @@ fn main() {
                 )
                 .unwrap();
             let mut row = vec![parts.to_string()];
-            for mut s in session.run_workload_all(&queries) {
+            for mut s in session.run_workload(&queries) {
                 row.push(pct(s.median_ci_ratio));
                 s.engine = format!("{}/{}/k={}", s.engine, id, parts);
                 all.push(s);

@@ -57,7 +57,7 @@ fn main() {
         )
         .expect("both engines build");
 
-        let mut summaries = session.run_workload_all(&queries).into_iter();
+        let mut summaries = session.run_workload(&queries).into_iter();
         let mut s_pass = summaries.next().unwrap();
         let mut s_us = summaries.next().unwrap();
         ci_rows.push(vec![

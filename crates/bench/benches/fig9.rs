@@ -66,7 +66,7 @@ fn main() {
             AggKind::Avg,
             scale.seed,
         );
-        let mut summaries = session.run_workload_all(&queries).into_iter();
+        let mut summaries = session.run_workload(&queries).into_iter();
         let mut s_pass = summaries.next().unwrap();
         let mut s_us = summaries.next().unwrap();
         ci_rows.push(vec![

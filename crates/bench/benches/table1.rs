@@ -94,7 +94,7 @@ fn main() {
                 scale.seed + a_idx as u64,
             );
             // One call evaluates every engine with a shared truth pass.
-            for (e_idx, mut summary) in session.run_workload_all(&queries).into_iter().enumerate() {
+            for (e_idx, mut summary) in session.run_workload(&queries).into_iter().enumerate() {
                 summary.engine = format!("{}/{}/{}", engines[e_idx], agg, id);
                 errors[e_idx][a_idx][d_idx] = summary.median_relative_error;
                 all_summaries.push(summary);

@@ -111,7 +111,7 @@ fn main() {
         )
         .expect("all engines build");
 
-        for (idx, mut summary) in session.run_workload_all(&queries).into_iter().enumerate() {
+        for (idx, mut summary) in session.run_workload(&queries).into_iter().enumerate() {
             stats[idx].latency_us.push(summary.mean_latency_us);
             stats[idx].storage.push(summary.storage_bytes);
             stats[idx].build_ms.push(summary.build_ms);

@@ -4,7 +4,7 @@
 //!
 //! One [`Session`] holds the whole k-sweep: each k is a named engine
 //! (`k=4` ... `k=128`) declared as an [`EngineSpec`], and one
-//! `run_workload_all` call evaluates the sweep with a shared truth pass.
+//! `Session::run_workload` call evaluates the sweep with a shared truth pass.
 
 use pass::{EngineSpec, Session};
 use pass_bench::{emit_json, pct, print_table, Scale};
@@ -60,7 +60,7 @@ fn main() {
 
     let mut all = Vec::<WorkloadSummary>::new();
     let mut rows = Vec::new();
-    for (k, mut s) in K_SWEEP.into_iter().zip(session.run_workload_all(&queries)) {
+    for (k, mut s) in K_SWEEP.into_iter().zip(session.run_workload(&queries)) {
         rows.push(vec![
             k.to_string(),
             format!("{:.2}s", s.build_ms / 1e3),

@@ -55,59 +55,6 @@ pub fn fpc(population: u64, sample: u64) -> f64 {
     ((n - k) / (n - 1.0)).max(0.0)
 }
 
-/// Streaming mean/variance accumulator (Welford's algorithm). Used where a
-/// second pass over the data is too expensive (reservoir maintenance,
-/// single-pass generators).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb one observation.
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
-    }
-
-    /// Observations absorbed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations so far (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance seen so far.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).max(0.0)
-        }
-    }
-
-    /// Sample variance seen so far.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-}
-
 /// Normal quantile λ such that P(|Z| <= λ) = `confidence`, via the
 /// Acklam rational approximation of the inverse normal CDF (|error| < 1.2e-9,
 /// far below sampling noise). `confidence` must lie in (0, 1).
@@ -188,19 +135,6 @@ mod tests {
         assert_eq!(population_variance(&[]), 0.0);
         assert_eq!(population_variance(&[3.0]), 0.0);
         assert_eq!(sample_variance(&[3.0]), 0.0);
-    }
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let v: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64).collect();
-        let mut w = Welford::new();
-        for &x in &v {
-            w.push(x);
-        }
-        assert!((w.mean() - mean(&v)).abs() < 1e-9);
-        assert!((w.population_variance() - population_variance(&v)).abs() < 1e-7);
-        assert!((w.sample_variance() - sample_variance(&v)).abs() < 1e-7);
-        assert_eq!(w.count(), 1000);
     }
 
     #[test]

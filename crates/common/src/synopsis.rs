@@ -1,9 +1,9 @@
 //! The engine-agnostic synopsis contract.
 //!
 //! PASS and every baseline in the paper's Section 5 (US, ST, AQP++, KD-US,
-//! VerdictDB-style, DeepDB-style) implement [`Synopsis`]; the workload
-//! runner in `pass-workload` and the `pass::Session` facade only speak
-//! this trait, so the benchmark tables are generated by one generic loop.
+//! VerdictDB-style, DeepDB-style) implement [`Synopsis`]; the
+//! `pass::Session` facade only speaks this trait, so the benchmark tables
+//! are generated by one generic loop, `Session::run_workload`.
 //!
 //! The contract has two query entry points: [`estimate`](Synopsis::estimate)
 //! answers one query and [`estimate_many`](Synopsis::estimate_many) answers

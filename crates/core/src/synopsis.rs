@@ -44,7 +44,7 @@ fn partitioner_1d(spec: &PassSpec) -> Box<dyn Partitioner1D> {
 
 /// The sorted-DP path for 1-D tables.
 fn build_1d(spec: &PassSpec, table: &Table) -> Result<Pass> {
-    let sorted = SortedTable::from_table(table, 0);
+    let sorted = SortedTable::from_table_ordered(table, 0)?;
     let partitioning = partitioner_1d(spec).partition(&sorted, spec.partitions)?;
     let tree = PartitionTree::from_partitioning(&sorted, &partitioning)?;
     // Per-range sampling reads rows in partition order: the sorted view's
@@ -389,6 +389,16 @@ mod tests {
             let rel = (est.value - truth).abs() / truth.abs();
             assert!(rel < 0.1, "{agg}: rel {rel}");
         }
+    }
+
+    #[test]
+    fn a_nan_predicate_key_is_a_typed_refusal() {
+        let t = Table::one_dim(vec![1.0, f64::NAN, 3.0, 4.0], vec![1.0; 4]).unwrap();
+        let err = Pass::from_spec(&t, &spec(2, 1.0, 0)).err();
+        assert!(
+            matches!(err, Some(PassError::InvalidParameter("predicates", _))),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -37,8 +37,7 @@ pub fn adversarial(n_rows: usize, seed: u64) -> Table {
         })
         .collect();
 
-    Table::new(values, vec![predicate], vec!["value".into(), "key".into()])
-        .expect("generator produces consistent columns")
+    Table::generated(values, vec![predicate], vec!["value".into(), "key".into()])
 }
 
 /// Index of the first non-zero tuple (the start of the "challenging" region

@@ -51,12 +51,11 @@ pub fn instacart(n_rows: usize, seed: u64) -> Table {
         values.push(if reordered { 1.0 } else { 0.0 });
     }
 
-    Table::new(
+    Table::generated(
         values,
         vec![predicate],
         vec!["reordered".into(), "product_id".into()],
     )
-    .expect("generator produces consistent columns")
 }
 
 #[cfg(test)]

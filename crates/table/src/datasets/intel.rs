@@ -64,8 +64,7 @@ pub fn intel(n_rows: usize, seed: u64) -> Table {
         }
     }
 
-    Table::new(values, vec![predicate], vec!["light".into(), "time".into()])
-        .expect("generator produces consistent columns")
+    Table::generated(values, vec![predicate], vec!["light".into(), "time".into()])
 }
 
 #[cfg(test)]

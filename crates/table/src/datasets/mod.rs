@@ -67,9 +67,7 @@ impl DatasetId {
         match self {
             DatasetId::Intel => intel(n_rows, seed),
             DatasetId::Instacart => instacart(n_rows, seed),
-            DatasetId::NycTaxi => taxi(n_rows, seed)
-                .project(&[0])
-                .expect("taxi table always has dim 0"),
+            DatasetId::NycTaxi => taxi(n_rows, seed).first_dim(),
         }
     }
 }
@@ -91,6 +89,15 @@ mod tests {
             assert_eq!(t.n_rows(), 2000, "{id}");
             assert_eq!(t.dims(), 1, "{id}");
         }
+    }
+
+    #[test]
+    fn the_one_dim_taxi_view_is_the_projection_on_pickup_datetime() {
+        let view = DatasetId::NycTaxi.generate(1_000, 5);
+        let projected = taxi(1_000, 5).project(&[0]).unwrap();
+        assert_eq!(view.values(), projected.values());
+        assert_eq!(view.predicate_column(0), projected.predicate_column(0));
+        assert_eq!(view.names(), projected.names());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn taxi(n_rows: usize, seed: u64) -> Table {
             instants.push(t);
         }
     }
-    instants.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    instants.sort_by(f64::total_cmp);
 
     for &t in &instants {
         let hour = (t % SECONDS_PER_DAY) / 3_600.0;
@@ -98,7 +98,7 @@ pub fn taxi(n_rows: usize, seed: u64) -> Table {
 
     let mut names: Vec<String> = vec!["trip_distance".into()];
     names.extend(TAXI_PREDICATES.iter().map(|s| s.to_string()));
-    Table::new(
+    Table::generated(
         distance,
         vec![
             pickup_dt,
@@ -110,7 +110,6 @@ pub fn taxi(n_rows: usize, seed: u64) -> Table {
         ],
         names,
     )
-    .expect("generator produces consistent columns")
 }
 
 #[cfg(test)]

@@ -13,10 +13,9 @@ use crate::table::Table;
 pub fn uniform(n_rows: usize, seed: u64) -> Table {
     let mut rng = rng_from_seed(seed);
     let mut predicate: Vec<f64> = (0..n_rows).map(|_| rng.gen::<f64>()).collect();
-    predicate.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    predicate.sort_by(f64::total_cmp);
     let values: Vec<f64> = (0..n_rows).map(|_| rng.gen::<f64>() * 100.0).collect();
-    Table::new(values, vec![predicate], vec!["value".into(), "key".into()])
-        .expect("generator produces consistent columns")
+    Table::generated(values, vec![predicate], vec!["value".into(), "key".into()])
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! order once: ascending predicate keys, aligned aggregation values, and
 //! prefix sums over the values in key order.
 
-use pass_common::{AggKind, Aggregates, PrefixSums, Query, Result};
+use pass_common::{AggKind, Aggregates, PassError, PrefixSums, Query, Result};
 
 use crate::table::Table;
 
@@ -26,14 +26,17 @@ pub struct SortedTable {
 
 impl SortedTable {
     /// Sort `table` by predicate dimension `dim` (stable order on ties).
+    /// NaN keys sort last: no query interval holds them, so those rows
+    /// match nothing — as in a scan — and a build that must order every
+    /// row refuses them through [`from_table_ordered`](Self::from_table_ordered).
     pub fn from_table(table: &Table, dim: usize) -> Self {
         let n = table.n_rows();
         let mut order: Vec<u32> = (0..n as u32).collect();
         let col = table.predicate_column(dim);
         order.sort_by(|&a, &b| {
-            col[a as usize]
-                .partial_cmp(&col[b as usize])
-                .expect("NaN predicate key")
+            let (a, b) = (col[a as usize], col[b as usize]);
+            a.partial_cmp(&b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
         });
         let keys: Vec<f64> = order.iter().map(|&i| col[i as usize]).collect();
         let values: Vec<f64> = order.iter().map(|&i| table.value(i as usize)).collect();
@@ -44,6 +47,20 @@ impl SortedTable {
             original_index: order,
             prefix,
         }
+    }
+
+    /// [`from_table`](Self::from_table) for a 1-D build, which partitions
+    /// the key order and so refuses a NaN key with
+    /// `InvalidParameter("predicates")` — one compare, as NaN sorts last.
+    pub fn from_table_ordered(table: &Table, dim: usize) -> Result<Self> {
+        let sorted = Self::from_table(table, dim);
+        if sorted.keys.last().is_some_and(|k| k.is_nan()) {
+            return Err(PassError::InvalidParameter(
+                "predicates",
+                format!("column {dim} holds a NaN, which a 1-D build cannot order"),
+            ));
+        }
+        Ok(sorted)
     }
 
     /// Construct directly from already-sorted key/value pairs (generators
@@ -191,6 +208,26 @@ mod tests {
         assert_eq!(s.values(), &[10.0, 20.0, 30.0, 40.0, 50.0]);
         // Original index of smallest key (1.0) was row 1.
         assert_eq!(s.original_index(0), 1);
+    }
+
+    #[test]
+    fn nan_keys_sort_last_and_an_ordered_build_refuses_them() {
+        let t = Table::one_dim(
+            vec![3.0, f64::NAN, 0.0, -0.0, 1.0],
+            vec![30.0, 99.0, 1.0, 2.0, 10.0],
+        )
+        .unwrap();
+        let s = SortedTable::from_table(&t, 0);
+        // Equal keys keep their table order (0.0 before -0.0); NaN is last.
+        assert_eq!(s.values(), &[1.0, 2.0, 10.0, 30.0, 99.0]);
+        assert!(s.key(4).is_nan());
+        assert_eq!(s.index_range(f64::NEG_INFINITY, f64::INFINITY), (0, 4));
+        let err = SortedTable::from_table_ordered(&t, 0).err();
+        assert!(
+            matches!(err, Some(PassError::InvalidParameter("predicates", _))),
+            "{err:?}"
+        );
+        assert!(SortedTable::from_table_ordered(&table(), 0).is_ok());
     }
 
     #[test]

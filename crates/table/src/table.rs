@@ -56,6 +56,32 @@ impl Table {
         })
     }
 
+    /// A table from a dataset generator's columns, which it builds to one
+    /// length with one name each: the shape [`new`](Self::new) checks holds
+    /// by construction, so here it is only debug-asserted.
+    pub(crate) fn generated(
+        values: Vec<f64>,
+        predicates: Vec<Vec<f64>>,
+        names: Vec<String>,
+    ) -> Self {
+        debug_assert!(!predicates.is_empty() && names.len() == predicates.len() + 1);
+        debug_assert!(predicates.iter().all(|col| col.len() == values.len()));
+        Self {
+            values,
+            predicates,
+            names,
+        }
+    }
+
+    /// The table with only its first predicate dimension:
+    /// [`project(&[0])`](Self::project) without the copies or the error
+    /// path, as a table always has a dimension 0.
+    pub(crate) fn first_dim(mut self) -> Self {
+        self.predicates.truncate(1);
+        self.names.truncate(2);
+        self
+    }
+
     /// 1-D convenience constructor with default column names.
     pub fn one_dim(predicate: Vec<f64>, values: Vec<f64>) -> Result<Self> {
         Self::new(

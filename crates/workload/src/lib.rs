@@ -6,17 +6,14 @@
 //!   multi-dimensional templates Q1–Q5 of Section 5.4;
 //! * [`truth`] — exact ground-truth evaluation (O(log n) in 1-D via sorted
 //!   prefix sums, scan otherwise);
-//! * [`metrics`] — median relative error, CI ratio, skip rate, effective
-//!   sample size;
-//! * [`runner`] — evaluates any [`pass_common::Synopsis`] over a workload
-//!   (per-query, batched, or sharded across a
-//!   [`pass_common::ThreadPool`] — selected by an [`Exec`] value) and
-//!   produces the summary rows the benchmark tables print, including
-//!   serving-layer throughput.
+//! * [`metrics`] — the median and the [`WorkloadSummary`] row the
+//!   benchmark tables print.
+//!
+//! This crate drives no engine: `pass::Session::run_workload` answers a
+//! query list on every engine of a session and scores it into these rows.
 
 pub mod metrics;
 pub mod query_gen;
-pub mod runner;
 pub mod truth;
 
 pub use metrics::{median, WorkloadSummary};
@@ -24,5 +21,4 @@ pub use query_gen::{
     challenging_queries, random_queries, random_queries_in, template_queries,
     template_queries_partial,
 };
-pub use runner::{run_workload, Exec, QueryOutcome};
 pub use truth::Truth;

@@ -1,5 +1,6 @@
-//! The Section 5.1.2 metrics: median relative error, CI ratio, skip rate,
-//! and effective sample size.
+//! The Section 5.1.2 metrics — median relative error, CI ratio, skip rate
+//! and effective sample size — as one row per engine, which
+//! `pass::Session::run_workload` fills.
 
 use pass_common::Json;
 
@@ -44,12 +45,9 @@ pub struct WorkloadSummary {
     /// [`queries`](Self::queries) over a much shorter wall clock, i.e.
     /// a higher throughput). Use [`cache_hits`](Self::cache_hits) /
     /// [`cache_misses`](Self::cache_misses) to attribute the rate to
-    /// cache wins vs engine work. For batched/parallel runs the wall
-    /// clock covers the whole batch, so this is also where cross-query
-    /// sharing and multi-core speedup show up.
+    /// cache wins vs engine work.
     pub throughput_qps: f64,
-    /// Query-cache hits attributable to this run (0 when run outside a
-    /// caching session).
+    /// Query-cache hits attributable to this run.
     pub cache_hits: u64,
     /// Query-cache misses attributable to this run.
     pub cache_misses: u64,
@@ -60,7 +58,7 @@ pub struct WorkloadSummary {
     pub queries: usize,
     /// Synopsis storage in bytes.
     pub storage_bytes: usize,
-    /// Offline construction time in milliseconds (filled by the harness).
+    /// Offline construction time in milliseconds (the session's record).
     pub build_ms: f64,
 }
 

@@ -72,6 +72,21 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_key_row_matches_nothing_as_in_a_scan() {
+        let t =
+            Table::one_dim(vec![1.0, f64::NAN, 3.0, 4.0], vec![10.0, 20.0, 30.0, 40.0]).unwrap();
+        let truth = Truth::new(&t);
+        for (lo, hi) in [(f64::NEG_INFINITY, f64::INFINITY), (0.0, 3.5), (2.0, 2.5)] {
+            for agg in AggKind::ALL {
+                let q = Query::interval(agg, lo, hi);
+                assert_eq!(truth.eval(&q), t.ground_truth(&q), "{agg} [{lo}, {hi}]");
+            }
+            let rect = Rect::interval(lo, hi);
+            assert_eq!(truth.matching_rows(&rect), t.scan_aggregates(&rect).count);
+        }
+    }
+
+    #[test]
     fn multi_dim_path_matches_scan() {
         let t = taxi(2_000, 2).project(&[1, 2]).unwrap();
         let truth = Truth::new(&t);

@@ -19,8 +19,9 @@
 //!    out as `Arc<dyn Synopsis>`.
 //! 3. **[`Session`]** — owns a table plus named engines built from specs,
 //!    answers queries through a bounded per-engine result cache, hands out
-//!    cheap [`SessionHandle`] clones for concurrent serving, and evaluates
-//!    workloads with ground truth computed once and shared across engines.
+//!    cheap [`SessionHandle`] clones for concurrent serving, and scores a
+//!    workload on every engine in one [`Session::run_workload`] call, with
+//!    ground truth computed once and shared across engines.
 //! 4. **[`Serve`]** — the async-style serving front-end over one or
 //!    more session handles: submissions return pollable [`Ticket`]s, a
 //!    bounded two-priority queue applies admission control (rejection
@@ -86,9 +87,9 @@
 //! The sub-crates remain available for direct use: [`core`] holds the
 //! PASS synopsis itself (`Pass::from_spec` for concrete-typed access,
 //! e.g. streaming updates), [`baselines`] the comparator engines and the
-//! [`Engine`] registry, and [`workload`] the query generators and the
-//! workload runner (per-query, batched or parallel by a
-//! [`workload::Exec`] value).
+//! [`Engine`] registry, and [`workload`] the query generators, the
+//! ground-truth oracle and the [`workload::WorkloadSummary`] row that
+//! [`Session::run_workload`] fills.
 
 #![warn(missing_docs)]
 

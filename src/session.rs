@@ -19,7 +19,7 @@ use pass_common::{
     GroupBySnapshot, GroupResult, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
 };
 use pass_table::Table;
-use pass_workload::{run_workload, Exec, QueryOutcome, Truth, WorkloadSummary};
+use pass_workload::{median, Truth, WorkloadSummary};
 
 /// Cache entries per engine unless overridden with
 /// [`Session::with_cache_capacity`].
@@ -456,61 +456,90 @@ impl Session {
         self.truth_oracle().eval(query)
     }
 
-    /// Evaluate one engine over a workload — query by query, through the
-    /// batched path, or sharded across a pool, as `exec` says. Ground
-    /// truth is computed once per session and shared across engines and
-    /// calls; the engine's cache serves repeats, and the summary reports
-    /// the hits/misses attributable to this run. Error metrics are
-    /// element-wise identical under every [`Exec`]; the batch modes'
-    /// latency/throughput columns reflect the batch wall clock.
-    pub fn run_workload(
-        &self,
-        engine: &str,
-        queries: &[Query],
-        exec: Exec<'_>,
-    ) -> Result<(WorkloadSummary, Vec<QueryOutcome>)> {
-        let entry = self.engine_or_err(engine)?;
-        let truth = self.truth_oracle();
-        let truths: Vec<Option<f64>> = queries.iter().map(|q| truth.eval(q)).collect();
-        Ok(Self::run_attributed(entry, |entry| {
-            run_workload(&entry.engine, queries, truth, Some(&truths), exec)
-        }))
-    }
-
-    /// Run a workload against one engine, attributing the run's cache
-    /// hits/misses and the engine's identity/build time to the summary.
-    fn run_attributed<T>(
-        entry: &SessionEngine,
-        run: impl FnOnce(&SessionEngine) -> (WorkloadSummary, T),
-    ) -> (WorkloadSummary, T) {
-        let before = entry.engine.cache().stats();
-        let (mut summary, extra) = run(entry);
-        let delta = entry.engine.cache().stats().since(&before);
-        summary.engine = entry.name.clone();
-        summary.build_ms = entry.build_ms;
-        summary.cache_hits = delta.hits;
-        summary.cache_misses = delta.misses;
-        (summary, extra)
-    }
-
-    /// Evaluate **every** registered engine over one workload, reusing a
-    /// single ground-truth pass — one row per engine, in insertion order.
-    pub fn run_workload_all(&self, queries: &[Query]) -> Vec<WorkloadSummary> {
+    /// Evaluate every registered engine over one workload and score it
+    /// (§5.1.2): one row per engine, in insertion order. Each query is
+    /// answered through the engine's cache and timed on its own; ground
+    /// truth is computed once per call, and each row reports the cache
+    /// hits and misses of this call alone.
+    pub fn run_workload(&self, queries: &[Query]) -> Vec<WorkloadSummary> {
         let truth = self.truth_oracle();
         let truths: Vec<Option<f64>> = queries.iter().map(|q| truth.eval(q)).collect();
         self.engines
             .iter()
-            .map(|entry| {
-                Self::run_attributed(entry, |entry| {
-                    run_workload(&entry.engine, queries, truth, Some(&truths), Exec::PerQuery)
-                })
-                .0
-            })
+            .map(|entry| entry.score(queries, &truths))
             .collect()
     }
 
     fn truth_oracle(&self) -> &Truth {
         self.truth.get_or_init(|| Truth::new(&self.table))
+    }
+}
+
+impl SessionEngine {
+    /// One row of [`Session::run_workload`]: answer every query, then
+    /// score the answers against `truths`. An unanswerable query counts
+    /// as relative error and CI ratio 1.0 and as a failure — the penalty
+    /// the paper's selective-query discussion motivates. A query with
+    /// undefined truth is left out of every error statistic but still
+    /// counts toward throughput, a serving rate over the whole wall clock.
+    fn score(&self, queries: &[Query], truths: &[Option<f64>]) -> WorkloadSummary {
+        let before = self.engine.cache().stats();
+        let start = Instant::now();
+        let answers: Vec<(Result<Estimate>, f64)> = queries
+            .iter()
+            .map(|q| {
+                let query_start = Instant::now();
+                let answer = self.engine.estimate(q);
+                (answer, query_start.elapsed().as_secs_f64() * 1e6)
+            })
+            .collect();
+        let wall_secs = start.elapsed().as_secs_f64();
+        let cache = self.engine.cache().stats().since(&before);
+        let mut failures = 0usize;
+        // Per query with a defined truth: relative error, CI ratio, skip
+        // rate, tuples processed, latency (µs).
+        let scored: Vec<[f64; 5]> = truths
+            .iter()
+            .zip(answers)
+            .filter_map(|(truth, (answer, latency_us))| {
+                let truth = (*truth)?;
+                Some(match answer {
+                    Ok(e) => [
+                        e.relative_error(truth),
+                        e.ci_ratio(truth),
+                        e.skip_rate(),
+                        e.tuples_processed as f64,
+                        latency_us,
+                    ],
+                    Err(_) => {
+                        failures += 1;
+                        [1.0, 1.0, 0.0, 0.0, latency_us]
+                    }
+                })
+            })
+            .collect();
+        let column = |i: usize| -> Vec<f64> { scored.iter().map(|row| row[i]).collect() };
+        let mean = |i: usize| column(i).iter().sum::<f64>() / scored.len().max(1) as f64;
+        WorkloadSummary {
+            engine: self.name.clone(),
+            median_relative_error: median(&column(0)),
+            median_ci_ratio: median(&column(1)),
+            mean_skip_rate: mean(2),
+            mean_tuples_processed: mean(3),
+            mean_latency_us: mean(4),
+            max_latency_us: column(4).into_iter().fold(0.0, f64::max),
+            throughput_qps: if wall_secs > 0.0 {
+                queries.len() as f64 / wall_secs
+            } else {
+                0.0
+            },
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            failures,
+            queries: scored.len(),
+            storage_bytes: self.engine.storage_bytes(),
+            build_ms: self.build_ms,
+        }
     }
 }
 
@@ -628,9 +657,6 @@ mod tests {
         let q = Query::interval(AggKind::Sum, 0.0, 1.0);
         assert!(s.estimate("nope", &q).is_err());
         assert!(s.estimate_many("nope", std::slice::from_ref(&q)).is_err());
-        assert!(s
-            .run_workload("nope", std::slice::from_ref(&q), Exec::PerQuery)
-            .is_err());
         assert!(s.handle("nope").is_err());
         let pool = ThreadPool::new(2);
         assert!(s
@@ -706,16 +732,25 @@ mod tests {
         let queries = random_queries(&sorted, 50, AggKind::Sum, 300, 21);
         let mut s = Session::new(table);
         s.add_engine("pass", &spec_pass(22)).unwrap();
-        let (first, _) = s.run_workload("pass", &queries, Exec::PerQuery).unwrap();
+        let [first] = &s.run_workload(&queries)[..] else {
+            panic!("one engine, one row")
+        };
         assert_eq!(first.cache_hits, 0);
         assert_eq!(first.cache_misses as usize, queries.len());
-        let (second, _) = s.run_workload("pass", &queries, Exec::PerQuery).unwrap();
+        let [second] = &s.run_workload(&queries)[..] else {
+            panic!("one engine, one row")
+        };
         assert_eq!(second.cache_hits as usize, queries.len());
         assert_eq!(second.cache_misses, 0);
         assert_eq!(
             first.median_relative_error, second.median_relative_error,
             "cached answers are identical"
         );
+        // The answers the cache now serves are the engine's own, query by
+        // query.
+        let cached = s.estimate_many("pass", &queries).unwrap();
+        let fresh = s.engine("pass").unwrap().estimate_many(&queries);
+        assert_eq!(cached, fresh);
         // throughput_qps counts every answered query, cache-served ones
         // included: the fully cached pass still reports the full query
         // count and a positive serving rate.
@@ -757,49 +792,115 @@ mod tests {
             ],
         )
         .unwrap();
-        let rows = session.run_workload_all(&queries);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].engine, "pass");
-        assert_eq!(rows[1].engine, "us");
+        let rows = session.run_workload(&queries);
+        let names: Vec<&str> = rows.iter().map(|r| r.engine.as_str()).collect();
+        assert_eq!(names, ["pass", "us"], "one row per engine, insertion order");
         for row in &rows {
             assert_eq!(row.queries, 40);
             assert!(row.median_relative_error.is_finite());
+            assert_eq!(row.build_ms, session.build_ms(&row.engine).unwrap());
+            assert_eq!(
+                row.storage_bytes,
+                session.engine(&row.engine).unwrap().storage_bytes()
+            );
         }
-        // Single-engine evaluation matches the all-engines row (answers
-        // come from the cache now, but cached answers are identical).
-        let (solo, outcomes) = session
-            .run_workload("pass", &queries, Exec::PerQuery)
-            .unwrap();
-        assert_eq!(solo.median_relative_error, rows[0].median_relative_error);
-        assert_eq!(outcomes.len(), 40);
-        assert_eq!(solo.cache_hits as usize, queries.len());
+        // A second call is served by the caches: each row counts only its
+        // own call's hits and misses, and cached answers score identically.
+        let again = session.run_workload(&queries);
+        for (first, second) in rows.iter().zip(&again) {
+            assert_eq!((first.cache_hits, first.cache_misses), (0, 40));
+            assert_eq!((second.cache_hits, second.cache_misses), (40, 0));
+            assert_eq!(first.median_relative_error, second.median_relative_error);
+        }
     }
 
     #[test]
-    fn batched_and_parallel_workload_runners_match_per_query() {
-        let table = uniform(10_000, 30);
-        let sorted = SortedTable::from_table(&table, 0);
-        let queries = random_queries(&sorted, 60, AggKind::Sum, 300, 31);
-        // Separate sessions so each runner starts from a cold cache.
-        let run = |exec: Exec<'_>| {
-            let mut s = Session::new(uniform(10_000, 30));
-            s.add_engine("pass", &spec_pass(32)).unwrap();
-            s.run_workload("pass", &queries, exec).unwrap().0
+    fn failures_counted_and_penalized() {
+        // A tiny uniform sample fails AVG on very selective queries, and
+        // some of these intervals hold no row at all (undefined truth).
+        let mut s = Session::new(uniform(10_000, 7));
+        s.add_engine("us", &EngineSpec::uniform(5).with_seed(8))
+            .unwrap();
+        let queries: Vec<Query> = (0..20)
+            .map(|i| {
+                let lo = 0.05 * i as f64 / 20.0;
+                Query::interval(AggKind::Avg, lo, lo + 1e-4)
+            })
+            .collect();
+        let [row] = &s.run_workload(&queries)[..] else {
+            panic!("one engine, one row")
         };
-        let pool = ThreadPool::new(2);
-        let per_query = run(Exec::PerQuery);
-        let batched = run(Exec::Batched);
-        let parallel = run(Exec::Parallel(&pool));
-        assert_eq!(
-            per_query.median_relative_error,
-            batched.median_relative_error
+        let answers = s.estimate_many("us", &queries).unwrap();
+        let mut expected_rel = Vec::new();
+        let mut expected_failures = 0;
+        for (q, answer) in queries.iter().zip(&answers) {
+            let Some(truth) = s.ground_truth(q) else {
+                continue;
+            };
+            expected_rel.push(match answer {
+                Ok(e) => e.relative_error(truth),
+                Err(_) => {
+                    expected_failures += 1;
+                    1.0
+                }
+            });
+        }
+        assert!(
+            expected_failures > 0,
+            "the workload must exercise a failure"
         );
-        assert_eq!(
-            per_query.median_relative_error,
-            parallel.median_relative_error
+        assert!(expected_rel.len() < queries.len(), "and an undefined truth");
+        assert_eq!(row.failures, expected_failures);
+        assert_eq!(row.queries, expected_rel.len());
+        assert_eq!(row.median_relative_error, median(&expected_rel));
+        assert_eq!(row.cache_misses as usize, queries.len(), "all executed");
+    }
+
+    #[test]
+    fn a_nan_keyed_table_still_scores_a_workload() {
+        let t = pass_table::Table::one_dim(vec![1.0, f64::NAN, 3.0, 4.0], vec![1.0; 4]).unwrap();
+        let mut s = Session::new(t);
+        // The NaN row matches no interval, as in a scan.
+        let q = Query::interval(AggKind::Count, f64::NEG_INFINITY, f64::INFINITY);
+        assert_eq!(s.ground_truth(&q), Some(3.0));
+        s.add_engine("us", &EngineSpec::uniform(4)).unwrap();
+        let [row] = &s.run_workload(std::slice::from_ref(&q))[..] else {
+            panic!("one engine, one row")
+        };
+        assert_eq!((row.queries, row.failures), (1, 0));
+    }
+
+    #[test]
+    fn pass_beats_uniform_on_median_error() {
+        use pass_core::Pass;
+        let t = uniform(20_000, 1);
+        let queries = random_queries(&SortedTable::from_table(&t, 0), 150, AggKind::Sum, 400, 2);
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 32,
+                sample_rate: 0.01,
+                seed: 3,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
+        let budget = pass.total_samples();
+        let mut s = Session::new(t);
+        s.add_synopsis("pass", pass);
+        s.add_engine("us", &EngineSpec::uniform(budget).with_seed(3))
+            .unwrap();
+        let [pass_row, us_row] = &s.run_workload(&queries)[..] else {
+            panic!("two engines, two rows")
+        };
+        assert!(
+            pass_row.median_relative_error <= us_row.median_relative_error,
+            "PASS {} vs US {}",
+            pass_row.median_relative_error,
+            us_row.median_relative_error
         );
-        assert!(batched.throughput_qps > 0.0);
-        assert!(parallel.throughput_qps > 0.0);
+        assert!(pass_row.mean_skip_rate > 0.9);
+        assert_eq!(pass_row.queries, 150);
     }
 
     #[test]
@@ -824,8 +925,10 @@ mod tests {
         // Handles and workloads work like any other engine.
         let handle = s.handle("pass4").unwrap();
         assert_eq!(handle.estimate(q).unwrap().value, first.value);
-        let (summary, outcomes) = s.run_workload("pass4", &queries, Exec::PerQuery).unwrap();
-        assert_eq!(outcomes.len(), queries.len());
+        let [summary] = &s.run_workload(&queries)[..] else {
+            panic!("one engine, one row")
+        };
+        assert_eq!(summary.queries, queries.len());
         assert!(summary.median_relative_error < 0.25);
     }
 

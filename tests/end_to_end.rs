@@ -1,12 +1,12 @@
 //! End-to-end integration tests spanning every crate: datasets → specs →
-//! `Session` → workload runner, asserting the paper's headline claims at
+//! `Session::run_workload`, asserting the paper's headline claims at
 //! test scale.
 
 use pass::common::{AggKind, PartitionStrategy, PassSpec, Query, Synopsis};
 use pass::core::Pass;
 use pass::table::datasets::{adversarial, DatasetId};
 use pass::table::SortedTable;
-use pass::workload::{challenging_queries, random_queries, Exec};
+use pass::workload::{challenging_queries, random_queries};
 use pass::{EngineSpec, Session};
 
 /// The Table 1 premise: controlling for sample budget, PASS is more
@@ -36,7 +36,7 @@ fn pass_beats_uniform_sampling_across_datasets_and_aggregates() {
             .unwrap();
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let queries = random_queries(&sorted, 120, agg, 600, 3);
-            let rows = session.run_workload_all(&queries);
+            let rows = session.run_workload(&queries);
             let (p, u) = (&rows[0], &rows[1]);
             assert!(
                 p.median_relative_error <= u.median_relative_error * 1.05,
@@ -73,7 +73,7 @@ fn adp_beats_equal_depth_on_adversarial_challenging_queries() {
         ],
     )
     .unwrap();
-    let rows = session.run_workload_all(&queries);
+    let rows = session.run_workload(&queries);
     let (a, e) = (&rows[0], &rows[1]);
     assert!(
         a.median_ci_ratio < e.median_ci_ratio,
@@ -109,9 +109,7 @@ fn skip_rate_is_high_for_selective_queries() {
         )],
     )
     .unwrap();
-    let (summary, _) = session
-        .run_workload("pass", &queries, Exec::PerQuery)
-        .unwrap();
+    let summary = &session.run_workload(&queries)[0];
     assert!(
         summary.mean_skip_rate > 0.97,
         "skip rate {}",
@@ -148,11 +146,11 @@ fn all_engines_run_one_workload() {
     )
     .unwrap();
 
-    for name in session.engine_names() {
-        let (summary, outcomes) = session
-            .run_workload(name, &queries, Exec::PerQuery)
-            .unwrap();
-        assert_eq!(summary.queries, outcomes.len(), "{name}");
+    let rows = session.run_workload(&queries);
+    assert_eq!(rows.len(), session.engine_names().len());
+    for summary in &rows {
+        let name = &summary.engine;
+        assert_eq!(summary.queries, queries.len(), "{name}");
         assert!(summary.median_relative_error.is_finite());
         assert!(summary.storage_bytes > 0);
         assert!(summary.median_relative_error < 0.5, "{name}");
@@ -180,10 +178,7 @@ fn full_pipeline_is_deterministic() {
             )],
         )
         .unwrap();
-        let (summary, _) = session
-            .run_workload("pass", &queries, Exec::PerQuery)
-            .unwrap();
-        summary.median_relative_error
+        session.run_workload(&queries)[0].median_relative_error
     };
     assert_eq!(run(), run());
 }

@@ -1,5 +1,5 @@
 //! Contract tests: every `Synopsis` implementation honours the shared
-//! behavioural contract the workload runner and `Session` rely on.
+//! behavioural contract `Session` and its workload scoring rely on.
 //!
 //! Engines are constructed exclusively through the spec-driven registry
 //! (`Engine::build`), so these tests also pin the registry's surface.

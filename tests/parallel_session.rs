@@ -14,7 +14,7 @@ use pass::common::{
 };
 use pass::table::datasets::{taxi, uniform};
 use pass::table::{SortedTable, Table};
-use pass::workload::{random_queries, Exec};
+use pass::workload::random_queries;
 use pass::{Engine, Session};
 
 /// A mixed-aggregate workload exercising covered, partial, and disjoint
@@ -110,7 +110,8 @@ fn parallel_is_bit_identical_to_sequential_for_the_standard_suite() {
 }
 
 /// A second identical workload pass through the session reports 100%
-/// cache hits and byte-identical summary metrics.
+/// cache hits, byte-identical summary metrics, and the engines' own
+/// answers query by query.
 #[test]
 fn second_workload_pass_hits_the_cache_completely() {
     let table = uniform(15_000, 42);
@@ -120,20 +121,13 @@ fn second_workload_pass_hits_the_cache_completely() {
     for (i, spec) in Engine::standard_suite(16, 800, 44).into_iter().enumerate() {
         session.add_engine(format!("e{i}"), &spec).unwrap();
     }
-    for name in session
-        .engine_names()
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-    {
-        let (first, first_outcomes) = session
-            .run_workload(&name, &queries, Exec::PerQuery)
-            .unwrap();
+    let first = session.run_workload(&queries);
+    let second = session.run_workload(&queries);
+    assert_eq!(first.len(), session.engine_names().len());
+    for (first, second) in first.iter().zip(&second) {
+        let name = &first.engine;
         assert_eq!(first.cache_hits, 0, "{name}: cold cache");
         assert_eq!(first.cache_misses as usize, queries.len(), "{name}");
-        let (second, second_outcomes) = session
-            .run_workload(&name, &queries, Exec::PerQuery)
-            .unwrap();
         assert_eq!(
             second.cache_hits as usize,
             queries.len(),
@@ -145,36 +139,10 @@ fn second_workload_pass_hits_the_cache_completely() {
             "{name}: cached metrics identical"
         );
         assert_eq!(first.failures, second.failures, "{name}");
-        for (a, b) in first_outcomes.iter().zip(&second_outcomes) {
-            assert_eq!(a.estimate, b.estimate, "{name}: cached estimate identical");
-        }
+        let cached = session.estimate_many(name, &queries).unwrap();
+        let fresh = session.engine(name).unwrap().estimate_many(&queries);
+        assert_identical(name, 1, &fresh, &cached);
     }
-}
-
-/// The parallel workload runner agrees with the sequential one on every
-/// error metric through the session facade (cold caches on both sides).
-#[test]
-fn parallel_workload_runner_matches_sequential_metrics() {
-    let queries = workload(200);
-    let build = || {
-        let mut s = Session::new(uniform(15_000, 45));
-        s.add_engine("pass", &pass::EngineSpec::pass()).unwrap();
-        s
-    };
-    let (sequential, _) = build()
-        .run_workload("pass", &queries, Exec::Batched)
-        .unwrap();
-    let pool = ThreadPool::new(4);
-    let (parallel, _) = build()
-        .run_workload("pass", &queries, Exec::Parallel(&pool))
-        .unwrap();
-    assert_eq!(
-        sequential.median_relative_error,
-        parallel.median_relative_error
-    );
-    assert_eq!(sequential.median_ci_ratio, parallel.median_ci_ratio);
-    assert_eq!(sequential.failures, parallel.failures);
-    assert_eq!(sequential.queries, parallel.queries);
 }
 
 /// Handles cloned from one session answer concurrently and identically,

@@ -263,7 +263,7 @@ fn sharded_batched_and_parallel_paths_are_bit_identical() {
 }
 
 /// Sharded engines ride the whole session stack: named registration via
-/// `add_sharded_engine`, caching, handles, and workload runners.
+/// `add_sharded_engine`, caching, handles, and workload scoring.
 #[test]
 fn sharded_engine_through_the_session_facade() {
     let table = uniform(20_000, 17);
@@ -283,7 +283,7 @@ fn sharded_engine_through_the_session_facade() {
         );
     }
     // Workload evaluation produces sane, comparable rows for both.
-    let rows = session.run_workload_all(&queries);
+    let rows = session.run_workload(&queries);
     assert_eq!(rows.len(), 2);
     for row in &rows {
         assert!(row.median_relative_error < 0.1, "{}", row.engine);

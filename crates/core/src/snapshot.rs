@@ -8,8 +8,9 @@
 //!   path. The loose-extrema node list trails the arena only when a
 //!   deletion has set one, so a never-deleted tree keeps its original
 //!   bytes;
-//! * the per-leaf stratified [`Sample`]s (with their conservatively-cleared
-//!   `sorted_1d` flags);
+//! * the per-leaf stratified [`Sample`]s with their `sorted_1d` flags (a
+//!   1-D stratum stays sorted through updates; a flag stored `false` stays
+//!   `false`);
 //! * the mutation epoch.
 //!
 //! A workload-shift tree is stored as it is queried — lifted into the full

@@ -145,13 +145,9 @@ fn finish(spec: &PassSpec, tree: PartitionTree, mut samples: Vec<Sample>) -> Res
         // estimates genuinely reflect the compressed representation.
         for (li, sample) in samples.iter_mut().enumerate() {
             let mean = tree.agg(leaves[li]).avg().unwrap_or(0.0);
-            let values: Vec<f64> = (0..sample.k()).map(|i| sample.rows().value(i)).collect();
-            let decoded = DeltaEncoded::encode(&values, mean).decode();
+            let decoded = DeltaEncoded::encode(sample.rows().values(), mean).decode();
             for (i, v) in decoded.into_iter().enumerate() {
-                let preds: Vec<f64> = (0..sample.rows().dims())
-                    .map(|d| sample.rows().predicate(d, i))
-                    .collect();
-                sample.replace_row(i, v, &preds);
+                sample.set_value(i, v);
             }
         }
     }
@@ -233,6 +229,13 @@ impl Pass {
     /// Per-leaf stratified samples (leaf-index order).
     pub fn leaf_samples(&self) -> &[Sample] {
         &self.samples
+    }
+
+    /// The flat arena the query path scans: after every update, what
+    /// [`SampleArena::from_samples`] builds over the leaf samples.
+    #[doc(hidden)]
+    pub fn arena(&self) -> &SampleArena {
+        &self.arena
     }
 
     /// Total stored sample rows.

@@ -14,7 +14,11 @@
 //! * **sample** — the leaf's own reservoir and its segment of the flat
 //!   arena, O(K_i); the rest of the arena moves only when K_i itself
 //!   changes (a delete evicts a sampled row, or an empty stratum takes
-//!   its first).
+//!   its first). A sorted 1-D sample stays in key order, on the sorted
+//!   scan: the replaced or deleted row leaves in order and a new row
+//!   enters at its key (`Sample::replace_row`); Algorithm R's uniform
+//!   position `j` in key order is still a uniform row. Any other sample
+//!   is overwritten at `j` and swap-removed on delete.
 //!
 //! Everything that can fail — arity, a non-finite value, a NaN
 //! coordinate, a delete routed to a leaf that holds no tuple — is checked
@@ -113,7 +117,7 @@ impl Pass {
         let sample = &mut self.samples[li];
         sample.shrink_population();
         let evicted = if let Some(pos) = sample.find_row(value, point) {
-            sample.swap_remove_row(pos);
+            sample.remove_row(pos);
             true
         } else {
             false

@@ -293,7 +293,7 @@ mod tests {
                 arena.set_stratum(i, &samples[i]);
                 assert_matches_rebuild(&arena, &samples);
                 while samples[i].k() > 0 {
-                    samples[i].swap_remove_row(0);
+                    samples[i].remove_row(0);
                     samples[i].shrink_population();
                     arena.set_stratum(i, &samples[i]);
                     assert_matches_rebuild(&arena, &samples);

@@ -15,7 +15,7 @@ pub struct Sample {
     population: u64,
     /// Whether the single predicate column is non-decreasing — unlocks the
     /// binary-search fast path in [`crate::kernel`]. Computed once at
-    /// construction; conservatively cleared by the row mutators.
+    /// construction; the row mutators keep a sorted sample in key order.
     sorted_1d: bool,
 }
 
@@ -70,11 +70,10 @@ impl Sample {
         Self::from_indices(table, &idx, n as u64)
     }
 
-    /// Reassemble a sample from snapshot state, trusting the stored
-    /// `sorted_1d` flag instead of recomputing it: the mutators clear the
-    /// flag conservatively (even order-preserving mutations), so a
-    /// mutated-then-saved sample must reload onto the exact same kernel
-    /// path it was on when saved, not the one a fresh scan would pick.
+    /// Reassemble a sample from snapshot state, trusting a stored `false`
+    /// `sorted_1d` flag instead of recomputing it: a sample saved with a
+    /// cleared flag (mutated before the mutators kept key order) reloads
+    /// onto the kernel path and the in-place mutators it had when saved.
     pub(crate) fn from_parts(rows: Table, population: u64, sorted_1d: bool) -> Result<Self> {
         let mut sample = Self::from_rows(rows, population)?;
         sample.sorted_1d = sorted_1d && sample.sorted_1d;
@@ -108,8 +107,8 @@ impl Sample {
     }
 
     /// Whether this is a 1-D sample whose predicate column is known to be
-    /// non-decreasing (kernel fast-path eligibility). `false` after any row
-    /// mutation, even one that happens to preserve order.
+    /// non-decreasing (kernel fast-path eligibility). Fixed for the
+    /// sample's life: the row mutators keep a sorted sample sorted.
     #[inline]
     pub fn sorted_1d(&self) -> bool {
         self.sorted_1d
@@ -140,30 +139,60 @@ impl Sample {
         self.population = self.population.saturating_sub(1);
     }
 
-    /// Append a sampled row.
+    /// Add a sampled row: at its key position (after equal keys) in a
+    /// sorted sample, at the end otherwise.
     pub fn push_row(&mut self, value: f64, preds: &[f64]) {
-        self.sorted_1d = false;
-        self.rows.push_row(value, preds);
+        let at = match self.sorted_1d {
+            true => self.key_rows(preds[0]).end,
+            false => self.k(),
+        };
+        self.rows.insert_row(at, value, preds);
     }
 
-    /// Overwrite sampled row `i` (reservoir replacement).
+    /// Replace sampled row `i` (reservoir replacement): in a sorted sample
+    /// row `i` leaves and the new row enters at its key position, in any
+    /// other it is overwritten in place.
     pub fn replace_row(&mut self, i: usize, value: f64, preds: &[f64]) {
-        self.sorted_1d = false;
-        self.rows.replace_row(i, value, preds);
+        match self.sorted_1d {
+            true => {
+                self.rows.remove_row(i);
+                self.push_row(value, preds);
+            }
+            false => self.rows.replace_row(i, value, preds),
+        }
     }
 
-    /// Remove sampled row `i` (its underlying tuple was deleted).
-    pub fn swap_remove_row(&mut self, i: usize) -> (f64, Vec<f64>) {
-        self.sorted_1d = false;
-        self.rows.swap_remove_row(i)
+    /// Overwrite sampled row `i`'s value only.
+    pub fn set_value(&mut self, i: usize, value: f64) {
+        self.rows.set_value(i, value);
     }
 
-    /// Position of a sampled row equal to `(value, preds)`, if any.
+    /// Remove sampled row `i` (its tuple was deleted): in order from a
+    /// sorted sample, by swapping in the last row from any other.
+    pub fn remove_row(&mut self, i: usize) {
+        match self.sorted_1d {
+            true => self.rows.remove_row(i),
+            false => self.rows.swap_remove_row(i),
+        }
+    }
+
+    /// Position of the first sampled row equal to `(value, preds)`, if
+    /// any; a sorted sample searches only the rows keyed `preds[0]`.
     pub fn find_row(&self, value: f64, preds: &[f64]) -> Option<usize> {
-        (0..self.k()).find(|&i| {
+        let rows = match self.sorted_1d {
+            true => self.key_rows(preds[0]),
+            false => 0..self.k(),
+        };
+        rows.into_iter().find(|&i| {
             self.rows.value(i) == value
                 && (0..self.rows.dims()).all(|d| self.rows.predicate(d, i) == preds[d])
         })
+    }
+
+    /// The rows of a sorted sample keyed `key`, by binary search.
+    fn key_rows(&self, key: f64) -> std::ops::Range<usize> {
+        let keys = self.rows.predicate_column(0);
+        keys.partition_point(|&k| k < key)..keys.partition_point(|&k| k <= key)
     }
 }
 
@@ -246,6 +275,61 @@ mod tests {
         let t = uniform(10, 12);
         let rows = t.clone();
         assert!(Sample::from_rows(rows, 5).is_err());
+    }
+
+    #[test]
+    fn a_sorted_sample_stays_in_key_order_through_every_mutator() {
+        let rows = Table::one_dim(vec![0.1, 0.2, 0.2, 0.4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let mut s = Sample::from_rows(rows, 10).unwrap();
+        assert!(s.sorted_1d());
+        // Row 0 leaves; the new row enters at its key.
+        s.replace_row(0, 9.0, &[0.3]);
+        // After the rows of an equal key.
+        s.push_row(5.0, &[0.2]);
+        assert_eq!(s.rows().predicate_column(0), [0.2, 0.2, 0.2, 0.3, 0.4]);
+        assert_eq!(s.rows().values(), [2.0, 3.0, 5.0, 9.0, 4.0]);
+        assert_eq!(s.find_row(5.0, &[0.2]), Some(2));
+        assert_eq!(s.find_row(5.0, &[0.3]), None);
+        assert_eq!(s.find_row(4.0, &[0.4]), Some(4));
+        s.remove_row(1);
+        s.set_value(0, 7.0);
+        assert_eq!(s.rows().predicate_column(0), [0.2, 0.2, 0.3, 0.4]);
+        assert_eq!(s.rows().values(), [7.0, 5.0, 9.0, 4.0]);
+        // Drained and refilled, still in order.
+        while s.k() > 0 {
+            s.remove_row(s.k() / 2);
+        }
+        for key in [f64::INFINITY, 0.5, f64::NEG_INFINITY, 0.5] {
+            s.push_row(key, &[key]);
+        }
+        assert_eq!(
+            s.rows().predicate_column(0),
+            [f64::NEG_INFINITY, 0.5, 0.5, f64::INFINITY]
+        );
+        assert!(s.sorted_1d());
+    }
+
+    /// A sample whose flag is `false` — multi-dimensional, in table order,
+    /// or read from a snapshot saved before the mutators kept key order —
+    /// mutates in place: a replacement overwrites its position, a removal
+    /// swaps the last row in, a push appends. Rows in key order under a
+    /// stored `false` flag land where those rules put them, not in order.
+    #[test]
+    fn an_unsorted_sample_mutates_in_place() {
+        let rows = Table::one_dim(vec![0.1, 0.2, 0.3, 0.4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let mut s = Sample::from_parts(rows, 10, false).unwrap();
+        s.replace_row(1, 9.0, &[0.9]);
+        s.remove_row(0);
+        s.push_row(5.0, &[0.0]);
+        assert!(!s.sorted_1d());
+        assert_eq!(s.rows().predicate_column(0), [0.4, 0.9, 0.3, 0.0]);
+        assert_eq!(s.rows().values(), [4.0, 9.0, 3.0, 5.0]);
+        assert_eq!(s.find_row(3.0, &[0.3]), Some(2));
+        let t = pass_table::datasets::taxi(50, 3).project(&[1, 2]).unwrap();
+        let mut s = Sample::from_rows(t.gather(&[0, 1, 2]), 50).unwrap();
+        assert!(!s.sorted_1d());
+        s.remove_row(0);
+        assert_eq!(s.rows().point(0), t.point(2));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Snapshot codec for [`Sample`] (see `pass_common::snapshot`).
 //!
 //! The `sorted_1d` kernel fast-path flag is serialized explicitly rather
-//! than recomputed: mutators clear it conservatively (even when a mutation
-//! happens to preserve order), so a mutated-then-saved sample must reload
-//! with the flag it had at save time — recomputing from the rows could
-//! silently move the sample onto a different (sorted) kernel path and
-//! break bit-identity with the originating engine.
+//! than recomputed. The mutators keep a sorted sample in key order, so a
+//! sorted sample saves `true`; but snapshots written before they did hold
+//! updated 1-D samples whose flag was cleared, and such a sample must
+//! reload with the flag it had at save time — recomputing from the rows
+//! could move it onto the sorted kernel path and the ordered mutators,
+//! and its stream would no longer continue as it did when saved.
 
 use pass_common::snapshot::{Codec, Cursor};
 use pass_common::Result;
@@ -57,16 +58,17 @@ mod tests {
     fn cleared_sorted_flag_is_preserved_not_recomputed() {
         let t = uniform(500, 7);
         let mut rng = rng_from_seed(8);
-        let mut s = Sample::uniform(&t, 32, &mut rng).unwrap();
-        // An order-preserving overwrite still clears the flag; the decoded
-        // sample must stay on the same (unsorted) kernel path.
-        let preds: Vec<f64> = vec![s.rows().predicate(0, 0)];
-        let value = s.rows().value(0);
-        s.replace_row(0, value, &preds);
+        let sorted = Sample::uniform(&t, 32, &mut rng).unwrap();
+        assert!(sorted.sorted_1d());
+        // Rows in key order under a stored `false` flag — what a snapshot
+        // saved after updates, before the mutators kept key order, holds:
+        // the decoded sample must stay on the unsorted kernel path.
+        let s = Sample::from_parts(sorted.rows().clone(), sorted.population(), false).unwrap();
         assert!(!s.sorted_1d());
         let mut payload = Vec::new();
         s.encode(&mut payload);
         let back: Sample = Cursor::new(&payload, "sample").read().unwrap();
         assert!(!back.sorted_1d());
+        assert_eq!(back.rows().values(), sorted.rows().values());
     }
 }

@@ -245,32 +245,53 @@ impl Table {
     /// Append one row (dynamic-update path). `preds` must supply one
     /// coordinate per predicate dimension.
     pub fn push_row(&mut self, value: f64, preds: &[f64]) {
-        assert_eq!(preds.len(), self.dims(), "predicate arity mismatch");
+        // invariant: callers check the arity first (`Pass::locate` for updates).
+        debug_assert_eq!(preds.len(), self.dims(), "predicate arity mismatch");
         self.values.push(value);
         for (col, &p) in self.predicates.iter_mut().zip(preds) {
             col.push(p);
         }
     }
 
-    /// Remove row `i` by swapping in the last row (O(1), order not
-    /// preserved). Returns the removed `(value, preds)`.
-    pub fn swap_remove_row(&mut self, i: usize) -> (f64, Vec<f64>) {
-        let value = self.values.swap_remove(i);
-        let preds = self
-            .predicates
-            .iter_mut()
-            .map(|col| col.swap_remove(i))
-            .collect();
-        (value, preds)
+    /// Insert one row at position `i` (order preserved).
+    pub fn insert_row(&mut self, i: usize, value: f64, preds: &[f64]) {
+        // invariant: callers check the arity first (`Pass::locate` for updates).
+        debug_assert_eq!(preds.len(), self.dims(), "predicate arity mismatch");
+        self.values.insert(i, value);
+        for (col, &p) in self.predicates.iter_mut().zip(preds) {
+            col.insert(i, p);
+        }
+    }
+
+    /// Remove row `i` (order preserved).
+    pub fn remove_row(&mut self, i: usize) {
+        self.values.remove(i);
+        for col in &mut self.predicates {
+            col.remove(i);
+        }
+    }
+
+    /// Remove row `i`, moving the last row into its place (O(1)).
+    pub fn swap_remove_row(&mut self, i: usize) {
+        self.values.swap_remove(i);
+        for col in &mut self.predicates {
+            col.swap_remove(i);
+        }
     }
 
     /// Overwrite row `i` in place (reservoir replacement path).
     pub fn replace_row(&mut self, i: usize, value: f64, preds: &[f64]) {
-        assert_eq!(preds.len(), self.dims(), "predicate arity mismatch");
+        // invariant: callers check the arity first (`Pass::locate` for updates).
+        debug_assert_eq!(preds.len(), self.dims(), "predicate arity mismatch");
         self.values[i] = value;
         for (col, &p) in self.predicates.iter_mut().zip(preds) {
             col[i] = p;
         }
+    }
+
+    /// Overwrite row `i`'s aggregation value, its predicates untouched.
+    pub fn set_value(&mut self, i: usize, value: f64) {
+        self.values[i] = value;
     }
 
     /// Unique hash index over predicate column `dim`: canonicalized key
@@ -457,6 +478,27 @@ mod tests {
         ));
         let zeros = Table::one_dim(vec![0.0, -0.0], vec![0.0, 0.0]).unwrap();
         assert!(zeros.key_index(0).is_err());
+    }
+
+    #[test]
+    fn row_mutators_move_every_column_together() {
+        let mut t = Table::new(
+            vec![1.0, 3.0, 4.0],
+            vec![vec![10.0, 30.0, 40.0], vec![0.1, 0.3, 0.4]],
+            vec!["v".into(), "x".into(), "y".into()],
+        )
+        .unwrap();
+        t.insert_row(1, 2.0, &[20.0, 0.2]);
+        t.push_row(5.0, &[50.0, 0.5]);
+        assert_eq!(t.values(), [1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(t.predicate_column(1), [0.1, 0.2, 0.3, 0.4, 0.5]);
+        t.remove_row(0);
+        t.swap_remove_row(0);
+        t.replace_row(1, 7.0, &[70.0, 0.7]);
+        t.set_value(0, 9.0);
+        assert_eq!(t.values(), [9.0, 7.0, 4.0]);
+        assert_eq!(t.predicate_column(0), [50.0, 70.0, 40.0]);
+        assert_eq!(t.predicate_column(1), [0.5, 0.7, 0.4]);
     }
 
     #[test]

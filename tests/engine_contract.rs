@@ -430,36 +430,80 @@ fn one_dimensional_pass_answers_are_pinned_across_commits() {
                     }
                 }
             }
-            let mut hash = 0xcbf29ce484222325_u64;
-            let mut answered = 0;
-            for query in &queries {
-                let words = match pass.estimate(query) {
-                    Ok(e) => {
-                        answered += 1;
-                        let (lb, ub) = e.hard_bounds.unwrap_or((f64::NAN, f64::NAN));
-                        [e.value, e.ci_half, lb, ub].map(f64::to_bits)
-                    }
-                    Err(_) => [u64::MAX; 4],
-                };
-                for word in words {
-                    hash = (hash ^ word).wrapping_mul(0x100000001b3);
-                }
-            }
-            assert!(
-                answered > 350,
-                "{strategy:?}: only {answered} of 500 answered"
-            );
-            hashes.push(hash);
+            hashes.push(fnv_answers_1d(&pass, &queries));
         }
     }
+    // The two after-update hashes were re-recorded when an updated 1-D
+    // stratum began to stay in key order (before: 0xe5cfbbf0ad159682 and
+    // 0x8514478aead07d1f): the sorted scan folds its rows in key order, and
+    // reservoir position `j` names another row. The as-built hashes did
+    // not move.
     let expected: [u64; 4] = [
         0x421e2bf974d0f0e0,
-        0xe5cfbbf0ad159682,
+        0xb8b6653de887abb8,
         0xffb42a4eb980646a,
-        0x8514478aead07d1f,
+        0x86308f599667f1be,
     ];
     assert_eq!(hashes, expected, "answer hashes {hashes:#018x?}");
     single_key_leaf_then_an_insert_in_the_gap_after_it();
+}
+
+/// FNV-1a over the value, `ci_half` and hard-bound bits of each answer to
+/// `queries` (a refusal hashes as four all-ones words); more than 350 of
+/// the 500 [`queries_1d`] must be answered.
+fn fnv_answers_1d(pass: &Pass, queries: &[Query]) -> u64 {
+    let mut hash = 0xcbf29ce484222325_u64;
+    let mut answered = 0;
+    for query in queries {
+        let words = match pass.estimate(query) {
+            Ok(e) => {
+                answered += 1;
+                let (lb, ub) = e.hard_bounds.unwrap_or((f64::NAN, f64::NAN));
+                [e.value, e.ci_half, lb, ub].map(f64::to_bits)
+            }
+            Err(_) => [u64::MAX; 4],
+        };
+        for word in words {
+            hash = (hash ^ word).wrapping_mul(0x100000001b3);
+        }
+    }
+    assert!(answered > 350, "only {answered} of 500 answered");
+    hash
+}
+
+/// A delta-encoded 1-D PASS's answers are pinned across commits: FNV-1a
+/// as above over the 500 [`queries_1d`], all five aggregates, on an ADP
+/// and an equal-depth tree. Recorded while the build still overwrote each
+/// sampled value through the row mutator `replace_row`, which cleared
+/// every stratum's sorted flag: the build now rewrites values only, the
+/// strata keep the sorted scan, and the answers must not move.
+#[test]
+fn delta_encoded_one_dimensional_pass_answers_are_pinned_across_commits() {
+    let table = table_1d();
+    let queries = queries_1d(500);
+    let hashes: Vec<u64> = [
+        PartitionStrategy::Adp(AggKind::Sum),
+        PartitionStrategy::EqualDepth,
+    ]
+    .map(|strategy| {
+        let spec = PassSpec {
+            partitions: 64,
+            sample_rate: 0.02,
+            strategy,
+            delta_encode: true,
+            seed: 27,
+            ..PassSpec::default()
+        };
+        let pass = Pass::from_spec(&table, &spec).unwrap();
+        assert!(pass.leaf_samples().iter().all(|s| s.sorted_1d()));
+        fnv_answers_1d(&pass, &queries)
+    })
+    .to_vec();
+    assert_eq!(
+        hashes,
+        [0xf7b42efa60e79c56, 0xad9cd1ddb2416bfa],
+        "answer hashes {hashes:#018x?}"
+    );
 }
 
 /// FNV-1a over every word of an answer: the value, CI and hard-bound

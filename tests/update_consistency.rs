@@ -6,8 +6,13 @@
 use proptest::prelude::*;
 
 use pass::common::rng::derive_seed;
-use pass::common::{AggKind, PassError, PassSpec, Query, Rect, Synopsis};
+use pass::common::snapshot::SnapshotReader;
+use pass::common::{
+    AggKind, EngineSpec, PartitionStrategy, PassError, PassSpec, Query, Rect, Synopsis,
+};
+use pass::core::snapshot::load_pass;
 use pass::core::Pass;
+use pass::sampling::{estimator, PointVariance, Sample, SampleArena, ScanScratch};
 use pass::table::datasets::{taxi, uniform};
 use pass::table::Table;
 use pass::Engine;
@@ -359,4 +364,301 @@ fn hard_bounds_contain_the_truth_after_an_update_stream() {
             }
         }
     }
+}
+
+/// `pass` saved, loaded back as a `Pass` and saved again: the bytes and
+/// every stratum's sorted flag survive the trip.
+fn reload(pass: &Pass) -> Pass {
+    let mut bytes = Vec::new();
+    pass.save(&mut bytes).unwrap();
+    let (spec, mut reader) = SnapshotReader::open(&bytes).unwrap();
+    let EngineSpec::Pass(spec) = spec else {
+        panic!("a PASS snapshot names another engine: {spec:?}");
+    };
+    let loaded = load_pass(&spec, &mut reader).unwrap();
+    reader.finish().unwrap();
+    let mut resaved = Vec::new();
+    loaded.save(&mut resaved).unwrap();
+    assert!(resaved == bytes, "save → load → save moved bytes");
+    let flags = |p: &Pass| {
+        p.leaf_samples()
+            .iter()
+            .map(Sample::sorted_1d)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(flags(&loaded), flags(pass));
+    loaded
+}
+
+fn point_bits(point: Option<PointVariance>) -> Option<(u64, u64, u64)> {
+    point.map(|p| (p.value.to_bits(), p.variance.to_bits(), p.k_pred))
+}
+
+/// Every stratum of a maintained 1-D `pass` is still sorted, with a
+/// non-decreasing key column; the patched arena is, view for view, what a
+/// rebuild over the samples gives; and each stratum answers every probe,
+/// all five aggregates, with the same bits through the sorted scan, the
+/// mask path, the reference estimator and its arena view.
+fn assert_strata_stay_sorted_and_agree(pass: &Pass, at: &str) {
+    let tree = pass.tree();
+    let mut probes = vec![
+        Rect::interval(f64::NEG_INFINITY, f64::INFINITY),
+        Rect::interval(-1e9, -60.0),
+        Rect::interval(123.4, 201.7),
+        Rect::interval(7.0, 7.0),
+        Rect::interval(2.0, 400.0),
+    ];
+    for leaf in tree.leaves() {
+        let (lo, hi) = (tree.rect_lo(leaf, 0), tree.rect_hi(leaf, 0));
+        probes.extend([Rect::interval(lo, hi), Rect::interval(lo, lo)]);
+        probes.push(Rect::interval(hi, hi + 3.0));
+    }
+    let rebuilt = SampleArena::from_samples(pass.leaf_samples());
+    let arena = pass.arena();
+    assert_eq!(arena.len(), rebuilt.len(), "{at}");
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut scratch = ScanScratch::new();
+    for (i, sample) in pass.leaf_samples().iter().enumerate() {
+        let keys = sample.rows().predicate_column(0);
+        assert!(sample.sorted_1d(), "{at}: stratum {i} lost its sorted flag");
+        assert!(
+            keys.windows(2).all(|w| w[0] <= w[1]),
+            "{at}: stratum {i} out of key order: {keys:?}"
+        );
+        let (view, want) = (arena.view(i), rebuilt.view(i));
+        assert_eq!(
+            (
+                bits(view.values),
+                bits(view.preds),
+                view.population,
+                view.sorted_1d
+            ),
+            (
+                bits(want.values),
+                bits(want.preds),
+                want.population,
+                want.sorted_1d
+            ),
+            "{at}: stratum {i}"
+        );
+        for rect in &probes {
+            for agg in AggKind::ALL {
+                let sorted = point_bits(scratch.estimate(agg, sample, rect));
+                let masked = point_bits(scratch.estimate_unsorted(agg, sample, rect));
+                let reference = point_bits(estimator::estimate(agg, sample, rect));
+                let viewed = point_bits(scratch.estimate_view(agg, &view, rect));
+                assert_eq!(sorted, masked, "{at}: stratum {i} {agg} {rect:?}");
+                assert_eq!(sorted, reference, "{at}: stratum {i} {agg} {rect:?}");
+                assert_eq!(sorted, viewed, "{at}: stratum {i} {agg} {rect:?}");
+            }
+        }
+    }
+}
+
+/// Seeded streams on ADP and equal-depth 1-D trees keep every stratum in
+/// key order, on the sorted scan and bit-identical to the mask path and
+/// the reference estimator (checked every 250 ops and after each phase).
+/// The table holds every key three times, so equal keys straddle cuts;
+/// inserts repeat table keys, land on leaf boundaries, at `±inf` and
+/// beyond the data; then every live tuple is deleted, draining strata,
+/// and the table refills.
+#[test]
+fn maintained_one_dimensional_strata_stay_sorted_and_agree_with_the_reference() {
+    let n = 1_200;
+    let keys: Vec<f64> = (0..n).map(|i| f64::from(i / 3)).collect();
+    let values: Vec<f64> = (0..n).map(|i| f64::from((i * 37) % 101)).collect();
+    let table = Table::one_dim(keys, values).unwrap();
+    for strategy in [
+        PartitionStrategy::Adp(AggKind::Sum),
+        PartitionStrategy::EqualDepth,
+    ] {
+        let seed = 41;
+        let spec = PassSpec {
+            partitions: 16,
+            sample_rate: 0.08,
+            strategy,
+            seed,
+            ..PassSpec::default()
+        };
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        let mut live: Vec<(f64, f64)> = (0..n as usize)
+            .map(|r| (table.predicate(0, r), table.value(r)))
+            .collect();
+        let (mut i, mut op) = (0, 0);
+        let (mut emptied, mut refilled) = (0, 0);
+        // Random walk, drain everything (more deletes than live tuples),
+        // refill, random walk.
+        for (phase, ops) in [(0, 1_000), (1, 2_500), (2, 1_000), (0, 500)] {
+            for _ in 0..ops {
+                let insert = match phase {
+                    0 => unit(seed, &mut i) < 0.6,
+                    1 => false,
+                    _ => true,
+                };
+                if insert {
+                    let u = unit(seed, &mut i);
+                    let key = match op % 6 {
+                        0 => (u * 400.0).floor(),
+                        1 => {
+                            let leaves = pass.tree().leaves();
+                            let leaf = leaves[(u * leaves.len() as f64) as usize];
+                            match op % 4 {
+                                1 => pass.tree().rect_lo(leaf, 0),
+                                _ => pass.tree().rect_hi(leaf, 0),
+                            }
+                        }
+                        2 if op % 4 == 2 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 => -60.0 - 40.0 * u,
+                        _ => u * 400.0,
+                    };
+                    let value = (100.0 * unit(seed, &mut i)).round();
+                    pass.insert(&[key], value).unwrap();
+                    live.push((key, value));
+                } else if !live.is_empty() {
+                    let pick = (unit(seed, &mut i) * live.len() as f64) as usize;
+                    let (key, value) = live.swap_remove(pick);
+                    pass.delete(&[key], value).unwrap();
+                }
+                op += 1;
+                if op % 250 == 0 {
+                    assert_strata_stay_sorted_and_agree(&pass, &format!("{strategy:?} op {op}"));
+                }
+            }
+            let at = format!("{strategy:?} after phase {phase}");
+            assert_strata_stay_sorted_and_agree(&pass, &at);
+            let loaded = reload(&pass);
+            assert_strata_stay_sorted_and_agree(&loaded, &at);
+            let empty = pass.leaf_samples().iter().filter(|s| s.k() == 0).count();
+            match phase {
+                1 => emptied = empty,
+                2 => refilled = emptied - empty,
+                _ => {}
+            }
+        }
+        let strata = pass.leaf_samples().len();
+        assert_eq!(
+            (emptied, refilled),
+            (strata, strata),
+            "{strategy:?}: drained, refilled"
+        );
+    }
+}
+
+/// Paper §4.5: a maintained reservoir is a uniform sample of its stratum.
+/// Over 2 000 seeded builds of a one-leaf PASS (200 rows, K = 20, keys
+/// repeating) followed by 300 inserts, every one of the 500 rows — table
+/// and inserted alike — is in the final sample about K/N = 4 % of the
+/// time: its inclusion count lies within 4.5σ of the binomial mean. The
+/// sample keeps key order, so reservoir position `j` names the `j`-th row
+/// by key; a uniform position is still a uniform row.
+#[test]
+fn reservoir_eviction_stays_uniform_in_key_order() {
+    let (n0, inserts, builds) = (200, 300, 2_000);
+    let table = Table::one_dim(
+        (0..n0).map(|i| f64::from(i % 50)).collect(),
+        (0..n0).map(f64::from).collect(),
+    )
+    .unwrap();
+    let total = (n0 + inserts) as usize;
+    let mut included = vec![0u32; total];
+    for seed in 0..builds {
+        let spec = PassSpec {
+            partitions: 1,
+            sample_rate: 0.1,
+            strategy: PartitionStrategy::EqualDepth,
+            seed,
+            ..PassSpec::default()
+        };
+        let mut pass = Pass::from_spec(&table, &spec).unwrap();
+        for j in 0..inserts {
+            let key = f64::from((j * 7) % 60) - 5.0;
+            pass.insert(&[key], f64::from(n0 + j)).unwrap();
+        }
+        let [sample] = pass.leaf_samples() else {
+            panic!("one leaf, one stratum");
+        };
+        assert_eq!((sample.k(), sample.population()), (20, total as u64));
+        assert!(sample.sorted_1d());
+        for &value in sample.rows().values() {
+            included[value as usize] += 1;
+        }
+    }
+    let p = 20.0 / total as f64;
+    let mean = f64::from(builds as u32) * p;
+    let sigma = (mean * (1.0 - p)).sqrt();
+    for (row, &count) in included.iter().enumerate() {
+        assert!(
+            (f64::from(count) - mean).abs() <= 4.5 * sigma,
+            "row {row} sampled {count} times in {builds} builds; expected {mean} ± {:.1}",
+            4.5 * sigma
+        );
+    }
+}
+
+/// `ops` updates: inserts of uniform keys (rounded values), and deletes of
+/// tuples in `live`, which the inserts join.
+fn stream(pass: &mut Pass, live: &mut Vec<(f64, f64)>, seed: u64, ops: usize) {
+    let mut i = 0;
+    for _ in 0..ops {
+        if live.is_empty() || unit(seed, &mut i) < 0.65 {
+            let row = (unit(seed, &mut i), (100.0 * unit(seed, &mut i)).round());
+            pass.insert(&[row.0], row.1).unwrap();
+            live.push(row);
+        } else {
+            let pick = (unit(seed, &mut i) * live.len() as f64) as usize;
+            let (key, value) = live.swap_remove(pick);
+            pass.delete(&[key], value).unwrap();
+        }
+    }
+}
+
+/// `tests/data/pass_updated_v1.snap` is a 16-leaf PASS over
+/// `uniform(2_000, 61)` saved after 2 000 updates by the code before 1-D
+/// strata kept key order, whose row mutators cleared the sorted flag: every
+/// stratum was stored with its flag cleared. Loaded, the strata keep the
+/// in-place mutators, so 600 more updates must leave the answers and the
+/// re-saved bytes that code produced — FNV-1a recorded there.
+#[test]
+fn a_snapshot_saved_after_updates_continues_its_stream_as_it_did() {
+    let bytes = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/pass_updated_v1.snap"
+    ))
+    .expect("fixture is committed");
+    let (spec, mut reader) = SnapshotReader::open(&bytes).unwrap();
+    let EngineSpec::Pass(spec) = spec else {
+        panic!("the fixture is a PASS snapshot: {spec:?}");
+    };
+    let mut pass = load_pass(&spec, &mut reader).unwrap();
+    reader.finish().unwrap();
+    let cleared = pass
+        .leaf_samples()
+        .iter()
+        .filter(|s| !s.sorted_1d())
+        .count();
+    assert_eq!(cleared, 16, "strata stored with a cleared flag");
+    stream(&mut pass, &mut Vec::new(), 62, 600);
+
+    let mut hash = 0xcbf29ce484222325_u64;
+    let mut fnv = |word: u64| hash = (hash ^ word).wrapping_mul(0x100000001b3);
+    for agg in AggKind::ALL {
+        for j in 0..40 {
+            let lo = f64::from(j) / 40.0;
+            match pass.estimate(&Query::interval(agg, lo, lo + 0.07)) {
+                Ok(e) => {
+                    let (lb, ub) = e.hard_bounds.unwrap_or((f64::NAN, f64::NAN));
+                    [e.value, e.ci_half, lb, ub]
+                        .map(f64::to_bits)
+                        .into_iter()
+                        .for_each(&mut fnv);
+                }
+                Err(_) => fnv(u64::MAX),
+            }
+        }
+    }
+    let mut resaved = Vec::new();
+    pass.save(&mut resaved).unwrap();
+    resaved.into_iter().map(u64::from).for_each(fnv);
+    assert_eq!(hash, 0x3d11643c12e09ad1, "continued stream: {hash:#018x}");
 }

@@ -30,9 +30,10 @@
 //!   worker pool ([`ThreadPool`]), a bounded query-result cache
 //!   ([`QueryCache`] / [`CachedSynopsis`]), and the async-serving
 //!   primitives behind `pass::Serve` — a bounded two-priority request
-//!   queue ([`RequestQueue`]), completion tickets ([`Ticket`] /
-//!   [`ServeOutcome`]), progressive group-by tickets
-//!   ([`ProgressiveTicket`] / [`ProgressiveOutcome`]), and a
+//!   queue ([`RequestQueue`]), one completion ticket ([`Ticket`]) for
+//!   every served request — resolving to a [`ServeOutcome`], or, as a
+//!   [`ProgressiveTicket`], streaming snapshots and resolving to a
+//!   [`ProgressiveOutcome`] — and a
 //!   fixed-bucket latency histogram ([`LatencyHistogram`]);
 //! * numeric kernels: compensated summation ([`kahan`]), prefix sums
 //!   ([`prefix`]), and statistics helpers ([`stats`]);
@@ -78,11 +79,11 @@ pub use kahan::KahanSum;
 pub use partial::PartialEstimate;
 pub use pool::ThreadPool;
 pub use prefix::PrefixSums;
-pub use progressive::{GroupBySnapshot, ProgressiveOutcome, ProgressiveSlot, ProgressiveTicket};
+pub use progressive::{GroupBySnapshot, ProgressiveOutcome, ProgressiveTicket};
 pub use query::{apply_group_availability, GroupByQuery, GroupResult, Query, Rect, RectRelation};
 pub use queue::{Priority, PushError, RequestQueue};
 pub use snapshot::{SnapshotError, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use spec::{EngineSpec, JoinSpec, PartitionStrategy, PassSpec, ShardPlan};
 pub use stats::{lambda_for_confidence, LAMBDA_95, LAMBDA_99};
 pub use synopsis::{estimate_group_by, estimate_many_parallel, Synopsis, PARALLEL_MIN_BATCH};
-pub use ticket::{ServeOutcome, Ticket, TicketSlot, TicketWake};
+pub use ticket::{ServeOutcome, Ticket, TicketOutcome, TicketSlot, TicketWake};

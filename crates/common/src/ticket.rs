@@ -1,19 +1,25 @@
-//! Completion tickets for asynchronously served queries.
+//! Completion tickets for asynchronously served requests.
 //!
-//! The serving front-end (`pass::Serve`) decouples *submitting* a query
+//! The serving front-end (`pass::Serve`) decouples *submitting* a request
 //! from *executing* it: `submit` enqueues the request and immediately
 //! returns a [`Ticket`], which the client polls ([`Ticket::poll`]) or
-//! blocks on ([`Ticket::wait`]) for the [`ServeOutcome`]. This is the
+//! blocks on ([`Ticket::wait`]) for its outcome. This is the
 //! dependency-free equivalent of a oneshot-channel future — a shared
 //! `Mutex<Option<outcome>>` plus a `Condvar` — chosen over an async
 //! runtime because the workspace is offline (no tokio) and the waiting
 //! side of a query server needs nothing fancier.
 //!
+//! Every served request resolves through this one cell, generic over its
+//! outcome ([`TicketOutcome`]): a [`ServeOutcome`] for a plain request, a
+//! [`ProgressiveOutcome`](crate::ProgressiveOutcome) for a progressive
+//! group-by, which streams snapshots first ([`TicketSlot::publish`]).
+//!
 //! The producer half is [`TicketSlot`]: the serving worker that executes
-//! (or sheds) the request calls [`TicketSlot::fulfill`] exactly once. A
-//! slot dropped unfulfilled (worker panic, aborted shutdown) resolves
-//! its ticket to [`ServeOutcome::Cancelled`], so a client can never
-//! block forever on a request the server lost.
+//! (or sheds) the request calls [`TicketSlot::fulfill`] exactly once —
+//! it consumes the slot, so nothing can be published after it. A slot
+//! dropped unfulfilled (worker panic, aborted shutdown) resolves its
+//! ticket to [`TicketOutcome::cancelled`], so a client can never block
+//! forever on a request the server lost.
 //!
 //! Wakeups are **conditional and deferrable**. Waiters count themselves
 //! in `TicketState::parked` (under the ticket lock) around every condvar
@@ -25,13 +31,14 @@
 //! stores every outcome first and wakes afterwards (one wakeup per batch
 //! instead of one park/preempt round trip per ticket).
 //! [`TicketSlot::fulfill`] is the batch of one: store, then drop the
-//! handle.
+//! handle. Publishing a snapshot wakes nobody: waiters block on the
+//! outcome, not on the stream.
 
+use std::fmt::Debug;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::chaos::{Condvar, Mutex};
-use std::time::Duration;
-
 use crate::estimate::Estimate;
 use crate::Result;
 
@@ -69,9 +76,27 @@ impl ServeOutcome {
     }
 }
 
-#[derive(Debug, Default)]
-struct TicketState {
-    outcome: Option<ServeOutcome>,
+/// The terminal outcome a [`Ticket`] resolves to.
+pub trait TicketOutcome: Clone + Debug {
+    /// A refining partial answer the producer may publish before it
+    /// resolves; uninhabited for outcomes that do not stream.
+    type Snapshot: Clone + Debug;
+
+    /// The outcome of a request whose slot dropped unresolved.
+    fn cancelled() -> Self;
+}
+
+impl TicketOutcome for ServeOutcome {
+    type Snapshot = std::convert::Infallible;
+
+    fn cancelled() -> Self {
+        ServeOutcome::Cancelled
+    }
+}
+
+#[derive(Debug)]
+struct TicketState<O: TicketOutcome> {
+    outcome: Option<O>,
     /// Global completion stamp (server-assigned, monotonically
     /// increasing) — lets tests and clients observe *relative* completion
     /// order, e.g. that interactive requests finished before co-queued
@@ -83,16 +108,20 @@ struct TicketState {
     /// spurious wakeup and timeout alike), always under this lock — so
     /// the producer's "is anyone parked?" read cannot race a waiter.
     parked: usize,
+    /// The freshest published snapshot (zero-sized for a plain request).
+    latest: Option<O::Snapshot>,
+    /// How many snapshots were published.
+    published: usize,
 }
 
-#[derive(Debug, Default)]
-struct Shared {
-    state: Mutex<TicketState>,
+#[derive(Debug)]
+struct Shared<O: TicketOutcome> {
+    state: Mutex<TicketState<O>>,
     done: Condvar,
 }
 
 /// The client half of one served request: poll or block for its
-/// [`ServeOutcome`].
+/// outcome, and read the snapshots a streaming request published.
 ///
 /// Tickets are cheap (`Arc` internally) and cloneable; every clone
 /// observes the same outcome.
@@ -114,14 +143,23 @@ struct Shared {
 /// assert_eq!(twin.completion_index(), Some(0));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Ticket {
-    shared: Arc<Shared>,
+pub struct Ticket<O: TicketOutcome = ServeOutcome> {
+    shared: Arc<Shared<O>>,
 }
 
-impl Ticket {
+impl<O: TicketOutcome> Ticket<O> {
     /// A pending ticket plus the [`TicketSlot`] that will resolve it.
-    pub fn pending() -> (Ticket, TicketSlot) {
-        let shared = Arc::new(Shared::default());
+    pub fn pending() -> (Self, TicketSlot<O>) {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(TicketState {
+                outcome: None,
+                seq: None,
+                parked: 0,
+                latest: None,
+                published: 0,
+            }),
+            done: Condvar::new(),
+        });
         (
             Ticket {
                 shared: Arc::clone(&shared),
@@ -132,17 +170,16 @@ impl Ticket {
         )
     }
 
-    /// A ticket born resolved — how admission control returns
-    /// [`ServeOutcome::Rejected`] synchronously while keeping one
-    /// uniform submission API.
-    pub fn resolved(outcome: ServeOutcome) -> Ticket {
-        let (ticket, slot) = Ticket::pending();
+    /// A ticket born resolved — how admission control returns a
+    /// rejection synchronously while keeping one uniform submission API.
+    pub fn resolved(outcome: O) -> Self {
+        let (ticket, slot) = Self::pending();
         slot.fulfill(outcome, None);
         ticket
     }
 
     /// Non-blocking check: the outcome if resolved, else `None`.
-    pub fn poll(&self) -> Option<ServeOutcome> {
+    pub fn poll(&self) -> Option<O> {
         self.shared.state.lock().outcome.clone()
     }
 
@@ -152,7 +189,7 @@ impl Ticket {
     }
 
     /// Block until the outcome arrives.
-    pub fn wait(&self) -> ServeOutcome {
+    pub fn wait(&self) -> O {
         let mut state = self.shared.state.lock();
         loop {
             if let Some(outcome) = &state.outcome {
@@ -165,14 +202,17 @@ impl Ticket {
     }
 
     /// Block for at most `timeout`; `None` if still pending afterwards.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<ServeOutcome> {
-        let deadline = std::time::Instant::now() + timeout;
+    /// A timeout past the clock's range waits like [`wait`](Self::wait).
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<O> {
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait());
+        };
         let mut state = self.shared.state.lock();
         loop {
             if let Some(outcome) = &state.outcome {
                 return Some(outcome.clone());
             }
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             if now >= deadline {
                 return None;
             }
@@ -194,23 +234,45 @@ impl Ticket {
     pub fn completion_index(&self) -> Option<u64> {
         self.shared.state.lock().seq
     }
+
+    /// How many snapshots have been published so far.
+    pub fn snapshot_count(&self) -> usize {
+        self.shared.state.lock().published
+    }
+
+    /// The freshest published snapshot, if any.
+    pub fn latest(&self) -> Option<O::Snapshot> {
+        self.shared.state.lock().latest.clone()
+    }
 }
 
-/// The producer half of a [`Ticket`]: resolves it exactly once.
+/// The producer half of a [`Ticket`]: publishes snapshots, then
+/// resolves it exactly once.
 ///
 /// Dropping an unfulfilled slot resolves the ticket to
-/// [`ServeOutcome::Cancelled`] — the safety net that keeps clients from
+/// [`TicketOutcome::cancelled`] — the safety net that keeps clients from
 /// blocking forever if the serving worker unwinds.
 #[derive(Debug)]
-pub struct TicketSlot {
-    shared: Option<Arc<Shared>>,
+pub struct TicketSlot<O: TicketOutcome = ServeOutcome> {
+    shared: Option<Arc<Shared<O>>>,
 }
 
-impl TicketSlot {
+impl<O: TicketOutcome> TicketSlot<O> {
+    /// Publish a refining snapshot: it becomes the ticket's
+    /// [`latest`](Ticket::latest) and counts once more in its
+    /// [`snapshot_count`](Ticket::snapshot_count).
+    pub fn publish(&self, snapshot: O::Snapshot) {
+        if let Some(shared) = &self.shared {
+            let mut state = shared.state.lock();
+            state.latest = Some(snapshot);
+            state.published += 1;
+        }
+    }
+
     /// Resolve the ticket with `outcome` (and, for executed requests,
     /// the server's completion stamp) and wake whoever is parked on it.
     /// Consumes the slot: an outcome is final.
-    pub fn fulfill(self, outcome: ServeOutcome, seq: Option<u64>) {
+    pub fn fulfill(self, outcome: O, seq: Option<u64>) {
         drop(self.store(outcome, seq));
     }
 
@@ -221,11 +283,11 @@ impl TicketSlot {
     /// worker resolving a batch keeps the handles until its last store,
     /// so the first waiter it wakes finds every answer ready instead of
     /// preempting the worker once per ticket.
-    pub fn store(mut self, outcome: ServeOutcome, seq: Option<u64>) -> Option<TicketWake> {
+    pub fn store(mut self, outcome: O, seq: Option<u64>) -> Option<TicketWake<O>> {
         self.store_inner(outcome, seq)
     }
 
-    fn store_inner(&mut self, outcome: ServeOutcome, seq: Option<u64>) -> Option<TicketWake> {
+    fn store_inner(&mut self, outcome: O, seq: Option<u64>) -> Option<TicketWake<O>> {
         let shared = self.shared.take()?;
         let mut state = shared.state.lock();
         state.outcome = Some(outcome);
@@ -236,9 +298,9 @@ impl TicketSlot {
     }
 }
 
-impl Drop for TicketSlot {
+impl<O: TicketOutcome> Drop for TicketSlot<O> {
     fn drop(&mut self) {
-        drop(self.store_inner(ServeOutcome::Cancelled, None));
+        drop(self.store_inner(O::cancelled(), None));
     }
 }
 
@@ -247,11 +309,11 @@ impl Drop for TicketSlot {
 /// that unwinds between storing a batch's outcomes and waking its
 /// waiters still wakes every one of them.
 #[derive(Debug)]
-pub struct TicketWake {
-    shared: Arc<Shared>,
+pub struct TicketWake<O: TicketOutcome = ServeOutcome> {
+    shared: Arc<Shared<O>>,
 }
 
-impl Drop for TicketWake {
+impl<O: TicketOutcome> Drop for TicketWake<O> {
     fn drop(&mut self) {
         self.shared.done.notify_all();
     }
@@ -327,6 +389,25 @@ mod tests {
     }
 
     #[test]
+    fn a_timeout_past_the_clock_range_waits_for_the_outcome() {
+        let (ticket, slot) = Ticket::pending();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| ticket.wait_timeout(Duration::MAX));
+            // Resolve only once the waiter is parked, so the fulfil
+            // has to wake it.
+            while ticket.shared.state.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            slot.fulfill(ServeOutcome::Rejected, None);
+            assert_eq!(waiter.join().unwrap(), Some(ServeOutcome::Rejected));
+        });
+        assert_eq!(
+            ticket.wait_timeout(Duration::MAX),
+            Some(ServeOutcome::Rejected)
+        );
+    }
+
+    #[test]
     fn born_resolved_tickets_never_block() {
         let ticket = Ticket::resolved(ServeOutcome::Rejected);
         assert_eq!(ticket.wait(), ServeOutcome::Rejected);
@@ -337,7 +418,7 @@ mod tests {
 
     #[test]
     fn dropping_the_slot_cancels_instead_of_hanging() {
-        let (ticket, slot) = Ticket::pending();
+        let (ticket, slot): (Ticket, _) = Ticket::pending();
         drop(slot);
         assert_eq!(ticket.wait(), ServeOutcome::Cancelled);
     }

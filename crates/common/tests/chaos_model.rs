@@ -322,8 +322,8 @@ fn dedup_attach_is_admitted_on_a_full_queue() {
 fn worker_panic_resolves_every_fanned_out_ticket_exactly_once() {
     let report = Chaos::new("ticket_fanout_panic").preemptions(3).check(|| {
         let (done_ticket, done_slot) = Ticket::pending();
-        let (lost_a, slot_a) = Ticket::pending();
-        let (lost_b, slot_b) = Ticket::pending();
+        let (lost_a, slot_a): (Ticket, _) = Ticket::pending();
+        let (lost_b, slot_b): (Ticket, _) = Ticket::pending();
         chaos::scope(|s| {
             let worker = s.spawn(move || {
                 // One attached waiter is answered before the crash…
@@ -499,104 +499,79 @@ fn gated_push_never_strands_a_consumer_entering_pop() {
     assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
 }
 
-/// Progressive resolution is first-wins and exactly-once: a worker
-/// publishing the final snapshot and resolving `Done { partial: false }`
-/// races a deadline path resolving the best estimate so far as
-/// `Done { partial: true }`. In every interleaving **exactly one**
-/// resolver wins, the ticket's outcome is exactly the winner's — never
-/// both (a final answer silently downgraded to partial, or vice versa)
-/// and never neither (a hung ticket) — a concurrent waiter wakes to
-/// that same outcome, and the snapshot stream never regresses.
+/// Progressive protocol: the worker publishes an intermediate and a
+/// final snapshot, then resolves with the consuming `fulfill`, racing a
+/// client parked in `wait()` and a poller reading `poll()` then
+/// `latest()`. In every interleaving the waiter wakes to the one outcome
+/// the ticket ever holds, and whoever sees `Done { partial: false }`
+/// sees the final snapshot published before it; the poller never sees
+/// the stream go backwards.
 #[test]
-fn progressive_deadline_race_resolves_exactly_once() {
-    fn row(value: f64) -> GroupResult {
-        GroupResult {
-            key: 0.0,
-            estimate: Ok(Estimate::exact(value)),
+fn progressive_publishes_then_fulfills_exactly_once() {
+    fn snapshot(merged: usize, value: f64) -> GroupBySnapshot {
+        GroupBySnapshot {
+            shards_merged: merged,
+            shards_total: 2,
+            groups: vec![GroupResult {
+                key: 0.0,
+                estimate: Ok(Estimate::exact(value)),
+            }],
+            last: merged == 2,
         }
     }
-    let saw_deadline_win = Arc::new(AtomicU64::new(0));
-    let saw_worker_win = Arc::new(AtomicU64::new(0));
-    let deadline_wins = Arc::clone(&saw_deadline_win);
-    let worker_wins = Arc::clone(&saw_worker_win);
-    let report = Chaos::new("progressive_deadline_race")
+    let saw_resolved_poll = Arc::new(AtomicU64::new(0));
+    let resolved_polls = Arc::clone(&saw_resolved_poll);
+    let report = Chaos::new("progressive_publish_then_fulfill")
         .preemptions(3)
         .check(move || {
             let (ticket, slot) = ProgressiveTicket::pending();
-            // The first (intermediate) snapshot exists before the race: the
-            // deadline path always has a best-so-far to resolve with.
-            assert!(slot.publish(GroupBySnapshot {
-                shards_merged: 1,
-                shards_total: 2,
-                groups: vec![row(10.0)],
-                last: false,
-            }));
             let final_outcome = ProgressiveOutcome::Done {
-                groups: vec![row(12.0)],
+                groups: snapshot(2, 12.0).groups,
                 partial: false,
             };
-            let partial_outcome = ProgressiveOutcome::Done {
-                groups: vec![row(10.0)],
-                partial: true,
-            };
-            let deadline_slot = slot.clone();
-            let waiter_ticket = ticket.clone();
-            let (worker_won, deadline_won, waited) = chaos::scope(|s| {
-                let final_for_worker = final_outcome.clone();
-                let partial_for_deadline = partial_outcome.clone();
-                let worker = s.spawn(move || {
-                    // The worker publishes its final snapshot, then claims
-                    // the resolution — the same order `execute_progressive`
-                    // uses in the serving tier.
-                    slot.publish(GroupBySnapshot {
-                        shards_merged: 2,
-                        shards_total: 2,
-                        groups: vec![row(12.0)],
-                        last: true,
-                    });
-                    slot.try_resolve(final_for_worker)
+            let (waited, polls) = chaos::scope(|s| {
+                let waiter = s.spawn(|| {
+                    let outcome = ticket.wait();
+                    (outcome, ticket.latest(), ticket.snapshot_count())
                 });
-                let deadline = s.spawn(move || deadline_slot.try_resolve(partial_for_deadline));
-                let waiter = s.spawn(move || waiter_ticket.wait());
-                (
-                    worker.join().unwrap(),
-                    deadline.join().unwrap(),
-                    waiter.join().unwrap(),
-                )
+                let poller = s.spawn(|| {
+                    (0..2)
+                        .map(|_| (ticket.poll(), ticket.latest()))
+                        .collect::<Vec<_>>()
+                });
+                let outcome = final_outcome.clone();
+                s.spawn(move || {
+                    slot.publish(snapshot(1, 10.0));
+                    slot.publish(snapshot(2, 12.0));
+                    slot.fulfill(outcome, None);
+                });
+                (waiter.join().unwrap(), poller.join().unwrap())
             });
-            assert!(
-                worker_won ^ deadline_won,
-                "exactly one resolver must win (worker {worker_won}, deadline {deadline_won})"
+            let (outcome, latest, count) = waited;
+            assert_eq!(outcome, final_outcome, "the waiter woke to another outcome");
+            assert_eq!(
+                latest,
+                Some(snapshot(2, 12.0)),
+                "Done before the final snapshot"
             );
-            let resolved = ticket.poll().expect("the race never leaves a hung ticket");
-            let expected = if worker_won {
-                worker_wins.fetch_add(1, Ordering::Relaxed);
-                &final_outcome
-            } else {
-                deadline_wins.fetch_add(1, Ordering::Relaxed);
-                &partial_outcome
-            };
-            assert_eq!(&resolved, expected, "outcome must be exactly the winner's");
-            assert_eq!(waited, resolved, "the waiter woke to a different outcome");
-            // The snapshot stream stays coherent: the intermediate is always
-            // retained, the final snapshot is appended or not, never blended
-            // — and publishes after resolution were dropped.
-            let snapshots = ticket.snapshots();
-            assert!(!snapshots.is_empty() && snapshots.len() <= 2);
-            assert_eq!(snapshots[0].shards_merged, 1);
-            if let Some(last) = snapshots.last() {
-                assert!(last.shards_merged <= 2);
+            assert_eq!(count, 2);
+            let mut merged = 0;
+            for (polled, latest) in polls {
+                let now = latest.map_or(0, |l| l.shards_merged);
+                assert!(now >= merged, "the stream went backwards");
+                merged = now;
+                if let Some(polled) = polled {
+                    assert_eq!(polled, final_outcome, "a second outcome was observed");
+                    assert_eq!(now, 2, "Done before the final snapshot");
+                    resolved_polls.fetch_add(1, Ordering::Relaxed);
+                }
             }
+            assert_eq!(ticket.poll(), Some(final_outcome));
         });
-    assert!(report.exhausted, "schedule tree must be fully explored");
-    // The model genuinely explored both winners.
+    assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
     assert!(
-        saw_worker_win.load(Ordering::Relaxed) > 0,
-        "worker-wins path unexplored"
-    );
-    assert!(
-        saw_deadline_win.load(Ordering::Relaxed) > 0,
-        "deadline-wins path unexplored"
+        saw_resolved_poll.load(Ordering::Relaxed) > 0,
+        "no schedule let the poller see the outcome"
     );
 }
 

@@ -100,8 +100,6 @@ pub const TIME_ALLOWED: &[&str] = &[
     "src/session.rs",
     // Ticket wait timeouts are measured against a deadline.
     "crates/common/src/ticket.rs",
-    // Progressive-ticket wait timeouts, same as ticket.rs.
-    "crates/common/src/progressive.rs",
     // The bench measurement harness.
     "crates/bench/src/lib.rs",
 ];
@@ -637,6 +635,13 @@ const LOCK_PATTERNS: &[LockPattern] = &[
     LockPattern {
         file: None,
         pattern: ".store(",
+        receiver_hint: "slot",
+        rank: 1,
+        binds_guard: false,
+    },
+    LockPattern {
+        file: None,
+        pattern: ".publish(",
         receiver_hint: "slot",
         rank: 1,
         binds_guard: false,

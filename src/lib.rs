@@ -41,7 +41,9 @@
 //! selection queries through the engine's `estimate_many`, so PASS
 //! answers it on its shared MCF scratch), and **progressively**
 //! through [`Serve::submit_progressive`]: the returned
-//! [`ProgressiveTicket`] streams refining [`GroupBySnapshot`]s as a
+//! [`ProgressiveTicket`] — the same [`Ticket`] every served request
+//! gets, resolving to a [`ProgressiveOutcome`] — streams refining
+//! [`GroupBySnapshot`]s as a
 //! sharded engine merges shard after shard — each intermediate carries
 //! a conservative CI that only tightens — and a deadline that passes
 //! mid-stream resolves to the best estimate so far

@@ -124,9 +124,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pass_common::{
-    GroupByQuery, LatencyHistogram, PassError, Priority, ProgressiveOutcome, ProgressiveSlot,
-    ProgressiveTicket, PushError, Query, QueryKey, RequestQueue, Result, ServeOutcome, ThreadPool,
-    Ticket, TicketSlot,
+    GroupByQuery, LatencyHistogram, PassError, Priority, ProgressiveOutcome, ProgressiveTicket,
+    PushError, Query, QueryKey, RequestQueue, Result, ServeOutcome, ThreadPool, Ticket,
+    TicketOutcome, TicketSlot,
 };
 
 use crate::session::SessionHandle;
@@ -154,7 +154,8 @@ pub struct ServeConfig {
     /// glues on.
     pub coalesce_max: usize,
     /// Default deadline applied to submissions that do not carry their
-    /// own; `None` means requests wait in the queue indefinitely.
+    /// own; `None` means requests wait in the queue indefinitely, and so
+    /// does a deadline too long for the clock to represent.
     pub default_deadline: Option<Duration>,
     /// Start with workers parked until [`Serve::resume`] — used by tests
     /// and staged startups to fill the queue deterministically.
@@ -245,7 +246,8 @@ pub struct SubmitOptions {
     /// (measured from submission). `None` falls back to the server's
     /// [`ServeConfig::default_deadline`]. Within a priority class,
     /// earlier deadlines are also *scheduled* first (EDF) — dated
-    /// requests pop before undated ones.
+    /// requests pop before undated ones. A deadline too long for the
+    /// clock to represent (`Duration::MAX`) counts as none.
     pub deadline: Option<Duration>,
 }
 
@@ -337,10 +339,10 @@ pub struct ServeStats {
 }
 
 /// One submission waiting on a queued request: its ticket slot plus the
-/// timing it was submitted with. A request is created by one waiter; dedup
-/// attaches more.
-struct Waiter {
-    slot: TicketSlot,
+/// timing it was submitted with. A plain request is created by one
+/// waiter and dedup attaches more; a progressive group-by has one.
+struct Waiter<O: TicketOutcome = ServeOutcome> {
+    slot: TicketSlot<O>,
     submitted: Instant,
     deadline: Option<Instant>,
 }
@@ -355,19 +357,6 @@ struct Waiter {
 /// that *should* start hitting the queue bound.
 const MAX_ATTACHED_WAITERS: usize = 64;
 
-/// One queued **progressive** group-by: the query, the slot snapshots
-/// and the outcome flow through, and the timing it was submitted with.
-/// Deadlines mean something different here than for plain requests: a
-/// progressive request always executes, and a deadline that passes
-/// mid-stream stops the refinement and resolves to the **best estimate
-/// so far** (`Done { partial: true, .. }`) — never `Expired`.
-struct ProgressiveJob {
-    query: GroupByQuery,
-    slot: ProgressiveSlot,
-    submitted: Instant,
-    deadline: Option<Instant>,
-}
-
 /// One queued unit of work: the engine route plus what to run there.
 /// Plain batches and progressive group-bys ride the same queue (same
 /// admission control, same EDF schedule).
@@ -380,10 +369,11 @@ struct Request {
 enum Body {
     /// A query batch — of one query or of many, the same shape.
     Plain(PlainJob),
-    /// A progressive group-by: executes through its own streaming path;
-    /// workers never coalesce it into a plain batch and dedup never
-    /// attaches to it.
-    Progressive(ProgressiveJob),
+    /// A progressive group-by and its waiter: executes through its own
+    /// streaming path, where a deadline stops the refinement instead of
+    /// expiring the request; workers never coalesce it into a plain
+    /// batch and dedup never attaches to it.
+    Progressive(GroupByQuery, Waiter<ProgressiveOutcome>),
 }
 
 /// One queued query batch, held by value: the first query and the first
@@ -464,7 +454,7 @@ impl ServeShared {
             // plain requests behind it would stall them.
             let batch_len = match &first.body {
                 Body::Plain(job) => Some(job.len()),
-                Body::Progressive(_) => None,
+                Body::Progressive(..) => None,
             };
             let mut requests = vec![first];
             // Greedy coalescing, atomically under one queue lock: glue
@@ -526,8 +516,8 @@ impl ServeShared {
         let mut tickets = 0u64;
         for req in requests {
             let mut job = match req.body {
-                Body::Progressive(job) => {
-                    self.execute_progressive(state, job);
+                Body::Progressive(query, waiter) => {
+                    self.execute_progressive(state, &query, waiter);
                     continue;
                 }
                 Body::Plain(job) => job,
@@ -603,18 +593,21 @@ impl ServeShared {
     /// with `partial: true` instead of [`ProgressiveOutcome`] never
     /// carrying data — "a late answer with honest error bars beats no
     /// answer" is the online-aggregation contract.
-    fn execute_progressive(&self, state: &EngineState, job: ProgressiveJob) {
+    fn execute_progressive(
+        &self,
+        state: &EngineState,
+        query: &GroupByQuery,
+        waiter: Waiter<ProgressiveOutcome>,
+    ) {
         let mut saw_final = false;
-        let result = state
-            .handle
-            .group_by_progressive(&job.query, &mut |snapshot| {
-                saw_final = snapshot.last;
-                job.slot.publish(snapshot);
-                // Publishing first, then checking the clock, guarantees
-                // at least one snapshot exists before a deadline can
-                // stop the stream.
-                job.deadline.is_none_or(|d| Instant::now() < d)
-            });
+        let result = state.handle.group_by_progressive(query, &mut |snapshot| {
+            saw_final = snapshot.last;
+            waiter.slot.publish(snapshot);
+            // Publishing first, then checking the clock, guarantees at
+            // least one snapshot exists before a deadline can stop the
+            // stream.
+            waiter.deadline.is_none_or(|d| Instant::now() < d)
+        });
         count(&state.batches);
         let outcome = match result {
             Ok(groups) => ProgressiveOutcome::Done {
@@ -623,10 +616,10 @@ impl ServeShared {
             },
             Err(err) => ProgressiveOutcome::Failed(err),
         };
-        let waited_us = job.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let waited_us = waiter.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.latency.record(waited_us);
         count(&state.completed);
-        job.slot.try_resolve(outcome);
+        waiter.slot.fulfill(outcome, None);
     }
 }
 
@@ -888,15 +881,13 @@ impl Serve {
             }));
         }
         let (ticket, slot) = ProgressiveTicket::pending();
-        // The request carries a `ProgressiveJob` instead of waiters and
-        // never participates in dedup or coalescing.
         self.enqueue(engine, options, |submitted, deadline| {
-            Body::Progressive(ProgressiveJob {
-                query: query.clone(),
+            let waiter = Waiter {
                 slot,
                 submitted,
                 deadline,
-            })
+            };
+            Body::Progressive(query.clone(), waiter)
         });
         Ok(ticket)
     }
@@ -915,7 +906,7 @@ impl Serve {
         let deadline = options
             .deadline
             .or(self.default_deadline)
-            .map(|d| submitted + d);
+            .and_then(|d| submitted.checked_add(d));
         let request = Request {
             engine,
             body: body(submitted, deadline),
@@ -972,33 +963,17 @@ impl Serve {
                 // relaxed: undoes this thread's own claim above; no
                 // worker ever saw the request.
                 self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
+                // A refused request has one slot: `Rejected` at capacity;
+                // on a closed queue, dropping it cancels the ticket.
                 if why == PushError::Full {
                     count(&state.rejected);
+                    match request.body {
+                        Body::Plain(job) => job.waiter.slot.fulfill(ServeOutcome::Rejected, None),
+                        Body::Progressive(_, waiter) => {
+                            waiter.slot.fulfill(ProgressiveOutcome::Rejected, None)
+                        }
+                    }
                 }
-                Self::resolve_unqueued(request, why);
-            }
-        }
-    }
-
-    /// Resolve the ticket(s) of a request the queue refused: `Rejected`
-    /// at capacity, `Cancelled` on a closed queue. (A plain request has
-    /// exactly one waiter at submission time, but stay shape-agnostic.)
-    fn resolve_unqueued(request: Request, why: PushError) {
-        match request.body {
-            Body::Plain(job) => {
-                let outcome = match why {
-                    PushError::Full => ServeOutcome::Rejected,
-                    PushError::Closed => ServeOutcome::Cancelled,
-                };
-                for waiter in std::iter::once(job.waiter).chain(job.attached) {
-                    waiter.slot.fulfill(outcome.clone(), None);
-                }
-            }
-            Body::Progressive(job) => {
-                job.slot.try_resolve(match why {
-                    PushError::Full => ProgressiveOutcome::Rejected,
-                    PushError::Closed => ProgressiveOutcome::Cancelled,
-                });
             }
         }
     }
@@ -1238,6 +1213,31 @@ mod tests {
         let generous = SubmitOptions::interactive().with_deadline(Duration::from_secs(60));
         let fine = serve.submit("pass", &[q(0.0, 0.5)], &generous).unwrap();
         assert!(fine.wait().is_done());
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_range_counts_as_none() {
+        use pass_common::GroupByQuery;
+        let session = served_session();
+        let serve = session
+            .serve(
+                "pass",
+                ServeConfig::new()
+                    .with_workers(1)
+                    .with_default_deadline(Duration::MAX),
+            )
+            .unwrap();
+        let forever = SubmitOptions::bulk().with_deadline(Duration::MAX);
+        let plain = serve.submit("pass", &[q(0.1, 0.9)], &forever).unwrap();
+        let by_default = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
+        let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.25, 0.5], 1);
+        let progressive = serve.submit_progressive("pass", &gq, &forever).unwrap();
+        assert!(plain.wait().is_done());
+        assert!(by_default.wait().is_done());
+        let outcome = progressive.wait();
+        assert!(outcome.is_done() && !outcome.is_partial());
+        let stats = serve.shutdown();
+        assert_eq!((stats.completed, stats.expired), (3, 0));
     }
 
     #[test]

@@ -49,6 +49,19 @@ fn build_table(values: &[f64]) -> Table {
     Table::one_dim(keys, values.to_vec()).unwrap()
 }
 
+/// The same rows over three predicate columns: the row index, a
+/// scrambled copy of it, and the value itself.
+fn build_wide_table(values: &[f64]) -> Table {
+    let n = values.len();
+    let predicates = vec![
+        (0..n).map(|i| i as f64).collect(),
+        (0..n).map(|i| ((i * 37) % n) as f64).collect(),
+        values.to_vec(),
+    ];
+    let names = ["v", "i", "scrambled", "value"].map(String::from).to_vec();
+    Table::new(values.to_vec(), predicates, names).unwrap()
+}
+
 /// Strategy: a two-table join instance. The dimension side has distinct
 /// integer keys (possibly **zero** of them — the empty dimension side is
 /// a valid spec) and 0–2 derived attribute columns; the fact side's FK
@@ -215,39 +228,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hard bounds are 100%-confidence intervals: they must contain the
-    /// exact answer for every aggregate, partitioning, and query.
+    /// exact answer for every aggregate, partitioning, and query — on
+    /// 1-D PASS, on a 3-D KD-PASS, and on PASS lifted from a tree over
+    /// one of three predicate columns (`tree_dims`).
     #[test]
-    fn hard_bounds_always_contain_truth((values, lo, hi) in table_and_query(), k in 2usize..12) {
+    fn hard_bounds_always_contain_truth(
+        (values, lo, hi) in table_and_query(),
+        k in 2usize..12,
+        (a, b) in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let spec = PassSpec {
+            partitions: k,
+            sample_rate: 0.2,
+            seed: 1,
+            ..PassSpec::default()
+        };
         let table = build_table(&values);
-        let pass = Pass::from_spec(
-            &table,
-            &PassSpec {
-                partitions: k,
-                sample_rate: 0.2,
-                seed: 1,
-                ..PassSpec::default()
-            },
-        )
-        .unwrap();
-        for agg in AggKind::ALL {
-            let q = Query::new(agg, Rect::interval(lo, hi));
-            let truth = table.ground_truth(&q);
-            let est = pass.estimate(&q);
-            match (est, truth) {
-                (Ok(e), Some(t)) => {
-                    if let Some((lb, ub)) = e.hard_bounds {
-                        prop_assert!(
-                            lb - 1e-6 <= t && t <= ub + 1e-6,
-                            "{agg}: truth {t} outside [{lb}, {ub}]"
-                        );
+        let wide = build_wide_table(&values);
+        let n = values.len() as f64;
+        let rect = Rect::new(&[(lo, hi), (a.min(b) * n, a.max(b) * n), (-10.0, 60.0)]);
+        let lifted = PassSpec {
+            tree_dims: Some(vec![0]),
+            ..spec.clone()
+        };
+        let cases = [
+            (Pass::from_spec(&table, &spec).unwrap(), &table, Rect::interval(lo, hi)),
+            (Pass::from_spec(&wide, &spec).unwrap(), &wide, rect.clone()),
+            (Pass::from_spec(&wide, &lifted).unwrap(), &wide, rect),
+        ];
+        for (pass, table, rect) in &cases {
+            for agg in AggKind::ALL {
+                let q = Query::new(agg, rect.clone());
+                let truth = table.ground_truth(&q);
+                let est = pass.estimate(&q);
+                let dims = table.dims();
+                match (est, truth) {
+                    (Ok(e), Some(t)) => {
+                        if let Some((lb, ub)) = e.hard_bounds {
+                            prop_assert!(
+                                lb - 1e-6 <= t && t <= ub + 1e-6,
+                                "{dims}-D {agg}: truth {t} outside [{lb}, {ub}]"
+                            );
+                        }
                     }
+                    // AVG/MIN/MAX over an empty selection may error; SUM/COUNT
+                    // must not.
+                    (Err(_), Some(_)) => {
+                        prop_assert!(matches!(agg, AggKind::Avg | AggKind::Min | AggKind::Max));
+                    }
+                    _ => {}
                 }
-                // AVG/MIN/MAX over an empty selection may error; SUM/COUNT
-                // must not.
-                (Err(_), Some(_)) => {
-                    prop_assert!(matches!(agg, AggKind::Avg | AggKind::Min | AggKind::Max));
-                }
-                _ => {}
             }
         }
     }

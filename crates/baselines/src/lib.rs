@@ -41,6 +41,7 @@
 //! and display names are pinned by `tests/engine_contract.rs`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aqppp;
 pub mod engine;

@@ -14,6 +14,8 @@
 //!
 //! The table *formats* are identical at both scales.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::time::Instant;
 

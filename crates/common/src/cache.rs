@@ -5,16 +5,27 @@
 //! [`Estimate`] — which makes query results safely cacheable. [`QueryCache`]
 //! maps a [`QueryKey`] (aggregate kind + exact predicate-interval bounds)
 //! to the engine's answer, holds at most a fixed number of entries
-//! (FIFO eviction), and counts hits and misses so the serving layer can
+//! (SIEVE eviction), and counts hits and misses so the serving layer can
 //! report cache effectiveness per workload.
 //!
-//! Each entry (hash, key, answer) is stored once, in a `Vec` that is a
-//! FIFO ring once full, indexed by an open-addressing table of `u32`
-//! entry positions: linear probing, at most half full, backward-shift
-//! deletion, grown by doubling to at most `2 × capacity` slots. A query
-//! is hashed once — a folded multiply seeded at random per cache, since
-//! keys come from clients — for its lookup, the in-batch dedup of
-//! misses, its insert and, stored in the entry, its eviction.
+//! Each entry (hash, key, answer) is stored once, in a `Vec` indexed by
+//! an open-addressing table of `u32` entry positions: linear probing, at
+//! most half full, backward-shift deletion, grown by doubling to at most
+//! `2 × capacity` slots. A query is hashed once — a folded multiply
+//! seeded at random per cache, since keys come from clients — for its
+//! lookup, the in-batch dedup of misses, its insert and, stored in the
+//! entry, its eviction.
+//!
+//! Eviction is SIEVE (Zhang et al., "SIEVE is Simpler than LRU",
+//! NSDI '24). The entries form a queue from oldest (the tail) to newest
+//! (the head), linked through each entry's `newer` position. A hit sets
+//! the entry's `visited` bit and moves nothing. An insert into a full
+//! cache sweeps a hand from where it last stopped toward the head,
+//! wrapping there to the tail, clearing visited bits; the first
+//! unvisited entry is evicted and its slot takes the new entry at the
+//! head. On skewed traffic this keeps the popular keys that FIFO would
+//! cycle out: at 4 096 entries under Zipf(1) over 16 384 keys it misses
+//! about 14 % of lookups where FIFO missed 23 %.
 //!
 //! [`CachedSynopsis`] layers the cache over any [`Synopsis`] as a
 //! decorator: single, batched, and parallel query paths all consult the
@@ -97,7 +108,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently stored.
     pub len: usize,
-    /// Maximum entries the cache will hold.
+    /// Maximum entries the cache will hold: the requested capacity,
+    /// clamped to the most any cache holds.
     pub capacity: usize,
 }
 
@@ -113,23 +125,26 @@ impl CacheStats {
     }
 
     /// Counter deltas between two snapshots (`self` taken after `earlier`),
-    /// e.g. the hits/misses attributable to one workload run.
+    /// e.g. the hits/misses attributable to one workload run. Snapshots
+    /// passed in the wrong order give zero deltas.
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
             len: self.len,
             capacity: self.capacity,
         }
     }
 }
 
-/// A bounded, thread-safe query-result cache (FIFO eviction).
+/// A bounded, thread-safe query-result cache (SIEVE eviction; see the
+/// [module docs](self)).
 ///
 /// Errors are cached alongside successful estimates: a deterministic
 /// engine rejects a repeated malformed query identically, so there is no
 /// reason to re-run the engine to rediscover the error. Re-inserting a
-/// stored key replaces its answer and keeps its place in the FIFO.
+/// stored key replaces its answer and keeps its place in the queue; an
+/// insert does not count as an access.
 ///
 /// Entries belong to an **epoch** — the generation of the synopsis state
 /// they were computed against. [`bump_epoch`](Self::bump_epoch) (or
@@ -156,7 +171,7 @@ pub struct QueryCache {
     misses: AtomicU64,
 }
 
-/// An index slot holding no entry.
+/// An index slot or a queue link naming no entry.
 const EMPTY: u32 = u32::MAX;
 /// Entries held at most, whatever the capacity: positions fit a `u32`
 /// below [`EMPTY`], and twice the count fits a `usize`.
@@ -169,15 +184,30 @@ struct Entry {
     hash: u64,
     key: QueryKey,
     result: Result<Estimate>,
+    /// The next newer entry of the queue, or [`EMPTY`] at the head.
+    newer: u32,
+    /// Looked up since it was stored or the hand last passed it.
+    visited: bool,
 }
 
-#[derive(Debug, Default)]
+/// The entries, their index and the SIEVE queue over them.
+///
+/// Entries leave the queue only where the hand stands, so one link per
+/// entry is enough: the sweep remembers the entry it stepped from, which
+/// is the older neighbour an eviction relinks.
+#[derive(Debug)]
 struct CacheInner {
-    /// At most `limit` entries, in insertion order until full, then a
-    /// ring whose next insert overwrites `entries[oldest]`.
+    /// At most `limit` entries; once full, an insert overwrites the one
+    /// the hand evicts.
     entries: Vec<Entry>,
-    oldest: usize,
     limit: usize,
+    /// The oldest and newest entries of the queue.
+    tail: u32,
+    head: u32,
+    /// The next entry the sweep inspects ([`EMPTY`]: start at the tail)
+    /// and the entry whose `newer` link names it ([`EMPTY`] at the tail).
+    hand: u32,
+    behind_hand: u32,
     /// The index: [`EMPTY`] or a position in `entries`. Its length is
     /// zero or a power of two, and at most half its slots are taken.
     slots: Vec<u32>,
@@ -204,6 +234,18 @@ fn probe(
 }
 
 impl CacheInner {
+    fn new(limit: usize) -> Self {
+        Self {
+            entries: Vec::new(),
+            limit,
+            tail: EMPTY,
+            head: EMPTY,
+            hand: EMPTY,
+            behind_hand: EMPTY,
+            slots: Vec::new(),
+        }
+    }
+
     /// Where `query` is stored, if it is.
     fn find(&self, hash: u64, query: &Query) -> Option<usize> {
         let found = probe(&self.slots, hash, |e| {
@@ -213,9 +255,12 @@ impl CacheInner {
         found.ok().map(|slot| self.slots[slot] as usize)
     }
 
-    fn get(&self, hash: u64, query: &Query) -> Option<Result<Estimate>> {
+    /// The stored answer for `query`, marking its entry visited.
+    fn get(&mut self, hash: u64, query: &Query) -> Option<Result<Estimate>> {
         let at = self.find(hash, query)?;
-        Some(self.entries[at].result.clone())
+        let entry = &mut self.entries[at];
+        entry.visited = true;
+        Some(entry.result.clone())
     }
 
     fn insert(&mut self, hash: u64, key: QueryKey, result: Result<Estimate>) {
@@ -223,7 +268,13 @@ impl CacheInner {
             self.entries[at].result = result;
             return;
         }
-        let entry = Entry { hash, key, result };
+        let entry = Entry {
+            hash,
+            key,
+            result,
+            newer: EMPTY,
+            visited: false,
+        };
         let at = if self.entries.len() < self.limit {
             if 2 * (self.entries.len() + 1) > self.slots.len() {
                 self.grow();
@@ -231,14 +282,47 @@ impl CacheInner {
             self.entries.push(entry);
             self.entries.len() - 1
         } else {
-            // Full: the new entry takes the oldest one's place.
-            let at = self.oldest;
-            self.unlink(at);
+            // Full: the new entry takes the evicted one's place.
+            let at = self.evict();
             self.entries[at] = entry;
-            self.oldest = (at + 1) % self.limit;
             at
         };
+        match self.head {
+            EMPTY => self.tail = at as u32,
+            head => self.entries[head as usize].newer = at as u32,
+        }
+        self.head = at as u32;
         self.link(at);
+    }
+
+    /// Sweep the hand toward the head, wrapping there to the tail and
+    /// clearing visited bits, up to the first unvisited entry. Take that
+    /// entry out of the queue and the index and return its position; the
+    /// hand rests on its newer neighbour. The cache must be full.
+    fn evict(&mut self) -> usize {
+        loop {
+            if self.hand == EMPTY {
+                (self.hand, self.behind_hand) = (self.tail, EMPTY);
+            }
+            let entry = &mut self.entries[self.hand as usize];
+            if !entry.visited {
+                break;
+            }
+            entry.visited = false;
+            (self.hand, self.behind_hand) = (entry.newer, self.hand);
+        }
+        let victim = self.hand;
+        let newer = self.entries[victim as usize].newer;
+        match self.behind_hand {
+            EMPTY => self.tail = newer,
+            older => self.entries[older as usize].newer = newer,
+        }
+        if self.head == victim {
+            self.head = self.behind_hand;
+        }
+        self.hand = newer;
+        self.unlink(victim as usize);
+        victim as usize
     }
 
     /// Index entry `at` in the first empty slot of its probe chain.
@@ -282,7 +366,7 @@ impl CacheInner {
 
     fn clear(&mut self) {
         self.entries.clear();
-        self.oldest = 0;
+        (self.tail, self.head, self.hand) = (EMPTY, EMPTY, EMPTY);
         self.slots.fill(EMPTY);
     }
 }
@@ -295,20 +379,19 @@ fn fold(a: u64, b: u64) -> u64 {
 }
 
 impl QueryCache {
-    /// A cache holding at most `capacity` entries. `capacity == 0`
-    /// disables caching entirely: every lookup is a miss and inserts are
-    /// dropped (no storage, no locking on the lookup path).
+    /// A cache holding at most `capacity` entries (and never more than
+    /// 2³⁰). `capacity == 0` disables caching entirely: every lookup is a
+    /// miss and inserts are dropped (no storage, no locking on the lookup
+    /// path).
     pub fn new(capacity: usize) -> Self {
         let state = RandomState::new();
+        let capacity = capacity.min(MAX_ENTRIES);
         Self {
             capacity,
             seed: [state.hash_one(0_u8), state.hash_one(1_u8)],
             #[cfg(test)]
             buckets: None,
-            inner: Mutex::new(CacheInner {
-                limit: capacity.min(MAX_ENTRIES),
-                ..CacheInner::default()
-            }),
+            inner: Mutex::new(CacheInner::new(capacity)),
             epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -359,7 +442,7 @@ impl QueryCache {
             return vec![None; queries.len()];
         }
         let found: Vec<Option<Result<Estimate>>> = {
-            let inner = self.inner.lock();
+            let mut inner = self.inner.lock();
             let hashed = queries.iter().zip(hashes);
             hashed.map(|(q, &h)| inner.get(h, q)).collect()
         };
@@ -380,8 +463,9 @@ impl QueryCache {
         }
     }
 
-    /// Store the engine's answer for `query`, evicting the oldest entry
-    /// when full. Does not touch the hit/miss counters.
+    /// Store the engine's answer for `query`, evicting the entry the
+    /// SIEVE hand stops on when full. Does not touch the hit/miss
+    /// counters.
     pub fn insert(&self, query: &Query, result: Result<Estimate>) {
         self.insert_keyed(QueryKey::new(query), result);
     }
@@ -392,7 +476,7 @@ impl QueryCache {
         self.insert_many(std::iter::once((hash, key, result)));
     }
 
-    /// Store hashed answers under **one** lock acquisition (FIFO eviction
+    /// Store hashed answers under **one** lock acquisition (eviction
     /// applies as each entry lands).
     fn insert_many(&self, entries: impl IntoIterator<Item = (u64, QueryKey, Result<Estimate>)>) {
         if self.capacity == 0 {
@@ -771,17 +855,22 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_the_cache_fifo() {
+    fn capacity_bounds_the_cache_and_a_hit_spares_its_entry() {
         let cached = CachedSynopsis::new(Counting::new(), 2);
         cached.estimate(&q(0.0, 1.0)).unwrap();
         cached.estimate(&q(1.0, 2.0)).unwrap();
-        cached.estimate(&q(2.0, 3.0)).unwrap(); // evicts (0,1)
+        cached.estimate(&q(0.0, 1.0)).unwrap(); // a hit: (0,1) is visited
+        cached.estimate(&q(2.0, 3.0)).unwrap(); // spares (0,1), evicts (1,2)
         assert_eq!(cached.cache().stats().len, 2);
-        cached.estimate(&q(0.0, 1.0)).unwrap(); // recomputed
+        assert_eq!(cached.inner().calls(), 3);
+        cached.estimate(&q(0.0, 1.0)).unwrap(); // still cached, visited again
+        assert_eq!(cached.inner().calls(), 3, "FIFO would have evicted (0,1)");
+        cached.estimate(&q(1.0, 2.0)).unwrap(); // recomputed, evicts (2,3)
         assert_eq!(cached.inner().calls(), 4);
-        // (1,2) was evicted by the re-insert of (0,1)… FIFO order: (2,3) stays.
-        cached.estimate(&q(2.0, 3.0)).unwrap();
+        cached.estimate(&q(0.0, 1.0)).unwrap();
         assert_eq!(cached.inner().calls(), 4, "still cached");
+        cached.estimate(&q(2.0, 3.0)).unwrap();
+        assert_eq!(cached.inner().calls(), 5, "(2,3) was the unvisited one");
     }
 
     #[test]
@@ -794,20 +883,29 @@ mod tests {
     }
 
     #[test]
-    fn fifo_eviction_follows_insertion_order_exactly() {
+    fn sieve_eviction_follows_the_hand_exactly() {
         let cache = QueryCache::new(3);
-        for i in 0..3 {
-            cache.insert(&q(i as f64, i as f64 + 1.0), Ok(Estimate::exact(i as f64)));
-        }
-        // Inserting a 4th evicts the oldest (0), then a 5th evicts (1).
-        cache.insert(&q(3.0, 4.0), Ok(Estimate::exact(3.0)));
-        assert!(cache.get(&q(0.0, 1.0)).is_none(), "oldest evicted first");
-        assert!(cache.get(&q(1.0, 2.0)).is_some());
-        cache.insert(&q(4.0, 5.0), Ok(Estimate::exact(4.0)));
-        assert!(cache.get(&q(1.0, 2.0)).is_none(), "then the next-oldest");
-        assert!(cache.get(&q(2.0, 3.0)).is_some());
-        assert!(cache.get(&q(3.0, 4.0)).is_some());
-        assert!(cache.get(&q(4.0, 5.0)).is_some());
+        let key = |i: usize| q(i as f64, i as f64 + 1.0);
+        let insert = |i: usize| cache.insert(&key(i), Ok(Estimate::exact(i as f64)));
+        let stored = |i: usize| cache.get(&key(i)).is_some();
+        (0..3).for_each(insert);
+        assert!(stored(1), "queue 0 1* 2");
+        // The hand starts at the tail: 0 is unvisited and goes; the hand
+        // rests on 1.
+        insert(3);
+        assert!(!stored(0), "queue 1* 2 3");
+        // The hand clears 1 and evicts 2, resting on 3.
+        insert(4);
+        assert!(!stored(2), "queue 1 3 4");
+        assert!(stored(1) && stored(3) && stored(4), "queue 1* 3* 4*");
+        // A full lap: 3 and 4 cleared, the hand wraps at the head, clears
+        // 1, and evicts 3, the first entry it cleared.
+        insert(5);
+        assert!(!stored(3), "queue 1 4 5");
+        assert!(stored(1) && stored(4) && stored(5));
+        // A re-insert replaces the answer in place and is no access.
+        cache.insert(&key(1), Ok(Estimate::exact(10.0)));
+        assert_eq!(cache.get(&key(1)), Some(Ok(Estimate::exact(10.0))));
         assert_eq!(cache.stats().len, 3);
     }
 
@@ -972,15 +1070,17 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 0));
     }
 
-    /// The cache as it was before the entry ring and its index: a
-    /// `HashMap` of answers beside a `VecDeque` FIFO of keys, and a batch
-    /// path that dedups misses through a `HashMap` of per-miss slot
-    /// lists. The differential test holds [`QueryCache`] and
-    /// [`CachedSynopsis`] to it.
+    /// SIEVE without the entry table, its index or its links: a `HashMap`
+    /// of answers and visited bits beside a `VecDeque` of keys, oldest
+    /// first, with the hand as a position in it; and a batch path that
+    /// dedups misses through a `HashMap` of per-miss slot lists. The
+    /// differential test holds [`QueryCache`] and [`CachedSynopsis`] to
+    /// it.
     struct Reference {
         capacity: usize,
-        map: HashMap<QueryKey, Result<Estimate>>,
+        map: HashMap<QueryKey, (Result<Estimate>, bool)>,
         order: VecDeque<QueryKey>,
+        hand: Option<usize>,
         epoch: u64,
         hits: u64,
         misses: u64,
@@ -993,6 +1093,7 @@ mod tests {
                 capacity,
                 map: HashMap::new(),
                 order: VecDeque::new(),
+                hand: None,
                 epoch: 0,
                 hits: 0,
                 misses: 0,
@@ -1001,31 +1102,54 @@ mod tests {
         }
 
         fn get(&mut self, key: &QueryKey) -> Option<Result<Estimate>> {
-            let found = self.map.get(key).cloned();
-            match found {
-                Some(_) => self.hits += 1,
-                None => self.misses += 1,
-            }
-            found
+            let Some((result, visited)) = self.map.get_mut(key) else {
+                self.misses += 1;
+                return None;
+            };
+            *visited = true;
+            self.hits += 1;
+            Some(result.clone())
         }
 
         fn insert(&mut self, key: QueryKey, result: Result<Estimate>) {
             if self.capacity == 0 {
                 return;
             }
-            if self.map.insert(key.clone(), result).is_none() {
-                self.order.push_back(key);
-                if self.order.len() > self.capacity {
-                    let oldest = self.order.pop_front().unwrap();
-                    self.map.remove(&oldest);
-                    self.evictions += 1;
-                }
+            if let Some(stored) = self.map.get_mut(&key) {
+                stored.0 = result;
+                return;
             }
+            if self.order.len() == self.capacity {
+                self.evict();
+            }
+            self.map.insert(key.clone(), (result, false));
+            self.order.push_back(key);
+        }
+
+        /// From the hand (or the oldest key), clear visited bits up to
+        /// the first unvisited key, wrapping past the newest; remove it.
+        /// Its newer neighbour slides into its position, where the hand
+        /// rests.
+        fn evict(&mut self) {
+            let mut i = self.hand.unwrap_or(0);
+            loop {
+                let visited = &mut self.map.get_mut(&self.order[i]).unwrap().1;
+                if !*visited {
+                    break;
+                }
+                *visited = false;
+                i = (i + 1) % self.order.len();
+            }
+            let victim = self.order.remove(i).unwrap();
+            self.map.remove(&victim);
+            self.hand = (i < self.order.len()).then_some(i);
+            self.evictions += 1;
         }
 
         fn clear(&mut self) {
             self.map.clear();
             self.order.clear();
+            self.hand = None;
         }
 
         fn bump_epoch(&mut self) {
@@ -1201,13 +1325,13 @@ mod tests {
     }
 
     #[test]
-    fn the_ring_and_index_match_the_reference_model() {
+    fn the_sieve_queue_and_index_match_the_reference_model() {
         for capacity in [0, 1, 2, 3, 5, 64] {
             for seed in 0..4 {
                 let evictions = differential(QueryCache::new(capacity), seed, 20_000);
                 assert!(
                     capacity == 0 || evictions >= 10 * capacity as u64,
-                    "capacity {capacity}: {evictions} evictions do not wrap the ring"
+                    "capacity {capacity}: {evictions} evictions do not lap the queue"
                 );
             }
         }
@@ -1273,5 +1397,110 @@ mod tests {
                 "clearing keeps the table"
             );
         }
+    }
+
+    #[test]
+    fn an_entry_costs_at_most_eight_bytes_beyond_its_hash_key_and_answer() {
+        let contents = std::mem::size_of::<(u64, QueryKey, Result<Estimate>)>();
+        assert!(std::mem::size_of::<Entry>() <= contents + 8);
+    }
+
+    #[test]
+    fn stats_report_the_capacity_the_cache_enforces() {
+        assert_eq!(QueryCache::new(5).stats().capacity, 5);
+        assert_eq!(QueryCache::new(usize::MAX).stats().capacity, MAX_ENTRIES);
+        assert_eq!(
+            QueryCache::new(MAX_ENTRIES + 1).stats().capacity,
+            MAX_ENTRIES
+        );
+    }
+
+    #[test]
+    fn since_gives_zero_deltas_for_snapshots_in_the_wrong_order() {
+        let cache = QueryCache::new(4);
+        let before = cache.stats();
+        cache.insert(&q(0.0, 1.0), Ok(Estimate::exact(1.0)));
+        cache.get(&q(0.0, 1.0));
+        cache.get(&q(1.0, 2.0));
+        let after = cache.stats();
+        let delta = before.since(&after);
+        assert_eq!((delta.hits, delta.misses), (0, 0));
+        let delta = after.since(&before);
+        assert_eq!((delta.hits, delta.misses, delta.len), (1, 1, 1));
+    }
+
+    /// `len` Zipf(1) ranks over `n` keys: rank `r` (0-based) is drawn with
+    /// weight `1 / (r + 1)`, by inverting the cumulative weights.
+    fn zipf_ranks(n: usize, len: usize, seed: u64) -> Vec<usize> {
+        let cumulative: Vec<f64> = (1..=n)
+            .scan(0.0, |total, rank| {
+                *total += 1.0 / rank as f64;
+                Some(*total)
+            })
+            .collect();
+        let total = cumulative[n - 1];
+        let mut rng = seed;
+        (0..len)
+            .map(|_| {
+                let u = (splitmix(&mut rng) >> 11) as f64 / (1_u64 << 53) as f64 * total;
+                cumulative.partition_point(|&c| c <= u).min(n - 1)
+            })
+            .collect()
+    }
+
+    /// FIFO, the policy SIEVE replaced: the hit rate of `trace` after its
+    /// first `warm` lookups, each miss inserted.
+    fn fifo_hit_rate(trace: &[usize], capacity: usize, warm: usize) -> f64 {
+        let mut stored = std::collections::HashSet::new();
+        let mut order = VecDeque::new();
+        let mut hits = 0;
+        for (i, &key) in trace.iter().enumerate() {
+            if stored.contains(&key) {
+                hits += usize::from(i >= warm);
+                continue;
+            }
+            if order.len() == capacity {
+                stored.remove(&order.pop_front().unwrap());
+            }
+            stored.insert(key);
+            order.push_back(key);
+        }
+        hits as f64 / (trace.len() - warm) as f64
+    }
+
+    /// Dashboard traffic: Zipf(1) over 16 384 distinct queries into a
+    /// 4 096-entry cache. The top 4 096 keys draw H(4096)/H(16384) ≈ 0.865
+    /// of lookups, the most any policy can hit; SIEVE comes within about
+    /// a point of it, FIFO about 9 points further down. SIEVE settles
+    /// slowly (0.829 over lookups 20 000–100 000 of this trace, 0.853
+    /// over 2–4 million), so the rate is read over the second half.
+    #[test]
+    fn sieve_holds_a_zipf_hit_rate_floor_and_beats_fifo() {
+        let (keys, capacity) = (16_384, 4_096);
+        let lookups = if cfg!(debug_assertions) {
+            400_000
+        } else {
+            4_000_000
+        };
+        let warm = lookups / 2;
+        let trace = zipf_ranks(keys, lookups, 7);
+        let queries: Vec<Query> = (0..keys).map(|i| q(i as f64, i as f64 + 1.0)).collect();
+        let cache = QueryCache::new(capacity);
+        let mut warmed = cache.stats();
+        for (i, &rank) in trace.iter().enumerate() {
+            if i == warm {
+                warmed = cache.stats();
+            }
+            if cache.get(&queries[rank]).is_none() {
+                cache.insert(&queries[rank], Ok(Estimate::exact(rank as f64)));
+            }
+        }
+        let sieve = cache.stats().since(&warmed).hit_rate();
+        let fifo = fifo_hit_rate(&trace, capacity, warm);
+        assert!(sieve >= 0.84, "SIEVE hit rate {sieve:.4}");
+        assert!(
+            sieve - fifo >= 0.06,
+            "SIEVE {sieve:.4} against FIFO {fifo:.4}"
+        );
     }
 }

@@ -47,6 +47,7 @@
 //! live in `pass-table`, `pass-sampling`, `pass-partition`, and `pass-core`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod agg;
 pub mod cache;

@@ -575,6 +575,62 @@ fn progressive_publishes_then_fulfills_exactly_once() {
     );
 }
 
+/// A hit racing an eviction: on a full three-entry cache, one thread
+/// looks up the oldest key while another inserts two new keys, so the
+/// SIEVE hand sweeps over it and evicts twice. In every interleaving the
+/// lookup gets that key's own answer or a miss, the counters add up to
+/// the lookups made, and the cache never holds more than its capacity.
+/// A hit can only land before the first insert; it marks the key
+/// visited, so both sweeps spare it and it is still stored at the end.
+#[test]
+fn a_hit_racing_an_eviction_reads_its_own_answer_or_misses() {
+    let saw_hit = Arc::new(AtomicU64::new(0));
+    let saw_miss = Arc::new(AtomicU64::new(0));
+    let (hits, misses) = (Arc::clone(&saw_hit), Arc::clone(&saw_miss));
+    let report = Chaos::new("hit_vs_eviction").preemptions(3).check(move || {
+        let cache = QueryCache::new(3);
+        let keys: Vec<QueryKey> = (0..5).map(|i| key(i as f64, i as f64 + 1.0)).collect();
+        let answer = |i: usize| Ok(Estimate::exact(i as f64));
+        for (i, k) in keys.iter().enumerate().take(3) {
+            cache.insert_keyed(k.clone(), answer(i));
+        }
+        let got = chaos::scope(|s| {
+            let reader = s.spawn(|| {
+                let got = cache.get_keyed(&keys[0]);
+                assert!(cache.stats().len <= 3, "over capacity");
+                got
+            });
+            s.spawn(|| {
+                for (i, k) in keys.iter().enumerate().skip(3) {
+                    cache.insert_keyed(k.clone(), answer(i));
+                    assert!(cache.stats().len <= 3, "over capacity");
+                }
+            });
+            reader.join().unwrap()
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 1, "a lookup was lost or doubled");
+        assert_eq!(stats.len, 3);
+        match &got {
+            Some(found) => {
+                assert_eq!(*found, answer(0), "the lookup read another key's answer");
+                hits.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {
+                misses.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        assert_eq!(
+            cache.get_keyed(&keys[0]).is_some(),
+            got.is_some(),
+            "a visited key was evicted, or an unvisited oldest key kept"
+        );
+    });
+    assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
+    assert!(saw_hit.load(Ordering::Relaxed) > 0, "hit path unexplored");
+    assert!(saw_miss.load(Ordering::Relaxed) > 0, "miss path unexplored");
+}
+
 /// Epoch coherence: two synopsis handles observing the same new epoch
 /// race their `sync_epoch` calls. The generation bump must clear the
 /// stale entries exactly once — a second clear would drop entries

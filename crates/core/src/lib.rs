@@ -51,6 +51,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod mcf;
 mod query;

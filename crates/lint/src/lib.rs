@@ -84,6 +84,7 @@
 //! allow-listing individual violations — the workspace lints clean.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -20,6 +20,8 @@
 //! * [`kd`] — balanced k-d trees with greedy max-variance expansion
 //!   (KD-PASS) and breadth-first expansion (KD-US) for d > 1 (Section 4.4).
 
+#![forbid(unsafe_code)]
+
 pub mod dp;
 pub mod equal;
 pub mod hill_climb;

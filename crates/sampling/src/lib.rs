@@ -22,6 +22,8 @@
 //! * [`delta`] — delta encoding of stratified samples against the partition
 //!   mean (the Section 3.4 compression optimization).
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod delta;
 pub mod estimator;

@@ -19,6 +19,8 @@
 //!   generators draw from (implemented here to keep the dependency set to
 //!   the plain `rand` crate).
 
+#![forbid(unsafe_code)]
+
 pub mod column;
 pub mod csv;
 pub mod datasets;

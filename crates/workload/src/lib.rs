@@ -12,6 +12,8 @@
 //! This crate drives no engine: `pass::Session::run_workload` answers a
 //! query list on every engine of a session and scores it into these rows.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod query_gen;
 pub mod truth;

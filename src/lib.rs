@@ -94,6 +94,7 @@
 //! [`Session::run_workload`] fills.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use pass_baselines as baselines;
 pub use pass_common as common;

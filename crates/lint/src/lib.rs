@@ -74,6 +74,15 @@
 //!    benches are not walked, so they stay free to): the module is the
 //!    oracle `tests/kernel_contract.rs` holds the scan kernels to, not
 //!    a second implementation an engine may call.
+//! 10. **One `unsafe`, fenced** — every library crate root carries
+//!     `#![forbid(unsafe_code)]` except `pass-sampling`'s
+//!     ([`UNSAFE_CRATE_ROOT`]), which carries `#![deny(unsafe_code)]` so
+//!     that one `#[allow(unsafe_code)]` can reach the group kernel's
+//!     run-time ISA dispatch. The `unsafe` keyword appears once in the
+//!     library sources, test code included: in [`UNSAFE_DISPATCH`], under
+//!     a `// SAFETY:` comment naming the run-time check that makes the
+//!     call sound. A second `unsafe` anywhere, or a crate root that drops
+//!     its attribute, is flagged.
 //!
 //! The analysis is deliberately *lexical*: sources are stripped of
 //! comments and string contents, `#[cfg(test)]` regions are tracked by
@@ -166,6 +175,14 @@ pub const SYNOPSIS_TRAIT: &str = "crates/common/src/synopsis.rs";
 /// The row-at-a-time reference estimator module (rule 9): named from
 /// tests and benches only.
 pub const REFERENCE_ESTIMATOR: &str = "crates/sampling/src/estimator.rs";
+
+/// The one library file allowed an `unsafe` (rule 10): the lockstep group
+/// kernel calls its AVX2 build after a run-time feature check.
+pub const UNSAFE_DISPATCH: &str = "crates/sampling/src/kernel.rs";
+
+/// The one crate root that denies rather than forbids `unsafe_code`
+/// (rule 10), so that [`UNSAFE_DISPATCH`] can allow it at one function.
+pub const UNSAFE_CRATE_ROOT: &str = "crates/sampling/src/lib.rs";
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -997,6 +1014,72 @@ pub fn check_reference_only(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// Whether `rel` is a library crate root: `src/lib.rs` or
+/// `crates/<name>/src/lib.rs`.
+fn is_crate_root(rel: &str) -> bool {
+    rel == "src/lib.rs"
+        || rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, rest)| rest == "src/lib.rs")
+}
+
+/// Rule 10: the crate roots keep their `unsafe_code` attribute, and the
+/// only `unsafe` keyword is the justified dispatch in [`UNSAFE_DISPATCH`].
+pub fn check_unsafe_fenced(file: &SourceFile, out: &mut Vec<Violation>) {
+    if is_crate_root(&file.rel) {
+        let want = if file.rel == UNSAFE_CRATE_ROOT {
+            "#![deny(unsafe_code)]"
+        } else {
+            "#![forbid(unsafe_code)]"
+        };
+        if !file.lines.iter().any(|l| l.code.trim() == want) {
+            file.push(
+                out,
+                0,
+                "unsafe-fenced",
+                format!("crate root without `{want}`"),
+            );
+        }
+    }
+    let is_word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let mut seen = 0;
+    for (i, line) in file.lines.iter().enumerate() {
+        for (pos, _) in line.code.match_indices("unsafe") {
+            if is_word(line.code[..pos].chars().next_back())
+                || is_word(line.code[pos + "unsafe".len()..].chars().next())
+            {
+                continue;
+            }
+            seen += 1;
+            let message = if file.rel != UNSAFE_DISPATCH {
+                format!("`unsafe` outside {UNSAFE_DISPATCH}, the one sanctioned ISA dispatch")
+            } else if seen > 1 {
+                "a second `unsafe`: the group kernel's ISA dispatch is the only one".to_string()
+            } else if !justified(&file.lines[..=i], "SAFETY:") {
+                "`unsafe` without a `// SAFETY:` comment naming its run-time check".to_string()
+            } else {
+                continue;
+            };
+            file.push(out, i, "unsafe-fenced", message);
+        }
+    }
+}
+
+/// Whether the last of `lines` carries a comment containing `tag`, on the
+/// line itself or in the run of comment-only lines right above it.
+fn justified(lines: &[Line], tag: &str) -> bool {
+    let Some((last, above)) = lines.split_last() else {
+        return false;
+    };
+    last.comment.contains(tag)
+        || above
+            .iter()
+            .rev()
+            .take_while(|l| l.code.trim().is_empty() && !l.comment.is_empty())
+            .any(|l| l.comment.contains(tag))
+}
+
 /// Run every rule over one parsed file.
 pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -1010,6 +1093,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     check_decoders_confined(file, &mut out);
     check_synopsis_forwarding(file, &mut out);
     check_reference_only(file, &mut out);
+    check_unsafe_fenced(file, &mut out);
     out
 }
 
@@ -1436,6 +1520,77 @@ mod tests {
         let decl = "//! [`estimator`] is the reference.\npub mod estimator;\n";
         check_reference_only(&file("crates/sampling/src/lib.rs", decl), &mut out);
         assert!(out.is_empty(), "{}", render(&out));
+    }
+
+    #[test]
+    fn unsafe_rule_allows_only_the_justified_dispatch() {
+        let dispatch = "\
+fn group_lanes(&mut self) {
+    if is_x86_feature_detected!(\"avx2\") {
+        // SAFETY: the CPU reports AVX2 at run time.
+        return unsafe { self.group_lanes_avx2() };
+    }
+}
+fn unsafe_code_is_a_word_not_the_keyword() {}
+";
+        let mut out = Vec::new();
+        check_unsafe_fenced(&file(UNSAFE_DISPATCH, dispatch), &mut out);
+        assert!(out.is_empty(), "{}", render(&out));
+        // A planted second `unsafe`, in library or test code, is flagged.
+        for planted in [
+            "fn f() { unsafe { g() } }\n",
+            "#[cfg(test)]\nmod tests {\n    // SAFETY: also justified\n    unsafe fn t() {}\n}\n",
+        ] {
+            out.clear();
+            let src = format!("{dispatch}{planted}");
+            check_unsafe_fenced(&file(UNSAFE_DISPATCH, &src), &mut out);
+            assert_eq!(out.len(), 1, "{planted}: {}", render(&out));
+            assert!(out[0].message.contains("second"), "{}", render(&out));
+        }
+        // Without its comment, or moved anywhere else, it is flagged.
+        out.clear();
+        let bare = dispatch.replace("// SAFETY:", "//");
+        check_unsafe_fenced(&file(UNSAFE_DISPATCH, &bare), &mut out);
+        check_unsafe_fenced(&file("crates/core/src/query.rs", dispatch), &mut out);
+        let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![4, 4], "{}", render(&out));
+        assert!(out.iter().all(|v| v.rule == "unsafe-fenced"));
+    }
+
+    #[test]
+    fn unsafe_rule_holds_every_crate_root_to_its_attribute() {
+        let forbid = "//! Docs.\n#![forbid(unsafe_code)]\npub mod a;\n";
+        let deny = forbid.replace("forbid", "deny");
+        let mut out = Vec::new();
+        for root in [
+            "src/lib.rs",
+            "crates/core/src/lib.rs",
+            "crates/lint/src/lib.rs",
+        ] {
+            check_unsafe_fenced(&file(root, forbid), &mut out);
+        }
+        check_unsafe_fenced(&file(UNSAFE_CRATE_ROOT, &deny), &mut out);
+        // Not crate roots: no attribute expected.
+        check_unsafe_fenced(&file("crates/core/src/mcf.rs", "pub fn f() {}\n"), &mut out);
+        check_unsafe_fenced(
+            &file("crates/core/src/x/lib.rs", "pub fn f() {}\n"),
+            &mut out,
+        );
+        assert!(out.is_empty(), "{}", render(&out));
+        // A root that drops `forbid` (or trades it for `deny`), and the
+        // sampling root with `forbid` where its `deny` belongs.
+        let dropped = forbid.replace("#![forbid(unsafe_code)]\n", "");
+        check_unsafe_fenced(&file("crates/table/src/lib.rs", &dropped), &mut out);
+        check_unsafe_fenced(&file("src/lib.rs", &deny), &mut out);
+        check_unsafe_fenced(&file(UNSAFE_CRATE_ROOT, forbid), &mut out);
+        let files: Vec<&str> = out.iter().map(|v| v.file.as_str()).collect();
+        assert_eq!(
+            files,
+            ["crates/table/src/lib.rs", "src/lib.rs", UNSAFE_CRATE_ROOT],
+            "{}",
+            render(&out)
+        );
+        assert!(out.iter().all(|v| v.rule == "unsafe-fenced" && v.line == 1));
     }
 
     #[test]

@@ -94,10 +94,21 @@ fn the_walk_actually_covers_the_serving_tier() {
         root.join(pass_lint::REFERENCE_ESTIMATOR).is_file(),
         "reference-only scope names a missing file"
     );
+    for rel in [pass_lint::UNSAFE_DISPATCH, pass_lint::UNSAFE_CRATE_ROOT] {
+        assert!(
+            root.join(rel).is_file(),
+            "unsafe fence names a missing file: {rel}"
+        );
+    }
     for rel in pass_lint::SNAPSHOT_DECODERS {
         assert!(
             root.join(rel).is_file(),
             "decoder scope lists a missing file: {rel}"
         );
     }
+}
+
+#[test]
+fn unsafe_stays_fenced_to_the_one_isa_dispatch() {
+    assert_clean("unsafe-fenced");
 }

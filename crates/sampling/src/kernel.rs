@@ -59,8 +59,7 @@
 //!    one Neumaier dependency chain each, an add retiring every ~4 cycles
 //!    with nothing beside it, and that — not the column reads — is most
 //!    of a short stratum's cost. Four lanes are four independent chains in
-//!    one loop, which the compiler packs into SSE2 pairs on the default
-//!    target; eight lanes measured no faster. For the lanes to share one
+//!    one loop; eight lanes measured no faster. For the lanes to share one
 //!    instruction stream the Neumaier `|sum| >= |value|` test is written
 //!    as a select of the finished compensation term — lanes whose tests
 //!    disagree cannot branch apart — and it is again a *select*: the arm
@@ -72,6 +71,25 @@
 //!    instructions per row than the branch it replaces (9.0 against 5.5
 //!    ns/row at 16 384 rows when this was written), so the two are held
 //!    together by `tests/kernel_contract.rs`, not by shared code.
+//!
+//!    **Two builds, chosen at run time.** The group kernel's body
+//!    (`group_lanes_body`, always inlined together with `group_pass` and
+//!    `group_moments`) is compiled twice: `group_lanes_portable` for the
+//!    target's baseline ISA — SSE2 pairs on `x86_64` — and, on `x86_64`,
+//!    `group_lanes_avx2` under `#[target_feature(enable = "avx2")]`, which
+//!    tests a row's four lanes with one 256-bit compare, selects their φ
+//!    with one 256-bit multiply (the select is a branch-free pass of its
+//!    own for that reason) and advances the four Neumaier chains with
+//!    256-bit adds. `group_lanes` calls the AVX2 build when
+//!    `is_x86_feature_detected!("avx2")`, which `std` caches after the
+//!    first query, reports AVX2; that call is the workspace's one
+//!    `unsafe`, fenced by `pass-lint` rule 10. The choice cannot move a
+//!    bit: every lane operation is an IEEE-754 basic operation (add, sub,
+//!    mul, div, compare) or a bitwise select, correctly rounded whatever
+//!    the vector width, and rustc never contracts `a·b + c` into a fused
+//!    multiply-add. `tests/kernel_contract.rs` holds both builds to the
+//!    reference (`estimate_group_portable` reaches the portable one on any
+//!    CPU).
 //!
 //! The `pass-lint` workspace pass flags heap allocation in this module
 //! (`kernel-no-alloc`): the only sanctioned allocations are the
@@ -144,7 +162,7 @@ impl PointVariance {
 }
 
 /// Queries one pass of the lockstep group kernel answers. Four `f64`
-/// accumulator chains fill two SSE2 register pairs on the default target
+/// accumulator chains fill two SSE2 register pairs, or one AVX2 register,
 /// and overlap each other's add latency; eight measured no faster.
 pub const GROUP: usize = 4;
 
@@ -368,14 +386,96 @@ impl ScanScratch {
         }
     }
 
+    /// [`estimate_group`](Self::estimate_group) through the portable
+    /// build of the group kernel, whatever the CPU offers. Exposed so the
+    /// contract tests can pin both builds against the reference; engines
+    /// should call `estimate_group`.
+    #[doc(hidden)]
+    pub fn estimate_group_portable(
+        &mut self,
+        view: &SampleView<'_>,
+        aggs: [AggKind; GROUP],
+        bounds: [&[(f64, f64)]; GROUP],
+    ) -> [Option<PointVariance>; GROUP] {
+        debug_assert!(bounds.iter().all(|b| b.len() == view.dims));
+        let (col, bound) = (|d| view.pred_col(d), |l: usize, d: usize| bounds[l][d]);
+        self.group_lanes_portable(aggs, view.values, view.population, view.dims, col, bound)
+    }
+
     /// The lockstep group kernel (module docs, point 4): keep lanes for
     /// all [`GROUP`] rectangles from one read of each predicate column,
     /// then every lane's moments side by side. `col(d)` is the stratum's
     /// predicate column `d`, `bound(l, d)` lane `l`'s inclusive interval
-    /// in that dimension. Out of line for the same reason as
-    /// [`estimate_lanes`](Self::estimate_lanes).
-    #[inline(never)]
+    /// in that dimension. Runs the AVX2 build when the CPU has AVX2 and
+    /// the portable build otherwise; both compile
+    /// [`group_lanes_body`](Self::group_lanes_body).
+    #[allow(unsafe_code)]
     fn group_lanes<'c>(
+        &mut self,
+        aggs: [AggKind; GROUP],
+        values: &[f64],
+        population: u64,
+        dims: usize,
+        col: impl Fn(usize) -> &'c [f64],
+        bound: impl Fn(usize, usize) -> (f64, f64),
+    ) -> [Option<PointVariance>; GROUP] {
+        // `std` caches the CPUID answer in a static: after the first call
+        // the test is one atomic load and a bit test.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `group_lanes_avx2` only requires AVX2, and
+            // `is_x86_feature_detected!("avx2")` just confirmed at run
+            // time that this CPU has it.
+            return unsafe { self.group_lanes_avx2(aggs, values, population, dims, col, bound) };
+        }
+        self.group_lanes_portable(aggs, values, population, dims, col, bound)
+    }
+
+    /// [`group_lanes_body`](Self::group_lanes_body) for the compilation
+    /// target's baseline ISA (SSE2 pairs on `x86_64`). Out of line for the
+    /// same reason as [`estimate_lanes`](Self::estimate_lanes).
+    #[inline(never)]
+    fn group_lanes_portable<'c>(
+        &mut self,
+        aggs: [AggKind; GROUP],
+        values: &[f64],
+        population: u64,
+        dims: usize,
+        col: impl Fn(usize) -> &'c [f64],
+        bound: impl Fn(usize, usize) -> (f64, f64),
+    ) -> [Option<PointVariance>; GROUP] {
+        self.group_lanes_body(aggs, values, population, dims, col, bound)
+    }
+
+    /// [`group_lanes_body`](Self::group_lanes_body) compiled with AVX2
+    /// enabled: four lanes per 256-bit compare and add.
+    ///
+    /// # Safety
+    ///
+    /// Call it only on a CPU that has AVX2: code not itself compiled for
+    /// AVX2 must make the call in an `unsafe` block after checking.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline(never)]
+    fn group_lanes_avx2<'c>(
+        &mut self,
+        aggs: [AggKind; GROUP],
+        values: &[f64],
+        population: u64,
+        dims: usize,
+        col: impl Fn(usize) -> &'c [f64],
+        bound: impl Fn(usize, usize) -> (f64, f64),
+    ) -> [Option<PointVariance>; GROUP] {
+        self.group_lanes_body(aggs, values, population, dims, col, bound)
+    }
+
+    /// The body of the lockstep group kernel, instantiated once per build
+    /// ([`group_lanes`](Self::group_lanes) picks one). Always inlined, like
+    /// [`group_pass`] and [`group_moments`], so each build compiles every
+    /// loop for its own ISA; module docs, point 4, say why the builds give
+    /// the same bits.
+    #[inline(always)]
+    fn group_lanes_body<'c>(
         &mut self,
         aggs: [AggKind; GROUP],
         values: &[f64],
@@ -506,6 +606,7 @@ fn fill_lanes<'c, M: Lane>(
 /// [`lane_pass`] for [`GROUP`] intervals at once: the column is read once,
 /// every row tested against all of them, and the row's [`GROUP`] keep
 /// lanes (all-ones / `0`) sit side by side.
+#[inline(always)]
 fn group_pass(col: &[f64], pairs: [(f64, f64); GROUP], first: bool, keep: &mut [[u64; GROUP]]) {
     let hit = |x: f64, (lo, hi): (f64, f64)| u64::of((lo <= x) & (x <= hi));
     if first {
@@ -642,16 +743,17 @@ fn neumaier_add(acc: &mut (f64, f64), value: f64) {
     *acc = (t, compensation + lost);
 }
 
-/// [`select_phi`] and [`moments`] for [`GROUP`] lanes in lockstep. Row
-/// by row, every lane's φ is selected
-/// as `from_bits((c · x).to_bits() & keep)` — `c = N`, `x = 1` for
-/// COUNT; `c = N`, `x = value` for SUM; `c = K / K_pred` for AVG — and
-/// added to that lane's plain sum and Neumaier mean; a second sweep adds
-/// the squared deviations. Each lane performs exactly the single-query
+/// [`select_phi`] and [`moments`] for [`GROUP`] lanes in lockstep. One
+/// sweep selects every lane's φ as `from_bits((c · x).to_bits() & keep)`
+/// — `c = N`, `x = 1` for COUNT; `c = N`, `x = value` for SUM;
+/// `c = K / K_pred` for AVG — a second adds each row to every lane's
+/// plain sum and Neumaier mean, and a third adds the squared deviations.
+/// Each lane performs exactly the single-query
 /// path's additions in its order; what changes is that one loop carries
 /// [`GROUP`] independent dependency chains instead of one. A lane nothing
 /// matched (`c = K / 0`) or a MIN/MAX lane runs along and its numbers
 /// are never read.
+#[inline(always)]
 fn group_moments(
     aggs: [AggKind; GROUP],
     values: &[f64],
@@ -662,7 +764,7 @@ fn group_moments(
 ) -> [PointVariance; GROUP] {
     let k = values.len();
     let (n, kf) = (population as f64, k as f64);
-    let count = aggs.map(|agg| agg == AggKind::Count);
+    let count = aggs.map(|agg| u64::of(agg == AggKind::Count));
     let scale: [f64; GROUP] = std::array::from_fn(|l| match aggs[l] {
         AggKind::Avg => kf / k_pred[l] as f64,
         _ => n,
@@ -673,13 +775,19 @@ fn group_moments(
     // Seeded like `moments`: the plain sum at `-0.0`, Neumaier at `+0.0`.
     let mut sum = [-0.0f64; GROUP];
     let mut mean_acc = [(0.0f64, 0.0f64); GROUP];
+    // The φ select is a pass of its own and branch-free (a COUNT lane's
+    // `x = 1` is chosen by mask bits), so it packs into vector lanes; the
+    // additions then read the rows in index order.
     for ((row, lanes), &v) in phi.iter_mut().zip(keep).zip(values) {
         for l in 0..GROUP {
-            let x = if count[l] { 1.0 } else { v };
-            let p = f64::from_bits((scale[l] * x).to_bits() & lanes[l]);
-            row[l] = p;
-            sum[l] += p;
-            neumaier_add(&mut mean_acc[l], p);
+            let x = f64::from_bits((v.to_bits() & !count[l]) | (1.0f64.to_bits() & count[l]));
+            row[l] = f64::from_bits((scale[l] * x).to_bits() & lanes[l]);
+        }
+    }
+    for row in phi.iter() {
+        for l in 0..GROUP {
+            sum[l] += row[l];
+            neumaier_add(&mut mean_acc[l], row[l]);
         }
     }
     let pop_var = if k < 2 {

@@ -22,7 +22,7 @@
 //! * [`delta`] — delta encoding of stratified samples against the partition
 //!   mean (the Section 3.4 compression optimization).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod arena;
 pub mod delta;

@@ -15,7 +15,10 @@
 //! pass in lockstep, so the hostile strata are also asked batches of
 //! 1..=9 mixed-aggregate queries — every group fill, both padding
 //! patterns, a lane matching nothing beside one matching every row and
-//! one matching a single row. CI runs it in release too: that is the
+//! one matching a single row. The group kernel is compiled twice, for
+//! the target's baseline ISA and with AVX2, and chosen at run time; the
+//! grouped checks hold the build this CPU dispatches to and the portable
+//! build to the reference alike. CI runs it in release too: that is the
 //! codegen the bit-identity rests on.
 //!
 //! "Bit-for-bit" is literal: every comparison goes through `f64::to_bits`,
@@ -205,26 +208,29 @@ fn lane_queries(picks: &[LanePick], rows: &Table, k: usize) -> Vec<Query> {
 /// lanes of the last group repeat its last query) and `estimate_group`
 /// over the arena view, as `Pass`'s batch path calls it (here the spare
 /// lanes repeat the group's first query) — against the reference and the
-/// single-query view path, query by query.
+/// single-query view path, query by query. Both dispatch to the group
+/// kernel build the CPU supports (AVX2 on most `x86_64` hosts), so the
+/// portable build (`estimate_group_portable`) is held to the reference
+/// beside them; on a host without AVX2 the two are one function.
 fn assert_groups_match(s: &Sample, queries: &[Query], scratch: &mut ScanScratch) {
     let arena = SampleArena::from_samples(std::slice::from_ref(s));
     let view = arena.view(0);
     let mut batch = Vec::new();
     scratch.estimate_batch(s, queries, &mut batch);
     assert_eq!(batch.len(), queries.len());
-    let mut grouped = Vec::new();
+    let (mut grouped, mut portable) = (Vec::new(), Vec::new());
     for group in queries.chunks(GROUP) {
         let lane = |l: usize| &group[if l < group.len() { l } else { 0 }];
         let bounds: [Vec<(f64, f64)>; GROUP] = std::array::from_fn(|l| {
             let rect = &lane(l).rect;
             (0..rect.dims()).map(|d| (rect.lo(d), rect.hi(d))).collect()
         });
-        let points = scratch.estimate_group(
-            &view,
-            std::array::from_fn(|l| lane(l).agg),
-            std::array::from_fn(|l| bounds[l].as_slice()),
-        );
+        let aggs = std::array::from_fn(|l| lane(l).agg);
+        let bounds = std::array::from_fn(|l| bounds[l].as_slice());
+        let points = scratch.estimate_group(&view, aggs, bounds);
         grouped.extend_from_slice(&points[..group.len()]);
+        let points = scratch.estimate_group_portable(&view, aggs, bounds);
+        portable.extend_from_slice(&points[..group.len()]);
     }
     for (i, q) in queries.iter().enumerate() {
         let want = bits(reference(q.agg, s, &q.rect));
@@ -237,6 +243,7 @@ fn assert_groups_match(s: &Sample, queries: &[Query], scratch: &mut ScanScratch)
         );
         assert_eq!(bits(batch[i]), want, "estimate_batch, {ctx}");
         assert_eq!(bits(grouped[i]), want, "estimate_group, {ctx}");
+        assert_eq!(bits(portable[i]), want, "estimate_group_portable, {ctx}");
         assert_eq!(
             bits(scratch.estimate_view(q.agg, &view, &q.rect)),
             want,

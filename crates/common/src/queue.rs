@@ -17,9 +17,6 @@
 //! FIFO order *after* every dated one, and two equal deadlines preserve
 //! FIFO too, so the plain [`try_push`](RequestQueue::try_push) (no
 //! deadline) degrades to exactly the old FIFO-within-class behavior.
-//! [`try_push_or_merge`](RequestQueue::try_push_or_merge) is the
-//! cross-request dedup hook on top: it folds a submission into an
-//! identical queued entry instead of consuming another capacity slot.
 //!
 //! Like the [`crate::ThreadPool`], this is deliberately dependency-free:
 //! one `Mutex` around two `VecDeque`s plus a `Condvar` for blocking
@@ -36,7 +33,7 @@
 
 use std::collections::VecDeque;
 
-use crate::chaos::{Condvar, Mutex, MutexGuard};
+use crate::chaos::{Condvar, Mutex};
 use std::time::Instant;
 
 /// The admission class of a serving request.
@@ -87,15 +84,6 @@ fn keeps_place(existing: Option<Instant>, incoming: Option<Instant>) -> bool {
     }
 }
 
-/// The earlier of two EDF keys, `None` meaning "never expires" (+∞).
-fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
-
 #[derive(Debug)]
 struct QueueInner<T> {
     interactive: VecDeque<Scheduled<T>>,
@@ -120,15 +108,6 @@ impl<T> QueueInner<T> {
             Priority::Bulk => &mut self.bulk,
         }
     }
-
-    /// Insert in EDF position: after every entry that keeps its place,
-    /// before the first that doesn't (binary search — the deque is
-    /// always sorted by [`keeps_place`]).
-    fn insert_scheduled(&mut self, class: Priority, entry: Scheduled<T>) {
-        let deque = self.class_mut(class);
-        let idx = deque.partition_point(|e| keeps_place(e.key, entry.key));
-        deque.insert(idx, entry);
-    }
 }
 
 /// A bounded MPMC queue with two strict priority classes,
@@ -136,12 +115,10 @@ impl<T> QueueInner<T> {
 /// high-water mark.
 ///
 /// Producers call [`try_push`](Self::try_push) (FIFO among undated
-/// entries), [`try_push_scheduled`](Self::try_push_scheduled) (with an
-/// EDF deadline), or [`try_push_or_merge`](Self::try_push_or_merge)
-/// (dedup: fold into an identical queued entry) — none of which ever
-/// block: a full queue returns [`PushError::Full`] so the caller can
-/// shed the request (the serving layer turns this into a `Rejected`
-/// ticket). Consumers call [`pop_blocking`](Self::pop_blocking) (parks
+/// entries) or [`try_push_scheduled`](Self::try_push_scheduled) (with an
+/// EDF deadline) — neither ever blocks: a full queue returns
+/// [`PushError::Full`] so the caller can shed the request (the serving
+/// layer turns this into a `Rejected` ticket). Consumers call [`pop_blocking`](Self::pop_blocking) (parks
 /// until an item arrives or the queue closes) or the non-blocking
 /// [`drain_class_where`](Self::drain_class_where) used by batch
 /// coalescing.
@@ -228,84 +205,32 @@ impl<T> RequestQueue<T> {
     /// expiring stale items remains the consumer's job (the serving
     /// layer resolves them `Expired` at pop time), which is what keeps
     /// an expired-at-pop entry from ever blocking a live later one.
+    ///
+    /// Admission control, EDF insertion, high-water accounting and the
+    /// decision to wake a consumer all happen under one lock; the
+    /// wakeup itself is issued after unlocking, and only if a consumer
+    /// was parked (with every worker busy it would be a `futex` syscall
+    /// nobody hears).
     pub fn try_push_scheduled(
         &self,
         item: T,
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<(), (PushError, T)> {
-        let inner = self.inner.lock();
-        self.push_locked(inner, item, priority, deadline)
-    }
-
-    /// Dedup-aware push: if a queued entry in `priority`'s class
-    /// satisfies `matches(&queued, &item)`, fold `item` into it with
-    /// `merge` and return `Ok(true)` — **no capacity is consumed**, so
-    /// attaching works even on a full queue (dedup helps most exactly
-    /// when the queue is saturated). Attaching also tightens the entry's
-    /// EDF key to the earlier of the two deadlines, repositioning it if
-    /// needed: an urgent duplicate pulls the shared execution forward.
-    /// Otherwise this is [`try_push_scheduled`](Self::try_push_scheduled)
-    /// and returns `Ok(false)`.
-    ///
-    /// Only *queued* entries are candidates — an identical request a
-    /// worker already popped is invisible here, and the scan stays
-    /// within one class so dedup can never demote interactive work into
-    /// a bulk execution (or vice versa). The scan is linear over the
-    /// class under the same single lock acquisition as the push; the
-    /// queue holds hundreds of entries, not millions.
-    pub fn try_push_or_merge(
-        &self,
-        item: T,
-        priority: Priority,
-        deadline: Option<Instant>,
-        matches: impl Fn(&T, &T) -> bool,
-        merge: impl FnOnce(&mut T, T),
-    ) -> Result<bool, (PushError, T)> {
         let mut inner = self.inner.lock();
-        // Checked here too (not only in push_locked): merging into a
-        // closed queue's still-draining entries would smuggle new work
-        // past shutdown.
-        if inner.closed {
-            return Err((PushError::Closed, item));
-        }
-        let deque = inner.class_mut(priority);
-        if let Some(idx) = deque.iter().position(|e| matches(&e.item, &item)) {
-            merge(&mut deque[idx].item, item);
-            let tightened = earliest(deque[idx].key, deadline);
-            if tightened != deque[idx].key {
-                if let Some(mut entry) = deque.remove(idx) {
-                    entry.key = tightened;
-                    inner.insert_scheduled(priority, entry);
-                }
-            }
-            return Ok(true);
-        }
-        self.push_locked(inner, item, priority, deadline)
-            .map(|()| false)
-    }
-
-    /// The one push-success path: admission control, EDF insertion,
-    /// high-water accounting, and the decision to wake a consumer, all
-    /// under the caller's lock — the wakeup itself is issued after
-    /// unlocking, and only if a consumer was parked (with every worker
-    /// busy it would be a `futex` syscall nobody hears). Hands `item`
-    /// back on a closed or full queue.
-    fn push_locked(
-        &self,
-        mut inner: MutexGuard<'_, QueueInner<T>>,
-        item: T,
-        priority: Priority,
-        deadline: Option<Instant>,
-    ) -> Result<(), (PushError, T)> {
         if inner.closed {
             return Err((PushError::Closed, item));
         }
         if inner.len() >= self.capacity {
             return Err((PushError::Full, item));
         }
-        inner.insert_scheduled(
-            priority,
+        // EDF position: after every entry that keeps its place, before
+        // the first that doesn't (binary search — the deque is always
+        // sorted by `keeps_place`).
+        let deque = inner.class_mut(priority);
+        let idx = deque.partition_point(|e| keeps_place(e.key, deadline));
+        deque.insert(
+            idx,
             Scheduled {
                 item,
                 key: deadline,
@@ -700,91 +625,5 @@ mod tests {
             Some(("undated interactive", Priority::Interactive))
         );
         assert_eq!(q.pop_blocking(), Some(("urgent bulk", Priority::Bulk)));
-    }
-
-    #[test]
-    fn merge_attaches_to_an_identical_entry_without_consuming_capacity() {
-        let q: RequestQueue<(u32, u32)> = RequestQueue::new(2);
-        q.try_push((7, 1), Priority::Bulk).unwrap();
-        q.try_push((8, 1), Priority::Bulk).unwrap();
-        // Queue is full, but a duplicate of key 7 still lands by merging.
-        let attached = q
-            .try_push_or_merge(
-                (7, 1),
-                Priority::Bulk,
-                None,
-                |queued, new| queued.0 == new.0,
-                |queued, new| queued.1 += new.1,
-            )
-            .unwrap();
-        assert!(attached);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.high_water(), 2);
-        // A non-matching push on the full queue is still rejected.
-        assert_eq!(
-            q.try_push_or_merge((9, 1), Priority::Bulk, None, |a, b| a.0 == b.0, |_, _| {})
-                .unwrap_err()
-                .0,
-            PushError::Full
-        );
-        assert_eq!(q.pop_blocking(), Some(((7, 2), Priority::Bulk)));
-        assert_eq!(q.pop_blocking(), Some(((8, 1), Priority::Bulk)));
-    }
-
-    #[test]
-    fn merge_tightens_the_deadline_and_repositions_the_entry() {
-        let q: RequestQueue<(u32, u32)> = RequestQueue::new(8);
-        let base = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        let at = |s: u64| Some(base + std::time::Duration::from_secs(s));
-        q.try_push_scheduled((1, 1), Priority::Bulk, at(5)).unwrap();
-        q.try_push_scheduled((2, 1), Priority::Bulk, at(30))
-            .unwrap();
-        // An urgent duplicate of entry 2 pulls it ahead of entry 1.
-        let attached = q
-            .try_push_or_merge(
-                (2, 1),
-                Priority::Bulk,
-                at(1),
-                |queued, new| queued.0 == new.0,
-                |queued, new| queued.1 += new.1,
-            )
-            .unwrap();
-        assert!(attached);
-        assert_eq!(q.pop_blocking(), Some(((2, 2), Priority::Bulk)));
-        assert_eq!(q.pop_blocking(), Some(((1, 1), Priority::Bulk)));
-    }
-
-    #[test]
-    fn merge_scans_only_its_own_class() {
-        let q: RequestQueue<(u32, u32)> = RequestQueue::new(8);
-        q.try_push((7, 1), Priority::Bulk).unwrap();
-        // The identical interactive submission must NOT fold into the
-        // bulk entry — that would demote it.
-        let attached = q
-            .try_push_or_merge(
-                (7, 1),
-                Priority::Interactive,
-                None,
-                |queued, new| queued.0 == new.0,
-                |queued, new| queued.1 += new.1,
-            )
-            .unwrap();
-        assert!(!attached);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_blocking(), Some(((7, 1), Priority::Interactive)));
-        assert_eq!(q.pop_blocking(), Some(((7, 1), Priority::Bulk)));
-    }
-
-    #[test]
-    fn merge_on_a_closed_queue_is_refused() {
-        let q: RequestQueue<u32> = RequestQueue::new(8);
-        q.try_push(1, Priority::Bulk).unwrap();
-        q.close();
-        assert_eq!(
-            q.try_push_or_merge(1, Priority::Bulk, None, |a, b| a == b, |_, _| {})
-                .unwrap_err()
-                .0,
-            PushError::Closed
-        );
     }
 }

@@ -12,9 +12,8 @@
 //!
 //! The suite pins the admission-control invariants documented in
 //! `docs/ARCHITECTURE.md` (and expanded in `docs/CONCURRENCY.md`) at the
-//! queue / ticket / cache level, plus the named historical near-misses:
-//! pause racing a parked `pop_blocking`, and a dedup attach racing the
-//! pop of its target. Invariant 1 (fidelity) and invariant 5 (batches
+//! queue / ticket / cache level, plus the named historical near-miss:
+//! pause racing a parked `pop_blocking`. Invariant 1 (fidelity) and invariant 5 (batches
 //! never mix engines) are single-threaded routing properties pinned by
 //! `tests/serve_contract.rs` / `tests/route_contract.rs` in the root
 //! crate; everything with a genuine interleaving surface is here.
@@ -32,7 +31,7 @@ use std::time::{Duration, Instant};
 use pass_common::chaos::{self, Chaos};
 use pass_common::{
     AggKind, Estimate, GroupBySnapshot, GroupResult, Priority, ProgressiveOutcome,
-    ProgressiveTicket, PushError, Query, QueryCache, QueryKey, RequestQueue, ServeOutcome, Ticket,
+    ProgressiveTicket, Query, QueryCache, QueryKey, RequestQueue, ServeOutcome, Ticket,
 };
 
 fn key(lo: f64, hi: f64) -> QueryKey {
@@ -160,7 +159,7 @@ fn edf_order_is_independent_of_push_interleaving() {
     assert!(report.exhausted);
 }
 
-/// Historical near-miss #1: a consumer parked inside `pop_blocking` on a
+/// Historical near-miss: a consumer parked inside `pop_blocking` on a
 /// paused queue, racing a push and the resume. If `set_paused(false)`
 /// failed to notify (or pause re-checking had a window), the consumer
 /// would sleep forever with work queued — the model reports that as a
@@ -212,110 +211,8 @@ fn close_drains_through_pause_and_wakes_every_consumer() {
     assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
 }
 
-/// Historical near-miss #2: a dedup attach racing the pop of its target.
-/// Whichever side wins the lock, the duplicate's payload must survive —
-/// either folded into the popped entry or re-queued as a fresh entry —
-/// and the queue's bookkeeping must stay coherent.
-#[test]
-fn dedup_attach_racing_pop_of_target_conserves_work() {
-    let saw_merge = Arc::new(AtomicU64::new(0));
-    let saw_miss = Arc::new(AtomicU64::new(0));
-    let merges = Arc::clone(&saw_merge);
-    let misses = Arc::clone(&saw_miss);
-    let report = Chaos::new("dedup_vs_pop").check(move || {
-        // Entries are (key, weight): dedup folds weights together.
-        let queue: RequestQueue<(u32, u32)> = RequestQueue::new(4);
-        queue.try_push((7, 1), Priority::Interactive).unwrap();
-        let (popped, attached) = chaos::scope(|s| {
-            let consumer = s.spawn(|| queue.pop_blocking().unwrap());
-            let producer = s.spawn(|| {
-                queue
-                    .try_push_or_merge(
-                        (7, 1),
-                        Priority::Interactive,
-                        None,
-                        |queued, new| queued.0 == new.0,
-                        |queued, new| queued.1 += new.1,
-                    )
-                    .unwrap()
-            });
-            (consumer.join().unwrap(), producer.join().unwrap())
-        });
-        let leftover: u32 = queue
-            .drain_class_where(Priority::Interactive, |_| true)
-            .iter()
-            .map(|&(_, w)| w)
-            .sum();
-        assert_eq!(
-            popped.0 .1 + leftover,
-            2,
-            "the duplicate's weight was lost or double-counted"
-        );
-        if attached {
-            // Merged into the still-queued target: the consumer popped
-            // the combined entry and nothing is left behind.
-            assert_eq!(popped.0, (7, 2));
-            assert_eq!(leftover, 0);
-            merges.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // The pop won: the attach missed and fell back to a normal
-            // push of its own entry.
-            assert_eq!(popped.0, (7, 1));
-            assert_eq!(leftover, 1);
-            misses.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    assert!(report.exhausted);
-    assert!(
-        saw_merge.load(Ordering::Relaxed) > 0,
-        "merge path unexplored"
-    );
-    assert!(saw_miss.load(Ordering::Relaxed) > 0, "miss path unexplored");
-}
-
-/// Dedup on a saturated queue: attaching consumes no capacity, so the
-/// duplicate is admitted even when a plain push would be rejected —
-/// in every interleaving with a racing consumer.
-#[test]
-fn dedup_attach_is_admitted_on_a_full_queue() {
-    let report = Chaos::new("dedup_full_queue").check(|| {
-        let queue: RequestQueue<(u32, u32)> = RequestQueue::new(1);
-        queue.try_push((7, 1), Priority::Interactive).unwrap();
-        // Queue is at capacity: a non-matching plain push is refused.
-        assert!(matches!(
-            queue.try_push((8, 1), Priority::Interactive),
-            Err((PushError::Full, _))
-        ));
-        chaos::scope(|s| {
-            let consumer = s.spawn(|| queue.pop_blocking().unwrap());
-            let producer = s.spawn(|| {
-                queue.try_push_or_merge(
-                    (7, 1),
-                    Priority::Interactive,
-                    None,
-                    |queued, new| queued.0 == new.0,
-                    |queued, new| queued.1 += new.1,
-                )
-            });
-            let attach = producer.join().unwrap();
-            // Attach won: no capacity consumed. Pop won: the queue had
-            // drained, so the fallback push was admitted. Either way the
-            // duplicate is never bounced off a full queue.
-            assert!(attach.is_ok(), "duplicate rejected despite dedup");
-            let popped = consumer.join().unwrap();
-            let leftover: u32 = queue
-                .drain_class_where(Priority::Interactive, |_| true)
-                .iter()
-                .map(|&(_, w)| w)
-                .sum();
-            assert_eq!(popped.0 .1 + leftover, 2);
-        });
-    });
-    assert!(report.exhausted);
-}
-
-/// Invariant 6, ticket half: a worker that panics mid-request resolves
-/// every ticket attached to its in-flight work exactly once — fulfilled
+/// Invariant 6, ticket half: a worker that panics mid-batch resolves
+/// every ticket of its in-flight batch exactly once — fulfilled
 /// tickets keep their outcome, unfulfilled slots cancel on the unwind
 /// path — and concurrent waiters always wake.
 #[test]
@@ -326,7 +223,7 @@ fn worker_panic_resolves_every_fanned_out_ticket_exactly_once() {
         let (lost_b, slot_b): (Ticket, _) = Ticket::pending();
         chaos::scope(|s| {
             let worker = s.spawn(move || {
-                // One attached waiter is answered before the crash…
+                // One ticket of the batch is answered before the crash…
                 done_slot.fulfill(ServeOutcome::Done(vec![Ok(Estimate::exact(1.0))]), Some(0));
                 // …then the worker dies with two slots in hand; the
                 // unwind must cancel both.

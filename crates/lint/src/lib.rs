@@ -609,13 +609,6 @@ const LOCK_PATTERNS: &[LockPattern] = &[
     },
     LockPattern {
         file: None,
-        pattern: ".try_push_or_merge(",
-        receiver_hint: "queue",
-        rank: 0,
-        binds_guard: false,
-    },
-    LockPattern {
-        file: None,
         pattern: ".drain_class_where(",
         receiver_hint: "queue",
         rank: 0,

@@ -28,10 +28,10 @@
 //!    at capacity, per-request deadlines, interactive-over-bulk
 //!    ordering with earliest-deadline-first scheduling within a class),
 //!    [`Session::serve_multi`] routes requests to named engines through
-//!    one shared queue, identical queued requests can deduplicate into
-//!    one execution, queued requests coalesce into the engines' batched
-//!    fast path, and [`ServeStats`] reports counts (per engine too),
-//!    queue high-water, and p50/p99 latency.
+//!    one shared queue, queued requests coalesce into the engines'
+//!    batched fast path (identical queries in a batch are computed
+//!    once), and [`ServeStats`] reports counts (per engine too), queue
+//!    high-water, and p50/p99 latency.
 //!
 //! Group-bys are first-class across all three layers: a
 //! [`GroupByQuery`] (paper Section 4.5 — one equality rectangle per

@@ -40,13 +40,6 @@
 //!   always pop before queued [`Priority::Bulk`] requests, so a
 //!   latency-sensitive dashboard query overtakes a queued analytics
 //!   sweep. EDF ordering applies within a class, never across classes.
-//! * **Identical queued requests execute once.** With
-//!   [`ServeConfig::with_dedup`], a submission that matches a queued
-//!   request bit-exactly (same engine, same queries — the
-//!   [`QueryKey`] identity the result cache uses) *attaches* to it
-//!   instead of consuming a queue slot: one execution fans its results
-//!   out to every attached ticket. [`ServeStats::deduped`] counts the
-//!   attachments, globally and per engine.
 //! * **Queued requests coalesce into batches.** A worker that pops one
 //!   request greedily drains further queued requests of the same class
 //!   **and the same engine** (up to [`ServeConfig::coalesce_max`]
@@ -55,7 +48,10 @@
 //!   traversal scratch across the batch) kicks in automatically, so
 //!   saturation *increases* per-query efficiency. A batch never mixes
 //!   engines: the drain stops at the first request routed elsewhere,
-//!   which also keeps the deadline schedule intact.
+//!   which also keeps the deadline schedule intact. Identical queued
+//!   requests each take a queue slot, yet a cached engine computes each
+//!   distinct miss of a batch a single time and answers later repeats
+//!   from its cache.
 //! * **Group-bys can stream.** [`Serve::submit_progressive`] submits a
 //!   [`GroupByQuery`] whose [`ProgressiveTicket`] exposes refining
 //!   [`GroupBySnapshot`](pass_common::GroupBySnapshot)s while the
@@ -65,7 +61,7 @@
 //!   `partial: true`, never [`ProgressiveOutcome::Rejected`]-style
 //!   data loss and never `Expired`.
 //! * **Everything is observable.** [`Serve::stats`] reports
-//!   accepted/rejected/expired/deduped/completed counts, the
+//!   accepted/rejected/expired/completed counts, the
 //!   queue-depth high-water mark, p50/p99 submit-to-completion latency
 //!   from a fixed-bucket [`LatencyHistogram`], and the per-engine rows
 //!   ([`EngineServeStats`]) the totals are the sums of.
@@ -125,8 +121,8 @@ use std::time::{Duration, Instant};
 
 use pass_common::{
     GroupByQuery, LatencyHistogram, PassError, Priority, ProgressiveOutcome, ProgressiveTicket,
-    PushError, Query, QueryKey, RequestQueue, Result, ServeOutcome, ThreadPool, Ticket,
-    TicketOutcome, TicketSlot,
+    PushError, Query, RequestQueue, Result, ServeOutcome, ThreadPool, Ticket, TicketOutcome,
+    TicketSlot,
 };
 
 use crate::session::SessionHandle;
@@ -160,17 +156,6 @@ pub struct ServeConfig {
     /// Start with workers parked until [`Serve::resume`] — used by tests
     /// and staged startups to fill the queue deterministically.
     pub start_paused: bool,
-    /// Deduplicate identical queued requests: a submission whose engine
-    /// and queries match a queued request bit-exactly attaches to it and
-    /// shares its single execution instead of consuming a queue slot.
-    /// Attachment is bounded (64 submissions per request); a duplicate
-    /// storm beyond that starts fresh requests through normal admission
-    /// control, so server-held state stays bounded by the queue. Off by
-    /// default — dedup changes capacity accounting (attached requests
-    /// are admitted even at a full queue) and makes `queue_high_water`
-    /// undercount offered load, so it is an explicit opt-in. Answers
-    /// are unaffected either way (engines are deterministic).
-    pub dedup: bool,
 }
 
 impl Default for ServeConfig {
@@ -181,7 +166,6 @@ impl Default for ServeConfig {
             coalesce_max: 256,
             default_deadline: None,
             start_paused: false,
-            dedup: false,
         }
     }
 }
@@ -219,13 +203,6 @@ impl ServeConfig {
     /// Start paused; call [`Serve::resume`] to begin draining.
     pub fn paused(mut self) -> Self {
         self.start_paused = true;
-        self
-    }
-
-    /// Answer identical queued requests with one shared execution
-    /// (see [`ServeConfig::dedup`]).
-    pub fn with_dedup(mut self) -> Self {
-        self.dedup = true;
         self
     }
 }
@@ -298,9 +275,6 @@ pub struct EngineServeStats {
     pub rejected: u64,
     /// Submissions routed here whose deadline passed while queued.
     pub expired: u64,
-    /// Submissions answered by attaching to an identical queued request
-    /// (one shared execution) instead of executing separately.
-    pub deduped: u64,
     /// Execution batches this engine ran.
     pub batches: u64,
 }
@@ -308,20 +282,16 @@ pub struct EngineServeStats {
 /// A point-in-time snapshot of the serving front-end's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Requests admitted to the queue (attached duplicates included).
+    /// Requests admitted to the queue.
     pub accepted: u64,
     /// Requests refused because the queue was at capacity.
     pub rejected: u64,
     /// Requests whose deadline passed while queued (never executed).
     pub expired: u64,
-    /// Requests answered by attaching to an identical queued request —
-    /// admitted and completed like any other, but sharing one execution.
-    /// Always 0 unless [`ServeConfig::with_dedup`] is set.
-    pub deduped: u64,
     /// Requests executed to completion.
     pub completed: u64,
     /// Execution batches run (completed requests per batch > 1 means
-    /// coalescing or dedup engaged).
+    /// coalescing engaged).
     pub batches: u64,
     /// Deepest the request queue ever got.
     pub queue_high_water: usize,
@@ -338,24 +308,13 @@ pub struct ServeStats {
     pub per_engine: Vec<EngineServeStats>,
 }
 
-/// One submission waiting on a queued request: its ticket slot plus the
-/// timing it was submitted with. A plain request is created by one
-/// waiter and dedup attaches more; a progressive group-by has one.
+/// The submission waiting on a queued request: its ticket slot plus
+/// the timing it was submitted with.
 struct Waiter<O: TicketOutcome = ServeOutcome> {
     slot: TicketSlot<O>,
     submitted: Instant,
     deadline: Option<Instant>,
 }
-
-/// The most submissions one queued request will fan out to. Beyond
-/// this — the submission that created the request included — an
-/// identical submission starts a fresh request that passes
-/// through normal admission control — which keeps dedup from turning a
-/// duplicate storm into unbounded server-held waiter state (and bounds
-/// the per-request result cloning at completion). 64 is generous for
-/// the dashboard-fan-in shape dedup exists for; a storm hotter than
-/// that *should* start hitting the queue bound.
-const MAX_ATTACHED_WAITERS: usize = 64;
 
 /// One queued unit of work: the engine route plus what to run there.
 /// Plain batches and progressive group-bys ride the same queue (same
@@ -372,28 +331,18 @@ enum Body {
     /// A progressive group-by and its waiter: executes through its own
     /// streaming path, where a deadline stops the refinement instead of
     /// expiring the request; workers never coalesce it into a plain
-    /// batch and dedup never attaches to it.
+    /// batch.
     Progressive(GroupByQuery, Waiter<ProgressiveOutcome>),
 }
 
-/// One queued query batch, held by value: the first query and the first
-/// waiter sit in the request itself, and the two `Vec`s — the rest of a
-/// longer slice, the submissions dedup attached — are empty (and own no
-/// heap block) for the one-query, one-client request that is nearly all
-/// traffic. Queueing such a request allocates nothing.
+/// One queued query batch, held by value: the first query sits in the
+/// request itself, and `rest` — the rest of a longer slice — is empty
+/// (and owns no heap block) for the one-query request that is nearly
+/// all traffic. Queueing such a request allocates nothing.
 struct PlainJob {
     first: Query,
     rest: Vec<Query>,
-    /// Bit-exact query identity (only computed when dedup is on).
-    key: Option<Vec<QueryKey>>,
-    /// Hash of `key`, compared before the full key so the dedup scan
-    /// (linear, under the queue lock) rejects non-matches on one
-    /// `u64` instead of a per-query comparison.
-    key_hash: u64,
-    /// The submission that created the request.
     waiter: Waiter,
-    /// Identical submissions dedup attached to it, in arrival order.
-    attached: Vec<Waiter>,
 }
 
 impl PlainJob {
@@ -411,7 +360,6 @@ struct EngineState {
     completed: AtomicU64,
     rejected: AtomicU64,
     expired: AtomicU64,
-    deduped: AtomicU64,
     batches: AtomicU64,
 }
 
@@ -429,7 +377,6 @@ struct ServeShared {
     engines: Vec<EngineState>,
     queue: RequestQueue<Request>,
     coalesce_max: usize,
-    dedup: bool,
     /// The one global counter: acceptance is counted before the route's
     /// queue push, everything after it per engine.
     accepted: AtomicU64,
@@ -481,65 +428,48 @@ impl ServeShared {
     }
 
     /// Run what one pop produced: a progressive group-by streams right
-    /// away; for plain requests, expire what is stale (waiter by waiter
-    /// — attached duplicates carry their own deadlines), run the rest as
-    /// one engine batch, and fan each request's results out to every
-    /// surviving waiter — **store all, then wake**: every outcome of the
-    /// batch is in its ticket before the first parked client is woken,
-    /// so that client finds the whole batch resolved instead of
-    /// preempting this worker once per ticket. The bookkeeping is per
-    /// batch too: one clock read when the answers exist, one reservation
-    /// of the batch's completion stamps, one `completed` add.
+    /// away; for plain requests, expire what is stale, run the rest as
+    /// one engine batch, and hand each request its results — **store
+    /// all, then wake**: every outcome of the batch is in its ticket
+    /// before the first parked client is woken, so that client finds the
+    /// whole batch resolved instead of preempting this worker once per
+    /// ticket. The bookkeeping is per batch too: one clock read when the
+    /// answers exist, one reservation of the batch's completion stamps,
+    /// one `completed` add.
     fn execute(&self, engine: usize, requests: Vec<Request>) {
         let state = &self.engines[engine];
-        // Fail fast: a waiter whose deadline passed while queued costs
+        // Fail fast: a request whose deadline passed while queued costs
         // zero execution time — and an expired request popping first
         // (EDF sorts it first) never blocks a live later one, because
         // expiry resolves without executing. One expiry instant per
-        // batch, read when the first dated waiter asks for it: undated
+        // batch, read when the first dated request asks for it: undated
         // traffic does not read the clock here.
         let mut now: Option<Instant> = None;
-        let mut stale = |w: &Waiter| {
-            w.deadline
-                .is_some_and(|d| d <= *now.get_or_insert_with(Instant::now))
-        };
-        let expire = |w: Waiter| {
-            count(&state.expired);
-            w.slot.fulfill(ServeOutcome::Expired, None);
-        };
         // One flat engine batch: each request's queries are moved in
         // (sized for one query a request, which nearly all have), `live`
         // remembers how many it contributed and who waits on them.
         let mut queries: Vec<Query> = Vec::with_capacity(requests.len());
-        let mut live: Vec<(usize, Option<Waiter>, Vec<Waiter>)> =
-            Vec::with_capacity(requests.len());
-        let mut tickets = 0u64;
+        let mut live: Vec<(usize, Waiter)> = Vec::with_capacity(requests.len());
         for req in requests {
-            let mut job = match req.body {
+            let job = match req.body {
                 Body::Progressive(query, waiter) => {
                     self.execute_progressive(state, &query, waiter);
                     continue;
                 }
                 Body::Plain(job) => job,
             };
-            let len = job.len();
-            let first = if stale(&job.waiter) {
-                expire(job.waiter);
-                None
-            } else {
-                Some(job.waiter)
-            };
-            if job.attached.iter().any(&mut stale) {
-                job.attached.extract_if(.., |w| stale(w)).for_each(expire);
+            if job
+                .waiter
+                .deadline
+                .is_some_and(|d| d <= *now.get_or_insert_with(Instant::now))
+            {
+                count(&state.expired);
+                job.waiter.slot.fulfill(ServeOutcome::Expired, None);
+                continue;
             }
-            // A request executes if at least one waiter is still live.
-            let waiting = usize::from(first.is_some()) + job.attached.len();
-            if waiting > 0 {
-                tickets += waiting as u64;
-                live.push((len, first, job.attached));
-                queries.push(job.first);
-                queries.append(&mut job.rest);
-            }
+            live.push((job.len(), job.waiter));
+            queries.push(job.first);
+            queries.extend(job.rest);
         }
         if live.is_empty() {
             return;
@@ -548,10 +478,11 @@ impl ServeShared {
         let executed = Instant::now();
         count(&state.batches);
         debug_assert_eq!(results.len(), queries.len());
+        let tickets = live.len() as u64;
         // relaxed: the stamps only need uniqueness + atomicity; clients
         // compare stamps they obtained through their own tickets, whose
         // mutex already orders the handoff.
-        let mut seq = self.completion_seq.fetch_add(tickets, Ordering::Relaxed);
+        let stamps = self.completion_seq.fetch_add(tickets, Ordering::Relaxed)..;
         // The whole batch is counted before its first outcome is stored
         // (`Release`, as `count`): a client that has seen any answer of
         // this batch through its ticket's mutex also sees the add, so
@@ -563,22 +494,12 @@ impl ServeShared {
         // past the last store — and an unwind in between still wakes
         // every sleeper whose answer is already in place.
         let mut wakes = Vec::new();
-        for (len, first, attached) in live {
-            let mut answers: Vec<_> = results.by_ref().take(len).collect();
-            // Every waiter but the last gets a clone; the last takes
-            // the results themselves.
-            let mut waiters = first.into_iter().chain(attached).peekable();
-            while let Some(waiter) = waiters.next() {
-                let answers = match waiters.peek() {
-                    Some(_) => answers.clone(),
-                    None => std::mem::take(&mut answers),
-                };
-                let waited = executed.saturating_duration_since(waiter.submitted);
-                self.latency
-                    .record(waited.as_micros().min(u64::MAX as u128) as u64);
-                wakes.extend(waiter.slot.store(ServeOutcome::Done(answers), Some(seq)));
-                seq += 1;
-            }
+        for ((len, waiter), seq) in live.into_iter().zip(stamps) {
+            let answers = results.by_ref().take(len).collect();
+            let waited = executed.saturating_duration_since(waiter.submitted);
+            self.latency
+                .record(waited.as_micros().min(u64::MAX as u128) as u64);
+            wakes.extend(waiter.slot.store(ServeOutcome::Done(answers), Some(seq)));
         }
         drop(wakes);
     }
@@ -672,13 +593,11 @@ impl Serve {
                     completed: AtomicU64::new(0),
                     rejected: AtomicU64::new(0),
                     expired: AtomicU64::new(0),
-                    deduped: AtomicU64::new(0),
                     batches: AtomicU64::new(0),
                 })
                 .collect(),
             queue: RequestQueue::new(config.queue_depth),
             coalesce_max: config.coalesce_max.max(1),
-            dedup: config.dedup,
             accepted: AtomicU64::new(0),
             completion_seq: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
@@ -760,30 +679,15 @@ impl Serve {
             return Ok(Ticket::resolved(ServeOutcome::Done(Vec::new())));
         };
         let (ticket, slot) = Ticket::pending();
-        // One waiter to start with; dedup may attach it to an identical
-        // queued request instead.
         self.enqueue(engine, options, |submitted, deadline| {
-            let key: Option<Vec<QueryKey>> = self
-                .shared
-                .dedup
-                .then(|| queries.iter().map(QueryKey::new).collect());
-            let key_hash = key.as_ref().map_or(0, |keys| {
-                use std::hash::{DefaultHasher, Hash, Hasher};
-                let mut hasher = DefaultHasher::new();
-                keys.hash(&mut hasher);
-                hasher.finish()
-            });
             Body::Plain(PlainJob {
                 first: first.clone(),
                 rest: rest.to_vec(),
-                key,
-                key_hash,
                 waiter: Waiter {
                     slot,
                     submitted,
                     deadline,
                 },
-                attached: Vec::new(),
             })
         });
         Ok(ticket)
@@ -894,8 +798,8 @@ impl Serve {
 
     /// The one enqueue path every submission goes through: deadline
     /// stamping (handed to `body` with the submission instant),
-    /// admission control, EDF scheduling, and (when enabled) dedup
-    /// attachment. A refused request's ticket is resolved here.
+    /// admission control and EDF scheduling. A refused request's ticket
+    /// is resolved here.
     fn enqueue(
         &self,
         engine: usize,
@@ -920,58 +824,19 @@ impl Serve {
         // count of the request's outcome, which is what `stats()`
         // synchronizes with (see `count`).
         self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        let pushed = if self.shared.dedup {
-            self.shared.queue.try_push_or_merge(
-                request,
-                options.priority,
-                deadline,
-                // Only plain batches merge. Cheap fields first: the scan
-                // holds the queue lock, so non-matches must fail on
-                // integers, not Vec compares. A request already carrying
-                // MAX_ATTACHED_WAITERS refuses further attachments — the
-                // duplicate then goes through normal admission control,
-                // keeping dedup's memory bounded.
-                |queued, new| match (&queued.body, &new.body) {
-                    (Body::Plain(queued_job), Body::Plain(new_job)) => {
-                        queued.engine == new.engine
-                            && queued_job.key_hash == new_job.key_hash
-                            && 1 + queued_job.attached.len() < MAX_ATTACHED_WAITERS
-                            && queued_job.key == new_job.key
-                    }
-                    _ => false,
-                },
-                |queued, new| {
-                    if let (Body::Plain(queued_job), Body::Plain(new_job)) =
-                        (&mut queued.body, new.body)
-                    {
-                        queued_job.attached.push(new_job.waiter);
-                        queued_job.attached.extend(new_job.attached);
-                    }
-                },
-            )
-        } else {
-            self.shared
-                .queue
-                .try_push_scheduled(request, options.priority, deadline)
-                .map(|()| false)
-        };
-        let state = &self.shared.engines[engine];
-        match pushed {
-            Ok(true) => count(&state.deduped),
-            Ok(false) => {}
-            Err((why, request)) => {
-                // relaxed: undoes this thread's own claim above; no
-                // worker ever saw the request.
-                self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
-                // A refused request has one slot: `Rejected` at capacity;
-                // on a closed queue, dropping it cancels the ticket.
-                if why == PushError::Full {
-                    count(&state.rejected);
-                    match request.body {
-                        Body::Plain(job) => job.waiter.slot.fulfill(ServeOutcome::Rejected, None),
-                        Body::Progressive(_, waiter) => {
-                            waiter.slot.fulfill(ProgressiveOutcome::Rejected, None)
-                        }
+        let queue = &self.shared.queue;
+        if let Err((why, request)) = queue.try_push_scheduled(request, options.priority, deadline) {
+            // relaxed: undoes this thread's own claim above; no worker
+            // ever saw the request.
+            self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
+            // A refused request resolves its ticket here: `Rejected` at
+            // capacity; on a closed queue, dropping it cancels it.
+            if why == PushError::Full {
+                count(&self.shared.engines[engine].rejected);
+                match request.body {
+                    Body::Plain(job) => job.waiter.slot.fulfill(ServeOutcome::Rejected, None),
+                    Body::Progressive(_, waiter) => {
+                        waiter.slot.fulfill(ProgressiveOutcome::Rejected, None)
                     }
                 }
             }
@@ -1013,7 +878,6 @@ impl Serve {
                 completed: e.completed.load(Ordering::Acquire),
                 rejected: e.rejected.load(Ordering::Acquire),
                 expired: e.expired.load(Ordering::Acquire),
-                deduped: e.deduped.load(Ordering::Acquire),
                 batches: e.batches.load(Ordering::Acquire),
             })
             .collect();
@@ -1024,7 +888,6 @@ impl Serve {
             accepted: self.shared.accepted.load(Ordering::Relaxed),
             rejected: total(|e| e.rejected),
             expired: total(|e| e.expired),
-            deduped: total(|e| e.deduped),
             completed: total(|e| e.completed),
             batches: total(|e| e.batches),
             queue_high_water: self.shared.queue.high_water(),
@@ -1114,7 +977,7 @@ mod tests {
         let stats = serve.shutdown();
         assert_eq!(stats.accepted, 2);
         assert_eq!(stats.completed, 2);
-        assert_eq!((stats.rejected, stats.expired, stats.deduped), (0, 0, 0));
+        assert_eq!((stats.rejected, stats.expired), (0, 0));
         assert!(stats.batches >= 1);
         assert!(stats.p50_latency_us <= stats.p99_latency_us);
         // The single-engine per-engine breakdown is one row matching the
@@ -1338,106 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_is_off_by_default_and_attaches_when_enabled() {
-        let session = served_session();
-        // Default: three identical submissions occupy three slots.
-        let serve = session
-            .serve("pass", ServeConfig::new().with_workers(1).paused())
-            .unwrap();
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|_| serve.submit_to("pass", &q(0.2, 0.8)).unwrap())
-            .collect();
-        assert_eq!(serve.queue_depth(), 3);
-        serve.resume();
-        for t in tickets {
-            assert!(t.wait().is_done());
-        }
-        assert_eq!(serve.shutdown().deduped, 0);
-
-        // Opt in: duplicates attach to one queued request.
-        let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new().with_workers(1).with_dedup().paused(),
-            )
-            .unwrap();
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|_| serve.submit_to("pass", &q(0.2, 0.8)).unwrap())
-            .collect();
-        assert_eq!(serve.queue_depth(), 1, "duplicates attached, not queued");
-        serve.resume();
-        let direct = session.estimate("pass", &q(0.2, 0.8)).unwrap();
-        for t in tickets {
-            let got = t.wait().results().unwrap();
-            assert_eq!(got[0].as_ref().unwrap().value, direct.value);
-        }
-        let stats = serve.shutdown();
-        assert_eq!(stats.accepted, 3);
-        assert_eq!(stats.completed, 3);
-        assert_eq!(stats.deduped, 2);
-        assert_eq!(stats.per_engine[0].deduped, 2);
-    }
-
-    #[test]
-    fn a_stale_duplicate_expires_alone_while_the_request_it_joined_executes() {
-        let session = served_session();
-        let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new().with_workers(1).with_dedup().paused(),
-            )
-            .unwrap();
-        let live = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
-        let options = SubmitOptions::interactive().with_deadline(Duration::ZERO);
-        let stale = serve.submit("pass", &[q(0.2, 0.8)], &options).unwrap();
-        assert_eq!(serve.queue_depth(), 1, "the duplicate attached");
-        serve.resume();
-        // Deadlines are per waiter: the request still executes for the
-        // live one.
-        assert_eq!(stale.wait(), ServeOutcome::Expired);
-        let got = live.wait().results().unwrap();
-        assert_eq!(
-            got[0].as_ref().unwrap().value,
-            session.estimate("pass", &q(0.2, 0.8)).unwrap().value
-        );
-        let stats = serve.shutdown();
-        assert_eq!(
-            (stats.completed, stats.expired, stats.deduped, stats.batches),
-            (1, 1, 1, 1)
-        );
-    }
-
-    #[test]
-    fn a_stale_first_submission_expires_alone_while_its_duplicate_gets_the_answer() {
-        let session = served_session();
-        let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new().with_workers(1).with_dedup().paused(),
-            )
-            .unwrap();
-        // The mirror of the test above: the submission that *created*
-        // the request is the stale one, the attached duplicate is live.
-        let options = SubmitOptions::interactive().with_deadline(Duration::ZERO);
-        let stale = serve.submit("pass", &[q(0.2, 0.8)], &options).unwrap();
-        let live = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
-        assert_eq!(serve.queue_depth(), 1, "the duplicate attached");
-        serve.resume();
-        assert_eq!(stale.wait(), ServeOutcome::Expired);
-        assert_eq!(stale.completion_index(), None);
-        let got = live.wait().results().unwrap();
-        assert_eq!(
-            got[0].as_ref().unwrap().value,
-            session.estimate("pass", &q(0.2, 0.8)).unwrap().value
-        );
-        let stats = serve.shutdown();
-        assert_eq!(
-            (stats.completed, stats.expired, stats.deduped, stats.batches),
-            (1, 1, 1, 1)
-        );
-    }
-
-    #[test]
     fn progressive_group_bys_stream_and_resolve_complete() {
         use pass_common::GroupByQuery;
         let cat: Vec<f64> = (0..4_000).map(|i| (i % 4) as f64).collect();
@@ -1557,31 +1320,5 @@ mod tests {
         serve.shared.queue.close();
         let cancelled = serve.submit_progressive("pass", &gq, &options).unwrap();
         assert_eq!(cancelled.wait(), ProgressiveOutcome::Cancelled);
-    }
-
-    #[test]
-    fn dedup_attachment_is_bounded_per_request() {
-        let session = served_session();
-        let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new().with_workers(1).with_dedup().paused(),
-            )
-            .unwrap();
-        let n = MAX_ATTACHED_WAITERS + 2;
-        let tickets: Vec<Ticket> = (0..n)
-            .map(|_| serve.submit_to("pass", &q(0.2, 0.8)).unwrap())
-            .collect();
-        // The cap fills the first request; the overflow starts a second
-        // that passes through normal admission control.
-        assert_eq!(serve.queue_depth(), 2);
-        serve.resume();
-        for t in &tickets {
-            assert!(t.wait().is_done());
-        }
-        let stats = serve.shutdown();
-        assert_eq!(stats.accepted, n as u64);
-        assert_eq!(stats.completed, n as u64);
-        assert_eq!(stats.deduped, n as u64 - 2, "two requests actually queued");
     }
 }

@@ -1,5 +1,5 @@
 //! The routed-serving contract (`Session::serve_multi` + the
-//! deadline-aware, dedup-capable queue), pinned end to end:
+//! deadline-aware queue), pinned end to end:
 //!
 //! 1. **Routed fidelity** — a multi-engine server's answers are
 //!    bit-identical to direct `Session` calls *per engine* for the
@@ -10,13 +10,12 @@
 //!    under a paused-then-resumed queue follows the earliest deadline
 //!    first; undated requests keep FIFO order after every dated one,
 //!    and bit-exact deadline ties preserve FIFO.
-//! 3. **Dedup fan-out** — N identical queued queries execute **once**
-//!    (proved through the session's cache counters, which every
-//!    engine-path query must touch) yet resolve all N tickets, on the
-//!    happy path, on shutdown, and on a worker panic.
-//! 4. **Compatibility** — single-engine `serve` behavior is unchanged:
-//!    dedup stays off unless opted into, identical submissions consume
-//!    identical capacity, and the rejection boundary is exact.
+//! 3. **Duplicates** — N identical queued queries take N queue slots
+//!    yet reach the engine **once**: they run as one batch, and the
+//!    session cache ends up holding the one answer computed for them.
+//!    The rejection boundary is exact.
+//! 4. **Worker panic** — a panic mid-batch cancels every ticket of the
+//!    in-flight batch; no client hangs.
 
 use std::time::{Duration, Instant};
 
@@ -99,7 +98,7 @@ fn multi_engine_served_answers_are_bit_identical_to_direct_per_engine() {
     let stats = serve.shutdown();
     assert_eq!(stats.accepted, per_engine_total * names.len() as u64);
     assert_eq!(stats.completed, stats.accepted);
-    assert_eq!((stats.rejected, stats.expired, stats.deduped), (0, 0, 0));
+    assert_eq!((stats.rejected, stats.expired), (0, 0));
     // The per-engine breakdown accounts for every request, in route order.
     assert_eq!(stats.per_engine.len(), names.len());
     for (row, name) in stats.per_engine.iter().zip(&names) {
@@ -299,85 +298,10 @@ fn expired_at_pop_request_never_blocks_a_live_later_one() {
     assert_eq!(delta.hits + delta.misses, 2, "live query + direct call");
 }
 
-/// N identical queued queries execute once — proved through the session
-/// cache counters — yet resolve all N tickets with the engine's answer.
-#[test]
-fn identical_queued_queries_execute_once_yet_resolve_every_ticket() {
-    let mut served = Session::new(uniform(8_000, 31));
-    let mut direct = Session::new(uniform(8_000, 31));
-    served.add_engine("pass", &EngineSpec::pass()).unwrap();
-    direct.add_engine("pass", &EngineSpec::pass()).unwrap();
-    let serve = served
-        .serve(
-            "pass",
-            ServeConfig::new().with_workers(1).with_dedup().paused(),
-        )
-        .unwrap();
-
-    let n = 6;
-    let tickets: Vec<Ticket> = (0..n)
-        .map(|i| {
-            // Mixed submission styles, same bit-exact query.
-            if i % 2 == 0 {
-                serve.submit_to("pass", &q(0.25, 0.75))
-            } else {
-                serve.submit("pass", &[q(0.25, 0.75)], &SubmitOptions::interactive())
-            }
-            .unwrap()
-        })
-        .collect();
-    assert_eq!(serve.queue_depth(), 1, "duplicates attached to one request");
-    let before = served.cache_stats("pass").unwrap();
-    serve.resume();
-
-    let want = direct.estimate("pass", &q(0.25, 0.75)).unwrap().value;
-    for ticket in &tickets {
-        let got = ticket.wait().results().unwrap();
-        assert_eq!(got[0].as_ref().unwrap().value, want);
-        assert!(ticket.completion_index().is_some());
-    }
-    // Cache-counter proof: one engine-path lookup for N tickets.
-    let delta = served.cache_stats("pass").unwrap().since(&before);
-    assert_eq!(delta.hits + delta.misses, 1, "the batch executed once");
-
-    let stats = serve.shutdown();
-    assert_eq!(stats.accepted, n as u64);
-    assert_eq!(stats.completed, n as u64);
-    assert_eq!(stats.deduped, n as u64 - 1);
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.queue_high_water, 1);
-    assert_eq!(stats.per_engine[0].deduped, n as u64 - 1);
-}
-
-/// Shutdown drains a deduplicated request like any other: every attached
-/// ticket resolves exactly once, with the shared answer.
-#[test]
-fn dedup_fanout_resolves_every_ticket_on_shutdown() {
-    let mut session = Session::new(uniform(5_000, 37));
-    session.add_engine("pass", &EngineSpec::pass()).unwrap();
-    let serve = session
-        .serve(
-            "pass",
-            ServeConfig::new().with_workers(1).with_dedup().paused(),
-        )
-        .unwrap();
-    let tickets: Vec<Ticket> = (0..4)
-        .map(|_| serve.submit_to("pass", &q(0.1, 0.9)).unwrap())
-        .collect();
-    // Never resumed: shutdown itself must drain the attached request.
-    let stats = serve.shutdown();
-    for ticket in &tickets {
-        assert!(ticket.wait().is_done());
-    }
-    assert_eq!(stats.accepted, 4);
-    assert_eq!(stats.completed, 4);
-    assert_eq!(stats.deduped, 3);
-}
-
 /// A worker panic mid-execution cancels — exactly once, never hangs —
-/// every ticket attached to the in-flight deduplicated request.
+/// every ticket of the in-flight coalesced batch.
 #[test]
-fn dedup_fanout_resolves_every_ticket_on_worker_panic() {
+fn coalesced_batch_resolves_every_ticket_on_worker_panic() {
     struct Panicking;
     impl Synopsis for Panicking {
         fn name(&self) -> &str {
@@ -397,18 +321,16 @@ fn dedup_fanout_resolves_every_ticket_on_worker_panic() {
     let mut session = Session::new(uniform(100, 41));
     session.add_synopsis("boom", Panicking);
     let serve = session
-        .serve(
-            "boom",
-            ServeConfig::new().with_workers(1).with_dedup().paused(),
-        )
+        .serve("boom", ServeConfig::new().with_workers(1).paused())
         .unwrap();
     let tickets: Vec<Ticket> = (0..4)
         .map(|_| serve.submit_to("boom", &q(0.2, 0.8)).unwrap())
         .collect();
-    assert_eq!(serve.queue_depth(), 1);
+    assert_eq!(serve.queue_depth(), 4);
     serve.resume();
-    // The worker unwinds; dropping the in-flight request's ticket slots
-    // resolves every waiter to Cancelled — no client ever hangs on a
+    // The one worker pops the four requests as one coalesced batch and
+    // unwinds; dropping the batch's ticket slots resolves every waiter
+    // to Cancelled — no client ever hangs on a
     // request the server lost.
     for ticket in &tickets {
         assert_eq!(
@@ -418,16 +340,17 @@ fn dedup_fanout_resolves_every_ticket_on_worker_panic() {
     }
     let stats = serve.shutdown();
     assert_eq!(stats.accepted, 4);
-    assert_eq!(stats.deduped, 3);
     assert_eq!(stats.completed, 0);
 }
 
-/// Single-engine `serve` is byte-for-byte the PR 4 contract: no dedup
-/// unless opted in (identical submissions consume identical capacity and
-/// all reach the cache), the rejection boundary stays exact, and answers
-/// match direct calls bit for bit.
+/// N identical queued requests take N queue slots, yet coalesce into one
+/// batch that reaches the engine once: the cache hands the engine the
+/// batch's one distinct miss (computed once, as
+/// `cache::tests::duplicate_misses_within_one_batch_are_computed_once`
+/// pins) and fills every slot from it. The rejection boundary stays
+/// exact, and answers match direct calls bit for bit.
 #[test]
-fn single_engine_serve_behavior_is_unchanged_by_default() {
+fn identical_queued_requests_take_a_slot_each_but_reach_the_engine_once() {
     let mut served = Session::new(uniform(8_000, 51));
     let mut direct = Session::new(uniform(8_000, 51));
     served.add_engine("pass", &EngineSpec::pass()).unwrap();
@@ -443,7 +366,7 @@ fn single_engine_serve_behavior_is_unchanged_by_default() {
         )
         .unwrap();
 
-    // Identical submissions occupy one slot each — no silent dedup.
+    // Identical submissions occupy one slot each.
     let accepted: Vec<Ticket> = (0..depth)
         .map(|_| serve.submit_to("pass", &q(0.25, 0.75)).unwrap())
         .collect();
@@ -458,14 +381,17 @@ fn single_engine_serve_behavior_is_unchanged_by_default() {
         let got = ticket.wait().results().unwrap();
         assert_eq!(got[0].as_ref().unwrap().value, want);
     }
-    // Every accepted request consulted the cache: 1 miss + depth-1 hits.
+    // Every accepted request consulted the cache in one coalesced
+    // lookup, where all of them missed (the cache counts lookups); the
+    // one distinct miss was computed and stored once.
     let delta = served.cache_stats("pass").unwrap().since(&before);
-    assert_eq!(delta.hits + delta.misses, depth as u64);
+    assert_eq!((delta.hits, delta.misses), (0, depth as u64));
+    assert_eq!(delta.len, 1, "the engine computed the query once");
 
     let stats = serve.shutdown();
     assert_eq!(stats.accepted, depth as u64);
     assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.deduped, 0);
+    assert_eq!(stats.batches, 1, "the identical requests coalesced");
     assert_eq!(stats.queue_high_water, depth);
     // Shed load is attributed to the engine whose traffic caused it.
     assert_eq!(stats.per_engine[0].rejected, 1);

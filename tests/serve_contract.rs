@@ -366,7 +366,6 @@ fn assert_totals_are_row_sums(stats: &ServeStats) {
     assert_eq!(stats.completed, sum(|e| e.completed));
     assert_eq!(stats.rejected, sum(|e| e.rejected));
     assert_eq!(stats.expired, sum(|e| e.expired));
-    assert_eq!(stats.deduped, sum(|e| e.deduped));
     assert_eq!(stats.batches, sum(|e| e.batches));
 }
 
@@ -446,7 +445,7 @@ fn every_entry_point_engine_shape_and_option_matches_the_direct_answer() {
     let stats = serve.shutdown();
     assert_eq!(stats.accepted, per_engine * routes.len() as u64);
     assert_eq!(stats.completed, stats.accepted);
-    assert_eq!((stats.rejected, stats.expired, stats.deduped), (0, 0, 0));
+    assert_eq!((stats.rejected, stats.expired), (0, 0));
     assert_totals_are_row_sums(&stats);
     for (row, name) in stats.per_engine.iter().zip(&routes) {
         assert_eq!((row.engine.as_str(), row.completed), (*name, per_engine));

@@ -7,13 +7,17 @@
 //! `rows.matches(rect, i)` dominate. [`ScanScratch`] answers the same
 //! question with reusable buffers:
 //!
-//! 1. **Keep lanes** — one branch-free `(lo <= x) & (x <= hi)` pass per
-//!    predicate column over the contiguous `f64` slice, AND-ed into one
-//!    64-bit lane per row: all-ones if the row matches, `0` if not. Both
-//!    compares always run (a short-circuit `&&` is a branch per row), so
-//!    the pass auto-vectorizes; a NaN cell fails both and never matches.
-//!    `K_pred` is the popcount of the lanes.
-//! 2. **φ buffer, then the reference's additions** — one pass writes the
+//! 1. **Keep lanes** — one 64-bit lane per row, all-ones if the row
+//!    matches and `0` if not, from branch-free `(lo <= x) & (x <= hi)`
+//!    tests. Both compares always run (a short-circuit `&&` is a branch
+//!    per row), so the tests vectorize; a NaN cell fails both and never
+//!    matches. A single query runs one pass per predicate column over the
+//!    contiguous `f64` slice, AND-ing each into the lanes, and takes
+//!    `K_pred` as their popcount. A group (point 4) runs one row-major
+//!    pass for all its rectangles: a row's cells are tested against every
+//!    lane's intervals and AND-ed in registers, the row's lanes are stored
+//!    once, and each lane's `K_pred` is counted in the same loop.
+//! 2. **φ, then the reference's additions** — a single query writes the
 //!    selected φ vector into a reusable buffer as
 //!    `f64::from_bits((scale · v).to_bits() & keep)`, then the value sum
 //!    and Neumaier mean (one loop, two independent chains) and the
@@ -22,12 +26,26 @@
 //!    multiply-by-mask: the product for an unmatched row is computed and
 //!    then replaced whole by the literal `+0.0`, so an unmatched `inf` or
 //!    NaN can't poison a lane the way `0.0 × ∞` would, and a matched φ
-//!    keeps every bit. Every float addition happens in the same order
-//!    with the same addends as the materialized-φ reference, so results
-//!    are **bit-identical** by construction. This d-dimensional path
-//!    lives in its own out-of-line function: inlined into the entry
-//!    points it bloats the `k == 0` / sorted-1-D dispatch enough that the
-//!    1-D hot path loses throughput to code layout alone.
+//!    keeps every bit.
+//!
+//!    The group path keeps no buffer: each of its two moment loops forms
+//!    φ itself as `scale · f64::from_bits(x.to_bits() & keep)`, the mask
+//!    applied to the operand *before* the multiply. That gives the
+//!    select's bits in every lane whose answer is read. A matched row
+//!    multiplies the same two operands. An unmatched row multiplies
+//!    `scale` by `+0.0`, which is exactly the literal `+0.0` the select
+//!    writes, because `scale` is finite and `>= +0` (`N`, or `K / K_pred`
+//!    with `K_pred > 0`). A lane with `K_pred = 0` (scale `K / 0 = ∞`,
+//!    so its unmatched rows give NaN) is discarded to the no-match answer,
+//!    as before. And an unmatched `inf` or NaN never reaches the multiply
+//!    at all, so `0 · ∞` cannot happen anywhere.
+//!
+//!    Every float addition happens in the same order with the same addends
+//!    as the materialized-φ reference, so results are **bit-identical** by
+//!    construction. The single-query d-dimensional path lives in its own
+//!    out-of-line function: inlined into the entry points it bloats the
+//!    `k == 0` / sorted-1-D dispatch enough that the 1-D hot path loses
+//!    throughput to code layout alone.
 //! 3. **1-D fast path** — samples whose single predicate column is
 //!    non-decreasing (every builder-produced 1-D stratum sample, see
 //!    [`Sample::sorted_1d`]) resolve the match range as one index range:
@@ -50,11 +68,15 @@
 //! 4. **Lockstep groups** — a batch answers [`GROUP`] (four) queries per
 //!    pass over a stratum ([`ScanScratch::estimate_batch`] over one
 //!    sample, [`ScanScratch::estimate_group`] over one arena view for a
-//!    batch whose queries share a partial leaf). Each predicate column is
-//!    read once and tested against all four intervals, the four keep
-//!    lanes of a row sitting side by side; then every lane's φ is
-//!    selected and added to that lane's sums one row at a time, each lane
-//!    performing exactly the operations of point 2 in their order. What a
+//!    batch whose queries share a partial leaf) in three sweeps over the
+//!    stratum's rows. The predicate pass (point 1) leaves the four keep
+//!    lanes of a row side by side and every lane's `K_pred`; it is
+//!    unrolled over the dimension count for one to three dimensions, and
+//!    a wider rectangle folds in three dimensions per pass. Then each of
+//!    the two moment loops forms every lane's φ from a row's lanes and
+//!    value (point 2) and adds it to that lane's sums, one row at a time,
+//!    each lane performing exactly the operations of point 2 in their
+//!    order. What a
 //!    single query cannot do is overlap them: its two moment loops are
 //!    one Neumaier dependency chain each, an add retiring every ~4 cycles
 //!    with nothing beside it, and that — not the column reads — is most
@@ -77,13 +99,13 @@
 //!    `group_moments`) is compiled twice: `group_lanes_portable` for the
 //!    target's baseline ISA — SSE2 pairs on `x86_64` — and, on `x86_64`,
 //!    `group_lanes_avx2` under `#[target_feature(enable = "avx2")]`, which
-//!    tests a row's four lanes with one 256-bit compare, selects their φ
-//!    with one 256-bit multiply (the select is a branch-free pass of its
-//!    own for that reason) and advances the four Neumaier chains with
-//!    256-bit adds. `group_lanes` calls the AVX2 build when
-//!    `is_x86_feature_detected!("avx2")`, which `std` caches after the
-//!    first query, reports AVX2; that call is the workspace's one
-//!    `unsafe`, fenced by `pass-lint` rule 10. The choice cannot move a
+//!    tests a row's four lanes with one 256-bit compare per bound, forms
+//!    their φ with one 256-bit mask and multiply (a COUNT lane's `x = 1`
+//!    is chosen by mask bits, so no lane branches) and advances the four
+//!    Neumaier chains with 256-bit adds. `group_lanes` calls the AVX2
+//!    build when `is_x86_feature_detected!("avx2")`, which `std` caches
+//!    after the first query, reports AVX2; that call is the workspace's
+//!    one `unsafe`, fenced by `pass-lint` rule 10. The choice cannot move a
 //!    bit: every lane operation is an IEEE-754 basic operation (add, sub,
 //!    mul, div, compare) or a bitwise select, correctly rounded whatever
 //!    the vector width, and rustc never contracts `a·b + c` into a fused
@@ -163,7 +185,10 @@ impl PointVariance {
 
 /// Queries one pass of the lockstep group kernel answers. Four `f64`
 /// accumulator chains fill two SSE2 register pairs, or one AVX2 register,
-/// and overlap each other's add latency; eight measured no faster.
+/// and overlap each other's add latency. Eight measured slower under
+/// AVX2 on a 2-vCPU Xeon: 0.95× `batch_md` throughput with the column
+/// passes and φ buffer the fused kernel replaced, and 0.89× (six pairs,
+/// behind in all six) with the fused kernel.
 pub const GROUP: usize = 4;
 
 /// A borrowed, contiguous view of one stratum's sample rows: the value
@@ -224,9 +249,11 @@ fn view_1d(sample: &Sample) -> SampleView<'_> {
 /// Reusable buffers for the scan kernels. Construct once per worker (or
 /// borrow the thread-local via [`with_scratch`]) and reuse across
 /// queries; no per-query allocation happens after the buffers reach the
-/// sample size high-water mark. Every buffer is resized to the current
-/// stratum's `k` (times [`GROUP`] on the group path) before use, so
-/// nothing a previous call left behind is ever read.
+/// sample size high-water mark. Nothing a previous call left behind is
+/// ever read: the single-query path resizes its buffers to the current
+/// stratum's `k`, and the group path grows `keep` to `k` × [`GROUP`] only
+/// when it is shorter, its first predicate pass writing every lane of
+/// that prefix before anything reads one.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     /// Byte match vector handed out by [`match_mask`](Self::match_mask).
@@ -234,8 +261,8 @@ pub struct ScanScratch {
     /// Keep lanes, one `u64` (all-ones / `0`) per sampled row — or, on
     /// the group path, [`GROUP`] side by side per row.
     keep: Vec<u64>,
-    /// The selected φ values of the query (or group) being finished, in
-    /// the layout of `keep`.
+    /// The selected φ values of the single query being finished. The
+    /// group path forms φ inside its moment loops and never touches it.
     phi: Vec<f64>,
 }
 
@@ -402,9 +429,9 @@ impl ScanScratch {
         self.group_lanes_portable(aggs, view.values, view.population, view.dims, col, bound)
     }
 
-    /// The lockstep group kernel (module docs, point 4): keep lanes for
-    /// all [`GROUP`] rectangles from one read of each predicate column,
-    /// then every lane's moments side by side. `col(d)` is the stratum's
+    /// The lockstep group kernel (module docs, point 4): keep lanes and
+    /// `K_pred` for all [`GROUP`] rectangles from one row-major pass, then
+    /// every lane's moments side by side. `col(d)` is the stratum's
     /// predicate column `d`, `bound(l, d)` lane `l`'s inclusive interval
     /// in that dimension. Runs the AVX2 build when the CPU has AVX2 and
     /// the portable build otherwise; both compile
@@ -484,22 +511,27 @@ impl ScanScratch {
         col: impl Fn(usize) -> &'c [f64],
         bound: impl Fn(usize, usize) -> (f64, f64),
     ) -> [Option<PointVariance>; GROUP] {
-        self.keep.clear();
-        self.keep.resize(values.len() * GROUP, 0);
-        let (keep, _) = self.keep.as_chunks_mut::<GROUP>();
-        for d in 0..dims {
-            group_pass(col(d), std::array::from_fn(|l| bound(l, d)), d == 0, keep);
+        // The first pass writes every lane of `keep[..len]` before anything
+        // reads it, so the buffer only has to be long enough.
+        let len = values.len() * GROUP;
+        if self.keep.len() < len {
+            self.keep.resize(len, 0);
         }
-        // `K_pred`: integer popcount of each lane (order-independent).
+        let (keep, _) = self.keep[..len].as_chunks_mut::<GROUP>();
+        // Up to three dimensions per pass over the rows; a wider rectangle
+        // ANDs its later chunks into the lanes the earlier ones left, and
+        // the last pass's count is `K_pred`.
         let mut k_pred = [0u64; GROUP];
-        for lanes in keep.iter() {
-            for (n, lane) in k_pred.iter_mut().zip(lanes) {
-                *n += lane & 1;
-            }
+        for from in (0..dims).step_by(3) {
+            k_pred = match dims - from {
+                1 => group_pass::<1>(from, &col, &bound, keep),
+                2 => group_pass::<2>(from, &col, &bound, keep),
+                _ => group_pass::<3>(from, &col, &bound, keep),
+            };
         }
         let sampled = |l: usize| k_pred[l] > 0 && AggKind::SAMPLED.contains(&aggs[l]);
         let moments = if (0..GROUP).any(sampled) {
-            group_moments(aggs, values, population, keep, k_pred, &mut self.phi)
+            group_moments(aggs, values, population, keep, k_pred)
         } else {
             [EMPTY_MATCH; GROUP]
         };
@@ -603,23 +635,39 @@ fn fill_lanes<'c, M: Lane>(
     }
 }
 
-/// [`lane_pass`] for [`GROUP`] intervals at once: the column is read once,
-/// every row tested against all of them, and the row's [`GROUP`] keep
-/// lanes (all-ones / `0`) sit side by side.
+/// [`lane_pass`] for [`GROUP`] rectangles and `D` dimensions at once, row
+/// by row. A row's cells in dimensions `from..from + D` are tested against
+/// all [`GROUP`] intervals and AND-ed in registers into the row's keep
+/// lanes (all-ones / `0`, side by side), which are stored once; the pass
+/// from dimension 0 writes them fresh, a later one ANDs into the stored
+/// lanes. Returns each lane's match count.
 #[inline(always)]
-fn group_pass(col: &[f64], pairs: [(f64, f64); GROUP], first: bool, keep: &mut [[u64; GROUP]]) {
+fn group_pass<'c, const D: usize>(
+    from: usize,
+    col: &impl Fn(usize) -> &'c [f64],
+    bound: &impl Fn(usize, usize) -> (f64, f64),
+    keep: &mut [[u64; GROUP]],
+) -> [u64; GROUP] {
+    let cols: [&[f64]; D] = std::array::from_fn(|j| &col(from + j)[..keep.len()]);
+    let pairs: [[(f64, f64); GROUP]; D] =
+        std::array::from_fn(|j| std::array::from_fn(|l| bound(l, from + j)));
     let hit = |x: f64, (lo, hi): (f64, f64)| u64::of((lo <= x) & (x <= hi));
-    if first {
-        for (lanes, &x) in keep.iter_mut().zip(col) {
-            *lanes = pairs.map(|pair| hit(x, pair));
-        }
-    } else {
-        for (lanes, &x) in keep.iter_mut().zip(col) {
-            for (lane, pair) in lanes.iter_mut().zip(pairs) {
+    let first = from == 0;
+    let mut k_pred = [0u64; GROUP];
+    for (i, lanes) in keep.iter_mut().enumerate() {
+        let mut row = if first { [u64::MAX; GROUP] } else { *lanes };
+        for (c, pairs) in cols.iter().zip(&pairs) {
+            let x = c[i];
+            for (lane, &pair) in row.iter_mut().zip(pairs) {
                 *lane &= hit(x, pair);
             }
         }
+        *lanes = row;
+        for (n, lane) in k_pred.iter_mut().zip(row) {
+            *n += lane & 1;
+        }
     }
+    k_pred
 }
 
 /// Finish an estimate off prebuilt match lanes over `values` (the lane
@@ -743,16 +791,16 @@ fn neumaier_add(acc: &mut (f64, f64), value: f64) {
     *acc = (t, compensation + lost);
 }
 
-/// [`select_phi`] and [`moments`] for [`GROUP`] lanes in lockstep. One
-/// sweep selects every lane's φ as `from_bits((c · x).to_bits() & keep)`
-/// — `c = N`, `x = 1` for COUNT; `c = N`, `x = value` for SUM;
-/// `c = K / K_pred` for AVG — a second adds each row to every lane's
-/// plain sum and Neumaier mean, and a third adds the squared deviations.
-/// Each lane performs exactly the single-query
-/// path's additions in its order; what changes is that one loop carries
-/// [`GROUP`] independent dependency chains instead of one. A lane nothing
-/// matched (`c = K / 0`) or a MIN/MAX lane runs along and its numbers
-/// are never read.
+/// [`select_phi`] and [`moments`] for [`GROUP`] lanes in lockstep, with
+/// no φ buffer. One sweep adds each row to every lane's plain sum and
+/// Neumaier mean, a second adds the squared deviations, and each forms a
+/// row's φ itself as `c · from_bits(x.to_bits() & keep)` — `c = N`,
+/// `x = 1` for COUNT; `c = N`, `x = value` for SUM; `c = K / K_pred` for
+/// AVG — which is the select's φ bit for bit (module docs, point 2).
+/// Each lane performs exactly the single-query path's additions in its
+/// order; what changes is that one loop carries [`GROUP`] independent
+/// dependency chains instead of one. A lane nothing matched (`c = K / 0`)
+/// or a MIN/MAX lane runs along and its numbers are never read.
 #[inline(always)]
 fn group_moments(
     aggs: [AggKind; GROUP],
@@ -760,7 +808,6 @@ fn group_moments(
     population: u64,
     keep: &[[u64; GROUP]],
     k_pred: [u64; GROUP],
-    phi: &mut Vec<f64>,
 ) -> [PointVariance; GROUP] {
     let k = values.len();
     let (n, kf) = (population as f64, k as f64);
@@ -769,22 +816,20 @@ fn group_moments(
         AggKind::Avg => kf / k_pred[l] as f64,
         _ => n,
     });
-    phi.clear();
-    phi.resize(k * GROUP, 0.0);
-    let (phi, _) = phi.as_chunks_mut::<GROUP>();
+    // A row's φ in every lane, branch-free: a COUNT lane's `x = 1` is
+    // chosen by mask bits, and a rejected row's `x` is masked to `+0.0`
+    // before the multiply (module docs, point 2).
+    let phi = |lanes: &[u64; GROUP], v: f64| -> [f64; GROUP] {
+        std::array::from_fn(|l| {
+            let x = (v.to_bits() & !count[l]) | (1.0f64.to_bits() & count[l]);
+            scale[l] * f64::from_bits(x & lanes[l])
+        })
+    };
     // Seeded like `moments`: the plain sum at `-0.0`, Neumaier at `+0.0`.
     let mut sum = [-0.0f64; GROUP];
     let mut mean_acc = [(0.0f64, 0.0f64); GROUP];
-    // The φ select is a pass of its own and branch-free (a COUNT lane's
-    // `x = 1` is chosen by mask bits), so it packs into vector lanes; the
-    // additions then read the rows in index order.
-    for ((row, lanes), &v) in phi.iter_mut().zip(keep).zip(values) {
-        for l in 0..GROUP {
-            let x = f64::from_bits((v.to_bits() & !count[l]) | (1.0f64.to_bits() & count[l]));
-            row[l] = f64::from_bits((scale[l] * x).to_bits() & lanes[l]);
-        }
-    }
-    for row in phi.iter() {
+    for (lanes, &v) in keep.iter().zip(values) {
+        let row = phi(lanes, v);
         for l in 0..GROUP {
             sum[l] += row[l];
             neumaier_add(&mut mean_acc[l], row[l]);
@@ -795,7 +840,8 @@ fn group_moments(
     } else {
         let mean = mean_acc.map(|(sum, compensation)| (sum + compensation) / kf);
         let mut ss = [(0.0f64, 0.0f64); GROUP];
-        for row in phi.iter() {
+        for (lanes, &v) in keep.iter().zip(values) {
+            let row = phi(lanes, v);
             for l in 0..GROUP {
                 let d = row[l] - mean[l];
                 neumaier_add(&mut ss[l], d * d);
@@ -1050,6 +1096,32 @@ mod tests {
             let single = scratch.estimate(q.agg, &s, &q.rect);
             assert_eq!(bits(fused), bits(&single), "{}", q.agg);
         }
+    }
+
+    #[test]
+    fn the_group_path_never_touches_the_phi_buffer() {
+        // The group kernel forms φ inside its moment loops: a scratch that
+        // has only answered groups and batches has never grown `phi`.
+        let s = Sample::from_rows(table_nd(67, 3, 21), 500).unwrap();
+        let arena = crate::arena::SampleArena::from_samples(std::slice::from_ref(&s));
+        let queries: Vec<Query> = (0..9)
+            .map(|i| {
+                let lo = i as f64 * 0.1;
+                Query::new(AggKind::ALL[i % 5], Rect::new(&[(lo, lo + 0.5); 3]))
+            })
+            .collect();
+        let mut scratch = ScanScratch::new();
+        let mut out = Vec::new();
+        scratch.estimate_batch(&s, &queries, &mut out);
+        let bounds = [(0.0, 1.0); 3];
+        let points = scratch.estimate_group(
+            &arena.view(0),
+            [AggKind::Sum, AggKind::Count, AggKind::Avg, AggKind::Max],
+            [&bounds[..]; GROUP],
+        );
+        assert!(points.iter().all(Option::is_some));
+        assert_eq!(scratch.phi.capacity(), 0);
+        assert!(scratch.keep.capacity() >= 67 * GROUP);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! corners, signed zeros in the data, and the 1-D sorted binary-search
 //! fast path against the d-dimensional mask path.
 //!
-//! The d-dimensional path is auto-vectorized (keep lanes, a φ buffer,
-//! then the reference's additions), so the suite also walks every sample
+//! The d-dimensional paths are auto-vectorized (keep lanes; a φ buffer
+//! for a single query, φ formed inside the moment loops for a group; then
+//! the reference's additions), so the suite also walks every sample
 //! size 1..=70 — each vector-lane remainder — through every entry point
 //! (`Sample`, forced mask path, `SampleArena::view`, grouped batch), with
 //! `K_pred ∈ {0, 1, k}`, NaN predicate cells, `±inf`/NaN/1e300 values in
@@ -18,8 +19,10 @@
 //! one matching a single row. The group kernel is compiled twice, for
 //! the target's baseline ISA and with AVX2, and chosen at run time; the
 //! grouped checks hold the build this CPU dispatches to and the portable
-//! build to the reference alike. CI runs it in release too: that is the
-//! codegen the bit-identity rests on.
+//! build to the reference alike. The group's predicate pass is unrolled
+//! for one to three dimensions and folds a wider rectangle in a chunk at a
+//! time, so one test walks every arity 1..=5. CI runs it in release too:
+//! that is the codegen the bit-identity rests on.
 //!
 //! "Bit-for-bit" is literal: every comparison goes through `f64::to_bits`,
 //! so even a `-0.0` vs `+0.0` drift (the `Iterator::sum` seed subtlety the
@@ -430,5 +433,92 @@ fn every_lane_remainder_at_kpred_zero_one_and_all() {
             .map(|(i, rect)| Query::new(AggKind::ALL[(i + k) % 5], rect.clone()))
             .collect();
         assert_groups_match(&s, &queries, &mut scratch);
+    }
+}
+
+/// A `k`-row stratum in `dims` dimensions for the arity sweep. Its
+/// values are `-0.0` and magnitudes from 1e-6 to 1e6 of both signs; its
+/// predicate cells include `-0.0` and `±inf`, which a rectangle can keep.
+/// The `hostile` twin also puts NaN, `+inf` or `-inf` in every fourth
+/// value cell and a NaN in one predicate cell of every twelfth row, which
+/// no rectangle can keep.
+fn arity_stratum(dims: usize, k: usize, hostile: bool) -> Table {
+    const ODD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let seed = (dims * 100 + k) as u64;
+    let mut preds: Vec<Vec<f64>> = (0..dims)
+        .map(|d| keys(k, seed ^ (d as u64 * 0x9e37)))
+        .collect();
+    for (i, d) in (0..k).zip((0..dims).cycle()) {
+        preds[d][i] = match i % 12 {
+            2 | 8 => -0.0,
+            4 => f64::INFINITY,
+            10 => f64::NEG_INFINITY,
+            5 if hostile => f64::NAN,
+            _ => preds[d][i],
+        };
+    }
+    let values = (0..k)
+        .map(|i| match i % 5 {
+            _ if hostile && i % 4 == 1 => ODD[i % 3],
+            0 => -0.0,
+            r => (if i % 2 == 0 { 1.0 } else { -1.0 }) * 10f64.powi(r as i32 * 3 - 6),
+        })
+        .collect();
+    let names = std::iter::once("val".to_string())
+        .chain((0..dims).map(|d| format!("d{d}")))
+        .collect();
+    Table::new(values, preds, names).unwrap()
+}
+
+/// The group kernel's predicate pass is unrolled for one to three
+/// dimensions and folds a wider rectangle in a chunk at a time, so every
+/// arity 1..=5 crosses it, at `K ∈ {0, 1, 2, 3, 5, 26, 67}`: batches of
+/// nine mixed-aggregate lanes keeping nothing, every row, the row at
+/// either end or in the middle, or a band, over both twins of
+/// [`arity_stratum`] — so NaN, `±inf` and `-0.0` sit in rows the lanes
+/// keep and rows they reject. Every lane goes through `estimate_group`,
+/// `estimate_group_portable`, `estimate_batch` and `estimate_view`
+/// against the reference, bit for bit.
+#[test]
+fn group_kernel_matches_reference_at_every_arity() {
+    let mut scratch = ScanScratch::new();
+    for dims in 1..=5usize {
+        for k in [0usize, 1, 2, 3, 5, 26, 67] {
+            for hostile in [false, true] {
+                let rows = arity_stratum(dims, k, hostile);
+                let every = Rect::new(&vec![(f64::NEG_INFINITY, f64::INFINITY); dims]);
+                let none = Rect::new(&vec![(5.0, 6.0); dims]);
+                let point = |i: usize| {
+                    let at = |d| (rows.predicate(d, i), rows.predicate(d, i));
+                    Rect::new(&(0..dims).map(at).collect::<Vec<_>>())
+                };
+                let mut rects = vec![none.clone(), every.clone()];
+                if k > 0 {
+                    rects.extend([
+                        point(0),
+                        point(k / 2),
+                        point(k - 1),
+                        Rect::new(&vec![(0.2, 0.9); dims]),
+                        every,
+                        none,
+                        Rect::new(&vec![(-0.0, 0.6); dims]),
+                    ]);
+                }
+                let s = Sample::from_rows(rows, 3 * k as u64 + 1).unwrap();
+                let k_preds: Vec<usize> = rects.iter().map(|r| s.k_pred(r)).collect();
+                let nan_rows = if hostile { (k + 6) / 12 } else { 0 };
+                let ctx = format!("premise: dims={dims} k={k} {k_preds:?}");
+                assert_eq!(k_preds[..2], [0, k - nan_rows], "{ctx}");
+                if !hostile && k > 0 {
+                    assert_eq!(k_preds[2..5], [1, 1, 1], "{ctx}");
+                }
+                let queries: Vec<Query> = rects
+                    .into_iter()
+                    .enumerate()
+                    .map(|(q, rect)| Query::new(AggKind::ALL[(q + k + dims) % 5], rect))
+                    .collect();
+                assert_groups_match(&s, &queries, &mut scratch);
+            }
+        }
     }
 }

@@ -10,21 +10,17 @@
 //! and tracks the queue-depth high-water mark so saturation is
 //! observable after the fact.
 //!
-//! **Within** a class the pop policy is earliest-deadline-first:
-//! [`try_push_scheduled`](RequestQueue::try_push_scheduled) attaches an
-//! optional deadline to the item and the queue keeps each class sorted
-//! so the most urgent entry is always at the head. Undated entries keep
-//! FIFO order *after* every dated one, and two equal deadlines preserve
-//! FIFO too, so the plain [`try_push`](RequestQueue::try_push) (no
-//! deadline) degrades to exactly the old FIFO-within-class behavior.
+//! **Within** a class the pop policy is FIFO: each class is a plain
+//! `VecDeque`, pushed at the back and popped from the front. An item
+//! may carry a deadline, but the queue never reads it: expiring stale
+//! items is the consumer's job (the serving layer resolves them
+//! `Expired` at pop time).
 //!
 //! Like the [`crate::ThreadPool`], this is deliberately dependency-free:
 //! one `Mutex` around two `VecDeque`s plus a `Condvar` for blocking
 //! consumers. The serving layer's queues hold hundreds of requests, not
 //! millions — correctness and observability beat lock-free cleverness
-//! here, and that includes the scheduling structure: a sorted `VecDeque`
-//! with binary-search insertion beats a heap because the coalescing
-//! drain walks entries in schedule order and FIFO ties are free.
+//! here.
 //!
 //! Consumers count themselves (under that one `Mutex`) while parked in
 //! [`pop_blocking`](RequestQueue::pop_blocking), so a push wakes one
@@ -34,7 +30,6 @@
 use std::collections::VecDeque;
 
 use crate::chaos::{Condvar, Mutex};
-use std::time::Instant;
 
 /// The admission class of a serving request.
 ///
@@ -42,8 +37,8 @@ use std::time::Instant;
 /// popped before any `Bulk` request, and requests within one class pop
 /// FIFO. Two classes (not N) is a deliberate serving-layer idiom: a
 /// latency-sensitive dashboard query must overtake a queued analytics
-/// sweep, and anything finer-grained tends to re-invent deadlines —
-/// which the serving layer supports separately.
+/// sweep, and anything finer-grained has no measured case
+/// (`docs/SERVING.md`, "Mixed traffic").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Latency-sensitive: pops before every queued [`Bulk`](Self::Bulk)
@@ -62,32 +57,10 @@ pub enum PushError {
     Closed,
 }
 
-/// One queued entry plus its earliest-deadline-first key. `key == None`
-/// means undated: the entry sorts after every dated one and keeps FIFO
-/// order among other undated entries.
-#[derive(Debug)]
-struct Scheduled<T> {
-    item: T,
-    key: Option<Instant>,
-}
-
-/// Whether an already-queued entry with EDF key `existing` keeps its
-/// place ahead of a newly inserted key `incoming`: dated before undated,
-/// earlier deadline first, and FIFO on exact ties (the existing entry
-/// stays in front) — which also makes undated-only traffic pure FIFO.
-fn keeps_place(existing: Option<Instant>, incoming: Option<Instant>) -> bool {
-    match (existing, incoming) {
-        (None, None) => true,
-        (None, Some(_)) => false,
-        (Some(_), None) => true,
-        (Some(a), Some(b)) => a <= b,
-    }
-}
-
 #[derive(Debug)]
 struct QueueInner<T> {
-    interactive: VecDeque<Scheduled<T>>,
-    bulk: VecDeque<Scheduled<T>>,
+    interactive: VecDeque<T>,
+    bulk: VecDeque<T>,
     closed: bool,
     paused: bool,
     high_water: usize,
@@ -102,7 +75,7 @@ impl<T> QueueInner<T> {
         self.interactive.len() + self.bulk.len()
     }
 
-    fn class_mut(&mut self, class: Priority) -> &mut VecDeque<Scheduled<T>> {
+    fn class_mut(&mut self, class: Priority) -> &mut VecDeque<T> {
         match class {
             Priority::Interactive => &mut self.interactive,
             Priority::Bulk => &mut self.bulk,
@@ -110,16 +83,14 @@ impl<T> QueueInner<T> {
     }
 }
 
-/// A bounded MPMC queue with two strict priority classes,
-/// earliest-deadline-first ordering within each class, and a queue-depth
-/// high-water mark.
+/// A bounded MPMC queue with two strict priority classes, FIFO order
+/// within each class, and a queue-depth high-water mark.
 ///
-/// Producers call [`try_push`](Self::try_push) (FIFO among undated
-/// entries) or [`try_push_scheduled`](Self::try_push_scheduled) (with an
-/// EDF deadline) — neither ever blocks: a full queue returns
-/// [`PushError::Full`] so the caller can shed the request (the serving
-/// layer turns this into a `Rejected` ticket). Consumers call [`pop_blocking`](Self::pop_blocking) (parks
-/// until an item arrives or the queue closes) or the non-blocking
+/// Producers call [`try_push`](Self::try_push), which never blocks: a
+/// full queue returns [`PushError::Full`] so the caller can shed the
+/// request (the serving layer turns this into a `Rejected` ticket).
+/// Consumers call [`pop_blocking`](Self::pop_blocking) (parks until an
+/// item arrives or the queue closes) or the non-blocking
 /// [`drain_class_where`](Self::drain_class_where) used by batch
 /// coalescing.
 ///
@@ -127,21 +98,17 @@ impl<T> QueueInner<T> {
 ///
 /// ```
 /// use pass_common::{Priority, RequestQueue};
-/// use std::time::{Duration, Instant};
 ///
 /// let queue = RequestQueue::new(8);
 /// queue.try_push("sweep", Priority::Bulk).unwrap();
 /// queue.try_push("dashboard", Priority::Interactive).unwrap();
-/// // A dated bulk entry overtakes the undated bulk one (EDF), but no
-/// // bulk entry ever overtakes queued interactive work.
-/// let soon = Instant::now() + Duration::from_millis(50);
-/// queue
-///     .try_push_scheduled("urgent sweep", Priority::Bulk, Some(soon))
-///     .unwrap();
+/// queue.try_push("second sweep", Priority::Bulk).unwrap();
 ///
+/// // No bulk entry ever overtakes queued interactive work; within a
+/// // class, entries pop in submission order.
 /// assert_eq!(queue.pop_blocking(), Some(("dashboard", Priority::Interactive)));
-/// assert_eq!(queue.pop_blocking(), Some(("urgent sweep", Priority::Bulk)));
 /// assert_eq!(queue.pop_blocking(), Some(("sweep", Priority::Bulk)));
+/// assert_eq!(queue.pop_blocking(), Some(("second sweep", Priority::Bulk)));
 /// ```
 #[derive(Debug)]
 pub struct RequestQueue<T> {
@@ -189,34 +156,16 @@ impl<T> RequestQueue<T> {
         self.inner.lock().high_water
     }
 
-    /// Enqueue `item` under `priority` with no deadline (it sorts after
-    /// every dated entry in the class, FIFO among the undated). Never
-    /// blocks: a queue at capacity refuses with [`PushError::Full`] (and
-    /// gives `item` back), a closed queue with [`PushError::Closed`].
-    pub fn try_push(&self, item: T, priority: Priority) -> Result<(), (PushError, T)> {
-        self.try_push_scheduled(item, priority, None)
-    }
-
-    /// Enqueue `item` under `priority` with an earliest-deadline-first
-    /// key: within its class the entry pops before every entry with a
-    /// later (or no) deadline. Equal deadlines preserve submission
-    /// order, and `deadline == None` is exactly
-    /// [`try_push`](Self::try_push). The deadline only *schedules* —
-    /// expiring stale items remains the consumer's job (the serving
-    /// layer resolves them `Expired` at pop time), which is what keeps
-    /// an expired-at-pop entry from ever blocking a live later one.
+    /// Enqueue `item` at the back of `priority`'s class. Never blocks: a
+    /// queue at capacity refuses with [`PushError::Full`] (and gives
+    /// `item` back), a closed queue with [`PushError::Closed`].
     ///
-    /// Admission control, EDF insertion, high-water accounting and the
+    /// Admission control, the push, high-water accounting and the
     /// decision to wake a consumer all happen under one lock; the
     /// wakeup itself is issued after unlocking, and only if a consumer
     /// was parked (with every worker busy it would be a `futex` syscall
     /// nobody hears).
-    pub fn try_push_scheduled(
-        &self,
-        item: T,
-        priority: Priority,
-        deadline: Option<Instant>,
-    ) -> Result<(), (PushError, T)> {
+    pub fn try_push(&self, item: T, priority: Priority) -> Result<(), (PushError, T)> {
         let mut inner = self.inner.lock();
         if inner.closed {
             return Err((PushError::Closed, item));
@@ -224,18 +173,7 @@ impl<T> RequestQueue<T> {
         if inner.len() >= self.capacity {
             return Err((PushError::Full, item));
         }
-        // EDF position: after every entry that keeps its place, before
-        // the first that doesn't (binary search — the deque is always
-        // sorted by `keeps_place`).
-        let deque = inner.class_mut(priority);
-        let idx = deque.partition_point(|e| keeps_place(e.key, deadline));
-        deque.insert(
-            idx,
-            Scheduled {
-                item,
-                key: deadline,
-            },
-        );
+        inner.class_mut(priority).push_back(item);
         inner.high_water = inner.high_water.max(inner.len());
         let parked = inner.parked > 0;
         drop(inner);
@@ -245,9 +183,8 @@ impl<T> RequestQueue<T> {
         Ok(())
     }
 
-    /// Dequeue the highest-priority item — interactive before bulk, and
-    /// earliest deadline first within the class (undated entries FIFO
-    /// after all dated ones) — parking the caller until one arrives.
+    /// Dequeue the highest-priority item — interactive before bulk, FIFO
+    /// within the class — parking the caller until one arrives.
     /// Returns `None` only when the queue is closed **and** drained —
     /// workers use that as their exit signal, so no accepted request is
     /// ever dropped by shutdown. A [paused](Self::set_paused) queue
@@ -257,11 +194,11 @@ impl<T> RequestQueue<T> {
         let mut inner = self.inner.lock();
         loop {
             if !inner.paused || inner.closed {
-                if let Some(entry) = inner.interactive.pop_front() {
-                    return Some((entry.item, Priority::Interactive));
+                if let Some(item) = inner.interactive.pop_front() {
+                    return Some((item, Priority::Interactive));
                 }
-                if let Some(entry) = inner.bulk.pop_front() {
-                    return Some((entry.item, Priority::Bulk));
+                if let Some(item) = inner.bulk.pop_front() {
+                    return Some((item, Priority::Bulk));
                 }
                 if inner.closed {
                     return None;
@@ -274,7 +211,7 @@ impl<T> RequestQueue<T> {
     }
 
     /// Dequeue items from the head of `class` — without blocking, in
-    /// schedule (EDF) order — for as long as `admit` approves the next
+    /// FIFO order — for as long as `admit` approves the next
     /// head; the first refusal (or an empty class) stops the drain with
     /// the queue intact from there. The whole drain holds the lock
     /// **once**, so it is atomic with respect to producers (no per-item
@@ -287,7 +224,7 @@ impl<T> RequestQueue<T> {
     /// interactive work behind a glued-together bulk batch. Stopping at
     /// the first refusal (rather than skipping past it) is what lets
     /// the serving layer refuse a different-engine head and thereby
-    /// never reorder the schedule. Pausing also stops the drain (unless
+    /// never reorder the class. Pausing also stops the drain (unless
     /// the queue is closed and draining for shutdown).
     pub fn drain_class_where(&self, class: Priority, mut admit: impl FnMut(&T) -> bool) -> Vec<T> {
         let mut drained = Vec::new();
@@ -299,14 +236,8 @@ impl<T> RequestQueue<T> {
             return drained;
         }
         let deque = inner.class_mut(class);
-        loop {
-            match deque.front() {
-                Some(head) if admit(&head.item) => {}
-                _ => break,
-            }
-            if let Some(entry) = deque.pop_front() {
-                drained.push(entry.item);
-            }
+        while deque.front().is_some_and(&mut admit) {
+            drained.extend(deque.pop_front());
         }
         drained
     }
@@ -571,59 +502,17 @@ mod tests {
     }
 
     #[test]
-    fn earliest_deadline_pops_first_within_a_class() {
+    fn a_dated_entry_does_not_overtake_an_earlier_undated_one() {
+        // The queue holds no deadline, so the item carrying one sits
+        // behind the undated item pushed before it.
         let q = RequestQueue::new(8);
-        let base = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        let at = |s: u64| Some(base + std::time::Duration::from_secs(s));
-        q.try_push_scheduled("late", Priority::Bulk, at(30))
-            .unwrap();
-        q.try_push_scheduled("soon", Priority::Bulk, at(1)).unwrap();
-        q.try_push_scheduled("mid", Priority::Bulk, at(10)).unwrap();
-        for want in ["soon", "mid", "late"] {
-            assert_eq!(q.pop_blocking(), Some((want, Priority::Bulk)));
-        }
-    }
-
-    #[test]
-    fn undated_entries_keep_fifo_order_after_all_dated_ones() {
-        let q = RequestQueue::new(8);
-        let soon = Some(std::time::Instant::now() + std::time::Duration::from_secs(1));
-        q.try_push("undated-1", Priority::Bulk).unwrap();
-        q.try_push("undated-2", Priority::Bulk).unwrap();
-        // A dated entry submitted *after* the undated ones still pops
-        // first; the undated ones keep their relative FIFO order.
-        q.try_push_scheduled("dated", Priority::Bulk, soon).unwrap();
-        for want in ["dated", "undated-1", "undated-2"] {
-            assert_eq!(q.pop_blocking(), Some((want, Priority::Bulk)));
-        }
-    }
-
-    #[test]
-    fn equal_deadlines_preserve_submission_order() {
-        let q = RequestQueue::new(8);
-        // One shared Instant: a bit-exact deadline tie.
-        let tie = Some(std::time::Instant::now() + std::time::Duration::from_secs(5));
-        for v in [1, 2, 3] {
-            q.try_push_scheduled(v, Priority::Interactive, tie).unwrap();
-        }
-        for want in [1, 2, 3] {
-            assert_eq!(q.pop_blocking(), Some((want, Priority::Interactive)));
-        }
-    }
-
-    #[test]
-    fn edf_ordering_does_not_cross_priority_classes() {
-        let q = RequestQueue::new(8);
-        let soon = Some(std::time::Instant::now() + std::time::Duration::from_millis(1));
-        q.try_push_scheduled("urgent bulk", Priority::Bulk, soon)
-            .unwrap();
-        q.try_push("undated interactive", Priority::Interactive)
-            .unwrap();
-        // Strict classes first, EDF only within one.
+        let soon = std::time::Instant::now() + std::time::Duration::from_millis(1);
+        q.try_push(("undated", None), Priority::Bulk).unwrap();
+        q.try_push(("dated", Some(soon)), Priority::Bulk).unwrap();
+        assert_eq!(q.pop_blocking(), Some((("undated", None), Priority::Bulk)));
         assert_eq!(
             q.pop_blocking(),
-            Some(("undated interactive", Priority::Interactive))
+            Some((("dated", Some(soon)), Priority::Bulk))
         );
-        assert_eq!(q.pop_blocking(), Some(("urgent bulk", Priority::Bulk)));
     }
 }

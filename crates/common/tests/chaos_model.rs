@@ -26,7 +26,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use pass_common::chaos::{self, Chaos};
 use pass_common::{
@@ -133,30 +132,6 @@ fn interactive_always_pops_before_queued_bulk() {
     // The model genuinely explored both phenomena.
     assert!(saw_both_queued.load(Ordering::Relaxed) > 0);
     assert!(saw_interleaved.load(Ordering::Relaxed) > 0);
-}
-
-/// Invariant 4, EDF half: however two racing dated pushes interleave,
-/// the earlier deadline pops first within the class.
-#[test]
-fn edf_order_is_independent_of_push_interleaving() {
-    let report = Chaos::new("edf_order").check(|| {
-        let queue: RequestQueue<u32> = RequestQueue::new(4);
-        let base = Instant::now();
-        let soon = Some(base + Duration::from_millis(10));
-        let late = Some(base + Duration::from_millis(20));
-        chaos::scope(|s| {
-            s.spawn(|| queue.try_push_scheduled(1, Priority::Bulk, late).unwrap());
-            s.spawn(|| queue.try_push_scheduled(2, Priority::Bulk, soon).unwrap());
-        });
-        let (first, _) = queue.pop_blocking().unwrap();
-        let (second, _) = queue.pop_blocking().unwrap();
-        assert_eq!(
-            (first, second),
-            (2, 1),
-            "earliest deadline must pop first regardless of arrival order"
-        );
-    });
-    assert!(report.exhausted);
 }
 
 /// Historical near-miss: a consumer parked inside `pop_blocking` on a

@@ -602,13 +602,6 @@ const LOCK_PATTERNS: &[LockPattern] = &[
     },
     LockPattern {
         file: None,
-        pattern: ".try_push_scheduled(",
-        receiver_hint: "queue",
-        rank: 0,
-        binds_guard: false,
-    },
-    LockPattern {
-        file: None,
         pattern: ".drain_class_where(",
         receiver_hint: "queue",
         rank: 0,
@@ -1113,11 +1106,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Walk the workspace's library sources (`crates/*/src` and `src/`,
-/// vendored stubs excluded) and run every rule. Returns all violations,
-/// sorted by file and line.
-pub fn run_workspace() -> Vec<Violation> {
-    let root = workspace_root();
+/// The library sources under `root` (`crates/*/src` and `src/`, vendored
+/// stubs excluded) as (workspace-relative path, contents), sorted by path.
+fn library_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files);
     if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
@@ -1126,19 +1117,67 @@ pub fn run_workspace() -> Vec<Violation> {
         }
     }
     files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(&root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        out.extend(check_file(&SourceFile::parse(&rel, &source)));
+    files
+        .into_iter()
+        .filter_map(|path| {
+            let source = std::fs::read_to_string(&path).ok()?;
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Some((rel, source))
+        })
+        .collect()
+}
+
+/// Walk the workspace's library sources (`crates/*/src` and `src/`,
+/// vendored stubs excluded) and run every rule. Returns all violations,
+/// sorted by file and line.
+pub fn run_workspace() -> Vec<Violation> {
+    library_sources(&workspace_root())
+        .iter()
+        .flat_map(|(rel, source)| check_file(&SourceFile::parse(rel, source)))
+        .collect()
+}
+
+/// Library lines of the workspace at `root`, per crate and in total.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LibraryLines {
+    /// One row per crate source directory (`crates/common/src`, …,
+    /// `src`), in path order.
+    pub per_crate: Vec<(String, usize)>,
+    /// The sum of the rows.
+    pub total: usize,
+}
+
+/// Count the library lines of the workspace at `root`: in every file of
+/// `crates/*/src` and `src/`, the physical lines ahead of the file's
+/// first top-level `#[cfg(test)]` (the attribute at column 0). Every
+/// line ahead of it counts alike — code, blank lines, comments, doc
+/// comments and attributes — and no line from it on counts, test-only
+/// helpers included. A file with no top-level `#[cfg(test)]` counts
+/// whole.
+pub fn library_lines(root: &Path) -> LibraryLines {
+    let mut per_crate: Vec<(String, usize)> = Vec::new();
+    for (rel, source) in library_sources(root) {
+        let krate = rel.find("/src/").map_or("src", |at| &rel[..at + 4]);
+        let lines = lines_ahead_of_tests(&source);
+        match per_crate.last_mut() {
+            Some((name, count)) if name == krate => *count += lines,
+            _ => per_crate.push((krate.to_string(), lines)),
+        }
     }
-    out
+    let total = per_crate.iter().map(|(_, count)| count).sum();
+    LibraryLines { per_crate, total }
+}
+
+/// The library-line rule of [`library_lines`] for one file.
+fn lines_ahead_of_tests(source: &str) -> usize {
+    source
+        .lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .count()
 }
 
 /// Render violations one per line for assertion messages.
@@ -1604,5 +1643,16 @@ mod tests {
         let mut out = Vec::new();
         check_no_alloc_in_kernels(&file("crates/sampling/src/kernel.rs", src), &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn library_lines_stop_at_the_first_top_level_cfg_test() {
+        let src = "//! Doc.\n\n#[derive(Debug)]\nstruct S;\n    #[cfg(test)]\nfn f() {}\n\
+                   #[cfg(test)]\nmod tests {}\n#[cfg(test)]\nfn g() {}\n";
+        // Doc comment, blank line, attribute, item and the indented
+        // `#[cfg(test)]` all count; nothing from column-0 `#[cfg(test)]` on.
+        assert_eq!(lines_ahead_of_tests(src), 6);
+        assert_eq!(lines_ahead_of_tests("fn f() {}\nfn g() {}"), 2);
+        assert_eq!(lines_ahead_of_tests(""), 0);
     }
 }

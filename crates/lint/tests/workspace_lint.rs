@@ -112,3 +112,20 @@ fn the_walk_actually_covers_the_serving_tier() {
 fn unsafe_stays_fenced_to_the_one_isa_dispatch() {
     assert_clean("unsafe-fenced");
 }
+
+/// Prints the library line count per crate and in total (see
+/// `pass_lint::library_lines` for the rule); `--nocapture` shows it.
+#[test]
+fn library_lines_are_counted_for_every_crate() {
+    let lines = pass_lint::library_lines(&pass_lint::workspace_root());
+    for (krate, count) in &lines.per_crate {
+        println!("library lines {krate:<24} {count:>6}");
+        assert!(*count > 0, "{krate} counted no lines");
+    }
+    println!("library lines {:<24} {:>6}", "total", lines.total);
+    assert!(lines.per_crate.iter().any(|(krate, _)| krate == "src"));
+    assert!(lines
+        .per_crate
+        .iter()
+        .any(|(krate, _)| krate == "crates/common/src"));
+}

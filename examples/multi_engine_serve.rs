@@ -1,7 +1,7 @@
 //! Routed serving end to end: one `pass::Serve` fronting **two**
-//! engines through a shared queue and worker pool, mixed deadlines
-//! scheduled earliest-first, duplicate dashboard queries coalesced
-//! into one batch, and the per-engine stats read back.
+//! engines through a shared queue and worker pool, bulk sweeps with
+//! deadlines, duplicate dashboard queries coalesced into one batch, and
+//! the per-engine stats read back.
 //!
 //! This is the runnable version of the README's routed-serving rung;
 //! CI compiles *and runs* it (like `serve_quickstart.rs`), so the
@@ -50,10 +50,9 @@ fn main() {
         .map(|_| serve.submit_to("pass", &hot).unwrap())
         .collect();
 
-    // Bulk sweeps routed to the sampling engine, with deadlines: the
-    // 50 ms sweep is *scheduled* before the 5 s one (earliest deadline
-    // first within the class) and expires unexecuted if the server is
-    // too backlogged to start it in time.
+    // Bulk sweeps routed to the sampling engine, with deadlines. They
+    // run in submission order, after the queued interactive widgets; a
+    // sweep still queued when its deadline passes expires unexecuted.
     let sweep: Vec<Query> = (0..128)
         .map(|i| Query::interval(AggKind::Count, (i % 32) as f64 / 40.0, 0.95))
         .collect();

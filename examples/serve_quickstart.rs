@@ -30,10 +30,7 @@ fn main() {
     let serve = session
         .serve(
             "pass",
-            ServeConfig::new()
-                .with_workers(2)
-                .with_queue_depth(64)
-                .with_coalesce_max(128),
+            ServeConfig::new().with_workers(2).with_queue_depth(64),
         )
         .unwrap();
 

@@ -26,7 +26,7 @@
 //!    more session handles: submissions return pollable [`Ticket`]s, a
 //!    bounded two-priority queue applies admission control (rejection
 //!    at capacity, per-request deadlines, interactive-over-bulk
-//!    ordering with earliest-deadline-first scheduling within a class),
+//!    ordering with FIFO order within a class),
 //!    [`Session::serve_multi`] routes requests to named engines through
 //!    one shared queue, queued requests coalesce into the engines'
 //!    batched fast path (identical queries in a batch are computed

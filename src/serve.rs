@@ -1,5 +1,5 @@
-//! An async-style serving front-end with admission control, deadline
-//! scheduling, and multi-engine routing over [`SessionHandle`]s.
+//! An async-style serving front-end with admission control, deadlines,
+//! and multi-engine routing over [`SessionHandle`]s.
 //!
 //! The layers below this one make a single caller fast: batched queries
 //! share PASS's tree traversal, parallel batches shard over a
@@ -30,25 +30,20 @@
 //!   while queued resolves to [`ServeOutcome::Expired`] **without
 //!   executing**, so a backlogged server stops burning workers on
 //!   answers nobody is waiting for.
-//! * **Deadlines schedule, not just expire.** Within a priority class,
-//!   workers pop the request with the **earliest deadline** first;
-//!   undated requests keep FIFO order after every dated one, and equal
-//!   deadlines preserve submission order — so deadline-free traffic
-//!   behaves exactly as before, and a tight-deadline request overtakes a
-//!   lenient one instead of expiring behind it.
-//! * **Two priority classes.** [`Priority::Interactive`] requests
-//!   always pop before queued [`Priority::Bulk`] requests, so a
-//!   latency-sensitive dashboard query overtakes a queued analytics
-//!   sweep. EDF ordering applies within a class, never across classes.
+//! * **Two priority classes, FIFO within each.**
+//!   [`Priority::Interactive`] requests always pop before queued
+//!   [`Priority::Bulk`] requests, so a latency-sensitive dashboard query
+//!   overtakes a queued analytics sweep. Within a class requests pop in
+//!   submission order; a deadline expires a request but never moves it.
 //! * **Queued requests coalesce into batches.** A worker that pops one
 //!   request greedily drains further queued requests of the same class
-//!   **and the same engine** (up to [`ServeConfig::coalesce_max`]
-//!   queries) and executes them as **one** `estimate_many` batch —
-//!   under load, the engine's batched fast path (PASS reuses its MCF
-//!   traversal scratch across the batch) kicks in automatically, so
-//!   saturation *increases* per-query efficiency. A batch never mixes
+//!   **and the same engine** (up to 256 queries) and executes them as
+//!   **one** `estimate_many` batch — under load, the engine's batched
+//!   fast path (PASS reuses its MCF traversal scratch across the batch)
+//!   kicks in automatically, so saturation *increases* per-query
+//!   efficiency. A batch never mixes
 //!   engines: the drain stops at the first request routed elsewhere,
-//!   which also keeps the deadline schedule intact. Identical queued
+//!   which also keeps the class in submission order. Identical queued
 //!   requests each take a queue slot, yet a cached engine computes each
 //!   distinct miss of a batch a single time and answers later repeats
 //!   from its cache.
@@ -130,11 +125,8 @@ use crate::session::SessionHandle;
 /// Configuration for a [`Serve`] front-end.
 ///
 /// The defaults describe a reasonable single-machine server: one worker
-/// per core, a queue deep enough to absorb bursts (1024 requests), and
-/// batches coalesced up to 256 queries — large enough to engage the
-/// engines' batched fast paths, small enough to keep queueing delay per
-/// batch bounded. `docs/SERVING.md` walks every knob with its failure
-/// mode.
+/// per core and a queue deep enough to absorb bursts (1024 requests).
+/// `docs/SERVING.md` walks every knob with its failure mode.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Dedicated serving worker threads (clamped to ≥ 1). Shared by all
@@ -144,15 +136,6 @@ pub struct ServeConfig {
     /// Maximum queued requests before admission control rejects
     /// (clamped to ≥ 1).
     pub queue_depth: usize,
-    /// Maximum queries one coalesced execution batch may hold. A single
-    /// submission larger than this still executes (as its own batch);
-    /// the cap only bounds how much *additional* queued work a worker
-    /// glues on.
-    pub coalesce_max: usize,
-    /// Default deadline applied to submissions that do not carry their
-    /// own; `None` means requests wait in the queue indefinitely, and so
-    /// does a deadline too long for the clock to represent.
-    pub default_deadline: Option<Duration>,
     /// Start with workers parked until [`Serve::resume`] — used by tests
     /// and staged startups to fill the queue deterministically.
     pub start_paused: bool,
@@ -163,8 +146,6 @@ impl Default for ServeConfig {
         Self {
             workers: ThreadPool::with_default_parallelism().threads(),
             queue_depth: 1024,
-            coalesce_max: 256,
-            default_deadline: None,
             start_paused: false,
         }
     }
@@ -188,18 +169,6 @@ impl ServeConfig {
         self
     }
 
-    /// Set the per-batch coalescing cap (queries).
-    pub fn with_coalesce_max(mut self, max: usize) -> Self {
-        self.coalesce_max = max;
-        self
-    }
-
-    /// Apply `deadline` to every submission that does not set its own.
-    pub fn with_default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
-        self
-    }
-
     /// Start paused; call [`Serve::resume`] to begin draining.
     pub fn paused(mut self) -> Self {
         self.start_paused = true;
@@ -220,11 +189,10 @@ pub struct SubmitOptions {
     /// Admission class; interactive requests overtake queued bulk ones.
     pub priority: Priority,
     /// How long the request may wait in the queue before it expires
-    /// (measured from submission). `None` falls back to the server's
-    /// [`ServeConfig::default_deadline`]. Within a priority class,
-    /// earlier deadlines are also *scheduled* first (EDF) — dated
-    /// requests pop before undated ones. A deadline too long for the
-    /// clock to represent (`Duration::MAX`) counts as none.
+    /// (measured from submission); a progressive group-by instead stops
+    /// refining once it passes. `None` — and a deadline too long for the
+    /// clock to represent (`Duration::MAX`) — means no deadline. A
+    /// deadline never changes where the request sits in its class.
     pub deadline: Option<Duration>,
 }
 
@@ -246,8 +214,7 @@ impl SubmitOptions {
     }
 
     /// Expire the request if it is still queued `deadline` after
-    /// submission (and schedule it ahead of later-dated or undated
-    /// requests in its class).
+    /// submission.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -318,7 +285,7 @@ struct Waiter<O: TicketOutcome = ServeOutcome> {
 
 /// One queued unit of work: the engine route plus what to run there.
 /// Plain batches and progressive group-bys ride the same queue (same
-/// admission control, same EDF schedule).
+/// admission control, same FIFO classes).
 struct Request {
     engine: usize,
     body: Body,
@@ -373,10 +340,16 @@ fn count(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Release);
 }
 
+/// Most queries one coalesced execution batch may hold: enough to engage
+/// the engines' batched fast paths, few enough to bound how long the
+/// batch's first request waits on its last. A single larger submission
+/// still executes, as its own batch; the cap only bounds how much queued
+/// work a worker glues on.
+const COALESCE_MAX: usize = 256;
+
 struct ServeShared {
     engines: Vec<EngineState>,
     queue: RequestQueue<Request>,
-    coalesce_max: usize,
     /// The one global counter: acceptance is counted before the route's
     /// queue push, everything after it per engine.
     accepted: AtomicU64,
@@ -387,11 +360,11 @@ struct ServeShared {
 }
 
 impl ServeShared {
-    /// One worker's life: pop the most urgent request — highest class,
-    /// earliest deadline within it (the queue itself parks the worker
-    /// while paused — pause lives under the queue lock, so no request
-    /// can slip past it), coalesce compatible queued requests into one
-    /// batch, expire the stale, execute the rest, resolve every ticket.
+    /// One worker's life: pop the next request — highest class, oldest
+    /// within it (the queue itself parks the worker while paused — pause
+    /// lives under the queue lock, so no request can slip past it),
+    /// coalesce compatible queued requests into one batch, expire the
+    /// stale, execute the rest, resolve every ticket.
     /// Exits when the queue is closed and drained.
     fn worker_loop(&self) {
         while let Some((first, class)) = self.queue.pop_blocking() {
@@ -411,12 +384,10 @@ impl ServeShared {
             // drain stops at the first head that is progressive or
             // routed to a different engine — a batch never mixes
             // engines, and refusing (rather than skipping) the foreign
-            // head keeps the EDF schedule intact.
-            if let Some(mut total) = batch_len.filter(|&len| len < self.coalesce_max) {
+            // head keeps the class in submission order.
+            if let Some(mut total) = batch_len.filter(|&len| len < COALESCE_MAX) {
                 requests.extend(self.queue.drain_class_where(class, |r| match &r.body {
-                    Body::Plain(job)
-                        if r.engine == engine && total + job.len() <= self.coalesce_max =>
-                    {
+                    Body::Plain(job) if r.engine == engine && total + job.len() <= COALESCE_MAX => {
                         total += job.len();
                         true
                     }
@@ -439,11 +410,10 @@ impl ServeShared {
     fn execute(&self, engine: usize, requests: Vec<Request>) {
         let state = &self.engines[engine];
         // Fail fast: a request whose deadline passed while queued costs
-        // zero execution time — and an expired request popping first
-        // (EDF sorts it first) never blocks a live later one, because
-        // expiry resolves without executing. One expiry instant per
-        // batch, read when the first dated request asks for it: undated
-        // traffic does not read the clock here.
+        // zero execution time, so it never holds up the live requests
+        // behind it. One expiry instant per batch, read when the first
+        // dated request asks for it: undated traffic does not read the
+        // clock here.
         let mut now: Option<Instant> = None;
         // One flat engine batch: each request's queries are moved in
         // (sized for one query a request, which nearly all have), `live`
@@ -545,7 +515,7 @@ impl ServeShared {
 }
 
 /// The serving front-end: a bounded request queue, admission control,
-/// deadline-aware scheduling, and a fixed set of workers executing
+/// deadline expiry, and a fixed set of workers executing
 /// against one or more [`SessionHandle`]s.
 ///
 /// Create one with [`Session::serve`](crate::Session::serve) (one
@@ -560,7 +530,6 @@ impl ServeShared {
 /// lifecycle and `docs/SERVING.md` for the operator's guide.
 pub struct Serve {
     shared: Arc<ServeShared>,
-    default_deadline: Option<Duration>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -597,7 +566,6 @@ impl Serve {
                 })
                 .collect(),
             queue: RequestQueue::new(config.queue_depth),
-            coalesce_max: config.coalesce_max.max(1),
             accepted: AtomicU64::new(0),
             completion_seq: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
@@ -609,11 +577,7 @@ impl Serve {
                 std::thread::spawn(move || shared.worker_loop())
             })
             .collect();
-        Ok(Serve {
-            shared,
-            default_deadline: config.default_deadline,
-            workers,
-        })
+        Ok(Serve { shared, workers })
     }
 
     /// Every engine this server routes to, in construction order.
@@ -636,7 +600,7 @@ impl Serve {
     }
 
     /// Submit `queries` to `engine` as **one request**: admitted,
-    /// scheduled, expired and resolved as a unit, its ticket yielding
+    /// queued, expired and resolved as a unit, its ticket yielding
     /// one result per query in order. Never blocks: the ticket resolves
     /// to [`ServeOutcome::Rejected`] immediately when the queue is at
     /// capacity (that is the backpressure signal) and to
@@ -659,8 +623,7 @@ impl Serve {
     /// let serve = session.serve("pass", ServeConfig::new()).unwrap();
     ///
     /// // Bulk priority (yields to interactive traffic) with a deadline:
-    /// // scheduled EDF within its class, expired unexecuted if still
-    /// // queued after 10 s.
+    /// // expired unexecuted if still queued after 10 s.
     /// let batch: Vec<Query> = (0..8)
     ///     .map(|i| Query::interval(AggKind::Sum, i as f64 / 10.0, 0.95))
     ///     .collect();
@@ -797,9 +760,8 @@ impl Serve {
     }
 
     /// The one enqueue path every submission goes through: deadline
-    /// stamping (handed to `body` with the submission instant),
-    /// admission control and EDF scheduling. A refused request's ticket
-    /// is resolved here.
+    /// stamping (handed to `body` with the submission instant) and
+    /// admission control. A refused request's ticket is resolved here.
     fn enqueue(
         &self,
         engine: usize,
@@ -807,10 +769,7 @@ impl Serve {
         body: impl FnOnce(Instant, Option<Instant>) -> Body,
     ) {
         let submitted = Instant::now();
-        let deadline = options
-            .deadline
-            .or(self.default_deadline)
-            .and_then(|d| submitted.checked_add(d));
+        let deadline = options.deadline.and_then(|d| submitted.checked_add(d));
         let request = Request {
             engine,
             body: body(submitted, deadline),
@@ -825,7 +784,7 @@ impl Serve {
         // synchronizes with (see `count`).
         self.shared.accepted.fetch_add(1, Ordering::Relaxed);
         let queue = &self.shared.queue;
-        if let Err((why, request)) = queue.try_push_scheduled(request, options.priority, deadline) {
+        if let Err((why, request)) = queue.try_push(request, options.priority) {
             // relaxed: undoes this thread's own claim above; no worker
             // ever saw the request.
             self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
@@ -1057,63 +1016,28 @@ mod tests {
     }
 
     #[test]
-    fn default_deadline_applies_to_queued_requests() {
-        let session = served_session();
-        let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new()
-                    .with_workers(1)
-                    .with_default_deadline(Duration::ZERO)
-                    .paused(),
-            )
-            .unwrap();
-        let doomed = serve.submit_to("pass", &q(0.0, 0.5)).unwrap();
-        serve.resume();
-        assert_eq!(doomed.wait(), ServeOutcome::Expired);
-        assert_eq!(serve.stats().expired, 1);
-        // An explicit generous deadline overrides the default.
-        let generous = SubmitOptions::interactive().with_deadline(Duration::from_secs(60));
-        let fine = serve.submit("pass", &[q(0.0, 0.5)], &generous).unwrap();
-        assert!(fine.wait().is_done());
-    }
-
-    #[test]
     fn a_deadline_past_the_clock_range_counts_as_none() {
         use pass_common::GroupByQuery;
         let session = served_session();
         let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new()
-                    .with_workers(1)
-                    .with_default_deadline(Duration::MAX),
-            )
+            .serve("pass", ServeConfig::new().with_workers(1))
             .unwrap();
         let forever = SubmitOptions::bulk().with_deadline(Duration::MAX);
         let plain = serve.submit("pass", &[q(0.1, 0.9)], &forever).unwrap();
-        let by_default = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
         let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.25, 0.5], 1);
         let progressive = serve.submit_progressive("pass", &gq, &forever).unwrap();
         assert!(plain.wait().is_done());
-        assert!(by_default.wait().is_done());
         let outcome = progressive.wait();
         assert!(outcome.is_done() && !outcome.is_partial());
         let stats = serve.shutdown();
-        assert_eq!((stats.completed, stats.expired), (3, 0));
+        assert_eq!((stats.completed, stats.expired), (2, 0));
     }
 
     #[test]
     fn coalescing_executes_queued_requests_in_fewer_batches() {
         let session = served_session();
         let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new()
-                    .with_workers(1)
-                    .with_coalesce_max(64)
-                    .paused(),
-            )
+            .serve("pass", ServeConfig::new().with_workers(1).paused())
             .unwrap();
         let tickets: Vec<Ticket> = (0..16)
             .map(|i| serve.submit_to("pass", &q(i as f64 / 20.0, 0.9)).unwrap())
@@ -1137,6 +1061,35 @@ mod tests {
             "16 queued requests ran in {} batches — coalescing never engaged",
             stats.batches
         );
+    }
+
+    #[test]
+    fn a_backlog_past_the_coalescing_cap_runs_in_capped_batches() {
+        let session = served_session();
+        let serve = session
+            .serve("pass", ServeConfig::new().with_workers(1).paused())
+            .unwrap();
+        let queries: Vec<Query> = (0..=2 * COALESCE_MAX)
+            .map(|i| q(i as f64 / 1_000.0, 0.95))
+            .collect();
+        let tickets: Vec<Ticket> = queries
+            .iter()
+            .map(|query| serve.submit_to("pass", query).unwrap())
+            .collect();
+        serve.resume();
+        for (query, ticket) in queries.iter().zip(&tickets) {
+            let got = ticket.wait().results().unwrap();
+            assert_eq!(
+                got[0].as_ref().unwrap().value,
+                session.estimate("pass", query).unwrap().value,
+                "{query:?}"
+            );
+        }
+        let stats = serve.shutdown();
+        assert_eq!(stats.completed, queries.len() as u64);
+        // One worker over the whole backlog: two capped batches, then
+        // the one request left over.
+        assert_eq!(stats.batches, 3, "the cap did not split the backlog");
     }
 
     #[test]
@@ -1167,15 +1120,14 @@ mod tests {
     fn oversized_single_submission_still_executes() {
         let session = served_session();
         let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new().with_workers(1).with_coalesce_max(4),
-            )
+            .serve("pass", ServeConfig::new().with_workers(1))
             .unwrap();
-        let big: Vec<Query> = (0..32).map(|i| q(i as f64 / 40.0, 0.9)).collect();
+        let big: Vec<Query> = (0..COALESCE_MAX + 64)
+            .map(|i| q(i as f64 / 400.0, 0.9))
+            .collect();
         let options = SubmitOptions::default();
         let ticket = serve.submit("pass", &big, &options).unwrap();
-        assert_eq!(ticket.wait().results().unwrap().len(), 32);
+        assert_eq!(ticket.wait().results().unwrap().len(), big.len());
     }
 
     #[test]

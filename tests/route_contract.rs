@@ -1,15 +1,15 @@
-//! The routed-serving contract (`Session::serve_multi` + the
-//! deadline-aware queue), pinned end to end:
+//! The routed-serving contract (`Session::serve_multi` + the shared
+//! queue), pinned end to end:
 //!
 //! 1. **Routed fidelity** — a multi-engine server's answers are
 //!    bit-identical to direct `Session` calls *per engine* for the
 //!    whole `Engine::standard_suite`, and a batch never mixes engines
 //!    (a mixed batch would hand queries to the wrong synopsis, which
 //!    the distinguishable-engine test would catch as a wrong value).
-//! 2. **EDF scheduling** — within a priority class, completion order
-//!    under a paused-then-resumed queue follows the earliest deadline
-//!    first; undated requests keep FIFO order after every dated one,
-//!    and bit-exact deadline ties preserve FIFO.
+//! 2. **FIFO within a class** — under a paused-then-resumed queue,
+//!    completion order within a priority class is submission order,
+//!    whatever deadlines the requests carry; a deadline only expires a
+//!    request that is still queued when it passes.
 //! 3. **Duplicates** — N identical queued queries take N queue slots
 //!    yet reach the engine **once**: they run as one batch, and the
 //!    session cache ends up holding the one answer computed for them.
@@ -17,9 +17,9 @@
 //! 4. **Worker panic** — a panic mid-batch cancels every ticket of the
 //!    in-flight batch; no client hangs.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pass::common::{AggKind, Estimate, Priority, Query, RequestQueue, Result as PassResult};
+use pass::common::{AggKind, Estimate, Query, Result as PassResult};
 use pass::table::datasets::uniform;
 use pass::{
     Engine, EngineSpec, ServeConfig, ServeOutcome, Session, SubmitOptions, Synopsis, Ticket,
@@ -139,10 +139,7 @@ fn interleaved_routes_never_mix_engines_in_a_batch() {
     let serve = session
         .serve_multi(
             &["ones", "twos"],
-            ServeConfig::new()
-                .with_workers(1)
-                .with_coalesce_max(64)
-                .paused(),
+            ServeConfig::new().with_workers(1).paused(),
         )
         .unwrap();
     let tickets: Vec<(f64, Ticket)> = (0..8)
@@ -178,97 +175,50 @@ fn interleaved_routes_never_mix_engines_in_a_batch() {
     }
 }
 
-/// EDF within a class: queue dated requests out of deadline order plus an
-/// undated one behind a paused single worker, resume, and the completion
-/// stamps follow deadline order with the undated request last.
+/// FIFO within a class: queue requests whose deadlines run out of
+/// submission order, plus an undated one, behind a paused single worker;
+/// resume, and the completion stamps follow submission order.
 #[test]
-fn edf_completion_order_within_a_class_under_a_paused_then_resumed_queue() {
+fn completion_follows_submission_order_within_a_class_whatever_the_deadlines() {
     let mut session = Session::new(uniform(5_000, 21));
     session.add_engine("pass", &EngineSpec::pass()).unwrap();
     let serve = session
         .serve("pass", ServeConfig::new().with_workers(1).paused())
         .unwrap();
 
-    // Generous deadlines (nothing expires), submitted far from deadline
-    // order; the undated request goes in the middle of the submissions
-    // so its last-place completion is schedule policy, not arrival order.
-    let by_deadline_secs = [50u64, 10, 30, 20, 40];
-    let mut dated: Vec<(u64, Ticket)> = Vec::new();
-    let mut undated = None;
-    for (i, secs) in by_deadline_secs.iter().enumerate() {
-        if i == 2 {
-            undated = Some(serve.submit_to("pass", &q(0.05, 0.85)).unwrap());
-        }
-        let options = SubmitOptions::interactive().with_deadline(Duration::from_secs(*secs));
-        let ticket = serve.submit("pass", &[q(i as f64 / 10.0, 0.9)], &options);
-        dated.push((*secs, ticket.unwrap()));
-    }
-    let undated = undated.expect("submitted mid-loop");
-    serve.resume();
-
-    let undated_stamp = {
-        assert!(undated.wait().is_done());
-        undated.completion_index().unwrap()
-    };
-    let mut stamps: Vec<(u64, u64)> = dated
+    // Generous deadlines (nothing expires), far from submission order,
+    // with the undated request in the middle of the submissions.
+    let deadline_secs = [Some(50u64), Some(10), None, Some(30), Some(20), Some(40)];
+    let tickets: Vec<Ticket> = deadline_secs
         .iter()
-        .map(|(secs, ticket)| {
-            assert!(ticket.wait().is_done());
-            (*secs, ticket.completion_index().unwrap())
+        .enumerate()
+        .map(|(i, secs)| {
+            let mut options = SubmitOptions::interactive();
+            options.deadline = secs.map(Duration::from_secs);
+            serve
+                .submit("pass", &[q(i as f64 / 10.0, 0.9)], &options)
+                .unwrap()
         })
         .collect();
-    stamps.sort_by_key(|(secs, _)| *secs);
-    for pair in stamps.windows(2) {
-        assert!(
-            pair[0].1 < pair[1].1,
-            "deadline {}s completed after deadline {}s (stamps {} vs {})",
-            pair[0].0,
-            pair[1].0,
-            pair[0].1,
-            pair[1].1
-        );
-    }
+    serve.resume();
+
+    let stamps: Vec<u64> = tickets
+        .iter()
+        .map(|ticket| {
+            assert!(ticket.wait().is_done());
+            ticket.completion_index().unwrap()
+        })
+        .collect();
     assert!(
-        stamps.iter().all(|&(_, stamp)| stamp < undated_stamp),
-        "the undated request must complete after every dated one"
+        stamps.windows(2).all(|pair| pair[0] < pair[1]),
+        "completion stamps {stamps:?} are not in submission order"
     );
     assert_eq!(serve.shutdown().expired, 0, "nothing expired in this test");
 }
 
-/// Bit-exact deadline ties preserve FIFO, at the queue layer where a tie
-/// can actually be constructed (one shared `Instant`).
-#[test]
-fn equal_deadlines_preserve_fifo_order() {
-    let queue = RequestQueue::new(8);
-    let tie = Some(Instant::now() + Duration::from_secs(5));
-    for label in ["first", "second", "third"] {
-        queue
-            .try_push_scheduled(label, Priority::Interactive, tie)
-            .unwrap();
-    }
-    // A later deadline sorts behind the tie group; an earlier one ahead.
-    queue
-        .try_push_scheduled(
-            "later",
-            Priority::Interactive,
-            Some(Instant::now() + Duration::from_secs(9)),
-        )
-        .unwrap();
-    queue
-        .try_push_scheduled(
-            "sooner",
-            Priority::Interactive,
-            Some(Instant::now() + Duration::from_secs(1)),
-        )
-        .unwrap();
-    for want in ["sooner", "first", "second", "third", "later"] {
-        assert_eq!(queue.pop_blocking(), Some((want, Priority::Interactive)));
-    }
-}
-
 /// An expired-at-pop request never blocks a live later one: the doomed
-/// request (which EDF schedules *first*) resolves `Expired` without
-/// executing, and the live request behind it completes normally.
+/// request, queued first, resolves `Expired` without executing, and the
+/// live request behind it completes normally.
 #[test]
 fn expired_at_pop_request_never_blocks_a_live_later_one() {
     let mut session = Session::new(uniform(5_000, 23));

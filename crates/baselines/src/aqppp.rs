@@ -340,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_predicate_errors_for_avg() {
+    fn an_empty_predicate_is_an_avg_error() {
         let t = uniform(1_000, 8);
         let a = AqpPlusPlus::build(&t, 8, 100, 9, None).unwrap();
         assert!(a

@@ -4,27 +4,31 @@
 //! table is cut into disjoint shards by a
 //! [`ShardPlan`] (`Table::split`), one inner
 //! engine is built per shard — **concurrently**, on a
-//! [`pass_common::ThreadPool`] — and at query time every shard answers a
-//! mergeable [`PartialEstimate`] which
-//! [`PartialEstimate::merge`] reduces to a single [`Estimate`].
+//! [`pass_common::ThreadPool`] — and at query time every shard answers
+//! with plain [`Estimate`]s that [`merge_available`] reduces to one. Over
+//! several shards AVG is asked as COUNT + SUM and answered as the [`ratio`]
+//! of the merged COUNT and SUM, like PASS's AVG over strata (paper §3.3).
 //!
 //! The statistical contract (pinned by `tests/sharded_contract.rs`):
 //!
 //! * **1-shard identity** — a single-shard plan is bit-identical to the
-//!   unsharded engine for every aggregate (the merge of one partial is
-//!   the shard's own estimate, verbatim).
+//!   unsharded engine for every aggregate (each query passes through
+//!   untouched, and the merge of one answer is that answer, verbatim).
 //! * **COUNT/SUM additivity** — the merged point estimate is exactly the
 //!   sum of the per-shard estimates (disjoint strata compose linearly),
 //!   and the merged CI is the root-sum-square of the shard CIs
 //!   (variances of independently built shards add), so it is at least as
 //!   wide as every component.
+//! * **AVG** — ΣSUM/ΣCOUNT of the shards' own answers with the ratio's
+//!   delta-method CI, hard bounds from the summed SUM and COUNT bounds,
+//!   and exact when every COUNT and SUM answer is.
 //! * **Availability** — a shard that cannot match any tuple
-//!   (`PassError::EmptyInput`) contributes zero to COUNT/SUM and is
-//!   skipped for AVG/MIN/MAX, like an empty stratum in a stratified
-//!   estimator; only if *no* shard can answer does the query fail. A
-//!   merge that skipped a silent shard drops its hard bounds and
-//!   exactness claim — the silent shard may hold unsampled matching
-//!   rows the surviving shards' bounds know nothing about.
+//!   (`PassError::EmptyInput`) contributes zero to COUNT/SUM (AVG's
+//!   included) and is skipped for MIN/MAX, like an empty stratum in a
+//!   stratified estimator; only if *no* shard can answer does the query
+//!   fail. A silent shard keeps the merged answer from claiming hard
+//!   bounds or exactness — it may hold unsampled matching rows the
+//!   answering shards' bounds know nothing about.
 //!
 //! Batch scheduling is **shard-outer / query-inner**: each shard answers
 //! the whole (expanded) batch through its own `estimate_many`, keeping
@@ -38,15 +42,18 @@
 
 use std::sync::Arc;
 
+use pass_common::partial::{merge_available, ratio};
 use pass_common::rng::derive_seed;
 use pass_common::{
     apply_group_availability, AggKind, EngineSpec, Estimate, GroupByQuery, GroupBySnapshot,
-    GroupResult, PartialEstimate, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
-    LAMBDA_99,
+    GroupResult, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool, LAMBDA_99,
 };
 use pass_table::Table;
 
 use crate::Engine;
+
+/// One query's answers: shard s's answers to its sub-queries at index s.
+type Column<'a> = Vec<&'a [Result<Estimate>]>;
 
 /// K per-shard engines over disjoint partitions of one logical table,
 /// merged behind the ordinary [`Synopsis`] contract.
@@ -130,103 +137,93 @@ impl ShardedSynopsis {
         &self.plan
     }
 
-    /// One shard's partial for each of `queries`, assembled from that
-    /// shard's `answers` to [`expand`](Self::expand)'s concatenated
-    /// sub-queries. The batched and the progressive path both turn shard
-    /// answers into partials here and reduce them through
-    /// [`PartialEstimate::merge_available`], which is what makes a
+    /// Whether a query of `agg` is asked as COUNT then SUM: an AVG merged
+    /// across several shards is their [`ratio`] and never reads a shard's
+    /// own AVG. A single-shard plan passes each query through untouched
+    /// (the merge of one answer is that answer, verbatim).
+    fn splits(&self, agg: AggKind) -> bool {
+        agg == AggKind::Avg && self.shards.len() > 1
+    }
+
+    /// The batch each shard answers: every query's sub-queries,
+    /// concatenated in query order.
+    fn expand(&self, queries: &[Query]) -> Vec<Query> {
+        let mut expanded = Vec::with_capacity(queries.len());
+        for q in queries {
+            if self.splits(q.agg) {
+                expanded.extend(
+                    [AggKind::Count, AggKind::Sum].map(|agg| Query::new(agg, q.rect.clone())),
+                );
+            } else {
+                expanded.push(q.clone());
+            }
+        }
+        expanded
+    }
+
+    /// Each query's [`Column`] of `shard_answers` (shard s's answers to
+    /// [`expand`](Self::expand)'s batch at index s), or the typed error of
+    /// a shard short of that batch. The batched and the progressive path
+    /// both read shard answers through here, which is what makes a
     /// progressive stream's final snapshot the batch answer.
     fn shard_partials<'a>(
-        &self,
+        &'a self,
         queries: &'a [Query],
-        answers: &'a [Result<Estimate>],
-    ) -> impl Iterator<Item = Result<PartialEstimate>> + 'a {
-        let multi = self.multi_shard();
+        shard_answers: &'a [Vec<Result<Estimate>>],
+    ) -> impl Iterator<Item = Result<Column<'a>>> + 'a {
         let mut cursor = 0usize;
         queries.iter().map(move |q| {
-            let width = if multi {
-                PartialEstimate::merge_width(q.agg)
-            } else {
-                1
-            };
-            let own = answers.get(cursor..cursor + width);
+            let width = if self.splits(q.agg) { 2 } else { 1 };
+            let own = cursor..cursor + width;
             cursor += width;
-            match own {
-                None => Err(PassError::InvalidParameter(
-                    "shard_answers",
-                    "a shard is short of the expanded batch".into(),
-                )),
-                // Width 1 — every single-shard query and every
-                // non-AVG one: the shard's answer is the partial.
-                Some([only]) => only
-                    .clone()
-                    .map(|est| PartialEstimate::from_local(q.agg, est)),
-                Some(own) => PartialEstimate::assemble_merge(q, own.iter().cloned()),
-            }
+            shard_answers
+                .iter()
+                .map(|answers| {
+                    answers.get(own.clone()).ok_or_else(|| {
+                        PassError::InvalidParameter(
+                            "shard_answers",
+                            "a shard is short of the expanded batch".into(),
+                        )
+                    })
+                })
+                .collect()
         })
+    }
+
+    /// Merge one query's [`Column`] under the stratified availability
+    /// rule of [`merge_available`]: a split AVG is the [`ratio`] of its
+    /// merged COUNT and merged SUM, anything else merges directly.
+    fn merge_query(&self, agg: AggKind, own: &[&[Result<Estimate>]]) -> Result<Estimate> {
+        let merged = |sub: usize, agg: AggKind| {
+            let answers: Vec<Result<Estimate>> =
+                own.iter().filter_map(|a| a.get(sub).cloned()).collect();
+            merge_available(agg, &answers)
+        };
+        if self.splits(agg) {
+            ratio(&merged(0, AggKind::Count)?, &merged(1, AggKind::Sum)?)
+        } else {
+            merged(0, agg)
+        }
     }
 
     /// Merge per-shard answers to the expanded batch back into one result
     /// per original query (`shard_answers[i]` is shard i's answers to
     /// [`expand`](Self::expand)'s concatenated sub-queries).
-    ///
-    /// The merge is the stratified availability rule
-    /// ([`PartialEstimate::merge_available`]): a shard that cannot match
-    /// any tuple (`PassError::EmptyInput`) contributes a zero partial for
-    /// additive aggregates — but only when **some other shard answered**.
-    /// If no shard can answer, the first shard's error propagates, which
-    /// keeps a 1-shard plan identical to the unsharded engine on the
-    /// error side too (and avoids fabricating a confident `0 ± 0` out of
-    /// pure refusals). Zero partials carry no hard bounds and are not
-    /// exact, so their unsampled matching rows still poison the merged
-    /// bounds/exactness. Any other error fails the query.
     fn merge_expanded(
         &self,
         queries: &[Query],
         shard_answers: &[Vec<Result<Estimate>>],
     ) -> Vec<Result<Estimate>> {
-        let mut columns: Vec<_> = shard_answers
-            .iter()
-            .map(|answers| self.shard_partials(queries, answers))
-            .collect();
-        queries
-            .iter()
-            .map(|q| {
-                let parts: Vec<Result<PartialEstimate>> =
-                    columns.iter_mut().filter_map(Iterator::next).collect();
-                PartialEstimate::merge_available(q.agg, &parts)
-            })
+        self.shard_partials(queries, shard_answers)
+            .zip(queries)
+            .map(|(own, q)| self.merge_query(q.agg, &own?))
             .collect()
-    }
-
-    /// Whether this synopsis merges across more than one shard — which
-    /// selects the decomposition: multi-shard merges use
-    /// [`PartialEstimate::merge_queries`] (AVG as COUNT + SUM; the
-    /// per-shard AVG answer would be discarded by a K-way merge, so it
-    /// is never issued), while a single-shard plan passes each query
-    /// through untouched (the merge of one partial returns the shard's
-    /// own estimate verbatim, so sub-queries would be pure waste).
-    fn multi_shard(&self) -> bool {
-        self.shards.len() > 1
-    }
-
-    /// The batch each shard answers: every query expanded into its
-    /// partial sub-queries, concatenated in query order.
-    fn expand(&self, queries: &[Query]) -> Vec<Query> {
-        if self.multi_shard() {
-            queries
-                .iter()
-                .flat_map(PartialEstimate::merge_queries)
-                .collect()
-        } else {
-            queries.to_vec()
-        }
     }
 }
 
-/// The extrapolated intermediate estimate for one group after merging
-/// `merged` of `total` shards — the online-aggregation view published in
-/// non-final [`GroupBySnapshot`]s.
+/// The extrapolated intermediate estimate for one group, whose merge
+/// over the first `own.len()` of `total` shards is `prefix` — the
+/// online-aggregation view published in non-final [`GroupBySnapshot`]s.
 ///
 /// The point estimate assumes the remaining shards look like the merged
 /// prefix (row-range shards of one logical table): additive aggregates
@@ -256,12 +253,13 @@ impl ShardedSynopsis {
 /// error (the group's width is infinite until some shard answers).
 fn extrapolate_group(
     agg: AggKind,
-    parts: &[Result<PartialEstimate>],
-    merged: usize,
+    prefix: Result<Estimate>,
+    own: &[&[Result<Estimate>]],
     total: usize,
 ) -> Result<Estimate> {
+    let merged = own.len();
     debug_assert!(0 < merged && merged < total);
-    let prefix = apply_group_availability(PartialEstimate::merge_available(agg, parts))?;
+    let prefix = apply_group_availability(prefix)?;
     let k = merged as f64;
     let remaining = (total - merged) as f64;
     let spread_of = |values: &[f64]| -> f64 {
@@ -288,9 +286,13 @@ fn extrapolate_group(
         AggKind::Sum | AggKind::Count => {
             // Silent shards contributed an estimated zero to the prefix,
             // so they count as zero in the dispersion too.
-            let values: Vec<f64> = parts
+            let values: Vec<f64> = own
                 .iter()
-                .map(|p| p.as_ref().map_or(0.0, |p| p.local.value))
+                .map(|a| {
+                    a.first()
+                        .and_then(|r| r.as_ref().ok())
+                        .map_or(0.0, |e| e.value)
+                })
                 .collect();
             let scale = total as f64 / k;
             (
@@ -299,11 +301,14 @@ fn extrapolate_group(
             )
         }
         AggKind::Avg => {
-            // The prefix ratio already estimates the global AVG; silent
-            // shards are excluded exactly as the merge excluded them.
-            let values: Vec<f64> = parts
+            // The prefix ratio already estimates the global AVG; a shard's
+            // own AVG is the ratio of its COUNT and SUM, if it has one.
+            let values: Vec<f64> = own
                 .iter()
-                .filter_map(|p| p.as_ref().ok().map(|p| p.local.value))
+                .filter_map(|a| match a {
+                    [Ok(count), Ok(sum)] => Some(ratio(count, sum).ok()?.value),
+                    _ => None,
+                })
                 .collect();
             (prefix.value, prefix.ci_half + margin(spread_of(&values)))
         }
@@ -349,7 +354,7 @@ impl Synopsis for ShardedSynopsis {
     }
 
     /// Shard-outer / query-inner: each shard answers the whole expanded
-    /// batch through its own batched path, then partials merge per query.
+    /// batch through its own batched path, then the answers merge per query.
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
         if queries.iter().any(|q| q.dims() != self.dims) {
             // Mixed-arity batches keep per-query error semantics.
@@ -368,8 +373,8 @@ impl Synopsis for ShardedSynopsis {
     /// each prefix a refining snapshot is offered to `publish` — the
     /// extrapolated view of `extrapolate_group` for intermediate
     /// prefixes, the exact merged answer for the final one — the rows of
-    /// [`pass_common::estimate_group_by`], because the same per-shard
-    /// partials go through the same merge as in
+    /// [`pass_common::estimate_group_by`], because the same shard answers
+    /// go through the same `merge_expanded` as in
     /// [`estimate_many`](Self::estimate_many).
     ///
     /// A **skip filter** keeps the published stream monotone: an
@@ -385,42 +390,34 @@ impl Synopsis for ShardedSynopsis {
         publish: &mut dyn FnMut(GroupBySnapshot) -> bool,
     ) -> Result<Vec<GroupResult>> {
         query.validate(self.dims)?;
-        if !self.multi_shard() {
-            return self.shards[0].estimate_group_by_progressive(query, publish);
+        if let [only] = self.shards.as_slice() {
+            return only.estimate_group_by_progressive(query, publish);
         }
         let total = self.shards.len();
         let queries = query.queries();
         let expanded = self.expand(&queries);
-        let mut columns: Vec<Vec<Result<PartialEstimate>>> = vec![Vec::new(); query.len()];
+        let mut shard_answers: Vec<Vec<Result<Estimate>>> = Vec::with_capacity(total);
         let mut last_widths: Option<Vec<f64>> = None;
-        for (s, shard) in self.shards.iter().enumerate() {
-            let answers = shard.estimate_many(&expanded);
-            for (column, part) in columns
-                .iter_mut()
-                .zip(self.shard_partials(&queries, &answers))
-            {
-                column.push(part);
-            }
-            let merged = s + 1;
+        for shard in &self.shards {
+            shard_answers.push(shard.estimate_many(&expanded));
+            let merged = shard_answers.len();
             let is_last = merged == total;
             if !is_last && matches!(query.agg, AggKind::Min | AggKind::Max) {
                 continue;
             }
             let groups: Vec<GroupResult> = if is_last {
-                query.rows(
-                    columns
-                        .iter()
-                        .map(|parts| PartialEstimate::merge_available(query.agg, parts))
-                        .collect(),
-                )
+                query.rows(self.merge_expanded(&queries, &shard_answers))
             } else {
                 query
                     .categories
                     .iter()
-                    .zip(&columns)
-                    .map(|(&key, parts)| GroupResult {
+                    .zip(self.shard_partials(&queries, &shard_answers))
+                    .map(|(&key, own)| GroupResult {
                         key,
-                        estimate: extrapolate_group(query.agg, parts, merged, total),
+                        estimate: own.and_then(|own| {
+                            let prefix = self.merge_query(query.agg, &own);
+                            extrapolate_group(query.agg, prefix, &own, total)
+                        }),
                     })
                     .collect()
             };
@@ -477,6 +474,7 @@ mod tests {
     use super::*;
     use pass_common::estimate_group_by;
     use pass_table::datasets::uniform;
+    use proptest::prelude::*;
 
     #[test]
     fn builds_one_engine_per_shard_and_sums_storage() {
@@ -641,6 +639,232 @@ mod tests {
         let cut = full[..1].to_vec();
         assert!(short(&multi.merge_expanded(queries, &[full.clone(), cut])));
         assert!(multi.merge_expanded(queries, &[full.clone(), full])[0].is_ok());
+    }
+
+    #[test]
+    fn merge_decomposition_skips_the_avg_sub_query() {
+        let answering = || -> Arc<dyn Synopsis> { Arc::new(MockShard(Some(Estimate::exact(1.0)))) };
+        let batch = [
+            Query::interval(AggKind::Avg, 0.0, 1.0),
+            Query::interval(AggKind::Sum, 0.0, 1.0),
+        ];
+        // Over several shards AVG is asked as COUNT then SUM, never as
+        // itself; other aggregates are asked as they are.
+        let multi = mock_sharded(vec![answering(), answering()]);
+        let aggs: Vec<AggKind> = multi.expand(&batch).iter().map(|q| q.agg).collect();
+        assert_eq!(aggs, [AggKind::Count, AggKind::Sum, AggKind::Sum]);
+        // A 1-shard plan passes each query through untouched.
+        let single = mock_sharded(vec![answering()]);
+        assert_eq!(single.expand(&batch), batch.to_vec());
+    }
+
+    #[test]
+    fn an_exact_empty_shard_keeps_a_multi_shard_avg_exact() {
+        // A shard that answers COUNT and SUM with an exact 0 has no AVG of
+        // its own, but its zeros are exact: ΣSUM/ΣCOUNT = (0 + 4)/(0 + 4)
+        // stays exact, with degenerate bounds.
+        let sharded = mock_sharded(vec![
+            Arc::new(MockShard(Some(Estimate::exact(0.0)))),
+            Arc::new(MockShard(Some(Estimate::exact(4.0)))),
+        ]);
+        let est = sharded
+            .estimate(&Query::interval(AggKind::Avg, 0.0, 1.0))
+            .unwrap();
+        assert_eq!(est.value, 1.0);
+        assert!(est.exact);
+        assert_eq!(est.hard_bounds, Some((1.0, 1.0)));
+    }
+
+    /// A mock shard answering COUNT and SUM with fixed estimates.
+    struct CountSumShard {
+        count: Estimate,
+        sum: Estimate,
+    }
+
+    impl Synopsis for CountSumShard {
+        fn name(&self) -> &str {
+            "MOCK"
+        }
+        fn estimate(&self, q: &Query) -> Result<Estimate> {
+            match q.agg {
+                AggKind::Count => Ok(self.count.clone()),
+                AggKind::Sum => Ok(self.sum.clone()),
+                _ => Err(PassError::InvalidParameter("agg", "COUNT/SUM only".into())),
+            }
+        }
+        fn storage_bytes(&self) -> usize {
+            0
+        }
+        fn dims(&self) -> usize {
+            1
+        }
+    }
+
+    /// A shard's AVG bounds as the corner extremes of its SUM bounds over
+    /// its COUNT bounds, when its COUNT is provably positive.
+    fn own_avg_bounds(count: &Estimate, sum: &Estimate) -> Option<(f64, f64)> {
+        let ((cl, cu), (sl, su)) = (count.hard_bounds?, sum.hard_bounds?);
+        let corners = [sl / cl, sl / cu, su / cl, su / cu];
+        (cl > 0.0).then(|| {
+            let lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (lo, hi)
+        })
+    }
+
+    /// An AVG's value, CI half-width and (span of the shards' own) bounds.
+    type AvgReference = (f64, f64, Option<(f64, f64)>);
+
+    /// The K-way AVG merge of per-shard AVG partials that one ratio of the
+    /// merged COUNT and SUM replaced, kept as the reference for its value
+    /// and CI bits: a shard whose estimated COUNT is not positive is
+    /// silent; one answering shard gives its own delta-method ratio
+    /// verbatim; several give ΣSUM/ΣCOUNT over the answering shards with
+    /// the root-sum-square CIs. Its bounds spanned the shards' own AVG
+    /// bounds, so they are returned only when every shard has them.
+    fn reference_avg(shards: &[(Estimate, Estimate)]) -> Option<AvgReference> {
+        let answering: Vec<&(Estimate, Estimate)> =
+            shards.iter().filter(|(c, _)| c.value > 0.0).collect();
+        let delta = |count: f64, sum: f64, count_ci: f64, sum_ci: f64| {
+            let value = sum / count;
+            let ci = (sum_ci * sum_ci + value * value * count_ci * count_ci).sqrt() / count;
+            (value, ci)
+        };
+        let (value, ci) = match answering.as_slice() {
+            [] => return None,
+            [(c, s)] => delta(c.value, s.value, c.ci_half, s.ci_half),
+            many => {
+                let rss = |ci: fn(&(Estimate, Estimate)) -> f64| {
+                    many.iter().map(|p| ci(p) * ci(p)).sum::<f64>().sqrt()
+                };
+                delta(
+                    many.iter().map(|(c, _)| c.value).sum(),
+                    many.iter().map(|(_, s)| s.value).sum(),
+                    rss(|p| p.0.ci_half),
+                    rss(|p| p.1.ci_half),
+                )
+            }
+        };
+        let span = shards
+            .iter()
+            .map(|(c, s)| own_avg_bounds(c, s))
+            .collect::<Option<Vec<_>>>()
+            .map(|b| {
+                let lo = b.iter().map(|b| b.0).fold(f64::INFINITY, f64::min);
+                let hi = b.iter().map(|b| b.1).fold(f64::NEG_INFINITY, f64::max);
+                (lo, hi)
+            });
+        Some((value, ci, span))
+    }
+
+    /// One shard's COUNT and SUM answers: estimated-empty (count 0,
+    /// bounded or exact), exact, or approximate with bounds whose COUNT
+    /// lower bound may reach 0; COUNT and SUM share the shard's accounting.
+    /// An estimated-empty shard reports 0 ± 0: one reporting a CI would
+    /// now widen the merged CI, the one intended departure from the old
+    /// bits.
+    fn count_sum_answers() -> impl Strategy<Value = (Estimate, Estimate)> {
+        let empty = (0.0f64..5.0, -50.0f64..0.0, 0.0f64..50.0, 0u64..100).prop_map(
+            |(cu, sl, su, processed)| {
+                (
+                    Estimate::approximate(0.0, 0.0)
+                        .with_hard_bounds(0.0, cu)
+                        .with_accounting(processed, 0),
+                    Estimate::approximate(0.0, 0.0)
+                        .with_hard_bounds(sl, su)
+                        .with_accounting(processed, 0),
+                )
+            },
+        );
+        let exact = (1u32..200, -100.0f64..100.0, 0u64..100).prop_map(|(c, avg, processed)| {
+            let c = f64::from(c);
+            (
+                Estimate::exact(c).with_accounting(processed, 7),
+                Estimate::exact(c * avg).with_accounting(processed, 7),
+            )
+        });
+        let approximate = (
+            (1.0f64..200.0, 0.0f64..20.0, 0.0f64..1.2, 0.0f64..1.0),
+            (
+                -100.0f64..100.0,
+                0.0f64..500.0,
+                0.0f64..200.0,
+                0.0f64..200.0,
+            ),
+            0u64..1_000,
+        )
+            .prop_map(
+                |((c, c_ci, down, up), (avg, s_ci, s_down, s_up), processed)| {
+                    let s = c * avg;
+                    (
+                        Estimate::approximate(c, c_ci)
+                            .with_hard_bounds(c * (1.0 - down), c * (1.0 + up))
+                            .with_accounting(processed, processed / 2),
+                        Estimate::approximate(s, s_ci)
+                            .with_hard_bounds(s - s_down, s + s_up)
+                            .with_accounting(processed, processed / 2),
+                    )
+                },
+            );
+        prop_oneof![
+            1 => empty,
+            1 => Just((Estimate::exact(0.0), Estimate::exact(0.0))),
+            2 => exact,
+            6 => approximate,
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn multi_shard_avg_keeps_the_old_value_and_ci_bits_with_tighter_sound_bounds(
+            shards in prop::collection::vec(count_sum_answers(), 2..=8),
+            picks in prop::collection::vec(prop::collection::vec(0usize..4, 8), 16),
+        ) {
+            let sharded = mock_sharded(
+                shards
+                    .iter()
+                    .map(|(count, sum)| -> Arc<dyn Synopsis> {
+                        Arc::new(CountSumShard { count: count.clone(), sum: sum.clone() })
+                    })
+                    .collect(),
+            );
+            let got = sharded.estimate(&Query::interval(AggKind::Avg, 0.0, 1.0));
+            let Some((value, ci_half, span)) = reference_avg(&shards) else {
+                prop_assert!(matches!(got, Err(PassError::EmptyInput(_))), "{got:?}");
+                continue;
+            };
+            let est = got.unwrap();
+            prop_assert_eq!(est.value.to_bits(), value.to_bits(), "{} vs {}", est.value, value);
+            prop_assert_eq!(est.ci_half.to_bits(), ci_half.to_bits(), "{} vs {}", est.ci_half, ci_half);
+            // Every shard scanned its state once for both sub-queries.
+            let processed: u64 = shards.iter().map(|(c, _)| c.tuples_processed).sum();
+            prop_assert_eq!(est.tuples_processed, processed);
+            prop_assert_eq!(est.exact, shards.iter().all(|(c, s)| c.exact && s.exact));
+
+            // Bounds exist exactly when ΣCOUNT is provably positive.
+            let count_lo: f64 = shards.iter().map(|(c, _)| c.hard_bounds.unwrap().0).sum();
+            prop_assert_eq!(est.hard_bounds.is_some(), count_lo > 0.0);
+            let Some((lo, hi)) = est.hard_bounds else { continue };
+            let tol = 1e-12 * lo.abs().max(hi.abs()).max(1.0);
+            // Inside the span of the shards' own AVG bounds (mediant
+            // inequality) wherever every shard has them.
+            if let Some((old_lo, old_hi)) = span {
+                prop_assert!(old_lo - tol <= lo && hi <= old_hi + tol, "[{lo}, {hi}] vs [{old_lo}, {old_hi}]");
+            }
+            // Sound: every ΣSUM/ΣCOUNT inside the shards' bound boxes,
+            // sampled at their corners, lies within.
+            let uniform = (0..4).map(|corner| vec![corner; 8]);
+            for pick in picks.iter().cloned().chain(uniform) {
+                let (sum, count) = shards.iter().zip(&pick).fold((0.0, 0.0), |(sum, count), ((c, s), &corner)| {
+                    let ((cl, cu), (sl, su)) = (c.hard_bounds.unwrap(), s.hard_bounds.unwrap());
+                    let s = if corner & 1 == 0 { sl } else { su };
+                    let c = if corner & 2 == 0 { cl } else { cu };
+                    (sum + s, count + c)
+                });
+                let r = sum / count;
+                prop_assert!(lo - tol <= r && r <= hi + tol, "{r} outside [{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl AggKind {
     /// True for the aggregates whose contributions from disjoint strata
     /// simply add (SUM and COUNT) — equivalently, those with a
     /// well-defined zero contribution from an empty stratum. The sharded
-    /// merge (`crate::PartialEstimate`) leans on this.
+    /// merge (`crate::partial::merge_available`) leans on this.
     pub fn is_additive(self) -> bool {
         matches!(self, AggKind::Sum | AggKind::Count)
     }

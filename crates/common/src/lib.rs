@@ -18,8 +18,9 @@
 //!   input to the engine registry (`pass_baselines::Engine`) and the
 //!   `pass::Session` facade, JSON round-trippable via [`json`];
 //! * the sharding vocabulary: [`ShardPlan`] (how one logical table is cut
-//!   into disjoint shards) and [`PartialEstimate`] (a shard's mergeable
-//!   contribution to a query, reduced by [`PartialEstimate::merge`]);
+//!   into disjoint shards) and the shard merge: [`partial::merge_available`]
+//!   reduces the shards' plain answers to one query (COUNT, SUM, MIN, MAX),
+//!   and a sharded AVG is [`partial::ratio`] of the merged COUNT and SUM;
 //! * the group-by surface (paper Section 4.5): [`GroupByQuery`] expands
 //!   one equality rectangle per category, [`estimate_group_by`] answers
 //!   it through any engine's `estimate_many` with the group availability

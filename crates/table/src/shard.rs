@@ -5,7 +5,7 @@
 //! materializes one column-major [`Table`] per shard. Both partitioners
 //! are **disjoint and exhaustive** — every row lands in exactly one
 //! shard — which is what lets per-shard COUNT/SUM estimates add up
-//! exactly (`pass_common::PartialEstimate`). Shards a plan would leave
+//! exactly (`pass_common::partial::merge_available`). Shards a plan would leave
 //! empty (more shards than rows, or an unlucky hash) are dropped: an
 //! empty table cannot back a synopsis, and an empty shard contributes
 //! nothing to any merge.

@@ -109,9 +109,8 @@ mod session;
 
 pub use pass_baselines::Engine;
 pub use pass_common::{
-    CacheStats, EngineSpec, GroupByQuery, GroupBySnapshot, GroupResult, PartialEstimate, PassSpec,
-    Priority, ProgressiveOutcome, ProgressiveTicket, ServeOutcome, ShardPlan, Synopsis, ThreadPool,
-    Ticket,
+    CacheStats, EngineSpec, GroupByQuery, GroupBySnapshot, GroupResult, PassSpec, Priority,
+    ProgressiveOutcome, ProgressiveTicket, ServeOutcome, ShardPlan, Synopsis, ThreadPool, Ticket,
 };
 pub use serve::{EngineServeStats, Serve, ServeConfig, ServeStats, SubmitOptions};
 pub use session::{Session, SessionHandle, DEFAULT_CACHE_CAPACITY};

@@ -12,6 +12,9 @@
 //!    the **sum of the per-shard estimates exactly** (disjoint strata
 //!    compose linearly), and the merged CI is the root-sum-square of the
 //!    shard CIs — conservative in that it contains every component CI.
+//!    The merged AVG is **ΣSUM/ΣCOUNT of the shards' own answers**, bit
+//!    for bit, and the merged hard bounds of every aggregate contain the
+//!    truth.
 //! 3. `EngineSpec::Sharded` round-trips through JSON and through
 //!    `Engine::build(..).spec()`.
 //! 4. The batched and parallel paths of a sharded engine agree
@@ -43,6 +46,15 @@ fn query_suite() -> Vec<Query> {
         queries.push(Query::interval(agg, 0.0, 1.0));
     }
     queries
+}
+
+/// The standard query suite's rectangles under `agg`.
+fn suite_rects(agg: AggKind) -> Vec<Query> {
+    query_suite()
+        .into_iter()
+        .filter(|q| q.agg == AggKind::Sum)
+        .map(|q| Query::new(agg, q.rect))
+        .collect()
 }
 
 fn assert_rel_close(a: f64, b: f64, tol: f64, what: &str) {
@@ -99,7 +111,8 @@ fn single_shard_row_range_is_identical_to_unsharded() {
 }
 
 /// Contract 2: merged COUNT/SUM = Σ per-shard estimates, CI = RSS of the
-/// shard CIs — for every engine, at K ∈ {2, 4}.
+/// shard CIs, and merged AVG = ΣSUM/ΣCOUNT of the shards' own answers —
+/// for every engine, at K ∈ {2, 4}.
 #[test]
 fn merged_count_sum_is_the_exact_sum_of_shard_estimates() {
     let table = uniform(20_000, 12);
@@ -141,22 +154,65 @@ fn merged_count_sum_is_the_exact_sum_of_shard_estimates() {
                     assert!(merged.ci_half + 1e-12 >= ci, "{name}");
                 }
             }
+            // AVG is one ratio of the merged COUNT and SUM, bit for bit.
+            for avg in suite_rects(AggKind::Avg) {
+                let total = |agg: AggKind| -> f64 {
+                    let q = Query::new(agg, avg.rect.clone());
+                    sharded
+                        .shard_engines()
+                        .iter()
+                        .map(|engine| match engine.estimate(&q) {
+                            Ok(est) => est.value,
+                            Err(PassError::EmptyInput(_)) => 0.0,
+                            Err(other) => panic!("{}: {other}", engine.name()),
+                        })
+                        .sum()
+                };
+                let want = total(AggKind::Sum) / total(AggKind::Count);
+                let got = sharded.estimate(&avg).unwrap().value;
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{}: {got} vs {want}",
+                    sharded.name()
+                );
+            }
         }
     }
 }
 
 /// Contract 2, hard-bound side: when every shard provides hard bounds
-/// (PASS does), the summed bounds still contain the truth.
+/// (PASS does), the merged bounds still contain the truth — summed for
+/// COUNT/SUM, the extremum for MIN/MAX, and for AVG the corner extremes
+/// of the summed SUM bounds over the summed COUNT bounds.
 #[test]
 fn sharded_pass_hard_bounds_still_contain_the_truth() {
     let table = uniform(20_000, 13);
     let spec = suite().remove(0); // PASS, storage-matched
+    let mut queries = query_suite();
+    for agg in [AggKind::Avg, AggKind::Min, AggKind::Max] {
+        queries.extend(suite_rects(agg));
+    }
     for plan in [ShardPlan::row_range(4), ShardPlan::hash_dim(0, 4)] {
-        let sharded = Engine::build(&table, &EngineSpec::sharded(spec.clone(), plan)).unwrap();
-        for q in query_suite() {
-            let est = sharded.estimate(&q).unwrap();
-            let truth = table.ground_truth(&q).unwrap();
-            let (lb, ub) = est.hard_bounds.expect("PASS shards all give bounds");
+        let sharded = ShardedSynopsis::build(&table, &spec, &plan).unwrap();
+        for q in &queries {
+            let est = sharded.estimate(q).unwrap();
+            let truth = table.ground_truth(q).unwrap();
+            // A shard whose rows miss the range refuses MIN/MAX, and a
+            // merge that skipped a shard claims no bounds. Otherwise PASS
+            // shards all give bounds and so does the merge — AVG's too,
+            // since every shard answers its COUNT and SUM, even a shard
+            // with no AVG of its own.
+            let min_max = matches!(q.agg, AggKind::Min | AggKind::Max);
+            let skipped = min_max
+                && sharded
+                    .shard_engines()
+                    .iter()
+                    .any(|shard| shard.estimate(q).is_err());
+            assert_eq!(est.hard_bounds.is_none(), skipped, "{plan:?} {q:?}");
+            let Some((lb, ub)) = est.hard_bounds else {
+                continue;
+            };
             assert!(
                 lb - 1e-6 <= truth && truth <= ub + 1e-6,
                 "{q:?}: truth {truth} outside [{lb}, {ub}]"

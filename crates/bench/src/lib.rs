@@ -1,23 +1,17 @@
-//! Shared harness for the paper-reproduction benchmarks.
+//! Shared harness for the paper-reproduction benchmarks: the `paper`
+//! bench target (every table and figure of the paper's Section 5) and
+//! `micro_join` (the JOIN engine sweep). Each prints the rows the paper
+//! reports and drops a JSON record under `target/bench-results/`.
 //!
-//! Every table and figure of the paper's Section 5 has its own bench
-//! target (`cargo bench -p pass-bench --bench table1`, `--bench fig3`,
-//! ...). Each prints the same rows/series the paper reports and drops a
-//! JSON record under `target/bench-results/` for EXPERIMENTS.md.
-//!
-//! Two scales are supported via the `PASS_SCALE` environment variable:
-//!
-//! * `ci` (default) — reduced dataset sizes and query counts so the whole
-//!   suite finishes in minutes on a laptop;
-//! * `paper` — the paper's row counts (3M / 1.4M / 7.7M) and 2000-query
-//!   workloads.
-//!
-//! The table *formats* are identical at both scales.
+//! `PASS_SCALE` picks the scale: `ci` (the default) shrinks datasets and
+//! query counts so the whole suite finishes in minutes on a laptop;
+//! `paper` uses the paper's row counts (3M / 1.4M / 7.7M) and 2000-query
+//! workloads. Any other value is an error. The table *formats* are
+//! identical at both scales.
 
 #![forbid(unsafe_code)]
 
 use std::io::Write as _;
-use std::time::Instant;
 
 use pass_common::Json;
 use pass_table::datasets::DatasetId;
@@ -38,22 +32,31 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Read the scale from `PASS_SCALE` (default `ci`).
+    /// Read the scale from `PASS_SCALE`; a value [`parse`](Self::parse)
+    /// rejects ends the run with its message.
     pub fn from_env() -> Self {
-        match std::env::var("PASS_SCALE").as_deref() {
-            Ok("paper") => Scale {
-                label: "paper",
-                rows_factor: 1.0,
-                queries: 2_000,
-                seed: 0xB135,
-            },
-            _ => Scale {
-                label: "ci",
-                rows_factor: 0.04,
-                queries: 300,
-                seed: 0xB135,
-            },
-        }
+        let value = std::env::var_os("PASS_SCALE");
+        let value = value.as_ref().map(|v| v.to_string_lossy());
+        Self::parse(value.as_deref()).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
+    }
+
+    /// The scale a `PASS_SCALE` value names: `ci` when unset, `ci` or
+    /// `paper` when set, and an error for anything else.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        let (label, rows_factor, queries) = match value {
+            None | Some("ci") => ("ci", 0.04, 300),
+            Some("paper") => ("paper", 1.0, 2_000),
+            Some(other) => return Err(format!("PASS_SCALE={other:?}: use `ci` or `paper`")),
+        };
+        Ok(Scale {
+            label,
+            rows_factor,
+            queries,
+            seed: 0xB135,
+        })
     }
 
     /// Row count for one of the three paper datasets at this scale.
@@ -86,13 +89,6 @@ impl Scale {
     pub fn md_queries(&self) -> usize {
         (self.queries / 2).max(50)
     }
-}
-
-/// Run a closure, returning its output and the elapsed milliseconds.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Print a fixed-width table with a title.
@@ -142,7 +138,7 @@ pub fn mb(bytes: usize) -> String {
     format!("{:.2}MB", bytes as f64 / 1_048_576.0)
 }
 
-/// Write bench results as JSON for EXPERIMENTS.md assembly.
+/// Write an artifact's summaries as its JSON record ([`write_record`]).
 pub fn emit_json(bench: &str, scale: &Scale, summaries: &[WorkloadSummary]) {
     let payload = Json::obj([
         ("bench", Json::from(bench)),
@@ -166,16 +162,16 @@ pub fn write_record(bench: &str, scale: &Scale, payload: &Json) {
         .nth(2)
         .expect("crates/bench has a workspace root");
     let dir = workspace_root.join("target/bench-results");
-    let dir = dir.as_path();
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
     let path = dir.join(format!("{bench}.{}.json", scale.label));
-    let Ok(mut file) = std::fs::File::create(&path) else {
-        return;
-    };
-    let _ = writeln!(file, "{}", payload.pretty());
-    println!("[results written to {}]", path.display());
+    let written = std::fs::create_dir_all(&dir)
+        .and_then(|()| writeln!(std::fs::File::create(&path)?, "{}", payload.pretty()));
+    match written {
+        Ok(()) => println!("[results written to {}]", path.display()),
+        Err(err) => {
+            eprintln!("cannot write {}: {err}", path.display());
+            std::process::exit(1)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -184,17 +180,29 @@ mod tests {
 
     #[test]
     fn ci_scale_defaults() {
-        let s = Scale::from_env();
-        assert_eq!(s.label, "ci");
-        assert!(s.rows_for(DatasetId::Intel) >= 10_000);
-        assert!(s.queries >= 50);
+        for value in [None, Some("ci")] {
+            let s = Scale::parse(value).unwrap();
+            assert_eq!(s.label, "ci");
+            assert!(s.rows_for(DatasetId::Intel) >= 10_000);
+            assert!(s.queries >= 50);
+        }
+        let paper = Scale::parse(Some("paper")).unwrap();
+        assert_eq!((paper.label, paper.queries), ("paper", 2_000));
+        assert_eq!(
+            paper.rows_for(DatasetId::Intel),
+            DatasetId::Intel.paper_rows()
+        );
     }
 
     #[test]
-    fn timed_measures() {
-        let (v, ms) = timed(|| 2 + 2);
-        assert_eq!(v, 4);
-        assert!(ms >= 0.0);
+    fn unknown_scales_are_errors_naming_both() {
+        for value in ["Paper", "CI", "", "full"] {
+            let message = Scale::parse(Some(value)).unwrap_err();
+            assert!(
+                message.contains("`ci`") && message.contains("`paper`"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

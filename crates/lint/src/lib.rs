@@ -39,10 +39,9 @@
 //!    decision.
 //! 5. **Clock reads are confined** — `Instant::now` / `SystemTime`
 //!    appear only in the declared timing modules ([`TIME_ALLOWED`]):
-//!    deadline stamping, build timing, latency measurement, and the
-//!    bench harness. Everything else must take timestamps as inputs,
-//!    which is what keeps the rest of the workspace deterministic and
-//!    model-checkable.
+//!    deadline stamping, build timing and latency measurement.
+//!    Everything else must take timestamps as inputs, which is what keeps
+//!    the rest of the workspace deterministic and model-checkable.
 //! 6. **Scan kernels, the query path and the update path stay
 //!    allocation-free** — the
 //!    declared hot-path modules ([`SCAN_KERNELS`]) must not heap-allocate
@@ -110,8 +109,6 @@ pub const TIME_ALLOWED: &[&str] = &[
     "src/session.rs",
     // Ticket wait timeouts are measured against a deadline.
     "crates/common/src/ticket.rs",
-    // The bench measurement harness.
-    "crates/bench/src/lib.rs",
 ];
 
 /// The four model-checked modules that must route all synchronization

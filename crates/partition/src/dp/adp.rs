@@ -250,7 +250,7 @@ mod tests {
                 .with_samples(48)
                 .partition(&s, 4)
                 .unwrap();
-            let opt = crate::dp::NaiveDp::new(AggKind::Sum)
+            let opt = crate::dp::exact::NaiveDp::new(AggKind::Sum)
                 .partition(&s, 4)
                 .unwrap();
             let (a, o) = (

@@ -1,4 +1,4 @@
-//! The shared DP engine behind all three partitioners.
+//! The shared DP engine behind `Adp` and the exact test references.
 
 use crate::maxvar::MaxVarOracle;
 
@@ -8,7 +8,9 @@ use crate::maxvar::MaxVarOracle;
 /// `h` are scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
-    /// Score every feasible `h` — exact for any oracle.
+    /// Score every feasible `h` — exact for any oracle. Only the test
+    /// references (`NaiveDp`, the engine's own tests) use it.
+    #[cfg(test)]
     Linear,
     /// Binary search exploiting the Section 4.3 monotonicity
     /// (`A[h, j-1]` non-decreasing and `M([h, i))` non-increasing in `h`)
@@ -69,6 +71,7 @@ pub fn dp_cuts<O: MaxVarOracle>(
             let h_hi = i - min_size;
             let prev = |h: usize| a[h * k + j - 2];
             let (scan_lo, scan_hi) = match strategy {
+                #[cfg(test)]
                 SearchStrategy::Linear => (h_lo, h_hi),
                 SearchStrategy::Binary => {
                     // Find the crossing of the monotone curves, then scan

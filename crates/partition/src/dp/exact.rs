@@ -1,78 +1,84 @@
-//! The exact (reference) dynamic programs of Section 4.3.
+//! The exact (reference) dynamic programs of Section 4.3, kept as test
+//! code.
 //!
 //! Both use the exhaustive max-variance oracle and therefore compute an
 //! optimal partitioning for AVG (and a √2-approximation for SUM, since a 1-D
 //! query partially intersects at most two partitions — Lemma 4.1). They are
-//! polynomially expensive and exist as ground truth for testing `Adp`, not
-//! for production use.
+//! polynomially expensive and exist as ground truth for testing `Adp` (here
+//! and in `adp.rs`), so they compile only under `cfg(test)`.
 
-use pass_common::{AggKind, Result};
-use pass_table::SortedTable;
+#[cfg(test)]
+pub(crate) use reference::{MonotoneDp, NaiveDp};
 
-use crate::maxvar::Exhaustive;
-use crate::spec::{Partitioner1D, Partitioning1D};
-use crate::variance::VarianceOracle;
+#[cfg(test)]
+mod reference {
+    use pass_common::{AggKind, Result};
+    use pass_table::SortedTable;
 
-use super::engine::{dp_cuts, SearchStrategy};
+    use crate::dp::engine::{dp_cuts, SearchStrategy};
+    use crate::maxvar::Exhaustive;
+    use crate::spec::{Partitioner1D, Partitioning1D};
+    use crate::variance::VarianceOracle;
 
-/// O(kN² + N⁴): exhaustive oracle (each of the ≤ N²/2 ranges scored once),
-/// linear `h` scan.
-#[derive(Debug, Clone, Copy)]
-pub struct NaiveDp {
-    pub kind: AggKind,
-    /// Minimum meaningful query size (δN of Section 4.2.1).
-    pub min_items: usize,
-}
-
-impl NaiveDp {
-    pub fn new(kind: AggKind) -> Self {
-        Self { kind, min_items: 1 }
-    }
-}
-
-impl Partitioner1D for NaiveDp {
-    fn name(&self) -> &'static str {
-        "NaiveDP"
+    /// O(kN² + N⁴): exhaustive oracle (each of the ≤ N²/2 ranges scored once),
+    /// linear `h` scan.
+    #[derive(Debug, Clone, Copy)]
+    pub struct NaiveDp {
+        pub kind: AggKind,
+        /// Minimum meaningful query size (δN of Section 4.2.1).
+        pub min_items: usize,
     }
 
-    fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
-        let n = sorted.len();
-        let oracle = Exhaustive::new(
-            VarianceOracle::new(sorted.prefix(), self.kind)?,
-            self.min_items,
-        );
-        let (cuts, _) = dp_cuts(n, k, 1, &oracle, SearchStrategy::Linear);
-        Partitioning1D::new(n, cuts)
-    }
-}
-
-/// O(min(k log N, N) · N³): exhaustive oracle (each probed range scored
-/// once), binary `h` search via monotonicity.
-#[derive(Debug, Clone, Copy)]
-pub struct MonotoneDp {
-    pub kind: AggKind,
-    pub min_items: usize,
-}
-
-impl MonotoneDp {
-    pub fn new(kind: AggKind) -> Self {
-        Self { kind, min_items: 1 }
-    }
-}
-
-impl Partitioner1D for MonotoneDp {
-    fn name(&self) -> &'static str {
-        "MonotoneDP"
+    impl NaiveDp {
+        pub fn new(kind: AggKind) -> Self {
+            Self { kind, min_items: 1 }
+        }
     }
 
-    fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
-        let n = sorted.len();
-        let oracle = Exhaustive::new(
-            VarianceOracle::new(sorted.prefix(), self.kind)?,
-            self.min_items,
-        );
-        let (cuts, _) = dp_cuts(n, k, 1, &oracle, SearchStrategy::Binary);
-        Partitioning1D::new(n, cuts)
+    impl Partitioner1D for NaiveDp {
+        fn name(&self) -> &'static str {
+            "NaiveDP"
+        }
+
+        fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
+            let n = sorted.len();
+            let oracle = Exhaustive::new(
+                VarianceOracle::new(sorted.prefix(), self.kind)?,
+                self.min_items,
+            );
+            let (cuts, _) = dp_cuts(n, k, 1, &oracle, SearchStrategy::Linear);
+            Partitioning1D::new(n, cuts)
+        }
+    }
+
+    /// O(min(k log N, N) · N³): exhaustive oracle (each probed range scored
+    /// once), binary `h` search via monotonicity.
+    #[derive(Debug, Clone, Copy)]
+    pub struct MonotoneDp {
+        pub kind: AggKind,
+        pub min_items: usize,
+    }
+
+    impl MonotoneDp {
+        pub fn new(kind: AggKind) -> Self {
+            Self { kind, min_items: 1 }
+        }
+    }
+
+    impl Partitioner1D for MonotoneDp {
+        fn name(&self) -> &'static str {
+            "MonotoneDP"
+        }
+
+        fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
+            let n = sorted.len();
+            let oracle = Exhaustive::new(
+                VarianceOracle::new(sorted.prefix(), self.kind)?,
+                self.min_items,
+            );
+            let (cuts, _) = dp_cuts(n, k, 1, &oracle, SearchStrategy::Binary);
+            Partitioning1D::new(n, cuts)
+        }
     }
 }
 
@@ -80,8 +86,11 @@ impl Partitioner1D for MonotoneDp {
 mod tests {
     use super::*;
     use crate::maxvar::{Exhaustive, MaxVarOracle};
+    use crate::spec::{Partitioner1D, Partitioning1D};
+    use crate::variance::VarianceOracle;
     use pass_common::rng::rng_from_seed;
-    use pass_common::PassError;
+    use pass_common::{AggKind, PassError};
+    use pass_table::SortedTable;
     use rand::Rng;
 
     fn sorted_from(values: Vec<f64>) -> SortedTable {

@@ -11,9 +11,9 @@
 //! * [`maxvar`] — maximum-variance-query routines: exhaustive reference,
 //!   the median-split ¼-approximation for SUM/COUNT (Lemma A.3), and the
 //!   δm-window index for AVG (Appendix A.4);
-//! * [`dp`] — the dynamic programs: `NaiveDp` (exhaustive reference),
-//!   `MonotoneDp` (binary-search DP, Appendix A.5), and `Adp` — the
-//!   sampled + discretized O(km log m) program used in all experiments;
+//! * [`dp`] — the dynamic program `Adp`: the sampled + discretized
+//!   O(km log m) program used in all experiments, with a binary `h` search
+//!   (Appendix A.5);
 //! * [`equal`] — equal-depth (EQ) and equal-width baselines, and the
 //!   COUNT-optimal equal-size partitioning (Lemma A.1);
 //! * [`hill_climb`] — the AQP++ hill-climbing comparator;
@@ -30,7 +30,7 @@ pub mod maxvar;
 pub mod spec;
 pub mod variance;
 
-pub use dp::{Adp, MonotoneDp, NaiveDp};
+pub use dp::Adp;
 pub use equal::{CountOptimal, EqualDepth, EqualWidth};
 pub use hill_climb::HillClimb;
 pub use kd::{build_kd, KdBuild, KdExpansion, KdNodeInfo};

@@ -1,6 +1,6 @@
 //! Exact maximum-variance query by exhaustive enumeration — the strawman
-//! `M` of Section 4.3. O(len²) per call; used by `NaiveDp`/`MonotoneDp` on
-//! small inputs and as the ground truth for the approximation-factor tests
+//! `M` of Section 4.3. O(len²) per call; the oracle of the exact test DPs
+//! on small inputs and the ground truth for the approximation-factor tests
 //! of the discretized oracles.
 
 use crate::variance::VarianceOracle;

@@ -6,7 +6,7 @@
 //! fully inside it:
 //!
 //! * [`Exhaustive`] — the exact O(len²) enumeration (the strawman `M`);
-//!   reference implementation used by `NaiveDp` and as ground truth in
+//!   the ground truth of the exact test DPs and of the
 //!   approximation-factor tests;
 //! * [`MedianSplit`] — the SUM/COUNT discretization of Lemma A.3: check
 //!   only the two median halves; a ¼-approximation of the max variance in

@@ -45,15 +45,11 @@ use std::sync::Arc;
 use pass_common::partial::{merge_available, ratio};
 use pass_common::rng::derive_seed;
 use pass_common::{
-    apply_group_availability, AggKind, EngineSpec, Estimate, GroupByQuery, GroupBySnapshot,
-    GroupResult, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool, LAMBDA_99,
+    AggKind, EngineSpec, Estimate, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
 };
 use pass_table::Table;
 
 use crate::Engine;
-
-/// One query's answers: shard s's answers to its sub-queries at index s.
-type Column<'a> = Vec<&'a [Result<Estimate>]>;
 
 /// K per-shard engines over disjoint partitions of one logical table,
 /// merged behind the ordinary [`Synopsis`] contract.
@@ -161,37 +157,9 @@ impl ShardedSynopsis {
         expanded
     }
 
-    /// Each query's [`Column`] of `shard_answers` (shard s's answers to
-    /// [`expand`](Self::expand)'s batch at index s), or the typed error of
-    /// a shard short of that batch. The batched and the progressive path
-    /// both read shard answers through here, which is what makes a
-    /// progressive stream's final snapshot the batch answer.
-    fn shard_partials<'a>(
-        &'a self,
-        queries: &'a [Query],
-        shard_answers: &'a [Vec<Result<Estimate>>],
-    ) -> impl Iterator<Item = Result<Column<'a>>> + 'a {
-        let mut cursor = 0usize;
-        queries.iter().map(move |q| {
-            let width = if self.splits(q.agg) { 2 } else { 1 };
-            let own = cursor..cursor + width;
-            cursor += width;
-            shard_answers
-                .iter()
-                .map(|answers| {
-                    answers.get(own.clone()).ok_or_else(|| {
-                        PassError::InvalidParameter(
-                            "shard_answers",
-                            "a shard is short of the expanded batch".into(),
-                        )
-                    })
-                })
-                .collect()
-        })
-    }
-
-    /// Merge one query's [`Column`] under the stratified availability
-    /// rule of [`merge_available`]: a split AVG is the [`ratio`] of its
+    /// Merge one query's answers (shard s's answers to its sub-queries at
+    /// index s) under the stratified availability rule of
+    /// [`merge_available`]: a split AVG is the [`ratio`] of its
     /// merged COUNT and merged SUM, anything else merges directly.
     fn merge_query(&self, agg: AggKind, own: &[&[Result<Estimate>]]) -> Result<Estimate> {
         let merged = |sub: usize, agg: AggKind| {
@@ -208,126 +176,34 @@ impl ShardedSynopsis {
 
     /// Merge per-shard answers to the expanded batch back into one result
     /// per original query (`shard_answers[i]` is shard i's answers to
-    /// [`expand`](Self::expand)'s concatenated sub-queries).
+    /// [`expand`](Self::expand)'s concatenated sub-queries). A query whose
+    /// answers some shard is short of gets a typed error, not a panic.
     fn merge_expanded(
         &self,
         queries: &[Query],
         shard_answers: &[Vec<Result<Estimate>>],
     ) -> Vec<Result<Estimate>> {
-        self.shard_partials(queries, shard_answers)
-            .zip(queries)
-            .map(|(own, q)| self.merge_query(q.agg, &own?))
+        let mut cursor = 0usize;
+        queries
+            .iter()
+            .map(|q| {
+                let width = if self.splits(q.agg) { 2 } else { 1 };
+                let own = cursor..cursor + width;
+                cursor += width;
+                let column = shard_answers
+                    .iter()
+                    .map(|answers| {
+                        answers.get(own.clone()).ok_or_else(|| {
+                            PassError::InvalidParameter(
+                                "shard_answers",
+                                "a shard is short of the expanded batch".into(),
+                            )
+                        })
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                self.merge_query(q.agg, &column)
+            })
             .collect()
-    }
-}
-
-/// The extrapolated intermediate estimate for one group, whose merge
-/// over the first `own.len()` of `total` shards is `prefix` — the
-/// online-aggregation view published in non-final [`GroupBySnapshot`]s.
-///
-/// The point estimate assumes the remaining shards look like the merged
-/// prefix (row-range shards of one logical table): additive aggregates
-/// scale by `total / merged`, AVG keeps the prefix ratio. The CI is the
-/// scaled prefix CI **plus an inter-shard dispersion margin**
-///
-/// ```text
-/// λ₉₉ · (total − merged) · spread · √(1/merged + 1/(total − merged)) · √(merged/(merged − 1))
-/// ```
-///
-/// where `spread` is the largest deviation of a per-shard value from
-/// the prefix mean (floored at a tenth of the mean's magnitude, and at
-/// the lone shard's own magnitude when `merged == 1`, where the
-/// small-sample factor is dropped). The two √ factors are the
-/// homogeneous-shard error model taken seriously: the extrapolation
-/// error is `remaining · (mean_unseen − mean_prefix)`, whose deviation
-/// scales with `√(1/merged + 1/remaining)`, and a max-deviation spread
-/// over `merged` values needs the `√(merged/(merged−1))` small-sample
-/// inflation to be a conservative scale proxy. The margin shrinks as
-/// shards merge and vanishes at the final snapshot, which is what makes
-/// widths non-increasing in practice; it is a *statistical* interval
-/// under the homogeneous-shard assumption, so intermediates never claim
-/// hard bounds or exactness — the final snapshot's estimate is
-/// authoritative.
-///
-/// A prefix with no answering shard yet propagates its availability
-/// error (the group's width is infinite until some shard answers).
-fn extrapolate_group(
-    agg: AggKind,
-    prefix: Result<Estimate>,
-    own: &[&[Result<Estimate>]],
-    total: usize,
-) -> Result<Estimate> {
-    let merged = own.len();
-    debug_assert!(0 < merged && merged < total);
-    let prefix = apply_group_availability(prefix)?;
-    let k = merged as f64;
-    let remaining = (total - merged) as f64;
-    let spread_of = |values: &[f64]| -> f64 {
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let dev = if values.len() == 1 {
-            values[0].abs()
-        } else {
-            values.iter().map(|v| (v - mean).abs()).fold(0.0, f64::max)
-        };
-        dev.max(0.1 * mean.abs())
-    };
-    // The doc-comment margin: a lone merged shard already uses its own
-    // magnitude as the spread, so it skips the (undefined) small-sample
-    // inflation.
-    let small_sample = if merged > 1 {
-        (k / (k - 1.0)).sqrt()
-    } else {
-        1.0
-    };
-    let margin = |spread: f64| {
-        LAMBDA_99 * remaining * spread * (1.0 / k + 1.0 / remaining).sqrt() * small_sample
-    };
-    let (value, ci_half) = match agg {
-        AggKind::Sum | AggKind::Count => {
-            // Silent shards contributed an estimated zero to the prefix,
-            // so they count as zero in the dispersion too.
-            let values: Vec<f64> = own
-                .iter()
-                .map(|a| {
-                    a.first()
-                        .and_then(|r| r.as_ref().ok())
-                        .map_or(0.0, |e| e.value)
-                })
-                .collect();
-            let scale = total as f64 / k;
-            (
-                prefix.value * scale,
-                scale * prefix.ci_half + margin(spread_of(&values)),
-            )
-        }
-        AggKind::Avg => {
-            // The prefix ratio already estimates the global AVG; a shard's
-            // own AVG is the ratio of its COUNT and SUM, if it has one.
-            let values: Vec<f64> = own
-                .iter()
-                .filter_map(|a| match a {
-                    [Ok(count), Ok(sum)] => Some(ratio(count, sum).ok()?.value),
-                    _ => None,
-                })
-                .collect();
-            (prefix.value, prefix.ci_half + margin(spread_of(&values)))
-        }
-        // MIN/MAX never publish intermediates (a prefix extremum has no
-        // sound extrapolation); unreachable by construction, but answer
-        // the prefix conservatively rather than panic.
-        AggKind::Min | AggKind::Max => (prefix.value, prefix.ci_half),
-    };
-    Ok(Estimate::approximate(value, ci_half)
-        .with_accounting(prefix.tuples_processed, prefix.tuples_skipped))
-}
-
-/// A group row's CI half-width for the progressive skip filter: errored
-/// rows are infinitely wide (so an error can refine into an answer but a
-/// published answer can never regress into an error).
-fn row_width(row: &GroupResult) -> f64 {
-    match &row.estimate {
-        Ok(est) => est.ci_half,
-        Err(_) => f64::INFINITY,
     }
 }
 
@@ -369,83 +245,6 @@ impl Synopsis for ShardedSynopsis {
         self.merge_expanded(queries, &shard_answers)
     }
 
-    /// True online aggregation: shards merge one at a time, and after
-    /// each prefix a refining snapshot is offered to `publish` — the
-    /// extrapolated view of `extrapolate_group` for intermediate
-    /// prefixes, the exact merged answer for the final one — the rows of
-    /// [`pass_common::estimate_group_by`], because the same shard answers
-    /// go through the same `merge_expanded` as in
-    /// [`estimate_many`](Self::estimate_many).
-    ///
-    /// A **skip filter** keeps the published stream monotone: an
-    /// intermediate snapshot is published only if no group's CI widened
-    /// against the last published snapshot (errored groups count as
-    /// infinitely wide). MIN/MAX publish no intermediates at all — a
-    /// prefix extremum has no sound extrapolation. The final snapshot is
-    /// always published. `publish` returning `false` stops the refinement
-    /// early and returns the groups of the snapshot just offered.
-    fn estimate_group_by_progressive(
-        &self,
-        query: &GroupByQuery,
-        publish: &mut dyn FnMut(GroupBySnapshot) -> bool,
-    ) -> Result<Vec<GroupResult>> {
-        query.validate(self.dims)?;
-        if let [only] = self.shards.as_slice() {
-            return only.estimate_group_by_progressive(query, publish);
-        }
-        let total = self.shards.len();
-        let queries = query.queries();
-        let expanded = self.expand(&queries);
-        let mut shard_answers: Vec<Vec<Result<Estimate>>> = Vec::with_capacity(total);
-        let mut last_widths: Option<Vec<f64>> = None;
-        for shard in &self.shards {
-            shard_answers.push(shard.estimate_many(&expanded));
-            let merged = shard_answers.len();
-            let is_last = merged == total;
-            if !is_last && matches!(query.agg, AggKind::Min | AggKind::Max) {
-                continue;
-            }
-            let groups: Vec<GroupResult> = if is_last {
-                query.rows(self.merge_expanded(&queries, &shard_answers))
-            } else {
-                query
-                    .categories
-                    .iter()
-                    .zip(self.shard_partials(&queries, &shard_answers))
-                    .map(|(&key, own)| GroupResult {
-                        key,
-                        estimate: own.and_then(|own| {
-                            let prefix = self.merge_query(query.agg, &own);
-                            extrapolate_group(query.agg, prefix, &own, total)
-                        }),
-                    })
-                    .collect()
-            };
-            let widths: Vec<f64> = groups.iter().map(row_width).collect();
-            if !is_last {
-                if let Some(last) = &last_widths {
-                    let widens = widths.iter().zip(last).any(|(w, l)| w > l);
-                    if widens {
-                        continue;
-                    }
-                }
-            }
-            let keep_going = publish(GroupBySnapshot {
-                shards_merged: merged,
-                shards_total: total,
-                groups: groups.clone(),
-                last: is_last,
-            });
-            last_widths = Some(widths);
-            if is_last || !keep_going {
-                return Ok(groups);
-            }
-        }
-        // The loop always returns at the final shard; an empty shard set
-        // cannot be built (`ShardPlan` guarantees at least one shard).
-        Err(PassError::EmptyInput("no shard could answer the query"))
-    }
-
     fn spec(&self) -> EngineSpec {
         EngineSpec::Sharded {
             inner: Box::new(self.inner_spec.clone()),
@@ -472,7 +271,7 @@ impl Synopsis for ShardedSynopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_common::estimate_group_by;
+    use pass_common::{estimate_group_by, GroupByQuery};
     use pass_table::datasets::uniform;
     use proptest::prelude::*;
 
@@ -898,63 +697,6 @@ mod tests {
         // Malformed queries are rejected as a whole.
         let bad = GroupByQuery::over(AggKind::Sum, 3, &[1.0], 1);
         assert!(estimate_group_by(&mixed, &bad).is_err());
-    }
-
-    #[test]
-    fn progressive_snapshots_tighten_into_the_exact_answer() {
-        let answering = || -> Arc<dyn Synopsis> {
-            Arc::new(MockShard(Some(
-                Estimate::approximate(10.0, 3.0).with_hard_bounds(4.0, 16.0),
-            )))
-        };
-        let sharded = mock_sharded(vec![answering(), answering(), answering()]);
-        let gq = GroupByQuery::over(AggKind::Sum, 0, &[1.0], 1);
-        let mut snaps = Vec::new();
-        let groups = sharded
-            .estimate_group_by_progressive(&gq, &mut |s| {
-                snaps.push(s);
-                true
-            })
-            .unwrap();
-        let final_snap = snaps.last().unwrap();
-        assert!(final_snap.last);
-        assert_eq!(final_snap.shards_merged, 3);
-        assert_eq!(final_snap.groups, groups);
-        // The final snapshot is the non-progressive answer, bit for bit.
-        assert_eq!(groups, estimate_group_by(&sharded, &gq).unwrap());
-        // CI widths only tighten, and intermediates claim no hard bounds.
-        let widths: Vec<f64> = snaps.iter().map(|s| row_width(&s.groups[0])).collect();
-        for pair in widths.windows(2) {
-            assert!(pair[1] <= pair[0], "widths must not widen: {widths:?}");
-        }
-        for s in &snaps[..snaps.len() - 1] {
-            assert!(!s.last);
-            let est = s.groups[0].estimate.as_ref().unwrap();
-            assert_eq!(est.hard_bounds, None);
-            assert!(!est.exact);
-        }
-        // Early stop returns the snapshot just offered.
-        let mut offered = 0;
-        let stopped = sharded
-            .estimate_group_by_progressive(&gq, &mut |_| {
-                offered += 1;
-                false
-            })
-            .unwrap();
-        assert_eq!(offered, 1);
-        assert_eq!(stopped.len(), 1);
-        // A 1-shard plan streams exactly one final snapshot.
-        let single = mock_sharded(vec![answering()]);
-        let mut snaps = Vec::new();
-        let groups = single
-            .estimate_group_by_progressive(&gq, &mut |s| {
-                snaps.push(s);
-                true
-            })
-            .unwrap();
-        assert_eq!(snaps.len(), 1);
-        assert!(snaps[0].last);
-        assert_eq!(snaps[0].groups, groups);
     }
 
     #[test]

@@ -42,8 +42,7 @@ use crate::chaos::{AtomicU64, Mutex, Ordering};
 
 use crate::estimate::Estimate;
 use crate::pool::ThreadPool;
-use crate::progressive::GroupBySnapshot;
-use crate::query::{GroupByQuery, GroupResult, Query};
+use crate::query::Query;
 use crate::spec::EngineSpec;
 use crate::synopsis::Synopsis;
 use crate::{PassError, Result};
@@ -699,18 +698,6 @@ impl<S: Synopsis> Synopsis for CachedSynopsis<S> {
         self.answer_batch(queries, |missed| self.inner.estimate_many(missed))
     }
 
-    /// Progressive streams forward uncached: intermediate snapshots are
-    /// extrapolations tied to one execution, not reusable answers. (The
-    /// final answer is still cacheable — [`crate::estimate_group_by`]
-    /// over this decorator probes and fills the cache per category.)
-    fn estimate_group_by_progressive(
-        &self,
-        query: &GroupByQuery,
-        publish: &mut dyn FnMut(GroupBySnapshot) -> bool,
-    ) -> Result<Vec<GroupResult>> {
-        self.inner.estimate_group_by_progressive(query, publish)
-    }
-
     fn update_epoch(&self) -> u64 {
         self.inner.update_epoch()
     }
@@ -1022,7 +1009,7 @@ mod tests {
         use crate::query::GroupByQuery;
         // Category 0 is the engine's silent zero, category 2 a real answer.
         let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 2.0], 1);
-        let silent = gq.query_for(0.0);
+        let silent = gq.query_for(0.0).unwrap();
         for group_first in [true, false] {
             let cached = CachedSynopsis::new(Counting::new(), 16);
             let (rows, plain) = if group_first {

@@ -24,17 +24,13 @@
 //! * the group-by surface (paper Section 4.5): [`GroupByQuery`] expands
 //!   one equality rectangle per category, [`estimate_group_by`] answers
 //!   it through any engine's `estimate_many` with the group availability
-//!   rule ([`apply_group_availability`]) applied per row, and
-//!   [`Synopsis::estimate_group_by_progressive`] streams refining
-//!   [`GroupBySnapshot`]s for online aggregation;
+//!   rule ([`apply_group_availability`]) applied per row;
 //! * the serving-layer building blocks: a dependency-free chunk-stealing
 //!   worker pool ([`ThreadPool`]), a bounded query-result cache
 //!   ([`QueryCache`] / [`CachedSynopsis`]), and the async-serving
 //!   primitives behind `pass::Serve` — a bounded two-priority request
 //!   queue ([`RequestQueue`]), one completion ticket ([`Ticket`]) for
-//!   every served request — resolving to a [`ServeOutcome`], or, as a
-//!   [`ProgressiveTicket`], streaming snapshots and resolving to a
-//!   [`ProgressiveOutcome`] — and a
+//!   every served request, resolving to a [`ServeOutcome`], and a
 //!   fixed-bucket latency histogram ([`LatencyHistogram`]);
 //! * numeric kernels: compensated summation ([`kahan`]), prefix sums
 //!   ([`prefix`]), and statistics helpers ([`stats`]);
@@ -61,7 +57,6 @@ pub mod kahan;
 pub mod partial;
 pub mod pool;
 pub mod prefix;
-pub mod progressive;
 pub mod query;
 pub mod queue;
 pub mod rng;
@@ -81,11 +76,10 @@ pub use kahan::KahanSum;
 pub use partial::PartialEstimate;
 pub use pool::ThreadPool;
 pub use prefix::PrefixSums;
-pub use progressive::{GroupBySnapshot, ProgressiveOutcome, ProgressiveTicket};
 pub use query::{apply_group_availability, GroupByQuery, GroupResult, Query, Rect, RectRelation};
 pub use queue::{Priority, PushError, RequestQueue};
 pub use snapshot::{SnapshotError, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use spec::{EngineSpec, JoinSpec, PartitionStrategy, PassSpec, ShardPlan};
 pub use stats::{lambda_for_confidence, LAMBDA_95, LAMBDA_99};
 pub use synopsis::{estimate_group_by, estimate_many_parallel, Synopsis, PARALLEL_MIN_BATCH};
-pub use ticket::{ServeOutcome, Ticket, TicketOutcome, TicketSlot, TicketWake};
+pub use ticket::{ServeOutcome, Ticket, TicketSlot, TicketWake};

@@ -70,9 +70,9 @@ impl PartialEstimate {
 /// answering parts' bounds know nothing about (its zero for COUNT/SUM
 /// carries neither).
 ///
-/// This is the one merge the sharded single-query, sharded batched, and
-/// progressive group-by paths all reduce through, which is what keeps
-/// them bit-identical to each other. Several AVG answers do not merge:
+/// This is the one merge the sharded single-query and batched paths
+/// (group-bys included) reduce through, which is what keeps them
+/// bit-identical to each other. Several AVG answers do not merge:
 /// merge their COUNTs and SUMs and take the [`ratio`].
 pub fn merge_available(agg: AggKind, parts: &[Result<Estimate>]) -> Result<Estimate> {
     let zero = Estimate::approximate(0.0, 0.0);

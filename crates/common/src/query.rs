@@ -262,7 +262,7 @@ impl Query {
 ///
 /// let q = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 1.0, 2.0], 1);
 /// assert_eq!(q.len(), 3);
-/// assert_eq!(q.query_for(1.0).rect.lo(0), 1.0);
+/// assert_eq!(q.query_for(1.0).unwrap().rect.lo(0), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupByQuery {
@@ -309,9 +309,10 @@ impl GroupByQuery {
     /// Validate against a synopsis of `dims` predicate dimensions: the
     /// base rectangle must match the arity, the group dimension must be
     /// in range, and category codes must be comparable (no NaN).
-    /// [`estimate_group_by`](crate::estimate_group_by) and every
-    /// progressive path run this before touching the engine, so rule
-    /// errors are identical across direct/cached/sharded/served answers.
+    /// [`estimate_group_by`](crate::estimate_group_by) runs this before
+    /// touching the engine, and a served group-by runs it before it
+    /// submits [`queries`](Self::queries), so rule errors are identical
+    /// across direct/cached/sharded/served answers.
     pub fn validate(&self, dims: usize) -> Result<()> {
         if self.base.dims() != dims {
             return Err(PassError::DimensionMismatch {
@@ -326,17 +327,18 @@ impl GroupByQuery {
             ));
         }
         if self.categories.iter().any(|c| c.is_nan()) {
-            return Err(PassError::InvalidParameter(
-                "categories",
-                "group-by category codes must not be NaN".into(),
-            ));
+            return Err(nan_category());
         }
         Ok(())
     }
 
     /// The per-group selection query: the equality rectangle
-    /// `dim = key`, base bounds elsewhere.
-    pub fn query_for(&self, key: f64) -> Query {
+    /// `dim = key`, base bounds elsewhere. A NaN `key` is the
+    /// [`validate`](Self::validate) error, not a malformed rectangle.
+    pub fn query_for(&self, key: f64) -> Result<Query> {
+        if key.is_nan() {
+            return Err(nan_category());
+        }
         let bounds: Vec<(f64, f64)> = (0..self.base.dims())
             .map(|d| {
                 if d == self.dim {
@@ -346,11 +348,12 @@ impl GroupByQuery {
                 }
             })
             .collect();
-        Query::new(self.agg, Rect::new(&bounds))
+        Ok(Query::new(self.agg, Rect::new(&bounds)))
     }
 
-    /// Every group's selection query, in category order.
-    pub fn queries(&self) -> Vec<Query> {
+    /// Every group's selection query, in category order, or the
+    /// [`validate`](Self::validate) error of a NaN category.
+    pub fn queries(&self) -> Result<Vec<Query>> {
         self.categories.iter().map(|&k| self.query_for(k)).collect()
     }
 
@@ -369,6 +372,14 @@ impl GroupByQuery {
             })
             .collect()
     }
+}
+
+/// The error of a NaN group-by category code.
+fn nan_category() -> PassError {
+    PassError::InvalidParameter(
+        "categories",
+        "group-by category codes must not be NaN".into(),
+    )
 }
 
 /// One group's row in a group-by answer.
@@ -530,7 +541,7 @@ mod tests {
         assert!(q.validate(2).is_ok());
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        let queries = q.queries();
+        let queries = q.queries().unwrap();
         assert_eq!(queries.len(), 2);
         // The group dimension collapses to the equality point; the other
         // dimension keeps the base bounds.
@@ -539,6 +550,15 @@ mod tests {
         assert_eq!(queries[0].rect.lo(0), 0.0);
         assert_eq!(queries[0].rect.hi(0), 10.0);
         assert_eq!(queries[1].agg, AggKind::Count);
+    }
+
+    #[test]
+    fn a_nan_category_is_the_validation_error_not_a_panic() {
+        let q = GroupByQuery::over(AggKind::Sum, 0, &[1.0, f64::NAN], 1);
+        let invalid = q.validate(1).unwrap_err();
+        assert_eq!(q.queries().unwrap_err(), invalid);
+        assert_eq!(q.query_for(f64::NAN).unwrap_err(), invalid);
+        assert!(q.query_for(1.0).is_ok());
     }
 
     #[test]

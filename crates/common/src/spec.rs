@@ -64,8 +64,6 @@ pub struct PassSpec {
     /// Workload-shift mode: index only these predicate dimensions in the
     /// partition tree while samples keep every predicate column.
     pub tree_dims: Option<Vec<usize>>,
-    /// Display-name override for benchmark variants (`"PASS-BSS2x"`).
-    pub name: Option<String>,
 }
 
 impl Default for PassSpec {
@@ -82,7 +80,6 @@ impl Default for PassSpec {
             kd_balance: 2,
             seed: 0x9A55,
             tree_dims: None,
-            name: None,
         }
     }
 }
@@ -524,9 +521,6 @@ impl EngineSpec {
                         Json::Arr(dims.iter().map(|&d| Json::from(d)).collect()),
                     ));
                 }
-                if let Some(name) = &p.name {
-                    fields.push(("name", Json::from(name.clone())));
-                }
             }
             EngineSpec::Uniform { k, seed } => {
                 fields.push(("k", Json::from(*k)));
@@ -660,7 +654,6 @@ impl EngineSpec {
                     kd_balance: usize_field("kd_balance")?,
                     seed: u64_field("seed")?,
                     tree_dims,
-                    name: doc.get("name").and_then(Json::as_str).map(str::to_owned),
                 }))
             }
             Some("uniform") => Ok(EngineSpec::Uniform {
@@ -751,7 +744,6 @@ mod tests {
                 strategy: PartitionStrategy::EqualDepth,
                 delta_encode: true,
                 tree_dims: Some(vec![0, 2]),
-                name: Some("PASS-BSS2x".into()),
                 seed: 7,
                 ..PassSpec::default()
             }),
@@ -794,6 +786,16 @@ mod tests {
             let back = EngineSpec::from_json(&text).unwrap();
             assert_eq!(back, spec, "{text}");
         }
+    }
+
+    #[test]
+    fn a_pass_header_that_names_its_engine_still_loads() {
+        // Older writers emitted a display-name override as `name`; the
+        // reader ignores the key.
+        let spec = EngineSpec::pass();
+        let named = spec.to_json().replacen('{', r#"{"name":"PASS-BSS2x","#, 1);
+        assert!(named.contains("PASS-BSS2x"));
+        assert_eq!(EngineSpec::from_json(&named).unwrap(), spec);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 use crate::estimate::Estimate;
 use crate::pool::ThreadPool;
-use crate::progressive::GroupBySnapshot;
 use crate::query::{GroupByQuery, GroupResult, Query};
 use crate::spec::EngineSpec;
 use crate::Result;
@@ -62,42 +61,6 @@ pub trait Synopsis: Send + Sync {
     /// query; engines override it to share work across the batch.
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
         queries.iter().map(|q| self.estimate(q)).collect()
-    }
-
-    /// Answer a group-by **progressively**: stream refining
-    /// [`GroupBySnapshot`]s through `publish` while the answer is
-    /// computed, and return the groups of the last snapshot emitted.
-    ///
-    /// The contract every implementation must honor:
-    ///
-    /// * At least one snapshot is published on success, and the snapshot
-    ///   with `last == true` (the final one, when execution runs to
-    ///   completion) is **bit-identical** to [`estimate_group_by`].
-    /// * Per-group CI half-widths never widen from one snapshot to the
-    ///   next (an erred group counts as infinitely wide).
-    /// * `publish` returning `false` requests early stop: the engine
-    ///   stops refining and returns the groups of the last snapshot it
-    ///   emitted (the serving layer uses this for deadline harvesting).
-    /// * Errors are returned only *before* any snapshot is published
-    ///   (query validation).
-    ///
-    /// The default is degenerate online aggregation: compute the full
-    /// answer, publish it as the one (final) snapshot, return it.
-    /// Engines with incremental structure override it —
-    /// `ShardedSynopsis` publishes a snapshot per merged shard prefix.
-    fn estimate_group_by_progressive(
-        &self,
-        query: &GroupByQuery,
-        publish: &mut dyn FnMut(GroupBySnapshot) -> bool,
-    ) -> Result<Vec<GroupResult>> {
-        let groups = estimate_group_by(self, query)?;
-        publish(GroupBySnapshot {
-            shards_merged: 1,
-            shards_total: 1,
-            groups: groups.clone(),
-            last: true,
-        });
-        Ok(groups)
     }
 
     /// How many mutations this synopsis has absorbed since it was built.
@@ -190,8 +153,8 @@ pub fn estimate_many_parallel<S: Synopsis + ?Sized>(
 /// be rewritten as an equality predicate condition", then "aggregate
 /// answers for all the selection queries").
 ///
-/// This is the only non-progressive group-by path, for every engine and
-/// every wrapper: the per-category expansion ([`GroupByQuery::queries`])
+/// This is the one group-by path, for every engine and every wrapper,
+/// served or direct: the per-category expansion ([`GroupByQuery::queries`])
 /// goes through the engine's own [`Synopsis::estimate_many`] — PASS's
 /// shared scratch, a sharded engine's scatter–gather, a
 /// [`crate::CachedSynopsis`]'s probe-then-fill — and
@@ -208,7 +171,7 @@ pub fn estimate_group_by<S: Synopsis + ?Sized>(
     query: &GroupByQuery,
 ) -> Result<Vec<GroupResult>> {
     query.validate(engine.dims())?;
-    Ok(query.rows(engine.estimate_many(&query.queries())))
+    Ok(query.rows(engine.estimate_many(&query.queries()?)))
 }
 
 /// Forwarding impls so `Box<dyn Synopsis>`, `Arc<dyn Synopsis>`, and plain
@@ -231,13 +194,6 @@ macro_rules! forward_synopsis {
             }
             fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
                 (**self).estimate_many(queries)
-            }
-            fn estimate_group_by_progressive(
-                &self,
-                query: &GroupByQuery,
-                publish: &mut dyn FnMut(GroupBySnapshot) -> bool,
-            ) -> Result<Vec<GroupResult>> {
-                (**self).estimate_group_by_progressive(query, publish)
             }
             fn update_epoch(&self) -> u64 {
                 (**self).update_epoch()
@@ -395,7 +351,7 @@ mod tests {
         assert_eq!(groups.len(), 3);
         for (g, key) in groups.iter().zip([1.0, 2.0, 3.0]) {
             assert_eq!(g.key, key);
-            assert_eq!(g.estimate, s.estimate(&q.query_for(key)));
+            assert_eq!(g.estimate, s.estimate(&q.query_for(key).unwrap()));
         }
         // Malformed queries fail as a whole, before any per-group work.
         let bad = GroupByQuery::over(AggKind::Sum, 5, &[1.0], 1);
@@ -404,31 +360,6 @@ mod tests {
         let boxed: Box<dyn Synopsis> = Box::new(Constant(4.0));
         assert_eq!(estimate_group_by(&boxed, &q).unwrap(), groups);
         assert_eq!(estimate_group_by(boxed.as_ref(), &q).unwrap(), groups);
-    }
-
-    #[test]
-    fn default_progressive_path_is_one_final_snapshot() {
-        use crate::query::GroupByQuery;
-        let s = Constant(2.0);
-        let q = GroupByQuery::over(AggKind::Count, 0, &[0.0, 1.0], 1);
-        let mut snapshots = Vec::new();
-        let groups = s
-            .estimate_group_by_progressive(&q, &mut |snap| {
-                snapshots.push(snap);
-                true
-            })
-            .unwrap();
-        assert_eq!(snapshots.len(), 1);
-        assert!(snapshots[0].last);
-        assert_eq!(snapshots[0].shards_merged, snapshots[0].shards_total);
-        assert_eq!(snapshots[0].groups, groups);
-        assert_eq!(groups, estimate_group_by(&s, &q).unwrap());
-        // Early-stop requests still return the last emitted snapshot.
-        let arc: std::sync::Arc<dyn Synopsis> = std::sync::Arc::new(Constant(2.0));
-        let stopped = arc
-            .estimate_group_by_progressive(&q, &mut |_| false)
-            .unwrap();
-        assert_eq!(stopped, groups);
     }
 
     #[test]

@@ -9,17 +9,15 @@
 //! runtime because the workspace is offline (no tokio) and the waiting
 //! side of a query server needs nothing fancier.
 //!
-//! Every served request resolves through this one cell, generic over its
-//! outcome ([`TicketOutcome`]): a [`ServeOutcome`] for a plain request, a
-//! [`ProgressiveOutcome`](crate::ProgressiveOutcome) for a progressive
-//! group-by, which streams snapshots first ([`TicketSlot::publish`]).
+//! Every served request — a plain batch or a group-by's equality
+//! queries alike — resolves through this one cell to a [`ServeOutcome`].
 //!
 //! The producer half is [`TicketSlot`]: the serving worker that executes
 //! (or sheds) the request calls [`TicketSlot::fulfill`] exactly once —
-//! it consumes the slot, so nothing can be published after it. A slot
-//! dropped unfulfilled (worker panic, aborted shutdown) resolves its
-//! ticket to [`TicketOutcome::cancelled`], so a client can never block
-//! forever on a request the server lost.
+//! it consumes the slot, so an outcome is final. A slot dropped
+//! unfulfilled (worker panic, aborted shutdown) resolves its ticket to
+//! [`ServeOutcome::Cancelled`], so a client can never block forever on a
+//! request the server lost.
 //!
 //! Wakeups are **conditional and deferrable**. Waiters count themselves
 //! in `TicketState::parked` (under the ticket lock) around every condvar
@@ -31,10 +29,8 @@
 //! stores every outcome first and wakes afterwards (one wakeup per batch
 //! instead of one park/preempt round trip per ticket).
 //! [`TicketSlot::fulfill`] is the batch of one: store, then drop the
-//! handle. Publishing a snapshot wakes nobody: waiters block on the
-//! outcome, not on the stream.
+//! handle.
 
-use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,27 +72,9 @@ impl ServeOutcome {
     }
 }
 
-/// The terminal outcome a [`Ticket`] resolves to.
-pub trait TicketOutcome: Clone + Debug {
-    /// A refining partial answer the producer may publish before it
-    /// resolves; uninhabited for outcomes that do not stream.
-    type Snapshot: Clone + Debug;
-
-    /// The outcome of a request whose slot dropped unresolved.
-    fn cancelled() -> Self;
-}
-
-impl TicketOutcome for ServeOutcome {
-    type Snapshot = std::convert::Infallible;
-
-    fn cancelled() -> Self {
-        ServeOutcome::Cancelled
-    }
-}
-
 #[derive(Debug)]
-struct TicketState<O: TicketOutcome> {
-    outcome: Option<O>,
+struct TicketState {
+    outcome: Option<ServeOutcome>,
     /// Global completion stamp (server-assigned, monotonically
     /// increasing) — lets tests and clients observe *relative* completion
     /// order, e.g. that interactive requests finished before co-queued
@@ -108,20 +86,16 @@ struct TicketState<O: TicketOutcome> {
     /// spurious wakeup and timeout alike), always under this lock — so
     /// the producer's "is anyone parked?" read cannot race a waiter.
     parked: usize,
-    /// The freshest published snapshot (zero-sized for a plain request).
-    latest: Option<O::Snapshot>,
-    /// How many snapshots were published.
-    published: usize,
 }
 
 #[derive(Debug)]
-struct Shared<O: TicketOutcome> {
-    state: Mutex<TicketState<O>>,
+struct Shared {
+    state: Mutex<TicketState>,
     done: Condvar,
 }
 
 /// The client half of one served request: poll or block for its
-/// outcome, and read the snapshots a streaming request published.
+/// outcome.
 ///
 /// Tickets are cheap (`Arc` internally) and cloneable; every clone
 /// observes the same outcome.
@@ -143,20 +117,18 @@ struct Shared<O: TicketOutcome> {
 /// assert_eq!(twin.completion_index(), Some(0));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Ticket<O: TicketOutcome = ServeOutcome> {
-    shared: Arc<Shared<O>>,
+pub struct Ticket {
+    shared: Arc<Shared>,
 }
 
-impl<O: TicketOutcome> Ticket<O> {
+impl Ticket {
     /// A pending ticket plus the [`TicketSlot`] that will resolve it.
-    pub fn pending() -> (Self, TicketSlot<O>) {
+    pub fn pending() -> (Self, TicketSlot) {
         let shared = Arc::new(Shared {
             state: Mutex::new(TicketState {
                 outcome: None,
                 seq: None,
                 parked: 0,
-                latest: None,
-                published: 0,
             }),
             done: Condvar::new(),
         });
@@ -172,14 +144,14 @@ impl<O: TicketOutcome> Ticket<O> {
 
     /// A ticket born resolved — how admission control returns a
     /// rejection synchronously while keeping one uniform submission API.
-    pub fn resolved(outcome: O) -> Self {
+    pub fn resolved(outcome: ServeOutcome) -> Self {
         let (ticket, slot) = Self::pending();
         slot.fulfill(outcome, None);
         ticket
     }
 
     /// Non-blocking check: the outcome if resolved, else `None`.
-    pub fn poll(&self) -> Option<O> {
+    pub fn poll(&self) -> Option<ServeOutcome> {
         self.shared.state.lock().outcome.clone()
     }
 
@@ -189,7 +161,7 @@ impl<O: TicketOutcome> Ticket<O> {
     }
 
     /// Block until the outcome arrives.
-    pub fn wait(&self) -> O {
+    pub fn wait(&self) -> ServeOutcome {
         let mut state = self.shared.state.lock();
         loop {
             if let Some(outcome) = &state.outcome {
@@ -203,7 +175,7 @@ impl<O: TicketOutcome> Ticket<O> {
 
     /// Block for at most `timeout`; `None` if still pending afterwards.
     /// A timeout past the clock's range waits like [`wait`](Self::wait).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<O> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<ServeOutcome> {
         let Some(deadline) = Instant::now().checked_add(timeout) else {
             return Some(self.wait());
         };
@@ -234,45 +206,23 @@ impl<O: TicketOutcome> Ticket<O> {
     pub fn completion_index(&self) -> Option<u64> {
         self.shared.state.lock().seq
     }
-
-    /// How many snapshots have been published so far.
-    pub fn snapshot_count(&self) -> usize {
-        self.shared.state.lock().published
-    }
-
-    /// The freshest published snapshot, if any.
-    pub fn latest(&self) -> Option<O::Snapshot> {
-        self.shared.state.lock().latest.clone()
-    }
 }
 
-/// The producer half of a [`Ticket`]: publishes snapshots, then
-/// resolves it exactly once.
+/// The producer half of a [`Ticket`]: resolves it exactly once.
 ///
 /// Dropping an unfulfilled slot resolves the ticket to
-/// [`TicketOutcome::cancelled`] — the safety net that keeps clients from
+/// [`ServeOutcome::Cancelled`] — the safety net that keeps clients from
 /// blocking forever if the serving worker unwinds.
 #[derive(Debug)]
-pub struct TicketSlot<O: TicketOutcome = ServeOutcome> {
-    shared: Option<Arc<Shared<O>>>,
+pub struct TicketSlot {
+    shared: Option<Arc<Shared>>,
 }
 
-impl<O: TicketOutcome> TicketSlot<O> {
-    /// Publish a refining snapshot: it becomes the ticket's
-    /// [`latest`](Ticket::latest) and counts once more in its
-    /// [`snapshot_count`](Ticket::snapshot_count).
-    pub fn publish(&self, snapshot: O::Snapshot) {
-        if let Some(shared) = &self.shared {
-            let mut state = shared.state.lock();
-            state.latest = Some(snapshot);
-            state.published += 1;
-        }
-    }
-
+impl TicketSlot {
     /// Resolve the ticket with `outcome` (and, for executed requests,
     /// the server's completion stamp) and wake whoever is parked on it.
     /// Consumes the slot: an outcome is final.
-    pub fn fulfill(self, outcome: O, seq: Option<u64>) {
+    pub fn fulfill(self, outcome: ServeOutcome, seq: Option<u64>) {
         drop(self.store(outcome, seq));
     }
 
@@ -283,11 +233,11 @@ impl<O: TicketOutcome> TicketSlot<O> {
     /// worker resolving a batch keeps the handles until its last store,
     /// so the first waiter it wakes finds every answer ready instead of
     /// preempting the worker once per ticket.
-    pub fn store(mut self, outcome: O, seq: Option<u64>) -> Option<TicketWake<O>> {
+    pub fn store(mut self, outcome: ServeOutcome, seq: Option<u64>) -> Option<TicketWake> {
         self.store_inner(outcome, seq)
     }
 
-    fn store_inner(&mut self, outcome: O, seq: Option<u64>) -> Option<TicketWake<O>> {
+    fn store_inner(&mut self, outcome: ServeOutcome, seq: Option<u64>) -> Option<TicketWake> {
         let shared = self.shared.take()?;
         let mut state = shared.state.lock();
         state.outcome = Some(outcome);
@@ -298,9 +248,9 @@ impl<O: TicketOutcome> TicketSlot<O> {
     }
 }
 
-impl<O: TicketOutcome> Drop for TicketSlot<O> {
+impl Drop for TicketSlot {
     fn drop(&mut self) {
-        drop(self.store_inner(O::cancelled(), None));
+        drop(self.store_inner(ServeOutcome::Cancelled, None));
     }
 }
 
@@ -309,11 +259,11 @@ impl<O: TicketOutcome> Drop for TicketSlot<O> {
 /// that unwinds between storing a batch's outcomes and waking its
 /// waiters still wakes every one of them.
 #[derive(Debug)]
-pub struct TicketWake<O: TicketOutcome = ServeOutcome> {
-    shared: Arc<Shared<O>>,
+pub struct TicketWake {
+    shared: Arc<Shared>,
 }
 
-impl<O: TicketOutcome> Drop for TicketWake<O> {
+impl Drop for TicketWake {
     fn drop(&mut self) {
         self.shared.done.notify_all();
     }
@@ -418,7 +368,7 @@ mod tests {
 
     #[test]
     fn dropping_the_slot_cancels_instead_of_hanging() {
-        let (ticket, slot): (Ticket, _) = Ticket::pending();
+        let (ticket, slot) = Ticket::pending();
         drop(slot);
         assert_eq!(ticket.wait(), ServeOutcome::Cancelled);
     }

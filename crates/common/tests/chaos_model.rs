@@ -29,8 +29,7 @@ use std::sync::Arc;
 
 use pass_common::chaos::{self, Chaos};
 use pass_common::{
-    AggKind, Estimate, GroupBySnapshot, GroupResult, Priority, ProgressiveOutcome,
-    ProgressiveTicket, Query, QueryCache, QueryKey, RequestQueue, ServeOutcome, Ticket,
+    AggKind, Estimate, Priority, Query, QueryCache, QueryKey, RequestQueue, ServeOutcome, Ticket,
 };
 
 fn key(lo: f64, hi: f64) -> QueryKey {
@@ -369,82 +368,6 @@ fn gated_push_never_strands_a_consumer_entering_pop() {
         assert!(queue.is_empty());
     });
     assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
-}
-
-/// Progressive protocol: the worker publishes an intermediate and a
-/// final snapshot, then resolves with the consuming `fulfill`, racing a
-/// client parked in `wait()` and a poller reading `poll()` then
-/// `latest()`. In every interleaving the waiter wakes to the one outcome
-/// the ticket ever holds, and whoever sees `Done { partial: false }`
-/// sees the final snapshot published before it; the poller never sees
-/// the stream go backwards.
-#[test]
-fn progressive_publishes_then_fulfills_exactly_once() {
-    fn snapshot(merged: usize, value: f64) -> GroupBySnapshot {
-        GroupBySnapshot {
-            shards_merged: merged,
-            shards_total: 2,
-            groups: vec![GroupResult {
-                key: 0.0,
-                estimate: Ok(Estimate::exact(value)),
-            }],
-            last: merged == 2,
-        }
-    }
-    let saw_resolved_poll = Arc::new(AtomicU64::new(0));
-    let resolved_polls = Arc::clone(&saw_resolved_poll);
-    let report = Chaos::new("progressive_publish_then_fulfill")
-        .preemptions(3)
-        .check(move || {
-            let (ticket, slot) = ProgressiveTicket::pending();
-            let final_outcome = ProgressiveOutcome::Done {
-                groups: snapshot(2, 12.0).groups,
-                partial: false,
-            };
-            let (waited, polls) = chaos::scope(|s| {
-                let waiter = s.spawn(|| {
-                    let outcome = ticket.wait();
-                    (outcome, ticket.latest(), ticket.snapshot_count())
-                });
-                let poller = s.spawn(|| {
-                    (0..2)
-                        .map(|_| (ticket.poll(), ticket.latest()))
-                        .collect::<Vec<_>>()
-                });
-                let outcome = final_outcome.clone();
-                s.spawn(move || {
-                    slot.publish(snapshot(1, 10.0));
-                    slot.publish(snapshot(2, 12.0));
-                    slot.fulfill(outcome, None);
-                });
-                (waiter.join().unwrap(), poller.join().unwrap())
-            });
-            let (outcome, latest, count) = waited;
-            assert_eq!(outcome, final_outcome, "the waiter woke to another outcome");
-            assert_eq!(
-                latest,
-                Some(snapshot(2, 12.0)),
-                "Done before the final snapshot"
-            );
-            assert_eq!(count, 2);
-            let mut merged = 0;
-            for (polled, latest) in polls {
-                let now = latest.map_or(0, |l| l.shards_merged);
-                assert!(now >= merged, "the stream went backwards");
-                merged = now;
-                if let Some(polled) = polled {
-                    assert_eq!(polled, final_outcome, "a second outcome was observed");
-                    assert_eq!(now, 2, "Done before the final snapshot");
-                    resolved_polls.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            assert_eq!(ticket.poll(), Some(final_outcome));
-        });
-    assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
-    assert!(
-        saw_resolved_poll.load(Ordering::Relaxed) > 0,
-        "no schedule let the poller see the outcome"
-    );
 }
 
 /// A hit racing an eviction: on a full three-entry cache, one thread

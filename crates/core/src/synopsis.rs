@@ -243,13 +243,6 @@ impl Pass {
         self.samples.iter().map(|s| s.k()).sum()
     }
 
-    /// Override the printed engine name (benchmark variants like
-    /// `PASS-BSS2x`). The stored spec keeps the override so it round-trips.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.spec.name = Some(name.into());
-        self
-    }
-
     /// Mutations absorbed since the build (see [`Synopsis::update_epoch`]).
     pub fn mutation_epoch(&self) -> u64 {
         self.mutation_epoch
@@ -288,7 +281,7 @@ impl Pass {
 
 impl Synopsis for Pass {
     fn name(&self) -> &str {
-        self.spec.name.as_deref().unwrap_or("PASS")
+        "PASS"
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
@@ -902,26 +895,5 @@ mod tests {
         let t = uniform(2_000, 41);
         let pass = Pass::from_spec(&t, &spec).unwrap();
         assert_eq!(pass.spec(), EngineSpec::Pass(spec));
-        // The name override keeps the spec in sync.
-        let named = pass.with_name("PASS-X");
-        match named.spec() {
-            EngineSpec::Pass(s) => assert_eq!(s.name.as_deref(), Some("PASS-X")),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn name_override_for_benchmark_variants() {
-        let t = uniform(1_000, 12);
-        let pass = Pass::from_spec(
-            &t,
-            &PassSpec {
-                partitions: 4,
-                ..PassSpec::default()
-            },
-        )
-        .unwrap()
-        .with_name("PASS-BSS2x");
-        assert_eq!(pass.name(), "PASS-BSS2x");
     }
 }

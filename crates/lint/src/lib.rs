@@ -640,13 +640,6 @@ const LOCK_PATTERNS: &[LockPattern] = &[
         rank: 1,
         binds_guard: false,
     },
-    LockPattern {
-        file: None,
-        pattern: ".publish(",
-        receiver_hint: "slot",
-        rank: 1,
-        binds_guard: false,
-    },
     // Entry points that take the cache lock.
     LockPattern {
         file: None,

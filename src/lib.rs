@@ -39,16 +39,11 @@
 //! rest) is answered by every engine through
 //! [`common::estimate_group_by`] / [`Session::group_by`] (a batch of
 //! selection queries through the engine's `estimate_many`, so PASS
-//! answers it on its shared MCF scratch), and **progressively**
-//! through [`Serve::submit_progressive`]: the returned
-//! [`ProgressiveTicket`] — the same [`Ticket`] every served request
-//! gets, resolving to a [`ProgressiveOutcome`] — streams refining
-//! [`GroupBySnapshot`]s as a
-//! sharded engine merges shard after shard — each intermediate carries
-//! a conservative CI that only tightens — and a deadline that passes
-//! mid-stream resolves to the best estimate so far
-//! ([`ProgressiveOutcome::Done`] with `partial: true`), never an
-//! `Expired` with no data.
+//! answers it on its shared MCF scratch), and served as one plain
+//! request: [`Serve::submit`] takes its
+//! [`queries`](GroupByQuery::queries) and
+//! [`rows`](GroupByQuery::rows) turns the results into the same rows,
+//! cached and coalesced like any other request.
 //!
 //! ```
 //! use pass::{EngineSpec, Session};
@@ -109,8 +104,8 @@ mod session;
 
 pub use pass_baselines::Engine;
 pub use pass_common::{
-    CacheStats, EngineSpec, GroupByQuery, GroupBySnapshot, GroupResult, PassSpec, Priority,
-    ProgressiveOutcome, ProgressiveTicket, ServeOutcome, ShardPlan, Synopsis, ThreadPool, Ticket,
+    CacheStats, EngineSpec, GroupByQuery, GroupResult, PassSpec, Priority, ServeOutcome, ShardPlan,
+    Synopsis, ThreadPool, Ticket,
 };
 pub use serve::{EngineServeStats, Serve, ServeConfig, ServeStats, SubmitOptions};
 pub use session::{Session, SessionHandle, DEFAULT_CACHE_CAPACITY};

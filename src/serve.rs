@@ -47,14 +47,12 @@
 //!   requests each take a queue slot, yet a cached engine computes each
 //!   distinct miss of a batch a single time and answers later repeats
 //!   from its cache.
-//! * **Group-bys can stream.** [`Serve::submit_progressive`] submits a
-//!   [`GroupByQuery`] whose [`ProgressiveTicket`] exposes refining
-//!   [`GroupBySnapshot`](pass_common::GroupBySnapshot)s while the
-//!   worker merges shards — online aggregation over the serving tier.
-//!   Progressive deadlines *stop the refinement* instead of expiring
-//!   the request: the ticket resolves to the best estimate so far with
-//!   `partial: true`, never [`ProgressiveOutcome::Rejected`]-style
-//!   data loss and never `Expired`.
+//! * **A group-by is one plain request.** Validate the
+//!   [`GroupByQuery`](pass_common::GroupByQuery) against the engine's
+//!   arity, submit its [`queries`](pass_common::GroupByQuery::queries)
+//!   and read [`rows`](pass_common::GroupByQuery::rows) of the results:
+//!   that is [`Session::group_by`](crate::Session::group_by) bit for
+//!   bit, cached and coalesced like any other request.
 //! * **Everything is observable.** [`Serve::stats`] reports
 //!   accepted/rejected/expired/completed counts, the
 //!   queue-depth high-water mark, p50/p99 submit-to-completion latency
@@ -115,9 +113,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pass_common::{
-    GroupByQuery, LatencyHistogram, PassError, Priority, ProgressiveOutcome, ProgressiveTicket,
-    PushError, Query, RequestQueue, Result, ServeOutcome, ThreadPool, Ticket, TicketOutcome,
-    TicketSlot,
+    LatencyHistogram, PassError, Priority, PushError, Query, RequestQueue, Result, ServeOutcome,
+    ThreadPool, Ticket, TicketSlot,
 };
 
 use crate::session::SessionHandle;
@@ -189,9 +186,8 @@ pub struct SubmitOptions {
     /// Admission class; interactive requests overtake queued bulk ones.
     pub priority: Priority,
     /// How long the request may wait in the queue before it expires
-    /// (measured from submission); a progressive group-by instead stops
-    /// refining once it passes. `None` — and a deadline too long for the
-    /// clock to represent (`Duration::MAX`) — means no deadline. A
+    /// (measured from submission). `None` — and a deadline too long for
+    /// the clock to represent (`Duration::MAX`) — means no deadline. A
     /// deadline never changes where the request sits in its class.
     pub deadline: Option<Duration>,
 }
@@ -277,35 +273,24 @@ pub struct ServeStats {
 
 /// The submission waiting on a queued request: its ticket slot plus
 /// the timing it was submitted with.
-struct Waiter<O: TicketOutcome = ServeOutcome> {
-    slot: TicketSlot<O>,
+struct Waiter {
+    slot: TicketSlot,
     submitted: Instant,
     deadline: Option<Instant>,
 }
 
-/// One queued unit of work: the engine route plus what to run there.
-/// Plain batches and progressive group-bys ride the same queue (same
-/// admission control, same FIFO classes).
+/// One queued unit of work: the engine route plus the batch to run
+/// there.
 struct Request {
     engine: usize,
-    body: Body,
+    job: PlainJob,
 }
 
-/// What a [`Request`] executes.
-enum Body {
-    /// A query batch — of one query or of many, the same shape.
-    Plain(PlainJob),
-    /// A progressive group-by and its waiter: executes through its own
-    /// streaming path, where a deadline stops the refinement instead of
-    /// expiring the request; workers never coalesce it into a plain
-    /// batch.
-    Progressive(GroupByQuery, Waiter<ProgressiveOutcome>),
-}
-
-/// One queued query batch, held by value: the first query sits in the
-/// request itself, and `rest` — the rest of a longer slice — is empty
-/// (and owns no heap block) for the one-query request that is nearly
-/// all traffic. Queueing such a request allocates nothing.
+/// One queued query batch — of one query or of many, the same shape —
+/// held by value: the first query sits in the request itself, and
+/// `rest` — the rest of a longer slice — is empty (and owns no heap
+/// block) for the one-query request that is nearly all traffic.
+/// Queueing such a request allocates nothing.
 struct PlainJob {
     first: Query,
     rest: Vec<Query>,
@@ -369,37 +354,30 @@ impl ServeShared {
     fn worker_loop(&self) {
         while let Some((first, class)) = self.queue.pop_blocking() {
             let engine = first.engine;
-            // A progressive group-by executes alone: it streams
-            // snapshots for as long as its deadline allows, so gluing
-            // plain requests behind it would stall them.
-            let batch_len = match &first.body {
-                Body::Plain(job) => Some(job.len()),
-                Body::Progressive(..) => None,
-            };
+            let mut total = first.job.len();
             let mut requests = vec![first];
             // Greedy coalescing, atomically under one queue lock: glue
-            // on queued plain requests of the same class AND the same
-            // engine while they fit the batch budget. The queue refuses
-            // a bulk drain while interactive work is queued, and the
-            // drain stops at the first head that is progressive or
-            // routed to a different engine — a batch never mixes
-            // engines, and refusing (rather than skipping) the foreign
-            // head keeps the class in submission order.
-            if let Some(mut total) = batch_len.filter(|&len| len < COALESCE_MAX) {
-                requests.extend(self.queue.drain_class_where(class, |r| match &r.body {
-                    Body::Plain(job) if r.engine == engine && total + job.len() <= COALESCE_MAX => {
-                        total += job.len();
-                        true
+            // on queued requests of the same class AND the same engine
+            // while they fit the batch budget. The queue refuses a bulk
+            // drain while interactive work is queued, and the drain
+            // stops at the first head routed to a different engine — a
+            // batch never mixes engines, and refusing (rather than
+            // skipping) the foreign head keeps the class in submission
+            // order.
+            if total < COALESCE_MAX {
+                requests.extend(self.queue.drain_class_where(class, |r| {
+                    let fits = r.engine == engine && total + r.job.len() <= COALESCE_MAX;
+                    if fits {
+                        total += r.job.len();
                     }
-                    _ => false,
+                    fits
                 }));
             }
             self.execute(engine, requests);
         }
     }
 
-    /// Run what one pop produced: a progressive group-by streams right
-    /// away; for plain requests, expire what is stale, run the rest as
+    /// Run what one pop produced: expire what is stale, run the rest as
     /// one engine batch, and hand each request its results — **store
     /// all, then wake**: every outcome of the batch is in its ticket
     /// before the first parked client is woken, so that client finds the
@@ -420,14 +398,7 @@ impl ServeShared {
         // remembers how many it contributed and who waits on them.
         let mut queries: Vec<Query> = Vec::with_capacity(requests.len());
         let mut live: Vec<(usize, Waiter)> = Vec::with_capacity(requests.len());
-        for req in requests {
-            let job = match req.body {
-                Body::Progressive(query, waiter) => {
-                    self.execute_progressive(state, &query, waiter);
-                    continue;
-                }
-                Body::Plain(job) => job,
-            };
+        for Request { job, .. } in requests {
             if job
                 .waiter
                 .deadline
@@ -472,45 +443,6 @@ impl ServeShared {
             wakes.extend(waiter.slot.store(ServeOutcome::Done(answers), Some(seq)));
         }
         drop(wakes);
-    }
-
-    /// Drive one progressive group-by to resolution: stream refining
-    /// snapshots through the ticket's slot, stop refining (but keep the
-    /// best answer so far) when the deadline passes mid-stream, and
-    /// resolve exactly once. Unlike plain requests there is **no**
-    /// expire-without-executing fast path: a progressive request whose
-    /// deadline passed while queued still runs long enough to produce
-    /// its first snapshot, so the client gets a best-effort estimate
-    /// with `partial: true` instead of [`ProgressiveOutcome`] never
-    /// carrying data — "a late answer with honest error bars beats no
-    /// answer" is the online-aggregation contract.
-    fn execute_progressive(
-        &self,
-        state: &EngineState,
-        query: &GroupByQuery,
-        waiter: Waiter<ProgressiveOutcome>,
-    ) {
-        let mut saw_final = false;
-        let result = state.handle.group_by_progressive(query, &mut |snapshot| {
-            saw_final = snapshot.last;
-            waiter.slot.publish(snapshot);
-            // Publishing first, then checking the clock, guarantees at
-            // least one snapshot exists before a deadline can stop the
-            // stream.
-            waiter.deadline.is_none_or(|d| Instant::now() < d)
-        });
-        count(&state.batches);
-        let outcome = match result {
-            Ok(groups) => ProgressiveOutcome::Done {
-                groups,
-                partial: !saw_final,
-            },
-            Err(err) => ProgressiveOutcome::Failed(err),
-        };
-        let waited_us = waiter.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.latency.record(waited_us);
-        count(&state.completed);
-        waiter.slot.fulfill(outcome, None);
     }
 }
 
@@ -642,17 +574,43 @@ impl Serve {
             return Ok(Ticket::resolved(ServeOutcome::Done(Vec::new())));
         };
         let (ticket, slot) = Ticket::pending();
-        self.enqueue(engine, options, |submitted, deadline| {
-            Body::Plain(PlainJob {
+        let submitted = Instant::now();
+        let request = Request {
+            engine,
+            job: PlainJob {
                 first: first.clone(),
                 rest: rest.to_vec(),
                 waiter: Waiter {
                     slot,
                     submitted,
-                    deadline,
+                    deadline: options.deadline.and_then(|d| submitted.checked_add(d)),
                 },
-            })
-        });
+            },
+        };
+        // Count acceptance *before* the push: the instant the request is
+        // in the queue a worker may pop, execute, and count it
+        // completed, and a mid-run stats() observer must never see
+        // completed > accepted. Failed pushes undo the claim.
+        // relaxed: the queue lock the push releases and the worker's pop
+        // acquires orders this increment before that worker's `Release`
+        // count of the request's outcome, which is what `stats()`
+        // synchronizes with (see `count`).
+        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
+        if let Err((why, request)) = self.shared.queue.try_push(request, options.priority) {
+            // relaxed: undoes this thread's own claim above; no worker
+            // ever saw the request.
+            self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
+            // A refused request resolves its ticket here: `Rejected` at
+            // capacity; on a closed queue, dropping it cancels it.
+            if why == PushError::Full {
+                count(&self.shared.engines[engine].rejected);
+                request
+                    .job
+                    .waiter
+                    .slot
+                    .fulfill(ServeOutcome::Rejected, None);
+            }
+        }
         Ok(ticket)
     }
 
@@ -683,123 +641,6 @@ impl Serve {
             std::slice::from_ref(query),
             &SubmitOptions::default(),
         )
-    }
-
-    /// Submit a **progressive** group-by to `engine`. The returned
-    /// [`ProgressiveTicket`] streams refining [`GroupBySnapshot`]s
-    /// (one per merged shard on sharded engines; single synopses
-    /// publish the exact answer as the only snapshot) while the worker
-    /// executes, then resolves to [`ProgressiveOutcome::Done`] with the
-    /// last snapshot's groups — online aggregation over the serving
-    /// tier.
-    ///
-    /// Deadlines follow the progressive contract, not the plain one:
-    /// the request is **never** expired unexecuted — a deadline that
-    /// passes (even while queued) stops the refinement after the next
-    /// snapshot and resolves to the best estimate so far with
-    /// `partial: true`. A full queue still rejects
-    /// ([`ProgressiveOutcome::Rejected`]) and a closed server cancels
-    /// ([`ProgressiveOutcome::Cancelled`]). The query is validated
-    /// against the routed engine before anything else, so served and
-    /// direct answers agree on malformed queries: wrong arity, an
-    /// out-of-range group dimension or a NaN category resolve to
-    /// [`ProgressiveOutcome::Failed`] and a well-formed empty category
-    /// list to an empty complete `Done`, both without queueing. The
-    /// only `Err` is an unknown engine name.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pass::{EngineSpec, ServeConfig, Session, SubmitOptions};
-    /// use pass::common::{AggKind, GroupByQuery};
-    /// use pass::table::Table;
-    ///
-    /// let cat: Vec<f64> = (0..4_000).map(|i| (i % 4) as f64).collect();
-    /// let vals: Vec<f64> = (0..4_000).map(|i| ((i % 4) + 1) as f64).collect();
-    /// let mut session = Session::new(Table::one_dim(cat, vals).unwrap());
-    /// session.add_engine("pass", &EngineSpec::pass()).unwrap();
-    /// let serve = session.serve("pass", ServeConfig::new()).unwrap();
-    ///
-    /// let q = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 1.0, 2.0, 3.0], 1);
-    /// let ticket = serve
-    ///     .submit_progressive("pass", &q, &SubmitOptions::default())
-    ///     .unwrap();
-    /// let outcome = ticket.wait();
-    /// assert!(outcome.is_done() && !outcome.is_partial());
-    /// assert_eq!(outcome.groups().unwrap().len(), 4);
-    /// ```
-    ///
-    /// [`GroupBySnapshot`]: pass_common::GroupBySnapshot
-    pub fn submit_progressive(
-        &self,
-        engine: &str,
-        query: &GroupByQuery,
-        options: &SubmitOptions,
-    ) -> Result<ProgressiveTicket> {
-        let engine = self.engine_index(engine)?;
-        let dims = self.shared.engines[engine].handle.synopsis().dims();
-        if let Err(err) = query.validate(dims) {
-            return Ok(ProgressiveTicket::resolved(ProgressiveOutcome::Failed(err)));
-        }
-        if query.is_empty() {
-            return Ok(ProgressiveTicket::resolved(ProgressiveOutcome::Done {
-                groups: Vec::new(),
-                partial: false,
-            }));
-        }
-        let (ticket, slot) = ProgressiveTicket::pending();
-        self.enqueue(engine, options, |submitted, deadline| {
-            let waiter = Waiter {
-                slot,
-                submitted,
-                deadline,
-            };
-            Body::Progressive(query.clone(), waiter)
-        });
-        Ok(ticket)
-    }
-
-    /// The one enqueue path every submission goes through: deadline
-    /// stamping (handed to `body` with the submission instant) and
-    /// admission control. A refused request's ticket is resolved here.
-    fn enqueue(
-        &self,
-        engine: usize,
-        options: &SubmitOptions,
-        body: impl FnOnce(Instant, Option<Instant>) -> Body,
-    ) {
-        let submitted = Instant::now();
-        let deadline = options.deadline.and_then(|d| submitted.checked_add(d));
-        let request = Request {
-            engine,
-            body: body(submitted, deadline),
-        };
-        // Count acceptance *before* the push: the instant the request is
-        // in the queue a worker may pop, execute, and count it
-        // completed, and a mid-run stats() observer must never see
-        // completed > accepted. Failed pushes undo the claim.
-        // relaxed: the queue lock the push releases and the worker's pop
-        // acquires orders this increment before that worker's `Release`
-        // count of the request's outcome, which is what `stats()`
-        // synchronizes with (see `count`).
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        let queue = &self.shared.queue;
-        if let Err((why, request)) = queue.try_push(request, options.priority) {
-            // relaxed: undoes this thread's own claim above; no worker
-            // ever saw the request.
-            self.shared.accepted.fetch_sub(1, Ordering::Relaxed);
-            // A refused request resolves its ticket here: `Rejected` at
-            // capacity; on a closed queue, dropping it cancels it.
-            if why == PushError::Full {
-                count(&self.shared.engines[engine].rejected);
-                match request.body {
-                    Body::Plain(job) => job.waiter.slot.fulfill(ServeOutcome::Rejected, None),
-                    Body::Progressive(_, waiter) => {
-                        waiter.slot.fulfill(ProgressiveOutcome::Rejected, None)
-                    }
-                }
-            }
-        }
     }
 
     /// Park the workers after their in-flight batches finish; queued and
@@ -1025,10 +866,10 @@ mod tests {
         let forever = SubmitOptions::bulk().with_deadline(Duration::MAX);
         let plain = serve.submit("pass", &[q(0.1, 0.9)], &forever).unwrap();
         let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.25, 0.5], 1);
-        let progressive = serve.submit_progressive("pass", &gq, &forever).unwrap();
+        let group_by = serve.submit("pass", &gq.queries().unwrap(), &forever);
         assert!(plain.wait().is_done());
-        let outcome = progressive.wait();
-        assert!(outcome.is_done() && !outcome.is_partial());
+        let rows = gq.rows(group_by.unwrap().wait().results().unwrap());
+        assert_eq!(rows, session.group_by("pass", &gq).unwrap());
         let stats = serve.shutdown();
         assert_eq!((stats.completed, stats.expired), (2, 0));
     }
@@ -1150,127 +991,5 @@ mod tests {
         assert!(Serve::new(vec![], ServeConfig::new()).is_err());
         let h = session.handle("pass").unwrap();
         assert!(Serve::new(vec![h.clone(), h], ServeConfig::new()).is_err());
-    }
-
-    #[test]
-    fn progressive_group_bys_stream_and_resolve_complete() {
-        use pass_common::GroupByQuery;
-        let cat: Vec<f64> = (0..4_000).map(|i| (i % 4) as f64).collect();
-        let vals: Vec<f64> = (0..4_000).map(|i| ((i % 4) + 1) as f64).collect();
-        let mut session = Session::new(pass_table::Table::one_dim(cat, vals).unwrap());
-        session.add_engine("pass", &EngineSpec::pass()).unwrap();
-        let serve = session
-            .serve("pass", ServeConfig::new().with_workers(1))
-            .unwrap();
-        let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 1.0, 2.0, 3.0], 1);
-
-        let options = SubmitOptions::default();
-        let ticket = serve.submit_progressive("pass", &gq, &options).unwrap();
-        let outcome = ticket.wait();
-        assert!(outcome.is_done());
-        assert!(!outcome.is_partial(), "no deadline: the stream completes");
-        // Served progressive answers end bit-identical to the direct path.
-        let direct = session.group_by("pass", &gq).unwrap();
-        assert_eq!(outcome.groups().unwrap(), direct);
-        assert!(ticket.snapshot_count() >= 1);
-        assert!(ticket.latest().unwrap().last);
-
-        // Empty category lists resolve without queueing.
-        let no_groups = GroupByQuery::over(AggKind::Sum, 0, &[], 1);
-        let empty = serve
-            .submit_progressive("pass", &no_groups, &options)
-            .unwrap();
-        assert_eq!(
-            empty.wait(),
-            ProgressiveOutcome::Done {
-                groups: Vec::new(),
-                partial: false
-            }
-        );
-
-        // Malformed queries resolve to Failed at submit — validation
-        // runs before the empty-list shortcut, so an empty malformed
-        // query fails like the direct path instead of resolving `Done`.
-        for categories in [&[0.0][..], &[][..]] {
-            let bad = GroupByQuery::over(AggKind::Sum, 9, categories, 1);
-            let ticket = serve.submit_progressive("pass", &bad, &options).unwrap();
-            assert_eq!(
-                ticket.poll(),
-                Some(ProgressiveOutcome::Failed(
-                    session.group_by("pass", &bad).unwrap_err()
-                ))
-            );
-        }
-
-        // Routing errors before admission; unknown engines never queue.
-        assert!(serve.submit_progressive("nope", &gq, &options).is_err());
-
-        let stats = serve.shutdown();
-        assert_eq!(
-            stats.accepted, 1,
-            "empty, malformed and routed-error never admitted"
-        );
-        assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn progressive_deadline_resolves_partial_not_expired() {
-        use pass_common::GroupByQuery;
-        let cat: Vec<f64> = (0..6_000).map(|i| (i % 3) as f64).collect();
-        let vals: Vec<f64> = (0..6_000).map(|i| ((i % 3) + 1) as f64).collect();
-        let mut session = Session::new(pass_table::Table::one_dim(cat, vals).unwrap());
-        session
-            .add_sharded_engine(
-                "p4",
-                &EngineSpec::pass(),
-                &pass_common::ShardPlan::row_range(4),
-            )
-            .unwrap();
-        let serve = session
-            .serve("p4", ServeConfig::new().with_workers(1).paused())
-            .unwrap();
-        let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.0, 1.0, 2.0], 1);
-        // A zero deadline has already passed when the worker picks the
-        // request up — the plain path would expire it unexecuted; the
-        // progressive contract still delivers the first snapshot.
-        let options = SubmitOptions::interactive().with_deadline(Duration::ZERO);
-        let ticket = serve.submit_progressive("p4", &gq, &options).unwrap();
-        serve.resume();
-        let outcome = ticket.wait();
-        assert!(outcome.is_done(), "deadline never maps to Expired");
-        assert!(outcome.is_partial(), "stopped mid-stream");
-        let groups = outcome.groups().unwrap();
-        assert_eq!(groups.len(), 3, "every group has a best-so-far row");
-        assert_eq!(ticket.snapshot_count(), 1, "stopped after one snapshot");
-        assert!(!ticket.latest().unwrap().last);
-        let stats = serve.shutdown();
-        assert_eq!(stats.expired, 0);
-        assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn progressive_rejection_and_cancellation_resolve_the_ticket() {
-        use pass_common::GroupByQuery;
-        let session = served_session();
-        let serve = session
-            .serve(
-                "pass",
-                ServeConfig::new()
-                    .with_workers(1)
-                    .with_queue_depth(1)
-                    .paused(),
-            )
-            .unwrap();
-        let gq = GroupByQuery::over(AggKind::Sum, 0, &[0.2], 1);
-        let _plug = serve.submit_to("pass", &q(0.0, 0.5)).unwrap(); // fills the queue
-        let options = SubmitOptions::default();
-        let rejected = serve.submit_progressive("pass", &gq, &options).unwrap();
-        assert_eq!(rejected.poll(), Some(ProgressiveOutcome::Rejected));
-        let stats = serve.stats();
-        assert_eq!((stats.accepted, stats.rejected), (1, 1));
-        // A closed queue cancels.
-        serve.shared.queue.close();
-        let cancelled = serve.submit_progressive("pass", &gq, &options).unwrap();
-        assert_eq!(cancelled.wait(), ProgressiveOutcome::Cancelled);
     }
 }

@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use pass_baselines::Engine;
 use pass_common::{
-    estimate_group_by, CacheStats, CachedSynopsis, EngineSpec, Estimate, GroupByQuery,
-    GroupBySnapshot, GroupResult, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
+    estimate_group_by, CacheStats, CachedSynopsis, EngineSpec, Estimate, GroupByQuery, GroupResult,
+    PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
 };
 use pass_table::Table;
 use pass_workload::{median, Truth, WorkloadSummary};
@@ -326,8 +326,7 @@ impl Session {
     /// engines: one bounded queue, one worker pool, and one admission
     /// bound shared by all of them. Every submission names its engine
     /// ([`Serve::submit`](crate::Serve::submit),
-    /// [`submit_to`](crate::Serve::submit_to),
-    /// [`submit_progressive`](crate::Serve::submit_progressive)).
+    /// [`submit_to`](crate::Serve::submit_to)).
     /// Batches coalesce per engine (never mixed), and the counters are
     /// kept per engine
     /// ([`ServeStats::per_engine`](crate::ServeStats::per_engine); the
@@ -447,7 +446,7 @@ impl Session {
     ) -> Result<Vec<GroupResult>> {
         let entry = self.engine_or_err(engine)?;
         query.validate(entry.engine.dims())?;
-        Ok(query.rows(entry.engine.estimate_many_parallel(&query.queries(), pool)))
+        Ok(query.rows(entry.engine.estimate_many_parallel(&query.queries()?, pool)))
     }
 
     /// Exact answer (`None` for AVG/MIN/MAX over empty selections),
@@ -590,22 +589,6 @@ impl SessionHandle {
     /// [`Session::group_by`].
     pub fn group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
         estimate_group_by(&self.engine, query)
-    }
-
-    /// Answer a group-by **progressively**: `publish` receives a stream
-    /// of refining [`GroupBySnapshot`]s (sharded engines emit one per
-    /// merged shard; single synopses emit the final answer as the only
-    /// snapshot) and may return `false` to stop early with the best
-    /// snapshot so far. Returns the groups of the last snapshot offered.
-    /// Progressive answers bypass the query cache — intermediate
-    /// extrapolations are never cached, and the final snapshot is
-    /// bit-identical to [`group_by`](Self::group_by) by construction.
-    pub fn group_by_progressive(
-        &self,
-        query: &GroupByQuery,
-        publish: &mut dyn FnMut(GroupBySnapshot) -> bool,
-    ) -> Result<Vec<GroupResult>> {
-        self.engine.estimate_group_by_progressive(query, publish)
     }
 
     /// Cumulative counters of the cache shared by all clones.
@@ -962,17 +945,14 @@ mod tests {
         let handle = s.handle("pass").unwrap();
         assert_eq!(handle.group_by(&q).unwrap(), rows);
 
-        // Progressive: the final snapshot is the non-progressive answer.
-        let mut snaps = Vec::new();
-        let final_rows = handle
-            .group_by_progressive(&q, &mut |snap| {
-                snaps.push(snap);
-                true
-            })
-            .unwrap();
-        assert_eq!(final_rows, rows);
-        assert!(snaps.last().unwrap().last);
-        assert_eq!(snaps.last().unwrap().groups, rows);
+        // Served as one plain request, the same rows again.
+        let serve = s.serve("pass", crate::ServeConfig::new()).unwrap();
+        q.validate(handle.synopsis().dims()).unwrap();
+        let options = crate::SubmitOptions::default();
+        let ticket = serve.submit("pass", &q.queries().unwrap(), &options);
+        assert_eq!(q.rows(ticket.unwrap().wait().results().unwrap()), rows);
+        let served_misses = s.cache_stats("pass").unwrap().misses;
+        assert_eq!(served_misses, misses, "the served rows are cache hits");
 
         // Errors: unknown engine and malformed queries surface as errors.
         assert!(s.group_by("nope", &q).is_err());

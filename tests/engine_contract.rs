@@ -808,7 +808,7 @@ fn multi_dimensional_group_by_matches_per_category_estimates() {
         assert_eq!(rows.len(), dates.len());
         for (row, &date) in rows.iter().zip(&dates) {
             assert_eq!(row.key, date);
-            let single = engine.estimate(&group_by.query_for(date));
+            let single = engine.estimate(&group_by.query_for(date).unwrap());
             assert_eq!(
                 row.estimate,
                 apply_group_availability(single),

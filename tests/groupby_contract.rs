@@ -16,11 +16,12 @@
 //! 3. A K-shard engine's group-by rows equal the availability rule
 //!    applied to its own per-category single-query path — the sharded
 //!    merge layer adds no group-by-specific distortion.
-//! 4. A served **progressive** group-by that runs to completion
-//!    resolves bit-identical to [`Session::group_by`], for every
-//!    engine, sharded engines included, and its snapshot stream obeys
-//!    the online-aggregation contract (monotone refinement is pinned in
-//!    detail by `tests/groupby_progressive.rs`).
+//! 4. A **served** group-by — validated against the engine's arity,
+//!    its [`GroupByQuery::queries`] submitted as one plain request, the
+//!    results read through [`GroupByQuery::rows`] — is bit-identical to
+//!    [`Session::group_by`], for every engine, sharded engines included,
+//!    also when the worker coalesces it with queued plain requests
+//!    (contract 7).
 //! 5. **Empty groups are never silent zeros**: a category with no
 //!    sampled evidence surfaces the stratified-availability rule as an
 //!    `Err` row (sampling engines) or an answer carrying real evidence
@@ -31,13 +32,16 @@
 //!    equal the availability rule mapped over the engine's own
 //!    `estimate_many` answers to [`GroupByQuery::queries`] — no layer
 //!    adds a group-by-specific path.
+//! 7. Group-bys queued behind plain requests on a paused single worker
+//!    coalesce with them into one batch per engine, and every row still
+//!    equals [`Session::group_by`] computed on a cold cache.
 
 use pass::common::{
     apply_group_availability, estimate_group_by, AggKind, EngineSpec, GroupByQuery, PassError,
-    ProgressiveOutcome, ShardPlan, Synopsis, ThreadPool,
+    Query, ShardPlan, Synopsis, ThreadPool,
 };
 use pass::table::Table;
-use pass::{Engine, ServeConfig, Session, SubmitOptions};
+use pass::{Engine, Serve, ServeConfig, Session, SubmitOptions, Ticket};
 
 /// The paper's comparison set at a shared budget.
 fn suite() -> Vec<EngineSpec> {
@@ -75,6 +79,24 @@ const CATEGORIES: [f64; 9] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 42.0];
 
 fn group_query(agg: AggKind) -> GroupByQuery {
     GroupByQuery::over(agg, 0, &CATEGORIES, 1)
+}
+
+/// Serve a group-by the one way there is: validate it against the
+/// engine's arity, then submit its per-category queries as one plain
+/// request. [`GroupByQuery::rows`] of the ticket's results are the rows.
+fn submit_group_by(
+    serve: &Serve,
+    session: &Session,
+    name: &str,
+    q: &GroupByQuery,
+    options: &SubmitOptions,
+) -> Ticket {
+    q.validate(session.engine(name).unwrap().dims()).unwrap();
+    serve.submit(name, &q.queries().unwrap(), options).unwrap()
+}
+
+fn served_rows(q: &GroupByQuery, ticket: &Ticket) -> Vec<pass::GroupResult> {
+    q.rows(ticket.wait().results().unwrap())
 }
 
 /// Contract 1: direct, cached (cold and warm), parallel, and handle
@@ -119,7 +141,7 @@ fn group_by_is_identical_across_direct_cached_parallel_and_handle_paths() {
         for row in estimate_group_by(&rare, &q).unwrap() {
             assert_eq!(
                 row.estimate,
-                apply_group_availability(rare.estimate(&q.query_for(row.key))),
+                apply_group_availability(rare.estimate(&q.query_for(row.key).unwrap())),
                 "{} AVG group {}",
                 rare.name(),
                 row.key
@@ -165,7 +187,8 @@ fn sharded_group_by_rows_match_the_single_query_path() {
                 let q = group_query(agg);
                 let rows = estimate_group_by(&sharded, &q).unwrap();
                 for row in rows {
-                    let single = apply_group_availability(sharded.estimate(&q.query_for(row.key)));
+                    let single =
+                        apply_group_availability(sharded.estimate(&q.query_for(row.key).unwrap()));
                     assert_eq!(
                         row.estimate,
                         single,
@@ -179,12 +202,13 @@ fn sharded_group_by_rows_match_the_single_query_path() {
     }
 }
 
-/// Contract 4: served progressive group-bys (run to completion) resolve
-/// bit-identical to the session facade, for every engine plus a 4-shard
-/// engine whose ticket streams real intermediate snapshots — and
-/// malformed ones fail identically, empty category lists included.
+/// Contract 4: served group-bys resolve bit-identical to the session
+/// facade, for every engine plus a 4-shard engine — and malformed ones
+/// fail in the client's validation with the direct error, NaN
+/// categories and empty category lists included, before taking a queue
+/// slot.
 #[test]
-fn served_progressive_final_matches_the_session_answer() {
+fn served_group_by_matches_the_session_answer() {
     let mut session = Session::new(categorical_table());
     let mut names: Vec<String> = Vec::new();
     for (i, spec) in suite().into_iter().enumerate() {
@@ -204,47 +228,36 @@ fn served_progressive_final_matches_the_session_answer() {
     for name in &names {
         for agg in [AggKind::Sum, AggKind::Count, AggKind::Avg] {
             let q = group_query(agg);
-            let ticket = serve.submit_progressive(name, &q, &options).unwrap();
-            let outcome = ticket.wait();
-            assert!(!outcome.is_partial(), "{name} {agg}: no deadline was set");
+            let ticket = submit_group_by(&serve, &session, name, &q, &options);
             assert_eq!(
-                outcome.groups().unwrap(),
+                served_rows(&q, &ticket),
                 session.group_by(name, &q).unwrap(),
-                "{name} {agg}: served progressive vs session"
+                "{name} {agg}: served vs session"
             );
-            // The final snapshot is flagged and matches the outcome.
-            let last = ticket.latest().unwrap();
-            assert!(last.last, "{name} {agg}");
-            assert_eq!(last.shards_merged, last.shards_total, "{name} {agg}");
         }
     }
-    // The sharded engine streamed at least one snapshot per request and
-    // reported its true shard count.
-    let ticket = serve
-        .submit_progressive("sharded", &group_query(AggKind::Sum), &options)
-        .unwrap();
-    ticket.wait();
-    assert_eq!(ticket.latest().unwrap().shards_total, 4);
 
-    // Malformed queries — wrong arity or out-of-range group dimension,
-    // with or without categories — fail served exactly as they fail
-    // direct, at submit, without taking a queue slot.
+    // Malformed queries — wrong arity, out-of-range group dimension or
+    // a NaN category, with or without further categories — fail the
+    // recipe's validation exactly as they fail direct, and the NaN one
+    // fails the query expansion with the same error.
     let accepted = serve.stats().accepted;
     for categories in [&[][..], &[0.0, 1.0][..]] {
+        let mut nan = categories.to_vec();
+        nan.push(f64::NAN);
         for q in [
             GroupByQuery::over(AggKind::Sum, 0, categories, 2),
             GroupByQuery::over(AggKind::Sum, 3, categories, 1),
+            GroupByQuery::over(AggKind::Sum, 0, &nan, 1),
         ] {
             for name in &names {
                 let direct = session.group_by(name, &q).unwrap_err();
-                let ticket = serve.submit_progressive(name, &q, &options).unwrap();
-                assert_eq!(
-                    ticket.poll(),
-                    Some(ProgressiveOutcome::Failed(direct)),
-                    "{name}: {q:?}"
-                );
+                let dims = session.engine(name).unwrap().dims();
+                assert_eq!(q.validate(dims).unwrap_err(), direct, "{name}: {q:?}");
             }
         }
+        let q = GroupByQuery::over(AggKind::Sum, 0, &nan, 1);
+        assert_eq!(q.queries().unwrap_err(), q.validate(1).unwrap_err());
     }
     assert_eq!(serve.stats().accepted, accepted);
 }
@@ -315,7 +328,7 @@ fn group_by_is_the_availability_rule_over_the_batched_selection_queries() {
             for agg in AggKind::ALL {
                 let q = GroupByQuery::over(agg, 0, &categories, 1);
                 let rows = estimate_group_by(&engine, &q).unwrap();
-                let batch = engine.estimate_many(&q.queries());
+                let batch = engine.estimate_many(&q.queries().unwrap());
                 assert_eq!(rows.len(), batch.len(), "{} {agg}", engine.name());
                 for (row, raw) in rows.iter().zip(batch) {
                     let same = match (&row.estimate, &apply_group_availability(raw)) {
@@ -327,5 +340,84 @@ fn group_by_is_the_availability_rule_over_the_batched_selection_queries() {
                 }
             }
         }
+    }
+}
+
+/// Contract 7: on a paused single worker, each engine's plain requests
+/// and the group-bys queued behind them drain as one coalesced batch,
+/// and every served row equals [`Session::group_by`] on a cold cache —
+/// for every suite engine plus PASS sharded by `hash_dim(0, 4)` (each
+/// group lives in one shard) and by `row_range(4)`.
+#[test]
+fn queued_group_bys_coalesce_with_plain_requests_and_match_the_session() {
+    let mut session = Session::new(categorical_table());
+    let mut names: Vec<String> = Vec::new();
+    for (i, spec) in suite().into_iter().enumerate() {
+        let name = format!("e{i}");
+        session.add_engine(&name, &spec).unwrap();
+        names.push(name);
+    }
+    for (name, plan) in [
+        ("hash", ShardPlan::hash_dim(0, 4)),
+        ("range", ShardPlan::row_range(4)),
+    ] {
+        session
+            .add_sharded_engine(name, &EngineSpec::pass(), &plan)
+            .unwrap();
+        names.push(name.to_string());
+    }
+    let aggs = [AggKind::Sum, AggKind::Count, AggKind::Avg];
+    let want: Vec<[_; 3]> = names
+        .iter()
+        .map(|name| {
+            let rows = aggs.map(|agg| session.group_by(name, &group_query(agg)).unwrap());
+            session.clear_cache(name).unwrap();
+            rows
+        })
+        .collect();
+
+    let name_refs: Vec<&str> = names.iter().map(|n| n.as_str()).collect();
+    let config = ServeConfig::new().with_workers(1).paused();
+    let serve = session.serve_multi(&name_refs, config).unwrap();
+    let options = SubmitOptions::default();
+    // Per engine, contiguous in the queue: two plain requests (one of
+    // them a COUNT group's own equality query), then the three
+    // group-bys.
+    let plain = [
+        Query::interval(AggKind::Sum, 0.0, 3.0),
+        group_query(AggKind::Count).query_for(2.0).unwrap(),
+    ];
+    let tickets: Vec<(Vec<Ticket>, Vec<Ticket>)> = names
+        .iter()
+        .map(|name| {
+            let plain = plain
+                .iter()
+                .map(|q| serve.submit_to(name, q).unwrap())
+                .collect();
+            let groups = aggs
+                .iter()
+                .map(|&agg| submit_group_by(&serve, &session, name, &group_query(agg), &options))
+                .collect();
+            (plain, groups)
+        })
+        .collect();
+    serve.resume();
+    for ((name, want), (plain_tickets, group_tickets)) in names.iter().zip(&want).zip(&tickets) {
+        for (agg, (ticket, want)) in aggs.iter().zip(group_tickets.iter().zip(want)) {
+            let rows = served_rows(&group_query(*agg), ticket);
+            assert_eq!(&rows, want, "{name} {agg}: coalesced vs session");
+        }
+        for ticket in plain_tickets {
+            assert!(ticket.wait().is_done(), "{name}");
+        }
+    }
+    let stats = serve.shutdown();
+    assert_eq!(stats.completed, 5 * names.len() as u64);
+    for row in &stats.per_engine {
+        assert_eq!(
+            row.batches, 1,
+            "{}: the queued requests did not coalesce",
+            row.engine
+        );
     }
 }

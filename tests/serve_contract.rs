@@ -15,9 +15,10 @@
 //!    outcomes stored, then the parked clients woken) with stamps in
 //!    submission order, and expires exactly the waiters whose deadline
 //!    passed.
-//! 6. **One way in** — the three entry points over every engine ×
-//!    request shape × option set answer like the direct `Session` call;
-//!    an unknown engine name is an `Err` that takes no queue slot.
+//! 6. **One way in** — both entry points over every engine × request
+//!    shape × option set answer like the direct `Session` call, and so
+//!    does a group-by submitted as its per-category queries; an unknown
+//!    engine name is an `Err` that takes no queue slot.
 //! 7. **Books** — the `stats()` totals are the sums of the per-engine
 //!    rows, `completed + expired <= accepted` in every snapshot, and a
 //!    batch is counted before its first answer is visible: a client
@@ -372,10 +373,11 @@ fn assert_totals_are_row_sums(stats: &ServeStats) {
 /// The whole submission surface in one table: {every engine of the
 /// standard suite, routed through one server} × {1 query, 7-query batch,
 /// empty batch} × {interactive, bulk, bulk + generous deadline} through
-/// `submit`, each engine again through `submit_to`, and a group-by
-/// through `submit_progressive` — every answer bit-identical to the
-/// direct `Session` answer of a separate identical build, and the books
-/// balanced at shutdown. An unknown engine is an `Err` from all three.
+/// `submit`, each engine again through `submit_to`, and a group-by as
+/// the `submit` of its per-category queries — every answer
+/// bit-identical to the direct `Session` answer of a separate identical
+/// build, and the books balanced at shutdown. An unknown engine is an
+/// `Err` from both.
 #[test]
 fn every_entry_point_engine_shape_and_option_matches_the_direct_answer() {
     // Eight categories on the predicate column, so the group-by has
@@ -415,9 +417,6 @@ fn every_entry_point_engine_shape_and_option_matches_the_direct_answer() {
     assert!(serve.submit("nope", &seven, generous).is_err());
     assert!(serve.submit("nope", &[], generous).is_err());
     assert!(serve.submit_to("nope", &seven[0]).is_err());
-    assert!(serve
-        .submit_progressive("nope", &group_by, generous)
-        .is_err());
     let stats = serve.stats();
     assert_eq!((stats.accepted, stats.queue_high_water), (0, 0));
 
@@ -432,11 +431,13 @@ fn every_entry_point_engine_shape_and_option_matches_the_direct_answer() {
         let got = serve.submit_to(name, &seven[3]).unwrap().wait();
         let want = vec![direct.estimate(name, &seven[3])];
         assert_eq!(got.results().unwrap(), want, "{name} submit_to");
-        let ticket = serve.submit_progressive(name, &group_by, generous);
-        let outcome = ticket.unwrap().wait();
-        assert!(!outcome.is_partial(), "{name}: the deadline is generous");
+        group_by
+            .validate(served.engine(name).unwrap().dims())
+            .unwrap();
+        let ticket = serve.submit(name, &group_by.queries().unwrap(), generous);
+        let rows = group_by.rows(ticket.unwrap().wait().results().unwrap());
         let want = direct.group_by(name, &group_by).unwrap();
-        assert_eq!(outcome.groups().unwrap(), want, "{name} submit_progressive");
+        assert_eq!(rows, want, "{name} group-by");
     }
 
     // Per engine: 2 non-empty shapes × 3 option sets + submit_to + the

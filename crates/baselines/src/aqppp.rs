@@ -8,6 +8,7 @@
 //! is estimated from one **global uniform sample**, not per-partition
 //! stratified samples, and the partitioning is not variance-optimized.
 
+use pass_common::kahan::KahanSum;
 use pass_common::rng::{derive_seed, rng_from_seed};
 use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Rect, Result, Synopsis};
 use pass_core::{mcf::mcf, PartitionTree};
@@ -83,17 +84,11 @@ impl AqpPlusPlus {
     }
 
     /// Estimate `Σ φ` over the gap region: sampled rows matching the query
-    /// but not lying in any covered partition.
+    /// but not lying in any covered partition. `agg` is SUM or COUNT, which
+    /// always have an answer.
     fn gap_estimate(&self, agg: AggKind, rect: &Rect, covered: &[usize]) -> PointVariance {
         let rows = self.sample.rows();
         let k = self.sample.k();
-        if k == 0 {
-            return PointVariance {
-                value: 0.0,
-                variance: 0.0,
-                k_pred: 0,
-            };
-        }
         let n = self.sample.population() as f64;
         // The rectangle part of the gap predicate is evaluated with the
         // columnar mask kernel; only mask hits pay for the (pointwise)
@@ -125,10 +120,10 @@ impl AqpPlusPlus {
                 }
             }
         });
-        let mean = phi.iter().sum::<f64>() / k as f64;
-        let pop_var = pass_common::stats::population_variance(&phi);
-        let population = self.sample.population();
-        PointVariance::phi_means([mean], [pop_var], k, population, [k_pred])[0]
+        let mean = KahanSum::sum_iter(phi.iter().copied()) / k as f64;
+        let ss = KahanSum::sum_iter(phi.iter().map(|&p| (p - mean) * (p - mean)));
+        let (sum, population) = (phi.iter().sum(), self.sample.population());
+        PointVariance::from_phi(agg, k, k_pred, population, sum, ss).unwrap_or_default()
     }
 }
 
@@ -190,9 +185,6 @@ impl Synopsis for AqpPlusPlus {
                 let total_sum = exact_sum + sum.value;
                 let total_count = exact_count + count.value;
                 if total_count <= 0.0 {
-                    if exact_count > 0.0 {
-                        return Ok(Estimate::exact(exact_sum / exact_count));
-                    }
                     return Err(crate::us::NO_MATCH);
                 }
                 let value = total_sum / total_count;

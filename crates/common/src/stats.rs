@@ -1,5 +1,6 @@
-//! Statistical helpers: means, variances, normal quantiles, and the finite
-//! population correction used by all confidence intervals (Section 2.1.1).
+//! Statistical helpers: means, variances and normal quantiles. The
+//! φ-estimators' interval formula, finite-population correction included,
+//! lives in one place: `pass_sampling::PointVariance::from_phi`.
 
 use crate::kahan::KahanSum;
 
@@ -41,18 +42,6 @@ pub fn sample_variance(values: &[f64]) -> f64 {
         d * d
     }));
     (ss / (values.len() - 1) as f64).max(0.0)
-}
-
-/// Finite population correction factor `(N - K) / (N - 1)` applied to the
-/// variance of a mean estimated from a without-replacement sample of size K
-/// out of a population of size N (footnote 1 in the paper).
-pub fn fpc(population: u64, sample: u64) -> f64 {
-    if population <= 1 {
-        return 0.0;
-    }
-    let n = population as f64;
-    let k = (sample as f64).min(n);
-    ((n - k) / (n - 1.0)).max(0.0)
 }
 
 /// Normal quantile λ such that P(|Z| <= λ) = `confidence`, via the
@@ -135,17 +124,6 @@ mod tests {
         assert_eq!(population_variance(&[]), 0.0);
         assert_eq!(population_variance(&[3.0]), 0.0);
         assert_eq!(sample_variance(&[3.0]), 0.0);
-    }
-
-    #[test]
-    fn fpc_limits() {
-        // Sampling the whole population: no sampling error left.
-        assert_eq!(fpc(100, 100), 0.0);
-        // Tiny sample of a huge population: correction ~1.
-        assert!((fpc(1_000_000, 10) - 1.0).abs() < 1e-4);
-        // Degenerate population.
-        assert_eq!(fpc(1, 1), 0.0);
-        assert_eq!(fpc(0, 0), 0.0);
     }
 
     #[test]

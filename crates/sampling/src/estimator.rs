@@ -12,13 +12,16 @@
 //! correction `(N-K)/(N-1)` (footnote 1).
 //!
 //! This module is the *reference* implementation: row-at-a-time, written to
-//! mirror the paper's equations. It is the oracle, not a second
-//! implementation: every engine runs the allocation-free, column-at-a-time
-//! kernels in [`crate::kernel`], which `tests/kernel_contract.rs` pins
-//! bit-identical to these functions, and `pass-lint` rule `reference-only`
-//! keeps this module's functions out of everything but tests and benches.
+//! mirror the paper's equations. It is the oracle for the φ sums, not a
+//! second implementation: every engine runs the allocation-free,
+//! column-at-a-time kernels in [`crate::kernel`], which
+//! `tests/kernel_contract.rs` pins bit-identical to these functions. Both
+//! hand their sums to [`PointVariance::from_phi`], the one copy of the
+//! interval formula, which this crate's `tests/exhaustive_oracle.rs`
+//! checks over every sample of a small stratum. `pass-lint` rule `reference-only` keeps this
+//! module's functions out of everything but tests and benches.
 
-use pass_common::stats::{fpc, population_variance};
+use pass_common::kahan::KahanSum;
 use pass_common::{AggKind, Rect};
 
 use crate::kernel::PointVariance;
@@ -34,16 +37,6 @@ use crate::sample::Sample;
 /// at small effective sample size" phenomenon the paper discusses).
 pub fn estimate(agg: AggKind, sample: &Sample, rect: &Rect) -> Option<PointVariance> {
     let k = sample.k();
-    if k == 0 {
-        return match agg {
-            AggKind::Sum | AggKind::Count => Some(PointVariance {
-                value: 0.0,
-                variance: 0.0,
-                k_pred: 0,
-            }),
-            _ => None,
-        };
-    }
     let n = sample.population() as f64;
     let rows = sample.rows();
 
@@ -73,14 +66,12 @@ pub fn estimate(agg: AggKind, sample: &Sample, rect: &Rect) -> Option<PointVaria
             }
         }
         AggKind::Avg => {
-            // Two passes: K_pred first, then the scaling.
+            // Two passes: K_pred first, then the scaling (infinite with no
+            // match, when it scales nothing and `from_phi` answers `None`).
             for i in 0..k {
                 if rows.matches(rect, i) {
                     k_pred += 1;
                 }
-            }
-            if k_pred == 0 {
-                return None;
             }
             let scale = k as f64 / k_pred as f64;
             for i in 0..k {
@@ -94,13 +85,10 @@ pub fn estimate(agg: AggKind, sample: &Sample, rect: &Rect) -> Option<PointVaria
         AggKind::Min | AggKind::Max => return estimate_minmax(agg, sample, rect),
     }
 
-    let value = phi.iter().sum::<f64>() / k as f64;
-    let variance = population_variance(&phi) / k as f64 * fpc(sample.population(), k as u64);
-    Some(PointVariance {
-        value,
-        variance,
-        k_pred,
-    })
+    // The sums the kernels replicate; `from_phi` turns them into the answer.
+    let mean = KahanSum::sum_iter(phi.iter().copied()) / k as f64;
+    let ss = KahanSum::sum_iter(phi.iter().map(|&p| (p - mean) * (p - mean)));
+    PointVariance::from_phi(agg, k, k_pred, sample.population(), phi.iter().sum(), ss)
 }
 
 /// Sample-based MIN/MAX estimate: the extremum of the matching sampled

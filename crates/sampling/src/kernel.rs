@@ -41,11 +41,14 @@
 //!    at all, so `0 · ∞` cannot happen anywhere.
 //!
 //!    Every float addition happens in the same order with the same addends
-//!    as the materialized-φ reference, so results are **bit-identical** by
-//!    construction. The single-query d-dimensional path lives in its own
-//!    out-of-line function: inlined into the entry points it bloats the
-//!    `k == 0` / sorted-1-D dispatch enough that the 1-D hot path loses
-//!    throughput to code layout alone.
+//!    as the materialized-φ reference, so its `Σφ` and sum of squared
+//!    deviations are **bit-identical** by construction, and every path
+//!    hands them, as the reference does, to [`PointVariance::from_phi`] —
+//!    the one interval policy, no-match answers included. The
+//!    single-query d-dimensional path lives in its own out-of-line
+//!    function: inlined into the entry points it bloats the sorted-1-D
+//!    dispatch enough that the 1-D hot path loses throughput to code
+//!    layout alone.
 //! 3. **1-D fast path** — samples whose single predicate column is
 //!    non-decreasing (every builder-produced 1-D stratum sample, see
 //!    [`Sample::sorted_1d`]) resolve the match range as one index range:
@@ -121,7 +124,6 @@
 use std::cell::RefCell;
 
 use pass_common::kahan::KahanSum;
-use pass_common::stats::fpc;
 use pass_common::{AggKind, Estimate, Query, Rect, LAMBDA_99};
 
 use crate::sample::Sample;
@@ -130,11 +132,11 @@ use crate::sample::Sample;
 /// estimate, the variance *of the estimator* (λ-free), and the number of
 /// sampled tuples behind it.
 ///
-/// A kernel scan yields one per stratum ([`phi_means`](Self::phi_means)),
+/// A kernel scan yields one per stratum ([`from_phi`](Self::from_phi)),
 /// [`combine_strata`](crate::combine_strata) folds strata into one, and
 /// [`evaluate`](Self::evaluate) turns it into an [`Estimate`]. Each of the
 /// three is the only library code that computes its formula.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PointVariance {
     pub value: f64,
     /// Variance of the estimator; [`evaluate`](Self::evaluate) scales its
@@ -145,26 +147,33 @@ pub struct PointVariance {
 }
 
 impl PointVariance {
-    /// The φ-means of `L` queries over one `k`-row sample of a stratum of
-    /// `population` rows. Query `l` has the φ-mean `values[l]`, whose φ
-    /// vector has the plug-in population variance `pop_vars[l]`, over
-    /// `k_preds[l]` matching rows; its estimator variance is
-    /// `pop_var / K · fpc(N, K)` (Equation 4 with footnote 1's
-    /// finite-population correction), the correction computed once for
-    /// the stratum. A single query is one lane.
+    /// The interval policy: what one stratum's φ sums answer for `agg`
+    /// (SUM, COUNT or AVG) over a `k`-row sample of a stratum of
+    /// `population` rows, `k_pred` of whose rows match. With no match,
+    /// SUM and COUNT estimate `0 ± 0` and anything else is undefined.
+    /// Otherwise the value is the φ-mean `phi_sum / K` and the variance is
+    /// φ's plug-in population variance `(sum_sq_dev / K).max(0)` over K
+    /// (Equation 4), scaled by footnote 1's finite-population correction.
+    /// At K = 1 that variance is `+0.0`: `sum_sq_dev` is `+0.0` or NaN,
+    /// and `NaN.max(0.0)` is `0.0`. Every φ path — the kernels, the
+    /// reference estimator and AQP++'s gap — answers through here.
     #[inline]
-    pub fn phi_means<const L: usize>(
-        values: [f64; L],
-        pop_vars: [f64; L],
+    pub fn from_phi(
+        agg: AggKind,
         k: usize,
+        k_pred: u64,
         population: u64,
-        k_preds: [u64; L],
-    ) -> [Self; L] {
-        let correction = fpc(population, k as u64);
-        std::array::from_fn(|l| PointVariance {
-            value: values[l],
-            variance: pop_vars[l] / k as f64 * correction,
-            k_pred: k_preds[l],
+        phi_sum: f64,
+        sum_sq_dev: f64,
+    ) -> Option<Self> {
+        if k_pred == 0 {
+            return matches!(agg, AggKind::Sum | AggKind::Count).then(Self::default);
+        }
+        let kf = k as f64;
+        Some(PointVariance {
+            value: phi_sum / kf,
+            variance: (sum_sq_dev / kf).max(0.0) / kf * fpc(population, k),
+            k_pred,
         })
     }
 
@@ -181,6 +190,18 @@ impl PointVariance {
         };
         Estimate::approximate(self.value, ci_half)
     }
+}
+
+/// Footnote 1's finite-population correction `(N − K) / (N − 1)` for a
+/// without-replacement sample of `k` of `population` rows; 0 when
+/// `population <= 1`. Private to [`PointVariance::from_phi`].
+fn fpc(population: u64, k: usize) -> f64 {
+    if population <= 1 {
+        return 0.0;
+    }
+    let n = population as f64;
+    let k = (k as f64).min(n);
+    ((n - k) / (n - 1.0)).max(0.0)
 }
 
 /// Queries one pass of the lockstep group kernel answers. Four `f64`
@@ -280,9 +301,6 @@ impl ScanScratch {
         sample: &Sample,
         rect: &Rect,
     ) -> Option<PointVariance> {
-        if sample.k() == 0 {
-            return no_match(agg);
-        }
         if sample.sorted_1d() {
             return estimate_sorted_1d(agg, &view_1d(sample), rect);
         }
@@ -298,9 +316,6 @@ impl ScanScratch {
         view: &SampleView<'_>,
         rect: &Rect,
     ) -> Option<PointVariance> {
-        if view.k() == 0 {
-            return no_match(agg);
-        }
         if view.sorted_1d {
             return estimate_sorted_1d(agg, view, rect);
         }
@@ -329,9 +344,9 @@ impl ScanScratch {
     }
 
     /// The d-dimensional path: keep lanes, then the shared finish. Kept
-    /// out of line so the `k == 0` / sorted-1-D dispatch in the public
-    /// entry points stays a few instructions — inlined here, the 1-D hot
-    /// path measurably slows from code layout alone.
+    /// out of line so the sorted-1-D dispatch in the public entry points
+    /// stays a few instructions — inlined here, the 1-D hot path
+    /// measurably slows from code layout alone.
     #[inline(never)]
     fn estimate_lanes<'c>(
         &mut self,
@@ -341,9 +356,6 @@ impl ScanScratch {
         rect: &Rect,
         col: impl Fn(usize) -> &'c [f64],
     ) -> Option<PointVariance> {
-        if values.is_empty() {
-            return no_match(agg);
-        }
         fill_lanes(values.len(), rect, col, &mut self.keep);
         finish_from_lanes(agg, values, population, &self.keep, &mut self.phi)
     }
@@ -384,11 +396,6 @@ impl ScanScratch {
         out: &mut Vec<Option<PointVariance>>,
     ) {
         out.clear();
-        let k = sample.k();
-        if k == 0 {
-            out.extend(queries.iter().map(|q| no_match(q.agg)));
-            return;
-        }
         if sample.sorted_1d() {
             let view = view_1d(sample);
             out.extend(
@@ -530,18 +537,20 @@ impl ScanScratch {
             };
         }
         let sampled = |l: usize| k_pred[l] > 0 && AggKind::SAMPLED.contains(&aggs[l]);
-        let moments = if (0..GROUP).any(sampled) {
+        let sums = if (0..GROUP).any(sampled) {
             group_moments(aggs, values, population, keep, k_pred)
         } else {
-            [EMPTY_MATCH; GROUP]
+            [(0.0, 0.0); GROUP]
         };
         std::array::from_fn(|l| match aggs[l] {
-            agg if k_pred[l] == 0 => no_match(agg),
-            agg @ (AggKind::Min | AggKind::Max) => {
+            agg @ (AggKind::Min | AggKind::Max) if k_pred[l] > 0 => {
                 let matched = keep.iter().zip(values).filter(|(lanes, _)| lanes[l] != 0);
                 minmax(agg, k_pred[l], matched.map(|(_, &v)| v))
             }
-            _ => Some(moments[l]),
+            agg => {
+                let (sum, ss) = sums[l];
+                PointVariance::from_phi(agg, values.len(), k_pred[l], population, sum, ss)
+            }
         })
     }
 
@@ -570,16 +579,6 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
         static SCRATCH: RefCell<ScanScratch> = RefCell::new(ScanScratch::new());
     }
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// The reference's answer when no sampled row matches — the sample is
-/// empty, or the predicate rejected every row: SUM/COUNT estimate 0 with
-/// zero variance, everything else is undefined.
-fn no_match(agg: AggKind) -> Option<PointVariance> {
-    match agg {
-        AggKind::Sum | AggKind::Count => Some(EMPTY_MATCH),
-        _ => None,
-    }
 }
 
 /// One per-row match flag. The byte form (`1`/`0`) is what `match_mask`
@@ -671,8 +670,8 @@ fn group_pass<'c, const D: usize>(
 }
 
 /// Finish an estimate off prebuilt match lanes over `values` (the lane
-/// count is the sample size `k`, which must be non-zero). `phi` is the
-/// reusable φ buffer; it is rebuilt at length `k` here.
+/// count is the sample size `k`). `phi` is the reusable φ buffer; it is
+/// rebuilt at length `k` here.
 fn finish_from_lanes(
     agg: AggKind,
     values: &[f64],
@@ -681,11 +680,11 @@ fn finish_from_lanes(
     phi: &mut Vec<f64>,
 ) -> Option<PointVariance> {
     let k = lanes.len();
-    debug_assert!(k > 0 && values.len() == k);
+    debug_assert_eq!(values.len(), k);
     // `K_pred`: integer popcount of the lanes (order-independent).
     let k_pred: u64 = lanes.iter().map(|m| m & 1).sum();
     if k_pred == 0 {
-        return no_match(agg);
+        return PointVariance::from_phi(agg, k, 0, population, 0.0, 0.0);
     }
     let n = population as f64;
     match agg {
@@ -700,7 +699,8 @@ fn finish_from_lanes(
             select_phi(lanes, values, phi, |v| scale * v);
         }
     }
-    Some(moments(phi, population, k_pred))
+    let (phi_sum, sum_sq_dev) = moments(phi);
+    PointVariance::from_phi(agg, k, k_pred, population, phi_sum, sum_sq_dev)
 }
 
 /// The reference fold (`estimate_minmax`) over the `k_pred` matched
@@ -732,26 +732,13 @@ fn select_phi(lanes: &[u64], values: &[f64], phi: &mut Vec<f64>, f: impl Fn(f64)
     );
 }
 
-/// The estimate the reference computes for SUM/COUNT when no sample row
-/// matches: every φ addend is the literal `+0.0`, so the value fold ends
-/// at exactly `+0.0` (the `-0.0` sum seed is flushed by the first
-/// unmatched addend — `k > 0` guarantees there is one) and every
-/// sum-of-squares addend is `(0 − 0)² = +0.0`. Hoisting the constant
-/// skips the k-length replay without changing a bit.
-const EMPTY_MATCH: PointVariance = PointVariance {
-    value: 0.0,
-    variance: 0.0,
-    k_pred: 0,
-};
-
-/// The reference's moment computation over the φ buffer — `mean(φ)` as a
-/// plain sequential sum and `population_variance(φ)` with its own
-/// Neumaier mean — every float addition with the reference's addend in
-/// the reference's order. The plain sum and the compensated mean read
-/// the same φ in the same order, so they share one loop as two
-/// independent dependency chains.
-fn moments(phi: &[f64], population: u64, k_pred: u64) -> PointVariance {
-    let k = phi.len();
+/// The reference's sums over the φ buffer — `Σφ` as a plain sequential
+/// sum and the sum of squared deviations about its own Neumaier mean —
+/// every float addition with the reference's addend in the reference's
+/// order. The plain sum and the compensated mean read the same φ in the
+/// same order, so they share one loop as two independent dependency
+/// chains.
+fn moments(phi: &[f64]) -> (f64, f64) {
     // `Iterator::sum::<f64>` folds from -0.0 (so an all-negative-zero φ
     // vector sums to -0.0); replicate the seed exactly.
     let mut s = -0.0f64;
@@ -760,19 +747,13 @@ fn moments(phi: &[f64], population: u64, k_pred: u64) -> PointVariance {
         s += p;
         mean_acc.add(p);
     }
-    let value = s / k as f64;
-    let pop_var = if k < 2 {
-        0.0
-    } else {
-        let mean = mean_acc.total() / k as f64;
-        let mut ss = KahanSum::new();
-        for &p in phi {
-            let d = p - mean;
-            ss.add(d * d);
-        }
-        (ss.total() / k as f64).max(0.0)
-    };
-    PointVariance::phi_means([value], [pop_var], k, population, [k_pred])[0]
+    let mean = mean_acc.total() / phi.len() as f64;
+    let mut ss = KahanSum::new();
+    for &p in phi {
+        let d = p - mean;
+        ss.add(d * d);
+    }
+    (s, ss.total())
 }
 
 /// One [`KahanSum::add`] step on a `(sum, compensation)` pair, the
@@ -799,8 +780,9 @@ fn neumaier_add(acc: &mut (f64, f64), value: f64) {
 /// AVG — which is the select's φ bit for bit (module docs, point 2).
 /// Each lane performs exactly the single-query path's additions in its
 /// order; what changes is that one loop carries [`GROUP`] independent
-/// dependency chains instead of one. A lane nothing matched (`c = K / 0`)
-/// or a MIN/MAX lane runs along and its numbers are never read.
+/// dependency chains instead of one. Returns each lane's `(Σφ, ss)`; a
+/// lane nothing matched (`c = K / 0`) or a MIN/MAX lane runs along and its
+/// sums are never read.
 #[inline(always)]
 fn group_moments(
     aggs: [AggKind; GROUP],
@@ -808,9 +790,8 @@ fn group_moments(
     population: u64,
     keep: &[[u64; GROUP]],
     k_pred: [u64; GROUP],
-) -> [PointVariance; GROUP] {
-    let k = values.len();
-    let (n, kf) = (population as f64, k as f64);
+) -> [(f64, f64); GROUP] {
+    let (n, kf) = (population as f64, values.len() as f64);
     let count = aggs.map(|agg| u64::of(agg == AggKind::Count));
     let scale: [f64; GROUP] = std::array::from_fn(|l| match aggs[l] {
         AggKind::Avg => kf / k_pred[l] as f64,
@@ -835,21 +816,16 @@ fn group_moments(
             neumaier_add(&mut mean_acc[l], row[l]);
         }
     }
-    let pop_var = if k < 2 {
-        [0.0; GROUP]
-    } else {
-        let mean = mean_acc.map(|(sum, compensation)| (sum + compensation) / kf);
-        let mut ss = [(0.0f64, 0.0f64); GROUP];
-        for (lanes, &v) in keep.iter().zip(values) {
-            let row = phi(lanes, v);
-            for l in 0..GROUP {
-                let d = row[l] - mean[l];
-                neumaier_add(&mut ss[l], d * d);
-            }
+    let mean = mean_acc.map(|(sum, compensation)| (sum + compensation) / kf);
+    let mut ss = [(0.0f64, 0.0f64); GROUP];
+    for (lanes, &v) in keep.iter().zip(values) {
+        let row = phi(lanes, v);
+        for l in 0..GROUP {
+            let d = row[l] - mean[l];
+            neumaier_add(&mut ss[l], d * d);
         }
-        ss.map(|(sum, compensation)| ((sum + compensation) / kf).max(0.0))
-    };
-    PointVariance::phi_means(sum.map(|s| s / kf), pop_var, k, population, k_pred)
+    }
+    std::array::from_fn(|l| (sum[l], ss[l].0 + ss[l].1))
 }
 
 /// The sorted-column fast path for 1-D samples: the match set of
@@ -862,7 +838,7 @@ fn group_moments(
 /// `(0 − m)²` term added for every unmatched index.
 fn estimate_sorted_1d(agg: AggKind, view: &SampleView<'_>, rect: &Rect) -> Option<PointVariance> {
     let k = view.k();
-    debug_assert!(k > 0 && view.dims == 1 && rect.dims() == 1);
+    debug_assert!(view.dims == 1 && rect.dims() == 1);
     let col = view.preds;
     let (lo, hi) = (rect.lo(0), rect.hi(0));
     // A bound at or past the stratum's first (last) key leaves that end
@@ -878,48 +854,24 @@ fn estimate_sorted_1d(agg: AggKind, view: &SampleView<'_>, rect: &Rect) -> Optio
     };
     debug_assert!(a <= b);
     let k_pred = (b - a) as u64;
-    let values = view.values;
-    match agg {
-        AggKind::Min | AggKind::Max => minmax(agg, k_pred, values[a..b].iter().copied()),
-        AggKind::Count => {
-            if k_pred == 0 {
-                return Some(EMPTY_MATCH);
-            }
-            let n = view.population as f64;
-            Some(moments_range(k, view.population, a, b, k_pred, |_| n))
-        }
-        AggKind::Sum => {
-            if k_pred == 0 {
-                return Some(EMPTY_MATCH);
-            }
-            let n = view.population as f64;
-            Some(moments_range(k, view.population, a, b, k_pred, |i| {
-                n * values[i]
-            }))
-        }
-        AggKind::Avg => {
-            if k_pred == 0 {
-                return None;
-            }
-            let scale = k as f64 / k_pred as f64;
-            Some(moments_range(k, view.population, a, b, k_pred, |i| {
-                scale * values[i]
-            }))
-        }
+    if k_pred == 0 {
+        return PointVariance::from_phi(agg, k, 0, view.population, 0.0, 0.0);
     }
+    let (values, n) = (view.values, view.population as f64);
+    let scale = k as f64 / k_pred as f64;
+    let (phi_sum, sum_sq_dev) = match agg {
+        AggKind::Min | AggKind::Max => return minmax(agg, k_pred, values[a..b].iter().copied()),
+        AggKind::Count => moments_range(k, a, b, |_| n),
+        AggKind::Sum => moments_range(k, a, b, |i| n * values[i]),
+        AggKind::Avg => moments_range(k, a, b, |i| scale * values[i]),
+    };
+    PointVariance::from_phi(agg, k, k_pred, view.population, phi_sum, sum_sq_dev)
 }
 
 /// [`moments`] when the matched rows are exactly `[a, b)`. Like
 /// `moments`, the plain sum and the Neumaier mean read each matched φ in
 /// one loop, as two independent dependency chains.
-fn moments_range(
-    k: usize,
-    population: u64,
-    a: usize,
-    b: usize,
-    k_pred: u64,
-    phi: impl Fn(usize) -> f64,
-) -> PointVariance {
+fn moments_range(k: usize, a: usize, b: usize, phi: impl Fn(usize) -> f64) -> (f64, f64) {
     // Replicate the reference fold exactly: it seeds at -0.0 and adds a
     // `+0.0` for every unmatched index. The first leading `+0.0` flushes
     // the seed to `+0.0` (later ones are identity), so start there when
@@ -935,30 +887,24 @@ fn moments_range(
     if b < k {
         s += 0.0;
     }
-    let value = s / k as f64;
-    let pop_var = if k < 2 {
-        0.0
-    } else {
-        let mean = mean_acc.total() / k as f64;
-        let mut ss = KahanSum::new();
-        // Same bits the reference's `(0.0 − m)²` evaluates to, added
-        // once per unmatched index (the Kahan state still has to step
-        // through every addition — only the recomputation is hoisted).
-        let d0 = 0.0 - mean;
-        let z2 = d0 * d0;
-        for _ in 0..a {
-            ss.add(z2);
-        }
-        for i in a..b {
-            let d = phi(i) - mean;
-            ss.add(d * d);
-        }
-        for _ in b..k {
-            ss.add(z2);
-        }
-        (ss.total() / k as f64).max(0.0)
-    };
-    PointVariance::phi_means([value], [pop_var], k, population, [k_pred])[0]
+    let mean = mean_acc.total() / k as f64;
+    let mut ss = KahanSum::new();
+    // Same bits the reference's `(0.0 − m)²` evaluates to, added once per
+    // unmatched index (the Kahan state still has to step through every
+    // addition — only the recomputation is hoisted).
+    let d0 = 0.0 - mean;
+    let z2 = d0 * d0;
+    for _ in 0..a {
+        ss.add(z2);
+    }
+    for i in a..b {
+        let d = phi(i) - mean;
+        ss.add(d * d);
+    }
+    for _ in b..k {
+        ss.add(z2);
+    }
+    (s, ss.total())
 }
 
 #[cfg(test)]
@@ -991,6 +937,17 @@ mod tests {
             .chain((0..dims).map(|d| format!("d{d}")))
             .collect();
         Table::new(values, predicates, names).unwrap()
+    }
+
+    #[test]
+    fn fpc_limits() {
+        // Sampling the whole population: no sampling error left.
+        assert_eq!(fpc(100, 100), 0.0);
+        // Tiny sample of a huge population: correction ~1.
+        assert!((fpc(1_000_000, 10) - 1.0).abs() < 1e-4);
+        // Degenerate population.
+        assert_eq!(fpc(1, 1), 0.0);
+        assert_eq!(fpc(0, 0), 0.0);
     }
 
     #[test]

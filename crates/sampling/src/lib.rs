@@ -10,9 +10,10 @@
 //!   serving hot path runs on: a reusable [`ScanScratch`] with branchless
 //!   mask builds, four-query lockstep batch evaluation, and a
 //!   binary-search fast path for sorted 1-D samples, all bit-identical to
-//!   [`estimator`]. They yield [`PointVariance`], the estimator state
-//!   every sampling engine answers from, whose `evaluate` is the one place
-//!   λ turns a variance into a confidence interval;
+//!   [`estimator`]'s sums. They yield [`PointVariance`], the estimator
+//!   state every sampling engine answers from, whose `from_phi` is the one
+//!   interval policy and `evaluate` the one place λ turns a variance into
+//!   a confidence interval;
 //! * [`arena`] — [`SampleArena`], the whole sample set flattened into one
 //!   cache-resident allocation, handing the kernels borrowed
 //!   [`SampleView`]s so partial-leaf scans stop chasing per-`Sample` heap

@@ -153,6 +153,30 @@ mod tests {
     }
 
     #[test]
+    fn a_tree_dims_naming_a_dimension_twice_is_refused() {
+        let table = uniform(2_000, 3);
+        let pass = EngineSpec::Pass(PassSpec {
+            tree_dims: Some(vec![0, 0]),
+            ..PassSpec::default()
+        });
+        let aqppp = EngineSpec::AqpPlusPlus {
+            partitions: 32,
+            k: 500,
+            seed: 1,
+            tree_dims: Some(vec![0, 0]),
+        };
+        for spec in [pass, aqppp] {
+            assert!(
+                matches!(
+                    Engine::build(&table, &spec),
+                    Err(PassError::InvalidParameter("dims", _))
+                ),
+                "{spec:?}"
+            );
+        }
+    }
+
+    #[test]
     fn opaque_specs_are_rejected() {
         let table = uniform(100, 5);
         let spec = EngineSpec::Opaque {

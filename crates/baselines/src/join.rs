@@ -190,11 +190,6 @@ impl JoinSynopsis {
         };
         Self { us, index, spec }
     }
-
-    /// Number of dimension-side rows in the hash index.
-    pub fn indexed_keys(&self) -> usize {
-        self.index.len()
-    }
 }
 
 impl Synopsis for JoinSynopsis {
@@ -434,7 +429,7 @@ mod tests {
         let join = JoinSynopsis::build(&fact, &spec).unwrap();
         assert_eq!(join.spec(), EngineSpec::Join(spec.clone()));
         assert_eq!(join.name(), "JOIN");
-        assert_eq!(join.indexed_keys(), 8);
+        assert_eq!(join.index.len(), 8);
         assert_eq!(
             join.storage_bytes(),
             join.us.sample().storage_bytes() + 8 * 16

@@ -17,7 +17,8 @@
 //!   data [Hilprecht et al. 2019].
 //!
 //! The latter two stand in for the closed-source systems compared in
-//! Table 2; DESIGN.md documents the substitutions.
+//! Table 2; docs/FIGURES.md ("Datasets are seeded look-alikes") names
+//! what each stand-in keeps.
 //!
 //! Beyond the paper's comparison set, [`JoinSynopsis`] (**JOIN**)
 //! answers a second *scenario family*: fact ⋈ dimension foreign-key

@@ -93,11 +93,6 @@ impl Histogram {
         (0..self.bins()).map(|b| self.mass[b] * self.mean[b]).sum()
     }
 
-    /// Support `(min edge, max edge)`.
-    pub fn support(&self) -> (f64, f64) {
-        (self.edges[0], self.edges[self.edges.len() - 1])
-    }
-
     /// Logical storage: edges + mass + mean as f64.
     pub fn storage_bytes(&self) -> usize {
         (self.edges.len() + self.mass.len() + self.mean.len()) * 8
@@ -123,7 +118,7 @@ mod tests {
     fn full_range_prob_is_one() {
         let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let h = Histogram::build(&values, 8);
-        let (lo, hi) = h.support();
+        let (lo, hi) = (h.edges[0], h.edges[h.edges.len() - 1]);
         assert!((h.prob(lo, hi) - 1.0).abs() < 1e-9);
         assert_eq!(h.prob(hi + 1.0, hi + 2.0), 0.0);
     }

@@ -14,32 +14,16 @@ use pass_table::Table;
 
 use super::histogram::Histogram;
 
-/// Structure-learning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct LearnParams {
-    /// Stop row-splitting below this many rows.
-    pub min_rows: usize,
-    /// Histogram bins per leaf.
-    pub bins: usize,
-    /// |Pearson| at or above this links two columns as dependent.
-    pub corr_threshold: f64,
-    /// Maximum recursion depth (Sum+Product levels).
-    pub max_depth: usize,
-    /// Rows used for the correlation test.
-    pub corr_sample: usize,
-}
-
-impl Default for LearnParams {
-    fn default() -> Self {
-        Self {
-            min_rows: 512,
-            bins: 64,
-            corr_threshold: 0.3,
-            max_depth: 12,
-            corr_sample: 2_000,
-        }
-    }
-}
+/// Stop row-splitting below this many rows.
+const MIN_ROWS: usize = 512;
+/// Histogram bins per leaf.
+const BINS: usize = 64;
+/// |Pearson| at or above this links two columns as dependent.
+const CORR_THRESHOLD: f64 = 0.3;
+/// Maximum recursion depth (Sum+Product levels).
+const MAX_DEPTH: usize = 12;
+/// Rows used for the correlation test.
+const CORR_SAMPLE: usize = 2_000;
 
 /// SPN node (arena-indexed).
 #[derive(Debug, Clone)]
@@ -63,12 +47,7 @@ fn column_value(table: &Table, col: usize, row: usize) -> f64 {
 
 /// Train over a `ratio` row-sample of `table`. Returns the node arena and
 /// root id.
-pub fn learn(
-    table: &Table,
-    ratio: f64,
-    seed: u64,
-    params: LearnParams,
-) -> Result<(Vec<Node>, usize)> {
+pub fn learn(table: &Table, ratio: f64, seed: u64) -> Result<(Vec<Node>, usize)> {
     let n = table.n_rows();
     let k = ((n as f64) * ratio).round().max(1.0) as usize;
     let mut rng = rng_from_seed(derive_seed(seed, 71));
@@ -84,7 +63,7 @@ pub fn learn(
     };
     let cols: Vec<usize> = (0..=table.dims()).collect();
     let mut arena = Vec::new();
-    let root = build(table, &rows, &cols, 0, &params, &mut rng, &mut arena);
+    let root = build(table, &rows, &cols, 0, &mut rng, &mut arena);
     Ok((arena, root))
 }
 
@@ -93,23 +72,22 @@ fn build<R: Rng>(
     rows: &[u32],
     cols: &[usize],
     depth: usize,
-    params: &LearnParams,
     rng: &mut R,
     arena: &mut Vec<Node>,
 ) -> usize {
     if cols.len() == 1 {
-        return push_leaf(table, rows, cols[0], params, arena);
+        return push_leaf(table, rows, cols[0], arena);
     }
-    if rows.len() < params.min_rows || depth >= params.max_depth {
-        return push_naive_product(table, rows, cols, params, arena);
+    if rows.len() < MIN_ROWS || depth >= MAX_DEPTH {
+        return push_naive_product(table, rows, cols, arena);
     }
     // Try an independence-based column split first.
-    let groups = independent_groups(table, rows, cols, params, rng);
+    let groups = independent_groups(table, rows, cols, rng);
     if groups.len() > 1 {
         let children: Vec<(Vec<usize>, usize)> = groups
             .into_iter()
             .map(|g| {
-                let child = build(table, rows, &g, depth + 1, params, rng, arena);
+                let child = build(table, rows, &g, depth + 1, rng, arena);
                 (g, child)
             })
             .collect();
@@ -121,44 +99,32 @@ fn build<R: Rng>(
         Some((left, right)) => {
             let wl = left.len() as f64 / rows.len() as f64;
             let wr = 1.0 - wl;
-            let cl = build(table, &left, cols, depth + 1, params, rng, arena);
-            let cr = build(table, &right, cols, depth + 1, params, rng, arena);
+            let cl = build(table, &left, cols, depth + 1, rng, arena);
+            let cr = build(table, &right, cols, depth + 1, rng, arena);
             arena.push(Node::Sum(vec![(wl, cl), (wr, cr)]));
             arena.len() - 1
         }
-        None => push_naive_product(table, rows, cols, params, arena),
+        None => push_naive_product(table, rows, cols, arena),
     }
 }
 
-fn push_leaf(
-    table: &Table,
-    rows: &[u32],
-    col: usize,
-    params: &LearnParams,
-    arena: &mut Vec<Node>,
-) -> usize {
+fn push_leaf(table: &Table, rows: &[u32], col: usize, arena: &mut Vec<Node>) -> usize {
     let values: Vec<f64> = rows
         .iter()
         .map(|&r| column_value(table, col, r as usize))
         .collect();
     arena.push(Node::Leaf {
         col,
-        hist: Histogram::build(&values, params.bins),
+        hist: Histogram::build(&values, BINS),
     });
     arena.len() - 1
 }
 
 /// Product of single-column leaves (naive factorization fallback).
-fn push_naive_product(
-    table: &Table,
-    rows: &[u32],
-    cols: &[usize],
-    params: &LearnParams,
-    arena: &mut Vec<Node>,
-) -> usize {
+fn push_naive_product(table: &Table, rows: &[u32], cols: &[usize], arena: &mut Vec<Node>) -> usize {
     let children: Vec<(Vec<usize>, usize)> = cols
         .iter()
-        .map(|&c| (vec![c], push_leaf(table, rows, c, params, arena)))
+        .map(|&c| (vec![c], push_leaf(table, rows, c, arena)))
         .collect();
     arena.push(Node::Product(children));
     arena.len() - 1
@@ -170,13 +136,12 @@ fn independent_groups<R: Rng>(
     table: &Table,
     rows: &[u32],
     cols: &[usize],
-    params: &LearnParams,
     rng: &mut R,
 ) -> Vec<Vec<usize>> {
-    let sample: Vec<u32> = if rows.len() <= params.corr_sample {
+    let sample: Vec<u32> = if rows.len() <= CORR_SAMPLE {
         rows.to_vec()
     } else {
-        (0..params.corr_sample)
+        (0..CORR_SAMPLE)
             .map(|_| rows[rng.gen_range(0..rows.len())])
             .collect()
     };
@@ -199,7 +164,7 @@ fn independent_groups<R: Rng>(
     }
     for i in 0..cols.len() {
         for j in (i + 1)..cols.len() {
-            if pearson(&data[i], &data[j]).abs() >= params.corr_threshold {
+            if pearson(&data[i], &data[j]).abs() >= CORR_THRESHOLD {
                 let (a, b) = (find(&mut parent, i), find(&mut parent, j));
                 if a != b {
                     parent[a] = b;
@@ -368,7 +333,7 @@ mod tests {
     #[test]
     fn learns_some_structure() {
         let t = uniform(10_000, 1);
-        let (arena, root) = learn(&t, 1.0, 2, LearnParams::default()).unwrap();
+        let (arena, root) = learn(&t, 1.0, 2).unwrap();
         assert!(root < arena.len());
         assert!(arena.len() >= 2, "at least a product of two leaves");
     }
@@ -391,13 +356,7 @@ mod tests {
         let vals = keys.clone();
         let t = Table::one_dim(keys, vals).unwrap();
         let mut rng = rng_from_seed(3);
-        let groups = independent_groups(
-            &t,
-            &(0..5_000u32).collect::<Vec<_>>(),
-            &[0, 1],
-            &LearnParams::default(),
-            &mut rng,
-        );
+        let groups = independent_groups(&t, &(0..5_000u32).collect::<Vec<_>>(), &[0, 1], &mut rng);
         assert_eq!(groups.len(), 1);
     }
 
@@ -405,13 +364,7 @@ mod tests {
     fn independent_columns_split_apart() {
         let t = uniform(5_000, 4); // independent key and value
         let mut rng = rng_from_seed(5);
-        let groups = independent_groups(
-            &t,
-            &(0..5_000u32).collect::<Vec<_>>(),
-            &[0, 1],
-            &LearnParams::default(),
-            &mut rng,
-        );
+        let groups = independent_groups(&t, &(0..5_000u32).collect::<Vec<_>>(), &[0, 1], &mut rng);
         assert_eq!(groups.len(), 2);
     }
 

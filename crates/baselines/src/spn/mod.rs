@@ -23,8 +23,8 @@ pub use histogram::Histogram;
 use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
 use pass_table::Table;
 
+use learn::learn;
 pub(crate) use learn::Node;
-use learn::{learn, LearnParams};
 
 /// A trained SPN over `d` predicate columns plus the aggregate column.
 #[derive(Debug, Clone)]
@@ -44,11 +44,6 @@ impl SpnSynopsis {
     /// Train on a `ratio`-fraction row sample of the table (DeepDB-10% /
     /// DeepDB-100% in Table 2).
     pub fn build(table: &Table, ratio: f64, seed: u64) -> Result<Self> {
-        Self::build_with(table, ratio, seed, LearnParams::default())
-    }
-
-    /// Train with explicit structure-learning parameters.
-    pub fn build_with(table: &Table, ratio: f64, seed: u64, params: LearnParams) -> Result<Self> {
         if table.n_rows() == 0 {
             return Err(PassError::EmptyInput("SPN over empty table"));
         }
@@ -74,7 +69,7 @@ impl SpnSynopsis {
                 ));
             }
         }
-        let (nodes, root) = learn(table, ratio, seed, params)?;
+        let (nodes, root) = learn(table, ratio, seed)?;
         Ok(Self {
             nodes,
             root,

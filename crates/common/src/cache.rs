@@ -113,16 +113,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hits over total lookups; 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Counter deltas between two snapshots (`self` taken after `earlier`),
     /// e.g. the hits/misses attributable to one workload run. Snapshots
     /// passed in the wrong order give zero deltas.
@@ -775,7 +765,6 @@ mod tests {
         assert_eq!(cached.inner().calls(), 1);
         let stats = cached.cache().stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.hit_rate(), 0.5);
     }
 
     #[test]
@@ -1482,7 +1471,8 @@ mod tests {
                 cache.insert(&queries[rank], Ok(Estimate::exact(rank as f64)));
             }
         }
-        let sieve = cache.stats().since(&warmed).hit_rate();
+        let since = cache.stats().since(&warmed);
+        let sieve = since.hits as f64 / (since.hits + since.misses) as f64;
         let fifo = fifo_hit_rate(&trace, capacity, warm);
         assert!(sieve >= 0.84, "SIEVE hit rate {sieve:.4}");
         assert!(

@@ -1103,13 +1103,6 @@ macro_rules! chaos_atomic {
                 atomic_yield();
                 self.inner.fetch_sub(value, order)
             }
-
-            /// Store the maximum of the current and given values,
-            /// returning the previous value.
-            pub fn fetch_max(&self, value: $prim, order: Ordering) -> $prim {
-                atomic_yield();
-                self.inner.fetch_max(value, order)
-            }
         }
     };
 }

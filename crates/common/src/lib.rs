@@ -80,6 +80,6 @@ pub use query::{apply_group_availability, GroupByQuery, GroupResult, Query, Rect
 pub use queue::{Priority, PushError, RequestQueue};
 pub use snapshot::{SnapshotError, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use spec::{EngineSpec, JoinSpec, PartitionStrategy, PassSpec, ShardPlan};
-pub use stats::{lambda_for_confidence, LAMBDA_95, LAMBDA_99};
+pub use stats::LAMBDA_99;
 pub use synopsis::{estimate_group_by, estimate_many_parallel, Synopsis, PARALLEL_MIN_BATCH};
 pub use ticket::{ServeOutcome, Ticket, TicketSlot, TicketWake};

@@ -74,16 +74,6 @@ impl PrefixSums {
         (n * self.range_sum_sq(lo, hi) - s * s).max(0.0)
     }
 
-    /// Population variance of the values in `[lo, hi)` (scatter / n²).
-    #[inline]
-    pub fn range_population_variance(&self, lo: usize, hi: usize) -> f64 {
-        let n = hi - lo;
-        if n < 2 {
-            return 0.0;
-        }
-        self.scatter(lo, hi) / (n as f64 * n as f64)
-    }
-
     /// Mean of the values in `[lo, hi)`; 0.0 on an empty range.
     #[inline]
     pub fn range_mean(&self, lo: usize, hi: usize) -> f64 {
@@ -132,8 +122,9 @@ mod tests {
         for lo in 0..v.len() {
             for hi in (lo + 2)..=v.len() {
                 let pv = population_variance(&v[lo..hi]);
+                let n = (hi - lo) as f64;
                 assert!(
-                    (p.range_population_variance(lo, hi) - pv).abs() < 1e-10,
+                    (p.scatter(lo, hi) / (n * n) - pv).abs() < 1e-10,
                     "range [{lo},{hi})"
                 );
             }
@@ -155,7 +146,7 @@ mod tests {
         let v = [7.0, -2.0];
         let p = PrefixSums::build(&v);
         assert_eq!(p.range_sum(0, 1), 7.0);
-        assert_eq!(p.range_population_variance(0, 1), 0.0);
+        assert_eq!(p.scatter(0, 1), 0.0);
         assert_eq!(p.range_mean(1, 2), -2.0);
     }
 }

@@ -254,22 +254,12 @@ impl<T> RequestQueue<T> {
         self.available.notify_all();
     }
 
-    /// Whether consumers are currently paused.
-    pub fn is_paused(&self) -> bool {
-        self.inner.lock().paused
-    }
-
     /// Close the queue: future pushes fail with [`PushError::Closed`],
     /// parked consumers wake, and [`pop_blocking`](Self::pop_blocking)
     /// returns `None` once the remaining items drain.
     pub fn close(&self) {
         self.inner.lock().closed = true;
         self.available.notify_all();
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
     }
 }
 
@@ -341,7 +331,7 @@ mod tests {
         let q = RequestQueue::new(4);
         q.try_push(1, Priority::Bulk).unwrap();
         q.close();
-        assert!(q.is_closed());
+        assert!(q.inner.lock().closed);
         assert_eq!(
             q.try_push(2, Priority::Bulk).unwrap_err().0,
             PushError::Closed
@@ -459,9 +449,9 @@ mod tests {
     fn paused_queue_hands_out_nothing_even_to_parked_consumers() {
         let q = RequestQueue::new(8);
         q.try_push(1, Priority::Bulk).unwrap();
-        assert!(!q.is_paused());
+        assert!(!q.inner.lock().paused);
         q.set_paused(true);
-        assert!(q.is_paused());
+        assert!(q.inner.lock().paused);
         // Non-blocking drain refuses while paused.
         assert!(q.drain_class_where(Priority::Bulk, |_| true).is_empty());
         std::thread::scope(|s| {

@@ -155,11 +155,6 @@ impl Ticket {
         self.shared.state.lock().outcome.clone()
     }
 
-    /// Whether the ticket has resolved.
-    pub fn is_resolved(&self) -> bool {
-        self.shared.state.lock().outcome.is_some()
-    }
-
     /// Block until the outcome arrives.
     pub fn wait(&self) -> ServeOutcome {
         let mut state = self.shared.state.lock();
@@ -277,7 +272,7 @@ mod tests {
     fn poll_sees_pending_then_resolved() {
         let (ticket, slot) = Ticket::pending();
         assert_eq!(ticket.poll(), None);
-        assert!(!ticket.is_resolved());
+        assert!(ticket.poll().is_none());
         slot.fulfill(ServeOutcome::Done(vec![Ok(Estimate::exact(7.0))]), Some(3));
         let outcome = ticket.poll().unwrap();
         assert!(outcome.is_done());
@@ -314,7 +309,7 @@ mod tests {
         assert_eq!(ticket.shared.state.lock().parked, 0);
         // The waiter left: resolving now owes nobody a wakeup.
         assert!(slot.store(ServeOutcome::Rejected, None).is_none());
-        assert!(ticket.is_resolved());
+        assert!(ticket.poll().is_some());
     }
 
     #[test]

@@ -222,9 +222,12 @@ impl PartitionTree {
     /// dimensional predicate space: tree dimension `j` becomes dimension
     /// `dims[j]`, and every node is unbounded in the dimensions `dims`
     /// does not name (see the module docs for why that is all workload
-    /// shift needs). Shape, aggregates and leaf indices are untouched.
+    /// shift needs). Shape, aggregates and leaf indices are untouched. A
+    /// mapping that names a dimension twice is refused: the second tree
+    /// dimension's bounds would overwrite the first's.
     pub fn lifted(mut self, dims: &[usize], arity: usize) -> Result<Self> {
-        if dims.len() != self.dims || dims.iter().any(|&d| d >= arity) {
+        let repeats = (1..dims.len()).any(|j| dims[..j].contains(&dims[j]));
+        if dims.len() != self.dims || dims.iter().any(|&d| d >= arity) || repeats {
             return Err(PassError::InvalidParameter(
                 "dims",
                 format!(
@@ -876,9 +879,14 @@ mod tests {
                 narrow.contains_point(id, &[mid0, mid1])
             );
         }
-        // A mapping names one in-range dimension per tree dimension.
+        // A mapping names one in-range dimension per tree dimension, and
+        // no dimension twice.
         assert!(narrow.clone().lifted(&[0], 4).is_err());
         assert!(narrow.clone().lifted(&[0, 4], 4).is_err());
+        assert!(matches!(
+            narrow.clone().lifted(&[1, 1], 4),
+            Err(PassError::InvalidParameter("dims", _))
+        ));
     }
 
     #[test]

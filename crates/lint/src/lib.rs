@@ -82,6 +82,11 @@
 //!     a `// SAFETY:` comment naming the run-time check that makes the
 //!     call sound. A second `unsafe` anywhere, or a crate root that drops
 //!     its attribute, is flagged.
+//! 11. **Every `pub` item has a user** — each `pub` `fn`, `struct`,
+//!     `enum`, `trait`, `const`, `static` or `type` in library code is
+//!     named outside its own file's tests and `pub use` lines: in library
+//!     code, another file's tests, or a file under [`USE_SITES`] (tests,
+//!     benches, examples, the benchmark, the README and `docs/`).
 //!
 //! The analysis is deliberately *lexical*: sources are stripped of
 //! comments and string contents, `#[cfg(test)]` regions are tracked by
@@ -990,20 +995,21 @@ pub fn check_reference_only(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Whether `rel` is a library crate root: `src/lib.rs` or
-/// `crates/<name>/src/lib.rs`.
-fn is_crate_root(rel: &str) -> bool {
-    rel == "src/lib.rs"
-        || rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split_once('/'))
-            .is_some_and(|(_, rest)| rest == "src/lib.rs")
+/// The path of `rel` inside its crate's `src/` (`src/…` or
+/// `crates/<name>/src/…`), if `rel` is a library source.
+fn src_path(rel: &str) -> Option<&str> {
+    rel.strip_prefix("src/").or_else(|| {
+        rel.strip_prefix("crates/")?
+            .split_once('/')?
+            .1
+            .strip_prefix("src/")
+    })
 }
 
 /// Rule 10: the crate roots keep their `unsafe_code` attribute, and the
 /// only `unsafe` keyword is the justified dispatch in [`UNSAFE_DISPATCH`].
 pub fn check_unsafe_fenced(file: &SourceFile, out: &mut Vec<Violation>) {
-    if is_crate_root(&file.rel) {
+    if src_path(&file.rel) == Some("lib.rs") {
         let want = if file.rel == UNSAFE_CRATE_ROOT {
             "#![deny(unsafe_code)]"
         } else {
@@ -1056,6 +1062,81 @@ fn justified(lines: &[Line], tag: &str) -> bool {
             .any(|l| l.comment.contains(tag))
 }
 
+/// Where a `pub` item's name counts as a use beside the library (rule 11):
+/// the Rust and Markdown files under these workspace-relative paths.
+pub const USE_SITES: &[&str] = &[
+    "tests",
+    "crates/*/tests",
+    "crates/*/benches",
+    "examples",
+    "benchmark/src",
+    "README.md",
+    "docs",
+];
+
+/// The name a line declares as a `pub` `fn`, `struct`, `enum`, `trait`,
+/// `const`, `static` or `type`, if it declares one.
+fn pub_item_name(code: &str) -> Option<&str> {
+    const KINDS: &[&str] = &[
+        "unsafe", "async", "mut", "const", "static", "fn", "struct", "enum", "trait", "type",
+    ];
+    let mut words = code.strip_prefix("pub ")?.split_whitespace().peekable();
+    words.next_if(|w| KINDS.contains(w))?;
+    let word = words.find(|w| !KINDS.contains(w))?;
+    let name = word
+        .split(|c: char| !c.is_alphanumeric() && c != '_')
+        .next()?;
+    (!name.is_empty()).then_some(name)
+}
+
+/// Rule 11 over `files`, as (workspace-relative path, contents): a `pub`
+/// item's name counts as used wherever it is a whole word, except on a line
+/// declaring that name, a library `pub use` line, or its own file's tests.
+pub fn check_pub_items_used(files: &[(String, String)]) -> Vec<Violation> {
+    let parsed: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, source)| {
+            // Markdown is plain text: no quote or slash in it opens a
+            // string or a comment.
+            let plain = rel
+                .ends_with(".md")
+                .then(|| source.replace(['"', '\'', '/'], " "));
+            SourceFile::parse(rel, plain.as_deref().unwrap_or(source))
+        })
+        .collect();
+    let mut decls = std::collections::BTreeSet::new();
+    let mut uses = std::collections::HashMap::<&str, Vec<(usize, usize)>>::new();
+    for (f, file) in parsed.iter().enumerate() {
+        let library = src_path(&file.rel).is_some();
+        let mut reexport = false;
+        for (i, line) in file.lines.iter().enumerate() {
+            let code = line.code.trim_start();
+            reexport |= library && code.starts_with("pub use ");
+            if !reexport {
+                for word in code.split(|c: char| !c.is_alphanumeric() && c != '_') {
+                    uses.entry(word).or_default().push((f, i));
+                }
+            }
+            reexport &= !code.contains(';');
+            if let Some(name) = pub_item_name(code).filter(|_| library && !line.in_test) {
+                decls.insert((f, i, name));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for &(f, i, name) in &decls {
+        let in_own_tests = |g: usize, j: usize| g == f && parsed[f].lines[j].in_test;
+        if !uses[name]
+            .iter()
+            .any(|&(g, j)| !in_own_tests(g, j) && !decls.contains(&(g, j, name)))
+        {
+            let message = format!("`pub` `{name}` has no user outside its own file's tests");
+            parsed[f].push(&mut out, i, "pub-has-user", message);
+        }
+    }
+    out
+}
+
 /// Run every rule over one parsed file.
 pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -1082,28 +1163,35 @@ pub fn workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
+fn collect(path: &Path, ext: &str, out: &mut Vec<PathBuf>) {
+    if path.is_file() && path.extension().is_some_and(|e| e == ext) {
+        out.push(path.to_path_buf());
+    }
+    for entry in std::fs::read_dir(path).into_iter().flatten().flatten() {
+        collect(&entry.path(), ext, out);
     }
 }
 
-/// The library sources under `root` (`crates/*/src` and `src/`, vendored
-/// stubs excluded) as (workspace-relative path, contents), sorted by path.
-fn library_sources(root: &Path) -> Vec<(String, String)> {
+/// The library source directories (vendored stubs excluded).
+const LIBRARY: &[&str] = &["src", "crates/*/src"];
+
+/// The files with extension `ext` under the workspace-relative `paths`
+/// (`crates/*/` expands to every crate) as (workspace-relative path,
+/// contents), sorted by path.
+fn sources(root: &Path, paths: &[&str], ext: &str) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    collect_rs(&root.join("src"), &mut files);
-    if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
-        for entry in crates.flatten() {
-            collect_rs(&entry.path().join("src"), &mut files);
+    for path in paths {
+        match path.strip_prefix("crates/*/") {
+            Some(sub) => {
+                for entry in std::fs::read_dir(root.join("crates"))
+                    .into_iter()
+                    .flatten()
+                    .flatten()
+                {
+                    collect(&entry.path().join(sub), ext, &mut files);
+                }
+            }
+            None => collect(&root.join(path), ext, &mut files),
         }
     }
     files.sort();
@@ -1122,13 +1210,20 @@ fn library_sources(root: &Path) -> Vec<(String, String)> {
 }
 
 /// Walk the workspace's library sources (`crates/*/src` and `src/`,
-/// vendored stubs excluded) and run every rule. Returns all violations,
-/// sorted by file and line.
+/// vendored stubs excluded) and run every rule, rule 11 reading
+/// [`USE_SITES`] too. Returns all violations, sorted by file and line.
 pub fn run_workspace() -> Vec<Violation> {
-    library_sources(&workspace_root())
+    let root = workspace_root();
+    let mut files = sources(&root, LIBRARY, "rs");
+    let mut out: Vec<Violation> = files
         .iter()
         .flat_map(|(rel, source)| check_file(&SourceFile::parse(rel, source)))
-        .collect()
+        .collect();
+    files.extend(sources(&root, USE_SITES, "rs"));
+    files.extend(sources(&root, USE_SITES, "md"));
+    out.extend(check_pub_items_used(&files));
+    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    out
 }
 
 /// Library lines of the workspace at `root`, per crate and in total.
@@ -1150,7 +1245,7 @@ pub struct LibraryLines {
 /// whole.
 pub fn library_lines(root: &Path) -> LibraryLines {
     let mut per_crate: Vec<(String, usize)> = Vec::new();
-    for (rel, source) in library_sources(root) {
+    for (rel, source) in sources(root, LIBRARY, "rs") {
         let krate = rel.find("/src/").map_or("src", |at| &rel[..at + 4]);
         let lines = lines_ahead_of_tests(&source);
         match per_crate.last_mut() {
@@ -1633,6 +1728,111 @@ mod tests {
         let mut out = Vec::new();
         check_no_alloc_in_kernels(&file("crates/sampling/src/kernel.rs", src), &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    fn unused(files: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(rel, src)| (rel.to_string(), src.to_string()))
+            .collect();
+        let out = check_pub_items_used(&files);
+        assert!(out.iter().all(|v| v.rule == "pub-has-user"));
+        out.iter()
+            .map(|v| format!("{}:{}", v.file, v.line))
+            .collect()
+    }
+
+    const LONELY: &str = "\
+pub fn lonely() {}
+pub fn used() {}
+fn caller() { used(); }
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+    fn t() { lonely(); helper(); }
+}
+";
+
+    #[test]
+    fn pub_item_rule_flags_an_item_named_only_in_its_own_tests() {
+        let lib = "crates/table/src/a.rs";
+        assert_eq!(unused(&[(lib, LONELY)]), [format!("{lib}:1")]);
+        // Another file's tests are a user, and so is a use beside the
+        // declaration; a second declaration of the name is not.
+        let other_tests = "#[cfg(test)]\nmod tests {\n    fn t() { a::lonely(); }\n}\n";
+        assert!(unused(&[(lib, LONELY), ("crates/core/src/b.rs", other_tests)]).is_empty());
+        let swapped = LONELY.replace("{ used(); }", "{ lonely(); }");
+        assert_eq!(unused(&[(lib, &swapped)]), [format!("{lib}:2")]);
+        let twin = "pub fn solo() {}\n";
+        let twins = unused(&[("src/a.rs", twin), ("src/b.rs", twin)]);
+        assert_eq!(twins, ["src/a.rs:1", "src/b.rs:1"]);
+    }
+
+    #[test]
+    fn pub_item_rule_ignores_re_exports_and_comments() {
+        let lib = "crates/table/src/a.rs";
+        let root = "\
+//! [`lonely`] is documented here: lonely
+pub use a::lonely;
+pub use a::{
+    lonely,
+    used,
+};
+/* lonely */ fn f() -> &'static str { \"lonely\" }
+";
+        let names = unused(&[(lib, LONELY), ("crates/table/src/lib.rs", root)]);
+        assert_eq!(names, [format!("{lib}:1")]);
+    }
+
+    #[test]
+    fn pub_item_rule_counts_tests_examples_the_benchmark_and_docs() {
+        let lib = "crates/table/src/a.rs";
+        for site in [
+            "tests/contract.rs",
+            "crates/sampling/tests/oracle.rs",
+            "crates/bench/benches/paper.rs",
+            "examples/quickstart.rs",
+            "benchmark/src/main.rs",
+        ] {
+            let user = "use pass_table::a::lonely;\n";
+            assert!(unused(&[(lib, LONELY), (site, user)]).is_empty(), "{site}");
+            let commented = "// lonely\nfn f() { let s = \"lonely\"; }\n";
+            assert_eq!(
+                unused(&[(lib, LONELY), (site, commented)]).len(),
+                1,
+                "{site}"
+            );
+        }
+        // Markdown is plain text: quotes, apostrophes and URLs hide nothing.
+        for doc in ["README.md", "docs/SERVING.md"] {
+            let text = "Call \"it\" — it's `lonely()`, see https://x/y.\n";
+            assert!(unused(&[(lib, LONELY), (doc, text)]).is_empty(), "{doc}");
+        }
+    }
+
+    #[test]
+    fn pub_item_rule_reads_each_checked_kind_of_declaration() {
+        for (code, name) in [
+            ("pub fn f(x: u8) -> u8 {", Some("f")),
+            ("pub const fn new() -> Self {", Some("new")),
+            ("pub unsafe fn raw() {", Some("raw")),
+            ("pub struct Table<T> {", Some("Table")),
+            ("pub enum Kind {", Some("Kind")),
+            ("pub trait Synopsis: Send {", Some("Synopsis")),
+            ("pub const LIMIT: usize = 4;", Some("LIMIT")),
+            ("pub static mut SEEN: u64 = 0;", Some("SEEN")),
+            (
+                "pub type Result<T> = std::result::Result<T, E>;",
+                Some("Result"),
+            ),
+            ("pub fn $name(&self) {", None),
+            ("pub(crate) fn inner() {", None),
+            ("pub mod csv;", None),
+            ("pub use a::b;", None),
+            ("pub len: usize,", None),
+        ] {
+            assert_eq!(pub_item_name(code), name, "{code}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! 2017 order table, and the NYC Taxi January-2019 trip records, plus one
 //! synthetic adversarial dataset (Section 5.1.1 / 5.3). The real CSVs are
 //! not redistributable, so each generator reproduces the *statistical
-//! regime* that drives the paper's results (see DESIGN.md "Substitutions"):
+//! regime* that drives the paper's results (docs/FIGURES.md, "Datasets are
+//! seeded look-alikes"):
 //!
 //! * [`intel`]: heteroscedastic diurnal signal — long zero-variance night
 //!   stretches, bursty daytime light readings;

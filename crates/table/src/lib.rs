@@ -10,19 +10,15 @@
 //! * [`SortedTable`] — a 1-D view sorted by one predicate column, giving
 //!   O(log n) interval-to-index-range resolution and O(1) range aggregates
 //!   via prefix sums (the backbone of every 1-D partitioning algorithm);
-//! * [`datasets`] — synthetic generators standing in for the paper's three
-//!   real datasets plus the Section 5.3 adversarial dataset (substitutions
-//!   documented in `DESIGN.md`);
-//! * [`csv`] — a dependency-free CSV loader so the real CSVs can be dropped
-//!   in when available;
+//! * [`datasets`] — seeded generators standing in for the paper's three
+//!   real datasets plus the Section 5.3 adversarial dataset (the regime
+//!   each keeps is in docs/FIGURES.md, "Datasets are seeded look-alikes");
 //! * [`dist`] — the Normal / LogNormal / Zipf / Exponential samplers the
 //!   generators draw from (implemented here to keep the dependency set to
 //!   the plain `rand` crate).
 
 #![forbid(unsafe_code)]
 
-pub mod column;
-pub mod csv;
 pub mod datasets;
 pub mod dist;
 pub mod shard;
@@ -30,6 +26,5 @@ pub mod snapshot;
 pub mod sorted;
 pub mod table;
 
-pub use column::Dictionary;
 pub use sorted::SortedTable;
 pub use table::Table;

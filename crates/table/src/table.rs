@@ -1,6 +1,6 @@
 //! The core columnar table type.
 
-use pass_common::{AggKind, Aggregates, PassError, Query, Rect, Result};
+use pass_common::{Aggregates, PassError, Query, Rect, Result};
 
 /// A columnar dataset: one numeric aggregation column `A` and `d` predicate
 /// columns `C_1..C_d` (Section 3.1's usage model).
@@ -331,19 +331,6 @@ impl Table {
         }
         Ok(index)
     }
-
-    /// Exact aggregate answer for the common case `agg(A) WHERE rect`,
-    /// returning 0 for SUM/COUNT over empty selections (matching SQL
-    /// semantics for COUNT and the estimators' convention for SUM).
-    pub fn answer_or_zero(&self, query: &Query) -> f64 {
-        match self.ground_truth(query) {
-            Some(v) => v,
-            None => match query.agg {
-                AggKind::Sum | AggKind::Count => 0.0,
-                _ => f64::NAN,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -397,10 +384,8 @@ mod tests {
         let t = small();
         let q = Query::interval(AggKind::Sum, 100.0, 200.0);
         assert_eq!(t.ground_truth(&q), Some(0.0));
-        assert_eq!(t.answer_or_zero(&q), 0.0);
         let q = Query::interval(AggKind::Avg, 100.0, 200.0);
         assert_eq!(t.ground_truth(&q), None);
-        assert!(t.answer_or_zero(&q).is_nan());
     }
 
     #[test]

@@ -35,14 +35,16 @@ pub struct Engine;
 impl Engine {
     /// Build the engine a spec describes, as a shared trait object.
     ///
-    /// The returned synopsis reports the input spec verbatim from
-    /// [`Synopsis::spec`], so `Engine::build(t, &s)?.spec() == s`.
+    /// The spec must pass [`EngineSpec::validate`]. The returned synopsis
+    /// reports it verbatim from [`Synopsis::spec`], so
+    /// `Engine::build(t, &s)?.spec() == s`.
     ///
     /// Built synopses are immutable at query time and [`Synopsis`] requires
     /// `Send + Sync`, so the registry hands out `Arc`s: cloning one is a
     /// reference-count bump, and any number of threads or `pass::Session`
     /// handles can answer queries against the same synopsis concurrently.
     pub fn build(table: &Table, spec: &EngineSpec) -> Result<Arc<dyn Synopsis>> {
+        spec.validate()?;
         Ok(match spec {
             EngineSpec::Pass(pass_spec) => Arc::new(Pass::from_spec(table, pass_spec)?),
             EngineSpec::Uniform { k, seed } => Arc::new(UniformSynopsis::build(table, *k, *seed)?),
@@ -85,7 +87,8 @@ impl Engine {
 
     /// Reconstruct a previously saved engine from snapshot bytes
     /// ([`Synopsis::save`]) — the load-side mirror of [`Engine::build`],
-    /// dispatching on the [`EngineSpec`] embedded in the snapshot header.
+    /// dispatching on the [`EngineSpec`] embedded in the snapshot header,
+    /// which must pass [`EngineSpec::validate`] as a built spec must.
     ///
     /// The whole input must be consumed: trailing bytes after the last
     /// state section are rejected, and every section's checksum must
@@ -123,7 +126,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_common::{AggKind, PassSpec, Query};
+    use pass_common::{AggKind, PassSpec, Query, ShardPlan};
     use pass_table::datasets::uniform;
 
     #[test]
@@ -173,6 +176,39 @@ mod tests {
                 ),
                 "{spec:?}"
             );
+        }
+    }
+
+    /// A dimension index past the table is a parameter error naming the
+    /// field, not a query-arity mismatch: a shifted build's `tree_dims`
+    /// on a 3-D table, and a hash plan's `dim` on a 1-D table.
+    #[test]
+    fn a_dimension_index_past_the_table_names_its_field() {
+        let table = pass_table::datasets::taxi(2_000, 2)
+            .project(&[1, 2, 3])
+            .unwrap();
+        let pass = EngineSpec::Pass(PassSpec {
+            tree_dims: Some(vec![7]),
+            ..PassSpec::default()
+        });
+        let aqppp = EngineSpec::AqpPlusPlus {
+            partitions: 16,
+            k: 200,
+            seed: 1,
+            tree_dims: Some(vec![7]),
+        };
+        for spec in [pass, aqppp] {
+            match Engine::build(&table, &spec) {
+                Err(PassError::InvalidParameter("dims", why)) => {
+                    assert!(why.contains('3'), "{why}")
+                }
+                other => panic!("{spec:?}: {:?}", other.err()),
+            }
+        }
+        let hashed = EngineSpec::sharded(EngineSpec::uniform(100), ShardPlan::hash_dim(4, 2));
+        match Engine::build(&uniform(2_000, 1), &hashed) {
+            Err(PassError::InvalidParameter("dim", why)) => assert!(why.contains('1'), "{why}"),
+            other => panic!("{:?}", other.err()),
         }
     }
 

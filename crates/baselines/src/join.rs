@@ -167,9 +167,9 @@ impl JoinSynopsis {
     /// serialized — it is spec-derived, so the loader rebuilds it from
     /// the header spec exactly as [`build`](Self::build) would; only the
     /// randomized joined sample (and the population it scales to) travels
-    /// in the snapshot. The caller (`crate::snapshot::load_join`) has
-    /// already validated the spec and the sample/dims/population
-    /// invariants.
+    /// in the snapshot. The snapshot reader has already validated the
+    /// spec, and the caller (`crate::snapshot::load_join`) the
+    /// sample/dims/population invariants.
     pub(crate) fn from_snapshot_parts(
         spec: JoinSpec,
         sample: Sample,

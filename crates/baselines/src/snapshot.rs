@@ -135,11 +135,6 @@ fn load_us(requested_k: usize, seed: u64, r: &mut SnapshotReader<'_>) -> Result<
 
 fn load_join(spec: &JoinSpec, r: &mut SnapshotReader<'_>) -> Result<JoinSynopsis> {
     let mut c = Cursor::new(r.section()?, "JOIN state");
-    // A header spec the build path would reject cannot describe a real
-    // engine — and the index rebuild below relies on its invariants.
-    if let Err(err) = spec.validate() {
-        return Err(c.drift(format_args!("header spec is invalid: {err}")));
-    }
     let (dims, total_rows, sample) = read_sampled(&mut c)?;
     if dims <= spec.attr_dims() {
         return Err(c.drift("dims leave no fact-side predicate dimensions"));

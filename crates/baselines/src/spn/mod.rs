@@ -47,12 +47,7 @@ impl SpnSynopsis {
         if table.n_rows() == 0 {
             return Err(PassError::EmptyInput("SPN over empty table"));
         }
-        if !(0.0..=1.0).contains(&ratio) || ratio == 0.0 {
-            return Err(PassError::InvalidParameter(
-                "ratio",
-                format!("training ratio must be in (0,1], got {ratio}"),
-            ));
-        }
+        EngineSpec::Spn { ratio, seed }.validate()?;
         // A histogram leaf orders its column, and a NaN has no place in
         // that order.
         if table.values().iter().any(|v| v.is_nan()) {

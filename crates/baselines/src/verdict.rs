@@ -36,12 +36,7 @@ impl VerdictSynopsis {
         if table.n_rows() == 0 {
             return Err(PassError::EmptyInput("scramble over empty table"));
         }
-        if !(0.0..=1.0).contains(&ratio) || ratio == 0.0 {
-            return Err(PassError::InvalidParameter(
-                "ratio",
-                format!("scramble ratio must be in (0,1], got {ratio}"),
-            ));
-        }
+        EngineSpec::Verdict { ratio, seed }.validate()?;
         let n = table.n_rows();
         let k = ((n as f64) * ratio).round().max(1.0) as usize;
         let mut rng = rng_from_seed(seed);

@@ -234,8 +234,10 @@ pub struct SnapshotReader<'a> {
 }
 
 impl<'a> SnapshotReader<'a> {
-    /// Validate magic, version, and the spec header; return the embedded
-    /// spec plus a reader positioned at the first state section.
+    /// Validate magic, version, and the spec header, whose spec must pass
+    /// [`EngineSpec::validate`] (one the build path would refuse cannot
+    /// describe a saved engine); return the embedded spec plus a reader
+    /// positioned at the first state section.
     pub fn open(bytes: &'a [u8]) -> Result<(EngineSpec, Self)> {
         let magic = bytes
             .get(..SNAPSHOT_MAGIC.len())
@@ -265,6 +267,7 @@ impl<'a> SnapshotReader<'a> {
         let text = std::str::from_utf8(header)
             .map_err(|_| SnapshotError::SpecMismatch("spec header is not UTF-8".into()))?;
         let spec = EngineSpec::from_json(text)
+            .and_then(|spec| spec.validate().map(|()| spec))
             .map_err(|e| SnapshotError::SpecMismatch(format!("spec header: {e}")))?;
         Ok((spec, reader))
     }

@@ -8,7 +8,11 @@
 //! a `pass::Session` to construct the live synopsis. Built engines report
 //! the spec they were constructed from via
 //! [`Synopsis::spec`](crate::Synopsis::spec), so `build(table, spec).spec()
-//! == spec` round-trips.
+//! == spec` round-trips. One private field table per variant names every
+//! JSON key once; the writer, the reader, `with_seed` and
+//! [`EngineSpec::validate`] all walk it.
+
+use std::collections::BTreeMap;
 
 use crate::agg::AggKind;
 use crate::error::{PassError, Result};
@@ -34,6 +38,26 @@ pub enum PartitionStrategy {
     /// Equal key-width buckets (1-D only; d > 1 falls back to
     /// breadth-first).
     EqualWidth,
+}
+
+impl PartitionStrategy {
+    /// Every strategy, ADP tuned for SUM: the reader's candidates.
+    const ALL: [PartitionStrategy; 4] = [
+        PartitionStrategy::Adp(AggKind::Sum),
+        PartitionStrategy::EqualDepth,
+        PartitionStrategy::HillClimb,
+        PartitionStrategy::EqualWidth,
+    ];
+
+    /// The strategy's JSON name.
+    fn name(self) -> &'static str {
+        match self {
+            PartitionStrategy::Adp(_) => "adp",
+            PartitionStrategy::EqualDepth => "equal_depth",
+            PartitionStrategy::HillClimb => "hill_climb",
+            PartitionStrategy::EqualWidth => "equal_width",
+        }
+    }
 }
 
 /// Full parameterization of a PASS synopsis as plain data.
@@ -136,59 +160,12 @@ impl JoinSpec {
         self.dim_attrs.len()
     }
 
-    /// Reject specs that cannot build or cannot round-trip: a zero
-    /// sample budget, ragged attribute columns, non-finite keys or
-    /// attributes, and duplicate keys (after `-0.0` canonicalization).
-    /// An **empty** dimension side is valid — every fact row dangles and
-    /// the join is empty, which the estimator answers honestly.
+    /// Reject specs that cannot build or cannot round-trip, by the JOIN
+    /// rules of [`EngineSpec::validate`]. An **empty** dimension side is
+    /// valid: every fact row dangles, and the estimator answers the empty
+    /// join honestly.
     pub fn validate(&self) -> Result<()> {
-        if self.k == 0 {
-            return Err(PassError::InvalidParameter(
-                "k",
-                "a join synopsis needs at least one fact-side sample row".into(),
-            ));
-        }
-        for (i, col) in self.dim_attrs.iter().enumerate() {
-            if col.len() != self.dim_keys.len() {
-                return Err(PassError::InvalidParameter(
-                    "dim_attrs",
-                    format!(
-                        "attribute column {i} has {} rows but the key column has {}",
-                        col.len(),
-                        self.dim_keys.len()
-                    ),
-                ));
-            }
-            if col.iter().any(|v| !v.is_finite()) {
-                return Err(PassError::InvalidParameter(
-                    "dim_attrs",
-                    format!("attribute column {i} holds a non-finite value"),
-                ));
-            }
-        }
-        let mut seen = std::collections::HashSet::with_capacity(self.dim_keys.len());
-        for &key in &self.dim_keys {
-            if !key.is_finite() {
-                return Err(PassError::InvalidParameter(
-                    "dim_keys",
-                    "dimension keys must be finite".into(),
-                ));
-            }
-            // Canonicalize -0.0 so the two equal-comparing zeros cannot
-            // smuggle in a duplicate key.
-            let canonical = if key == 0.0 { 0.0f64 } else { key };
-            if !seen.insert(canonical.to_bits()) {
-                return Err(PassError::InvalidParameter(
-                    "dim_keys",
-                    format!("duplicate dimension key {key}"),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn f64_arr(values: &[f64]) -> Json {
-        Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
+        EngineSpec::Join(self.clone()).validate()
     }
 }
 
@@ -241,13 +218,7 @@ impl ShardPlan {
 
     /// Reject degenerate plans (zero shards).
     pub fn validate(&self) -> Result<()> {
-        if self.shards() == 0 {
-            return Err(PassError::InvalidParameter(
-                "shards",
-                "a shard plan needs at least one shard".into(),
-            ));
-        }
-        Ok(())
+        self.clone().fields(&mut Slot::check)
     }
 
     /// Deterministic shard index of a predicate key under a `shards`-way
@@ -268,37 +239,6 @@ impl ShardPlan {
         match self {
             ShardPlan::RowRange { .. } => "row_range",
             ShardPlan::HashDim { .. } => "hash_dim",
-        }
-    }
-
-    fn to_json_value(&self) -> Json {
-        let mut fields = vec![
-            ("kind", Json::from(self.kind())),
-            ("shards", Json::from(self.shards())),
-        ];
-        if let ShardPlan::HashDim { dim, .. } = self {
-            fields.push(("dim", Json::from(*dim)));
-        }
-        Json::obj(fields)
-    }
-
-    fn from_json_value(doc: &Json) -> Result<ShardPlan> {
-        let field_err =
-            |name: &str| PassError::Load(format!("ShardPlan JSON: missing or invalid `{name}`"));
-        let shards = doc
-            .get("shards")
-            .and_then(Json::as_usize)
-            .ok_or(field_err("shards"))?;
-        match doc.get("kind").and_then(Json::as_str) {
-            Some("row_range") => Ok(ShardPlan::RowRange { shards }),
-            Some("hash_dim") => Ok(ShardPlan::HashDim {
-                dim: doc
-                    .get("dim")
-                    .and_then(Json::as_usize)
-                    .ok_or(field_err("dim"))?,
-                shards,
-            }),
-            _ => Err(field_err("kind")),
         }
     }
 }
@@ -426,37 +366,29 @@ impl EngineSpec {
     /// Return the spec with its seed replaced (whichever variant; a
     /// sharded spec reseeds its inner engine).
     pub fn with_seed(mut self, new_seed: u64) -> Self {
-        match &mut self {
-            EngineSpec::Pass(p) => p.seed = new_seed,
-            EngineSpec::Uniform { seed, .. }
-            | EngineSpec::Stratified { seed, .. }
-            | EngineSpec::AqpPlusPlus { seed, .. }
-            | EngineSpec::Verdict { seed, .. }
-            | EngineSpec::Spn { seed, .. } => *seed = new_seed,
-            EngineSpec::Join(j) => j.seed = new_seed,
-            EngineSpec::Sharded { inner, .. } => {
-                let reseeded = std::mem::replace(inner.as_mut(), EngineSpec::uniform(0));
-                **inner = reseeded.with_seed(new_seed);
-            }
-            EngineSpec::Opaque { .. } => {}
-        }
+        self.walk_seed(&mut |seed| *seed = new_seed);
         self
     }
 
     /// The randomization seed the spec's builds draw from (the innermost
     /// engine's seed for sharded specs); `None` for opaque specs.
     pub fn seed(&self) -> Option<u64> {
-        match self {
-            EngineSpec::Pass(p) => Some(p.seed),
-            EngineSpec::Uniform { seed, .. }
-            | EngineSpec::Stratified { seed, .. }
-            | EngineSpec::AqpPlusPlus { seed, .. }
-            | EngineSpec::Verdict { seed, .. }
-            | EngineSpec::Spn { seed, .. } => Some(*seed),
-            EngineSpec::Join(j) => Some(j.seed),
-            EngineSpec::Sharded { inner, .. } => inner.seed(),
-            EngineSpec::Opaque { .. } => None,
-        }
+        let mut found = None;
+        self.clone().walk_seed(&mut |seed| found = Some(*seed));
+        found
+    }
+
+    /// Hand `f` the seed slot of the field table, the innermost spec's
+    /// for a sharded spec.
+    fn walk_seed(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        let _ = self.fields(&mut |_, slot| {
+            match slot {
+                Slot::Seed(seed) => f(seed),
+                Slot::Spec(inner) => inner.walk_seed(f),
+                _ => {}
+            }
+            Ok(())
+        });
     }
 
     /// Short kind label (`"pass"`, `"uniform"`, ...), also the JSON tag.
@@ -474,62 +406,260 @@ impl EngineSpec {
         }
     }
 
+    /// Reject a spec that cannot build or cannot round-trip, naming the
+    /// field: the one home of the rules a spec's values obey. Every real
+    /// is finite (JSON has no NaN or infinity), nested specs included; a
+    /// PASS `sample_rate` and a Verdict or SPN `ratio` lie in (0, 1]; PASS
+    /// `partitions`, a JOIN's `k` and a plan's `shards` are at least 1;
+    /// a JOIN's attribute columns are as long as its key column, and its
+    /// keys are unique after `-0.0` canonicalization.
+    pub fn validate(&self) -> Result<()> {
+        self.clone().fields(&mut Slot::check)?;
+        let EngineSpec::Join(j) = self else {
+            return Ok(());
+        };
+        if let Some(i) = j
+            .dim_attrs
+            .iter()
+            .position(|col| col.len() != j.dim_keys.len())
+        {
+            return Err(PassError::InvalidParameter(
+                "dim_attrs",
+                format!("attribute column {i} is not as long as the key column"),
+            ));
+        }
+        let mut seen = std::collections::HashSet::with_capacity(j.dim_keys.len());
+        // Canonicalize -0.0 so the two equal-comparing zeros cannot
+        // smuggle in a duplicate key.
+        let canonical = |key: f64| if key == 0.0 { 0.0f64 } else { key };
+        match (j.dim_keys.iter()).find(|&&key| !seen.insert(canonical(key).to_bits())) {
+            Some(key) => Err(PassError::InvalidParameter(
+                "dim_keys",
+                format!("duplicate dimension key {key}"),
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Serialize to a canonical single-line JSON document.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
     }
 
-    fn to_json_value(&self) -> Json {
-        // Seeds are full-range u64 but JSON numbers are f64 (53-bit
-        // integer precision), so large seeds are emitted as decimal
-        // strings; the parser accepts both forms.
-        let seed_json = |seed: u64| {
-            if seed <= (1u64 << 53) {
-                Json::from(seed)
-            } else {
-                Json::from(seed.to_string())
+    /// Parse a spec previously produced by [`to_json`](Self::to_json).
+    pub fn from_json(text: &str) -> Result<EngineSpec> {
+        Self::from_json_value(&Json::parse(text)?)
+    }
+}
+
+/// One field of a spec as the field table hands it out: a typed place
+/// that the JSON writer reads, the reader fills, `with_seed` sets and
+/// `validate` checks.
+enum Slot<'a> {
+    Count(&'a mut usize),
+    /// A count of at least 1.
+    Positive(&'a mut usize),
+    /// A count whose key is left out when `None`.
+    OptCount(&'a mut Option<usize>),
+    /// Predicate dimensions, left out when `None`.
+    Dims(&'a mut Option<Vec<usize>>),
+    /// A full-range seed. JSON numbers hold 53 integer bits, so larger
+    /// seeds travel as decimal strings.
+    Seed(&'a mut u64),
+    /// A finite real.
+    Real(&'a mut f64),
+    /// A real in (0, 1].
+    Fraction(&'a mut f64),
+    Flag(&'a mut bool),
+    Text(&'a mut String),
+    /// Finite reals.
+    Reals(&'a mut Vec<f64>),
+    /// Columns of finite reals.
+    Columns(&'a mut Vec<Vec<f64>>),
+    /// A partitioning optimizer's name.
+    Strategy(&'a mut PartitionStrategy),
+    /// The aggregate an ADP strategy is tuned for; absent for the others.
+    StrategyAgg(&'a mut PartitionStrategy),
+    /// A constant of the format (v1's λ): written as is, any other value
+    /// refused.
+    Fixed(f64),
+    Plan(&'a mut ShardPlan),
+    Spec(&'a mut EngineSpec),
+}
+
+impl Slot<'_> {
+    /// The slot's JSON value; `None` leaves its key out.
+    fn write(self) -> Option<Json> {
+        let reals = |xs: &[f64]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
+        Some(match self {
+            Slot::Count(n) | Slot::Positive(n) => Json::from(*n),
+            // An absent optional key reads as `None`; a malformed one fails.
+            Slot::OptCount(n) => Json::from((*n)?),
+            Slot::Dims(dims) => Json::Arr(dims.as_ref()?.iter().map(|&d| Json::from(d)).collect()),
+            Slot::Seed(seed) if *seed > 1 << 53 => Json::from(seed.to_string()),
+            Slot::Seed(seed) => Json::from(*seed),
+            Slot::Real(x) | Slot::Fraction(x) => Json::from(*x),
+            Slot::Flag(flag) => Json::from(*flag),
+            Slot::Text(text) => Json::from(text.as_str()),
+            Slot::Reals(xs) => reals(xs),
+            Slot::Columns(cols) => Json::Arr(cols.iter().map(|col| reals(col)).collect()),
+            Slot::Strategy(strategy) => Json::from(strategy.name()),
+            Slot::StrategyAgg(PartitionStrategy::Adp(agg)) => Json::from(agg.to_string()),
+            Slot::StrategyAgg(_) => return None,
+            Slot::Fixed(x) => Json::from(x),
+            Slot::Plan(plan) => plan.to_json_value(),
+            Slot::Spec(spec) => spec.to_json_value(),
+        })
+    }
+
+    /// Fill the slot from its key's value (`None` when the key is
+    /// absent); `None` back means the value is missing or malformed.
+    fn read(self, value: Option<&Json>) -> Option<()> {
+        let reals =
+            |v: &Json| -> Option<Vec<f64>> { v.as_arr()?.iter().map(Json::as_f64).collect() };
+        let counts =
+            |v: &Json| -> Option<Vec<usize>> { v.as_arr()?.iter().map(Json::as_usize).collect() };
+        match self {
+            Slot::Count(n) | Slot::Positive(n) => *n = value?.as_usize()?,
+            // An absent optional key reads as `None`; a malformed one fails.
+            Slot::OptCount(n) => *n = value.map(|v| v.as_usize().ok_or(())).transpose().ok()?,
+            Slot::Dims(dims) => *dims = value.map(|v| counts(v).ok_or(())).transpose().ok()?,
+            Slot::Seed(seed) => {
+                *seed = value?.as_u64().or_else(|| value?.as_str()?.parse().ok())?
             }
+            Slot::Real(x) | Slot::Fraction(x) => *x = value?.as_f64()?,
+            Slot::Flag(flag) => *flag = value?.as_bool()?,
+            Slot::Text(text) => *text = value?.as_str()?.to_owned(),
+            Slot::Reals(xs) => *xs = reals(value?)?,
+            Slot::Columns(cols) => {
+                *cols = value?.as_arr()?.iter().map(reals).collect::<Option<_>>()?
+            }
+            Slot::Strategy(strategy) => {
+                let name = value?.as_str()?;
+                *strategy = PartitionStrategy::ALL
+                    .into_iter()
+                    .find(|s| s.name() == name)?;
+            }
+            Slot::StrategyAgg(PartitionStrategy::Adp(agg)) => {
+                let text = value?.as_str()?;
+                *agg = AggKind::ALL
+                    .into_iter()
+                    .find(|kind| kind.to_string() == text)?;
+            }
+            Slot::StrategyAgg(_) => {}
+            Slot::Fixed(x) => return (value?.as_f64()? == x).then_some(()),
+            Slot::Plan(plan) => *plan = ShardPlan::from_json_value(value?).ok()?,
+            Slot::Spec(spec) => *spec = EngineSpec::from_json_value(value?).ok()?,
+        }
+        Some(())
+    }
+
+    /// The rules the slot's type carries, with `key` named in the error:
+    /// reals are finite, fractions lie in (0, 1], positive counts are at
+    /// least 1, and nested plans and specs pass their own rules.
+    fn check(key: &'static str, slot: Slot<'_>) -> Result<()> {
+        let finite = |xs: &[f64]| xs.iter().all(|x| x.is_finite());
+        let why = match slot {
+            Slot::Positive(n) if *n == 0 => "must be at least 1".to_owned(),
+            Slot::Real(x) | Slot::Fraction(x) if !x.is_finite() => format!("{x} is not finite"),
+            Slot::Fraction(x) if *x <= 0.0 || *x > 1.0 => format!("{x} is not in (0, 1]"),
+            Slot::Reals(xs) if !finite(xs) => "holds a non-finite value".to_owned(),
+            Slot::Columns(cols) if !cols.iter().all(|col| finite(col)) => {
+                "holds a non-finite value".to_owned()
+            }
+            Slot::Plan(plan) => return plan.validate(),
+            Slot::Spec(spec) => return spec.validate(),
+            _ => return Ok(()),
         };
-        let mut fields: Vec<(&'static str, Json)> = vec![("engine", Json::from(self.kind()))];
+        Err(PassError::InvalidParameter(key, why))
+    }
+}
+
+/// A tagged JSON object whose keys one field table lists: an
+/// [`EngineSpec`] (tagged by `engine`) or a [`ShardPlan`] (by `kind`).
+trait Fields: Clone {
+    /// The key that names the variant.
+    const TAG: &'static str;
+
+    /// One value of every variant, for the reader to fill in.
+    fn blanks() -> Vec<Self>;
+
+    /// The variant's name under [`TAG`](Self::TAG).
+    fn variant(&self) -> &'static str;
+
+    /// The field table: hand `f` every field of the variant, under its
+    /// JSON key, in a typed slot.
+    fn fields(&mut self, f: &mut dyn FnMut(&'static str, Slot<'_>) -> Result<()>) -> Result<()>;
+
+    fn to_json_value(&self) -> Json {
+        let mut doc = BTreeMap::from([(Self::TAG.to_owned(), Json::from(self.variant()))]);
+        let _ = self.clone().fields(&mut |key, slot| {
+            doc.extend(slot.write().map(|value| (key.to_owned(), value)));
+            Ok(())
+        });
+        Json::Obj(doc)
+    }
+
+    fn from_json_value(doc: &Json) -> Result<Self> {
+        let err =
+            |key: &str| PassError::Load(format!("EngineSpec JSON: missing or invalid `{key}`"));
+        let tag = doc.get(Self::TAG).and_then(Json::as_str);
+        let mut value = (Self::blanks().into_iter())
+            .find(|blank| Some(blank.variant()) == tag)
+            .ok_or_else(|| err(Self::TAG))?;
+        value.fields(&mut |key, slot| slot.read(doc.get(key)).ok_or_else(|| err(key)))?;
+        Ok(value)
+    }
+}
+
+impl Fields for EngineSpec {
+    const TAG: &'static str = "engine";
+
+    fn blanks() -> Vec<Self> {
+        vec![
+            EngineSpec::pass(),
+            EngineSpec::uniform(0),
+            EngineSpec::stratified(0, 0),
+            EngineSpec::aqppp(0, 0),
+            EngineSpec::verdict(0.0),
+            EngineSpec::spn(0.0),
+            EngineSpec::join(JoinSpec::new(0, vec![], vec![], 0)),
+            EngineSpec::sharded(EngineSpec::uniform(0), ShardPlan::row_range(0)),
+            EngineSpec::Opaque {
+                name: String::new(),
+            },
+        ]
+    }
+
+    fn variant(&self) -> &'static str {
+        self.kind()
+    }
+
+    fn fields(&mut self, f: &mut dyn FnMut(&'static str, Slot<'_>) -> Result<()>) -> Result<()> {
         match self {
             EngineSpec::Pass(p) => {
-                fields.push(("partitions", Json::from(p.partitions)));
-                fields.push(("sample_rate", Json::from(p.sample_rate)));
-                if let Some(total) = p.total_samples {
-                    fields.push(("total_samples", Json::from(total)));
-                }
-                let (strategy, strategy_agg) = match p.strategy {
-                    PartitionStrategy::Adp(kind) => ("adp", Some(kind)),
-                    PartitionStrategy::EqualDepth => ("equal_depth", None),
-                    PartitionStrategy::HillClimb => ("hill_climb", None),
-                    PartitionStrategy::EqualWidth => ("equal_width", None),
-                };
-                fields.push(("strategy", Json::from(strategy)));
-                if let Some(kind) = strategy_agg {
-                    fields.push(("strategy_agg", Json::from(kind.to_string())));
-                }
-                fields.push(("lambda", Json::from(V1_LAMBDA)));
-                fields.push(("delta_encode", Json::from(p.delta_encode)));
-                fields.push(("zero_variance_rule", Json::from(p.zero_variance_rule)));
-                fields.push(("opt_samples", Json::from(p.opt_samples)));
-                fields.push(("adp_delta", Json::from(p.adp_delta)));
-                fields.push(("kd_balance", Json::from(p.kd_balance)));
-                fields.push(("seed", seed_json(p.seed)));
-                if let Some(dims) = &p.tree_dims {
-                    fields.push((
-                        "tree_dims",
-                        Json::Arr(dims.iter().map(|&d| Json::from(d)).collect()),
-                    ));
-                }
+                f("partitions", Slot::Positive(&mut p.partitions))?;
+                f("sample_rate", Slot::Fraction(&mut p.sample_rate))?;
+                f("total_samples", Slot::OptCount(&mut p.total_samples))?;
+                f("strategy", Slot::Strategy(&mut p.strategy))?;
+                f("strategy_agg", Slot::StrategyAgg(&mut p.strategy))?;
+                f("lambda", Slot::Fixed(V1_LAMBDA))?;
+                f("delta_encode", Slot::Flag(&mut p.delta_encode))?;
+                f("zero_variance_rule", Slot::Flag(&mut p.zero_variance_rule))?;
+                f("opt_samples", Slot::Count(&mut p.opt_samples))?;
+                f("adp_delta", Slot::Real(&mut p.adp_delta))?;
+                f("kd_balance", Slot::Count(&mut p.kd_balance))?;
+                f("seed", Slot::Seed(&mut p.seed))?;
+                f("tree_dims", Slot::Dims(&mut p.tree_dims))
             }
             EngineSpec::Uniform { k, seed } => {
-                fields.push(("k", Json::from(*k)));
-                fields.push(("seed", seed_json(*seed)));
+                f("k", Slot::Count(k))?;
+                f("seed", Slot::Seed(seed))
             }
             EngineSpec::Stratified { strata, k, seed } => {
-                fields.push(("strata", Json::from(*strata)));
-                fields.push(("k", Json::from(*k)));
-                fields.push(("seed", seed_json(*seed)));
+                f("strata", Slot::Count(strata))?;
+                f("k", Slot::Count(k))?;
+                f("seed", Slot::Seed(seed))
             }
             EngineSpec::AqpPlusPlus {
                 partitions,
@@ -537,197 +667,51 @@ impl EngineSpec {
                 seed,
                 tree_dims,
             } => {
-                fields.push(("partitions", Json::from(*partitions)));
-                fields.push(("k", Json::from(*k)));
-                fields.push(("seed", seed_json(*seed)));
-                if let Some(dims) = tree_dims {
-                    fields.push((
-                        "tree_dims",
-                        Json::Arr(dims.iter().map(|&d| Json::from(d)).collect()),
-                    ));
-                }
+                f("partitions", Slot::Count(partitions))?;
+                f("k", Slot::Count(k))?;
+                f("seed", Slot::Seed(seed))?;
+                f("tree_dims", Slot::Dims(tree_dims))
             }
             EngineSpec::Verdict { ratio, seed } | EngineSpec::Spn { ratio, seed } => {
-                fields.push(("ratio", Json::from(*ratio)));
-                fields.push(("seed", seed_json(*seed)));
+                f("ratio", Slot::Fraction(ratio))?;
+                f("seed", Slot::Seed(seed))
             }
             EngineSpec::Join(j) => {
-                fields.push(("fk_dim", Json::from(j.fk_dim)));
-                fields.push(("k", Json::from(j.k)));
-                fields.push(("seed", seed_json(j.seed)));
-                fields.push(("dim_keys", JoinSpec::f64_arr(&j.dim_keys)));
-                fields.push((
-                    "dim_attrs",
-                    Json::Arr(
-                        j.dim_attrs
-                            .iter()
-                            .map(|col| JoinSpec::f64_arr(col))
-                            .collect(),
-                    ),
-                ));
+                f("fk_dim", Slot::Count(&mut j.fk_dim))?;
+                f("dim_keys", Slot::Reals(&mut j.dim_keys))?;
+                f("dim_attrs", Slot::Columns(&mut j.dim_attrs))?;
+                f("k", Slot::Positive(&mut j.k))?;
+                f("seed", Slot::Seed(&mut j.seed))
             }
             EngineSpec::Sharded { inner, plan } => {
-                fields.push(("plan", plan.to_json_value()));
-                fields.push(("inner", inner.to_json_value()));
+                f("plan", Slot::Plan(plan))?;
+                f("inner", Slot::Spec(inner))
             }
-            EngineSpec::Opaque { name } => {
-                fields.push(("name", Json::from(name.clone())));
-            }
-        }
-        Json::obj(fields)
-    }
-
-    /// Parse a spec previously produced by [`to_json`](Self::to_json).
-    pub fn from_json(text: &str) -> Result<EngineSpec> {
-        Self::from_json_value(&Json::parse(text)?)
-    }
-
-    /// Parse a spec from an already-parsed JSON value (recursion point
-    /// for the nested `inner` spec of [`EngineSpec::Sharded`]).
-    fn from_json_value(doc: &Json) -> Result<EngineSpec> {
-        let field_err =
-            |name: &str| PassError::Load(format!("EngineSpec JSON: missing or invalid `{name}`"));
-        let usize_field = |name: &str| {
-            doc.get(name)
-                .and_then(Json::as_usize)
-                .ok_or(field_err(name))
-        };
-        // Seeds arrive as a JSON number or, above 2^53, a decimal string.
-        let u64_field = |name: &str| {
-            doc.get(name)
-                .and_then(|v| {
-                    v.as_u64()
-                        .or_else(|| v.as_str().and_then(|s| s.parse::<u64>().ok()))
-                })
-                .ok_or(field_err(name))
-        };
-        let f64_field = |name: &str| doc.get(name).and_then(Json::as_f64).ok_or(field_err(name));
-        let tree_dims = match doc.get("tree_dims") {
-            None => None,
-            Some(value) => Some(
-                value
-                    .as_arr()
-                    .ok_or(field_err("tree_dims"))?
-                    .iter()
-                    .map(|d| d.as_usize().ok_or(field_err("tree_dims")))
-                    .collect::<Result<Vec<usize>>>()?,
-            ),
-        };
-        match doc.get("engine").and_then(Json::as_str) {
-            Some("pass") => {
-                let strategy = match doc.get("strategy").and_then(Json::as_str) {
-                    Some("adp") => {
-                        let agg = doc
-                            .get("strategy_agg")
-                            .and_then(Json::as_str)
-                            .ok_or(field_err("strategy_agg"))?;
-                        PartitionStrategy::Adp(parse_agg(agg)?)
-                    }
-                    Some("equal_depth") => PartitionStrategy::EqualDepth,
-                    Some("hill_climb") => PartitionStrategy::HillClimb,
-                    Some("equal_width") => PartitionStrategy::EqualWidth,
-                    _ => return Err(field_err("strategy")),
-                };
-                if f64_field("lambda")? != V1_LAMBDA {
-                    return Err(PassError::Load(format!(
-                        "EngineSpec JSON: `lambda` must be {V1_LAMBDA}, the CI scale of format v1"
-                    )));
-                }
-                Ok(EngineSpec::Pass(PassSpec {
-                    partitions: usize_field("partitions")?,
-                    sample_rate: f64_field("sample_rate")?,
-                    total_samples: match doc.get("total_samples") {
-                        None => None,
-                        Some(v) => Some(v.as_usize().ok_or(field_err("total_samples"))?),
-                    },
-                    strategy,
-                    delta_encode: doc
-                        .get("delta_encode")
-                        .and_then(Json::as_bool)
-                        .ok_or(field_err("delta_encode"))?,
-                    zero_variance_rule: doc
-                        .get("zero_variance_rule")
-                        .and_then(Json::as_bool)
-                        .ok_or(field_err("zero_variance_rule"))?,
-                    opt_samples: usize_field("opt_samples")?,
-                    adp_delta: f64_field("adp_delta")?,
-                    kd_balance: usize_field("kd_balance")?,
-                    seed: u64_field("seed")?,
-                    tree_dims,
-                }))
-            }
-            Some("uniform") => Ok(EngineSpec::Uniform {
-                k: usize_field("k")?,
-                seed: u64_field("seed")?,
-            }),
-            Some("stratified") => Ok(EngineSpec::Stratified {
-                strata: usize_field("strata")?,
-                k: usize_field("k")?,
-                seed: u64_field("seed")?,
-            }),
-            Some("aqppp") => Ok(EngineSpec::AqpPlusPlus {
-                partitions: usize_field("partitions")?,
-                k: usize_field("k")?,
-                seed: u64_field("seed")?,
-                tree_dims,
-            }),
-            Some("verdict") => Ok(EngineSpec::Verdict {
-                ratio: f64_field("ratio")?,
-                seed: u64_field("seed")?,
-            }),
-            Some("spn") => Ok(EngineSpec::Spn {
-                ratio: f64_field("ratio")?,
-                seed: u64_field("seed")?,
-            }),
-            Some("join") => {
-                let f64_column = |value: &Json, name: &'static str| -> Result<Vec<f64>> {
-                    value
-                        .as_arr()
-                        .ok_or(field_err(name))?
-                        .iter()
-                        .map(|v| v.as_f64().ok_or(field_err(name)))
-                        .collect()
-                };
-                Ok(EngineSpec::Join(JoinSpec {
-                    fk_dim: usize_field("fk_dim")?,
-                    dim_keys: f64_column(
-                        doc.get("dim_keys").ok_or(field_err("dim_keys"))?,
-                        "dim_keys",
-                    )?,
-                    dim_attrs: doc
-                        .get("dim_attrs")
-                        .and_then(Json::as_arr)
-                        .ok_or(field_err("dim_attrs"))?
-                        .iter()
-                        .map(|col| f64_column(col, "dim_attrs"))
-                        .collect::<Result<Vec<Vec<f64>>>>()?,
-                    k: usize_field("k")?,
-                    seed: u64_field("seed")?,
-                }))
-            }
-            Some("sharded") => Ok(EngineSpec::Sharded {
-                plan: ShardPlan::from_json_value(doc.get("plan").ok_or(field_err("plan"))?)?,
-                inner: Box::new(Self::from_json_value(
-                    doc.get("inner").ok_or(field_err("inner"))?,
-                )?),
-            }),
-            Some("opaque") => Ok(EngineSpec::Opaque {
-                name: doc
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or(field_err("name"))?
-                    .to_owned(),
-            }),
-            _ => Err(field_err("engine")),
+            EngineSpec::Opaque { name } => f("name", Slot::Text(name)),
         }
     }
 }
 
-fn parse_agg(text: &str) -> Result<AggKind> {
-    AggKind::ALL
-        .into_iter()
-        .find(|kind| kind.to_string() == text)
-        .ok_or_else(|| PassError::Load(format!("unknown aggregate kind `{text}`")))
+impl Fields for ShardPlan {
+    const TAG: &'static str = "kind";
+
+    fn blanks() -> Vec<Self> {
+        vec![ShardPlan::row_range(0), ShardPlan::hash_dim(0, 0)]
+    }
+
+    fn variant(&self) -> &'static str {
+        self.kind()
+    }
+
+    fn fields(&mut self, f: &mut dyn FnMut(&'static str, Slot<'_>) -> Result<()>) -> Result<()> {
+        match self {
+            ShardPlan::RowRange { shards } => f("shards", Slot::Positive(shards)),
+            ShardPlan::HashDim { dim, shards } => {
+                f("dim", Slot::Count(dim))?;
+                f("shards", Slot::Positive(shards))
+            }
+        }
+    }
 }
 
 #[cfg(test)]

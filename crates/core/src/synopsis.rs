@@ -204,12 +204,7 @@ impl Pass {
         if table.n_rows() == 0 {
             return Err(PassError::EmptyInput("PASS over empty table"));
         }
-        if spec.partitions == 0 {
-            return Err(PassError::InvalidParameter(
-                "partitions",
-                "must be at least 1".into(),
-            ));
-        }
+        EngineSpec::Pass(spec.clone()).validate()?;
         match &spec.tree_dims {
             Some(dims) => {
                 let mut pass = build_kd_sampled(spec, &table.project(dims)?, table, 5)?;

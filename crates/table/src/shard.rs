@@ -38,10 +38,7 @@ impl Table {
             ShardPlan::RowRange { .. } => Box::new(move |row| row * k / n),
             ShardPlan::HashDim { dim, .. } => {
                 if dim >= self.dims() {
-                    return Err(PassError::DimensionMismatch {
-                        expected: self.dims(),
-                        got: dim + 1,
-                    });
+                    return Err(self.no_dim("dim", dim));
                 }
                 let keys = self.predicate_column(dim);
                 Box::new(move |row| ShardPlan::key_shard(keys[row], k))

@@ -203,10 +203,7 @@ impl Table {
         let mut names = vec![self.names[0].clone()];
         for &d in dims {
             if d >= self.dims() {
-                return Err(PassError::DimensionMismatch {
-                    expected: self.dims(),
-                    got: d + 1,
-                });
+                return Err(self.no_dim("dims", d));
             }
             predicates.push(self.predicates[d].clone());
             names.push(self.names[d + 1].clone());
@@ -307,10 +304,7 @@ impl Table {
     /// silently pick an arbitrary match.
     pub fn key_index(&self, dim: usize) -> Result<std::collections::HashMap<u64, usize>> {
         if dim >= self.dims() {
-            return Err(PassError::DimensionMismatch {
-                expected: self.dims(),
-                got: dim + 1,
-            });
+            return Err(self.no_dim("dim", dim));
         }
         let col = &self.predicates[dim];
         let mut index = std::collections::HashMap::with_capacity(col.len());
@@ -330,6 +324,14 @@ impl Table {
             }
         }
         Ok(index)
+    }
+
+    /// The error for a dimension index `d`, given as `field`, that is
+    /// past this table's predicate columns.
+    pub(crate) fn no_dim(&self, field: &'static str, d: usize) -> PassError {
+        let arity = self.dims();
+        let why = format!("dimension {d} is past the table's arity {arity}");
+        PassError::InvalidParameter(field, why)
     }
 }
 
@@ -449,7 +451,7 @@ mod tests {
         // Out-of-range dim, NaN keys, and duplicates are typed errors.
         assert!(matches!(
             t.key_index(1),
-            Err(PassError::DimensionMismatch { .. })
+            Err(PassError::InvalidParameter("dim", _))
         ));
         let nan = Table::one_dim(vec![1.0, f64::NAN], vec![0.0, 0.0]).unwrap();
         assert!(matches!(

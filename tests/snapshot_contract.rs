@@ -699,6 +699,46 @@ fn a_pass_header_with_another_lambda_is_a_spec_mismatch() {
     }
 }
 
+/// A header spec that `EngineSpec::validate` refuses cannot describe a
+/// saved engine, whatever its state sections hold: PASS with a sample
+/// rate past 1 or no partitions, a JOIN with a duplicate dimension key.
+/// Each is a spec mismatch at load that names the field.
+#[test]
+fn a_header_spec_that_validate_refuses_is_a_spec_mismatch() {
+    let cases = [
+        (
+            snapshot(),
+            r#""sample_rate":0.005"#,
+            r#""sample_rate":2"#,
+            "`sample_rate`",
+        ),
+        (
+            snapshot(),
+            r#""partitions":4"#,
+            r#""partitions":0"#,
+            "`partitions`",
+        ),
+        (
+            join_snapshot(),
+            r#""dim_keys":[0,1,"#,
+            r#""dim_keys":[1,1,"#,
+            "`dim_keys`",
+        ),
+    ];
+    for (bytes, from, to, field) in cases {
+        assert!(Engine::load(bytes).is_ok());
+        let refused = patched(bytes, 0, |header| {
+            let text = String::from_utf8(header.clone()).unwrap();
+            assert!(text.contains(from), "{text}");
+            *header = text.replace(from, to).into_bytes();
+        });
+        match snapshot_err(&refused) {
+            SnapshotError::SpecMismatch(why) => assert!(why.contains(field), "{why}"),
+            err => panic!("{to}: {err:?}"),
+        }
+    }
+}
+
 /// The state section of every sampled baseline opens with format v1's λ
 /// slot, which holds 2.576. Any other value — with the CRC recomputed, so
 /// the framing is sound — is drift the reader names by its section.

@@ -10,7 +10,9 @@
 
 use pass_common::kahan::KahanSum;
 use pass_common::rng::{derive_seed, rng_from_seed};
-use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Rect, Result, Synopsis};
+use pass_common::{
+    check_dims, AggKind, EngineSpec, Estimate, PassError, Query, Rect, Result, Synopsis,
+};
 use pass_core::{mcf::mcf, PartitionTree};
 use pass_partition::{build_kd, HillClimb, KdExpansion, Partitioner1D};
 use pass_sampling::{combine_strata, PointVariance, Sample, StratumEstimate};
@@ -148,12 +150,7 @@ impl Synopsis for AqpPlusPlus {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.tree.dims() {
-            return Err(PassError::DimensionMismatch {
-                expected: self.tree.dims(),
-                got: query.dims(),
-            });
-        }
+        check_dims(self.tree.dims(), query.dims())?;
         let frontier = mcf(&self.tree, query, false);
         let covered = &frontier.covered;
         let exact_sum = || covered.iter().map(|&id| self.tree.agg(id).sum).sum::<f64>();

@@ -44,17 +44,15 @@ use crate::UniformSynopsis;
 /// The joined sample is materialized once, at build time, and held by a
 /// [`UniformSynopsis`] whose population is the fact table's: every
 /// answer — single or batched, value, interval and accounting — is that
-/// engine's answer over the joined sample. What the join adds is the
-/// dimension index it was joined through, its spec, and the refusal of
-/// MIN/MAX (after the arity check, as every engine orders its errors).
+/// engine's answer over the joined sample. What the join adds is its
+/// spec (the dimension side, whose index lives only while
+/// [`build`](Self::build) joins) and the refusal of MIN/MAX (after the
+/// arity check, as every engine orders its errors).
 #[derive(Debug, Clone)]
 pub struct JoinSynopsis {
     /// US over the joined sample (fact dims + attribute dims), scaled to
     /// the fact population `N`.
     pub(crate) us: UniformSynopsis,
-    /// Key bit-pattern → dimension row; spec-derived, so snapshots omit
-    /// it and `Engine::load` rebuilds it from the header spec.
-    pub(crate) index: HashMap<u64, usize>,
     pub(crate) spec: JoinSpec,
 }
 
@@ -155,32 +153,13 @@ impl JoinSynopsis {
         let fact_sample = Sample::uniform(table, spec.k, &mut rng)?;
         let joined = join_rows(fact_sample.rows(), &dim_side, &index, spec.fk_dim)?;
         let sample = Sample::from_rows(joined, table.n_rows() as u64)?;
-        Ok(Self::over(
-            sample,
-            table.n_rows() as u64,
-            index,
-            spec.clone(),
-        ))
+        Ok(Self::over(sample, table.n_rows() as u64, spec.clone()))
     }
 
-    /// Reassemble from snapshot state. The hash index is **not**
-    /// serialized — it is spec-derived, so the loader rebuilds it from
-    /// the header spec exactly as [`build`](Self::build) would; only the
-    /// randomized joined sample (and the population it scales to) travels
-    /// in the snapshot. The snapshot reader has already validated the
-    /// spec, and the caller (`crate::snapshot::load_join`) the
-    /// sample/dims/population invariants.
-    pub(crate) fn from_snapshot_parts(
-        spec: JoinSpec,
-        sample: Sample,
-        total_rows: u64,
-    ) -> Result<Self> {
-        let index = dim_table(&spec)?.key_index(0)?;
-        Ok(Self::over(sample, total_rows, index, spec))
-    }
-
-    /// The engine over a joined sample of a `total_rows`-row fact table.
-    fn over(sample: Sample, total_rows: u64, index: HashMap<u64, usize>, spec: JoinSpec) -> Self {
+    /// The engine over a joined sample of a `total_rows`-row fact table,
+    /// built or loaded (a snapshot carries the sample and population only;
+    /// `crate::snapshot::load_join` checks them against the header spec).
+    pub(crate) fn over(sample: Sample, total_rows: u64, spec: JoinSpec) -> Self {
         let us = UniformSynopsis {
             dims: sample.rows().dims(),
             sample,
@@ -188,7 +167,7 @@ impl JoinSynopsis {
             requested_k: spec.k,
             seed: spec.seed,
         };
-        Self { us, index, spec }
+        Self { us, spec }
     }
 }
 
@@ -225,10 +204,10 @@ impl Synopsis for JoinSynopsis {
         self.us.estimate_many(queries)
     }
 
-    /// Joined-sample payload plus the hash index (one key/row entry per
-    /// dimension row).
+    /// Joined-sample payload plus the hash index the join probes (one
+    /// key/row entry per dimension row; the spec refuses duplicate keys).
     fn storage_bytes(&self) -> usize {
-        self.us.storage_bytes() + self.index.len() * (std::mem::size_of::<u64>() * 2)
+        self.us.storage_bytes() + self.spec.dim_keys.len() * (std::mem::size_of::<u64>() * 2)
     }
 
     fn dims(&self) -> usize {
@@ -429,7 +408,6 @@ mod tests {
         let join = JoinSynopsis::build(&fact, &spec).unwrap();
         assert_eq!(join.spec(), EngineSpec::Join(spec.clone()));
         assert_eq!(join.name(), "JOIN");
-        assert_eq!(join.index.len(), 8);
         assert_eq!(
             join.storage_bytes(),
             join.us.sample().storage_bytes() + 8 * 16

@@ -45,7 +45,8 @@ use std::sync::Arc;
 use pass_common::partial::{merge_available, ratio};
 use pass_common::rng::derive_seed;
 use pass_common::{
-    AggKind, EngineSpec, Estimate, PassError, Query, Result, ShardPlan, Synopsis, ThreadPool,
+    check_dims, AggKind, EngineSpec, Estimate, PassError, Query, Result, ShardPlan, Synopsis,
+    ThreadPool,
 };
 use pass_table::Table;
 
@@ -216,12 +217,7 @@ impl Synopsis for ShardedSynopsis {
     /// arity check stays in front: the batch path answers mixed-arity
     /// batches query by query through here.
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.dims {
-            return Err(PassError::DimensionMismatch {
-                expected: self.dims,
-                got: query.dims(),
-            });
-        }
+        check_dims(self.dims, query.dims())?;
         self.estimate_many(std::slice::from_ref(query))
             .pop()
             .unwrap_or(Err(PassError::EmptyInput(

@@ -142,7 +142,7 @@ fn load_join(spec: &JoinSpec, r: &mut SnapshotReader<'_>) -> Result<JoinSynopsis
     if spec.fk_dim >= dims - spec.attr_dims() {
         return Err(c.drift("FK dimension is outside the fact side"));
     }
-    JoinSynopsis::from_snapshot_parts(spec.clone(), sample, total_rows)
+    Ok(JoinSynopsis::over(sample, total_rows, spec.clone()))
 }
 
 // --- ST ---

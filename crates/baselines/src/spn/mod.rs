@@ -20,7 +20,7 @@ mod learn;
 
 pub use histogram::Histogram;
 
-use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
+use pass_common::{check_dims, AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
 use pass_table::Table;
 
 use learn::learn;
@@ -155,12 +155,7 @@ impl Synopsis for SpnSynopsis {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.dims {
-            return Err(PassError::DimensionMismatch {
-                expected: self.dims,
-                got: query.dims(),
-            });
-        }
+        check_dims(self.dims, query.dims())?;
         let ranges = self.ranges(query);
         let n = self.population as f64;
         let target = self.dims; // aggregate column index

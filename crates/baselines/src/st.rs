@@ -6,7 +6,7 @@
 //! estimated from its sample, even when fully covered.
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
+use pass_common::{check_dims, AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
 use pass_partition::{EqualDepth, Partitioner1D};
 use pass_sampling::{combine_strata, with_scratch, Sample, StratumEstimate};
 use pass_table::{SortedTable, Table};
@@ -84,12 +84,7 @@ impl Synopsis for StratifiedSynopsis {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != 1 {
-            return Err(PassError::DimensionMismatch {
-                expected: 1,
-                got: query.dims(),
-            });
-        }
+        check_dims(1, query.dims())?;
         let (q_lo, q_hi) = (query.rect.lo(0), query.rect.hi(0));
         let mut estimates = Vec::new();
         let mut processed = 0u64;

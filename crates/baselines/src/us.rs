@@ -1,7 +1,7 @@
 //! US — plain uniform sampling (Section 2.1).
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{EngineSpec, Estimate, PassError, Query, Result, Synopsis};
+use pass_common::{check_dims, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
 use pass_sampling::{with_scratch, PointVariance, Sample};
 use pass_table::Table;
 
@@ -63,12 +63,7 @@ impl Synopsis for UniformSynopsis {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.dims {
-            return Err(PassError::DimensionMismatch {
-                expected: self.dims,
-                got: query.dims(),
-            });
-        }
+        check_dims(self.dims, query.dims())?;
         let point = with_scratch(|scratch| scratch.estimate(query.agg, &self.sample, &query.rect));
         // US scans its whole sample for every query; nothing is safely
         // skipped (there is no index to prove irrelevance).

@@ -11,7 +11,7 @@
 use rand::Rng;
 
 use pass_common::rng::rng_from_seed;
-use pass_common::{AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
+use pass_common::{check_dims, AggKind, EngineSpec, Estimate, PassError, Query, Result, Synopsis};
 use pass_sampling::PointVariance;
 use pass_table::Table;
 
@@ -93,12 +93,7 @@ impl Synopsis for VerdictSynopsis {
     }
 
     fn estimate(&self, query: &Query) -> Result<Estimate> {
-        if query.dims() != self.rows.dims() {
-            return Err(PassError::DimensionMismatch {
-                expected: self.rows.dims(),
-                got: query.dims(),
-            });
-        }
+        check_dims(self.rows.dims(), query.dims())?;
         let k = self.k();
         let n = self.population as f64;
         // Per-group accumulators: count of rows, matching count, matching

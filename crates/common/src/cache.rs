@@ -31,8 +31,9 @@
 //! decorator: single, batched, and parallel query paths all consult the
 //! cache first and only hand the *misses* to the inner engine (keeping the
 //! engine's batched traversal win on the miss subset). `pass::Session`
-//! wraps every registered engine this way, and its cheap `SessionHandle`
-//! clones share one cache per engine across threads.
+//! wraps every registered engine this way, and `Session::handle` hands
+//! out clones of that cached engine, which share one cache per engine
+//! across threads.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};

@@ -48,6 +48,18 @@ impl std::error::Error for PassError {}
 /// Workspace-wide result alias.
 pub type Result<T> = std::result::Result<T, PassError>;
 
+/// The one arity rule (§3.1): a synopsis over `expected` predicate
+/// dimensions refuses a query rectangle or update point of `got` other
+/// dimensions, here and nowhere else.
+#[inline]
+pub fn check_dims(expected: usize, got: usize) -> Result<()> {
+    if expected == got {
+        Ok(())
+    } else {
+        Err(PassError::DimensionMismatch { expected, got })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,7 +68,7 @@ pub mod ticket;
 
 pub use agg::{AggKind, Aggregates};
 pub use cache::{CacheStats, CachedSynopsis, QueryCache, QueryKey};
-pub use error::{PassError, Result};
+pub use error::{check_dims, PassError, Result};
 pub use estimate::Estimate;
 pub use histogram::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use json::Json;

@@ -8,7 +8,7 @@
 //! covered / partial / none (Section 2.3).
 
 use crate::agg::AggKind;
-use crate::error::{PassError, Result};
+use crate::error::{check_dims, PassError, Result};
 use crate::estimate::Estimate;
 
 /// Dimensions a [`Rect`] keeps inline. One, two and three dimensions are
@@ -314,12 +314,7 @@ impl GroupByQuery {
     /// submits [`queries`](Self::queries), so rule errors are identical
     /// across direct/cached/sharded/served answers.
     pub fn validate(&self, dims: usize) -> Result<()> {
-        if self.base.dims() != dims {
-            return Err(PassError::DimensionMismatch {
-                expected: dims,
-                got: self.base.dims(),
-            });
-        }
+        check_dims(dims, self.base.dims())?;
         if self.dim >= dims {
             return Err(PassError::InvalidParameter(
                 "dim",

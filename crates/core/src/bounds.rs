@@ -13,29 +13,22 @@
 
 use pass_common::AggKind;
 
-use crate::mcf::{Frontier, McfResult};
+use crate::mcf::Frontier;
 use crate::tree::PartitionTree;
 
-/// Hard bounds `(lb, ub)` for a query given its coverage frontier.
+/// Hard bounds `(lb, ub)` for a query given its coverage frontier —
 /// `None` when the query provably matches nothing relevant (AVG/MIN/MAX of
-/// an empty selection).
+/// an empty selection) — plus the exact covered-partition contribution
+/// for SUM/COUNT (`0.0` for other aggregates).
 ///
 /// Aggregates are read straight off the frontier ids (no materialized
 /// per-query node lists), in frontier order, so the summations are
-/// unchanged from the materializing formulation.
-pub fn hard_bounds(tree: &PartitionTree, frontier: &McfResult, agg: AggKind) -> Option<(f64, f64)> {
-    hard_bounds_exact(tree, frontier.frontier(), agg).0
-}
-
-/// [`hard_bounds`] plus the exact covered-partition contribution for
-/// SUM/COUNT (`0.0` for other aggregates).
-///
-/// The bounds computation already folds the covered partitions' sums
-/// (SUM's `base`) and counts (COUNT's `lb`) — the very folds the
-/// partial-aggregation step needs — with `Iterator::sum` in frontier
-/// order. Returning that fold lets the query path run it once; the bits
-/// are those of a standalone partial-aggregation fold because it *is*
-/// that fold.
+/// unchanged from the materializing formulation. The bounds computation
+/// already folds the covered partitions' sums (SUM's `base`) and counts
+/// (COUNT's `lb`) — the very folds the partial-aggregation step needs —
+/// with `Iterator::sum` in frontier order. Returning that fold lets the
+/// query path run it once; the bits are those of a standalone
+/// partial-aggregation fold because it *is* that fold.
 pub(crate) fn hard_bounds_exact(
     tree: &PartitionTree,
     frontier: Frontier<'_>,
@@ -191,7 +184,7 @@ mod tests {
             ] {
                 let q = Query::new(agg, Rect::interval(lo, hi));
                 let frontier = mcf(&tree, &q, false);
-                let Some((lb, ub)) = hard_bounds(&tree, &frontier, agg) else {
+                let Some((lb, ub)) = hard_bounds_exact(&tree, frontier.frontier(), agg).0 else {
                     continue;
                 };
                 let truth = table.ground_truth(&q).unwrap();
@@ -209,7 +202,9 @@ mod tests {
         let q = Query::interval(AggKind::Sum, 20.0, 59.0);
         let frontier = mcf(&tree, &q, false);
         assert!(frontier.partial.is_empty());
-        let (lb, ub) = hard_bounds(&tree, &frontier, AggKind::Sum).unwrap();
+        let (lb, ub) = hard_bounds_exact(&tree, frontier.frontier(), AggKind::Sum)
+            .0
+            .unwrap();
         let truth = table.ground_truth(&q).unwrap();
         assert_eq!(lb, ub);
         assert!((lb - truth).abs() < 1e-9);
@@ -221,15 +216,21 @@ mod tests {
         let q = Query::interval(AggKind::Sum, 900.0, 950.0);
         let frontier = mcf(&tree, &q, false);
         assert_eq!(
-            hard_bounds(&tree, &frontier, AggKind::Sum),
+            hard_bounds_exact(&tree, frontier.frontier(), AggKind::Sum).0,
             Some((0.0, 0.0))
         );
         assert_eq!(
-            hard_bounds(&tree, &frontier, AggKind::Count),
+            hard_bounds_exact(&tree, frontier.frontier(), AggKind::Count).0,
             Some((0.0, 0.0))
         );
-        assert_eq!(hard_bounds(&tree, &frontier, AggKind::Avg), None);
-        assert_eq!(hard_bounds(&tree, &frontier, AggKind::Min), None);
+        assert_eq!(
+            hard_bounds_exact(&tree, frontier.frontier(), AggKind::Avg).0,
+            None
+        );
+        assert_eq!(
+            hard_bounds_exact(&tree, frontier.frontier(), AggKind::Min).0,
+            None
+        );
     }
 
     #[test]
@@ -243,7 +244,9 @@ mod tests {
         for (lo, hi) in [(3.0, 27.0), (15.0, 24.0), (0.0, 39.0)] {
             let q = Query::interval(AggKind::Sum, lo, hi);
             let frontier = mcf(&tree, &q, false);
-            let (lb, ub) = hard_bounds(&tree, &frontier, AggKind::Sum).unwrap();
+            let (lb, ub) = hard_bounds_exact(&tree, frontier.frontier(), AggKind::Sum)
+                .0
+                .unwrap();
             let truth = table.ground_truth(&q).unwrap();
             assert!(lb - 1e-9 <= truth && truth <= ub + 1e-9);
         }
@@ -255,7 +258,9 @@ mod tests {
         // Partially covers leaf 0 only: bounds are that leaf's min/max.
         let q = Query::interval(AggKind::Avg, 3.0, 9.0);
         let frontier = mcf(&tree, &q, false);
-        let (lb, ub) = hard_bounds(&tree, &frontier, AggKind::Avg).unwrap();
+        let (lb, ub) = hard_bounds_exact(&tree, frontier.frontier(), AggKind::Avg)
+            .0
+            .unwrap();
         let truth = table.ground_truth(&q).unwrap();
         assert!(lb <= truth && truth <= ub);
         let leaf0 = tree.agg(tree.leaves()[0]);
@@ -270,7 +275,9 @@ mod tests {
         // overall candidate max.
         let q = Query::interval(AggKind::Max, 0.0, 79.0);
         let frontier = mcf(&tree, &q, false);
-        let (lb, ub) = hard_bounds(&tree, &frontier, AggKind::Max).unwrap();
+        let (lb, ub) = hard_bounds_exact(&tree, frontier.frontier(), AggKind::Max)
+            .0
+            .unwrap();
         let truth = table.ground_truth(&q).unwrap();
         assert_eq!(lb, truth);
         assert_eq!(ub, truth);

@@ -53,7 +53,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bounds;
+mod bounds;
 pub mod mcf;
 mod query;
 pub mod snapshot;

@@ -10,7 +10,7 @@
 //! query through the same code, reading each partial leaf's point from
 //! the slot the scan left it in.
 
-use pass_common::{AggKind, Estimate, PassError, Query, Result};
+use pass_common::{check_dims, AggKind, Estimate, PassError, Query, Result};
 use pass_sampling::{
     combine_strata, kernel::GROUP, PointVariance, SampleArena, SampleView, StratumEstimate,
 };
@@ -33,18 +33,6 @@ const WINDOW: usize = 256;
 /// tree stays well under it.
 const PAIR_BUDGET: usize = 1 << 15;
 
-/// A query of the wrong arity is refused before anything is classified.
-fn check_arity(tree: &PartitionTree, query: &Query) -> Result<()> {
-    if query.dims() == tree.dims() {
-        Ok(())
-    } else {
-        Err(PassError::DimensionMismatch {
-            expected: tree.dims(),
-            got: query.dims(),
-        })
-    }
-}
-
 /// Answer `query` over the annotated tree and the flat arena of its
 /// per-leaf stratified samples, on the caller's `scratch`.
 /// `zero_variance_rule` enables the Section 3.4 AVG short-circuit.
@@ -55,7 +43,8 @@ pub(crate) fn process_arena(
     query: &Query,
     zero_variance_rule: bool,
 ) -> Result<Estimate> {
-    check_arity(tree, query)?;
+    // A query of the wrong arity is refused before anything is classified.
+    check_dims(tree.dims(), query.dims())?;
     scratch.run(tree, query, zero_variance_rule);
     let McfScratch {
         result,
@@ -102,7 +91,7 @@ pub(crate) fn process_batch(
             let slots = &batch.slots[from[1]..to[1]];
             let scanned = |j: usize, _: &SampleView<'_>| slots[j];
             out.push(
-                check_arity(tree, query)
+                check_dims(tree.dims(), query.dims())
                     .and_then(|()| process_frontier(tree, arena, query, frontier, scanned, strata)),
             );
             from = to;
@@ -131,7 +120,7 @@ fn classify_window(
     batch.aggs.clear();
     batch.bounds.clear();
     for query in queries.iter().take(WINDOW) {
-        if check_arity(tree, query).is_ok() {
+        if query.dims() == dims {
             scratch.classify(tree, query, zero_variance_rule);
             let (rect, bounds) = (&query.rect, &mut scratch.batch.bounds);
             bounds.extend((0..dims).map(|d| (rect.lo(d), rect.hi(d))));

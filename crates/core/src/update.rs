@@ -41,7 +41,7 @@
 
 use rand::Rng;
 
-use pass_common::{PassError, Result};
+use pass_common::{check_dims, PassError, Result};
 
 use crate::synopsis::Pass;
 use crate::tree::NodeId;
@@ -51,12 +51,7 @@ impl Pass {
     /// that leaf's stratum (`PartitionTree::locate_leaf` has the rule).
     /// Nothing is mutated.
     fn locate(&self, point: &[f64], value: f64) -> Result<(NodeId, usize)> {
-        if point.len() != self.tree.dims() {
-            return Err(PassError::DimensionMismatch {
-                expected: self.tree.dims(),
-                got: point.len(),
-            });
-        }
+        check_dims(self.tree.dims(), point.len())?;
         if !value.is_finite() {
             return Err(PassError::InvalidParameter(
                 "value",

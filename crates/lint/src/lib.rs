@@ -86,7 +86,11 @@
 //!     `enum`, `trait`, `const`, `static` or `type` in library code is
 //!     named outside its own file's tests and `pub use` lines: in library
 //!     code, another file's tests, or a file under [`USE_SITES`] (tests,
-//!     benches, examples, the benchmark, the README and `docs/`).
+//!     benches, examples, the benchmark, the README and `docs/`). The
+//!     match is by whole word, not by resolved path, so a `pub` fn that
+//!     shares its name with a field, parameter or local counts as used
+//!     wherever that name appears (a `hard_bounds` fn would hide behind
+//!     `Estimate`'s `hard_bounds` field); such items need a reader's eye.
 //!
 //! The analysis is deliberately *lexical*: sources are stripped of
 //! comments and string contents, `#[cfg(test)]` regions are tracked by

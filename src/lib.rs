@@ -4,7 +4,7 @@
 //! for Approximate Query Processing" (SIGMOD 2021), grown into a unified
 //! multi-engine AQP workspace.
 //!
-//! The public API has three layers:
+//! The public API has four layers:
 //!
 //! 1. **[`EngineSpec`]** (from [`pass_common`]) — declarative, plain-data
 //!    configuration for every engine: PASS and the six Section 5 baselines
@@ -19,13 +19,14 @@
 //!    out as `Arc<dyn Synopsis>`.
 //! 3. **[`Session`]** — owns a table plus named engines built from specs,
 //!    answers queries through a bounded per-engine result cache, hands out
-//!    cheap [`SessionHandle`] clones for concurrent serving, and scores a
-//!    workload on every engine in one [`Session::run_workload`] call, with
-//!    ground truth computed once and shared across engines.
+//!    cheap clones of each cached engine ([`Session::handle`]) for
+//!    concurrent serving, and scores a workload on every engine in one
+//!    [`Session::run_workload`] call, with ground truth computed once and
+//!    shared across engines.
 //! 4. **[`Serve`]** — the async-style serving front-end over one or
-//!    more session handles: submissions return pollable [`Ticket`]s, a
-//!    bounded two-priority queue applies admission control (rejection
-//!    at capacity, per-request deadlines, interactive-over-bulk
+//!    more of a session's cached engines: submissions return pollable
+//!    [`Ticket`]s, a bounded two-priority queue applies admission control
+//!    (rejection at capacity, per-request deadlines, interactive-over-bulk
 //!    ordering with FIFO order within a class),
 //!    [`Session::serve_multi`] routes requests to named engines through
 //!    one shared queue, queued requests coalesce into the engines'
@@ -33,7 +34,7 @@
 //!    once), and [`ServeStats`] reports counts (per engine too), queue
 //!    high-water, and p50/p99 latency.
 //!
-//! Group-bys are first-class across all three layers: a
+//! Group-bys are first-class across every layer: a
 //! [`GroupByQuery`] (paper Section 4.5 — one equality rectangle per
 //! category over a group dimension, a shared predicate rectangle on the
 //! rest) is answered by every engine through
@@ -108,4 +109,4 @@ pub use pass_common::{
     Synopsis, ThreadPool, Ticket,
 };
 pub use serve::{EngineServeStats, Serve, ServeConfig, ServeStats, SubmitOptions};
-pub use session::{Session, SessionHandle, DEFAULT_CACHE_CAPACITY};
+pub use session::{Session, DEFAULT_CACHE_CAPACITY};

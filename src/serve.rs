@@ -1,12 +1,13 @@
 //! An async-style serving front-end with admission control, deadlines,
-//! and multi-engine routing over [`SessionHandle`]s.
+//! and multi-engine routing over a session's cached engines.
 //!
 //! The layers below this one make a single caller fast: batched queries
 //! share PASS's tree traversal, parallel batches shard over a
-//! [`ThreadPool`], and [`SessionHandle`] clones let many threads query
-//! one immutable synopsis. What they do *not* answer is what happens
-//! when more requests arrive than the machine can execute — that is a
-//! serving-tier problem, and [`Serve`] is the serving tier:
+//! [`ThreadPool`], and [`Session::handle`](crate::Session::handle)
+//! clones of a cached engine let many threads query one immutable
+//! synopsis. What they do *not* answer is what happens when more
+//! requests arrive than the machine can execute — that is a serving-tier
+//! problem, and [`Serve`] is the serving tier:
 //!
 //! * **Submission is decoupled from execution.**
 //!   [`Serve::submit`]`(engine, queries, options)` enqueues the request
@@ -15,7 +16,7 @@
 //!   slice, priority and deadline are the [`SubmitOptions`], and
 //!   [`submit_to`](Serve::submit_to)`(engine, query)` is the one-query,
 //!   default-options shorthand. Dedicated worker threads drain the
-//!   queue and execute against shared [`SessionHandle`]s.
+//!   queue and execute against the session's shared cached engines.
 //! * **One server can front many engines.**
 //!   [`Session::serve_multi`](crate::Session::serve_multi) starts a
 //!   server over a set of named engines sharing one queue and one
@@ -113,11 +114,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pass_common::{
-    LatencyHistogram, PassError, Priority, PushError, Query, RequestQueue, Result, ServeOutcome,
-    ThreadPool, Ticket, TicketSlot,
+    CachedSynopsis, LatencyHistogram, PassError, Priority, PushError, Query, RequestQueue, Result,
+    ServeOutcome, Synopsis, ThreadPool, Ticket, TicketSlot,
 };
-
-use crate::session::SessionHandle;
 
 /// Configuration for a [`Serve`] front-end.
 ///
@@ -304,11 +303,12 @@ impl PlainJob {
     }
 }
 
-/// Per-engine serving state: the session handle workers execute through
-/// plus this engine's counters — the only copy of them; the totals in
-/// [`ServeStats`] are their sums.
+/// Per-engine serving state: the route's name, the cached engine workers
+/// execute through, and this engine's counters — the only copy of them;
+/// the totals in [`ServeStats`] are their sums.
 struct EngineState {
-    handle: SessionHandle,
+    name: String,
+    engine: CachedSynopsis<Arc<dyn Synopsis>>,
     completed: AtomicU64,
     rejected: AtomicU64,
     expired: AtomicU64,
@@ -415,7 +415,7 @@ impl ServeShared {
         if live.is_empty() {
             return;
         }
-        let results = state.handle.estimate_many(&queries);
+        let results = state.engine.estimate_many(&queries);
         let executed = Instant::now();
         count(&state.batches);
         debug_assert_eq!(results.len(), queries.len());
@@ -448,11 +448,11 @@ impl ServeShared {
 
 /// The serving front-end: a bounded request queue, admission control,
 /// deadline expiry, and a fixed set of workers executing
-/// against one or more [`SessionHandle`]s.
+/// against one or more of a session's cached engines.
 ///
 /// Create one with [`Session::serve`](crate::Session::serve) (one
-/// engine), [`Session::serve_multi`](crate::Session::serve_multi)
-/// (several), or [`Serve::new`] from raw handles. Submissions never
+/// engine) or [`Session::serve_multi`](crate::Session::serve_multi)
+/// (several). Submissions never
 /// block; execution happens on the server's workers; results come back
 /// through [`Ticket`]s. Dropping the server closes the queue, drains
 /// every accepted request, and joins the workers — no accepted ticket is
@@ -466,31 +466,35 @@ pub struct Serve {
 }
 
 impl Serve {
-    /// Start a serving front-end over `handles`, which share one queue
-    /// and one worker pool and are routed to by [`SessionHandle::name`]
-    /// (workers spawn immediately; parked first if
-    /// [`ServeConfig::start_paused`]). Errors on an empty handle set or
+    /// Start a serving front-end over `routes` — (name, cached engine)
+    /// pairs that share one queue and one worker pool and are routed to
+    /// by name (workers spawn immediately; parked first if
+    /// [`ServeConfig::start_paused`]). Errors on an empty route set or
     /// a duplicated engine name (routing by name would be ambiguous).
-    pub fn new(handles: Vec<SessionHandle>, config: ServeConfig) -> Result<Self> {
-        if handles.is_empty() {
+    pub(crate) fn new(
+        routes: Vec<(String, CachedSynopsis<Arc<dyn Synopsis>>)>,
+        config: ServeConfig,
+    ) -> Result<Self> {
+        if routes.is_empty() {
             return Err(PassError::InvalidParameter(
                 "engines",
                 "a server needs at least one engine".into(),
             ));
         }
-        for (i, handle) in handles.iter().enumerate() {
-            if handles[..i].iter().any(|h| h.name() == handle.name()) {
+        for (i, (name, _)) in routes.iter().enumerate() {
+            if routes[..i].iter().any(|(earlier, _)| earlier == name) {
                 return Err(PassError::InvalidParameter(
                     "engines",
-                    format!("duplicate engine name `{}`", handle.name()),
+                    format!("duplicate engine name `{name}`"),
                 ));
             }
         }
         let shared = Arc::new(ServeShared {
-            engines: handles
+            engines: routes
                 .into_iter()
-                .map(|handle| EngineState {
-                    handle,
+                .map(|(name, engine)| EngineState {
+                    name,
+                    engine,
                     completed: AtomicU64::new(0),
                     rejected: AtomicU64::new(0),
                     expired: AtomicU64::new(0),
@@ -517,7 +521,7 @@ impl Serve {
         self.shared
             .engines
             .iter()
-            .map(|e| e.handle.name())
+            .map(|e| e.name.as_str())
             .collect()
     }
 
@@ -525,7 +529,7 @@ impl Serve {
         self.shared
             .engines
             .iter()
-            .position(|e| e.handle.name() == engine)
+            .position(|e| e.name == engine)
             .ok_or_else(|| {
                 PassError::InvalidParameter("engine", format!("no served engine named `{engine}`"))
             })
@@ -674,7 +678,7 @@ impl Serve {
             .engines
             .iter()
             .map(|e| EngineServeStats {
-                engine: e.handle.name().to_string(),
+                engine: e.name.clone(),
                 completed: e.completed.load(Ordering::Acquire),
                 rejected: e.rejected.load(Ordering::Acquire),
                 expired: e.expired.load(Ordering::Acquire),
@@ -990,6 +994,7 @@ mod tests {
         let session = served_session();
         assert!(Serve::new(vec![], ServeConfig::new()).is_err());
         let h = session.handle("pass").unwrap();
-        assert!(Serve::new(vec![h.clone(), h], ServeConfig::new()).is_err());
+        let routes = vec![("pass".to_string(), h.clone()), ("pass".to_string(), h)];
+        assert!(Serve::new(routes, ServeConfig::new()).is_err());
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! Concurrency model: a built synopsis is immutable (`Synopsis: Send +
 //! Sync`), so the session holds every engine behind an `Arc` and wraps it
-//! in a [`CachedSynopsis`]. [`Session::handle`] hands out cheap
-//! [`SessionHandle`] clones — an `Arc` bump each — that answer queries
+//! in a [`CachedSynopsis`]. [`Session::handle`] hands out clones of that
+//! cached engine — two `Arc` bumps each — that answer queries
 //! concurrently from any thread against the same synopsis and share one
 //! bounded query cache per engine.
 
@@ -55,11 +55,11 @@ struct SessionEngine {
 /// ```
 ///
 /// Batched-parallel serving: shard a query batch across a worker pool,
-/// and fan [`SessionHandle`] clones out to threads — all against one
-/// immutable synopsis, with one shared cache per engine:
+/// and fan [`handle`](Session::handle) clones out to threads — all
+/// against one immutable synopsis, with one shared cache per engine:
 ///
 /// ```
-/// use pass::{EngineSpec, Session, ThreadPool};
+/// use pass::{EngineSpec, Session, Synopsis, ThreadPool};
 /// use pass::common::{AggKind, Query};
 /// use pass::table::datasets::uniform;
 ///
@@ -85,7 +85,7 @@ struct SessionEngine {
 ///         scope.spawn(move || worker.estimate_many(chunk));
 ///     }
 /// });
-/// assert!(handle.cache_stats().hits > 0); // repeated queries were cached
+/// assert!(handle.cache().stats().hits > 0); // repeated queries were cached
 /// ```
 pub struct Session {
     table: Table,
@@ -140,8 +140,8 @@ impl Session {
     /// Build `inner` sharded across the table according to `plan` and
     /// register it under `name` — shorthand for
     /// [`add_engine`](Self::add_engine) with an [`EngineSpec::Sharded`]
-    /// spec. The sharded engine gets the same caching, [`SessionHandle`]s,
-    /// and workload plumbing as every other engine; shard builds run
+    /// spec. The sharded engine gets the same caching, handles, and
+    /// workload plumbing as every other engine; shard builds run
     /// concurrently on a machine-sized pool.
     ///
     /// ```
@@ -199,7 +199,7 @@ impl Session {
     /// Reconstruct an engine from snapshot bytes ([`save_engine`](Self::save_engine))
     /// and register it under `name` — the load-side mirror of
     /// [`add_engine`](Self::add_engine): the loaded engine gets the same
-    /// cache, [`SessionHandle`], and serving plumbing as a freshly built
+    /// cache, handle, and serving plumbing as a freshly built
     /// one, `build_ms` reports the load time, and a carried-over
     /// [`Synopsis::update_epoch`] keeps epoch-aware caches honest.
     /// Re-using a name replaces the previous engine.
@@ -256,10 +256,7 @@ impl Session {
 
     /// Look up an engine by name (the raw synopsis, bypassing the cache).
     pub fn engine(&self, name: &str) -> Option<&dyn Synopsis> {
-        self.engines
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.engine.inner().as_ref())
+        self.entry(name).map(|e| e.engine.inner().as_ref())
     }
 
     /// The spec an engine was built from.
@@ -269,18 +266,12 @@ impl Session {
 
     /// Milliseconds spent building an engine.
     pub fn build_ms(&self, name: &str) -> Option<f64> {
-        self.engines
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.build_ms)
+        self.entry(name).map(|e| e.build_ms)
     }
 
     /// Cumulative query-cache counters for an engine.
     pub fn cache_stats(&self, name: &str) -> Option<CacheStats> {
-        self.engines
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.engine.cache().stats())
+        self.entry(name).map(|e| e.engine.cache().stats())
     }
 
     /// Drop every cached answer for `engine` (counters are kept — they are
@@ -356,28 +347,27 @@ impl Session {
         engines: &[&str],
         config: crate::ServeConfig,
     ) -> Result<crate::Serve> {
-        let handles = engines
+        let routes = engines
             .iter()
-            .map(|name| self.handle(name))
+            .map(|name| Ok((name.to_string(), self.handle(name)?)))
             .collect::<Result<Vec<_>>>()?;
-        crate::Serve::new(handles, config)
+        crate::Serve::new(routes, config)
     }
 
-    /// A cheap cloneable handle answering queries against `engine` from
-    /// any thread: it shares the session's immutable synopsis and query
-    /// cache via `Arc`, so clones cost a reference-count bump and hits
-    /// accumulate in one place. Handles stay valid (and keep the synopsis
-    /// alive) even after the session drops or replaces the engine.
-    pub fn handle(&self, engine: &str) -> Result<SessionHandle> {
-        let entry = self.engine_or_err(engine)?;
-        Ok(SessionHandle {
-            name: Arc::from(entry.name.as_str()),
-            engine: entry.engine.clone(),
-        })
+    /// A clone of the cached engine `engine` for any thread: it shares
+    /// the session's immutable synopsis and query cache via `Arc`, so
+    /// hits accumulate in one place, and it stays valid (keeping the
+    /// synopsis alive) after the session drops or replaces the engine.
+    pub fn handle(&self, engine: &str) -> Result<CachedSynopsis<Arc<dyn Synopsis>>> {
+        Ok(self.engine_or_err(engine)?.engine.clone())
+    }
+
+    fn entry(&self, name: &str) -> Option<&SessionEngine> {
+        self.engines.iter().find(|e| e.name == name)
     }
 
     fn engine_or_err(&self, name: &str) -> Result<&SessionEngine> {
-        self.engines.iter().find(|e| e.name == name).ok_or_else(|| {
+        self.entry(name).ok_or_else(|| {
             PassError::InvalidParameter("engine", format!("no engine named `{name}`"))
         })
     }
@@ -432,21 +422,6 @@ impl Session {
     /// ```
     pub fn group_by(&self, engine: &str, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
         estimate_group_by(&self.engine_or_err(engine)?.engine, query)
-    }
-
-    /// Answer a group-by with the per-category queries the cache misses
-    /// sharded across `pool`'s worker threads. Row-wise identical to
-    /// [`group_by`](Self::group_by): the same rows over
-    /// [`estimate_many_parallel`](Self::estimate_many_parallel).
-    pub fn group_by_parallel(
-        &self,
-        engine: &str,
-        query: &GroupByQuery,
-        pool: &ThreadPool,
-    ) -> Result<Vec<GroupResult>> {
-        let entry = self.engine_or_err(engine)?;
-        query.validate(entry.engine.dims())?;
-        Ok(query.rows(entry.engine.estimate_many_parallel(&query.queries()?, pool)))
     }
 
     /// Exact answer (`None` for AVG/MIN/MAX over empty selections),
@@ -539,67 +514,6 @@ impl SessionEngine {
             storage_bytes: self.engine.storage_bytes(),
             build_ms: self.build_ms,
         }
-    }
-}
-
-/// A cloneable, thread-safe view of one session engine: the shared
-/// immutable synopsis plus the engine's shared query cache.
-///
-/// Create one with [`Session::handle`]; clone it freely and move the
-/// clones into worker threads — every clone answers against the same
-/// synopsis and feeds the same hit/miss counters.
-#[derive(Clone)]
-pub struct SessionHandle {
-    name: Arc<str>,
-    engine: CachedSynopsis<Arc<dyn Synopsis>>,
-}
-
-impl SessionHandle {
-    /// The engine name this handle serves.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The raw synopsis (bypassing the cache).
-    pub fn synopsis(&self) -> &dyn Synopsis {
-        self.engine.inner().as_ref()
-    }
-
-    /// Answer one query (cache-first).
-    pub fn estimate(&self, query: &Query) -> Result<Estimate> {
-        self.engine.estimate(query)
-    }
-
-    /// Answer a batch through the engine's batched path; only cache
-    /// misses reach the engine.
-    pub fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
-        self.engine.estimate_many(queries)
-    }
-
-    /// Answer a batch sharded across `pool`'s workers.
-    pub fn estimate_many_parallel(
-        &self,
-        queries: &[Query],
-        pool: &ThreadPool,
-    ) -> Vec<Result<Estimate>> {
-        self.engine.estimate_many_parallel(queries, pool)
-    }
-
-    /// Answer a group-by query (per-category answers cache-first). See
-    /// [`Session::group_by`].
-    pub fn group_by(&self, query: &GroupByQuery) -> Result<Vec<GroupResult>> {
-        estimate_group_by(&self.engine, query)
-    }
-
-    /// Cumulative counters of the cache shared by all clones.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache().stats()
-    }
-
-    /// Drop every cached answer (shared with the session and all clones;
-    /// counters are kept). See [`Session::clear_cache`].
-    pub fn clear_cache(&self) {
-        self.engine.cache().clear();
     }
 }
 
@@ -701,7 +615,7 @@ mod tests {
         });
         // 40 session queries (misses) warmed the cache; all 160 handle
         // queries were hits on the shared cache.
-        let stats = handle.cache_stats();
+        let stats = handle.cache().stats();
         assert_eq!(stats.hits, 160);
         assert_eq!(stats.misses, 40);
         // The session sees the same counters: one cache per engine.
@@ -758,7 +672,7 @@ mod tests {
         assert!(s.clear_cache("nope").is_err());
         // The handle shares the same cache and can clear it too.
         let h = s.handle("pass").unwrap();
-        h.clear_cache();
+        h.cache().clear();
         assert_eq!(s.cache_stats("pass").unwrap().len, 0);
     }
 
@@ -936,18 +850,18 @@ mod tests {
         assert_eq!(rows, again);
         assert_eq!(s.cache_stats("pass").unwrap().misses, misses);
 
-        // The parallel path chunks categories without changing any row.
-        let pool = ThreadPool::new(3);
-        let par = s.group_by_parallel("pass", &q, &pool).unwrap();
-        assert_eq!(rows, par);
-
         // Handles answer the same rows against the shared cache.
         let handle = s.handle("pass").unwrap();
-        assert_eq!(handle.group_by(&q).unwrap(), rows);
+        assert_eq!(estimate_group_by(&handle, &q).unwrap(), rows);
+
+        // The parallel path chunks categories without changing any row.
+        let pool = ThreadPool::new(3);
+        q.validate(handle.dims()).unwrap();
+        let par = q.rows(handle.estimate_many_parallel(&q.queries().unwrap(), &pool));
+        assert_eq!(rows, par);
 
         // Served as one plain request, the same rows again.
         let serve = s.serve("pass", crate::ServeConfig::new()).unwrap();
-        q.validate(handle.synopsis().dims()).unwrap();
         let options = crate::SubmitOptions::default();
         let ticket = serve.submit("pass", &q.queries().unwrap(), &options);
         assert_eq!(q.rows(ticket.unwrap().wait().results().unwrap()), rows);
@@ -958,7 +872,7 @@ mod tests {
         assert!(s.group_by("nope", &q).is_err());
         let bad = GroupByQuery::over(AggKind::Sum, 3, &[0.0], 1);
         assert!(s.group_by("pass", &bad).is_err());
-        assert!(s.group_by_parallel("pass", &bad, &pool).is_err());
+        assert!(bad.validate(handle.dims()).is_err());
     }
 
     #[test]

@@ -101,15 +101,110 @@ fn dims_and_storage_reported() {
     }
 }
 
+/// The arity contract (§3.1: a synopsis over d predicate columns answers
+/// d-dimensional rectangles), field for field, for every standard-suite
+/// engine at 1-D and 3-D (ST is 1-D only), JOIN, and PASS sharded by
+/// `row_range` and by `hash_dim` — through `Engine::build`,
+/// `Session::estimate[_many]` and `Serve::submit` alike. A query of
+/// `dims ± 1` dimensions is exactly `DimensionMismatch { expected: dims,
+/// got }` (a MAX one too: JOIN checks arity before it refuses MIN/MAX);
+/// in a mixed batch that error sits at the wrong query's position and
+/// every other answer is its single-query answer. A PASS update at the
+/// wrong arity is the same error and leaves the epoch where it was.
 #[test]
 fn dimension_mismatch_is_an_error_not_a_panic() {
-    let t = uniform(5_000, 4);
-    let q = Query::new(AggKind::Sum, Rect::new(&[(0.0, 1.0), (0.0, 1.0)]));
-    for e in engines(&t) {
-        match e.estimate(&q) {
-            Err(PassError::DimensionMismatch { .. }) => {}
-            other => panic!("{}: expected DimensionMismatch, got {other:?}", e.name()),
+    let flat = uniform(5_000, 4);
+    let (cube, cube_spec) = taxi_3d(5_000, 4);
+    let (fact, join) = join_fixture();
+    let mut cases: Vec<(&Table, EngineSpec)> = Vec::new();
+    for spec in Engine::standard_suite(16, 400, 4) {
+        cases.push((&flat, spec.clone()));
+        if !matches!(spec, EngineSpec::Stratified { .. }) {
+            cases.push((&cube, spec));
         }
+    }
+    cases.push((&fact, EngineSpec::Join(join)));
+    let pass = EngineSpec::Pass(PassSpec {
+        partitions: 16,
+        ..PassSpec::default()
+    });
+    for plan in [ShardPlan::row_range(3), ShardPlan::hash_dim(0, 3)] {
+        cases.push((&cube, EngineSpec::sharded(pass.clone(), plan)));
+    }
+    for (table, spec) in cases {
+        // The join adds one dimension, its attribute (10 × the key).
+        let extra: &[(f64, f64)] = match spec {
+            EngineSpec::Join(_) => &[(20.0, 110.0)],
+            _ => &[],
+        };
+        let engine = Engine::build(table, &spec).unwrap();
+        let dims = engine.dims();
+        let ctx = format!("{} at {dims}-D", engine.name());
+        let wrong = |got: usize| Query::new(AggKind::Max, Rect::whole(got));
+        let mismatch = |got: usize| {
+            Err(PassError::DimensionMismatch {
+                expected: dims,
+                got,
+            })
+        };
+        // Twelve right-arity queries with wrong ones among them, one
+        // dimension over and one short in turn (inserted in position
+        // order, so each lands at its index).
+        let mut batch = pin_queries(table, extra, 12);
+        let wrong_at = [(2, dims + 1), (6, dims - 1), (10, dims + 1), (13, dims - 1)];
+        for &(at, got) in &wrong_at {
+            batch.insert(at, wrong(got));
+        }
+        let singles: Vec<_> = batch.iter().map(|q| engine.estimate(q)).collect();
+        let check_batch = |path: &str, answers: &[Result<Estimate>]| {
+            assert_eq!(answers.len(), batch.len(), "{ctx} via {path}");
+            for (i, answer) in answers.iter().enumerate() {
+                match wrong_at.iter().find(|&&(at, _)| at == i) {
+                    Some(&(_, got)) => assert_eq!(answer, &mismatch(got), "{ctx} via {path} [{i}]"),
+                    None => assert_eq!(answer, &singles[i], "{ctx} via {path} [{i}]"),
+                }
+            }
+        };
+        let mut session = Session::new(table.clone());
+        session.add_engine("e", &spec).unwrap();
+        let serve = session
+            .serve("e", pass::ServeConfig::new().with_workers(1))
+            .unwrap();
+        for got in [dims - 1, dims + 1] {
+            assert_eq!(engine.estimate(&wrong(got)), mismatch(got), "{ctx}");
+            assert_eq!(session.estimate("e", &wrong(got)), mismatch(got), "{ctx}");
+            let served = serve.submit_to("e", &wrong(got)).unwrap().wait().results();
+            assert_eq!(served.unwrap(), [mismatch(got)], "{ctx} served");
+        }
+        check_batch("Engine::build", &engine.estimate_many(&batch));
+        check_batch("Session", &session.estimate_many("e", &batch).unwrap());
+        let options = pass::SubmitOptions::default();
+        let served = serve
+            .submit("e", &batch, &options)
+            .unwrap()
+            .wait()
+            .results();
+        check_batch("Serve::submit", &served.unwrap());
+    }
+
+    for (table, spec) in [(&flat, PassSpec::default()), (&cube, cube_spec)] {
+        let mut live = Pass::from_spec(table, &spec).unwrap();
+        let dims = live.dims();
+        let epoch = live.update_epoch();
+        for got in [dims - 1, dims + 1] {
+            let point = vec![0.5; got];
+            let mismatch = PassError::DimensionMismatch {
+                expected: dims,
+                got,
+            };
+            assert_eq!(live.insert(&point, 1.0), Err(mismatch.clone()), "{dims}-D");
+            assert_eq!(live.delete(&point, 1.0), Err(mismatch), "{dims}-D");
+        }
+        assert_eq!(
+            live.update_epoch(),
+            epoch,
+            "{dims}-D: a refused update moved the epoch"
+        );
     }
 }
 
@@ -572,6 +667,25 @@ fn pin_queries(table: &Table, extra: &[(f64, f64)], n: usize) -> Vec<Query> {
         .collect()
 }
 
+/// A 6 000-row fact table (a value, `x` in [0, 1) and an FK cycling
+/// over 16 keys, every seventh dangling) and a JOIN spec whose dimension
+/// side carries one attribute, 10 × the key. Its queries span three
+/// dimensions: the fact side's two, then the attribute.
+fn join_fixture() -> (Table, JoinSpec) {
+    let n = 6_000;
+    let values = (0..n).map(|i| (i % 13) as f64 + 1.0).collect();
+    let x = (0..n).map(|i| i as f64 / n as f64).collect();
+    let fk = (0..n)
+        .map(|i| if i % 7 == 0 { -1.0 } else { (i % 16) as f64 })
+        .collect();
+    let names = ["v", "x", "fk"].map(String::from).to_vec();
+    let fact = Table::new(values, vec![x, fk], names).unwrap();
+    let keys: Vec<f64> = (0..16).map(f64::from).collect();
+    let attr = keys.iter().map(|key| key * 10.0).collect();
+    let spec = JoinSpec::new(1, keys, vec![attr], 800);
+    (fact, JoinSpec { seed: 5, ..spec })
+}
+
 /// The baselines' answers are pinned across commits the way PASS's are
 /// above: FNV-1a over every answer of `pin_queries`, through `estimate`
 /// and then `estimate_many`, for the six standard-suite engines, 3-D and
@@ -585,20 +699,7 @@ fn pin_queries(table: &Table, extra: &[(f64, f64)], n: usize) -> Vec<Query> {
 fn baseline_answers_are_pinned_across_commits() {
     let flat = uniform(4_000, 9);
     let taxi_3d = taxi(3_000, 78).project(&[0, 1, 2]).unwrap();
-    let (fact, join) = {
-        let n = 6_000;
-        let values = (0..n).map(|i| (i % 13) as f64 + 1.0).collect();
-        let x = (0..n).map(|i| i as f64 / n as f64).collect();
-        let fk = (0..n)
-            .map(|i| if i % 7 == 0 { -1.0 } else { (i % 16) as f64 })
-            .collect();
-        let names = ["v", "x", "fk"].map(String::from).to_vec();
-        let fact = Table::new(values, vec![x, fk], names).unwrap();
-        let keys: Vec<f64> = (0..16).map(f64::from).collect();
-        let attr = keys.iter().map(|key| key * 10.0).collect();
-        let spec = JoinSpec::new(1, keys, vec![attr], 800);
-        (fact, JoinSpec { seed: 5, ..spec })
-    };
+    let (fact, join) = join_fixture();
     let kd_us = |tree_dims| EngineSpec::AqpPlusPlus {
         partitions: 16,
         k: 300,

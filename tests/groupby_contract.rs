@@ -7,9 +7,11 @@
 //!
 //! 1. The direct [`estimate_group_by`] answer, the cached
 //!    session facade ([`Session::group_by`], first call and fully
-//!    cached repeat), the parallel facade
-//!    ([`Session::group_by_parallel`]), and the [`SessionHandle`] path
-//!    are **bit-identical** row for row — `Err` rows included.
+//!    cached repeat), the rows of the group's queries answered in
+//!    parallel through a [`Session::handle`]
+//!    ([`GroupByQuery::rows`] over `estimate_many_parallel`), and
+//!    [`estimate_group_by`] over the handle are **bit-identical** row
+//!    for row — `Err` rows included.
 //! 2. A 1-shard row-range sharded engine answers group-bys
 //!    bit-identically to its unsharded counterpart, availability-rule
 //!    errors included (mirrors `sharded_contract.rs` contract 1).
@@ -118,11 +120,11 @@ fn group_by_is_identical_across_direct_cached_parallel_and_handle_paths() {
             assert_eq!(direct, cold, "{} {agg}: cached(cold) vs direct", raw.name());
             let warm = session.group_by("e", &q).unwrap();
             assert_eq!(direct, warm, "{} {agg}: cached(warm) vs direct", raw.name());
-            let parallel = session.group_by_parallel("e", &q, &pool).unwrap();
+            let parallel = q.rows(handle.estimate_many_parallel(&q.queries().unwrap(), &pool));
             assert_eq!(direct, parallel, "{} {agg}: parallel vs direct", raw.name());
             assert_eq!(
                 direct,
-                handle.group_by(&q).unwrap(),
+                estimate_group_by(&handle, &q).unwrap(),
                 "{} {agg}: handle vs direct",
                 raw.name()
             );

@@ -264,7 +264,7 @@ fn session_cache_and_serving_preserve_join_answers() {
 }
 
 /// Contract 3d: snapshot round-trips reproduce the engine bit-for-bit —
-/// identity, storage (the spec-derived hash index is rebuilt, not
+/// identity, storage (the hash index is counted from the spec's keys, not
 /// shipped), and every answer — through both the raw `Engine` path and
 /// the session facade.
 #[test]

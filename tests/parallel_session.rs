@@ -6,7 +6,8 @@
 //!   standard suite, at every pool width;
 //! * a second identical workload pass through a `Session` is answered
 //!   entirely from the cache, with estimates identical to the first pass;
-//! * `SessionHandle` clones serving concurrently agree with the session.
+//! * clones of a session's cached engine (`Session::handle`) serving
+//!   concurrently agree with the session.
 
 use pass::common::{
     estimate_many_parallel, AggKind, EngineSpec, Estimate, Query, Rect, Result, ShardPlan,
@@ -15,7 +16,7 @@ use pass::common::{
 use pass::table::datasets::{taxi, uniform};
 use pass::table::{SortedTable, Table};
 use pass::workload::random_queries;
-use pass::{Engine, Session};
+use pass::{Engine, Session, Synopsis};
 
 /// A mixed-aggregate workload exercising covered, partial, and disjoint
 /// frontiers.
@@ -167,7 +168,7 @@ fn concurrent_handles_agree_and_share_the_cache() {
             });
         }
     });
-    let stats = handle.cache_stats();
+    let stats = handle.cache().stats();
     assert_eq!(stats.misses as usize, queries.len(), "one cold pass");
     assert_eq!(
         stats.hits as usize,

@@ -132,7 +132,10 @@ impl CacheStats {
 ///
 /// Errors are cached alongside successful estimates: a deterministic
 /// engine rejects a repeated malformed query identically, so there is no
-/// reason to re-run the engine to rediscover the error. Re-inserting a
+/// reason to re-run the engine to rediscover the error. The one exception
+/// is a [`PassError::DimensionMismatch`]: the arity check refuses it before
+/// any work, so storing it would only let wrong-arity traffic take slots
+/// and evict real answers; it is never stored. Re-inserting a
 /// stored key replaces its answer and keeps its place in the queue; an
 /// insert does not count as an access.
 ///
@@ -467,14 +470,17 @@ impl QueryCache {
     }
 
     /// Store hashed answers under **one** lock acquisition (eviction
-    /// applies as each entry lands).
+    /// applies as each entry lands). Every insert passes through here, so
+    /// this is where an arity refusal is dropped instead of stored.
     fn insert_many(&self, entries: impl IntoIterator<Item = (u64, QueryKey, Result<Estimate>)>) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.lock();
         for (hash, key, result) in entries {
-            inner.insert(hash, key, result);
+            if !matches!(result, Err(PassError::DimensionMismatch { .. })) {
+                inner.insert(hash, key, result);
+            }
         }
     }
 
@@ -787,6 +793,41 @@ mod tests {
         assert!(cached.estimate(&q(-1.0, 1.0)).is_err());
         assert!(cached.estimate(&q(-1.0, 1.0)).is_err());
         assert_eq!(cached.inner().calls(), 1);
+    }
+
+    #[test]
+    fn arity_refusals_take_no_cache_slot() {
+        /// A 1-D engine that refuses any other arity, as every engine does.
+        struct OneDim;
+        impl Synopsis for OneDim {
+            fn name(&self) -> &str {
+                "ONE_DIM"
+            }
+            fn estimate(&self, q: &Query) -> Result<Estimate> {
+                crate::check_dims(1, q.dims())?;
+                Ok(Estimate::exact(q.rect.hi(0)))
+            }
+            fn storage_bytes(&self) -> usize {
+                0
+            }
+            fn dims(&self) -> usize {
+                1
+            }
+        }
+        let cached = CachedSynopsis::new(OneDim, 4);
+        let good = q(0.0, 1.0);
+        cached.estimate(&good).unwrap();
+        let wrong: Vec<Query> = (0..4)
+            .map(|i| Query::new(AggKind::Sum, crate::Rect::new(&[(0.0, i as f64); 2])))
+            .collect();
+        let refused = |r: &Result<Estimate>| matches!(r, Err(PassError::DimensionMismatch { .. }));
+        assert!(refused(&cached.estimate(&wrong[0])));
+        assert!(refused(&cached.estimate(&wrong[1])));
+        assert!(cached.estimate_many(&wrong[2..]).iter().all(refused));
+        assert_eq!(cached.cache().stats().len, 1);
+        let before = cached.cache().stats();
+        assert_eq!(cached.estimate(&good).unwrap().value, 1.0);
+        assert_eq!(cached.cache().stats().since(&before).hits, 1);
     }
 
     #[test]

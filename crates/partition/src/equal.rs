@@ -1,6 +1,5 @@
-//! Equal partitionings: the EQ baseline of Section 5.3, the key-space
-//! variant, and the COUNT optimum of Lemma A.1 (which happens to coincide
-//! with EQ).
+//! Equal partitionings: the EQ baseline of Section 5.3, which is also the
+//! COUNT optimum of Lemma A.1, and the key-space variant.
 
 use pass_common::Result;
 use pass_table::SortedTable;
@@ -17,30 +16,15 @@ pub(crate) fn equal_count_cuts(n: usize, k: usize) -> Vec<usize> {
 }
 
 /// Equal-depth (equal-frequency) partitioning — the paper's EQ baseline and
-/// the strata constructor for plain stratified sampling.
+/// the strata constructor for plain stratified sampling. It is also the
+/// provably optimal partitioning for 1-D COUNT queries (Lemma A.1), which
+/// is what [`Adp`](crate::Adp) builds for COUNT.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EqualDepth;
 
 impl Partitioner1D for EqualDepth {
     fn name(&self) -> &'static str {
         "EQ"
-    }
-
-    fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
-        Partitioning1D::new(sorted.len(), equal_count_cuts(sorted.len(), k))
-    }
-}
-
-/// The provably optimal partitioner for 1-D COUNT queries (Lemma A.1):
-/// equal-size partitions, constructed in near-linear time. Functionally the
-/// same cuts as [`EqualDepth`]; kept as a distinct named partitioner so
-/// benchmark tables can report it under its own contract.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountOptimal;
-
-impl Partitioner1D for CountOptimal {
-    fn name(&self) -> &'static str {
-        "CountOpt"
     }
 
     fn partition(&self, sorted: &SortedTable, k: usize) -> Result<Partitioning1D> {
@@ -84,7 +68,10 @@ impl Partitioner1D for EqualWidth {
 
 #[cfg(test)]
 mod tests {
+    use pass_common::AggKind;
+
     use super::*;
+    use crate::Adp;
 
     fn sorted_uniform_keys(n: usize) -> SortedTable {
         SortedTable::from_sorted((0..n).map(|i| i as f64).collect(), vec![1.0; n])
@@ -127,9 +114,10 @@ mod tests {
 
     #[test]
     fn count_optimal_equals_equal_depth() {
+        // Lemma A.1: ADP's COUNT partitioning is the equal-depth one.
         let s = sorted_uniform_keys(64);
         assert_eq!(
-            CountOptimal.partition(&s, 7).unwrap().cuts(),
+            Adp::new(AggKind::Count).partition(&s, 7).unwrap().cuts(),
             EqualDepth.partition(&s, 7).unwrap().cuts()
         );
     }
@@ -137,7 +125,6 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(EqualDepth.name(), "EQ");
-        assert_eq!(CountOptimal.name(), "CountOpt");
         assert_eq!(EqualWidth.name(), "EqWidth");
     }
 }

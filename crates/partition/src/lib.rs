@@ -14,8 +14,8 @@
 //! * [`dp`] — the dynamic program `Adp`: the sampled + discretized
 //!   O(km log m) program used in all experiments, with a binary `h` search
 //!   (Appendix A.5);
-//! * [`equal`] — equal-depth (EQ) and equal-width baselines, and the
-//!   COUNT-optimal equal-size partitioning (Lemma A.1);
+//! * [`equal`] — equal-depth (EQ), also the COUNT-optimal partitioning
+//!   (Lemma A.1), and equal-width baselines;
 //! * [`hill_climb`] — the AQP++ hill-climbing comparator;
 //! * [`kd`] — balanced k-d trees with greedy max-variance expansion
 //!   (KD-PASS) and breadth-first expansion (KD-US) for d > 1 (Section 4.4).
@@ -31,7 +31,7 @@ pub mod spec;
 pub mod variance;
 
 pub use dp::Adp;
-pub use equal::{CountOptimal, EqualDepth, EqualWidth};
+pub use equal::{EqualDepth, EqualWidth};
 pub use hill_climb::HillClimb;
 pub use kd::{build_kd, KdBuild, KdExpansion, KdNodeInfo};
 pub use spec::{Partitioner1D, Partitioning1D};

@@ -6,9 +6,7 @@ use proptest::prelude::*;
 
 use pass_common::{AggKind, PrefixSums};
 use pass_partition::maxvar::{Exhaustive, MaxVarOracle, MedianSplit, WindowIndex};
-use pass_partition::{
-    Adp, CountOptimal, EqualDepth, EqualWidth, HillClimb, Partitioner1D, VarianceOracle,
-};
+use pass_partition::{Adp, EqualDepth, EqualWidth, HillClimb, Partitioner1D, VarianceOracle};
 use pass_table::SortedTable;
 
 fn sorted_table() -> impl Strategy<Value = SortedTable> {
@@ -28,7 +26,6 @@ fn all_partitioners() -> Vec<Box<dyn Partitioner1D>> {
         Box::new(Adp::new(AggKind::Count)),
         Box::new(EqualDepth),
         Box::new(EqualWidth),
-        Box::new(CountOptimal),
         Box::new(HillClimb::new(AggKind::Sum)),
     ]
 }

@@ -7,48 +7,34 @@
 //! `rows.matches(rect, i)` dominate. [`ScanScratch`] answers the same
 //! question with reusable buffers:
 //!
-//! 1. **Keep lanes** — one 64-bit lane per row, all-ones if the row
-//!    matches and `0` if not, from branch-free `(lo <= x) & (x <= hi)`
-//!    tests. Both compares always run (a short-circuit `&&` is a branch
-//!    per row), so the tests vectorize; a NaN cell fails both and never
-//!    matches. A single query runs one pass per predicate column over the
-//!    contiguous `f64` slice, AND-ing each into the lanes, and takes
-//!    `K_pred` as their popcount. A group (point 4) runs one row-major
-//!    pass for all its rectangles: a row's cells are tested against every
-//!    lane's intervals and AND-ed in registers, the row's lanes are stored
-//!    once, and each lane's `K_pred` is counted in the same loop.
-//! 2. **φ, then the reference's additions** — a single query writes the
-//!    selected φ vector into a reusable buffer as
-//!    `f64::from_bits((scale · v).to_bits() & keep)`, then the value sum
-//!    and Neumaier mean (one loop, two independent chains) and the
-//!    Neumaier sum of squared deviations (a second loop) run over that
-//!    contiguous buffer. The bitwise `AND` is still a *select*, never a
-//!    multiply-by-mask: the product for an unmatched row is computed and
-//!    then replaced whole by the literal `+0.0`, so an unmatched `inf` or
-//!    NaN can't poison a lane the way `0.0 × ∞` would, and a matched φ
-//!    keeps every bit.
-//!
-//!    The group path keeps no buffer: each of its two moment loops forms
-//!    φ itself as `scale · f64::from_bits(x.to_bits() & keep)`, the mask
-//!    applied to the operand *before* the multiply. That gives the
-//!    select's bits in every lane whose answer is read. A matched row
-//!    multiplies the same two operands. An unmatched row multiplies
-//!    `scale` by `+0.0`, which is exactly the literal `+0.0` the select
-//!    writes, because `scale` is finite and `>= +0` (`N`, or `K / K_pred`
-//!    with `K_pred > 0`). A lane with `K_pred = 0` (scale `K / 0 = ∞`,
-//!    so its unmatched rows give NaN) is discarded to the no-match answer,
-//!    as before. And an unmatched `inf` or NaN never reaches the multiply
-//!    at all, so `0 · ∞` cannot happen anywhere.
+//! 1. **Keep lanes** — one 64-bit lane per row and rectangle, all-ones
+//!    if the row matches and `0` if not, from branch-free
+//!    `(lo <= x) & (x <= hi)` tests. Both compares always run (a
+//!    short-circuit `&&` is a branch per row), so the tests vectorize; a
+//!    NaN cell fails both and never matches. One row-major pass serves all
+//!    [`GROUP`] rectangles of a pass (point 4): a row's cells are tested
+//!    against every lane's intervals and AND-ed in registers, the row's
+//!    lanes are stored once, and each lane's `K_pred` is counted in the
+//!    same loop. [`ScanScratch::match_mask`] runs the same tests one column
+//!    at a time into a byte mask, for the baselines' own scans.
+//! 2. **φ, then the reference's additions** — the reference writes
+//!    `φ = scale · v` for a matched row and the literal `+0.0` for an
+//!    unmatched one. Each of the kernel's two moment loops forms φ itself,
+//!    with no buffer, as `scale · f64::from_bits(x.to_bits() & keep)`: the
+//!    mask is applied to the operand *before* the multiply. A matched row
+//!    multiplies the reference's two operands. An unmatched row multiplies
+//!    `scale` by `+0.0`, which is exactly the reference's `+0.0`, because
+//!    `scale` is finite and `>= +0` (`N`, or `K / K_pred` with
+//!    `K_pred > 0`). A lane with `K_pred = 0` (scale `K / 0 = ∞`, so its
+//!    unmatched rows give NaN) is discarded to the no-match answer. And an
+//!    unmatched `inf` or NaN never reaches the multiply at all, so
+//!    `0 · ∞` cannot happen anywhere.
 //!
 //!    Every float addition happens in the same order with the same addends
 //!    as the materialized-φ reference, so its `Σφ` and sum of squared
 //!    deviations are **bit-identical** by construction, and every path
 //!    hands them, as the reference does, to [`PointVariance::from_phi`] —
-//!    the one interval policy, no-match answers included. The
-//!    single-query d-dimensional path lives in its own out-of-line
-//!    function: inlined into the entry points it bloats the sorted-1-D
-//!    dispatch enough that the 1-D hot path loses throughput to code
-//!    layout alone.
+//!    the one interval policy, no-match answers included.
 //! 3. **1-D fast path** — samples whose single predicate column is
 //!    non-decreasing (every builder-produced 1-D stratum sample, see
 //!    [`Sample::sorted_1d`]) resolve the match range as one index range:
@@ -56,9 +42,8 @@
 //!    key, and only an end the bound falls inside is binary-searched (MCF
 //!    hands the scan partial leaves, which a query usually cuts on one
 //!    side only). The value sum and the Neumaier mean read only the
-//!    matched rows, in one loop as two independent chains (as point 2's
-//!    buffer loop does). Skipping
-//!    an unmatched row skips a literal `+0.0` addend, which is exact
+//!    matched rows, in one loop as two independent chains. Skipping an
+//!    unmatched row skips a literal `+0.0` addend, which is exact
 //!    except for signed-zero bookkeeping: `x + 0.0 == x` for every `x`
 //!    but `-0.0`, where it flushes to `+0.0`. The plain value sum seeds
 //!    at `-0.0` (as `Iterator::sum::<f64>` does) and models the flush
@@ -68,34 +53,34 @@
 //!    adding `±0.0` is a genuine state no-op. The sum-of-squares pass
 //!    stays O(k) — unmatched rows contribute `(0 − m)²` — but adds the
 //!    constant term branch-free.
-//! 4. **Lockstep groups** — a batch answers [`GROUP`] (four) queries per
-//!    pass over a stratum ([`ScanScratch::estimate_batch`] over one
-//!    sample, [`ScanScratch::estimate_group`] over one arena view for a
-//!    batch whose queries share a partial leaf) in three sweeps over the
-//!    stratum's rows. The predicate pass (point 1) leaves the four keep
-//!    lanes of a row side by side and every lane's `K_pred`; it is
-//!    unrolled over the dimension count for one to three dimensions, and
-//!    a wider rectangle folds in three dimensions per pass. Then each of
-//!    the two moment loops forms every lane's φ from a row's lanes and
-//!    value (point 2) and adds it to that lane's sums, one row at a time,
-//!    each lane performing exactly the operations of point 2 in their
-//!    order. What a
-//!    single query cannot do is overlap them: its two moment loops are
-//!    one Neumaier dependency chain each, an add retiring every ~4 cycles
-//!    with nothing beside it, and that — not the column reads — is most
-//!    of a short stratum's cost. Four lanes are four independent chains in
-//!    one loop; eight lanes measured no faster. For the lanes to share one
+//! 4. **Lockstep groups** — every d-dimensional scan answers [`GROUP`]
+//!    (four) queries per pass over a stratum: a batch through
+//!    [`ScanScratch::estimate_batch`] (one sample) or
+//!    [`ScanScratch::estimate_group`] (one arena view a batch's queries
+//!    share as a partial leaf), and a single query through
+//!    [`ScanScratch::estimate`] or [`ScanScratch::estimate_view`] in lane
+//!    0, its spare lanes asking for an empty box (a batch's short last
+//!    group repeats its own queries there instead). That single-query
+//!    branch is out of line: inlined into the entry points it bloats the
+//!    sorted-1-D dispatch enough that the 1-D hot path loses throughput to
+//!    code layout alone. A pass makes three sweeps over the stratum's rows.
+//!    The predicate pass (point 1) is unrolled over the dimension count for
+//!    one to three dimensions, and a wider rectangle folds in three
+//!    dimensions per pass. Then each of the two moment loops forms every
+//!    lane's φ from a row's lanes and value (point 2) and adds it to that
+//!    lane's sums, one row at a time, each lane performing exactly the
+//!    reference's additions in their order. One lane's moment loops are one
+//!    Neumaier dependency chain each, an add retiring every ~4 cycles with
+//!    nothing beside it, and that — not the column reads — is most of a
+//!    short stratum's cost; four lanes are four independent chains in one
+//!    loop, and eight measured no faster. For the lanes to share one
 //!    instruction stream the Neumaier `|sum| >= |value|` test is written
 //!    as a select of the finished compensation term — lanes whose tests
 //!    disagree cannot branch apart — and it is again a *select*: the arm
 //!    taken contributes its own arithmetic, bit for bit. A lane nothing
 //!    matched (its AVG scale is `K / 0`) runs along and is discarded to
-//!    the no-match answer; a group short of queries repeats one of its
-//!    own in the spare lanes. The single-query path keeps its own
-//!    branching loops: one lane through the select form retires more
-//!    instructions per row than the branch it replaces (9.0 against 5.5
-//!    ns/row at 16 384 rows when this was written), so the two are held
-//!    together by `tests/kernel_contract.rs`, not by shared code.
+//!    the no-match answer, and so are a single query's spare lanes, which
+//!    match nothing and so scan no rows for MIN/MAX.
 //!
 //!    **Two builds, chosen at run time.** The group kernel's body
 //!    (`group_lanes_body`, always inlined together with `group_pass` and
@@ -271,20 +256,17 @@ fn view_1d(sample: &Sample) -> SampleView<'_> {
 /// borrow the thread-local via [`with_scratch`]) and reuse across
 /// queries; no per-query allocation happens after the buffers reach the
 /// sample size high-water mark. Nothing a previous call left behind is
-/// ever read: the single-query path resizes its buffers to the current
-/// stratum's `k`, and the group path grows `keep` to `k` × [`GROUP`] only
+/// ever read: [`match_mask`](Self::match_mask) resizes its mask to the
+/// current `k`, and the group kernel grows `keep` to `k` × [`GROUP`] only
 /// when it is shorter, its first predicate pass writing every lane of
 /// that prefix before anything reads one.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     /// Byte match vector handed out by [`match_mask`](Self::match_mask).
     mask: Vec<u8>,
-    /// Keep lanes, one `u64` (all-ones / `0`) per sampled row — or, on
-    /// the group path, [`GROUP`] side by side per row.
+    /// Keep lanes, [`GROUP`] `u64`s (all-ones / `0`) side by side per
+    /// sampled row.
     keep: Vec<u64>,
-    /// The selected φ values of the single query being finished. The
-    /// group path forms φ inside its moment loops and never touches it.
-    phi: Vec<f64>,
 }
 
 impl ScanScratch {
@@ -325,8 +307,8 @@ impl ScanScratch {
         })
     }
 
-    /// The mask path unconditionally — bypasses the 1-D sorted fast
-    /// path. Exposed so the contract tests can pin the fast path against
+    /// The d-dimensional kernel unconditionally — bypasses the 1-D sorted
+    /// fast path. Exposed so the contract tests can pin the fast path against
     /// the d-dimensional path on the same sample; engines should call
     /// [`estimate`](Self::estimate).
     #[doc(hidden)]
@@ -343,10 +325,13 @@ impl ScanScratch {
         })
     }
 
-    /// The d-dimensional path: keep lanes, then the shared finish. Kept
-    /// out of line so the sorted-1-D dispatch in the public entry points
-    /// stays a few instructions — inlined here, the 1-D hot path
-    /// measurably slows from code layout alone.
+    /// The d-dimensional path for one query: the group kernel with the
+    /// query in lane 0, read from lane 0. The spare lanes ask for a box
+    /// no cell falls in (`lo = +∞`, `hi = −∞`), so they match nothing and
+    /// cost no MIN/MAX scan of their own. Kept out of line so the
+    /// sorted-1-D dispatch in the public entry points stays a few
+    /// instructions — inlined here, the 1-D hot path measurably slows
+    /// from code layout alone.
     #[inline(never)]
     fn estimate_lanes<'c>(
         &mut self,
@@ -356,8 +341,13 @@ impl ScanScratch {
         rect: &Rect,
         col: impl Fn(usize) -> &'c [f64],
     ) -> Option<PointVariance> {
-        fill_lanes(values.len(), rect, col, &mut self.keep);
-        finish_from_lanes(agg, values, population, &self.keep, &mut self.phi)
+        let bound = |l, d| match l {
+            0 => (rect.lo(d), rect.hi(d)),
+            _ => (f64::INFINITY, f64::NEG_INFINITY),
+        };
+        let [point, ..] =
+            self.group_lanes([agg; GROUP], values, population, rect.dims(), col, bound);
+        point
     }
 
     /// [`GROUP`] queries over one stratum in one pass — what a batch whose
@@ -566,7 +556,7 @@ impl ScanScratch {
     where
         F: Fn(usize) -> &'c [f64],
     {
-        fill_lanes(k, rect, col, &mut self.mask);
+        fill_mask(k, rect, col, &mut self.mask);
         &self.mask
     }
 }
@@ -581,65 +571,39 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// One per-row match flag. The byte form (`1`/`0`) is what `match_mask`
-/// hands to the baselines; the 64-bit form (all-ones/`0`) is the keep
-/// lane of the estimators, which selects a φ value with one `AND`.
-trait Lane: Copy + std::ops::BitAnd<Output = Self> {
-    /// The lane for a row that matched (`hit`) or did not.
-    fn of(hit: bool) -> Self;
+/// The keep lane of a row that matched (`hit`) or did not: all-ones or
+/// `0`, so one `AND` selects a φ value.
+#[inline(always)]
+fn keep_lane(hit: bool) -> u64 {
+    u64::from(hit).wrapping_neg()
 }
 
-impl Lane for u8 {
-    #[inline]
-    fn of(hit: bool) -> Self {
-        u8::from(hit)
-    }
-}
-
-impl Lane for u64 {
-    #[inline]
-    fn of(hit: bool) -> Self {
-        u64::from(hit).wrapping_neg()
-    }
-}
-
-/// One branch-free interval test over a contiguous predicate column. The
-/// first column writes the lanes, later columns AND into them. Both
+/// Build the `k` byte match flags (`1`/`0`) for `rect`, one predicate
+/// column at a time: the first column writes them, later columns AND into
+/// them. `col(d)` returns the contiguous column for dimension `d`. Both
 /// compares always run (`&`, not `&&`): a short-circuit is a branch per
 /// row and blocks vectorization. A NaN cell fails both compares.
-fn lane_pass<M: Lane>(col: &[f64], lo: f64, hi: f64, first: bool, lanes: &mut [M]) {
-    if first {
-        for (m, &x) in lanes.iter_mut().zip(col) {
-            *m = M::of((lo <= x) & (x <= hi));
-        }
-    } else {
-        for (m, &x) in lanes.iter_mut().zip(col) {
-            *m = *m & M::of((lo <= x) & (x <= hi));
-        }
-    }
-}
-
-/// Build the `k` match lanes for `rect`, one predicate column at a time.
-/// `col(d)` returns the contiguous column for dimension `d`.
-fn fill_lanes<'c, M: Lane>(
-    k: usize,
-    rect: &Rect,
-    col: impl Fn(usize) -> &'c [f64],
-    lanes: &mut Vec<M>,
-) {
-    lanes.clear();
-    lanes.resize(k, M::of(false));
+fn fill_mask<'c>(k: usize, rect: &Rect, col: impl Fn(usize) -> &'c [f64], mask: &mut Vec<u8>) {
+    mask.clear();
+    mask.resize(k, 0);
     for d in 0..rect.dims() {
-        lane_pass(col(d), rect.lo(d), rect.hi(d), d == 0, lanes);
+        let (lo, hi) = (rect.lo(d), rect.hi(d));
+        let hits = col(d).iter().map(|&x| u8::from((lo <= x) & (x <= hi)));
+        if d == 0 {
+            mask.iter_mut().zip(hits).for_each(|(m, hit)| *m = hit);
+        } else {
+            mask.iter_mut().zip(hits).for_each(|(m, hit)| *m &= hit);
+        }
     }
 }
 
-/// [`lane_pass`] for [`GROUP`] rectangles and `D` dimensions at once, row
-/// by row. A row's cells in dimensions `from..from + D` are tested against
-/// all [`GROUP`] intervals and AND-ed in registers into the row's keep
-/// lanes (all-ones / `0`, side by side), which are stored once; the pass
-/// from dimension 0 writes them fresh, a later one ANDs into the stored
-/// lanes. Returns each lane's match count.
+/// The predicate pass for [`GROUP`] rectangles and `D` dimensions at
+/// once, row by row. A row's cells in dimensions `from..from + D` are
+/// tested against all [`GROUP`] intervals and AND-ed in registers into the
+/// row's keep lanes (all-ones / `0`, side by side), which are stored once;
+/// the pass from dimension 0 writes them fresh, a later one ANDs into the
+/// stored lanes. Both compares always run, as in [`fill_mask`]. Returns
+/// each lane's match count.
 #[inline(always)]
 fn group_pass<'c, const D: usize>(
     from: usize,
@@ -650,7 +614,7 @@ fn group_pass<'c, const D: usize>(
     let cols: [&[f64]; D] = std::array::from_fn(|j| &col(from + j)[..keep.len()]);
     let pairs: [[(f64, f64); GROUP]; D] =
         std::array::from_fn(|j| std::array::from_fn(|l| bound(l, from + j)));
-    let hit = |x: f64, (lo, hi): (f64, f64)| u64::of((lo <= x) & (x <= hi));
+    let hit = |x: f64, (lo, hi): (f64, f64)| keep_lane((lo <= x) & (x <= hi));
     let first = from == 0;
     let mut k_pred = [0u64; GROUP];
     for (i, lanes) in keep.iter_mut().enumerate() {
@@ -669,40 +633,6 @@ fn group_pass<'c, const D: usize>(
     k_pred
 }
 
-/// Finish an estimate off prebuilt match lanes over `values` (the lane
-/// count is the sample size `k`). `phi` is the reusable φ buffer; it is
-/// rebuilt at length `k` here.
-fn finish_from_lanes(
-    agg: AggKind,
-    values: &[f64],
-    population: u64,
-    lanes: &[u64],
-    phi: &mut Vec<f64>,
-) -> Option<PointVariance> {
-    let k = lanes.len();
-    debug_assert_eq!(values.len(), k);
-    // `K_pred`: integer popcount of the lanes (order-independent).
-    let k_pred: u64 = lanes.iter().map(|m| m & 1).sum();
-    if k_pred == 0 {
-        return PointVariance::from_phi(agg, k, 0, population, 0.0, 0.0);
-    }
-    let n = population as f64;
-    match agg {
-        AggKind::Min | AggKind::Max => {
-            let matched = lanes.iter().zip(values).filter(|(&m, _)| m != 0);
-            return minmax(agg, k_pred, matched.map(|(_, &v)| v));
-        }
-        AggKind::Count => select_phi(lanes, values, phi, |_| n),
-        AggKind::Sum => select_phi(lanes, values, phi, |v| n * v),
-        AggKind::Avg => {
-            let scale = k as f64 / k_pred as f64;
-            select_phi(lanes, values, phi, |v| scale * v);
-        }
-    }
-    let (phi_sum, sum_sq_dev) = moments(phi);
-    PointVariance::from_phi(agg, k, k_pred, population, phi_sum, sum_sq_dev)
-}
-
 /// The reference fold (`estimate_minmax`) over the `k_pred` matched
 /// values, in index order.
 fn minmax(agg: AggKind, k_pred: u64, matched: impl Iterator<Item = f64>) -> Option<PointVariance> {
@@ -715,45 +645,6 @@ fn minmax(agg: AggKind, k_pred: u64, matched: impl Iterator<Item = f64>) -> Opti
         variance: 0.0,
         k_pred,
     })
-}
-
-/// Materialize the φ vector: `f(value)` where the lane matched, the
-/// literal `+0.0` where it did not. The choice is a bitwise `AND` with
-/// the keep mask — still a select, never a multiply: an unmatched `inf`
-/// or NaN value is computed and then discarded whole, so `0 · inf` never
-/// happens, and a matched value keeps every bit.
-fn select_phi(lanes: &[u64], values: &[f64], phi: &mut Vec<f64>, f: impl Fn(f64) -> f64) {
-    phi.clear();
-    phi.extend(
-        lanes
-            .iter()
-            .zip(values)
-            .map(|(&m, &v)| f64::from_bits(f(v).to_bits() & m)),
-    );
-}
-
-/// The reference's sums over the φ buffer — `Σφ` as a plain sequential
-/// sum and the sum of squared deviations about its own Neumaier mean —
-/// every float addition with the reference's addend in the reference's
-/// order. The plain sum and the compensated mean read the same φ in the
-/// same order, so they share one loop as two independent dependency
-/// chains.
-fn moments(phi: &[f64]) -> (f64, f64) {
-    // `Iterator::sum::<f64>` folds from -0.0 (so an all-negative-zero φ
-    // vector sums to -0.0); replicate the seed exactly.
-    let mut s = -0.0f64;
-    let mut mean_acc = KahanSum::new();
-    for &p in phi {
-        s += p;
-        mean_acc.add(p);
-    }
-    let mean = mean_acc.total() / phi.len() as f64;
-    let mut ss = KahanSum::new();
-    for &p in phi {
-        let d = p - mean;
-        ss.add(d * d);
-    }
-    (s, ss.total())
 }
 
 /// One [`KahanSum::add`] step on a `(sum, compensation)` pair, the
@@ -772,17 +663,18 @@ fn neumaier_add(acc: &mut (f64, f64), value: f64) {
     *acc = (t, compensation + lost);
 }
 
-/// [`select_phi`] and [`moments`] for [`GROUP`] lanes in lockstep, with
-/// no φ buffer. One sweep adds each row to every lane's plain sum and
-/// Neumaier mean, a second adds the squared deviations, and each forms a
-/// row's φ itself as `c · from_bits(x.to_bits() & keep)` — `c = N`,
-/// `x = 1` for COUNT; `c = N`, `x = value` for SUM; `c = K / K_pred` for
-/// AVG — which is the select's φ bit for bit (module docs, point 2).
-/// Each lane performs exactly the single-query path's additions in its
-/// order; what changes is that one loop carries [`GROUP`] independent
-/// dependency chains instead of one. Returns each lane's `(Σφ, ss)`; a
-/// lane nothing matched (`c = K / 0`) or a MIN/MAX lane runs along and its
-/// sums are never read.
+/// The reference's sums for [`GROUP`] lanes in lockstep — `Σφ` as a plain
+/// sequential sum and the sum of squared deviations about its own
+/// Neumaier mean — with no φ buffer. One sweep adds each row to every
+/// lane's plain sum and Neumaier mean, a second adds the squared
+/// deviations, and each forms a row's φ itself as
+/// `c · from_bits(x.to_bits() & keep)` — `c = N`, `x = 1` for COUNT;
+/// `c = N`, `x = value` for SUM; `c = K / K_pred` for AVG — which is the
+/// reference's φ bit for bit (module docs, point 2). Each lane performs
+/// exactly the reference's additions in its order; one loop carries
+/// [`GROUP`] independent dependency chains. Returns each lane's
+/// `(Σφ, ss)`; a lane nothing matched (`c = K / 0`) or a MIN/MAX lane runs
+/// along and its sums are never read.
 #[inline(always)]
 fn group_moments(
     aggs: [AggKind; GROUP],
@@ -792,7 +684,7 @@ fn group_moments(
     k_pred: [u64; GROUP],
 ) -> [(f64, f64); GROUP] {
     let (n, kf) = (population as f64, values.len() as f64);
-    let count = aggs.map(|agg| u64::of(agg == AggKind::Count));
+    let count = aggs.map(|agg| keep_lane(agg == AggKind::Count));
     let scale: [f64; GROUP] = std::array::from_fn(|l| match aggs[l] {
         AggKind::Avg => kf / k_pred[l] as f64,
         _ => n,
@@ -806,7 +698,8 @@ fn group_moments(
             scale[l] * f64::from_bits(x & lanes[l])
         })
     };
-    // Seeded like `moments`: the plain sum at `-0.0`, Neumaier at `+0.0`.
+    // Seeded like the reference: the plain sum at `-0.0` (as
+    // `Iterator::sum::<f64>` folds), Neumaier at `+0.0`.
     let mut sum = [-0.0f64; GROUP];
     let mut mean_acc = [(0.0f64, 0.0f64); GROUP];
     for (lanes, &v) in keep.iter().zip(values) {
@@ -868,9 +761,9 @@ fn estimate_sorted_1d(agg: AggKind, view: &SampleView<'_>, rect: &Rect) -> Optio
     PointVariance::from_phi(agg, k, k_pred, view.population, phi_sum, sum_sq_dev)
 }
 
-/// [`moments`] when the matched rows are exactly `[a, b)`. Like
-/// `moments`, the plain sum and the Neumaier mean read each matched φ in
-/// one loop, as two independent dependency chains.
+/// The reference's `Σφ` and sum of squared deviations when the matched
+/// rows are exactly `[a, b)`. The plain sum and the Neumaier mean read
+/// each matched φ in one loop, as two independent dependency chains.
 fn moments_range(k: usize, a: usize, b: usize, phi: impl Fn(usize) -> f64) -> (f64, f64) {
     // Replicate the reference fold exactly: it seeds at -0.0 and adds a
     // `+0.0` for every unmatched index. The first leading `+0.0` flushes
@@ -1056,32 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn the_group_path_never_touches_the_phi_buffer() {
-        // The group kernel forms φ inside its moment loops: a scratch that
-        // has only answered groups and batches has never grown `phi`.
-        let s = Sample::from_rows(table_nd(67, 3, 21), 500).unwrap();
-        let arena = crate::arena::SampleArena::from_samples(std::slice::from_ref(&s));
-        let queries: Vec<Query> = (0..9)
-            .map(|i| {
-                let lo = i as f64 * 0.1;
-                Query::new(AggKind::ALL[i % 5], Rect::new(&[(lo, lo + 0.5); 3]))
-            })
-            .collect();
-        let mut scratch = ScanScratch::new();
-        let mut out = Vec::new();
-        scratch.estimate_batch(&s, &queries, &mut out);
-        let bounds = [(0.0, 1.0); 3];
-        let points = scratch.estimate_group(
-            &arena.view(0),
-            [AggKind::Sum, AggKind::Count, AggKind::Avg, AggKind::Max],
-            [&bounds[..]; GROUP],
-        );
-        assert!(points.iter().all(Option::is_some));
-        assert_eq!(scratch.phi.capacity(), 0);
-        assert!(scratch.keep.capacity() >= 67 * GROUP);
-    }
-
-    #[test]
     fn empty_sample_contract_is_preserved() {
         let t = uniform(10, 7);
         let s = Sample::from_indices(&t, &[], 10).unwrap();
@@ -1120,8 +987,8 @@ mod tests {
 
     #[test]
     fn reused_scratch_never_reads_past_the_current_stratum() {
-        // The keep/φ buffers outlive a call: after an 85-row stratum
-        // they still hold 85 rows of someone else's lanes. Shrinking to 5
+        // The keep lanes outlive a call: after an 85-row stratum they
+        // still hold 85 rows of someone else's lanes. Shrinking to 5
         // rows, to none, through the sorted 1-D path and back to 3-D must
         // answer exactly as a fresh scratch does at every step.
         let stratum = |rows: usize, dims: usize, seed: u64| {

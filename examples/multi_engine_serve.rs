@@ -27,18 +27,16 @@ fn main() {
         .unwrap();
 
     // Online: one routed server over both engines, each submission
-    // naming the engine it is for. Starting paused lets the whole burst
-    // queue up before the workers drain it, so the scheduling effects
-    // below are deterministic.
+    // naming the engine it is for. Pausing it before the first submit
+    // lets the whole burst queue up before the workers drain it, so the
+    // scheduling effects below are deterministic.
     let serve = session
         .serve_multi(
             &["pass", "us"],
-            ServeConfig::new()
-                .with_workers(2)
-                .with_queue_depth(64)
-                .paused(),
+            ServeConfig::new().with_workers(2).with_queue_depth(64),
         )
         .unwrap();
+    serve.pause();
     println!("serving engines: {:?}", serve.engines());
 
     // A dashboard fires the same query from several widgets at once.

@@ -132,9 +132,6 @@ pub struct ServeConfig {
     /// Maximum queued requests before admission control rejects
     /// (clamped to ≥ 1).
     pub queue_depth: usize,
-    /// Start with workers parked until [`Serve::resume`] — used by tests
-    /// and staged startups to fill the queue deterministically.
-    pub start_paused: bool,
 }
 
 impl Default for ServeConfig {
@@ -142,7 +139,6 @@ impl Default for ServeConfig {
         Self {
             workers: ThreadPool::with_default_parallelism().threads(),
             queue_depth: 1024,
-            start_paused: false,
         }
     }
 }
@@ -162,12 +158,6 @@ impl ServeConfig {
     /// Set the admission-control queue bound.
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Start paused; call [`Serve::resume`] to begin draining.
-    pub fn paused(mut self) -> Self {
-        self.start_paused = true;
         self
     }
 }
@@ -468,8 +458,7 @@ pub struct Serve {
 impl Serve {
     /// Start a serving front-end over `routes` — (name, cached engine)
     /// pairs that share one queue and one worker pool and are routed to
-    /// by name (workers spawn immediately; parked first if
-    /// [`ServeConfig::start_paused`]). Errors on an empty route set or
+    /// by name (workers spawn immediately). Errors on an empty route set or
     /// a duplicated engine name (routing by name would be ambiguous).
     pub(crate) fn new(
         routes: Vec<(String, CachedSynopsis<Arc<dyn Synopsis>>)>,
@@ -506,7 +495,6 @@ impl Serve {
             completion_seq: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         });
-        shared.queue.set_paused(config.start_paused);
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -650,7 +638,9 @@ impl Serve {
     /// Park the workers after their in-flight batches finish; queued and
     /// newly submitted requests wait (admission control still applies).
     /// The pause flag lives under the queue's own lock, so even a worker
-    /// already parked inside a pop cannot slip a request past a pause.
+    /// already parked inside a pop cannot slip a request past a pause:
+    /// called before the first submit, it starts the server paused, which
+    /// is how staged startups and tests fill the queue deterministically.
     pub fn pause(&self) {
         self.shared.queue.set_paused(true);
     }
@@ -808,12 +798,10 @@ mod tests {
         let serve = session
             .serve(
                 "pass",
-                ServeConfig::new()
-                    .with_workers(1)
-                    .with_queue_depth(2)
-                    .paused(),
+                ServeConfig::new().with_workers(1).with_queue_depth(2),
             )
             .unwrap();
+        serve.pause();
         let accepted: Vec<Ticket> = (0..2)
             .map(|_| serve.submit_to("pass", &q(0.0, 0.5)).unwrap())
             .collect();
@@ -833,8 +821,9 @@ mod tests {
     fn shutdown_drains_accepted_requests() {
         let session = served_session();
         let serve = session
-            .serve("pass", ServeConfig::new().with_workers(1).paused())
+            .serve("pass", ServeConfig::new().with_workers(1))
             .unwrap();
+        serve.pause();
         let tickets: Vec<Ticket> = (0..5)
             .map(|i| {
                 serve
@@ -882,8 +871,9 @@ mod tests {
     fn coalescing_executes_queued_requests_in_fewer_batches() {
         let session = served_session();
         let serve = session
-            .serve("pass", ServeConfig::new().with_workers(1).paused())
+            .serve("pass", ServeConfig::new().with_workers(1))
             .unwrap();
+        serve.pause();
         let tickets: Vec<Ticket> = (0..16)
             .map(|i| serve.submit_to("pass", &q(i as f64 / 20.0, 0.9)).unwrap())
             .collect();
@@ -912,8 +902,9 @@ mod tests {
     fn a_backlog_past_the_coalescing_cap_runs_in_capped_batches() {
         let session = served_session();
         let serve = session
-            .serve("pass", ServeConfig::new().with_workers(1).paused())
+            .serve("pass", ServeConfig::new().with_workers(1))
             .unwrap();
+        serve.pause();
         let queries: Vec<Query> = (0..=2 * COALESCE_MAX)
             .map(|i| q(i as f64 / 1_000.0, 0.95))
             .collect();

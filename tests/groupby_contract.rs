@@ -379,8 +379,9 @@ fn queued_group_bys_coalesce_with_plain_requests_and_match_the_session() {
         .collect();
 
     let name_refs: Vec<&str> = names.iter().map(|n| n.as_str()).collect();
-    let config = ServeConfig::new().with_workers(1).paused();
+    let config = ServeConfig::new().with_workers(1);
     let serve = session.serve_multi(&name_refs, config).unwrap();
+    serve.pause();
     let options = SubmitOptions::default();
     // Per engine, contiguous in the queue: two plain requests (one of
     // them a COUNT group's own equality query), then the three

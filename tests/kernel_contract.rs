@@ -3,13 +3,14 @@
 //! row-at-a-time reference estimators (`pass::sampling::estimator`) for
 //! all five aggregates, including the empty-match and AVG-undefined
 //! corners, signed zeros in the data, and the 1-D sorted binary-search
-//! fast path against the d-dimensional mask path.
+//! fast path against the d-dimensional group kernel.
 //!
-//! The d-dimensional paths are auto-vectorized (keep lanes; a φ buffer
-//! for a single query, φ formed inside the moment loops for a group; then
-//! the reference's additions), so the suite also walks every sample
-//! size 1..=70 — each vector-lane remainder — through every entry point
-//! (`Sample`, forced mask path, `SampleArena::view`, grouped batch), with
+//! The d-dimensional path is one vectorized kernel (keep lanes for four
+//! queries, φ formed inside the moment loops, then the reference's
+//! additions) that a single query enters in one lane of four, so
+//! the suite also walks every sample size 1..=70 — each vector-lane
+//! remainder — through every entry point (`Sample`, forced d-dimensional
+//! path, `SampleArena::view`, grouped batch), with
 //! `K_pred ∈ {0, 1, k}`, NaN predicate cells, `±inf`/NaN/1e300 values in
 //! rows the predicate rejects, and magnitudes that take Neumaier's
 //! `|value| > |sum|` arm. The batch entry points answer four queries per
@@ -134,7 +135,7 @@ fn stratum_3d(vals: &[f64], k: usize, seed: u64, nan_cell: &[u8]) -> Table {
 }
 
 /// Every kernel entry point that can answer `(agg, rect)` on `s` —
-/// `Sample`, the forced mask path, the flat-arena view, the grouped
+/// `Sample`, the forced d-dimensional path, the flat-arena view, the grouped
 /// batch — against the reference, all five aggregates, on one reused
 /// scratch.
 fn assert_every_path_matches(s: &Sample, rect: &Rect, scratch: &mut ScanScratch) {
@@ -266,7 +267,7 @@ fn table_2d(vals: &[f64], seed: u64) -> Table {
 }
 
 proptest! {
-    /// Multi-dimensional mask path ≡ reference, all five aggregates, with
+    /// Multi-dimensional group kernel ≡ reference, all five aggregates, with
     /// a non-trivial finite-population correction.
     #[test]
     fn kernel_matches_reference_bitwise(vals in values(4), seed in 1u64..5_000, (lo, hi) in interval()) {
@@ -284,7 +285,7 @@ proptest! {
         }
     }
 
-    /// 1-D sorted fast path ≡ forced mask path ≡ reference on the same
+    /// 1-D sorted fast path ≡ forced d-dimensional path ≡ reference on the same
     /// sample, including samples holding `-0.0` values.
     #[test]
     fn sorted_fast_path_matches_mask_path(vals in values(3), seed in 1u64..5_000, (lo, hi) in interval()) {

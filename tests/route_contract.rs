@@ -137,11 +137,9 @@ fn interleaved_routes_never_mix_engines_in_a_batch() {
     session.add_synopsis("ones", Constant(1.0));
     session.add_synopsis("twos", Constant(2.0));
     let serve = session
-        .serve_multi(
-            &["ones", "twos"],
-            ServeConfig::new().with_workers(1).paused(),
-        )
+        .serve_multi(&["ones", "twos"], ServeConfig::new().with_workers(1))
         .unwrap();
+    serve.pause();
     let tickets: Vec<(f64, Ticket)> = (0..8)
         .map(|i| {
             let (engine, want) = if i % 2 == 0 {
@@ -183,8 +181,9 @@ fn completion_follows_submission_order_within_a_class_whatever_the_deadlines() {
     let mut session = Session::new(uniform(5_000, 21));
     session.add_engine("pass", &EngineSpec::pass()).unwrap();
     let serve = session
-        .serve("pass", ServeConfig::new().with_workers(1).paused())
+        .serve("pass", ServeConfig::new().with_workers(1))
         .unwrap();
+    serve.pause();
 
     // Generous deadlines (nothing expires), far from submission order,
     // with the undated request in the middle of the submissions.
@@ -224,8 +223,9 @@ fn expired_at_pop_request_never_blocks_a_live_later_one() {
     let mut session = Session::new(uniform(5_000, 23));
     session.add_engine("pass", &EngineSpec::pass()).unwrap();
     let serve = session
-        .serve("pass", ServeConfig::new().with_workers(1).paused())
+        .serve("pass", ServeConfig::new().with_workers(1))
         .unwrap();
+    serve.pause();
     let stale = SubmitOptions::interactive().with_deadline(Duration::ZERO);
     let doomed = serve.submit("pass", &[q(0.3, 0.7)], &stale).unwrap();
     let live = serve.submit_to("pass", &q(0.2, 0.8)).unwrap();
@@ -271,8 +271,9 @@ fn coalesced_batch_resolves_every_ticket_on_worker_panic() {
     let mut session = Session::new(uniform(100, 41));
     session.add_synopsis("boom", Panicking);
     let serve = session
-        .serve("boom", ServeConfig::new().with_workers(1).paused())
+        .serve("boom", ServeConfig::new().with_workers(1))
         .unwrap();
+    serve.pause();
     let tickets: Vec<Ticket> = (0..4)
         .map(|_| serve.submit_to("boom", &q(0.2, 0.8)).unwrap())
         .collect();
@@ -309,12 +310,10 @@ fn identical_queued_requests_take_a_slot_each_but_reach_the_engine_once() {
     let serve = served
         .serve(
             "pass",
-            ServeConfig::new()
-                .with_workers(1)
-                .with_queue_depth(depth)
-                .paused(),
+            ServeConfig::new().with_workers(1).with_queue_depth(depth),
         )
         .unwrap();
+    serve.pause();
 
     // Identical submissions occupy one slot each.
     let accepted: Vec<Ticket> = (0..depth)

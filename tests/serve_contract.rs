@@ -104,15 +104,10 @@ fn served_answers_are_bit_identical_to_direct_estimates_for_the_standard_suite()
 }
 
 fn paused_single_worker(session: &Session, depth: usize) -> Serve {
-    session
-        .serve(
-            "pass",
-            ServeConfig::new()
-                .with_workers(1)
-                .with_queue_depth(depth)
-                .paused(),
-        )
-        .unwrap()
+    let config = ServeConfig::new().with_workers(1).with_queue_depth(depth);
+    let serve = session.serve("pass", config).unwrap();
+    serve.pause();
+    serve
 }
 
 fn pass_session() -> Session {

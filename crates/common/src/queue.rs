@@ -68,6 +68,9 @@ struct QueueInner<T> {
     /// (incremented before the wait, decremented after it, under this
     /// lock): a push only pays for a wakeup when this is non-zero.
     parked: usize,
+    /// Wakeups signalled to parked consumers not yet back in the lock: a
+    /// push signals only while `parked > woken`.
+    woken: usize,
 }
 
 impl<T> QueueInner<T> {
@@ -129,6 +132,7 @@ impl<T> RequestQueue<T> {
                 paused: false,
                 high_water: 0,
                 parked: 0,
+                woken: 0,
             }),
             available: Condvar::new(),
         }
@@ -162,9 +166,9 @@ impl<T> RequestQueue<T> {
     ///
     /// Admission control, the push, high-water accounting and the
     /// decision to wake a consumer all happen under one lock; the
-    /// wakeup itself is issued after unlocking, and only if a consumer
-    /// was parked (with every worker busy it would be a `futex` syscall
-    /// nobody hears).
+    /// wakeup itself is issued after unlocking, and only if a parked
+    /// consumer has none on its way (else it is a `futex` syscall nobody
+    /// needs).
     pub fn try_push(&self, item: T, priority: Priority) -> Result<(), (PushError, T)> {
         let mut inner = self.inner.lock();
         if inner.closed {
@@ -175,9 +179,10 @@ impl<T> RequestQueue<T> {
         }
         inner.class_mut(priority).push_back(item);
         inner.high_water = inner.high_water.max(inner.len());
-        let parked = inner.parked > 0;
+        let wake = inner.parked > inner.woken;
+        inner.woken += usize::from(wake);
         drop(inner);
-        if parked {
+        if wake {
             self.available.notify_one();
         }
         Ok(())
@@ -207,6 +212,8 @@ impl<T> RequestQueue<T> {
             inner.parked += 1;
             inner = self.available.wait(inner);
             inner.parked -= 1;
+            // A spurious or broadcast wake counts down too: harmless.
+            inner.woken = inner.woken.saturating_sub(1);
         }
     }
 

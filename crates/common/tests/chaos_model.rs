@@ -370,6 +370,51 @@ fn gated_push_never_strands_a_consumer_entering_pop() {
     assert!(report.exhausted, "bounded-exhaustive at 3 preemptions");
 }
 
+/// Wake rule, wakeups in flight: a push signals only while more
+/// consumers are parked than have a wakeup on its way, so a push behind
+/// a woken consumer that has not yet run signals nothing. One consumer
+/// popping twice, or two popping once, race two producers: each item is
+/// popped exactly once, none is left queued, and no consumer sleeps
+/// through queued work (that would deadlock the joins).
+#[test]
+fn pushes_behind_a_woken_consumer_strand_nothing() {
+    for consumers in [1, 2] {
+        let report = Chaos::new("push_behind_woken_consumer")
+            .preemptions(2)
+            .check(move || {
+                let queue: RequestQueue<u32> = RequestQueue::new(4);
+                let (queue, pops) = (&queue, 2 / consumers);
+                let mut popped: Vec<u32> = chaos::scope(|s| {
+                    let popping: Vec<_> = (0..consumers)
+                        .map(|_| {
+                            s.spawn(move || {
+                                let got = (0..pops).filter_map(|_| queue.pop_blocking());
+                                got.map(|(item, _)| item).collect::<Vec<u32>>()
+                            })
+                        })
+                        .collect();
+                    s.spawn(|| queue.try_push(1, Priority::Interactive).unwrap());
+                    s.spawn(|| queue.try_push(2, Priority::Bulk).unwrap());
+                    popping
+                        .into_iter()
+                        .flat_map(|c| c.join().unwrap())
+                        .collect()
+                });
+                popped.sort_unstable();
+                assert_eq!(
+                    popped,
+                    [1, 2],
+                    "{consumers} consumers: an item was lost or doubled"
+                );
+                assert!(
+                    queue.is_empty(),
+                    "{consumers} consumers: an item was left queued"
+                );
+            });
+        assert!(report.exhausted, "bounded-exhaustive at 2 preemptions");
+    }
+}
+
 /// A hit racing an eviction: on a full three-entry cache, one thread
 /// looks up the oldest key while another inserts two new keys, so the
 /// SIEVE hand sweeps over it and evicts twice. In every interleaving the

@@ -15,18 +15,19 @@
 //! (min == max) contributes its exact value, so it is returned as covered
 //! without touching any samples.
 //!
-//! On a 1-D tree the same frontier, in the same order, comes from walking
-//! two boundary paths instead of searching
-//! ([`McfScratch::run`]): a binary tree whose sibling intervals are
-//! in key order can only be cut by the query's two endpoints, and every
-//! node off their root-to-leaf paths is either covered or disjoint.
+//! A multi-dimensional tree is searched once for a whole window of
+//! queries (`McfScratch::walk`). On a 1-D tree the same frontier, in the
+//! same order, comes from walking two boundary paths instead of searching
+//! ([`McfScratch::run`]): a binary tree whose sibling intervals are in key
+//! order can only be cut by the query's two endpoints, and every node off
+//! their root-to-leaf paths is either covered or disjoint.
 //!
 //! Workload shift (Section 5.4.1) needs no traversal of its own: the tree
 //! is [lifted](PartitionTree::lifted) into the query's space at build
 //! time, after which a constraint on an unindexed dimension makes every
 //! intersecting node partial and the search below descends to the leaves.
 
-use pass_common::{AggKind, Query, RectRelation};
+use pass_common::{AggKind, Query};
 use pass_sampling::{PointVariance, ScanScratch, StratumEstimate};
 
 use crate::tree::{NodeId, PartitionTree};
@@ -88,10 +89,9 @@ pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> Mcf
     scratch.result
 }
 
-/// Reusable MCF working state: the DFS stack (in 1-D the right boundary
-/// path's pending covered nodes), the frontier buffers, the
-/// scan-kernel scratch, the stratum-combination buffer, and the batch
-/// path's window buffers.
+/// Reusable MCF working state: the 1-D descent's pending covered nodes,
+/// the frontier buffers, the scan-kernel scratch, the stratum-combination
+/// buffer, and the lockstep walk's window buffers.
 ///
 /// A query would otherwise allocate (and free) several vectors; `Pass`
 /// answers every query on its thread's scratch
@@ -103,7 +103,7 @@ pub fn mcf(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> Mcf
 pub struct McfScratch {
     stack: Vec<NodeId>,
     /// The most recent query's frontier (cleared, not freed, per run).
-    /// Inside a batch window: the frontiers of all its queries, end to
+    /// After a window's walk: the frontiers of all its queries, end to
     /// end.
     pub result: McfResult,
     /// Scan-kernel buffers for per-leaf sample estimates.
@@ -113,10 +113,9 @@ pub struct McfScratch {
     pub(crate) batch: BatchScratch,
 }
 
-/// What one window of the batch path (`query::process_batch`) keeps
-/// beside the shared frontier lists: its queries flattened for the scan,
-/// the (query, partial leaf) pairs inverted by stratum, and one scanned
-/// point per pair. Cleared and refilled per window, never freed.
+/// What one window of the lockstep walk ([`McfScratch::walk`]) keeps
+/// beside the shared frontier lists. Cleared and refilled per window,
+/// never freed.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     /// Per window query: where its covered / partial / zero-variance ids
@@ -124,16 +123,20 @@ pub(crate) struct BatchScratch {
     /// the previous query's end).
     pub(crate) ends: Vec<[usize; 3]>,
     /// Per window query: its aggregate, and its rectangle as `dims`
-    /// inclusive `(lo, hi)` pairs — the scan reads these, never a `Rect`.
+    /// inclusive `(lo, hi)` pairs, then one empty box (`lo = +∞`,
+    /// `hi = −∞`) for the scan's spare lanes.
     pub(crate) aggs: Vec<AggKind>,
     pub(crate) bounds: Vec<(f64, f64)>,
-    /// Counting sort by stratum: the cursor of each stratum in `order`.
-    pub(crate) cursor: Vec<u32>,
-    /// Every pair as (index into `result.partial`, window query), grouped
-    /// by stratum, a stratum's pairs in query order. A window closes
-    /// within one tree's leaves of its pair budget, far inside `u32`.
-    pub(crate) order: Vec<(u32, u32)>,
-    /// The scanned point of each pair, indexed like `result.partial`.
+    /// The walk's query lists, and the nodes it has still to visit, each
+    /// with its list's range in `active`.
+    active: Vec<u32>,
+    pending: Vec<(NodeId, u32, u32)>,
+    /// Every (window query, node) the walk emitted as covered, partial
+    /// or zero-variance, in walk order: a partial leaf's queries are one
+    /// run, in query order. Then where each partial pair was scattered
+    /// to in `result.partial`, and the scanned point of each entry there.
+    pub(crate) walked: [Vec<(u32, NodeId)>; 3],
+    pub(crate) placed: Vec<u32>,
     pub(crate) slots: Vec<Option<PointVariance>>,
 }
 
@@ -149,14 +152,21 @@ impl McfScratch {
         SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
 
-    /// Classify `query` over `tree` into `self.result`, reusing buffers.
+    /// Classify `query` over `tree` into `self.result`, reusing buffers:
+    /// a 1-D tree by the two-path descent (`descend_1d`), any other by the
+    /// lockstep walk (`walk`) of a window of one.
     pub fn run(&mut self, tree: &PartitionTree, query: &Query, zero_variance_rule: bool) {
+        if tree.dims() > 1 {
+            return self.walk(tree, std::slice::from_ref(query), zero_variance_rule);
+        }
         self.clear();
-        self.classify(tree, query, zero_variance_rule);
+        let apply_zero_var = zero_variance_rule && query.agg == AggKind::Avg;
+        let (ql, qh) = (query.rect.lo(0), query.rect.hi(0));
+        self.descend_1d(tree, ql, qh, apply_zero_var);
     }
 
     /// Empty the frontier lists (and the visit count), keeping capacity.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         let result = &mut self.result;
         result.covered.clear();
         result.partial.clear();
@@ -164,57 +174,123 @@ impl McfScratch {
         result.visited = 0;
     }
 
-    /// Classify `query` over `tree`, *appending* its frontier to
-    /// `self.result` (and its visits to the count): [`run`](Self::run)
-    /// clears first, a batch window lays its queries' frontiers end to
-    /// end. A 1-D tree takes the [two-path descent](Self::descend_1d),
-    /// any other the depth-first search below.
-    ///
-    /// The disjoint test runs before the emptiness check: most visited
-    /// nodes are disjoint siblings along the descent, and classifying them
-    /// from the interleaved rect pairs alone keeps the (much larger)
-    /// aggregate array out of the traversal's cache footprint. An empty
-    /// node is skipped whichever test fires first, so the emitted frontier
-    /// — including order — is identical to the original empty-check-first
-    /// loop. When the tree reports no empty nodes at all (the common case:
-    /// leaves are born populated and only deletions can zero a count), the
-    /// emptiness check vanishes and the traversal never loads an aggregate.
-    pub(crate) fn classify(
-        &mut self,
-        tree: &PartitionTree,
-        query: &Query,
-        zero_variance_rule: bool,
-    ) {
-        let apply_zero_var = zero_variance_rule && query.agg == AggKind::Avg;
-        if tree.dims() == 1 {
-            let (ql, qh) = (query.rect.lo(0), query.rect.hi(0));
-            self.descend_1d(tree, ql, qh, apply_zero_var);
-            return;
+    /// Classify a window of queries over a multi-dimensional `tree` in one
+    /// depth-first walk, and lay each query's frontier end to end in
+    /// `self.result` (a query of the wrong arity gets an empty one). Each
+    /// node is visited once for all the queries that reach it, children
+    /// right to left, and sorts them, branch-free and in query order, into
+    /// disjoint, covered, zero-variance (AVG only) and the rest: partial
+    /// at a leaf, handed on at an internal node. For one query that is its
+    /// own search, so a stable scatter by query gives each its search's
+    /// lists, and `result.visited` sums the searches' visit counts.
+    pub(crate) fn walk(&mut self, tree: &PartitionTree, queries: &[Query], zero_var: bool) {
+        self.clear();
+        let (dims, result, b) = (tree.dims(), &mut self.result, &mut self.batch);
+        b.aggs.clear();
+        b.bounds.clear();
+        b.active.clear();
+        let empty = (f64::INFINITY, f64::NEG_INFINITY);
+        for (q, query) in queries.iter().enumerate() {
+            b.aggs.push(query.agg);
+            if query.dims() == dims {
+                b.bounds
+                    .extend((0..dims).map(|d| (query.rect.lo(d), query.rect.hi(d))));
+                b.active.push(q as u32);
+            }
+            b.bounds.resize((q + 1) * dims, empty);
         }
-        let result = &mut self.result;
+        b.bounds.resize((queries.len() + 1) * dims, empty);
+        b.walked.iter_mut().for_each(Vec::clear);
+        result.visited = b.active.len();
+        b.pending.clear();
+        b.pending.push((tree.root(), 0, b.active.len() as u32));
         let check_empty = tree.has_empty_nodes();
-        self.stack.clear();
-        self.stack.push(tree.root());
-        while let Some(id) = self.stack.pop() {
-            result.visited += 1;
-            match tree.relation_to(id, &query.rect) {
-                RectRelation::Disjoint => {}
-                relation => {
-                    if check_empty && tree.agg(id).is_empty() {
-                        continue;
-                    }
-                    if relation == RectRelation::Covered {
-                        result.covered.push(id);
-                    } else if apply_zero_var && tree.agg(id).is_zero_variance() {
-                        // 0-variance rule: constant values make AVG exact
-                        // even under partial overlap.
-                        result.zero_var.push(id);
-                    } else if tree.is_leaf(id) {
-                        result.partial.push(id);
-                    } else {
-                        self.stack.extend_from_slice(tree.children(id));
-                    }
+        let mut lens = [0; 3];
+        while let Some((id, from, to)) = b.pending.pop() {
+            if check_empty && tree.agg(id).is_empty() {
+                continue;
+            }
+            // Every list grows to hold every query this node could add.
+            let (from, to) = (from as usize, to as usize);
+            for (list, len) in b.walked.iter_mut().zip(lens) {
+                list.resize(list.len().max(len + to - from), (0, 0));
+            }
+            b.active.resize(b.active.len().max(to + to - from), 0);
+            let zero_var_node = zero_var && tree.agg(id).is_zero_variance();
+            let leaf = tree.is_leaf(id);
+            // A query is written at the end of each list it may join, and
+            // the end moves past it only if it joins.
+            let (reach, handed) = b.active.split_at_mut(to);
+            let [covered, partial, zero] = b.walked.each_mut().map(Vec::as_mut_slice);
+            let ([nc, np, nz], mut nh) = (&mut lens, 0);
+            for &q in &reach[from..] {
+                let query = &b.bounds[q as usize * dims..];
+                let (meets, inside) = tree.relation(id, query);
+                let cut = meets & !inside;
+                let zero_var = cut & zero_var_node & (b.aggs[q as usize] == AggKind::Avg);
+                covered[*nc] = (q, id);
+                *nc += usize::from(meets & inside);
+                // Branches on the node go the same way for every query.
+                if zero_var_node {
+                    zero[*nz] = (q, id);
+                    *nz += usize::from(zero_var);
                 }
+                if leaf {
+                    partial[*np] = (q, id);
+                    *np += usize::from(cut & !zero_var);
+                } else {
+                    handed[nh] = q;
+                    nh += usize::from(cut & !zero_var);
+                }
+            }
+            if nh > 0 {
+                let children = tree.children(id);
+                result.visited += children.len() * nh;
+                let range = |c| (c, to as u32, (to + nh) as u32);
+                b.pending.extend(children.iter().map(|&c| range(c)));
+            }
+        }
+        for (list, len) in b.walked.iter_mut().zip(lens) {
+            list.truncate(len);
+        }
+        self.scatter(queries.len());
+    }
+
+    /// Lay the walked pairs out by query into `self.result` — a counting
+    /// sort, so each query keeps its walk order — with each query's ends
+    /// and where each partial pair went.
+    fn scatter(&mut self, n_queries: usize) {
+        let (result, b) = (&mut self.result, &mut self.batch);
+        b.ends.clear();
+        b.ends.resize(n_queries, [0; 3]);
+        for (c, list) in b.walked.iter().enumerate() {
+            for &(q, _) in list {
+                b.ends[q as usize][c] += 1;
+            }
+        }
+        // Each query's starts; placing its nodes moves them to its ends.
+        let mut total = [0; 3];
+        for (i, at) in b.ends.iter_mut().flatten().enumerate() {
+            (*at, total[i % 3]) = (total[i % 3], total[i % 3] + *at);
+        }
+        b.placed.clear();
+        let McfResult {
+            covered,
+            partial,
+            zero_var,
+            ..
+        } = result;
+        for (c, (out, list)) in [covered, partial, zero_var]
+            .into_iter()
+            .zip(&b.walked)
+            .enumerate()
+        {
+            out.resize(list.len(), 0);
+            for &(q, id) in list {
+                let at = &mut b.ends[q as usize][c];
+                out[*at] = id;
+                b.placed.extend((c == 1).then_some(*at as u32));
+                *at += 1;
             }
         }
     }
@@ -931,6 +1007,183 @@ mod tests {
         assert!(partial_pairs > 1_000, "two partial leaves: {partial_pairs}");
         assert!(empty_trees > 10, "checks with an empty node: {empty_trees}");
         assert!(point_hits > 100, "point queries in a leaf: {point_hits}");
+    }
+
+    /// The d-dimensional search the lockstep walk replaced, kept as the
+    /// reference it is held to: a depth-first search that counts a node
+    /// visited when it pops it, skips it if disjoint or empty, and
+    /// otherwise emits it or pushes its children, left to right.
+    fn dfs_kd(tree: &PartitionTree, query: &Query, zero_variance_rule: bool) -> McfResult {
+        use pass_common::RectRelation;
+        let mut result = McfResult::default();
+        let apply_zero_var = zero_variance_rule && query.agg == AggKind::Avg;
+        let mut stack = vec![tree.root()];
+        while let Some(id) = stack.pop() {
+            result.visited += 1;
+            let relation = tree.rect(id).relation_to(&query.rect);
+            if relation == RectRelation::Disjoint || tree.agg(id).is_empty() {
+                continue;
+            }
+            if relation == RectRelation::Covered {
+                result.covered.push(id);
+            } else if apply_zero_var && tree.agg(id).is_zero_variance() {
+                result.zero_var.push(id);
+            } else if tree.is_leaf(id) {
+                result.partial.push(id);
+            } else {
+                stack.extend_from_slice(tree.children(id));
+            }
+        }
+        result
+    }
+
+    /// 4 000 rows over the unit cube, the values of every row with
+    /// `x0 < 0.55` all 5, so zero-variance leaves and internal nodes
+    /// exist.
+    fn cube_table() -> pass_table::Table {
+        let mut state = 0x3d;
+        let predicates: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..4_000).map(|_| unit(&mut state)).collect())
+            .collect();
+        let values = (0..4_000)
+            .map(|r| match predicates[0][r] < 0.55 {
+                true => 5.0,
+                false => 100.0 * unit(&mut state),
+            })
+            .collect();
+        let names = ["v", "x", "y", "z"].map(String::from).to_vec();
+        pass_table::Table::new(values, predicates, names).unwrap()
+    }
+
+    /// Boxes over `t`'s space: the whole space, beyond the data, node
+    /// boxes (covered), node corners (points), one-dimension slabs and
+    /// random boxes, under every aggregate in turn; every seventh query
+    /// has the wrong arity.
+    fn probe_boxes(t: &PartitionTree, state: &mut u64) -> Vec<Query> {
+        use pass_common::Rect;
+        let dims = t.dims();
+        let node = |state: &mut u64| t.rect((unit(state) * t.n_nodes() as f64) as usize);
+        (0..84)
+            .map(|i| {
+                let agg = AggKind::ALL[i % 5];
+                let rect = match i % 7 {
+                    0 => return Query::interval(agg, 0.2, 0.4),
+                    1 => Rect::new(&vec![(f64::NEG_INFINITY, f64::INFINITY); dims]),
+                    2 => Rect::new(&vec![(2.0, 3.0); dims]),
+                    3 => node(state),
+                    4 => {
+                        let corner: Vec<_> = (0..dims).map(|d| node(state).lo(d)).collect();
+                        Rect::new(&corner.iter().map(|&x| (x, x)).collect::<Vec<_>>())
+                    }
+                    5 => {
+                        let mut slab = vec![(f64::NEG_INFINITY, f64::INFINITY); dims];
+                        let a = unit(state);
+                        slab[i % dims] = (a, a + 0.3 * unit(state));
+                        Rect::new(&slab)
+                    }
+                    _ => Rect::new(
+                        &(0..dims)
+                            .map(|_| {
+                                let a = 1.2 * unit(state) - 0.1;
+                                (a, a + unit(state) * unit(state))
+                            })
+                            .collect::<Vec<_>>(),
+                    ),
+                };
+                Query::new(agg, rect)
+            })
+            .collect()
+    }
+
+    /// Hold the walk to the search on `queries` in windows of every
+    /// width, with and without the zero-variance rule: each query's three
+    /// lists in order, an empty frontier for a query of the wrong arity,
+    /// and the window's summed visit count.
+    fn assert_walk_matches_dfs(t: &PartitionTree, queries: &[Query], seen: &mut Seen, ctx: &str) {
+        let mut scratch = McfScratch::default();
+        for zero_var in [false, true] {
+            for width in 1..=queries.len() {
+                for window in queries.chunks(width) {
+                    match window {
+                        [query] => scratch.run(t, query, zero_var),
+                        _ => scratch.walk(t, window, zero_var),
+                    }
+                    let (mut from, mut visited) = ([0; 3], 0);
+                    for (j, q) in window.iter().enumerate() {
+                        let to = scratch.batch.ends[j];
+                        let want = match q.dims() == t.dims() {
+                            true => dfs_kd(t, q, zero_var),
+                            false => McfResult::default(),
+                        };
+                        let got = &scratch.result;
+                        let what = format!("{ctx}: {q:?} zero_var={zero_var} width={width}");
+                        assert_eq!(got.covered[from[0]..to[0]], want.covered, "covered, {what}");
+                        assert_eq!(got.partial[from[1]..to[1]], want.partial, "partial, {what}");
+                        assert_eq!(
+                            got.zero_var[from[2]..to[2]],
+                            want.zero_var,
+                            "zero_var, {what}"
+                        );
+                        seen.zero_var += usize::from(!want.zero_var.is_empty());
+                        let internal = want.zero_var.iter().any(|&id| !t.is_leaf(id));
+                        seen.zero_var_internal += usize::from(internal);
+                        seen.covered_runs += usize::from(want.covered.len() >= 3);
+                        seen.partial_pairs += usize::from(want.partial.len() >= 2);
+                        (from, visited) = (to, visited + want.visited);
+                    }
+                    assert_eq!(
+                        scratch.result.visited, visited,
+                        "visited, {ctx} width={width}"
+                    );
+                }
+            }
+        }
+        seen.empty_trees += usize::from(t.has_empty_nodes());
+    }
+
+    #[test]
+    fn the_walk_matches_the_search_on_kd_lifted_and_emptied_trees() {
+        use pass_common::PassSpec;
+        let table = cube_table();
+        let mut seen = Seen::default();
+        for (name, tree_dims) in [("k-d", None), ("lifted", Some(vec![0, 2]))] {
+            let spec = PassSpec {
+                partitions: 128,
+                sample_rate: 0.05,
+                tree_dims,
+                seed: 31,
+                ..PassSpec::default()
+            };
+            let mut pass = crate::Pass::from_spec(&table, &spec).unwrap();
+            let mut state = 0x31;
+            let queries = probe_boxes(&pass.tree, &mut state);
+            assert_walk_matches_dfs(&pass.tree, &queries, &mut seen, name);
+            // Deleting every row with `x2 < 0.3` empties the leaves that
+            // hold only such rows; the walk then meets empty nodes.
+            for r in (0..table.n_rows()).filter(|&r| table.predicate(2, r) < 0.3) {
+                let point: Vec<f64> = (0..3).map(|d| table.predicate(d, r)).collect();
+                let _ = pass.delete(&point, table.value(r));
+            }
+            assert!(pass.tree.has_empty_nodes(), "{name}: no leaf emptied");
+            let queries = probe_boxes(&pass.tree, &mut state);
+            assert_walk_matches_dfs(&pass.tree, &queries, &mut seen, &format!("{name}, emptied"));
+        }
+        let Seen {
+            zero_var,
+            zero_var_internal,
+            covered_runs,
+            partial_pairs,
+            empty_trees,
+            ..
+        } = seen;
+        assert!(zero_var > 100, "zero-variance frontiers: {zero_var}");
+        assert!(zero_var_internal > 10, "internal ones: {zero_var_internal}");
+        assert!(covered_runs > 100, "three or more covered: {covered_runs}");
+        assert!(
+            partial_pairs > 100,
+            "two or more partial leaves: {partial_pairs}"
+        );
+        assert_eq!(empty_trees, 2, "checks with an empty node");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Query processing (Section 3.3): index lookup → partial aggregation →
 //! sample estimation → combined result with CI and hard bounds.
 //!
-//! One query classifies, scans each partial leaf as it meets it, and
-//! combines ([`process_arena`]). A multi-dimensional batch
-//! ([`process_batch`]) turns the middle step inside out: it classifies a
-//! window of queries, inverts their (query, partial leaf) pairs by leaf,
-//! scans each touched leaf once for all the queries that share it — four
-//! at a time through the lockstep group kernel — and then finishes every
-//! query through the same code, reading each partial leaf's point from
-//! the slot the scan left it in.
+//! A 1-D query walks its two boundary paths, scans each partial leaf as
+//! it meets it, and combines ([`process_arena`]). Over a
+//! multi-dimensional tree, queries go a window at a time
+//! ([`process_batch`]; a single query is a window of one): one lockstep
+//! walk classifies the whole window, each partial leaf's sample is
+//! scanned once for the run of queries that share it — four at a time
+//! through the lockstep group kernel — and every query is then finished
+//! through the same code, reading each partial leaf's point from the
+//! slot the scan left it in.
 
 use pass_common::{check_dims, AggKind, Estimate, PassError, Query, Result};
 use pass_sampling::{
@@ -19,18 +20,18 @@ use crate::bounds::hard_bounds_exact;
 use crate::mcf::{BatchScratch, Frontier, McfScratch};
 use crate::tree::PartitionTree;
 
-/// Queries classified before a batch window is inverted and scanned.
-/// On 256-query 3-D batches over 256 leaves (71 partial leaves a query),
-/// windows of 16 / 32 / 64 / 128 / 256 queries answered 73 k / 78 k /
-/// 82 k / 83 k / 80–83 k queries a second: the wider the window, the
-/// more queries share each leaf scan and the fuller its groups of four,
-/// until (from about a hundred queries on) nothing more is gained.
+/// The most queries one window walks. On 256-query 3-D batches over 256
+/// leaves (71 partial leaves a query), windows of 16 / 32 / 64 / 128 /
+/// 256 queries answered 73 k / 78 k / 82 k / 83 k / 80–83 k queries a
+/// second: the wider the window, the more queries share each leaf scan
+/// and the fuller its groups of four, until (from about a hundred
+/// queries on) nothing more is gained.
 const WINDOW: usize = 256;
 
-/// A window also closes once it holds this many (query, partial leaf)
-/// pairs, so a tree with thousands of leaves cannot balloon the per-pair
-/// buffers (8 + 32 bytes a pair). A `WINDOW` of queries over a 256-leaf
-/// tree stays well under it.
+/// A window holds at most this many (query, leaf) pairs' worth of
+/// queries — `PAIR_BUDGET / leaves` of them, at least one — so a tree
+/// with thousands of leaves cannot balloon the per-pair buffers. Over
+/// 256 leaves that is 128 queries, which measured as fast as 256.
 const PAIR_BUDGET: usize = 1 << 15;
 
 /// Answer `query` over the annotated tree and the flat arena of its
@@ -45,6 +46,11 @@ pub(crate) fn process_arena(
 ) -> Result<Estimate> {
     // A query of the wrong arity is refused before anything is classified.
     check_dims(tree.dims(), query.dims())?;
+    if tree.dims() > 1 {
+        let window = std::slice::from_ref(query);
+        scan_window(scratch, tree, arena, window, zero_variance_rule);
+        return finish(scratch, tree, arena, window, 0);
+    }
     scratch.run(tree, query, zero_variance_rule);
     let McfScratch {
         result,
@@ -57,10 +63,10 @@ pub(crate) fn process_arena(
 }
 
 /// Answer a batch over a multi-dimensional arena, element-wise
-/// bit-identical to [`process_arena`] per query. Window by window:
-/// classify ([`classify_window`]), invert and scan ([`scan_window`]),
-/// then finish each query in its own frontier order from the scanned
-/// slots. Every buffer but the answers lives in `scratch`.
+/// bit-identical to [`process_arena`] per query: window by window, walk
+/// and scan ([`scan_window`]), then finish each query in its own
+/// frontier order from the scanned slots. Every buffer but the answers
+/// lives in `scratch`.
 pub(crate) fn process_batch(
     scratch: &mut McfScratch,
     tree: &PartitionTree,
@@ -70,146 +76,92 @@ pub(crate) fn process_batch(
 ) -> Vec<Result<Estimate>> {
     // alloc: the batch's answers — all a warmed-up batch allocates.
     let mut out = Vec::with_capacity(queries.len());
-    let mut rest = queries;
-    while !rest.is_empty() {
-        let taken = classify_window(scratch, tree, rest, zero_variance_rule);
-        let (window, later) = rest.split_at(taken);
-        scan_window(scratch, tree, arena);
-        let McfScratch {
-            result,
-            strata,
-            batch,
-            ..
-        } = &mut *scratch;
-        let mut from = [0; 3];
-        for (query, &to) in window.iter().zip(&batch.ends) {
-            let frontier = Frontier {
-                covered: &result.covered[from[0]..to[0]],
-                partial: &result.partial[from[1]..to[1]],
-                zero_var: &result.zero_var[from[2]..to[2]],
-            };
-            let slots = &batch.slots[from[1]..to[1]];
-            let scanned = |j: usize, _: &SampleView<'_>| slots[j];
-            out.push(
-                check_dims(tree.dims(), query.dims())
-                    .and_then(|()| process_frontier(tree, arena, query, frontier, scanned, strata)),
-            );
-            from = to;
-        }
-        rest = later;
+    let width = (PAIR_BUDGET / tree.n_leaves().max(1)).clamp(1, WINDOW);
+    for window in queries.chunks(width) {
+        scan_window(scratch, tree, arena, window, zero_variance_rule);
+        out.extend((0..window.len()).map(|j| finish(scratch, tree, arena, window, j)));
     }
     out
 }
 
-/// Classify a window off the front of `queries` — up to [`WINDOW`] of
-/// them, fewer once [`PAIR_BUDGET`] is spent — laying their frontiers end
-/// to end in `scratch.result` and copying each aggregate and rectangle
-/// into the flat arrays the scan reads. Returns how many queries the
-/// window took (at least one). A query of the wrong arity takes its place
-/// with an empty frontier; finishing reports it.
-fn classify_window(
+/// Walk `window` ([`McfScratch::walk`]) and scan each partial leaf once
+/// for the run of queries that share it, [`GROUP`] per pass, leaving each
+/// query's point in its slot. A short group's spare lanes ask for the
+/// empty box, so a window of one makes the single-query kernel call.
+fn scan_window(
     scratch: &mut McfScratch,
     tree: &PartitionTree,
-    queries: &[Query],
+    arena: &SampleArena,
+    window: &[Query],
     zero_variance_rule: bool,
-) -> usize {
-    let dims = tree.dims();
-    scratch.clear();
-    let batch = &mut scratch.batch;
-    batch.ends.clear();
-    batch.aggs.clear();
-    batch.bounds.clear();
-    for query in queries.iter().take(WINDOW) {
-        if query.dims() == dims {
-            scratch.classify(tree, query, zero_variance_rule);
-            let (rect, bounds) = (&query.rect, &mut scratch.batch.bounds);
-            bounds.extend((0..dims).map(|d| (rect.lo(d), rect.hi(d))));
-        }
-        let (result, batch) = (&scratch.result, &mut scratch.batch);
-        batch.ends.push([
-            result.covered.len(),
-            result.partial.len(),
-            result.zero_var.len(),
-        ]);
-        batch.aggs.push(query.agg);
-        // A refused query keeps its stride with bounds nothing reads.
-        batch.bounds.resize(batch.ends.len() * dims, (0.0, 0.0));
-        if result.partial.len() >= PAIR_BUDGET {
-            break;
-        }
-    }
-    scratch.batch.ends.len()
-}
-
-/// Invert the window's (query, partial leaf) pairs by stratum — a
-/// counting sort, so a stratum's pairs stay in query order — and scan
-/// each touched stratum once for all of them, [`GROUP`] queries per pass,
-/// leaving every pair's point in its slot. A stratum's last group repeats
-/// its own last pair in the lanes it cannot fill.
-fn scan_window(scratch: &mut McfScratch, tree: &PartitionTree, arena: &SampleArena) {
-    let partial = &scratch.result.partial;
+) {
+    scratch.walk(tree, window, zero_variance_rule);
+    let McfScratch {
+        result,
+        scan,
+        batch,
+        ..
+    } = scratch;
     let BatchScratch {
-        ends,
         aggs,
         bounds,
-        cursor,
-        order,
+        walked,
+        placed,
         slots,
-    } = &mut scratch.batch;
-    // Every pair as (index into `partial`, window query, stratum). MCF
-    // emits only leaves as partial; a pair that is not one gets no scan
-    // and `stratum_of` refuses its query when it is finished.
-    let pairs = || {
-        let starts = std::iter::once(0).chain(ends.iter().map(|to| to[1]));
-        let by_query = starts.zip(ends.iter()).enumerate();
-        by_query.flat_map(|(query, (from, to))| {
-            (from..to[1]).filter_map(move |pair| {
-                let stratum = tree.leaf_index(partial[pair])?;
-                Some((pair as u32, query as u32, stratum))
-            })
-        })
-    };
-
-    cursor.clear();
-    cursor.resize(arena.len() + 1, 0);
-    for (_, _, stratum) in pairs() {
-        cursor[stratum + 1] += 1;
-    }
-    for stratum in 0..arena.len() {
-        cursor[stratum + 1] += cursor[stratum];
-    }
-    order.clear();
-    order.resize(cursor[arena.len()] as usize, (0, 0));
-    // Scattering walks each stratum's cursor from its first pair to the
-    // next stratum's first.
-    for (pair, query, stratum) in pairs() {
-        order[cursor[stratum] as usize] = (pair, query);
-        cursor[stratum] += 1;
-    }
-
+        ..
+    } = batch;
+    let (dims, empty) = (tree.dims(), window.len());
     slots.clear();
-    slots.resize(partial.len(), None);
-    let dims = tree.dims();
-    let mut begin = 0;
-    for (stratum, &end) in cursor[..arena.len()].iter().enumerate() {
-        let sharing = &order[begin..end as usize];
-        begin = end as usize;
-        if sharing.is_empty() {
+    slots.resize(result.partial.len(), None);
+    let mut placed = placed.iter();
+    // MCF emits only leaves as partial; one without a stratum gets no
+    // scan, and `stratum_of` refuses its query when it is finished.
+    for run in walked[1].chunk_by(|a, b| a.1 == b.1) {
+        let Some(stratum) = tree.leaf_index(run[0].1) else {
+            placed.nth(run.len() - 1);
             continue;
-        }
+        };
         let view = arena.view(stratum);
-        for group in sharing.chunks(GROUP) {
-            let query = |lane: usize| group[lane.min(group.len() - 1)].1 as usize;
-            let points = scratch.scan.estimate_group(
+        for group in run.chunks(GROUP) {
+            let query = |lane: usize| group.get(lane).map_or(empty, |&(q, _)| q as usize);
+            let points = scan.estimate_group(
                 &view,
-                std::array::from_fn(|lane| aggs[query(lane)]),
+                std::array::from_fn(|lane| aggs[group[lane.min(group.len() - 1)].0 as usize]),
                 std::array::from_fn(|lane| &bounds[query(lane) * dims..][..dims]),
             );
-            for (&(pair, _), point) in group.iter().zip(points) {
-                slots[pair as usize] = point;
+            for (&at, point) in placed.by_ref().zip(points).take(group.len()) {
+                slots[at as usize] = point;
             }
         }
     }
+}
+
+/// Finish the `j`-th query of the window [`scan_window`] just scanned.
+fn finish(
+    scratch: &mut McfScratch,
+    tree: &PartitionTree,
+    arena: &SampleArena,
+    window: &[Query],
+    j: usize,
+) -> Result<Estimate> {
+    let McfScratch {
+        result,
+        strata,
+        batch,
+        ..
+    } = scratch;
+    let query = &window[j];
+    check_dims(tree.dims(), query.dims())?;
+    let from = j.checked_sub(1).map_or([0; 3], |i| batch.ends[i]);
+    let to = batch.ends[j];
+    let frontier = Frontier {
+        covered: &result.covered[from[0]..to[0]],
+        partial: &result.partial[from[1]..to[1]],
+        zero_var: &result.zero_var[from[2]..to[2]],
+    };
+    let slots = &batch.slots[from[1]..to[1]];
+    let scanned = |i: usize, _: &SampleView<'_>| slots[i];
+    process_frontier(tree, arena, query, frontier, scanned, strata)
 }
 
 /// Finish one query from its (pre-computed) coverage frontier: partial
@@ -503,11 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn a_window_closes_on_its_pair_budget_and_the_batch_still_matches_singles() {
+    fn a_window_is_sized_by_the_leaf_count_and_the_batch_still_matches_singles() {
         use pass_common::{PassSpec, Rect};
         // 600 leaves over dimension 0 of a 2-D table, lifted: a query
-        // that constrains dimension 1 can cover no leaf, so all 600 are
-        // partial and 55 queries spend the budget.
+        // that constrains dimension 1 can cover no leaf, so every leaf it
+        // meets is partial, and a window takes 32 768 / 600 = 54 queries.
         let table = pass_table::datasets::taxi(12_000, 3)
             .project(&[1, 2])
             .unwrap();
@@ -527,11 +479,15 @@ mod tests {
                 Query::new(AggKind::ALL[i % 5], rect)
             })
             .collect();
+        let leaves = pass.tree.n_leaves();
+        assert_eq!(leaves, 600);
+        let width = (PAIR_BUDGET / leaves).clamp(1, WINDOW);
+        assert_eq!(width, 54);
         let scratch = &mut McfScratch::default();
-        let taken = classify_window(scratch, &pass.tree, &queries, true);
-        assert_eq!(scratch.batch.ends.len(), taken);
-        assert!(taken < WINDOW && scratch.result.partial.len() >= PAIR_BUDGET);
-        assert!(scratch.result.partial.len() < PAIR_BUDGET + pass.tree.n_leaves());
+        scan_window(scratch, &pass.tree, &pass.arena, &queries[..width], true);
+        let pairs = scratch.result.partial.len() + scratch.result.zero_var.len();
+        assert_eq!(pairs, width * leaves);
+        assert!(pairs <= PAIR_BUDGET);
         let batch = process_batch(scratch, &pass.tree, &pass.arena, &queries, true);
         assert_eq!(batch.len(), queries.len());
         for (q, batched) in queries.iter().zip(batch) {

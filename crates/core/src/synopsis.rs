@@ -287,22 +287,22 @@ impl Synopsis for Pass {
     /// element-wise bit-identical to repeated
     /// [`estimate`](Self::estimate).
     ///
-    /// Over a multi-dimensional arena, where a query meets tens of
-    /// partial leaves and the queries of a batch share them, the batch is
-    /// cut into windows of 256 queries (fewer once a window holds 32 768
-    /// (query, partial leaf) pairs); a window is classified whole, its
-    /// pairs are inverted by leaf, and each touched leaf's sample is
-    /// scanned once for every query that shares it, four queries per pass
-    /// of the lockstep group kernel. Each query is then finished exactly
-    /// as a single one is — same frontier order, same additions — reading
-    /// the scanned points back. A warmed-up batch allocates its answer
-    /// vector and nothing else. A 1-D arena, where a query has at most
-    /// two partial leaves and each scan is a binary search, has nothing
-    /// to share: its batches, and any batch of one, are a loop of single
-    /// queries on the same scratch.
+    /// Over a multi-dimensional tree, where a query meets tens of partial
+    /// leaves and the queries of a batch share them, the batch is cut
+    /// into windows of up to 256 queries (32 768 ÷ the tree's leaf
+    /// count, at least one; 128 over 256 leaves). One lockstep walk of
+    /// the tree classifies a whole window, and each partial leaf's sample
+    /// is scanned once for the run of queries that share it, four queries
+    /// per pass of the lockstep group kernel. Each query is then finished
+    /// exactly as a single one is — a single query is a window of one —
+    /// reading the scanned points back. A warmed-up batch allocates its
+    /// answer vector and nothing else. A 1-D tree, where a query has at
+    /// most two partial leaves and each scan is a binary search, has
+    /// nothing to share: its batches are a loop of single queries on the
+    /// same scratch.
     fn estimate_many(&self, queries: &[Query]) -> Vec<Result<Estimate>> {
         McfScratch::with_local(|scratch| {
-            if self.arena.dims() > 1 && queries.len() > 1 {
+            if self.tree.dims() > 1 {
                 crate::query::process_batch(
                     scratch,
                     &self.tree,

@@ -20,10 +20,10 @@
 //! columns cost a miss each, two interleaved `f64`s two bounds checks),
 //! and the packed span makes the leaf test plus child lookup a single
 //! 8-byte load.
-//! [`relation_to`](PartitionTree::relation_to) classifies a node against a
-//! query in one fused pass over its coordinates. The tree's *shape* is
-//! fixed at build time: `insert`/`delete` change aggregates and grow
-//! rectangles, never the node set, the child ranges or the leaf indices.
+//! `relation` classifies a node against a query in one fused pass over
+//! its coordinates. The tree's *shape* is fixed at build time:
+//! `insert`/`delete` change aggregates and grow rectangles, never the
+//! node set, the child ranges or the leaf indices.
 //!
 //! The tree also tracks whether *any* node's aggregate is empty
 //! (`has_empty`): leaves are born non-empty and only deletions can zero a
@@ -53,7 +53,7 @@
 //! dimensions the tree does not index, after which queries and updates
 //! treat it like any other tree (docs/ARCHITECTURE.md has the argument).
 
-use pass_common::{Aggregates, PassError, Rect, RectRelation, Result};
+use pass_common::{Aggregates, PassError, Rect, Result};
 use pass_partition::{KdBuild, Partitioning1D};
 use pass_table::{SortedTable, Table};
 
@@ -342,35 +342,26 @@ impl PartitionTree {
     }
 
     /// Materialize node `id`'s bounding rectangle. Cold-path convenience —
-    /// hot loops should use [`relation_to`](Self::relation_to) /
-    /// [`rect_lo`](Self::rect_lo) / [`rect_hi`](Self::rect_hi) instead.
+    /// hot loops should use `relation` / [`rect_lo`](Self::rect_lo) /
+    /// [`rect_hi`](Self::rect_hi) instead.
     pub fn rect(&self, id: NodeId) -> Rect {
         let base = id * self.dims;
         Rect::new(&self.rect[base..base + self.dims])
     }
 
-    /// Classify node `id`'s rectangle against `query` — the MCF trichotomy
-    /// ([`Rect::relation_to`] with the node side read straight from the
-    /// arena, both tests fused into one pass over the coordinates).
-    #[inline]
-    pub fn relation_to(&self, id: NodeId, query: &Rect) -> RectRelation {
-        debug_assert_eq!(query.dims(), self.dims);
-        let base = id * self.dims;
-        let mut intersects = true;
-        let mut covered = true;
-        for d in 0..self.dims {
-            let (nl, nh) = self.rect[base + d];
-            let (ql, qh) = (query.lo(d), query.hi(d));
-            intersects &= nl <= qh && ql <= nh;
-            covered &= ql <= nl && nh <= qh;
+    /// Whether node `id`'s box meets a query box (`q`, one inclusive
+    /// `(lo, hi)` pair per dimension) and whether it lies inside it: the
+    /// MCF trichotomy, both tests fused into one pass over the
+    /// coordinates, every compare run.
+    #[inline(always)]
+    pub(crate) fn relation(&self, id: NodeId, q: &[(f64, f64)]) -> (bool, bool) {
+        let dims = self.dims;
+        let (mut meets, mut inside) = (true, true);
+        for (&(nl, nh), &(ql, qh)) in self.rect[id * dims..][..dims].iter().zip(&q[..dims]) {
+            meets &= (nl <= qh) & (ql <= nh);
+            inside &= (ql <= nl) & (nh <= qh);
         }
-        if !intersects {
-            RectRelation::Disjoint
-        } else if covered {
-            RectRelation::Covered
-        } else {
-            RectRelation::Partial
-        }
+        (meets, inside)
     }
 
     /// Does node `id`'s rectangle contain the point?
@@ -669,7 +660,7 @@ impl PartitionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_common::AggKind;
+    use pass_common::{AggKind, RectRelation};
     use pass_partition::{build_kd, KdExpansion};
     use pass_table::datasets::{taxi, uniform};
 
@@ -827,6 +818,18 @@ mod tests {
         }
     }
 
+    /// The trichotomy `relation` gives node `id` against `query`.
+    fn relation_of(t: &PartitionTree, id: NodeId, query: &Rect) -> RectRelation {
+        let pairs: Vec<(f64, f64)> = (0..query.dims())
+            .map(|d| (query.lo(d), query.hi(d)))
+            .collect();
+        match t.relation(id, &pairs) {
+            (false, _) => RectRelation::Disjoint,
+            (true, true) => RectRelation::Covered,
+            (true, false) => RectRelation::Partial,
+        }
+    }
+
     #[test]
     fn relation_matches_rect_reference() {
         let s = sorted(120, 10);
@@ -836,7 +839,7 @@ mod tests {
             let query = Rect::interval(lo, lo + 0.25);
             for id in 0..t.n_nodes() {
                 assert_eq!(
-                    t.relation_to(id, &query),
+                    relation_of(&t, id, &query),
                     t.rect(id).relation_to(&query),
                     "node {id} query [{lo}, {}]",
                     lo + 0.25
@@ -866,9 +869,9 @@ mod tests {
             assert_eq!(l, wide);
             // Unindexed dimensions open: the narrow tree's verdict. One of
             // them constrained: still skipped when disjoint, never covered.
-            let verdict = narrow.relation_to(id, &window);
-            assert_eq!(lifted.relation_to(id, &open), verdict);
-            let shifted = lifted.relation_to(id, &constrained);
+            let verdict = relation_of(&narrow, id, &window);
+            assert_eq!(relation_of(&lifted, id, &open), verdict);
+            let shifted = relation_of(&lifted, id, &constrained);
             assert_eq!(
                 shifted == RectRelation::Disjoint,
                 verdict == RectRelation::Disjoint

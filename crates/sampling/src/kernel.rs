@@ -56,11 +56,11 @@
 //! 4. **Lockstep groups** — every d-dimensional scan answers [`GROUP`]
 //!    (four) queries per pass over a stratum: a batch through
 //!    [`ScanScratch::estimate_batch`] (one sample) or
-//!    [`ScanScratch::estimate_group`] (one arena view a batch's queries
-//!    share as a partial leaf), and a single query through
+//!    [`ScanScratch::estimate_group`] (one arena view a window of PASS
+//!    queries shares as a partial leaf), and a single query through
 //!    [`ScanScratch::estimate`] or [`ScanScratch::estimate_view`] in lane
-//!    0, its spare lanes asking for an empty box (a batch's short last
-//!    group repeats its own queries there instead). That single-query
+//!    0, its spare lanes asking for an empty box, as a PASS window's short
+//!    groups do (`estimate_batch`'s repeat its last query). That single-query
 //!    branch is out of line: inlined into the entry points it bloats the
 //!    sorted-1-D dispatch enough that the 1-D hot path loses throughput to
 //!    code layout alone. A pass makes three sweeps over the stratum's rows.
@@ -80,7 +80,8 @@
 //!    taken contributes its own arithmetic, bit for bit. A lane nothing
 //!    matched (its AVG scale is `K / 0`) runs along and is discarded to
 //!    the no-match answer, and so are a single query's spare lanes, which
-//!    match nothing and so scan no rows for MIN/MAX.
+//!    match nothing and so scan no rows for MIN/MAX. A plain loop, inlined
+//!    into both builds, forms each lane's answer.
 //!
 //!    **Two builds, chosen at run time.** The group kernel's body
 //!    (`group_lanes_body`, always inlined together with `group_pass` and
@@ -355,10 +356,10 @@ impl ScanScratch {
     /// [`estimate_view`](Self::estimate_view)s. Lane `l` asks `aggs[l]`
     /// over the rectangle `bounds[l]` (one inclusive `(lo, hi)` pair per
     /// dimension) and gets exactly the bits `estimate_view` returns for
-    /// it; a caller with fewer than [`GROUP`] queries left repeats one of
-    /// them in the spare lanes. Always the d-dimensional path, like
-    /// [`estimate_unsorted`](Self::estimate_unsorted): a sorted 1-D view
-    /// is answered correctly, without its binary search.
+    /// it; a caller with fewer than [`GROUP`] queries left asks for the
+    /// empty box (`lo = +∞`, `hi = −∞`) in the spare lanes. Always the
+    /// d-dimensional path, like [`estimate_unsorted`](Self::estimate_unsorted):
+    /// a sorted 1-D view is answered correctly, without its binary search.
     pub fn estimate_group(
         &mut self,
         view: &SampleView<'_>,
@@ -532,16 +533,21 @@ impl ScanScratch {
         } else {
             [(0.0, 0.0); GROUP]
         };
-        std::array::from_fn(|l| match aggs[l] {
-            agg @ (AggKind::Min | AggKind::Max) if k_pred[l] > 0 => {
-                let matched = keep.iter().zip(values).filter(|(lanes, _)| lanes[l] != 0);
-                minmax(agg, k_pred[l], matched.map(|(_, &v)| v))
-            }
-            agg => {
-                let (sum, ss) = sums[l];
-                PointVariance::from_phi(agg, values.len(), k_pred[l], population, sum, ss)
-            }
-        })
+        // Not `array::from_fn`: under AVX2 that was four calls out of line.
+        let mut points = [None; GROUP];
+        for (l, point) in points.iter_mut().enumerate() {
+            *point = match aggs[l] {
+                agg @ (AggKind::Min | AggKind::Max) if k_pred[l] > 0 => {
+                    let matched = keep.iter().zip(values).filter(|(lanes, _)| lanes[l] != 0);
+                    minmax(agg, k_pred[l], matched.map(|(_, &v)| v))
+                }
+                agg => {
+                    let (sum, ss) = sums[l];
+                    PointVariance::from_phi(agg, values.len(), k_pred[l], population, sum, ss)
+                }
+            };
+        }
+        points
     }
 
     /// Build the match bitmask for `rect` over arbitrary predicate

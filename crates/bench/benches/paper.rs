@@ -455,15 +455,6 @@ fn ablation_plan(scale: &Scale) -> Sweeps<'_> {
         ("0-variance rule OFF", rule(false)),
     ]);
     let rule = single(adversarial, rule, "", &queries);
-    // Delta encoding: storage against accuracy, SUM on NYC at a 2% rate.
-    let nyc = scale.dataset(DatasetId::NycTaxi);
-    let queries = random(&nyc, scale.queries, AggKind::Sum, scale.seed);
-    let delta = |on| pass_with(PARTITIONS, 0.02, |s| s.delta_encode = on);
-    let delta = engines([
-        ("plain f64 samples", delta(false)),
-        ("delta-encoded (f32)", delta(true)),
-    ]);
-    let delta = single(nyc, delta, "", &queries);
     // Partitioning strategies under one budget, SUM on Instacart.
     let insta = scale.dataset(DatasetId::Instacart);
     let queries = random(&insta, scale.queries, AggKind::Sum, scale.seed);
@@ -476,7 +467,7 @@ fn ablation_plan(scale: &Scale) -> Sweeps<'_> {
         ("equal width", strategy(PartitionStrategy::EqualWidth)),
     ]);
     let strategies = single(insta, strategies, "", &queries);
-    Box::new([rule, delta, strategies].into_iter())
+    Box::new([rule, strategies].into_iter())
 }
 
 /// One cell of a panel, from one summary.
@@ -663,7 +654,7 @@ fn ablation(scale: &Scale, points: &[Point]) {
     let (label, q) = (scale.label, scale.queries);
     println!("Ablation study (scale={label}, {q} queries/workload, k={PARTITIONS}, rate=0.5%)");
     type Cells = fn(&WorkloadSummary) -> Vec<String>;
-    let panels: [(&str, &[&str], Cells); 3] = [
+    let panels: [(&str, &[&str], Cells); 2] = [
         (
             "Ablation A — 0-variance rule (AVG on adversarial data)",
             &[
@@ -677,11 +668,6 @@ fn ablation(scale: &Scale, points: &[Point]) {
                 let tuples = format!("{:.1}", s.mean_tuples_processed);
                 vec![error(s), ci_ratio(s), tuples, skip_rate(s)]
             },
-        ),
-        (
-            "Ablation B — delta-encoded samples (SUM on NYC, 2% rate)",
-            &["variant", "storage", "median RE"],
-            |s| vec![mb(s.storage_bytes), error(s)],
         ),
         (
             "Ablation C — partitioning strategy (SUM on Instacart)",

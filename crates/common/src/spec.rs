@@ -72,9 +72,6 @@ pub struct PassSpec {
     pub total_samples: Option<usize>,
     /// Partitioning optimizer.
     pub strategy: PartitionStrategy,
-    /// Store sample values as f32 deltas from the partition mean
-    /// (Section 3.4 compression).
-    pub delta_encode: bool,
     /// The AVG 0-variance rule (default on).
     pub zero_variance_rule: bool,
     /// ADP optimization sample size `m`.
@@ -97,7 +94,6 @@ impl Default for PassSpec {
             sample_rate: 0.005,
             total_samples: None,
             strategy: PartitionStrategy::Adp(AggKind::Sum),
-            delta_encode: false,
             zero_variance_rule: true,
             opt_samples: 4096,
             adp_delta: 0.01,
@@ -480,9 +476,9 @@ enum Slot<'a> {
     Strategy(&'a mut PartitionStrategy),
     /// The aggregate an ADP strategy is tuned for; absent for the others.
     StrategyAgg(&'a mut PartitionStrategy),
-    /// A constant of the format (v1's λ): written as is, any other value
-    /// refused.
-    Fixed(f64),
+    /// A constant of the format (v1's λ, v1's `delta_encode: false`):
+    /// written as is, any other value refused.
+    Fixed(Json),
     Plan(&'a mut ShardPlan),
     Spec(&'a mut EngineSpec),
 }
@@ -506,7 +502,7 @@ impl Slot<'_> {
             Slot::Strategy(strategy) => Json::from(strategy.name()),
             Slot::StrategyAgg(PartitionStrategy::Adp(agg)) => Json::from(agg.to_string()),
             Slot::StrategyAgg(_) => return None,
-            Slot::Fixed(x) => Json::from(x),
+            Slot::Fixed(value) => value,
             Slot::Plan(plan) => plan.to_json_value(),
             Slot::Spec(spec) => spec.to_json_value(),
         })
@@ -547,7 +543,7 @@ impl Slot<'_> {
                     .find(|kind| kind.to_string() == text)?;
             }
             Slot::StrategyAgg(_) => {}
-            Slot::Fixed(x) => return (value?.as_f64()? == x).then_some(()),
+            Slot::Fixed(fixed) => return (value? == &fixed).then_some(()),
             Slot::Plan(plan) => *plan = ShardPlan::from_json_value(value?).ok()?,
             Slot::Spec(spec) => *spec = EngineSpec::from_json_value(value?).ok()?,
         }
@@ -643,8 +639,8 @@ impl Fields for EngineSpec {
                 f("total_samples", Slot::OptCount(&mut p.total_samples))?;
                 f("strategy", Slot::Strategy(&mut p.strategy))?;
                 f("strategy_agg", Slot::StrategyAgg(&mut p.strategy))?;
-                f("lambda", Slot::Fixed(V1_LAMBDA))?;
-                f("delta_encode", Slot::Flag(&mut p.delta_encode))?;
+                f("lambda", Slot::Fixed(Json::from(V1_LAMBDA)))?;
+                f("delta_encode", Slot::Fixed(Json::from(false)))?;
                 f("zero_variance_rule", Slot::Flag(&mut p.zero_variance_rule))?;
                 f("opt_samples", Slot::Count(&mut p.opt_samples))?;
                 f("adp_delta", Slot::Real(&mut p.adp_delta))?;
@@ -726,7 +722,6 @@ mod tests {
                 sample_rate: 0.05,
                 total_samples: Some(1_000),
                 strategy: PartitionStrategy::EqualDepth,
-                delta_encode: true,
                 tree_dims: Some(vec![0, 2]),
                 seed: 7,
                 ..PassSpec::default()
@@ -953,7 +948,8 @@ mod tests {
     }
 
     /// λ is a format-v1 constant: a PASS spec naming any other CI scale
-    /// is refused where it enters, with the field named.
+    /// is refused where it enters, with the field named. So is a spec
+    /// whose `delta_encode` key, always `false` in v1, reads `true`.
     #[test]
     fn a_lambda_other_than_the_v1_constant_is_refused() {
         let json = EngineSpec::pass().to_json();
@@ -971,5 +967,11 @@ mod tests {
             EngineSpec::from_json(&missing),
             Err(PassError::Load(_))
         ));
+        let delta = json.replace(r#""delta_encode":false"#, r#""delta_encode":true"#);
+        assert_ne!(delta, json);
+        match EngineSpec::from_json(&delta) {
+            Err(PassError::Load(why)) => assert!(why.contains("`delta_encode`"), "{why}"),
+            other => panic!("{delta}: {other:?}"),
+        }
     }
 }

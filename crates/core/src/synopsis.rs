@@ -16,7 +16,6 @@ use pass_common::{AggKind, EngineSpec, Estimate, PassError, PassSpec, Query, Res
 use pass_partition::{
     build_kd, Adp, EqualDepth, EqualWidth, HillClimb, KdExpansion, Partitioner1D,
 };
-use pass_sampling::delta::DeltaEncoded;
 use pass_sampling::{Sample, SampleArena};
 use pass_table::{SortedTable, Table};
 
@@ -62,7 +61,7 @@ fn build_1d(spec: &PassSpec, table: &Table) -> Result<Pass> {
             &mut rng,
         )?);
     }
-    finish(spec, tree, samples)
+    Ok(Pass::from_parts(spec, tree, samples, 0))
 }
 
 /// The k-d expansion path: the tree is built over `tree_table`, the
@@ -111,7 +110,7 @@ fn build_kd_sampled(
             rows.len() as u64,
         )?);
     }
-    finish(spec, tree, samples)
+    Ok(Pass::from_parts(spec, tree, samples, 0))
 }
 
 /// Per-leaf sample sizes: proportional to leaf populations, at least 1
@@ -138,22 +137,6 @@ fn allocate_samples(spec: &PassSpec, leaf_sizes: &[usize]) -> Vec<usize> {
     }
 }
 
-fn finish(spec: &PassSpec, tree: PartitionTree, mut samples: Vec<Sample>) -> Result<Pass> {
-    let leaves = tree.leaves();
-    if spec.delta_encode {
-        // Round-trip the sample values through the f32 delta codec so
-        // estimates genuinely reflect the compressed representation.
-        for (li, sample) in samples.iter_mut().enumerate() {
-            let mean = tree.agg(leaves[li]).avg().unwrap_or(0.0);
-            let decoded = DeltaEncoded::encode(sample.rows().values(), mean).decode();
-            for (i, v) in decoded.into_iter().enumerate() {
-                sample.set_value(i, v);
-            }
-        }
-    }
-    Ok(Pass::from_parts(spec, tree, samples, 0))
-}
-
 /// A built PASS synopsis: aggregate tree + per-leaf stratified samples.
 #[derive(Debug, Clone)]
 pub struct Pass {
@@ -165,8 +148,7 @@ pub struct Pass {
     /// stratum it touched back in.
     pub(crate) arena: SampleArena,
     /// The declarative configuration this synopsis was built from — also
-    /// where λ, the zero-variance rule, the delta flag, the seed and the
-    /// name are read from.
+    /// where the zero-variance rule and the update seed are read from.
     pub(crate) spec: PassSpec,
     /// Mutations absorbed since the build (inserts, deletes) — the
     /// [`Synopsis::update_epoch`] counter that lets `CachedSynopsis` drop
@@ -332,18 +314,7 @@ impl Synopsis for Pass {
     }
 
     fn storage_bytes(&self) -> usize {
-        let sample_bytes: usize = self
-            .samples
-            .iter()
-            .map(|s| {
-                if self.spec.delta_encode {
-                    // f32 per value + f64 per predicate coordinate + mean.
-                    8 + s.k() * (4 + 8 * s.rows().dims())
-                } else {
-                    s.storage_bytes()
-                }
-            })
-            .sum();
+        let sample_bytes: usize = self.samples.iter().map(Sample::storage_bytes).sum();
         self.tree.storage_bytes() + sample_bytes
     }
 
@@ -488,25 +459,6 @@ mod tests {
         // Hard bounds must hold in multi-d too.
         let (lb, ub) = est.hard_bounds.unwrap();
         assert!(lb - 1e-9 <= truth && truth <= ub + 1e-9);
-    }
-
-    #[test]
-    fn delta_encoding_shrinks_storage_with_small_accuracy_cost() {
-        let t = uniform(20_000, 8);
-        let plain = Pass::from_spec(&t, &spec(32, 0.02, 9)).unwrap();
-        let compressed = Pass::from_spec(
-            &t,
-            &PassSpec {
-                delta_encode: true,
-                ..spec(32, 0.02, 9)
-            },
-        )
-        .unwrap();
-        assert!(compressed.storage_bytes() < plain.storage_bytes());
-        let q = Query::interval(AggKind::Sum, 0.2, 0.9);
-        let a = plain.estimate(&q).unwrap().value;
-        let b = compressed.estimate(&q).unwrap().value;
-        assert!((a - b).abs() / a.abs() < 1e-3, "{a} vs {b}");
     }
 
     #[test]

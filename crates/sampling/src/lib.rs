@@ -19,14 +19,11 @@
 //!   [`SampleView`]s so partial-leaf scans stop chasing per-`Sample` heap
 //!   pointers;
 //! * [`stratified`] — the Section 2.2 weighted combination of
-//!   per-stratum states into one;
-//! * [`delta`] — delta encoding of stratified samples against the partition
-//!   mean (the Section 3.4 compression optimization).
+//!   per-stratum states into one.
 
 #![deny(unsafe_code)]
 
 pub mod arena;
-pub mod delta;
 pub mod estimator;
 pub mod kernel;
 pub mod sample;

@@ -162,11 +162,6 @@ impl Sample {
         }
     }
 
-    /// Overwrite sampled row `i`'s value only.
-    pub fn set_value(&mut self, i: usize, value: f64) {
-        self.rows.set_value(i, value);
-    }
-
     /// Remove sampled row `i` (its tuple was deleted): in order from a
     /// sorted sample, by swapping in the last row from any other.
     pub fn remove_row(&mut self, i: usize) {
@@ -292,9 +287,8 @@ mod tests {
         assert_eq!(s.find_row(5.0, &[0.3]), None);
         assert_eq!(s.find_row(4.0, &[0.4]), Some(4));
         s.remove_row(1);
-        s.set_value(0, 7.0);
         assert_eq!(s.rows().predicate_column(0), [0.2, 0.2, 0.3, 0.4]);
-        assert_eq!(s.rows().values(), [7.0, 5.0, 9.0, 4.0]);
+        assert_eq!(s.rows().values(), [2.0, 5.0, 9.0, 4.0]);
         // Drained and refilled, still in order.
         while s.k() > 0 {
             s.remove_row(s.k() / 2);

@@ -1,13 +1,11 @@
 //! Property tests for the sampling substrate: without-replacement
-//! invariants, estimator exactness at full sampling, stratified
-//! combination conservation, and delta-encoding error
-//! bounds.
+//! invariants, estimator exactness at full sampling and stratified
+//! combination conservation.
 
 use proptest::prelude::*;
 
 use pass_common::rng::rng_from_seed;
 use pass_common::{AggKind, Query, Rect};
-use pass_sampling::delta::DeltaEncoded;
 use pass_sampling::estimator::estimate;
 use pass_sampling::{combine_strata, Sample, StratumEstimate};
 use pass_table::Table;
@@ -75,21 +73,5 @@ proptest! {
         );
         let truth = t.ground_truth(&Query::new(AggKind::Sum, rect)).unwrap();
         prop_assert!((combined.value - truth).abs() < 1e-6 * truth.abs().max(1.0));
-    }
-
-    /// Delta encoding's absolute error is bounded by f32 precision of the
-    /// deltas — tiny relative to the spread, independent of the mean's
-    /// magnitude.
-    #[test]
-    fn delta_encoding_error_bound(
-        mean_mag in -1e9f64..1e9,
-        deltas in prop::collection::vec(-100.0f64..100.0, 1..100),
-    ) {
-        let values: Vec<f64> = deltas.iter().map(|d| mean_mag + d).collect();
-        let enc = DeltaEncoded::encode(&values, mean_mag);
-        for (orig, dec) in values.iter().zip(enc.decode()) {
-            // f32 relative epsilon on a |delta| <= 100 payload.
-            prop_assert!((orig - dec).abs() <= 100.0 * f32::EPSILON as f64 * 2.0);
-        }
     }
 }

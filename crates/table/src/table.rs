@@ -286,11 +286,6 @@ impl Table {
         }
     }
 
-    /// Overwrite row `i`'s aggregation value, its predicates untouched.
-    pub fn set_value(&mut self, i: usize, value: f64) {
-        self.values[i] = value;
-    }
-
     /// Unique hash index over predicate column `dim`: canonicalized key
     /// bit pattern → row index (the FK-join build block — the dimension
     /// side of a `pass_common::JoinSpec` indexes its key column once and
@@ -482,8 +477,7 @@ mod tests {
         t.remove_row(0);
         t.swap_remove_row(0);
         t.replace_row(1, 7.0, &[70.0, 0.7]);
-        t.set_value(0, 9.0);
-        assert_eq!(t.values(), [9.0, 7.0, 4.0]);
+        assert_eq!(t.values(), [5.0, 7.0, 4.0]);
         assert_eq!(t.predicate_column(0), [50.0, 70.0, 40.0]);
         assert_eq!(t.predicate_column(1), [0.5, 0.7, 0.4]);
     }

@@ -566,41 +566,6 @@ fn fnv_answers_1d(pass: &Pass, queries: &[Query]) -> u64 {
     hash
 }
 
-/// A delta-encoded 1-D PASS's answers are pinned across commits: FNV-1a
-/// as above over the 500 [`queries_1d`], all five aggregates, on an ADP
-/// and an equal-depth tree. Recorded while the build still overwrote each
-/// sampled value through the row mutator `replace_row`, which cleared
-/// every stratum's sorted flag: the build now rewrites values only, the
-/// strata keep the sorted scan, and the answers must not move.
-#[test]
-fn delta_encoded_one_dimensional_pass_answers_are_pinned_across_commits() {
-    let table = table_1d();
-    let queries = queries_1d(500);
-    let hashes: Vec<u64> = [
-        PartitionStrategy::Adp(AggKind::Sum),
-        PartitionStrategy::EqualDepth,
-    ]
-    .map(|strategy| {
-        let spec = PassSpec {
-            partitions: 64,
-            sample_rate: 0.02,
-            strategy,
-            delta_encode: true,
-            seed: 27,
-            ..PassSpec::default()
-        };
-        let pass = Pass::from_spec(&table, &spec).unwrap();
-        assert!(pass.leaf_samples().iter().all(|s| s.sorted_1d()));
-        fnv_answers_1d(&pass, &queries)
-    })
-    .to_vec();
-    assert_eq!(
-        hashes,
-        [0xf7b42efa60e79c56, 0xad9cd1ddb2416bfa],
-        "answer hashes {hashes:#018x?}"
-    );
-}
-
 /// FNV-1a over every word of an answer: the value, CI and hard-bound
 /// bits, `exact`, both accounting fields — or, for a refusal, the error
 /// variant alone (its text may change; its kind may not).

@@ -24,7 +24,6 @@ use pass::common::{
     estimate_group_by, AggKind, GroupByQuery, PassError, PassSpec, Query, Synopsis,
 };
 use pass::core::Pass;
-use pass::sampling::Sample;
 use pass::table::datasets::uniform;
 use pass::table::Table;
 use pass::{Engine, EngineSpec, ServeConfig, Session, ShardPlan};
@@ -611,50 +610,6 @@ fn saved_bytes_are_pinned_per_engine() {
     assert_eq!(got, 0x5b1501a508ee987f, "updated PASS: {got:#018x}");
 }
 
-/// A saved PASS with every stratum's sorted flag written as `false`: its
-/// state section (section 2) decoded and re-encoded field for field.
-fn with_sorted_flags_cleared(bytes: &[u8]) -> Vec<u8> {
-    patched(bytes, 2, |state| {
-        let mut c = Cursor::new(state, "PASS state");
-        let (epoch, arity): (u64, usize) = c.read().unwrap();
-        let narrow_dims: Option<Vec<usize>> = c.read().unwrap();
-        let samples: Vec<Sample> = c.read().unwrap();
-        c.done().unwrap();
-        let mut out = Vec::new();
-        (epoch, arity).encode(&mut out);
-        narrow_dims.encode(&mut out);
-        samples.len().encode(&mut out);
-        for sample in &samples {
-            sample.population().encode(&mut out);
-            false.encode(&mut out);
-            sample.rows().encode(&mut out);
-        }
-        *state = out;
-    })
-}
-
-/// A delta-encoded 1-D PASS saves the bytes it saved while its build
-/// overwrote each sampled value through the row mutator `replace_row` —
-/// but for the one flag byte per stratum that mutator used to clear. With
-/// every flag written as `false`, the bytes hash to the value recorded
-/// then.
-#[test]
-fn a_delta_encoded_pass_saves_the_same_bytes_but_its_sorted_flags() {
-    let spec = PassSpec {
-        partitions: 16,
-        sample_rate: 0.05,
-        delta_encode: true,
-        seed: 3,
-        ..PassSpec::default()
-    };
-    let pass = Pass::from_spec(&uniform(4_000, 9), &spec).unwrap();
-    assert!(pass.leaf_samples().iter().all(|s| s.sorted_1d()));
-    let mut bytes = Vec::new();
-    pass.save(&mut bytes).unwrap();
-    let got = fnv1a(&with_sorted_flags_cleared(&bytes));
-    assert_eq!(got, 0x465b80e17908d5ca, "delta-encoded PASS: {got:#018x}");
-}
-
 /// A snapshot's section payloads, in order (the 12 bytes of magic and
 /// version before them are left out).
 fn sections(bytes: &[u8]) -> Vec<Vec<u8>> {
@@ -681,21 +636,30 @@ fn patched(bytes: &[u8], at: usize, patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8>
 }
 
 /// λ is a format-v1 constant, checked where it enters: a PASS header
-/// whose spec names another CI scale is a spec mismatch.
+/// whose spec names another CI scale is a spec mismatch. So is one whose
+/// `delta_encode` key, `false` in every v1 header, reads `true`.
 #[test]
 fn a_pass_header_with_another_lambda_is_a_spec_mismatch() {
     let bytes = snapshot();
     assert!(Engine::load(&patched(bytes, 0, |_| {})).is_ok());
-    let other = patched(bytes, 0, |header| {
-        let text = String::from_utf8(header.clone()).unwrap();
-        assert!(text.contains(r#""lambda":2.576"#), "{text}");
-        *header = text
-            .replace(r#""lambda":2.576"#, r#""lambda":1.96"#)
-            .into_bytes();
-    });
-    match snapshot_err(&other) {
-        SnapshotError::SpecMismatch(why) => assert!(why.contains("`lambda`"), "{why}"),
-        err => panic!("{err:?}"),
+    let cases = [
+        (r#""lambda":2.576"#, r#""lambda":1.96"#, "`lambda`"),
+        (
+            r#""delta_encode":false"#,
+            r#""delta_encode":true"#,
+            "`delta_encode`",
+        ),
+    ];
+    for (from, to, field) in cases {
+        let other = patched(bytes, 0, |header| {
+            let text = String::from_utf8(header.clone()).unwrap();
+            assert!(text.contains(from), "{text}");
+            *header = text.replace(from, to).into_bytes();
+        });
+        match snapshot_err(&other) {
+            SnapshotError::SpecMismatch(why) => assert!(why.contains(field), "{why}"),
+            err => panic!("{err:?}"),
+        }
     }
 }
 

@@ -45,7 +45,6 @@ fn pass_spec() -> impl Strategy<Value = EngineSpec> {
             sample_rate: rate,
             total_samples: Some(total),
             strategy,
-            delta_encode: true,
             zero_variance_rule: false,
             opt_samples,
             adp_delta,
